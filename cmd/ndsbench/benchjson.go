@@ -64,11 +64,11 @@ type benchPoint struct {
 	// a top-k reduce (one fixed-size result page per partition) versus
 	// reading the partitions.
 	TopKSavingsX float64 `json:"pushdown_topk_savings_x,omitempty"`
-	RateRps  float64 `json:"rate_rps,omitempty"`
-	AchievedRps float64 `json:"achieved_rps,omitempty"`
-	P50Ns       float64 `json:"p50_ns,omitempty"`
-	P99Ns       float64 `json:"p99_ns,omitempty"`
-	P999Ns      float64 `json:"p999_ns,omitempty"`
+	RateRps      float64 `json:"rate_rps,omitempty"`
+	AchievedRps  float64 `json:"achieved_rps,omitempty"`
+	P50Ns        float64 `json:"p50_ns,omitempty"`
+	P99Ns        float64 `json:"p99_ns,omitempty"`
+	P999Ns       float64 `json:"p999_ns,omitempty"`
 }
 
 // normWorkload maps the legacy empty workload name to "read".

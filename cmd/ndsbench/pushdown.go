@@ -17,9 +17,9 @@ import (
 // the [P2] tradeoff wins.
 
 const (
-	pdDim   = 1024            // 1024x1024 space of 8-byte elements = 8 MiB
-	pdTile  = 256             // scanned partition edge
-	pdTiles = 16              // (pdDim/pdTile)^2 disjoint tiles
+	pdDim   = 1024 // 1024x1024 space of 8-byte elements = 8 MiB
+	pdTile  = 256  // scanned partition edge
+	pdTiles = 16   // (pdDim/pdTile)^2 disjoint tiles
 	pdTileB = pdTile * pdTile * 8
 )
 

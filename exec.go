@@ -138,6 +138,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 			return nil, completionFor(err), Stats{}, nil
 		}
 		rp := proto.ScanResultPayload{Total: res.Total, NextCursor: res.NextCursor}
+		rp.Matches = make([]proto.ScanMatch, 0, len(res.Matches))
 		for _, m := range res.Matches {
 			rp.Matches = append(rp.Matches, proto.ScanMatch{Index: m.Index, Value: m.Value})
 		}
@@ -172,6 +173,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 			return nil, completionFor(err), Stats{}, nil
 		}
 		rp := proto.ReduceResultPayload{Value: res.Value, Index: res.Index, Count: res.Count}
+		rp.TopK = make([]proto.ScanMatch, 0, len(res.TopK))
 		for _, m := range res.TopK {
 			rp.TopK = append(rp.TopK, proto.ScanMatch{Index: m.Index, Value: m.Value})
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // refElems decodes an assembled partition buffer into elements the way the
@@ -307,49 +308,145 @@ func TestPushdownInvalidQueries(t *testing.T) {
 	}
 }
 
-// TestForEachElementSegments drives the element walker over synthetic
-// segment lists with gaps, adjacency, and element-straddling boundaries,
-// comparing against a materialized buffer.
-func TestForEachElementSegments(t *testing.T) {
+// randomSegments lays n es-byte elements out as a segment list and returns it
+// with the buffer a read would assemble from it. layout selects the shape:
+// 0 is random pieces with random gaps, neither element-aligned (straddling
+// elements, edges inside elements); 1 is element-aligned pieces, adjacent or
+// a few whole elements apart; 2 is one segment covering everything (the
+// scalar path's shape); 3 is a phantom device's nil list. Low-entropy bytes
+// (alphabet of four) make ties and zero elements common.
+func randomSegments(rng *rand.Rand, es, n int64, layout uint8) (buf []byte, segs []Segment) {
+	want := es * n
+	buf = make([]byte, want)
+	alphabet := []byte{0, 0, 1, 255}
+	fill := func(b []byte) {
+		if rng.Intn(2) == 0 {
+			rng.Read(b)
+			return
+		}
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+	}
+	emit := func(pos, size int64) {
+		src := make([]byte, size)
+		fill(src)
+		copy(buf[pos:], src)
+		segs = append(segs, Segment{Dst: pos, Src: src})
+	}
+	switch layout % 4 {
+	case 0:
+		for pos := int64(rng.Intn(7)); pos < want; pos += int64(rng.Intn(7)) {
+			size := min64(int64(1+rng.Intn(13)), want-pos)
+			emit(pos, size)
+			pos += size
+		}
+	case 1:
+		for pos := es * int64(rng.Intn(3)); pos < want; pos += es * int64(rng.Intn(3)) {
+			size := min64(es*int64(1+rng.Intn(9)), want-pos)
+			emit(pos, size)
+			pos += size
+		}
+	case 2:
+		emit(0, want)
+	}
+	return buf, segs
+}
+
+// checkPushdownKernels holds scanSegments and reduceSegments over one random
+// segment list to the references over the materialised buffer: predicates
+// that do and do not match zero, cursor and max paging, every reduce kind
+// with and without a predicate, k below, at and above the element count.
+func checkPushdownKernels(t *testing.T, seed int64, width, layout uint8) {
+	rng := rand.New(rand.NewSource(seed))
+	es := []int64{1, 2, 4, 8}[width%4]
+	n := int64(1 + rng.Intn(96))
+	buf, segs := randomSegments(rng, es, n, layout)
+	elems := refElems(buf, n*es, es)
+	pick := func() uint64 { return elems[rng.Intn(len(elems))] }
+	a, b := pick(), pick()
+	if a > b {
+		a, b = b, a
+	}
+	preds := []Predicate{
+		{Lo: 0, Hi: ^uint64(0)}, // every element: pins the walker's order and coverage
+		{Lo: 0, Hi: 0},
+		{Lo: 0, Hi: b},
+		{Lo: 1, Hi: ^uint64(0)},
+		{Lo: a, Hi: b},
+		{Lo: b, Hi: b},
+	}
+	for _, pred := range preds {
+		for _, q := range []ScanQuery{
+			{Pred: pred},
+			{Pred: pred, Max: 1},
+			{Pred: pred, Cursor: rng.Int63n(n + 2)},
+			{Pred: pred, Cursor: rng.Int63n(n + 2), Max: 1 + rng.Intn(int(n))},
+		} {
+			got, want := scanSegments(n*es, es, segs, q), refScan(elems, q)
+			if !scanEqual(got, want) {
+				t.Fatalf("es=%d n=%d layout=%d q=%+v: scan mismatch\n got %+v\nwant %+v\nsegs %v", es, n, layout%4, q, got, want, segs)
+			}
+		}
+	}
+	for _, p := range []*Predicate{nil, &preds[1], &preds[2], &preds[3], &preds[4], &preds[5]} {
+		for _, q := range []ReduceQuery{
+			{Kind: ReduceSum, Pred: p},
+			{Kind: ReduceCount, Pred: p},
+			{Kind: ReduceMin, Pred: p},
+			{Kind: ReduceMax, Pred: p},
+			{Kind: ReduceTopK, K: 1, Pred: p},
+			{Kind: ReduceTopK, K: 1 + rng.Intn(int(n)), Pred: p},
+			{Kind: ReduceTopK, K: int(n), Pred: p},
+			{Kind: ReduceTopK, K: int(n) + 5, Pred: p},
+		} {
+			got, want := reduceSegments(n*es, es, segs, q), refReduce(elems, q)
+			if !reduceEqual(got, want) {
+				t.Fatalf("es=%d n=%d layout=%d q=%+v pred=%+v: reduce mismatch\n got %+v\nwant %+v\nsegs %v", es, n, layout%4, q, p, got, want, segs)
+			}
+		}
+	}
+}
+
+// TestPushdownKernelsDifferential sweeps the fuzz target's input space with a
+// fixed seed so a plain go test run covers every width and layout many times.
+func TestPushdownKernelsDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		es := []int64{1, 2, 4, 8}[rng.Intn(4)]
-		want := es * int64(1+rng.Intn(64))
-		// Build random non-overlapping segments with arbitrary (non
-		// element-aligned) boundaries.
-		buf := make([]byte, want)
-		var segs []Segment
-		pos := int64(0)
-		for pos < want {
-			gap := int64(rng.Intn(7))
-			pos += gap
-			if pos >= want {
-				break
-			}
-			n := int64(1 + rng.Intn(13))
-			if pos+n > want {
-				n = want - pos
-			}
-			src := make([]byte, n)
-			rng.Read(src)
-			copy(buf[pos:], src)
-			segs = append(segs, Segment{Dst: pos, Src: src})
-			pos += n
+	for trial := 0; trial < 400; trial++ {
+		checkPushdownKernels(t, rng.Int63(), uint8(trial), uint8(trial/4))
+	}
+}
+
+// FuzzPushdownKernels is the same differential under the fuzzer's choice of
+// seed, element width and layout; testdata/fuzz holds the committed corpus.
+func FuzzPushdownKernels(f *testing.F) {
+	for width := uint8(0); width < 4; width++ {
+		for layout := uint8(0); layout < 4; layout++ {
+			f.Add(int64(width)*4+int64(layout), width, layout)
 		}
-		wantElems := refElems(buf, want, es)
-		i := int64(0)
-		forEachElement(want, es, segs, func(idx int64, v uint64) {
-			if idx != i {
-				t.Fatalf("trial %d: walker index %d, want %d", trial, idx, i)
-			}
-			if v != wantElems[idx] {
-				t.Fatalf("trial %d es=%d: element %d = %#x, want %#x (segs %d)", trial, es, idx, v, wantElems[idx], len(segs))
-			}
-			i++
-		})
-		if i != int64(len(wantElems)) {
-			t.Fatalf("trial %d: walked %d elements, want %d", trial, i, len(wantElems))
-		}
+	}
+	f.Fuzz(checkPushdownKernels)
+}
+
+// TestTopKFullPartition: the typed API does not bound K, so a top-k as deep
+// as the partition must still finish promptly — a full sort, not the
+// quadratic drain an unbounded K once wedged the device on (48 s at this
+// size, under the space lock).
+func TestTopKFullPartition(t *testing.T) {
+	const n = 1 << 18 // a 1 MiB partition of uint32
+	buf := make([]byte, 4*n)
+	rand.New(rand.NewSource(5)).Read(buf)
+	start := time.Now()
+	res := reduceSegments(4*n, 4, []Segment{{Src: buf}}, ReduceQuery{Kind: ReduceTopK, K: n})
+	// 60 ms here, 230 ms under the race detector.
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("top-%d of %d elements took %v", n, n, d)
+	}
+	if len(res.TopK) != n || res.Count != n {
+		t.Fatalf("kept %d (count %d), want all %d", len(res.TopK), res.Count, n)
+	}
+	if want := refReduce(refElems(buf, 4*n, 4), ReduceQuery{Kind: ReduceTopK, K: n}); !reduceEqual(res, want) {
+		t.Fatal("full-partition top-k differs from the sorted reference")
 	}
 }
 
@@ -357,7 +454,7 @@ func TestForEachElementSegments(t *testing.T) {
 // ascending index, truncated to k.
 func TestTopKOrdering(t *testing.T) {
 	vals := []uint64{5, 9, 1, 9, 5, 0, 9, 2}
-	top := newTopK(4)
+	top := topK{heap: make([]Match, 0, 4)}
 	for i, v := range vals {
 		top.offer(int64(i), v)
 	}
@@ -370,5 +467,57 @@ func TestTopKOrdering(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("topk[%d] = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// benchTile is the shape pushdown_scan feeds the kernels: a 1 MiB tile of
+// uniform uint32 arriving as 512 row pieces of 2 KiB.
+func benchTile() (want int64, segs []Segment) {
+	const piece = 2048
+	buf := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(buf)
+	for off := 0; off < len(buf); off += piece {
+		segs = append(segs, Segment{Dst: int64(off), Src: buf[off : off+piece]})
+	}
+	return int64(len(buf)), segs
+}
+
+var (
+	benchScanResult   ScanResult
+	benchReduceResult ReduceResult
+)
+
+// BenchmarkScanKernel: the scan kernel alone at 1 % selectivity.
+func BenchmarkScanKernel(b *testing.B) {
+	want, segs := benchTile()
+	q := ScanQuery{Pred: Predicate{Lo: 1 << 30, Hi: 1<<30 + 1<<32/100}}
+	b.ReportAllocs()
+	b.SetBytes(want)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchScanResult = scanSegments(want, 4, segs, q)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(want/4), "ns/elem")
+}
+
+// BenchmarkReduceKernel: every reduce kind alone, top-k at the depth
+// pushdown_scan asks for.
+func BenchmarkReduceKernel(b *testing.B) {
+	want, segs := benchTile()
+	for _, q := range []ReduceQuery{
+		{Kind: ReduceSum},
+		{Kind: ReduceCount},
+		{Kind: ReduceMin},
+		{Kind: ReduceMax},
+		{Kind: ReduceTopK, K: 16},
+	} {
+		b.Run(q.Kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(want)
+			for i := 0; i < b.N; i++ {
+				benchReduceResult = reduceSegments(want, 4, segs, q)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(want/4), "ns/elem")
+		})
 	}
 }

@@ -86,13 +86,9 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 		return nil, proto.Completion{Status: proto.StatusOK}, Stats{}, nil
 
 	case proto.OpRead, proto.OpWrite:
-		view, ok := d.lookupView(cmd.Target())
-		if !ok {
-			return nil, proto.Completion{Status: proto.StatusUnknownView}, Stats{}, nil
-		}
-		pl, err := proto.UnmarshalCoordPayload(payload)
-		if err != nil {
-			return nil, proto.Completion{Status: proto.StatusInvalidField}, Stats{}, nil
+		view, pl, status := d.coordCommand(cmd, payload)
+		if status != proto.StatusOK {
+			return nil, proto.Completion{Status: status}, Stats{}, nil
 		}
 		if cmd.Opcode() == proto.OpRead {
 			out, st, err := view.Read(pl.Coord, pl.Sub)
@@ -274,19 +270,31 @@ func (d *Device) ExecRead(raw [proto.CommandSize]byte, payload []byte, fn func(w
 	if cmd.Opcode() != proto.OpRead {
 		return proto.Completion{Status: proto.StatusUnsupportedOp}, Stats{}, nil
 	}
-	view, ok := d.lookupView(cmd.Target())
-	if !ok {
-		return proto.Completion{Status: proto.StatusUnknownView}, Stats{}, nil
-	}
-	pl, err := proto.UnmarshalCoordPayload(payload)
-	if err != nil {
-		return proto.Completion{Status: proto.StatusInvalidField}, Stats{}, nil
+	view, pl, status := d.coordCommand(cmd, payload)
+	if status != proto.StatusOK {
+		return proto.Completion{Status: status}, Stats{}, nil
 	}
 	st, err := view.ReadSegments(pl.Coord, pl.Sub, fn)
 	if err != nil {
 		return completionFor(err), Stats{}, err
 	}
 	return proto.Completion{Status: proto.StatusOK, Result0: uint64(st.Bytes)}, st, nil
+}
+
+// coordCommand is the decode-and-lookup of a command addressed by partition
+// coordinates (nds_read through Exec or ExecRead, nds_write): the view the
+// entry targets and its decoded coordinate page, or the status that rejects
+// the entry — an unknown view before a malformed page.
+func (d *Device) coordCommand(cmd proto.Command, payload []byte) (*Space, proto.CoordPayload, proto.Status) {
+	view, ok := d.lookupView(cmd.Target())
+	if !ok {
+		return nil, proto.CoordPayload{}, proto.StatusUnknownView
+	}
+	pl, err := proto.UnmarshalCoordPayload(payload)
+	if err != nil {
+		return nil, proto.CoordPayload{}, proto.StatusInvalidField
+	}
+	return view, pl, proto.StatusOK
 }
 
 // execCreateSpace handles open_space with the create flag: create, then open

@@ -38,6 +38,7 @@ import (
 
 	"nds"
 	"nds/internal/proto"
+	"nds/internal/stl"
 )
 
 // ErrServerClosed is returned by Serve after Shutdown begins.
@@ -401,18 +402,9 @@ func (c *conn) handleRead(req proto.Request) {
 			return proto.ErrFrameTooLarge
 		}
 		frame = getFrame(proto.ResponseHeaderLen + int(want))
-		payload := frame[proto.ResponseHeaderLen:]
-		// Gather: segments arrive in destination order; the stretches between
-		// them are unwritten storage and must read as zeros (the pooled frame
-		// holds a previous response's bytes).
-		var pos int64
-		for _, sg := range segs {
-			if sg.Dst > pos {
-				clear(payload[pos:sg.Dst])
-			}
-			pos = sg.Dst + int64(copy(payload[sg.Dst:], sg.Src))
-		}
-		clear(payload[pos:])
+		// The pooled frame holds a previous response's bytes; Gather
+		// overwrites every one of them.
+		stl.Gather(frame[proto.ResponseHeaderLen:], segs)
 		return nil
 	})
 	if oversize {

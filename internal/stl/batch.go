@@ -12,6 +12,25 @@ import (
 // issued through the device's batch APIs (ReadPages/ProgramPages) with a
 // pooled requestScratch instead of per-request maps and buffers.
 //
+// Reads are one plan, one emitter, and sinks. planPartitionRead resolves every
+// touched page's bytes (flash batch, cache hit, staged write, decompressed
+// block image); readPartitionSegments, its only caller, turns them into
+// Dst-ordered segments; ReadPartitionSegments (segments.go) wraps the pair in
+// the request envelope — QoS admission, the space read lock, prefetch, the
+// clock — and is the only function that executes a partition read. Everything
+// else is a sink handed to it: ReadPartitionInto gathers into the caller's
+// buffer (Gather: copy the segments, zero only the gaps), ScanPartition and
+// ReducePartition fold the segments into a kernel, the network server
+// gathers into its response frame. A sink cannot change what the device
+// sees, so timing and statistics are those of the plan, whatever consumes it.
+//
+// A phantom device emits a nil list — and so does a data-bearing device for a
+// partition that is all holes, so segs == nil cannot tell the two apart. A
+// sink whose answer is bytes must ask the device: ReadPartitionInto returns
+// nil rather than a zeroed buffer on dev.Phantom(), and ndsserver keeps a
+// phantom nds_read on Exec instead of handleRead's gather-into-frame sink,
+// which would send want zeros where the protocol says "no payload".
+//
 // The path is timing-transparent: batching only ever *delays* device
 // operations relative to the scalar loop, never reorders them. A deferred
 // program batch is flushed at exactly the points where the scalar path would
@@ -21,6 +40,8 @@ import (
 // and at request end. Because sim.Resource reservations depend only on the order and
 // arguments of Acquire calls, identical issue order means bit-identical
 // completion times; the differential tests in stl hold the two paths to that.
+// The scalar reference (io.go, Config.ScalarPath) is selected at one read
+// site, inside ReadPartitionSegments, and one write site, WritePartition.
 
 // ReadPartition reads the partition at coord/sub of view v, assembling the
 // result in the partition's own row-major layout (§4.4). All page reads are
@@ -30,67 +51,30 @@ import (
 //
 // The returned buffer is freshly allocated and owned by the caller.
 func (t *STL) ReadPartition(at sim.Time, v *View, coord, sub []int64) ([]byte, sim.Time, RequestStats, error) {
-	var (
-		buf   []byte
-		done  sim.Time
-		stats RequestStats
-		err   error
-	)
-	s := v.space
-	// Tenant QoS admission runs before the space lock so a queued or
-	// throttled request never blocks the space's writers.
-	if tk := t.qosAdmit(s.id, qosBytes(s, sub)); tk != nil {
-		defer func() { tk.finish(at, done, err == nil) }()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t.cfg.ScalarPath {
-		buf, done, stats, err = t.readPartitionScalar(at, v, coord, sub)
-	} else {
-		buf, done, stats, err = t.readPartitionBatched(at, v, coord, sub, nil)
-	}
-	if err == nil && t.pf != nil {
-		t.maybePrefetch(done, v, coord, sub)
-	}
-	if err == nil {
-		t.noteTime(done)
-	}
-	return buf, done, stats, err
+	return t.ReadPartitionInto(at, v, coord, sub, nil)
 }
 
 // ReadPartitionInto is ReadPartition assembling into dst when dst has enough
 // capacity (allocating a fresh buffer otherwise). The returned slice aliases
 // dst in that case: the caller owns it and may reuse it across requests, but
 // must not hand it to another request while still reading this one's result.
+//
+// It is ReadPartitionSegments with Gather as the sink, so dst may hold stale
+// bytes: every byte of the result is either copied from a segment or zeroed.
 func (t *STL) ReadPartitionInto(at sim.Time, v *View, coord, sub []int64, dst []byte) ([]byte, sim.Time, RequestStats, error) {
-	var (
-		buf   []byte
-		done  sim.Time
-		stats RequestStats
-		err   error
-	)
-	s := v.space
-	if tk := t.qosAdmit(s.id, qosBytes(s, sub)); tk != nil {
-		defer func() { tk.finish(at, done, err == nil) }()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t.cfg.ScalarPath {
-		buf, done, stats, err = t.readPartitionScalar(at, v, coord, sub)
-		if err == nil && buf != nil && int64(cap(dst)) >= int64(len(buf)) {
-			out := dst[:len(buf)]
-			copy(out, buf)
-			buf = out
+	var buf []byte
+	done, stats, err := t.ReadPartitionSegments(at, v, coord, sub, func(want int64, segs []Segment) error {
+		if t.dev.Phantom() {
+			return nil
 		}
-	} else {
-		buf, done, stats, err = t.readPartitionBatched(at, v, coord, sub, dst)
-	}
-	if err == nil && t.pf != nil {
-		t.maybePrefetch(done, v, coord, sub)
-	}
-	if err == nil {
-		t.noteTime(done)
-	}
+		if int64(cap(dst)) >= want {
+			buf = dst[:want]
+		} else {
+			buf = make([]byte, want)
+		}
+		Gather(buf, segs)
+		return nil
+	})
 	return buf, done, stats, err
 }
 
@@ -134,9 +118,9 @@ func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []by
 // pages from STL memory, materializes compressed blocks, and issues the
 // batched device reads. On return rs.pageData/rs.images hold the source bytes
 // and done is the completion time (device batch, decompressions, and cache
-// DRAM streaming all folded in). Shared by the copying assembler
-// (readPartitionBatched) and the segment emitter (readPartitionSegments), so
-// both produce identical timing and statistics by construction.
+// DRAM streaming all folded in). readPartitionSegments, its only caller,
+// turns the resolved pages into segments; every read-shaped request goes
+// through that one pair, so they all share timing and statistics.
 func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord, sub []int64, stats *RequestStats) (exts []Extent, want int64, done sim.Time, err error) {
 	s := v.space
 	exts, want, err = rs.translate(v, coord, sub)
@@ -218,54 +202,6 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 		done = sim.Max(done, start+t.cache.copyCost(hitBytes))
 	}
 	return exts, want, done, nil
-}
-
-func (t *STL) readPartitionBatched(at sim.Time, v *View, coord, sub []int64, dst []byte) ([]byte, sim.Time, RequestStats, error) {
-	var stats RequestStats
-	s := v.space
-	rs := t.getScratch(s)
-	defer t.putScratch(rs)
-	exts, want, done, err := t.planPartitionRead(rs, at, v, coord, sub, &stats)
-	if err != nil {
-		return nil, at, stats, err
-	}
-
-	var buf []byte
-	if !t.dev.Phantom() {
-		if int64(cap(dst)) >= want {
-			buf = dst[:want]
-			clear(buf) // unwritten regions must read as zeros
-		} else {
-			buf = make([]byte, want)
-		}
-	}
-	ps := int64(t.geo.PageSize)
-
-	// Assemble: second extent walk, copying from the plan's page data.
-	if buf != nil {
-		for i := range exts {
-			e := &exts[i]
-			blk := rs.blocks[e.Block]
-			if blk == nil {
-				continue
-			}
-			if blk.compressed {
-				copy(buf[e.Dst:e.Dst+e.Len], rs.images[e.Block][e.Off:e.Off+e.Len])
-				continue
-			}
-			for p := e.Off / ps; p <= (e.Off+e.Len-1)/ps; p++ {
-				data := rs.pageData[rs.pageIdx[pageKey{e.Block, int(p)}]]
-				if data == nil {
-					continue // unwritten page: zeros
-				}
-				lo := max64(e.Off, p*ps)
-				hi := min64(e.Off+e.Len, (p+1)*ps)
-				dstLo := e.Dst + (lo - e.Off)
-				copy(buf[dstLo:dstLo+(hi-lo)], data[lo-p*ps:])
-			}
-		}
-	}
-	return buf, done, stats, nil
 }
 
 func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, data []byte) (sim.Time, RequestStats, error) {

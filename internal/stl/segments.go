@@ -17,20 +17,39 @@ type Segment struct {
 	Src []byte
 }
 
-// ReadPartitionSegments reads the partition at coord/sub of view v like
-// ReadPartition, but instead of assembling a contiguous buffer it hands the
-// result to fn as an ordered list of source segments. want is the partition's
-// total payload size in bytes; segs covers every written byte of it (gaps are
-// zeros). This is the zero-copy read path: a consumer that can gather —
-// encode a wire frame, checksum, scatter into its own layout — skips the
-// partition-buffer copy entirely.
+// Gather assembles a segment list into dst, the partition's row-major buffer
+// (len(dst) is the want the segments came with): each segment is copied to
+// its Dst offset, and the stretches no segment covers — unwritten storage —
+// are zeroed. Every byte of dst is written exactly once, so dst may be a
+// reused buffer full of stale bytes; the gap zeroing is all that keeps them
+// out of the result.
+func Gather(dst []byte, segs []Segment) {
+	var pos int64
+	for _, sg := range segs {
+		if sg.Dst > pos {
+			clear(dst[pos:sg.Dst])
+		}
+		pos = sg.Dst + int64(copy(dst[sg.Dst:], sg.Src))
+	}
+	clear(dst[pos:])
+}
+
+// ReadPartitionSegments is the partition read: the one function that plans
+// and executes a read of the partition at coord/sub of view v. It hands the
+// result to fn as an ordered list of source segments; want is the
+// partition's total payload size in bytes, and segs covers every written
+// byte of it (gaps are zeros). Everything else that reads is a sink on it:
+// ReadPartitionInto gathers into the caller's buffer, ScanPartition and
+// ReducePartition fold the segments into a kernel, and a consumer that can
+// gather for itself — encode a wire frame, checksum, scatter into its own
+// layout — skips the partition-buffer copy entirely.
 //
 // fn runs while the request holds the space's read lock, so the segment
 // sources cannot be erased or rebound under it; the lease ends when fn
-// returns. An error from fn aborts the request and is returned verbatim.
-// Timing and statistics are identical to ReadPartition by construction: both
-// paths share the same plan phase, so the device sees the same operations in
-// the same order. On a phantom device fn receives (want, nil).
+// returns. An error from fn aborts the request and is returned verbatim. On
+// a phantom device fn receives (want, nil) — which an all-holes partition on
+// a data-bearing device also produces, so a sink that must tell the two
+// apart asks the device, not the list.
 func (t *STL) ReadPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn func(want int64, segs []Segment) error) (sim.Time, RequestStats, error) {
 	var (
 		done  sim.Time
@@ -67,10 +86,9 @@ func (t *STL) ReadPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn
 	return done, stats, err
 }
 
-// readPartitionSegments is the batched segment emitter: the shared plan phase
-// resolves every touched page's bytes, then a second extent walk records
-// (Dst, Src) pairs instead of copying — the same walk readPartitionBatched
-// performs, minus the memmove per piece.
+// readPartitionSegments is the batched plan and emitter: planPartitionRead
+// resolves every touched page's bytes, then a second extent walk records one
+// (Dst, Src) pair per page piece.
 func (t *STL) readPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn func(int64, []Segment) error) (sim.Time, RequestStats, error) {
 	var stats RequestStats
 	s := v.space

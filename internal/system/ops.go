@@ -119,16 +119,93 @@ func (s *System) BaselineWrite(at sim.Time, runs []Run, data []byte) (OpStats, e
 	return stats, nil
 }
 
-// NDSRead reads one partition through an NDS configuration.
+// consumer is the stage of a read-shaped command that eats the pages the STL
+// fetched.
+type consumer int
+
+const (
+	// assemble gathers the extents into the object (§4.4's data assembler);
+	// the object is what a hardware device puts on the link.
+	assemble consumer = iota
+	// kernel runs a pushdown operator over the pages at scan rate; only its
+	// result leaves a hardware device.
+	kernel
+)
+
+// ndsRead is the read stage model of Figure 7b/7c, which every read-shaped
+// NDS command — read, segment read, scan, reduce, select — is a caller of:
+// the prologue that gets the coordinates to wherever the STL runs, the STL
+// read itself, the consumer stage, and the link transfer. op names the
+// command in the wrong-Kind error. read runs the STL half at the time
+// translation ends and reports, besides the STL's completion time and
+// statistics, the bytes a device-side consumer sends back (the assembled
+// object, or a kernel's result).
 //
 // Software NDS (Figure 7b): the host submits, translates on its own CPU
-// (§7.3: 41 us), raw pages cross the link, and the host assembles the
-// object from per-extent copies — the 2 KB-chunk cost §7.1 identifies.
+// (§7.3: 41 us), every raw page crosses the link whatever the consumer, and
+// the host assembles the object from per-extent copies — the 2 KB-chunk cost
+// §7.1 identifies — or filters at host-scan rate.
 //
-// Hardware NDS (Figure 7c): one extended NVMe command carries the
-// coordinates; the controller translates and dispatches, the data assembler
-// gathers extents in device DRAM, and only the assembled object crosses the
-// link. Device reads, assembly, and the link stream concurrently.
+// Hardware NDS (Figure 7c): one extended NVMe command carries the coordinates
+// (and query); the controller translates and dispatches, the data assembler
+// gathers extents in device DRAM — or the ARM core runs the kernel — and only
+// the consumer's output crosses the link. Device reads, the consumer, and the
+// link stream concurrently.
+func (s *System) ndsRead(at sim.Time, op string, c consumer, read func(at sim.Time) (sim.Time, stl.RequestStats, int64, error)) (OpStats, error) {
+	var trEnd sim.Time
+	switch s.Kind {
+	case SoftwareNDS:
+		_, subEnd := s.Host.SubmitIO(at)
+		_, trEnd = s.Host.Translate(subEnd)
+	case HardwareNDS:
+		_, subEnd := s.Host.SubmitIO(at)
+		_, cmdXfer := s.Link.Transfer(subEnd, s.pageSize()) // command + coordinate/query page
+		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
+		_, trEnd = s.Ctrl.Translate(cmdEnd)
+	default:
+		return OpStats{}, fmt.Errorf("system: %s on %v system", op, s.Kind)
+	}
+	devDone, st, out, err := read(trEnd)
+	if err != nil {
+		return OpStats{}, err
+	}
+	done := devDone
+	switch s.Kind {
+	case SoftwareNDS:
+		out = st.PagesRead * s.pageSize() // the consumer is on the host: raw pages cross
+		_, linkEnd := s.Link.Transfer(trEnd, out)
+		var cEnd sim.Time
+		if c == assemble {
+			_, cEnd = s.Host.Marshal(trEnd, st.Bytes, s.assemblyChunks(st))
+		} else {
+			_, cEnd = s.Host.Compute(trEnd, hostScanRate.Duration(st.Bytes, st.Bytes))
+		}
+		done = sim.Max(done, sim.Max(linkEnd, cEnd))
+	case HardwareNDS:
+		_, dpEnd := s.Ctrl.DispatchPages(trEnd, st.PagesRead)
+		var cEnd sim.Time
+		if c == assemble {
+			_, cEnd = s.Ctrl.Assemble(trEnd, st.Bytes, s.assemblyChunks(st))
+		} else {
+			_, cEnd = s.Ctrl.Pushdown(trEnd, ctrlScanRate.Duration(st.Bytes, st.Bytes))
+		}
+		_, linkEnd := s.Link.Transfer(trEnd, out)
+		done = sim.Max(sim.Max(done, dpEnd), sim.Max(cEnd, linkEnd))
+	}
+	return OpStats{
+		Done:     done,
+		Bytes:    st.Bytes, // the payload read or scanned: what the tenant is charged
+		RawBytes: out,
+		Extents:  st.Extents,
+		Pages:    st.PagesRead,
+		Commands: 1,
+
+		ProgramRetries: st.ProgramRetries,
+	}, nil
+}
+
+// NDSRead reads one partition through an NDS configuration (ndsRead with the
+// assembling consumer), returning it in a freshly allocated buffer.
 func (s *System) NDSRead(at sim.Time, v *stl.View, coord, sub []int64) ([]byte, OpStats, error) {
 	return s.NDSReadInto(at, v, coord, sub, nil)
 }
@@ -139,117 +216,26 @@ func (s *System) NDSRead(at sim.Time, v *stl.View, coord, sub []int64) ([]byte, 
 // dst, so the caller must consume it before issuing the next read with the
 // same buffer.
 func (s *System) NDSReadInto(at sim.Time, v *stl.View, coord, sub []int64, dst []byte) ([]byte, OpStats, error) {
-	var stats OpStats
-	switch s.Kind {
-	case SoftwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, trEnd := s.Host.Translate(subEnd)
-		data, devDone, st, err := s.STL.ReadPartitionInto(trEnd, v, coord, sub, dst)
-		if err != nil {
-			return nil, stats, err
-		}
-		raw := st.PagesRead * s.pageSize()
-		_, linkEnd := s.Link.Transfer(trEnd, raw)
-		_, mEnd := s.Host.Marshal(trEnd, st.Bytes, s.assemblyChunks(st))
-		stats = OpStats{
-			Done:     sim.Max(devDone, sim.Max(linkEnd, mEnd)),
-			Bytes:    st.Bytes,
-			RawBytes: raw,
-			Extents:  st.Extents,
-			Pages:    st.PagesRead,
-			Commands: 1,
-
-			ProgramRetries: st.ProgramRetries,
-		}
-		return data, stats, nil
-
-	case HardwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, cmdXfer := s.Link.Transfer(subEnd, int64(s.Cfg.Geometry.PageSize)) // command + coordinate page
-		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
-		_, trEnd := s.Ctrl.Translate(cmdEnd)
-		data, devDone, st, err := s.STL.ReadPartitionInto(trEnd, v, coord, sub, dst)
-		if err != nil {
-			return nil, stats, err
-		}
-		_, dpEnd := s.Ctrl.DispatchPages(trEnd, st.PagesRead)
-		_, asmEnd := s.Ctrl.Assemble(trEnd, st.Bytes, s.assemblyChunks(st))
-		_, linkEnd := s.Link.Transfer(trEnd, st.Bytes)
-		done := sim.Max(sim.Max(devDone, dpEnd), sim.Max(asmEnd, linkEnd))
-		stats = OpStats{
-			Done:     done,
-			Bytes:    st.Bytes,
-			RawBytes: st.Bytes,
-			Extents:  st.Extents,
-			Pages:    st.PagesRead,
-			Commands: 1,
-
-			ProgramRetries: st.ProgramRetries,
-		}
-		return data, stats, nil
-	}
-	return nil, stats, fmt.Errorf("system: NDSRead on %v system", s.Kind)
+	var data []byte
+	stats, err := s.ndsRead(at, "NDSRead", assemble, func(at sim.Time) (done sim.Time, st stl.RequestStats, out int64, err error) {
+		data, done, st, err = s.STL.ReadPartitionInto(at, v, coord, sub, dst)
+		return done, st, st.Bytes, err
+	})
+	return data, stats, err
 }
 
 // NDSReadSegments is NDSRead delivering the partition as ordered source
 // segments instead of an assembled buffer: fn receives the payload size and
 // the segment list (gaps are zeros) while the request still holds its locks,
-// exactly as stl.ReadPartitionSegments documents. Timing and statistics are
-// identical to NDSReadInto — both ride the same plan phase and charge the
-// same submission/translation/assembly/link stages — so a consumer that can
-// gather (the ndsd completion writer) skips the partition-buffer copy with
-// no simulated-time difference.
+// exactly as stl.ReadPartitionSegments documents. It is the same command as
+// NDSReadInto with the gather left to the consumer (the ndsd completion
+// writer gathers straight into its response frame), so simulated time and
+// statistics cannot differ.
 func (s *System) NDSReadSegments(at sim.Time, v *stl.View, coord, sub []int64, fn func(want int64, segs []stl.Segment) error) (OpStats, error) {
-	var stats OpStats
-	switch s.Kind {
-	case SoftwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, trEnd := s.Host.Translate(subEnd)
-		devDone, st, err := s.STL.ReadPartitionSegments(trEnd, v, coord, sub, fn)
-		if err != nil {
-			return stats, err
-		}
-		raw := st.PagesRead * s.pageSize()
-		_, linkEnd := s.Link.Transfer(trEnd, raw)
-		_, mEnd := s.Host.Marshal(trEnd, st.Bytes, s.assemblyChunks(st))
-		stats = OpStats{
-			Done:     sim.Max(devDone, sim.Max(linkEnd, mEnd)),
-			Bytes:    st.Bytes,
-			RawBytes: raw,
-			Extents:  st.Extents,
-			Pages:    st.PagesRead,
-			Commands: 1,
-
-			ProgramRetries: st.ProgramRetries,
-		}
-		return stats, nil
-
-	case HardwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, cmdXfer := s.Link.Transfer(subEnd, int64(s.Cfg.Geometry.PageSize)) // command + coordinate page
-		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
-		_, trEnd := s.Ctrl.Translate(cmdEnd)
-		devDone, st, err := s.STL.ReadPartitionSegments(trEnd, v, coord, sub, fn)
-		if err != nil {
-			return stats, err
-		}
-		_, dpEnd := s.Ctrl.DispatchPages(trEnd, st.PagesRead)
-		_, asmEnd := s.Ctrl.Assemble(trEnd, st.Bytes, s.assemblyChunks(st))
-		_, linkEnd := s.Link.Transfer(trEnd, st.Bytes)
-		done := sim.Max(sim.Max(devDone, dpEnd), sim.Max(asmEnd, linkEnd))
-		stats = OpStats{
-			Done:     done,
-			Bytes:    st.Bytes,
-			RawBytes: st.Bytes,
-			Extents:  st.Extents,
-			Pages:    st.PagesRead,
-			Commands: 1,
-
-			ProgramRetries: st.ProgramRetries,
-		}
-		return stats, nil
-	}
-	return stats, fmt.Errorf("system: NDSReadSegments on %v system", s.Kind)
+	return s.ndsRead(at, "NDSReadSegments", assemble, func(at sim.Time) (sim.Time, stl.RequestStats, int64, error) {
+		done, st, err := s.STL.ReadPartitionSegments(at, v, coord, sub, fn)
+		return done, st, st.Bytes, err
+	})
 }
 
 // NDSWrite writes one partition through an NDS configuration,

@@ -66,92 +66,39 @@ func reduceResultBytes(r stl.ReduceResult) int64 {
 	return 32 + 16*int64(len(r.TopK))
 }
 
-// NDSScan executes a predicate scan over one partition at the STL.
+// NDSScan executes a predicate scan over one partition at the STL: ndsRead
+// with the kernel consumer.
 //
 // Software NDS: submission and translation on the host CPU, raw pages across
 // the link, then the host worker filters them at host-scan rate. Hardware
 // NDS: one extended command in, translation and the scan kernel on the
 // controller, and only the result page back across the link.
 func (s *System) NDSScan(at sim.Time, v *stl.View, coord, sub []int64, q stl.ScanQuery) (stl.ScanResult, OpStats, error) {
-	var stats OpStats
-	switch s.Kind {
-	case SoftwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, trEnd := s.Host.Translate(subEnd)
-		res, devDone, st, err := s.STL.ScanPartition(trEnd, v, coord, sub, q)
-		if err != nil {
-			return stl.ScanResult{}, stats, err
-		}
-		raw := st.PagesRead * s.pageSize()
-		_, linkEnd := s.Link.Transfer(trEnd, raw)
-		_, cmpEnd := s.Host.Compute(trEnd, hostScanRate.Duration(st.Bytes, st.Bytes))
-		stats = pushdownStats(sim.Max(devDone, sim.Max(linkEnd, cmpEnd)), st, raw)
-		return res, stats, nil
-
-	case HardwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, cmdXfer := s.Link.Transfer(subEnd, int64(s.Cfg.Geometry.PageSize)) // command + query page
-		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
-		_, trEnd := s.Ctrl.Translate(cmdEnd)
-		res, devDone, st, err := s.STL.ScanPartition(trEnd, v, coord, sub, q)
-		if err != nil {
-			return stl.ScanResult{}, stats, err
-		}
-		_, dpEnd := s.Ctrl.DispatchPages(trEnd, st.PagesRead)
-		_, cmpEnd := s.Ctrl.Pushdown(trEnd, ctrlScanRate.Duration(st.Bytes, st.Bytes))
-		result := scanResultBytes(res)
-		_, linkEnd := s.Link.Transfer(trEnd, result)
-		done := sim.Max(sim.Max(devDone, dpEnd), sim.Max(cmpEnd, linkEnd))
-		stats = pushdownStats(done, st, result)
-		return res, stats, nil
-	}
-	return stl.ScanResult{}, stats, fmt.Errorf("system: NDSScan on %v system", s.Kind)
+	var res stl.ScanResult
+	stats, err := s.ndsRead(at, "NDSScan", kernel, func(at sim.Time) (done sim.Time, st stl.RequestStats, out int64, err error) {
+		res, done, st, err = s.STL.ScanPartition(at, v, coord, sub, q)
+		return done, st, scanResultBytes(res), err
+	})
+	return res, stats, err
 }
 
 // NDSReduce executes a block-level reduction over one partition at the STL,
 // with the same stage structure and charging as NDSScan.
 func (s *System) NDSReduce(at sim.Time, v *stl.View, coord, sub []int64, q stl.ReduceQuery) (stl.ReduceResult, OpStats, error) {
-	var stats OpStats
-	switch s.Kind {
-	case SoftwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, trEnd := s.Host.Translate(subEnd)
-		res, devDone, st, err := s.STL.ReducePartition(trEnd, v, coord, sub, q)
-		if err != nil {
-			return stl.ReduceResult{}, stats, err
-		}
-		raw := st.PagesRead * s.pageSize()
-		_, linkEnd := s.Link.Transfer(trEnd, raw)
-		_, cmpEnd := s.Host.Compute(trEnd, hostScanRate.Duration(st.Bytes, st.Bytes))
-		stats = pushdownStats(sim.Max(devDone, sim.Max(linkEnd, cmpEnd)), st, raw)
-		return res, stats, nil
-
-	case HardwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, cmdXfer := s.Link.Transfer(subEnd, int64(s.Cfg.Geometry.PageSize))
-		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
-		_, trEnd := s.Ctrl.Translate(cmdEnd)
-		res, devDone, st, err := s.STL.ReducePartition(trEnd, v, coord, sub, q)
-		if err != nil {
-			return stl.ReduceResult{}, stats, err
-		}
-		_, dpEnd := s.Ctrl.DispatchPages(trEnd, st.PagesRead)
-		_, cmpEnd := s.Ctrl.Pushdown(trEnd, ctrlScanRate.Duration(st.Bytes, st.Bytes))
-		result := reduceResultBytes(res)
-		_, linkEnd := s.Link.Transfer(trEnd, result)
-		done := sim.Max(sim.Max(devDone, dpEnd), sim.Max(cmpEnd, linkEnd))
-		stats = pushdownStats(done, st, result)
-		return res, stats, nil
-	}
-	return stl.ReduceResult{}, stats, fmt.Errorf("system: NDSReduce on %v system", s.Kind)
+	var res stl.ReduceResult
+	stats, err := s.ndsRead(at, "NDSReduce", kernel, func(at sim.Time) (done sim.Time, st stl.RequestStats, out int64, err error) {
+		res, done, st, err = s.STL.ReducePartition(at, v, coord, sub, q)
+		return done, st, reduceResultBytes(res), err
+	})
+	return res, stats, err
 }
 
 // NDSSelect models a pushdown selection over the partition at coord/sub
 // whose result size is declared rather than computed. The timed Figure-10
 // harness runs on phantom (dataless) paper-scale platforms, where a real
 // scan would see only zeros and report a degenerate match count; NDSSelect
-// charges the exact stage structure of NDSScan — submission, translation,
-// the full segment-plan read, the scan-rate compute charge, and the link
+// is NDSScan with a kernel that does nothing — the same submission,
+// translation, full segment-plan read, scan-rate compute charge, and link
 // transfer — but lets the caller declare how many result bytes cross the
 // interconnect (header + matches for a scan, header + top-k entries for a
 // reduction). On SoftwareNDS the declared size is ignored for the link:
@@ -160,49 +107,8 @@ func (s *System) NDSSelect(at sim.Time, v *stl.View, coord, sub []int64, resultB
 	if resultBytes < 0 {
 		return OpStats{}, fmt.Errorf("system: NDSSelect with %d result bytes", resultBytes)
 	}
-	noop := func(int64, []stl.Segment) error { return nil }
-	switch s.Kind {
-	case SoftwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, trEnd := s.Host.Translate(subEnd)
-		devDone, st, err := s.STL.ReadPartitionSegments(trEnd, v, coord, sub, noop)
-		if err != nil {
-			return OpStats{}, err
-		}
-		raw := st.PagesRead * s.pageSize()
-		_, linkEnd := s.Link.Transfer(trEnd, raw)
-		_, cmpEnd := s.Host.Compute(trEnd, hostScanRate.Duration(st.Bytes, st.Bytes))
-		return pushdownStats(sim.Max(devDone, sim.Max(linkEnd, cmpEnd)), st, raw), nil
-
-	case HardwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, cmdXfer := s.Link.Transfer(subEnd, int64(s.Cfg.Geometry.PageSize))
-		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
-		_, trEnd := s.Ctrl.Translate(cmdEnd)
-		devDone, st, err := s.STL.ReadPartitionSegments(trEnd, v, coord, sub, noop)
-		if err != nil {
-			return OpStats{}, err
-		}
-		_, dpEnd := s.Ctrl.DispatchPages(trEnd, st.PagesRead)
-		_, cmpEnd := s.Ctrl.Pushdown(trEnd, ctrlScanRate.Duration(st.Bytes, st.Bytes))
-		_, linkEnd := s.Link.Transfer(trEnd, resultBytes)
-		done := sim.Max(sim.Max(devDone, dpEnd), sim.Max(cmpEnd, linkEnd))
-		return pushdownStats(done, st, resultBytes), nil
-	}
-	return OpStats{}, fmt.Errorf("system: NDSSelect on %v system", s.Kind)
-}
-
-// pushdownStats packages operator stats: Bytes is the payload scanned (what
-// the tenant was charged), RawBytes is what actually crossed the link.
-func pushdownStats(done sim.Time, st stl.RequestStats, rawBytes int64) OpStats {
-	return OpStats{
-		Done:     done,
-		Bytes:    st.Bytes,
-		RawBytes: rawBytes,
-		Extents:  st.Extents,
-		Pages:    st.PagesRead,
-		Commands: 1,
-
-		ProgramRetries: st.ProgramRetries,
-	}
+	return s.ndsRead(at, "NDSSelect", kernel, func(at sim.Time) (sim.Time, stl.RequestStats, int64, error) {
+		done, st, err := s.STL.ReadPartitionSegments(at, v, coord, sub, func(int64, []stl.Segment) error { return nil })
+		return done, st, resultBytes, err
+	})
 }

@@ -735,20 +735,7 @@ func (s *Space) Dims() []int64 {
 // in the partition's own row-major layout. On a phantom device the data is
 // nil but stats are exact. Reads from distinct views run in parallel.
 func (s *Space) Read(coord, sub []int64) ([]byte, Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.view == nil {
-		return nil, Stats{}, fmt.Errorf("nds: read on %w", ErrClosedView)
-	}
-	d := s.dev
-	issue := s.cursor
-	d.io.RLock()
-	data, st, err := d.sys.NDSRead(issue, s.view, coord, sub)
-	d.io.RUnlock()
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return data, s.account(issue, st), nil
+	return s.ReadInto(coord, sub, nil)
 }
 
 // ReadInto is Read assembling the partition into dst when dst has enough
@@ -757,22 +744,15 @@ func (s *Space) Read(coord, sub []int64) ([]byte, Stats, error) {
 // to the caller's stream — reuse it across this view's reads to make the
 // steady-state read path allocation-free, but consume or copy the result
 // before issuing the next read with the same buffer, and never share one
-// buffer across views reading concurrently.
+// buffer across views reading concurrently. dst's old contents never show
+// through: unwritten regions of the partition are zeroed in it.
 func (s *Space) ReadInto(coord, sub []int64, dst []byte) ([]byte, Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.view == nil {
-		return nil, Stats{}, fmt.Errorf("nds: read on %w", ErrClosedView)
-	}
-	d := s.dev
-	issue := s.cursor
-	d.io.RLock()
-	data, st, err := d.sys.NDSReadInto(issue, s.view, coord, sub, dst)
-	d.io.RUnlock()
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return data, s.account(issue, st), nil
+	var data []byte
+	st, err := s.issue("read", false, func(at sim.Time, v *stl.View) (st system.OpStats, err error) {
+		data, st, err = s.dev.sys.NDSReadInto(at, v, coord, sub, dst)
+		return st, err
+	})
+	return data, st, err
 }
 
 // Segment is one contiguous source piece of a segmented read: see
@@ -785,7 +765,8 @@ type Segment = stl.Segment
 // buffer: fn receives the partition's payload size and a Dst-ordered,
 // non-overlapping segment list whose gaps read as zeros. This is the
 // zero-copy read path — a consumer that can gather (frame encoders,
-// checksummers, scatter targets) skips the partition-buffer copy entirely.
+// checksummers, scatter targets) skips the partition-buffer copy entirely;
+// ReadInto is this call with a gather into dst as fn.
 //
 // Lease rule: the segments alias device-owned storage and are valid only
 // until fn returns; fn must gather or copy, never retain or mutate. fn runs
@@ -793,20 +774,9 @@ type Segment = stl.Segment
 // Timing and stats are identical to Read. On a phantom device fn receives
 // (want, nil).
 func (s *Space) ReadSegments(coord, sub []int64, fn func(want int64, segs []Segment) error) (Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.view == nil {
-		return Stats{}, fmt.Errorf("nds: read on %w", ErrClosedView)
-	}
-	d := s.dev
-	issue := s.cursor
-	d.io.RLock()
-	st, err := d.sys.NDSReadSegments(issue, s.view, coord, sub, fn)
-	d.io.RUnlock()
-	if err != nil {
-		return Stats{}, err
-	}
-	return s.account(issue, st), nil
+	return s.issue("read", false, func(at sim.Time, v *stl.View) (system.OpStats, error) {
+		return s.dev.sys.NDSReadSegments(at, v, coord, sub, fn)
+	})
 }
 
 // Write stores data (laid out in the partition's row-major shape) at the
@@ -815,20 +785,31 @@ func (s *Space) ReadSegments(coord, sub []int64, fn func(want int64, segs []Segm
 // flash operations overlap in simulated time with commands issued on other
 // streams; Options.SerializedWrites restores the exclusive write path.
 func (s *Space) Write(coord, sub []int64, data []byte) (Stats, error) {
+	return s.issue("write", s.dev.serializedWrites, func(at sim.Time, v *stl.View) (system.OpStats, error) {
+		return s.dev.sys.NDSWrite(at, v, coord, sub, data)
+	})
+}
+
+// issue runs one partition command on the stream: it serializes against the
+// view's other commands, rejects a closed view (op names the command in that
+// error), issues run at the stream cursor under the device's io lock —
+// shared, or exclusive for a SerializedWrites write — and accounts the
+// completion. Every data command of the typed API is a caller.
+func (s *Space) issue(op string, exclusive bool, run func(at sim.Time, v *stl.View) (system.OpStats, error)) (Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.view == nil {
-		return Stats{}, fmt.Errorf("nds: write on %w", ErrClosedView)
+		return Stats{}, fmt.Errorf("nds: %s on %w", op, ErrClosedView)
 	}
 	d := s.dev
 	issue := s.cursor
-	if d.serializedWrites {
+	if exclusive {
 		d.io.Lock()
 	} else {
 		d.io.RLock()
 	}
-	st, err := d.sys.NDSWrite(issue, s.view, coord, sub, data)
-	if d.serializedWrites {
+	st, err := run(issue, s.view)
+	if exclusive {
 		d.io.Unlock()
 	} else {
 		d.io.RUnlock()

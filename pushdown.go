@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"nds/internal/sim"
 	"nds/internal/stl"
+	"nds/internal/system"
 	"nds/internal/tensor"
 )
 
@@ -116,44 +118,28 @@ type ReduceResult = stl.ReduceResult
 // interconnect (see Stats.RawBytes). Scans work on phantom devices — an
 // unstored partition is all zeros.
 func (s *Space) Scan(coord, sub []int64, q ScanQuery) (ScanResult, Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.view == nil {
-		return ScanResult{}, Stats{}, fmt.Errorf("nds: scan on %w", ErrClosedView)
-	}
-	d := s.dev
-	if d.noPushdown {
-		return ScanResult{}, Stats{}, fmt.Errorf("nds: scan: %w", ErrPushdownDisabled)
-	}
-	issue := s.cursor
-	d.io.RLock()
-	res, st, err := d.sys.NDSScan(issue, s.view, coord, sub, q)
-	d.io.RUnlock()
-	if err != nil {
-		return ScanResult{}, Stats{}, err
-	}
-	return res, s.account(issue, st), nil
+	var res ScanResult
+	st, err := s.issue("scan", false, func(at sim.Time, v *stl.View) (st system.OpStats, err error) {
+		if s.dev.noPushdown {
+			return st, fmt.Errorf("nds: scan: %w", ErrPushdownDisabled)
+		}
+		res, st, err = s.dev.sys.NDSScan(at, v, coord, sub, q)
+		return st, err
+	})
+	return res, st, err
 }
 
 // Reduce executes a block-level reduction over the partition at coord/sub
 // inside the device, with the same timing, charging, and interconnect
 // semantics as Scan.
 func (s *Space) Reduce(coord, sub []int64, q ReduceQuery) (ReduceResult, Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.view == nil {
-		return ReduceResult{}, Stats{}, fmt.Errorf("nds: reduce on %w", ErrClosedView)
-	}
-	d := s.dev
-	if d.noPushdown {
-		return ReduceResult{}, Stats{}, fmt.Errorf("nds: reduce: %w", ErrPushdownDisabled)
-	}
-	issue := s.cursor
-	d.io.RLock()
-	res, st, err := d.sys.NDSReduce(issue, s.view, coord, sub, q)
-	d.io.RUnlock()
-	if err != nil {
-		return ReduceResult{}, Stats{}, err
-	}
-	return res, s.account(issue, st), nil
+	var res ReduceResult
+	st, err := s.issue("reduce", false, func(at sim.Time, v *stl.View) (st system.OpStats, err error) {
+		if s.dev.noPushdown {
+			return st, fmt.Errorf("nds: reduce: %w", ErrPushdownDisabled)
+		}
+		res, st, err = s.dev.sys.NDSReduce(at, v, coord, sub, q)
+		return st, err
+	})
+	return res, st, err
 }

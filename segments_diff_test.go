@@ -9,40 +9,58 @@ import (
 	"time"
 )
 
-// TestDifferentialSegmentsVsRead holds the zero-copy segment read path to the
-// copying path's contract: for the same sequence of operations on two
-// identically-driven devices, reassembling ReadSegments' segments (gaps as
-// zeros) must reproduce ReadInto's bytes exactly, and every operation's Stats
-// — including simulated Elapsed — must be identical. The configurations cover
-// each assembler the plan phase can emit segments from: demand-path pages,
-// cache hits, compressed block images, write-buffered staging, and phantom
-// devices (which carry timing but no payload).
-func TestDifferentialSegmentsVsRead(t *testing.T) {
-	configs := []struct {
-		name string
-		opts Options
-	}{
-		{"hardware", Options{Mode: ModeHardware, CapacityHint: 16 << 20}},
-		{"software", Options{Mode: ModeSoftware, CapacityHint: 16 << 20}},
-		{"cached", Options{Mode: ModeHardware, CapacityHint: 16 << 20, CacheBytes: 4 << 20, PrefetchDepth: 2}},
-		{"compressed", Options{Mode: ModeHardware, CapacityHint: 16 << 20, Compress: true}},
-		{"write-buffered", Options{Mode: ModeHardware, CapacityHint: 16 << 20, WriteBuffering: true}},
-		{"phantom", Options{Mode: ModeHardware, CapacityHint: 16 << 20, Phantom: true}},
+// readConfigs has one device configuration per source the plan phase can emit
+// segments from: demand-path pages (on either NDS kind), cache hits,
+// compressed block images, write-buffered staging, and a phantom device
+// (which carries timing but no payload).
+var readConfigs = []struct {
+	name string
+	opts Options
+}{
+	{"hardware", Options{Mode: ModeHardware, CapacityHint: 16 << 20}},
+	{"software", Options{Mode: ModeSoftware, CapacityHint: 16 << 20}},
+	{"cached", Options{Mode: ModeHardware, CapacityHint: 16 << 20, CacheBytes: 4 << 20, PrefetchDepth: 2}},
+	{"compressed", Options{Mode: ModeHardware, CapacityHint: 16 << 20, Compress: true}},
+	{"write-buffered", Options{Mode: ModeHardware, CapacityHint: 16 << 20, WriteBuffering: true}},
+	{"phantom", Options{Mode: ModeHardware, CapacityHint: 16 << 20, Phantom: true}},
+}
+
+// repeatRuns fills n bytes with runs of 1..64 repeats of a random byte no
+// smaller than lo, so the compressed configuration actually compresses.
+func repeatRuns(rng *rand.Rand, n int, lo int) []byte {
+	b := make([]byte, n)
+	for i := 0; i < n; {
+		v, run := byte(lo+rng.Intn(256-lo)), rng.Intn(64)+1
+		for j := 0; j < run && i < n; j++ {
+			b[i] = v
+			i++
+		}
 	}
+	return b
+}
+
+// TestDifferentialSegmentsVsRead holds both shapes of the one read path to the
+// scalar reference. ReadInto is ReadSegments with a gather sink, so comparing
+// the two to each other only checks the gather; the independent input is a
+// third, identically-driven device opened with ScalarDataPath, whose reads run
+// the original page-at-a-time loop. For the same sequence of operations,
+// ReadInto's bytes, the reassembly of ReadSegments' segments (gaps as zeros),
+// and the scalar reference's bytes must be equal, and every operation's Stats
+// — including simulated Elapsed — identical across all three.
+func TestDifferentialSegmentsVsRead(t *testing.T) {
 	// Partition shapes exercised against every configuration. The wide/flat
 	// shapes split building blocks across page boundaries unevenly, and the
 	// whole-space read crosses everything at once.
 	subs := [][]int64{{64, 64}, {16, 128}, {128, 32}, {256, 256}}
 
-	for _, cfg := range configs {
-		cfg := cfg
+	for _, cfg := range readConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			type opRecord struct {
 				stats Stats
 				data  []byte
 			}
-			run := func(useSegments bool) []opRecord {
-				d, err := Open(cfg.opts)
+			run := func(opts Options, useSegments bool) []opRecord {
+				d, err := Open(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -56,18 +74,9 @@ func TestDifferentialSegmentsVsRead(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer v.Close()
-				// Write the middle half only, with runs of repeats so the
-				// compressed configuration actually compresses: reads below
-				// cross written data, unwritten zeros, and the boundary.
-				payload := make([]byte, 128*256*4)
-				rng := rand.New(rand.NewSource(7))
-				for i := 0; i < len(payload); {
-					b, n := byte(rng.Intn(256)), rng.Intn(64)+1
-					for j := 0; j < n && i < len(payload); j++ {
-						payload[i] = b
-						i++
-					}
-				}
+				// Write the middle half only: reads below cross written
+				// data, unwritten zeros, and the boundary.
+				payload := repeatRuns(rand.New(rand.NewSource(7)), 128*256*4, 0)
 				if _, err := v.Write([]int64{0, 0}, []int64{128, 256}, payload); err != nil {
 					t.Fatal(err)
 				}
@@ -84,17 +93,11 @@ func TestDifferentialSegmentsVsRead(t *testing.T) {
 						for c1 := int64(0); c1 < n1; c1++ {
 							coord := []int64{c0, c1}
 							want := sub[0] * sub[1] * 4
+							// Zeroed: segment gaps must read as zeros in the
+							// reassembly, and a phantom read is all zeros.
 							buf := make([]byte, want)
 							var rec opRecord
 							if useSegments {
-								// Prefill with a sentinel: segment gaps must
-								// be zeros in the reassembly, so overwrite
-								// with zeros first and let segments land on
-								// top — exactly what a zero-copy consumer
-								// (the server's gather-writer) does.
-								for i := range buf {
-									buf[i] = 0
-								}
 								st, err := v.ReadSegments(coord, sub, func(got int64, segs []Segment) error {
 									if got != want {
 										return fmt.Errorf("want %d bytes, got %d", want, got)
@@ -125,18 +128,27 @@ func TestDifferentialSegmentsVsRead(t *testing.T) {
 				return recs
 			}
 
-			copied := run(false)
-			segmented := run(true)
-			if len(copied) != len(segmented) {
-				t.Fatalf("op counts diverge: %d vs %d", len(copied), len(segmented))
-			}
-			for i := range copied {
-				if copied[i].stats != segmented[i].stats {
-					t.Errorf("op %d stats diverge:\n  copy:     %+v\n  segments: %+v",
-						i, copied[i].stats, segmented[i].stats)
+			scalarOpts := cfg.opts
+			scalarOpts.ScalarDataPath = true
+			reference := run(scalarOpts, false)
+			for _, shape := range []struct {
+				name string
+				recs []opRecord
+			}{
+				{"ReadInto", run(cfg.opts, false)},
+				{"ReadSegments", run(cfg.opts, true)},
+			} {
+				if len(shape.recs) != len(reference) {
+					t.Fatalf("%s: %d ops, scalar reference %d", shape.name, len(shape.recs), len(reference))
 				}
-				if !bytes.Equal(copied[i].data, segmented[i].data) {
-					t.Errorf("op %d payload bytes diverge between copy and segment assembly", i)
+				for i := range reference {
+					if shape.recs[i].stats != reference[i].stats {
+						t.Errorf("op %d stats diverge:\n  scalar: %+v\n  %s: %+v",
+							i, reference[i].stats, shape.name, shape.recs[i].stats)
+					}
+					if !bytes.Equal(shape.recs[i].data, reference[i].data) {
+						t.Errorf("op %d: %s payload bytes diverge from the scalar reference", i, shape.name)
+					}
 				}
 			}
 		})
@@ -146,8 +158,9 @@ func TestDifferentialSegmentsVsRead(t *testing.T) {
 // BenchmarkReadSegments measures the zero-copy read path end to end: a
 // steady-state tile read through ReadSegments should allocate nothing — the
 // plan scratch is pooled, the segment slice is retained on the scratch, and
-// no destination buffer exists at all. Compare with the ReadInto variant,
-// which differs only by the assembly copy.
+// no destination buffer exists at all. The readinto variant is the same call
+// with stl.Gather as the sink: it costs one gather of the tile more and must
+// stay at 0 allocs/op too.
 func BenchmarkReadSegments(b *testing.B) {
 	d, id := fillSpace(b)
 	defer d.Close()
@@ -272,4 +285,110 @@ func TestShardedClockDifferential(t *testing.T) {
 	if diverged > 0 {
 		t.Fatalf("%d/%d operations timed differently across goroutine placements", diverged, len(sequential))
 	}
+}
+
+// TestReadIntoStaleBufferHoles pins the one thing standing between a reused
+// caller buffer and stale data now that ReadInto is a gather over segments:
+// the zeroing of the stretches no segment covers. Every read hands in a
+// buffer full of 0xFF; the space has unwritten holes at the head, in the
+// middle and at the tail of the partitions read — a whole untouched building
+// block, unwritten pages of touched blocks, and unwritten bytes inside a
+// written page — and the result must be zeros in the holes and the written
+// (never-zero) bytes elsewhere, whichever source the segments come from.
+func TestReadIntoStaleBufferHoles(t *testing.T) {
+	// 2x2 building blocks of 512x512 elements, two rows of a block to a page.
+	const side, es = 1024, 4
+	// Tiles written, as (coord, sub) in partition units: a row band across the
+	// two upper blocks, half a band in the lower left block, and two tiles
+	// narrower than a page. The lower right block is never touched, and rows
+	// 0 and 1023 stay unwritten everywhere.
+	writes := []struct{ coord, sub []int64 }{
+		{[]int64{1, 0}, []int64{32, 1024}},
+		{[]int64{20, 0}, []int64{32, 512}},
+		{[]int64{50, 3}, []int64{16, 64}},
+		{[]int64{60, 9}, []int64{8, 8}},
+	}
+	reads := []struct{ coord, sub []int64 }{
+		{[]int64{0, 0}, []int64{1024, 1024}}, // everything: head, middle and tail holes
+		{[]int64{0, 1}, []int64{1024, 256}},  // column band: holes between written rows
+		{[]int64{3, 0}, []int64{256, 1024}},  // a small tile, then holes to the end
+		{[]int64{0, 0}, []int64{32, 1024}},   // unwritten pages of touched blocks only
+		{[]int64{1, 1}, []int64{512, 512}},   // the untouched block: no segment at all
+	}
+	for _, cfg := range readConfigs {
+		if cfg.opts.Phantom {
+			continue // no bytes to be stale
+		}
+		t.Run(cfg.name, func(t *testing.T) {
+			d, err := Open(cfg.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			id, err := d.CreateSpace(es, []int64{side, side})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := d.OpenSpace(id, []int64{side, side})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+
+			image := make([]byte, side*side*es) // host model: zeros plus the writes
+			rng := rand.New(rand.NewSource(11))
+			for _, w := range writes {
+				// Nonzero bytes only: never mistakable for a hole.
+				data := repeatRuns(rng, int(w.sub[0]*w.sub[1]*es), 1)
+				if _, err := v.Write(w.coord, w.sub, data); err != nil {
+					t.Fatalf("write %v/%v: %v", w.coord, w.sub, err)
+				}
+				rowBytes := w.sub[1] * es
+				for r := int64(0); r < w.sub[0]; r++ {
+					at := ((w.coord[0]*w.sub[0]+r)*side + w.coord[1]*w.sub[1]) * es
+					copy(image[at:at+rowBytes], data[r*rowBytes:(r+1)*rowBytes])
+				}
+			}
+
+			buf := make([]byte, side*side*es)
+			// Twice: the second pass reads through whatever the first one
+			// left warm (cache entries, prefetched blocks).
+			for pass := 0; pass < 2; pass++ {
+				for _, rd := range reads {
+					rowBytes := rd.sub[1] * es
+					want := make([]byte, rd.sub[0]*rowBytes)
+					for r := int64(0); r < rd.sub[0]; r++ {
+						at := ((rd.coord[0]*rd.sub[0]+r)*side + rd.coord[1]*rd.sub[1]) * es
+						copy(want[r*rowBytes:], image[at:at+rowBytes])
+					}
+					for i := range buf {
+						buf[i] = 0xFF
+					}
+					got, _, err := v.ReadInto(rd.coord, rd.sub, buf)
+					if err != nil {
+						t.Fatalf("pass %d read %v/%v: %v", pass, rd.coord, rd.sub, err)
+					}
+					if len(got) != len(want) || &got[0] != &buf[0] {
+						t.Fatalf("pass %d read %v/%v: result is %d bytes (want %d) or does not alias the caller's buffer",
+							pass, rd.coord, rd.sub, len(got), len(want))
+					}
+					if i := firstDiff(got, want); i >= 0 {
+						t.Fatalf("pass %d read %v/%v: byte %d is %#x, want %#x (0xff is the stale buffer showing through)",
+							pass, rd.coord, rd.sub, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// firstDiff returns the first index at which a and b (equal length) differ,
+// or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }

@@ -10,6 +10,7 @@ package nds_test
 import (
 	"testing"
 
+	"nds"
 	"nds/internal/experiments"
 	"nds/internal/nvm"
 	"nds/internal/sim"
@@ -281,8 +282,17 @@ func BenchmarkReadPartitionAllocs(b *testing.B) {
 
 // BenchmarkWritePartitionAllocs measures per-request heap allocations of a
 // 64x64 tile overwrite (read-modify-write plus replacement allocation) on
-// both data paths.
+// both data paths, and of a 1 MiB overwrite on an array aged into steady
+// collection (256 pages programmed, some 75 relocated, 2.5 blocks erased).
 func BenchmarkWritePartitionAllocs(b *testing.B) {
+	b.Run("size=1MiB/aged", func(b *testing.B) {
+		_, overwrite := nds.AgedArray(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			overwrite()
+		}
+	})
 	for _, mode := range []struct {
 		name   string
 		scalar bool

@@ -51,18 +51,19 @@ func (e *Engine) iv(p nvm.PPA) []byte {
 	return iv[:]
 }
 
-// Seal encrypts plain for storage at p. The output length equals the input
-// length (size-preserving, as §5.3.3 requires).
-func (e *Engine) Seal(p nvm.PPA, plain []byte) []byte {
-	out := make([]byte, len(plain))
-	cipher.NewCTR(e.block, e.iv(p)).XORKeyStream(out, plain)
-	return out
+// Seal encrypts plain for storage at p into dst[:len(plain)]: the
+// transformation is size-preserving, as §5.3.3 requires, and works in place
+// when dst is plain.
+func (e *Engine) Seal(p nvm.PPA, dst, plain []byte) {
+	cipher.NewCTR(e.block, e.iv(p)).XORKeyStream(dst, plain)
 }
 
-// Open decrypts sealed read from p.
+// Open decrypts sealed read from p into a fresh buffer.
 func (e *Engine) Open(p nvm.PPA, sealed []byte) []byte {
 	// CTR is symmetric.
-	return e.Seal(p, sealed)
+	out := make([]byte, len(sealed))
+	e.Seal(p, out, sealed)
+	return out
 }
 
 // CompatibleWithBlocks checks §5.3.3's constraint: the data size in each

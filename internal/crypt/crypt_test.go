@@ -17,20 +17,25 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	plain := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(plain)
 	p := nvm.PPA{Channel: 3, Bank: 1, Block: 7, Page: 9}
-	sealed := e.Seal(p, plain)
+	sealed := make([]byte, len(plain))
+	e.Seal(p, sealed, plain)
 	if bytes.Equal(sealed, plain) {
 		t.Fatal("sealed bytes equal plaintext")
-	}
-	if len(sealed) != len(plain) {
-		t.Fatal("cipher is not size-preserving")
 	}
 	if !bytes.Equal(e.Open(p, sealed), plain) {
 		t.Fatal("open(seal(x)) != x")
 	}
 	// A different address yields a different keystream.
-	other := e.Seal(nvm.PPA{Channel: 3, Bank: 1, Block: 7, Page: 10}, plain)
+	other := make([]byte, len(plain))
+	e.Seal(nvm.PPA{Channel: 3, Bank: 1, Block: 7, Page: 10}, other, plain)
 	if bytes.Equal(other, sealed) {
 		t.Fatal("distinct addresses produced identical ciphertext")
+	}
+	// In place, as the device seals a frame it was handed.
+	inPlace := append([]byte(nil), plain...)
+	e.Seal(p, inPlace, inPlace)
+	if !bytes.Equal(inPlace, sealed) {
+		t.Fatal("sealing in place differs from sealing into a second buffer")
 	}
 	if _, err := New(nil); err == nil {
 		t.Fatal("empty key accepted")

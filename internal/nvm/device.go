@@ -13,26 +13,55 @@ import (
 // Datacenter controllers run these at line rate, so no extra latency is
 // modelled.
 type PageCipher interface {
-	Seal(p PPA, plain []byte) []byte
+	// Seal encrypts plain for storage at p into dst, which is at least as
+	// long as plain and may be plain itself.
+	Seal(p PPA, dst, plain []byte)
 	Open(p PPA, sealed []byte) []byte
 }
 
-// arenaChunkPages is how many page frames a die shard carves out of each
+// arenaChunkPages is how many page frames the arena carves out of each
 // backing slab. Slab allocation amortizes the per-page make() the old map
 // store paid on every program.
 const arenaChunkPages = 64
 
+// frameArena is the device-wide supply of page frames. A frame is the unit of
+// ownership on the write path: whoever assembles a page draws one (Frame), a
+// program hands it to a die shard as the stored page, a same-die relocation
+// carries it to its new address, and the erase of the block that then holds
+// it returns it here. Frames are handed out dirty — whoever fills one writes
+// or clears every byte. The lock is a leaf below the die shards' locks.
+type frameArena struct {
+	mu   sync.Mutex
+	free [][]byte // frames of erased blocks and frames handed back unprogrammed
+	slab []byte   // tail of the current backing chunk
+}
+
+func (a *frameArena) get(pageSize int) []byte {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.free); n > 0 {
+		pg := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		return pg
+	}
+	if len(a.slab) < pageSize {
+		a.slab = make([]byte, pageSize*arenaChunkPages)
+	}
+	pg := a.slab[:pageSize:pageSize]
+	a.slab = a.slab[pageSize:]
+	return pg
+}
+
 // dieShard holds the mutable state of one (channel, bank) die: its programmed
-// bitmap, per-block erase counts, stored page frames, and the slab arena the
-// frames come from. Each shard carries its own lock, so concurrent streams
-// touching distinct dies never contend on device state.
+// bitmap, per-block erase counts and stored page frames. Each shard carries
+// its own lock, so concurrent streams touching distinct dies never contend on
+// device state.
 type dieShard struct {
 	mu         sync.Mutex
 	programmed []uint64 // bitmap over die-local page indices
 	eraseCount []int64  // per die-local block
-	data       [][]byte // die-local page index -> stored page; nil entry = no bytes
-	free       [][]byte // recycled page frames from erased blocks
-	slab       []byte   // tail of the current backing chunk
+	data       [][]byte // die-local page index -> stored frame; nil entry = no bytes
 
 	// Fault-injection attempt counters (only touched when a FaultPlan is
 	// installed): lifetime program/erase/read attempts on this die, the
@@ -52,24 +81,6 @@ func (s *dieShard) setProgrammed(idx int64, v bool) {
 	} else {
 		s.programmed[idx/64] &^= 1 << (uint(idx) % 64)
 	}
-}
-
-// frame returns a zeroed page frame of pageSize bytes, recycling frames from
-// erased blocks before carving new ones from the slab.
-func (s *dieShard) frame(pageSize int) []byte {
-	if n := len(s.free); n > 0 {
-		pg := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		clear(pg)
-		return pg
-	}
-	if len(s.slab) < pageSize {
-		s.slab = make([]byte, pageSize*arenaChunkPages)
-	}
-	pg := s.slab[:pageSize:pageSize]
-	s.slab = s.slab[pageSize:]
-	return pg
 }
 
 // Device is a simulated flash array. It is safe for concurrent use: each
@@ -98,6 +109,7 @@ type Device struct {
 	channels []*sim.Resource
 	banks    []*sim.Resource // indexed channel*Banks+bank
 	shards   []dieShard      // indexed channel*Banks+bank
+	frames   frameArena
 
 	// zero is the canonical erased-page image returned by reads of
 	// never-programmed pages. Callers must not modify returned read slices,
@@ -114,6 +126,40 @@ type ProgramOp struct {
 	At   sim.Time
 	P    PPA
 	Data []byte
+
+	// Owned hands Data itself to the device: a whole-page frame (see Frame)
+	// becomes the stored page without a copy, and the caller must not touch
+	// it once the op has landed. The frames of ops that did not land — every
+	// op of a batch that failed validation, op Index and later of a
+	// *ProgramError — stay the caller's. A shorter Data is copied like any
+	// other.
+	Owned bool
+
+	// Move marks a relocation of the page stored at From, with Data its
+	// contents as read. When From and P share a die and no cipher is
+	// installed the device re-homes From's frame under the die lock instead
+	// of copying the bytes: From then reads as erased, and any alias of the
+	// frame follows it to P. Otherwise (another die; a cipher, whose
+	// keystream is tied to the address) Data is copied and From keeps its
+	// frame.
+	Move bool
+	From PPA
+}
+
+// Frame returns a page-sized buffer to assemble a page in before handing it
+// over with ProgramOp.Owned. Its contents are unspecified: frames of erased
+// blocks come back as they were.
+func (d *Device) Frame() []byte { return d.frames.get(d.geo.PageSize) }
+
+// Recycle takes back a frame that will not be programmed after all. Anything
+// that is not a whole frame is ignored.
+func (d *Device) Recycle(pg []byte) {
+	if len(pg) != d.geo.PageSize {
+		return
+	}
+	d.frames.mu.Lock()
+	d.frames.free = append(d.frames.free, pg)
+	d.frames.mu.Unlock()
 }
 
 // NewDevice builds a device with the given geometry and timing. If phantom is
@@ -238,13 +284,16 @@ func (d *Device) pageBytesLocked(s *dieShard, p PPA) []byte {
 // contents and the completion time. Reading a never-programmed page is legal
 // and yields a zero-filled page (erased state).
 //
-// The returned slice aliases device storage; callers must not modify it. A
-// page's bytes are never mutated in place (overwrites program a fresh unit),
-// so the alias stays valid until the page's block is erased and its frame
-// recycled into a later program — callers that need the data past an erase of
-// the block must copy. In this repository erases only run from the STL's GC,
-// which rebinds a victim's live units under the owning spaces' write locks
-// before erasing, so it never overlaps a reader still holding the alias.
+// The returned slice aliases the page's frame; callers must not modify it. A
+// stored frame is never mutated (overwrites program a fresh unit), so the
+// alias stays valid until the frame is recycled, which is when the block
+// holding it is erased. A frame can outlive its address: a same-die
+// relocation (ProgramOp.Move) carries it to the destination page, so erasing
+// the block it was read from does not end the alias — erasing the block it
+// was moved to does. Callers that need the data past that point must copy. In
+// this repository both moves and erases only run from the STL's GC, under the
+// write locks of every space that owns a live unit of the victim, so a reader
+// holding its space's lock never sees either happen to a frame it was lent.
 func (d *Device) ReadPage(at sim.Time, p PPA) ([]byte, sim.Time, error) {
 	if !p.Valid(d.geo) {
 		return nil, at, fmt.Errorf("nvm: read of invalid address %v", p)
@@ -376,23 +425,49 @@ func (d *Device) ProgramPage(at sim.Time, p PPA, data []byte) (sim.Time, error) 
 	s.setProgrammed(idx, true)
 	d.programs.Add(1)
 	if !d.phantom {
-		d.storeLocked(s, p, idx, data)
+		d.storeLocked(s, &ProgramOp{P: p, Data: data})
 	}
 	return done, nil
 }
 
-// storeLocked copies data into a frame for page idx of shard s. The shard
-// lock must be held.
-func (d *Device) storeLocked(s *dieShard, p PPA, idx int64, data []byte) {
+// storeLocked makes op's page the stored page at op.P, touching its bytes at
+// most once: an owned frame is kept as it is, a relocation within the die
+// takes the source's frame, and only a borrowed or short payload is copied
+// into a frame of the arena (its tail cleared, since frames arrive dirty). A
+// cipher seals the frame in place. The lock of op.P's shard s must be held.
+func (d *Device) storeLocked(s *dieShard, op *ProgramOp) {
 	if s.data == nil {
 		s.data = make([][]byte, int64(d.geo.BlocksPerBank)*int64(d.geo.PagesPerBlock))
 	}
-	pg := s.frame(d.geo.PageSize)
-	copy(pg, data)
-	if c := d.getCipher(); c != nil {
-		pg = c.Seal(p, pg)
+	idx := d.dieIndex(op.P)
+	c := d.getCipher()
+	if op.Move && c == nil && d.die(op.From) == d.die(op.P) {
+		from := d.dieIndex(op.From)
+		s.data[idx], s.data[from] = s.data[from], nil
+		return
+	}
+	pg := op.Data
+	if !op.Owned || len(pg) != d.geo.PageSize {
+		pg = d.frames.get(d.geo.PageSize)
+		clear(pg[copy(pg, op.Data):])
+	}
+	if c != nil {
+		c.Seal(op.P, pg, pg)
 	}
 	s.data[idx] = pg
+}
+
+// checkOp validates one op's address and payload size.
+func (d *Device) checkOp(op *ProgramOp) error {
+	switch {
+	case !op.P.Valid(d.geo):
+		return fmt.Errorf("nvm: program of invalid address %v", op.P)
+	case len(op.Data) > d.geo.PageSize:
+		return fmt.Errorf("nvm: program of %d bytes exceeds page size %d", len(op.Data), d.geo.PageSize)
+	case op.Move && !op.From.Valid(d.geo):
+		return fmt.Errorf("nvm: relocation from invalid address %v", op.From)
+	}
+	return nil
 }
 
 // ProgramPages issues a batch of page programs, returning the latest
@@ -415,19 +490,12 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 	var err error
 	claimed := 0
 	for i := 0; i < len(ops) && err == nil; {
-		p := ops[i].P
-		if !p.Valid(d.geo) {
-			err = fmt.Errorf("nvm: program of invalid address %v", p)
+		if err = d.checkOp(&ops[i]); err != nil {
 			break
 		}
-		if len(ops[i].Data) > d.geo.PageSize {
-			err = fmt.Errorf("nvm: program of %d bytes exceeds page size %d", len(ops[i].Data), d.geo.PageSize)
-			break
-		}
-		die := d.die(p)
+		die := d.die(ops[i].P)
 		j := i + 1
-		for j < len(ops) && ops[j].P.Valid(d.geo) && d.die(ops[j].P) == die &&
-			len(ops[j].Data) <= d.geo.PageSize {
+		for j < len(ops) && d.checkOp(&ops[j]) == nil && d.die(ops[j].P) == die {
 			j++
 		}
 		s := &d.shards[die]
@@ -514,7 +582,7 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 			s := &d.shards[die]
 			s.mu.Lock()
 			for k := i; k < j; k++ {
-				d.storeLocked(s, stored[k].P, d.dieIndex(stored[k].P), stored[k].Data)
+				d.storeLocked(s, &stored[k])
 			}
 			s.mu.Unlock()
 			i = j
@@ -545,9 +613,10 @@ func (d *Device) unclaim(ops []ProgramOp) {
 }
 
 // EraseBlock erases the block containing p (its Page field is ignored),
-// arriving at time at, returning the completion time. The erased pages'
-// frames are recycled: any alias returned by an earlier ReadPage of this
-// block becomes invalid once a later program reuses the frame.
+// arriving at time at, returning the completion time. The frames the block
+// holds return to the arena: an alias of one of them (see ReadPage) is
+// invalid once a later program reuses the frame. Pages whose frames a
+// relocation already carried elsewhere hold none.
 //
 // Under an installed FaultPlan an erase may fail with ErrEraseFault (a
 // transient fault: block contents unchanged, block should be retired) or
@@ -578,16 +647,18 @@ func (d *Device) EraseBlock(at sim.Time, p PPA) (sim.Time, error) {
 			return done, fmt.Errorf("nvm: erase of %v: %w", p, ErrEraseFault)
 		}
 	}
+	d.frames.mu.Lock()
 	for i := 0; i < d.geo.PagesPerBlock; i++ {
 		idx := base + int64(i)
 		s.setProgrammed(idx, false)
 		if s.data != nil {
 			if pg := s.data[idx]; pg != nil {
-				s.free = append(s.free, pg)
+				d.frames.free = append(d.frames.free, pg)
 				s.data[idx] = nil
 			}
 		}
 	}
+	d.frames.mu.Unlock()
 	s.eraseCount[p.Block]++
 	d.erases.Add(1)
 	return done, nil

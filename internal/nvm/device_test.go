@@ -333,14 +333,14 @@ func TestProgramPagesAtomicOnError(t *testing.T) {
 	}{
 		{"invalid address", func(d *Device) []ProgramOp {
 			return []ProgramOp{
-				{0, PPA{0, 0, 0, 0}, page},
-				{0, PPA{9, 9, 9, 9}, page},
+				{P: PPA{0, 0, 0, 0}, Data: page},
+				{P: PPA{9, 9, 9, 9}, Data: page},
 			}
 		}},
 		{"oversized data", func(d *Device) []ProgramOp {
 			return []ProgramOp{
-				{0, PPA{0, 0, 0, 0}, page},
-				{0, PPA{1, 0, 0, 0}, make([]byte, 513)},
+				{P: PPA{0, 0, 0, 0}, Data: page},
+				{P: PPA{1, 0, 0, 0}, Data: make([]byte, 513)},
 			}
 		}},
 		{"already programmed", func(d *Device) []ProgramOp {
@@ -349,15 +349,15 @@ func TestProgramPagesAtomicOnError(t *testing.T) {
 			}
 			d.ResetTimeline()
 			return []ProgramOp{
-				{0, PPA{0, 0, 0, 0}, page},
-				{0, PPA{0, 0, 0, 1}, page},
-				{0, PPA{2, 0, 1, 0}, page},
+				{P: PPA{0, 0, 0, 0}, Data: page},
+				{P: PPA{0, 0, 0, 1}, Data: page},
+				{P: PPA{2, 0, 1, 0}, Data: page},
 			}
 		}},
 		{"duplicate in batch", func(d *Device) []ProgramOp {
 			return []ProgramOp{
-				{0, PPA{0, 0, 0, 0}, page},
-				{0, PPA{0, 0, 0, 0}, page},
+				{P: PPA{0, 0, 0, 0}, Data: page},
+				{P: PPA{0, 0, 0, 0}, Data: page},
 			}
 		}},
 	}

@@ -1,0 +1,189 @@
+package nvm
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
+
+// xorCipher is a size-preserving stand-in for the inline engine of
+// internal/crypt (which imports this package): the keystream depends on the
+// address, so a page sealed for one address does not open at another.
+type xorCipher struct{}
+
+func (xorCipher) key(p PPA) byte { return byte(0x5A + 31*p.Channel + 17*p.Bank + 7*p.Block + p.Page) }
+
+func (c xorCipher) Seal(p PPA, dst, plain []byte) {
+	for i, b := range plain {
+		dst[i] = b ^ c.key(p)
+	}
+}
+
+func (c xorCipher) Open(p PPA, sealed []byte) []byte {
+	out := make([]byte, len(sealed))
+	c.Seal(p, out, sealed)
+	return out
+}
+
+// frameDevices yields a plain and an encrypted test device.
+func frameDevices(t *testing.T, f func(t *testing.T, d *Device, encrypted bool)) {
+	for _, encrypted := range []bool{false, true} {
+		name := "plain"
+		if encrypted {
+			name = "encrypted"
+		}
+		t.Run(name, func(t *testing.T) {
+			d := newTestDevice(t, false)
+			if encrypted {
+				if err := d.SetCipher(xorCipher{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f(t, d, encrypted)
+		})
+	}
+}
+
+// TestShortProgramIntoRecycledFrame: frames of an erased block return to the
+// arena as they were, so a payload shorter than a page must have the rest of
+// its frame cleared, on every program entry point that copies.
+func TestShortProgramIntoRecycledFrame(t *testing.T) {
+	frameDevices(t, func(t *testing.T, d *Device, _ bool) {
+		ps := d.geo.PageSize
+		ff := bytes.Repeat([]byte{0xFF}, ps)
+		for pg := 0; pg < d.geo.PagesPerBlock; pg++ {
+			if _, err := d.ProgramPage(0, PPA{1, 1, 0, pg}, ff); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.EraseBlock(0, PPA{1, 1, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		short := []byte{1, 2, 3}
+		dsts := []PPA{{0, 0, 1, 0}, {0, 0, 1, 1}, {2, 1, 1, 0}}
+		if _, err := d.ProgramPage(0, dsts[0], short); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ProgramPages([]ProgramOp{
+			{P: dsts[1], Data: short},
+			{P: dsts[2], Data: short, Owned: true}, // not a whole frame: copied
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]byte(nil), short...), make([]byte, ps-len(short))...)
+		for _, p := range dsts {
+			got, _, err := d.ReadPage(0, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v reads %x…%x, want the payload and a zero tail", p, got[:4], got[ps-2:])
+			}
+		}
+	})
+}
+
+// TestOwnedFrameStoredInPlace: a whole frame handed over with Owned becomes
+// the stored page itself — sealed in place under a cipher — and a frame whose
+// op did not land stays with the caller, untouched.
+func TestOwnedFrameStoredInPlace(t *testing.T) {
+	frameDevices(t, func(t *testing.T, d *Device, encrypted bool) {
+		seed := int64(0)
+		for mix64(seed, 0, 1)%2 != 0 {
+			seed++
+		}
+		d.SetFaultPlan(FaultPlan{Seed: seed, ProgramFailEvery: 2}) // die 0: the second attempt fails
+		ps := d.geo.PageSize
+		ops := make([]ProgramOp, 3)
+		plain := make([][]byte, len(ops))
+		for i := range ops {
+			plain[i] = bytes.Repeat([]byte{byte(i + 1)}, ps)
+			frame := d.Frame()
+			copy(frame, plain[i])
+			ops[i] = ProgramOp{P: PPA{0, 0, 2, i}, Data: frame, Owned: true}
+		}
+		_, err := d.ProgramPages(ops)
+		var pe *ProgramError
+		if !errors.As(err, &pe) || pe.Index != 1 {
+			t.Fatalf("want a program fault at op 1, got %v", err)
+		}
+		raw := d.RawPage(ops[0].P)
+		if len(raw) != ps || &raw[0] != &ops[0].Data[0] {
+			t.Fatal("the landed op's frame is not the stored page")
+		}
+		if encrypted == bytes.Equal(raw, plain[0]) {
+			t.Fatalf("medium holds plaintext: %v, want %v", !encrypted, encrypted)
+		}
+		if got, _, _ := d.ReadPage(0, ops[0].P); !bytes.Equal(got, plain[0]) {
+			t.Fatal("the landed page does not read back")
+		}
+		for i := 1; i < len(ops); i++ {
+			if d.RawPage(ops[i].P) != nil || !bytes.Equal(ops[i].Data, plain[i]) {
+				t.Fatalf("op %d did not land, yet its frame was stored or sealed", i)
+			}
+		}
+	})
+}
+
+// TestMoveRehomesFrame: a relocation within a die carries the source's frame
+// to the destination, so the bytes outlive the erase of the block they were
+// programmed in and an alias taken before the move stays good; across dies,
+// and under a cipher (the keystream is the address's), the bytes are copied
+// and the source keeps its frame.
+func TestMoveRehomesFrame(t *testing.T) {
+	frameDevices(t, func(t *testing.T, d *Device, encrypted bool) {
+		ps := d.geo.PageSize
+		src, same, other := PPA{3, 1, 0, 4}, PPA{3, 1, 5, 0}, PPA{2, 0, 5, 0}
+		page := bytes.Repeat([]byte{0xAB}, ps)
+		if _, err := d.ProgramPage(0, src, page); err != nil {
+			t.Fatal(err)
+		}
+		alias, _, err := d.ReadPage(0, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := d.RawPage(src)
+		if _, err := d.ProgramPages([]ProgramOp{{P: other, Data: alias, Move: true, From: src}}); err != nil {
+			t.Fatal(err)
+		}
+		if raw := d.RawPage(other); raw == nil || &raw[0] == &before[0] || d.RawPage(src) == nil {
+			t.Fatal("a relocation to another die must copy and leave the source its frame")
+		}
+		if _, err := d.ProgramPages([]ProgramOp{{P: same, Data: alias, Move: true, From: src}}); err != nil {
+			t.Fatal(err)
+		}
+		moved := &d.RawPage(same)[0] == &before[0]
+		if moved == encrypted {
+			t.Fatalf("same-die relocation moved the frame: %v, want %v", moved, !encrypted)
+		}
+		if moved {
+			if d.RawPage(src) != nil {
+				t.Fatal("the source still holds the frame it gave up")
+			}
+			if got, _, _ := d.ReadPage(0, src); !bytes.Equal(got, make([]byte, ps)) {
+				t.Fatal("a moved-out source should read as erased")
+			}
+		}
+		// Erase the source's block and churn the arena: the relocated pages
+		// keep their bytes.
+		if _, err := d.EraseBlock(0, src); err != nil {
+			t.Fatal(err)
+		}
+		for pg := 0; pg < 4; pg++ {
+			if _, err := d.ProgramPage(0, PPA{0, 0, 6, pg}, bytes.Repeat([]byte{0xEE}, ps)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range []PPA{same, other} {
+			if got, _, _ := d.ReadPage(0, p); !bytes.Equal(got, page) {
+				t.Fatalf("relocated page %v lost its bytes to the erase of the source block", p)
+			}
+		}
+		if moved && !bytes.Equal(alias, page) {
+			t.Fatal("an alias taken before the move did not follow the frame")
+		}
+		if _, err := d.ProgramPages([]ProgramOp{{P: PPA{0, 0, 7, 0}, Move: true, From: PPA{9, 9, 9, 9}}}); err == nil {
+			t.Fatal("relocation from an invalid address accepted")
+		}
+	})
+}

@@ -35,6 +35,7 @@ type die struct {
 	// ever blocks on a GC actor, which is what keeps the space->die order
 	// deadlock-free.
 	collecting bool
+	gc         gcScratch // the claim holder's working memory
 }
 
 // carve takes the next programmable page of the die, opening a fresh block

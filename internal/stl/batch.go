@@ -280,43 +280,51 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 			continue
 		}
 		ready := at
-		var pageBuf []byte
-		if !t.dev.Phantom() {
-			pageBuf = rs.pageBuf(int(ps))
-		}
-		if slot.allocated && st.covered < pb {
+		var old []byte
+		rmw := slot.allocated && st.covered < pb
+		if rmw {
 			if err := t.flushPrograms(rs, &done, &stats); err != nil {
 				return at, stats, err
 			}
-			old, d, err := t.dev.ReadPage(at, slot.ppa)
+			var d sim.Time
+			old, d, err = t.dev.ReadPage(at, slot.ppa)
 			if err != nil {
 				return at, stats, err
 			}
 			stats.PagesRead++
 			ready = d
-			if pageBuf != nil {
-				copy(pageBuf, old)
-			}
 		}
-		if pageBuf != nil {
+		// Assemble the page in the frame the device will keep. Frames arrive
+		// dirty, so whatever the extents will not overwrite is written here:
+		// the old page (a whole frame) under a read-modify-write, zeros under
+		// the holes and the tail of any other partly covered page.
+		var frame []byte
+		if !t.dev.Phantom() {
+			frame = t.dev.Frame()
+			switch {
+			case rmw:
+				copy(frame, old)
+			case st.covered < ps:
+				clear(frame)
+			}
 			for _, ei := range st.extents {
 				e := exts[ei]
 				lo := max64(e.Off, int64(st.page)*ps)
 				hi := min64(e.Off+e.Len, int64(st.page+1)*ps)
 				src := e.Dst + (lo - e.Off)
-				copy(pageBuf[lo-int64(st.page)*ps:], data[src:src+(hi-lo)])
+				copy(frame[lo-int64(st.page)*ps:], data[src:src+(hi-lo)])
 			}
 		}
 		// §8 page-zero optimization: an all-zero page needs no unit — an
 		// unallocated slot already reads as zeros, and an allocated one is
 		// simply released.
-		if t.cfg.ZeroPageElision && pageBuf != nil && allZero(pageBuf[:pb]) {
+		if t.cfg.ZeroPageElision && frame != nil && allZero(frame[:pb]) {
 			if slot.allocated {
 				t.invalidateUnit(slot.ppa)
 				slot.allocated = false
 			}
 			t.zeroSkipped.Add(1)
-			rs.releaseBuf(pageBuf)
+			t.dev.Recycle(frame)
 			continue
 		}
 		var unit nvm.PPA
@@ -327,13 +335,14 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 			unit, ready, err = t.allocateUnit(ready, s, st.blk, ac)
 		}
 		if err != nil {
+			t.dev.Recycle(frame)
 			// Land anything already queued so STL and device state agree.
 			if ferr := t.flushPrograms(rs, &done, &stats); ferr != nil {
 				return at, stats, ferr
 			}
 			return at, stats, err
 		}
-		rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: unit, Data: pageBuf})
+		rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: unit, Data: frame, Owned: true})
 		slot.ppa = unit
 		slot.allocated = true
 		t.bindUnit(s, st.blockIdx, st.page, unit)

@@ -16,7 +16,9 @@ import (
 // pages accumulate in STL memory; the page is programmed once its payload
 // region is fully covered (or on Flush). Because an unallocated page reads
 // as zeros, the zero-initialized staging buffer is also the correct read
-// overlay for bytes not yet covered.
+// overlay for bytes not yet covered. The buffer is a frame of the device's
+// arena, cleared when the page is first staged (it is partly covered by
+// definition), and Flush hands it to the device as the stored page.
 //
 // Buffering applies only to pages without an allocated unit; overwrites of
 // programmed pages keep the §4.2 read-modify-write + replacement-unit path.
@@ -63,7 +65,8 @@ func (t *STL) stageWrite(s *Space, block int64, page int, inPageOff int64, data 
 	if pp == nil {
 		pp = &pendingPage{}
 		if !t.dev.Phantom() {
-			pp.buf = make([]byte, t.geo.PageSize)
+			pp.buf = t.dev.Frame()
+			clear(pp.buf)
 		}
 		t.pending[key] = pp
 	}
@@ -137,7 +140,8 @@ type flushOp struct {
 // resources, so the per-channel batches complete at the same simulated times
 // the old serialized loop produced.
 //
-// A page that fails — allocation or program — stays in the pending map, and
+// A page that lands gives its staging frame to the device and leaves the
+// pending map. A page that fails — allocation or program — keeps both, and
 // the flush keeps draining every other page (all channels, all dies) before
 // reporting the error of the smallest failing key. So one bad page (or a
 // transient capacity squeeze) doesn't strand every later staged page, and a
@@ -242,6 +246,7 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 			t.pendingMu.Lock()
 			delete(t.pending, k)
 			t.pendingMu.Unlock()
+			t.dev.Recycle(pp.buf)
 			continue
 		}
 		gcoord := make([]int64, len(s.grid))
@@ -258,7 +263,7 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 		t.bindUnit(s, k.block, k.page, dst)
 		t.progs.Add(1)
 		batches[dst.Channel] = append(batches[dst.Channel],
-			flushOp{k, nvm.ProgramOp{At: ready, P: dst, Data: pp.buf}})
+			flushOp{k, nvm.ProgramOp{At: ready, P: dst, Data: pp.buf, Owned: true}})
 	}
 	drain() // per-key errors are recorded inside
 	t.noteTime(done)
@@ -346,8 +351,10 @@ func lessKey(a, b pendingKey) bool {
 
 // programStaged writes a staged page to a fresh unit. Inline path for pages
 // that fill mid-request (takeIfFull); Flush uses the group-commit drain
-// instead.
+// instead. The page has left the pending map and this program copies, so its
+// staging frame goes back to the arena whatever the outcome.
 func (t *STL) programStaged(at sim.Time, s *Space, blockIdx int64, blk *BuildingBlock, page int, pp *pendingPage, ac *allocCtx) (sim.Time, error) {
+	defer t.dev.Recycle(pp.buf)
 	slot := &blk.pages[page]
 	pb := s.pageBytes(t.geo, page)
 	if t.cfg.ZeroPageElision && pp.buf != nil && allZero(pp.buf[:pb]) {

@@ -19,8 +19,8 @@ import (
 // Entries are block-granular with per-page fill state, so a block warmed by a
 // row scan serves column reads of the same block without further flash work.
 // Page data is copied into cache-owned buffers at fill time — device read
-// results alias per-die arena frames that recycle after an erase, so the
-// cache must never retain them. On phantom devices entries carry no bytes but
+// results alias arena frames that recycle after an erase (see nvm.ReadPage),
+// so the cache must never retain them. On phantom devices entries carry no bytes but
 // keep exact fill/ready state, so timing and statistics stay exact.
 //
 // Concurrency: the cache is sharded; each shard has its own mutex guarding

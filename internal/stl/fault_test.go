@@ -490,3 +490,127 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 		t.Fatalf("recovery never ran: %+v", r1)
 	}
 }
+
+// TestEvacuationFaultCommitsLandedPrefix pins evacuateBlock's error contract
+// now that a landed relocation takes its source's frame: a relocation batch
+// that faults beyond recovery rebinds the relocations that landed to their
+// destinations and leaves the rest on their sources, so every byte still
+// reads back and every bound unit is a programmed unit; and collecting the
+// partly evacuated victim later, with the faults gone, corrupts nothing.
+func TestEvacuationFaultCommitsLandedPrefix(t *testing.T) {
+	geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 8, PagesPerBlock: 8, PageSize: 512}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := New(dev, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type client struct {
+		s   *Space
+		v   *View
+		img []byte
+	}
+	rng := rand.New(rand.NewSource(21))
+	open := func(rows, cols int64) *client {
+		s, err := st.CreateSpace(4, []int64{rows, cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewView(s, []int64{rows, cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &client{s: s, v: v, img: make([]byte, rows*cols*4)}
+	}
+	// write stores a fresh random 32x32 building block (8 pages, 4 a die).
+	write := func(c *client, coord []int64) {
+		t.Helper()
+		tile := fillRandom(rng, 32*32*4)
+		if _, _, err := st.WritePartition(0, c.v, coord, []int64{32, 32}, tile); err != nil {
+			t.Fatal(err)
+		}
+		pasteTile(c.img, c.s.Dims()[1], 4, coord, []int64{32, 32}, tile)
+	}
+	check := func(when string, cs ...*client) {
+		t.Helper()
+		for i, c := range cs {
+			dims := c.s.Dims()
+			got, _, _, err := st.ReadPartition(0, c.v, []int64{0, 0}, dims)
+			if err != nil {
+				t.Fatalf("%s: space %d: %v", when, i, err)
+			}
+			for j := range got {
+				if got[j] != c.img[j] {
+					t.Fatalf("%s: space %d byte %d diverged from the host image", when, i, j)
+				}
+			}
+			// No bound unit is unprogrammed, and the reverse table agrees.
+			gcoord := make([]int64, len(c.s.grid))
+			for b := int64(0); b < prod(c.s.grid); b++ {
+				c.s.GridCoord(b, gcoord)
+				blk, _ := st.block(c.s, gcoord, false)
+				if blk == nil {
+					continue
+				}
+				for pg, slot := range blk.pages {
+					if !slot.allocated {
+						continue
+					}
+					e := st.rev[slot.ppa.Linear(geo)]
+					if !dev.Programmed(slot.ppa) || !e.valid || e.space != c.s.id || e.block != b || int(e.page) != pg {
+						t.Fatalf("%s: space %d block %d page %d bound to %v: programmed=%v rev=%+v", when, i, b, pg, slot.ppa, dev.Programmed(slot.ppa), e)
+					}
+				}
+			}
+		}
+	}
+
+	// Blocks of A and B alternate, so every flash block holds pages of both;
+	// C then fills the array up to one free block a die.
+	a, b, c := open(64, 64), open(64, 64), open(64, 96)
+	for _, coord := range [][]int64{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+		write(a, coord)
+		write(b, coord)
+	}
+	for _, coord := range [][]int64{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}} {
+		write(c, coord)
+	}
+	check("filled", a, b, c)
+	d := st.die(0, 0)
+	const victim = 0
+	valid := d.validInBlk[victim]
+
+	// Every other program attempt on a die fails, and each fault retires the
+	// block it struck: with one free block a die the batch lands three
+	// relocations — one of them copied to the other die by fault recovery —
+	// before recovery runs out of units.
+	dev.SetFaultPlan(nvm.FaultPlan{Seed: 3, ProgramFailEvery: 2})
+	moves := st.GCReport().PagesRelocated
+	_, res, err := st.evacuateBlock(0, 0, 0, victim, &allocCtx{})
+	landed := st.GCReport().PagesRelocated - moves
+	if !errors.Is(err, ErrMedia) || landed == 0 || landed >= int64(valid) {
+		t.Fatalf("want an evacuation that faults beyond recovery part-way through its %d relocations, got %d landed, res=%v err=%v", valid, landed, res, err)
+	}
+	if got := int64(d.validInBlk[victim]); got != int64(valid)-landed {
+		t.Fatalf("victim holds %d valid units after %d of %d moved out", got, landed, valid)
+	}
+	check("after the failed evacuation", a, b, c)
+
+	// The faults clear and C goes away; churn on A and B now collects the
+	// victim's remainder and the blocks around it.
+	dev.SetFaultPlan(nvm.FaultPlan{})
+	if err := st.DeleteSpace(c.s.ID()); err != nil {
+		t.Fatal(err)
+	}
+	erasedBefore := dev.EraseCount(nvm.PPA{Block: victim})
+	for k := 0; k < 200 && dev.EraseCount(nvm.PPA{Block: victim}) == erasedBefore; k++ {
+		cl := []*client{a, b}[k%2]
+		write(cl, []int64{rng.Int63n(2), rng.Int63n(2)})
+	}
+	if dev.EraseCount(nvm.PPA{Block: victim}) == erasedBefore {
+		t.Fatal("the partly evacuated victim was never collected")
+	}
+	check("after collecting the victim", a, b)
+}

@@ -41,8 +41,9 @@ import (
 // valid while we hold that lock is guaranteed to be programmed. Reading
 // first and locking later could capture a pre-program (all-zero) image of
 // such a unit and then commit it after the writer unlocks, losing the write.
-// A fault or an abort at any point leaves the sources authoritative and at
-// worst orphans unbound copies in blocks a later pass reclaims.
+// An abort before the relocation batch is issued leaves the translation state
+// untouched; a fault inside it commits the relocations that landed and leaves
+// the rest on their sources (see evacuateBlock).
 
 // gcOutcome classifies one collection attempt.
 type gcOutcome int
@@ -199,31 +200,50 @@ type plannedMove struct {
 	page  int32
 }
 
+// gcScratch is an evacuation's working memory. It belongs to whoever holds
+// the die's GC claim (die.collecting), so it is reused from victim to victim
+// and a steady-state collection allocates nothing per relocated page.
+type gcScratch struct {
+	moves []plannedMove
+	held  []*Space
+	srcs  []nvm.PPA
+	datas [][]byte
+	ops   []nvm.ProgramOp
+	gcrd  []int64 // grid-coordinate scratch for the rebind
+}
+
 // evacuateBlock relocates the victim's valid units within the die (so each
 // building block keeps its channel/bank spread), updates their building
-// blocks through the reverse-lookup table, and erases the victim.
+// blocks through the reverse-lookup table, and erases the victim. The caller
+// holds the die's GC claim.
 //
-// The move is effectively atomic on error or abort: sources stay bound until
-// the commit rebinds them under the owning spaces' write locks, so a fault,
-// an out-of-space condition, or an abandoned commit leaves the translation
-// state untouched and at worst orphans unbound copies that a later
-// collection reclaims. Data moves through the batched device path (one
-// ReadPages and one ProgramPages per victim); injected program faults
-// relocate to fresh units, and an erase fault or worn-out victim is retired
-// in place rather than reported as an error.
+// Data moves through the batched device path (one ReadPages and one
+// ProgramPages per victim), and each relocation is a ProgramOp.Move: source
+// and destination share the die, so the device re-homes the source's frame
+// instead of copying its bytes, except under a cipher or when fault recovery
+// redirects the op to another die. A moved-out source no longer holds its
+// data, so the error contract is commit-what-landed: an abort before the
+// batch is issued (busy owners, no room) touches nothing, and a fault the
+// batch cannot recover from rebinds the relocations that landed to their
+// destinations and leaves only the rest bound to their sources — every bound
+// unit is a programmed unit that holds its page either way. The victim then
+// stays unerased with fewer valid units, for a later collection to finish.
+// Injected program faults relocate to fresh units, and an erase fault or
+// worn-out victim is retired in place rather than reported as an error.
 func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx) (sim.Time, gcOutcome, error) {
 	d := t.die(channel, bank)
+	g := &d.gc
 
 	// Phase 1: snapshot the victim's valid units under the die lock. New
 	// units cannot appear in the victim afterwards (programs only land in the
 	// open block, and the victim is closed and claimed), so the snapshot can
 	// only shrink — stale entries are dropped by the re-validation below.
-	var moves []plannedMove
+	g.moves = g.moves[:0]
 	d.mu.Lock()
 	for pg := 0; pg < t.geo.PagesPerBlock; pg++ {
 		src := nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg}
 		if e := t.rev[src.Linear(t.geo)]; e.valid {
-			moves = append(moves, plannedMove{src: src, space: e.space, block: e.block, page: e.page})
+			g.moves = append(g.moves, plannedMove{src: src, space: e.space, block: e.block, page: e.page})
 		}
 	}
 	d.mu.Unlock()
@@ -234,36 +254,42 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 	// programmed (see the package comment) and that nothing can invalidate it
 	// until the rebind below — every invalidation path holds the space's
 	// write lock or runs in a maintenance context that excludes GC.
-	held, ok := t.lockSpacesForCommit(moves, ac)
+	held, ok := t.lockSpacesForCommit(g.moves, ac, g.held[:0])
 	if !ok {
 		return at, gcBusy, nil
 	}
+	g.held = held
 	defer func() {
-		for _, s := range held {
+		for i, s := range held {
 			s.mu.Unlock()
+			held[i] = nil
 		}
 	}()
-	valid := moves[:0]
+	moves := g.moves[:0]
 	d.mu.Lock()
-	for i := range moves {
-		m := moves[i]
+	for _, m := range g.moves {
 		e := t.rev[m.src.Linear(t.geo)]
 		if e.valid && e.space == m.space && e.block == m.block && e.page == m.page {
-			valid = append(valid, m)
+			moves = append(moves, m)
 		}
 	}
 	d.mu.Unlock()
-	moves = valid
 
 	done := at
-	var ops []nvm.ProgramOp
 	if len(moves) > 0 {
-		srcs := make([]nvm.PPA, len(moves))
-		datas := make([][]byte, len(moves))
+		g.srcs = g.srcs[:0]
 		for i := range moves {
-			srcs[i] = moves[i].src
+			g.srcs = append(g.srcs, moves[i].src)
 		}
-		readDone, err := t.dev.ReadPages(at, srcs, datas)
+		if cap(g.datas) < len(moves) {
+			g.datas = make([][]byte, len(moves))
+		}
+		datas, ops := g.datas[:len(moves)], g.ops[:0]
+		defer func() { // the scratch must not pin page images
+			clear(datas)
+			clear(ops)
+		}()
+		readDone, err := t.dev.ReadPages(at, g.srcs, datas)
 		if err != nil {
 			return at, gcNothing, err
 		}
@@ -271,7 +297,6 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 		// The room check in collectDie ran under the same claim, but
 		// concurrent foreground carving may have consumed it; bail without
 		// touching translation state if so (carved units stay unbound).
-		ops = make([]nvm.ProgramOp, 0, len(moves))
 		d.mu.Lock()
 		for i := range moves {
 			dst, okCarve := d.carve(channel, bank, t.geo.PagesPerBlock)
@@ -279,35 +304,34 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 				d.mu.Unlock()
 				return at, gcNothing, nil
 			}
-			ops = append(ops, nvm.ProgramOp{At: readDone, P: dst, Data: datas[i]})
+			ops = append(ops, nvm.ProgramOp{At: readDone, P: dst, Data: datas[i], Move: true, From: moves[i].src})
 		}
 		d.mu.Unlock()
-		done, err = t.gcProgramBatch(ops)
+		g.ops = ops
+		var landed int
+		done, landed, err = t.gcProgramBatch(ops)
+
+		// Phase 3: rebind what landed. On success that is every survivor.
+		for i := range moves[:landed] {
+			m := &moves[i]
+			s, okS := t.spaces[m.space]
+			if !okS {
+				return done, gcNothing, fmt.Errorf("stl: GC found unit of unknown space %d", m.space)
+			}
+			g.gcrd = growInt64(g.gcrd, len(s.grid))
+			s.GridCoord(m.block, g.gcrd)
+			blk, _ := t.block(s, g.gcrd, false)
+			if blk == nil {
+				return done, gcNothing, fmt.Errorf("stl: GC reverse entry names missing block %d of space %d", m.block, s.id)
+			}
+			blk.pages[m.page].ppa = ops[i].P
+			t.invalidateUnit(m.src)
+			t.bindUnit(s, m.block, int(m.page), ops[i].P)
+			t.gcMoves.Add(1)
+		}
 		if err != nil {
-			// Nothing was rebound: the source mappings are still authoritative
-			// and any orphan destination copies sit unbound in blocks GC will
-			// reclaim normally.
 			return at, gcNothing, err
 		}
-	}
-
-	// Phase 3: rebind the survivors and erase the victim.
-	for i := range moves {
-		m := &moves[i]
-		s, okS := t.spaces[m.space]
-		if !okS {
-			return done, gcNothing, fmt.Errorf("stl: GC found unit of unknown space %d", m.space)
-		}
-		gcoord := make([]int64, len(s.grid))
-		s.GridCoord(m.block, gcoord)
-		blk, _ := t.block(s, gcoord, false)
-		if blk == nil {
-			return done, gcNothing, fmt.Errorf("stl: GC reverse entry names missing block %d of space %d", m.block, s.id)
-		}
-		blk.pages[m.page].ppa = ops[i].P
-		t.invalidateUnit(m.src)
-		t.bindUnit(s, m.block, int(m.page), ops[i].P)
-		t.gcMoves.Add(1)
 	}
 
 	eraseDone, err := t.dev.EraseBlock(done, nvm.PPA{Channel: channel, Bank: bank, Block: block})
@@ -332,9 +356,9 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 // ascending-ID order, treating ac.held (the space the calling request
 // already owns) as pre-acquired. Locks are taken with TryLock plus a bounded
 // yield-retry so a GC actor never blocks a writer; on exhaustion every lock
-// taken here is released and false is returned. The returned slice holds
-// only the spaces this call locked (never ac.held).
-func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx) ([]*Space, bool) {
+// taken here is released and false is returned. The spaces this call locked
+// (never ac.held) are appended to held, which is returned.
+func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx, held []*Space) ([]*Space, bool) {
 	ids := make([]SpaceID, 0, 4)
 	for i := range moves {
 		id := moves[i].space
@@ -354,7 +378,6 @@ func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx) ([]*Space, 
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	held := make([]*Space, 0, len(ids))
 	for _, id := range ids {
 		if ac != nil && ac.held != nil && ac.held.id == id {
 			continue // the calling request already owns this one
@@ -375,7 +398,7 @@ func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx) ([]*Space, 
 			for _, h := range held {
 				h.mu.Unlock()
 			}
-			return nil, false
+			return held[:0], false
 		}
 		held = append(held, s)
 	}
@@ -386,34 +409,39 @@ func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx) ([]*Space, 
 // program faults: the faulted op's block is retired, the op is redirected to
 // a fresh unit, and the remainder of the batch retries from the failed
 // attempt's completion. Ops are not yet bound, so recovery only rewrites the
-// batch itself.
-func (t *STL) gcProgramBatch(ops []nvm.ProgramOp) (sim.Time, error) {
+// batch itself. It reports how many ops — a prefix of the batch — landed,
+// which on an error is what the caller still has to rebind.
+func (t *STL) gcProgramBatch(batch []nvm.ProgramOp) (sim.Time, int, error) {
 	var done sim.Time
+	ops := batch // narrows to the ops that have not landed
 	retries := 0
 	for len(ops) > 0 {
 		d, err := t.dev.ProgramPages(ops)
-		var pe *nvm.ProgramError
-		if err == nil || !errors.As(err, &pe) {
-			return sim.Max(done, d), err
-		}
 		done = sim.Max(done, d)
+		if err == nil {
+			break
+		}
+		var pe *nvm.ProgramError
+		if !errors.As(err, &pe) {
+			return done, len(batch) - len(ops), err
+		}
 		if pe.Index > 0 {
 			retries = 0 // progress since the last fault
 		}
 		ops = ops[pe.Index:]
 		t.retireBlock(pe.P.Channel, pe.P.Bank, pe.P.Block)
 		if retries++; retries > maxProgramRetries {
-			return done, fmt.Errorf("stl: GC relocation of %v: %d relocation attempts failed: %w", pe.P, retries, ErrMedia)
+			return done, len(batch) - len(ops), fmt.Errorf("stl: GC relocation of %v: %d relocation attempts failed: %w", pe.P, retries, ErrMedia)
 		}
 		np, ok := t.allocateRecoveryUnit(pe.P)
 		if !ok {
-			return done, fmt.Errorf("stl: no unit available to relocate faulted GC program at %v: %w", pe.P, ErrMedia)
+			return done, len(batch) - len(ops), fmt.Errorf("stl: no unit available to relocate faulted GC program at %v: %w", pe.P, ErrMedia)
 		}
 		t.programRetries.Add(1)
 		ops[0].P = np
 		ops[0].At = pe.Done
 	}
-	return done, nil
+	return done, len(batch), nil
 }
 
 // kickGC nudges the background worker (non-blocking; a pending kick absorbs

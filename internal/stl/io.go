@@ -182,11 +182,12 @@ func (t *STL) writePartitionScalar(at sim.Time, v *View, coord, sub []int64, dat
 
 	ps := int64(t.geo.PageSize)
 	gcoord := make([]int64, len(s.grid))
-	// The scalar path predates requestScratch but borrows its page-buffer
-	// freelist: ProgramPage copies payloads before returning, so each staged
-	// page's RMW buffer recycles instead of allocating per page.
-	rs := t.getScratch(s)
-	defer t.putScratch(rs)
+	// ProgramPage copies its payload before returning, so one assembly
+	// buffer, zeroed for each page, serves the whole request.
+	var pageBuf []byte
+	if !t.dev.Phantom() {
+		pageBuf = make([]byte, ps)
+	}
 
 	// Pass 1: group extents by page, accumulating coverage. Extents of one
 	// partition never overlap, so summing lengths is exact.
@@ -262,10 +263,7 @@ func (t *STL) writePartitionScalar(at sim.Time, v *View, coord, sub []int64, dat
 			continue
 		}
 		ready := at
-		var pageBuf []byte
-		if !t.dev.Phantom() {
-			pageBuf = rs.pageBuf(int(ps))
-		}
+		clear(pageBuf)
 		if slot.allocated && st.covered < pb {
 			old, d, err := t.dev.ReadPage(at, slot.ppa)
 			if err != nil {
@@ -301,7 +299,6 @@ func (t *STL) writePartitionScalar(at sim.Time, v *View, coord, sub []int64, dat
 				slot.allocated = false
 			}
 			t.zeroSkipped.Add(1)
-			rs.releaseBuf(pageBuf)
 			continue
 		}
 		var dst nvm.PPA
@@ -318,7 +315,6 @@ func (t *STL) writePartitionScalar(at sim.Time, v *View, coord, sub []int64, dat
 		if err != nil {
 			return at, stats, err
 		}
-		rs.releaseBuf(pageBuf)
 		slot.ppa = dst
 		slot.allocated = true
 		t.bindUnit(s, st.blockIdx, st.page, dst)

@@ -51,8 +51,6 @@ type requestScratch struct {
 	// Segment emission (segments.go): reused across requests; Src pointers
 	// are cleared on put so the pool never pins arena frames.
 	segs []Segment
-
-	bufs [][]byte // page-buffer freelist
 }
 
 // writeStage is one destination page of a write request and the extents that
@@ -64,9 +62,6 @@ type writeStage struct {
 	covered  int64
 	extents  []int32
 }
-
-// maxPooledBufs bounds how many page buffers a pooled scratch retains.
-const maxPooledBufs = 64
 
 // getScratch takes a scratch from the pool, sized for space s.
 func (t *STL) getScratch(s *Space) *requestScratch {
@@ -116,9 +111,6 @@ func (t *STL) putScratch(rs *requestScratch) {
 		rs.segs[i].Src = nil
 	}
 	rs.segs = rs.segs[:0]
-	if len(rs.bufs) > maxPooledBufs {
-		rs.bufs = rs.bufs[:maxPooledBufs]
-	}
 	t.scratch.Put(rs)
 }
 
@@ -128,25 +120,6 @@ func growInt64(s []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	return s[:n]
-}
-
-// pageBuf returns a zeroed page-sized buffer, reusing the freelist.
-func (rs *requestScratch) pageBuf(ps int) []byte {
-	if n := len(rs.bufs); n > 0 {
-		b := rs.bufs[n-1]
-		rs.bufs[n-1] = nil
-		rs.bufs = rs.bufs[:n-1]
-		clear(b)
-		return b
-	}
-	return make([]byte, ps)
-}
-
-// releaseBuf returns a page buffer to the freelist.
-func (rs *requestScratch) releaseBuf(b []byte) {
-	if b != nil {
-		rs.bufs = append(rs.bufs, b)
-	}
 }
 
 // nextStage appends a stage slot, reusing retained extent-index capacity.
@@ -225,10 +198,13 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time) error 
 	return nil
 }
 
-// flushPrograms issues the deferred program batch and recycles its page
-// buffers. Called at every point where the scalar path would already have
-// issued these programs before the next device operation (RMW reads, GC,
-// request end), which is what keeps batched timing identical to scalar.
+// flushPrograms issues the deferred program batch. Called at every point
+// where the scalar path would already have issued these programs before the
+// next device operation (RMW reads, GC, request end), which is what keeps
+// batched timing identical to scalar.
+//
+// The batch's frames are the device's from the moment their ops land; the
+// frames of ops that never do go back to the arena.
 //
 // Queued ops were bound when appended, so recovery from an injected program
 // fault rebinds through the reverse-lookup table: the faulted op's block is
@@ -241,12 +217,12 @@ func (t *STL) flushPrograms(rs *requestScratch, done *sim.Time, stats *RequestSt
 	if len(rs.ops) == 0 {
 		return nil
 	}
-	ops := rs.ops
+	ops := rs.ops // narrows to the ops that have not landed
 	defer func() {
-		for i := range rs.ops {
-			rs.releaseBuf(rs.ops[i].Data)
-			rs.ops[i].Data = nil
+		for i := range ops {
+			t.dev.Recycle(ops[i].Data)
 		}
+		clear(rs.ops)
 		rs.ops = rs.ops[:0]
 	}()
 	retries := 0
@@ -254,6 +230,7 @@ func (t *STL) flushPrograms(rs *requestScratch, done *sim.Time, stats *RequestSt
 		d, err := t.dev.ProgramPages(ops)
 		if err == nil {
 			*done = sim.Max(*done, d)
+			ops = nil
 			return nil
 		}
 		var pe *nvm.ProgramError

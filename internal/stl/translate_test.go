@@ -204,6 +204,17 @@ func fillRandom(rng *rand.Rand, n int64) []byte {
 	return b
 }
 
+// pasteTile applies a partition write to a host mirror: img is the row-major
+// image of a two-dimensional space cols elements wide, es bytes an element,
+// and tile the payload written at coord/sub (partition units).
+func pasteTile(img []byte, cols, es int64, coord, sub []int64, tile []byte) {
+	rowBytes := sub[1] * es
+	for r := int64(0); r < sub[0]; r++ {
+		at := ((coord[0]*sub[0]+r)*cols + coord[1]*sub[1]) * es
+		copy(img[at:at+rowBytes], tile[r*rowBytes:(r+1)*rowBytes])
+	}
+}
+
 // TestReadWriteMatchesReference drives the full STL data path (write via one
 // view, read via others) against the reference model.
 func TestReadWriteMatchesReference(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"nds/internal/nvm"
+	"nds/internal/sim"
 	"nds/internal/stl"
+	"nds/internal/system"
 )
 
 // AgedArray builds a small synchronous-GC array, fills it a little over half
@@ -86,5 +88,90 @@ func TestAgedOverwriteAllocs(t *testing.T) {
 		allocs, float64(after.PagesRelocated-before.PagesRelocated)/(runs+1), float64(after.Erases-before.Erases)/(runs+1))
 	if allocs > 8 {
 		t.Fatalf("%.0f allocations per 1 MiB overwrite, want at most 8: a page or a relocation allocates again", allocs)
+	}
+}
+
+// PhantomPlane builds a phantom STL of the prototype geometry holding one
+// 4096x4096 float32 space (64 blocks of 256 pages) and returns the two
+// requests whose bookkeeping the allocation gate and the allocation
+// benchmarks measure. readColumn reads a 64-element-wide column: 2048 pages,
+// two block rows to a page. writeBlock fills the next building block, 256
+// pages of which one is a replacement and 255 are placed by the allocation
+// policy (after 62 calls it wraps around and overwrites). Set-up writes the
+// first page of every block, so that a measured write builds no block, and
+// two whole blocks, which between them touch every bank and channel timeline.
+// Each request arrives a little after the last one completed, so every
+// timeline it touches gains an interval. Exported to the external test
+// package for the allocation benchmarks.
+func PhantomPlane(tb testing.TB) (readColumn, writeBlock func()) {
+	tb.Helper()
+	const n, side = 4096, 512
+	cfg := system.PrototypeConfig(n*n*4, true)
+	dev, err := nvm.NewDevice(cfg.Geometry, cfg.Timing, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := stl.New(dev, cfg.STL)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sp, err := st.CreateSpace(4, []int64{n, n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sp.PagesPerBlock() != 256 {
+		tb.Fatalf("building blocks have %d pages, the gate assumes 256", sp.PagesPerBlock())
+	}
+	v, err := stl.NewView(sp, []int64{n, n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var now sim.Time
+	write := func(coord, sub []int64) {
+		done, _, err := st.WritePartition(now+sim.Microsecond, v, coord, sub, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		now = done
+	}
+	for g := int64(0); g < n/side; g++ {
+		write([]int64{g * side, 0}, []int64{1, n})
+	}
+	coord, sub := []int64{0, 0}, []int64{side, side}
+	next := int64(0)
+	writeBlock = func() {
+		coord[0], coord[1] = next/(n/side)%(n/side), next%(n/side)
+		next++
+		write(coord, sub)
+	}
+	writeBlock()
+	writeBlock()
+	colCoord, colSub := []int64{0, 3}, []int64{n, 64}
+	readColumn = func() {
+		_, done, _, err := st.ReadPartitionInto(now+sim.Microsecond, v, colCoord, colSub, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		now = done
+	}
+	return readColumn, writeBlock
+}
+
+// TestPlanAndBookingAllocs: on a warmed STL, planning and booking a request
+// allocate nothing — not per page (the block plan's tables and the timelines'
+// windows are reused), not per placed unit (the channel is selected, not
+// sorted into a fresh slice), and not per request. The device is phantom, so
+// no payload buffer is in the count.
+func TestPlanAndBookingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop request scratches")
+	}
+	readColumn, writeBlock := PhantomPlane(t)
+	readColumn()
+	if allocs := testing.AllocsPerRun(20, readColumn); allocs != 0 {
+		t.Errorf("%.1f allocations per 2048-page column read, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, writeBlock); allocs != 0 {
+		t.Errorf("%.1f allocations per 256-page write, want 0", allocs)
 	}
 }

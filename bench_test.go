@@ -258,8 +258,18 @@ func allocSTL(b *testing.B, scalar bool) (*stl.STL, *stl.View) {
 // BenchmarkReadPartitionAllocs measures per-request heap allocations of a
 // 64x64 tile read on both data paths; path=batched should stay near zero
 // (pooled scratch + caller-owned assembly buffer), path=scalar is the
-// pre-vectorization behavior kept for comparison.
+// pre-vectorization behavior kept for comparison. The phantom column read is
+// the allocation gate's: 2048 pages planned and booked, no bytes moved.
 func BenchmarkReadPartitionAllocs(b *testing.B) {
+	b.Run("shape=col2048pages/phantom", func(b *testing.B) {
+		readColumn, _ := nds.PhantomPlane(b)
+		readColumn() // sizes the pooled scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			readColumn()
+		}
+	})
 	for _, mode := range []struct {
 		name   string
 		scalar bool
@@ -282,9 +292,19 @@ func BenchmarkReadPartitionAllocs(b *testing.B) {
 
 // BenchmarkWritePartitionAllocs measures per-request heap allocations of a
 // 64x64 tile overwrite (read-modify-write plus replacement allocation) on
-// both data paths, and of a 1 MiB overwrite on an array aged into steady
-// collection (256 pages programmed, some 75 relocated, 2.5 blocks erased).
+// both data paths, of a 1 MiB overwrite on an array aged into steady
+// collection (256 pages programmed, some 75 relocated, 2.5 blocks erased),
+// and of the allocation gate's phantom write of one building block (256 units
+// placed).
 func BenchmarkWritePartitionAllocs(b *testing.B) {
+	b.Run("size=256pages/phantom", func(b *testing.B) {
+		_, writeBlock := nds.PhantomPlane(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			writeBlock()
+		}
+	})
 	b.Run("size=1MiB/aged", func(b *testing.B) {
 		_, overwrite := nds.AgedArray(b)
 		b.ReportAllocs()

@@ -83,6 +83,28 @@ func (s *dieShard) setProgrammed(idx int64, v bool) {
 	}
 }
 
+// batchPlan groups the pages of one ReadPages or ProgramPages batch by the
+// die they are on and by the channel they cross. §4.2's rule 2 stripes
+// consecutive pages of a building block across channels, so a batch never
+// arrives in same-die runs — hundreds of pages land one or two to a die — and
+// runs have to be formed: each die's and each channel's pages are chained in
+// batch order, so a timeline or a die shard is locked once per batch, not
+// once per page. A plan lives in the device's pool between batches, with
+// every head cleared.
+type batchPlan struct {
+	dieHead, chanHead []int32 // per die / channel: 1 + its first page of the batch, 0 for none
+	dieNext, chanNext []int32 // per page: 1 + the next page on the same die / channel, 0 for none
+	dies, chans       []int32 // the dies and channels the batch touches
+	times             []sim.Time
+}
+
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
 // Device is a simulated flash array. It is safe for concurrent use: each
 // channel and bank timeline carries its own lock (per-die in-flight
 // tracking), so operations from concurrent request streams overlap when they
@@ -110,6 +132,7 @@ type Device struct {
 	banks    []*sim.Resource // indexed channel*Banks+bank
 	shards   []dieShard      // indexed channel*Banks+bank
 	frames   frameArena
+	plans    sync.Pool // *batchPlan
 
 	// zero is the canonical erased-page image returned by reads of
 	// never-programmed pages. Callers must not modify returned read slices,
@@ -332,11 +355,12 @@ func (d *Device) senseTime(f *faultState, die int) sim.Time {
 
 // ReadPages senses every page in ppas (all arriving at time at), storing the
 // contents in out[i] and returning the latest completion time. It is
-// timing-equivalent to calling ReadPage once per address in slice order, but
-// batches the state work: one lock acquisition per run of same-die pages and
-// one counter update for the whole span. out must have len(ppas) entries;
-// the stored slices alias device storage under the same contract as
-// ReadPage. On a phantom device the out entries are set to nil.
+// timing-equivalent to calling ReadPage once per address in slice order —
+// every bank and every channel sees the same bookings in the same order —
+// but takes each timeline and each die shard once for the batch, not once per
+// page. out must have len(ppas) entries; the stored slices alias device
+// storage under the same contract as ReadPage. On a phantom device the out
+// entries are set to nil.
 func (d *Device) ReadPages(at sim.Time, ppas []PPA, out [][]byte) (sim.Time, error) {
 	if len(out) < len(ppas) {
 		return at, fmt.Errorf("nvm: ReadPages out has %d entries for %d addresses", len(out), len(ppas))
@@ -346,17 +370,35 @@ func (d *Device) ReadPages(at sim.Time, ppas []PPA, out [][]byte) (sim.Time, err
 			return at, fmt.Errorf("nvm: read of invalid address %v", ppas[i])
 		}
 	}
+	b := d.plan(len(ppas), func(i int) int { return d.die(ppas[i]) })
+	defer d.putPlan(b)
+	// A page's sense books its bank, and the sense's end is when its transfer
+	// arrives at the channel. Bookings on different timelines are independent,
+	// so every bank's senses are booked first, bank by bank, then every
+	// channel's transfers.
+	faults := d.faultPlan()
+	for _, die := range b.dies {
+		bank := d.banks[die]
+		bank.Hold()
+		for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
+			sense := d.tim.ReadPage
+			if faults != nil {
+				sense = d.senseTime(faults, int(die))
+			}
+			_, b.times[i-1] = bank.AcquireHeld(at, sense)
+		}
+		bank.Release()
+	}
 	done := at
 	xfer := d.tim.TransferTime(d.geo.PageSize)
-	faults := d.faultPlan()
-	for i := range ppas {
-		sense := d.tim.ReadPage
-		if faults != nil {
-			sense = d.senseTime(faults, d.die(ppas[i]))
+	for _, ch := range b.chans {
+		channel := d.channels[ch]
+		channel.Hold()
+		for i := b.chanHead[ch]; i != 0; i = b.chanNext[i-1] {
+			_, end := channel.AcquireHeld(b.times[i-1], xfer)
+			done = sim.Max(done, end)
 		}
-		_, senseEnd := d.bank(ppas[i]).Acquire(at, sense)
-		_, end := d.channels[ppas[i].Channel].Acquire(senseEnd, xfer)
-		done = sim.Max(done, end)
+		channel.Release()
 	}
 	d.reads.Add(int64(len(ppas)))
 	if d.phantom {
@@ -365,23 +407,58 @@ func (d *Device) ReadPages(at sim.Time, ppas []PPA, out [][]byte) (sim.Time, err
 		}
 		return done, nil
 	}
-	// One lock pass per run of consecutive same-die addresses; page plans
-	// arrive die-grouped, so this is typically one acquisition per die.
-	for i := 0; i < len(ppas); {
-		die := d.die(ppas[i])
-		j := i + 1
-		for j < len(ppas) && d.die(ppas[j]) == die {
-			j++
-		}
+	for _, die := range b.dies {
 		s := &d.shards[die]
 		s.mu.Lock()
-		for k := i; k < j; k++ {
-			out[k] = d.pageBytesLocked(s, ppas[k])
+		for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
+			out[i-1] = d.pageBytesLocked(s, ppas[i-1])
 		}
 		s.mu.Unlock()
-		i = j
 	}
 	return done, nil
+}
+
+// plan takes a batch plan from the pool and chains pages [0,n) of a batch,
+// page i on die dieOf(i).
+func (d *Device) plan(n int, dieOf func(i int) int) *batchPlan {
+	b, _ := d.plans.Get().(*batchPlan)
+	if b == nil {
+		b = &batchPlan{
+			dieHead:  make([]int32, len(d.banks)),
+			chanHead: make([]int32, len(d.channels)),
+		}
+	}
+	b.dieNext, b.chanNext = growInt32(b.dieNext, n), growInt32(b.chanNext, n)
+	if cap(b.times) < n {
+		b.times = make([]sim.Time, n)
+	}
+	b.times = b.times[:n]
+	// Back to front, so that each chain runs in slice order.
+	for i := n - 1; i >= 0; i-- {
+		die := dieOf(i)
+		ch := die / d.geo.Banks
+		if b.dieNext[i] = b.dieHead[die]; b.dieNext[i] == 0 {
+			b.dies = append(b.dies, int32(die))
+		}
+		b.dieHead[die] = int32(i + 1)
+		if b.chanNext[i] = b.chanHead[ch]; b.chanNext[i] == 0 {
+			b.chans = append(b.chans, int32(ch))
+		}
+		b.chanHead[ch] = int32(i + 1)
+	}
+	return b
+}
+
+// putPlan clears the heads the batch set and returns b to the pool.
+func (d *Device) putPlan(b *batchPlan) {
+	for _, die := range b.dies {
+		b.dieHead[die] = 0
+	}
+	for _, ch := range b.chans {
+		b.chanHead[ch] = 0
+	}
+	b.dies, b.chans = b.dies[:0], b.chans[:0]
+	d.plans.Put(b)
 }
 
 // ProgramPage writes data (at most one page) to p, arriving at time at.
@@ -472,8 +549,9 @@ func (d *Device) checkOp(op *ProgramOp) error {
 
 // ProgramPages issues a batch of page programs, returning the latest
 // completion time. It is timing-equivalent to calling ProgramPage once per
-// op in slice order, but validates the whole span, reserves all timeline
-// slots, and updates state with one lock pass per run of same-die ops.
+// op in slice order, but validates the whole span, then books each channel's
+// transfers and each bank's programs as one run and stores each die's pages
+// under one lock.
 //
 // Unlike a scalar loop, the batch is atomic with respect to validation
 // errors: every op is checked (address, size, flash rules) before any
@@ -525,7 +603,7 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 	// faulted op are not attempted (a scalar loop would abort there): their
 	// claims are released and their attempt ticks are not consumed. The faulted
 	// op's page stays claimed — the failed attempt consumed it.
-	stored := ops
+	attempted, landed := ops, len(ops)
 	var faultIdx = -1
 	if f := d.faultPlan(); f != nil {
 		for i := 0; i < len(ops) && faultIdx < 0; {
@@ -550,42 +628,49 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 		if faultIdx >= 0 {
 			f.programFaults.Add(1)
 			d.unclaim(ops[faultIdx+1:])
-			stored = ops[:faultIdx]
+			attempted, landed = ops[:faultIdx+1], faultIdx
 		}
 	}
-	// Pass 2: timeline reservations in op order — identical acquire sequence
-	// to the scalar loop, so completions are bit-identical. On a fault the
-	// failed attempt still occupies the timelines; unattempted ops do not.
+	// Pass 2: timeline reservations. Each channel, then each bank, books its
+	// ops in slice order — the acquire sequence every timeline saw from the
+	// scalar loop, so completions are bit-identical. On a fault the failed
+	// attempt still occupies the timelines; unattempted ops do not.
 	var done, faultDone sim.Time
 	xfer := d.tim.TransferTime(d.geo.PageSize)
-	attempted := ops
-	if faultIdx >= 0 {
-		attempted = ops[:faultIdx+1]
-	}
-	for i := range attempted {
-		_, xferEnd := d.channels[attempted[i].P.Channel].Acquire(attempted[i].At, xfer)
-		_, end := d.bank(attempted[i].P).Acquire(xferEnd, d.tim.ProgramPage)
-		done = sim.Max(done, end)
-		if i == faultIdx {
-			faultDone = end
+	b := d.plan(len(attempted), func(i int) int { return d.die(attempted[i].P) })
+	defer d.putPlan(b)
+	for _, ch := range b.chans {
+		channel := d.channels[ch]
+		channel.Hold()
+		for i := b.chanHead[ch]; i != 0; i = b.chanNext[i-1] {
+			_, b.times[i-1] = channel.AcquireHeld(attempted[i-1].At, xfer)
 		}
+		channel.Release()
 	}
-	// Pass 3: store bytes and bump counters, grouped per die.
-	d.programs.Add(int64(len(stored)))
-	if !d.phantom {
-		for i := 0; i < len(stored); {
-			die := d.die(stored[i].P)
-			j := i + 1
-			for j < len(stored) && d.die(stored[j].P) == die {
-				j++
+	for _, die := range b.dies {
+		bank := d.banks[die]
+		bank.Hold()
+		for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
+			_, end := bank.AcquireHeld(b.times[i-1], d.tim.ProgramPage)
+			done = sim.Max(done, end)
+			if int(i-1) == faultIdx {
+				faultDone = end
 			}
+		}
+		bank.Release()
+	}
+	// Pass 3: store bytes and bump counters, die by die.
+	d.programs.Add(int64(landed))
+	if !d.phantom {
+		for _, die := range b.dies {
 			s := &d.shards[die]
 			s.mu.Lock()
-			for k := i; k < j; k++ {
-				d.storeLocked(s, &stored[k])
+			for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
+				if int(i-1) != faultIdx {
+					d.storeLocked(s, &attempted[i-1])
+				}
 			}
 			s.mu.Unlock()
-			i = j
 		}
 	}
 	if faultIdx >= 0 {

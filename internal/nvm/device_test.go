@@ -2,6 +2,8 @@ package nvm
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -381,5 +383,122 @@ func TestProgramPagesAtomicOnError(t *testing.T) {
 				t.Fatal("failed batch reserved timeline slots")
 			}
 		})
+	}
+}
+
+// TestBatchBookingMatchesPerPage: ReadPages and ProgramPages book each bank's
+// and each channel's operations as one run; a per-page ReadPage/ProgramPage
+// loop books them interleaved in slice order. Bookings on different
+// timelines are independent, so over random batches — pages scattered over
+// the dies with repeats, arrivals that jump ahead of the timelines and fall
+// back into their gaps, with and without injected read retries and program
+// faults — both must complete every batch at the same time and leave every
+// timeline in the same state.
+func TestBatchBookingMatchesPerPage(t *testing.T) {
+	geo := Geometry{Channels: 8, Banks: 4, BlocksPerBank: 64, PagesPerBlock: 16, PageSize: 512}
+	for _, plan := range []FaultPlan{{}, {Seed: 3, ReadRetryEvery: 5, ProgramFailEvery: 17}} {
+		mk := func() *Device {
+			d, err := NewDevice(geo, TLCTiming(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Enabled() {
+				d.SetFaultPlan(plan)
+			}
+			return d
+		}
+		batch, loop := mk(), mk()
+		rng := rand.New(rand.NewSource(16))
+		next := make([]int, geo.Channels*geo.Banks) // per die: the next page to program
+		var clock sim.Time
+		arrival := func() sim.Time {
+			if rng.Intn(3) == 0 {
+				return sim.Max(0, clock-sim.Time(rng.Int63n(int64(4*sim.Millisecond))))
+			}
+			return clock + sim.Time(rng.Int63n(int64(200*sim.Microsecond)))
+		}
+		for round := 0; round < 400; round++ {
+			n := 1 + rng.Intn(60)
+			if rng.Intn(2) == 0 {
+				at := arrival()
+				ppas := make([]PPA, n)
+				for i := range ppas {
+					ppas[i] = PPA{rng.Intn(geo.Channels), rng.Intn(geo.Banks), rng.Intn(geo.BlocksPerBank), rng.Intn(geo.PagesPerBlock)}
+				}
+				got, err := batch.ReadPages(at, ppas, make([][]byte, n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := at
+				for _, p := range ppas {
+					_, end, err := loop.ReadPage(at, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = sim.Max(want, end)
+				}
+				if got != want {
+					t.Fatalf("round %d: %d-page read at %v done at %v, page by page at %v", round, n, at, got, want)
+				}
+				clock = sim.Max(clock, got)
+				continue
+			}
+			ops := make([]ProgramOp, 0, n)
+			for len(ops) < n {
+				die := rng.Intn(len(next))
+				if next[die] == geo.BlocksPerBank*geo.PagesPerBlock {
+					continue
+				}
+				p := PPA{die / geo.Banks, die % geo.Banks, next[die] / geo.PagesPerBlock, next[die] % geo.PagesPerBlock}
+				next[die]++
+				ops = append(ops, ProgramOp{At: arrival(), P: p})
+			}
+			got, errB := batch.ProgramPages(ops)
+			var want sim.Time
+			var errL error
+			landed := 0
+			for ; landed < len(ops) && errL == nil; landed++ {
+				var end sim.Time
+				end, errL = loop.ProgramPage(ops[landed].At, ops[landed].P, nil)
+				want = sim.Max(want, end)
+			}
+			var peB, peL *ProgramError
+			if errors.As(errB, &peB) != errors.As(errL, &peL) || (peB == nil) != (errB == nil) {
+				t.Fatalf("round %d: batch err %v, page by page %v", round, errB, errL)
+			}
+			if peB != nil {
+				// The loop stopped at its fault; the batch reports the same op.
+				if peB.Index != landed-1 || peB.P != ops[landed-1].P || peB.Done != peL.Done {
+					t.Fatalf("round %d: batch fault %+v, page by page op %d %+v", round, peB, landed-1, peL)
+				}
+				// Ops past the fault were not attempted; their pages stay free.
+				for _, op := range ops[landed:] {
+					next[op.P.Channel*geo.Banks+op.P.Bank]--
+				}
+			}
+			if got != want {
+				t.Fatalf("round %d: %d-page program done at %v, page by page at %v", round, n, got, want)
+			}
+			clock = sim.Max(clock, got)
+		}
+		if b, l := batch.NextIdle(), loop.NextIdle(); b != l {
+			t.Fatalf("timelines drain at %v after batches, %v page by page", b, l)
+		}
+		for _, at := range []sim.Time{clock / 4, clock / 2, clock} {
+			if b, l := batch.BusyDies(at), loop.BusyDies(at); b != l {
+				t.Fatalf("%d dies busy at %v after batches, %d page by page", b, at, l)
+			}
+		}
+		ub, ul := batch.ChannelUtilization(clock), loop.ChannelUtilization(clock)
+		for ch := range ub {
+			if ub[ch] != ul[ch] {
+				t.Fatalf("channel %d utilization %v after batches, %v page by page", ch, ub[ch], ul[ch])
+			}
+		}
+		rb, pb, _ := batch.Counters()
+		rl, pl, _ := loop.Counters()
+		if rb != rl || pb != pl || batch.FaultStats() != loop.FaultStats() {
+			t.Fatalf("counters: batches %d/%d %+v, page by page %d/%d %+v", rb, pb, batch.FaultStats(), rl, pl, loop.FaultStats())
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -21,9 +20,9 @@ import (
 // channels/banks, queue where they collide, and complete out of order.
 //
 // Sharded-clock model: each resource's timeline is its own shard, guarded by
-// its own mutex, and every cross-resource observation (FreeAt, BusyTime, Ops,
-// Pool dispatch, utilization reports) reads atomically published snapshots
-// instead of taking the timeline mutex. Independent channel/bank/die
+// its own mutex, and every cross-resource observation on a request's path
+// (FreeAt, Pool dispatch, BusyDies, NextIdle) reads the atomically published
+// horizon instead of taking the timeline mutex. Independent channel/bank/die
 // timelines therefore advance with no shared lock between them; timelines
 // reconcile only at genuine joins, where one operation's completion on one
 // resource becomes the arrival time of its next operation on another.
@@ -32,23 +31,31 @@ type Resource struct {
 	mu   sync.Mutex
 	// ivals are the busy intervals still eligible for backfill, sorted,
 	// disjoint, and coalesced; everything before floor is considered busy.
+	// It is a window of at most maxIntervals entries sliding through buf, so
+	// dropping the oldest interval is a reslice and a steady-state Acquire
+	// allocates nothing.
 	ivals []interval
+	buf   []interval // 2*maxIntervals backing array, allocated on first use
 	floor Time
 
 	// horizon mirrors horizonLocked() — the end of the last reserved
-	// interval — republished at the end of every mutation while mu is held.
+	// interval — republished by Release, before mu is dropped.
 	// Readers that only need "when does this timeline drain" (Pool dispatch,
 	// BusyDies, NextIdle) load it without touching mu, so observing one
 	// resource never stalls streams advancing another.
 	horizon atomic.Int64
-	busy    atomic.Int64 // accumulated service time
-	ops     atomic.Int64 // operations served
+	// busy and ops are only written under mu, so they are plain fields, not
+	// atomics paying a locked read-modify-write per Acquire; their readers
+	// are reports, which take mu.
+	busy Time  // accumulated service time
+	ops  int64 // operations served
 }
 
 type interval struct{ start, end Time }
 
-// maxIntervals bounds the backfill window. When a timeline fragments past
-// this, the oldest intervals (and their gaps) collapse into the floor —
+// maxIntervals bounds the backfill window: after every mutation, on every
+// path, a timeline holds at most this many intervals. When one more arrives
+// the oldest interval (and the gap before it) collapses into the floor —
 // degrading gracefully toward the pure-horizon model rather than growing
 // without bound.
 const maxIntervals = 256
@@ -62,42 +69,71 @@ func NewResource(name string) *Resource { return &Resource{Name: name} }
 // Operations contending for the same instant serialize; operations arriving
 // for an idle gap start immediately, even if later work is already queued.
 func (r *Resource) Acquire(at, d Time) (start, end Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.Hold()
+	start, end = r.AcquireHeld(at, d)
+	r.Release()
+	return start, end
+}
+
+// Hold, AcquireHeld and Release are Acquire taken apart, for a caller with a
+// run of operations for this resource: Hold locks the timeline, AcquireHeld
+// books one operation exactly as Acquire would, and Release publishes the
+// horizon and unlocks. Bookings on different resources are independent, so a
+// batch may book each resource's operations as one run, in their batch
+// order, and get the grants a per-operation loop would have. A holder must
+// not hold a second resource.
+func (r *Resource) Hold() { r.mu.Lock() }
+
+// Release ends a Hold.
+func (r *Resource) Release() {
+	r.horizon.Store(int64(r.horizonLocked()))
+	r.mu.Unlock()
+}
+
+// AcquireHeld is Acquire for the holder of the timeline (see Hold).
+func (r *Resource) AcquireHeld(at, d Time) (start, end Time) {
 	if d <= 0 {
 		// Zero-length operations synchronize with the busy horizon but
 		// reserve nothing.
 		start = Max(at, r.horizonLocked())
 		return start, start
 	}
-	// Append fast path: an operation arriving at or after the horizon can
-	// only extend the timeline, so skip the gap search and the insertion
-	// shuffle entirely. This is the common case for streaming workloads and
-	// keeps Acquire O(1) off the backfill path.
-	if n := len(r.ivals); n == 0 || at >= r.ivals[n-1].end {
+	n := len(r.ivals)
+	// Tail path: a gap can host the operation only if the interval after it
+	// starts at or after at+d, so an arrival at or after the last interval's
+	// start has no gap behind it. It queues at the horizon — extending the
+	// last interval when it touches it, which is every page after the first
+	// on a busy bank — or, past the horizon, opens a new interval. O(1), and
+	// the common case for streaming and for same-arrival batches alike.
+	if n == 0 || at >= r.ivals[n-1].start {
 		start = Max(at, r.horizonLocked())
 		end = start + d
 		if n > 0 && r.ivals[n-1].end == start {
 			r.ivals[n-1].end = end
 		} else {
-			r.ivals = append(r.ivals, interval{start, end})
+			r.insertLocked(n, interval{start, end})
 		}
-		r.horizon.Store(int64(end))
-		r.busy.Add(int64(d))
-		r.ops.Add(1)
+		r.busy += d
+		r.ops++
 		return start, end
 	}
-	// A gap before interval i can host the operation only if
-	// ivals[i].start >= at+d (the candidate start is always >= at), so all
-	// earlier intervals are irrelevant except for the predecessor's end.
-	// Binary search to the first viable gap instead of scanning from zero.
-	lo := sort.Search(len(r.ivals), func(i int) bool { return r.ivals[i].start >= at+d })
+	// Backfill: binary search to the first interval starting at or after
+	// at+d; all earlier intervals are irrelevant except for the
+	// predecessor's end (the candidate start is always >= at).
+	lo, hi := 0, n
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); r.ivals[m].start >= at+d {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
 	prevEnd := r.floor
 	if lo > 0 {
 		prevEnd = r.ivals[lo-1].end
 	}
-	pos := len(r.ivals)
-	for i := lo; i < len(r.ivals); i++ {
+	pos := n
+	for i := lo; i < n; i++ {
 		iv := r.ivals[i]
 		s := Max(at, prevEnd)
 		if s+d <= iv.start {
@@ -106,39 +142,47 @@ func (r *Resource) Acquire(at, d Time) (start, end Time) {
 		}
 		prevEnd = iv.end
 	}
-	if pos == len(r.ivals) {
+	if pos == n {
 		start = Max(at, prevEnd)
 	}
 	end = start + d
-	r.insertLocked(pos, interval{start, end})
-	r.horizon.Store(int64(r.horizonLocked()))
-	r.busy.Add(int64(d))
-	r.ops.Add(1)
-	return start, end
-}
-
-// insertLocked places iv at index pos, coalescing with touching neighbours
-// and pruning the oldest intervals past the window cap.
-func (r *Resource) insertLocked(pos int, iv interval) {
-	if pos > 0 && r.ivals[pos-1].end == iv.start {
-		r.ivals[pos-1].end = iv.end
-		if pos < len(r.ivals) && r.ivals[pos].start == iv.end {
+	switch {
+	case pos > 0 && r.ivals[pos-1].end == start:
+		r.ivals[pos-1].end = end
+		if pos < n && r.ivals[pos].start == end {
 			r.ivals[pos-1].end = r.ivals[pos].end
 			r.ivals = append(r.ivals[:pos], r.ivals[pos+1:]...)
 		}
-		return
+	case pos < n && r.ivals[pos].start == end:
+		r.ivals[pos].start = start
+	default:
+		r.insertLocked(pos, interval{start, end})
 	}
-	if pos < len(r.ivals) && r.ivals[pos].start == iv.end {
-		r.ivals[pos].start = iv.start
-		return
+	r.busy += d
+	r.ops++
+	return start, end
+}
+
+// insertLocked places iv, which touches neither neighbour, at index pos and
+// slides the window: past maxIntervals the oldest interval and the gap
+// before it fold into the floor. The window lives in a fixed 2*maxIntervals
+// array; when its tail reaches the end of the array one copy moves the live
+// intervals back to the front, an amortised one interval per insertion. The
+// window stays one contiguous sorted slice, which a modular ring would not.
+func (r *Resource) insertLocked(pos int, iv interval) {
+	n := len(r.ivals)
+	if n == cap(r.ivals) {
+		if r.buf == nil {
+			r.buf = make([]interval, 2*maxIntervals)
+		}
+		r.ivals = r.buf[:copy(r.buf, r.ivals)]
 	}
-	r.ivals = append(r.ivals, interval{})
-	copy(r.ivals[pos+1:], r.ivals[pos:])
+	r.ivals = r.ivals[:n+1]
+	copy(r.ivals[pos+1:], r.ivals[pos:n])
 	r.ivals[pos] = iv
-	if len(r.ivals) > maxIntervals {
-		drop := len(r.ivals) - maxIntervals
-		r.floor = r.ivals[drop-1].end
-		r.ivals = append(r.ivals[:0], r.ivals[drop:]...)
+	if n+1 > maxIntervals {
+		r.floor = r.ivals[0].end
+		r.ivals = r.ivals[1:]
 	}
 }
 
@@ -156,10 +200,18 @@ func (r *Resource) horizonLocked() Time {
 func (r *Resource) FreeAt() Time { return Time(r.horizon.Load()) }
 
 // BusyTime reports accumulated service time.
-func (r *Resource) BusyTime() Time { return Time(r.busy.Load()) }
+func (r *Resource) BusyTime() Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.busy
+}
 
 // Ops reports the number of operations served.
-func (r *Resource) Ops() int64 { return r.ops.Load() }
+func (r *Resource) Ops() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ops
+}
 
 // Utilization reports busy time as a fraction of horizon.
 func (r *Resource) Utilization(horizon Time) float64 {
@@ -173,10 +225,9 @@ func (r *Resource) Utilization(horizon Time) float64 {
 func (r *Resource) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ivals, r.floor = nil, 0
+	r.ivals, r.floor = r.buf[:0], 0
 	r.horizon.Store(0)
-	r.busy.Store(0)
-	r.ops.Store(0)
+	r.busy, r.ops = 0, 0
 }
 
 // Pool is a set of identical resources; Acquire picks the earliest-free

@@ -267,10 +267,22 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, ac *allocC
 	}
 
 	// Try banks in least-used order starting from the policy's choice, and
-	// channels in least-used order within each bank, skipping full dies.
-	bankOrder := t.bankCandidates(blk, bank)
-	for _, bk := range bankOrder {
-		for _, ch := range t.channelCandidates(blk, bk) {
+	// channels in least-used order within each bank, skipping full dies. The
+	// first candidate almost always supplies the unit, so the order is
+	// selected one candidate at a time, not built and sorted.
+	if len(s.dieFree) != t.geo.Channels {
+		s.dieFree = make([]int64, t.geo.Channels)
+	}
+	free := s.dieFree
+	for bk := bank; bk >= 0; bk = nextBank(blk.bankUse, bank, bk) {
+		// freePages is read without the die lock, once per die: it is a
+		// placement heuristic, and a slightly stale value only reorders
+		// fall-over candidates. The snapshot keeps the order fixed while
+		// failed takeUnit calls collect the dies they visit.
+		for ch := range free {
+			free[ch] = t.die(ch, bk).freePages.Load()
+		}
+		for ch := nextChannel(blk.chanUse, free, -1); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
 			p, ready, err := t.takeUnit(at, ch, bk, ac)
 			if err != nil {
 				continue // die exhausted; try the next candidate
@@ -343,68 +355,73 @@ func (t *STL) randIntn(n int) int {
 // leastUsedBank returns the bank with the fewest units in blk, breaking ties
 // randomly to spread blocks across the device.
 func (t *STL) leastUsedBank(blk *BuildingBlock) int {
-	best := []int{}
-	bestUse := uint16(^uint16(0))
+	least, ties := 0, 0
 	for b, u := range blk.bankUse {
 		switch {
-		case u < bestUse:
-			bestUse = u
-			best = best[:0]
-			best = append(best, b)
-		case u == bestUse:
-			best = append(best, b)
+		case u < blk.bankUse[least]:
+			least, ties = b, 1
+		case u == blk.bankUse[least]:
+			ties++
 		}
 	}
-	if len(best) == 1 {
-		return best[0]
+	if ties == 1 {
+		return least
 	}
-	return best[t.randIntn(len(best))]
-}
-
-// bankCandidates lists banks to try: first the preferred bank, then the rest
-// in ascending block-usage order.
-func (t *STL) bankCandidates(blk *BuildingBlock, preferred int) []int {
-	order := make([]int, 0, t.geo.Banks)
-	order = append(order, preferred)
-	rest := make([]int, 0, t.geo.Banks-1)
-	for b := 0; b < t.geo.Banks; b++ {
-		if b != preferred {
-			rest = append(rest, b)
-		}
-	}
-	// Insertion sort by usage (bank counts are tiny).
-	for i := 1; i < len(rest); i++ {
-		for j := i; j > 0 && blk.bankUse[rest[j]] < blk.bankUse[rest[j-1]]; j-- {
-			rest[j], rest[j-1] = rest[j-1], rest[j]
-		}
-	}
-	return append(order, rest...)
-}
-
-// channelCandidates lists channels in ascending block-usage order; among
-// equally-used channels, the one whose die has the most free pages first.
-// freePages is read without the die lock — it is a placement heuristic, and
-// a slightly stale value only reorders fall-over candidates.
-func (t *STL) channelCandidates(blk *BuildingBlock, bank int) []int {
-	order := make([]int, t.geo.Channels)
-	for i := range order {
-		order[i] = i
-	}
-	key := func(ch int) (uint16, int64) {
-		return blk.chanUse[ch], -t.die(ch, bank).freePages.Load()
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			ua, fa := key(order[j])
-			ub, fb := key(order[j-1])
-			if ua < ub || (ua == ub && fa < fb) {
-				order[j], order[j-1] = order[j-1], order[j]
-			} else {
-				break
+	// The k-th of the tied banks, in index order.
+	k := t.randIntn(ties)
+	for b, u := range blk.bankUse {
+		if u == blk.bankUse[least] {
+			if k == 0 {
+				return b
 			}
+			k--
 		}
 	}
-	return order
+	return least
+}
+
+// nextBank yields the banks to try, one per call: first the preferred bank,
+// then the rest in ascending block-usage order, equally-used banks by index.
+// prev is the bank yielded last (start from preferred itself); -1 ends the
+// sequence.
+func nextBank(use []uint16, preferred, prev int) int {
+	next := -1
+	for b := range use {
+		if b == preferred {
+			continue
+		}
+		after := prev == preferred || use[b] > use[prev] || (use[b] == use[prev] && b > prev)
+		if after && (next < 0 || use[b] < use[next]) {
+			next = b
+		}
+	}
+	return next
+}
+
+// nextChannel yields one bank's channels, one per call, in ascending
+// block-usage order; among equally-used channels the one whose die has the
+// most free pages first, then by index. free is the bank's free-page
+// snapshot, prev the channel yielded last (-1 to start); -1 ends the
+// sequence.
+func nextChannel(use []uint16, free []int64, prev int) int {
+	next := -1
+	for ch := range use {
+		if (prev < 0 || channelBefore(use, free, prev, ch)) && (next < 0 || channelBefore(use, free, ch, next)) {
+			next = ch
+		}
+	}
+	return next
+}
+
+// channelBefore orders two channels of one bank for nextChannel.
+func channelBefore(use []uint16, free []int64, a, b int) bool {
+	if use[a] != use[b] {
+		return use[a] < use[b]
+	}
+	if free[a] != free[b] {
+		return free[a] > free[b]
+	}
+	return a < b
 }
 
 // bindUnit records the reverse mapping for a freshly programmed unit and

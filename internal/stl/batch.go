@@ -116,9 +116,9 @@ func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []by
 // and resolves every touched page's bytes into rs: it records distinct pages
 // in first-touch order, serves cached pages from DRAM, serves §4.4-staged
 // pages from STL memory, materializes compressed blocks, and issues the
-// batched device reads. On return rs.pageData/rs.images hold the source bytes
-// and done is the completion time (device batch, decompressions, and cache
-// DRAM streaming all folded in). readPartitionSegments, its only caller,
+// batched device reads. On return rs.pageData and the block plan's images
+// hold the source bytes and done is the completion time (device batch,
+// decompressions, and cache DRAM streaming all folded in). readPartitionSegments, its only caller,
 // turns the resolved pages into segments; every read-shaped request goes
 // through that one pair, so they all share timing and statistics.
 func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord, sub []int64, stats *RequestStats) (exts []Extent, want int64, done sim.Time, err error) {
@@ -143,12 +143,13 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 	// materialization to keep scalar issue order.
 	for i := range exts {
 		e := &exts[i]
-		blk := t.resolveBlock(rs, s, e.Block, false, stats)
+		bp := t.resolveBlock(rs, s, e.Block, false, stats)
+		blk := bp.blk
 		if blk == nil {
 			continue // untouched block: zeros
 		}
 		if blk.compressed {
-			if _, ok := rs.images[e.Block]; !ok {
+			if bp.image == nil {
 				if err := t.flushReads(rs, at, &done); err != nil {
 					return nil, 0, at, err
 				}
@@ -157,18 +158,17 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 					return nil, 0, at, err
 				}
 				done = sim.Max(done, d)
-				rs.images[e.Block] = img
+				bp.image = img
 			}
 			continue
 		}
 		for p := e.Off / ps; p <= (e.Off+e.Len-1)/ps; p++ {
-			key := pageKey{e.Block, int(p)}
-			if _, ok := rs.pageIdx[key]; ok {
+			if bp.pages[p] != 0 {
 				continue
 			}
-			idx := int32(len(rs.pageData))
-			rs.pageIdx[key] = idx
 			rs.pageData = append(rs.pageData, nil)
+			idx := int32(len(rs.pageData) - 1)
+			bp.pages[p] = idx + 1
 			if slot := blk.pages[p]; slot.allocated {
 				if t.cache != nil {
 					pb := s.pageBytes(t.geo, int(p))
@@ -180,7 +180,7 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 						}
 						continue
 					}
-					rs.fillKeys = append(rs.fillKeys, key)
+					rs.fillKeys = append(rs.fillKeys, pageKey{e.Block, int(p)})
 				}
 				rs.ppas = append(rs.ppas, slot.ppa)
 				rs.planOf = append(rs.planOf, idx)
@@ -228,15 +228,14 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 	// Extents of one partition never overlap, so summing lengths is exact.
 	for i := range exts {
 		e := &exts[i]
-		blk := t.resolveBlock(rs, s, e.Block, true, &stats)
+		bp := t.resolveBlock(rs, s, e.Block, true, &stats)
 		for p := e.Off / ps; p <= (e.Off+e.Len-1)/ps; p++ {
-			key := pageKey{e.Block, int(p)}
-			si, ok := rs.stageIdx[key]
-			if !ok {
+			si := bp.pages[p] - 1
+			if si < 0 {
 				si = rs.nextStage()
 				st := &rs.stages[si]
-				st.blk, st.blockIdx, st.page = blk, e.Block, int(p)
-				rs.stageIdx[key] = si
+				st.blk, st.blockIdx, st.page = bp.blk, e.Block, int(p)
+				bp.pages[p] = si + 1
 			}
 			st := &rs.stages[si]
 			lo := max64(e.Off, p*ps)

@@ -1,0 +1,182 @@
+package stl
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"nds/internal/nvm"
+	"nds/internal/sim"
+)
+
+// oneScratch routes a request of st through the one requestScratch the test
+// holds: it empties the pool, lends the scratch, runs op, and takes back
+// whatever op returned to the pool. The test's own reference keeps the
+// scratch alive across garbage collections; only the race detector's
+// sync.Pool, which drops one Put in four, makes op build a fresh one.
+type oneScratch struct {
+	rs             *requestScratch
+	lent, returned int // requests run, and how many came back on the lent scratch
+}
+
+func (o *oneScratch) run(st *STL, op func()) {
+	for st.scratch.Get() != nil {
+	}
+	if o.rs != nil {
+		st.scratch.Put(o.rs)
+	}
+	op()
+	got, _ := st.scratch.Get().(*requestScratch)
+	if got != nil {
+		if got == o.rs {
+			o.returned++
+		}
+		o.rs = got
+	}
+	o.lent++
+}
+
+// TestBlockPlanTablesAcrossSpaces: the block plan's page tables are dense,
+// as long as a block has pages, and live in a scratch pooled across spaces.
+// One STL holds a space of 512-page blocks and one of 64-page blocks;
+// interleaved reads and writes all go through a single scratch — a column
+// whose rows alternate between two blocks (every extent misses the last-hit
+// memo), requests on the small blocks straight after the large ones and back,
+// and a write that runs out of capacity after its plan is built — and every
+// read returns the scalar twin's bytes. A table left dirty by putScratch, or
+// reused at the previous space's length, shows as wrong bytes or an index
+// out of range.
+func TestBlockPlanTablesAcrossSpaces(t *testing.T) {
+	// BB_min = 16 channels x 512 B = 8 KiB; with multiplier 4 a 2-D float32
+	// block is 256x256 (512 pages) and a 1-D one 8192 elements (64 pages).
+	geo := nvm.Geometry{Channels: 16, Banks: 2, BlocksPerBank: 4, PagesPerBlock: 64, PageSize: 512}
+	type twin struct {
+		st            *STL
+		big, small, c *View
+	}
+	mk := func(scalar bool) twin {
+		dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.BBMultiplier = 4
+		cfg.ScalarPath = scalar
+		st, err := New(dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := func(dims ...int64) *View {
+			s, err := st.CreateSpace(4, dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := NewView(s, dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		return twin{st, view(512, 512), view(32768), view(1024, 1024)}
+	}
+	ref, got := mk(true), mk(false)
+	if b, s := got.big.space.pagesPerBB, got.small.space.pagesPerBB; b != 512 || s != 64 {
+		t.Fatalf("blocks have %d and %d pages, the test wants 512 and 64", b, s)
+	}
+
+	var one oneScratch
+	rng := rand.New(rand.NewSource(16))
+	pick := func(tw twin, which int) *View { return []*View{tw.big, tw.small, tw.c}[which] }
+	var at sim.Time
+	write := func(which int, coord, sub []int64, bytesLen int) error {
+		data := make([]byte, bytesLen)
+		rng.Read(data)
+		dR, sR, errR := ref.st.WritePartition(at, pick(ref, which), coord, sub, data)
+		var (
+			dG   sim.Time
+			sG   RequestStats
+			errG error
+		)
+		one.run(got.st, func() { dG, sG, errG = got.st.WritePartition(at, pick(got, which), coord, sub, data) })
+		if (errR == nil) != (errG == nil) {
+			t.Fatalf("write %v/%v: scalar err=%v batched err=%v", coord, sub, errR, errG)
+		}
+		if errR == nil {
+			if dR != dG || sR != sG {
+				t.Fatalf("write %v/%v: scalar (%d, %+v) batched (%d, %+v)", coord, sub, dR, sR, dG, sG)
+			}
+			at = dR
+		}
+		return errG
+	}
+	read := func(which int, coord, sub []int64) {
+		t.Helper()
+		bufR, dR, sR, errR := ref.st.ReadPartition(at, pick(ref, which), coord, sub)
+		var (
+			bufG []byte
+			dG   sim.Time
+			sG   RequestStats
+			errG error
+		)
+		one.run(got.st, func() { bufG, dG, sG, errG = got.st.ReadPartition(at, pick(got, which), coord, sub) })
+		if errR != nil || errG != nil {
+			t.Fatalf("read %v/%v: scalar err=%v batched err=%v", coord, sub, errR, errG)
+		}
+		if dR != dG || sR != sG {
+			t.Fatalf("read %v/%v: scalar (%d, %+v) batched (%d, %+v)", coord, sub, dR, sR, dG, sG)
+		}
+		if !bytes.Equal(bufR, bufG) {
+			t.Fatalf("read %v/%v of space %d: bytes differ from the scalar twin's", coord, sub, which)
+		}
+		at = dR
+	}
+	const big, small, huge = 0, 1, 2
+	// A 48-wide column at columns 240..287 straddles the two block columns:
+	// each of its 512 rows is an extent in one block, then one in the other.
+	column := func() { read(big, []int64{0, 5}, []int64{512, 48}) }
+
+	// The scratch's first four tables are made for 64-page blocks; the large
+	// blocks below land on the same plan entries and need them re-made.
+	if err := write(small, []int64{0}, []int64{32768}, 32768*4); err != nil {
+		t.Fatal(err)
+	}
+	read(small, []int64{0}, []int64{32768})
+	for round := 0; round < 3; round++ {
+		// Large-block requests need tables of 512 entries, and fill them.
+		if err := write(big, []int64{int64(round % 2), 0}, []int64{256, 512}, 256*512*4); err != nil {
+			t.Fatal(err)
+		}
+		column()
+		// Small-block requests reuse the same tables at 64 entries; page
+		// numbers 0..63 of the large blocks above were all occupied.
+		if err := write(small, []int64{int64(round)}, []int64{8192 + 100}, (8192+100)*4); err != nil {
+			t.Fatal(err)
+		}
+		read(small, []int64{0}, []int64{32768})
+		// Back to 512-entry tables: entries 64..511 must have stayed clean.
+		read(big, []int64{1, 1}, []int64{256, 256})
+		column()
+		// A sub-page overwrite: the write plan's stage lookup on both sizes.
+		if err := write(big, []int64{3, 7}, []int64{40, 40}, 40*40*4); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(small, []int64{5}, []int64{3000}, 3000*4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The third space is larger than the device: a whole-space write plans
+	// 8192 pages over 16 blocks and runs out of units part-way through
+	// placing them. The scratch goes back with every table it filled.
+	if err := write(huge, []int64{0, 0}, []int64{1024, 1024}, 1024*1024*4); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("oversized write: got %v, want ErrCapacity", err)
+	}
+	column()
+	read(small, []int64{0}, []int64{32768})
+	read(big, []int64{0, 0}, []int64{512, 512})
+	read(huge, []int64{0, 0}, []int64{300, 1024})
+
+	if one.returned < one.lent/2 {
+		t.Fatalf("only %d of %d requests ran on the shared scratch", one.returned, one.lent)
+	}
+}

@@ -9,8 +9,8 @@ import (
 )
 
 // requestScratch is the reusable working state of one partition request: the
-// extent list, translation counters, block/page lookup tables, the device
-// batch buffers, and a freelist of page-sized staging buffers. Instances
+// extent list, translation counters, the block plan, the device batch
+// buffers, and a freelist of page-sized staging buffers. Instances
 // live in the STL's sync.Pool; a request takes one, uses it exclusively, and
 // returns it, so the steady-state data path allocates nothing per request.
 //
@@ -26,31 +26,48 @@ type requestScratch struct {
 	sc    []int64 // storage-coordinate scratch
 	gcrd  []int64 // grid-coordinate scratch
 
-	space  *Space // the request's space, for cache fills at flush time
-	blocks map[int64]*BuildingBlock
+	space *Space // the request's space, for cache fills at flush time
 
-	// Read plan: pageIdx maps a touched page to its slot in pageData; device
-	// reads batch into ppas/planOf until a flush fills the corresponding
-	// pageData entries via nvm.ReadPages. fillKeys parallels ppas with each
-	// read's building-block page, so a flush can install the results in the
-	// block cache (populated only when the cache is enabled).
-	pageIdx  map[pageKey]int32
+	// Block plan: the building blocks the request touches, in first-touch
+	// order, found by last-hit memo and then a scan from the newest entry (a
+	// request touches a handful of blocks, and a row-major extent walk
+	// revisits the ones it met most recently). Entries past len(plans) keep
+	// their page tables, zeroed, for the next request.
+	plans []blockPlan
+	last  int // index of the entry the last lookup hit
+
+	// Read plan: a block plan's page table maps a touched page to its slot in
+	// pageData; device reads batch into ppas/planOf until a flush fills the
+	// corresponding pageData entries via nvm.ReadPages. fillKeys parallels
+	// ppas with each read's building-block page, so a flush can install the
+	// results in the block cache (populated only when the cache is enabled).
 	pageData [][]byte
 	ppas     []nvm.PPA
 	planOf   []int32
 	fillKeys []pageKey
 	datas    [][]byte
-	images   blockImageCache
 
-	// Write plan: stages in first-touch order, located via stageIdx; deferred
-	// programs accumulate in ops until a flush point.
-	stages   []writeStage
-	stageIdx map[pageKey]int32
-	ops      []nvm.ProgramOp
+	// Write plan: stages in first-touch order, located via the block plan's
+	// page table; deferred programs accumulate in ops until a flush point.
+	stages []writeStage
+	ops    []nvm.ProgramOp
 
 	// Segment emission (segments.go): reused across requests; Src pointers
 	// are cleared on put so the pool never pins arena frames.
 	segs []Segment
+}
+
+// blockPlan is one building block of a request. pages is indexed by page
+// number within the block and holds slot+1 — into pageData on a read, into
+// stages on a write — with 0 for a page the request has not met. The table is
+// as long as the block has pages, and a scratch is pooled across spaces whose
+// blocks differ in size, so putScratch zeroes every table the request used
+// and addBlock re-lengthens a retained one.
+type blockPlan struct {
+	g     int64          // grid index
+	blk   *BuildingBlock // nil: the block was never written
+	pages []int32
+	image []byte // a compressed block's decompressed image (reads)
 }
 
 // writeStage is one destination page of a write request and the extents that
@@ -67,12 +84,7 @@ type writeStage struct {
 func (t *STL) getScratch(s *Space) *requestScratch {
 	rs, _ := t.scratch.Get().(*requestScratch)
 	if rs == nil {
-		rs = &requestScratch{
-			blocks:   make(map[int64]*BuildingBlock),
-			pageIdx:  make(map[pageKey]int32),
-			stageIdx: make(map[pageKey]int32),
-			images:   make(blockImageCache),
-		}
+		rs = &requestScratch{}
 	}
 	rs.gcrd = growInt64(rs.gcrd, len(s.grid))
 	rs.space = s
@@ -84,10 +96,12 @@ func (t *STL) getScratch(s *Space) *requestScratch {
 func (t *STL) putScratch(rs *requestScratch) {
 	rs.exts = rs.exts[:0]
 	rs.space = nil
-	clear(rs.blocks)
-	clear(rs.pageIdx)
-	clear(rs.stageIdx)
-	clear(rs.images)
+	for i := range rs.plans {
+		bp := &rs.plans[i]
+		clear(bp.pages)
+		*bp = blockPlan{pages: bp.pages[:0]}
+	}
+	rs.plans = rs.plans[:0]
 	for i := range rs.pageData {
 		rs.pageData[i] = nil
 	}
@@ -151,22 +165,57 @@ func (rs *requestScratch) translate(v *View, coord, sub []int64) ([]Extent, int6
 	return rs.exts, elems * int64(v.space.elemSize), nil
 }
 
-// resolveBlock looks up (and caches) the building block for grid index g,
-// charging traversal and distinct-block statistics exactly as the scalar
-// path does.
-func (t *STL) resolveBlock(rs *requestScratch, s *Space, g int64, alloc bool, stats *RequestStats) *BuildingBlock {
-	blk, ok := rs.blocks[g]
-	if !ok {
-		s.GridCoord(g, rs.gcrd)
-		var steps int
-		blk, steps = t.block(s, rs.gcrd, alloc)
-		rs.blocks[g] = blk
-		stats.Traversals += steps
-		if blk != nil {
-			stats.Blocks++
+// findBlock returns the plan entry for grid index g, or nil if the request
+// has not met the block. The pointer is valid until the next addBlock.
+func (rs *requestScratch) findBlock(g int64) *blockPlan {
+	if rs.last < len(rs.plans) && rs.plans[rs.last].g == g {
+		return &rs.plans[rs.last]
+	}
+	for i := len(rs.plans) - 1; i >= 0; i-- {
+		if rs.plans[i].g == g {
+			rs.last = i
+			return &rs.plans[i]
 		}
 	}
-	return blk
+	return nil
+}
+
+// addBlock appends the plan entry for grid index g, reusing a retained page
+// table when it is long enough for blk.
+func (rs *requestScratch) addBlock(g int64, blk *BuildingBlock) *blockPlan {
+	n := len(rs.plans)
+	if n < cap(rs.plans) {
+		rs.plans = rs.plans[:n+1]
+	} else {
+		rs.plans = append(rs.plans, blockPlan{})
+	}
+	bp := &rs.plans[n]
+	bp.g, bp.blk = g, blk
+	if blk != nil {
+		if np := len(blk.pages); cap(bp.pages) < np {
+			bp.pages = make([]int32, np)
+		} else {
+			bp.pages = bp.pages[:np]
+		}
+	}
+	rs.last = n
+	return bp
+}
+
+// resolveBlock looks up (and records) the building block for grid index g,
+// charging traversal and distinct-block statistics exactly as the scalar
+// path does.
+func (t *STL) resolveBlock(rs *requestScratch, s *Space, g int64, alloc bool, stats *RequestStats) *blockPlan {
+	if bp := rs.findBlock(g); bp != nil {
+		return bp
+	}
+	s.GridCoord(g, rs.gcrd)
+	blk, steps := t.block(s, rs.gcrd, alloc)
+	stats.Traversals += steps
+	if blk != nil {
+		stats.Blocks++
+	}
+	return rs.addBlock(g, blk)
 }
 
 // flushReads issues the batched page reads collected so far, storing each

@@ -104,17 +104,16 @@ func (t *STL) readPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn
 		ps := int64(t.geo.PageSize)
 		for i := range exts {
 			e := &exts[i]
-			blk := rs.blocks[e.Block]
-			if blk == nil {
+			bp := rs.findBlock(e.Block)
+			if bp.blk == nil {
 				continue // untouched block: zeros
 			}
-			if blk.compressed {
-				img := rs.images[e.Block]
-				segs = append(segs, Segment{Dst: e.Dst, Src: img[e.Off : e.Off+e.Len]})
+			if bp.blk.compressed {
+				segs = append(segs, Segment{Dst: e.Dst, Src: bp.image[e.Off : e.Off+e.Len]})
 				continue
 			}
 			for p := e.Off / ps; p <= (e.Off+e.Len-1)/ps; p++ {
-				data := rs.pageData[rs.pageIdx[pageKey{e.Block, int(p)}]]
+				data := rs.pageData[bp.pages[p]-1]
 				if data == nil {
 					continue // unwritten page: zeros
 				}

@@ -48,6 +48,9 @@ type Space struct {
 	// Statistics maintained by the STL (guarded by mu).
 	allocatedBBs   int64
 	allocatedPages int64
+	// dieFree is allocateUnit's working memory: the free-page count of each
+	// channel's die in the bank being tried (guarded by mu, like the above).
+	dieFree []int64
 }
 
 // ID returns the space identifier.

@@ -2,6 +2,7 @@ package nds
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nds/internal/nvm"
@@ -174,4 +175,106 @@ func TestPlanAndBookingAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, writeBlock); allocs != 0 {
 		t.Errorf("%.1f allocations per 256-page write, want 0", allocs)
 	}
+}
+
+// CachedPlane builds a data-bearing STL of the prototype geometry with a
+// four-block cache and the prefetcher on, holding one fully written 2048x2048
+// float32 space: sixteen 1 MiB building blocks of 256 pages. hit re-reads the
+// first block's tile, 256 pages all resident after the first call. miss reads
+// the tiles in turn, block row by block row: sixteen blocks through four
+// entries, so every call makes entries resident — on demand, or ahead of the
+// sweep once the prefetcher has armed — and evicts as many. Both assemble into
+// one buffer of the caller's. Exported to the external test package for
+// BenchmarkCachedReadAllocs.
+func CachedPlane(tb testing.TB) (st *stl.STL, hit, miss func()) {
+	tb.Helper()
+	const n, side = 2048, 512
+	cfg := system.PrototypeConfig(n*n*4, false)
+	cfg.STL.CacheBytes = 4 * side * side * 4
+	cfg.STL.PrefetchDepth = 2
+	dev, err := nvm.NewDevice(cfg.Geometry, cfg.Timing, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if st, err = stl.New(dev, cfg.STL); err != nil {
+		tb.Fatal(err)
+	}
+	sp, err := st.CreateSpace(4, []int64{n, n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sp.PagesPerBlock() != 256 {
+		tb.Fatalf("building blocks have %d pages, the gate assumes 256", sp.PagesPerBlock())
+	}
+	v, err := stl.NewView(sp, []int64{n, n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	band := make([]byte, side*n*4)
+	rand.New(rand.NewSource(17)).Read(band)
+	var now sim.Time
+	for i := int64(0); i < n/side; i++ {
+		if now, _, err = st.WritePartition(now, v, []int64{i, 0}, []int64{side, n}, band); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	buf := make([]byte, side*side*4)
+	coord, sub := []int64{0, 0}, []int64{side, side}
+	read := func(i, j int64) {
+		coord[0], coord[1] = i, j
+		_, done, _, err := st.ReadPartitionInto(now+sim.Microsecond, v, coord, sub, buf)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		now = done
+	}
+	hit = func() { read(0, 0) }
+	next := int64(0)
+	miss = func() {
+		read(next/(n/side)%(n/side), next%(n/side))
+		next++
+	}
+	return st, hit, miss
+}
+
+// TestCachedReadAllocs: the cache lends and keeps books, it owns no bytes. A
+// warm 1 MiB read — 256 hits, one cache transaction, a stream observation
+// that warms nothing — allocates nothing. A read that makes blocks resident
+// and evicts others allocates nothing that grows with the block: an entry is
+// one page table, drawn from the entries eviction let go, so in the steady
+// state it too allocates (next to) nothing, where the copying cache made and
+// cleared 1 MiB for every entry.
+func TestCachedReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop request scratches")
+	}
+	st, hit, miss := CachedPlane(t)
+	hit()
+	if allocs := testing.AllocsPerRun(20, hit); allocs != 0 {
+		t.Errorf("%.1f allocations per warm 1 MiB read, want 0", allocs)
+	}
+	for i := 0; i < 32; i++ {
+		miss() // two laps: the entry free list and the scratches reach their size
+	}
+	const runs = 64
+	before, cs0 := memStats(), st.CacheStats()
+	for i := 0; i < runs; i++ {
+		miss()
+	}
+	after, cs1 := memStats(), st.CacheStats()
+	if cs1.Evictions-cs0.Evictions < runs || cs1.PrefetchIssued == cs0.PrefetchIssued {
+		t.Fatalf("the measured reads did not evict an entry each, or never prefetched: %+v -> %+v", cs0, cs1)
+	}
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f B and %.2f allocations per 1 MiB read that evicts; %.1f evictions per read",
+		perOp, float64(after.Mallocs-before.Mallocs)/runs, float64(cs1.Evictions-cs0.Evictions)/runs)
+	if perOp >= 16<<10 {
+		t.Fatalf("%.0f B allocated per read that creates and evicts entries, want under 16 KiB: an entry owns bytes again", perOp)
+	}
+}
+
+func memStats() runtime.MemStats {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m
 }

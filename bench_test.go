@@ -290,6 +290,32 @@ func BenchmarkReadPartitionAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkCachedReadAllocs measures a 1 MiB tile read on a device with a
+// four-block cache and the prefetcher on (the allocation gate's): every page
+// a hit, and every read creating and evicting entries. Neither allocates per
+// page or per block; the hit's time is the gather, the floor of a read that
+// hands the caller a copy.
+func BenchmarkCachedReadAllocs(b *testing.B) {
+	for _, mode := range []string{"hit", "miss-evict"} {
+		b.Run(mode, func(b *testing.B) {
+			_, hit, miss := nds.CachedPlane(b)
+			read := hit
+			if mode != "hit" {
+				read = miss
+			}
+			for i := 0; i < 32; i++ {
+				read() // warms the block, or sizes the entry free list
+			}
+			b.SetBytes(1 << 20)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read()
+			}
+		})
+	}
+}
+
 // BenchmarkWritePartitionAllocs measures per-request heap allocations of a
 // 64x64 tile overwrite (read-modify-write plus replacement allocation) on
 // both data paths, of a 1 MiB overwrite on an array aged into steady

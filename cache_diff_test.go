@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"nds/internal/nvm"
 	"nds/internal/proto"
 )
 
@@ -127,8 +128,12 @@ func TestCacheConcurrentStreamsDifferential(t *testing.T) {
 
 // TestCacheFaultInteraction: fault injection and the cache compose — program
 // faults retire blocks and relocate data mid-workload, and the cached device
-// must never serve a stale copy of a relocated or retired page. faultWorkload
-// asserts the read-back against a host-side image after every overwrite.
+// must never serve a stale copy of a relocated or retired page: entries alias
+// the device's frames, so a retired block's entries have to be dropped before
+// its frames are reused. faultWorkload asserts the read-back against a
+// host-side image after every overwrite. The plan and the workload are
+// deterministic, so the cache's counters are too: they are the counts the
+// copying cache produced, which a cache that lends must reproduce exactly.
 func TestCacheFaultInteraction(t *testing.T) {
 	opts := faultOpts()
 	opts.CacheBytes = 8 << 20
@@ -148,6 +153,10 @@ func TestCacheFaultInteraction(t *testing.T) {
 	if cs.Invalidations == 0 {
 		t.Fatalf("overwrites and retirement invalidated nothing: %+v", cs)
 	}
+	want := CacheStats{Hits: 64, Misses: 832, HitBytes: 262144, Invalidations: 9, ResidentBytes: 1 << 20, CapacityBytes: 8 << 20}
+	if cs != want {
+		t.Fatalf("cache counters moved:\n got %+v\nwant %+v", cs, want)
+	}
 
 	// The cached faulty device must produce the same bytes as an uncached one
 	// with the identical fault plan.
@@ -158,6 +167,110 @@ func TestCacheFaultInteraction(t *testing.T) {
 	img2, _ := faultWorkload(t, d2)
 	if !bytes.Equal(img, img2) {
 		t.Fatal("cached and uncached faulty devices diverged")
+	}
+}
+
+// TestCacheEncryptedDifferential: under the inline cipher a read hands the
+// cache Open's plaintext page, not a frame of the medium, and the entry keeps
+// that — a hit still saves the decrypt. One stream sweeps row bands and column
+// bands of a row of four 1 MiB building blocks, overwriting a tile between
+// sweeps, on an encrypted device with a two-block cache and on one with none:
+// every read must agree, the cached device's
+// counters must be the copying cache's (the decisions are the same, only the
+// bytes' owner changed), and the medium must still hold ciphertext.
+func TestCacheEncryptedDifferential(t *testing.T) {
+	const rows, cols = 512, 2048
+	open := func(cacheBytes int64, depth int) (*Device, *Space) {
+		d, err := Open(Options{
+			Mode:          ModeHardware,
+			CapacityHint:  8 << 20,
+			EncryptionKey: []byte("tenant-key"),
+			SynchronousGC: true,
+			CacheBytes:    cacheBytes,
+			PrefetchDepth: depth,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := d.CreateSpace(4, []int64{rows, cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := d.OpenSpace(id, []int64{rows, cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, sp
+	}
+	on, spOn := open(2<<20, 2)
+	_, spOff := open(0, 0)
+	marker := bytes.Repeat([]byte{0xA5}, 32)
+	write := func(coord, sub []int64, data []byte) {
+		t.Helper()
+		for _, sp := range []*Space{spOn, spOff} {
+			if _, err := sp.Write(coord, sub, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read := func(coord, sub []int64) {
+		t.Helper()
+		a, _, err := spOn.Read(coord, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := spOff.Read(coord, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("read %v/%v: the cached encrypted device returned different bytes", coord, sub)
+		}
+	}
+	// Plaintext is all marker, so ciphertext showing through would be plain to
+	// see, and so would plaintext on the medium.
+	write([]int64{0, 0}, []int64{rows, cols}, bytes.Repeat(marker, rows*cols*4/len(marker)))
+	rng := rand.New(rand.NewSource(23))
+	tile := make([]byte, 64*64*4)
+	for round := 0; round < 3; round++ {
+		for i := int64(0); i < rows/64; i++ {
+			read([]int64{i, 0}, []int64{64, cols})
+		}
+		for j := int64(0); j < cols/64; j++ { // block after block: the prefetcher arms
+			read([]int64{0, j}, []int64{rows, 64})
+		}
+		rng.Read(tile)
+		copy(tile, marker)
+		write([]int64{rng.Int63n(rows / 64), rng.Int63n(cols / 64)}, []int64{64, 64}, tile)
+	}
+	read([]int64{0, 0}, []int64{rows, cols})
+
+	cs := on.CacheStats()
+	want := CacheStats{
+		Hits: 21856, Misses: 6816, HitBytes: 89522176,
+		PrefetchIssued: 768, PrefetchUsed: 768,
+		Evictions: 3691, Invalidations: 2,
+		ResidentBytes: 2 << 20, CapacityBytes: 2 << 20,
+	}
+	if cs != want {
+		t.Fatalf("cache counters moved:\n got %+v\nwant %+v", cs, want)
+	}
+	if cs.Hits == 0 || cs.Evictions == 0 || cs.Invalidations == 0 || cs.PrefetchUsed == 0 {
+		t.Fatalf("the workload left a path untested: %+v", cs)
+	}
+	dev, programmed := on.sys.Dev, 0
+	for i := int64(0); i < dev.Geometry().TotalPages(); i++ {
+		raw := dev.RawPage(nvm.FromLinear(dev.Geometry(), i))
+		if raw == nil {
+			continue
+		}
+		programmed++
+		if bytes.Contains(raw, marker) {
+			t.Fatalf("page %d of the medium holds plaintext", i)
+		}
+	}
+	if programmed == 0 {
+		t.Fatal("nothing on the medium")
 	}
 }
 

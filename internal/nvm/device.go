@@ -317,6 +317,14 @@ func (d *Device) pageBytesLocked(s *dieShard, p PPA) []byte {
 // this repository both moves and erases only run from the STL's GC, under the
 // write locks of every space that owns a live unit of the victim, so a reader
 // holding its space's lock never sees either happen to a frame it was lent.
+//
+// One caller retains the alias past its request: the STL's building-block
+// cache keeps the returned slice in the block's entry and hands it to later
+// reads. Its retention is bounded the same way, one step earlier — a unit
+// stops being live only through the STL's invalidateUnit, which drops the
+// entry of the building block the unit belonged to under that space's write
+// lock, and a block is erased only when none of its units is live; so no
+// entry names a frame by the time its block can be erased (stl/cache.go).
 func (d *Device) ReadPage(at sim.Time, p PPA) ([]byte, sim.Time, error) {
 	if !p.Valid(d.geo) {
 		return nil, at, fmt.Errorf("nvm: read of invalid address %v", p)

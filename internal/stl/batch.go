@@ -132,15 +132,17 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 
 	ps := int64(t.geo.PageSize)
 	done = at
-	var hitBytes int64    // payload bytes served from the block cache
-	var readyMax sim.Time // latest DRAM-residency time among the hits
+	// Whether the space's blocks can be resident at all is settled here, once:
+	// a space that bypasses the cache plans exactly as with the cache off.
+	cached := t.cache != nil && t.cache.cacheable(s)
 
 	// Plan: record every distinct page the extents touch, queueing device
-	// reads in first-touch order. Cached pages are served from DRAM instead
-	// of joining the flash batch; their cost folds in after the final flush.
-	// Compressed blocks are device operations of their own (the block is the
-	// decompression unit), so the queued batch drains before each
-	// materialization to keep scalar issue order.
+	// reads in first-touch order. Through the cache, an allocated page is only
+	// noted here, on its block's chain: the flush asks the cache about each
+	// block once and queues what it does not hold. Compressed blocks are
+	// device operations of their own (the block is the decompression unit), so
+	// the queued batch drains before each materialization to keep scalar issue
+	// order.
 	for i := range exts {
 		e := &exts[i]
 		bp := t.resolveBlock(rs, s, e.Block, false, stats)
@@ -150,7 +152,7 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 		}
 		if blk.compressed {
 			if bp.image == nil {
-				if err := t.flushReads(rs, at, &done); err != nil {
+				if err := t.flushReads(rs, at, &done, stats); err != nil {
 					return nil, 0, at, err
 				}
 				img, d, err := t.blockImage(at, s, blk, stats)
@@ -170,17 +172,9 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 			idx := int32(len(rs.pageData) - 1)
 			bp.pages[p] = idx + 1
 			if slot := blk.pages[p]; slot.allocated {
-				if t.cache != nil {
-					pb := s.pageBytes(t.geo, int(p))
-					if data, ready, ok := t.cache.lookup(s, e.Block, int(p), pb); ok {
-						rs.pageData[idx] = data
-						hitBytes += pb
-						if ready > readyMax {
-							readyMax = ready
-						}
-						continue
-					}
-					rs.fillKeys = append(rs.fillKeys, pageKey{e.Block, int(p)})
+				if cached {
+					rs.wantPage(int32(p))
+					continue
 				}
 				rs.ppas = append(rs.ppas, slot.ppa)
 				rs.planOf = append(rs.planOf, idx)
@@ -192,14 +186,14 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 			}
 		}
 	}
-	if err := t.flushReads(rs, at, &done); err != nil {
+	if err := t.flushReads(rs, at, &done, stats); err != nil {
 		return nil, 0, at, err
 	}
-	if hitBytes > 0 {
+	if rs.hitBytes > 0 {
 		// Hits stream out of cache DRAM serially once the latest filled page
 		// is resident; flash misses overlap with them on their own timelines.
-		start := sim.Max(at, readyMax)
-		done = sim.Max(done, start+t.cache.copyCost(hitBytes))
+		start := sim.Max(at, rs.readyMax)
+		done = sim.Max(done, start+t.cache.copyCost(rs.hitBytes))
 	}
 	return exts, want, done, nil
 }

@@ -18,22 +18,51 @@ import (
 //
 // Entries are block-granular with per-page fill state, so a block warmed by a
 // row scan serves column reads of the same block without further flash work.
-// Page data is copied into cache-owned buffers at fill time — device read
-// results alias arena frames that recycle after an erase (see nvm.ReadPage),
-// so the cache must never retain them. On phantom devices entries carry no bytes but
-// keep exact fill/ready state, so timing and statistics stay exact.
+//
+// An entry is bookkeeping and leases, not bytes. A fill stores the slice
+// nvm.ReadPages returned — the frame the device itself keeps for the page, or,
+// under a cipher, the plaintext page Open made for this read (a hit still
+// saves the decrypt) — and a hit hands that slice on. Nothing is copied and
+// nothing the size of a block is allocated: the DRAM the cache models is
+// charged to ResidentBytes and to the sim clock, and the host memory behind
+// it is the flash array's own. On phantom devices the slices are nil and the
+// fill/ready state is kept all the same, so timing and statistics stay exact.
+//
+// The lease is the one uncached reads already hold (nvm.ReadPage, DESIGN.md
+// "Aliases"), kept for longer. A frame goes back to the arena only when the
+// block holding it is erased; a block is erased only once none of its units
+// is live; and a unit stops being live — overwrite, zero elision, GC
+// evacuation, fault relocation, delete, resize — only through invalidateUnit,
+// as a slot is bound to a new one only through bindUnit. Both drop the whole
+// entry of the building block they touch (invalidateSpace drops a space's),
+// under that space's write lock or an exclusive maintenance context: so
+// before the erase, and with no reader of the space inside. A same-die GC
+// move re-homes the frame, and its alias with it, under the same locks.
+// Retirement (retireBlock) drops the entries of every live unit in the block.
+// What bounds an entry's retention is therefore its own invalidation, never a
+// reference count, and eviction and invalidation only ever forget references:
+// there is no buffer to recycle and no pin to wait for. The slice a hit
+// returned stays valid for as long as the request holds its space's read
+// lock, whatever happens to the entry meanwhile.
 //
 // Concurrency: the cache is sharded; each shard has its own mutex guarding
-// its entry map and CLOCK ring. Shard mutexes are leaves of the STL lock
-// order (maintMu -> space -> die -> shard): nothing is acquired while one is
-// held. A page's data region is written exactly once — under the shard lock,
-// before its fill state becomes visible — and invalidation only drops
-// references, so a reader that observed the fill state may copy from the
-// returned slice after unlocking. All mutators of translation state hold the
-// owning space's write lock (or run in an exclusive maintenance context that
-// excludes that space's readers), which is what makes strict invalidation
-// (drop the whole block entry on any rebind) race-free against in-flight
-// reads.
+// its entry map, its CLOCK ring and the entries in them. Shard mutexes sit at
+// the bottom of the STL lock order (maintMu -> space -> die -> shard), above
+// only the free list's: nothing else is acquired while one is held. A request
+// holds no pointer to an entry outside a shard's critical section, which is
+// what lets a dropped entry's bookkeeping be reused at once. All mutators of
+// translation state hold the owning space's write lock (or run in an exclusive
+// maintenance context that excludes that space's readers), which is what
+// makes strict invalidation (drop the whole block entry on any rebind)
+// race-free against in-flight reads.
+//
+// A request deals with the cache a block at a time, not a page at a time: the
+// read plan chains the pages it meets per block and puts each block's to the
+// cache in one critical section (lookupWanted), and a flush's fills go in by
+// runs of one block (fillPages). The decisions and their order — which page
+// hits, which fill creates an entry, what CLOCK then evicts — are those of
+// asking page by page, as the scalar reference (io.go) still does through
+// lookup and fill.
 //
 // With Config.CacheBytes zero the STL carries a nil cache and every hook is a
 // single nil check: the device is bit- and simulated-time-identical to one
@@ -42,7 +71,7 @@ import (
 // CacheStats is a snapshot of the building-block cache's counters.
 type CacheStats struct {
 	Hits     int64 // page accesses served from DRAM
-	Misses   int64 // page accesses that had to touch flash
+	Misses   int64 // page accesses the cache did not hold, which went to flash
 	HitBytes int64 // payload bytes served from DRAM
 
 	PrefetchIssued int64 // pages warmed by the dimensional prefetcher
@@ -68,17 +97,23 @@ const (
 	pagePrefetch       // filled by the prefetcher, not yet hit
 )
 
+// cachePage is one page of a resident building block.
+type cachePage struct {
+	data  []byte   // the page as the device lent it; nil on phantom devices
+	ready sim.Time // sim time the bytes are DRAM-resident
+	state uint8    // pageEmpty/pageValid/pagePrefetch
+}
+
 // cacheEntry is one resident building block. The entry charges the full
 // block size against capacity on creation (the DRAM an implementation would
 // reserve), regardless of how many pages are filled.
 type cacheEntry struct {
 	key     cacheKey
-	data    []byte     // block-layout bytes; nil on phantom devices
-	state   []uint8    // per page: pageEmpty/pageValid/pagePrefetch
-	ready   []sim.Time // per page: sim time the bytes are DRAM-resident
-	bytes   int64      // capacity charge
-	ref     bool       // CLOCK reference bit
-	ringIdx int        // position in the owning shard's ring
+	pages   []cachePage
+	unused  int   // pages in state pagePrefetch: prefetched, not yet hit
+	bytes   int64 // capacity charge
+	ref     bool  // CLOCK reference bit
+	ringIdx int   // position in the owning shard's ring
 }
 
 type cacheShard struct {
@@ -100,13 +135,19 @@ type blockCache struct {
 	shards   [cacheShards]cacheShard
 	capacity int64
 	dramBW   float64 // bytes/s charged per hit byte; <= 0 is instantaneous
-	geo      nvm.Geometry
-	phantom  bool
 	resident atomic.Int64
+
+	// free is the bookkeeping of dropped entries, page tables cleared, waiting
+	// for the next creation. It is the cache's, not a shard's: a creation is
+	// paid for by an eviction in the next shard round, so per-shard lists would
+	// drift apart. It never holds more entries than were once resident
+	// together. freeMu is a leaf below the shard locks.
+	freeMu sync.Mutex
+	free   []*cacheEntry
 }
 
-func newBlockCache(capacity int64, dramBW float64, geo nvm.Geometry, phantom bool) *blockCache {
-	c := &blockCache{capacity: capacity, dramBW: dramBW, geo: geo, phantom: phantom}
+func newBlockCache(capacity int64, dramBW float64) *blockCache {
+	c := &blockCache{capacity: capacity, dramBW: dramBW}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*cacheEntry)
 	}
@@ -126,103 +167,188 @@ func (c *blockCache) copyCost(n int64) sim.Time {
 	return sim.TransferTime(n, c.dramBW)
 }
 
-// lookup serves page `page` of building block (s, block). On a hit it returns
-// the page's payload bytes (nil on phantom devices), the sim time the bytes
-// are DRAM-resident, and true. pb is the page's payload size
-// (s.pageBytes(geo, page)), charged to the hit-byte counter.
-func (c *blockCache) lookup(s *Space, block int64, page int, pb int64) ([]byte, sim.Time, bool) {
-	k := cacheKey{s.id, block}
-	sh := c.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[k]
-	if e == nil || e.state[page] == pageEmpty {
+// cacheable reports whether a building block of s can ever be resident. A
+// block larger than the whole cache is never looked up, filled or prefetched:
+// creating its entry would only evict everything else.
+func (c *blockCache) cacheable(s *Space) bool { return s.bbBytes <= c.capacity }
+
+// hit serves page p of e, which is nil when the block is not resident: the
+// page's payload bytes (pb of them; nil on phantom devices), the sim time they
+// are DRAM-resident, and true — or a counted miss. Caller holds mu.
+func (sh *cacheShard) hit(e *cacheEntry, p int, pb int64) ([]byte, sim.Time, bool) {
+	if e == nil || e.pages[p].state == pageEmpty {
 		sh.misses++
 		return nil, 0, false
 	}
-	if e.state[page] == pagePrefetch {
-		e.state[page] = pageValid
+	pg := &e.pages[p]
+	if pg.state == pagePrefetch {
+		pg.state = pageValid
+		e.unused--
 		sh.prefUsed++
 	}
 	e.ref = true
 	sh.hits++
 	sh.hitBytes += pb
-	var data []byte
-	if e.data != nil {
-		ps := int64(c.geo.PageSize)
-		off := int64(page) * ps
-		data = e.data[off : off+pb : off+pb]
+	if pg.data == nil {
+		return nil, pg.ready, true
 	}
-	return data, e.ready[page], true
+	return pg.data[:pb:pb], pg.ready, true
 }
 
-// fill installs page `page` of building block (s, block), copying data into
-// cache-owned storage. ready is the sim time the bytes become DRAM-resident
-// (the flash batch completion that produced them). Already-filled pages are
-// left untouched, so the first fill of a page wins and its data region is
-// never rewritten while the entry lives — the immutability reads rely on.
-func (c *blockCache) fill(s *Space, block int64, page int, data []byte, ready sim.Time, prefetched bool) {
-	if s.bbBytes > c.capacity {
-		return // block can never fit; don't thrash the cache
+// put installs data, a page the device lent (see the lease above), as page p
+// of e; ready is the sim time the bytes become DRAM-resident (the flash batch
+// completion that produced them). The first fill of a page wins and is never
+// replaced while the entry lives. Caller holds mu.
+func (sh *cacheShard) put(e *cacheEntry, p int, data []byte, ready sim.Time, prefetched bool) {
+	pg := &e.pages[p]
+	if pg.state != pageEmpty {
+		return
+	}
+	pg.data, pg.ready = data, ready
+	if prefetched {
+		pg.state = pagePrefetch
+		e.unused++
+		sh.prefIssued++
+	} else {
+		pg.state = pageValid
+	}
+	e.ref = true
+}
+
+// create makes building block k of s resident with no page filled, taking its
+// bookkeeping from the free list when it can. Caller holds mu and runs
+// evictToCapacity once it has let go.
+func (c *blockCache) create(sh *cacheShard, s *Space, k cacheKey) *cacheEntry {
+	var e *cacheEntry
+	c.freeMu.Lock()
+	if n := len(c.free); n > 0 {
+		e, c.free[n-1] = c.free[n-1], nil
+		c.free = c.free[:n-1]
+	}
+	c.freeMu.Unlock()
+	if e == nil {
+		e = &cacheEntry{}
+	}
+	if cap(e.pages) < s.pagesPerBB {
+		e.pages = make([]cachePage, s.pagesPerBB)
+	}
+	*e = cacheEntry{key: k, pages: e.pages[:s.pagesPerBB], bytes: s.bbBytes, ringIdx: len(sh.ring)}
+	sh.entries[k] = e
+	sh.ring = append(sh.ring, e)
+	c.resident.Add(e.bytes)
+	return e
+}
+
+// lookup serves page `page` of building block (s, block): one cache
+// transaction for one page, which is how the scalar reference reads. pb is
+// the page's payload size (s.pageBytes(geo, page)).
+func (c *blockCache) lookup(s *Space, block int64, page int, pb int64) ([]byte, sim.Time, bool) {
+	if !c.cacheable(s) {
+		return nil, 0, false
 	}
 	k := cacheKey{s.id, block}
 	sh := c.shard(k)
 	sh.mu.Lock()
-	e := sh.entries[k]
-	if e == nil {
-		e = &cacheEntry{
-			key:   k,
-			state: make([]uint8, s.pagesPerBB),
-			ready: make([]sim.Time, s.pagesPerBB),
-			bytes: s.bbBytes,
-		}
-		if !c.phantom {
-			e.data = make([]byte, s.bbBytes)
-		}
-		sh.entries[k] = e
-		e.ringIdx = len(sh.ring)
-		sh.ring = append(sh.ring, e)
-		c.resident.Add(e.bytes)
-	}
-	if e.state[page] != pageEmpty {
-		sh.mu.Unlock()
-		return
-	}
-	if e.data != nil && data != nil {
-		ps := int64(c.geo.PageSize)
-		pb := s.pageBytes(c.geo, page)
-		if int64(len(data)) < pb {
-			pb = int64(len(data))
-		}
-		copy(e.data[int64(page)*ps:], data[:pb])
-	}
-	e.ready[page] = ready
-	if prefetched {
-		e.state[page] = pagePrefetch
-		sh.prefIssued++
-	} else {
-		e.state[page] = pageValid
-	}
-	e.ref = true
-	sh.mu.Unlock()
-	c.evictToCapacity(sh)
+	defer sh.mu.Unlock()
+	return sh.hit(sh.entries[k], page, pb)
 }
 
-// missing appends to out the pages of (s, block) not resident in the cache,
-// restricted to the caller-provided candidate set. Used by the prefetcher to
-// avoid re-reading warm pages.
-func (c *blockCache) missing(s *Space, block int64, candidates []int, out []int) []int {
+// lookupWanted puts the wanted pages to the cache, one transaction per block:
+// hits are resolved into pageData and summed into hitBytes/readyMax, misses
+// join the device batch in the order they were met.
+func (t *STL) lookupWanted(rs *requestScratch, stats *RequestStats) {
+	s := rs.space
+	for i := range rs.plans {
+		bp := &rs.plans[i]
+		if bp.wantHead == 0 {
+			continue
+		}
+		k := cacheKey{s.id, bp.g}
+		sh := t.cache.shard(k)
+		sh.mu.Lock()
+		e := sh.entries[k]
+		for j := bp.wantHead; j != 0; j = rs.want[j-1].next {
+			w := &rs.want[j-1]
+			pb := s.pageBytes(t.geo, int(w.page))
+			data, ready, ok := sh.hit(e, int(w.page), pb)
+			if !ok {
+				continue
+			}
+			w.hit = true
+			rs.pageData[bp.pages[w.page]-1] = data
+			rs.hitBytes += pb
+			if ready > rs.readyMax {
+				rs.readyMax = ready
+			}
+		}
+		sh.mu.Unlock()
+		bp.wantHead, bp.wantTail = 0, 0
+	}
+	for i := range rs.want {
+		w := &rs.want[i]
+		if w.hit {
+			continue
+		}
+		bp := &rs.plans[w.plan]
+		rs.ppas = append(rs.ppas, bp.blk.pages[w.page].ppa)
+		rs.planOf = append(rs.planOf, bp.pages[w.page]-1)
+		rs.fillKeys = append(rs.fillKeys, pageKey{bp.g, int(w.page)})
+		stats.PagesRead++
+	}
+	rs.want = rs.want[:0]
+}
+
+// fill installs one page of building block (s, block): the scalar
+// reference's one-page fillPages.
+func (c *blockCache) fill(s *Space, block int64, page int, data []byte, ready sim.Time, prefetched bool) {
+	if c.cacheable(s) {
+		c.fillPages(s, []pageKey{{block, page}}, [][]byte{data}, ready, prefetched)
+	}
+}
+
+// fillPages installs datas[i] as page keys[i] of s, which the caller has found
+// cacheable. Each run of one block's pages is one transaction, except that a
+// run which has to create its block's entry stops after the first page to
+// evict: the entry it made may itself be CLOCK's victim, and the pages after
+// it then belong to a new one, as they would filling page by page.
+func (c *blockCache) fillPages(s *Space, keys []pageKey, datas [][]byte, ready sim.Time, prefetched bool) {
+	for i := 0; i < len(keys); {
+		k := cacheKey{s.id, keys[i].block}
+		sh := c.shard(k)
+		sh.mu.Lock()
+		e := sh.entries[k]
+		created := e == nil
+		if created {
+			e = c.create(sh, s, k)
+		}
+		for {
+			sh.put(e, keys[i].page, datas[i], ready, prefetched)
+			if i++; created || i == len(keys) || keys[i].block != k.block {
+				break
+			}
+		}
+		sh.mu.Unlock()
+		if created {
+			c.evictToCapacity(sh)
+		}
+	}
+}
+
+// missing appends to ppas and keys the allocated pages of blk, building block
+// (s, block), that are not resident: what a warm-up of the block has to read.
+func (c *blockCache) missing(s *Space, block int64, blk *BuildingBlock, ppas []nvm.PPA, keys []pageKey) ([]nvm.PPA, []pageKey) {
 	k := cacheKey{s.id, block}
 	sh := c.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.entries[k]
-	for _, p := range candidates {
-		if e == nil || e.state[p] == pageEmpty {
-			out = append(out, p)
+	for p := range blk.pages {
+		if blk.pages[p].allocated && (e == nil || e.pages[p].state == pageEmpty) {
+			ppas = append(ppas, blk.pages[p].ppa)
+			keys = append(keys, pageKey{block, p})
 		}
 	}
-	return out
+	return ppas, keys
 }
 
 // evictToCapacity runs CLOCK eviction until resident bytes fit the capacity,
@@ -244,9 +370,7 @@ func (c *blockCache) evictToCapacity(grew *cacheShard) {
 	for i := start; c.resident.Load() > c.capacity; i++ {
 		sh := &c.shards[i%cacheShards]
 		sh.mu.Lock()
-		e := sh.evictOne()
-		if e != nil {
-			c.resident.Add(-e.bytes)
+		if c.evictOne(sh) {
 			misses = 0
 		} else if misses++; misses >= cacheShards {
 			sh.mu.Unlock()
@@ -258,13 +382,10 @@ func (c *blockCache) evictToCapacity(grew *cacheShard) {
 
 // evictOne runs the CLOCK hand over the shard's ring, evicting the first
 // entry found with a clear reference bit (clearing bits as it passes).
-// Returns the evicted entry, or nil when the shard is empty. Caller holds mu.
-func (sh *cacheShard) evictOne() *cacheEntry {
+// Reports false when the shard is empty. Caller holds sh.mu.
+func (c *blockCache) evictOne(sh *cacheShard) bool {
 	n := len(sh.ring)
-	if n == 0 {
-		return nil
-	}
-	for i := 0; i <= 2*n; i++ {
+	for i := 0; n > 0 && i <= 2*n; i++ {
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
@@ -274,16 +395,19 @@ func (sh *cacheShard) evictOne() *cacheEntry {
 			sh.hand++
 			continue
 		}
-		sh.removeLocked(e)
 		sh.evictions++
-		sh.countWasted(e)
-		return e
+		c.drop(sh, e)
+		return true
 	}
-	return nil
+	return false
 }
 
-// removeLocked unlinks e from the shard's map and ring. Caller holds mu.
-func (sh *cacheShard) removeLocked(e *cacheEntry) {
+// drop ends e's residency: it leaves the shard's map and ring, its never-hit
+// prefetched pages are charged as wasted, its capacity is released, and its
+// bookkeeping goes to the free list with every lent page let go — dropping
+// only ever forgets references, there is no buffer to recycle. Caller holds
+// sh.mu.
+func (c *blockCache) drop(sh *cacheShard, e *cacheEntry) {
 	delete(sh.entries, e.key)
 	last := len(sh.ring) - 1
 	moved := sh.ring[last]
@@ -291,34 +415,29 @@ func (sh *cacheShard) removeLocked(e *cacheEntry) {
 	moved.ringIdx = e.ringIdx
 	sh.ring[last] = nil
 	sh.ring = sh.ring[:last]
+	sh.prefWasted += int64(e.unused)
+	c.resident.Add(-e.bytes)
+	clear(e.pages)
+	c.freeMu.Lock()
+	c.free = append(c.free, e)
+	c.freeMu.Unlock()
 }
 
-// countWasted charges never-hit prefetched pages of a dropped entry.
-func (sh *cacheShard) countWasted(e *cacheEntry) {
-	for _, st := range e.state {
-		if st == pagePrefetch {
-			sh.prefWasted++
-		}
-	}
-}
-
-// invalidateBlock drops the cached copy of building block (space, block), if
-// any. Called from every path that rebinds or releases a unit of the block
-// (writes, GC evacuation, program-fault relocation, retirement, resize,
-// delete), always under the device's exclusive lock.
+// invalidateBlock drops building block (space, block) from the cache, if it
+// is resident. Called from every path that rebinds or releases a unit of the
+// block (writes, GC evacuation, program-fault relocation, retirement, resize,
+// delete), always with the space write-locked or otherwise exclusive — which
+// is what ends the lease on the block's frames before any of them can be
+// erased.
 func (c *blockCache) invalidateBlock(space SpaceID, block int64) {
 	k := cacheKey{space, block}
 	sh := c.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.entries[k]
-	if e == nil {
-		return
+	if e := sh.entries[k]; e != nil {
+		sh.invalidations++
+		c.drop(sh, e)
 	}
-	sh.removeLocked(e)
-	sh.invalidations++
-	sh.countWasted(e)
-	c.resident.Add(-e.bytes)
 }
 
 // invalidateSpace drops every cached block of one space (delete/resize).
@@ -327,13 +446,10 @@ func (c *blockCache) invalidateSpace(space SpaceID) {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for k, e := range sh.entries {
-			if k.space != space {
-				continue
+			if k.space == space {
+				sh.invalidations++
+				c.drop(sh, e)
 			}
-			sh.removeLocked(e)
-			sh.invalidations++
-			sh.countWasted(e)
-			c.resident.Add(-e.bytes)
 		}
 		sh.mu.Unlock()
 	}

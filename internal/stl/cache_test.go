@@ -343,10 +343,11 @@ func TestCachePrefetchStreamingScan(t *testing.T) {
 	}
 }
 
-// cacheDiffStep drives one cached and one uncached STL through the same
-// operation and requires byte-identical read results. Timing and flash-op
+// cacheDiffPair drives one cached and one uncached STL through the same
+// operations and requires byte-identical read results. Timing and flash-op
 // statistics legitimately differ (that is the point of the cache), so only
-// payload bytes are compared.
+// payload bytes are compared. After every operation the cached side's entries
+// are audited against the lease they hold their pages under (auditCache).
 type cacheDiffPair struct {
 	on, off   *STL
 	vOn, vOff *View
@@ -391,6 +392,7 @@ func (p *cacheDiffPair) write(t *testing.T, coord, sub []int64, data []byte) {
 		t.Fatalf("write %v/%v: cached err=%v uncached err=%v", coord, sub, errOn, errOff)
 	}
 	p.atOn, p.atOff = dOn, dOff
+	auditCache(t, p.on, true)
 }
 
 func (p *cacheDiffPair) read(t *testing.T, coord, sub []int64) {
@@ -404,6 +406,7 @@ func (p *cacheDiffPair) read(t *testing.T, coord, sub []int64) {
 		t.Fatalf("read %v/%v: cached device returned different bytes", coord, sub)
 	}
 	p.atOn, p.atOff = dOn, dOff
+	auditCache(t, p.on, true)
 }
 
 // A cached device must be a pure performance optimization: the same mixed

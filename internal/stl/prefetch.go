@@ -3,7 +3,6 @@ package stl
 import (
 	"sync"
 
-	"nds/internal/nvm"
 	"nds/internal/sim"
 )
 
@@ -107,18 +106,23 @@ func (p *prefetcher) forget(v *View) {
 // maybePrefetch runs streaming detection for the partition access at
 // coord/sub on view v and, when armed, warms the next blocks along the
 // detected axis. done is the triggering request's completion time — the
-// issue time of the warm-up reads. Runs on the read path under the device's
-// reader lock: it only reads translation state (t.block with alloc=false
-// never mutates) and fills the cache.
+// issue time of the warm-up reads. Runs on the read path under the space's
+// read lock: it only reads translation state (t.block with alloc=false never
+// mutates) and fills the cache, and that lock is what keeps the pages it lends
+// the cache from being rebound or erased before the entry is dropped. Its
+// working memory is a pooled request scratch, so a read that warms nothing
+// allocates nothing.
 func (t *STL) maybePrefetch(done sim.Time, v *View, coord, sub []int64) {
 	if t.cache == nil || t.pf == nil {
 		return
 	}
 	s := v.space
-	if s.root == nil || s.bbBytes > t.cache.capacity {
+	if s.root == nil || !t.cache.cacheable(s) {
 		return
 	}
-	g := make([]int64, len(s.grid))
+	rs := t.getScratch(s)
+	defer t.putScratch(rs)
+	g := rs.gcrd
 	if !primaryGrid(v, coord, sub, g) {
 		return
 	}
@@ -126,11 +130,6 @@ func (t *STL) maybePrefetch(done sim.Time, v *View, coord, sub []int64) {
 	if !ok {
 		return
 	}
-
-	var ppas []nvm.PPA
-	var keys []pageKey
-	candidates := make([]int, 0, s.pagesPerBB)
-	miss := make([]int, 0, s.pagesPerBB)
 	for k := 1; k <= t.pf.depth; k++ {
 		g[axis] += dir
 		if g[axis] < 0 || g[axis] >= s.grid[axis] {
@@ -140,30 +139,19 @@ func (t *STL) maybePrefetch(done sim.Time, v *View, coord, sub []int64) {
 		if blk == nil || blk.compressed {
 			continue
 		}
-		blockIdx := s.BlockGridIndex(g)
-		candidates = candidates[:0]
-		for p := range blk.pages {
-			if blk.pages[p].allocated {
-				candidates = append(candidates, p)
-			}
-		}
-		miss = t.cache.missing(s, blockIdx, candidates, miss[:0])
-		for _, p := range miss {
-			ppas = append(ppas, blk.pages[p].ppa)
-			keys = append(keys, pageKey{blockIdx, p})
-		}
+		rs.ppas, rs.fillKeys = t.cache.missing(s, s.BlockGridIndex(g), blk, rs.ppas, rs.fillKeys)
 	}
-	if len(ppas) == 0 {
+	if len(rs.ppas) == 0 {
 		return
 	}
-	datas := make([][]byte, len(ppas))
-	d, err := t.dev.ReadPages(done, ppas, datas)
+	for len(rs.datas) < len(rs.ppas) {
+		rs.datas = append(rs.datas, nil)
+	}
+	d, err := t.dev.ReadPages(done, rs.ppas, rs.datas)
 	if err != nil {
 		return // warm-up is best-effort; demand reads surface real errors
 	}
-	for i, key := range keys {
-		t.cache.fill(s, key.block, key.page, datas[i], d, true)
-	}
+	t.cache.fillPages(s, rs.fillKeys, rs.datas[:len(rs.ppas)], d, true)
 }
 
 // primaryGrid computes the grid coordinate of the building block holding the

@@ -38,14 +38,24 @@ type requestScratch struct {
 
 	// Read plan: a block plan's page table maps a touched page to its slot in
 	// pageData; device reads batch into ppas/planOf until a flush fills the
-	// corresponding pageData entries via nvm.ReadPages. fillKeys parallels
-	// ppas with each read's building-block page, so a flush can install the
-	// results in the block cache (populated only when the cache is enabled).
+	// corresponding pageData entries via nvm.ReadPages. Through the cache,
+	// fillKeys parallels ppas with each read's building-block page, so the
+	// flush can lend the results to the block cache; otherwise it is empty.
 	pageData [][]byte
 	ppas     []nvm.PPA
 	planOf   []int32
 	fillKeys []pageKey
 	datas    [][]byte
+
+	// Cache plan (reads of a cacheable space): the allocated pages met since
+	// the last flush, in first-touch order and chained per block
+	// (blockPlan.wantHead), so the flush can put each block's pages to the
+	// cache in one transaction and still queue the misses in the order they
+	// were met. hitBytes and readyMax sum up the request's hits: payload bytes
+	// served from the cache and the latest DRAM-residency time among them.
+	want     []wantedPage
+	hitBytes int64
+	readyMax sim.Time
 
 	// Write plan: stages in first-touch order, located via the block plan's
 	// page table; deferred programs accumulate in ops until a flush point.
@@ -68,6 +78,19 @@ type blockPlan struct {
 	blk   *BuildingBlock // nil: the block was never written
 	pages []int32
 	image []byte // a compressed block's decompressed image (reads)
+
+	// The block's chain through requestScratch.want: 1 + the index of its
+	// first and of its last page there, 0 for none.
+	wantHead, wantTail int32
+}
+
+// wantedPage is one allocated page a read has met and not yet put to the
+// cache.
+type wantedPage struct {
+	plan int32 // index of the page's block in requestScratch.plans
+	page int32
+	next int32 // 1 + the index of the block's next wanted page, 0 for none
+	hit  bool  // set by the block's cache transaction
 }
 
 // writeStage is one destination page of a write request and the extents that
@@ -109,6 +132,8 @@ func (t *STL) putScratch(rs *requestScratch) {
 	rs.ppas = rs.ppas[:0]
 	rs.planOf = rs.planOf[:0]
 	rs.fillKeys = rs.fillKeys[:0]
+	rs.want = rs.want[:0]
+	rs.hitBytes, rs.readyMax = 0, 0
 	for i := range rs.datas {
 		rs.datas[i] = nil
 	}
@@ -218,9 +243,28 @@ func (t *STL) resolveBlock(rs *requestScratch, s *Space, g int64, alloc bool, st
 	return rs.addBlock(g, blk)
 }
 
-// flushReads issues the batched page reads collected so far, storing each
-// result in its plan slot, and folds the batch completion into done.
-func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time) error {
+// wantPage notes page p of the block the last findBlock or addBlock returned
+// for the flush's cache transaction.
+func (rs *requestScratch) wantPage(p int32) {
+	bp := &rs.plans[rs.last]
+	rs.want = append(rs.want, wantedPage{plan: int32(rs.last), page: p})
+	n := int32(len(rs.want))
+	if bp.wantTail != 0 {
+		rs.want[bp.wantTail-1].next = n
+	} else {
+		bp.wantHead = n
+	}
+	bp.wantTail = n
+}
+
+// flushReads puts the pages wanted so far to the cache, issues the batched
+// page reads — the misses, or with the cache off every page — storing each
+// result in its plan slot, lends the results to the cache, and folds the batch
+// completion into done.
+func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time, stats *RequestStats) error {
+	if len(rs.want) > 0 {
+		t.lookupWanted(rs, stats)
+	}
 	if len(rs.ppas) == 0 {
 		return nil
 	}
@@ -232,15 +276,18 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time) error 
 		return err
 	}
 	*done = sim.Max(*done, d)
-	fill := t.cache != nil && len(rs.fillKeys) == len(rs.ppas)
 	for i := range rs.ppas {
 		rs.pageData[rs.planOf[i]] = rs.datas[i]
-		if fill {
-			k := rs.fillKeys[i]
-			t.cache.fill(rs.space, k.block, k.page, rs.datas[i], d, false)
-		}
-		rs.datas[i] = nil
 	}
+	if len(rs.fillKeys) != 0 {
+		// lookupWanted queued this batch, a key to a read; filling whatever
+		// lines up of anything else would hide a bug in the plan.
+		if len(rs.fillKeys) != len(rs.ppas) {
+			panic("stl: a read batch and its cache fill keys diverged")
+		}
+		t.cache.fillPages(rs.space, rs.fillKeys, rs.datas[:len(rs.ppas)], d, false)
+	}
+	clear(rs.datas[:len(rs.ppas)])
 	rs.ppas = rs.ppas[:0]
 	rs.planOf = rs.planOf[:0]
 	rs.fillKeys = rs.fillKeys[:0]

@@ -214,7 +214,7 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 		t.dies[i] = d
 	}
 	if cfg.CacheBytes > 0 {
-		t.cache = newBlockCache(cfg.CacheBytes, cfg.CacheDRAMBandwidth, geo, dev.Phantom())
+		t.cache = newBlockCache(cfg.CacheBytes, cfg.CacheDRAMBandwidth)
 		if cfg.PrefetchDepth > 0 {
 			t.pf = newPrefetcher(cfg.PrefetchDepth)
 		}

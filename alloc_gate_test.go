@@ -278,3 +278,56 @@ func memStats() runtime.MemStats {
 	runtime.ReadMemStats(&m)
 	return m
 }
+
+// TestNDSWriteAllocsNotPerExtent: NDSWrite sizes its scatter and disassembly
+// stages from a counting walk, so what a write allocates does not grow with
+// its extent count — a narrow column of 4096 extents allocates what a row
+// band of 16 does.
+func TestNDSWriteAllocsNotPerExtent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop request scratches")
+	}
+	for _, k := range []system.Kind{system.SoftwareNDS, system.HardwareNDS} {
+		s, err := system.New(k, system.PrototypeConfig(64<<20, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := s.STL.CreateSpace(4, []int64{4096, 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := stl.NewView(sp, []int64{4096, 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var now sim.Time
+		perOp := func(coord, sub []int64) (extents int, bytes uint64) {
+			write := func() {
+				st, err := s.NDSWrite(now, v, coord, sub, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				now, extents = st.Done, st.Extents
+			}
+			write() // the first write sizes the pooled request scratch
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 8
+			for i := 0; i < runs; i++ {
+				write()
+			}
+			runtime.ReadMemStats(&after)
+			return extents, (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		fewExt, few := perOp([]int64{0, 0}, []int64{1, 4096})
+		manyExt, many := perOp([]int64{0, 1}, []int64{4096, 16})
+		t.Logf("%v: %d extents allocate %d B a write, %d extents %d B", k, fewExt, few, manyExt, many)
+		if manyExt < 64*fewExt {
+			t.Fatalf("%v: %d against %d extents is no contrast", k, manyExt, fewExt)
+		}
+		if many > few+1024 {
+			t.Fatalf("%v: a write of %d extents allocates %d B, one of %d extents %d B: something is sized by the extent count",
+				k, manyExt, many, fewExt, few)
+		}
+	}
+}

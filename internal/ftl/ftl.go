@@ -52,6 +52,12 @@ type FTL struct {
 	gcErases int64
 	gcMoves  int64
 	hostProg int64
+
+	// ReadPages' batch, kept between calls: the mapped pages' addresses,
+	// their positions in the request, and what the device returned.
+	readPPAs []nvm.PPA
+	readPos  []int64
+	readData [][]byte
 }
 
 // New builds an FTL over dev.

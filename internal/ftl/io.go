@@ -15,25 +15,32 @@ func (f *FTL) ReadPages(at sim.Time, lpn, n int64) ([]byte, sim.Time, error) {
 	if lpn < 0 || n < 0 || lpn+n > f.logicalPages {
 		return nil, at, fmt.Errorf("ftl: read [%d,%d) beyond logical capacity %d pages", lpn, lpn+n, f.logicalPages)
 	}
-	var buf []byte
-	if !f.dev.Phantom() {
-		buf = make([]byte, n*int64(f.geo.PageSize))
-	}
-	done := at
+	// The mapped pages go to the device as one batch (timing-equivalent to a
+	// page-by-page loop by nvm.ReadPages' contract); an unwritten LBA reads as
+	// zeros with no device work.
+	ppas, pos := f.readPPAs[:0], f.readPos[:0]
 	for i := int64(0); i < n; i++ {
-		idx := f.l2p[lpn+i]
-		if idx == unmapped {
-			// Unwritten LBA: reads as zeros with no device work.
-			continue
+		if idx := f.l2p[lpn+i]; idx != unmapped {
+			ppas = append(ppas, nvm.FromLinear(f.geo, idx))
+			pos = append(pos, i)
 		}
-		data, d, err := f.dev.ReadPage(at, nvm.FromLinear(f.geo, idx))
-		if err != nil {
-			return nil, at, err
-		}
-		if buf != nil {
-			copy(buf[i*int64(f.geo.PageSize):], data)
-		}
-		done = sim.Max(done, d)
+	}
+	for len(f.readData) < len(ppas) {
+		f.readData = append(f.readData, nil)
+	}
+	f.readPPAs, f.readPos = ppas, pos
+	done, err := f.dev.ReadPages(at, ppas, f.readData)
+	if err != nil {
+		return nil, at, err
+	}
+	if f.dev.Phantom() {
+		return nil, done, nil
+	}
+	ps := int64(f.geo.PageSize)
+	buf := make([]byte, n*ps)
+	for k, i := range pos {
+		copy(buf[i*ps:], f.readData[k])
+		f.readData[k] = nil
 	}
 	return buf, done, nil
 }

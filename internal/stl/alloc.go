@@ -27,7 +27,14 @@ type die struct {
 	nextPage    int
 	freePages   atomic.Int64
 	validInBlk  []int32
-	retired     []bool // per-block: removed from service (nil until first retirement)
+	// unbound counts, per block, the units carved and not yet bound. A carved
+	// unit is in no reverse entry until its caller binds it, under a second
+	// section of mu, so validInBlk alone makes a block whose only live pages
+	// are in that window look empty: collection leaves a block with unbound
+	// units alone (pickVictimLocked, and collectDie's closing of the open
+	// block), or it would erase the block under the writer about to program it.
+	unbound []int32
+	retired []bool // per-block: removed from service (nil until first retirement)
 
 	// collecting marks that one GC actor (the background worker or an inline
 	// collector) owns victim selection and evacuation on this die. It is a
@@ -39,7 +46,9 @@ type die struct {
 }
 
 // carve takes the next programmable page of the die, opening a fresh block
-// when the active one is exhausted. Caller holds d.mu.
+// when the active one is exhausted. The unit counts as unbound until bindUnit
+// binds it; a caller that abandons it instead hands it to releaseUnit. Caller
+// holds d.mu.
 func (d *die) carve(channel, bank, pagesPerBlock int) (nvm.PPA, bool) {
 	if d.activeBlock < 0 || d.nextPage >= pagesPerBlock {
 		if len(d.freeBlocks) == 0 {
@@ -52,7 +61,17 @@ func (d *die) carve(channel, bank, pagesPerBlock int) (nvm.PPA, bool) {
 	p := nvm.PPA{Channel: channel, Bank: bank, Block: d.activeBlock, Page: d.nextPage}
 	d.nextPage++
 	d.freePages.Add(-1)
+	d.unbound[d.activeBlock]++
 	return p, true
+}
+
+// releaseUnit gives up a carved unit that will never be bound: its page stays
+// consumed until the block is erased, and the block is collectable again.
+func (t *STL) releaseUnit(p nvm.PPA) {
+	d := t.die(p.Channel, p.Bank)
+	d.mu.Lock()
+	d.unbound[p.Block]--
+	d.mu.Unlock()
 }
 
 // carvable reports whether carve would succeed. Caller holds d.mu.
@@ -101,10 +120,22 @@ func (t *STL) highWaterPages() int64 {
 // takeUnit does not touch reverse maps; callers bind the unit to a building
 // block.
 func (t *STL) takeUnit(at sim.Time, channel, bank int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
-	d := t.die(channel, bank)
-	if t.cfg.BackgroundGC {
-		return t.takeUnitConcurrent(at, d, channel, bank, ac)
+	var (
+		p   nvm.PPA
+		err error
+	)
+	if d := t.die(channel, bank); t.cfg.BackgroundGC {
+		p, at, err = t.takeUnitConcurrent(at, d, channel, bank, ac)
+	} else {
+		p, at, err = t.takeUnitInline(at, d, channel, bank, ac)
 	}
+	if err == nil && t.carved != nil {
+		t.carved(p)
+	}
+	return p, at, err
+}
+
+func (t *STL) takeUnitInline(at sim.Time, d *die, channel, bank int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
 	low := t.lowWaterPages()
 	if d.freePages.Load() <= low {
 		var err error
@@ -424,8 +455,8 @@ func channelBefore(use []uint16, free []int64, a, b int) bool {
 	return a < b
 }
 
-// bindUnit records the reverse mapping for a freshly programmed unit and
-// counts it live. Overwrites pair an invalidateUnit with a bindUnit, so
+// bindUnit records the reverse mapping for a freshly carved unit and counts it
+// live. Overwrites pair an invalidateUnit with a bindUnit, so
 // usedPages stays balanced.
 //
 // bindUnit and invalidateUnit are the central cache-invalidation hooks: every
@@ -445,6 +476,7 @@ func (t *STL) bindUnit(s *Space, blockIdx int64, pageIdx int, p nvm.PPA) {
 	d.mu.Lock()
 	t.rev[p.Linear(t.geo)] = revEntry{space: s.id, block: blockIdx, page: int32(pageIdx), valid: true}
 	d.validInBlk[p.Block]++
+	d.unbound[p.Block]--
 	d.mu.Unlock()
 	t.usedPages.Add(1)
 }

@@ -121,11 +121,11 @@ func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []by
 // decompressions, and cache DRAM streaming all folded in). readPartitionSegments, its only caller,
 // turns the resolved pages into segments; every read-shaped request goes
 // through that one pair, so they all share timing and statistics.
-func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord, sub []int64, stats *RequestStats) (exts []Extent, want int64, done sim.Time, err error) {
+func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord, sub []int64, stats *RequestStats) (want int64, done sim.Time, err error) {
 	s := v.space
-	exts, want, err = rs.translate(v, coord, sub)
+	exts, want, err := rs.translate(v, coord, sub)
 	if err != nil {
-		return nil, 0, at, err
+		return 0, at, err
 	}
 	stats.Extents = len(exts)
 	stats.Bytes = want
@@ -143,51 +143,69 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 	// device operations of their own (the block is the decompression unit), so
 	// the queued batch drains before each materialization to keep scalar issue
 	// order.
+	refs := !t.dev.Phantom()
 	for i := range exts {
 		e := &exts[i]
-		bp := t.resolveBlock(rs, s, e.Block, false, stats)
+		bp := rs.followBlock(e.Block)
+		if bp == nil {
+			bp = t.resolveBlock(rs, s, e.Block, false, stats)
+		}
 		blk := bp.blk
 		if blk == nil {
 			continue // untouched block: zeros
 		}
 		if blk.compressed {
-			if bp.image == nil {
+			if bp.image == 0 {
 				if err := t.flushReads(rs, at, &done, stats); err != nil {
-					return nil, 0, at, err
+					return 0, at, err
 				}
 				img, d, err := t.blockImage(at, s, blk, stats)
 				if err != nil {
-					return nil, 0, at, err
+					return 0, at, err
 				}
 				done = sim.Max(done, d)
-				bp.image = img
+				rs.pageData = append(rs.pageData, img)
+				bp.image = int32(len(rs.pageData))
 			}
+			rs.refs = append(rs.refs, segRef{dst: e.Dst, lo: e.Off, slot: bp.image - 1, n: int32(e.Len)})
 			continue
 		}
-		for p := e.Off / ps; p <= (e.Off+e.Len-1)/ps; p++ {
-			if bp.pages[p] != 0 {
-				continue
-			}
-			rs.pageData = append(rs.pageData, nil)
-			idx := int32(len(rs.pageData) - 1)
-			bp.pages[p] = idx + 1
-			if slot := blk.pages[p]; slot.allocated {
-				if cached {
-					rs.wantPage(int32(p))
-					continue
+		// The extent's pieces, page by page: [lo, hi) of the block, the page
+		// ending at pageEnd. One division finds the first page; most extents
+		// never leave it.
+		p, lo, end := e.Off/ps, e.Off, e.Off+e.Len
+		for pageEnd := (p + 1) * ps; ; p, pageEnd = p+1, pageEnd+ps {
+			hi := min64(end, pageEnd)
+			idx := bp.pages[p] - 1
+			if idx < 0 {
+				rs.pageData = append(rs.pageData, nil)
+				idx = int32(len(rs.pageData) - 1)
+				bp.pages[p] = idx + 1
+				if slot := blk.pages[p]; slot.allocated {
+					if cached {
+						rs.wantPage(int32(p))
+					} else {
+						rs.ppas = append(rs.ppas, slot.ppa)
+						rs.planOf = append(rs.planOf, idx)
+						stats.PagesRead++
+					}
+				} else if pp := t.pendingFor(s, e.Block, int(p)); pp != nil && pp.buf != nil {
+					// §4.4 write staging: partially collected pages serve reads
+					// straight from STL memory.
+					rs.pageData[idx] = pp.buf
 				}
-				rs.ppas = append(rs.ppas, slot.ppa)
-				rs.planOf = append(rs.planOf, idx)
-				stats.PagesRead++
-			} else if pp := t.pendingFor(s, e.Block, int(p)); pp != nil && pp.buf != nil {
-				// §4.4 write staging: partially collected pages serve reads
-				// straight from STL memory.
-				rs.pageData[idx] = pp.buf
 			}
+			if refs {
+				rs.refs = append(rs.refs, segRef{dst: e.Dst + (lo - e.Off), lo: lo - (pageEnd - ps), slot: idx, n: int32(hi - lo)})
+			}
+			if end <= pageEnd {
+				break
+			}
+			lo = pageEnd
 		}
 	}
 	if err := t.flushReads(rs, at, &done, stats); err != nil {
-		return nil, 0, at, err
+		return 0, at, err
 	}
 	if rs.hitBytes > 0 {
 		// Hits stream out of cache DRAM serially once the latest filled page
@@ -195,7 +213,7 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 		start := sim.Max(at, rs.readyMax)
 		done = sim.Max(done, start+t.cache.copyCost(rs.hitBytes))
 	}
-	return exts, want, done, nil
+	return want, done, nil
 }
 
 func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, data []byte) (sim.Time, RequestStats, error) {
@@ -222,8 +240,12 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 	// Extents of one partition never overlap, so summing lengths is exact.
 	for i := range exts {
 		e := &exts[i]
-		bp := t.resolveBlock(rs, s, e.Block, true, &stats)
-		for p := e.Off / ps; p <= (e.Off+e.Len-1)/ps; p++ {
+		bp := rs.followBlock(e.Block)
+		if bp == nil {
+			bp = t.resolveBlock(rs, s, e.Block, true, &stats)
+		}
+		p, lo, end := e.Off/ps, e.Off, e.Off+e.Len
+		for pageEnd := (p + 1) * ps; ; p, pageEnd = p+1, pageEnd+ps {
 			si := bp.pages[p] - 1
 			if si < 0 {
 				si = rs.nextStage()
@@ -232,10 +254,12 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 				bp.pages[p] = si + 1
 			}
 			st := &rs.stages[si]
-			lo := max64(e.Off, p*ps)
-			hi := min64(e.Off+e.Len, (p+1)*ps)
-			st.covered += hi - lo
+			st.covered += min64(end, pageEnd) - lo
 			st.extents = append(st.extents, int32(i))
+			if end <= pageEnd {
+				break
+			}
+			lo = pageEnd
 		}
 	}
 

@@ -87,7 +87,8 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 			break
 		}
 		victim := t.pickVictimLocked(d, channel, bank, busy)
-		if victim < 0 && d.activeBlock >= 0 && d.validInBlk[d.activeBlock] < int32(d.nextPage) {
+		if victim < 0 && d.activeBlock >= 0 && d.unbound[d.activeBlock] == 0 &&
+			d.validInBlk[d.activeBlock] < int32(d.nextPage) {
 			// Reclaimable pages sit only in the open block: close it.
 			d.freePages.Add(-int64(t.geo.PagesPerBlock - d.nextPage))
 			d.activeBlock = -1
@@ -140,7 +141,8 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 // doubles as intra-die wear leveling. With uniform erase counts the choice
 // degenerates to the plain greedy policy (lowest valid count, lowest block
 // index). Blocks listed in exclude (victims already found busy this pass) are
-// skipped. -1 if no block is eligible. Caller holds d.mu.
+// skipped, and so is a block with a unit carved and not yet bound (die.unbound).
+// -1 if no block is eligible. Caller holds d.mu.
 func (t *STL) pickVictimLocked(d *die, channel, bank int, exclude []int) int {
 	free := make(map[int]bool, len(d.freeBlocks))
 	for _, b := range d.freeBlocks {
@@ -160,7 +162,7 @@ func (t *STL) pickVictimLocked(d *die, channel, bank int, exclude []int) int {
 			// and its valid pages stay readable in place.
 			return false
 		}
-		return d.validInBlk[b] < int32(t.geo.PagesPerBlock)
+		return d.unbound[b] == 0 && d.validInBlk[b] < int32(t.geo.PagesPerBlock)
 	}
 	minValid := int32(1 << 30)
 	for b := 0; b < t.geo.BlocksPerBank; b++ {
@@ -296,12 +298,14 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 		// Carve every destination, then land the whole block in one batch.
 		// The room check in collectDie ran under the same claim, but
 		// concurrent foreground carving may have consumed it; bail without
-		// touching translation state if so (carved units stay unbound).
+		// touching translation state if so (the units carved so far are given
+		// up).
 		d.mu.Lock()
 		for i := range moves {
 			dst, okCarve := d.carve(channel, bank, t.geo.PagesPerBlock)
 			if !okCarve {
 				d.mu.Unlock()
+				t.releaseOps(ops)
 				return at, gcNothing, nil
 			}
 			ops = append(ops, nvm.ProgramOp{At: readDone, P: dst, Data: datas[i], Move: true, From: moves[i].src})
@@ -330,6 +334,7 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 			t.gcMoves.Add(1)
 		}
 		if err != nil {
+			t.releaseOps(ops[landed:])
 			return at, gcNothing, err
 		}
 	}
@@ -410,7 +415,8 @@ func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx, held []*Spa
 // a fresh unit, and the remainder of the batch retries from the failed
 // attempt's completion. Ops are not yet bound, so recovery only rewrites the
 // batch itself. It reports how many ops — a prefix of the batch — landed,
-// which on an error is what the caller still has to rebind.
+// which on an error is what the caller still has to rebind; the rest it has
+// to release.
 func (t *STL) gcProgramBatch(batch []nvm.ProgramOp) (sim.Time, int, error) {
 	var done sim.Time
 	ops := batch // narrows to the ops that have not landed
@@ -438,10 +444,18 @@ func (t *STL) gcProgramBatch(batch []nvm.ProgramOp) (sim.Time, int, error) {
 			return done, len(batch) - len(ops), fmt.Errorf("stl: no unit available to relocate faulted GC program at %v: %w", pe.P, ErrMedia)
 		}
 		t.programRetries.Add(1)
+		t.releaseUnit(ops[0].P)
 		ops[0].P = np
 		ops[0].At = pe.Done
 	}
 	return done, len(batch), nil
+}
+
+// releaseOps gives up the destinations of relocations that will not land.
+func (t *STL) releaseOps(ops []nvm.ProgramOp) {
+	for i := range ops {
+		t.releaseUnit(ops[i].P)
+	}
 }
 
 // kickGC nudges the background worker (non-blocking; a pending kick absorbs

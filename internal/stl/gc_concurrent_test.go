@@ -1,6 +1,7 @@
 package stl
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
@@ -20,9 +21,10 @@ import (
 // Whether the concurrent phase ever relocates a live page is up to the
 // scheduler: a mixed-validity victim is only evacuated when none of its
 // owners holds its space lock at that moment, and with four writers that may
-// never happen. So a quiesced phase follows — one writer, three idle spaces,
-// a sweep after every write — in which nothing can answer gcBusy, and that is
-// where relocation is asserted.
+// never happen. Nor does it leave such a victim behind for certain. So a
+// quiesced phase follows that builds one by hand and collects its die with
+// every space idle, so that nothing can answer gcBusy, and that is where
+// relocation is asserted.
 func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
 	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 16, PagesPerBlock: 8, PageSize: 512}
 	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
@@ -100,22 +102,51 @@ func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesced phase: quarter-block overwrites by one writer leave victims
-	// with live pages of all four spaces, and every owner's lock is free
-	// whenever a sweep runs.
+	// Quiesced phase. With the worker fenced out, build the victim: take two
+	// live pages X and Y of one die and rewrite Y, X, then Y once per page of
+	// an erase block. A rewrite of a whole page replaces its unit in the same
+	// die, so X's new unit sits in a block that the Y rewrites fill and close,
+	// next to a copy of Y a later rewrite invalidated. Collecting the die to
+	// exhaustion then has to move X.
+	st.maintMu.Lock()
+	var live []revEntry
+	d := st.die(0, 0)
+	d.mu.Lock()
+	for b := 0; b < geo.BlocksPerBank && len(live) < 2; b++ {
+		for pg := 0; pg < geo.PagesPerBlock && len(live) < 2; pg++ {
+			if e := st.rev[(nvm.PPA{Block: b, Page: pg}).Linear(geo)]; e.valid {
+				live = append(live, e)
+			}
+		}
+	}
+	d.mu.Unlock()
+	if len(live) < 2 {
+		t.Fatalf("die ch0/bk0 holds %d live pages of the 128 the spaces spread over 8 dies", len(live))
+	}
 	rng := rand.New(rand.NewSource(44))
-	c, sub := clients[0], clients[0].s.BlockDims()[0]/2
-	tile := make([]byte, sub*sub*4)
-	concurrentMoves := st.GCReport().PagesRelocated
-	for k := 0; k < 400 && st.GCReport().PagesRelocated == concurrentMoves; k++ {
-		rng.Read(tile)
-		coord := []int64{rng.Int63n(side / sub), rng.Int63n(side / sub)}
-		if _, _, err := st.WritePartition(0, c.v, coord, []int64{sub, sub}, tile); err != nil {
+	page := make([]byte, geo.PageSize)
+	rewrite := func(e revEntry) {
+		// A page of a 32x32 float32 block is four of its rows.
+		c := clients[e.space-clients[0].s.id]
+		grid := int64(side / 32)
+		coord, sub := []int64{e.block/grid*8 + int64(e.page), e.block % grid}, []int64{4, 32}
+		rng.Read(page)
+		if _, _, err := st.WritePartition(0, c.v, coord, sub, page); err != nil {
 			t.Fatal(err)
 		}
-		pasteTile(c.img, side, 4, coord, []int64{sub, sub}, tile)
-		st.gcSweep()
+		pasteTile(c.img, side, 4, coord, sub, page)
 	}
+	concurrentMoves := st.GCReport().PagesRelocated
+	x, y := live[0], live[1]
+	rewrite(y)
+	rewrite(x)
+	for i := 0; i < geo.PagesPerBlock; i++ {
+		rewrite(y)
+	}
+	if _, _, err := st.collectDie(0, 0, 0, nil, geo.PagesPerBank()); err != nil {
+		t.Fatal(err)
+	}
+	st.maintMu.Unlock()
 
 	for i, c := range clients {
 		got, _, _, err := st.ReadPartition(0, c.v, []int64{0, 0}, []int64{side, side})
@@ -243,5 +274,76 @@ func TestGroupCommitFlushDrainsAllChannelsOnError(t *testing.T) {
 		if got[i] != half[i] {
 			t.Fatalf("byte %d of staged data lost by failed flush", i)
 		}
+	}
+}
+
+// TestGCSparesCarvedUnboundUnit parks a writer between carving a unit and
+// binding it — the unit is then in no reverse entry, so by valid counts alone
+// its block, the die's open block, holds nothing — and sweeps. A collector
+// that closed and erased that block would hand it back to the free list with
+// the writer about to program its first page; once the die's other blocks
+// fill, the block reopens and the same page is carved again. The writes that
+// follow fill the die to its logical capacity, so they reach that page.
+func TestGCSparesCarvedUnboundUnit(t *testing.T) {
+	// One die of four 4-page blocks; a building block of 128 float32 is one
+	// page. GCLowWater puts the die below the low watermark from the first
+	// carve, so every sweep tries to collect it.
+	geo := nvm.Geometry{Channels: 1, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.BackgroundGC = true
+	cfg.GCLowWater = 0.99
+	st, err := New(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const pages, per = 14, 128 // the logical capacity, 10 % over-provisioned
+	s, err := st.CreateSpace(4, []int64{pages * per})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewView(s, []int64{pages * per})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(18))
+	img := fillRandom(rng, s.Bytes())
+	write := func(pg int64) error {
+		_, _, err := st.WritePartition(0, v, []int64{pg}, []int64{per}, img[pg*per*4:(pg+1)*per*4])
+		return err
+	}
+
+	parked, resume := make(chan nvm.PPA), make(chan struct{})
+	st.carved = func(p nvm.PPA) {
+		parked <- p
+		<-resume
+	}
+	first := make(chan error, 1)
+	go func() { first <- write(0) }()
+	unit := <-parked
+	st.gcSweep()
+	st.carved = nil
+	close(resume)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if rep := st.GCReport(); rep.Erases != 0 {
+		t.Errorf("the sweep erased %d block(s) while %v was carved and not yet bound", rep.Erases, unit)
+	}
+	for pg := int64(1); pg < pages; pg++ {
+		if err := write(pg); err != nil {
+			t.Fatalf("page %d: %v", pg, err)
+		}
+	}
+	got, _, _, err := st.ReadPartition(0, v, []int64{0}, []int64{pages * per})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, img) {
+		t.Fatal("the space does not read back what was written")
 	}
 }

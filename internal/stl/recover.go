@@ -171,14 +171,19 @@ func (t *STL) allocateRecoveryUnit(old nvm.PPA) (nvm.PPA, bool) {
 // programWithRecovery programs data to p, and on an injected program fault
 // retires the failing block, relocates to a fresh unit, and retries from the
 // failed attempt's completion time. Returns the unit that finally holds the
-// data (callers bind that unit, not the one they allocated). Non-fault errors
+// data (callers bind that unit, not the one they allocated); on an error
+// there is none, and the units tried have been released. Non-fault errors
 // pass through; exhausting maxProgramRetries or running out of units reports
 // ErrMedia.
 func (t *STL) programWithRecovery(at sim.Time, p nvm.PPA, data []byte, stats *RequestStats) (nvm.PPA, sim.Time, error) {
 	for tries := 0; ; tries++ {
 		done, err := t.dev.ProgramPage(at, p, data)
+		if err == nil {
+			return p, done, nil
+		}
+		t.releaseUnit(p) // whatever failed, nothing will be bound here
 		var pe *nvm.ProgramError
-		if err == nil || !errors.As(err, &pe) {
+		if !errors.As(err, &pe) {
 			return p, done, err
 		}
 		t.retireBlock(p.Channel, p.Bank, p.Block)
@@ -203,23 +208,21 @@ func (t *STL) programWithRecovery(at sim.Time, p nvm.PPA, data []byte, stats *Re
 // its program was queued; the caller's space write lock (or Flush's maintMu
 // plus the device-wide lock) is what makes the read-then-rebind atomic.
 // Returns false if old is not bound (translation state is inconsistent —
-// callers surface an error).
+// callers surface an error), with np released.
 func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
 	d := t.die(old.Channel, old.Bank)
 	d.mu.Lock()
 	e := t.rev[old.Linear(t.geo)]
 	d.mu.Unlock()
-	if !e.valid {
-		return false
-	}
+	var blk *BuildingBlock
 	s, ok := t.spaces[e.space]
-	if !ok {
-		return false
+	if e.valid && ok {
+		gcoord := make([]int64, len(s.grid))
+		s.GridCoord(e.block, gcoord)
+		blk, _ = t.block(s, gcoord, false)
 	}
-	gcoord := make([]int64, len(s.grid))
-	s.GridCoord(e.block, gcoord)
-	blk, _ := t.block(s, gcoord, false)
 	if blk == nil {
+		t.releaseUnit(np)
 		return false
 	}
 	blk.pages[e.page].ppa = np

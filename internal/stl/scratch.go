@@ -21,18 +21,18 @@ import (
 type requestScratch struct {
 	exts  []Extent
 	shape []int64
-	outer []int64
-	cur   []int64
-	sc    []int64 // storage-coordinate scratch
+	walk  extentWalk
 	gcrd  []int64 // grid-coordinate scratch
 
 	space *Space // the request's space, for cache fills at flush time
 
 	// Block plan: the building blocks the request touches, in first-touch
-	// order, found by last-hit memo and then a scan from the newest entry (a
-	// request touches a handful of blocks, and a row-major extent walk
-	// revisits the ones it met most recently). Entries past len(plans) keep
-	// their page tables, zeroed, for the next request.
+	// order. A row-major extent walk revisits them in cycles — one partition
+	// row crosses blocks g..g+k, the next row the same ones — so each entry
+	// remembers which entry the walk went to after it last time (blockPlan.next)
+	// and a lookup tries that (followBlock), then the last hit, before it scans
+	// (resolveBlock). Entries past len(plans) keep their page tables, zeroed,
+	// for the next request.
 	plans []blockPlan
 	last  int // index of the entry the last lookup hit
 
@@ -41,7 +41,13 @@ type requestScratch struct {
 	// corresponding pageData entries via nvm.ReadPages. Through the cache,
 	// fillKeys parallels ppas with each read's building-block page, so the
 	// flush can lend the results to the block cache; otherwise it is empty.
+	//
+	// A data-bearing read also notes every page piece it meets as a segRef, in
+	// extent (= Dst) order, so that once the flushes have filled pageData the
+	// segment list is one pass over refs and not a second extent walk. A
+	// compressed block's decompressed image takes a pageData slot like a page.
 	pageData [][]byte
+	refs     []segRef
 	ppas     []nvm.PPA
 	planOf   []int32
 	fillKeys []pageKey
@@ -77,11 +83,19 @@ type blockPlan struct {
 	g     int64          // grid index
 	blk   *BuildingBlock // nil: the block was never written
 	pages []int32
-	image []byte // a compressed block's decompressed image (reads)
+	image int32 // a compressed block's decompressed image (reads): slot+1 in pageData
+	next  int32 // 1 + the entry looked up after this one last time, 0 for none yet
 
 	// The block's chain through requestScratch.want: 1 + the index of its
 	// first and of its last page there, 0 for none.
 	wantHead, wantTail int32
+}
+
+// segRef is one source piece of a read before its bytes are known: n bytes at
+// lo of pageData[slot], bound for partition offset dst.
+type segRef struct {
+	dst, lo int64
+	slot, n int32
 }
 
 // wantedPage is one allocated page a read has met and not yet put to the
@@ -129,6 +143,7 @@ func (t *STL) putScratch(rs *requestScratch) {
 		rs.pageData[i] = nil
 	}
 	rs.pageData = rs.pageData[:0]
+	rs.refs = rs.refs[:0]
 	rs.ppas = rs.ppas[:0]
 	rs.planOf = rs.planOf[:0]
 	rs.fillKeys = rs.fillKeys[:0]
@@ -177,32 +192,13 @@ func (rs *requestScratch) nextStage() int32 {
 // translate fills rs.exts and rs.shape with the partition's extent
 // decomposition, returning the extent list and payload byte count.
 func (rs *requestScratch) translate(v *View, coord, sub []int64) ([]Extent, int64, error) {
-	m, n := len(v.dims), len(v.space.dims)
-	rs.shape = growInt64(rs.shape, m)
-	rs.outer = growInt64(rs.outer, m)
-	rs.cur = growInt64(rs.cur, m)
-	rs.sc = growInt64(rs.sc, n)
+	rs.shape = growInt64(rs.shape, len(v.dims))
 	elems, err := v.partitionShapeInto(coord, sub, rs.shape)
 	if err != nil {
 		return nil, 0, err
 	}
-	rs.exts, _ = v.extentsInto(coord, sub, rs.shape, elems, rs.outer, rs.cur, rs.sc, rs.exts[:0])
+	rs.exts, _ = v.extentsInto(&rs.walk, coord, sub, rs.shape, elems, rs.exts[:0], true)
 	return rs.exts, elems * int64(v.space.elemSize), nil
-}
-
-// findBlock returns the plan entry for grid index g, or nil if the request
-// has not met the block. The pointer is valid until the next addBlock.
-func (rs *requestScratch) findBlock(g int64) *blockPlan {
-	if rs.last < len(rs.plans) && rs.plans[rs.last].g == g {
-		return &rs.plans[rs.last]
-	}
-	for i := len(rs.plans) - 1; i >= 0; i-- {
-		if rs.plans[i].g == g {
-			rs.last = i
-			return &rs.plans[i]
-		}
-	}
-	return nil
 }
 
 // addBlock appends the plan entry for grid index g, reusing a retained page
@@ -213,6 +209,9 @@ func (rs *requestScratch) addBlock(g int64, blk *BuildingBlock) *blockPlan {
 		rs.plans = rs.plans[:n+1]
 	} else {
 		rs.plans = append(rs.plans, blockPlan{})
+	}
+	if n > 0 {
+		rs.plans[rs.last].next = int32(n + 1)
 	}
 	bp := &rs.plans[n]
 	bp.g, bp.blk = g, blk
@@ -227,12 +226,38 @@ func (rs *requestScratch) addBlock(g int64, blk *BuildingBlock) *blockPlan {
 	return bp
 }
 
-// resolveBlock looks up (and records) the building block for grid index g,
-// charging traversal and distinct-block statistics exactly as the scalar
-// path does.
+// followBlock returns the plan entry the walk went to after the last hit last
+// time, if that is grid index g's: the step a row-major walk repeats for every
+// extent of every partition row after the first, kept small enough to inline
+// into the plan loops. Nil sends the caller to resolveBlock.
+func (rs *requestScratch) followBlock(g int64) *blockPlan {
+	if rs.last < len(rs.plans) {
+		if i := int(rs.plans[rs.last].next) - 1; i >= 0 && rs.plans[i].g == g {
+			rs.last = i
+			return &rs.plans[i]
+		}
+	}
+	return nil
+}
+
+// resolveBlock returns the plan entry for grid index g when followBlock did
+// not: the last hit itself, or an entry found by a scan from the newest, which
+// the last hit then remembers — or a new one, looked up in the index and
+// charged traversal and distinct-block statistics exactly as the scalar path
+// does. The pointer is valid until the next new entry.
 func (t *STL) resolveBlock(rs *requestScratch, s *Space, g int64, alloc bool, stats *RequestStats) *blockPlan {
-	if bp := rs.findBlock(g); bp != nil {
-		return bp
+	if rs.last < len(rs.plans) {
+		prev := &rs.plans[rs.last]
+		if prev.g == g {
+			return prev
+		}
+		for i := len(rs.plans) - 1; i >= 0; i-- {
+			if rs.plans[i].g == g {
+				prev.next = int32(i + 1)
+				rs.last = i
+				return &rs.plans[i]
+			}
+		}
 	}
 	s.GridCoord(g, rs.gcrd)
 	blk, steps := t.block(s, rs.gcrd, alloc)
@@ -243,7 +268,7 @@ func (t *STL) resolveBlock(rs *requestScratch, s *Space, g int64, alloc bool, st
 	return rs.addBlock(g, blk)
 }
 
-// wantPage notes page p of the block the last findBlock or addBlock returned
+// wantPage notes page p of the block the last resolveBlock returned
 // for the flush's cache transaction.
 func (rs *requestScratch) wantPage(p int32) {
 	bp := &rs.plans[rs.last]

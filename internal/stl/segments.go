@@ -87,41 +87,24 @@ func (t *STL) ReadPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn
 }
 
 // readPartitionSegments is the batched plan and emitter: planPartitionRead
-// resolves every touched page's bytes, then a second extent walk records one
-// (Dst, Src) pair per page piece.
+// resolves every touched page's bytes and notes each page piece it met, and
+// the pieces whose pages hold bytes become the (Dst, Src) list.
 func (t *STL) readPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn func(int64, []Segment) error) (sim.Time, RequestStats, error) {
 	var stats RequestStats
 	s := v.space
 	rs := t.getScratch(s)
 	defer t.putScratch(rs)
-	exts, want, done, err := t.planPartitionRead(rs, at, v, coord, sub, &stats)
+	want, done, err := t.planPartitionRead(rs, at, v, coord, sub, &stats)
 	if err != nil {
 		return at, stats, err
 	}
 
+	// The plan noted every page piece in Dst order; now that the pages are
+	// resolved, a piece whose page holds bytes is a segment.
 	segs := rs.segs[:0]
-	if !t.dev.Phantom() {
-		ps := int64(t.geo.PageSize)
-		for i := range exts {
-			e := &exts[i]
-			bp := rs.findBlock(e.Block)
-			if bp.blk == nil {
-				continue // untouched block: zeros
-			}
-			if bp.blk.compressed {
-				segs = append(segs, Segment{Dst: e.Dst, Src: bp.image[e.Off : e.Off+e.Len]})
-				continue
-			}
-			for p := e.Off / ps; p <= (e.Off+e.Len-1)/ps; p++ {
-				data := rs.pageData[bp.pages[p]-1]
-				if data == nil {
-					continue // unwritten page: zeros
-				}
-				lo := max64(e.Off, p*ps)
-				hi := min64(e.Off+e.Len, (p+1)*ps)
-				srcLo := lo - p*ps
-				segs = append(segs, Segment{Dst: e.Dst + (lo - e.Off), Src: data[srcLo : srcLo+(hi-lo)]})
-			}
+	for _, r := range rs.refs {
+		if data := rs.pageData[r.slot]; data != nil {
+			segs = append(segs, Segment{Dst: r.dst, Src: data[r.lo : r.lo+int64(r.n)]})
 		}
 	}
 	rs.segs = segs // retain capacity in the pooled scratch

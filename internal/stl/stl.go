@@ -171,6 +171,11 @@ type STL struct {
 	// qos is nil when Config.TenantQoS is nil, under the same contract: the
 	// admission gate in the data path is a single nil check when disabled.
 	qos *qosState
+
+	// carved, when a test sets it, is called with every unit takeUnit hands
+	// out, before the caller binds it: the window a collector must respect
+	// (die.unbound).
+	carved func(nvm.PPA)
 }
 
 // New builds an STL over dev.
@@ -206,6 +211,7 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 		d := &die{
 			activeBlock: -1,
 			validInBlk:  make([]int32, geo.BlocksPerBank),
+			unbound:     make([]int32, geo.BlocksPerBank),
 		}
 		d.freePages.Store(geo.PagesPerBank())
 		for b := 0; b < geo.BlocksPerBank; b++ {

@@ -91,91 +91,210 @@ func (v *View) partitionShapeInto(coord, sub []int64, shape []int64) (int64, err
 
 // Extents decomposes the partition at coord/sub into building-block byte
 // extents ordered by destination offset. The extent list is exact: its
-// destinations tile [0, elements*elemSize) without gaps or overlaps.
+// destinations tile [0, elements*elemSize) without gaps or overlaps. The
+// result is sized by a counting walk first, so it is allocated once.
 func (v *View) Extents(coord, sub []int64) ([]Extent, error) {
 	shape, elems, err := v.PartitionShape(coord, sub)
 	if err != nil {
 		return nil, err
 	}
-	m, n := len(v.dims), len(v.space.dims)
-	exts, _ := v.extentsInto(coord, sub, shape, elems,
-		make([]int64, m), make([]int64, m), make([]int64, n), nil)
+	var w extentWalk
+	_, n := v.extentsInto(&w, coord, sub, shape, elems, nil, false)
+	exts, _ := v.extentsInto(&w, coord, sub, shape, elems, make([]Extent, 0, n), true)
 	return exts, nil
 }
 
+// ExtentCount reports how many extents Extents would return, and how many
+// elements they cover, from the same walk with nothing emitted: for a caller
+// that needs the count as a timing input and leaves the list to the request
+// that follows.
+func (v *View) ExtentCount(coord, sub []int64) (n int, elems int64, err error) {
+	shape, elems, err := v.PartitionShape(coord, sub)
+	if err != nil {
+		return 0, 0, err
+	}
+	var w extentWalk
+	_, n = v.extentsInto(&w, coord, sub, shape, elems, nil, false)
+	return n, elems, nil
+}
+
+// extentWalk is the working state of one extent walk: an odometer over the
+// storage coordinate of the next element to emit. Of the last storage
+// dimension the walk keeps position, block and in-block offset in locals; of
+// each dimension above it, a walkDim: the digit and what the digit contributes
+// to an extent's grid index and in-block element offset, with gHi and offHi
+// the sums over those dimensions. The walk only ever moves forward: by a whole
+// extent (the last dimension alone, by addition), or from the end of one
+// partition run to the start of the next, a distance that depends only on
+// which view digit advanced — steps holds its storage digits, one row of n
+// per view dimension, row m-1 (no digit advanced: the run wrapped a storage
+// row) all zero. A step adds a row with carry; a quotient and remainder
+// against the block extent are taken again only for a digit that left its
+// block.
+type extentWalk struct {
+	dim        []walkDim // dimensions [0, n-1)
+	gHi, offHi int64
+	steps      []int64 // m rows of n storage digits
+	outer      []int64 // the partition's outer counter, m digits
+}
+
+// walkDim is one storage dimension above the last: its digit sc, with
+//
+//	gt = sc/bb · gstride    ot = sc%bb · bstride
+//
+// where gstride and bstride are what one step along the dimension adds to a
+// row-major grid index and to an element offset in a block.
+type walkDim struct {
+	sc, gt, ot                 int64
+	size, bb, gstride, bstride int64
+}
+
+// seed positions the walk at storage-linear index l, sized for an
+// m-dimensional view, and returns the last dimension's digit.
+func (w *extentWalk) seed(s *Space, m int, l int64) (pos int64) {
+	n := len(s.dims)
+	if cap(w.dim) < n-1 {
+		w.dim = make([]walkDim, n-1)
+	}
+	w.dim = w.dim[:n-1]
+	w.steps, w.outer = growInt64(w.steps, m*n), growInt64(w.outer, m)
+	clear(w.outer)
+	pos, l = l%s.dims[n-1], l/s.dims[n-1]
+	w.gHi, w.offHi = 0, 0
+	gstride, bstride := s.grid[n-1], s.bb[n-1]
+	for i := n - 2; i >= 0; i-- {
+		sc := l % s.dims[i]
+		l /= s.dims[i]
+		q := sc / s.bb[i]
+		d := walkDim{sc: sc, gt: q * gstride, ot: (sc - q*s.bb[i]) * bstride,
+			size: s.dims[i], bb: s.bb[i], gstride: gstride, bstride: bstride}
+		w.dim[i] = d
+		w.gHi += d.gt
+		w.offHi += d.ot
+		gstride *= s.grid[i]
+		bstride *= s.bb[i]
+	}
+	return pos
+}
+
+// carry adds digits d and a carry out of the last dimension to the digits
+// above it. A digit that moves within its building block moves the offset
+// term by the same distance; only one that leaves the block is divided again.
+func (w *extentWalk) carry(d []int64, c int64) {
+	for i := len(w.dim) - 1; i >= 0; i-- {
+		dm := &w.dim[i]
+		x := dm.sc + d[i] + c
+		c = 0
+		if x >= dm.size {
+			x -= dm.size
+			c = 1
+		}
+		if x == dm.sc {
+			continue
+		}
+		ot := dm.ot + (x-dm.sc)*dm.bstride
+		if ot < 0 || ot >= dm.bb*dm.bstride {
+			q := x / dm.bb
+			gt := q * dm.gstride
+			ot = (x - q*dm.bb) * dm.bstride
+			w.gHi += gt - dm.gt
+			dm.gt = gt
+		}
+		w.offHi += ot - dm.ot
+		dm.sc, dm.ot = x, ot
+	}
+}
+
 // extentsInto is the allocation-free core of Extents: shape holds the
-// already-computed partition shape, outer/cur/sc are caller-supplied counter
-// slices (len m, m, n), and extents are appended to exts (which may carry
-// reusable capacity). It returns the extent list and the run count.
-func (v *View) extentsInto(coord, sub, shape []int64, elems int64, outer, cur, sc []int64, exts []Extent) ([]Extent, int64) {
+// already-computed partition shape, w is caller-supplied working state, and
+// with emit set extents are appended to exts (which may carry reusable
+// capacity). It returns the extent list and the extent count; without emit it
+// only counts.
+//
+// The list is one extent per partition run per building block the run
+// crosses, and its length is a timing input (RequestStats.Extents sizes
+// assembly, scatter and disassembly): extents that happen to be contiguous in
+// a block are not merged.
+func (v *View) extentsInto(w *extentWalk, coord, sub, shape []int64, elems int64, exts []Extent, emit bool) ([]Extent, int) {
 	s := v.space
 	es := int64(s.elemSize)
 	m := len(v.dims)
 	n := len(s.dims)
 
-	// Iterate over the partition's outer coordinates; each step yields a run
-	// of shape[m-1] consecutive view-linear (== storage-linear) elements.
-	for i := range outer {
-		outer[i] = 0
+	var l int64
+	for i := 0; i < m; i++ {
+		l = l*v.dims[i] + coord[i]*sub[i]
 	}
-	runLen := shape[m-1]
-	runs := elems / runLen
+	pos := w.seed(s, m, l)
+	// When view digit i advances, the digits below it return to the
+	// partition's origin: the next run starts stride[i] - Σ_{j>i}
+	// (shape[j]-1)·stride[j] after this one started, shape[m-1] of which the
+	// run itself covered.
+	stride, back := int64(1), int64(0)
+	for i := m - 1; i >= 0; i-- {
+		unrank(stride-back-1, s.dims, w.steps[i*n:(i+1)*n])
+		back += (shape[i] - 1) * stride
+		stride *= v.dims[i]
+	}
+
+	// Each run is shape[m-1] consecutive view-linear (== storage-linear)
+	// elements: stretches of storage rows, each split at the building-block
+	// boundaries of the last storage dimension. Within a stretch the block
+	// index, the byte offset in the block and the bytes left in the block's
+	// row (room) move by addition.
+	rowLen, bbLast := s.dims[n-1], s.bb[n-1]
+	rowBytes := bbLast * es
+	runs := elems / shape[m-1]
+	count := 0
 	var dst int64
-	for r := int64(0); r < runs; r++ {
-		for i := 0; i < m; i++ {
-			cur[i] = coord[i]*sub[i] + outer[i]
-		}
-		l := rank(cur, v.dims)
-		remaining := runLen
-		for remaining > 0 {
-			unrank(l, s.dims, sc)
-			// Longest stretch within the current storage row.
-			t := s.dims[n-1] - sc[n-1]
-			if t > remaining {
-				t = remaining
-			}
-			// Split the row stretch at building-block boundaries of the last
-			// storage dimension.
-			pos := sc[n-1]
-			end := sc[n-1] + t
-			for pos < end {
-				bbLast := s.bb[n-1]
-				take := bbLast - pos%bbLast
-				if take > end-pos {
-					take = end - pos
-				}
-				// Grid coordinate and in-block offset.
-				var gIdx, off int64
-				for i := 0; i < n; i++ {
-					c := sc[i]
-					if i == n-1 {
-						c = pos
-					}
-					gIdx = gIdx*s.grid[i] + c/s.bb[i]
-					off = off*s.bb[i] + c%s.bb[i]
-				}
-				exts = append(exts, Extent{
-					Block: gIdx,
-					Off:   off * es,
-					Len:   take * es,
-					Dst:   dst,
-				})
-				dst += take * es
-				pos += take
-			}
-			l += t
+	for r := int64(1); ; r++ {
+		q := pos / bbLast
+		g, off, room := w.gHi+q, (w.offHi+pos-q*bbLast)*es, ((q+1)*bbLast-pos)*es
+		for remaining := shape[m-1]; ; {
+			t := min64(rowLen-pos, remaining)
 			remaining -= t
-		}
-		// Advance outer counters (last outer dimension fastest).
-		for i := m - 2; i >= 0; i-- {
-			outer[i]++
-			if outer[i] < shape[i] {
+			pos += t
+			for t *= es; t > 0; {
+				take := min64(room, t)
+				if emit {
+					exts = append(exts, Extent{Block: g, Off: off, Len: take, Dst: dst})
+				}
+				count++
+				dst += take
+				t -= take
+				// The next extent of the stretch starts block g+1.
+				if room -= take; room == 0 {
+					g, off, room = g+1, off+take-rowBytes, rowBytes
+				} else {
+					off += take
+				}
+			}
+			if remaining == 0 {
 				break
 			}
-			outer[i] = 0
+			// The run continues on the next storage row.
+			w.carry(w.steps[(m-1)*n:], 1)
+			pos, g, off, room = 0, w.gHi, w.offHi*es, rowBytes
 		}
+		if r == runs {
+			return exts, count
+		}
+		// Advance the outer counter (last outer dimension fastest) and step
+		// to the run it names.
+		lv := m - 2
+		for ; ; lv-- {
+			if w.outer[lv]++; w.outer[lv] < shape[lv] {
+				break
+			}
+			w.outer[lv] = 0
+		}
+		d := w.steps[lv*n : (lv+1)*n]
+		var up int64
+		if pos += d[n-1]; pos >= rowLen {
+			pos, up = pos-rowLen, 1
+		}
+		w.carry(d, up)
 	}
-	return exts, runs
 }
 
 // BlockGridIndex returns the row-major grid index of grid coordinate g.

@@ -378,3 +378,299 @@ func TestPropertyRandomRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// refExtents is the extent walk as it was before the odometer — every extent's
+// storage coordinate re-derived from its linear index by division — kept as
+// the oracle the walk is held to, element for element.
+func refExtents(v *View, coord, sub, shape []int64, elems int64) []Extent {
+	s := v.space
+	es := int64(s.elemSize)
+	m, n := len(v.dims), len(s.dims)
+	outer, cur, sc := make([]int64, m), make([]int64, m), make([]int64, n)
+	var exts []Extent
+	runLen := shape[m-1]
+	var dst int64
+	for r := int64(0); r < elems/runLen; r++ {
+		for i := 0; i < m; i++ {
+			cur[i] = coord[i]*sub[i] + outer[i]
+		}
+		l := rank(cur, v.dims)
+		for remaining := runLen; remaining > 0; {
+			unrank(l, s.dims, sc)
+			t := min64(s.dims[n-1]-sc[n-1], remaining)
+			for pos, end := sc[n-1], sc[n-1]+t; pos < end; {
+				take := min64(s.bb[n-1]-pos%s.bb[n-1], end-pos)
+				var gIdx, off int64
+				for i := 0; i < n; i++ {
+					c := sc[i]
+					if i == n-1 {
+						c = pos
+					}
+					gIdx = gIdx*s.grid[i] + c/s.bb[i]
+					off = off*s.bb[i] + c%s.bb[i]
+				}
+				exts = append(exts, Extent{Block: gIdx, Off: off * es, Len: take * es, Dst: dst})
+				dst += take * es
+				pos += take
+			}
+			l += t
+			remaining -= t
+		}
+		for i := m - 2; i >= 0; i-- {
+			if outer[i]++; outer[i] < shape[i] {
+				break
+			}
+			outer[i] = 0
+		}
+	}
+	return exts
+}
+
+// checkWalk holds Extents and ExtentCount to the reference on one partition.
+func checkWalk(t testing.TB, v *View, coord, sub []int64) {
+	t.Helper()
+	shape, elems, err := v.PartitionShape(coord, sub)
+	if err != nil {
+		t.Fatalf("view %v coord %v sub %v: %v", v.dims, coord, sub, err)
+	}
+	want := refExtents(v, coord, sub, shape, elems)
+	got, err := v.Extents(coord, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, counted, err := v.ExtentCount(coord, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted != elems {
+		t.Fatalf("ExtentCount covers %d elements, partition has %d", counted, elems)
+	}
+	if len(got) != len(want) || n != len(want) {
+		t.Fatalf("space %v bb %v view %v coord %v sub %v: %d extents, count %d, reference %d",
+			v.space.dims, v.space.bb, v.dims, coord, sub, len(got), n, len(want))
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("Extents allocated %d entries for %d", cap(got), len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("space %v bb %v view %v coord %v sub %v: extent %d is %+v, reference %+v",
+				v.space.dims, v.space.bb, v.dims, coord, sub, i, got[i], want[i])
+		}
+	}
+}
+
+// walkSpace creates a phantom space with the given block order (0: default).
+func walkSpace(t testing.TB, order, elem int, dims ...int64) *Space {
+	t.Helper()
+	dev, err := nvm.NewDevice(smallGeo(), nvm.TLCTiming(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.BBOrder = order
+	st, err := New(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := st.CreateSpace(elem, dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// walkCase is one view of one space; every partition of the listed
+// sub-dimensionalities is checked, so clamped edge partitions are too.
+type walkCase struct {
+	order, elem int
+	dims, view  []int64
+	subs        [][]int64
+}
+
+var walkCases = []walkCase{
+	// 1-D space: blocks along the only dimension.
+	{0, 4, []int64{5000}, []int64{5000}, [][]int64{{5000}, {997}, {512}, {1}}},
+	{0, 8, []int64{5000}, []int64{50, 100}, [][]int64{{7, 33}, {50, 100}, {1, 100}, {50, 1}}},
+	// 2-D, dimensions not multiples of the 32x32 block.
+	{0, 4, []int64{96, 80}, []int64{96, 80}, [][]int64{{96, 80}, {32, 32}, {40, 48}, {96, 16}, {16, 80}, {1, 80}, {96, 1}, {5, 7}}},
+	{1, 4, []int64{96, 80}, []int64{96, 80}, [][]int64{{96, 80}, {40, 48}, {96, 16}}},
+	// Reshaped views of it: rank lower and higher, rows that wrap storage rows.
+	{0, 4, []int64{96, 80}, []int64{7680}, [][]int64{{7680}, {997}, {80}, {81}}},
+	{0, 4, []int64{96, 80}, []int64{40, 192}, [][]int64{{13, 57}, {40, 192}, {1, 192}, {40, 1}, {3, 161}}},
+	{0, 4, []int64{96, 80}, []int64{4, 24, 80}, [][]int64{{2, 5, 33}, {4, 24, 80}, {1, 24, 1}}},
+	{0, 4, []int64{96, 80}, []int64{3, 2, 16, 80}, [][]int64{{2, 2, 5, 33}, {3, 1, 16, 7}}},
+	{0, 4, []int64{96, 80}, []int64{192, 40}, [][]int64{{100, 17}, {192, 40}, {5, 40}}},
+	// 3-D space under block orders 1 to 3.
+	{1, 4, []int64{10, 40, 72}, []int64{10, 40, 72}, [][]int64{{10, 40, 72}, {3, 17, 25}, {1, 40, 8}, {10, 1, 72}}},
+	{2, 4, []int64{10, 40, 72}, []int64{10, 40, 72}, [][]int64{{10, 40, 72}, {3, 17, 25}, {1, 40, 8}, {10, 1, 72}}},
+	{3, 4, []int64{20, 40, 72}, []int64{20, 40, 72}, [][]int64{{20, 40, 72}, {3, 17, 25}, {7, 40, 8}, {20, 1, 72}}},
+	{3, 2, []int64{20, 40, 72}, []int64{800, 72}, [][]int64{{33, 50}, {800, 9}}},
+	{2, 4, []int64{10, 40, 72}, []int64{28800}, [][]int64{{1111}, {72}, {2881}}},
+	{2, 4, []int64{10, 40, 72}, []int64{5, 2, 40, 72}, [][]int64{{2, 2, 7, 70}, {5, 1, 40, 3}}},
+	// 4-D space: the dimensions above the block order have bb = 1.
+	{2, 4, []int64{3, 4, 40, 36}, []int64{3, 4, 40, 36}, [][]int64{{3, 4, 40, 36}, {2, 3, 17, 25}, {1, 4, 1, 36}, {3, 1, 40, 5}}},
+	{3, 4, []int64{3, 4, 40, 36}, []int64{12, 1440}, [][]int64{{5, 700}, {12, 37}}},
+	{1, 4, []int64{3, 4, 40, 36}, []int64{3, 4, 40, 36}, [][]int64{{2, 3, 17, 25}}},
+}
+
+// forEachPartition calls f with every partition coordinate of view dims under
+// sub.
+func forEachPartition(dims, sub []int64, f func(coord []int64)) {
+	coord := make([]int64, len(dims))
+	for {
+		f(coord)
+		i := len(dims) - 1
+		for ; i >= 0; i-- {
+			if coord[i]++; coord[i]*sub[i] < dims[i] {
+				break
+			}
+			coord[i] = 0
+		}
+		if i < 0 {
+			return
+		}
+	}
+}
+
+// TestWalkMatchesReference: the odometer emits the list the dividing walk
+// emitted — same blocks, offsets, lengths and destinations in the same order,
+// nothing merged — for every partition of every case.
+func TestWalkMatchesReference(t *testing.T) {
+	for _, c := range walkCases {
+		v := mustView(t, walkSpace(t, c.order, c.elem, c.dims...), c.view...)
+		for _, sub := range c.subs {
+			forEachPartition(c.view, sub, func(coord []int64) { checkWalk(t, v, coord, sub) })
+		}
+	}
+}
+
+// FuzzExtents draws a space, a factorisation of its volume as the view, and a
+// partition from the fuzzer and holds the walk to the reference.
+func FuzzExtents(f *testing.F) {
+	for _, c := range walkCases {
+		var d, vw, sb [4]uint16
+		for i := range c.dims {
+			d[i] = uint16(c.dims[i])
+		}
+		if len(c.view) > 4 || prod(c.view) != prod(c.dims) {
+			continue
+		}
+		for _, sub := range c.subs {
+			for i := range c.view {
+				vw[i], sb[i] = uint16(c.view[i]), uint16(sub[i])
+			}
+			f.Add(uint8(c.order), uint8(len(c.dims)), d[0], d[1], d[2], d[3],
+				uint8(len(c.view)), vw[0], vw[1], vw[2], sb[0], sb[1], sb[2], sb[3], uint32(1))
+		}
+	}
+	f.Fuzz(func(t *testing.T, order, n uint8, d0, d1, d2, d3 uint16,
+		m uint8, v0, v1, v2, s0, s1, s2, s3 uint16, at uint32) {
+		n, m = n%4+1, m%4+1
+		dims := []int64{int64(d0%96) + 1, int64(d1%96) + 1, int64(d2%96) + 1, int64(d3%96) + 1}[4-int(n):]
+		// The view takes what divides the remaining volume from each wish and
+		// leaves the rest to its last dimension.
+		view := make([]int64, m)
+		rest := prod(dims)
+		for i, w := range []uint16{v0, v1, v2}[:m-1] {
+			view[i] = 1
+			for k := int64(w)%rest + 1; k >= 1; k-- {
+				if rest%k == 0 {
+					view[i] = k
+					break
+				}
+			}
+			rest /= view[i]
+		}
+		view[m-1] = rest
+		sub, coord := make([]int64, m), make([]int64, m)
+		pick := int64(at)
+		for i, w := range []uint16{s0, s1, s2, s3}[:m] {
+			sub[i] = int64(w)%view[i] + 1
+			parts := ceilDiv(view[i], sub[i])
+			coord[i] = pick % parts
+			pick /= parts
+		}
+		s := walkSpace(t, int(order%4), 4, dims...)
+		v, err := NewView(s, view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWalk(t, v, coord, sub)
+	})
+}
+
+// benchWalk times the pooled walk (requestScratch.translate) of one partition
+// shape of an 8192x8192 space of doubles in 256x256 blocks, per extent.
+func benchWalk(b *testing.B, coord, sub []int64) {
+	geo := nvm.Geometry{Channels: 32, Banks: 8, BlocksPerBank: 64, PagesPerBlock: 256, PageSize: 4096}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.BBMultiplier = 2
+	st, err := New(dev, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := st.CreateSpace(8, []int64{8192, 8192})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if s.bb[0] != 256 || s.bb[1] != 256 {
+		b.Fatalf("blocks are %v, want 256x256", s.bb)
+	}
+	v, err := NewView(s, []int64{8192, 8192})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs := st.getScratch(s)
+	defer st.putScratch(rs)
+	exts, _, err := rs.translate(v, coord, sub)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs.translate(v, coord, sub)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(exts)), "ns/extent")
+}
+
+func BenchmarkWalkRow(b *testing.B)  { benchWalk(b, []int64{1, 0}, []int64{512, 8192}) }
+func BenchmarkWalkCol(b *testing.B)  { benchWalk(b, []int64{0, 1}, []int64{8192, 512}) }
+func BenchmarkWalkTile(b *testing.B) { benchWalk(b, []int64{1, 1}, []int64{1024, 1024}) }
+
+// TestPageRangesOddPageSize holds the batched plans' page-range code — one
+// division finds an extent's first page, additions the rest — to the scalar
+// loops, which divide for both ends, on a page size that is not a power of
+// two and does not divide the building block: bytes, statistics and
+// completion times over row, column, tile and sub-page requests.
+func TestPageRangesOddPageSize(t *testing.T) {
+	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 48, PagesPerBlock: 16, PageSize: 360}
+	p := &diffPair{}
+	for _, scalarPath := range []bool{true, false} {
+		dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.ScalarPath = scalarPath
+		st, err := New(dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := mustSpace(t, st, 4, 128, 128)
+		if sp.bbBytes%int64(geo.PageSize) == 0 {
+			t.Fatalf("a %d-byte block is whole pages of %d: no extent would straddle the odd tail", sp.bbBytes, geo.PageSize)
+		}
+		if scalarPath {
+			p.scalar, p.vs = st, mustView(t, sp, 128, 128)
+		} else {
+			p.batched, p.vb = st, mustView(t, sp, 128, 128)
+		}
+	}
+	mixedWorkload(t, p, 4)
+}

@@ -242,11 +242,9 @@ func (s *System) NDSReadSegments(at sim.Time, v *stl.View, coord, sub []int64, f
 // synchronously (matching Figure 9(d)'s methodology).
 func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []byte) (OpStats, error) {
 	var stats OpStats
-	exts, err := v.Extents(coord, sub)
-	if err != nil {
-		return stats, err
-	}
-	_, elems, err := v.PartitionShape(coord, sub)
+	// The scatter and the disassembly are sized by the extent count alone;
+	// the list is WritePartition's to build.
+	extents, elems, err := v.ExtentCount(coord, sub)
 	if err != nil {
 		return stats, err
 	}
@@ -258,7 +256,7 @@ func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []b
 		_, trEnd := s.Host.Translate(subEnd)
 		// Host breaks the object into building-block pieces (the strided
 		// scatter §7.1 blames for the 30% write loss)...
-		_, scEnd := s.Host.Scatter(trEnd, bytes, len(exts))
+		_, scEnd := s.Host.Scatter(trEnd, bytes, extents)
 		// ...then raw pages cross the link before programming starts.
 		_, linkEnd := s.Link.Transfer(scEnd, bytes)
 		devDone, st, err := s.STL.WritePartition(linkEnd, v, coord, sub, data)
@@ -286,7 +284,7 @@ func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []b
 		// the controller's firmware-driven disassembly is the write-path
 		// bottleneck behind the 17% loss of §7.1.
 		_, linkEnd := s.Link.Transfer(subEnd, bytes)
-		_, disEnd := s.Ctrl.Disassemble(sim.Max(trEnd, linkEnd), bytes, len(exts))
+		_, disEnd := s.Ctrl.Disassemble(sim.Max(trEnd, linkEnd), bytes, extents)
 		devDone, st, err := s.STL.WritePartition(disEnd, v, coord, sub, data)
 		if err != nil {
 			return stats, err

@@ -20,6 +20,12 @@ import (
 // Exec is safe for concurrent use: commands from multiple submission queues
 // are translated and scheduled concurrently, exactly like the typed API (see
 // the package comment's Concurrency section).
+//
+// Buffer contract: Exec does not retain payload or data after it returns —
+// the coordinate page is decoded by value and write data is copied (staged,
+// transformed or programmed) before the command completes — so the caller
+// may overwrite or recycle both at once. The network server's pooled request
+// frames depend on this.
 func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte, proto.Completion, Stats, error) {
 	cmd, err := proto.Unmarshal(raw)
 	if err != nil {
@@ -86,18 +92,19 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 		return nil, proto.Completion{Status: proto.StatusOK}, Stats{}, nil
 
 	case proto.OpRead, proto.OpWrite:
-		view, pl, status := d.coordCommand(cmd, payload)
+		var pl proto.Coords
+		view, status := d.coordCommand(cmd, payload, &pl)
 		if status != proto.StatusOK {
 			return nil, proto.Completion{Status: status}, Stats{}, nil
 		}
 		if cmd.Opcode() == proto.OpRead {
-			out, st, err := view.Read(pl.Coord, pl.Sub)
+			out, st, err := view.Read(pl.Coord(), pl.Sub())
 			if err != nil {
 				return nil, completionFor(err), Stats{}, nil
 			}
 			return out, proto.Completion{Status: proto.StatusOK, Result0: uint64(st.Bytes)}, st, nil
 		}
-		st, err := view.Write(pl.Coord, pl.Sub, data)
+		st, err := view.Write(pl.Coord(), pl.Sub(), data)
 		if err != nil {
 			return nil, completionFor(err), Stats{}, nil
 		}
@@ -259,6 +266,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 // in the error return (with an internal-status completion), letting the
 // caller tell its own gather failures apart from device statuses. Entries
 // with any opcode other than nds_read complete with StatusUnsupportedOp.
+// Like Exec, ExecRead does not retain payload after it returns.
 func (d *Device) ExecRead(raw [proto.CommandSize]byte, payload []byte, fn func(want int64, segs []Segment) error) (proto.Completion, Stats, error) {
 	cmd, err := proto.Unmarshal(raw)
 	if err != nil {
@@ -270,11 +278,12 @@ func (d *Device) ExecRead(raw [proto.CommandSize]byte, payload []byte, fn func(w
 	if cmd.Opcode() != proto.OpRead {
 		return proto.Completion{Status: proto.StatusUnsupportedOp}, Stats{}, nil
 	}
-	view, pl, status := d.coordCommand(cmd, payload)
+	var pl proto.Coords
+	view, status := d.coordCommand(cmd, payload, &pl)
 	if status != proto.StatusOK {
 		return proto.Completion{Status: status}, Stats{}, nil
 	}
-	st, err := view.ReadSegments(pl.Coord, pl.Sub, fn)
+	st, err := view.ReadSegments(pl.Coord(), pl.Sub(), fn)
 	if err != nil {
 		return completionFor(err), Stats{}, err
 	}
@@ -283,18 +292,18 @@ func (d *Device) ExecRead(raw [proto.CommandSize]byte, payload []byte, fn func(w
 
 // coordCommand is the decode-and-lookup of a command addressed by partition
 // coordinates (nds_read through Exec or ExecRead, nds_write): the view the
-// entry targets and its decoded coordinate page, or the status that rejects
-// the entry — an unknown view before a malformed page.
-func (d *Device) coordCommand(cmd proto.Command, payload []byte) (*Space, proto.CoordPayload, proto.Status) {
+// entry targets, with its coordinate page decoded into the caller's pl, or
+// the status that rejects the entry — an unknown view before a malformed
+// page.
+func (d *Device) coordCommand(cmd proto.Command, payload []byte, pl *proto.Coords) (*Space, proto.Status) {
 	view, ok := d.lookupView(cmd.Target())
 	if !ok {
-		return nil, proto.CoordPayload{}, proto.StatusUnknownView
+		return nil, proto.StatusUnknownView
 	}
-	pl, err := proto.UnmarshalCoordPayload(payload)
-	if err != nil {
-		return nil, proto.CoordPayload{}, proto.StatusInvalidField
+	if pl.Unmarshal(payload) != nil {
+		return nil, proto.StatusInvalidField
 	}
-	return view, pl, proto.StatusOK
+	return view, proto.StatusOK
 }
 
 // execCreateSpace handles open_space with the create flag: create, then open

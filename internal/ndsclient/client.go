@@ -52,6 +52,17 @@ type Client struct {
 	closed  bool
 }
 
+// callPool recycles the completion slot of a round trip: the channel the
+// reader delivers the response on, or closes when the connection fails. A
+// slot whose response arrived goes back to the pool; one that was closed, or
+// whose outcome is unknown, is left to the collector.
+var callPool = sync.Pool{New: func() any { return make(chan proto.Response, 1) }}
+
+// pagePool recycles the 4 KB page a coordinate-addressed command sends: the
+// page is dead once the request is framed, so the next command clears and
+// reuses it instead of allocating a zeroed one.
+var pagePool = sync.Pool{New: func() any { return new([proto.PageSize]byte) }}
+
 // Dial connects to an ndsd server. addr accepts "unix:/path/to/sock",
 // "tcp:host:port", or a bare "host:port" (TCP).
 func Dial(addr string) (*Client, error) {
@@ -141,7 +152,7 @@ func (c *Client) Do(cmd [proto.CommandSize]byte, payload, data []byte) (proto.Re
 	}
 	c.seq++
 	seq := c.seq
-	ch := make(chan proto.Response, 1)
+	ch := callPool.Get().(chan proto.Response)
 	c.pending[seq] = ch
 	c.mu.Unlock()
 
@@ -168,6 +179,7 @@ func (c *Client) Do(cmd [proto.CommandSize]byte, payload, data []byte) (proto.Re
 		}
 		return proto.Response{}, err
 	}
+	callPool.Put(ch)
 	return resp, nil
 }
 
@@ -212,13 +224,22 @@ func (c *Client) OpenView(space uint32, elemSize int, dims []int64) (uint32, err
 	return uint32(resp.Cpl.Result1), nil
 }
 
-// Read fetches the partition at coord/sub through an open view.
-func (c *Client) Read(view uint32, coord, sub []int64) ([]byte, error) {
-	page, err := proto.CoordPayload{Coord: coord, Sub: sub}.Marshal()
-	if err != nil {
-		return nil, err
+// paged runs one command whose payload is a 4 KB page: marshal encodes it
+// into a pooled page, which goes back to the pool once the round trip is
+// over (Do has framed it by then).
+func (c *Client) paged(op string, cmd proto.Command, marshal func(page []byte) error, data []byte) (proto.Response, error) {
+	page := pagePool.Get().(*[proto.PageSize]byte)
+	defer pagePool.Put(page)
+	if err := marshal(page[:]); err != nil {
+		return proto.Response{}, err
 	}
-	resp, err := c.do("nds_read", proto.NewRead(view, 0).Marshal(), page, nil)
+	return c.do(op, cmd.Marshal(), page[:], data)
+}
+
+// Read fetches the partition at coord/sub through an open view. The returned
+// slice is the caller's to keep.
+func (c *Client) Read(view uint32, coord, sub []int64) ([]byte, error) {
+	resp, err := c.paged("nds_read", proto.NewRead(view, 0), proto.CoordPayload{Coord: coord, Sub: sub}.MarshalInto, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,11 +248,7 @@ func (c *Client) Read(view uint32, coord, sub []int64) ([]byte, error) {
 
 // Write stores data at the partition coord/sub through an open view.
 func (c *Client) Write(view uint32, coord, sub []int64, data []byte) error {
-	page, err := proto.CoordPayload{Coord: coord, Sub: sub}.Marshal()
-	if err != nil {
-		return err
-	}
-	_, err = c.do("nds_write", proto.NewWrite(view, 0).Marshal(), page, data)
+	_, err := c.paged("nds_write", proto.NewWrite(view, 0), proto.CoordPayload{Coord: coord, Sub: sub}.MarshalInto, data)
 	return err
 }
 
@@ -242,11 +259,8 @@ func (c *Client) Write(view uint32, coord, sub []int64, data []byte) error {
 // max 0 fills the page. A server running with pushdown disabled answers
 // StatusUnsupportedOp.
 func (c *Client) Scan(view uint32, coord, sub []int64, lo, hi uint64, cursor int64, max uint32) (proto.ScanResultPayload, error) {
-	page, err := proto.ScanPayload{Coord: coord, Sub: sub, Lo: lo, Hi: hi, Cursor: cursor, Max: max}.Marshal()
-	if err != nil {
-		return proto.ScanResultPayload{}, err
-	}
-	resp, err := c.do("pushdown_scan", proto.NewScan(view, 0).Marshal(), page, nil)
+	pl := proto.ScanPayload{Coord: coord, Sub: sub, Lo: lo, Hi: hi, Cursor: cursor, Max: max}
+	resp, err := c.paged("pushdown_scan", proto.NewScan(view, 0), pl.MarshalInto, nil)
 	if err != nil {
 		return proto.ScanResultPayload{}, err
 	}
@@ -264,11 +278,7 @@ func (c *Client) Reduce(view uint32, coord, sub []int64, op uint8, k uint32, pre
 	if pred != nil {
 		pl.HasPred, pl.Lo, pl.Hi = true, pred[0], pred[1]
 	}
-	page, err := pl.Marshal()
-	if err != nil {
-		return proto.ReduceResultPayload{}, err
-	}
-	resp, err := c.do("pushdown_reduce", proto.NewReduce(view, 0).Marshal(), page, nil)
+	resp, err := c.paged("pushdown_reduce", proto.NewReduce(view, 0), pl.MarshalInto, nil)
 	if err != nil {
 		return proto.ReduceResultPayload{}, err
 	}

@@ -61,7 +61,8 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing requests per connection.
 	MaxInFlight int
 	// MaxFrameBytes bounds one request frame (a larger length prefix drops
-	// the connection — a length-prefixed stream cannot resynchronize).
+	// the connection — a length-prefixed stream cannot resynchronize). It is
+	// the request bound only; responses are bound by maxResponseData.
 	MaxFrameBytes uint32
 	// ReadTimeout is the longest a connection may sit idle between request
 	// frames. Negative disables the deadline.
@@ -77,6 +78,11 @@ type Config struct {
 	// malformed frames, timeouts). Printf-shaped.
 	Logf func(format string, args ...any)
 }
+
+// maxResponseData bounds one response's payload, whatever MaxFrameBytes says
+// about requests: it is what proto.WriteResponse will frame and what a client
+// reading with the default limit will accept.
+const maxResponseData = proto.DefaultMaxFrame
 
 func (c Config) withDefaults() Config {
 	if c.MaxConns == 0 {
@@ -254,19 +260,26 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// conn is one served connection: a reader that unframes and admits
-// requests, bounded executor goroutines, and a writer that frames
-// completions back. Request execution is concurrent, so responses interleave
-// in completion order; the sequence number carries the correlation.
+// conn is one served connection: a reader that unframes requests into pooled
+// buffers and admits them, and up to MaxInFlight warm workers, each of which
+// executes a request, writes its response under the write mutex, returns the
+// buffer and parks for the next — so a request runs on a stack that is
+// already grown and wakes one goroutine, not three. Request execution is
+// concurrent, so responses interleave in completion order; the sequence
+// number carries the correlation.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
-	bw  *bufio.Writer
 
-	inflight chan struct{} // executor admission semaphore
-	respCh   chan outMsg   // executors -> writer
-	wfailed  atomic.Bool   // writer hit an error; discard further responses
+	inflight chan struct{} // admission semaphore: requests executing
+	work     chan job      // reader -> a parked worker; closed when the reader ends
+	workers  sync.WaitGroup
+
+	wmu     sync.Mutex // serializes response frames on bw and nc
+	bw      *bufio.Writer
+	wqueued atomic.Int32 // responders waiting for wmu or holding it
+	wfailed atomic.Bool  // a write failed; discard further responses
 
 	draining atomic.Bool
 	drainMu  sync.Mutex
@@ -276,6 +289,13 @@ type conn struct {
 	views  map[uint32]struct{} // views this connection opened, for cleanup
 }
 
+// job is one admitted request and the pooled buffer its Payload and Data
+// alias. The buffer is on lease to the worker until handle returns.
+type job struct {
+	req  proto.Request
+	body *frameBuf
+}
+
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
 		srv:      s,
@@ -283,7 +303,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		br:       bufio.NewReaderSize(nc, 64<<10),
 		bw:       bufio.NewWriterSize(nc, 64<<10),
 		inflight: make(chan struct{}, s.cfg.MaxInFlight),
-		respCh:   make(chan outMsg, s.cfg.MaxInFlight),
+		work:     make(chan job),
 		views:    make(map[uint32]struct{}),
 	}
 }
@@ -303,22 +323,16 @@ func (c *conn) beginDrain() {
 
 func (c *conn) serve() {
 	defer c.srv.connDone(c)
-	var execWG sync.WaitGroup
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writeLoop()
-	}()
-	c.readLoop(&execWG)
-	execWG.Wait()   // every admitted request has queued its response
-	close(c.respCh) // writer flushes the tail and exits
-	<-writerDone
+	c.readLoop()
+	close(c.work)    // parked workers exit; busy ones finish first
+	c.workers.Wait() // every admitted request has written its response
 	c.closeViews()
 	c.nc.Close()
 }
 
 // readLoop admits request frames until EOF, error, timeout, or drain.
-func (c *conn) readLoop(execWG *sync.WaitGroup) {
+func (c *conn) readLoop() {
+	started := 0 // workers started; never more than MaxInFlight
 	for {
 		if to := c.srv.cfg.ReadTimeout; to > 0 && !c.draining.Load() {
 			c.nc.SetReadDeadline(time.Now().Add(to))
@@ -332,8 +346,11 @@ func (c *conn) readLoop(execWG *sync.WaitGroup) {
 			c.drainMu.Unlock()
 			c.nc.SetReadDeadline(at)
 		}
-		req, err := proto.ReadRequest(c.br, c.srv.cfg.MaxFrameBytes)
+		j := job{body: bodyPool.Get().(*frameBuf)}
+		var err error
+		j.req, j.body.b, err = proto.ReadRequestInto(c.br, c.srv.cfg.MaxFrameBytes, j.body.b)
 		if err != nil {
+			j.body.release(&bodyPool)
 			var ne net.Error
 			switch {
 			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed):
@@ -351,26 +368,38 @@ func (c *conn) readLoop(execWG *sync.WaitGroup) {
 			return
 		}
 		c.inflight <- struct{}{} // backpressure: cap concurrent execution
-		execWG.Add(1)
-		go func(req proto.Request) {
-			defer execWG.Done()
-			defer func() { <-c.inflight }()
-			c.handle(req)
-		}(req)
+		select {
+		case c.work <- j: // a parked worker takes it, stack already grown
+		default:
+			if started < cap(c.inflight) {
+				started++
+				c.workers.Add(1)
+				go c.worker(j)
+			} else {
+				// Every worker exists and none is parked yet, but this
+				// request holds a slot, so one of them is past its release
+				// and about to park.
+				c.work <- j
+			}
+		}
 	}
 }
 
-// outMsg is one queued response: either a structured Response for
-// proto.WriteResponse, or — when frame is non-nil — a pre-encoded frame
-// (header plus gathered payload) written to the stream verbatim. Frames are
-// pooled; the writer releases them after the write, including on the
-// post-failure discard path.
-type outMsg struct {
-	resp  proto.Response
-	frame []byte
+// worker executes the request it was started for, then every request the
+// reader hands it, until the reader closes the hand-off channel. Between
+// requests it is parked on that channel with its stack as deep as the last
+// request left it, so the next one does not pay to grow it again (the
+// collector halves a parked stack once a cycle; see DESIGN.md).
+func (c *conn) worker(j job) {
+	defer c.workers.Done()
+	for ok := true; ok; j, ok = <-c.work {
+		c.handle(j.req)
+		j.body.release(&bodyPool) // the lease on req.Payload and req.Data ends
+		<-c.inflight
+	}
 }
 
-// handle executes one request against the device and queues its response.
+// handle executes one request against the device and writes its response.
 // nds_read on a data-bearing device takes the zero-copy path: the response
 // frame is encoded straight from the device's segment lease, so the payload
 // is copied once (device storage -> frame) instead of assembled into a
@@ -385,42 +414,43 @@ func (c *conn) handle(req proto.Request) {
 	}
 	data, cpl, _, _ := c.srv.dev.Exec(req.Cmd, req.Payload, req.Data)
 	c.trackViews(req.Cmd, cpl)
-	c.respCh <- outMsg{resp: proto.Response{Seq: req.Seq, Cpl: cpl, Data: data}}
+	c.respond(proto.Response{Seq: req.Seq, Cpl: cpl, Data: data}, nil)
 }
 
 // handleRead executes one nds_read through Device.ExecRead, gathering the
-// segment lease into a pooled pre-encoded response frame.
+// segment lease into a pooled pre-encoded response frame. The lease ends
+// when ExecRead returns, before respond: no device lock is ever held across
+// a socket write.
 func (c *conn) handleRead(req proto.Request) {
-	var frame []byte
+	var frame *frameBuf
 	oversize := false
 	cpl, _, err := c.srv.dev.ExecRead(req.Cmd, req.Payload, func(want int64, segs []nds.Segment) error {
-		if want > int64(proto.DefaultMaxFrame) {
+		if want > maxResponseData {
 			// The assembled path would hit this at WriteResponse; failing the
 			// gather keeps the outcome (connection teardown) identical without
 			// staging an unsendable payload.
 			oversize = true
 			return proto.ErrFrameTooLarge
 		}
-		frame = getFrame(proto.ResponseHeaderLen + int(want))
+		frame = framePool.Get().(*frameBuf)
 		// The pooled frame holds a previous response's bytes; Gather
 		// overwrites every one of them.
-		stl.Gather(frame[proto.ResponseHeaderLen:], segs)
+		stl.Gather(frame.sized(proto.ResponseHeaderLen + int(want))[proto.ResponseHeaderLen:], segs)
 		return nil
 	})
 	if oversize {
-		putFrame(frame)
 		c.failWrite(proto.ErrFrameTooLarge)
 		return
 	}
 	if err != nil || cpl.Status != proto.StatusOK || frame == nil {
 		// Command-level failure: fn never ran (or its work is abandoned), and
 		// the completion status carries the story like any other response.
-		putFrame(frame)
-		c.respCh <- outMsg{resp: proto.Response{Seq: req.Seq, Cpl: cpl}}
+		frame.release(&framePool)
+		c.respond(proto.Response{Seq: req.Seq, Cpl: cpl}, nil)
 		return
 	}
-	proto.PutResponseHeader(frame, req.Seq, cpl, len(frame)-proto.ResponseHeaderLen)
-	c.respCh <- outMsg{frame: frame}
+	proto.PutResponseHeader(frame.b, req.Seq, cpl, len(frame.b)-proto.ResponseHeaderLen)
+	c.respond(proto.Response{}, frame)
 }
 
 // trackViews keeps the set of views this connection opened, so conn teardown
@@ -430,16 +460,18 @@ func (c *conn) trackViews(raw [proto.CommandSize]byte, cpl proto.Completion) {
 	if cpl.Status != proto.StatusOK {
 		return
 	}
-	cmd, err := proto.Unmarshal(raw)
-	if err != nil {
-		return
-	}
-	switch cmd.Opcode() {
+	// Route on the opcode byte: every nds_write comes through here, and only
+	// an open or a close is worth decoding.
+	switch proto.Opcode(raw[0]) {
 	case proto.OpOpenSpace:
 		c.viewMu.Lock()
 		c.views[uint32(cpl.Result1)] = struct{}{}
 		c.viewMu.Unlock()
 	case proto.OpCloseSpace:
+		cmd, err := proto.Unmarshal(raw)
+		if err != nil {
+			return
+		}
 		c.viewMu.Lock()
 		delete(c.views, cmd.Target())
 		c.viewMu.Unlock()
@@ -463,64 +495,93 @@ func (c *conn) closeViews() {
 	}
 }
 
-// writeLoop frames responses back in completion order. After a write error
-// the connection is unrecoverable: remaining responses are drained and
-// discarded so executors never block on a dead socket.
-func (c *conn) writeLoop() {
-	for m := range c.respCh {
-		if c.wfailed.Load() {
-			putFrame(m.frame)
-			continue
-		}
-		if to := c.srv.cfg.WriteTimeout; to > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(to))
-		}
-		var err error
-		if m.frame != nil {
-			_, err = c.bw.Write(m.frame)
-			putFrame(m.frame)
-		} else {
-			err = proto.WriteResponse(c.bw, m.resp)
-		}
-		if err != nil {
-			c.failWrite(err)
-			continue
-		}
-		// Flush when no more responses are queued: batches bursts into one
-		// syscall without adding latency to a lone completion.
-		if len(c.respCh) == 0 {
-			if err := c.bw.Flush(); err != nil {
-				c.failWrite(err)
-			}
-		}
-	}
-	if !c.wfailed.Load() {
-		c.bw.Flush()
+// respond writes one completion to the socket, in whatever order workers
+// finish: either a structured Response for proto.WriteResponse, or — when
+// frame is non-nil — a pre-encoded frame (header plus gathered payload)
+// written verbatim and then released, also on the post-failure discard path.
+// After a write error the connection is unrecoverable: further responses are
+// discarded so workers never block on a dead socket.
+//
+// Flushing is batched by wqueued, the count of responders waiting for the
+// mutex or holding it: a responder flushes only when nobody is queued behind
+// it, so a burst of completions leaves in one syscall and a lone completion
+// is not delayed. Whoever brings the count to zero has written after everyone
+// counted before it, so nothing is left in the buffer. A lone frame meeting
+// an empty buffer skips the buffer too: one copy, flash to socket.
+func (c *conn) respond(resp proto.Response, frame *frameBuf) {
+	c.wqueued.Add(1)
+	c.wmu.Lock()
+	err := c.writeLocked(resp, frame)
+	c.wqueued.Add(-1) // before the unlock: the next holder must not count us
+	c.wmu.Unlock()
+	frame.release(&framePool)
+	if err != nil {
+		c.failWrite(err)
 	}
 }
 
-// framePool recycles the zero-copy read path's pre-encoded response frames
-// across requests and connections. Steady-state streaming reads therefore
-// allocate no frame memory per response.
-var framePool sync.Pool
+// writeLocked is respond's turn at the socket; the caller holds wmu and is
+// counted in wqueued.
+func (c *conn) writeLocked(resp proto.Response, frame *frameBuf) error {
+	if c.wfailed.Load() {
+		return nil
+	}
+	if to := c.srv.cfg.WriteTimeout; to > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(to))
+	}
+	var err error
+	switch {
+	case frame == nil:
+		err = proto.WriteResponse(c.bw, resp)
+	case c.wqueued.Load() == 1 && c.bw.Buffered() == 0:
+		_, err = c.nc.Write(frame.b)
+	default:
+		_, err = c.bw.Write(frame.b)
+	}
+	if err == nil && c.wqueued.Load() == 1 {
+		err = c.bw.Flush()
+	}
+	return err
+}
 
-// maxPooledFrame caps what putFrame retains: one giant read must not pin a
-// frame that large in the pool forever.
+// frameBuf is a pooled byte buffer. Pools hold the pointer, so a Put boxes
+// nothing, and a buffer too small for its next use is grown in place rather
+// than dropped, so each pool settles at the sizes its traffic needs and then
+// allocates no frame memory per request or response.
+type frameBuf struct{ b []byte }
+
+// Request bodies (filled by the reader, on lease to a worker) and response
+// frames (filled and written by a worker) are sized by different things — the
+// 4 KB page plus any write data, and the read payload — so each has its own
+// free list instead of outgrowing the other's buffers.
+var (
+	bodyPool  = sync.Pool{New: func() any { return new(frameBuf) }}
+	framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+)
+
+// maxPooledFrame caps what release retains: one giant request or read must
+// not pin a buffer that large in a pool forever.
 const maxPooledFrame = 1 << 20
 
-// getFrame returns a frame buffer of length n (contents unspecified).
-func getFrame(n int) []byte {
-	if b, _ := framePool.Get().([]byte); cap(b) >= n {
-		return b[:n]
+// sized sets the buffer's length to n, growing it when needed; contents are
+// unspecified.
+func (f *frameBuf) sized(n int) []byte {
+	if cap(f.b) < n {
+		f.b = make([]byte, n)
 	}
-	return make([]byte, n)
+	f.b = f.b[:n]
+	return f.b
 }
 
-// putFrame releases a frame buffer. nil is fine; oversized buffers drop.
-func putFrame(b []byte) {
-	if b != nil && cap(b) <= maxPooledFrame {
-		framePool.Put(b[:0]) //nolint:staticcheck // []byte in a Pool is intentional
+// release returns f to the pool it came from. nil is fine.
+func (f *frameBuf) release(pool *sync.Pool) {
+	if f == nil {
+		return
 	}
+	if cap(f.b) > maxPooledFrame {
+		f.b = nil
+	}
+	pool.Put(f)
 }
 
 func (c *conn) failWrite(err error) {

@@ -17,9 +17,15 @@ import (
 
 // startServer boots a device and a server on a unix socket, with cleanup that
 // asserts a clean drain.
-func startServer(t *testing.T, cfg ndsserver.Config) (*nds.Device, *ndsserver.Server, string) {
+func startServer(t testing.TB, cfg ndsserver.Config) (*nds.Device, *ndsserver.Server, string) {
 	t.Helper()
-	dev, err := nds.Open(nds.Options{Mode: nds.ModeHardware, CapacityHint: 16 << 20})
+	return serveDevice(t, nds.Options{Mode: nds.ModeHardware, CapacityHint: 16 << 20}, cfg)
+}
+
+// serveDevice is startServer with caller-chosen device options.
+func serveDevice(t testing.TB, opts nds.Options, cfg ndsserver.Config) (*nds.Device, *ndsserver.Server, string) {
+	t.Helper()
+	dev, err := nds.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +51,7 @@ func startServer(t *testing.T, cfg ndsserver.Config) (*nds.Device, *ndsserver.Se
 	return dev, srv, "unix:" + path
 }
 
-func dial(t *testing.T, addr string) *ndsclient.Client {
+func dial(t testing.TB, addr string) *ndsclient.Client {
 	t.Helper()
 	c, err := ndsclient.Dial(addr)
 	if err != nil {

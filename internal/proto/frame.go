@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -70,43 +71,69 @@ type Response struct {
 	Data []byte
 }
 
-// WriteRequest frames req onto w. It performs one Write call per section,
-// so callers stream through a bufio.Writer and flush at send points.
+// WriteRequest frames req onto w: the fixed header, the payload page, the
+// data length and the data, as four Write calls, so callers stream through a
+// bufio.Writer and flush at send points. The two fixed pieces are encoded in
+// w's own spare buffer space when w is a *bufio.Writer (see spare), so
+// framing a request allocates nothing there.
 func WriteRequest(w io.Writer, req Request) error {
 	if len(req.Payload) > DefaultMaxFrame || len(req.Data) > DefaultMaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4 + reqFixedLen]byte
-	total := reqFixedLen + len(req.Payload) + len(req.Data)
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(total))
-	binary.LittleEndian.PutUint64(hdr[4:], req.Seq)
-	copy(hdr[12:], req.Cmd[:])
-	binary.LittleEndian.PutUint32(hdr[12+CommandSize:], uint32(len(req.Payload)))
-	if _, err := w.Write(hdr[:len(hdr)-4]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(spare(w), uint32(reqFixedLen+len(req.Payload)+len(req.Data)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, req.Seq)
+	hdr = append(hdr, req.Cmd[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(req.Payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := w.Write(req.Payload); err != nil {
 		return err
 	}
-	var dlen [4]byte
-	binary.LittleEndian.PutUint32(dlen[:], uint32(len(req.Data)))
-	if _, err := w.Write(dlen[:]); err != nil {
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(spare(w), uint32(len(req.Data)))); err != nil {
 		return err
 	}
 	_, err := w.Write(req.Data)
 	return err
 }
 
+// spare returns the empty slice a frame's fixed-size pieces are appended to
+// before being written. For a *bufio.Writer it is the writer's own unused
+// buffer space: bytes appended there and passed to Write are already where
+// Write would copy them, and nothing escapes to the heap through the
+// io.Writer interface. Any other writer (or a bufio.Writer too full for the
+// piece) gets a fresh allocation from append, which is what a local array
+// handed to an interface method costs anyway.
+func spare(w io.Writer) []byte {
+	if bw, ok := w.(*bufio.Writer); ok {
+		return bw.AvailableBuffer()
+	}
+	return nil
+}
+
 // ReadRequest parses one request frame from r. maxFrame bounds the length
 // prefix (0 selects DefaultMaxFrame). A clean EOF before the first byte
 // returns io.EOF; EOF inside a frame returns io.ErrUnexpectedEOF.
 func ReadRequest(r io.Reader, maxFrame uint32) (Request, error) {
-	body, err := readFrame(r, maxFrame)
+	req, _, err := ReadRequestInto(r, maxFrame, nil)
+	return req, err
+}
+
+// ReadRequestInto is ReadRequest with the frame body read into buf, which is
+// grown when too small and returned for recycling whatever the outcome. The
+// request's Payload and Data alias the returned buffer: it is on lease to
+// whoever holds the Request, and may be reused for the next frame only once
+// nothing reads the request any more. A server that recycles buffers this
+// way relies on the command executor not retaining them (nds.Device.Exec).
+// buf's old contents never show through: every byte of the body is
+// overwritten by the read, so nothing is zeroed first.
+func ReadRequestInto(r io.Reader, maxFrame uint32, buf []byte) (Request, []byte, error) {
+	body, buf, err := readFrame(r, maxFrame, buf)
 	if err != nil {
-		return Request{}, err
+		return Request{}, buf, err
 	}
 	if len(body) < reqFixedLen {
-		return Request{}, fmt.Errorf("proto: request frame too short (%d B)", len(body))
+		return Request{}, buf, fmt.Errorf("proto: request frame too short (%d B)", len(body))
 	}
 	var req Request
 	req.Seq = binary.LittleEndian.Uint64(body)
@@ -114,16 +141,16 @@ func ReadRequest(r io.Reader, maxFrame uint32) (Request, error) {
 	pos := 8 + CommandSize
 	req.Payload, pos, err = readSection(body, pos, "payload")
 	if err != nil {
-		return Request{}, err
+		return Request{}, buf, err
 	}
 	req.Data, pos, err = readSection(body, pos, "data")
 	if err != nil {
-		return Request{}, err
+		return Request{}, buf, err
 	}
 	if pos != len(body) {
-		return Request{}, fmt.Errorf("proto: request frame has %d trailing bytes", len(body)-pos)
+		return Request{}, buf, fmt.Errorf("proto: request frame has %d trailing bytes", len(body)-pos)
 	}
-	return req, nil
+	return req, buf, nil
 }
 
 // ResponseHeaderLen is the encoded size of a response frame before its data
@@ -146,14 +173,15 @@ func PutResponseHeader(hdr []byte, seq uint64, cpl Completion, dlen int) {
 	binary.LittleEndian.PutUint32(hdr[36:], uint32(dlen))
 }
 
-// WriteResponse frames resp onto w.
+// WriteResponse frames resp onto w, encoding the header the way WriteRequest
+// encodes its own.
 func WriteResponse(w io.Writer, resp Response) error {
 	if len(resp.Data) > DefaultMaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [ResponseHeaderLen]byte
-	PutResponseHeader(hdr[:], resp.Seq, resp.Cpl, len(resp.Data))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := append(spare(w), make([]byte, ResponseHeaderLen)...)
+	PutResponseHeader(hdr, resp.Seq, resp.Cpl, len(resp.Data))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(resp.Data)
@@ -161,12 +189,59 @@ func WriteResponse(w io.Writer, resp Response) error {
 }
 
 // ReadResponse parses one response frame from r, with the same EOF and
-// maxFrame contract as ReadRequest.
+// maxFrame contract as ReadRequest. The returned Data is the caller's to keep
+// and never aliases r's buffer.
+//
+// When r is a *bufio.Reader and the whole frame fits its buffer, the frame is
+// decoded where it lies: the header is parsed in place and Data is the one
+// copy made of the payload — into memory that is not zeroed first — instead
+// of a zeroed frame body the reader's bytes are then copied over. A larger
+// frame (or any other reader) is read straight into an allocated body, which
+// for a bufio.Reader already bypasses its buffer.
 func ReadResponse(r io.Reader, maxFrame uint32) (Response, error) {
-	body, err := readFrame(r, maxFrame)
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		body, _, err := readFrame(r, maxFrame, nil)
+		if err != nil {
+			return Response{}, err
+		}
+		return parseResponse(body, false)
+	}
+	// The length prefix is checked before anything waits on the frame it
+	// announces: a hostile prefix must not make Peek block for bytes that
+	// will never be accepted.
+	lenb, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(lenb) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return Response{}, err
+	}
+	n, err := frameLen(lenb, maxFrame)
 	if err != nil {
 		return Response{}, err
 	}
+	if 4+n > br.Size() {
+		br.Discard(4)
+		body := make([]byte, n)
+		if _, err := io.ReadFull(br, body); err != nil {
+			return Response{}, midFrame(err)
+		}
+		return parseResponse(body, false)
+	}
+	frame, err := br.Peek(4 + n)
+	if err != nil {
+		return Response{}, midFrame(err)
+	}
+	resp, err := parseResponse(frame[4:], true)
+	br.Discard(4 + n)
+	return resp, err
+}
+
+// parseResponse decodes a response frame body. With own set the body is
+// borrowed (a bufio.Reader's window) and Data is copied out of it; otherwise
+// Data aliases body, which the caller allocated for the purpose.
+func parseResponse(body []byte, own bool) (Response, error) {
 	if len(body) < respFixedLen {
 		return Response{}, fmt.Errorf("proto: response frame too short (%d B)", len(body))
 	}
@@ -177,41 +252,63 @@ func ReadResponse(r io.Reader, maxFrame uint32) (Response, error) {
 		Result0: binary.LittleEndian.Uint64(body[16:]),
 		Result1: binary.LittleEndian.Uint64(body[24:]),
 	}
-	var pos int
-	resp.Data, pos, err = readSection(body, respFixedLen-4, "data")
+	data, pos, err := readSection(body, respFixedLen-4, "data")
 	if err != nil {
 		return Response{}, err
 	}
 	if pos != len(body) {
 		return Response{}, fmt.Errorf("proto: response frame has %d trailing bytes", len(body)-pos)
 	}
+	if own && data != nil {
+		data = append([]byte(nil), data...)
+	}
+	resp.Data = data
 	return resp, nil
 }
 
-// readFrame reads a length prefix and the frame body it announces.
-func readFrame(r io.Reader, maxFrame uint32) ([]byte, error) {
+// frameLen decodes a length prefix and checks it against maxFrame (0 selects
+// DefaultMaxFrame).
+func frameLen(lenb []byte, maxFrame uint32) (int, error) {
 	if maxFrame == 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err // io.EOF on a clean frame boundary
-	}
-	n := binary.LittleEndian.Uint32(lenb[:])
+	n := binary.LittleEndian.Uint32(lenb)
 	if n > maxFrame {
-		return nil, fmt.Errorf("%w (%d > %d B)", ErrFrameTooLarge, n, maxFrame)
+		return 0, fmt.Errorf("%w (%d > %d B)", ErrFrameTooLarge, n, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
+	return int(n), nil
+}
+
+// midFrame maps an EOF met after a frame's first byte to what it is there.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	return body, nil
+	return err
+}
+
+// readFrame reads a length prefix and the frame body it announces into buf,
+// growing it when the body does not fit; it returns the body (a prefix of
+// the buffer) and the buffer. The read overwrites exactly the bytes it
+// returns, so a recycled buffer needs no clearing.
+func readFrame(r io.Reader, maxFrame uint32, buf []byte) (body, grown []byte, err error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return nil, buf, err // io.EOF on a clean frame boundary
+	}
+	n, err := frameLen(buf[:4], maxFrame)
+	if err != nil {
+		return nil, buf, err
+	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
+		return nil, buf, midFrame(err)
+	}
+	return buf[:n], buf, nil
 }
 
 // readSection decodes one length-prefixed byte section of a frame body,

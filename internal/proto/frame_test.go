@@ -98,8 +98,8 @@ func TestFrameTruncation(t *testing.T) {
 	}
 }
 
-// FuzzReadRequest: arbitrary bytes must never panic, and anything that
-// parses must re-frame byte-identically.
+// FuzzReadRequest: arbitrary bytes must never panic, every decoder form must
+// agree on them, and anything that parses must re-frame byte-identically.
 func FuzzReadRequest(f *testing.F) {
 	var seedBuf bytes.Buffer
 	page, _ := CoordPayload{Coord: []int64{1}, Sub: []int64{2}}.Marshal()
@@ -108,6 +108,7 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkDecodersAgree(t, "fuzz input", raw, 1<<16)
 		req, err := ReadRequest(bytes.NewReader(raw), 1<<16)
 		if err != nil {
 			return
@@ -134,6 +135,7 @@ func FuzzReadResponse(f *testing.F) {
 	f.Add(seedBuf.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkDecodersAgree(t, "fuzz input", raw, 1<<16)
 		resp, err := ReadResponse(bytes.NewReader(raw), 1<<16)
 		if err != nil {
 			return

@@ -221,54 +221,97 @@ type CoordPayload struct {
 	Sub   []int64
 }
 
-// Marshal encodes the payload into a 4 KB page:
-// uint32 rank, then rank x (uint32 coord, uint32 sub).
+// Marshal encodes the payload into a fresh 4 KB page:
+// uint32 rank, then rank x (uint32 coord, uint32 sub). It is kept small
+// enough to inline, so a caller whose page does not escape — one that hands
+// it straight to Device.Exec — gets it on its stack, not as 4 KB of garbage
+// a command.
 func (p CoordPayload) Marshal() ([]byte, error) {
-	if len(p.Coord) != len(p.Sub) {
-		return nil, fmt.Errorf("proto: coord rank %d != sub rank %d", len(p.Coord), len(p.Sub))
-	}
-	if len(p.Coord) == 0 || len(p.Coord) > MaxDims {
-		return nil, fmt.Errorf("proto: rank %d out of range [1,%d]", len(p.Coord), MaxDims)
-	}
 	out := make([]byte, PageSize)
-	binary.LittleEndian.PutUint32(out, uint32(len(p.Coord)))
-	for i := range p.Coord {
-		if p.Coord[i] < 0 || p.Coord[i] >= MaxDimSize {
-			return nil, fmt.Errorf("proto: coordinate %d = %d out of 24-bit range", i, p.Coord[i])
-		}
-		if p.Sub[i] <= 0 || p.Sub[i] > MaxDimSize {
-			return nil, fmt.Errorf("proto: sub-dimension %d = %d out of range", i, p.Sub[i])
-		}
-		binary.LittleEndian.PutUint32(out[4+8*i:], uint32(p.Coord[i]))
-		binary.LittleEndian.PutUint32(out[8+8*i:], uint32(p.Sub[i]))
+	if err := p.encode(out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// UnmarshalCoordPayload decodes a coordinate page.
-func UnmarshalCoordPayload(page []byte) (CoordPayload, error) {
+// MarshalInto encodes the payload into page, which must be PageSize bytes
+// and may hold a previous request's page: it is cleared first, which on a
+// page that is reused costs a fraction of allocating a zeroed one.
+func (p CoordPayload) MarshalInto(page []byte) error {
+	clear(page[:PageSize])
+	return p.encode(page)
+}
+
+// encode writes the payload over the head of a zeroed page.
+func (p CoordPayload) encode(out []byte) error {
+	if len(p.Coord) != len(p.Sub) {
+		return fmt.Errorf("proto: coord rank %d != sub rank %d", len(p.Coord), len(p.Sub))
+	}
+	if len(p.Coord) == 0 || len(p.Coord) > MaxDims {
+		return fmt.Errorf("proto: rank %d out of range [1,%d]", len(p.Coord), MaxDims)
+	}
+	binary.LittleEndian.PutUint32(out, uint32(len(p.Coord)))
+	for i := range p.Coord {
+		if p.Coord[i] < 0 || p.Coord[i] >= MaxDimSize {
+			return fmt.Errorf("proto: coordinate %d = %d out of 24-bit range", i, p.Coord[i])
+		}
+		if p.Sub[i] <= 0 || p.Sub[i] > MaxDimSize {
+			return fmt.Errorf("proto: sub-dimension %d = %d out of range", i, p.Sub[i])
+		}
+		binary.LittleEndian.PutUint32(out[4+8*i:], uint32(p.Coord[i]))
+		binary.LittleEndian.PutUint32(out[8+8*i:], uint32(p.Sub[i]))
+	}
+	return nil
+}
+
+// Coords is a decoded coordinate page held by value: fixed arrays instead of
+// CoordPayload's slices, so decoding one per command allocates nothing. The
+// zero value is empty; Unmarshal fills it.
+type Coords struct {
+	rank       int
+	coord, sub [MaxDims]int64
+}
+
+// Coord returns the partition coordinate, one entry per dimension.
+func (c *Coords) Coord() []int64 { return c.coord[:c.rank] }
+
+// Sub returns the partition's sub-dimensionality.
+func (c *Coords) Sub() []int64 { return c.sub[:c.rank] }
+
+// Unmarshal decodes a coordinate page into c.
+func (c *Coords) Unmarshal(page []byte) error {
 	if len(page) < 4 {
-		return CoordPayload{}, fmt.Errorf("proto: coordinate page too short")
+		return fmt.Errorf("proto: coordinate page too short")
 	}
 	rank := binary.LittleEndian.Uint32(page)
 	if rank == 0 || rank > MaxDims {
-		return CoordPayload{}, fmt.Errorf("proto: rank %d out of range", rank)
+		return fmt.Errorf("proto: rank %d out of range", rank)
 	}
 	if len(page) < int(4+8*rank) {
-		return CoordPayload{}, fmt.Errorf("proto: coordinate page truncated")
+		return fmt.Errorf("proto: coordinate page truncated")
 	}
-	p := CoordPayload{Coord: make([]int64, rank), Sub: make([]int64, rank)}
-	for i := 0; i < int(rank); i++ {
-		p.Coord[i] = int64(binary.LittleEndian.Uint32(page[4+8*i:]))
-		p.Sub[i] = int64(binary.LittleEndian.Uint32(page[8+8*i:]))
-		if p.Coord[i] >= MaxDimSize {
-			return CoordPayload{}, fmt.Errorf("proto: coordinate %d out of 24-bit range", i)
+	c.rank = int(rank)
+	for i := 0; i < c.rank; i++ {
+		c.coord[i] = int64(binary.LittleEndian.Uint32(page[4+8*i:]))
+		c.sub[i] = int64(binary.LittleEndian.Uint32(page[8+8*i:]))
+		if c.coord[i] >= MaxDimSize {
+			return fmt.Errorf("proto: coordinate %d out of 24-bit range", i)
 		}
-		if p.Sub[i] == 0 || p.Sub[i] > MaxDimSize {
-			return CoordPayload{}, fmt.Errorf("proto: sub-dimension %d invalid", i)
+		if c.sub[i] == 0 || c.sub[i] > MaxDimSize {
+			return fmt.Errorf("proto: sub-dimension %d invalid", i)
 		}
 	}
-	return p, nil
+	return nil
+}
+
+// UnmarshalCoordPayload decodes a coordinate page into freshly allocated
+// slices; the command executor decodes into a Coords instead.
+func UnmarshalCoordPayload(page []byte) (CoordPayload, error) {
+	var c Coords
+	if err := c.Unmarshal(page); err != nil {
+		return CoordPayload{}, err
+	}
+	return CoordPayload{Coord: append([]int64(nil), c.Coord()...), Sub: append([]int64(nil), c.Sub()...)}, nil
 }
 
 // SpacePayload is the page named by an open_space command: the element size

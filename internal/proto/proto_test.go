@@ -1,7 +1,9 @@
 package proto
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +101,45 @@ func TestCoordPayloadRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMarshalIntoDirtyPage: a page encoded over whatever the last request
+// left in it is the page Marshal would have allocated, for every payload a
+// client sends in a pooled page; and the value decoder agrees with the slice
+// one.
+func TestMarshalIntoDirtyPage(t *testing.T) {
+	coord, sub := []int64{3, 1, 4}, []int64{1, 5, 9}
+	for name, pl := range map[string]interface {
+		Marshal() ([]byte, error)
+		MarshalInto([]byte) error
+	}{
+		"coord":  CoordPayload{Coord: coord, Sub: sub},
+		"scan":   ScanPayload{Coord: coord, Sub: sub, Lo: 2, Hi: 6, Cursor: 5, Max: 3},
+		"reduce": ReducePayload{Coord: coord, Sub: sub, Op: ReduceOpTopK, K: 5, HasPred: true, Lo: 1, Hi: 2},
+	} {
+		want, err := pl.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := bytes.Repeat([]byte{0xFF}, PageSize)
+		if err := pl.MarshalInto(dirty); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dirty, want) {
+			t.Errorf("%s: MarshalInto over a dirty page differs from Marshal", name)
+		}
+	}
+	if err := (CoordPayload{Coord: coord, Sub: sub[:2]}).MarshalInto(make([]byte, PageSize)); err == nil {
+		t.Error("MarshalInto accepted a rank mismatch")
+	}
+	page, _ := CoordPayload{Coord: coord, Sub: sub}.Marshal()
+	var c Coords
+	if err := c.Unmarshal(page); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c.Coord(), coord) || !reflect.DeepEqual(c.Sub(), sub) {
+		t.Errorf("Coords decoded %v/%v, want %v/%v", c.Coord(), c.Sub(), coord, sub)
 	}
 }
 

@@ -51,25 +51,39 @@ type ScanPayload struct {
 	Max uint32
 }
 
-// Marshal encodes the payload into a 4 KB page: the CoordPayload prefix,
-// then lo, hi, cursor, max.
+// Marshal encodes the payload into a fresh 4 KB page: the CoordPayload
+// prefix, then lo, hi, cursor, max.
 func (p ScanPayload) Marshal() ([]byte, error) {
-	page, err := CoordPayload{Coord: p.Coord, Sub: p.Sub}.Marshal()
-	if err != nil {
+	out := make([]byte, PageSize)
+	if err := p.encode(out); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// MarshalInto encodes the payload into page under CoordPayload.MarshalInto's
+// contract.
+func (p ScanPayload) MarshalInto(page []byte) error {
+	clear(page[:PageSize])
+	return p.encode(page)
+}
+
+func (p ScanPayload) encode(page []byte) error {
+	if err := (CoordPayload{Coord: p.Coord, Sub: p.Sub}).encode(page); err != nil {
+		return err
+	}
 	if p.Cursor < 0 || p.Cursor > 1<<62 {
-		return nil, fmt.Errorf("proto: scan cursor %d out of range", p.Cursor)
+		return fmt.Errorf("proto: scan cursor %d out of range", p.Cursor)
 	}
 	if p.Lo > p.Hi {
-		return nil, fmt.Errorf("proto: scan range [%d,%d] inverted", p.Lo, p.Hi)
+		return fmt.Errorf("proto: scan range [%d,%d] inverted", p.Lo, p.Hi)
 	}
 	off := 4 + 8*len(p.Coord)
 	binary.LittleEndian.PutUint64(page[off:], p.Lo)
 	binary.LittleEndian.PutUint64(page[off+8:], p.Hi)
 	binary.LittleEndian.PutUint64(page[off+16:], uint64(p.Cursor))
 	binary.LittleEndian.PutUint32(page[off+24:], p.Max)
-	return page, nil
+	return nil
 }
 
 // UnmarshalScanPayload decodes a pushdown_scan page.
@@ -206,25 +220,39 @@ type ReducePayload struct {
 	Lo, Hi  uint64
 }
 
-// Marshal encodes the payload into a 4 KB page: the CoordPayload prefix,
-// then op, hasPred, pad, k, lo, hi.
+// Marshal encodes the payload into a fresh 4 KB page: the CoordPayload
+// prefix, then op, hasPred, pad, k, lo, hi.
 func (p ReducePayload) Marshal() ([]byte, error) {
-	page, err := CoordPayload{Coord: p.Coord, Sub: p.Sub}.Marshal()
-	if err != nil {
+	out := make([]byte, PageSize)
+	if err := p.encode(out); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// MarshalInto encodes the payload into page under CoordPayload.MarshalInto's
+// contract.
+func (p ReducePayload) MarshalInto(page []byte) error {
+	clear(page[:PageSize])
+	return p.encode(page)
+}
+
+func (p ReducePayload) encode(page []byte) error {
+	if err := (CoordPayload{Coord: p.Coord, Sub: p.Sub}).encode(page); err != nil {
+		return err
+	}
 	if p.Op < ReduceOpSum || p.Op > ReduceOpTopK {
-		return nil, fmt.Errorf("proto: reduce op %d unknown", p.Op)
+		return fmt.Errorf("proto: reduce op %d unknown", p.Op)
 	}
 	if p.Op == ReduceOpTopK {
 		if p.K < 1 || p.K > MaxReduceTopK {
-			return nil, fmt.Errorf("proto: reduce top-k k=%d out of range [1,%d]", p.K, MaxReduceTopK)
+			return fmt.Errorf("proto: reduce top-k k=%d out of range [1,%d]", p.K, MaxReduceTopK)
 		}
 	} else if p.K != 0 {
-		return nil, fmt.Errorf("proto: reduce op %d does not take k", p.Op)
+		return fmt.Errorf("proto: reduce op %d does not take k", p.Op)
 	}
 	if p.HasPred && p.Lo > p.Hi {
-		return nil, fmt.Errorf("proto: reduce range [%d,%d] inverted", p.Lo, p.Hi)
+		return fmt.Errorf("proto: reduce range [%d,%d] inverted", p.Lo, p.Hi)
 	}
 	off := 4 + 8*len(p.Coord)
 	page[off] = p.Op
@@ -234,7 +262,7 @@ func (p ReducePayload) Marshal() ([]byte, error) {
 	binary.LittleEndian.PutUint32(page[off+4:], p.K)
 	binary.LittleEndian.PutUint64(page[off+8:], p.Lo)
 	binary.LittleEndian.PutUint64(page[off+16:], p.Hi)
-	return page, nil
+	return nil
 }
 
 // UnmarshalReducePayload decodes a pushdown_reduce page.

@@ -62,14 +62,16 @@ type antagonistResult struct {
 // solo-victim and victim-under-flood measurements, where the flood is the
 // antagonist offering antFloodScale times the victim's rate from its own
 // space (= its own tenant). Reported phases are median-p99 trials.
-func runAntagonistLoad(cacheBytes int64, prefetch int) (antagonistResult, error) {
+func runAntagonistLoad() (antagonistResult, error) {
+	// A mode run earlier in the same invocation (-faultcheck, -pushdown,
+	// -kernels) leaves a ballooned heap; without a forced collection, runtime
+	// GC assists starve the open-loop scheduler and the tails measure the Go
+	// runtime, not the server.
 	debug.FreeOSMemory()
 	dev, addr, cleanup, err := selfHostedServer(nds.Options{
-		Mode:          nds.ModeHardware,
-		CapacityHint:  16 << 20,
-		CacheBytes:    cacheBytes,
-		PrefetchDepth: prefetch,
-		TenantQoS:     &nds.TenantQoS{Weight: 1},
+		Mode:         nds.ModeHardware,
+		CapacityHint: 16 << 20,
+		TenantQoS:    &nds.TenantQoS{Weight: 1},
 	}, ndsserver.Config{MaxConns: 2*antConns + 8}, "ndsbench-ant")
 	if err != nil {
 		return antagonistResult{}, err
@@ -196,7 +198,7 @@ func runAntagonist(bound float64) {
 	header(fmt.Sprintf("Tenant isolation: victim vs %dx antagonist", antFloodScale))
 	fmt.Printf("victim %d conns at %d ops/s, antagonist %d conns at %d ops/s (rate cap %d MB/s); median of %d trials\n",
 		antConns, antVictimRate, antConns, antFloodScale*antVictimRate, antRateCap>>20, antTrials)
-	res, err := runAntagonistLoad(0, 0)
+	res, err := runAntagonistLoad()
 	if err != nil {
 		fatalf("antagonist: %v", err)
 	}
@@ -220,28 +222,4 @@ func runAntagonist(bound float64) {
 			res.Victim.P99Ns/1e3, limit/1e3, bound, res.Solo.P99Ns/1e3)
 	}
 	fmt.Println("isolation holds")
-}
-
-// measureAntagonistPoint packages the flooded victim's tail latency as the
-// "net-antagonist" snapshot point, so -benchcompare gates tenant isolation
-// (via the p99 wall gate) release over release.
-func measureAntagonistPoint(cacheBytes int64, prefetch int) (benchPoint, error) {
-	res, err := runAntagonistLoad(cacheBytes, prefetch)
-	if err != nil {
-		return benchPoint{}, err
-	}
-	if res.ThrottleNs == 0 {
-		return benchPoint{}, fmt.Errorf("token bucket never throttled the antagonist")
-	}
-	return benchPoint{
-		Workload:    "net-antagonist",
-		Clients:     antConns,
-		Iterations:  int(res.Victim.Done),
-		WallNsOp:    res.Victim.MeanNs,
-		RateRps:     antVictimRate,
-		AchievedRps: res.Victim.AchievedRps,
-		P50Ns:       res.Victim.P50Ns,
-		P99Ns:       res.Victim.P99Ns,
-		P999Ns:      res.Victim.P999Ns,
-	}, nil
 }

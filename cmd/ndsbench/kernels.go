@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"nds/internal/datagen"
 	"nds/internal/system"
@@ -12,43 +11,27 @@ import (
 // The device-resident kernel benchmarks: the workload kernels whose selection
 // phase (frontier expansion, candidate pruning, delta filtering) can execute
 // at the STL, measured both ways. runKernels prints the Figure-10 view of the
-// timed catalog with the pushdown pipelines added; measureKernel backs the
-// kernel-* points of -json / -benchcompare with the functional kernels on
-// real data, whose link-byte savings are deterministic.
+// timed catalog with the pushdown pipelines added, then the functional
+// kernels on real data, whose link-byte savings are deterministic
+// (TestDeviceKernelInterconnectSavings holds the same graphs and seeds to a
+// 5x floor).
 
-// measureKernel runs one functional device kernel on hardware NDS in both its
-// pushdown and read-everything forms. SavingsX is the deterministic link-byte
-// reduction; SimMBps rates the bytes the kernel logically examined (the
-// read-everything link volume) against the pushdown run's simulated time, so
-// the -benchcompare sim gate tracks the in-storage execution cost.
-func measureKernel(name string) (benchPoint, error) {
-	newSys := func(capacity int64) (*system.System, error) {
-		return system.New(system.HardwareNDS, system.PrototypeConfig(capacity, false))
-	}
-	var push, read workloads.KernelStats
-	var wall time.Duration
+// measureKernel runs one functional device kernel on hardware NDS in its
+// pushdown and read-everything forms and returns both runs' link accounting.
+func measureKernel(name string) (push, read workloads.KernelStats, err error) {
+	var run func(sys *system.System, push bool) (workloads.KernelStats, error)
+	var capacity int64
 	switch name {
 	case "kernel-bfs":
 		const n = 128
 		adj, err := datagen.Graph(n, 600, 27)
 		if err != nil {
-			return benchPoint{}, err
+			return push, read, err
 		}
-		for _, p := range []bool{true, false} {
-			sys, err := newSys(n * n * 4)
-			if err != nil {
-				return benchPoint{}, err
-			}
-			w0 := time.Now()
+		capacity = n * n * 4
+		run = func(sys *system.System, p bool) (workloads.KernelStats, error) {
 			_, ks, err := workloads.BFSDevice(sys, adj, 0, p)
-			if err != nil {
-				return benchPoint{}, err
-			}
-			if p {
-				push, wall = ks, time.Since(w0)
-			} else {
-				read = ks
-			}
+			return ks, err
 		}
 	case "kernel-knn":
 		const (
@@ -58,41 +41,31 @@ func measureKernel(name string) (benchPoint, error) {
 		)
 		points, centres, err := datagen.Clustering(pts, dim, 4, 28)
 		if err != nil {
-			return benchPoint{}, err
+			return push, read, err
 		}
 		query := make([]float32, dim)
 		copy(query, centres.Data[:dim])
-		capacity := int64(2*pts*dim*4 + 8*pts)
-		for _, p := range []bool{true, false} {
-			sys, err := newSys(capacity)
-			if err != nil {
-				return benchPoint{}, err
-			}
-			w0 := time.Now()
+		capacity = 2*pts*dim*4 + 8*pts
+		run = func(sys *system.System, p bool) (workloads.KernelStats, error) {
 			_, ks, err := workloads.KNNDevice(sys, points, query, k, p)
-			if err != nil {
-				return benchPoint{}, err
-			}
-			if p {
-				push, wall = ks, time.Since(w0)
-			} else {
-				read = ks
-			}
+			return ks, err
 		}
 	default:
-		return benchPoint{}, fmt.Errorf("unknown kernel point %q", name)
+		return push, read, fmt.Errorf("unknown kernel %q", name)
 	}
-	pt := benchPoint{
-		Workload:   name,
-		Clients:    1,
-		Iterations: 1,
-		WallNsOp:   float64(wall.Nanoseconds()),
-		SimMBps:    float64(read.LinkBytes) / push.Done.Seconds() / 1e6,
+	// Each form runs on a fresh device, so neither sees the other's state.
+	fresh := func(p bool) (workloads.KernelStats, error) {
+		sys, err := system.New(system.HardwareNDS, system.PrototypeConfig(capacity, false))
+		if err != nil {
+			return workloads.KernelStats{}, err
+		}
+		return run(sys, p)
 	}
-	if push.LinkBytes > 0 {
-		pt.SavingsX = float64(read.LinkBytes) / float64(push.LinkBytes)
+	if push, err = fresh(true); err != nil {
+		return push, read, err
 	}
-	return pt, nil
+	read, err = fresh(false)
+	return push, read, err
 }
 
 // runKernels prints the pushdown view of the Figure-10 harness: for every
@@ -146,12 +119,15 @@ func runKernels() {
 
 	fmt.Println("\nfunctional device kernels (hardware NDS, real data):")
 	for _, name := range []string{"kernel-bfs", "kernel-knn"} {
-		pt, err := measureKernel(name)
+		push, read, err := measureKernel(name)
 		if err != nil {
 			fatalf("kernels %s: %v", name, err)
 		}
+		// The rate is the bytes the kernel logically examined (the
+		// read-everything link volume) over the pushdown run's simulated time.
 		fmt.Printf("  %-10s %6.0fx fewer interconnect bytes than read-everything (device-side %.1f sim-MB/s)\n",
-			name, pt.SavingsX, pt.SimMBps)
+			name, float64(read.LinkBytes)/float64(push.LinkBytes),
+			float64(read.LinkBytes)/push.Done.Seconds()/1e6)
 	}
 	fmt.Println("\nwin = hardware sim time without pushdown / with pushdown; >1 means the")
 	fmt.Println("link-byte savings outweigh the controller's slower selection scan")

@@ -8,10 +8,12 @@
 //	ndsbench -fig 9 -n 32768    # Figure 9 at the paper's matrix size
 //	ndsbench -fig 2 -fig 10
 //	ndsbench -table 1 -table overhead
-//	ndsbench -json              # write BENCH_<rev>.json perf snapshot
-//	ndsbench -json -cache 8388608        # same, with an 8 MiB block cache
-//	ndsbench -benchcompare BENCH_x.json  # rerun baseline config, fail on regression
+//	ndsbench -pushdown -cache 8388608    # selectivity sweep with an 8 MiB block cache
 //	ndsbench -net unix:/tmp/nds.sock -conns 16 -rate 2000   # open-loop tail latency vs ndsd
+//
+// ndsbench prints figures and drives tools; it gates nothing but its own
+// -antagonist and -faultcheck verdicts. Performance is measured and held by
+// the repo benchmark: bash bench/run.sh (see bench/README.md).
 //
 // Larger -n values need more memory and time; -n 32768 (the paper's scale)
 // runs the microbenchmarks on an 8 GiB phantom dataset.
@@ -40,16 +42,12 @@ func main() {
 	var figs, tables, sweeps multiFlag
 	all := flag.Bool("all", false, "run every figure and table")
 	util := flag.Bool("util", false, "print utilization reports after Figure 9 phases")
-	jsonOut := flag.Bool("json", false, "measure the concurrent-client benchmark and write BENCH_<rev>.json")
 	faultcheck := flag.Bool("faultcheck", false, "run a mixed workload under a seeded fault plan and verify recovery")
 	pushdown := flag.Bool("pushdown", false, "selectivity sweep: in-storage scan/reduce vs read-then-filter on both NDS modes")
 	kernels := flag.Bool("kernels", false, "device-resident kernel sweep: Figure-10 stage split with pushdown plus a BFS selectivity sweep")
 	n := flag.Int64("n", 8192, "microbenchmark matrix dimension (paper: 32768)")
-	cache := flag.Int64("cache", 0, "building-block DRAM cache size in bytes for -json (0 = off)")
+	cache := flag.Int64("cache", 0, "building-block DRAM cache size in bytes for -pushdown (0 = off)")
 	prefetch := flag.Int("prefetch", 2, "dimensional prefetch depth in blocks when -cache is set")
-	benchcompare := flag.String("benchcompare", "", "rerun the benchmark with a BENCH_<rev>.json baseline's config and fail on regression")
-	simtol := flag.Float64("simtol", 0.15, "allowed fractional drop in simulated MB/s for -benchcompare")
-	walltol := flag.Float64("walltol", 3.0, "allowed wall ns/op growth factor for -benchcompare (loose: cross-machine noise)")
 	netAddr := flag.String("net", "", "open-loop load an ndsd server at this address (unix:/path or host:port)")
 	conns := flag.Int("conns", 16, "connections for -net")
 	rate := flag.Float64("rate", 2000, "aggregate target arrival rate in ops/s for -net")
@@ -75,7 +73,7 @@ func main() {
 		tables = multiFlag{"1", "overhead"}
 		sweeps = multiFlag{"channels", "bbmult"}
 	}
-	if len(figs) == 0 && len(tables) == 0 && len(sweeps) == 0 && !*jsonOut && !*faultcheck && *benchcompare == "" && *netAddr == "" && !*stream && !*antagonist && !*pushdown && !*kernels {
+	if len(figs) == 0 && len(tables) == 0 && len(sweeps) == 0 && !*faultcheck && *netAddr == "" && !*stream && !*antagonist && !*pushdown && !*kernels {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -104,12 +102,6 @@ func main() {
 			ZipfS:   *zipf,
 			Burst:   *burst,
 		})
-	}
-	if *benchcompare != "" {
-		benchCompare(*benchcompare, *simtol, *walltol)
-	}
-	if *jsonOut {
-		benchJSON(*cache, *prefetch)
 	}
 	for _, t := range tables {
 		switch t {

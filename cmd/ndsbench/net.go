@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -297,12 +296,11 @@ func selfHostedServer(opts nds.Options, cfg ndsserver.Config, tag string) (dev *
 	return dev, addr, cleanup, nil
 }
 
-// streamResult is one stream-vs-single-read measurement: best-of-iters wall
-// time for a whole-partition read and for the windowed ReadStream of the same
-// bytes (both verified against the written data on their first iteration).
+// streamResult is one stream-vs-single-read measurement: best-of-streamIters
+// wall time for a whole-partition read and for the windowed ReadStream of the
+// same bytes (both verified against the written data on their first iteration).
 type streamResult struct {
 	Bytes      int64
-	Iters      int
 	SingleBest time.Duration
 	StreamBest time.Duration
 }
@@ -330,7 +328,7 @@ func measureStream(addr string, o streamOpts) (streamResult, error) {
 	}
 
 	coord, sub := []int64{0, 0}, []int64{streamRows, streamCols}
-	res := streamResult{Bytes: int64(total), Iters: streamIters}
+	res := streamResult{Bytes: int64(total)}
 	for i := 0; i < streamIters; i++ {
 		t0 := time.Now()
 		got, err := c.Read(view, coord, sub)
@@ -405,83 +403,4 @@ func runStream(addr string, o streamOpts) {
 	fmt.Printf("windowed ReadStream:  %8v  %7.1f MB/s  (%.2fx)\n",
 		res.StreamBest.Round(time.Microsecond), mbps(res.StreamBest),
 		float64(res.SingleBest)/float64(res.StreamBest))
-}
-
-// measureStreamPoint self-hosts a server and measures the windowed streaming
-// read, so BENCH_<rev>.json carries the streaming path as a wall-clock point
-// and -benchcompare gates it instead of the result evaporating into stdout.
-// WallNsOp is the best stream wall time for the whole 16 MiB partition.
-func measureStreamPoint(cacheBytes int64, prefetch int) (benchPoint, error) {
-	debug.FreeOSMemory()
-	_, addr, cleanup, err := selfHostedServer(nds.Options{
-		Mode:          nds.ModeHardware,
-		CapacityHint:  64 << 20,
-		CacheBytes:    cacheBytes,
-		PrefetchDepth: prefetch,
-	}, ndsserver.Config{}, "ndsbench-stream")
-	if err != nil {
-		return benchPoint{}, err
-	}
-	defer cleanup()
-	res, err := measureStream(addr, streamOpts{Window: ndsclient.DefaultStreamWindow})
-	if err != nil {
-		return benchPoint{}, err
-	}
-	return benchPoint{
-		Workload:   "stream",
-		Clients:    1,
-		Iterations: res.Iters,
-		WallNsOp:   float64(res.StreamBest.Nanoseconds()),
-	}, nil
-}
-
-// measureNetPoint self-hosts an ndsserver on a private unix socket and runs
-// the open-loop driver against it, so BENCH_<rev>.json carries reproducible
-// tail-latency points and -benchcompare can gate p99 like any other metric.
-func measureNetPoint(workload string, conns int, cacheBytes int64, prefetch int) (benchPoint, error) {
-	// The in-process workloads measured before this point leave a ballooned
-	// heap behind; without a forced collection, runtime GC assists starve the
-	// open-loop scheduler and the tail latencies measure the Go runtime, not
-	// the server.
-	debug.FreeOSMemory()
-	_, addr, cleanup, err := selfHostedServer(nds.Options{
-		Mode:          nds.ModeHardware,
-		CapacityHint:  16 << 20,
-		CacheBytes:    cacheBytes,
-		PrefetchDepth: prefetch,
-	}, ndsserver.Config{MaxConns: conns + 8}, "ndsbench-net")
-	if err != nil {
-		return benchPoint{}, err
-	}
-	defer cleanup()
-
-	// 1000 ops/s sits well below loopback saturation on small CI machines:
-	// the p99 the snapshot gates is service latency plus scheduler jitter,
-	// not queueing collapse, so -benchcompare stays stable run to run.
-	o := netOpts{
-		Conns:   conns,
-		Rate:    1000,
-		Dur:     2 * time.Second,
-		Arrival: "poisson",
-		ZipfS:   1.1,
-		Burst:   workload == "net-burst",
-	}
-	res, err := runNetLoad(addr, o)
-	if err != nil {
-		return benchPoint{}, err
-	}
-	if res.Errors > 0 {
-		return benchPoint{}, fmt.Errorf("%d requests failed against the self-hosted server", res.Errors)
-	}
-	return benchPoint{
-		Workload:    workload,
-		Clients:     conns,
-		Iterations:  int(res.Done),
-		WallNsOp:    res.MeanNs,
-		RateRps:     o.Rate,
-		AchievedRps: res.AchievedRps,
-		P50Ns:       res.P50Ns,
-		P99Ns:       res.P99Ns,
-		P999Ns:      res.P999Ns,
-	}, nil
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"nds"
 )
@@ -20,7 +18,6 @@ const (
 	pdDim   = 1024 // 1024x1024 space of 8-byte elements = 8 MiB
 	pdTile  = 256  // scanned partition edge
 	pdTiles = 16   // (pdDim/pdTile)^2 disjoint tiles
-	pdTileB = pdTile * pdTile * 8
 )
 
 // pdSetup builds a device with the benchmark's fill: element j holds j%1000,
@@ -107,95 +104,4 @@ func runPushdown(cacheBytes int64, prefetch int) {
 	}
 	fmt.Println("\nsavings = interconnect bytes a read-then-filter moves / bytes the pushdown moves")
 	fmt.Println("hardware NDS trades slower controller compute for the link; software NDS cannot save link bytes")
-}
-
-// measurePushdown is the -json / -benchcompare point: clients concurrently
-// scan disjoint tiles of the shared space at 1% selectivity on hardware NDS.
-// SimMBps rates the bytes scanned (the device-side work) against simulated
-// time; SavingsX is the deterministic interconnect reduction versus
-// read-then-filter.
-func measurePushdown(clients int, cacheBytes int64, prefetch int) (benchPoint, error) {
-	d, w, err := pdSetup(nds.ModeHardware, cacheBytes, prefetch)
-	if err != nil {
-		return benchPoint{}, err
-	}
-	defer d.Close()
-	if err := w.Close(); err != nil {
-		return benchPoint{}, err
-	}
-	id := w.ID()
-	views := make([]*nds.Space, clients)
-	for i := range views {
-		if views[i], err = d.OpenSpace(id, []int64{pdDim, pdDim}); err != nil {
-			return benchPoint{}, err
-		}
-	}
-	defer func() {
-		for _, v := range views {
-			v.Close()
-		}
-	}()
-
-	var phaseRaw atomic.Int64
-	phase := func() error {
-		phaseRaw.Store(0)
-		var wg sync.WaitGroup
-		errs := make(chan error, clients)
-		per := pdTiles / clients
-		if per == 0 {
-			per = 1
-		}
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				coord := make([]int64, 2)
-				sub := []int64{pdTile, pdTile}
-				q := nds.ScanQuery{Pred: nds.Predicate{Lo: 0, Hi: 9}}
-				raw := int64(0)
-				for k := 0; k < per; k++ {
-					tile := int64((c*per + k) % pdTiles)
-					coord[0], coord[1] = tile/(pdDim/pdTile), tile%(pdDim/pdTile)
-					_, st, err := views[c].Scan(coord, sub, q)
-					if err != nil {
-						errs <- err
-						return
-					}
-					raw += st.RawBytes
-				}
-				phaseRaw.Add(raw)
-			}(c)
-		}
-		wg.Wait()
-		close(errs)
-		return <-errs
-	}
-
-	pt, err := timedPhases("pushdown", clients, pdTiles*pdTileB, phase, d)
-	if err != nil {
-		return benchPoint{}, err
-	}
-	pt.GC = nil // scans never collect
-	// The scans' link bytes are deterministic (same tiles, same matches every
-	// phase), so one phase's accumulation rates the whole run.
-	if raw := phaseRaw.Load(); raw > 0 {
-		pt.SavingsX = float64(pdTiles*pdTileB) / float64(raw)
-	}
-	// The reduce-side figure: a top-16 reduce returns one fixed-size result
-	// page per tile, so its savings dwarf the scan's. One sequential pass is
-	// enough — the result volume is deterministic.
-	var topkRaw int64
-	for t := int64(0); t < pdTiles; t++ {
-		coord := []int64{t / (pdDim / pdTile), t % (pdDim / pdTile)}
-		_, st, err := views[0].Reduce(coord, []int64{pdTile, pdTile},
-			nds.ReduceQuery{Kind: nds.ReduceTopK, K: 16})
-		if err != nil {
-			return benchPoint{}, err
-		}
-		topkRaw += st.RawBytes
-	}
-	if topkRaw > 0 {
-		pt.TopKSavingsX = float64(pdTiles*pdTileB) / float64(topkRaw)
-	}
-	return pt, nil
 }

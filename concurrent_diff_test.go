@@ -120,15 +120,15 @@ func TestDifferentialConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestDifferentialConcurrentVsSerializedWrites: lock modes must be
+// TestDifferentialConcurrentVsExclusiveWrites: lock modes must be
 // data-equivalent. Sixteen streams overwrite disjoint tiles of one space
 // twice — once on the concurrent write path (per-space serialization,
-// background GC) and once on the exclusive-lock path (SerializedWrites +
-// SynchronousGC, the pre-PR behavior) — and both devices must end with
-// exactly the image the host computes. The payloads are keyed by tile, not
+// background GC) and once with one write at a time (a test-local mutex around
+// every Write, SynchronousGC) — and both devices must end with exactly the
+// image the host computes. The payloads are keyed by tile, not
 // by arrival order, so the final image is interleaving-independent even
 // though the two runs schedule writes differently.
-func TestDifferentialConcurrentVsSerializedWrites(t *testing.T) {
+func TestDifferentialConcurrentVsExclusiveWrites(t *testing.T) {
 	const (
 		clients = 16
 		grid    = 16  // 16x16 tiles of 64x64 over the 1024x1024 space
@@ -138,15 +138,15 @@ func TestDifferentialConcurrentVsSerializedWrites(t *testing.T) {
 	)
 	run := func(serialized bool) []byte {
 		d, err := Open(Options{
-			Mode:             ModeHardware,
-			CapacityHint:     16 << 20,
-			SerializedWrites: serialized,
-			SynchronousGC:    serialized,
+			Mode:          ModeHardware,
+			CapacityHint:  16 << 20,
+			SynchronousGC: serialized,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.Close()
+		var exclusive sync.Mutex
 		id, err := d.CreateSpace(4, []int64{1024, 1024})
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,14 @@ func TestDifferentialConcurrentVsSerializedWrites(t *testing.T) {
 						tile := int64(c*per + k)
 						coord := []int64{tile / grid, tile % grid}
 						rand.New(rand.NewSource(int64(p)*tiles + tile)).Read(payload)
-						if _, err := v.Write(coord, []int64{64, 64}, payload); err != nil {
+						if serialized {
+							exclusive.Lock()
+						}
+						_, err := v.Write(coord, []int64{64, 64}, payload)
+						if serialized {
+							exclusive.Unlock()
+						}
+						if err != nil {
 							errs <- fmt.Errorf("pass %d tile %d write: %w", p, tile, err)
 							return
 						}

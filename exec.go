@@ -2,6 +2,7 @@ package nds
 
 import (
 	"errors"
+	"math"
 
 	"nds/internal/proto"
 	"nds/internal/stl"
@@ -188,18 +189,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 
 	case proto.OpReliability:
 		r := d.Reliability()
-		page, err := proto.ReliabilityPayload{
-			ProgramFaults:  r.ProgramFaults,
-			EraseFaults:    r.EraseFaults,
-			WearoutFaults:  r.WearoutFaults,
-			ReadRetries:    r.ReadRetries,
-			ProgramRetries: r.ProgramRetries,
-			RetiredBlocks:  r.RetiredBlocks,
-			RetiredPages:   r.RetiredPages,
-			MaxPages:       r.MaxPages,
-			EffectivePages: r.EffectivePages,
-			UsedPages:      r.UsedPages,
-		}.Marshal()
+		page, err := proto.ReliabilityPayload(r).Marshal()
 		if err != nil {
 			return nil, proto.Completion{Status: proto.StatusInternal}, Stats{}, nil
 		}
@@ -207,18 +197,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 
 	case proto.OpCacheStats:
 		c := d.CacheStats()
-		page, err := proto.CacheStatsPayload{
-			Hits:           c.Hits,
-			Misses:         c.Misses,
-			HitBytes:       c.HitBytes,
-			PrefetchIssued: c.PrefetchIssued,
-			PrefetchUsed:   c.PrefetchUsed,
-			PrefetchWasted: c.PrefetchWasted,
-			Evictions:      c.Evictions,
-			Invalidations:  c.Invalidations,
-			ResidentBytes:  c.ResidentBytes,
-			CapacityBytes:  c.CapacityBytes,
-		}.Marshal()
+		page, err := proto.CacheStatsPayload(c).Marshal()
 		if err != nil {
 			return nil, proto.Completion{Status: proto.StatusInternal}, Stats{}, nil
 		}
@@ -232,7 +211,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 			}
 			e := proto.TenantStatsEntry{
 				Tenant:      uint64(t.Space),
-				WeightMilli: int64(t.Weight * 1000),
+				WeightMilli: int64(math.Round(t.Weight * 1000)),
 				Ops:         t.Ops,
 				Bytes:       t.Bytes,
 				SimBusyNs:   int64(t.SimBusy),

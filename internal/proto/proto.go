@@ -388,26 +388,14 @@ type ReliabilityPayload struct {
 	UsedPages      int64
 }
 
-// reliabilityWords is the number of 64-bit counters in the payload.
-const reliabilityWords = 10
-
-// Marshal encodes the payload into a 4 KB page: reliabilityWords little-
-// endian uint64 counters in struct order.
+// Marshal encodes the payload into a 4 KB page: counterWords little-endian
+// uint64 counters in struct order.
 func (p ReliabilityPayload) Marshal() ([]byte, error) {
-	for i, v := range p.words() {
-		if v < 0 {
-			return nil, fmt.Errorf("proto: reliability counter %d is negative (%d)", i, v)
-		}
-	}
-	out := make([]byte, PageSize)
-	for i, v := range p.words() {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
-	}
-	return out, nil
+	return marshalCounters("reliability", p.words())
 }
 
-func (p *ReliabilityPayload) words() []int64 {
-	return []int64{
+func (p *ReliabilityPayload) words() [counterWords]int64 {
+	return [counterWords]int64{
 		p.ProgramFaults, p.EraseFaults, p.WearoutFaults, p.ReadRetries,
 		p.ProgramRetries, p.RetiredBlocks, p.RetiredPages,
 		p.MaxPages, p.EffectivePages, p.UsedPages,
@@ -416,16 +404,9 @@ func (p *ReliabilityPayload) words() []int64 {
 
 // UnmarshalReliabilityPayload decodes a reliability page.
 func UnmarshalReliabilityPayload(page []byte) (ReliabilityPayload, error) {
-	if len(page) < 8*reliabilityWords {
-		return ReliabilityPayload{}, fmt.Errorf("proto: reliability page too short")
-	}
-	var w [reliabilityWords]int64
-	for i := range w {
-		v := binary.LittleEndian.Uint64(page[8*i:])
-		if v > 1<<62 {
-			return ReliabilityPayload{}, fmt.Errorf("proto: reliability counter %d overflows (%d)", i, v)
-		}
-		w[i] = int64(v)
+	w, err := unmarshalCounters("reliability", "reliability", page)
+	if err != nil {
+		return ReliabilityPayload{}, err
 	}
 	return ReliabilityPayload{
 		ProgramFaults: w[0], EraseFaults: w[1], WearoutFaults: w[2], ReadRetries: w[3],
@@ -450,26 +431,14 @@ type CacheStatsPayload struct {
 	CapacityBytes  int64
 }
 
-// cacheStatsWords is the number of 64-bit counters in the payload.
-const cacheStatsWords = 10
-
-// Marshal encodes the payload into a 4 KB page: cacheStatsWords little-
-// endian uint64 counters in struct order.
+// Marshal encodes the payload into a 4 KB page: counterWords little-endian
+// uint64 counters in struct order.
 func (p CacheStatsPayload) Marshal() ([]byte, error) {
-	for i, v := range p.words() {
-		if v < 0 {
-			return nil, fmt.Errorf("proto: cache counter %d is negative (%d)", i, v)
-		}
-	}
-	out := make([]byte, PageSize)
-	for i, v := range p.words() {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
-	}
-	return out, nil
+	return marshalCounters("cache", p.words())
 }
 
-func (p *CacheStatsPayload) words() []int64 {
-	return []int64{
+func (p *CacheStatsPayload) words() [counterWords]int64 {
+	return [counterWords]int64{
 		p.Hits, p.Misses, p.HitBytes,
 		p.PrefetchIssued, p.PrefetchUsed, p.PrefetchWasted,
 		p.Evictions, p.Invalidations, p.ResidentBytes, p.CapacityBytes,
@@ -478,22 +447,48 @@ func (p *CacheStatsPayload) words() []int64 {
 
 // UnmarshalCacheStatsPayload decodes a cache-statistics page.
 func UnmarshalCacheStatsPayload(page []byte) (CacheStatsPayload, error) {
-	if len(page) < 8*cacheStatsWords {
-		return CacheStatsPayload{}, fmt.Errorf("proto: cache-stats page too short")
-	}
-	var w [cacheStatsWords]int64
-	for i := range w {
-		v := binary.LittleEndian.Uint64(page[8*i:])
-		if v > 1<<62 {
-			return CacheStatsPayload{}, fmt.Errorf("proto: cache counter %d overflows (%d)", i, v)
-		}
-		w[i] = int64(v)
+	w, err := unmarshalCounters("cache-stats", "cache", page)
+	if err != nil {
+		return CacheStatsPayload{}, err
 	}
 	return CacheStatsPayload{
 		Hits: w[0], Misses: w[1], HitBytes: w[2],
 		PrefetchIssued: w[3], PrefetchUsed: w[4], PrefetchWasted: w[5],
 		Evictions: w[6], Invalidations: w[7], ResidentBytes: w[8], CapacityBytes: w[9],
 	}, nil
+}
+
+// counterWords is the number of 64-bit counters in a reliability or
+// cache-statistics page.
+const counterWords = 10
+
+// marshalCounters is the page codec both counter families share; family names
+// the counters in its error.
+func marshalCounters(family string, w [counterWords]int64) ([]byte, error) {
+	for i, v := range w {
+		if v < 0 {
+			return nil, fmt.Errorf("proto: %s counter %d is negative (%d)", family, i, v)
+		}
+	}
+	out := make([]byte, PageSize)
+	for i, v := range w {
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
+	}
+	return out, nil
+}
+
+func unmarshalCounters(pageName, family string, page []byte) (w [counterWords]int64, err error) {
+	if len(page) < 8*counterWords {
+		return w, fmt.Errorf("proto: %s page too short", pageName)
+	}
+	for i := range w {
+		v := binary.LittleEndian.Uint64(page[8*i:])
+		if v > 1<<62 {
+			return w, fmt.Errorf("proto: %s counter %d overflows (%d)", family, i, v)
+		}
+		w[i] = int64(v)
+	}
+	return w, nil
 }
 
 // TenantStatsEntry is one tenant's record in a get_tenant_stats page.

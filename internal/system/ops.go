@@ -119,6 +119,28 @@ func (s *System) BaselineWrite(at sim.Time, runs []Run, data []byte) (OpStats, e
 	return stats, nil
 }
 
+// prologue gets a command's coordinates to wherever the STL runs and
+// translates them there: submit then translate on the host (software NDS,
+// Figure 7b), or submit, the command and its coordinate/query page over the
+// link, command handling and translation in the controller (hardware NDS,
+// Figure 7c). It returns when the submission and the translation end; op
+// names the command in the wrong-Kind error, before anything is booked.
+func (s *System) prologue(at sim.Time, op string) (subEnd, trEnd sim.Time, err error) {
+	switch s.Kind {
+	case SoftwareNDS:
+		_, subEnd = s.Host.SubmitIO(at)
+		_, trEnd = s.Host.Translate(subEnd)
+	case HardwareNDS:
+		_, subEnd = s.Host.SubmitIO(at)
+		_, cmdXfer := s.Link.Transfer(subEnd, s.pageSize())
+		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
+		_, trEnd = s.Ctrl.Translate(cmdEnd)
+	default:
+		return 0, 0, fmt.Errorf("system: %s on %v system", op, s.Kind)
+	}
+	return subEnd, trEnd, nil
+}
+
 // consumer is the stage of a read-shaped command that eats the pages the STL
 // fetched.
 type consumer int
@@ -152,18 +174,9 @@ const (
 // the consumer's output crosses the link. Device reads, the consumer, and the
 // link stream concurrently.
 func (s *System) ndsRead(at sim.Time, op string, c consumer, read func(at sim.Time) (sim.Time, stl.RequestStats, int64, error)) (OpStats, error) {
-	var trEnd sim.Time
-	switch s.Kind {
-	case SoftwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, trEnd = s.Host.Translate(subEnd)
-	case HardwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, cmdXfer := s.Link.Transfer(subEnd, s.pageSize()) // command + coordinate/query page
-		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
-		_, trEnd = s.Ctrl.Translate(cmdEnd)
-	default:
-		return OpStats{}, fmt.Errorf("system: %s on %v system", op, s.Kind)
+	_, trEnd, err := s.prologue(at, op)
+	if err != nil {
+		return OpStats{}, err
 	}
 	devDone, st, out, err := read(trEnd)
 	if err != nil {
@@ -249,11 +262,13 @@ func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []b
 		return stats, err
 	}
 	bytes := elems * int64(v.Space().ElemSize())
+	subEnd, trEnd, err := s.prologue(at, "NDSWrite")
+	if err != nil {
+		return stats, err
+	}
 
 	switch s.Kind {
 	case SoftwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, trEnd := s.Host.Translate(subEnd)
 		// Host breaks the object into building-block pieces (the strided
 		// scatter §7.1 blames for the 30% write loss)...
 		_, scEnd := s.Host.Scatter(trEnd, bytes, extents)
@@ -273,13 +288,8 @@ func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []b
 
 			ProgramRetries: st.ProgramRetries,
 		}
-		return stats, nil
 
 	case HardwareNDS:
-		_, subEnd := s.Host.SubmitIO(at)
-		_, cmdXfer := s.Link.Transfer(subEnd, int64(s.Cfg.Geometry.PageSize))
-		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
-		_, trEnd := s.Ctrl.Translate(cmdEnd)
 		// Bulk data follows the command over the link in large pieces;
 		// the controller's firmware-driven disassembly is the write-path
 		// bottleneck behind the 17% loss of §7.1.
@@ -299,7 +309,6 @@ func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []b
 
 			ProgramRetries: st.ProgramRetries,
 		}
-		return stats, nil
 	}
-	return stats, fmt.Errorf("system: NDSWrite on %v system", s.Kind)
+	return stats, nil
 }

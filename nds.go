@@ -45,9 +45,8 @@
 // proceed concurrently. Space management (create/delete/resize/flush/import)
 // is the rare barrier: it takes the writer side and excludes all I/O. View
 // lifecycle (open/close, wire-protocol view IDs) is guarded separately, so
-// closing one view never stalls I/O on another. Options.SerializedWrites and
-// Options.SynchronousGC restore the pre-concurrent behavior for replay-exact
-// comparisons.
+// closing one view never stalls I/O on another. Options.SynchronousGC moves
+// collection back inline for replay-exact comparisons.
 package nds
 
 import (
@@ -136,16 +135,9 @@ type Options struct {
 	// in the background. Zero disables prefetch; ignored when CacheBytes is
 	// zero.
 	PrefetchDepth int
-	// SerializedWrites makes writes take the device-exclusive lock, restoring
-	// the pre-concurrent write path: at most one write runs at a time,
-	// regardless of how many views issue them. Exists for differential
-	// comparison (a concurrent run must produce byte-identical spaces to a
-	// serialized replay of the same per-stream sequences) and as an escape
-	// hatch, not as a tuning choice.
-	SerializedWrites bool
 	// SynchronousGC collects garbage inline on the writing goroutine at
 	// seed-deterministic trigger points instead of on the background worker.
-	// Combined with SerializedWrites it makes two identically-driven devices
+	// Driven one write at a time, two identically-driven devices are then
 	// bit- and fault-point-identical, which the fault-replay checks require.
 	SynchronousGC bool
 	// Faults, when non-nil and enabled, installs deterministic flash fault
@@ -210,34 +202,13 @@ type FaultPlan struct {
 // ReliabilityReport describes the device's fault history and the STL's
 // recovery work: what the medium did, what was absorbed, and how much
 // capacity retirement has cost. All zero on a device without a fault plan.
-type ReliabilityReport struct {
-	ProgramFaults  int64 // program attempts that failed
-	EraseFaults    int64 // transient erase failures
-	WearoutFaults  int64 // erases refused on worn-out blocks
-	ReadRetries    int64 // reads needing extra ECC sensing
-	ProgramRetries int64 // faulted programs successfully relocated
-	RetiredBlocks  int64 // blocks permanently removed from service
-	RetiredPages   int64 // raw pages those blocks represent
-	MaxPages       int64 // original logical allocation budget
-	EffectivePages int64 // budget after graceful degradation
-	UsedPages      int64 // live units
-}
+// The alias lets callers name the type without importing the internal package.
+type ReliabilityReport = stl.ReliabilityReport
 
 // CacheStats describes the building-block cache's behavior: demand hit/miss
 // counters, prefetcher effectiveness, and current occupancy. All zero on a
 // device opened without CacheBytes.
-type CacheStats struct {
-	Hits           int64 // demand page reads served from DRAM
-	Misses         int64 // demand page reads that went to flash
-	HitBytes       int64 // payload bytes served from DRAM
-	PrefetchIssued int64 // pages warmed by the dimensional prefetcher
-	PrefetchUsed   int64 // prefetched pages later hit by a demand read
-	PrefetchWasted int64 // prefetched pages evicted or invalidated unused
-	Evictions      int64 // building blocks evicted for capacity
-	Invalidations  int64 // building blocks dropped by writes/GC/retirement
-	ResidentBytes  int64 // bytes currently held
-	CapacityBytes  int64 // configured capacity
-}
+type CacheStats = stl.CacheStats
 
 // GCStats describes the garbage collector's work: how often it ran, how much
 // it moved, what it cost foreground writes, and the resulting write
@@ -303,12 +274,8 @@ type Device struct {
 	// reader side (the STL serializes writers per space and locks allocation
 	// per die, so concurrent data-path requests are safe); space management
 	// (create/delete/resize/flush/import) takes the writer side and excludes
-	// all I/O. With Options.SerializedWrites, writes take the writer side
-	// too, restoring the pre-concurrent exclusive write path.
+	// all I/O.
 	io sync.RWMutex
-
-	// serializedWrites records Options.SerializedWrites.
-	serializedWrites bool
 
 	// noPushdown records Options.DisablePushdown.
 	noPushdown bool
@@ -368,11 +335,10 @@ func Open(opts Options) (*Device, error) {
 		return nil, err
 	}
 	return &Device{
-		sys:              sys,
-		serializedWrites: opts.SerializedWrites,
-		noPushdown:       opts.DisablePushdown,
-		open:             make(map[*Space]bool),
-		views:            make(map[uint32]*Space),
+		sys:        sys,
+		noPushdown: opts.DisablePushdown,
+		open:       make(map[*Space]bool),
+		views:      make(map[uint32]*Space),
 	}, nil
 }
 
@@ -425,19 +391,7 @@ func (d *Device) Phantom() bool { return d.sys.Dev.Phantom() }
 func (d *Device) Reliability() ReliabilityReport {
 	d.io.RLock()
 	defer d.io.RUnlock()
-	r := d.sys.STL.Reliability()
-	return ReliabilityReport{
-		ProgramFaults:  r.ProgramFaults,
-		EraseFaults:    r.EraseFaults,
-		WearoutFaults:  r.WearoutFaults,
-		ReadRetries:    r.ReadRetries,
-		ProgramRetries: r.ProgramRetries,
-		RetiredBlocks:  r.RetiredBlocks,
-		RetiredPages:   r.RetiredPages,
-		MaxPages:       r.MaxPages,
-		EffectivePages: r.EffectivePages,
-		UsedPages:      r.UsedPages,
-	}
+	return d.sys.STL.Reliability()
 }
 
 // CacheStats snapshots the building-block cache's counters (get_cache_stats
@@ -445,19 +399,7 @@ func (d *Device) Reliability() ReliabilityReport {
 func (d *Device) CacheStats() CacheStats {
 	d.io.RLock()
 	defer d.io.RUnlock()
-	c := d.sys.STL.CacheStats()
-	return CacheStats{
-		Hits:           c.Hits,
-		Misses:         c.Misses,
-		HitBytes:       c.HitBytes,
-		PrefetchIssued: c.PrefetchIssued,
-		PrefetchUsed:   c.PrefetchUsed,
-		PrefetchWasted: c.PrefetchWasted,
-		Evictions:      c.Evictions,
-		Invalidations:  c.Invalidations,
-		ResidentBytes:  c.ResidentBytes,
-		CapacityBytes:  c.CapacityBytes,
-	}
+	return d.sys.STL.CacheStats()
 }
 
 // TenantStats is one tenant's accumulated QoS accounting (get_tenant_stats
@@ -748,7 +690,7 @@ func (s *Space) Read(coord, sub []int64) ([]byte, Stats, error) {
 // through: unwritten regions of the partition are zeroed in it.
 func (s *Space) ReadInto(coord, sub []int64, dst []byte) ([]byte, Stats, error) {
 	var data []byte
-	st, err := s.issue("read", false, func(at sim.Time, v *stl.View) (st system.OpStats, err error) {
+	st, err := s.issue("read", func(at sim.Time, v *stl.View) (st system.OpStats, err error) {
 		data, st, err = s.dev.sys.NDSReadInto(at, v, coord, sub, dst)
 		return st, err
 	})
@@ -774,7 +716,7 @@ type Segment = stl.Segment
 // Timing and stats are identical to Read. On a phantom device fn receives
 // (want, nil).
 func (s *Space) ReadSegments(coord, sub []int64, fn func(want int64, segs []Segment) error) (Stats, error) {
-	return s.issue("read", false, func(at sim.Time, v *stl.View) (system.OpStats, error) {
+	return s.issue("read", func(at sim.Time, v *stl.View) (system.OpStats, error) {
 		return s.dev.sys.NDSReadSegments(at, v, coord, sub, fn)
 	})
 }
@@ -783,37 +725,28 @@ func (s *Space) ReadSegments(coord, sub []int64, fn func(want int64, segs []Segm
 // partition coord/sub. On a phantom device pass nil data. Writes to distinct
 // spaces run in parallel (the STL serializes writers per space), and their
 // flash operations overlap in simulated time with commands issued on other
-// streams; Options.SerializedWrites restores the exclusive write path.
+// streams.
 func (s *Space) Write(coord, sub []int64, data []byte) (Stats, error) {
-	return s.issue("write", s.dev.serializedWrites, func(at sim.Time, v *stl.View) (system.OpStats, error) {
+	return s.issue("write", func(at sim.Time, v *stl.View) (system.OpStats, error) {
 		return s.dev.sys.NDSWrite(at, v, coord, sub, data)
 	})
 }
 
 // issue runs one partition command on the stream: it serializes against the
 // view's other commands, rejects a closed view (op names the command in that
-// error), issues run at the stream cursor under the device's io lock —
-// shared, or exclusive for a SerializedWrites write — and accounts the
-// completion. Every data command of the typed API is a caller.
-func (s *Space) issue(op string, exclusive bool, run func(at sim.Time, v *stl.View) (system.OpStats, error)) (Stats, error) {
+// error), issues run at the stream cursor under the device's shared io lock,
+// and accounts the completion. Every data command of the typed API is a
+// caller.
+func (s *Space) issue(op string, run func(at sim.Time, v *stl.View) (system.OpStats, error)) (Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.view == nil {
 		return Stats{}, fmt.Errorf("nds: %s on %w", op, ErrClosedView)
 	}
-	d := s.dev
 	issue := s.cursor
-	if exclusive {
-		d.io.Lock()
-	} else {
-		d.io.RLock()
-	}
+	s.dev.io.RLock()
 	st, err := run(issue, s.view)
-	if exclusive {
-		d.io.Unlock()
-	} else {
-		d.io.RUnlock()
-	}
+	s.dev.io.RUnlock()
 	if err != nil {
 		return Stats{}, err
 	}

@@ -106,7 +106,9 @@ func TestTenantStatsWire(t *testing.T) {
 	if err := d.BindSpaceGroup(idB, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetGroupQoS(7, TenantQoS{Weight: 2}); err != nil {
+	// 1.005*1000 is 1004.999… in binary: the wire weight must round, not
+	// truncate.
+	if err := d.SetGroupQoS(7, TenantQoS{Weight: 1.005}); err != nil {
 		t.Fatal(err)
 	}
 	payload := make([]byte, 128*128*4)
@@ -169,8 +171,8 @@ func TestTenantStatsWire(t *testing.T) {
 		if e.Tenant != wantTenant {
 			t.Fatalf("entry %d tenant %#x, want %#x", i, e.Tenant, wantTenant)
 		}
-		if e.WeightMilli != int64(w.Weight*1000) {
-			t.Fatalf("entry %d weight %d milli, want %d", i, e.WeightMilli, int64(w.Weight*1000))
+		if wantMilli := []int64{1000, 1005}[i]; e.WeightMilli != wantMilli {
+			t.Fatalf("entry %d weight %d milli, want %d", i, e.WeightMilli, wantMilli)
 		}
 		if e.Ops != w.Ops || e.Bytes != w.Bytes || e.SimBusyNs != int64(w.SimBusy) {
 			t.Fatalf("entry %d = %+v, want %+v", i, e, w)

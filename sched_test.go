@@ -129,16 +129,15 @@ func TestConcurrentThroughputScales(t *testing.T) {
 
 // openWriteDevice builds a device for the write-heavy workload: one
 // 512x512 float32 space (1 MiB) per client, each opened once. serialized
-// selects the pre-PR exclusive-lock behavior (every write holds the device
-// write lock, GC runs inline); otherwise writes to distinct spaces proceed
+// selects inline GC for the exclusive-lock arm (writeClients, told the same,
+// lets one write run at a time); otherwise writes to distinct spaces proceed
 // concurrently with collection on the background worker.
 func openWriteDevice(tb testing.TB, serialized bool, clients int) (*Device, []*Space) {
 	tb.Helper()
 	d, err := Open(Options{
-		Mode:             ModeHardware,
-		CapacityHint:     64 << 20,
-		SerializedWrites: serialized,
-		SynchronousGC:    serialized,
+		Mode:          ModeHardware,
+		CapacityHint:  64 << 20,
+		SynchronousGC: serialized,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -158,11 +157,13 @@ func openWriteDevice(tb testing.TB, serialized bool, clients int) (*Device, []*S
 
 // writeClients has each client overwrite its whole space in 64-row bands
 // (128 KiB per write, 8 bands per pass) for the given number of passes,
-// each from its own goroutine. It returns the wall-clock elapsed time, the
-// simulated makespan, and the payload bytes written.
-func writeClients(tb testing.TB, d *Device, spaces []*Space, passes int) (time.Duration, time.Duration, int64) {
+// each from its own goroutine; serialized holds one mutex around every
+// Write, the exclusive-lock baseline. It returns the wall-clock elapsed time,
+// the simulated makespan, and the payload bytes written.
+func writeClients(tb testing.TB, d *Device, spaces []*Space, passes int, serialized bool) (time.Duration, time.Duration, int64) {
 	tb.Helper()
 	const bands = 8 // 512 rows / 64
+	var exclusive sync.Mutex
 	simStart := d.Now()
 	wallStart := time.Now()
 	var wg sync.WaitGroup
@@ -179,7 +180,14 @@ func writeClients(tb testing.TB, d *Device, spaces []*Space, passes int) (time.D
 				for k := int64(0); k < bands; k++ {
 					rng.Read(band)
 					coord[0], coord[1] = k, 0
-					if _, err := sp.Write(coord, sub, band); err != nil {
+					if serialized {
+						exclusive.Lock()
+					}
+					_, err := sp.Write(coord, sub, band)
+					if serialized {
+						exclusive.Unlock()
+					}
+					if err != nil {
 						errs <- fmt.Errorf("client %d band %d: %w", c, k, err)
 						return
 					}
@@ -219,8 +227,8 @@ func TestConcurrentWriteScaling(t *testing.T) {
 		}
 		// One untimed pass so both modes measure steady-state overwrites
 		// rather than first-touch allocation.
-		writeClients(t, d, spaces, 1)
-		wall, sim, _ := writeClients(t, d, spaces, passes)
+		writeClients(t, d, spaces, 1, serialized)
+		wall, sim, _ := writeClients(t, d, spaces, passes, serialized)
 		return wall, sim
 	}
 	serWall, serSim := measure(true)
@@ -272,13 +280,13 @@ func BenchmarkConcurrentWriters(b *testing.B) {
 			b.Run(fmt.Sprintf("mode=%s/clients=%d", mode.name, clients), func(b *testing.B) {
 				d, spaces := openWriteDevice(b, mode.serialized, clients)
 				defer d.Close()
-				writeClients(b, d, spaces, 1) // first-touch allocation off the clock
+				writeClients(b, d, spaces, 1, mode.serialized) // first-touch allocation off the clock
 				b.ReportAllocs()
 				b.ResetTimer()
 				var span time.Duration
 				var bytes int64
 				for i := 0; i < b.N; i++ {
-					_, m, n := writeClients(b, d, spaces, 1)
+					_, m, n := writeClients(b, d, spaces, 1, mode.serialized)
 					span += m
 					bytes += n
 				}

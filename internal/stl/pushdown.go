@@ -1,8 +1,8 @@
 package stl
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -184,28 +184,21 @@ func (t *STL) ReducePartition(at sim.Time, v *View, coord, sub []int64, q Reduce
 	return res, done, stats, nil
 }
 
-// kernel consumes a partition as the run walker delivers it: elements in
-// ascending index order, each exactly once, as either a run of whole
-// little-endian elements or a run of zeros.
-type kernel interface {
-	// run consumes len(src)/es consecutive elements starting at index base.
-	// len(src) is a positive multiple of the element size.
-	run(base int64, src []byte)
-	// zeros consumes n > 0 consecutive zero elements starting at index base
-	// in time independent of n (bounded by what the kernel must emit).
-	zeros(base, n int64)
-}
-
 // walkRuns makes one pass over a segment list describing want bytes of
-// es-byte elements and hands the kernel everything it covers, in index order:
-// whole elements lying inside one segment as a single run aliasing the
-// segment's bytes, elements no segment overlaps (gaps between segments, and
-// all of a phantom device's nil list) as zero runs, and the rare element that
-// crosses a segment edge — the segments' boundaries need not be
-// element-aligned — assembled byte-wise, absent bytes zero, as a one-element
-// run.
-func walkRuns(want, es int64, segs []Segment, k kernel) {
-	n := want / es
+// es-byte elements and hands a kernel every element, in ascending index order
+// and exactly once, through two calls: run consumes the whole elements of src,
+// at least one and at most runElems, the first at index base; zeros consumes
+// n > 0 zero elements from index base in time independent of n (bounded by
+// what the kernel must emit). Whole elements inside one segment are runs
+// aliasing the segment's bytes; elements no segment overlaps (gaps, and all of
+// a phantom device's nil list) are zero runs; and the rare element that
+// crosses a segment edge — boundaries need not be element-aligned — is
+// assembled byte-wise, absent bytes zero, as a one-element run. The kernel is
+// its two method values, not an interface, behind which it would escape to
+// the heap: an allocation an operation.
+func walkRuns(want, es int64, segs []Segment, run func(base int64, src []byte), zeros func(base, n int64)) {
+	shift := bits.TrailingZeros64(uint64(es)) // es is a power of two
+	n := want >> shift
 	i := int64(0) // next element to deliver; bytes before i*es are consumed
 	for si := 0; si < len(segs) && i < n; {
 		s := segs[si]
@@ -216,12 +209,12 @@ func walkRuns(want, es int64, segs []Segment, k kernel) {
 			si++
 		case lo >= off+es:
 			// Whole elements of gap before the segment's first element.
-			j := min64(lo/es, n)
-			k.zeros(i, j-i)
+			j := min64(lo>>shift, n)
+			zeros(i, j-i)
 			i = j
 		case lo <= off && off+es <= hi:
-			m := min64((hi-off)/es, n-i)
-			k.run(i, s.Src[off-lo:off-lo+m*es])
+			m := min(runElems, (hi-off)>>shift, n-i)
+			run(i, s.Src[off-lo:off-lo+m*es])
 			i += m
 		default:
 			// Element i starts before the segment or ends past it.
@@ -232,52 +225,64 @@ func walkRuns(want, es int64, segs []Segment, k kernel) {
 					elem[b-off] = t.Src[b-t.Dst]
 				}
 			}
-			k.run(i, elem[:es])
+			run(i, elem[:es])
 			i++
 		}
 	}
 	if i < n {
-		k.zeros(i, n-i)
+		zeros(i, n-i)
 	}
 }
 
-// valueRange is a predicate hoisted for the inner loops: v matches iff
-// v-lo <= span, one unsigned compare (v < lo wraps above any span).
-type valueRange struct{ lo, span uint64 }
+// laneRange is a predicate clamped to one element width: the inclusive range
+// [lo, hi], hi no larger than the width's largest value, or empty (lo > hi).
+type laneRange struct{ lo, hi uint64 }
 
-// rangeOf hoists p; a nil predicate admits every value.
-func rangeOf(p *Predicate) valueRange {
+var emptyRange = laneRange{1, 0}
+
+// clampRange clamps p to es-byte elements; nil admits every value. Hi is cut
+// to the width's largest value, which leaves a Lo above it with the empty
+// range. (As a span that is min(Hi-Lo, top-Lo): min(Hi-Lo, top) would let
+// zeros wrap into [1, 2^64-1].)
+func clampRange(p *Predicate, es int64) laneRange {
+	top := ^uint64(0) >> (64 - 8*uint(es))
 	if p == nil {
-		return valueRange{0, ^uint64(0)}
+		return laneRange{0, top}
 	}
-	return valueRange{p.Lo, p.Hi - p.Lo}
+	return laneRange{p.Lo, min(p.Hi, top)}
 }
-
-func (r valueRange) matchesZero() bool { return r.lo == 0 }
 
 // matchBufs recycles scan accumulation buffers: a scan appends into one and
 // copies the matches out once at exact size, so append's growth garbage is
-// paid once per buffer, not once per scan.
+// paid once per buffer, not once per scan. A buffer grown past
+// maxPooledMatches (8 MiB) is not taken back: one dense scan of a large
+// partition does not park 16 bytes an element in the pool.
 var matchBufs = sync.Pool{New: func() any { return new([]Match) }}
+
+const maxPooledMatches = 1 << 19
 
 // scanSegments is the pure scan kernel over a planned segment list.
 func scanSegments(want, es int64, segs []Segment, q ScanQuery) ScanResult {
 	buf := matchBufs.Get().(*[]Match)
-	k := scanKernel{es: es, valueRange: rangeOf(&q.Pred), cursor: q.Cursor, max: q.Max, next: -1, out: (*buf)[:0]}
-	walkRuns(want, es, segs, &k)
+	k := scanKernel{matcher: matcher{es: int(es)}, r: clampRange(&q.Pred, es), cursor: q.Cursor, max: q.Max, next: -1, out: (*buf)[:0]}
+	walkRuns(want, es, segs, k.run, k.zeros)
 	res := ScanResult{Total: k.total, NextCursor: k.next}
-	if len(k.out) > 0 {
-		res.Matches = make([]Match, len(k.out))
-		copy(res.Matches, k.out)
+	if out := k.out; len(out) > 0 {
+		// make and copy between locals compile to one allocation, not zeroed.
+		m := make([]Match, len(out))
+		copy(m, out)
+		res.Matches = m
 	}
-	*buf = k.out
+	if cap(k.out) <= maxPooledMatches {
+		*buf = k.out
+	}
 	matchBufs.Put(buf)
 	return res
 }
 
 type scanKernel struct {
-	es int64
-	valueRange
+	matcher
+	r      laneRange
 	cursor int64
 	max    int
 	total  int64
@@ -286,60 +291,30 @@ type scanKernel struct {
 }
 
 func (k *scanKernel) run(base int64, src []byte) {
-	lo, span := k.lo, k.span
-	switch i := base; k.es {
-	case 1:
-		for _, b := range src {
-			if v := uint64(b); v-lo <= span {
-				k.hit(i, v)
-			}
-			i++
-		}
-	case 2:
-		for ; len(src) >= 2; src = src[2:] {
-			if v := uint64(binary.LittleEndian.Uint16(src)); v-lo <= span {
-				k.hit(i, v)
-			}
-			i++
-		}
-	case 4:
-		for ; len(src) >= 4; src = src[4:] {
-			if v := uint64(binary.LittleEndian.Uint32(src)); v-lo <= span {
-				k.hit(i, v)
-			}
-			i++
-		}
-	case 8:
-		for ; len(src) >= 8; src = src[8:] {
-			if v := binary.LittleEndian.Uint64(src); v-lo <= span {
-				k.hit(i, v)
-			}
-			i++
-		}
-	}
-}
-
-// hit records one matching element. It stays out of line so the run loops
-// above are a load, a compare and a not-taken branch per element; left to the
-// inliner (it fits the budget) the loops run 1.7x slower at 1 % selectivity.
-//
-//go:noinline
-func (k *scanKernel) hit(i int64, v uint64) {
-	k.total++
-	if i < k.cursor {
+	found := k.match(src, k.r)
+	if found == 0 {
 		return
 	}
-	if k.max > 0 && len(k.out) >= k.max {
+	k.total += int64(found)
+	hits := k.list()
+	for len(hits) > 0 && base+int64(hits[0]) < k.cursor {
+		hits = hits[1:]
+	}
+	if room := k.max - len(k.out); k.max > 0 && len(hits) > room {
 		if k.next < 0 {
-			k.next = i
+			k.next = base + int64(hits[room])
 		}
-		return
+		hits = hits[:room]
 	}
-	k.out = append(k.out, Match{Index: i, Value: v})
+	out, es := k.out, k.es
+	for _, i := range hits {
+		out = append(out, Match{Index: base + int64(i), Value: elem(src, es, int(i))})
+	}
+	k.out = out
 }
 
 func (k *scanKernel) zeros(base, n int64) {
-	if !k.matchesZero() {
+	if k.r.lo != 0 {
 		return
 	}
 	k.total += n
@@ -356,33 +331,29 @@ func (k *scanKernel) zeros(base, n int64) {
 // The predicate gates every kind: only matching elements participate.
 func reduceSegments(want, es int64, segs []Segment, q ReduceQuery) ReduceResult {
 	res := ReduceResult{Index: -1}
-	r := rangeOf(q.Pred)
+	r, m := clampRange(q.Pred, es), matcher{es: int(es)}
 	switch q.Kind {
-	case ReduceSum:
-		k := sumKernel{es: es, valueRange: r}
-		walkRuns(want, es, segs, &k)
+	case ReduceSum, ReduceCount:
+		k := sumKernel{matcher: m, r: r, all: q.Pred == nil, countOnly: q.Kind == ReduceCount}
+		if k.all && k.countOnly {
+			k.r.lo, k.all = 1, false // nonzero
+		}
+		walkRuns(want, es, segs, k.run, k.zeros)
 		res.Value, res.Count = k.sum, k.n
-	case ReduceCount:
-		if q.Pred == nil {
-			r = valueRange{1, ^uint64(0) - 1} // nonzero
+		if k.countOnly {
+			res.Value = uint64(k.n)
 		}
-		k := sumKernel{es: es, valueRange: r}
-		walkRuns(want, es, segs, &k)
-		res.Value, res.Count = uint64(k.n), k.n
 	case ReduceMin, ReduceMax:
-		k := extremumKernel{es: es, valueRange: r, idx: -1}
-		if q.Kind == ReduceMax {
-			k.flip = ^uint64(0)
-		}
-		walkRuns(want, es, segs, &k)
+		k := extremumKernel{matcher: m, pred: r, gated: q.Pred != nil, want: r, max: q.Kind == ReduceMax, idx: -1}
+		walkRuns(want, es, segs, k.run, k.zeros)
 		res.Count = k.n
-		if k.n > 0 {
-			res.Value, res.Index = k.key^k.flip, k.idx
+		if k.idx >= 0 {
+			res.Value, res.Index = k.best, k.idx
 		}
 	case ReduceTopK:
 		// No more than every element can be kept, whatever K asks for.
-		k := topK{es: es, valueRange: r, heap: make([]Match, 0, min64(int64(q.K), want/es))}
-		walkRuns(want, es, segs, &k)
+		k := topK{matcher: m, r: r, heap: make([]Match, 0, min64(int64(q.K), want/es))}
+		walkRuns(want, es, segs, k.run, k.zeros)
 		res.TopK = k.sorted()
 		res.Count = int64(len(res.TopK))
 		if len(res.TopK) > 0 {
@@ -392,129 +363,109 @@ func reduceSegments(want, es int64, segs []Segment, q ReduceQuery) ReduceResult 
 	return res
 }
 
-// sumKernel sums and counts the matching elements (wrapping arithmetic);
-// ReduceCount is its count alone.
+// sumKernel sums and counts the matching elements (wrapping arithmetic), or
+// only counts them.
 type sumKernel struct {
-	es int64
-	valueRange
-	sum uint64
-	n   int64
+	matcher
+	r         laneRange
+	all       bool // no predicate: sum without classifying
+	countOnly bool
+	sum       uint64
+	n         int64
 }
 
 func (k *sumKernel) run(_ int64, src []byte) {
-	lo, span, sum, n := k.lo, k.span, k.sum, k.n
-	switch k.es {
-	case 1:
-		for _, b := range src {
-			if v := uint64(b); v-lo <= span {
-				sum, n = sum+v, n+1
-			}
-		}
-	case 2:
-		for ; len(src) >= 2; src = src[2:] {
-			if v := uint64(binary.LittleEndian.Uint16(src)); v-lo <= span {
-				sum, n = sum+v, n+1
-			}
-		}
-	case 4:
-		for ; len(src) >= 4; src = src[4:] {
-			if v := uint64(binary.LittleEndian.Uint32(src)); v-lo <= span {
-				sum, n = sum+v, n+1
-			}
-		}
-	case 8:
-		for ; len(src) >= 8; src = src[8:] {
-			if v := binary.LittleEndian.Uint64(src); v-lo <= span {
-				sum, n = sum+v, n+1
-			}
+	if k.all {
+		k.sum, k.n = k.sum+sumAll(src, k.es), k.n+int64(count(src, k.es))
+		return
+	}
+	found := k.match(src, k.r)
+	k.n += int64(found)
+	switch {
+	case k.countOnly || found == 0:
+	case found == k.elems:
+		k.sum += sumAll(src, k.es)
+	default:
+		for _, i := range k.list() {
+			k.sum += elem(src, k.es, int(i))
 		}
 	}
-	k.sum, k.n = sum, n
 }
 
 func (k *sumKernel) zeros(_, n int64) {
-	if k.matchesZero() {
+	if k.r.lo == 0 {
 		k.n += n
 	}
 }
 
-// extremumKernel finds the minimum matching element and the first index
-// attaining it. Elements are compared as key = v ^ flip: flip 0 orders keys
-// as values (min), flip ^0 reverses the order (max), so one strict compare
-// serves both and ties keep the earlier index either way.
+// extremumKernel finds the minimum (or maximum) matching element and the
+// first index attaining it. Only a strictly better value can replace the one
+// it has, so want narrows to those values; without a predicate the classifier
+// is given want and rejects the rest. With one, Count is the predicate's
+// matches, so every one of them has to be found.
 type extremumKernel struct {
-	es int64
-	valueRange
-	flip uint64
-	key  uint64 // smallest key so far; meaningful once idx >= 0
-	idx  int64
-	n    int64
+	matcher
+	pred  laneRange
+	gated bool      // there is a predicate
+	want  laneRange // the values that would replace best
+	max   bool
+	best  uint64
+	idx   int64 // -1 until an element matched
+	n     int64
 }
 
 func (k *extremumKernel) run(base int64, src []byte) {
-	lo, span, flip, n := k.lo, k.span, k.flip, k.n
-	best, idx := k.key, k.idx
-	switch i := base; k.es {
-	case 1:
-		for _, b := range src {
-			if v := uint64(b); v-lo <= span {
-				n++
-				if key := v ^ flip; key < best || idx < 0 {
-					best, idx = key, i
-				}
-			}
-			i++
-		}
-	case 2:
-		for ; len(src) >= 2; src = src[2:] {
-			if v := uint64(binary.LittleEndian.Uint16(src)); v-lo <= span {
-				n++
-				if key := v ^ flip; key < best || idx < 0 {
-					best, idx = key, i
-				}
-			}
-			i++
-		}
-	case 4:
-		for ; len(src) >= 4; src = src[4:] {
-			if v := uint64(binary.LittleEndian.Uint32(src)); v-lo <= span {
-				n++
-				if key := v ^ flip; key < best || idx < 0 {
-					best, idx = key, i
-				}
-			}
-			i++
-		}
-	case 8:
-		for ; len(src) >= 8; src = src[8:] {
-			if v := binary.LittleEndian.Uint64(src); v-lo <= span {
-				n++
-				if key := v ^ flip; key < best || idx < 0 {
-					best, idx = key, i
-				}
-			}
-			i++
+	find := k.want
+	if k.gated {
+		find = k.pred
+	}
+	found := k.match(src, find)
+	if k.gated {
+		k.n += int64(found)
+	} else {
+		k.n += int64(count(src, k.es))
+	}
+	if found == 0 {
+		return
+	}
+	for _, i := range k.list() {
+		// want may have narrowed since the run was classified.
+		if v := elem(src, k.es, int(i)); v >= k.want.lo && v <= k.want.hi {
+			k.accept(base+int64(i), v)
 		}
 	}
-	k.key, k.idx, k.n = best, idx, n
 }
 
 func (k *extremumKernel) zeros(base, n int64) {
-	if !k.matchesZero() {
+	if k.pred.lo != 0 {
 		return
 	}
 	k.n += n
-	if k.flip < k.key || k.idx < 0 {
-		k.key, k.idx = k.flip, base
+	if k.want.lo == 0 {
+		k.accept(base, 0)
+	}
+}
+
+func (k *extremumKernel) accept(i int64, v uint64) {
+	k.best, k.idx = v, i
+	switch {
+	case k.max && v < ^uint64(0):
+		k.want.lo = v + 1
+	case !k.max && v > 0:
+		k.want.hi = v - 1
+	default:
+		k.want = emptyRange
 	}
 }
 
 // topK keeps the best (value desc, index asc on ties) matching elements seen
 // so far, at most cap(heap) of them, in a min-heap whose root is the current
-// worst keeper.
+// worst keeper. Elements arrive in ascending index order, so once the heap is
+// full one that only ties the root is worse than it: r narrows to the values
+// above the root, and the classifier rejects the rest.
 type topK struct {
-	es int64
-	valueRange
+	matcher
+	r    laneRange
 	heap []Match
 }
 
@@ -527,64 +478,41 @@ func worse(a, b Match) bool {
 	return a.Index > b.Index
 }
 
-// floor is the value an element must exceed to be kept once the heap is
-// full: elements arrive in ascending index order, so one that only ties the
-// root is worse than it. Until the heap fills every match is kept.
-func (t *topK) floor() (v uint64, full bool) {
-	if len(t.heap) < cap(t.heap) {
-		return 0, false
+func (t *topK) run(base int64, src []byte) {
+	if t.match(src, t.r) == 0 {
+		return
 	}
-	return t.heap[0].Value, true
+	for _, i := range t.list() {
+		// The floor may have risen since the run was classified.
+		if v := elem(src, t.es, int(i)); v >= t.r.lo {
+			t.offer(base+int64(i), v)
+			t.narrow()
+		}
+	}
 }
 
-func (t *topK) run(base int64, src []byte) {
-	lo, span := t.lo, t.span
-	floor, full := t.floor()
-	switch i := base; t.es {
-	case 1:
-		for _, b := range src {
-			if v := uint64(b); v-lo <= span && (v > floor || !full) {
-				t.offer(i, v)
-				floor, full = t.floor()
-			}
-			i++
-		}
-	case 2:
-		for ; len(src) >= 2; src = src[2:] {
-			if v := uint64(binary.LittleEndian.Uint16(src)); v-lo <= span && (v > floor || !full) {
-				t.offer(i, v)
-				floor, full = t.floor()
-			}
-			i++
-		}
-	case 4:
-		for ; len(src) >= 4; src = src[4:] {
-			if v := uint64(binary.LittleEndian.Uint32(src)); v-lo <= span && (v > floor || !full) {
-				t.offer(i, v)
-				floor, full = t.floor()
-			}
-			i++
-		}
-	case 8:
-		for ; len(src) >= 8; src = src[8:] {
-			if v := binary.LittleEndian.Uint64(src); v-lo <= span && (v > floor || !full) {
-				t.offer(i, v)
-				floor, full = t.floor()
-			}
-			i++
-		}
+// narrow raises r above the root of a full heap.
+func (t *topK) narrow() {
+	if len(t.heap) < cap(t.heap) {
+		return
+	}
+	if floor := t.heap[0].Value; floor == ^uint64(0) {
+		t.r = emptyRange
+	} else {
+		t.r.lo = max(t.r.lo, floor+1)
 	}
 }
 
 // zeros keeps zeros only while the heap has room: a zero never exceeds the
 // floor of a full heap.
 func (t *topK) zeros(base, n int64) {
-	if !t.matchesZero() {
+	if t.r.lo != 0 {
 		return
 	}
 	for i := base; i < base+n && len(t.heap) < cap(t.heap); i++ {
 		t.offer(i, 0)
 	}
+	t.narrow()
 }
 
 func (t *topK) offer(i int64, v uint64) {

@@ -3,6 +3,7 @@ package stl
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -312,29 +313,43 @@ func TestPushdownInvalidQueries(t *testing.T) {
 // with the buffer a read would assemble from it. layout selects the shape:
 // 0 is random pieces with random gaps, neither element-aligned (straddling
 // elements, edges inside elements); 1 is element-aligned pieces, adjacent or
-// a few whole elements apart; 2 is one segment covering everything (the
-// scalar path's shape); 3 is a phantom device's nil list. Low-entropy bytes
-// (alphabet of four) make ties and zero elements common.
+// a few whole elements apart; 2 is one segment covering everything (several
+// blocks and a tail in one run); 3 is a phantom device's nil list; 4 is
+// adjacent element-aligned pieces of 1 to 17 elements (runs of every length a
+// block classifier can get wrong). The data is one of three kinds: uniform
+// bytes; low-entropy bytes (alphabet of four), which make ties and zero
+// elements common; or sparse — one background element value with a few
+// percent of uniform elements scattered in it, so that a predicate on either
+// side of the background misses at least 95 % of the elements and whole
+// blocks go by without a match.
 func randomSegments(rng *rand.Rand, es, n int64, layout uint8) (buf []byte, segs []Segment) {
 	want := es * n
-	buf = make([]byte, want)
-	alphabet := []byte{0, 0, 1, 255}
-	fill := func(b []byte) {
-		if rng.Intn(2) == 0 {
-			rng.Read(b)
-			return
+	data := make([]byte, want)
+	switch alphabet := []byte{0, 0, 1, 255}; rng.Intn(3) {
+	case 0:
+		rng.Read(data)
+	case 1:
+		for i := range data {
+			data[i] = alphabet[rng.Intn(len(alphabet))]
 		}
-		for i := range b {
-			b[i] = alphabet[rng.Intn(len(alphabet))]
+	case 2:
+		background := make([]byte, es)
+		rng.Read(background)
+		for i := int64(0); i < n; i++ {
+			if elem := data[i*es : (i+1)*es]; rng.Intn(100) < 4 {
+				rng.Read(elem)
+			} else {
+				copy(elem, background)
+			}
 		}
 	}
+	buf = make([]byte, want)
 	emit := func(pos, size int64) {
-		src := make([]byte, size)
-		fill(src)
+		src := append([]byte(nil), data[pos:pos+size]...)
 		copy(buf[pos:], src)
 		segs = append(segs, Segment{Dst: pos, Src: src})
 	}
-	switch layout % 4 {
+	switch layout % 5 {
 	case 0:
 		for pos := int64(rng.Intn(7)); pos < want; pos += int64(rng.Intn(7)) {
 			size := min64(int64(1+rng.Intn(13)), want-pos)
@@ -349,18 +364,57 @@ func randomSegments(rng *rand.Rand, es, n int64, layout uint8) (buf []byte, segs
 		}
 	case 2:
 		emit(0, want)
+	case 4:
+		for pos := int64(0); pos < want; {
+			size := min64(es*int64(1+rng.Intn(17)), want-pos)
+			emit(pos, size)
+			pos += size
+		}
 	}
 	return buf, segs
 }
 
+// commonest returns the value most elements hold.
+func commonest(elems []uint64) (v uint64) {
+	seen := make(map[uint64]int)
+	for _, e := range elems {
+		if seen[e]++; seen[e] > seen[v] || (seen[e] == seen[v] && e < v) {
+			v = e
+		}
+	}
+	return v
+}
+
+// checkScan and checkReduce hold the kernels over one segment list to the
+// references over the materialised buffer.
+func checkScan(t *testing.T, es int64, elems []uint64, segs []Segment, q ScanQuery) {
+	t.Helper()
+	got, want := scanSegments(int64(len(elems))*es, es, segs, q), refScan(elems, q)
+	if !scanEqual(got, want) {
+		t.Fatalf("es=%d n=%d q=%+v: scan mismatch\n got %+v\nwant %+v\nsegs %v", es, len(elems), q, got, want, segs)
+	}
+}
+
+func checkReduce(t *testing.T, es int64, elems []uint64, segs []Segment, q ReduceQuery) {
+	t.Helper()
+	got, want := reduceSegments(int64(len(elems))*es, es, segs, q), refReduce(elems, q)
+	if !reduceEqual(got, want) {
+		t.Fatalf("es=%d n=%d q=%+v pred=%+v: reduce mismatch\n got %+v\nwant %+v\nsegs %v", es, len(elems), q, q.Pred, got, want, segs)
+	}
+}
+
 // checkPushdownKernels holds scanSegments and reduceSegments over one random
-// segment list to the references over the materialised buffer: predicates
-// that do and do not match zero, cursor and max paging, every reduce kind
-// with and without a predicate, k below, at and above the element count.
+// segment list to the references: predicates that do and do not match zero,
+// predicates that miss nearly everything, predicates at the edges of the
+// element width, cursor and max paging, every reduce kind with and without a
+// predicate, k below, at and above the element count.
 func checkPushdownKernels(t *testing.T, seed int64, width, layout uint8) {
 	rng := rand.New(rand.NewSource(seed))
 	es := []int64{1, 2, 4, 8}[width%4]
 	n := int64(1 + rng.Intn(96))
+	if rng.Intn(2) == 0 {
+		n = int64(1 + rng.Intn(600)) // several blocks, clean ones between dirty ones, every tail
+	}
 	buf, segs := randomSegments(rng, es, n, layout)
 	elems := refElems(buf, n*es, es)
 	pick := func() uint64 { return elems[rng.Intn(len(elems))] }
@@ -368,13 +422,25 @@ func checkPushdownKernels(t *testing.T, seed int64, width, layout uint8) {
 	if a > b {
 		a, b = b, a
 	}
+	top, most := ^uint64(0)>>(64-8*uint(es)), commonest(elems)
 	preds := []Predicate{
 		{Lo: 0, Hi: ^uint64(0)}, // every element: pins the walker's order and coverage
 		{Lo: 0, Hi: 0},
 		{Lo: 0, Hi: b},
-		{Lo: 1, Hi: ^uint64(0)},
+		{Lo: 1, Hi: ^uint64(0)}, // wider than the element: zeros must not wrap into it
 		{Lo: a, Hi: b},
 		{Lo: b, Hi: b},
+		{Lo: 0, Hi: top},          // everything the width can hold
+		{Lo: top, Hi: ^uint64(0)}, // only the width's largest value
+	}
+	if most < ^uint64(0) {
+		preds = append(preds, Predicate{Lo: most + 1, Hi: ^uint64(0)}) // above the background of sparse data
+	}
+	if most > 0 {
+		preds = append(preds, Predicate{Lo: 0, Hi: most - 1}) // and below it
+	}
+	if es < 8 {
+		preds = append(preds, Predicate{Lo: top + 1, Hi: ^uint64(0)}) // nothing the width can hold
 	}
 	for _, pred := range preds {
 		for _, q := range []ScanQuery{
@@ -383,13 +449,14 @@ func checkPushdownKernels(t *testing.T, seed int64, width, layout uint8) {
 			{Pred: pred, Cursor: rng.Int63n(n + 2)},
 			{Pred: pred, Cursor: rng.Int63n(n + 2), Max: 1 + rng.Intn(int(n))},
 		} {
-			got, want := scanSegments(n*es, es, segs, q), refScan(elems, q)
-			if !scanEqual(got, want) {
-				t.Fatalf("es=%d n=%d layout=%d q=%+v: scan mismatch\n got %+v\nwant %+v\nsegs %v", es, n, layout%4, q, got, want, segs)
-			}
+			checkScan(t, es, elems, segs, q)
 		}
 	}
-	for _, p := range []*Predicate{nil, &preds[1], &preds[2], &preds[3], &preds[4], &preds[5]} {
+	for i := -1; i < len(preds); i++ {
+		var p *Predicate
+		if i >= 0 {
+			p = &preds[i]
+		}
 		for _, q := range []ReduceQuery{
 			{Kind: ReduceSum, Pred: p},
 			{Kind: ReduceCount, Pred: p},
@@ -400,10 +467,7 @@ func checkPushdownKernels(t *testing.T, seed int64, width, layout uint8) {
 			{Kind: ReduceTopK, K: int(n), Pred: p},
 			{Kind: ReduceTopK, K: int(n) + 5, Pred: p},
 		} {
-			got, want := reduceSegments(n*es, es, segs, q), refReduce(elems, q)
-			if !reduceEqual(got, want) {
-				t.Fatalf("es=%d n=%d layout=%d q=%+v pred=%+v: reduce mismatch\n got %+v\nwant %+v\nsegs %v", es, n, layout%4, q, p, got, want, segs)
-			}
+			checkReduce(t, es, elems, segs, q)
 		}
 	}
 }
@@ -421,11 +485,142 @@ func TestPushdownKernelsDifferential(t *testing.T) {
 // seed, element width and layout; testdata/fuzz holds the committed corpus.
 func FuzzPushdownKernels(f *testing.F) {
 	for width := uint8(0); width < 4; width++ {
-		for layout := uint8(0); layout < 4; layout++ {
-			f.Add(int64(width)*4+int64(layout), width, layout)
+		for layout := uint8(0); layout < 5; layout++ {
+			f.Add(int64(width)*5+int64(layout), width, layout)
 		}
 	}
 	f.Fuzz(checkPushdownKernels)
+}
+
+// layouts returns elems as one segment, and as adjacent pieces of 1 to 17
+// elements: the two shapes the blocked kernels' edge cases are pinned on.
+func layouts(es int64, elems []uint64) map[string][]Segment {
+	buf := make([]byte, es*int64(len(elems)))
+	for i, v := range elems {
+		for b := int64(0); b < es; b++ {
+			buf[int64(i)*es+b] = byte(v >> (8 * b))
+		}
+	}
+	var pieces []Segment
+	for pos, k := int64(0), int64(1); pos < int64(len(buf)); pos, k = pos+k*es, k%17+1 {
+		pieces = append(pieces, Segment{Dst: pos, Src: buf[pos:min64(pos+k*es, int64(len(buf)))]})
+	}
+	return map[string][]Segment{"one run": {{Src: buf}}, "pieces": pieces}
+}
+
+// TestPushdownWidthEdges: predicates at and beyond what an element of the
+// width can hold, over data that holds zeros, the width's largest value and a
+// spread between — at a length that leaves a tail after the last whole block.
+func TestPushdownWidthEdges(t *testing.T) {
+	for _, es := range []int64{1, 2, 4, 8} {
+		top := ^uint64(0) >> (64 - 8*uint(es))
+		elems := make([]uint64, 203)
+		for i := range elems {
+			elems[i] = []uint64{0, top, uint64(i) & top, top - uint64(i)&top, 1, 0}[i%6]
+		}
+		edges := map[string]Predicate{
+			// The clamp case: a span cut to the width, not to what is left of it
+			// above Lo, lets zeros wrap into this range.
+			"zeros stay out of [1, 2^64-1]": {Lo: 1, Hi: ^uint64(0)},
+			"everything":                    {Lo: 0, Hi: top},
+			"only the largest":              {Lo: top, Hi: ^uint64(0)},
+			"only zero":                     {Lo: 0, Hi: 0},
+		}
+		if es < 8 {
+			edges["nothing"] = Predicate{Lo: top + 1, Hi: ^uint64(0)}
+		}
+		for name, pred := range edges {
+			for shape, segs := range layouts(es, elems) {
+				t.Run(fmt.Sprintf("w%d/%s/%s", es, name, shape), func(t *testing.T) {
+					checkScan(t, es, elems, segs, ScanQuery{Pred: pred})
+					for _, kind := range []ReduceKind{ReduceSum, ReduceCount, ReduceMin, ReduceMax, ReduceTopK} {
+						checkReduce(t, es, elems, segs, ReduceQuery{Kind: kind, K: 5, Pred: &pred})
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPushdownSumOfLargest: whole runs of the width's largest value, the most
+// sumAll's widened lanes have to hold, then a tail.
+func TestPushdownSumOfLargest(t *testing.T) {
+	for _, es := range []int64{1, 2, 4, 8} {
+		elems := make([]uint64, 2*runElems+13)
+		for i := range elems {
+			elems[i] = ^uint64(0) >> (64 - 8*uint(es))
+		}
+		for _, segs := range layouts(es, elems) {
+			checkReduce(t, es, elems, segs, ReduceQuery{Kind: ReduceSum})
+			checkReduce(t, es, elems, segs, ReduceQuery{Kind: ReduceSum, Pred: &Predicate{Lo: 1, Hi: ^uint64(0)}})
+		}
+	}
+}
+
+// TestPushdownPageEndsOnEveryLane: a result page may end anywhere in a block.
+// Every Max from 1 to 17 against cursors on every lane, over data where every
+// element matches and where one in five does: NextCursor lands mid-block and
+// Total still counts the whole partition.
+func TestPushdownPageEndsOnEveryLane(t *testing.T) {
+	elems := make([]uint64, 77)
+	for i := range elems {
+		elems[i] = uint64(i % 5)
+	}
+	for _, es := range []int64{1, 2, 4, 8} {
+		for shape, segs := range layouts(es, elems) {
+			for pred, total := range map[Predicate]int64{{Lo: 0, Hi: 4}: 77, {Lo: 3, Hi: 3}: 15} {
+				for max := 1; max <= 17; max++ {
+					for cursor := int64(0); cursor <= 17; cursor++ {
+						q := ScanQuery{Pred: pred, Cursor: cursor, Max: max}
+						got := scanSegments(int64(len(elems))*es, es, segs, q)
+						if want := refScan(elems, q); !scanEqual(got, want) {
+							t.Fatalf("w%d %s q=%+v:\n got %+v\nwant %+v", es, shape, q, got, want)
+						}
+						if got.Total != total {
+							t.Fatalf("w%d %s q=%+v: total %d, want the whole partition's %d", es, shape, q, got.Total, total)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPushdownBoundTightensInsideBlock: ascending values make every element a
+// new maximum (and a new entry for a full top-k heap), so the kernel's bound
+// moves between the lanes of one block; descending values do the same to the
+// minimum; equal values tie at the bound, where the lower index must win.
+func TestPushdownBoundTightensInsideBlock(t *testing.T) {
+	const n = 150
+	shapes := map[string]func(i int) uint64{
+		"ascending":  func(i int) uint64 { return uint64(10 + i) },
+		"descending": func(i int) uint64 { return uint64(10 + n - i) },
+		"equal":      func(i int) uint64 { return 42 },
+		"sawtooth":   func(i int) uint64 { return uint64(10 + i%7) },
+	}
+	for name, value := range shapes {
+		elems := make([]uint64, n)
+		for i := range elems {
+			elems[i] = value(i)
+		}
+		for _, es := range []int64{1, 2, 4, 8} {
+			for shape, segs := range layouts(es, elems) {
+				t.Run(fmt.Sprintf("%s/w%d/%s", name, es, shape), func(t *testing.T) {
+					for _, p := range []*Predicate{nil, {Lo: 12, Hi: 100}} {
+						for _, q := range []ReduceQuery{
+							{Kind: ReduceMin, Pred: p},
+							{Kind: ReduceMax, Pred: p},
+							{Kind: ReduceTopK, K: 1, Pred: p},
+							{Kind: ReduceTopK, K: 8, Pred: p},
+							{Kind: ReduceTopK, K: 16, Pred: p},
+						} {
+							checkReduce(t, es, elems, segs, q)
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestTopKFullPartition: the typed API does not bound K, so a top-k as deep
@@ -470,10 +665,62 @@ func TestTopKOrdering(t *testing.T) {
 	}
 }
 
+// TestPushdownKernelAllocs: a kernel lives on its caller's stack. A reduction
+// allocates nothing — top-k only its heap, which is the result — and a scan
+// only the matches it returns, at exact size: the accumulation buffer is
+// pooled.
+func TestPushdownKernelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the scan's accumulation buffer")
+	}
+	want, segs := benchTile(4, 0)
+	pred := benchPred(4, 0.01)
+	for _, q := range []ReduceQuery{{Kind: ReduceSum}, {Kind: ReduceCount}, {Kind: ReduceMin}, {Kind: ReduceMax},
+		{Kind: ReduceSum, Pred: &pred}, {Kind: ReduceCount, Pred: &pred}, {Kind: ReduceMin, Pred: &pred}, {Kind: ReduceMax, Pred: &pred}} {
+		if allocs := testing.AllocsPerRun(10, func() { benchReduceResult = reduceSegments(want, 4, segs, q) }); allocs != 0 {
+			t.Errorf("%v (predicate %v): %.0f allocations, want 0", q.Kind, q.Pred != nil, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { benchReduceResult = reduceSegments(want, 4, segs, ReduceQuery{Kind: ReduceTopK, K: 16}) }); allocs > 1 {
+		t.Errorf("top-16: %.0f allocations, want at most 1 (the heap)", allocs)
+	}
+	scan := func() { benchScanResult = scanSegments(want, 4, segs, ScanQuery{Pred: pred}) }
+	scan()
+	if allocs := testing.AllocsPerRun(10, scan); allocs > 1 {
+		t.Errorf("scan at 1 %%: %.0f allocations, want at most 1 (the result)", allocs)
+	}
+	// One allocation of exactly the result: 41 KB of matches, which the
+	// allocator rounds up to its 48 KB size class.
+	if m := benchScanResult.Matches; len(m) == 0 || cap(m) != len(m) {
+		t.Errorf("scan at 1 %%: result of %d matches has capacity %d", len(m), cap(m))
+	}
+}
+
+// TestScanBufferPoolCap: a scan whose result outgrows maxPooledMatches still
+// returns it whole and at exact size, and does not park its accumulation
+// buffer in the pool.
+func TestScanBufferPoolCap(t *testing.T) {
+	const n = maxPooledMatches + 1
+	res := scanSegments(n, 1, nil, ScanQuery{}) // a phantom device: n zeros, all matching [0, 0]
+	if res.Total != n || len(res.Matches) != n || cap(res.Matches) != n || res.Matches[n-1].Index != n-1 {
+		t.Fatalf("dense scan: total %d, %d matches (capacity %d), want %d", res.Total, len(res.Matches), cap(res.Matches), n)
+	}
+	buf := matchBufs.Get().(*[]Match)
+	defer matchBufs.Put(buf)
+	if cap(*buf) > maxPooledMatches {
+		t.Errorf("the pool kept a buffer of %d matches, cap is %d", cap(*buf), maxPooledMatches)
+	}
+}
+
 // benchTile is the shape pushdown_scan feeds the kernels: a 1 MiB tile of
-// uniform uint32 arriving as 512 row pieces of 2 KiB.
-func benchTile() (want int64, segs []Segment) {
-	const piece = 2048
+// uniform random elements arriving as 512 row pieces of 2 KiB — or, with
+// perRun > 0, as runs of that many elements a piece apart, the shape a
+// KMeans row reduction has (a run is k elements, not a page).
+func benchTile(es int64, perRun int) (want int64, segs []Segment) {
+	piece := 2048
+	if perRun > 0 {
+		piece = perRun * int(es)
+	}
 	buf := make([]byte, 1<<20)
 	rand.New(rand.NewSource(1)).Read(buf)
 	for off := 0; off < len(buf); off += piece {
@@ -482,28 +729,68 @@ func benchTile() (want int64, segs []Segment) {
 	return int64(len(buf)), segs
 }
 
+// benchPred matches share of the values of uniform es-byte elements, from a
+// lower bound a quarter of the way up the width's range.
+func benchPred(es int64, share float64) Predicate {
+	top := float64(^uint64(0) >> (64 - 8*uint(es)))
+	if share >= 1 {
+		return Predicate{Lo: 0, Hi: ^uint64(0)}
+	}
+	lo := uint64(top / 4)
+	return Predicate{Lo: lo, Hi: lo + uint64(top*share)}
+}
+
 var (
 	benchScanResult   ScanResult
 	benchReduceResult ReduceResult
 )
 
-// BenchmarkScanKernel: the scan kernel alone at 1 % selectivity.
-func BenchmarkScanKernel(b *testing.B) {
-	want, segs := benchTile()
-	q := ScanQuery{Pred: Predicate{Lo: 1 << 30, Hi: 1<<30 + 1<<32/100}}
+func benchScan(b *testing.B, es int64, share float64) {
+	want, segs := benchTile(es, 0)
+	q := ScanQuery{Pred: benchPred(es, share)}
 	b.ReportAllocs()
 	b.SetBytes(want)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchScanResult = scanSegments(want, 4, segs, q)
+		benchScanResult = scanSegments(want, es, segs, q)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(want/4), "ns/elem")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(want/es), "ns/elem")
 }
 
-// BenchmarkReduceKernel: every reduce kind alone, top-k at the depth
-// pushdown_scan asks for.
+func benchReduce(b *testing.B, es int64, perRun int, q ReduceQuery) {
+	want, segs := benchTile(es, perRun)
+	b.ReportAllocs()
+	b.SetBytes(want)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchReduceResult = reduceSegments(want, es, segs, q)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(want/es), "ns/elem")
+}
+
+// BenchmarkScanKernel: the scan kernel alone at 1 % selectivity over uint32
+// (the figure EXPERIMENTS.md has tracked since PR 13), then every width at
+// selectivity 0, 1 %, 10 % and 100 %: the dense end is what a blocked kernel
+// could pay for the sparse one with.
+func BenchmarkScanKernel(b *testing.B) { benchScan(b, 4, 0.01) }
+
+func BenchmarkScanKernelSweep(b *testing.B) {
+	for _, es := range []int64{1, 2, 4, 8} {
+		for _, sel := range []struct {
+			name  string
+			share float64
+		}{{"0", 0}, {"1pct", 0.01}, {"10pct", 0.10}, {"100pct", 1}} {
+			b.Run(fmt.Sprintf("w%d/sel=%s", es, sel.name), func(b *testing.B) { benchScan(b, es, sel.share) })
+		}
+	}
+}
+
+// BenchmarkReduceKernel: every reduce kind alone over uint32, top-k at the
+// depth pushdown_scan asks for; then a predicate-gated sum (1 %), and the
+// nil-predicate sum and max over the widths the device kernels reduce
+// (internal/workloads reads 8-byte keys) in page-sized runs and in 16-element
+// runs, where per-run set-up is most of the cost.
 func BenchmarkReduceKernel(b *testing.B) {
-	want, segs := benchTile()
 	for _, q := range []ReduceQuery{
 		{Kind: ReduceSum},
 		{Kind: ReduceCount},
@@ -511,13 +798,14 @@ func BenchmarkReduceKernel(b *testing.B) {
 		{Kind: ReduceMax},
 		{Kind: ReduceTopK, K: 16},
 	} {
-		b.Run(q.Kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(want)
-			for i := 0; i < b.N; i++ {
-				benchReduceResult = reduceSegments(want, 4, segs, q)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(want/4), "ns/elem")
-		})
+		b.Run(q.Kind.String(), func(b *testing.B) { benchReduce(b, 4, 0, q) })
+	}
+	for _, es := range []int64{4, 8} {
+		pred := benchPred(es, 0.01)
+		b.Run(fmt.Sprintf("w%d/sum-pred", es), func(b *testing.B) { benchReduce(b, es, 0, ReduceQuery{Kind: ReduceSum, Pred: &pred}) })
+		b.Run(fmt.Sprintf("w%d/sum", es), func(b *testing.B) { benchReduce(b, es, 0, ReduceQuery{Kind: ReduceSum}) })
+		b.Run(fmt.Sprintf("w%d/sum-run16", es), func(b *testing.B) { benchReduce(b, es, 16, ReduceQuery{Kind: ReduceSum}) })
+		b.Run(fmt.Sprintf("w%d/max-run16", es), func(b *testing.B) { benchReduce(b, es, 16, ReduceQuery{Kind: ReduceMax}) })
+		b.Run(fmt.Sprintf("w%d/topk-run16", es), func(b *testing.B) { benchReduce(b, es, 16, ReduceQuery{Kind: ReduceTopK, K: 16}) })
 	}
 }

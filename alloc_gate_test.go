@@ -15,7 +15,7 @@ import (
 // full with spaces of 1 MiB tiles, and overwrites tiles until every die has
 // collected: the steady state of the repo benchmark's aged_write workload, at
 // a size a unit test can afford. The returned function overwrites one more
-// tile. Exported to the external test package for BenchmarkWritePartitionAllocs.
+// tile. Exported to the external test package for BenchmarkAgedOverwrite.
 func AgedArray(tb testing.TB) (*stl.STL, func()) {
 	tb.Helper()
 	geo := nvm.Geometry{Channels: 8, Banks: 1, BlocksPerBank: 9, PagesPerBlock: 128, PageSize: 4096}

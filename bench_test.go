@@ -316,12 +316,24 @@ func BenchmarkCachedReadAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkAgedOverwrite is the write path's loop to iterate on: a 1 MiB tile
+// overwrite on an array aged into steady collection (256 pages programmed,
+// some 75 relocated, 2.5 blocks erased) — the repo benchmark's aged_write at
+// a size that sets up in a second. MB/s is wall-clock payload.
+func BenchmarkAgedOverwrite(b *testing.B) {
+	_, overwrite := nds.AgedArray(b)
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		overwrite()
+	}
+}
+
 // BenchmarkWritePartitionAllocs measures per-request heap allocations of a
 // 64x64 tile overwrite (read-modify-write plus replacement allocation) on
-// both data paths, of a 1 MiB overwrite on an array aged into steady
-// collection (256 pages programmed, some 75 relocated, 2.5 blocks erased),
-// and of the allocation gate's phantom write of one building block (256 units
-// placed).
+// both data paths, and of the allocation gate's phantom write of one building
+// block (256 units placed).
 func BenchmarkWritePartitionAllocs(b *testing.B) {
 	b.Run("size=256pages/phantom", func(b *testing.B) {
 		_, writeBlock := nds.PhantomPlane(b)
@@ -329,14 +341,6 @@ func BenchmarkWritePartitionAllocs(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			writeBlock()
-		}
-	})
-	b.Run("size=1MiB/aged", func(b *testing.B) {
-		_, overwrite := nds.AgedArray(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			overwrite()
 		}
 	})
 	for _, mode := range []struct {

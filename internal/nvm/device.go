@@ -19,10 +19,12 @@ type PageCipher interface {
 	Open(p PPA, sealed []byte) []byte
 }
 
-// arenaChunkPages is how many page frames the arena carves out of each
-// backing slab. Slab allocation amortizes the per-page make() the old map
-// store paid on every program.
-const arenaChunkPages = 64
+// FramesPerSlab is how many page frames the arena carves out of each backing
+// slab. Slab allocation amortizes the per-page make() the old map store paid
+// on every program. A new slab arrives zeroed, so its frames are in cache
+// until about as many again have been drawn; the STL's write path sizes its
+// fill bursts by it.
+const FramesPerSlab = 64
 
 // frameArena is the device-wide supply of page frames. A frame is the unit of
 // ownership on the write path: whoever assembles a page draws one (Frame), a
@@ -46,7 +48,7 @@ func (a *frameArena) get(pageSize int) []byte {
 		return pg
 	}
 	if len(a.slab) < pageSize {
-		a.slab = make([]byte, pageSize*arenaChunkPages)
+		a.slab = make([]byte, pageSize*FramesPerSlab)
 	}
 	pg := a.slab[:pageSize:pageSize]
 	a.slab = a.slab[pageSize:]

@@ -143,16 +143,17 @@ func (t *STL) takeUnitInline(at sim.Time, d *die, channel, bank int, ac *allocCt
 			return nvm.PPA{}, at, err
 		}
 	}
+	// One critical section unless the carve would open the die's last free
+	// block: then collection runs first, outside the lock.
 	d.mu.Lock()
-	needBlock := (d.activeBlock < 0 || d.nextPage >= t.geo.PagesPerBlock) && len(d.freeBlocks) <= 1
-	d.mu.Unlock()
-	if needBlock {
+	if (d.activeBlock < 0 || d.nextPage >= t.geo.PagesPerBlock) && len(d.freeBlocks) <= 1 {
+		d.mu.Unlock()
 		var err error
 		if at, err = t.reclaim(at, channel, bank, ac, low); err != nil {
 			return nvm.PPA{}, at, err
 		}
+		d.mu.Lock()
 	}
-	d.mu.Lock()
 	p, ok := d.carve(channel, bank, t.geo.PagesPerBlock)
 	d.mu.Unlock()
 	if !ok {

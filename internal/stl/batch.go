@@ -216,6 +216,17 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 	return want, done, nil
 }
 
+// writePartitionBatched is the write path: book first, fill last. Pass 1 groups
+// the extents by destination page. Pass 2 settles every page's bookkeeping in
+// stage order — invalidate the old unit, carve the replacement (collecting
+// inline where the die asks for it), draw a frame, bind, queue the program — and
+// moves no payload: a page that is not a read-modify-write is only noted as a
+// pending fill. The bytes move in bursts of nothing but copies, every
+// fillBurst pages and at the head of flushPrograms, so a queued op's frame is
+// undefined until the flush that programs it (DESIGN.md "Frame ownership"). A
+// read-modify-write page is the exception and is assembled on the spot: the
+// old page it starts from aliases a device frame that the invalidate and
+// collection that follow may erase.
 func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, data []byte) (sim.Time, RequestStats, error) {
 	var stats RequestStats
 	s := v.space
@@ -233,6 +244,7 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 	}
 	stats.Extents = len(exts)
 	stats.Bytes = want
+	rs.payload = data
 
 	ps := int64(t.geo.PageSize)
 
@@ -268,20 +280,19 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 	// reads, GC via the allocCtx flush hook, staged programs, request end).
 	done := at
 	ac := &allocCtx{flush: func() error { return t.flushPrograms(rs, &done, &stats) }, held: s}
+	hasData := !t.dev.Phantom()
 	for si := range rs.stages {
 		st := &rs.stages[si]
 		slot := &st.blk.pages[st.page]
 		pb := s.pageBytes(t.geo, st.page)
 		if t.cfg.WriteBuffering && !slot.allocated {
 			for _, ei := range st.extents {
-				e := exts[ei]
-				lo := max64(e.Off, int64(st.page)*ps)
-				hi := min64(e.Off+e.Len, int64(st.page+1)*ps)
+				off, src, n := pagePiece(&exts[ei], st.page, ps)
 				var chunk []byte
 				if data != nil {
-					chunk = data[e.Dst+(lo-e.Off):]
+					chunk = data[src:]
 				}
-				t.stageWrite(s, st.blockIdx, st.page, lo-int64(st.page)*ps, chunk, hi-lo)
+				t.stageWrite(s, st.blockIdx, st.page, off, chunk, n)
 			}
 			if pp := t.takeIfFull(s, st.blockIdx, st.page, pb); pp != nil {
 				if err := t.flushPrograms(rs, &done, &stats); err != nil {
@@ -297,45 +308,34 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 			continue
 		}
 		ready := at
-		var old []byte
+		// A read-modify-write page starts from the old page (a whole frame) and
+		// is assembled now, in the frame the device will keep; frames arrive
+		// dirty, and the old page covers what the extents do not.
+		var frame []byte
 		rmw := slot.allocated && st.covered < pb
 		if rmw {
 			if err := t.flushPrograms(rs, &done, &stats); err != nil {
 				return at, stats, err
 			}
-			var d sim.Time
-			old, d, err = t.dev.ReadPage(at, slot.ppa)
+			old, d, err := t.dev.ReadPage(at, slot.ppa)
 			if err != nil {
 				return at, stats, err
 			}
 			stats.PagesRead++
 			ready = d
-		}
-		// Assemble the page in the frame the device will keep. Frames arrive
-		// dirty, so whatever the extents will not overwrite is written here:
-		// the old page (a whole frame) under a read-modify-write, zeros under
-		// the holes and the tail of any other partly covered page.
-		var frame []byte
-		if !t.dev.Phantom() {
-			frame = t.dev.Frame()
-			switch {
-			case rmw:
+			if hasData {
+				frame = t.dev.Frame()
 				copy(frame, old)
-			case st.covered < ps:
-				clear(frame)
-			}
-			for _, ei := range st.extents {
-				e := exts[ei]
-				lo := max64(e.Off, int64(st.page)*ps)
-				hi := min64(e.Off+e.Len, int64(st.page+1)*ps)
-				src := e.Dst + (lo - e.Off)
-				copy(frame[lo-int64(st.page)*ps:], data[src:src+(hi-lo)])
+				rs.copyPayload(frame, st, ps)
 			}
 		}
 		// §8 page-zero optimization: an all-zero page needs no unit — an
 		// unallocated slot already reads as zeros, and an allocated one is
-		// simply released.
-		if t.cfg.ZeroPageElision && frame != nil && allZero(frame[:pb]) {
+		// simply released. What the extents do not cover of any other page is
+		// zeros by construction, so its payload alone decides, and an elided
+		// page draws no frame.
+		if t.cfg.ZeroPageElision && hasData &&
+			(rmw && allZero(frame[:pb]) || !rmw && rs.payloadZero(st, ps)) {
 			if slot.allocated {
 				t.invalidateUnit(slot.ppa)
 				slot.allocated = false
@@ -352,14 +352,23 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 			unit, ready, err = t.allocateUnit(ready, s, st.blk, ac)
 		}
 		if err != nil {
-			t.dev.Recycle(frame)
+			t.dev.Recycle(frame) // a read-modify-write page's
 			// Land anything already queued so STL and device state agree.
 			if ferr := t.flushPrograms(rs, &done, &stats); ferr != nil {
 				return at, stats, ferr
 			}
 			return at, stats, err
 		}
+		// Any other page's frame is drawn only now that the page has a unit, and
+		// holds nothing until a fill.
+		if hasData && !rmw {
+			frame = t.dev.Frame()
+			rs.fills = append(rs.fills, pendingFill{op: int32(len(rs.ops)), stage: int32(si)})
+		}
 		rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: unit, Data: frame, Owned: true})
+		if len(rs.fills) == fillBurst {
+			rs.fillPending(ps)
+		}
 		slot.ppa = unit
 		slot.allocated = true
 		t.bindUnit(s, st.blockIdx, st.page, unit)

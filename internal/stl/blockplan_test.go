@@ -10,29 +10,39 @@ import (
 	"nds/internal/sim"
 )
 
-// oneScratch routes a request of st through the one requestScratch the test
-// holds: it empties the pool, lends the scratch, runs op, and takes back
-// whatever op returned to the pool. The test's own reference keeps the
-// scratch alive across garbage collections; only the race detector's
-// sync.Pool, which drops one Put in four, makes op build a fresh one.
+// oneScratch routes every request of st through the one requestScratch the
+// test holds. sync.Pool does not promise to keep what it is given — the race
+// detector's Put drops one value in four — so the scratch is lent the other
+// way round: the pool is emptied and its New hands out the test's scratch,
+// once per request. What the request puts back is drained after it and
+// counted when it is the test's scratch: a request that leaked its scratch
+// would never return it, while the detector only drops some. The test's own
+// reference is the scratch either way.
 type oneScratch struct {
-	rs             *requestScratch
-	lent, returned int // requests run, and how many came back on the lent scratch
+	rs *requestScratch
+	// requests run, how many took the test's scratch, how many put it back
+	lent, shared, returned int
 }
 
 func (o *oneScratch) run(st *STL, op func()) {
+	st.scratch.New = nil
 	for st.scratch.Get() != nil {
 	}
-	if o.rs != nil {
-		st.scratch.Put(o.rs)
+	handed := false
+	st.scratch.New = func() any {
+		if handed {
+			return nil // a second scratch within one request is the request's own
+		}
+		handed = true
+		o.shared++
+		return o.rs
 	}
 	op()
-	got, _ := st.scratch.Get().(*requestScratch)
-	if got != nil {
+	st.scratch.New = nil
+	for got := st.scratch.Get(); got != nil; got = st.scratch.Get() {
 		if got == o.rs {
 			o.returned++
 		}
-		o.rs = got
 	}
 	o.lent++
 }
@@ -85,7 +95,7 @@ func TestBlockPlanTablesAcrossSpaces(t *testing.T) {
 		t.Fatalf("blocks have %d and %d pages, the test wants 512 and 64", b, s)
 	}
 
-	var one oneScratch
+	one := oneScratch{rs: &requestScratch{}}
 	rng := rand.New(rand.NewSource(16))
 	pick := func(tw twin, which int) *View { return []*View{tw.big, tw.small, tw.c}[which] }
 	var at sim.Time
@@ -176,7 +186,14 @@ func TestBlockPlanTablesAcrossSpaces(t *testing.T) {
 	read(big, []int64{0, 0}, []int64{512, 512})
 	read(huge, []int64{0, 0}, []int64{300, 1024})
 
-	if one.returned < one.lent/2 {
-		t.Fatalf("only %d of %d requests ran on the shared scratch", one.returned, one.lent)
+	if one.shared != one.lent {
+		t.Fatalf("only %d of %d requests ran on the shared scratch", one.shared, one.lent)
+	}
+	floor := one.lent
+	if raceEnabled {
+		floor /= 2 // the detector drops a quarter of Puts; losing half is a leak
+	}
+	if one.returned < floor {
+		t.Fatalf("only %d of %d requests put the shared scratch back", one.returned, one.lent)
 	}
 }

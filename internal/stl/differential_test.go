@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nds/internal/crypt"
 	"nds/internal/nvm"
 	"nds/internal/sim"
 )
@@ -15,6 +16,11 @@ import (
 // mixed row/column/tile read-write workloads, including configurations that
 // hit every flush point (read-modify-write, GC, write buffering, compression,
 // zero-page elision).
+//
+// The batched writer queues its frames unfilled and fills them at the flush
+// that programs them, so every pair runs on an arena primed with frames full
+// of 0xFF: a frame that reached the device as the arena handed it out reads
+// back as bytes the scalar twin does not have.
 
 type diffPair struct {
 	scalar  *STL
@@ -23,12 +29,20 @@ type diffPair struct {
 	dst     []byte // reused ReadPartitionInto buffer for the batched side
 }
 
-func newDiffPair(t *testing.T, elem int, dims, view []int64, mutate func(*Config)) *diffPair {
+// newDiffPair builds the twins; prep, when given, sets each device up (a
+// fault plan, a cipher) before its STL is built.
+func newDiffPair(t *testing.T, elem int, dims, view []int64, mutate func(*Config), prep ...func(*nvm.Device)) *diffPair {
 	t.Helper()
 	mk := func(scalarPath bool) (*STL, *View) {
 		dev, err := nvm.NewDevice(smallGeo(), nvm.TLCTiming(), false)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, f := range prep {
+			f(dev)
+		}
+		for i := 0; i < 256; i++ {
+			dev.Recycle(bytes.Repeat([]byte{0xFF}, smallGeo().PageSize))
 		}
 		cfg := DefaultConfig()
 		if mutate != nil {
@@ -154,9 +168,25 @@ func TestDifferentialZeroPageElision(t *testing.T) {
 	mixedWorkload(t, p, 4)
 	// Overwrite a written region with zeros: units must be released on both.
 	at = p.write(t, at, []int64{0, 0}, []int64{64, 64}, make([]byte, 64*64*4))
+	// The elision test reads a whole page's payload pieces, never a frame, and a
+	// read-modify-write's assembled page: one request with pages of zeros and
+	// pages of data side by side; a partly covered page on a released slot, of
+	// zeros (elided, no frame drawn) and of data (programmed over a cleared
+	// frame); and a read-modify-write that zeroes the only data its page holds.
+	half := make([]byte, 64*128*4)
+	for i := 32 * 128 * 4; i < len(half); i++ {
+		half[i] = byte(1 + i%250)
+	}
+	at = p.write(t, at, []int64{0, 0}, []int64{64, 128}, half)
+	at = p.write(t, at, []int64{0, 0}, []int64{8, 8}, make([]byte, 8*8*4))
+	at = p.write(t, at, []int64{0, 1}, []int64{8, 8}, bytes.Repeat([]byte{7}, 8*8*4))
+	at = p.write(t, at, []int64{0, 1}, []int64{8, 8}, make([]byte, 8*8*4))
 	p.read(t, at, []int64{0, 0}, []int64{128, 128})
 	if us, ub := p.scalar.UsedPages(), p.batched.UsedPages(); us != ub {
 		t.Fatalf("used pages diverge: scalar=%d batched=%d", us, ub)
+	}
+	if zs, zb := p.scalar.ZeroPagesSkipped(), p.batched.ZeroPagesSkipped(); zs != zb || zb == 0 {
+		t.Fatalf("elided pages diverge: scalar=%d batched=%d", zs, zb)
 	}
 }
 
@@ -181,9 +211,21 @@ func TestDifferentialCompression(t *testing.T) {
 func TestDifferentialGCPressure(t *testing.T) {
 	p := newDiffPair(t, 4, []int64{128, 128}, []int64{128, 128},
 		func(c *Config) { c.OverProvision = 0.5; c.GCLowWater = 0.3 })
+	// A collection between two carves of one request ran through the request's
+	// flush hook with the earlier pages' frames queued and not yet filled.
+	var lastErases int64 = -1
+	queuedAtGC := 0
+	p.batched.carved = func(nvm.PPA) {
+		e, _ := p.batched.GCStats()
+		if lastErases >= 0 && e != lastErases {
+			queuedAtGC++
+		}
+		lastErases = e
+	}
 	rng := rand.New(rand.NewSource(7))
 	at := sim.Time(0)
 	for r := 0; r < 60; r++ {
+		lastErases = -1
 		data := make([]byte, 64*128*4)
 		rng.Read(data)
 		at = p.write(t, at, []int64{int64(r % 2), 0}, []int64{64, 128}, data)
@@ -193,11 +235,67 @@ func TestDifferentialGCPressure(t *testing.T) {
 	}
 	eS, mS := p.scalar.GCStats()
 	eB, mB := p.batched.GCStats()
-	if eS == 0 {
-		t.Fatal("workload never triggered GC; raise the pressure")
+	if eS == 0 || queuedAtGC == 0 {
+		t.Fatalf("%d erases, %d of them with programs queued; raise the pressure", eS, queuedAtGC)
 	}
 	if eS != eB || mS != mB {
 		t.Fatalf("GC work diverges: scalar (erases=%d moves=%d) batched (erases=%d moves=%d)", eS, mS, eB, mB)
 	}
 	p.read(t, at, []int64{0, 0}, []int64{128, 128})
+}
+
+// TestDifferentialCipher: a queued frame is filled, then sealed in place by
+// the device's cipher as the flush programs it.
+func TestDifferentialCipher(t *testing.T) {
+	p := newDiffPair(t, 4, []int64{128, 128}, []int64{128, 128}, nil, func(d *nvm.Device) {
+		e, err := crypt.New([]byte("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SetCipher(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	mixedWorkload(t, p, 4)
+}
+
+// TestDifferentialProgramFault: a program fault in the middle of a batch
+// leaves the faulted op and everything behind it with the caller — frames
+// already filled — and recovery programs those same frames at new units.
+func TestDifferentialProgramFault(t *testing.T) {
+	p := newDiffPair(t, 4, []int64{128, 128}, []int64{128, 128}, nil, func(d *nvm.Device) {
+		d.SetFaultPlan(nvm.FaultPlan{Seed: 9, ProgramFailEvery: 40})
+	})
+	mixedWorkload(t, p, 4)
+	rS, rB := p.scalar.Reliability(), p.batched.Reliability()
+	if rB.ProgramRetries == 0 || rS.ProgramRetries != rB.ProgramRetries {
+		t.Fatalf("program retries: scalar=%d batched=%d, want equal and nonzero", rS.ProgramRetries, rB.ProgramRetries)
+	}
+}
+
+// TestDifferentialMixedPages: one request whose pages are whole (queued
+// unfilled), read-modify-written (assembled on the spot, each behind a flush
+// of what is queued) and, on a never-written block, partly covered over a
+// cleared frame — bands of 6 rows across 4-row pages — and whole-block writes
+// to a space whose blocks end in a short page (9-byte elements: 16x16-element
+// blocks of four pages and a half).
+func TestDifferentialMixedPages(t *testing.T) {
+	p := newDiffPair(t, 4, []int64{128, 128}, []int64{128, 128}, nil)
+	rng := rand.New(rand.NewSource(22))
+	at := p.write(t, 0, []int64{0, 0}, []int64{64, 128}, fillRandom(rng, 64*128*4))
+	for band := int64(0); band < 14; band++ { // rows 0..83: the last bands leave the written half
+		at = p.write(t, at, []int64{band, 0}, []int64{6, 128}, fillRandom(rng, 6*128*4))
+	}
+	p.read(t, at, []int64{0, 0}, []int64{128, 128})
+
+	short := newDiffPair(t, 9, []int64{64, 64}, []int64{64, 64}, nil)
+	if bb := short.vb.space.bbBytes; bb%int64(smallGeo().PageSize) == 0 {
+		t.Fatalf("blocks of %d bytes have no short last page", bb)
+	}
+	at = 0
+	for r := 0; r < 3; r++ {
+		at = short.write(t, at, []int64{0, 0}, []int64{64, 64}, fillRandom(rng, 64*64*9))
+		at = short.write(t, at, []int64{int64(r), 1}, []int64{16, 16}, fillRandom(rng, 16*16*9))
+	}
+	short.read(t, at, []int64{0, 0}, []int64{64, 64})
 }

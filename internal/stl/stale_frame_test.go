@@ -2,6 +2,8 @@ package stl
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -135,5 +137,123 @@ func TestWriteStaleFrameHoles(t *testing.T) {
 				t.Fatal("nothing was programmed")
 			}
 		})
+	}
+}
+
+// TestFailedOverwriteLeavesOldOrNew: a write that runs out of capacity part
+// way lands what it had queued — frames that were booked and not yet filled —
+// and keeps no frame for the page that failed (a page draws its frame once it
+// has a unit). The space is larger than the device holds: rows 0..127 carry an
+// old version, rows 256..511 another tile, and the arena is primed with frames
+// of that other tile's words, so that nothing the test did not make is ever a
+// frame. A write of rows 0..255 replaces the 128 old pages, places 76 of the
+// 128 new ones and fails on the 77th with all 204 programs queued, the last 12
+// of them still unfilled. Afterwards every word of rows 0..127 is the old or
+// the attempted version, every word below is the attempted version or never
+// written, none is the other tile's; and every frame is either a stored page
+// or back in the arena.
+func TestFailedOverwriteLeavesOldOrNew(t *testing.T) {
+	const (
+		rows, cols       = 512, 128
+		old, next, other = 1, 2, 3 // a word is version<<24 | its element's index
+		primed           = 800
+	)
+	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 8, PagesPerBlock: 16, PageSize: 512}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := func(version, first, n int) []byte {
+		b := make([]byte, 4*n)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(version<<24|(first+i)))
+		}
+		return b
+	}
+	known := make(map[*byte]bool, primed)
+	for i := 0; i < primed; i++ {
+		f := words(other, i, geo.PageSize/4)
+		known[&f[0]] = true
+		dev.Recycle(f)
+	}
+	cfg := DefaultConfig()
+	cfg.OverProvision = 0.55 // 460 of 1024 pages: the logical budget runs out long before any die does
+	st, err := New(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := st.CreateSpace(4, []int64{rows, cols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewView(s, []int64{rows, cols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.WritePartition(0, v, []int64{0, 0}, []int64{128, cols}, words(old, 0, 128*cols)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.WritePartition(0, v, []int64{1, 0}, []int64{256, cols}, words(other, 256*cols, 256*cols)); err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := st.WritePartition(0, v, []int64{0, 0}, []int64{256, cols}, words(next, 0, 256*cols))
+	if !errors.Is(err, ErrCapacity) {
+		t.Fatalf("the oversized overwrite: got %v, want ErrCapacity", err)
+	}
+	if e, _ := st.GCStats(); e != 0 {
+		t.Fatalf("%d blocks were collected: the queue was flushed before the write failed", e)
+	}
+	if stats.PagesProgrammed <= 128 || stats.PagesProgrammed >= 256 {
+		t.Fatalf("%d pages programmed, want the write to fail among its new pages", stats.PagesProgrammed)
+	}
+
+	got, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, []int64{rows, cols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempted := 0
+	for i := 0; i < rows*cols; i++ {
+		w := int(binary.LittleEndian.Uint32(got[4*i:]))
+		var ok bool
+		switch {
+		case w == next<<24|i && i < 256*cols:
+			ok = true
+			attempted++
+		case i < 128*cols:
+			ok = w == old<<24|i
+		case i < 256*cols:
+			ok = w == 0
+		default:
+			ok = w == other<<24|i
+		}
+		if !ok {
+			t.Fatalf("element %d (row %d) reads %#x: not its old version, not the attempted one", i, i/cols, w)
+		}
+	}
+	if attempted != int(stats.PagesProgrammed)*geo.PageSize/4 {
+		t.Fatalf("%d elements took the attempted version, %d pages were programmed", attempted, stats.PagesProgrammed)
+	}
+
+	// Every frame is one the test made; the stored pages and the arena's free
+	// list account for all of them, so the next draw comes from a new slab.
+	stored := 0
+	for i := int64(0); i < geo.TotalPages(); i++ {
+		if pg := dev.RawPage(nvm.FromLinear(geo, i)); pg != nil {
+			if !known[&pg[0]] {
+				t.Fatalf("page %v is stored in a frame the arena was not primed with", nvm.FromLinear(geo, i))
+			}
+			delete(known, &pg[0])
+			stored++
+		}
+	}
+	for range primed - stored {
+		f := dev.Frame()
+		if !known[&f[0]] {
+			t.Fatalf("the arena ran out %d frames early: the failed write kept them", len(known))
+		}
+		delete(known, &f[0])
+	}
+	if f := dev.Frame(); len(known) != 0 || known[&f[0]] {
+		t.Fatalf("%d primed frames unaccounted for", len(known))
 	}
 }

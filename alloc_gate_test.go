@@ -282,7 +282,11 @@ func memStats() runtime.MemStats {
 // TestNDSWriteAllocsNotPerExtent: NDSWrite sizes its scatter and disassembly
 // stages from a counting walk, so what a write allocates does not grow with
 // its extent count — a narrow column of 4096 extents allocates what a row
-// band of 16 does.
+// band of 16 does. Each write is measured on its own: a Go collection inside
+// the measured writes can move the test to the other P, whose sync.Pool slot
+// holds no scratch, and the one rebuild that follows (870 KB) is not growth
+// with the extent count. A scratch rebuilt once passes; one sized per write
+// shows in every write and fails.
 func TestNDSWriteAllocsNotPerExtent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop request scratches")
@@ -301,7 +305,8 @@ func TestNDSWriteAllocsNotPerExtent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var now sim.Time
-		perOp := func(coord, sub []int64) (extents int, bytes uint64) {
+		const runs = 8
+		perWrite := func(coord, sub []int64) (extents int, bytes [runs]uint64) {
 			write := func() {
 				st, err := s.NDSWrite(now, v, coord, sub, nil)
 				if err != nil {
@@ -311,23 +316,34 @@ func TestNDSWriteAllocsNotPerExtent(t *testing.T) {
 			}
 			write() // the first write sizes the pooled request scratch
 			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			const runs = 8
-			for i := 0; i < runs; i++ {
+			for i := range bytes {
+				runtime.ReadMemStats(&before)
 				write()
+				runtime.ReadMemStats(&after)
+				bytes[i] = after.TotalAlloc - before.TotalAlloc
 			}
-			runtime.ReadMemStats(&after)
-			return extents, (after.TotalAlloc - before.TotalAlloc) / runs
+			return extents, bytes
 		}
-		fewExt, few := perOp([]int64{0, 0}, []int64{1, 4096})
-		manyExt, many := perOp([]int64{0, 1}, []int64{4096, 16})
-		t.Logf("%v: %d extents allocate %d B a write, %d extents %d B", k, fewExt, few, manyExt, many)
+		fewExt, fews := perWrite([]int64{0, 0}, []int64{1, 4096})
+		manyExt, manys := perWrite([]int64{0, 1}, []int64{4096, 16})
+		var few uint64
+		for _, b := range fews {
+			few += b
+		}
+		few /= runs
+		over := 0
+		for _, b := range manys {
+			if b > few+1024 {
+				over++
+			}
+		}
+		t.Logf("%v: %d extents allocate %d B a write, %d extents %v B", k, fewExt, few, manyExt, manys)
 		if manyExt < 64*fewExt {
 			t.Fatalf("%v: %d against %d extents is no contrast", k, manyExt, fewExt)
 		}
-		if many > few+1024 {
-			t.Fatalf("%v: a write of %d extents allocates %d B, one of %d extents %d B: something is sized by the extent count",
-				k, manyExt, many, fewExt, few)
+		if over > 1 {
+			t.Fatalf("%v: %d of %d writes of %d extents allocate more than one of %d extents (%d B) does — %v B: something is sized by the extent count",
+				k, over, runs, manyExt, fewExt, few, manys)
 		}
 	}
 }

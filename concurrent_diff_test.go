@@ -28,7 +28,7 @@ func TestDifferentialConcurrentStreams(t *testing.T) {
 		extents int
 	}
 	run := func(scalar bool) ([]cmdResult, []byte) {
-		d, err := Open(Options{Mode: ModeHardware, CapacityHint: 16 << 20, ScalarDataPath: scalar})
+		d, err := Open(Options{Mode: ModeHardware, CapacityHint: 16 << 20, scalarDataPath: scalar})
 		if err != nil {
 			t.Fatal(err)
 		}

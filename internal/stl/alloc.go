@@ -83,7 +83,7 @@ func (t *STL) die(channel, bank int) *die { return t.dies[channel*t.geo.Banks+ba
 
 // allocCtx carries the per-request context that allocation and garbage
 // collection need: the deferred-program flush hook (the batched write path
-// and group-commit flush install it so their queued programs land before GC
+// and Flush install it so their queued programs land before GC
 // issues any device operation, preserving scalar issue order), and the space
 // whose write lock the request already holds (so an inline GC commit treats
 // it as owned instead of try-locking it against itself).

@@ -31,6 +31,11 @@ import (
 // phantom nds_read on Exec instead of handleRead's gather-into-frame sink,
 // which would send want zeros where the protocol says "no payload".
 //
+// Writes have the same shape on the device side: landPrograms (recover.go) is
+// ReadPartitionSegments' counterpart, the only function that programs a batch,
+// and the request's flush, Flush and the collector differ from one another
+// only in what they queue and in what they do with the ops it could not land.
+//
 // The path is timing-transparent: batching only ever *delays* device
 // operations relative to the scalar loop, never reorders them. A deferred
 // program batch is flushed at exactly the points where the scalar path would

@@ -1,10 +1,6 @@
 package stl
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-
 	"nds/internal/nvm"
 	"nds/internal/sim"
 )
@@ -95,22 +91,15 @@ func (t *STL) takeIfFull(s *Space, block int64, page int, pb int64) *pendingPage
 	return pp
 }
 
-// dropPending discards staged bytes for a page (overwritten wholesale or the
-// space is going away).
-func (t *STL) dropPending(s *Space, block int64, page int) {
+// dropPendingWhere discards the staged pages whose key matches (the space is
+// going away, or shrinking past them) and gives their frames back to the
+// arena.
+func (t *STL) dropPendingWhere(match func(pendingKey) bool) {
 	t.pendingMu.Lock()
-	if t.pending != nil {
-		delete(t.pending, pendingKey{s.id, block, page})
-	}
-	t.pendingMu.Unlock()
-}
-
-// dropPendingSpace discards all staged pages of a space.
-func (t *STL) dropPendingSpace(id SpaceID) {
-	t.pendingMu.Lock()
-	for k := range t.pending {
-		if k.space == id {
+	for k, pp := range t.pending {
+		if match(k) {
 			delete(t.pending, k)
+			t.dev.Recycle(pp.buf)
 		}
 	}
 	t.pendingMu.Unlock()
@@ -123,30 +112,23 @@ func (t *STL) PendingPages() int {
 	return len(t.pending)
 }
 
-// flushOp pairs a staged program with the pending-map key it will retire, so
-// the drain can delete exactly the keys whose programs landed.
-type flushOp struct {
-	key pendingKey
-	op  nvm.ProgramOp
-}
-
 // Flush programs every staged page, allocating units under the §4.2 policy.
 // The returned time covers the slowest program.
 //
-// Group commit: allocation walks the staged pages in deterministic key order,
-// but the programs themselves accumulate into per-channel batches that drain
-// as concurrent ProgramPages calls — one goroutine per channel, the write
-// path's §4 parallelism applied to the flush itself. Channels share no device
-// resources, so the per-channel batches complete at the same simulated times
-// the old serialized loop produced.
+// Allocation walks the staged pages in key order and queues one program per
+// page; the queue lands as one batch on the calling goroutine, at every point
+// where allocation is about to collect (so the device sees the issue order a
+// page-at-a-time flush would have produced) and at the end. The device books
+// each channel and die of a batch as one run, so the flush has the write
+// path's §4 parallelism without a goroutine of its own, and a program fault
+// relocates like any other writer's: same die first, then any die.
 //
 // A page that lands gives its staging frame to the device and leaves the
 // pending map. A page that fails — allocation or program — keeps both, and
-// the flush keeps draining every other page (all channels, all dies) before
-// reporting the error of the smallest failing key. So one bad page (or a
-// transient capacity squeeze) doesn't strand every later staged page, and a
-// retry after the condition clears programs exactly the pages that are still
-// pending.
+// the flush carries on with every page behind it before reporting the error
+// of the smallest failing key. So one bad page (or a transient capacity
+// squeeze) doesn't strand every later staged page, and a retry after the
+// condition clears programs exactly the pages that are still pending.
 func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 	t.maintMu.Lock()
 	defer t.maintMu.Unlock()
@@ -173,55 +155,32 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 		}
 	}
 
-	// Per-channel program batches, drained concurrently at every GC flush
-	// point and at the end. Draining before GC keeps the device issue order a
-	// synchronous run would have produced.
-	batches := make([][]flushOp, t.geo.Channels)
+	// The queued programs and, beside each, the pending key it retires.
+	var ops []nvm.ProgramOp
+	var opKeys []pendingKey
 	drain := func() error {
-		type chanResult struct {
-			done   sim.Time
-			landed int
-			err    error
-		}
-		results := make([]chanResult, len(batches))
-		var wg sync.WaitGroup
-		for ch := range batches {
-			if len(batches[ch]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(ch int) {
-				defer wg.Done()
-				ops := make([]nvm.ProgramOp, len(batches[ch]))
-				for i := range batches[ch] {
-					ops[i] = batches[ch][i].op
-				}
-				d, n, err := t.drainFlushChannel(ops)
-				results[ch] = chanResult{d, n, err}
-			}(ch)
-		}
-		wg.Wait()
 		var firstErr error
-		for ch := range batches {
-			batch := batches[ch]
-			if len(batch) == 0 {
-				continue
-			}
-			r := results[ch]
-			done = sim.Max(done, r.done)
+		for len(ops) > 0 {
+			d, landed, _, err := t.landPrograms(ops, t.rebindFaulted)
+			done = sim.Max(done, d)
 			t.pendingMu.Lock()
-			for i := 0; i < r.landed; i++ {
-				delete(t.pending, batch[i].key)
+			for _, k := range opKeys[:landed] {
+				delete(t.pending, k)
 			}
 			t.pendingMu.Unlock()
-			if r.err != nil {
-				fail(batch[r.landed].key, r.err)
-				if firstErr == nil {
-					firstErr = r.err
-				}
+			if err == nil {
+				break
 			}
-			batches[ch] = nil
+			// The op that could not land stays pending with its frame; the ops
+			// behind it go again.
+			fail(opKeys[landed], err)
+			if firstErr == nil {
+				firstErr = err
+			}
+			t.unbindOps(ops[landed : landed+1])
+			ops, opKeys = ops[landed+1:], opKeys[landed+1:]
 		}
+		ops, opKeys = nil, nil
 		return firstErr
 	}
 	ac := &allocCtx{flush: drain}
@@ -262,81 +221,12 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 		slot.allocated = true
 		t.bindUnit(s, k.block, k.page, dst)
 		t.progs.Add(1)
-		batches[dst.Channel] = append(batches[dst.Channel],
-			flushOp{k, nvm.ProgramOp{At: ready, P: dst, Data: pp.buf, Owned: true}})
+		ops = append(ops, nvm.ProgramOp{At: ready, P: dst, Data: pp.buf, Owned: true})
+		opKeys = append(opKeys, k)
 	}
 	drain() // per-key errors are recorded inside
 	t.noteTime(done)
 	return done, failErr
-}
-
-// drainFlushChannel programs one channel's staged batch, recovering injected
-// program faults within the same channel only: a cross-channel relocation
-// would issue device operations on another drain goroutine's resources and
-// consume its fault counters, making the flush outcome depend on goroutine
-// interleaving. Returns the batch completion time, how many ops (a prefix of
-// batch) landed and stayed bound, and the first unrecoverable error; the ops
-// beyond the landed prefix have been unbound.
-func (t *STL) drainFlushChannel(batch []nvm.ProgramOp) (sim.Time, int, error) {
-	var done sim.Time
-	ops := batch
-	landed := 0
-	retries := 0
-	for len(ops) > 0 {
-		d, err := t.dev.ProgramPages(ops)
-		if err == nil {
-			return sim.Max(done, d), len(batch), nil
-		}
-		var pe *nvm.ProgramError
-		if !errors.As(err, &pe) {
-			// Validation failure: no op landed; drop the batch's translation
-			// state.
-			t.unbindOps(ops)
-			return done, landed, err
-		}
-		done = sim.Max(done, d)
-		if pe.Index > 0 {
-			retries = 0 // progress since the last fault
-		}
-		landed += pe.Index
-		ops = ops[pe.Index:] // the stored prefix stays bound
-		t.retireBlock(pe.P.Channel, pe.P.Bank, pe.P.Block)
-		if retries++; retries > maxProgramRetries {
-			t.unbindOps(ops)
-			return done, landed, fmt.Errorf("stl: program of %v: %d relocation attempts failed: %w", pe.P, retries, ErrMedia)
-		}
-		np, ok := t.allocateChannelUnit(pe.P)
-		if !ok {
-			t.unbindOps(ops)
-			return done, landed, fmt.Errorf("stl: no unit on channel %d to relocate faulted program at %v: %w", pe.P.Channel, pe.P, ErrMedia)
-		}
-		if !t.rebindFaulted(pe.P, np) {
-			t.unbindOps(ops)
-			return done, landed, fmt.Errorf("stl: faulted program at %v is not bound to any building block: %w", pe.P, ErrMedia)
-		}
-		t.programRetries.Add(1)
-		ops[0].P = np
-		ops[0].At = pe.Done
-	}
-	return done, len(batch), nil
-}
-
-// allocateChannelUnit finds a recovery destination within one channel: the
-// faulted die first (preserving channel/bank spread), then the channel's
-// other banks.
-func (t *STL) allocateChannelUnit(old nvm.PPA) (nvm.PPA, bool) {
-	if p, ok := t.takeUnitRaw(old.Channel, old.Bank); ok {
-		return p, true
-	}
-	for bk := 0; bk < t.geo.Banks; bk++ {
-		if bk == old.Bank {
-			continue
-		}
-		if p, ok := t.takeUnitRaw(old.Channel, bk); ok {
-			return p, true
-		}
-	}
-	return nvm.PPA{}, false
 }
 
 func lessKey(a, b pendingKey) bool {
@@ -350,7 +240,7 @@ func lessKey(a, b pendingKey) bool {
 }
 
 // programStaged writes a staged page to a fresh unit. Inline path for pages
-// that fill mid-request (takeIfFull); Flush uses the group-commit drain
+// that fill mid-request (takeIfFull); Flush queues its pages into one batch
 // instead. The page has left the pending map and this program copies, so its
 // staging frame goes back to the arena whatever the outcome.
 func (t *STL) programStaged(at sim.Time, s *Space, blockIdx int64, blk *BuildingBlock, page int, pp *pendingPage, ac *allocCtx) (sim.Time, error) {

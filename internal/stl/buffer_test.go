@@ -176,3 +176,66 @@ func TestDeleteSpaceDropsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDroppedStagingFramesReturnToArena: a staged page's frame belongs to the
+// pending map until its page is programmed, so a page that is dropped instead
+// — its space deleted, or shrunk past it — hands the frame back. By frame
+// identity: with the arena's free list empty, the draws that follow the drops
+// are exactly the dropped pages' frames, and the page that survives the shrink
+// keeps its own.
+func TestDroppedStagingFramesReturnToArena(t *testing.T) {
+	st := newBufferedSTL(t)
+	doomed := mustSpace(t, st, 4, 64, 64)
+	shrunk := mustSpace(t, st, 4, 128, 64)
+	row := make([]byte, 64*4)
+	rand.New(rand.NewSource(6)).Read(row)
+	stage := func(s *Space, rows ...int64) {
+		t.Helper()
+		v := mustView(t, s, s.Dims()...)
+		for _, r := range rows {
+			if _, _, err := st.WritePartition(0, v, []int64{r, 0}, []int64{1, 64}, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stage(doomed, 0, 40)
+	stage(shrunk, 0, 70, 100) // rows 70 and 100 lie beyond the new bound
+	// A row crosses two 32x32 blocks, so it stages two pages.
+	survives := func(k pendingKey) bool { return k.space == shrunk.ID() && k.block/shrunk.grid[1] < 64/32 }
+	dropped, kept := make(map[*byte]bool), make(map[*byte]bool)
+	for k, pp := range st.pending {
+		if survives(k) {
+			kept[&pp.buf[0]] = true
+		} else {
+			dropped[&pp.buf[0]] = true
+		}
+	}
+	if len(dropped) != 8 || len(kept) != 2 {
+		t.Fatalf("staged %d pages to drop and %d to keep, want 8 and 2", len(dropped), len(kept))
+	}
+
+	if err := st.DeleteSpace(doomed.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ResizeSpace(shrunk.ID(), 64); err != nil {
+		t.Fatal(err)
+	}
+	if st.PendingPages() != len(kept) {
+		t.Fatalf("%d pages pending after the drops, want the %d below the new bound", st.PendingPages(), len(kept))
+	}
+	for k, pp := range st.pending {
+		if !survives(k) || !kept[&pp.buf[0]] {
+			t.Fatalf("page %+v is pending after the drops, in a frame that is not its own", k)
+		}
+	}
+	for range 8 {
+		f := st.dev.Frame()
+		if !dropped[&f[0]] {
+			t.Fatalf("the arena drew a new frame with %d dropped staging frames unreturned", len(dropped))
+		}
+		delete(dropped, &f[0])
+	}
+	if f := st.dev.Frame(); kept[&f[0]] {
+		t.Fatal("a surviving page's frame went back to the arena with the dropped ones")
+	}
+}

@@ -267,9 +267,8 @@ func TestCacheInvalidationOnDelete(t *testing.T) {
 // Stream detection: two consecutive single-axis advances arm the prefetcher;
 // axis changes and jumps reset it.
 func TestPrefetcherObserve(t *testing.T) {
-	pf := newPrefetcher(2)
-	v := &View{}
-	step := func(g ...int64) (int, int64, bool) { return pf.observe(v, g) }
+	var st streamState
+	step := func(g ...int64) (int, int64, bool) { return st.observe(g) }
 	if _, _, ok := step(0, 0); ok {
 		t.Fatal("first sighting triggered")
 	}
@@ -340,6 +339,59 @@ func TestCachePrefetchStreamingScan(t *testing.T) {
 	// at most once: the scan must not read any page twice.
 	if total := flashReads + cs.PrefetchIssued; total > int64(8*sp.PagesPerBlock()) {
 		t.Fatalf("scan read %d pages for %d allocated", total, 8*sp.PagesPerBlock())
+	}
+}
+
+// TestPrefetchDetectsPerView: a view's stride detector is the view's own, so
+// however many views stream at once each arms on its third step. 300 views of
+// one space step along the column axis, each through a row band of its own, in
+// round-robin rounds; with all of them armed, every page of the last two
+// columns is a prefetched page hit once. (A device-wide table of 256 detectors
+// evicted live streams here and armed only some.)
+func TestPrefetchDetectsPerView(t *testing.T) {
+	const views, steps, depth = 300, 5, 2
+	geo := smallGeo() // 32x32 blocks of float32, 8 pages each
+	geo.BlocksPerBank = 128
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 16 << 20 // holds the whole space: nothing is evicted
+	cfg.PrefetchDepth = depth
+	st, err := New(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := mustSpace(t, st, 4, views*32, steps*32)
+	band := make([]byte, 32*steps*32*4)
+	rand.New(rand.NewSource(8)).Read(band)
+	vs := make([]*View, views)
+	var at sim.Time
+	for i := range vs {
+		vs[i] = mustView(t, sp, views*32, steps*32)
+		if at, _, err = st.WritePartition(at, vs[i], []int64{int64(i), 0}, []int64{32, steps * 32}, band); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perBlock := int64(sp.PagesPerBlock())
+	for j := int64(0); j < steps; j++ {
+		for i, v := range vs {
+			_, done, stats, err := st.ReadPartition(at, v, []int64{int64(i), j}, []int64{32, 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j > prefetchTrigger && stats.PagesRead != 0 {
+				t.Fatalf("view %d step %d read %d pages from flash: its stream was not armed", i, j, stats.PagesRead)
+			}
+			at = done
+		}
+		if cs := st.CacheStats(); j == prefetchTrigger && cs.PrefetchIssued != views*depth*perBlock {
+			t.Fatalf("%d pages warmed after every view's third step, want %d", cs.PrefetchIssued, views*depth*perBlock)
+		}
+	}
+	if cs := st.CacheStats(); cs.PrefetchUsed != views*depth*perBlock {
+		t.Fatalf("%d prefetched pages hit, want %d (all %d views armed): %+v", cs.PrefetchUsed, views*depth*perBlock, views, cs)
 	}
 }
 

@@ -312,8 +312,13 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 		}
 		d.mu.Unlock()
 		g.ops = ops
+		// The destinations are not bound yet, so a relocated op only has its
+		// abandoned destination to give up.
 		var landed int
-		done, landed, err = t.gcProgramBatch(ops)
+		done, landed, _, err = t.landPrograms(ops, func(old, _ nvm.PPA) bool {
+			t.releaseUnit(old)
+			return true
+		})
 
 		// Phase 3: rebind what landed. On success that is every survivor.
 		for i := range moves[:landed] {
@@ -408,47 +413,6 @@ func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx, held []*Spa
 		held = append(held, s)
 	}
 	return held, true
-}
-
-// gcProgramBatch lands a GC relocation batch, recovering from injected
-// program faults: the faulted op's block is retired, the op is redirected to
-// a fresh unit, and the remainder of the batch retries from the failed
-// attempt's completion. Ops are not yet bound, so recovery only rewrites the
-// batch itself. It reports how many ops — a prefix of the batch — landed,
-// which on an error is what the caller still has to rebind; the rest it has
-// to release.
-func (t *STL) gcProgramBatch(batch []nvm.ProgramOp) (sim.Time, int, error) {
-	var done sim.Time
-	ops := batch // narrows to the ops that have not landed
-	retries := 0
-	for len(ops) > 0 {
-		d, err := t.dev.ProgramPages(ops)
-		done = sim.Max(done, d)
-		if err == nil {
-			break
-		}
-		var pe *nvm.ProgramError
-		if !errors.As(err, &pe) {
-			return done, len(batch) - len(ops), err
-		}
-		if pe.Index > 0 {
-			retries = 0 // progress since the last fault
-		}
-		ops = ops[pe.Index:]
-		t.retireBlock(pe.P.Channel, pe.P.Bank, pe.P.Block)
-		if retries++; retries > maxProgramRetries {
-			return done, len(batch) - len(ops), fmt.Errorf("stl: GC relocation of %v: %d relocation attempts failed: %w", pe.P, retries, ErrMedia)
-		}
-		np, ok := t.allocateRecoveryUnit(pe.P)
-		if !ok {
-			return done, len(batch) - len(ops), fmt.Errorf("stl: no unit available to relocate faulted GC program at %v: %w", pe.P, ErrMedia)
-		}
-		t.programRetries.Add(1)
-		t.releaseUnit(ops[0].P)
-		ops[0].P = np
-		ops[0].At = pe.Done
-	}
-	return done, len(batch), nil
 }
 
 // releaseOps gives up the destinations of relocations that will not land.

@@ -217,10 +217,9 @@ func TestNoStallAboveLowWatermark(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFlushDrainsAllChannelsOnError: the Flush contract under the
-// concurrent per-channel drain — when programs fail, every channel's batch is
-// still attempted, every failed page stays pending for a retry, and the
-// recorded error surfaces. A plan that fails every program attempt makes both
+// TestGroupCommitFlushDrainsAllChannelsOnError: the Flush contract — when
+// programs fail, every staged page on every channel is still attempted, every
+// failed page stays pending for a retry, and the recorded error surfaces. A plan that fails every program attempt makes both
 // staged pages (placed on different channels by the allocation policy)
 // unrecoverable.
 func TestGroupCommitFlushDrainsAllChannelsOnError(t *testing.T) {
@@ -260,8 +259,8 @@ func TestGroupCommitFlushDrainsAllChannelsOnError(t *testing.T) {
 	}
 	r := st.Reliability()
 	if r.ProgramFaults < 2 || r.RetiredBlocks < 2 {
-		// One faulted program and one retirement per channel proves the drain
-		// reached both channels rather than stopping at the first error.
+		// One faulted program and one retirement per page proves the drain
+		// went on to the second page rather than stopping at the first error.
 		t.Fatalf("flush did not drain both channels: %+v", r)
 	}
 	// Staged bytes survive the failed flush: reads overlay the pending

@@ -26,43 +26,25 @@ import (
 // prefetcher.
 const prefetchTrigger = 2
 
-// maxTrackedStreams bounds the per-view detector map; stale views (closed or
-// idle) are dropped arbitrarily once the bound is hit.
-const maxTrackedStreams = 256
-
+// streamState is one view's stride detector. It lives in the View, so it goes
+// when the view does; mu orders the view's concurrent readers and is
+// otherwise uncontended.
 type streamState struct {
-	last []int64 // grid coordinate of the previous access's primary block
+	mu   sync.Mutex
+	last []int64 // grid coordinate of the previous access's primary block; nil before the first
 	axis int     // dimension of the detected stride
 	dir  int64   // +1 or -1 along axis
 	run  int     // consecutive advances observed
 }
 
-type prefetcher struct {
-	mu      sync.Mutex
-	depth   int
-	streams map[*View]*streamState
-}
-
-func newPrefetcher(depth int) *prefetcher {
-	return &prefetcher{depth: depth, streams: make(map[*View]*streamState)}
-}
-
-// observe records the grid coordinate of v's latest primary block and, when a
-// streaming run is armed, returns the axis and direction to warm (ok=true).
-// g is copied; callers may reuse it.
-func (p *prefetcher) observe(v *View, g []int64) (axis int, dir int64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.streams[v]
-	if st == nil {
-		if len(p.streams) >= maxTrackedStreams {
-			for k := range p.streams {
-				delete(p.streams, k)
-				break
-			}
-		}
-		st = &streamState{last: append([]int64(nil), g...), axis: -1}
-		p.streams[v] = st
+// observe records the grid coordinate of the view's latest primary block and,
+// when a streaming run is armed, returns the axis and direction to warm
+// (ok=true). g is copied; callers may reuse it.
+func (st *streamState) observe(g []int64) (axis int, dir int64, ok bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.last == nil {
+		st.last, st.axis = append([]int64(nil), g...), -1
 		return 0, 0, false
 	}
 	axis, dir = -1, 0
@@ -96,13 +78,6 @@ func (p *prefetcher) observe(v *View, g []int64) (axis int, dir int64, ok bool) 
 	return st.axis, st.dir, true
 }
 
-// forget drops a view's detector state (view close).
-func (p *prefetcher) forget(v *View) {
-	p.mu.Lock()
-	delete(p.streams, v)
-	p.mu.Unlock()
-}
-
 // maybePrefetch runs streaming detection for the partition access at
 // coord/sub on view v and, when armed, warms the next blocks along the
 // detected axis. done is the triggering request's completion time — the
@@ -113,7 +88,7 @@ func (p *prefetcher) forget(v *View) {
 // working memory is a pooled request scratch, so a read that warms nothing
 // allocates nothing.
 func (t *STL) maybePrefetch(done sim.Time, v *View, coord, sub []int64) {
-	if t.cache == nil || t.pf == nil {
+	if t.cache == nil {
 		return
 	}
 	s := v.space
@@ -126,11 +101,11 @@ func (t *STL) maybePrefetch(done sim.Time, v *View, coord, sub []int64) {
 	if !primaryGrid(v, coord, sub, g) {
 		return
 	}
-	axis, dir, ok := t.pf.observe(v, g)
+	axis, dir, ok := v.stream.observe(g)
 	if !ok {
 		return
 	}
-	for k := 1; k <= t.pf.depth; k++ {
+	for k := 1; k <= t.cfg.PrefetchDepth; k++ {
 		g[axis] += dir
 		if g[axis] < 0 || g[axis] >= s.grid[axis] {
 			break

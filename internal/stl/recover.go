@@ -24,6 +24,24 @@ import (
 //     consumes the over-provision reserve, and only once that is exhausted
 //     does the logical allocation budget shrink (effectiveMaxPages).
 //
+// Every program batch the STL issues lands through landPrograms, the one
+// place that rule is written down for batches. It reports how long a prefix
+// of the batch landed and leaves the rest to its caller, because what becomes
+// of an op that cannot land is all the three callers do differently:
+//
+//   - a request's flush (flushPrograms) bound its units when it queued them,
+//     so it unbinds the rest and gives their frames back to the arena;
+//   - Flush bound them too, but its pages are still staged: it unbinds the one
+//     failed key, which stays pending with its frame, and carries on with the
+//     ops behind it;
+//   - the collector (evacuateBlock) binds after landing, so it rebinds the
+//     landed prefix and releases the destinations of the rest, whose pages
+//     stay on their sources.
+//
+// programWithRecovery is the same rule for one page, kept apart on purpose:
+// the scalar reference writer runs on it, and the differential suites compare
+// the batched recovery against it.
+//
 // With no fault plan installed none of these paths run, and the only cost on
 // the data path is the retired-block bookkeeping checks, which see zero
 // retired blocks.
@@ -200,6 +218,56 @@ func (t *STL) programWithRecovery(at sim.Time, p nvm.PPA, data []byte, stats *Re
 		}
 		p, at = np, pe.Done
 	}
+}
+
+// landPrograms programs ops, recovering from injected program faults: the
+// stored prefix stays, the faulted op's block is retired, the op is redirected
+// to a unit from allocateRecoveryUnit and re-aimed at the failed attempt's
+// completion, and the rest of the batch goes again — at most
+// maxProgramRetries times without an op landing in between. relocated tells
+// the caller that the op programming old now programs np, before the retry:
+// a caller whose ops are bound passes rebindFaulted, the collector a hook that
+// releases old. If it returns false the translation state does not know old,
+// and the batch stops there.
+//
+// It returns the latest completion among the attempts, how many ops — a
+// prefix — landed, and how many relocations it made. On an error ops[landed:]
+// did not land and never will through this call; ops[landed] still names the
+// unit that failed last. A validation error lands nothing and counts no retry.
+// Recovery carves with takeUnitRaw (no collection, no flush hook), so it
+// cannot re-enter a caller that is itself a flush hook.
+func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) bool) (done sim.Time, landed int, retries int64, err error) {
+	since := 0 // relocations since an op last landed
+	for landed < len(ops) {
+		d, perr := t.dev.ProgramPages(ops[landed:])
+		if perr == nil {
+			return sim.Max(done, d), len(ops), retries, nil
+		}
+		var pe *nvm.ProgramError
+		if !errors.As(perr, &pe) {
+			return done, landed, retries, perr
+		}
+		done = sim.Max(done, d)
+		if pe.Index > 0 {
+			since = 0
+		}
+		landed += pe.Index
+		t.retireBlock(pe.P.Channel, pe.P.Bank, pe.P.Block)
+		if since++; since > maxProgramRetries {
+			return done, landed, retries, fmt.Errorf("stl: program of %v: %d relocation attempts failed: %w", pe.P, since, ErrMedia)
+		}
+		np, ok := t.allocateRecoveryUnit(pe.P)
+		if !ok {
+			return done, landed, retries, fmt.Errorf("stl: no unit available to relocate faulted program at %v: %w", pe.P, ErrMedia)
+		}
+		if !relocated(pe.P, np) {
+			return done, landed, retries, fmt.Errorf("stl: faulted program at %v is not bound to any building block: %w", pe.P, ErrMedia)
+		}
+		t.programRetries.Add(1)
+		retries++
+		ops[landed].P, ops[landed].At = np, pe.Done
+	}
+	return done, landed, retries, nil
 }
 
 // rebindFaulted points the building-block slot that owns old (located through

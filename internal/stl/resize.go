@@ -33,13 +33,7 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 		// Staged (§4.4) pages beyond the new bound are discarded with their
 		// blocks.
 		stride := prod(s.grid[1:])
-		t.pendingMu.Lock()
-		for k := range t.pending {
-			if k.space == id && k.block/stride >= newGrid0 {
-				delete(t.pending, k)
-			}
-		}
-		t.pendingMu.Unlock()
+		t.dropPendingWhere(func(k pendingKey) bool { return k.space == id && k.block/stride >= newGrid0 })
 	}
 	if s.root != nil {
 		switch {

@@ -1,9 +1,6 @@
 package stl
 
 import (
-	"errors"
-	"fmt"
-
 	"nds/internal/nvm"
 	"nds/internal/sim"
 )
@@ -408,66 +405,23 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time, stats 
 // error path landing what is queued — can program a frame as the arena handed
 // it out.
 //
-// Queued ops were bound when appended, so recovery from an injected program
-// fault rebinds through the reverse-lookup table: the faulted op's block is
-// retired, its data redirected to a fresh unit, and the rest of the batch
-// retried from the failed attempt's completion. An unrecoverable failure
-// unbinds every op that did not land, so bound units are always programmed
-// units. Recovery allocates with takeUnitRaw (no GC), so it cannot re-enter
-// this flush through the request's allocCtx flush hook.
+// Queued ops were bound when appended, so landPrograms relocates a faulted
+// op through the reverse-lookup table (rebindFaulted). What it could not land
+// is unbound here, so bound units are always programmed units.
 func (t *STL) flushPrograms(rs *requestScratch, done *sim.Time, stats *RequestStats) error {
 	if len(rs.ops) == 0 {
 		return nil
 	}
 	rs.fillPending(int64(t.geo.PageSize))
-	ops := rs.ops // narrows to the ops that have not landed
-	defer func() {
-		for i := range ops {
-			t.dev.Recycle(ops[i].Data)
-		}
-		clear(rs.ops)
-		rs.ops = rs.ops[:0]
-	}()
-	retries := 0
-	for len(ops) > 0 {
-		d, err := t.dev.ProgramPages(ops)
-		if err == nil {
-			*done = sim.Max(*done, d)
-			ops = nil
-			return nil
-		}
-		var pe *nvm.ProgramError
-		if !errors.As(err, &pe) {
-			// Validation failure: no op landed; drop the whole batch's
-			// translation state.
-			t.unbindOps(ops)
-			return err
-		}
-		*done = sim.Max(*done, d)
-		if pe.Index > 0 {
-			retries = 0 // progress since the last fault
-		}
-		ops = ops[pe.Index:] // the stored prefix stays bound
-		t.retireBlock(pe.P.Channel, pe.P.Bank, pe.P.Block)
-		if retries++; retries > maxProgramRetries {
-			t.unbindOps(ops)
-			return fmt.Errorf("stl: program of %v: %d relocation attempts failed: %w", pe.P, retries, ErrMedia)
-		}
-		np, ok := t.allocateRecoveryUnit(pe.P)
-		if !ok {
-			t.unbindOps(ops)
-			return fmt.Errorf("stl: no unit available to relocate faulted program at %v: %w", pe.P, ErrMedia)
-		}
-		if !t.rebindFaulted(pe.P, np) {
-			t.unbindOps(ops)
-			return fmt.Errorf("stl: faulted program at %v is not bound to any building block: %w", pe.P, ErrMedia)
-		}
-		t.programRetries.Add(1)
-		if stats != nil {
-			stats.ProgramRetries++
-		}
-		ops[0].P = np
-		ops[0].At = pe.Done
+	d, landed, retries, err := t.landPrograms(rs.ops, t.rebindFaulted)
+	*done = sim.Max(*done, d)
+	stats.ProgramRetries += retries
+	rest := rs.ops[landed:]
+	t.unbindOps(rest)
+	for i := range rest {
+		t.dev.Recycle(rest[i].Data)
 	}
-	return nil
+	clear(rs.ops)
+	rs.ops = rs.ops[:0]
+	return err
 }

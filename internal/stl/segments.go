@@ -77,7 +77,7 @@ func (t *STL) ReadPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn
 	} else {
 		done, stats, err = t.readPartitionSegments(at, v, coord, sub, fn)
 	}
-	if err == nil && t.pf != nil {
+	if err == nil && t.cfg.PrefetchDepth > 0 {
 		t.maybePrefetch(done, v, coord, sub)
 	}
 	if err == nil {

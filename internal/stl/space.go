@@ -122,15 +122,6 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// ceilPow2 rounds n up to the next power of two (minimum 1).
-func ceilPow2(n int64) int64 {
-	p := int64(1)
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // ceilLog2 returns ceil(log2(n)) for n >= 1.
 func ceilLog2(n int64) int {
 	k, p := 0, int64(1)

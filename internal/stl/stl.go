@@ -162,11 +162,10 @@ type STL struct {
 
 	scratch sync.Pool // *requestScratch, reused across partition requests
 
-	// cache and pf are nil when Config.CacheBytes is zero; every data-path
-	// hook is gated on that nil check, which is what keeps the cache-off
-	// device identical to one built before the feature existed.
+	// cache is nil when Config.CacheBytes is zero; every data-path hook is
+	// gated on that nil check, which is what keeps the cache-off device
+	// identical to one built before the feature existed.
 	cache *blockCache
-	pf    *prefetcher
 
 	// qos is nil when Config.TenantQoS is nil, under the same contract: the
 	// admission gate in the data path is a single nil check when disabled.
@@ -221,9 +220,6 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 	}
 	if cfg.CacheBytes > 0 {
 		t.cache = newBlockCache(cfg.CacheBytes, cfg.CacheDRAMBandwidth)
-		if cfg.PrefetchDepth > 0 {
-			t.pf = newPrefetcher(cfg.PrefetchDepth)
-		}
 	}
 	if cfg.TenantQoS != nil {
 		t.qos = newQosState(*cfg.TenantQoS, geo.Channels)
@@ -376,7 +372,7 @@ func (t *STL) DeleteSpace(id SpaceID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t.invalidateTree(s, s.root)
-	t.dropPendingSpace(id)
+	t.dropPendingWhere(func(k pendingKey) bool { return k.space == id })
 	if t.cache != nil {
 		// Belt and braces: every unit invalidation above already dropped its
 		// block's cache entry; the space-wide purge also clears entries whose

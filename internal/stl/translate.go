@@ -27,6 +27,8 @@ type Extent struct {
 type View struct {
 	space *Space
 	dims  []int64
+
+	stream streamState // the prefetcher's stride detector: a view is one command stream
 }
 
 // NewView validates an application view of space s: every dimension positive

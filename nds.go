@@ -115,12 +115,12 @@ type Options struct {
 	// smaller than a basic access unit collect in STL memory and program
 	// once a unit fills or Flush is called.
 	WriteBuffering bool
-	// ScalarDataPath routes partition I/O through the original
+	// scalarDataPath routes partition I/O through the original
 	// one-page-at-a-time device path instead of the batched page-plan path.
-	// Both produce bit-identical data, statistics, and simulated timing (the
-	// differential tests hold them to it); the knob exists for that
-	// comparison, not as a tuning choice.
-	ScalarDataPath bool
+	// Both produce bit-identical data, statistics, and simulated timing; the
+	// differential tests of this package set it to hold them to that, and it
+	// is nobody else's to set.
+	scalarDataPath bool
 	// CacheBytes sizes the STL's building-block DRAM cache (host DRAM in
 	// ModeSoftware, controller DRAM in ModeHardware). Zero disables the cache
 	// entirely, leaving the device bit- and timing-identical to one without
@@ -280,11 +280,11 @@ type Device struct {
 	// noPushdown records Options.DisablePushdown.
 	noPushdown bool
 
-	// viewMu guards the view registry: every open Space, its wire-protocol
-	// dynamic view ID, and the ID counter. Both the typed API and Exec
-	// register and retire views here, so the two paths see one lifecycle.
+	// viewMu guards the view registry: every open Space under its
+	// wire-protocol dynamic view ID, and the ID counter. Both the typed API
+	// and Exec register and retire views here, so the two paths see one
+	// lifecycle.
 	viewMu   sync.RWMutex
-	open     map[*Space]bool
 	views    map[uint32]*Space
 	nextView uint32
 }
@@ -305,7 +305,7 @@ func Open(opts Options) (*Device, error) {
 	cfg.STL.Compress = opts.Compress
 	cfg.STL.ZeroPageElision = opts.ZeroPageElision
 	cfg.STL.WriteBuffering = opts.WriteBuffering
-	cfg.STL.ScalarPath = opts.ScalarDataPath
+	cfg.STL.ScalarPath = opts.scalarDataPath
 	cfg.STL.CacheBytes = opts.CacheBytes
 	cfg.STL.PrefetchDepth = opts.PrefetchDepth
 	cfg.STL.BackgroundGC = !opts.SynchronousGC
@@ -337,7 +337,6 @@ func Open(opts Options) (*Device, error) {
 	return &Device{
 		sys:        sys,
 		noPushdown: opts.DisablePushdown,
-		open:       make(map[*Space]bool),
 		views:      make(map[uint32]*Space),
 	}, nil
 }
@@ -530,8 +529,8 @@ func (d *Device) ResizeSpace(id SpaceID, newDim0 int64) error {
 // completed — against the new space state — so it must survive.
 func (d *Device) retireViews(id SpaceID) {
 	d.viewMu.RLock()
-	stale := make([]*Space, 0, len(d.open))
-	for s := range d.open {
+	stale := make([]*Space, 0, len(d.views))
+	for _, s := range d.views {
 		if s.id == id {
 			stale = append(stale, s)
 		}
@@ -635,7 +634,6 @@ func (d *Device) OpenSpace(id SpaceID, viewDims []int64) (*Space, error) {
 	d.viewMu.Lock()
 	d.nextView++
 	s.wire = d.nextView
-	d.open[s] = true
 	d.views[s.wire] = s
 	d.viewMu.Unlock()
 	return s, nil
@@ -653,7 +651,6 @@ func (s *Space) Close() error {
 	s.view = nil
 	d := s.dev
 	d.viewMu.Lock()
-	delete(d.open, s)
 	delete(d.views, s.wire)
 	d.viewMu.Unlock()
 	return nil

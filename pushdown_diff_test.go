@@ -171,7 +171,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 		{"cached", Options{Mode: ModeHardware, CapacityHint: 16 << 20, CacheBytes: 4 << 20, PrefetchDepth: 2}},
 		{"compressed", Options{Mode: ModeHardware, CapacityHint: 16 << 20, Compress: true}},
 		{"write-buffered", Options{Mode: ModeHardware, CapacityHint: 16 << 20, WriteBuffering: true}},
-		{"scalar", Options{Mode: ModeHardware, CapacityHint: 16 << 20, ScalarDataPath: true}},
+		{"scalar", Options{Mode: ModeHardware, CapacityHint: 16 << 20, scalarDataPath: true}},
 		{"faults", Options{Mode: ModeHardware, CapacityHint: 16 << 20,
 			Faults: &FaultPlan{Seed: 11, ProgramFailEvery: 7, ReadRetryEvery: 5}}},
 		{"phantom", Options{Mode: ModeHardware, CapacityHint: 16 << 20, Phantom: true}},

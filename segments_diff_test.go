@@ -42,7 +42,7 @@ func repeatRuns(rng *rand.Rand, n int, lo int) []byte {
 // TestDifferentialSegmentsVsRead holds both shapes of the one read path to the
 // scalar reference. ReadInto is ReadSegments with a gather sink, so comparing
 // the two to each other only checks the gather; the independent input is a
-// third, identically-driven device opened with ScalarDataPath, whose reads run
+// third, identically-driven device opened with scalarDataPath, whose reads run
 // the original page-at-a-time loop. For the same sequence of operations,
 // ReadInto's bytes, the reassembly of ReadSegments' segments (gaps as zeros),
 // and the scalar reference's bytes must be equal, and every operation's Stats
@@ -129,7 +129,7 @@ func TestDifferentialSegmentsVsRead(t *testing.T) {
 			}
 
 			scalarOpts := cfg.opts
-			scalarOpts.ScalarDataPath = true
+			scalarOpts.scalarDataPath = true
 			reference := run(scalarOpts, false)
 			for _, shape := range []struct {
 				name string

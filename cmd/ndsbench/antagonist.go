@@ -23,10 +23,10 @@ const (
 	antFloodScale = 10  // antagonist target = antFloodScale * antVictimRate
 	// antRateCap is the token-bucket rate imposed on the antagonist tenant:
 	// 1/32 of its offered 64 MB/s (10x rate * 16 KiB tiles), a third of the
-	// victim's own demand. The bucket is the binding constraint — ThrottleNs
-	// must accumulate — and the admitted flood is small enough that the
-	// victim's tail measures storage scheduling, not raw CPU contention on
-	// small (single-core) CI machines.
+	// victim's own demand. The bucket is the binding constraint — the
+	// tenant's Throttle must accumulate — and the admitted flood is small
+	// enough that the victim's tail measures storage scheduling, not raw CPU
+	// contention on small (single-core) CI machines.
 	antRateCap = 2 << 20 // bytes/s
 	// antMaxOutstanding bounds the antagonist's per-connection backlog: a
 	// throttled open-loop tenant otherwise accumulates its whole offered load
@@ -52,10 +52,9 @@ type antagonistResult struct {
 	Solo       netResult // victim, no antagonist
 	Victim     netResult // victim, under flood
 	Antagonist netResult // the flood itself
-	// ThrottleNs/QueueWaitNs are the antagonist tenant's accumulated
-	// admission delays — nonzero iff QoS actually gated it.
-	ThrottleNs  int64
-	QueueWaitNs int64
+	// Tenant is the antagonist tenant's accounting: its accumulated admission
+	// delays (Throttle, QueueWait) are nonzero iff QoS actually gated it.
+	Tenant nds.TenantStats
 }
 
 // runAntagonistLoad self-hosts a QoS-enabled server and alternates antTrials
@@ -161,8 +160,7 @@ func runAntagonistLoad() (antagonistResult, error) {
 	antTenant := nds.SpaceID(antSpace)
 	for _, t := range dev.TenantStats() {
 		if !t.IsGroup && t.Space == antTenant {
-			res.ThrottleNs = int64(t.Throttle)
-			res.QueueWaitNs = int64(t.QueueWait)
+			res.Tenant = t
 		}
 	}
 	return res, nil
@@ -208,9 +206,8 @@ func runAntagonist(bound float64) {
 		res.Victim.Done, res.Victim.AchievedRps, res.Victim.P50Ns/1e3, res.Victim.P99Ns/1e3)
 	fmt.Printf("antagonist:    done %6d  shed %6d  achieved %7.1f ops/s  throttled %v  queued %v\n",
 		res.Antagonist.Done, res.Antagonist.Shed, res.Antagonist.AchievedRps,
-		time.Duration(res.ThrottleNs).Round(time.Millisecond),
-		time.Duration(res.QueueWaitNs).Round(time.Millisecond))
-	if res.ThrottleNs == 0 {
+		res.Tenant.Throttle.Round(time.Millisecond), res.Tenant.QueueWait.Round(time.Millisecond))
+	if res.Tenant.Throttle == 0 {
 		fatalf("antagonist: token bucket never throttled the flood (QoS gate not engaged)")
 	}
 	limit := bound*res.Solo.P99Ns + antP99SlackNs

@@ -1,6 +1,7 @@
 package nds_test
 
 import (
+	"os/exec"
 	"testing"
 
 	"nds"
@@ -8,6 +9,21 @@ import (
 	"nds/internal/tensor"
 	"nds/internal/workloads"
 )
+
+// TestBenchModuleVets runs `go vet ./...` inside bench/, which is a module of
+// its own: `go test ./...` here does not reach it, and a PR may not edit it.
+// So a rename that breaks the benchmark's compile fails tier-1, and not only
+// CI's "Benchmark module" step.
+func TestBenchModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the bench module with the go toolchain")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "bench"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
+	}
+}
 
 // TestBlockedGEMMThroughNDS runs the paper's flagship workload end to end at
 // small scale: two matrices are produced into NDS spaces, the consumer

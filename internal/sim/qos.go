@@ -18,7 +18,7 @@ import (
 // waiter with the smallest tag is admitted next — so a flow that floods the
 // device accumulates far-future tags and queues behind lighter flows instead
 // of monopolizing the timelines. A per-flow token bucket (RateBytesPerSec /
-// BurstBytes) is charged before the slot wait, so a rate-capped flow blocks
+// Burst) is charged before the slot wait, so a rate-capped flow blocks
 // in wall-clock time without consuming a slot.
 //
 // The scheduler operates entirely in the wall-clock domain: it delays when a
@@ -38,10 +38,10 @@ type FlowConfig struct {
 	// RateBytesPerSec caps the flow's admitted payload bandwidth via a token
 	// bucket charged before admission; <= 0 leaves the flow uncapped.
 	RateBytesPerSec float64
-	// BurstBytes is the token bucket depth. <= 0 selects the larger of 1 MiB
+	// Burst is the token bucket depth. <= 0 selects the larger of 1 MiB
 	// and 100 ms of RateBytesPerSec. Requests larger than the burst are
 	// charged the full bucket (they admit once the bucket refills completely).
-	BurstBytes int64
+	Burst int64
 }
 
 func (c FlowConfig) weight() float64 {
@@ -52,8 +52,8 @@ func (c FlowConfig) weight() float64 {
 }
 
 func (c FlowConfig) burst() float64 {
-	if c.BurstBytes > 0 {
-		return float64(c.BurstBytes)
+	if c.Burst > 0 {
+		return float64(c.Burst)
 	}
 	b := c.RateBytesPerSec / 10
 	if b < 1<<20 {
@@ -217,7 +217,7 @@ func (q *FairScheduler) Release() {
 }
 
 // takeTokens charges the flow's token bucket for the request, sleeping until
-// enough tokens accumulate. Buckets start full, so a burst up to BurstBytes
+// enough tokens accumulate. Buckets start full, so a burst up to Burst
 // admits immediately; sustained load is paced at RateBytesPerSec.
 func (q *FairScheduler) takeTokens(id FlowID, bytes int64) time.Duration {
 	var waited time.Duration

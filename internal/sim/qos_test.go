@@ -77,7 +77,7 @@ func TestFairSchedulerTokenBucket(t *testing.T) {
 		clock = clock.Add(d)
 		mu.Unlock()
 	}
-	q.SetFlow(7, FlowConfig{RateBytesPerSec: 1 << 20, BurstBytes: 1 << 20})
+	q.SetFlow(7, FlowConfig{RateBytesPerSec: 1 << 20, Burst: 1 << 20})
 
 	// Bucket starts full: the first 1 MiB admits with zero throttle.
 	_, th := q.Admit(7, 1<<20)

@@ -104,12 +104,7 @@ func (t *STL) criticalWaterPages() int64 { return t.lowWaterPages() / 2 }
 // highWaterPages is where the background worker stops collecting a die; it
 // sits above the low mark so each worker pass buys a batch of foreground
 // allocations before the next kick.
-func (t *STL) highWaterPages() int64 {
-	if t.cfg.GCHighWater > t.cfg.GCLowWater {
-		return int64(t.cfg.GCHighWater * float64(t.geo.PagesPerBank()))
-	}
-	return t.lowWaterPages() + t.lowWaterPages()/2
-}
+func (t *STL) highWaterPages() int64 { return t.lowWaterPages() + t.lowWaterPages()/2 }
 
 // takeUnit carves the next programmable page out of the given die. With
 // synchronous GC (Config.BackgroundGC unset) collection runs inline at

@@ -357,7 +357,7 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 			unit, ready, err = t.allocateUnit(ready, s, st.blk, ac)
 		}
 		if err != nil {
-			t.dev.Recycle(frame) // a read-modify-write page's
+			t.dev.Recycle(frame) // a read-modify-write page's; no other page has drawn one yet
 			// Land anything already queued so STL and device state agree.
 			if ferr := t.flushPrograms(rs, &done, &stats); ferr != nil {
 				return at, stats, ferr

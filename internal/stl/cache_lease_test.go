@@ -220,10 +220,12 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 	}
 
 	// Whether the collector met a victim with live pages while its owners'
-	// locks were free is up to the scheduler, so relocation is asserted here,
-	// with every lock free: quarter-block overwrites of one space leave mixed
-	// victims, a sweep follows each, and both spaces are read back warm (the
-	// relocated pages' entries must be gone) and audited.
+	// locks were free is up to the scheduler, and so is whether the churn left
+	// such a victim behind. So relocation is asserted here, with every lock
+	// free and the worker fenced out, on a victim built by hand the way
+	// TestBackgroundGCUnderConcurrentWriters builds its own; the spaces are
+	// read back warm before and after (the relocated pages' entries must be
+	// gone) and audited.
 	check := func(when string) {
 		t.Helper()
 		for pass := 0; pass < 2; pass++ {
@@ -240,21 +242,41 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 		auditCache(t, st, true)
 	}
 	check("after the churn")
+	// Two live pages X and Y of one die; rewrite Y, X, then Y once per page
+	// of an erase block. A rewrite of a whole page replaces its unit in the
+	// same die, so X's new unit sits in a block that the Y rewrites fill and
+	// close, next to copies of Y that later rewrites invalidated. Collecting
+	// the die to exhaustion then has to move X.
+	st.maintMu.Lock()
+	live := liveUnits(st, 2)
+	if len(live) < 2 {
+		t.Fatalf("die ch0/bk0 holds %d live pages of the 320 the spaces spread over 8 dies", len(live))
+	}
 	rng := rand.New(rand.NewSource(60))
-	c, v0 := clients[0], mustView(t, clients[0].s, rows, cols)
-	quarter := make([]byte, bb/2*bb/2*4)
-	moved := st.GCReport().PagesRelocated
-	for k := 0; k < 400 && st.GCReport().PagesRelocated == moved; k++ {
-		fillNoFF(rng, quarter)
-		coord := []int64{rng.Int63n(rows / (bb / 2)), rng.Int63n(cols / (bb / 2))}
-		if _, _, err := st.WritePartition(0, v0, coord, []int64{bb / 2, bb / 2}, quarter); err != nil {
+	page := make([]byte, geo.PageSize)
+	rewrite := func(e revEntry) {
+		// A space is one column of blocks, and a page of a block four of its rows.
+		c := spaces[e.space-spaces[0].s.id]
+		coord, sub := []int64{e.block*8 + int64(e.page), 0}, []int64{4, cols}
+		fillNoFF(rng, page)
+		if _, _, err := st.WritePartition(0, mustView(t, c.s, c.rows, cols), coord, sub, page); err != nil {
 			t.Fatal(err)
 		}
-		pasteTile(c.img, cols, 4, coord, []int64{bb / 2, bb / 2}, quarter)
-		check("before a sweep")
-		st.gcSweep()
-		check("after a sweep")
+		pasteTile(c.img, cols, 4, coord, sub, page)
 	}
+	moved := st.GCReport().PagesRelocated
+	x, y := live[0], live[1]
+	rewrite(y)
+	rewrite(x)
+	for i := 0; i < geo.PagesPerBlock; i++ {
+		rewrite(y)
+	}
+	check("before the collection")
+	if _, _, err := st.collectDie(0, 0, 0, nil, geo.PagesPerBank()); err != nil {
+		t.Fatal(err)
+	}
+	st.maintMu.Unlock()
+	check("after the collection")
 	st.Close()
 	rep, cs := st.GCReport(), st.CacheStats()
 	if rep.Erases == 0 || rep.PagesRelocated == moved || cs.Hits == 0 || cs.Evictions == 0 || cs.Invalidations == 0 || cs.PrefetchIssued == 0 {

@@ -221,10 +221,6 @@ func (t *STL) writeCompressed(at sim.Time, v *View, coord, sub []int64, data []b
 	return done, stats, nil
 }
 
-// readCompressedExtent serves one extent of a compressed block from the
-// per-request image cache.
-type blockImageCache map[int64][]byte
-
 // CompressedBlocks reports how many block store operations chose the
 // compressed representation.
 func (t *STL) CompressedBlocks() int64 { return t.compressedBlocks.Load() }

@@ -109,17 +109,7 @@ func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
 	// next to a copy of Y a later rewrite invalidated. Collecting the die to
 	// exhaustion then has to move X.
 	st.maintMu.Lock()
-	var live []revEntry
-	d := st.die(0, 0)
-	d.mu.Lock()
-	for b := 0; b < geo.BlocksPerBank && len(live) < 2; b++ {
-		for pg := 0; pg < geo.PagesPerBlock && len(live) < 2; pg++ {
-			if e := st.rev[(nvm.PPA{Block: b, Page: pg}).Linear(geo)]; e.valid {
-				live = append(live, e)
-			}
-		}
-	}
-	d.mu.Unlock()
+	live := liveUnits(st, 2)
 	if len(live) < 2 {
 		t.Fatalf("die ch0/bk0 holds %d live pages of the 128 the spaces spread over 8 dies", len(live))
 	}
@@ -167,6 +157,23 @@ func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
 		t.Fatalf("no live page was relocated even with every space idle — mixed-validity victims untested: %+v", rep)
 	}
 	t.Logf("GC report: %+v (%d pages relocated while the writers ran)", rep, concurrentMoves)
+}
+
+// liveUnits returns the reverse-map entries of the first n live pages of die
+// ch0/bk0: what a test rewrites to build a mixed-validity victim there.
+func liveUnits(st *STL, n int) []revEntry {
+	var live []revEntry
+	d := st.die(0, 0)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for b := 0; b < st.geo.BlocksPerBank && len(live) < n; b++ {
+		for pg := 0; pg < st.geo.PagesPerBlock && len(live) < n; pg++ {
+			if e := st.rev[(nvm.PPA{Block: b, Page: pg}).Linear(st.geo)]; e.valid {
+				live = append(live, e)
+			}
+		}
+	}
+	return live
 }
 
 // TestNoStallAboveLowWatermark: the write-path contract of the watermark

@@ -2,8 +2,10 @@ package stl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"nds/internal/sim"
 )
@@ -22,16 +24,10 @@ import (
 // dispatch slot.
 
 // TenantQoSConfig enables the fair scheduler and sets the default per-tenant
-// parameters; Config.TenantQoS being nil disables the feature entirely.
+// parameters (the embedded weight, rate and burst); Config.TenantQoS being nil
+// disables the feature entirely.
 type TenantQoSConfig struct {
-	// Weight is the default relative share per tenant (<= 0 selects 1).
-	Weight float64
-	// RateBytesPerSec is the default per-tenant token-bucket refill rate;
-	// <= 0 leaves tenants uncapped.
-	RateBytesPerSec float64
-	// BurstBytes is the default token-bucket depth (<= 0 selects the larger
-	// of 1 MiB and 100 ms of RateBytesPerSec).
-	BurstBytes int64
+	sim.FlowConfig
 	// Slots is the number of concurrent dispatch slots; 0 selects the device
 	// channel count (one outstanding request per channel keeps the timelines
 	// busy without letting one tenant book them arbitrarily deep).
@@ -50,24 +46,19 @@ func SpaceTenant(id SpaceID) TenantID { return TenantID(id) }
 // GroupTenant is the tenant identity of space group g.
 func GroupTenant(g uint32) TenantID { return tenantGroupBit | TenantID(g) }
 
-// IsGroup reports whether the tenant is a space group.
-func (t TenantID) IsGroup() bool { return t&tenantGroupBit != 0 }
-
-// Space returns the space a non-group tenant names.
-func (t TenantID) Space() SpaceID { return SpaceID(t &^ tenantGroupBit) }
-
-// Group returns the group id of a group tenant.
-func (t TenantID) Group() uint32 { return uint32(t &^ tenantGroupBit) }
-
-// TenantStats is one tenant's accumulated accounting.
+// TenantStats is one tenant's accumulated QoS accounting (get_tenant_stats on
+// the wire; nds.TenantStats is an alias). A tenant is a space, or — when
+// IsGroup is set — a space group that one or more spaces are bound to.
 type TenantStats struct {
-	Tenant      TenantID
-	Weight      float64  // weight the tenant is currently scheduled under
-	Ops         int64    // admitted partition requests
-	Bytes       int64    // payload bytes of those requests
-	SimBusy     sim.Time // simulated time the requests occupied the device
-	QueueWaitNs int64    // wall ns spent queued for a dispatch slot
-	ThrottleNs  int64    // wall ns spent blocked on the token bucket
+	Space     SpaceID       // the space, when not a group tenant
+	Group     uint32        // the group id, when IsGroup
+	IsGroup   bool          // group tenant vs single-space tenant
+	Weight    float64       // weight currently scheduled under
+	Ops       int64         // admitted partition requests
+	Bytes     int64         // payload bytes of successful requests
+	SimBusy   time.Duration // simulated device time those requests occupied
+	QueueWait time.Duration // wall time spent queued for a dispatch slot
+	Throttle  time.Duration // wall time spent blocked on the token bucket
 }
 
 type tenantAcct struct {
@@ -94,11 +85,7 @@ func newQosState(cfg TenantQoSConfig, channels int) *qosState {
 		slots = channels
 	}
 	return &qosState{
-		sched: sim.NewFairScheduler(slots, sim.FlowConfig{
-			Weight:          cfg.Weight,
-			RateBytesPerSec: cfg.RateBytesPerSec,
-			BurstBytes:      cfg.BurstBytes,
-		}),
+		sched:  sim.NewFairScheduler(slots, cfg.FlowConfig),
 		groups: make(map[SpaceID]uint32),
 		acct:   make(map[TenantID]*tenantAcct),
 	}
@@ -187,15 +174,11 @@ func qosBytes(s *Space, sub []int64) int64 {
 
 // SetTenantQoS overrides one tenant's weight and rate limit. Requests already
 // queued keep their tags; new requests schedule under the new parameters.
-func (t *STL) SetTenantQoS(id TenantID, weight, rateBytesPerSec float64, burst int64) error {
+func (t *STL) SetTenantQoS(id TenantID, cfg sim.FlowConfig) error {
 	if t.qos == nil {
 		return fmt.Errorf("stl: tenant QoS is not enabled: %w", ErrInvalid)
 	}
-	t.qos.sched.SetFlow(sim.FlowID(id), sim.FlowConfig{
-		Weight:          weight,
-		RateBytesPerSec: rateBytesPerSec,
-		BurstBytes:      burst,
-	})
+	t.qos.sched.SetFlow(sim.FlowID(id), cfg)
 	return nil
 }
 
@@ -241,28 +224,31 @@ func (t *STL) TenantStats() []TenantStats {
 		return nil
 	}
 	q.mu.RLock()
-	out := make([]TenantStats, 0, len(q.acct))
-	for id, a := range q.acct {
-		out = append(out, TenantStats{
-			Tenant:      id,
-			Weight:      q.sched.Flow(sim.FlowID(id)).Weight,
-			Ops:         a.ops.Load(),
-			Bytes:       a.bytes.Load(),
-			SimBusy:     sim.Time(a.simBusy.Load()),
-			QueueWaitNs: a.queueWaitNs.Load(),
-			ThrottleNs:  a.throttleNs.Load(),
-		})
+	ids := make([]TenantID, 0, len(q.acct))
+	for id := range q.acct {
+		ids = append(ids, id)
 	}
-	q.mu.RUnlock()
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Tenant < out[j-1].Tenant; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	slices.Sort(ids)
+	out := make([]TenantStats, len(ids))
+	for i, id := range ids {
+		a := q.acct[id]
+		out[i] = TenantStats{
+			Weight:    q.sched.Flow(sim.FlowID(id)).Weight,
+			Ops:       a.ops.Load(),
+			Bytes:     a.bytes.Load(),
+			SimBusy:   time.Duration(a.simBusy.Load()),
+			QueueWait: time.Duration(a.queueWaitNs.Load()),
+			Throttle:  time.Duration(a.throttleNs.Load()),
 		}
-	}
-	for i := range out {
+		if id&tenantGroupBit != 0 {
+			out[i].IsGroup, out[i].Group = true, uint32(id&^tenantGroupBit)
+		} else {
+			out[i].Space = SpaceID(id)
+		}
 		if out[i].Weight <= 0 {
 			out[i].Weight = 1
 		}
 	}
+	q.mu.RUnlock()
 	return out
 }

@@ -3,6 +3,7 @@ package stl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,10 +25,6 @@ type Config struct {
 	// GCLowWater triggers collection on a die below this free fraction
 	// (the paper uses 10%).
 	GCLowWater float64
-	// GCHighWater is where the background worker stops collecting a die
-	// (free fraction). Values at or below GCLowWater select the default of
-	// 1.5x the low watermark. Ignored in synchronous mode.
-	GCHighWater float64
 	// BackgroundGC decouples collection from foreground writes: crossing the
 	// low watermark kicks a worker goroutine instead of collecting inline,
 	// and a write blocks on reclamation (bounded, escalating to ErrMedia)
@@ -59,7 +56,7 @@ type Config struct {
 	// one-page-at-a-time device path instead of the batched page-plan path.
 	// The two are differentially tested to produce bit-identical data,
 	// statistics, and completion times; the knob exists for that comparison
-	// and as an escape hatch, not as a tuning choice.
+	// alone, and only tests set it.
 	ScalarPath bool
 	// CacheBytes bounds the building-block cache (cache.go): DRAM the STL's
 	// host (SoftwareNDS) or controller (HardwareNDS) dedicates to caching
@@ -84,7 +81,7 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's prototype settings.
 func DefaultConfig() Config {
-	return Config{BBMultiplier: 1, OverProvision: 0.10, GCLowWater: 0.10, GCHighWater: 0.15, Seed: 1}
+	return Config{BBMultiplier: 1, OverProvision: 0.10, GCLowWater: 0.10, Seed: 1}
 }
 
 // revEntry maps a physical access unit back to its building block — the
@@ -266,32 +263,32 @@ func (t *STL) Geometry() nvm.Geometry { return t.geo }
 // GCStats reports garbage-collection work done so far.
 func (t *STL) GCStats() (erases, pageMoves int64) { return t.gcErases.Load(), t.gcMoves.Load() }
 
-// GCReport aggregates the garbage-collection counters the write path exposes
-// to benchmarks and operators.
+// GCReport describes the garbage collector's work: how often it ran, how much
+// it moved, what it cost foreground writes, and the resulting write
+// amplification. With synchronous collection Runs counts inline passes and
+// StallNs is zero (inline collection time is part of the triggering write,
+// not a stall). nds.GCStats is an alias of it.
 type GCReport struct {
-	Runs           int64 // collection passes that claimed a die
-	Erases         int64 // victim blocks erased back to the free pool
-	PagesRelocated int64 // valid units moved by evacuation
-	StallNs        int64 // wall-clock ns foreground writes spent waiting on GC
+	Runs           int64   // collection passes that claimed a die
+	Erases         int64   // victim blocks erased back to the free pool
+	PagesRelocated int64   // valid units moved by evacuation
+	StallNs        int64   // wall-clock ns foreground writes spent waiting on a critically dry die
+	WriteAmp       float64 // (host+GC programs)/host programs, 1.0 when idle
 }
 
 // GCReport returns a snapshot of the GC counters.
 func (t *STL) GCReport() GCReport {
-	return GCReport{
+	r := GCReport{
 		Runs:           t.gcRuns.Load(),
 		Erases:         t.gcErases.Load(),
 		PagesRelocated: t.gcMoves.Load(),
 		StallNs:        t.gcStallNs.Load(),
+		WriteAmp:       1,
 	}
-}
-
-// WriteAmplification is (host+GC programs)/host programs, 1.0 when idle.
-func (t *STL) WriteAmplification() float64 {
-	progs := t.progs.Load()
-	if progs == 0 {
-		return 1
+	if progs := t.progs.Load(); progs != 0 {
+		r.WriteAmp = float64(progs+r.PagesRelocated) / float64(progs)
 	}
-	return float64(progs+t.gcMoves.Load()) / float64(progs)
+	return r
 }
 
 // UsedPages reports live access units across all spaces.
@@ -348,11 +345,7 @@ func (t *STL) SpaceIDs() []SpaceID {
 	for id := range t.spaces {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 

@@ -168,7 +168,7 @@ func TestGCUnderChurnPreservesData(t *testing.T) {
 	if erases == 0 {
 		t.Fatal("GC never ran despite heavy churn near capacity")
 	}
-	t.Logf("GC: %d erases, %d moves, WA=%.2f", erases, moves, st.WriteAmplification())
+	t.Logf("GC: %d erases, %d moves, WA=%.2f", erases, moves, st.GCReport().WriteAmp)
 
 	got, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, []int64{160, 160})
 	if err != nil {

@@ -173,16 +173,15 @@ const (
 // gathers extents in device DRAM — or the ARM core runs the kernel — and only
 // the consumer's output crosses the link. Device reads, the consumer, and the
 // link stream concurrently.
-func (s *System) ndsRead(at sim.Time, op string, c consumer, read func(at sim.Time) (sim.Time, stl.RequestStats, int64, error)) (OpStats, error) {
+func (s *System) ndsRead(at sim.Time, op string, c consumer, read func(at sim.Time) (sim.Time, OpStats, int64, error)) (OpStats, error) {
 	_, trEnd, err := s.prologue(at, op)
 	if err != nil {
 		return OpStats{}, err
 	}
-	devDone, st, out, err := read(trEnd)
+	done, st, out, err := read(trEnd)
 	if err != nil {
 		return OpStats{}, err
 	}
-	done := devDone
 	switch s.Kind {
 	case SoftwareNDS:
 		out = st.PagesRead * s.pageSize() // the consumer is on the host: raw pages cross
@@ -205,16 +204,8 @@ func (s *System) ndsRead(at sim.Time, op string, c consumer, read func(at sim.Ti
 		_, linkEnd := s.Link.Transfer(trEnd, out)
 		done = sim.Max(sim.Max(done, dpEnd), sim.Max(cEnd, linkEnd))
 	}
-	return OpStats{
-		Done:     done,
-		Bytes:    st.Bytes, // the payload read or scanned: what the tenant is charged
-		RawBytes: out,
-		Extents:  st.Extents,
-		Pages:    st.PagesRead,
-		Commands: 1,
-
-		ProgramRetries: st.ProgramRetries,
-	}, nil
+	// st.Bytes stays the payload read or scanned: what the tenant is charged.
+	return complete(st, done, out), nil
 }
 
 // NDSRead reads one partition through an NDS configuration (ndsRead with the
@@ -230,7 +221,7 @@ func (s *System) NDSRead(at sim.Time, v *stl.View, coord, sub []int64) ([]byte, 
 // same buffer.
 func (s *System) NDSReadInto(at sim.Time, v *stl.View, coord, sub []int64, dst []byte) ([]byte, OpStats, error) {
 	var data []byte
-	stats, err := s.ndsRead(at, "NDSRead", assemble, func(at sim.Time) (done sim.Time, st stl.RequestStats, out int64, err error) {
+	stats, err := s.ndsRead(at, "NDSRead", assemble, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		data, done, st, err = s.STL.ReadPartitionInto(at, v, coord, sub, dst)
 		return done, st, st.Bytes, err
 	})
@@ -245,7 +236,7 @@ func (s *System) NDSReadInto(at sim.Time, v *stl.View, coord, sub []int64, dst [
 // writer gathers straight into its response frame), so simulated time and
 // statistics cannot differ.
 func (s *System) NDSReadSegments(at sim.Time, v *stl.View, coord, sub []int64, fn func(want int64, segs []stl.Segment) error) (OpStats, error) {
-	return s.ndsRead(at, "NDSReadSegments", assemble, func(at sim.Time) (sim.Time, stl.RequestStats, int64, error) {
+	return s.ndsRead(at, "NDSReadSegments", assemble, func(at sim.Time) (sim.Time, OpStats, int64, error) {
 		done, st, err := s.STL.ReadPartitionSegments(at, v, coord, sub, fn)
 		return done, st, st.Bytes, err
 	})
@@ -254,61 +245,39 @@ func (s *System) NDSReadSegments(at sim.Time, v *stl.View, coord, sub []int64, f
 // NDSWrite writes one partition through an NDS configuration,
 // synchronously (matching Figure 9(d)'s methodology).
 func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []byte) (OpStats, error) {
-	var stats OpStats
 	// The scatter and the disassembly are sized by the extent count alone;
 	// the list is WritePartition's to build.
 	extents, elems, err := v.ExtentCount(coord, sub)
 	if err != nil {
-		return stats, err
+		return OpStats{}, err
 	}
 	bytes := elems * int64(v.Space().ElemSize())
 	subEnd, trEnd, err := s.prologue(at, "NDSWrite")
 	if err != nil {
-		return stats, err
+		return OpStats{}, err
 	}
 
-	switch s.Kind {
-	case SoftwareNDS:
+	var start sim.Time // when the STL may begin programming
+	if s.Kind == SoftwareNDS {
 		// Host breaks the object into building-block pieces (the strided
 		// scatter §7.1 blames for the 30% write loss)...
 		_, scEnd := s.Host.Scatter(trEnd, bytes, extents)
 		// ...then raw pages cross the link before programming starts.
-		_, linkEnd := s.Link.Transfer(scEnd, bytes)
-		devDone, st, err := s.STL.WritePartition(linkEnd, v, coord, sub, data)
-		if err != nil {
-			return stats, err
-		}
-		stats = OpStats{
-			Done:     devDone,
-			Bytes:    st.Bytes,
-			RawBytes: st.PagesProgrammed * s.pageSize(),
-			Extents:  st.Extents,
-			Pages:    st.PagesProgrammed + st.PagesRead,
-			Commands: 1,
-
-			ProgramRetries: st.ProgramRetries,
-		}
-
-	case HardwareNDS:
+		_, start = s.Link.Transfer(scEnd, bytes)
+	} else {
 		// Bulk data follows the command over the link in large pieces;
 		// the controller's firmware-driven disassembly is the write-path
 		// bottleneck behind the 17% loss of §7.1.
 		_, linkEnd := s.Link.Transfer(subEnd, bytes)
-		_, disEnd := s.Ctrl.Disassemble(sim.Max(trEnd, linkEnd), bytes, extents)
-		devDone, st, err := s.STL.WritePartition(disEnd, v, coord, sub, data)
-		if err != nil {
-			return stats, err
-		}
-		stats = OpStats{
-			Done:     devDone,
-			Bytes:    st.Bytes,
-			RawBytes: bytes,
-			Extents:  st.Extents,
-			Pages:    st.PagesProgrammed + st.PagesRead,
-			Commands: 1,
-
-			ProgramRetries: st.ProgramRetries,
-		}
+		_, start = s.Ctrl.Disassemble(sim.Max(trEnd, linkEnd), bytes, extents)
 	}
-	return stats, nil
+	done, st, err := s.STL.WritePartition(start, v, coord, sub, data)
+	if err != nil {
+		return OpStats{}, err
+	}
+	raw := bytes
+	if s.Kind == SoftwareNDS {
+		raw = st.PagesProgrammed * s.pageSize() // the open-channel host ships whole pages
+	}
+	return complete(st, done, raw), nil
 }

@@ -75,7 +75,7 @@ func reduceResultBytes(r stl.ReduceResult) int64 {
 // controller, and only the result page back across the link.
 func (s *System) NDSScan(at sim.Time, v *stl.View, coord, sub []int64, q stl.ScanQuery) (stl.ScanResult, OpStats, error) {
 	var res stl.ScanResult
-	stats, err := s.ndsRead(at, "NDSScan", kernel, func(at sim.Time) (done sim.Time, st stl.RequestStats, out int64, err error) {
+	stats, err := s.ndsRead(at, "NDSScan", kernel, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		res, done, st, err = s.STL.ScanPartition(at, v, coord, sub, q)
 		return done, st, scanResultBytes(res), err
 	})
@@ -86,7 +86,7 @@ func (s *System) NDSScan(at sim.Time, v *stl.View, coord, sub []int64, q stl.Sca
 // with the same stage structure and charging as NDSScan.
 func (s *System) NDSReduce(at sim.Time, v *stl.View, coord, sub []int64, q stl.ReduceQuery) (stl.ReduceResult, OpStats, error) {
 	var res stl.ReduceResult
-	stats, err := s.ndsRead(at, "NDSReduce", kernel, func(at sim.Time) (done sim.Time, st stl.RequestStats, out int64, err error) {
+	stats, err := s.ndsRead(at, "NDSReduce", kernel, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		res, done, st, err = s.STL.ReducePartition(at, v, coord, sub, q)
 		return done, st, reduceResultBytes(res), err
 	})
@@ -107,7 +107,7 @@ func (s *System) NDSSelect(at sim.Time, v *stl.View, coord, sub []int64, resultB
 	if resultBytes < 0 {
 		return OpStats{}, fmt.Errorf("system: NDSSelect with %d result bytes", resultBytes)
 	}
-	return s.ndsRead(at, "NDSSelect", kernel, func(at sim.Time) (sim.Time, stl.RequestStats, int64, error) {
+	return s.ndsRead(at, "NDSSelect", kernel, func(at sim.Time) (sim.Time, OpStats, int64, error) {
 		done, st, err := s.STL.ReadPartitionSegments(at, v, coord, sub, func(int64, []stl.Segment) error { return nil })
 		return done, st, resultBytes, err
 	})

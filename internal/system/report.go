@@ -33,10 +33,9 @@ type Report struct {
 	DevicePrograms int64
 	DeviceErases   int64
 
-	GCErases  int64
-	GCMoves   int64
-	WriteAmp  float64
-	UsedPages int64
+	// GC is the collector's report: the STL's own on the NDS kinds, the
+	// FTL's erases, moves and write amplification on Baseline.
+	GC stl.GCReport
 
 	// Reliability is the STL's fault/recovery snapshot (zero-valued on
 	// Baseline systems and when no fault plan is installed).
@@ -74,12 +73,10 @@ func (s *System) Report(horizon sim.Time) Report {
 	r.DeviceReads, r.DevicePrograms, r.DeviceErases = s.Dev.Counters()
 	switch {
 	case s.FTL != nil:
-		r.GCErases, r.GCMoves = s.FTL.GCStats()
-		r.WriteAmp = s.FTL.WriteAmplification()
+		r.GC.Erases, r.GC.PagesRelocated = s.FTL.GCStats()
+		r.GC.WriteAmp = s.FTL.WriteAmplification()
 	case s.STL != nil:
-		r.GCErases, r.GCMoves = s.STL.GCStats()
-		r.WriteAmp = s.STL.WriteAmplification()
-		r.UsedPages = s.STL.UsedPages()
+		r.GC = s.STL.GCReport()
 		r.Reliability = s.STL.Reliability()
 		r.Cache = s.STL.CacheStats()
 		r.Tenants = s.STL.TenantStats()
@@ -112,8 +109,8 @@ func (r Report) String() string {
 		r.ActiveChannels(), len(r.ChannelUtil), 100*r.AvgChannel, 100*r.MaxChannel)
 	fmt.Fprintf(&b, "  device ops: %d reads, %d programs, %d erases",
 		r.DeviceReads, r.DevicePrograms, r.DeviceErases)
-	if r.GCErases > 0 {
-		fmt.Fprintf(&b, " (GC: %d erases, %d moves, WA %.2f)", r.GCErases, r.GCMoves, r.WriteAmp)
+	if r.GC.Erases > 0 {
+		fmt.Fprintf(&b, " (GC: %d erases, %d moves, WA %.2f)", r.GC.Erases, r.GC.PagesRelocated, r.GC.WriteAmp)
 	}
 	if rel := r.Reliability; rel.ProgramFaults+rel.EraseFaults+rel.WearoutFaults+rel.ReadRetries > 0 {
 		fmt.Fprintf(&b, "\n  reliability: %d program / %d erase / %d wear-out faults, %d read retries; %d retries OK, %d blocks retired, capacity %d/%d pages",
@@ -126,12 +123,12 @@ func (r Report) String() string {
 			c.Evictions, c.ResidentBytes, c.CapacityBytes)
 	}
 	for _, ts := range r.Tenants {
-		name := fmt.Sprintf("space %d", ts.Tenant.Space())
-		if ts.Tenant.IsGroup() {
-			name = fmt.Sprintf("group %d", ts.Tenant.Group())
+		name := fmt.Sprintf("space %d", ts.Space)
+		if ts.IsGroup {
+			name = fmt.Sprintf("group %d", ts.Group)
 		}
 		fmt.Fprintf(&b, "\n  tenant %s: weight %.3g, %d ops, %d bytes, busy %v, queued %dns, throttled %dns",
-			name, ts.Weight, ts.Ops, ts.Bytes, ts.SimBusy, ts.QueueWaitNs, ts.ThrottleNs)
+			name, ts.Weight, ts.Ops, ts.Bytes, sim.Time(ts.SimBusy), int64(ts.QueueWait), int64(ts.Throttle))
 	}
 	return b.String()
 }

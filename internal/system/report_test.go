@@ -82,7 +82,7 @@ func TestReportBaselineColumnFetchShowsP3(t *testing.T) {
 		t.Errorf("column fetch engaged %d/%d channels; [P3] should leave most idle",
 			got, cfg.Geometry.Channels)
 	}
-	if r.GCErases != 0 {
+	if r.GC.Erases != 0 {
 		t.Error("unexpected GC during reads")
 	}
 }

@@ -144,7 +144,7 @@ type System struct {
 }
 
 // assemblyChunks is the number of discrete copies object assembly performs.
-func (s *System) assemblyChunks(st stl.RequestStats) int {
+func (s *System) assemblyChunks(st OpStats) int {
 	if s.BlockedAssembly {
 		return int(st.PagesRead)
 	}
@@ -224,18 +224,20 @@ func (s *System) ResetTimelines() {
 	s.Dev.ResetTimeline()
 }
 
-// OpStats summarizes one operation.
-type OpStats struct {
-	Done     sim.Time // completion time
-	Bytes    int64    // payload bytes the application asked for
-	RawBytes int64    // bytes that crossed the host link
-	Extents  int      // marshalling/assembly chunks
-	Pages    int64    // device page operations
-	Commands int      // I/O commands issued by the host
+// OpStats is the per-operation record: the STL's stl.RequestStats, on which
+// this package fills in Done, RawBytes, Pages and Commands (complete). The
+// baseline operations, which have no STL beneath them, fill in the rest too.
+type OpStats = stl.RequestStats
 
-	// ProgramRetries counts faulted programs relocated while serving this
-	// request (nonzero only under an installed fault plan).
-	ProgramRetries int64
+// complete fills in the fields the system model owns on the record the STL
+// returned for one NDS command: when the command finished, once the host,
+// link and controller stages around the STL's work are counted, and what
+// crossed the link.
+func complete(st OpStats, done sim.Time, raw int64) OpStats {
+	st.Done, st.RawBytes = done, raw
+	st.Pages = st.PagesRead + st.PagesProgrammed
+	st.Commands = 1
+	return st
 }
 
 // pageSize is a small convenience.

@@ -166,43 +166,27 @@ type Options struct {
 
 // TenantQoS sets the default per-tenant scheduling parameters
 // (Options.TenantQoS); override individual tenants with Device.SetTenantQoS
-// and Device.SetGroupQoS.
-type TenantQoS struct {
-	// Weight is the default relative share of device dispatch slots under
-	// contention (<= 0 selects 1).
-	Weight float64
-	// RateBytesPerSec caps each tenant's admitted payload bandwidth via a
-	// token bucket charged before dispatch; <= 0 leaves tenants uncapped.
-	RateBytesPerSec float64
-	// Burst is the token-bucket depth in bytes (<= 0 selects the larger of
-	// 1 MiB and 100 ms of RateBytesPerSec).
-	Burst int64
-}
+// and Device.SetGroupQoS. Weight is the relative share of device dispatch
+// slots under contention (<= 0 selects 1); RateBytesPerSec caps each tenant's
+// admitted payload bandwidth via a token bucket charged before dispatch (<= 0
+// leaves tenants uncapped); Burst is the bucket depth in bytes (<= 0 selects
+// the larger of 1 MiB and 100 ms of RateBytesPerSec). The alias — like the
+// others below — lets callers name the type without importing the internal
+// package that declares it; DESIGN.md's "Records" table lists them all.
+type TenantQoS = sim.FlowConfig
 
-// FaultPlan configures deterministic flash fault injection (Options.Faults).
-// Zero values disable each mechanism. Two devices with the same geometry and
-// plan, driven by identical operation sequences, fail at identical points.
-type FaultPlan struct {
-	// Seed phases each die's fault points so faults spread across the array.
-	Seed int64
-	// ProgramFailEvery N > 0 fails one in every N program attempts per die.
-	ProgramFailEvery int64
-	// EraseFailEvery N > 0 fails one in every N erase attempts per die.
-	EraseFailEvery int64
-	// ReadRetryEvery N > 0 makes one in every N page reads per die need ECC
-	// retry: correct data, extra sensing latency.
-	ReadRetryEvery int64
-	// ReadRetrySenses is the number of extra sensing passes a retried read
-	// performs (default 2 when ReadRetryEvery is set).
-	ReadRetrySenses int
-	// EnduranceLimit E > 0 wears a block out after E successful erases.
-	EnduranceLimit int64
-}
+// FaultPlan configures deterministic flash fault injection (Options.Faults):
+// Seed phases each die's fault points; ProgramFailEvery, EraseFailEvery and
+// ReadRetryEvery N > 0 fail (or, for reads, ECC-retry with ReadRetrySenses
+// extra sensing passes, default 2) one in every N attempts per die; and
+// EnduranceLimit E > 0 wears a block out after E successful erases. Zero
+// values disable each mechanism. Two devices with the same geometry and plan,
+// driven by identical operation sequences, fail at identical points.
+type FaultPlan = nvm.FaultPlan
 
 // ReliabilityReport describes the device's fault history and the STL's
 // recovery work: what the medium did, what was absorbed, and how much
 // capacity retirement has cost. All zero on a device without a fault plan.
-// The alias lets callers name the type without importing the internal package.
 type ReliabilityReport = stl.ReliabilityReport
 
 // CacheStats describes the building-block cache's behavior: demand hit/miss
@@ -212,47 +196,32 @@ type CacheStats = stl.CacheStats
 
 // GCStats describes the garbage collector's work: how often it ran, how much
 // it moved, what it cost foreground writes, and the resulting write
-// amplification. On a device opened with SynchronousGC, Runs counts inline
+// amplification (WriteAmp: flash programs per logical page written, 1.0 = no
+// GC overhead). On a device opened with SynchronousGC, Runs counts inline
 // collection passes and StallNs is zero (inline collection time is part of
 // the triggering write, not a stall).
-type GCStats struct {
-	Runs           int64   // collection passes (worker sweeps or inline triggers)
-	Erases         int64   // victim blocks erased and returned to service
-	PagesRelocated int64   // live pages moved out of victims
-	StallNs        int64   // wall-clock ns foreground writes spent waiting on a critically dry die
-	WriteAmp       float64 // flash programs per logical page written (1.0 = no GC overhead)
-}
+type GCStats = stl.GCReport
 
 // GCStats snapshots the garbage collector's counters.
 func (d *Device) GCStats() GCStats {
 	d.io.RLock()
 	defer d.io.RUnlock()
-	r := d.sys.STL.GCReport()
-	return GCStats{
-		Runs:           r.Runs,
-		Erases:         r.Erases,
-		PagesRelocated: r.PagesRelocated,
-		StallNs:        r.StallNs,
-		WriteAmp:       d.sys.STL.WriteAmplification(),
-	}
+	return d.sys.STL.GCReport()
 }
 
 // SpaceID names a created address space.
-type SpaceID uint32
+type SpaceID = stl.SpaceID
 
-// Stats summarizes one operation.
-type Stats struct {
-	Elapsed  time.Duration // simulated service time of this operation (completion minus its issue time)
-	Bytes    int64         // payload bytes
-	RawBytes int64         // bytes that crossed the host interconnect
-	Pages    int64         // flash page operations
-	Commands int           // I/O commands issued
-	Extents  int           // building-block fragments translated
-
-	// ProgramRetries counts faulted programs relocated while serving this
-	// operation (nonzero only under Options.Faults; see Reliability).
-	ProgramRetries int64
-}
+// Stats summarizes one operation: the single record every layer of the stack
+// fills in its part of. Bytes is the payload, RawBytes what crossed the host
+// interconnect, Pages the flash page operations (PagesRead +
+// PagesProgrammed), Commands the I/O commands issued, Extents the
+// building-block fragments translated (over Blocks blocks and Traversals
+// index lookups), and ProgramRetries the faulted programs relocated while
+// serving it (nonzero only under Options.Faults; see Reliability). Done is
+// the command's completion on the Device.Now clock and Elapsed its simulated
+// service time: Done minus the command's own issue time.
+type Stats = stl.RequestStats
 
 // Device is a simulated NDS-compliant storage device. It is safe for
 // concurrent use and serves concurrent request streams: see the package
@@ -310,21 +279,10 @@ func Open(opts Options) (*Device, error) {
 	cfg.STL.PrefetchDepth = opts.PrefetchDepth
 	cfg.STL.BackgroundGC = !opts.SynchronousGC
 	if opts.TenantQoS != nil {
-		cfg.STL.TenantQoS = &stl.TenantQoSConfig{
-			Weight:          opts.TenantQoS.Weight,
-			RateBytesPerSec: opts.TenantQoS.RateBytesPerSec,
-			BurstBytes:      opts.TenantQoS.Burst,
-		}
+		cfg.STL.TenantQoS = &stl.TenantQoSConfig{FlowConfig: *opts.TenantQoS}
 	}
 	if opts.Faults != nil {
-		cfg.Faults = nvm.FaultPlan{
-			Seed:             opts.Faults.Seed,
-			ProgramFailEvery: opts.Faults.ProgramFailEvery,
-			EraseFailEvery:   opts.Faults.EraseFailEvery,
-			ReadRetryEvery:   opts.Faults.ReadRetryEvery,
-			ReadRetrySenses:  opts.Faults.ReadRetrySenses,
-			EnduranceLimit:   opts.Faults.EnduranceLimit,
-		}
+		cfg.Faults = *opts.Faults
 	}
 	kind := system.SoftwareNDS
 	if opts.Mode == ModeHardware {
@@ -404,17 +362,7 @@ func (d *Device) CacheStats() CacheStats {
 // TenantStats is one tenant's accumulated QoS accounting (get_tenant_stats
 // on the wire). A tenant is a space, or — when IsGroup is set — a space
 // group that one or more spaces are bound to.
-type TenantStats struct {
-	Space     SpaceID       // the space, when not a group tenant
-	Group     uint32        // the group id, when IsGroup
-	IsGroup   bool          // group tenant vs single-space tenant
-	Weight    float64       // weight currently scheduled under
-	Ops       int64         // admitted partition requests
-	Bytes     int64         // payload bytes of successful requests
-	SimBusy   time.Duration // simulated device time those requests occupied
-	QueueWait time.Duration // wall time spent queued for a dispatch slot
-	Throttle  time.Duration // wall time spent blocked on the token bucket
-}
+type TenantStats = stl.TenantStats
 
 // TenantStats snapshots per-tenant QoS accounting for every tenant that has
 // issued requests, ordered spaces first then groups, ascending. Nil when the
@@ -422,28 +370,7 @@ type TenantStats struct {
 func (d *Device) TenantStats() []TenantStats {
 	d.io.RLock()
 	defer d.io.RUnlock()
-	raw := d.sys.STL.TenantStats()
-	if raw == nil {
-		return nil
-	}
-	out := make([]TenantStats, len(raw))
-	for i, ts := range raw {
-		out[i] = TenantStats{
-			IsGroup:   ts.Tenant.IsGroup(),
-			Weight:    ts.Weight,
-			Ops:       ts.Ops,
-			Bytes:     ts.Bytes,
-			SimBusy:   time.Duration(ts.SimBusy),
-			QueueWait: time.Duration(ts.QueueWaitNs),
-			Throttle:  time.Duration(ts.ThrottleNs),
-		}
-		if ts.Tenant.IsGroup() {
-			out[i].Group = ts.Tenant.Group()
-		} else {
-			out[i].Space = SpaceID(ts.Tenant.Space())
-		}
-	}
-	return out
+	return d.sys.STL.TenantStats()
 }
 
 // SetTenantQoS overrides one space tenant's scheduling parameters. Requests
@@ -453,7 +380,7 @@ func (d *Device) TenantStats() []TenantStats {
 func (d *Device) SetTenantQoS(id SpaceID, q TenantQoS) error {
 	d.io.RLock()
 	defer d.io.RUnlock()
-	return d.sys.STL.SetTenantQoS(stl.SpaceTenant(stl.SpaceID(id)), q.Weight, q.RateBytesPerSec, q.Burst)
+	return d.sys.STL.SetTenantQoS(stl.SpaceTenant(id), q)
 }
 
 // SetGroupQoS overrides a space group's scheduling parameters (see
@@ -461,7 +388,7 @@ func (d *Device) SetTenantQoS(id SpaceID, q TenantQoS) error {
 func (d *Device) SetGroupQoS(group uint32, q TenantQoS) error {
 	d.io.RLock()
 	defer d.io.RUnlock()
-	return d.sys.STL.SetTenantQoS(stl.GroupTenant(group), q.Weight, q.RateBytesPerSec, q.Burst)
+	return d.sys.STL.SetTenantQoS(stl.GroupTenant(group), q)
 }
 
 // BindSpaceGroup binds a space to group tenant g, so all spaces bound to g
@@ -470,7 +397,7 @@ func (d *Device) SetGroupQoS(group uint32, q TenantQoS) error {
 func (d *Device) BindSpaceGroup(id SpaceID, g uint32) error {
 	d.io.RLock()
 	defer d.io.RUnlock()
-	return d.sys.STL.BindSpaceGroup(stl.SpaceID(id), g)
+	return d.sys.STL.BindSpaceGroup(id, g)
 }
 
 // CreateSpace creates a multi-dimensional address space of the given element
@@ -484,7 +411,7 @@ func (d *Device) CreateSpace(elemSize int, dims []int64) (SpaceID, error) {
 	if err != nil {
 		return 0, err
 	}
-	return SpaceID(sp.ID()), nil
+	return sp.ID(), nil
 }
 
 // DeleteSpace permanently removes a space and invalidates its storage (the
@@ -496,7 +423,7 @@ func (d *Device) CreateSpace(elemSize int, dims []int64) (SpaceID, error) {
 // observe the deletion itself and fail with ErrUnknownSpace.
 func (d *Device) DeleteSpace(id SpaceID) error {
 	d.io.Lock()
-	err := d.sys.STL.DeleteSpace(stl.SpaceID(id))
+	err := d.sys.STL.DeleteSpace(id)
 	d.io.Unlock()
 	if err != nil {
 		return err
@@ -513,7 +440,7 @@ func (d *Device) DeleteSpace(id SpaceID) error {
 // returning; consumers reopen with matching volumes.
 func (d *Device) ResizeSpace(id SpaceID, newDim0 int64) error {
 	d.io.Lock()
-	err := d.sys.STL.ResizeSpace(stl.SpaceID(id), newDim0)
+	err := d.sys.STL.ResizeSpace(id, newDim0)
 	d.io.Unlock()
 	if err != nil {
 		return err
@@ -577,7 +504,7 @@ func (d *Device) Inspect(id SpaceID) (SpaceInfo, error) {
 	d.io.RLock()
 	defer d.io.RUnlock()
 
-	sp, ok := d.sys.STL.Space(stl.SpaceID(id))
+	sp, ok := d.sys.STL.Space(id)
 	if !ok {
 		return SpaceInfo{}, fmt.Errorf("nds: inspect of space %d: %w", id, stl.ErrUnknownSpace)
 	}
@@ -617,7 +544,7 @@ type Space struct {
 func (d *Device) OpenSpace(id SpaceID, viewDims []int64) (*Space, error) {
 	d.io.RLock()
 	defer d.io.RUnlock()
-	sp, ok := d.sys.STL.Space(stl.SpaceID(id))
+	sp, ok := d.sys.STL.Space(id)
 	if !ok {
 		return nil, fmt.Errorf("nds: open of space %d: %w", id, stl.ErrUnknownSpace)
 	}
@@ -687,7 +614,7 @@ func (s *Space) Read(coord, sub []int64) ([]byte, Stats, error) {
 // through: unwritten regions of the partition are zeroed in it.
 func (s *Space) ReadInto(coord, sub []int64, dst []byte) ([]byte, Stats, error) {
 	var data []byte
-	st, err := s.issue("read", func(at sim.Time, v *stl.View) (st system.OpStats, err error) {
+	st, err := s.issue("read", func(at sim.Time, v *stl.View) (st Stats, err error) {
 		data, st, err = s.dev.sys.NDSReadInto(at, v, coord, sub, dst)
 		return st, err
 	})
@@ -713,7 +640,7 @@ type Segment = stl.Segment
 // Timing and stats are identical to Read. On a phantom device fn receives
 // (want, nil).
 func (s *Space) ReadSegments(coord, sub []int64, fn func(want int64, segs []Segment) error) (Stats, error) {
-	return s.issue("read", func(at sim.Time, v *stl.View) (system.OpStats, error) {
+	return s.issue("read", func(at sim.Time, v *stl.View) (Stats, error) {
 		return s.dev.sys.NDSReadSegments(at, v, coord, sub, fn)
 	})
 }
@@ -724,7 +651,7 @@ func (s *Space) ReadSegments(coord, sub []int64, fn func(want int64, segs []Segm
 // flash operations overlap in simulated time with commands issued on other
 // streams.
 func (s *Space) Write(coord, sub []int64, data []byte) (Stats, error) {
-	return s.issue("write", func(at sim.Time, v *stl.View) (system.OpStats, error) {
+	return s.issue("write", func(at sim.Time, v *stl.View) (Stats, error) {
 		return s.dev.sys.NDSWrite(at, v, coord, sub, data)
 	})
 }
@@ -734,7 +661,7 @@ func (s *Space) Write(coord, sub []int64, data []byte) (Stats, error) {
 // error), issues run at the stream cursor under the device's shared io lock,
 // and accounts the completion. Every data command of the typed API is a
 // caller.
-func (s *Space) issue(op string, run func(at sim.Time, v *stl.View) (system.OpStats, error)) (Stats, error) {
+func (s *Space) issue(op string, run func(at sim.Time, v *stl.View) (Stats, error)) (Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.view == nil {
@@ -747,23 +674,10 @@ func (s *Space) issue(op string, run func(at sim.Time, v *stl.View) (system.OpSt
 	if err != nil {
 		return Stats{}, err
 	}
-	return s.account(issue, st), nil
-}
-
-// account advances the stream cursor and device clock past this command's
-// completion and converts stats; elapsed is measured from the command's own
-// issue time. Callers hold s.mu.
-func (s *Space) account(issue sim.Time, st system.OpStats) Stats {
+	// Completion: the stream's next command issues here, the device clock
+	// moves up to it, and elapsed is measured from this command's own issue.
 	s.cursor = sim.Max(s.cursor, st.Done)
 	s.dev.advance(st.Done)
-	return Stats{
-		Elapsed:  time.Duration(st.Done - issue),
-		Bytes:    st.Bytes,
-		RawBytes: st.RawBytes,
-		Pages:    st.Pages,
-		Commands: st.Commands,
-		Extents:  st.Extents,
-
-		ProgramRetries: st.ProgramRetries,
-	}
+	st.Elapsed = time.Duration(st.Done - issue)
+	return st, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"nds/internal/sim"
 	"nds/internal/stl"
-	"nds/internal/system"
 	"nds/internal/tensor"
 )
 
@@ -119,7 +118,7 @@ type ReduceResult = stl.ReduceResult
 // unstored partition is all zeros.
 func (s *Space) Scan(coord, sub []int64, q ScanQuery) (ScanResult, Stats, error) {
 	var res ScanResult
-	st, err := s.issue("scan", func(at sim.Time, v *stl.View) (st system.OpStats, err error) {
+	st, err := s.issue("scan", func(at sim.Time, v *stl.View) (st Stats, err error) {
 		if s.dev.noPushdown {
 			return st, fmt.Errorf("nds: scan: %w", ErrPushdownDisabled)
 		}
@@ -134,7 +133,7 @@ func (s *Space) Scan(coord, sub []int64, q ScanQuery) (ScanResult, Stats, error)
 // semantics as Scan.
 func (s *Space) Reduce(coord, sub []int64, q ReduceQuery) (ReduceResult, Stats, error) {
 	var res ReduceResult
-	st, err := s.issue("reduce", func(at sim.Time, v *stl.View) (st system.OpStats, err error) {
+	st, err := s.issue("reduce", func(at sim.Time, v *stl.View) (st Stats, err error) {
 		if s.dev.noPushdown {
 			return st, fmt.Errorf("nds: reduce: %w", ErrPushdownDisabled)
 		}

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
+
+	"nds/internal/sim"
 )
 
 // The pushdown differential: a Scan or Reduce must report exactly what the
@@ -155,12 +158,63 @@ var pushdownQueries = []struct {
 	{reduce: &ReduceQuery{Kind: ReduceTopK, K: 7}},
 }
 
+const recordPage = 4096 // the prototype geometry's flash page
+
+// recordStream holds one view's commands to the contract of the one
+// per-operation record (stl.RequestStats, which Stats and system.OpStats
+// alias): whatever the configuration, the fields each layer fills in agree
+// with the ones the layer below did.
+type recordStream struct {
+	t        *testing.T
+	software bool
+	issue    sim.Time // when the stream's next command issues
+}
+
+// read checks the record of a successful read-shaped command; out is what the
+// consumer of a hardware device put on the link (the object, or a kernel's
+// result page). A software device ships the raw pages whatever the consumer.
+func (r *recordStream) read(op string, st Stats, out int64) {
+	r.t.Helper()
+	if r.software {
+		out = st.PagesRead * recordPage
+	}
+	r.check(op, st, out)
+}
+
+// write checks the record of a successful write: the object crosses to a
+// hardware device, the programmed pages to an open-channel one.
+func (r *recordStream) write(st Stats) {
+	r.t.Helper()
+	raw := st.Bytes
+	if r.software {
+		raw = st.PagesProgrammed * recordPage
+	}
+	r.check("write", st, raw)
+}
+
+func (r *recordStream) check(op string, st Stats, raw int64) {
+	r.t.Helper()
+	switch {
+	case st.Commands != 1:
+		r.t.Fatalf("%s: %d commands, want 1: %+v", op, st.Commands, st)
+	case st.Pages != st.PagesRead+st.PagesProgrammed:
+		r.t.Fatalf("%s: Pages %d is not PagesRead %d + PagesProgrammed %d", op, st.Pages, st.PagesRead, st.PagesProgrammed)
+	case st.Done <= r.issue || st.Elapsed != time.Duration(st.Done-r.issue):
+		r.t.Fatalf("%s: Elapsed %v, want Done %v minus the stream's issue time %v", op, st.Elapsed, st.Done, r.issue)
+	case st.RawBytes != raw:
+		r.t.Fatalf("%s: RawBytes %d, want %d: %+v", op, st.RawBytes, raw, st)
+	}
+	r.issue = st.Done
+}
+
 // TestDifferentialPushdownVsRead drives two identically-prepared devices
 // through the same per-partition access sequence — one Reads, the other
 // Scans/Reduces — and requires byte-identical results and identical
 // device-side stats at every sequence point, across the read path's
-// configurations (both modes, cache+prefetch, compression, write buffering,
-// the scalar data path, fault injection, and phantom devices).
+// configurations (both modes, cache+prefetch, compression, encryption, write
+// buffering, zero elision, the scalar data path, fault injection, and phantom
+// devices). Every command's record is held to recordStream's contract on the
+// way, and a failed command must return the zero record.
 func TestDifferentialPushdownVsRead(t *testing.T) {
 	configs := []struct {
 		name string
@@ -170,7 +224,9 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 		{"software", Options{Mode: ModeSoftware, CapacityHint: 16 << 20}},
 		{"cached", Options{Mode: ModeHardware, CapacityHint: 16 << 20, CacheBytes: 4 << 20, PrefetchDepth: 2}},
 		{"compressed", Options{Mode: ModeHardware, CapacityHint: 16 << 20, Compress: true}},
+		{"encrypted", Options{Mode: ModeSoftware, CapacityHint: 16 << 20, EncryptionKey: []byte("0123456789abcdef")}},
 		{"write-buffered", Options{Mode: ModeHardware, CapacityHint: 16 << 20, WriteBuffering: true}},
+		{"zero-elided", Options{Mode: ModeHardware, CapacityHint: 16 << 20, ZeroPageElision: true}},
 		{"scalar", Options{Mode: ModeHardware, CapacityHint: 16 << 20, scalarDataPath: true}},
 		{"faults", Options{Mode: ModeHardware, CapacityHint: 16 << 20,
 			Faults: &FaultPlan{Seed: 11, ProgramFailEvery: 7, ReadRetryEvery: 5}}},
@@ -182,7 +238,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			setup := func() (*Device, *Space) {
+			setup := func() (*Device, *Space, *recordStream) {
 				d, err := Open(cfg.opts)
 				if err != nil {
 					t.Fatal(err)
@@ -195,9 +251,11 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				rec := &recordStream{t: t, software: cfg.opts.Mode == ModeSoftware, issue: sim.Time(d.Now())}
 				// Write the left half with bounded values (runs of repeats so
-				// compression engages), overwrite a sub-tile, and leave the
-				// right half unwritten: scans cross data, zeros, and the seam.
+				// compression engages), overwrite a sub-tile, zero the last
+				// rows, and leave the right half unwritten: scans cross data,
+				// zeros, and the seam.
 				payload := make([]byte, 128*64*es)
 				rng := rand.New(rand.NewSource(13))
 				for i := 0; i < len(payload)/es; {
@@ -207,18 +265,26 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 						i++
 					}
 				}
-				if _, err := v.Write([]int64{0, 0}, []int64{128, 64}, payload); err != nil {
+				st, err := v.Write([]int64{0, 0}, []int64{128, 64}, payload)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := v.Write([]int64{2, 1}, []int64{16, 32}, payload[:16*32*es]); err != nil {
+				rec.write(st)
+				if st, err = v.Write([]int64{2, 1}, []int64{16, 32}, payload[:16*32*es]); err != nil {
 					t.Fatal(err)
 				}
-				return d, v
+				rec.write(st)
+				// Eight full rows of zeros: two whole pages, which elision releases.
+				if st, err = v.Write([]int64{15, 0}, []int64{8, 128}, make([]byte, 8*128*es)); err != nil {
+					t.Fatal(err)
+				}
+				rec.write(st)
+				return d, v, rec
 			}
 
-			rd, rv := setup() // the reading device
+			rd, rv, rrec := setup() // the reading device
 			defer rd.Close()
-			pd, pv := setup() // the pushdown device
+			pd, pv, prec := setup() // the pushdown device
 			defer pd.Close()
 
 			op := 0
@@ -230,6 +296,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 						if err != nil {
 							t.Fatalf("op %d read: %v", op, err)
 						}
+						rrec.read("read", rst, rst.Bytes)
 						elems := decodeElems(data, rst.Bytes, es)
 						var pst Stats
 						if q.scan != nil {
@@ -241,6 +308,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 								t.Fatalf("op %d sub=%v q=%+v: scan diverges from read+filter\n got %+v\nwant %+v",
 									op, sub, *q.scan, got, want)
 							}
+							prec.read("scan", st, 16+16*int64(len(got.Matches)))
 							pst = st
 						} else {
 							got, st, err := pv.Reduce(coord, sub, *q.reduce)
@@ -251,6 +319,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 								t.Fatalf("op %d sub=%v q=%+v: reduce diverges from read+reduce\n got %+v\nwant %+v",
 									op, sub, *q.reduce, got, want)
 							}
+							prec.read("reduce", st, 32+16*int64(len(got.TopK)))
 							pst = st
 						}
 						// Device-side stats are the read's by construction:
@@ -268,6 +337,21 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 						op++
 					}
 				}
+			}
+
+			st, err := rv.ReadSegments([]int64{1, 0}, subs[0], func(int64, []Segment) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			rrec.read("segment read", st, st.Bytes)
+			if _, st, err = rv.Read([]int64{128, 0}, subs[0]); err == nil || st != (Stats{}) {
+				t.Fatalf("out-of-bounds read: error %v, record %+v, want an error and the zero record", err, st)
+			}
+			if _, st, err = pv.Scan([]int64{128, 0}, subs[0], *pushdownQueries[0].scan); err == nil || st != (Stats{}) {
+				t.Fatalf("out-of-bounds scan: error %v, record %+v, want an error and the zero record", err, st)
+			}
+			if st, err = pv.Write([]int64{128, 0}, subs[0], nil); err == nil || st != (Stats{}) {
+				t.Fatalf("out-of-bounds write: error %v, record %+v, want an error and the zero record", err, st)
 			}
 		})
 	}

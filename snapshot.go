@@ -44,15 +44,15 @@ func (d *Device) Export(w io.Writer) error {
 		return err
 	}
 	for _, id := range ids {
-		if err := d.exportSpace(w, uint32(id)); err != nil {
+		if err := d.exportSpace(w, id); err != nil {
 			return fmt.Errorf("nds: export space %d: %w", id, err)
 		}
 	}
 	return nil
 }
 
-func (d *Device) exportSpace(w io.Writer, id uint32) error {
-	sp, ok := d.sys.STL.Space(stl.SpaceID(id))
+func (d *Device) exportSpace(w io.Writer, id SpaceID) error {
+	sp, ok := d.sys.STL.Space(id)
 	if !ok {
 		return fmt.Errorf("space vanished")
 	}
@@ -168,5 +168,5 @@ func (d *Device) importSpace(r io.Reader) (SpaceID, SpaceID, error) {
 		return 0, 0, err
 	}
 	d.advance(done)
-	return SpaceID(oldID), SpaceID(sp.ID()), nil
+	return SpaceID(oldID), sp.ID(), nil
 }

@@ -12,8 +12,6 @@ import (
 	"nds/internal/sim"
 )
 
-const unmapped = int64(-1)
-
 // Config holds FTL policy parameters.
 type Config struct {
 	// OverProvision is the fraction of raw capacity hidden from the host and
@@ -41,23 +39,26 @@ type die struct {
 type FTL struct {
 	dev *nvm.Device
 	geo nvm.Geometry
+	lay nvm.Layout
 	cfg Config
 
+	// The maps hold one plus what they map, so that their zero value — what
+	// make returns — reads as unmapped.
 	logicalPages int64
-	l2p          []int64 // logical page -> linear PPA
-	p2l          []int64 // linear PPA -> logical page
-	validInBlk   []int32 // valid-page count per linear block index
-	dies         []*die  // indexed channel*Banks+bank
+	l2p          []nvm.Word // logical page -> 1 + its page word
+	p2l          []uint32   // Linear page index -> 1 + its logical page
+	validInBlk   []int32    // valid-page count per linear block index
+	dies         []*die     // indexed channel*Banks+bank
 
 	gcErases int64
 	gcMoves  int64
 	hostProg int64
 
-	// ReadPages' batch, kept between calls: the mapped pages' addresses,
-	// their positions in the request, and what the device returned.
-	readPPAs []nvm.PPA
-	readPos  []int64
-	readData [][]byte
+	// ReadPages' batch, kept between calls: the mapped pages' words, their
+	// positions in the request, and what the device returned.
+	readWords []nvm.Word
+	readPos   []int64
+	readData  [][]byte
 }
 
 // New builds an FTL over dev.
@@ -69,16 +70,13 @@ func New(dev *nvm.Device, cfg Config) (*FTL, error) {
 	f := &FTL{
 		dev:          dev,
 		geo:          geo,
+		lay:          dev.Layout(),
 		cfg:          cfg,
 		logicalPages: int64(float64(geo.TotalPages()) * (1 - cfg.OverProvision)),
-		l2p:          make([]int64, geo.TotalPages()),
-		p2l:          make([]int64, geo.TotalPages()),
+		l2p:          make([]nvm.Word, geo.TotalPages()),
+		p2l:          make([]uint32, geo.TotalPages()),
 		validInBlk:   make([]int32, int64(geo.Channels)*int64(geo.Banks)*int64(geo.BlocksPerBank)),
 		dies:         make([]*die, geo.Channels*geo.Banks),
-	}
-	for i := range f.l2p {
-		f.l2p[i] = unmapped
-		f.p2l[i] = unmapped
 	}
 	for i := range f.dies {
 		d := &die{activeBlock: -1, freePages: geo.PagesPerBank()}
@@ -229,8 +227,8 @@ func (f *FTL) blockIndex(channel, bank, block int) int64 {
 func (f *FTL) evacuateBlock(at sim.Time, channel, bank, block int) (sim.Time, error) {
 	for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
 		src := nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg}
-		lpn := f.p2l[src.Linear(f.geo)]
-		if lpn == unmapped {
+		l := f.p2l[src.Linear(f.geo)]
+		if l == 0 {
 			continue
 		}
 		data, done, err := f.dev.ReadPage(at, src)
@@ -255,8 +253,8 @@ func (f *FTL) evacuateBlock(at sim.Time, channel, bank, block int) (sim.Time, er
 		if err != nil {
 			return at, err
 		}
-		f.unmapPhysical(src)
-		f.mapPage(lpn, dst)
+		f.unmapPhysical(f.lay.Word(src))
+		f.mapPage(int64(l-1), dst)
 		f.gcMoves++
 		at = sim.Max(at, done)
 	}
@@ -272,28 +270,25 @@ func (f *FTL) evacuateBlock(at sim.Time, channel, bank, block int) (sim.Time, er
 }
 
 func (f *FTL) mapPage(lpn int64, p nvm.PPA) {
-	idx := p.Linear(f.geo)
-	f.l2p[lpn] = idx
-	f.p2l[idx] = lpn
+	f.l2p[lpn] = f.lay.Word(p) + 1
+	f.p2l[p.Linear(f.geo)] = uint32(lpn + 1)
 	f.validInBlk[f.blockIndex(p.Channel, p.Bank, p.Block)]++
 }
 
 func (f *FTL) unmapLogical(lpn int64) {
-	idx := f.l2p[lpn]
-	if idx == unmapped {
+	w := f.l2p[lpn]
+	if w == 0 {
 		return
 	}
-	f.l2p[lpn] = unmapped
-	f.unmapPhysicalIdx(idx)
+	f.l2p[lpn] = 0
+	f.unmapPhysical(w - 1)
 }
 
-func (f *FTL) unmapPhysical(p nvm.PPA) { f.unmapPhysicalIdx(p.Linear(f.geo)) }
-
-func (f *FTL) unmapPhysicalIdx(idx int64) {
-	if f.p2l[idx] == unmapped {
+func (f *FTL) unmapPhysical(w nvm.Word) {
+	idx := f.lay.Linear(w)
+	if f.p2l[idx] == 0 {
 		return
 	}
-	f.p2l[idx] = unmapped
-	p := nvm.FromLinear(f.geo, idx)
-	f.validInBlk[f.blockIndex(p.Channel, p.Bank, p.Block)]--
+	f.p2l[idx] = 0
+	f.validInBlk[f.blockIndex(f.lay.Channel(w), f.lay.Bank(w), f.lay.Block(w))]--
 }

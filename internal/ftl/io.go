@@ -3,7 +3,6 @@ package ftl
 import (
 	"fmt"
 
-	"nds/internal/nvm"
 	"nds/internal/sim"
 )
 
@@ -16,20 +15,20 @@ func (f *FTL) ReadPages(at sim.Time, lpn, n int64) ([]byte, sim.Time, error) {
 		return nil, at, fmt.Errorf("ftl: read [%d,%d) beyond logical capacity %d pages", lpn, lpn+n, f.logicalPages)
 	}
 	// The mapped pages go to the device as one batch (timing-equivalent to a
-	// page-by-page loop by nvm.ReadPages' contract); an unwritten LBA reads as
-	// zeros with no device work.
-	ppas, pos := f.readPPAs[:0], f.readPos[:0]
+	// page-by-page loop by nvm.ReadWords' contract) as the words the map
+	// holds; an unwritten LBA reads as zeros with no device work.
+	words, pos := f.readWords[:0], f.readPos[:0]
 	for i := int64(0); i < n; i++ {
-		if idx := f.l2p[lpn+i]; idx != unmapped {
-			ppas = append(ppas, nvm.FromLinear(f.geo, idx))
+		if w := f.l2p[lpn+i]; w != 0 {
+			words = append(words, w-1)
 			pos = append(pos, i)
 		}
 	}
-	for len(f.readData) < len(ppas) {
+	for len(f.readData) < len(words) {
 		f.readData = append(f.readData, nil)
 	}
-	f.readPPAs, f.readPos = ppas, pos
-	done, err := f.dev.ReadPages(at, ppas, f.readData)
+	f.readWords, f.readPos = words, pos
+	done, err := f.dev.ReadWords(at, words, f.readData)
 	if err != nil {
 		return nil, at, err
 	}

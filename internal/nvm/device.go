@@ -85,7 +85,7 @@ func (s *dieShard) setProgrammed(idx int64, v bool) {
 	}
 }
 
-// batchPlan groups the pages of one ReadPages or ProgramPages batch by the
+// batchPlan groups the pages of one ReadWords or ProgramPages batch by the
 // die they are on and by the channel they cross. §4.2's rule 2 stripes
 // consecutive pages of a building block across channels, so a batch never
 // arrives in same-die runs — hundreds of pages land one or two to a die — and
@@ -98,6 +98,7 @@ type batchPlan struct {
 	dieNext, chanNext []int32 // per page: 1 + the next page on the same die / channel, 0 for none
 	dies, chans       []int32 // the dies and channels the batch touches
 	times             []sim.Time
+	words             []Word // ReadPages' addresses, packed
 }
 
 func growInt32(s []int32, n int) []int32 {
@@ -105,6 +106,20 @@ func growInt32(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
+}
+
+// link chains page i of the batch, on die die and channel ch, ahead of the
+// pages chained so far. Called back to front, so that each chain runs in
+// batch order.
+func (b *batchPlan) link(i, die, ch int) {
+	if b.dieNext[i] = b.dieHead[die]; b.dieNext[i] == 0 {
+		b.dies = append(b.dies, int32(die))
+	}
+	b.dieHead[die] = int32(i + 1)
+	if b.chanNext[i] = b.chanHead[ch]; b.chanNext[i] == 0 {
+		b.chans = append(b.chans, int32(ch))
+	}
+	b.chanHead[ch] = int32(i + 1)
 }
 
 // Device is a simulated flash array. It is safe for concurrent use: each
@@ -119,6 +134,7 @@ func growInt32(s []int32, n int) []int32 {
 // is erased) and claiming dies for GC.
 type Device struct {
 	geo Geometry
+	lay Layout
 	tim Timing
 
 	cipher atomic.Value // PageCipher; nil until SetCipher
@@ -188,14 +204,17 @@ func (d *Device) Recycle(pg []byte) {
 }
 
 // NewDevice builds a device with the given geometry and timing. If phantom is
-// true the device tracks state and timing but stores no page bytes.
+// true the device tracks state and timing but stores no page bytes. A
+// geometry whose page addresses do not fit a Word is refused (NewLayout).
 func NewDevice(geo Geometry, tim Timing, phantom bool) (*Device, error) {
-	if err := geo.Validate(); err != nil {
+	lay, err := NewLayout(geo)
+	if err != nil {
 		return nil, err
 	}
 	dies := geo.Channels * geo.Banks
 	d := &Device{
 		geo:      geo,
+		lay:      lay,
 		tim:      tim,
 		phantom:  phantom,
 		channels: make([]*sim.Resource, geo.Channels),
@@ -219,6 +238,9 @@ func NewDevice(geo Geometry, tim Timing, phantom bool) (*Device, error) {
 
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.geo }
+
+// Layout returns the packing of the device's page words.
+func (d *Device) Layout() Layout { return d.lay }
 
 // Timing returns the device timing parameters.
 func (d *Device) Timing() Timing { return d.tim }
@@ -290,19 +312,13 @@ func (d *Device) Programmed(p PPA) bool {
 	return s.isProgrammed(d.dieIndex(p))
 }
 
-// pageBytes returns the stored contents of p (which must be valid), opening
-// the cipher if one is installed. Never-programmed pages read as the shared
-// zero page. The shard lock must be held.
-func (d *Device) pageBytesLocked(s *dieShard, p PPA) []byte {
-	if s.data != nil {
-		if pg := s.data[d.dieIndex(p)]; pg != nil {
-			if c := d.getCipher(); c != nil {
-				return c.Open(p, pg)
-			}
-			return pg
-		}
+// storedLocked returns the frame stored at die-local page idx of s, nil for a
+// page that holds none. The shard lock must be held.
+func (s *dieShard) storedLocked(idx int64) []byte {
+	if s.data == nil {
+		return nil
 	}
-	return d.zero
+	return s.data[idx]
 }
 
 // ReadPage senses the page at p (arriving at time at) and returns its
@@ -344,7 +360,20 @@ func (d *Device) ReadPage(at sim.Time, p PPA) ([]byte, sim.Time, error) {
 	s := &d.shards[d.die(p)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return d.pageBytesLocked(s, p), done, nil
+	return d.sensed(s.storedLocked(d.dieIndex(p)), d.getCipher(), d.lay.Word(p)), done, nil
+}
+
+// sensed is what a read of the page at w returns when pg is the frame stored
+// there: the shared erased page for none, else pg — opened first when a
+// cipher c is installed.
+func (d *Device) sensed(pg []byte, c PageCipher, w Word) []byte {
+	switch {
+	case pg == nil:
+		return d.zero
+	case c != nil:
+		return c.Open(d.lay.PPA(w), pg)
+	}
+	return pg
 }
 
 // senseTime returns the bank occupancy of one page sense under fault plan f:
@@ -363,25 +392,52 @@ func (d *Device) senseTime(f *faultState, die int) sim.Time {
 	return d.tim.ReadPage
 }
 
-// ReadPages senses every page in ppas (all arriving at time at), storing the
+// ReadWords senses every page in ws (all arriving at time at), storing the
 // contents in out[i] and returning the latest completion time. It is
 // timing-equivalent to calling ReadPage once per address in slice order —
 // every bank and every channel sees the same bookings in the same order —
 // but takes each timeline and each die shard once for the batch, not once per
-// page. out must have len(ppas) entries; the stored slices alias device
+// page. out must have len(ws) entries; the stored slices alias device
 // storage under the same contract as ReadPage. On a phantom device the out
-// entries are set to nil.
-func (d *Device) ReadPages(at sim.Time, ppas []PPA, out [][]byte) (sim.Time, error) {
-	if len(out) < len(ppas) {
-		return at, fmt.Errorf("nvm: ReadPages out has %d entries for %d addresses", len(out), len(ppas))
-	}
-	for i := range ppas {
-		if !ppas[i].Valid(d.geo) {
-			return at, fmt.Errorf("nvm: read of invalid address %v", ppas[i])
-		}
-	}
-	b := d.plan(len(ppas), func(i int) int { return d.die(ppas[i]) })
+// entries are set to nil. A batch with an invalid word reads nothing.
+func (d *Device) ReadWords(at sim.Time, ws []Word, out [][]byte) (sim.Time, error) {
+	b := d.plan(len(ws))
 	defer d.putPlan(b)
+	return d.readWords(at, ws, out, b)
+}
+
+// ReadPages is ReadWords for addresses given as PPAs: it packs them into the
+// batch plan's word buffer and reads those.
+func (d *Device) ReadPages(at sim.Time, ppas []PPA, out [][]byte) (sim.Time, error) {
+	b := d.plan(len(ppas))
+	defer d.putPlan(b)
+	ws := b.words[:0]
+	for _, p := range ppas {
+		if !p.Valid(d.geo) {
+			return at, fmt.Errorf("nvm: read of invalid address %v", p)
+		}
+		ws = append(ws, d.lay.Word(p))
+	}
+	b.words = ws
+	return d.readWords(at, ws, out, b)
+}
+
+// readWords is ReadWords on a plan sized for ws. One pass, back to front,
+// validates each word and chains it on its die and channel; the bookings and
+// the frame lookups then follow the chains.
+func (d *Device) readWords(at sim.Time, ws []Word, out [][]byte, b *batchPlan) (sim.Time, error) {
+	if len(out) < len(ws) {
+		return at, fmt.Errorf("nvm: ReadWords out has %d entries for %d addresses", len(out), len(ws))
+	}
+	l := &d.lay
+	for i := len(ws) - 1; i >= 0; i-- {
+		w := ws[i]
+		if !l.Valid(w) {
+			return at, fmt.Errorf("nvm: read of invalid address %v (word %#x)", l.PPA(w), uint32(w))
+		}
+		ch := l.Channel(w)
+		b.link(i, ch*l.banks+l.Bank(w), ch)
+	}
 	// A page's sense books its bank, and the sense's end is when its transfer
 	// arrives at the channel. Bookings on different timelines are independent,
 	// so every bank's senses are booked first, bank by bank, then every
@@ -410,27 +466,27 @@ func (d *Device) ReadPages(at sim.Time, ppas []PPA, out [][]byte) (sim.Time, err
 		}
 		channel.Release()
 	}
-	d.reads.Add(int64(len(ppas)))
+	d.reads.Add(int64(len(ws)))
 	if d.phantom {
-		for i := range ppas {
-			out[i] = nil
-		}
+		clear(out[:len(ws)])
 		return done, nil
 	}
+	c := d.getCipher()
 	for _, die := range b.dies {
 		s := &d.shards[die]
 		s.mu.Lock()
 		for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
-			out[i-1] = d.pageBytesLocked(s, ppas[i-1])
+			w := ws[i-1]
+			out[i-1] = d.sensed(s.storedLocked(l.DieIndex(w)), c, w)
 		}
 		s.mu.Unlock()
 	}
 	return done, nil
 }
 
-// plan takes a batch plan from the pool and chains pages [0,n) of a batch,
-// page i on die dieOf(i).
-func (d *Device) plan(n int, dieOf func(i int) int) *batchPlan {
+// plan takes a batch plan from the pool, sized for a batch of n pages and
+// with nothing chained yet.
+func (d *Device) plan(n int) *batchPlan {
 	b, _ := d.plans.Get().(*batchPlan)
 	if b == nil {
 		b = &batchPlan{
@@ -443,19 +499,6 @@ func (d *Device) plan(n int, dieOf func(i int) int) *batchPlan {
 		b.times = make([]sim.Time, n)
 	}
 	b.times = b.times[:n]
-	// Back to front, so that each chain runs in slice order.
-	for i := n - 1; i >= 0; i-- {
-		die := dieOf(i)
-		ch := die / d.geo.Banks
-		if b.dieNext[i] = b.dieHead[die]; b.dieNext[i] == 0 {
-			b.dies = append(b.dies, int32(die))
-		}
-		b.dieHead[die] = int32(i + 1)
-		if b.chanNext[i] = b.chanHead[ch]; b.chanNext[i] == 0 {
-			b.chans = append(b.chans, int32(ch))
-		}
-		b.chanHead[ch] = int32(i + 1)
-	}
 	return b
 }
 
@@ -647,8 +690,12 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 	// attempt still occupies the timelines; unattempted ops do not.
 	var done, faultDone sim.Time
 	xfer := d.tim.TransferTime(d.geo.PageSize)
-	b := d.plan(len(attempted), func(i int) int { return d.die(attempted[i].P) })
+	b := d.plan(len(attempted))
 	defer d.putPlan(b)
+	for i := len(attempted) - 1; i >= 0; i-- {
+		p := attempted[i].P
+		b.link(i, d.die(p), p.Channel)
+	}
 	for _, ch := range b.chans {
 		channel := d.channels[ch]
 		channel.Hold()

@@ -353,19 +353,20 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, ac *alloc
 	return nvm.PPA{}, at, fmt.Errorf("stl: no die can supply a free unit: %w", ErrCapacity)
 }
 
-// allocateReplacement picks a unit from the same channel and bank as an
-// overwritten unit (§4.2: "the STL simply picks a page from the same channel
-// and bank as the overwritten unit"). With the background worker enabled, a
-// dry die falls over to any die with room — data placement beats strict
-// same-die replacement once foreground writes no longer wait for inline
-// collection (documented deviation, see DESIGN.md); synchronous mode keeps
-// the strict behaviour.
-func (t *STL) allocateReplacement(at sim.Time, old nvm.PPA, ac *allocCtx) (nvm.PPA, sim.Time, error) {
-	p, done, err := t.takeUnit(at, old.Channel, old.Bank, ac)
+// allocateReplacement picks a unit from the same channel and bank as the
+// overwritten unit at old (§4.2: "the STL simply picks a page from the same
+// channel and bank as the overwritten unit"). With the background worker
+// enabled, a dry die falls over to any die with room — data placement beats
+// strict same-die replacement once foreground writes no longer wait for inline
+// collection (documented deviation, see DESIGN.md); synchronous mode keeps the
+// strict behaviour.
+func (t *STL) allocateReplacement(at sim.Time, old nvm.Word, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+	ch, bk := t.lay.Channel(old), t.lay.Bank(old)
+	p, done, err := t.takeUnit(at, ch, bk, ac)
 	if err == nil || !t.cfg.BackgroundGC {
 		return p, done, err
 	}
-	if np, ok := t.allocateRecoveryUnit(old); ok {
+	if np, ok := t.allocateRecoveryUnit(ch, bk); ok {
 		return np, at, nil
 	}
 	return p, done, err
@@ -451,9 +452,10 @@ func channelBefore(use []uint16, free []int64, a, b int) bool {
 	return a < b
 }
 
-// bindUnit records the reverse mapping for a freshly carved unit and counts it
-// live. Overwrites pair an invalidateUnit with a bindUnit, so
-// usedPages stays balanced.
+// bindUnit makes the freshly carved unit p hold page pageIdx of blk, building
+// block blockIdx of s: it points the page's slot at p, records the reverse
+// mapping and counts the unit live. Overwrites pair an invalidateUnit with a
+// bindUnit, so usedPages stays balanced.
 //
 // bindUnit and invalidateUnit are the central cache-invalidation hooks: every
 // path that changes which physical unit backs a building-block page — writes,
@@ -464,24 +466,26 @@ func channelBefore(use []uint16, free []int64, a, b int) bool {
 // reader can observe the transition. Invalidation is strict: the whole block
 // entry is dropped even when the page's bytes are unchanged (a GC move), so a
 // cached block can never disagree with the translation state.
-func (t *STL) bindUnit(s *Space, blockIdx int64, pageIdx int, p nvm.PPA) {
+func (t *STL) bindUnit(s *Space, blk *BuildingBlock, blockIdx int64, pageIdx int, p nvm.PPA) {
 	if t.cache != nil {
 		t.cache.invalidateBlock(s.id, blockIdx)
 	}
-	d := t.die(p.Channel, p.Bank)
+	w := t.lay.Word(p)
+	blk.pages[pageIdx] = slotOf(w)
+	d := t.dies[t.lay.Die(w)]
 	d.mu.Lock()
-	t.rev[p.Linear(t.geo)] = revEntry{space: s.id, block: blockIdx, page: int32(pageIdx), valid: true}
+	t.rev[t.lay.Linear(w)] = revEntry{space: s.id, block: uint32(blockIdx), page: int32(pageIdx), valid: true}
 	d.validInBlk[p.Block]++
 	d.unbound[p.Block]--
 	d.mu.Unlock()
 	t.usedPages.Add(1)
 }
 
-// invalidateUnit drops a unit's reverse mapping and valid count, along with
-// any cached copy of the building block the unit belonged to.
-func (t *STL) invalidateUnit(p nvm.PPA) {
-	d := t.die(p.Channel, p.Bank)
-	idx := p.Linear(t.geo)
+// invalidateUnit drops the reverse mapping and valid count of the unit at w,
+// along with any cached copy of the building block the unit belonged to.
+func (t *STL) invalidateUnit(w nvm.Word) {
+	d := t.dies[t.lay.Die(w)]
+	idx := t.lay.Linear(w)
 	d.mu.Lock()
 	e := t.rev[idx]
 	if !e.valid {
@@ -489,13 +493,24 @@ func (t *STL) invalidateUnit(p nvm.PPA) {
 		return
 	}
 	t.rev[idx].valid = false
-	d.validInBlk[p.Block]--
+	d.validInBlk[t.lay.Block(w)]--
 	d.mu.Unlock()
 	t.usedPages.Add(-1)
 	if t.cache != nil {
 		// The exclusive context that invalidates (space write lock, delete,
 		// resize) also prevents concurrent readers of this block, so dropping
 		// the cache entry after the rev update cannot race a stale re-read.
-		t.cache.invalidateBlock(e.space, e.block)
+		t.cache.invalidateBlock(e.space, int64(e.block))
 	}
+}
+
+// dropUnit releases the unit holding the page of slot, if one does, and
+// reports whether one did: the slot reads as unallocated again.
+func (t *STL) dropUnit(slot *pageSlot) bool {
+	if !slot.allocated() {
+		return false
+	}
+	t.invalidateUnit(slot.word())
+	*slot = 0
+	return true
 }

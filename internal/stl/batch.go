@@ -9,7 +9,7 @@ import (
 
 // The batched data path. Requests are compiled into a page plan — the set of
 // distinct device pages the extent list touches, in first-touch order — and
-// issued through the device's batch APIs (ReadPages/ProgramPages) with a
+// issued through the device's batch APIs (ReadWords/ProgramPages) with a
 // pooled requestScratch instead of per-request maps and buffers.
 //
 // Reads are one plan, one emitter, and sinks. planPartitionRead resolves every
@@ -123,18 +123,21 @@ func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []by
 // pages from STL memory, materializes compressed blocks, and issues the
 // batched device reads. On return rs.pageData and the block plan's images
 // hold the source bytes and done is the completion time (device batch,
-// decompressions, and cache DRAM streaming all folded in). readPartitionSegments, its only caller,
-// turns the resolved pages into segments; every read-shaped request goes
-// through that one pair, so they all share timing and statistics.
+// decompressions, and cache DRAM streaming all folded in).
+// readPartitionSegments, its only caller, turns the resolved pages into
+// segments; every read-shaped request goes through that one pair, so they all
+// share timing and statistics.
+//
+// The plan consumes the extent walk as it goes, walkBatch extents at a time:
+// what it keeps of an extent is its pages and page pieces, so the list itself
+// is never held whole. The extent count it reports, a timing input, is the
+// walk's.
 func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord, sub []int64, stats *RequestStats) (want int64, done sim.Time, err error) {
 	s := v.space
-	exts, want, err := rs.translate(v, coord, sub)
-	if err != nil {
+	if want, err = rs.startWalk(v, coord, sub); err != nil {
 		return 0, at, err
 	}
-	stats.Extents = len(exts)
 	stats.Bytes = want
-
 	ps := int64(t.geo.PageSize)
 	done = at
 	// Whether the space's blocks can be resident at all is settled here, once:
@@ -147,66 +150,74 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 	// block once and queues what it does not hold. Compressed blocks are
 	// device operations of their own (the block is the decompression unit), so
 	// the queued batch drains before each materialization to keep scalar issue
-	// order.
+	// order. Only write buffering stages pages, so only then is an unallocated
+	// page worth a look in the staging map.
 	refs := !t.dev.Phantom()
-	for i := range exts {
-		e := &exts[i]
-		bp := rs.followBlock(e.Block)
-		if bp == nil {
-			bp = t.resolveBlock(rs, s, e.Block, false, stats)
-		}
-		blk := bp.blk
-		if blk == nil {
-			continue // untouched block: zeros
-		}
-		if blk.compressed {
-			if bp.image == 0 {
-				if err := t.flushReads(rs, at, &done, stats); err != nil {
-					return 0, at, err
-				}
-				img, d, err := t.blockImage(at, s, blk, stats)
-				if err != nil {
-					return 0, at, err
-				}
-				done = sim.Max(done, d)
-				rs.pageData = append(rs.pageData, img)
-				bp.image = int32(len(rs.pageData))
+	for more := true; more; {
+		var exts []Extent
+		exts, more = rs.nextBatch()
+		stats.Extents += len(exts)
+		for i := range exts {
+			e := &exts[i]
+			bp := rs.followBlock(e.Block)
+			if bp == nil {
+				bp = t.resolveBlock(rs, s, e.Block, false, stats)
 			}
-			rs.refs = append(rs.refs, segRef{dst: e.Dst, lo: e.Off, slot: bp.image - 1, n: int32(e.Len)})
-			continue
-		}
-		// The extent's pieces, page by page: [lo, hi) of the block, the page
-		// ending at pageEnd. One division finds the first page; most extents
-		// never leave it.
-		p, lo, end := e.Off/ps, e.Off, e.Off+e.Len
-		for pageEnd := (p + 1) * ps; ; p, pageEnd = p+1, pageEnd+ps {
-			hi := min64(end, pageEnd)
-			idx := bp.pages[p] - 1
-			if idx < 0 {
-				rs.pageData = append(rs.pageData, nil)
-				idx = int32(len(rs.pageData) - 1)
-				bp.pages[p] = idx + 1
-				if slot := blk.pages[p]; slot.allocated {
-					if cached {
-						rs.wantPage(int32(p))
-					} else {
-						rs.ppas = append(rs.ppas, slot.ppa)
-						rs.planOf = append(rs.planOf, idx)
-						stats.PagesRead++
+			blk := bp.blk
+			if blk == nil {
+				continue // untouched block: zeros
+			}
+			if blk.compressed {
+				if bp.image == 0 {
+					if err := t.flushReads(rs, at, &done, stats); err != nil {
+						return 0, at, err
 					}
-				} else if pp := t.pendingFor(s, e.Block, int(p)); pp != nil && pp.buf != nil {
-					// §4.4 write staging: partially collected pages serve reads
-					// straight from STL memory.
-					rs.pageData[idx] = pp.buf
+					img, d, err := t.blockImage(at, s, blk, stats)
+					if err != nil {
+						return 0, at, err
+					}
+					done = sim.Max(done, d)
+					rs.pageData = append(rs.pageData, img)
+					bp.image = int32(len(rs.pageData))
 				}
+				rs.refs = append(rs.refs, segRef{dst: e.Dst, lo: e.Off, slot: bp.image - 1, n: int32(e.Len)})
+				continue
 			}
-			if refs {
-				rs.refs = append(rs.refs, segRef{dst: e.Dst + (lo - e.Off), lo: lo - (pageEnd - ps), slot: idx, n: int32(hi - lo)})
+			// The extent's pieces, page by page: [lo, hi) of the block, the page
+			// ending at pageEnd. One division finds the first page; most extents
+			// never leave it.
+			p, lo, end := e.Off/ps, e.Off, e.Off+e.Len
+			for pageEnd := (p + 1) * ps; ; p, pageEnd = p+1, pageEnd+ps {
+				hi := min64(end, pageEnd)
+				idx := bp.pages[p] - 1
+				if idx < 0 {
+					rs.pageData = append(rs.pageData, nil)
+					idx = int32(len(rs.pageData) - 1)
+					bp.pages[p] = idx + 1
+					if slot := blk.pages[p]; slot.allocated() {
+						if cached {
+							rs.wantPage(int32(p))
+						} else {
+							rs.words = append(rs.words, slot.word())
+							rs.planOf = append(rs.planOf, idx)
+							stats.PagesRead++
+						}
+					} else if t.cfg.WriteBuffering {
+						// §4.4 write staging: partially collected pages serve
+						// reads straight from STL memory.
+						if pp := t.pendingFor(s, e.Block, int(p)); pp != nil && pp.buf != nil {
+							rs.pageData[idx] = pp.buf
+						}
+					}
+				}
+				if refs {
+					rs.refs = append(rs.refs, segRef{dst: e.Dst + (lo - e.Off), lo: lo - (pageEnd - ps), slot: idx, n: int32(hi - lo)})
+				}
+				if end <= pageEnd {
+					break
+				}
+				lo = pageEnd
 			}
-			if end <= pageEnd {
-				break
-			}
-			lo = pageEnd
 		}
 	}
 	if err := t.flushReads(rs, at, &done, stats); err != nil {
@@ -290,7 +301,7 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 		st := &rs.stages[si]
 		slot := &st.blk.pages[st.page]
 		pb := s.pageBytes(t.geo, st.page)
-		if t.cfg.WriteBuffering && !slot.allocated {
+		if t.cfg.WriteBuffering && !slot.allocated() {
 			for _, ei := range st.extents {
 				off, src, n := pagePiece(&exts[ei], st.page, ps)
 				var chunk []byte
@@ -317,12 +328,12 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 		// is assembled now, in the frame the device will keep; frames arrive
 		// dirty, and the old page covers what the extents do not.
 		var frame []byte
-		rmw := slot.allocated && st.covered < pb
+		rmw := slot.allocated() && st.covered < pb
 		if rmw {
 			if err := t.flushPrograms(rs, &done, &stats); err != nil {
 				return at, stats, err
 			}
-			old, d, err := t.dev.ReadPage(at, slot.ppa)
+			old, d, err := t.dev.ReadPage(at, t.lay.PPA(slot.word()))
 			if err != nil {
 				return at, stats, err
 			}
@@ -341,18 +352,15 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 		// page draws no frame.
 		if t.cfg.ZeroPageElision && hasData &&
 			(rmw && allZero(frame[:pb]) || !rmw && rs.payloadZero(st, ps)) {
-			if slot.allocated {
-				t.invalidateUnit(slot.ppa)
-				slot.allocated = false
-			}
+			t.dropUnit(slot)
 			t.zeroSkipped.Add(1)
 			t.dev.Recycle(frame)
 			continue
 		}
 		var unit nvm.PPA
-		if slot.allocated {
-			t.invalidateUnit(slot.ppa)
-			unit, ready, err = t.allocateReplacement(ready, slot.ppa, ac)
+		if slot.allocated() {
+			t.invalidateUnit(slot.word())
+			unit, ready, err = t.allocateReplacement(ready, slot.word(), ac)
 		} else {
 			unit, ready, err = t.allocateUnit(ready, s, st.blk, ac)
 		}
@@ -374,9 +382,7 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 		if len(rs.fills) == fillBurst {
 			rs.fillPending(ps)
 		}
-		slot.ppa = unit
-		slot.allocated = true
-		t.bindUnit(s, st.blockIdx, st.page, unit)
+		t.bindUnit(s, st.blk, st.blockIdx, st.page, unit)
 		t.progs.Add(1)
 		stats.PagesProgrammed++
 	}

@@ -216,10 +216,7 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 			fail(k, err)
 			continue // page stays pending; keep draining the rest
 		}
-		slot := &blk.pages[k.page]
-		slot.ppa = dst
-		slot.allocated = true
-		t.bindUnit(s, k.block, k.page, dst)
+		t.bindUnit(s, blk, k.block, k.page, dst)
 		t.progs.Add(1)
 		ops = append(ops, nvm.ProgramOp{At: ready, P: dst, Data: pp.buf, Owned: true})
 		opKeys = append(opKeys, k)
@@ -245,7 +242,6 @@ func lessKey(a, b pendingKey) bool {
 // staging frame goes back to the arena whatever the outcome.
 func (t *STL) programStaged(at sim.Time, s *Space, blockIdx int64, blk *BuildingBlock, page int, pp *pendingPage, ac *allocCtx) (sim.Time, error) {
 	defer t.dev.Recycle(pp.buf)
-	slot := &blk.pages[page]
 	pb := s.pageBytes(t.geo, page)
 	if t.cfg.ZeroPageElision && pp.buf != nil && allZero(pp.buf[:pb]) {
 		t.zeroSkipped.Add(1)
@@ -259,9 +255,7 @@ func (t *STL) programStaged(at sim.Time, s *Space, blockIdx int64, blk *Building
 	if err != nil {
 		return at, err
 	}
-	slot.ppa = dst
-	slot.allocated = true
-	t.bindUnit(s, blockIdx, page, dst)
+	t.bindUnit(s, blk, blockIdx, page, dst)
 	t.progs.Add(1)
 	return d, nil
 }

@@ -20,7 +20,7 @@ import (
 // row scan serves column reads of the same block without further flash work.
 //
 // An entry is bookkeeping and leases, not bytes. A fill stores the slice
-// nvm.ReadPages returned — the frame the device itself keeps for the page, or,
+// nvm.ReadWords returned — the frame the device itself keeps for the page, or,
 // under a cipher, the plaintext page Open made for this read (a hit still
 // saves the decrypt) — and a hit hands that slice on. Nothing is copied and
 // nothing the size of a block is allocated: the DRAM the cache models is
@@ -290,7 +290,7 @@ func (t *STL) lookupWanted(rs *requestScratch, stats *RequestStats) {
 			continue
 		}
 		bp := &rs.plans[w.plan]
-		rs.ppas = append(rs.ppas, bp.blk.pages[w.page].ppa)
+		rs.words = append(rs.words, bp.blk.pages[w.page].word())
 		rs.planOf = append(rs.planOf, bp.pages[w.page]-1)
 		rs.fillKeys = append(rs.fillKeys, pageKey{bp.g, int(w.page)})
 		stats.PagesRead++
@@ -334,21 +334,22 @@ func (c *blockCache) fillPages(s *Space, keys []pageKey, datas [][]byte, ready s
 	}
 }
 
-// missing appends to ppas and keys the allocated pages of blk, building block
-// (s, block), that are not resident: what a warm-up of the block has to read.
-func (c *blockCache) missing(s *Space, block int64, blk *BuildingBlock, ppas []nvm.PPA, keys []pageKey) ([]nvm.PPA, []pageKey) {
+// missing appends to words and keys the allocated pages of blk, building
+// block (s, block), that are not resident: what a warm-up of the block has to
+// read.
+func (c *blockCache) missing(s *Space, block int64, blk *BuildingBlock, words []nvm.Word, keys []pageKey) ([]nvm.Word, []pageKey) {
 	k := cacheKey{s.id, block}
 	sh := c.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.entries[k]
-	for p := range blk.pages {
-		if blk.pages[p].allocated && (e == nil || e.pages[p].state == pageEmpty) {
-			ppas = append(ppas, blk.pages[p].ppa)
+	for p, slot := range blk.pages {
+		if slot.allocated() && (e == nil || e.pages[p].state == pageEmpty) {
+			words = append(words, slot.word())
 			keys = append(keys, pageKey{block, p})
 		}
 	}
-	return ppas, keys
+	return words, keys
 }
 
 // evictToCapacity runs CLOCK eviction until resident bytes fit the capacity,

@@ -41,18 +41,19 @@ func auditCache(t testing.TB, st *STL, aliased bool) {
 					continue
 				}
 				slot := blk.pages[p]
-				if !slot.allocated {
+				if !slot.allocated() {
 					t.Errorf("cache audit: space %d block %d page %d is filled, its slot is unallocated", k.space, k.block, p)
 					continue
 				}
 				if st.dev.Phantom() {
 					continue
 				}
-				raw := st.dev.RawPage(slot.ppa)
+				at := st.lay.PPA(slot.word())
+				raw := st.dev.RawPage(at)
 				if raw == nil {
-					t.Errorf("cache audit: space %d block %d page %d is filled, %v holds no frame", k.space, k.block, p, slot.ppa)
+					t.Errorf("cache audit: space %d block %d page %d is filled, %v holds no frame", k.space, k.block, p, at)
 				} else if aliased && &pg.data[0] != &raw[0] {
-					t.Errorf("cache audit: space %d block %d page %d is not the frame stored at %v", k.space, k.block, p, slot.ppa)
+					t.Errorf("cache audit: space %d block %d page %d is not the frame stored at %v", k.space, k.block, p, at)
 				}
 			}
 		}
@@ -257,7 +258,7 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 	rewrite := func(e revEntry) {
 		// A space is one column of blocks, and a page of a block four of its rows.
 		c := spaces[e.space-spaces[0].s.id]
-		coord, sub := []int64{e.block*8 + int64(e.page), 0}, []int64{4, cols}
+		coord, sub := []int64{int64(e.block)*8 + int64(e.page), 0}, []int64{4, cols}
 		fillNoFF(rng, page)
 		if _, _, err := st.WritePartition(0, mustView(t, c.s, c.rows, cols), coord, sub, page); err != nil {
 			t.Fatal(err)

@@ -53,10 +53,10 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 	if blk.compressed {
 		comp := make([]byte, 0, blk.compLen)
 		for i := 0; i < blk.physPages; i++ {
-			if !blk.pages[i].allocated {
+			if !blk.pages[i].allocated() {
 				return nil, done, fmt.Errorf("stl: compressed block missing unit %d", i)
 			}
-			data, d, err := t.dev.ReadPage(at, blk.pages[i].ppa)
+			data, d, err := t.dev.ReadPage(at, t.lay.PPA(blk.pages[i].word()))
 			if err != nil {
 				return nil, done, err
 			}
@@ -77,10 +77,10 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 	image := make([]byte, s.bbBytes)
 	ps := int64(t.geo.PageSize)
 	for i := range blk.pages {
-		if !blk.pages[i].allocated {
+		if !blk.pages[i].allocated() {
 			continue
 		}
-		data, d, err := t.dev.ReadPage(at, blk.pages[i].ppa)
+		data, d, err := t.dev.ReadPage(at, t.lay.PPA(blk.pages[i].word()))
 		if err != nil {
 			return nil, done, err
 		}
@@ -96,10 +96,7 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 // statistics, ready for a fresh rewrite.
 func (t *STL) dropAllUnits(blk *BuildingBlock) {
 	for i := range blk.pages {
-		if blk.pages[i].allocated {
-			t.invalidateUnit(blk.pages[i].ppa)
-			blk.pages[i].allocated = false
-		}
+		t.dropUnit(&blk.pages[i])
 	}
 	for i := range blk.chanUse {
 		blk.chanUse[i] = 0
@@ -141,9 +138,7 @@ func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *Buildi
 		if err != nil {
 			return done, err
 		}
-		blk.pages[i].ppa = dst
-		blk.pages[i].allocated = true
-		t.bindUnit(s, blockIdx, i, dst)
+		t.bindUnit(s, blk, blockIdx, i, dst)
 		t.progs.Add(1)
 		stats.PagesProgrammed++
 		done = sim.Max(done, d)

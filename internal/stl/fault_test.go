@@ -288,9 +288,9 @@ func TestGCRelocationOutOfSpaceRecovery(t *testing.T) {
 		src := nvm.PPA{Channel: 0, Bank: 0, Block: victim, Page: pg}
 		if e := st.rev[src.Linear(geo)]; e.valid {
 			gcoord := make([]int64, len(s.grid))
-			s.GridCoord(e.block, gcoord)
+			s.GridCoord(int64(e.block), gcoord)
 			blk, _ := st.block(s, gcoord, false)
-			if blk == nil || blk.pages[e.page].ppa != src {
+			if blk == nil || blk.pages[e.page] != slotOf(st.lay.Word(src)) {
 				t.Fatalf("page %d: mapping rebound despite failed evacuation", pg)
 			}
 		}
@@ -555,12 +555,13 @@ func TestEvacuationFaultCommitsLandedPrefix(t *testing.T) {
 					continue
 				}
 				for pg, slot := range blk.pages {
-					if !slot.allocated {
+					if !slot.allocated() {
 						continue
 					}
-					e := st.rev[slot.ppa.Linear(geo)]
-					if !dev.Programmed(slot.ppa) || !e.valid || e.space != c.s.id || e.block != b || int(e.page) != pg {
-						t.Fatalf("%s: space %d block %d page %d bound to %v: programmed=%v rev=%+v", when, i, b, pg, slot.ppa, dev.Programmed(slot.ppa), e)
+					p := st.lay.PPA(slot.word())
+					e := st.rev[p.Linear(geo)]
+					if !dev.Programmed(p) || !e.valid || e.space != c.s.id || int64(e.block) != b || int(e.page) != pg {
+						t.Fatalf("%s: space %d block %d page %d bound to %v: programmed=%v rev=%+v", when, i, b, pg, p, dev.Programmed(p), e)
 					}
 				}
 			}

@@ -196,9 +196,9 @@ func (t *STL) pickVictimLocked(d *die, channel, bank int, exclude []int) int {
 // building block itself is resolved at commit, under the owning space's
 // write lock.
 type plannedMove struct {
-	src   nvm.PPA
+	src   nvm.Word
 	space SpaceID
-	block int64
+	block uint32
 	page  int32
 }
 
@@ -208,7 +208,7 @@ type plannedMove struct {
 type gcScratch struct {
 	moves []plannedMove
 	held  []*Space
-	srcs  []nvm.PPA
+	srcs  []nvm.Word
 	datas [][]byte
 	ops   []nvm.ProgramOp
 	gcrd  []int64 // grid-coordinate scratch for the rebind
@@ -219,7 +219,7 @@ type gcScratch struct {
 // blocks through the reverse-lookup table, and erases the victim. The caller
 // holds the die's GC claim.
 //
-// Data moves through the batched device path (one ReadPages and one
+// Data moves through the batched device path (one ReadWords and one
 // ProgramPages per victim), and each relocation is a ProgramOp.Move: source
 // and destination share the die, so the device re-homes the source's frame
 // instead of copying its bytes, except under a cipher or when fault recovery
@@ -243,8 +243,8 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 	g.moves = g.moves[:0]
 	d.mu.Lock()
 	for pg := 0; pg < t.geo.PagesPerBlock; pg++ {
-		src := nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg}
-		if e := t.rev[src.Linear(t.geo)]; e.valid {
+		src := t.lay.Word(nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg})
+		if e := t.rev[t.lay.Linear(src)]; e.valid {
 			g.moves = append(g.moves, plannedMove{src: src, space: e.space, block: e.block, page: e.page})
 		}
 	}
@@ -270,7 +270,7 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 	moves := g.moves[:0]
 	d.mu.Lock()
 	for _, m := range g.moves {
-		e := t.rev[m.src.Linear(t.geo)]
+		e := t.rev[t.lay.Linear(m.src)]
 		if e.valid && e.space == m.space && e.block == m.block && e.page == m.page {
 			moves = append(moves, m)
 		}
@@ -291,7 +291,7 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 			clear(datas)
 			clear(ops)
 		}()
-		readDone, err := t.dev.ReadPages(at, g.srcs, datas)
+		readDone, err := t.dev.ReadWords(at, g.srcs, datas)
 		if err != nil {
 			return at, gcNothing, err
 		}
@@ -308,7 +308,7 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 				t.releaseOps(ops)
 				return at, gcNothing, nil
 			}
-			ops = append(ops, nvm.ProgramOp{At: readDone, P: dst, Data: datas[i], Move: true, From: moves[i].src})
+			ops = append(ops, nvm.ProgramOp{At: readDone, P: dst, Data: datas[i], Move: true, From: t.lay.PPA(moves[i].src)})
 		}
 		d.mu.Unlock()
 		g.ops = ops
@@ -328,14 +328,13 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 				return done, gcNothing, fmt.Errorf("stl: GC found unit of unknown space %d", m.space)
 			}
 			g.gcrd = growInt64(g.gcrd, len(s.grid))
-			s.GridCoord(m.block, g.gcrd)
+			s.GridCoord(int64(m.block), g.gcrd)
 			blk, _ := t.block(s, g.gcrd, false)
 			if blk == nil {
 				return done, gcNothing, fmt.Errorf("stl: GC reverse entry names missing block %d of space %d", m.block, s.id)
 			}
-			blk.pages[m.page].ppa = ops[i].P
 			t.invalidateUnit(m.src)
-			t.bindUnit(s, m.block, int(m.page), ops[i].P)
+			t.bindUnit(s, blk, int64(m.block), int(m.page), ops[i].P)
 			t.gcMoves.Add(1)
 		}
 		if err != nil {

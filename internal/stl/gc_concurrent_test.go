@@ -119,7 +119,8 @@ func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
 		// A page of a 32x32 float32 block is four of its rows.
 		c := clients[e.space-clients[0].s.id]
 		grid := int64(side / 32)
-		coord, sub := []int64{e.block/grid*8 + int64(e.page), e.block % grid}, []int64{4, 32}
+		block := int64(e.block)
+		coord, sub := []int64{block/grid*8 + int64(e.page), block % grid}, []int64{4, 32}
 		rng.Read(page)
 		if _, _, err := st.WritePartition(0, c.v, coord, sub, page); err != nil {
 			t.Fatal(err)

@@ -10,11 +10,18 @@ import "nds/internal/nvm"
 // bb_i). Nodes are allocated lazily along the traversal path of the first
 // request that touches them.
 
-// pageSlot records one basic access unit of a building block.
-type pageSlot struct {
-	ppa       nvm.PPA
-	allocated bool
-}
+// pageSlot records one basic access unit of a building block: 1 + the page
+// word of the unit that holds it, 0 while none does. Four bytes, the physical
+// page number §7.3 charges per access unit (IndexFootprint).
+type pageSlot uint32
+
+// slotOf is the slot of a page held by the unit at w.
+func slotOf(w nvm.Word) pageSlot { return pageSlot(w) + 1 }
+
+func (s pageSlot) allocated() bool { return s != 0 }
+
+// word is the unit's page word; the slot must be allocated.
+func (s pageSlot) word() nvm.Word { return nvm.Word(s - 1) }
 
 // BuildingBlock is a leaf entry: the page list plus the per-block usage
 // statistics the allocation policy of §4.2 consults.
@@ -51,17 +58,6 @@ func (b *BuildingBlock) Channels() int {
 		}
 	}
 	return n
-}
-
-// Pages returns the allocated physical addresses in block order.
-func (b *BuildingBlock) Pages() []nvm.PPA {
-	out := make([]nvm.PPA, 0, b.used)
-	for _, s := range b.pages {
-		if s.allocated {
-			out = append(out, s.ppa)
-		}
-	}
-	return out
 }
 
 // indexNode is one node of the per-space B-tree. Non-leaf nodes hold child
@@ -120,9 +116,9 @@ func (t *STL) block(s *Space, g []int64, alloc bool) (*BuildingBlock, int) {
 
 // IndexFootprint estimates the controller-DRAM size of a space's B-tree in
 // bytes: 8 bytes per node entry (child pointer / block pointer) and 4 bytes
-// per access-unit entry in the leaf page lists (a physical page number; the
-// full 8-byte reverse entries live in each unit's spare out-of-band area per
-// §4.2, not in DRAM). This is the §7.3 accounting, which bounds the lookup
+// per access-unit entry in the leaf page lists — a pageSlot, one page word;
+// the full 8-byte reverse entries live in each unit's spare out-of-band area
+// per §4.2, not in DRAM. This is the §7.3 accounting, which bounds the lookup
 // structure at ~0.1% of storage capacity with 4 KB pages.
 func (s *Space) IndexFootprint() int64 {
 	return s.countIndexBytes(s.root)

@@ -116,7 +116,7 @@ func (t *STL) readPartitionScalar(at sim.Time, v *View, coord, sub []int64) ([]b
 			if !cached {
 				slot := blk.pages[p]
 				switch {
-				case slot.allocated:
+				case slot.allocated():
 					pb := s.pageBytes(t.geo, int(p))
 					var cached []byte
 					var ready sim.Time
@@ -132,7 +132,7 @@ func (t *STL) readPartitionScalar(at sim.Time, v *View, coord, sub []int64) ([]b
 						}
 						break
 					}
-					data, d, err := t.dev.ReadPage(at, slot.ppa)
+					data, d, err := t.dev.ReadPage(at, t.lay.PPA(slot.word()))
 					if err != nil {
 						return nil, at, stats, err
 					}
@@ -142,7 +142,7 @@ func (t *STL) readPartitionScalar(at sim.Time, v *View, coord, sub []int64) ([]b
 					st = readState{data: data, done: d, ok: true}
 					stats.PagesRead++
 					done = sim.Max(done, d)
-				default:
+				case t.cfg.WriteBuffering:
 					// §4.4 write staging: partially collected pages serve
 					// reads straight from STL memory (uncovered bytes are
 					// zeros, matching unwritten storage).
@@ -257,7 +257,7 @@ func (t *STL) writePartitionScalar(at sim.Time, v *View, coord, sub []int64, dat
 	for _, st := range order {
 		slot := &st.blk.pages[st.page]
 		pb := s.pageBytes(t.geo, st.page)
-		if t.cfg.WriteBuffering && !slot.allocated {
+		if t.cfg.WriteBuffering && !slot.allocated() {
 			for _, ei := range st.extents {
 				e := exts[ei]
 				lo := max64(e.Off, int64(st.page)*ps)
@@ -280,8 +280,8 @@ func (t *STL) writePartitionScalar(at sim.Time, v *View, coord, sub []int64, dat
 		}
 		ready := at
 		clear(pageBuf)
-		if slot.allocated && st.covered < pb {
-			old, d, err := t.dev.ReadPage(at, slot.ppa)
+		if slot.allocated() && st.covered < pb {
+			old, d, err := t.dev.ReadPage(at, t.lay.PPA(slot.word()))
 			if err != nil {
 				return at, stats, err
 			}
@@ -310,17 +310,14 @@ func (t *STL) writePartitionScalar(at sim.Time, v *View, coord, sub []int64, dat
 		// unallocated slot already reads as zeros, and an allocated one is
 		// simply released.
 		if t.cfg.ZeroPageElision && pageBuf != nil && allZero(pageBuf[:pb]) {
-			if slot.allocated {
-				t.invalidateUnit(slot.ppa)
-				slot.allocated = false
-			}
+			t.dropUnit(slot)
 			t.zeroSkipped.Add(1)
 			continue
 		}
 		var dst nvm.PPA
-		if slot.allocated {
-			t.invalidateUnit(slot.ppa)
-			dst, ready, err = t.allocateReplacement(ready, slot.ppa, ac)
+		if slot.allocated() {
+			t.invalidateUnit(slot.word())
+			dst, ready, err = t.allocateReplacement(ready, slot.word(), ac)
 		} else {
 			dst, ready, err = t.allocateUnit(ready, s, st.blk, ac)
 		}
@@ -331,9 +328,7 @@ func (t *STL) writePartitionScalar(at sim.Time, v *View, coord, sub []int64, dat
 		if err != nil {
 			return at, stats, err
 		}
-		slot.ppa = dst
-		slot.allocated = true
-		t.bindUnit(s, st.blockIdx, st.page, dst)
+		t.bindUnit(s, st.blk, st.blockIdx, st.page, dst)
 		t.progs.Add(1)
 		stats.PagesProgrammed++
 		done = sim.Max(done, d)

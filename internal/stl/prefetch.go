@@ -114,19 +114,19 @@ func (t *STL) maybePrefetch(done sim.Time, v *View, coord, sub []int64) {
 		if blk == nil || blk.compressed {
 			continue
 		}
-		rs.ppas, rs.fillKeys = t.cache.missing(s, s.BlockGridIndex(g), blk, rs.ppas, rs.fillKeys)
+		rs.words, rs.fillKeys = t.cache.missing(s, s.BlockGridIndex(g), blk, rs.words, rs.fillKeys)
 	}
-	if len(rs.ppas) == 0 {
+	if len(rs.words) == 0 {
 		return
 	}
-	for len(rs.datas) < len(rs.ppas) {
+	for len(rs.datas) < len(rs.words) {
 		rs.datas = append(rs.datas, nil)
 	}
-	d, err := t.dev.ReadPages(done, rs.ppas, rs.datas)
+	d, err := t.dev.ReadWords(done, rs.words, rs.datas)
 	if err != nil {
 		return // warm-up is best-effort; demand reads surface real errors
 	}
-	t.cache.fillPages(s, rs.fillKeys, rs.datas[:len(rs.ppas)], d, true)
+	t.cache.fillPages(s, rs.fillKeys, rs.datas[:len(rs.words)], d, true)
 }
 
 // primaryGrid computes the grid coordinate of the building block holding the

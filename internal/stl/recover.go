@@ -130,7 +130,7 @@ func (t *STL) retireBlock(channel, bank, block int) {
 		for pg := 0; pg < t.geo.PagesPerBlock; pg++ {
 			p := nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg}
 			if e := t.rev[p.Linear(t.geo)]; e.valid {
-				drops = append(drops, cacheKey{e.space, e.block})
+				drops = append(drops, cacheKey{e.space, int64(e.block)})
 			}
 		}
 	}
@@ -166,16 +166,17 @@ func (t *STL) takeUnitRaw(channel, bank int) (nvm.PPA, bool) {
 	return p, ok
 }
 
-// allocateRecoveryUnit finds a destination for data whose program to old
-// faulted: the same die first (preserving the building block's channel/bank
-// spread), then any die with room (data preservation beats placement policy).
-func (t *STL) allocateRecoveryUnit(old nvm.PPA) (nvm.PPA, bool) {
-	if p, ok := t.takeUnitRaw(old.Channel, old.Bank); ok {
+// allocateRecoveryUnit finds a destination for data whose program to a unit
+// of die (channel, bank) faulted: the same die first (preserving the building
+// block's channel/bank spread), then any die with room (data preservation
+// beats placement policy).
+func (t *STL) allocateRecoveryUnit(channel, bank int) (nvm.PPA, bool) {
+	if p, ok := t.takeUnitRaw(channel, bank); ok {
 		return p, true
 	}
 	for ch := 0; ch < t.geo.Channels; ch++ {
 		for bk := 0; bk < t.geo.Banks; bk++ {
-			if ch == old.Channel && bk == old.Bank {
+			if ch == channel && bk == bank {
 				continue
 			}
 			if p, ok := t.takeUnitRaw(ch, bk); ok {
@@ -208,7 +209,7 @@ func (t *STL) programWithRecovery(at sim.Time, p nvm.PPA, data []byte, stats *Re
 		if tries >= maxProgramRetries {
 			return p, done, fmt.Errorf("stl: program of %v: %d relocation attempts failed: %w", p, tries+1, ErrMedia)
 		}
-		np, ok := t.allocateRecoveryUnit(p)
+		np, ok := t.allocateRecoveryUnit(p.Channel, p.Bank)
 		if !ok {
 			return p, done, fmt.Errorf("stl: no unit available to relocate faulted program at %v: %w", p, ErrMedia)
 		}
@@ -256,7 +257,7 @@ func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) 
 		if since++; since > maxProgramRetries {
 			return done, landed, retries, fmt.Errorf("stl: program of %v: %d relocation attempts failed: %w", pe.P, since, ErrMedia)
 		}
-		np, ok := t.allocateRecoveryUnit(pe.P)
+		np, ok := t.allocateRecoveryUnit(pe.P.Channel, pe.P.Bank)
 		if !ok {
 			return done, landed, retries, fmt.Errorf("stl: no unit available to relocate faulted program at %v: %w", pe.P, ErrMedia)
 		}
@@ -286,16 +287,15 @@ func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
 	s, ok := t.spaces[e.space]
 	if e.valid && ok {
 		gcoord := make([]int64, len(s.grid))
-		s.GridCoord(e.block, gcoord)
+		s.GridCoord(int64(e.block), gcoord)
 		blk, _ = t.block(s, gcoord, false)
 	}
 	if blk == nil {
 		t.releaseUnit(np)
 		return false
 	}
-	blk.pages[e.page].ppa = np
-	t.invalidateUnit(old)
-	t.bindUnit(s, e.block, int(e.page), np)
+	t.invalidateUnit(t.lay.Word(old))
+	t.bindUnit(s, blk, int64(e.block), int(e.page), np)
 	return true
 }
 
@@ -313,11 +313,11 @@ func (t *STL) unbindOps(ops []nvm.ProgramOp) {
 		}
 		if s, ok := t.spaces[e.space]; ok {
 			gcoord := make([]int64, len(s.grid))
-			s.GridCoord(e.block, gcoord)
+			s.GridCoord(int64(e.block), gcoord)
 			if blk, _ := t.block(s, gcoord, false); blk != nil {
-				blk.pages[e.page].allocated = false
+				blk.pages[e.page] = 0
 			}
 		}
-		t.invalidateUnit(ops[i].P)
+		t.invalidateUnit(t.lay.Word(ops[i].P))
 	}
 }

@@ -47,22 +47,21 @@ search:
 	return 0
 }
 
-// slotOf returns the i-th page slot of s in block-then-page order, making the
-// block if need be.
-func slotOf(st *STL, s *Space, i int) (slot *pageSlot, block int64, page int) {
+// slotAt locates the i-th page slot of s in block-then-page order — page page
+// of blk, building block block — making the block if need be.
+func slotAt(st *STL, s *Space, i int) (blk *BuildingBlock, block int64, page int) {
 	block, page = int64(i/s.pagesPerBB), i%s.pagesPerBB
 	gcoord := make([]int64, len(s.grid))
 	s.GridCoord(block, gcoord)
-	blk, _ := st.block(s, gcoord, true)
-	return &blk.pages[page], block, page
+	blk, _ = st.block(s, gcoord, true)
+	return blk, block, page
 }
 
 // bindSlot binds the carved unit p to the i-th page slot of s, as a writer
 // does when it queues the page's program and the collector once it landed.
 func bindSlot(st *STL, s *Space, i int, p nvm.PPA) {
-	slot, block, page := slotOf(st, s, i)
-	slot.ppa, slot.allocated = p, true
-	st.bindUnit(s, block, page, p)
+	blk, block, page := slotAt(st, s, i)
+	st.bindUnit(s, blk, block, page, p)
 }
 
 // checkBoundUnits fails unless every allocated slot of s is bound to a
@@ -81,20 +80,21 @@ func checkBoundUnits(t *testing.T, st *STL, s *Space, want map[int][]byte) {
 			continue
 		}
 		for pg, slot := range blk.pages {
-			if !slot.allocated {
+			if !slot.allocated() {
 				continue
 			}
 			allocated++
-			e := st.rev[slot.ppa.Linear(geo)]
-			if !st.dev.Programmed(slot.ppa) || !e.valid || e.space != s.id || e.block != b || int(e.page) != pg {
-				t.Fatalf("block %d page %d bound to %v: programmed=%v rev=%+v", b, pg, slot.ppa, st.dev.Programmed(slot.ppa), e)
+			p := st.lay.PPA(slot.word())
+			e := st.rev[p.Linear(geo)]
+			if !st.dev.Programmed(p) || !e.valid || e.space != s.id || int64(e.block) != b || int(e.page) != pg {
+				t.Fatalf("block %d page %d bound to %v: programmed=%v rev=%+v", b, pg, p, st.dev.Programmed(p), e)
 			}
-			got, _, err := st.dev.ReadPage(0, slot.ppa)
+			got, _, err := st.dev.ReadPage(0, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if i := int(b)*s.pagesPerBB + pg; !bytes.Equal(got, want[i]) {
-				t.Fatalf("block %d page %d at %v does not hold the page queued for it", b, pg, slot.ppa)
+				t.Fatalf("block %d page %d at %v does not hold the page queued for it", b, pg, p)
 			}
 		}
 	}
@@ -348,8 +348,8 @@ func TestFlushRelocatesAcrossChannels(t *testing.T) {
 	if r.ProgramFaults != 1 || r.ProgramRetries != 1 || r.RetiredBlocks != before.RetiredBlocks+1 {
 		t.Fatalf("want one fault, one relocation, one more retirement than %d; got %+v", before.RetiredBlocks, r)
 	}
-	if slot, _, _ := slotOf(st, s, 0); !slot.allocated || !dev.Programmed(slot.ppa) {
-		t.Fatalf("page 0 is bound to %v, allocated=%v programmed=%v", slot.ppa, slot.allocated, dev.Programmed(slot.ppa))
+	if blk, _, _ := slotAt(st, s, 0); !blk.pages[0].allocated() || !dev.Programmed(st.lay.PPA(blk.pages[0].word())) {
+		t.Fatalf("page 0 is bound to word %#x (slot %d)", uint32(blk.pages[0].word()), blk.pages[0])
 	}
 	got, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, []int64{4, 16})
 	if err != nil {

@@ -29,6 +29,9 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 	defer s.mu.Unlock()
 	newGrid0 := ceilDiv(newDim0, s.bb[0])
 	oldGrid0 := s.grid[0]
+	if !gridFits(append([]int64{newGrid0}, s.grid[1:]...)) {
+		return fmt.Errorf("stl: resizing space %d to %d would take its grid past %d building blocks: %w", id, newDim0, int64(maxGridBlocks), ErrInvalid)
+	}
 	if newGrid0 < oldGrid0 {
 		// Staged (§4.4) pages beyond the new bound are discarded with their
 		// blocks.
@@ -83,9 +86,7 @@ func (t *STL) dropBlock(s *Space, blk *BuildingBlock) {
 		return
 	}
 	for j := range blk.pages {
-		if blk.pages[j].allocated {
-			t.invalidateUnit(blk.pages[j].ppa)
-			blk.pages[j].allocated = false
+		if t.dropUnit(&blk.pages[j]) {
 			s.allocatedPages--
 		}
 	}

@@ -1,20 +1,25 @@
 package stl
 
 import (
+	"slices"
+
 	"nds/internal/nvm"
 	"nds/internal/sim"
 )
 
 // requestScratch is the reusable working state of one partition request: the
-// extent list, translation counters, the block plan, the device batch
-// buffers, and a freelist of page-sized staging buffers. Instances
-// live in the STL's sync.Pool; a request takes one, uses it exclusively, and
-// returns it, so the steady-state data path allocates nothing per request.
+// walk and its batch of extents (a read's walkBatch at a time, a write's whole
+// list), the block plan, the read plan's word batch and page table, the
+// write's stages and queued programs, and the segment list. Instances live in
+// the STL's sync.Pool; a request takes one, uses it exclusively, and returns
+// it, so the steady-state data path allocates nothing per request.
 //
-// Ownership rule: nothing in a scratch may outlive the request. Data handed
-// back to callers (partition buffers) is either freshly allocated or the
-// caller's own; page buffers return to the freelist only once the device has
-// copied them (ProgramPages copies before returning).
+// Ownership rule: nothing in a scratch outlives the request. It owns no page
+// bytes: the slices it holds alias device frames, cache entries, staged
+// buffers or the caller's payload, and putScratch clears them so the pool pins
+// none. The one exception is a write's queued ProgramOps, whose Owned frames
+// the scratch holds from the arena until their flush lands them (the device's
+// from then on) or hands them back (DESIGN.md "Frame ownership").
 type requestScratch struct {
 	exts  []Extent
 	shape []int64
@@ -34,9 +39,9 @@ type requestScratch struct {
 	last  int // index of the entry the last lookup hit
 
 	// Read plan: a block plan's page table maps a touched page to its slot in
-	// pageData; device reads batch into ppas/planOf until a flush fills the
-	// corresponding pageData entries via nvm.ReadPages. Through the cache,
-	// fillKeys parallels ppas with each read's building-block page, so the
+	// pageData; device reads batch into words/planOf until a flush fills the
+	// corresponding pageData entries via nvm.ReadWords. Through the cache,
+	// fillKeys parallels words with each read's building-block page, so the
 	// flush can lend the results to the block cache; otherwise it is empty.
 	//
 	// A data-bearing read also notes every page piece it meets as a segRef, in
@@ -45,7 +50,7 @@ type requestScratch struct {
 	// compressed block's decompressed image takes a pageData slot like a page.
 	pageData [][]byte
 	refs     []segRef
-	ppas     []nvm.PPA
+	words    []nvm.Word
 	planOf   []int32
 	fillKeys []pageKey
 	datas    [][]byte
@@ -152,7 +157,7 @@ func (t *STL) putScratch(rs *requestScratch) {
 	}
 	rs.pageData = rs.pageData[:0]
 	rs.refs = rs.refs[:0]
-	rs.ppas = rs.ppas[:0]
+	rs.words = rs.words[:0]
 	rs.planOf = rs.planOf[:0]
 	rs.fillKeys = rs.fillKeys[:0]
 	rs.want = rs.want[:0]
@@ -263,16 +268,45 @@ func (rs *requestScratch) fillPending(ps int64) {
 	rs.fills = rs.fills[:0]
 }
 
-// translate fills rs.exts and rs.shape with the partition's extent
-// decomposition, returning the extent list and payload byte count.
-func (rs *requestScratch) translate(v *View, coord, sub []int64) ([]Extent, int64, error) {
+// startWalk starts rs.walk at the partition at coord/sub of v, returning the
+// partition's payload byte count.
+func (rs *requestScratch) startWalk(v *View, coord, sub []int64) (int64, error) {
 	rs.shape = growInt64(rs.shape, len(v.dims))
 	elems, err := v.partitionShapeInto(coord, sub, rs.shape)
 	if err != nil {
+		return 0, err
+	}
+	rs.walk.start(v, coord, sub, rs.shape, elems)
+	return elems * int64(v.space.elemSize), nil
+}
+
+// translate fills rs.exts with the partition's whole extent decomposition,
+// returning the extent list and payload byte count: a write keeps the list,
+// because its stages index into it.
+func (rs *requestScratch) translate(v *View, coord, sub []int64) ([]Extent, int64, error) {
+	want, err := rs.startWalk(v, coord, sub)
+	if err != nil {
 		return nil, 0, err
 	}
-	rs.exts, _ = v.extentsInto(&rs.walk, coord, sub, rs.shape, elems, rs.exts[:0], true)
-	return rs.exts, elems * int64(v.space.elemSize), nil
+	exts := rs.exts[:0]
+	for more := true; more; {
+		exts, more = rs.walk.next(slices.Grow(exts, walkBatch))
+	}
+	rs.exts = exts
+	return exts, want, nil
+}
+
+// walkBatch is how many extents a read holds at once: it takes the walk a
+// batch this long at a time, in rs.exts, and never holds the list whole.
+const walkBatch = 128
+
+// nextBatch is a read's next batch of at most walkBatch extents from rs.walk,
+// and whether the walk has more.
+func (rs *requestScratch) nextBatch() ([]Extent, bool) {
+	if cap(rs.exts) < walkBatch {
+		rs.exts = make([]Extent, 0, walkBatch)
+	}
+	return rs.walk.next(rs.exts[:0:walkBatch])
 }
 
 // addBlock appends the plan entry for grid index g, reusing a retained page
@@ -364,30 +398,30 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time, stats 
 	if len(rs.want) > 0 {
 		t.lookupWanted(rs, stats)
 	}
-	if len(rs.ppas) == 0 {
+	if len(rs.words) == 0 {
 		return nil
 	}
-	for len(rs.datas) < len(rs.ppas) {
+	for len(rs.datas) < len(rs.words) {
 		rs.datas = append(rs.datas, nil)
 	}
-	d, err := t.dev.ReadPages(at, rs.ppas, rs.datas)
+	d, err := t.dev.ReadWords(at, rs.words, rs.datas)
 	if err != nil {
 		return err
 	}
 	*done = sim.Max(*done, d)
-	for i := range rs.ppas {
+	for i := range rs.words {
 		rs.pageData[rs.planOf[i]] = rs.datas[i]
 	}
 	if len(rs.fillKeys) != 0 {
 		// lookupWanted queued this batch, a key to a read; filling whatever
 		// lines up of anything else would hide a bug in the plan.
-		if len(rs.fillKeys) != len(rs.ppas) {
+		if len(rs.fillKeys) != len(rs.words) {
 			panic("stl: a read batch and its cache fill keys diverged")
 		}
-		t.cache.fillPages(rs.space, rs.fillKeys, rs.datas[:len(rs.ppas)], d, false)
+		t.cache.fillPages(rs.space, rs.fillKeys, rs.datas[:len(rs.words)], d, false)
 	}
-	clear(rs.datas[:len(rs.ppas)])
-	rs.ppas = rs.ppas[:0]
+	clear(rs.datas[:len(rs.words)])
+	rs.words = rs.words[:0]
 	rs.planOf = rs.planOf[:0]
 	rs.fillKeys = rs.fillKeys[:0]
 	return nil

@@ -105,6 +105,19 @@ func prod(v []int64) int64 {
 	return p
 }
 
+// gridFits reports whether a grid of these positive dimensions holds at most
+// maxGridBlocks building blocks.
+func gridFits(grid []int64) bool {
+	n := int64(1)
+	for _, g := range grid {
+		if g > maxGridBlocks/n {
+			return false
+		}
+		n *= g
+	}
+	return true
+}
+
 // ceilDiv is ceil(a/b) for positive b.
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 

@@ -86,13 +86,19 @@ func DefaultConfig() Config {
 
 // revEntry maps a physical access unit back to its building block — the
 // reverse-lookup table of §4.2 that accelerates GC mapping updates. Each
-// entry is guarded by the mutex of the die its unit lives on.
+// entry is guarded by the mutex of the die its unit lives on. It is 16 bytes:
+// a space's grid holds at most 2³² blocks (CreateSpace), so the block's grid
+// index is a uint32.
 type revEntry struct {
 	space SpaceID
-	block int64
+	block uint32
 	page  int32
 	valid bool
 }
+
+// maxGridBlocks bounds a space's building-block grid: a block's grid index
+// must fit revEntry.block.
+const maxGridBlocks = 1 << 32
 
 // STL is the space translation layer over a raw flash array. It owns the
 // whole device (it replaces the FTL in an NDS-compliant drive, and drives an
@@ -110,6 +116,7 @@ type revEntry struct {
 type STL struct {
 	dev *nvm.Device
 	geo nvm.Geometry
+	lay nvm.Layout // packs the page words of slots and read batches
 	cfg Config
 
 	rngMu sync.Mutex
@@ -123,7 +130,7 @@ type STL struct {
 	nextID SpaceID
 
 	dies      []*die
-	rev       []revEntry
+	rev       []revEntry   // indexed by a unit's Linear page index
 	naiveNext atomic.Int64 // round-robin cursor for the ablation allocator
 
 	maxPages  int64        // allocation budget (raw minus over-provision)
@@ -195,6 +202,7 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 	t := &STL{
 		dev:      dev,
 		geo:      geo,
+		lay:      dev.Layout(),
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		spaces:   make(map[SpaceID]*Space),
@@ -328,6 +336,9 @@ func (t *STL) CreateSpace(elemSize int, dims []int64) (*Space, error) {
 	for i := range dims {
 		s.grid[i] = ceilDiv(dims[i], s.bb[i])
 	}
+	if !gridFits(s.grid) {
+		return nil, fmt.Errorf("stl: a space of %v has a grid of %v building blocks, more than %d: %w", dims, s.grid, int64(maxGridBlocks), ErrInvalid)
+	}
 	t.spaces[s.id] = s
 	t.nextID++
 	return s, nil
@@ -387,10 +398,7 @@ func (t *STL) invalidateTree(s *Space, n *indexNode) {
 				continue
 			}
 			for i := range blk.pages {
-				if blk.pages[i].allocated {
-					t.invalidateUnit(blk.pages[i].ppa)
-					blk.pages[i].allocated = false
-				}
+				t.dropUnit(&blk.pages[i])
 			}
 		}
 		return

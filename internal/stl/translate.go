@@ -101,43 +101,62 @@ func (v *View) Extents(coord, sub []int64) ([]Extent, error) {
 		return nil, err
 	}
 	var w extentWalk
-	_, n := v.extentsInto(&w, coord, sub, shape, elems, nil, false)
-	exts, _ := v.extentsInto(&w, coord, sub, shape, elems, make([]Extent, 0, n), true)
+	w.start(v, coord, sub, shape, elems)
+	n := w.count()
+	w.start(v, coord, sub, shape, elems)
+	exts, _ := w.next(make([]Extent, 0, n))
 	return exts, nil
 }
 
 // ExtentCount reports how many extents Extents would return, and how many
-// elements they cover, from the same walk with nothing emitted: for a caller
-// that needs the count as a timing input and leaves the list to the request
-// that follows.
+// elements they cover, from the same walk with the list left unkept: for a
+// caller that needs the count as a timing input and leaves the list to the
+// request that follows.
 func (v *View) ExtentCount(coord, sub []int64) (n int, elems int64, err error) {
 	shape, elems, err := v.PartitionShape(coord, sub)
 	if err != nil {
 		return 0, 0, err
 	}
 	var w extentWalk
-	_, n = v.extentsInto(&w, coord, sub, shape, elems, nil, false)
-	return n, elems, nil
+	w.start(v, coord, sub, shape, elems)
+	return w.count(), elems, nil
 }
 
 // extentWalk is the working state of one extent walk: an odometer over the
 // storage coordinate of the next element to emit. Of the last storage
-// dimension the walk keeps position, block and in-block offset in locals; of
-// each dimension above it, a walkDim: the digit and what the digit contributes
-// to an extent's grid index and in-block element offset, with gHi and offHi
-// the sums over those dimensions. The walk only ever moves forward: by a whole
-// extent (the last dimension alone, by addition), or from the end of one
-// partition run to the start of the next, a distance that depends only on
-// which view digit advanced — steps holds its storage digits, one row of n
-// per view dimension, row m-1 (no digit advanced: the run wrapped a storage
-// row) all zero. A step adds a row with carry; a quotient and remainder
-// against the block extent are taken again only for a digit that left its
-// block.
+// dimension the walk keeps position, block and in-block offset (in locals
+// while it runs); of each dimension above it, a walkDim: the digit and what
+// the digit contributes to an extent's grid index and in-block element
+// offset, with gHi and offHi the sums over those dimensions. The walk only
+// ever moves forward: by a whole extent (the last dimension alone, by
+// addition), or from the end of one partition run to the start of the next, a
+// distance that depends only on which view digit advanced — steps holds its
+// storage digits, one row of n per view dimension, row m-1 (no digit advanced:
+// the run wrapped a storage row) all zero. A step adds a row with carry; a
+// quotient and remainder against the block extent are taken again only for a
+// digit that left its block.
+//
+// The walk is resumable: next hands out extents as long as the caller's
+// buffer has room and keeps its place for the next call, so a consumer takes
+// the list a batch at a time — a read never holds it whole — and the loop
+// that makes extents calls nothing.
 type extentWalk struct {
 	dim        []walkDim // dimensions [0, n-1)
 	gHi, offHi int64
 	steps      []int64 // m rows of n storage digits
 	outer      []int64 // the partition's outer counter, m digits
+	shape      []int64 // the partition's shape, m entries
+
+	// Constants of the walk: bytes an element; the last storage dimension's
+	// length and block extent; a block row in bytes; the partition's runs.
+	es, rowLen, bbLast, rowBytes, runs int64
+
+	// The place between calls to next: run r of runs (0 before the first),
+	// with remaining elements after the current stretch; the stretch's t bytes
+	// still to hand out, ending at position pos of the storage row; the next
+	// extent's block g, byte offset off in it, room bytes left in the block's
+	// row, and destination dst.
+	r, remaining, t, pos, g, off, room, dst int64
 }
 
 // walkDim is one storage dimension above the last: its digit sc, with
@@ -207,19 +226,11 @@ func (w *extentWalk) carry(d []int64, c int64) {
 	}
 }
 
-// extentsInto is the allocation-free core of Extents: shape holds the
-// already-computed partition shape, w is caller-supplied working state, and
-// with emit set extents are appended to exts (which may carry reusable
-// capacity). It returns the extent list and the extent count; without emit it
-// only counts.
-//
-// The list is one extent per partition run per building block the run
-// crosses, and its length is a timing input (RequestStats.Extents sizes
-// assembly, scatter and disassembly): extents that happen to be contiguous in
-// a block are not merged.
-func (v *View) extentsInto(w *extentWalk, coord, sub, shape []int64, elems int64, exts []Extent, emit bool) ([]Extent, int) {
+// start positions the walk before the first extent of the partition at
+// coord/sub of v, whose clamped shape (kept by the walk until it is done)
+// holds elems elements.
+func (w *extentWalk) start(v *View, coord, sub, shape []int64, elems int64) {
 	s := v.space
-	es := int64(s.elemSize)
 	m := len(v.dims)
 	n := len(s.dims)
 
@@ -227,7 +238,7 @@ func (v *View) extentsInto(w *extentWalk, coord, sub, shape []int64, elems int64
 	for i := 0; i < m; i++ {
 		l = l*v.dims[i] + coord[i]*sub[i]
 	}
-	pos := w.seed(s, m, l)
+	w.pos = w.seed(s, m, l)
 	// When view digit i advances, the digits below it return to the
 	// partition's origin: the next run starts stride[i] - Σ_{j>i}
 	// (shape[j]-1)·stride[j] after this one started, shape[m-1] of which the
@@ -238,65 +249,103 @@ func (v *View) extentsInto(w *extentWalk, coord, sub, shape []int64, elems int64
 		back += (shape[i] - 1) * stride
 		stride *= v.dims[i]
 	}
+	w.shape = shape
+	w.es = int64(s.elemSize)
+	w.rowLen, w.bbLast = s.dims[n-1], s.bb[n-1]
+	w.rowBytes = w.bbLast * w.es
+	w.runs = elems / shape[m-1]
+	w.r, w.remaining, w.t, w.dst = 0, 0, 0, 0
+}
 
-	// Each run is shape[m-1] consecutive view-linear (== storage-linear)
-	// elements: stretches of storage rows, each split at the building-block
-	// boundaries of the last storage dimension. Within a stretch the block
-	// index, the byte offset in the block and the bytes left in the block's
-	// row (room) move by addition.
-	rowLen, bbLast := s.dims[n-1], s.bb[n-1]
-	rowBytes := bbLast * es
-	runs := elems / shape[m-1]
-	count := 0
-	var dst int64
-	for r := int64(1); ; r++ {
-		q := pos / bbLast
-		g, off, room := w.gHi+q, (w.offHi+pos-q*bbLast)*es, ((q+1)*bbLast-pos)*es
-		for remaining := shape[m-1]; ; {
-			t := min64(rowLen-pos, remaining)
-			remaining -= t
-			pos += t
-			for t *= es; t > 0; {
-				take := min64(room, t)
-				if emit {
-					exts = append(exts, Extent{Block: g, Off: off, Len: take, Dst: dst})
-				}
-				count++
-				dst += take
-				t -= take
-				// The next extent of the stretch starts block g+1.
-				if room -= take; room == 0 {
-					g, off, room = g+1, off+take-rowBytes, rowBytes
-				} else {
-					off += take
-				}
+// next appends the walk's next extents to exts while it has room (up to its
+// capacity, never beyond) and reports whether any are left.
+//
+// The list is one extent per partition run per building block the run
+// crosses, and its length is a timing input (RequestStats.Extents sizes
+// assembly, scatter and disassembly): extents that happen to be contiguous in
+// a block are not merged.
+func (w *extentWalk) next(exts []Extent) ([]Extent, bool) {
+	m, n := len(w.outer), len(w.dim)+1
+	es, rowLen, bbLast, rowBytes := w.es, w.rowLen, w.bbLast, w.rowBytes
+	r, remaining, t, pos := w.r, w.remaining, w.t, w.pos
+	g, off, room, dst := w.g, w.off, w.room, w.dst
+	more := true
+walk:
+	for {
+		// Each run is shape[m-1] consecutive view-linear (== storage-linear)
+		// elements: stretches of storage rows, each split at the
+		// building-block boundaries of the last storage dimension. Within a
+		// stretch the block index, the byte offset in the block and the bytes
+		// left in the block's row (room) move by addition.
+		for t > 0 {
+			k := len(exts)
+			if k == cap(exts) {
+				break walk
 			}
-			if remaining == 0 {
+			take := min64(room, t)
+			exts = exts[:k+1]
+			exts[k] = Extent{Block: g, Off: off, Len: take, Dst: dst}
+			dst += take
+			t -= take
+			// The next extent of the stretch starts block g+1.
+			if room -= take; room == 0 {
+				g, off, room = g+1, off+take-rowBytes, rowBytes
+			} else {
+				off += take
+			}
+		}
+		if remaining == 0 {
+			if r == w.runs {
+				more = false
 				break
 			}
+			if r > 0 {
+				// Advance the outer counter (last outer dimension fastest)
+				// and step to the run it names.
+				lv := m - 2
+				for ; ; lv-- {
+					if w.outer[lv]++; w.outer[lv] < w.shape[lv] {
+						break
+					}
+					w.outer[lv] = 0
+				}
+				d := w.steps[lv*n : (lv+1)*n]
+				var up int64
+				if pos += d[n-1]; pos >= rowLen {
+					pos, up = pos-rowLen, 1
+				}
+				w.carry(d, up)
+			}
+			r++
+			q := pos / bbLast
+			g, off, room = w.gHi+q, (w.offHi+pos-q*bbLast)*es, ((q+1)*bbLast-pos)*es
+			remaining = w.shape[m-1]
+		} else {
 			// The run continues on the next storage row.
 			w.carry(w.steps[(m-1)*n:], 1)
 			pos, g, off, room = 0, w.gHi, w.offHi*es, rowBytes
 		}
-		if r == runs {
-			return exts, count
-		}
-		// Advance the outer counter (last outer dimension fastest) and step
-		// to the run it names.
-		lv := m - 2
-		for ; ; lv-- {
-			if w.outer[lv]++; w.outer[lv] < shape[lv] {
-				break
-			}
-			w.outer[lv] = 0
-		}
-		d := w.steps[lv*n : (lv+1)*n]
-		var up int64
-		if pos += d[n-1]; pos >= rowLen {
-			pos, up = pos-rowLen, 1
-		}
-		w.carry(d, up)
+		// The next stretch: to the end of the storage row or of the run.
+		span := min64(rowLen-pos, remaining)
+		remaining -= span
+		pos += span
+		t = span * es
 	}
+	w.r, w.remaining, w.t, w.pos = r, remaining, t, pos
+	w.g, w.off, w.room, w.dst = g, off, room, dst
+	return exts, more
+}
+
+// count runs the walk to its end and returns how many extents it made.
+func (w *extentWalk) count() int {
+	var buf [walkBatch]Extent
+	n := 0
+	for more := true; more; {
+		var b []Extent
+		b, more = w.next(buf[:0])
+		n += len(b)
+	}
+	return n
 }
 
 // BlockGridIndex returns the row-major grid index of grid coordinate g.

@@ -458,6 +458,29 @@ func checkWalk(t testing.TB, v *View, coord, sub []int64) {
 				v.space.dims, v.space.bb, v.dims, coord, sub, i, got[i], want[i])
 		}
 	}
+	// Taken a few extents at a time, the walk resumes where it stopped: at any
+	// extent of a stretch, of a run, or at the end.
+	for _, batch := range []int{1, 3, 7} {
+		var w extentWalk
+		w.start(v, coord, sub, shape, elems)
+		var parts []Extent
+		for more := true; more; {
+			var b []Extent
+			b, more = w.next(make([]Extent, 0, batch))
+			if len(b) == 0 || len(b) < batch && more {
+				t.Fatalf("batches of %d: one of %d extents with more to come", batch, len(b))
+			}
+			parts = append(parts, b...)
+		}
+		if len(parts) != len(want) {
+			t.Fatalf("batches of %d: %d extents, reference %d", batch, len(parts), len(want))
+		}
+		for i := range want {
+			if parts[i] != want[i] {
+				t.Fatalf("batches of %d: extent %d is %+v, reference %+v", batch, i, parts[i], want[i])
+			}
+		}
+	}
 }
 
 // walkSpace creates a phantom space with the given block order (0: default).

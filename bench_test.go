@@ -219,17 +219,15 @@ func BenchmarkOverhead(b *testing.B) {
 // --- Allocation benchmarks (the pooled request-scratch win). ---
 
 // allocSTL builds a small data-bearing STL with a fully written 1024x1024
-// float32 space, optionally on the scalar (pre-batching) data path.
-func allocSTL(b *testing.B, scalar bool) (*stl.STL, *stl.View) {
+// float32 space.
+func allocSTL(b *testing.B) (*stl.STL, *stl.View) {
 	b.Helper()
 	cfg := system.PrototypeConfig(16<<20, false)
-	sc := cfg.STL
-	sc.ScalarPath = scalar
 	dev, err := nvm.NewDevice(cfg.Geometry, cfg.Timing, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := stl.New(dev, sc)
+	st, err := stl.New(dev, cfg.STL)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,10 +254,9 @@ func allocSTL(b *testing.B, scalar bool) (*stl.STL, *stl.View) {
 }
 
 // BenchmarkReadPartitionAllocs measures per-request heap allocations of a
-// 64x64 tile read on both data paths; path=batched should stay near zero
-// (pooled scratch + caller-owned assembly buffer), path=scalar is the
-// pre-vectorization behavior kept for comparison. The phantom column read is
-// the allocation gate's: 2048 pages planned and booked, no bytes moved.
+// 64x64 tile read, which should stay near zero (pooled scratch + caller-owned
+// assembly buffer). The phantom column read is the allocation gate's: 2048
+// pages planned and booked, no bytes moved.
 func BenchmarkReadPartitionAllocs(b *testing.B) {
 	b.Run("shape=col2048pages/phantom", func(b *testing.B) {
 		readColumn, _ := nds.PhantomPlane(b)
@@ -270,24 +267,19 @@ func BenchmarkReadPartitionAllocs(b *testing.B) {
 			readColumn()
 		}
 	})
-	for _, mode := range []struct {
-		name   string
-		scalar bool
-	}{{"path=batched", false}, {"path=scalar", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			st, v := allocSTL(b, mode.scalar)
-			buf := make([]byte, 64*64*4)
-			coord := []int64{1, 1}
-			sub := []int64{64, 64}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := st.ReadPartitionInto(0, v, coord, sub, buf); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("shape=tile64", func(b *testing.B) {
+		st, v := allocSTL(b)
+		buf := make([]byte, 64*64*4)
+		coord := []int64{1, 1}
+		sub := []int64{64, 64}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := st.ReadPartitionInto(0, v, coord, sub, buf); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkCachedReadAllocs measures a 1 MiB tile read on a device with a
@@ -331,9 +323,9 @@ func BenchmarkAgedOverwrite(b *testing.B) {
 }
 
 // BenchmarkWritePartitionAllocs measures per-request heap allocations of a
-// 64x64 tile overwrite (read-modify-write plus replacement allocation) on
-// both data paths, and of the allocation gate's phantom write of one building
-// block (256 units placed).
+// 64x64 tile overwrite (read-modify-write plus replacement allocation), and
+// of the allocation gate's phantom write of one building block (256 units
+// placed).
 func BenchmarkWritePartitionAllocs(b *testing.B) {
 	b.Run("size=256pages/phantom", func(b *testing.B) {
 		_, writeBlock := nds.PhantomPlane(b)
@@ -343,27 +335,22 @@ func BenchmarkWritePartitionAllocs(b *testing.B) {
 			writeBlock()
 		}
 	})
-	for _, mode := range []struct {
-		name   string
-		scalar bool
-	}{{"path=batched", false}, {"path=scalar", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			st, v := allocSTL(b, mode.scalar)
-			data := make([]byte, 64*64*4)
-			for i := range data {
-				data[i] = byte(3 * i)
+	b.Run("size=tile64", func(b *testing.B) {
+		st, v := allocSTL(b)
+		data := make([]byte, 64*64*4)
+		for i := range data {
+			data[i] = byte(3 * i)
+		}
+		coord := []int64{1, 1}
+		sub := []int64{64, 64}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := st.WritePartition(0, v, coord, sub, data); err != nil {
+				b.Fatal(err)
 			}
-			coord := []int64{1, 1}
-			sub := []int64{64, 64}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := st.WritePartition(0, v, coord, sub, data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // --- Ablations (DESIGN.md "Key design decisions"). ---

@@ -6,16 +6,49 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"nds/internal/spec"
 )
 
-// TestDifferentialConcurrentStreams runs the same 16-stream mixed read/write
-// workload against a batched-path device and a scalar-path device and
-// requires identical payload bytes and per-command statistics. Completion
-// times are not compared here: with concurrent streams the simulated schedule
-// depends on the wall-clock interleaving of the streams (equally so on both
-// paths), so time equivalence is asserted by the sequential differential
-// tests in internal/stl. Run under -race (CI does) this doubles as the race
-// check for the sharded device state and pooled request scratch.
+// tileImage is the model of a 1024x1024 space of 4-byte elements after the
+// writes the concurrent suites make: base (nil: none) over the whole space,
+// then the payload of each of its 256 64x64 tiles from payload(tile) — tiles
+// are disjoint, so the image does not depend on the order writes arrive in.
+func tileImage(t *testing.T, base []byte, payload func(tile int64) []byte) []byte {
+	t.Helper()
+	m := spec.New()
+	id, err := m.Create(4, []int64{1024, 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.Open(id, []int64{1024, 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != nil {
+		if err := v.Write([]int64{0, 0}, []int64{1024, 1024}, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tile := int64(0); tile < 256; tile++ {
+		if err := v.Write([]int64{tile / 16, tile % 16}, []int64{64, 64}, payload(tile)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := v.Read([]int64{0, 0}, []int64{1024, 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestDifferentialConcurrentStreams runs a 16-stream mixed read/write workload
+// and holds the final space to the model and every command's payload bytes,
+// pages and extents to the golden trace. Completion times are not traced:
+// with concurrent streams the simulated schedule depends on the wall-clock
+// interleaving of the streams, so time is pinned by the sequential scripts.
+// Run under -race (CI does) this doubles as the race check for the sharded
+// device state and pooled request scratch.
 func TestDifferentialConcurrentStreams(t *testing.T) {
 	const (
 		clients = 16
@@ -27,97 +60,90 @@ func TestDifferentialConcurrentStreams(t *testing.T) {
 		pages   int64
 		extents int
 	}
-	run := func(scalar bool) ([]cmdResult, []byte) {
-		d, err := Open(Options{Mode: ModeHardware, CapacityHint: 16 << 20, scalarDataPath: scalar})
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := d.CreateSpace(4, []int64{1024, 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed, err := d.OpenSpace(id, []int64{1024, 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := make([]byte, 1024*1024*4)
-		rand.New(rand.NewSource(11)).Read(base)
-		if _, err := seed.Write([]int64{0, 0}, []int64{1024, 1024}, base); err != nil {
-			t.Fatal(err)
-		}
-		if err := seed.Close(); err != nil {
-			t.Fatal(err)
-		}
+	tilePayload := func(tile int64) []byte {
+		p := make([]byte, tileB)
+		rand.New(rand.NewSource(tile)).Read(p)
+		return p
+	}
+	d := openTraced(t, Options{Mode: ModeHardware, CapacityHint: 16 << 20})
+	defer d.Close()
+	id, err := d.CreateSpace(4, []int64{1024, 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := d.OpenSpace(id, []int64{1024, 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := make([]byte, 1024*1024*4)
+	rand.New(rand.NewSource(11)).Read(base)
+	if _, err := seed.Write([]int64{0, 0}, []int64{1024, 1024}, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		results := make([]cmdResult, tiles*2) // per tile: one write, one read
-		var wg sync.WaitGroup
-		errs := make(chan error, clients)
-		per := tiles / clients
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				v, err := d.OpenSpace(id, []int64{1024, 1024})
+	results := make([]cmdResult, tiles*2) // per tile: one write, one read
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	per := tiles / clients
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			v, err := d.OpenSpace(id, []int64{1024, 1024})
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer v.Close()
+			buf := make([]byte, tileB)
+			for k := 0; k < per; k++ {
+				tile := int64(c*per + k)
+				coord := []int64{tile / 16, tile % 16}
+				payload := tilePayload(tile)
+				st, err := v.Write(coord, []int64{64, 64}, payload)
 				if err != nil {
-					errs <- err
+					errs <- fmt.Errorf("tile %d write: %w", tile, err)
 					return
 				}
-				defer v.Close()
-				buf := make([]byte, tileB)
-				payload := make([]byte, tileB)
-				for k := 0; k < per; k++ {
-					tile := int64(c*per + k)
-					coord := []int64{tile / 16, tile % 16}
-					rand.New(rand.NewSource(tile)).Read(payload)
-					st, err := v.Write(coord, []int64{64, 64}, payload)
-					if err != nil {
-						errs <- fmt.Errorf("tile %d write: %w", tile, err)
-						return
-					}
-					results[tile*2] = cmdResult{st.Bytes, st.Pages, st.Extents}
-					data, st, err := v.ReadInto(coord, []int64{64, 64}, buf)
-					if err != nil {
-						errs <- fmt.Errorf("tile %d read: %w", tile, err)
-						return
-					}
-					if !bytes.Equal(data, payload) {
-						errs <- fmt.Errorf("tile %d read back wrong bytes", tile)
-						return
-					}
-					results[tile*2+1] = cmdResult{st.Bytes, st.Pages, st.Extents}
+				results[tile*2] = cmdResult{st.Bytes, st.Pages, st.Extents}
+				data, st, err := v.ReadInto(coord, []int64{64, 64}, buf)
+				if err != nil {
+					errs <- fmt.Errorf("tile %d read: %w", tile, err)
+					return
 				}
-			}(c)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-
-		final, err := d.OpenSpace(id, []int64{1024, 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, _, err := final.Read([]int64{0, 0}, []int64{1024, 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := final.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return results, full
+				if !bytes.Equal(data, payload) {
+					errs <- fmt.Errorf("tile %d read back wrong bytes", tile)
+					return
+				}
+				results[tile*2+1] = cmdResult{st.Bytes, st.Pages, st.Extents}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 
-	batchedRes, batchedData := run(false)
-	scalarRes, scalarData := run(true)
-	for i := range batchedRes {
-		if batchedRes[i] != scalarRes[i] {
-			t.Errorf("command %d stats diverge: batched=%+v scalar=%+v", i, batchedRes[i], scalarRes[i])
-		}
+	final, err := d.OpenSpace(id, []int64{1024, 1024})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(batchedData, scalarData) {
-		t.Fatal("final space contents diverge between batched and scalar paths")
+	full, _, err := final.Read([]int64{0, 0}, []int64{1024, 1024})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(full, tileImage(t, base, tilePayload)) {
+		t.Fatal("final space contents diverge from the model")
+	}
+	var tr spec.Trace
+	for i, r := range results {
+		tr.Add("%s tile %d bytes=%d pages=%d extents=%d", [2]string{"write", "read"}[i%2], i/2, r.bytes, r.pages, r.extents)
+	}
+	tr.Check(t, "TestDifferentialConcurrentStreams")
 }
 
 // TestDifferentialConcurrentVsExclusiveWrites: lock modes must be
@@ -125,9 +151,9 @@ func TestDifferentialConcurrentStreams(t *testing.T) {
 // twice — once on the concurrent write path (per-space serialization,
 // background GC) and once with one write at a time (a test-local mutex around
 // every Write, SynchronousGC) — and both devices must end with exactly the
-// image the host computes. The payloads are keyed by tile, not
-// by arrival order, so the final image is interleaving-independent even
-// though the two runs schedule writes differently.
+// model's image. The payloads are keyed by tile, not by arrival order, so the
+// final image is interleaving-independent even though the two runs schedule
+// writes differently.
 func TestDifferentialConcurrentVsExclusiveWrites(t *testing.T) {
 	const (
 		clients = 16
@@ -214,26 +240,16 @@ func TestDifferentialConcurrentVsExclusiveWrites(t *testing.T) {
 		return full
 	}
 
-	// The host-side expected image: every tile holds its final-pass payload.
-	want := make([]byte, 1024*1024*4)
-	tilePayload := make([]byte, tileB)
-	for tile := int64(0); tile < tiles; tile++ {
-		rand.New(rand.NewSource(int64(passes-1)*tiles + tile)).Read(tilePayload)
-		lo := [2]int64{tile / grid * 64, tile % grid * 64}
-		for r := int64(0); r < 64; r++ {
-			row := ((lo[0]+r)*1024 + lo[1]) * 4
-			copy(want[row:row+64*4], tilePayload[r*64*4:(r+1)*64*4])
-		}
+	// Every tile holds its final pass's payload.
+	want := tileImage(t, nil, func(tile int64) []byte {
+		p := make([]byte, tileB)
+		rand.New(rand.NewSource(int64(passes-1)*tiles + tile)).Read(p)
+		return p
+	})
+	if !bytes.Equal(run(false), want) {
+		t.Error("concurrent write path diverged from the model")
 	}
-	concurrentImg := run(false)
-	serializedImg := run(true)
-	if !bytes.Equal(concurrentImg, want) {
-		t.Error("concurrent write path diverged from the host image")
-	}
-	if !bytes.Equal(serializedImg, want) {
-		t.Error("serialized write path diverged from the host image")
-	}
-	if !bytes.Equal(concurrentImg, serializedImg) {
-		t.Error("lock modes disagree on the final space contents")
+	if !bytes.Equal(run(true), want) {
+		t.Error("serialized write path diverged from the model")
 	}
 }

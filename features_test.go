@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"nds/internal/spec"
 )
 
 // TestEncryptedDevice: §5.3.3 through the public API — the data path is
@@ -201,5 +203,69 @@ func TestResizeThroughAPI(t *testing.T) {
 	}
 	if err := d.ResizeSpace(999, 10); err == nil {
 		t.Fatal("resize of unknown space accepted")
+	}
+}
+
+// TestResizeShrinkThenGrowThroughAPI: a space one building block tall, written
+// whole, shrunk to 97 rows and grown back reads zeros from row 97 on and its
+// bytes below, as the model says, on each configuration that keeps bytes its
+// own way.
+func TestResizeShrinkThenGrowThroughAPI(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{Mode: ModeHardware, CapacityHint: 8 << 20}},
+		{"write-buffered", Options{Mode: ModeHardware, CapacityHint: 8 << 20, WriteBuffering: true}},
+		{"compressed", Options{Mode: ModeHardware, CapacityHint: 8 << 20, Compress: true}},
+		{"cached", Options{Mode: ModeHardware, CapacityHint: 8 << 20, CacheBytes: 4 << 20}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			d, err := Open(cfg.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			id, err := d.CreateSpace(4, []int64{128, 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info, _ := d.Inspect(id); info.BlockDims[0] < 128 {
+				t.Fatalf("blocks of %v rows: the space is more than one block tall", info.BlockDims)
+			}
+			m := spec.New()
+			mid, _ := m.Create(4, []int64{128, 128})
+			data := make([]byte, 128*128*4)
+			rand.New(rand.NewSource(97)).Read(data)
+			sp, err := d.OpenSpace(id, []int64{128, 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sp.Write([]int64{0, 0}, []int64{128, 128}, data); err != nil {
+				t.Fatal(err)
+			}
+			mv, _ := m.Open(mid, []int64{128, 128})
+			mv.Write([]int64{0, 0}, []int64{128, 128}, data)
+			if _, _, err := sp.Read([]int64{0, 0}, []int64{128, 128}); err != nil { // warms the cache
+				t.Fatal(err)
+			}
+			for _, rows := range []int64{97, 128} {
+				if err := d.ResizeSpace(id, rows); err != nil {
+					t.Fatal(err)
+				}
+				m.Resize(mid, rows)
+			}
+			if sp, err = d.OpenSpace(id, []int64{128, 128}); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := sp.Read([]int64{0, 0}, []int64{128, 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mv, _ = m.Open(mid, []int64{128, 128})
+			if want, _ := mv.Read([]int64{0, 0}, []int64{128, 128}); !bytes.Equal(got, want) {
+				t.Fatalf("byte %d (row %d) differs from the model's", firstDiff(got, want), firstDiff(got, want)/(128*4))
+			}
+		})
 	}
 }

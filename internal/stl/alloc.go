@@ -82,9 +82,9 @@ func (d *die) carvable(pagesPerBlock int) bool {
 func (t *STL) die(channel, bank int) *die { return t.dies[channel*t.geo.Banks+bank] }
 
 // allocCtx carries the per-request context that allocation and garbage
-// collection need: the deferred-program flush hook (the batched write path
-// and Flush install it so their queued programs land before GC
-// issues any device operation, preserving scalar issue order), and the space
+// collection need: the deferred-program flush hook (the write path, a
+// compressed block's store and Flush install it so their queued programs land
+// before GC issues any device operation, keeping the issue order), and the space
 // whose write lock the request already holds (so an inline GC commit treats
 // it as owned instead of try-locking it against itself).
 type allocCtx struct {
@@ -158,7 +158,7 @@ func (t *STL) takeUnitInline(at sim.Time, d *die, channel, bank int, ac *allocCt
 }
 
 // reclaim is the synchronous-mode collection step: drain any deferred
-// program batch (so GC's device operations keep scalar issue order), then
+// program batch (so GC's device operations keep the issue order), then
 // collect the die toward target.
 func (t *STL) reclaim(at sim.Time, channel, bank int, ac *allocCtx, target int64) (sim.Time, error) {
 	if ac != nil && ac.flush != nil {

@@ -36,17 +36,17 @@ import (
 // and the request's flush, Flush and the collector differ from one another
 // only in what they queue and in what they do with the ops it could not land.
 //
-// The path is timing-transparent: batching only ever *delays* device
-// operations relative to the scalar loop, never reorders them. A deferred
-// program batch is flushed at exactly the points where the scalar path would
-// have issued those programs before the next device operation — before any
-// read-modify-write page read, before garbage collection runs (via the
-// request's allocCtx flush hook), before a compressed block is materialized,
-// and at request end. Because sim.Resource reservations depend only on the order and
-// arguments of Acquire calls, identical issue order means bit-identical
-// completion times; the differential tests in stl hold the two paths to that.
-// The scalar reference (io.go, Config.ScalarPath) is selected at one read
-// site, inside ReadPartitionSegments, and one write site, WritePartition.
+// Batching delays device operations and never reorders them: a deferred
+// program batch lands at every point where its programs must precede the next
+// device operation — before any read-modify-write page read, before garbage
+// collection runs (the request's allocCtx flush hook), before a compressed
+// block is materialized, and at request end — so the device sees the
+// operations in the order a page-at-a-time loop would issue them. Because
+// sim.Resource reservations depend only on the order and arguments of Acquire
+// calls, that order fixes every completion time. The golden traces
+// (DESIGN.md "Correctness: model and goldens") pin those times, written when
+// the page-at-a-time reference still existed and equal to it; the model of
+// spaces (internal/spec) holds the bytes.
 
 // ReadPartition reads the partition at coord/sub of view v, assembling the
 // result in the partition's own row-major layout (§4.4). All page reads are
@@ -106,8 +106,6 @@ func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []by
 			return at, RequestStats{}, fmt.Errorf("stl: compressed writes need payload data: %w", ErrInvalid)
 		}
 		done, stats, err = t.writeCompressed(at, v, coord, sub, data)
-	case t.cfg.ScalarPath:
-		done, stats, err = t.writePartitionScalar(at, v, coord, sub, data)
 	default:
 		done, stats, err = t.writePartitionBatched(at, v, coord, sub, data)
 	}
@@ -149,7 +147,7 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 	// noted here, on its block's chain: the flush asks the cache about each
 	// block once and queues what it does not hold. Compressed blocks are
 	// device operations of their own (the block is the decompression unit), so
-	// the queued batch drains before each materialization to keep scalar issue
+	// the queued batch drains before each materialization to keep the issue
 	// order. Only write buffering stages pages, so only then is an unallocated
 	// page worth a look in the staging map.
 	refs := !t.dev.Phantom()
@@ -232,34 +230,37 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 	return want, done, nil
 }
 
-// writePartitionBatched is the write path: book first, fill last. Pass 1 groups
-// the extents by destination page. Pass 2 settles every page's bookkeeping in
-// stage order — invalidate the old unit, carve the replacement (collecting
-// inline where the die asks for it), draw a frame, bind, queue the program — and
-// moves no payload: a page that is not a read-modify-write is only noted as a
-// pending fill. The bytes move in bursts of nothing but copies, every
-// fillBurst pages and at the head of flushPrograms, so a queued op's frame is
-// undefined until the flush that programs it (DESIGN.md "Frame ownership"). A
-// read-modify-write page is the exception and is assembled on the spot: the
-// old page it starts from aliases a device frame that the invalidate and
-// collection that follow may erase.
+// writePartitionBatched translates the partition and writes it (writeExtents).
 func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, data []byte) (sim.Time, RequestStats, error) {
-	var stats RequestStats
-	s := v.space
-	rs := t.getScratch(s)
+	rs := t.getScratch(v.space)
 	defer t.putScratch(rs)
 	exts, want, err := rs.translate(v, coord, sub)
 	if err != nil {
-		return at, stats, err
+		return at, RequestStats{}, err
 	}
 	if data != nil && int64(len(data)) != want {
-		return at, stats, fmt.Errorf("stl: write payload is %d bytes, partition needs %d: %w", len(data), want, ErrInvalid)
+		return at, RequestStats{}, fmt.Errorf("stl: write payload is %d bytes, partition needs %d: %w", len(data), want, ErrInvalid)
 	}
 	if data == nil && !t.dev.Phantom() {
-		return at, stats, fmt.Errorf("stl: nil payload on a data-bearing device: %w", ErrInvalid)
+		return at, RequestStats{}, fmt.Errorf("stl: nil payload on a data-bearing device: %w", ErrInvalid)
 	}
-	stats.Extents = len(exts)
-	stats.Bytes = want
+	return t.writeExtents(rs, at, exts, want, data)
+}
+
+// writeExtents writes data, want bytes, over exts (rs.exts, in Dst order) of
+// rs.space: book first, fill last. Pass 1 groups the extents by destination
+// page. Pass 2 settles every page's bookkeeping in stage order — invalidate the
+// old unit, carve the replacement (collecting inline where the die asks for
+// it), draw a frame, bind, queue the program — and moves no payload: a page
+// that is not a read-modify-write is only noted as a pending fill. The bytes
+// move in bursts of nothing but copies, every fillBurst pages and at the head
+// of flushPrograms, so a queued op's frame is undefined until the flush that
+// programs it (DESIGN.md "Frame ownership"). A read-modify-write page is the
+// exception and is assembled on the spot: the old page it starts from aliases
+// a device frame that the invalidate and collection that follow may erase.
+func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want int64, data []byte) (sim.Time, RequestStats, error) {
+	stats := RequestStats{Extents: len(exts), Bytes: want}
+	s := rs.space
 	rs.payload = data
 
 	ps := int64(t.geo.PageSize)
@@ -293,9 +294,17 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 
 	// Pass 2: read-modify-write partially covered pages, allocate units, and
 	// accumulate programs into a batch that drains at the flush points (RMW
-	// reads, GC via the allocCtx flush hook, staged programs, request end).
+	// reads, GC via the allocCtx flush hook, request end).
 	done := at
 	ac := &allocCtx{flush: func() error { return t.flushPrograms(rs, &done, &stats) }, held: s}
+	// abort lands anything already queued, so STL and device state agree, and
+	// fails the request with err.
+	abort := func(err error) (sim.Time, RequestStats, error) {
+		if ferr := t.flushPrograms(rs, &done, &stats); ferr != nil {
+			return at, stats, ferr
+		}
+		return at, stats, err
+	}
 	hasData := !t.dev.Phantom()
 	for si := range rs.stages {
 		st := &rs.stages[si]
@@ -311,15 +320,10 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 				t.stageWrite(s, st.blockIdx, st.page, off, chunk, n)
 			}
 			if pp := t.takeIfFull(s, st.blockIdx, st.page, pb); pp != nil {
-				if err := t.flushPrograms(rs, &done, &stats); err != nil {
-					return at, stats, err
-				}
-				d, err := t.programStaged(at, s, st.blockIdx, st.blk, st.page, pp, ac)
-				if err != nil {
-					return at, stats, err
+				if err := t.queueStaged(rs, at, st, pp, ac); err != nil {
+					return abort(err)
 				}
 				stats.PagesProgrammed++
-				done = sim.Max(done, d)
 			}
 			continue
 		}
@@ -357,7 +361,10 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 			t.dev.Recycle(frame)
 			continue
 		}
-		var unit nvm.PPA
+		var (
+			unit nvm.PPA
+			err  error
+		)
 		if slot.allocated() {
 			t.invalidateUnit(slot.word())
 			unit, ready, err = t.allocateReplacement(ready, slot.word(), ac)
@@ -366,11 +373,7 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 		}
 		if err != nil {
 			t.dev.Recycle(frame) // a read-modify-write page's; no other page has drawn one yet
-			// Land anything already queued so STL and device state agree.
-			if ferr := t.flushPrograms(rs, &done, &stats); ferr != nil {
-				return at, stats, ferr
-			}
-			return at, stats, err
+			return abort(err)
 		}
 		// Any other page's frame is drawn only now that the page has a unit, and
 		// holds nothing until a fill.

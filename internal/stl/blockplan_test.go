@@ -1,7 +1,6 @@
 package stl
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -54,94 +53,49 @@ func (o *oneScratch) run(st *STL, op func()) {
 // whose rows alternate between two blocks (every extent misses the last-hit
 // memo), requests on the small blocks straight after the large ones and back,
 // and a write that runs out of capacity after its plan is built — and every
-// read returns the scalar twin's bytes. A table left dirty by putScratch, or
-// reused at the previous space's length, shows as wrong bytes or an index
-// out of range.
+// read returns the model's bytes (the golden trace's, for the space the failed
+// write left part-written). A table left dirty by putScratch, or reused at the
+// previous space's length, shows as wrong bytes or an index out of range.
 func TestBlockPlanTablesAcrossSpaces(t *testing.T) {
 	// BB_min = 16 channels x 512 B = 8 KiB; with multiplier 4 a 2-D float32
 	// block is 256x256 (512 pages) and a 1-D one 8192 elements (64 pages).
 	geo := nvm.Geometry{Channels: 16, Banks: 2, BlocksPerBank: 4, PagesPerBlock: 64, PageSize: 512}
-	type twin struct {
-		st            *STL
-		big, small, c *View
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mk := func(scalar bool) twin {
-		dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.BBMultiplier = 4
-		cfg.ScalarPath = scalar
-		st, err := New(dev, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		view := func(dims ...int64) *View {
-			s, err := st.CreateSpace(4, dims)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := NewView(s, dims)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return v
-		}
-		return twin{st, view(512, 512), view(32768), view(1024, 1024)}
+	cfg := DefaultConfig()
+	cfg.BBMultiplier = 4
+	sc := newScript(t, dev, cfg)
+	spaces := []*checked{
+		sc.space(t, 4, []int64{512, 512}, []int64{512, 512}),
+		sc.space(t, 4, []int64{32768}, []int64{32768}),
+		sc.space(t, 4, []int64{1024, 1024}, []int64{1024, 1024}),
 	}
-	ref, got := mk(true), mk(false)
-	if b, s := got.big.space.pagesPerBB, got.small.space.pagesPerBB; b != 512 || s != 64 {
+	if b, s := spaces[0].v.space.pagesPerBB, spaces[1].v.space.pagesPerBB; b != 512 || s != 64 {
 		t.Fatalf("blocks have %d and %d pages, the test wants 512 and 64", b, s)
 	}
 
+	const big, small, huge = 0, 1, 2
 	one := oneScratch{rs: &requestScratch{}}
+	sc.lend = func(request func()) { one.run(sc.st, request) }
 	rng := rand.New(rand.NewSource(16))
-	pick := func(tw twin, which int) *View { return []*View{tw.big, tw.small, tw.c}[which] }
 	var at sim.Time
-	write := func(which int, coord, sub []int64, bytesLen int) error {
+	partWritten := false // the huge space, after its failed write
+	write := func(which int, coord, sub []int64, bytesLen int) (err error) {
 		data := make([]byte, bytesLen)
 		rng.Read(data)
-		dR, sR, errR := ref.st.WritePartition(at, pick(ref, which), coord, sub, data)
-		var (
-			dG   sim.Time
-			sG   RequestStats
-			errG error
-		)
-		one.run(got.st, func() { dG, sG, errG = got.st.WritePartition(at, pick(got, which), coord, sub, data) })
-		if (errR == nil) != (errG == nil) {
-			t.Fatalf("write %v/%v: scalar err=%v batched err=%v", coord, sub, errR, errG)
-		}
-		if errR == nil {
-			if dR != dG || sR != sG {
-				t.Fatalf("write %v/%v: scalar (%d, %+v) batched (%d, %+v)", coord, sub, dR, sR, dG, sG)
-			}
-			at = dR
-		}
-		return errG
+		at, err = sc.write(t, at, spaces[which], coord, sub, data)
+		return err
 	}
 	read := func(which int, coord, sub []int64) {
 		t.Helper()
-		bufR, dR, sR, errR := ref.st.ReadPartition(at, pick(ref, which), coord, sub)
-		var (
-			bufG []byte
-			dG   sim.Time
-			sG   RequestStats
-			errG error
-		)
-		one.run(got.st, func() { bufG, dG, sG, errG = got.st.ReadPartition(at, pick(got, which), coord, sub) })
-		if errR != nil || errG != nil {
-			t.Fatalf("read %v/%v: scalar err=%v batched err=%v", coord, sub, errR, errG)
+		if partWritten && which == huge {
+			at = sc.readPinned(t, at, spaces[which], coord, sub)
+		} else {
+			at = sc.read(t, at, spaces[which], coord, sub)
 		}
-		if dR != dG || sR != sG {
-			t.Fatalf("read %v/%v: scalar (%d, %+v) batched (%d, %+v)", coord, sub, dR, sR, dG, sG)
-		}
-		if !bytes.Equal(bufR, bufG) {
-			t.Fatalf("read %v/%v of space %d: bytes differ from the scalar twin's", coord, sub, which)
-		}
-		at = dR
 	}
-	const big, small, huge = 0, 1, 2
 	// A 48-wide column at columns 240..287 straddles the two block columns:
 	// each of its 512 rows is an extent in one block, then one in the other.
 	column := func() { read(big, []int64{0, 5}, []int64{512, 48}) }
@@ -181,6 +135,7 @@ func TestBlockPlanTablesAcrossSpaces(t *testing.T) {
 	if err := write(huge, []int64{0, 0}, []int64{1024, 1024}, 1024*1024*4); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("oversized write: got %v, want ErrCapacity", err)
 	}
+	partWritten = true
 	column()
 	read(small, []int64{0}, []int64{32768})
 	read(big, []int64{0, 0}, []int64{512, 512})
@@ -196,4 +151,5 @@ func TestBlockPlanTablesAcrossSpaces(t *testing.T) {
 	if one.returned < floor {
 		t.Fatalf("only %d of %d requests put the shared scratch back", one.returned, one.lent)
 	}
+	sc.golden(t, "TestBlockPlanTablesAcrossSpaces")
 }

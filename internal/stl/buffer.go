@@ -208,9 +208,7 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 			t.dev.Recycle(pp.buf)
 			continue
 		}
-		gcoord := make([]int64, len(s.grid))
-		s.GridCoord(k.block, gcoord)
-		blk, _ := t.block(s, gcoord, true)
+		blk := t.blockAt(s, k.block, true)
 		dst, ready, err := t.allocateUnit(at, s, blk, ac)
 		if err != nil {
 			fail(k, err)
@@ -236,26 +234,24 @@ func lessKey(a, b pendingKey) bool {
 	return a.page < b.page
 }
 
-// programStaged writes a staged page to a fresh unit. Inline path for pages
-// that fill mid-request (takeIfFull); Flush queues its pages into one batch
-// instead. The page has left the pending map and this program copies, so its
-// staging frame goes back to the arena whatever the outcome.
-func (t *STL) programStaged(at sim.Time, s *Space, blockIdx int64, blk *BuildingBlock, page int, pp *pendingPage, ac *allocCtx) (sim.Time, error) {
-	defer t.dev.Recycle(pp.buf)
-	pb := s.pageBytes(t.geo, page)
-	if t.cfg.ZeroPageElision && pp.buf != nil && allZero(pp.buf[:pb]) {
+// queueStaged queues page st, staged and full since this request
+// (takeIfFull), on the request's batch like its own pages: the staging frame
+// goes to the device Owned, or back to the arena if the op never lands. Under
+// §8 elision an all-zero page programs nothing and its frame goes back now.
+func (t *STL) queueStaged(rs *requestScratch, at sim.Time, st *writeStage, pp *pendingPage, ac *allocCtx) error {
+	s := rs.space
+	if t.cfg.ZeroPageElision && pp.buf != nil && allZero(pp.buf[:s.pageBytes(t.geo, st.page)]) {
 		t.zeroSkipped.Add(1)
-		return at, nil
+		t.dev.Recycle(pp.buf)
+		return nil
 	}
-	dst, ready, err := t.allocateUnit(at, s, blk, ac)
+	unit, ready, err := t.allocateUnit(at, s, st.blk, ac)
 	if err != nil {
-		return at, err
+		t.dev.Recycle(pp.buf)
+		return err
 	}
-	dst, d, err := t.programWithRecovery(ready, dst, pp.buf, nil)
-	if err != nil {
-		return at, err
-	}
-	t.bindUnit(s, blk, blockIdx, page, dst)
+	rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: unit, Data: pp.buf, Owned: true})
+	t.bindUnit(s, st.blk, st.blockIdx, st.page, unit)
 	t.progs.Add(1)
-	return d, nil
+	return nil
 }

@@ -61,8 +61,8 @@ import (
 // cache in one critical section (lookupWanted), and a flush's fills go in by
 // runs of one block (fillPages). The decisions and their order — which page
 // hits, which fill creates an entry, what CLOCK then evicts — are those of
-// asking page by page, as the scalar reference (io.go) still does through
-// lookup and fill.
+// asking page by page; the cached configurations' golden traces, written by a
+// page-at-a-time reference, pin them.
 //
 // With Config.CacheBytes zero the STL carries a nil cache and every hook is a
 // single nil check: the device is bit- and simulated-time-identical to one
@@ -239,20 +239,6 @@ func (c *blockCache) create(sh *cacheShard, s *Space, k cacheKey) *cacheEntry {
 	return e
 }
 
-// lookup serves page `page` of building block (s, block): one cache
-// transaction for one page, which is how the scalar reference reads. pb is
-// the page's payload size (s.pageBytes(geo, page)).
-func (c *blockCache) lookup(s *Space, block int64, page int, pb int64) ([]byte, sim.Time, bool) {
-	if !c.cacheable(s) {
-		return nil, 0, false
-	}
-	k := cacheKey{s.id, block}
-	sh := c.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.hit(sh.entries[k], page, pb)
-}
-
 // lookupWanted puts the wanted pages to the cache, one transaction per block:
 // hits are resolved into pageData and summed into hitBytes/readyMax, misses
 // join the device batch in the order they were met.
@@ -296,14 +282,6 @@ func (t *STL) lookupWanted(rs *requestScratch, stats *RequestStats) {
 		stats.PagesRead++
 	}
 	rs.want = rs.want[:0]
-}
-
-// fill installs one page of building block (s, block): the scalar
-// reference's one-page fillPages.
-func (c *blockCache) fill(s *Space, block int64, page int, data []byte, ready sim.Time, prefetched bool) {
-	if c.cacheable(s) {
-		c.fillPages(s, []pageKey{{block, page}}, [][]byte{data}, ready, prefetched)
-	}
 }
 
 // fillPages installs datas[i] as page keys[i] of s, which the caller has found

@@ -2,10 +2,12 @@ package stl
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"fmt"
 	"io"
 
+	"nds/internal/nvm"
 	"nds/internal/sim"
 )
 
@@ -47,9 +49,6 @@ func (t *STL) compressImage(s *Space, image []byte) []byte {
 // time covers the page reads.
 func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *RequestStats) ([]byte, sim.Time, error) {
 	done := at
-	if blk == nil {
-		return make([]byte, s.bbBytes), done, nil
-	}
 	if blk.compressed {
 		comp := make([]byte, 0, blk.compLen)
 		for i := 0; i < blk.physPages; i++ {
@@ -112,7 +111,8 @@ func (t *STL) dropAllUnits(blk *BuildingBlock) {
 }
 
 // storeBlockImage writes a block image, compressed when profitable, raw
-// otherwise, allocating fresh units under the §4.2 policy.
+// otherwise, allocating fresh units under the §4.2 policy; its programs queue
+// and land like the write path's (at the allocCtx flush hook and the end).
 func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *BuildingBlock, image []byte, stats *RequestStats) (sim.Time, error) {
 	t.dropAllUnits(blk)
 	ps := int64(t.geo.PageSize)
@@ -126,45 +126,48 @@ func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *Buildi
 	pages := int(ceilDiv(int64(len(payload)), ps))
 	blk.physPages = pages
 	done := at
-	ac := &allocCtx{held: s}
+	var ops []nvm.ProgramOp
+	land := func() error {
+		d, landed, retries, err := t.landPrograms(ops, t.rebindFaulted)
+		done = sim.Max(done, d)
+		stats.ProgramRetries += retries
+		t.unbindOps(ops[landed:])
+		ops = ops[:0]
+		return err
+	}
+	ac := &allocCtx{flush: land, held: s}
 	for i := 0; i < pages; i++ {
 		dst, ready, err := t.allocateUnit(at, s, blk, ac)
 		if err != nil {
-			return done, err
+			ferr := land() // what is queued lands first
+			return done, cmp.Or(ferr, err)
 		}
 		lo := int64(i) * ps
-		hi := min64(lo+ps, int64(len(payload)))
-		dst, d, err := t.programWithRecovery(ready, dst, payload[lo:hi], stats)
-		if err != nil {
-			return done, err
-		}
+		ops = append(ops, nvm.ProgramOp{At: ready, P: dst, Data: payload[lo:min64(lo+ps, int64(len(payload)))]})
 		t.bindUnit(s, blk, blockIdx, i, dst)
 		t.progs.Add(1)
 		stats.PagesProgrammed++
-		done = sim.Max(done, d)
 	}
-	return done, nil
+	return done, land()
 }
 
 // writeCompressed is the Config.Compress write path: block-granular
 // read-modify-write with per-block compression.
 func (t *STL) writeCompressed(at sim.Time, v *View, coord, sub []int64, data []byte) (sim.Time, RequestStats, error) {
-	var stats RequestStats
 	exts, err := v.Extents(coord, sub)
 	if err != nil {
-		return at, stats, err
+		return at, RequestStats{}, err
 	}
-	s := v.space
-	_, elems, err := v.PartitionShape(coord, sub)
-	if err != nil {
-		return at, stats, err
+	// The extents tile the partition in Dst order.
+	if last := exts[len(exts)-1]; int64(len(data)) != last.Dst+last.Len {
+		return at, RequestStats{}, fmt.Errorf("stl: write payload is %d bytes, partition needs %d: %w", len(data), last.Dst+last.Len, ErrInvalid)
 	}
-	want := elems * int64(s.elemSize)
-	if int64(len(data)) != want {
-		return at, stats, fmt.Errorf("stl: write payload is %d bytes, partition needs %d: %w", len(data), want, ErrInvalid)
-	}
-	stats.Extents = len(exts)
-	stats.Bytes = want
+	return t.writeCompressedExtents(at, v.space, exts, data)
+}
+
+// writeCompressedExtents writes data over exts of s, a block at a time.
+func (t *STL) writeCompressedExtents(at sim.Time, s *Space, exts []Extent, data []byte) (sim.Time, RequestStats, error) {
+	stats := RequestStats{Extents: len(exts), Bytes: int64(len(data))}
 
 	// Group extents by block, preserving first-touch order.
 	perBlock := make(map[int64][]int)
@@ -192,7 +195,10 @@ func (t *STL) writeCompressed(at sim.Time, v *View, coord, sub []int64, data []b
 			return covered == s.bbBytes
 		}()
 
-		var image []byte
+		var (
+			image []byte
+			err   error
+		)
 		ready := at
 		if fullyCovered {
 			image = make([]byte, s.bbBytes)

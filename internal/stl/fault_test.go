@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nds/internal/nvm"
-	"nds/internal/sim"
 )
 
 func newFaultSTL(t *testing.T, geo nvm.Geometry, cfg Config, plan nvm.FaultPlan) *STL {
@@ -24,92 +23,79 @@ func newFaultSTL(t *testing.T, geo nvm.Geometry, cfg Config, plan nvm.FaultPlan)
 }
 
 // TestFaultProgramRetryPreservesData: injected program faults are absorbed by
-// relocation on both the scalar and batched write paths — the data reads back
-// intact and the recovery counters record the work.
+// relocation — the data reads back intact and the recovery counters record
+// the work.
 func TestFaultProgramRetryPreservesData(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		scalar bool
-	}{{"batched", false}, {"scalar", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 16, PagesPerBlock: 8, PageSize: 512}
-			cfg := DefaultConfig()
-			cfg.OverProvision = 0.2
-			cfg.ScalarPath = tc.scalar
-			st := newFaultSTL(t, geo, cfg, nvm.FaultPlan{Seed: 9, ProgramFailEvery: 12})
+	t.Run("batched", func(t *testing.T) {
+		geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 16, PagesPerBlock: 8, PageSize: 512}
+		cfg := DefaultConfig()
+		cfg.OverProvision = 0.2
+		st := newFaultSTL(t, geo, cfg, nvm.FaultPlan{Seed: 9, ProgramFailEvery: 12})
 
-			s, err := st.CreateSpace(4, []int64{160, 160})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := NewView(s, []int64{160, 160})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(8))
-			data := fillRandom(rng, s.Bytes())
-			_, stats, err := st.WritePartition(0, v, []int64{0, 0}, []int64{160, 160}, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.ProgramRetries == 0 {
-				t.Fatal("no program retries recorded in RequestStats despite fault plan")
-			}
+		s, err := st.CreateSpace(4, []int64{160, 160})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewView(s, []int64{160, 160})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(8))
+		data := fillRandom(rng, s.Bytes())
+		_, stats, err := st.WritePartition(0, v, []int64{0, 0}, []int64{160, 160}, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ProgramRetries == 0 {
+			t.Fatal("no program retries recorded in RequestStats despite fault plan")
+		}
 
-			got, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, []int64{160, 160})
-			if err != nil {
-				t.Fatal(err)
+		got, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, []int64{160, 160})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != data[i] {
+				t.Fatalf("byte %d corrupted across program-fault recovery", i)
 			}
-			for i := range got {
-				if got[i] != data[i] {
-					t.Fatalf("byte %d corrupted across program-fault recovery", i)
-				}
-			}
-			r := st.Reliability()
-			if r.ProgramFaults == 0 || r.ProgramRetries == 0 || r.RetiredBlocks == 0 {
-				t.Fatalf("recovery counters empty: %+v", r)
-			}
-			if r.ProgramRetries != r.ProgramFaults {
-				t.Fatalf("%d faults but %d successful relocations", r.ProgramFaults, r.ProgramRetries)
-			}
-			if r.RetiredPages != r.RetiredBlocks*int64(geo.PagesPerBlock) {
-				t.Fatalf("retired %d blocks but %d pages", r.RetiredBlocks, r.RetiredPages)
-			}
-			if r.EffectivePages > r.MaxPages {
-				t.Fatalf("effective capacity %d above budget %d", r.EffectivePages, r.MaxPages)
-			}
-		})
-	}
+		}
+		r := st.Reliability()
+		if r.ProgramFaults == 0 || r.ProgramRetries == 0 || r.RetiredBlocks == 0 {
+			t.Fatalf("recovery counters empty: %+v", r)
+		}
+		if r.ProgramRetries != r.ProgramFaults {
+			t.Fatalf("%d faults but %d successful relocations", r.ProgramFaults, r.ProgramRetries)
+		}
+		if r.RetiredPages != r.RetiredBlocks*int64(geo.PagesPerBlock) {
+			t.Fatalf("retired %d blocks but %d pages", r.RetiredBlocks, r.RetiredPages)
+		}
+		if r.EffectivePages > r.MaxPages {
+			t.Fatalf("effective capacity %d above budget %d", r.EffectivePages, r.MaxPages)
+		}
+	})
 }
 
 // TestProgramRetryExhaustionFault: when every program attempt fails, recovery
-// gives up with ErrMedia instead of looping forever, on both write paths.
+// gives up with ErrMedia instead of looping forever.
 func TestProgramRetryExhaustionFault(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		scalar bool
-	}{{"batched", false}, {"scalar", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}
-			cfg := DefaultConfig()
-			cfg.ScalarPath = tc.scalar
-			st := newFaultSTL(t, geo, cfg, nvm.FaultPlan{Seed: 3, ProgramFailEvery: 1})
+	t.Run("batched", func(t *testing.T) {
+		geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}
+		st := newFaultSTL(t, geo, DefaultConfig(), nvm.FaultPlan{Seed: 3, ProgramFailEvery: 1})
 
-			s, err := st.CreateSpace(4, []int64{32, 32})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := NewView(s, []int64{32, 32})
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := make([]byte, s.Bytes())
-			_, _, err = st.WritePartition(0, v, []int64{0, 0}, []int64{32, 32}, data)
-			if !errors.Is(err, ErrMedia) {
-				t.Fatalf("want ErrMedia after retry exhaustion, got %v", err)
-			}
-		})
-	}
+		s, err := st.CreateSpace(4, []int64{32, 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := NewView(s, []int64{32, 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, s.Bytes())
+		_, _, err = st.WritePartition(0, v, []int64{0, 0}, []int64{32, 32}, data)
+		if !errors.Is(err, ErrMedia) {
+			t.Fatalf("want ErrMedia after retry exhaustion, got %v", err)
+		}
+	})
 }
 
 // TestFaultEraseRetiresVictimDuringGC: a GC erase that faults retires the
@@ -397,98 +383,60 @@ func TestFlushRecoveryDrainsPending(t *testing.T) {
 }
 
 // faultMatrixRun drives one STL instance through a fixed mixed workload under
-// a full fault plan and returns the final image, every completion time, and
-// the reliability report.
-func faultMatrixRun(t *testing.T, scalar bool) ([]byte, []sim.Time, ReliabilityReport) {
+// a full fault plan, every read checked against the model, and returns the
+// script with its trace.
+func faultMatrixRun(t *testing.T) *script {
 	t.Helper()
 	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 8, PagesPerBlock: 8, PageSize: 512}
-	cfg := DefaultConfig()
-	cfg.ScalarPath = scalar
-	plan := nvm.FaultPlan{
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.SetFaultPlan(nvm.FaultPlan{
 		Seed:             101,
 		ProgramFailEvery: 250,
 		EraseFailEvery:   8,
 		ReadRetryEvery:   7,
 		EnduranceLimit:   200,
-	}
-	st := newFaultSTL(t, geo, cfg, plan)
-
-	s, err := st.CreateSpace(4, []int64{160, 160})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewView(s, []int64{160, 160})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	sc := newScript(t, dev, DefaultConfig())
+	c := sc.space(t, 4, []int64{160, 160}, []int64{160, 160})
 	rng := rand.New(rand.NewSource(77))
-	var times []sim.Time
-
-	whole := fillRandom(rng, s.Bytes())
-	done, _, err := st.WritePartition(0, v, []int64{0, 0}, []int64{160, 160}, whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times = append(times, done)
-
+	sc.mustWrite(t, 0, c, []int64{0, 0}, []int64{160, 160}, fillRandom(rng, 160*160*4))
 	for i := 0; i < 25; i++ {
 		sub := []int64{1 + rng.Int63n(64), 1 + rng.Int63n(64)}
 		coord := []int64{rng.Int63n(160 / sub[0]), rng.Int63n(160 / sub[1])}
-		_, n, err := v.PartitionShape(coord, sub)
+		_, n, err := c.v.PartitionShape(coord, sub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		done, _, err := st.WritePartition(0, v, coord, sub, fillRandom(rng, n*4))
-		if err != nil {
-			t.Fatalf("matrix write %d: %v", i, err)
-		}
-		times = append(times, done)
-		_, rdone, _, err := st.ReadPartition(0, v, coord, sub)
-		if err != nil {
-			t.Fatalf("matrix read %d: %v", i, err)
-		}
-		times = append(times, rdone)
+		sc.mustWrite(t, 0, c, coord, sub, fillRandom(rng, n*4))
+		sc.read(t, 0, c, coord, sub)
 	}
-
-	img, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, []int64{160, 160})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return img, times, st.Reliability()
+	sc.read(t, 0, c, []int64{0, 0}, []int64{160, 160})
+	return sc
 }
 
 // TestFaultMatrixDeterministic: the same seeded fault plan over the same
 // mixed workload replays identically — bytes, completion times, and the full
-// reliability report — and actually exercises every fault class it enables.
+// reliability report, run against run and against the golden trace — and
+// actually exercises every fault class it enables.
 func TestFaultMatrixDeterministic(t *testing.T) {
-	img1, times1, r1 := faultMatrixRun(t, false)
-	img2, times2, r2 := faultMatrixRun(t, false)
-
-	if r1 != r2 {
-		t.Fatalf("reliability reports diverged:\n%+v\n%+v", r1, r2)
+	first, second := faultMatrixRun(t), faultMatrixRun(t)
+	if a, b := first.tr.String(), second.tr.String(); a != b {
+		t.Fatalf("two runs traced differently:\n%s\n%s", a, b)
 	}
-	if len(times1) != len(times2) {
-		t.Fatalf("op counts diverged: %d vs %d", len(times1), len(times2))
+	r := first.st.Reliability()
+	if r2 := second.st.Reliability(); r != r2 {
+		t.Fatalf("reliability reports diverged:\n%+v\n%+v", r, r2)
 	}
-	for i := range times1 {
-		if times1[i] != times2[i] {
-			t.Fatalf("op %d completed at %v vs %v", i, times1[i], times2[i])
-		}
+	if r.ProgramFaults == 0 || r.EraseFaults == 0 || r.ReadRetries == 0 {
+		t.Fatalf("fault matrix left a class unexercised: %+v", r)
 	}
-	if len(img1) != len(img2) {
-		t.Fatal("image sizes diverged")
+	if r.ProgramRetries == 0 || r.RetiredBlocks == 0 {
+		t.Fatalf("recovery never ran: %+v", r)
 	}
-	for i := range img1 {
-		if img1[i] != img2[i] {
-			t.Fatalf("byte %d diverged between identical runs", i)
-		}
-	}
-	if r1.ProgramFaults == 0 || r1.EraseFaults == 0 || r1.ReadRetries == 0 {
-		t.Fatalf("fault matrix left a class unexercised: %+v", r1)
-	}
-	if r1.ProgramRetries == 0 || r1.RetiredBlocks == 0 {
-		t.Fatalf("recovery never ran: %+v", r1)
-	}
+	first.golden(t, "TestFaultMatrixDeterministic")
 }
 
 // TestEvacuationFaultCommitsLandedPrefix pins evacuateBlock's error contract

@@ -1,13 +1,11 @@
 package stl
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"unsafe"
 
 	"nds/internal/nvm"
-	"nds/internal/sim"
 )
 
 // TestMetadataSizes: the structures §7.3's accounting describes are the size
@@ -46,59 +44,35 @@ func TestGridBound(t *testing.T) {
 // 65 536 extents — each of 1024 rows crosses 64 building blocks, two block
 // rows of them written, the rest not — leaves the scratch it ran on with an
 // extent buffer of walkBatch, reports the extent count View.ExtentCount
-// counts, and returns the scalar twin's bytes, statistics and completion time.
+// counts, and returns the model's bytes and the golden trace's statistics and
+// completion time.
 func TestReadHoldsOneExtentBatch(t *testing.T) {
 	const rows, cols = 1024, 2048
-	var (
-		st [2]*STL // scalar, batched
-		v  [2]*View
-	)
 	band := make([]byte, 64*cols*4)
 	rand.New(rand.NewSource(25)).Read(band)
-	for i, scalar := range []bool{true, false} {
-		dev, err := nvm.NewDevice(smallGeo(), nvm.TLCTiming(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.ScalarPath = scalar
-		if st[i], err = New(dev, cfg); err != nil {
-			t.Fatal(err)
-		}
-		v[i] = mustView(t, mustSpace(t, st[i], 4, rows, cols), rows, cols)
-		if _, _, err := st[i].WritePartition(0, v[i], []int64{1, 0}, []int64{64, cols}, band); err != nil {
-			t.Fatal(err)
-		}
+	dev, err := nvm.NewDevice(smallGeo(), nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sc := newScript(t, dev, DefaultConfig())
+	c := sc.space(t, 4, []int64{rows, cols}, []int64{rows, cols})
+	sc.mustWrite(t, 0, c, []int64{1, 0}, []int64{64, cols}, band)
 	origin, whole := []int64{0, 0}, []int64{rows, cols}
-	want, dW, sW, err := st[0].ReadPartition(0, v[0], origin, whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		got []byte
-		dG  sim.Time
-		sG  RequestStats
-	)
 	one := oneScratch{rs: &requestScratch{}}
-	one.run(st[1], func() { got, dG, sG, err = st[1].ReadPartition(0, v[1], origin, whole) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _, err := v[1].ExtentCount(origin, whole)
+	sc.lend = func(request func()) { one.run(sc.st, request) }
+	sc.read(t, 0, c, origin, whole)
+	st := sc.last
+	n, _, err := c.v.ExtentCount(origin, whole)
 	if err != nil {
 		t.Fatal(err)
 	}
 	switch {
 	case one.shared != 1:
 		t.Fatal("the read did not run on the test's scratch")
-	case n < 1<<16 || sG.Extents != n:
-		t.Fatalf("the read reports %d extents, ExtentCount %d (want at least 65536)", sG.Extents, n)
+	case n < 1<<16 || st.Extents != n:
+		t.Fatalf("the read reports %d extents, ExtentCount %d (want at least 65536)", st.Extents, n)
 	case cap(one.rs.exts) > walkBatch:
 		t.Fatalf("a read of %d extents left an extent buffer of %d, want at most %d", n, cap(one.rs.exts), walkBatch)
-	case dG != dW || sG != sW:
-		t.Fatalf("batched (%v, %+v), scalar (%v, %+v)", dG, sG, dW, sW)
-	case !bytes.Equal(got, want) || !bytes.Equal(got[64*cols*4:128*cols*4], band):
-		t.Fatal("the batched read's bytes differ from the scalar twin's or from the band written")
 	}
+	sc.golden(t, "TestReadHoldsOneExtentBatch")
 }

@@ -29,8 +29,6 @@ type Predicate struct {
 	Lo, Hi uint64
 }
 
-func (p Predicate) matches(v uint64) bool { return v >= p.Lo && v <= p.Hi }
-
 // ScanQuery describes one predicate scan over a partition.
 type ScanQuery struct {
 	// Pred is the inclusive value range to match.

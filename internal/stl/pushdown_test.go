@@ -5,104 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
+
+	"nds/internal/spec"
 )
 
-// refElems decodes an assembled partition buffer into elements the way the
-// pushdown kernels are specified to: little-endian unsigned, gaps as zeros.
+// refElems, refScan and refReduce are the model's operators (internal/spec)
+// in this package's types: elements decoded little-endian unsigned, bytes
+// past the end of buf — gaps — as zeros.
 func refElems(buf []byte, want, es int64) []uint64 {
-	out := make([]uint64, want/es)
-	for i := range out {
-		var v uint64
-		for b := int64(0); b < es; b++ {
-			if off := int64(i)*es + b; off < int64(len(buf)) {
-				v |= uint64(buf[off]) << (8 * b)
-			}
-		}
-		out[i] = v
-	}
-	return out
+	part := make([]byte, want)
+	copy(part, buf)
+	return spec.Elems(part, int(es))
 }
 
 func refScan(elems []uint64, q ScanQuery) ScanResult {
-	res := ScanResult{NextCursor: -1}
-	for i, v := range elems {
-		if !q.Pred.matches(v) {
-			continue
-		}
-		res.Total++
-		if int64(i) < q.Cursor {
-			continue
-		}
-		if q.Max > 0 && len(res.Matches) >= q.Max {
-			if res.NextCursor < 0 {
-				res.NextCursor = int64(i)
-			}
-			continue
-		}
-		res.Matches = append(res.Matches, Match{Index: int64(i), Value: v})
-	}
-	return res
+	r := spec.ScanElems(elems, spec.ScanQuery{Pred: spec.Predicate(q.Pred), Cursor: q.Cursor, Max: q.Max})
+	return ScanResult{Matches: refMatches(r.Matches), Total: r.Total, NextCursor: r.NextCursor}
 }
 
 func refReduce(elems []uint64, q ReduceQuery) ReduceResult {
-	// The predicate gates every kind: only matching (index, value) pairs
-	// participate in the reduction.
-	var kept []Match
-	for i, v := range elems {
-		if q.Pred != nil && !q.Pred.matches(v) {
-			continue
-		}
-		kept = append(kept, Match{Index: int64(i), Value: v})
+	r := spec.ReduceElems(elems, spec.ReduceQuery{Kind: spec.ReduceKind(q.Kind), K: q.K, Pred: (*spec.Predicate)(q.Pred)})
+	return ReduceResult{Value: r.Value, Index: r.Index, Count: r.Count, TopK: refMatches(r.TopK)}
+}
+
+func refMatches(ms []spec.Match) []Match {
+	out := make([]Match, len(ms))
+	for i, m := range ms {
+		out[i] = Match(m)
 	}
-	res := ReduceResult{Index: -1}
-	switch q.Kind {
-	case ReduceSum:
-		for _, m := range kept {
-			res.Value += m.Value
-		}
-		res.Count = int64(len(kept))
-	case ReduceCount:
-		for _, m := range kept {
-			if q.Pred != nil || m.Value != 0 {
-				res.Count++
-			}
-		}
-		res.Value = uint64(res.Count)
-	case ReduceMin:
-		for _, m := range kept {
-			if res.Count == 0 || m.Value < res.Value {
-				res.Value, res.Index = m.Value, m.Index
-			}
-			res.Count++
-		}
-	case ReduceMax:
-		for _, m := range kept {
-			if res.Count == 0 || m.Value > res.Value {
-				res.Value, res.Index = m.Value, m.Index
-			}
-			res.Count++
-		}
-	case ReduceTopK:
-		all := kept
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Value != all[j].Value {
-				return all[i].Value > all[j].Value
-			}
-			return all[i].Index < all[j].Index
-		})
-		if len(all) > q.K {
-			all = all[:q.K]
-		}
-		res.TopK = all
-		res.Count = int64(len(all))
-		if len(all) > 0 {
-			res.Value, res.Index = all[0].Value, all[0].Index
-		}
-	}
-	return res
+	return out
 }
 
 func scanEqual(a, b ScanResult) bool {

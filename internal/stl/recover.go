@@ -24,23 +24,22 @@ import (
 //     consumes the over-provision reserve, and only once that is exhausted
 //     does the logical allocation budget shrink (effectiveMaxPages).
 //
-// Every program batch the STL issues lands through landPrograms, the one
-// place that rule is written down for batches. It reports how long a prefix
-// of the batch landed and leaves the rest to its caller, because what becomes
-// of an op that cannot land is all the three callers do differently:
+// Every program the STL issues lands through landPrograms, the one place that
+// rule is written down, and the only caller of the device's program commands.
+// It reports how long a prefix of the batch landed and leaves the rest to its
+// caller, because what becomes of an op that cannot land is all the callers
+// do differently:
 //
-//   - a request's flush (flushPrograms) bound its units when it queued them,
-//     so it unbinds the rest and gives their frames back to the arena;
+//   - a request's flush (flushPrograms) bound its units when it queued them —
+//     its own pages and the staged pages that filled (queueStaged) — so it
+//     unbinds the rest and gives their frames back to the arena; a compressed
+//     block's store (storeBlockImage) does the same with copied ops;
 //   - Flush bound them too, but its pages are still staged: it unbinds the one
 //     failed key, which stays pending with its frame, and carries on with the
 //     ops behind it;
 //   - the collector (evacuateBlock) binds after landing, so it rebinds the
 //     landed prefix and releases the destinations of the rest, whose pages
 //     stay on their sources.
-//
-// programWithRecovery is the same rule for one page, kept apart on purpose:
-// the scalar reference writer runs on it, and the differential suites compare
-// the batched recovery against it.
 //
 // With no fault plan installed none of these paths run, and the only cost on
 // the data path is the retired-block bookkeeping checks, which see zero
@@ -187,40 +186,6 @@ func (t *STL) allocateRecoveryUnit(channel, bank int) (nvm.PPA, bool) {
 	return nvm.PPA{}, false
 }
 
-// programWithRecovery programs data to p, and on an injected program fault
-// retires the failing block, relocates to a fresh unit, and retries from the
-// failed attempt's completion time. Returns the unit that finally holds the
-// data (callers bind that unit, not the one they allocated); on an error
-// there is none, and the units tried have been released. Non-fault errors
-// pass through; exhausting maxProgramRetries or running out of units reports
-// ErrMedia.
-func (t *STL) programWithRecovery(at sim.Time, p nvm.PPA, data []byte, stats *RequestStats) (nvm.PPA, sim.Time, error) {
-	for tries := 0; ; tries++ {
-		done, err := t.dev.ProgramPage(at, p, data)
-		if err == nil {
-			return p, done, nil
-		}
-		t.releaseUnit(p) // whatever failed, nothing will be bound here
-		var pe *nvm.ProgramError
-		if !errors.As(err, &pe) {
-			return p, done, err
-		}
-		t.retireBlock(p.Channel, p.Bank, p.Block)
-		if tries >= maxProgramRetries {
-			return p, done, fmt.Errorf("stl: program of %v: %d relocation attempts failed: %w", p, tries+1, ErrMedia)
-		}
-		np, ok := t.allocateRecoveryUnit(p.Channel, p.Bank)
-		if !ok {
-			return p, done, fmt.Errorf("stl: no unit available to relocate faulted program at %v: %w", p, ErrMedia)
-		}
-		t.programRetries.Add(1)
-		if stats != nil {
-			stats.ProgramRetries++
-		}
-		p, at = np, pe.Done
-	}
-}
-
 // landPrograms programs ops, recovering from injected program faults: the
 // stored prefix stays, the faulted op's block is retired, the op is redirected
 // to a unit from allocateRecoveryUnit and re-aimed at the failed attempt's
@@ -279,17 +244,7 @@ func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) 
 // Returns false if old is not bound (translation state is inconsistent —
 // callers surface an error), with np released.
 func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
-	d := t.die(old.Channel, old.Bank)
-	d.mu.Lock()
-	e := t.rev[old.Linear(t.geo)]
-	d.mu.Unlock()
-	var blk *BuildingBlock
-	s, ok := t.spaces[e.space]
-	if e.valid && ok {
-		gcoord := make([]int64, len(s.grid))
-		s.GridCoord(int64(e.block), gcoord)
-		blk, _ = t.block(s, gcoord, false)
-	}
+	e, s, blk := t.owner(old)
 	if blk == nil {
 		t.releaseUnit(np)
 		return false
@@ -304,20 +259,36 @@ func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
 // units are programmed units.
 func (t *STL) unbindOps(ops []nvm.ProgramOp) {
 	for i := range ops {
-		d := t.die(ops[i].P.Channel, ops[i].P.Bank)
-		d.mu.Lock()
-		e := t.rev[ops[i].P.Linear(t.geo)]
-		d.mu.Unlock()
+		e, _, blk := t.owner(ops[i].P)
 		if !e.valid {
 			continue
 		}
-		if s, ok := t.spaces[e.space]; ok {
-			gcoord := make([]int64, len(s.grid))
-			s.GridCoord(int64(e.block), gcoord)
-			if blk, _ := t.block(s, gcoord, false); blk != nil {
-				blk.pages[e.page] = 0
-			}
+		if blk != nil {
+			blk.pages[e.page] = 0
 		}
 		t.invalidateUnit(t.lay.Word(ops[i].P))
 	}
+}
+
+// owner reads the reverse-lookup entry of the unit at p and finds the space
+// and building block it names; both are nil when the unit is not bound or its
+// space is gone.
+func (t *STL) owner(p nvm.PPA) (revEntry, *Space, *BuildingBlock) {
+	d := t.die(p.Channel, p.Bank)
+	d.mu.Lock()
+	e := t.rev[p.Linear(t.geo)]
+	d.mu.Unlock()
+	if s, ok := t.spaces[e.space]; e.valid && ok {
+		return e, s, t.blockAt(s, int64(e.block), false)
+	}
+	return e, nil, nil
+}
+
+// blockAt is building block g (a grid index) of s, made if alloc is set and
+// nil if not and the block was never written.
+func (t *STL) blockAt(s *Space, g int64, alloc bool) *BuildingBlock {
+	gcoord := make([]int64, len(s.grid))
+	s.GridCoord(g, gcoord)
+	blk, _ := t.block(s, gcoord, alloc)
+	return blk
 }

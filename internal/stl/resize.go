@@ -1,6 +1,10 @@
 package stl
 
-import "fmt"
+import (
+	"fmt"
+
+	"nds/internal/sim"
+)
 
 // Space restructuring (§5.1): passing an existing identifier to the space
 // creation/management API asks the STL to "expand, shrink, or restructure
@@ -14,7 +18,8 @@ import "fmt"
 //
 // Growing exposes fresh, zero-reading coordinates. Shrinking invalidates
 // every building block whose grid row falls beyond the new bound, releasing
-// its units; a later re-grow reads zeros there.
+// its units, and clears what the blocks of the row astride the bound hold past
+// it (clearTail); a later re-grow reads zeros there.
 func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 	t.maintMu.Lock()
 	defer t.maintMu.Unlock()
@@ -37,6 +42,11 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 		// blocks.
 		stride := prod(s.grid[1:])
 		t.dropPendingWhere(func(k pendingKey) bool { return k.space == id && k.block/stride >= newGrid0 })
+	}
+	if r := newDim0 % s.bb[0]; newDim0 < s.dims[0] && r != 0 {
+		if err := t.clearTail(s, newGrid0-1, r*(s.bbBytes/s.bb[0])); err != nil {
+			return err
+		}
 	}
 	if s.root != nil {
 		switch {
@@ -77,6 +87,63 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 	s.dims[0] = newDim0
 	s.grid[0] = newGrid0
 	return nil
+}
+
+// clearTail zeroes bytes [cut, bbBytes) — the rows past a shrink's bound, as
+// dimension 0 is a block's outermost — of every written block of grid row g,
+// which the shrink keeps. Pages wholly past cut lose their units and staged
+// copies, a staged page astride it is cleared in place, and a programmed one
+// (under compression, the block) is rewritten through the write path at the
+// latest completion the STL has seen, where the background collector issues
+// its work: a resize has no issue time of its own.
+func (t *STL) clearTail(s *Space, g, cut int64) error {
+	ps := int64(t.geo.PageSize)
+	stride := prod(s.grid[1:])
+	p, first := cut/ps, ceilDiv(cut, ps) // the page astride cut, if p < first; the first page past it
+	t.dropPendingWhere(func(k pendingKey) bool { return k.space == s.id && k.block/stride == g && int64(k.page) >= first })
+	rs := t.getScratch(s)
+	defer t.putScratch(rs)
+	var n int64 // bytes of zeros the rewrite writes
+	for b := g * stride; b < (g+1)*stride; b++ {
+		blk := t.blockAt(s, b, false)
+		if blk == nil {
+			continue
+		}
+		end := s.bbBytes
+		if !t.cfg.Compress {
+			for q := first; q < int64(len(blk.pages)); q++ {
+				if t.dropUnit(&blk.pages[q]) {
+					s.allocatedPages--
+				}
+			}
+			if p == first {
+				continue
+			}
+			if pp := t.pendingFor(s, b, int(p)); pp != nil && pp.buf != nil {
+				clear(pp.buf[cut-p*ps:])
+			}
+			if !blk.pages[p].allocated() {
+				continue
+			}
+			end = min64(first*ps, s.bbBytes)
+		}
+		rs.exts = append(rs.exts, Extent{Block: b, Off: cut, Len: end - cut, Dst: n})
+		n += end - cut
+	}
+	var zeros []byte
+	if !t.dev.Phantom() {
+		zeros = make([]byte, n)
+	}
+	at := sim.Time(t.simClock.Load())
+	var done sim.Time
+	var err error
+	if t.cfg.Compress {
+		done, _, err = t.writeCompressedExtents(at, s, rs.exts, zeros)
+	} else {
+		done, _, err = t.writeExtents(rs, at, rs.exts, n, zeros)
+	}
+	t.noteTime(done)
+	return err
 }
 
 // dropBlock invalidates a block's units and removes it from the space's

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"nds/internal/nvm"
 )
 
 func TestResizeGrowPreservesData(t *testing.T) {
@@ -86,6 +88,66 @@ func TestResizeShrinkReleasesUnits(t *testing.T) {
 	}
 	if !allZero(tail) {
 		t.Fatal("re-grown region leaked stale data")
+	}
+}
+
+// TestResizeShrinkThenGrowReadsZero: the rows a shrink cuts off inside a
+// block row — 97..127 of a 128-row space of 32-row blocks, whose grid keeps
+// its four block rows — read zero once a grow brings them back, as the model
+// says, whether they were programmed, staged (§4.4), compressed or cached;
+// the rows below the cut keep their bytes.
+func TestResizeShrinkThenGrowReadsZero(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"plain", nil},
+		{"write-buffered", func(c *Config) { c.WriteBuffering = true }},
+		{"compressed", func(c *Config) { c.Compress = true }},
+		{"cached", func(c *Config) { c.CacheBytes = 1 << 20 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev, err := nvm.NewDevice(smallGeo(), nvm.TLCTiming(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			if tc.mutate != nil {
+				tc.mutate(&cfg)
+			}
+			sc := newScript(t, dev, cfg)
+			rng := rand.New(rand.NewSource(97))
+			whole := []int64{128, 128}
+			// One space is written whole, every page programmed; the other only
+			// in 8x8 tiles astride the cut, which write buffering stages.
+			for _, tiles := range []bool{false, true} {
+				c := sc.space(t, 4, whole, whole)
+				if !tiles {
+					sc.mustWrite(t, 0, c, []int64{0, 0}, whole, fillRandom(rng, 128*128*4))
+				}
+				for r := int64(11); tiles && r < 14; r++ { // rows 88..111
+					for col := int64(0); col < 16; col += 5 {
+						sc.mustWrite(t, 0, c, []int64{r, col}, []int64{8, 8}, fillRandom(rng, 8*8*4))
+					}
+				}
+				sc.read(t, 0, c, []int64{0, 0}, whole) // the cached configuration now holds the blocks
+				id := c.v.space.ID()
+				for _, rows := range []int64{97, 128} {
+					if err := sc.st.ResizeSpace(id, rows); err != nil {
+						t.Fatal(err)
+					}
+					if err := sc.model.Resize(uint32(id), rows); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var err error
+				if c.m, err = sc.model.Open(uint32(id), whole); err != nil {
+					t.Fatal(err)
+				}
+				c.v = mustView(t, c.v.space, whole...)
+				sc.read(t, 0, c, []int64{0, 0}, whole)
+			}
+		})
 	}
 }
 

@@ -351,8 +351,8 @@ func (rs *requestScratch) followBlock(g int64) *blockPlan {
 // resolveBlock returns the plan entry for grid index g when followBlock did
 // not: the last hit itself, or an entry found by a scan from the newest, which
 // the last hit then remembers — or a new one, looked up in the index and
-// charged traversal and distinct-block statistics exactly as the scalar path
-// does. The pointer is valid until the next new entry.
+// charged its traversals and, once per distinct block, Blocks. The pointer is
+// valid until the next new entry.
 func (t *STL) resolveBlock(rs *requestScratch, s *Space, g int64, alloc bool, stats *RequestStats) *blockPlan {
 	if rs.last < len(rs.plans) {
 		prev := &rs.plans[rs.last]
@@ -428,9 +428,9 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time, stats 
 }
 
 // flushPrograms issues the deferred program batch. Called at every point
-// where the scalar path would already have issued these programs before the
-// next device operation (RMW reads, GC, request end), which is what keeps
-// batched timing identical to scalar.
+// where these programs must reach the device before its next operation (RMW
+// reads, GC, request end), which is what keeps the issue order, and so the
+// timing, that of programming page by page (batch.go).
 //
 // The batch's frames are the device's from the moment their ops land; the
 // frames of ops that never do go back to the arena. Frames the write path

@@ -62,21 +62,7 @@ func (t *STL) ReadPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if t.cfg.ScalarPath {
-		// Reference path: assemble the full buffer, then present it as one
-		// segment so differential tests can hold the two shapes together.
-		var buf []byte
-		buf, done, stats, err = t.readPartitionScalar(at, v, coord, sub)
-		if err == nil {
-			if buf != nil {
-				err = fn(stats.Bytes, []Segment{{Dst: 0, Src: buf}})
-			} else {
-				err = fn(stats.Bytes, nil)
-			}
-		}
-	} else {
-		done, stats, err = t.readPartitionSegments(at, v, coord, sub, fn)
-	}
+	done, stats, err = t.readPartitionSegments(at, v, coord, sub, fn)
 	if err == nil && t.cfg.PrefetchDepth > 0 {
 		t.maybePrefetch(done, v, coord, sub)
 	}

@@ -52,12 +52,6 @@ type Config struct {
 	// programmed once a unit fills (or on Flush). Ignored when Compress is
 	// set (the compression path has its own block-granular staging).
 	WriteBuffering bool
-	// ScalarPath routes partition reads/writes through the original
-	// one-page-at-a-time device path instead of the batched page-plan path.
-	// The two are differentially tested to produce bit-identical data,
-	// statistics, and completion times; the knob exists for that comparison
-	// alone, and only tests set it.
-	ScalarPath bool
 	// CacheBytes bounds the building-block cache (cache.go): DRAM the STL's
 	// host (SoftwareNDS) or controller (HardwareNDS) dedicates to caching
 	// whole building blocks. Zero disables the cache entirely — the device is

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nds/internal/nvm"
+	"nds/internal/spec"
 )
 
 func smallGeo() nvm.Geometry {
@@ -139,62 +140,46 @@ func TestExtentsTileExactly(t *testing.T) {
 	checkTiling(resh, []int64{1, 2}, []int64{13, 57}) // reshaped odd tile
 }
 
-// refScatterGather is an independent element-at-a-time model of partition
-// addressing: view coordinates map to the shared row-major linear order.
+// refModel is the model of one space (internal/spec), addressed through a
+// view of the shape a call names.
 type refModel struct {
-	buf  []byte // linear space image
-	elem int
+	m  *spec.Model
+	id uint32
 }
 
 func newRefModel(s *Space) *refModel {
-	return &refModel{buf: make([]byte, s.Bytes()), elem: s.ElemSize()}
+	m := spec.New()
+	id, err := m.Create(s.ElemSize(), s.Dims())
+	if err != nil {
+		panic(err)
+	}
+	return &refModel{m, id}
 }
 
-func (r *refModel) forEach(view, coord, sub []int64, f func(linear, k int64)) {
-	m := len(view)
-	shape := make([]int64, m)
-	for i := range shape {
-		lo := coord[i] * sub[i]
-		hi := lo + sub[i]
-		if hi > view[i] {
-			hi = view[i]
-		}
-		shape[i] = hi - lo
+// view opens a view of the model's space shaped like view.
+func (r *refModel) view(view []int64) *spec.View {
+	v, err := r.m.Open(r.id, view)
+	if err != nil {
+		panic(err)
 	}
-	idx := make([]int64, m)
-	var k int64
-	for {
-		abs := make([]int64, m)
-		for i := range abs {
-			abs[i] = coord[i]*sub[i] + idx[i]
-		}
-		f(rank(abs, view), k)
-		k++
-		i := m - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < shape[i] {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return
-		}
-	}
+	return v
 }
 
 func (r *refModel) scatter(view, coord, sub []int64, data []byte) {
-	r.forEach(view, coord, sub, func(linear, k int64) {
-		copy(r.buf[linear*int64(r.elem):], data[k*int64(r.elem):(k+1)*int64(r.elem)])
-	})
+	v := r.view(view)
+	defer v.Close()
+	if err := v.Write(coord, sub, data); err != nil {
+		panic(err)
+	}
 }
 
 func (r *refModel) gather(view, coord, sub []int64) []byte {
-	var out []byte
-	r.forEach(view, coord, sub, func(linear, k int64) {
-		out = append(out, r.buf[linear*int64(r.elem):(linear+1)*int64(r.elem)]...)
-	})
+	v := r.view(view)
+	defer v.Close()
+	out, err := v.Read(coord, sub)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -666,34 +651,22 @@ func BenchmarkWalkRow(b *testing.B)  { benchWalk(b, []int64{1, 0}, []int64{512, 
 func BenchmarkWalkCol(b *testing.B)  { benchWalk(b, []int64{0, 1}, []int64{8192, 512}) }
 func BenchmarkWalkTile(b *testing.B) { benchWalk(b, []int64{1, 1}, []int64{1024, 1024}) }
 
-// TestPageRangesOddPageSize holds the batched plans' page-range code — one
-// division finds an extent's first page, additions the rest — to the scalar
-// loops, which divide for both ends, on a page size that is not a power of
-// two and does not divide the building block: bytes, statistics and
-// completion times over row, column, tile and sub-page requests.
+// TestPageRangesOddPageSize holds the plans' page-range code — one division
+// finds an extent's first page, additions the rest — to the model and the
+// golden trace on a page size that is not a power of two and does not divide
+// the building block: bytes, statistics and completion times over row,
+// column, tile and sub-page requests.
 func TestPageRangesOddPageSize(t *testing.T) {
 	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 48, PagesPerBlock: 16, PageSize: 360}
-	p := &diffPair{}
-	for _, scalarPath := range []bool{true, false} {
-		dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.ScalarPath = scalarPath
-		st, err := New(dev, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := mustSpace(t, st, 4, 128, 128)
-		if sp.bbBytes%int64(geo.PageSize) == 0 {
-			t.Fatalf("a %d-byte block is whole pages of %d: no extent would straddle the odd tail", sp.bbBytes, geo.PageSize)
-		}
-		if scalarPath {
-			p.scalar, p.vs = st, mustView(t, sp, 128, 128)
-		} else {
-			p.batched, p.vb = st, mustView(t, sp, 128, 128)
-		}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mixedWorkload(t, p, 4)
+	sc := newScript(t, dev, DefaultConfig())
+	c := sc.space(t, 4, []int64{128, 128}, []int64{128, 128})
+	if bb := c.v.space.bbBytes; bb%int64(geo.PageSize) == 0 {
+		t.Fatalf("a %d-byte block is whole pages of %d: no extent would straddle the odd tail", bb, geo.PageSize)
+	}
+	mixedWorkload(t, sc, c, 4)
+	sc.golden(t, "TestPageRangesOddPageSize")
 }

@@ -12,8 +12,8 @@ import (
 // The device-kernel differential suite: every device-resident kernel, in both
 // its pushdown and read-everything forms, must produce results bit-identical
 // to the in-memory host kernel on every device configuration — the pushdown
-// operators ride the read path's plan, so compression, caching, faults, and
-// the scalar path must all be invisible to the kernel's output.
+// operators ride the read path's plan, so compression, caching and faults
+// must all be invisible to the kernel's output.
 
 type devConfig struct {
 	name string
@@ -33,7 +33,6 @@ func deviceConfigs() []devConfig {
 		{"faulted", system.HardwareNDS, func(c *system.Config) {
 			c.Faults = nvm.FaultPlan{Seed: 5, ProgramFailEvery: 40, ReadRetryEvery: 16}
 		}},
-		{"scalar", system.HardwareNDS, func(c *system.Config) { c.STL.ScalarPath = true }},
 	}
 }
 

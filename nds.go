@@ -115,12 +115,6 @@ type Options struct {
 	// smaller than a basic access unit collect in STL memory and program
 	// once a unit fills or Flush is called.
 	WriteBuffering bool
-	// scalarDataPath routes partition I/O through the original
-	// one-page-at-a-time device path instead of the batched page-plan path.
-	// Both produce bit-identical data, statistics, and simulated timing; the
-	// differential tests of this package set it to hold them to that, and it
-	// is nobody else's to set.
-	scalarDataPath bool
 	// CacheBytes sizes the STL's building-block DRAM cache (host DRAM in
 	// ModeSoftware, controller DRAM in ModeHardware). Zero disables the cache
 	// entirely, leaving the device bit- and timing-identical to one without
@@ -274,7 +268,6 @@ func Open(opts Options) (*Device, error) {
 	cfg.STL.Compress = opts.Compress
 	cfg.STL.ZeroPageElision = opts.ZeroPageElision
 	cfg.STL.WriteBuffering = opts.WriteBuffering
-	cfg.STL.ScalarPath = opts.scalarDataPath
 	cfg.STL.CacheBytes = opts.CacheBytes
 	cfg.STL.PrefetchDepth = opts.PrefetchDepth
 	cfg.STL.BackgroundGC = !opts.SynchronousGC

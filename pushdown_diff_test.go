@@ -1,142 +1,23 @@
 package nds
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
 	"nds/internal/sim"
+	"nds/internal/spec"
 )
 
 // The pushdown differential: a Scan or Reduce must report exactly what the
-// host would compute from the same partition's Read bytes, on every device
-// configuration the read path has — and because the operators ride the read
-// path's segment plan, their device-side stats (payload bytes, flash pages,
-// extents) must equal the equivalent Read's, access for access.
-
-// decodeElems interprets a partition's bytes as little-endian uint64 elements
-// of width es. data nil (phantom devices) decodes as want/es zeros.
-func decodeElems(data []byte, want int64, es int) []uint64 {
-	n := want / int64(es)
-	elems := make([]uint64, n)
-	if data == nil {
-		return elems
-	}
-	for i := int64(0); i < n; i++ {
-		var v uint64
-		for b := 0; b < es; b++ {
-			v |= uint64(data[i*int64(es)+int64(b)]) << (8 * b)
-		}
-		elems[i] = v
-	}
-	return elems
-}
-
-// hostScan is the read-then-filter oracle, mirroring ScanQuery's cursor/Max
-// contract.
-func hostScan(elems []uint64, q ScanQuery) ScanResult {
-	res := ScanResult{NextCursor: -1}
-	for i, v := range elems {
-		if v < q.Pred.Lo || v > q.Pred.Hi {
-			continue
-		}
-		res.Total++
-		if int64(i) < q.Cursor {
-			continue
-		}
-		if q.Max > 0 && len(res.Matches) == q.Max {
-			if res.NextCursor < 0 {
-				res.NextCursor = int64(i)
-			}
-			continue
-		}
-		res.Matches = append(res.Matches, Match{Index: int64(i), Value: v})
-	}
-	return res
-}
-
-// hostReduce is the read-then-reduce oracle.
-func hostReduce(elems []uint64, q ReduceQuery) ReduceResult {
-	var kept []Match
-	for i, v := range elems {
-		if q.Pred != nil && (v < q.Pred.Lo || v > q.Pred.Hi) {
-			continue
-		}
-		kept = append(kept, Match{Index: int64(i), Value: v})
-	}
-	res := ReduceResult{Index: -1}
-	switch q.Kind {
-	case ReduceSum:
-		for _, m := range kept {
-			res.Value += m.Value
-		}
-		res.Count = int64(len(kept))
-	case ReduceCount:
-		for _, m := range kept {
-			if q.Pred != nil || m.Value != 0 {
-				res.Count++
-			}
-		}
-		res.Value = uint64(res.Count)
-	case ReduceMin:
-		for _, m := range kept {
-			if res.Count == 0 || m.Value < res.Value {
-				res.Value, res.Index = m.Value, m.Index
-			}
-			res.Count++
-		}
-	case ReduceMax:
-		for _, m := range kept {
-			if res.Count == 0 || m.Value > res.Value {
-				res.Value, res.Index = m.Value, m.Index
-			}
-			res.Count++
-		}
-	case ReduceTopK:
-		sort.Slice(kept, func(i, j int) bool {
-			if kept[i].Value != kept[j].Value {
-				return kept[i].Value > kept[j].Value
-			}
-			return kept[i].Index < kept[j].Index
-		})
-		if len(kept) > q.K {
-			kept = kept[:q.K]
-		}
-		res.TopK = kept
-		res.Count = int64(len(kept))
-		if len(kept) > 0 {
-			res.Value, res.Index = kept[0].Value, kept[0].Index
-		}
-	}
-	return res
-}
-
-func scanResultsEqual(a, b ScanResult) bool {
-	if a.Total != b.Total || a.NextCursor != b.NextCursor || len(a.Matches) != len(b.Matches) {
-		return false
-	}
-	for i := range a.Matches {
-		if a.Matches[i] != b.Matches[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func reduceResultsEqual(a, b ReduceResult) bool {
-	if a.Value != b.Value || a.Index != b.Index || a.Count != b.Count || len(a.TopK) != len(b.TopK) {
-		return false
-	}
-	for i := range a.TopK {
-		if a.TopK[i] != b.TopK[i] {
-			return false
-		}
-	}
-	return true
-}
+// model computes from the partition's bytes — which the same partition's Read
+// must return — on every device configuration the read path has; and because
+// the operators ride the read path's segment plan, their device-side stats
+// (payload bytes, flash pages, extents) must equal the equivalent Read's,
+// access for access.
 
 // pushdownQueries is the access pattern both devices execute per partition:
 // one entry per sequence point, scan or reduce. Queries cover full-range and
@@ -209,12 +90,13 @@ func (r *recordStream) check(op string, st Stats, raw int64) {
 
 // TestDifferentialPushdownVsRead drives two identically-prepared devices
 // through the same per-partition access sequence — one Reads, the other
-// Scans/Reduces — and requires byte-identical results and identical
-// device-side stats at every sequence point, across the read path's
-// configurations (both modes, cache+prefetch, compression, encryption, write
-// buffering, zero elision, the scalar data path, fault injection, and phantom
-// devices). Every command's record is held to recordStream's contract on the
-// way, and a failed command must return the zero record.
+// Scans/Reduces — and holds the reads' bytes and the operators' results to
+// the model, both devices' Stats to the golden trace, and the operators'
+// device-side stats to the read's at every sequence point, across the read
+// path's configurations (both modes, cache+prefetch, compression, encryption,
+// write buffering, zero elision, fault injection, and phantom devices). Every
+// command's record is held to recordStream's contract on the way, and a
+// failed command must return the zero record.
 func TestDifferentialPushdownVsRead(t *testing.T) {
 	configs := []struct {
 		name string
@@ -227,22 +109,23 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 		{"encrypted", Options{Mode: ModeSoftware, CapacityHint: 16 << 20, EncryptionKey: []byte("0123456789abcdef")}},
 		{"write-buffered", Options{Mode: ModeHardware, CapacityHint: 16 << 20, WriteBuffering: true}},
 		{"zero-elided", Options{Mode: ModeHardware, CapacityHint: 16 << 20, ZeroPageElision: true}},
-		{"scalar", Options{Mode: ModeHardware, CapacityHint: 16 << 20, scalarDataPath: true}},
 		{"faults", Options{Mode: ModeHardware, CapacityHint: 16 << 20,
 			Faults: &FaultPlan{Seed: 11, ProgramFailEvery: 7, ReadRetryEvery: 5}}},
 		{"phantom", Options{Mode: ModeHardware, CapacityHint: 16 << 20, Phantom: true}},
 	}
 	const es = 8
 	subs := [][]int64{{32, 32}, {16, 64}, {64, 128}}
+	var tr spec.Trace
 
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			setup := func() (*Device, *Space, *recordStream) {
-				d, err := Open(cfg.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+			tr.Add("== %s", cfg.name)
+			m := spec.New()
+			mid, _ := m.Create(es, []int64{128, 128})
+			mv, _ := m.Open(mid, []int64{128, 128})
+			setup := func(modelled bool) (*Device, *Space, *recordStream) {
+				d := openTraced(t, cfg.opts)
 				id, err := d.CreateSpace(es, []int64{128, 128})
 				if err != nil {
 					t.Fatal(err)
@@ -252,6 +135,17 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 					t.Fatal(err)
 				}
 				rec := &recordStream{t: t, software: cfg.opts.Mode == ModeSoftware, issue: sim.Time(d.Now())}
+				write := func(coord, sub []int64, data []byte) {
+					st, err := v.Write(coord, sub, data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rec.write(st)
+					traceOp(&tr, "write", coord, sub, st)
+					if modelled && !cfg.opts.Phantom { // a phantom device stores nothing: its model stays zeros
+						mv.Write(coord, sub, data)
+					}
+				}
 				// Write the left half with bounded values (runs of repeats so
 				// compression engages), overwrite a sub-tile, zero the last
 				// rows, and leave the right half unwritten: scans cross data,
@@ -265,26 +159,16 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 						i++
 					}
 				}
-				st, err := v.Write([]int64{0, 0}, []int64{128, 64}, payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec.write(st)
-				if st, err = v.Write([]int64{2, 1}, []int64{16, 32}, payload[:16*32*es]); err != nil {
-					t.Fatal(err)
-				}
-				rec.write(st)
+				write([]int64{0, 0}, []int64{128, 64}, payload)
+				write([]int64{2, 1}, []int64{16, 32}, payload[:16*32*es])
 				// Eight full rows of zeros: two whole pages, which elision releases.
-				if st, err = v.Write([]int64{15, 0}, []int64{8, 128}, make([]byte, 8*128*es)); err != nil {
-					t.Fatal(err)
-				}
-				rec.write(st)
+				write([]int64{15, 0}, []int64{8, 128}, make([]byte, 8*128*es))
 				return d, v, rec
 			}
 
-			rd, rv, rrec := setup() // the reading device
+			rd, rv, rrec := setup(true) // the reading device
 			defer rd.Close()
-			pd, pv, prec := setup() // the pushdown device
+			pd, pv, prec := setup(false) // the pushdown device
 			defer pd.Close()
 
 			op := 0
@@ -296,16 +180,22 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 						if err != nil {
 							t.Fatalf("op %d read: %v", op, err)
 						}
+						if data == nil { // phantom: no payload, all zeros
+							data = make([]byte, rst.Bytes)
+						}
+						if want, _ := mv.Read(coord, sub); !bytes.Equal(data, want) {
+							t.Fatalf("op %d sub=%v: read bytes differ from the model", op, sub)
+						}
 						rrec.read("read", rst, rst.Bytes)
-						elems := decodeElems(data, rst.Bytes, es)
+						traceOp(&tr, "read", coord, sub, rst)
 						var pst Stats
 						if q.scan != nil {
 							got, st, err := pv.Scan(coord, sub, *q.scan)
 							if err != nil {
 								t.Fatalf("op %d scan: %v", op, err)
 							}
-							if want := hostScan(elems, *q.scan); !scanResultsEqual(got, want) {
-								t.Fatalf("op %d sub=%v q=%+v: scan diverges from read+filter\n got %+v\nwant %+v",
+							if want, _ := mv.Scan(coord, sub, specScan(*q.scan)); !sameScan(got, want) {
+								t.Fatalf("op %d sub=%v q=%+v: scan diverges from the model\n got %+v\nwant %+v",
 									op, sub, *q.scan, got, want)
 							}
 							prec.read("scan", st, 16+16*int64(len(got.Matches)))
@@ -315,13 +205,14 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 							if err != nil {
 								t.Fatalf("op %d reduce: %v", op, err)
 							}
-							if want := hostReduce(elems, *q.reduce); !reduceResultsEqual(got, want) {
-								t.Fatalf("op %d sub=%v q=%+v: reduce diverges from read+reduce\n got %+v\nwant %+v",
+							if want, _ := mv.Reduce(coord, sub, specReduce(*q.reduce)); !sameReduce(got, want) {
+								t.Fatalf("op %d sub=%v q=%+v: reduce diverges from the model\n got %+v\nwant %+v",
 									op, sub, *q.reduce, got, want)
 							}
 							prec.read("reduce", st, 32+16*int64(len(got.TopK)))
 							pst = st
 						}
+						traceOp(&tr, "pushdown", coord, sub, pst)
 						// Device-side stats are the read's by construction:
 						// same payload, same flash pages, same extents, same
 						// relocations. What crosses the link differs by mode.
@@ -344,6 +235,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 				t.Fatal(err)
 			}
 			rrec.read("segment read", st, st.Bytes)
+			traceOp(&tr, "segment read", []int64{1, 0}, subs[0], st)
 			if _, st, err = rv.Read([]int64{128, 0}, subs[0]); err == nil || st != (Stats{}) {
 				t.Fatalf("out-of-bounds read: error %v, record %+v, want an error and the zero record", err, st)
 			}
@@ -355,6 +247,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 			}
 		})
 	}
+	tr.Check(t, "TestDifferentialPushdownVsRead")
 }
 
 // TestPushdownInterconnectSavings pins the [P2] headline: on hardware NDS a

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"nds/internal/spec"
 )
 
 // readConfigs has one device configuration per source the plan phase can emit
@@ -40,30 +43,23 @@ func repeatRuns(rng *rand.Rand, n int, lo int) []byte {
 }
 
 // TestDifferentialSegmentsVsRead holds both shapes of the one read path to the
-// scalar reference. ReadInto is ReadSegments with a gather sink, so comparing
-// the two to each other only checks the gather; the independent input is a
-// third, identically-driven device opened with scalarDataPath, whose reads run
-// the original page-at-a-time loop. For the same sequence of operations,
-// ReadInto's bytes, the reassembly of ReadSegments' segments (gaps as zeros),
-// and the scalar reference's bytes must be equal, and every operation's Stats
-// — including simulated Elapsed — identical across all three.
+// references. ReadInto is ReadSegments with a gather sink, so comparing the
+// two to each other only checks the gather; the independent inputs are the
+// model, which ReadInto's bytes and the reassembly of ReadSegments' segments
+// (gaps as zeros) must both equal, and the golden trace, which every
+// operation's Stats — including simulated Elapsed — must equal on both.
 func TestDifferentialSegmentsVsRead(t *testing.T) {
 	// Partition shapes exercised against every configuration. The wide/flat
 	// shapes split building blocks across page boundaries unevenly, and the
 	// whole-space read crosses everything at once.
 	subs := [][]int64{{64, 64}, {16, 128}, {128, 32}, {256, 256}}
-
+	var tr spec.Trace
 	for _, cfg := range readConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			type opRecord struct {
-				stats Stats
-				data  []byte
-			}
-			run := func(opts Options, useSegments bool) []opRecord {
-				d, err := Open(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+			// run drives one device and returns its trace.
+			run := func(useSegments bool) string {
+				var tr spec.Trace
+				d := openTraced(t, cfg.opts)
 				defer d.Close()
 				id, err := d.CreateSpace(4, []int64{256, 256})
 				if err != nil {
@@ -74,19 +70,27 @@ func TestDifferentialSegmentsVsRead(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer v.Close()
+				m := spec.New()
+				mid, _ := m.Create(4, []int64{256, 256})
+				mv, _ := m.Open(mid, []int64{256, 256})
+				write := func(coord, sub []int64, data []byte) {
+					st, err := v.Write(coord, sub, data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !cfg.opts.Phantom { // a phantom device stores nothing: its model stays zeros
+						mv.Write(coord, sub, data)
+					}
+					traceOp(&tr, "write", coord, sub, st)
+				}
 				// Write the middle half only: reads below cross written
 				// data, unwritten zeros, and the boundary.
 				payload := repeatRuns(rand.New(rand.NewSource(7)), 128*256*4, 0)
-				if _, err := v.Write([]int64{0, 0}, []int64{128, 256}, payload); err != nil {
-					t.Fatal(err)
-				}
+				write([]int64{0, 0}, []int64{128, 256}, payload)
 				// Touch part of it again so the write buffer (when enabled)
 				// holds staged data during the reads.
-				if _, err := v.Write([]int64{2, 1}, []int64{32, 64}, payload[:32*64*4]); err != nil {
-					t.Fatal(err)
-				}
+				write([]int64{2, 1}, []int64{32, 64}, payload[:32*64*4])
 
-				var recs []opRecord
 				for _, sub := range subs {
 					n0, n1 := 256/sub[0], 256/sub[1]
 					for c0 := int64(0); c0 < n0; c0++ {
@@ -95,64 +99,45 @@ func TestDifferentialSegmentsVsRead(t *testing.T) {
 							want := sub[0] * sub[1] * 4
 							// Zeroed: segment gaps must read as zeros in the
 							// reassembly, and a phantom read is all zeros.
-							buf := make([]byte, want)
-							var rec opRecord
+							data := make([]byte, want)
+							var st Stats
 							if useSegments {
-								st, err := v.ReadSegments(coord, sub, func(got int64, segs []Segment) error {
+								st, err = v.ReadSegments(coord, sub, func(got int64, segs []Segment) error {
 									if got != want {
 										return fmt.Errorf("want %d bytes, got %d", want, got)
 									}
 									for _, sg := range segs {
-										copy(buf[sg.Dst:], sg.Src)
+										copy(data[sg.Dst:], sg.Src)
 									}
 									return nil
 								})
-								if err != nil {
-									t.Fatalf("sub=%v coord=%v: ReadSegments: %v", sub, coord, err)
-								}
-								rec = opRecord{stats: st, data: buf}
 							} else {
-								data, st, err := v.ReadInto(coord, sub, buf)
-								if err != nil {
-									t.Fatalf("sub=%v coord=%v: ReadInto: %v", sub, coord, err)
+								var got []byte
+								if got, st, err = v.ReadInto(coord, sub, data); got != nil {
+									data = got
 								}
-								if data == nil { // phantom: the contract is all-zeros
-									data = buf
-								}
-								rec = opRecord{stats: st, data: data}
 							}
-							recs = append(recs, rec)
+							if err != nil {
+								t.Fatalf("sub=%v coord=%v segments=%v: %v", sub, coord, useSegments, err)
+							}
+							if m, _ := mv.Read(coord, sub); !bytes.Equal(data, m) {
+								t.Fatalf("sub=%v coord=%v segments=%v: bytes differ from the model", sub, coord, useSegments)
+							}
+							traceOp(&tr, "read", coord, sub, st)
 						}
 					}
 				}
-				return recs
+				return tr.String()
 			}
-
-			scalarOpts := cfg.opts
-			scalarOpts.scalarDataPath = true
-			reference := run(scalarOpts, false)
-			for _, shape := range []struct {
-				name string
-				recs []opRecord
-			}{
-				{"ReadInto", run(cfg.opts, false)},
-				{"ReadSegments", run(cfg.opts, true)},
-			} {
-				if len(shape.recs) != len(reference) {
-					t.Fatalf("%s: %d ops, scalar reference %d", shape.name, len(shape.recs), len(reference))
-				}
-				for i := range reference {
-					if shape.recs[i].stats != reference[i].stats {
-						t.Errorf("op %d stats diverge:\n  scalar: %+v\n  %s: %+v",
-							i, reference[i].stats, shape.name, shape.recs[i].stats)
-					}
-					if !bytes.Equal(shape.recs[i].data, reference[i].data) {
-						t.Errorf("op %d: %s payload bytes diverge from the scalar reference", i, shape.name)
-					}
-				}
+			into, segs := run(false), run(true)
+			if into != segs {
+				t.Fatal("ReadInto and ReadSegments traced differently")
 			}
+			tr.Add("== %s", cfg.name)
+			tr.Add("%s", strings.TrimSuffix(into, "\n"))
 		})
 	}
+	tr.Check(t, "TestDifferentialSegmentsVsRead")
 }
 
 // BenchmarkReadSegments measures the zero-copy read path end to end: a
@@ -335,7 +320,9 @@ func TestReadIntoStaleBufferHoles(t *testing.T) {
 			}
 			defer v.Close()
 
-			image := make([]byte, side*side*es) // host model: zeros plus the writes
+			m := spec.New()
+			mid, _ := m.Create(es, []int64{side, side})
+			mv, _ := m.Open(mid, []int64{side, side})
 			rng := rand.New(rand.NewSource(11))
 			for _, w := range writes {
 				// Nonzero bytes only: never mistakable for a hole.
@@ -343,11 +330,7 @@ func TestReadIntoStaleBufferHoles(t *testing.T) {
 				if _, err := v.Write(w.coord, w.sub, data); err != nil {
 					t.Fatalf("write %v/%v: %v", w.coord, w.sub, err)
 				}
-				rowBytes := w.sub[1] * es
-				for r := int64(0); r < w.sub[0]; r++ {
-					at := ((w.coord[0]*w.sub[0]+r)*side + w.coord[1]*w.sub[1]) * es
-					copy(image[at:at+rowBytes], data[r*rowBytes:(r+1)*rowBytes])
-				}
+				mv.Write(w.coord, w.sub, data)
 			}
 
 			buf := make([]byte, side*side*es)
@@ -355,12 +338,7 @@ func TestReadIntoStaleBufferHoles(t *testing.T) {
 			// left warm (cache entries, prefetched blocks).
 			for pass := 0; pass < 2; pass++ {
 				for _, rd := range reads {
-					rowBytes := rd.sub[1] * es
-					want := make([]byte, rd.sub[0]*rowBytes)
-					for r := int64(0); r < rd.sub[0]; r++ {
-						at := ((rd.coord[0]*rd.sub[0]+r)*side + rd.coord[1]*rd.sub[1]) * es
-						copy(want[r*rowBytes:], image[at:at+rowBytes])
-					}
+					want, _ := mv.Read(rd.coord, rd.sub)
 					for i := range buf {
 						buf[i] = 0xFF
 					}

@@ -15,26 +15,26 @@ import (
 // order.
 //
 // mu is a leaf lock in the STL's order (space -> die -> cache shard / device
-// shard): it guards the allocation cursor, the free-block list, and this
-// die's slice of the reverse-lookup table (rev entries whose PPA lands on
-// this die, plus validInBlk). freePages is additionally an atomic so
-// watermark checks and placement heuristics can read it without taking mu;
-// every mutation happens under mu so compound invariants stay intact.
+// shard): it guards the open blocks, the free-block list, and this die's
+// slice of the reverse-lookup table (rev entries whose PPA lands on this die,
+// plus validInBlk). freePages is additionally an atomic so watermark checks
+// and placement heuristics can read it without taking mu; every mutation
+// happens under mu so compound invariants stay intact. freePages is always
+// the free blocks' pages plus what is left of every open block.
 type die struct {
-	mu          sync.Mutex
-	freeBlocks  []int
-	activeBlock int
-	nextPage    int
-	freePages   atomic.Int64
-	validInBlk  []int32
+	mu         sync.Mutex
+	freeBlocks []int
+	open       [streams]openBlock
+	freePages  atomic.Int64
+	validInBlk []int32
 	// unbound counts, per block, the units carved and not yet bound. A carved
 	// unit is in no reverse entry until its caller binds it, under a second
 	// section of mu, so validInBlk alone makes a block whose only live pages
 	// are in that window look empty: collection leaves a block with unbound
 	// units alone (pickVictimLocked, and collectDie's closing of the open
-	// block), or it would erase the block under the writer about to program it.
+	// blocks), or it would erase the block under the writer about to program it.
 	unbound []int32
-	retired []bool // per-block: removed from service (nil until first retirement)
+	state   []blockState // per block: in use, on the free list, or retired
 
 	// collecting marks that one GC actor (the background worker or an inline
 	// collector) owns victim selection and evacuation on this die. It is a
@@ -45,24 +45,88 @@ type die struct {
 	gc         gcScratch // the claim holder's working memory
 }
 
-// carve takes the next programmable page of the die, opening a fresh block
-// when the active one is exhausted. The unit counts as unbound until bindUnit
-// binds it; a caller that abandons it instead hands it to releaseUnit. Caller
+// blockState is where a block of a die is: in use (open, or closed and
+// holding pages), on the free list, or retired.
+type blockState uint8
+
+const (
+	blockInUse blockState = iota
+	blockFree
+	blockRetired
+)
+
+// Streams name a die's open blocks. Every die programs two blocks at once: an
+// overwrite of a building block written recently goes to the hot block
+// (overwriteStream); first writes, colder rewrites, collection survivors and
+// fault relocations go to the default one. Pages that die young then share
+// blocks with one another, and those blocks empty out before the collector
+// reaches them (DESIGN.md "Two open blocks per die").
+const (
+	defaultStream = iota
+	hotStream
+	streams
+)
+
+// openBlock is one stream's block being programmed: block -1 while the
+// stream holds none. An exhausted block stays the stream's, and out of the
+// collector's reach, until the stream's next carve opens another.
+type openBlock struct {
+	block int
+	next  int // the next page to program
+}
+
+// left is how many pages of the block are still to program.
+func (o *openBlock) left(pagesPerBlock int) int {
+	if o.block < 0 {
+		return 0
+	}
+	return pagesPerBlock - o.next
+}
+
+// isOpen reports whether block b is one of the die's open blocks. Caller
 // holds d.mu.
-func (d *die) carve(channel, bank, pagesPerBlock int) (nvm.PPA, bool) {
-	if d.activeBlock < 0 || d.nextPage >= pagesPerBlock {
+func (d *die) isOpen(b int) bool {
+	for s := range d.open {
+		if d.open[s].block == b {
+			return true
+		}
+	}
+	return false
+}
+
+// carve takes the next programmable page of the die for stream, opening a
+// fresh block when the stream's is exhausted. With no free block left it
+// takes the page from the other stream's open block instead, so a carve
+// fails only when the die has no free page at all. The unit counts as
+// unbound until bindUnit binds it; a caller that abandons it instead hands
+// it to releaseUnit. Caller holds d.mu.
+func (d *die) carve(channel, bank, pagesPerBlock, stream int) (nvm.PPA, bool) {
+	o := &d.open[stream]
+	if o.left(pagesPerBlock) == 0 {
 		if len(d.freeBlocks) == 0 {
+			for s := range d.open {
+				if d.open[s].left(pagesPerBlock) > 0 {
+					return d.carve(channel, bank, pagesPerBlock, s)
+				}
+			}
 			return nvm.PPA{}, false
 		}
-		d.activeBlock = d.freeBlocks[0]
+		o.block, o.next = d.freeBlocks[0], 0
 		d.freeBlocks = d.freeBlocks[1:]
-		d.nextPage = 0
+		d.state[o.block] = blockInUse
 	}
-	p := nvm.PPA{Channel: channel, Bank: bank, Block: d.activeBlock, Page: d.nextPage}
-	d.nextPage++
+	p := nvm.PPA{Channel: channel, Bank: bank, Block: o.block, Page: o.next}
+	o.next++
 	d.freePages.Add(-1)
-	d.unbound[d.activeBlock]++
+	d.unbound[o.block]++
 	return p, true
+}
+
+// closeOpen gives up stream's open block: its unprogrammed tail is no longer
+// free space, and the block becomes an ordinary in-use one. Caller holds d.mu.
+func (d *die) closeOpen(stream, pagesPerBlock int) {
+	d.freePages.Add(-int64(d.open[stream].left(pagesPerBlock)))
+	d.open[stream].block = -1
 }
 
 // releaseUnit gives up a carved unit that will never be bound: its page stays
@@ -72,11 +136,6 @@ func (t *STL) releaseUnit(p nvm.PPA) {
 	d.mu.Lock()
 	d.unbound[p.Block]--
 	d.mu.Unlock()
-}
-
-// carvable reports whether carve would succeed. Caller holds d.mu.
-func (d *die) carvable(pagesPerBlock int) bool {
-	return (d.activeBlock >= 0 && d.nextPage < pagesPerBlock) || len(d.freeBlocks) > 0
 }
 
 func (t *STL) die(channel, bank int) *die { return t.dies[channel*t.geo.Banks+bank] }
@@ -106,23 +165,23 @@ func (t *STL) criticalWaterPages() int64 { return t.lowWaterPages() / 2 }
 // allocations before the next kick.
 func (t *STL) highWaterPages() int64 { return t.lowWaterPages() + t.lowWaterPages()/2 }
 
-// takeUnit carves the next programmable page out of the given die. With
-// synchronous GC (Config.BackgroundGC unset) collection runs inline at
+// takeUnit carves the next programmable page of stream out of the given die.
+// With synchronous GC (Config.BackgroundGC unset) collection runs inline at
 // exactly the original trigger points, so single-threaded runs are
 // bit-identical to the pre-concurrent path. With the background worker
 // enabled, crossing the low-water mark only kicks the worker; the foreground
 // write blocks on reclamation solely when the die is critically dry.
 // takeUnit does not touch reverse maps; callers bind the unit to a building
 // block.
-func (t *STL) takeUnit(at sim.Time, channel, bank int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+func (t *STL) takeUnit(at sim.Time, channel, bank, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
 	var (
 		p   nvm.PPA
 		err error
 	)
 	if d := t.die(channel, bank); t.cfg.BackgroundGC {
-		p, at, err = t.takeUnitConcurrent(at, d, channel, bank, ac)
+		p, at, err = t.takeUnitConcurrent(at, d, channel, bank, stream, ac)
 	} else {
-		p, at, err = t.takeUnitInline(at, d, channel, bank, ac)
+		p, at, err = t.takeUnitInline(at, d, channel, bank, stream, ac)
 	}
 	if err == nil && t.carved != nil {
 		t.carved(p)
@@ -130,7 +189,7 @@ func (t *STL) takeUnit(at sim.Time, channel, bank int, ac *allocCtx) (nvm.PPA, s
 	return p, at, err
 }
 
-func (t *STL) takeUnitInline(at sim.Time, d *die, channel, bank int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+func (t *STL) takeUnitInline(at sim.Time, d *die, channel, bank, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
 	low := t.lowWaterPages()
 	if d.freePages.Load() <= low {
 		var err error
@@ -141,15 +200,15 @@ func (t *STL) takeUnitInline(at sim.Time, d *die, channel, bank int, ac *allocCt
 	// One critical section unless the carve would open the die's last free
 	// block: then collection runs first, outside the lock.
 	d.mu.Lock()
-	if (d.activeBlock < 0 || d.nextPage >= t.geo.PagesPerBlock) && len(d.freeBlocks) <= 1 {
+	if target, ok := d.lastBlockTarget(stream, t.geo.PagesPerBlock, low); ok {
 		d.mu.Unlock()
 		var err error
-		if at, err = t.reclaim(at, channel, bank, ac, low); err != nil {
+		if at, err = t.reclaim(at, channel, bank, ac, target); err != nil {
 			return nvm.PPA{}, at, err
 		}
 		d.mu.Lock()
 	}
-	p, ok := d.carve(channel, bank, t.geo.PagesPerBlock)
+	p, ok := d.carve(channel, bank, t.geo.PagesPerBlock, stream)
 	d.mu.Unlock()
 	if !ok {
 		return nvm.PPA{}, at, fmt.Errorf("stl: die ch%d/bk%d out of free blocks: %w", channel, bank, ErrCapacity)
@@ -170,7 +229,30 @@ func (t *STL) reclaim(at sim.Time, channel, bank int, ac *allocCtx, target int64
 	return done, err
 }
 
-func (t *STL) takeUnitConcurrent(at sim.Time, d *die, channel, bank int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+// lastBlockTarget reports whether carving for stream would open the die's
+// last free block and, if so, how far inline collection goes first: to the
+// low mark while no other stream holds a block, and otherwise until a whole
+// block is free beside what is left of the open ones.
+// Two streams could otherwise take the die's last free blocks between them
+// and leave the collector only the default block's tail to relocate into.
+// Caller holds d.mu.
+func (d *die) lastBlockTarget(stream, pagesPerBlock int, low int64) (int64, bool) {
+	if d.open[stream].left(pagesPerBlock) > 0 || len(d.freeBlocks) > 1 {
+		return 0, false
+	}
+	target, others := low, false
+	var left int64
+	for s := range d.open {
+		left += int64(d.open[s].left(pagesPerBlock))
+		others = others || (s != stream && d.open[s].block >= 0)
+	}
+	if others {
+		target = max(low, left+int64(pagesPerBlock))
+	}
+	return target, true
+}
+
+func (t *STL) takeUnitConcurrent(at sim.Time, d *die, channel, bank, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
 	low := t.lowWaterPages()
 	critical := t.criticalWaterPages()
 	d.mu.Lock()
@@ -179,9 +261,9 @@ func (t *STL) takeUnitConcurrent(at sim.Time, d *die, channel, bank int, ac *all
 	ok := false
 	if free > critical {
 		// Above the critical mark every free page is fair game (free pages
-		// always live in the open block or the free list, so the carve cannot
-		// fail here).
-		p, ok = d.carve(channel, bank, t.geo.PagesPerBlock)
+		// always live in an open block or the free list, and carve reaches
+		// both from either stream, so the carve cannot fail here).
+		p, ok = d.carve(channel, bank, t.geo.PagesPerBlock, stream)
 	}
 	d.mu.Unlock()
 	if free <= low {
@@ -197,7 +279,7 @@ func (t *STL) takeUnitConcurrent(at sim.Time, d *die, channel, bank int, ac *all
 		return nvm.PPA{}, at, err
 	}
 	d.mu.Lock()
-	p, ok = d.carve(channel, bank, t.geo.PagesPerBlock)
+	p, ok = d.carve(channel, bank, t.geo.PagesPerBlock, stream)
 	d.mu.Unlock()
 	if !ok {
 		return nvm.PPA{}, at, fmt.Errorf("stl: die ch%d/bk%d out of free blocks: %w", channel, bank, ErrCapacity)
@@ -210,16 +292,19 @@ const (
 	// die whose GC claim another actor holds.
 	gcStallPoll = 50 * time.Microsecond
 	// gcStallLimit bounds the total wall-clock time a foreground write waits
-	// on reclamation before escalating to ErrMedia.
+	// on reclamation before escalating to ErrMedia. It is a liveness guard
+	// against a collector that never comes back, not part of the simulated
+	// model: it counts wall time, not simulated time, so whether a write that
+	// waits on a busy collector completes or fails depends on how fast the
+	// machine runs the collector (DESIGN.md "Write path & background GC").
 	gcStallLimit = 250 * time.Millisecond
 )
 
 // reclaimDry is the background-mode slow path: the die is at or below the
-// critical watermark (or cannot open a block), so the write must reclaim
-// inline or wait for the actor that holds the die's GC claim. All wall-clock
-// time spent here is charged to GCStallNs; by construction it is only
-// entered below the critical mark, so a write above the low watermark never
-// stalls on GC.
+// critical watermark, so the write must reclaim inline or wait for the actor
+// that holds the die's GC claim. All wall-clock time spent here is charged to
+// GCStallNs; by construction it is only entered below the critical mark, so a
+// write above the low watermark never stalls on GC.
 func (t *STL) reclaimDry(at sim.Time, channel, bank int, ac *allocCtx) (sim.Time, error) {
 	d := t.die(channel, bank)
 	start := time.Now()
@@ -231,11 +316,9 @@ func (t *STL) reclaimDry(at sim.Time, channel, bank int, ac *allocCtx) (sim.Time
 	}
 	critical := t.criticalWaterPages()
 	for {
-		d.mu.Lock()
-		usable := d.carvable(t.geo.PagesPerBlock) && d.freePages.Load() > 0
-		recovered := d.freePages.Load() > critical
-		d.mu.Unlock()
-		if usable && recovered {
+		// Above the critical mark a carve cannot fail: every free page is in
+		// reach of either stream.
+		if d.freePages.Load() > critical {
 			return at, nil
 		}
 		done, outcome, err := t.collectDie(at, channel, bank, ac, critical)
@@ -310,7 +393,7 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, ac *allocC
 			free[ch] = t.die(ch, bk).freePages.Load()
 		}
 		for ch := nextChannel(blk.chanUse, free, -1); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
-			p, ready, err := t.takeUnit(at, ch, bk, ac)
+			p, ready, err := t.takeUnit(at, ch, bk, defaultStream, ac)
 			if err != nil {
 				continue // die exhausted; try the next candidate
 			}
@@ -338,7 +421,7 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, ac *alloc
 	for off := 0; off < len(t.dies); off++ {
 		d := (die + off) % len(t.dies)
 		ch, bk := d/t.geo.Banks, d%t.geo.Banks
-		p, ready, err := t.takeUnit(at, ch, bk, ac)
+		p, ready, err := t.takeUnit(at, ch, bk, defaultStream, ac)
 		if err != nil {
 			continue
 		}
@@ -353,16 +436,18 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, ac *alloc
 	return nvm.PPA{}, at, fmt.Errorf("stl: no die can supply a free unit: %w", ErrCapacity)
 }
 
-// allocateReplacement picks a unit from the same channel and bank as the
-// overwritten unit at old (§4.2: "the STL simply picks a page from the same
-// channel and bank as the overwritten unit"). With the background worker
-// enabled, a dry die falls over to any die with room — data placement beats
-// strict same-die replacement once foreground writes no longer wait for inline
-// collection (documented deviation, see DESIGN.md); synchronous mode keeps the
-// strict behaviour.
-func (t *STL) allocateReplacement(at sim.Time, old nvm.Word, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+// allocateReplacement picks a unit of stream from the same channel and bank
+// as the overwritten unit at old (§4.2: "the STL simply picks a page from the
+// same channel and bank as the overwritten unit"); the stream only chooses
+// which of that die's open blocks the page goes to (overwriteStream), so
+// placement across channels and banks, and every read's timing, are the
+// paper's. With the background worker enabled, a dry die falls over to any
+// die with room — data placement beats strict same-die replacement once
+// foreground writes no longer wait for inline collection (documented
+// deviation, see DESIGN.md); synchronous mode keeps the strict behaviour.
+func (t *STL) allocateReplacement(at sim.Time, old nvm.Word, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
 	ch, bk := t.lay.Channel(old), t.lay.Bank(old)
-	p, done, err := t.takeUnit(at, ch, bk, ac)
+	p, done, err := t.takeUnit(at, ch, bk, stream, ac)
 	if err == nil || !t.cfg.BackgroundGC {
 		return p, done, err
 	}
@@ -370,6 +455,19 @@ func (t *STL) allocateReplacement(at sim.Time, old nvm.Word, ac *allocCtx) (nvm.
 		return np, at, nil
 	}
 	return p, done, err
+}
+
+// overwriteStream is the stream an overwrite of blk lands in: the hot one if
+// the block was last written less than one erase block per die of host
+// programs before now (t.progs when the request began), the default one
+// otherwise. The window comes from the geometry and nothing tunes it: any
+// window from half a block to four blocks per die buys most of the gain
+// (DESIGN.md "Two open blocks per die").
+func (t *STL) overwriteStream(blk *BuildingBlock, now int64) int {
+	if now-blk.lastWrite < int64(t.geo.PagesPerBlock)*int64(len(t.dies)) {
+		return hotStream
+	}
+	return defaultStream
 }
 
 // randIntn draws from the shared policy RNG under its lock.

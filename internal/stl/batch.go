@@ -306,6 +306,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		return at, stats, err
 	}
 	hasData := !t.dev.Phantom()
+	now := t.progs.Load() // how recently a block was written is judged once a request
 	for si := range rs.stages {
 		st := &rs.stages[si]
 		slot := &st.blk.pages[st.page]
@@ -367,7 +368,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		)
 		if slot.allocated() {
 			t.invalidateUnit(slot.word())
-			unit, ready, err = t.allocateReplacement(ready, slot.word(), ac)
+			unit, ready, err = t.allocateReplacement(ready, slot.word(), t.overwriteStream(st.blk, now), ac)
 		} else {
 			unit, ready, err = t.allocateUnit(ready, s, st.blk, ac)
 		}
@@ -388,6 +389,10 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		t.bindUnit(s, st.blk, st.blockIdx, st.page, unit)
 		t.progs.Add(1)
 		stats.PagesProgrammed++
+	}
+	end := t.progs.Load()
+	for i := range rs.plans {
+		rs.plans[i].blk.lastWrite = end
 	}
 	if err := t.flushPrograms(rs, &done, &stats); err != nil {
 		return at, stats, err

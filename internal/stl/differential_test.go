@@ -137,6 +137,7 @@ func TestDifferentialCompression(t *testing.T) {
 func TestDifferentialGCPressure(t *testing.T) {
 	sc, c := newTwin(t, 4, []int64{128, 128}, []int64{128, 128},
 		func(c *Config) { c.OverProvision = 0.5; c.GCLowWater = 0.3 })
+	sc.after = func() { auditDies(t, sc.st) }
 	// A collection between two carves of one request ran through the request's
 	// flush hook with the earlier pages' frames queued and not yet filled.
 	var lastErases int64 = -1

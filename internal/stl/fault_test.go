@@ -250,7 +250,7 @@ func TestGCRelocationOutOfSpaceRecovery(t *testing.T) {
 	}
 
 	// Find a block holding valid units on die (0,0) and strand it: no free
-	// blocks, no open block — zero room for relocation.
+	// blocks, no open blocks — zero room for relocation.
 	d := st.die(0, 0)
 	victim := -1
 	for b := 0; b < geo.BlocksPerBank; b++ {
@@ -262,8 +262,13 @@ func TestGCRelocationOutOfSpaceRecovery(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no block with valid units on die 0/0")
 	}
+	for _, b := range d.freeBlocks {
+		d.state[b] = blockInUse
+	}
 	d.freeBlocks = nil
-	d.activeBlock = -1
+	for s := range d.open {
+		d.open[s].block = -1
+	}
 
 	if _, res, err := st.evacuateBlock(0, 0, 0, victim, nil); err != nil || res == gcProgress {
 		t.Fatalf("want a no-progress outcome from stranded evacuation, got res=%v err=%v", res, err)
@@ -400,6 +405,7 @@ func faultMatrixRun(t *testing.T) *script {
 		EnduranceLimit:   200,
 	})
 	sc := newScript(t, dev, DefaultConfig())
+	sc.after = func() { auditDies(t, sc.st) }
 	c := sc.space(t, 4, []int64{160, 160}, []int64{160, 160})
 	rng := rand.New(rand.NewSource(77))
 	sc.mustWrite(t, 0, c, []int64{0, 0}, []int64{160, 160}, fillRandom(rng, 160*160*4))

@@ -87,22 +87,20 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 			break
 		}
 		victim := t.pickVictimLocked(d, channel, bank, busy)
-		if victim < 0 && d.activeBlock >= 0 && d.unbound[d.activeBlock] == 0 &&
-			d.validInBlk[d.activeBlock] < int32(d.nextPage) {
-			// Reclaimable pages sit only in the open block: close it.
-			d.freePages.Add(-int64(t.geo.PagesPerBlock - d.nextPage))
-			d.activeBlock = -1
-			victim = t.pickVictimLocked(d, channel, bank, busy)
+		for s := 0; victim < 0 && s < streams; s++ {
+			if o := d.open[s]; o.block >= 0 && d.unbound[o.block] == 0 && d.validInBlk[o.block] < int32(o.next) {
+				// Reclaimable pages sit only in an open block: close it.
+				d.closeOpen(s, t.geo.PagesPerBlock)
+				victim = t.pickVictimLocked(d, channel, bank, busy)
+			}
 		}
 		if victim < 0 {
 			d.mu.Unlock()
 			break // nothing reclaimable
 		}
-		survivors := int64(d.validInBlk[victim])
-		room := int64(len(d.freeBlocks)) * int64(t.geo.PagesPerBlock)
-		if d.activeBlock >= 0 {
-			room += int64(t.geo.PagesPerBlock - d.nextPage)
-		}
+		// The survivors go to the default stream, and carve reaches every free
+		// page of the die from it: the free blocks and both open blocks' tails.
+		room, survivors := d.freePages.Load(), int64(d.validInBlk[victim])
 		d.mu.Unlock()
 		if room < survivors {
 			break
@@ -144,23 +142,17 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 // skipped, and so is a block with a unit carved and not yet bound (die.unbound).
 // -1 if no block is eligible. Caller holds d.mu.
 func (t *STL) pickVictimLocked(d *die, channel, bank int, exclude []int) int {
-	free := make(map[int]bool, len(d.freeBlocks))
-	for _, b := range d.freeBlocks {
-		free[b] = true
-	}
 	eligible := func(b int) bool {
-		if b == d.activeBlock || free[b] {
+		// Free blocks hold nothing to reclaim. Retired blocks are never
+		// erased; evacuating one nets nothing, and its valid pages stay
+		// readable in place.
+		if d.state[b] != blockInUse || d.isOpen(b) {
 			return false
 		}
 		for _, x := range exclude {
 			if b == x {
 				return false
 			}
-		}
-		if d.retired != nil && d.retired[b] {
-			// Retired blocks are never erased; evacuating one nets nothing,
-			// and its valid pages stay readable in place.
-			return false
 		}
 		return d.unbound[b] == 0 && d.validInBlk[b] < int32(t.geo.PagesPerBlock)
 	}
@@ -238,7 +230,7 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 
 	// Phase 1: snapshot the victim's valid units under the die lock. New
 	// units cannot appear in the victim afterwards (programs only land in the
-	// open block, and the victim is closed and claimed), so the snapshot can
+	// open blocks, and the victim is closed and claimed), so the snapshot can
 	// only shrink — stale entries are dropped by the re-validation below.
 	g.moves = g.moves[:0]
 	d.mu.Lock()
@@ -302,7 +294,7 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 		// up).
 		d.mu.Lock()
 		for i := range moves {
-			dst, okCarve := d.carve(channel, bank, t.geo.PagesPerBlock)
+			dst, okCarve := d.carve(channel, bank, t.geo.PagesPerBlock, defaultStream)
 			if !okCarve {
 				d.mu.Unlock()
 				t.releaseOps(ops)
@@ -355,6 +347,7 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 	}
 	d.mu.Lock()
 	d.freeBlocks = append(d.freeBlocks, block)
+	d.state[block] = blockFree
 	d.freePages.Add(int64(t.geo.PagesPerBlock))
 	d.mu.Unlock()
 	t.gcErases.Add(1)

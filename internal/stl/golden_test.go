@@ -28,6 +28,9 @@ type script struct {
 	// lend, when set, runs each of the script's STL requests: a test that
 	// lends the STL one scratch (oneScratch) runs the request alone inside it.
 	lend func(request func())
+	// after, when set, runs after each of the script's STL requests: a test
+	// that audits the allocator between operations (auditDies) sets it.
+	after func()
 }
 
 // checked is a view of a space of the STL beside the model's view of it.
@@ -51,6 +54,9 @@ func (sc *script) do(request func()) {
 		sc.lend(request)
 	} else {
 		request()
+	}
+	if sc.after != nil {
+		sc.after()
 	}
 }
 
@@ -160,11 +166,13 @@ func (sc *script) readRaw(t *testing.T, at sim.Time, c *checked, coord, sub []in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := n * int64(c.v.space.elemSize); int64(cap(sc.dst)) < want {
+	want := n * int64(c.v.space.elemSize)
+	if int64(cap(sc.dst)) < want {
 		sc.dst = make([]byte, want)
 	}
-	for i := range sc.dst {
-		sc.dst[i] = 0xA5 // stale bytes a read must overwrite or zero
+	stale := sc.dst[:want]
+	for i := range stale {
+		stale[i] = 0xA5 // stale bytes a read must overwrite or zero
 	}
 	var (
 		got  []byte

@@ -32,6 +32,10 @@ type BuildingBlock struct {
 	lastBank int      // bank of the most recently allocated unit
 	used     int      // allocated unit count
 	naiveDie int      // home die under the ablation allocator
+	// lastWrite is the STL's host-program count when a write last finished
+	// with the block: how recently it was written, which picks the stream its
+	// overwrites land in (overwriteStream).
+	lastWrite int64
 
 	// Compression state (§5.3.4): when compressed, the first physPages
 	// slots hold the deflated image of compLen bytes.

@@ -107,7 +107,7 @@ func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 		for bk := 0; bk < geo.Banks; bk++ {
 			d := st.die(ch, bk)
 			for n := rng.Intn(3) * 4; n > 0; n-- { // leave 8, 4 or 0 pages
-				p, _ := d.carve(ch, bk, geo.PagesPerBlock)
+				p, _ := d.carve(ch, bk, geo.PagesPerBlock, defaultStream)
 				d.validInBlk[p.Block]++ // live, so collection cannot win it back
 			}
 		}

@@ -3,6 +3,7 @@ package stl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nds/internal/nvm"
 	"nds/internal/sim"
@@ -99,8 +100,9 @@ func (t *STL) effectiveMaxPages() int64 {
 }
 
 // retireBlock permanently removes a block from service: it leaves the die's
-// free list, will never be the active block or a GC victim again, and is
-// never erased. Valid pages still in it stay readable in place. Idempotent.
+// free list or stops being an open block, will never be opened or picked as a
+// GC victim again, and is never erased. Valid pages still in it stay
+// readable in place. Idempotent.
 func (t *STL) retireBlock(channel, bank, block int) {
 	d := t.die(channel, bank)
 	type cacheKey struct {
@@ -109,14 +111,12 @@ func (t *STL) retireBlock(channel, bank, block int) {
 	}
 	var drops []cacheKey
 	d.mu.Lock()
-	if d.retired == nil {
-		d.retired = make([]bool, t.geo.BlocksPerBank)
-	}
-	if d.retired[block] {
+	was := d.state[block]
+	if was == blockRetired {
 		d.mu.Unlock()
 		return
 	}
-	d.retired[block] = true
+	d.state[block] = blockRetired
 	t.retiredBlocks.Add(1)
 	t.retiredPages.Add(int64(t.geo.PagesPerBlock))
 	if t.cache != nil {
@@ -133,19 +133,15 @@ func (t *STL) retireBlock(channel, bank, block int) {
 			}
 		}
 	}
-	removed := false
-	for i, b := range d.freeBlocks {
-		if b == block {
-			d.freeBlocks = append(d.freeBlocks[:i], d.freeBlocks[i+1:]...)
-			d.freePages.Add(-int64(t.geo.PagesPerBlock))
-			removed = true
-			break
-		}
+	if was == blockFree {
+		i := slices.Index(d.freeBlocks, block)
+		d.freeBlocks = slices.Delete(d.freeBlocks, i, i+1)
+		d.freePages.Add(-int64(t.geo.PagesPerBlock))
 	}
-	if !removed && block == d.activeBlock {
-		// The open block's unprogrammed tail is no longer free space.
-		d.freePages.Add(-int64(t.geo.PagesPerBlock - d.nextPage))
-		d.activeBlock = -1
+	for s := range d.open {
+		if d.open[s].block == block {
+			d.closeOpen(s, t.geo.PagesPerBlock)
+		}
 	}
 	d.mu.Unlock()
 	for _, k := range drops {
@@ -160,7 +156,7 @@ func (t *STL) retireBlock(channel, bank, block int) {
 func (t *STL) takeUnitRaw(channel, bank int) (nvm.PPA, bool) {
 	d := t.die(channel, bank)
 	d.mu.Lock()
-	p, ok := d.carve(channel, bank, t.geo.PagesPerBlock)
+	p, ok := d.carve(channel, bank, t.geo.PagesPerBlock, defaultStream)
 	d.mu.Unlock()
 	return p, ok
 }

@@ -207,13 +207,17 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 	}
 	for i := range t.dies {
 		d := &die{
-			activeBlock: -1,
-			validInBlk:  make([]int32, geo.BlocksPerBank),
-			unbound:     make([]int32, geo.BlocksPerBank),
+			validInBlk: make([]int32, geo.BlocksPerBank),
+			unbound:    make([]int32, geo.BlocksPerBank),
+			state:      make([]blockState, geo.BlocksPerBank),
+		}
+		for s := range d.open {
+			d.open[s].block = -1
 		}
 		d.freePages.Store(geo.PagesPerBank())
 		for b := 0; b < geo.BlocksPerBank; b++ {
 			d.freeBlocks = append(d.freeBlocks, b)
+			d.state[b] = blockFree
 		}
 		t.dies[i] = d
 	}

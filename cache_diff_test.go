@@ -185,7 +185,6 @@ func TestCacheEncryptedDifferential(t *testing.T) {
 			Mode:          ModeHardware,
 			CapacityHint:  8 << 20,
 			EncryptionKey: []byte("tenant-key"),
-			SynchronousGC: true,
 			CacheBytes:    cacheBytes,
 			PrefetchDepth: depth,
 		})

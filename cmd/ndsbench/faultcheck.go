@@ -42,9 +42,6 @@ func faultCheckRun() (nds.ReliabilityReport, int64) {
 	d, err := nds.Open(nds.Options{
 		Mode:         nds.ModeHardware,
 		CapacityHint: 4 << 20,
-		// The replay gate compares two runs' fault histories and clocks, so
-		// GC must trigger at seed-deterministic points, not worker timing.
-		SynchronousGC: true,
 		Faults: &nds.FaultPlan{
 			Seed:             2021,
 			ProgramFailEvery: 12,

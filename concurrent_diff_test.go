@@ -148,12 +148,12 @@ func TestDifferentialConcurrentStreams(t *testing.T) {
 
 // TestDifferentialConcurrentVsExclusiveWrites: lock modes must be
 // data-equivalent. Sixteen streams overwrite disjoint tiles of one space
-// twice — once on the concurrent write path (per-space serialization,
-// background GC) and once with one write at a time (a test-local mutex around
-// every Write, SynchronousGC) — and both devices must end with exactly the
-// model's image. The payloads are keyed by tile, not by arrival order, so the
-// final image is interleaving-independent even though the two runs schedule
-// writes differently.
+// twice — once on the concurrent write path (per-space serialization) and
+// once with one write at a time (a test-local mutex around every Write) — and
+// both devices must end with exactly the model's image. The payloads are
+// keyed by tile, not by arrival order, so the final image is
+// interleaving-independent even though the two runs schedule writes
+// differently.
 func TestDifferentialConcurrentVsExclusiveWrites(t *testing.T) {
 	const (
 		clients = 16
@@ -164,9 +164,8 @@ func TestDifferentialConcurrentVsExclusiveWrites(t *testing.T) {
 	)
 	run := func(serialized bool) []byte {
 		d, err := Open(Options{
-			Mode:          ModeHardware,
-			CapacityHint:  16 << 20,
-			SynchronousGC: serialized,
+			Mode:         ModeHardware,
+			CapacityHint: 16 << 20,
 		})
 		if err != nil {
 			t.Fatal(err)

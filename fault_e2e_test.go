@@ -17,9 +17,6 @@ func faultOpts() Options {
 	return Options{
 		Mode:         ModeHardware,
 		CapacityHint: 1 << 20,
-		// The replay assertions below need run-identical GC points; the
-		// background worker's timing is wall-clock dependent.
-		SynchronousGC: true,
 		Faults: &FaultPlan{
 			Seed:             19,
 			ProgramFailEvery: 16,

@@ -25,7 +25,7 @@ func TestSegmentLeaseOutlivesRelocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig()) // synchronous GC: the writer collects inline
+	st, err := New(dev, DefaultConfig()) // the writer collects inline
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package stl
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nds/internal/nvm"
 	"nds/internal/sim"
@@ -17,7 +17,7 @@ import (
 // mu is a leaf lock in the STL's order (space -> die -> cache shard / device
 // shard): it guards the open blocks, the free-block list, and this die's
 // slice of the reverse-lookup table (rev entries whose PPA lands on this die,
-// plus validInBlk). freePages is additionally an atomic so watermark checks
+// plus validInBlk). freePages is additionally an atomic so low-mark checks
 // and placement heuristics can read it without taking mu; every mutation
 // happens under mu so compound invariants stay intact. freePages is always
 // the free blocks' pages plus what is left of every open block.
@@ -36,11 +36,10 @@ type die struct {
 	unbound []int32
 	state   []blockState // per block: in use, on the free list, or retired
 
-	// collecting marks that one GC actor (the background worker or an inline
-	// collector) owns victim selection and evacuation on this die. It is a
-	// try-only claim, never a blocking lock: nothing that holds a space lock
-	// ever blocks on a GC actor, which is what keeps the space->die order
-	// deadlock-free.
+	// collecting marks that one writer's collection owns victim selection and
+	// evacuation on this die. It is a try-only claim, never a blocking lock:
+	// nothing that holds a space lock ever blocks on a collector, which is
+	// what keeps the space->die order deadlock-free.
 	collecting bool
 	gc         gcScratch // the claim holder's working memory
 }
@@ -151,45 +150,21 @@ type allocCtx struct {
 	held  *Space
 }
 
-// lowWaterPages is the per-die free-page threshold below which collection is
-// wanted; criticalWaterPages is where a foreground write stops trusting the
-// background worker and reclaims inline (half the low-water reserve).
+// lowWaterPages is the per-die free-page threshold at or below which a carve
+// collects the die first (the paper's 10 %).
 func (t *STL) lowWaterPages() int64 {
 	return int64(t.cfg.GCLowWater * float64(t.geo.PagesPerBank()))
 }
 
-func (t *STL) criticalWaterPages() int64 { return t.lowWaterPages() / 2 }
-
-// highWaterPages is where the background worker stops collecting a die; it
-// sits above the low mark so each worker pass buys a batch of foreground
-// allocations before the next kick.
-func (t *STL) highWaterPages() int64 { return t.lowWaterPages() + t.lowWaterPages()/2 }
-
-// takeUnit carves the next programmable page of stream out of the given die.
-// With synchronous GC (Config.BackgroundGC unset) collection runs inline at
-// exactly the original trigger points, so single-threaded runs are
-// bit-identical to the pre-concurrent path. With the background worker
-// enabled, crossing the low-water mark only kicks the worker; the foreground
-// write blocks on reclamation solely when the die is critically dry.
-// takeUnit does not touch reverse maps; callers bind the unit to a building
-// block.
+// takeUnit carves the next programmable page of stream out of the given die,
+// collecting it first, on the caller's goroutine and at the caller's
+// simulated time, when its free pages are at the low mark or the carve would
+// open its last free block. Collection therefore happens at points fixed by
+// the sequence of writes, and a run driven one write at a time replays
+// exactly. takeUnit does not touch reverse maps; callers bind the unit to a
+// building block.
 func (t *STL) takeUnit(at sim.Time, channel, bank, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
-	var (
-		p   nvm.PPA
-		err error
-	)
-	if d := t.die(channel, bank); t.cfg.BackgroundGC {
-		p, at, err = t.takeUnitConcurrent(at, d, channel, bank, stream, ac)
-	} else {
-		p, at, err = t.takeUnitInline(at, d, channel, bank, stream, ac)
-	}
-	if err == nil && t.carved != nil {
-		t.carved(p)
-	}
-	return p, at, err
-}
-
-func (t *STL) takeUnitInline(at sim.Time, d *die, channel, bank, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+	d := t.die(channel, bank)
 	low := t.lowWaterPages()
 	if d.freePages.Load() <= low {
 		var err error
@@ -213,20 +188,22 @@ func (t *STL) takeUnitInline(at sim.Time, d *die, channel, bank, stream int, ac 
 	if !ok {
 		return nvm.PPA{}, at, fmt.Errorf("stl: die ch%d/bk%d out of free blocks: %w", channel, bank, ErrCapacity)
 	}
+	if t.carved != nil {
+		t.carved(p)
+	}
 	return p, at, nil
 }
 
-// reclaim is the synchronous-mode collection step: drain any deferred
-// program batch (so GC's device operations keep the issue order), then
-// collect the die toward target.
+// reclaim is the collection step: drain any deferred program batch (so GC's
+// device operations keep the issue order), then collect the die toward
+// target.
 func (t *STL) reclaim(at sim.Time, channel, bank int, ac *allocCtx, target int64) (sim.Time, error) {
 	if ac != nil && ac.flush != nil {
 		if err := ac.flush(); err != nil {
 			return at, err
 		}
 	}
-	done, _, err := t.collectDie(at, channel, bank, ac, target)
-	return done, err
+	return t.collectDie(at, channel, bank, ac, target)
 }
 
 // lastBlockTarget reports whether carving for stream would open the die's
@@ -250,99 +227,6 @@ func (d *die) lastBlockTarget(stream, pagesPerBlock int, low int64) (int64, bool
 		target = max(low, left+int64(pagesPerBlock))
 	}
 	return target, true
-}
-
-func (t *STL) takeUnitConcurrent(at sim.Time, d *die, channel, bank, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
-	low := t.lowWaterPages()
-	critical := t.criticalWaterPages()
-	d.mu.Lock()
-	free := d.freePages.Load()
-	var p nvm.PPA
-	ok := false
-	if free > critical {
-		// Above the critical mark every free page is fair game (free pages
-		// always live in an open block or the free list, and carve reaches
-		// both from either stream, so the carve cannot fail here).
-		p, ok = d.carve(channel, bank, t.geo.PagesPerBlock, stream)
-	}
-	d.mu.Unlock()
-	if free <= low {
-		t.kickGC()
-	}
-	if ok {
-		return p, at, nil
-	}
-	// Critically dry: reclaim inline (or wait out whoever holds the die's GC
-	// claim), with a bounded wall-clock stall before escalating to ErrMedia.
-	var err error
-	if at, err = t.reclaimDry(at, channel, bank, ac); err != nil {
-		return nvm.PPA{}, at, err
-	}
-	d.mu.Lock()
-	p, ok = d.carve(channel, bank, t.geo.PagesPerBlock, stream)
-	d.mu.Unlock()
-	if !ok {
-		return nvm.PPA{}, at, fmt.Errorf("stl: die ch%d/bk%d out of free blocks: %w", channel, bank, ErrCapacity)
-	}
-	return p, at, nil
-}
-
-const (
-	// gcStallPoll is how often a critically-dry foreground write re-checks a
-	// die whose GC claim another actor holds.
-	gcStallPoll = 50 * time.Microsecond
-	// gcStallLimit bounds the total wall-clock time a foreground write waits
-	// on reclamation before escalating to ErrMedia. It is a liveness guard
-	// against a collector that never comes back, not part of the simulated
-	// model: it counts wall time, not simulated time, so whether a write that
-	// waits on a busy collector completes or fails depends on how fast the
-	// machine runs the collector (DESIGN.md "Write path & background GC").
-	gcStallLimit = 250 * time.Millisecond
-)
-
-// reclaimDry is the background-mode slow path: the die is at or below the
-// critical watermark, so the write must reclaim inline or wait for the actor
-// that holds the die's GC claim. All wall-clock time spent here is charged to
-// GCStallNs; by construction it is only entered below the critical mark, so a
-// write above the low watermark never stalls on GC.
-func (t *STL) reclaimDry(at sim.Time, channel, bank int, ac *allocCtx) (sim.Time, error) {
-	d := t.die(channel, bank)
-	start := time.Now()
-	defer func() { t.gcStallNs.Add(time.Since(start).Nanoseconds()) }()
-	if ac != nil && ac.flush != nil {
-		if err := ac.flush(); err != nil {
-			return at, err
-		}
-	}
-	critical := t.criticalWaterPages()
-	for {
-		// Above the critical mark a carve cannot fail: every free page is in
-		// reach of either stream.
-		if d.freePages.Load() > critical {
-			return at, nil
-		}
-		done, outcome, err := t.collectDie(at, channel, bank, ac, critical)
-		if err != nil {
-			return at, err
-		}
-		switch outcome {
-		case gcProgress:
-			at = sim.Max(at, done)
-			continue
-		case gcNothing:
-			// Nothing reclaimable: a genuine capacity condition. Carve what is
-			// left (the caller falls over to another die or reports
-			// ErrCapacity) instead of burning the stall budget.
-			return at, nil
-		}
-		// gcBusy: another actor owns the claim (or holds the space locks the
-		// commit needs); wait for it to release or replenish the die.
-		if time.Since(start) > gcStallLimit {
-			return at, fmt.Errorf("stl: die ch%d/bk%d critically dry and reclamation stalled: %w",
-				channel, bank, ErrMedia)
-		}
-		time.Sleep(gcStallPoll)
-	}
 }
 
 // allocateUnit implements the §4.2 allocation policy for page slot idx of a
@@ -441,14 +325,15 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, ac *alloc
 // same channel and bank as the overwritten unit"); the stream only chooses
 // which of that die's open blocks the page goes to (overwriteStream), so
 // placement across channels and banks, and every read's timing, are the
-// paper's. With the background worker enabled, a dry die falls over to any
-// die with room — data placement beats strict same-die replacement once
-// foreground writes no longer wait for inline collection (documented
-// deviation, see DESIGN.md); synchronous mode keeps the strict behaviour.
+// paper's. A die that collection leaves without a free page — its victims
+// belong to spaces other writers hold, or it has no room to relocate into —
+// falls over to any die with room (allocateRecoveryUnit): data placement
+// beats strict same-die replacement (documented deviation, see DESIGN.md
+// "Write path & GC"). A die that can be collected never gets there.
 func (t *STL) allocateReplacement(at sim.Time, old nvm.Word, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
 	ch, bk := t.lay.Channel(old), t.lay.Bank(old)
 	p, done, err := t.takeUnit(at, ch, bk, stream, ac)
-	if err == nil || !t.cfg.BackgroundGC {
+	if !errors.Is(err, ErrCapacity) {
 		return p, done, err
 	}
 	if np, ok := t.allocateRecoveryUnit(ch, bk); ok {

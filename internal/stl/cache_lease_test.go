@@ -76,12 +76,13 @@ func resident(st *STL, s *Space, block int64) bool {
 // spaces share a four-entry cache with the prefetcher on; a writer per space
 // overwrites blocks and quarter blocks (now and then with zeros, which
 // elision releases without binding anything) on a nine-block-per-die array
-// whose background collector relocates and erases underneath, and two readers
-// check row bands, column bands and tiles of both spaces byte for byte
-// against the host images. The arena is primed with 0xFF frames and no
-// payload holds 0xFF, as in TestWriteStaleFrameHoles. A test-side lock per
-// space orders each read against the writes of its image; the device sees
-// readers of one space, the writer of the other and the collector at once.
+// where each writer's inline collection relocates and erases underneath the
+// other space's readers, and two readers check row bands, column bands and
+// tiles of both spaces byte for byte against the host images. The arena is
+// primed with 0xFF frames and no payload holds 0xFF, as in
+// TestWriteStaleFrameHoles. A test-side lock per space orders each read
+// against the writes of its image; the device sees readers of one space and
+// the writer of the other, collecting, at once.
 //
 // At quiesce the audit must be clean, and the two hooks are held to their
 // contract one at a time, because every rebind calls both and either alone
@@ -103,7 +104,6 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 		iters      = 400
 	)
 	cfg := DefaultConfig()
-	cfg.BackgroundGC = true
 	cfg.ZeroPageElision = true
 	cfg.CacheBytes = 4 * bb * bb * 4
 	cfg.PrefetchDepth = 2
@@ -111,7 +111,6 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 
 	type client struct {
 		mu   sync.RWMutex // orders reads of img against the writes behind it
@@ -220,13 +219,13 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 		return
 	}
 
-	// Whether the collector met a victim with live pages while its owners'
-	// locks were free is up to the scheduler, and so is whether the churn left
-	// such a victim behind. So relocation is asserted here, with every lock
-	// free and the worker fenced out, on a victim built by hand the way
-	// TestBackgroundGCUnderConcurrentWriters builds its own; the spaces are
-	// read back warm before and after (the relocated pages' entries must be
-	// gone) and audited.
+	// Whether a writer's collection met a victim with live pages while its
+	// other owner's lock was free is up to the scheduler, and so is whether
+	// the churn left such a victim behind. So relocation is asserted here,
+	// with every lock free, on a victim built by hand the way
+	// TestGCUnderConcurrentWriters builds its own; the spaces are read back
+	// warm before and after (the relocated pages' entries must be gone) and
+	// audited.
 	check := func(when string) {
 		t.Helper()
 		for pass := 0; pass < 2; pass++ {
@@ -243,19 +242,10 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 		auditCache(t, st, true)
 	}
 	check("after the churn")
-	// Two live pages X and Y of one die; rewrite Y, X, then Y once per page
-	// of an erase block. A rewrite of a whole page replaces its unit in the
-	// same die, so X's new unit sits in a block that the Y rewrites fill and
-	// close, next to copies of Y that later rewrites invalidated. Collecting
-	// the die to exhaustion then has to move X.
-	st.maintMu.Lock()
-	live := liveUnits(st, 2)
-	if len(live) < 2 {
-		t.Fatalf("die ch0/bk0 holds %d live pages of the 320 the spaces spread over 8 dies", len(live))
-	}
 	rng := rand.New(rand.NewSource(60))
 	page := make([]byte, geo.PageSize)
-	rewrite := func(e revEntry) {
+	moved := st.GCReport().PagesRelocated
+	ch, bk := buildMixedVictim(t, st, func(e revEntry) {
 		// A space is one column of blocks, and a page of a block four of its rows.
 		c := spaces[e.space-spaces[0].s.id]
 		coord, sub := []int64{int64(e.block)*8 + int64(e.page), 0}, []int64{4, cols}
@@ -264,21 +254,12 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 			t.Fatal(err)
 		}
 		pasteTile(c.img, cols, 4, coord, sub, page)
-	}
-	moved := st.GCReport().PagesRelocated
-	x, y := live[0], live[1]
-	rewrite(y)
-	rewrite(x)
-	for i := 0; i < geo.PagesPerBlock; i++ {
-		rewrite(y)
-	}
+	})
 	check("before the collection")
-	if _, _, err := st.collectDie(0, 0, 0, nil, geo.PagesPerBank()); err != nil {
+	if _, err := st.collectDie(0, ch, bk, nil, geo.PagesPerBank()); err != nil {
 		t.Fatal(err)
 	}
-	st.maintMu.Unlock()
 	check("after the collection")
-	st.Close()
 	rep, cs := st.GCReport(), st.CacheStats()
 	if rep.Erases == 0 || rep.PagesRelocated == moved || cs.Hits == 0 || cs.Evictions == 0 || cs.Invalidations == 0 || cs.PrefetchIssued == 0 {
 		t.Fatalf("the churn left a path untested: GC %+v, cache %+v", rep, cs)

@@ -15,23 +15,19 @@ import (
 // each surviving unit straight back to its building block, so mapping updates
 // are O(1) per relocated page.
 //
-// Collection runs in one of two modes:
+// Collection runs inline, on the writer that needs the page (takeUnit): a
+// carve from a die at or below the low mark, or one that would open the die's
+// last free block, collects that die first, at the writer's simulated time.
+// There is no collector of its own, so where collection happens depends only
+// on the sequence of writes, and a run driven one write at a time replays
+// exactly — the fault replays and golden traces rely on that.
 //
-//   - Synchronous (Config.BackgroundGC unset): collectDie runs inline in the
-//     foreground write path at the original trigger points, so
-//     single-threaded runs — including fault-replay determinism tests — are
-//     unchanged.
-//   - Background: a worker goroutine sweeps dies whose free pages fell below
-//     the low watermark up to the high watermark, and foreground writes only
-//     collect inline (bounded, with ErrMedia escalation) when a die is
-//     critically dry.
-//
-// Either way, evacuation is three-phase so it can run concurrently with
-// readers and writers of unrelated spaces: (1) snapshot the victim's valid
-// units from the reverse-lookup table under the die lock; (2) try-lock the
-// owning spaces in ascending-ID order and re-validate the snapshot — if any
-// space lock cannot be had (a writer owns it), the pass is abandoned, so a GC
-// actor never blocks a lock holder and the space -> die order stays
+// Evacuation is three-phase so it can run concurrently with readers and
+// writers of unrelated spaces: (1) snapshot the victim's valid units from the
+// reverse-lookup table under the die lock; (2) try-lock the owning spaces in
+// ascending-ID order and re-validate the snapshot — if any space lock cannot
+// be had (another writer owns it), the victim is skipped for the next one, so
+// a collector never blocks a lock holder and the space -> die order stays
 // deadlock-free; (3) under those locks, read the sources, program copies into
 // freshly carved units, rebind, and erase the victim.
 //
@@ -51,7 +47,7 @@ type gcOutcome int
 const (
 	gcProgress gcOutcome = iota // reclaimed (or retired) at least one block
 	gcNothing                   // nothing reclaimable on this die
-	gcBusy                      // claim or commit locks unavailable; retry later
+	gcBusy                      // a writer holds one of the victim's spaces
 )
 
 // gcCommitTries bounds how many times an evacuation retries the commit-phase
@@ -60,14 +56,14 @@ const gcCommitTries = 100
 
 // collectDie reclaims space on one die until its free pages exceed target.
 // Collection is best-effort: it stops without error when no victim block
-// would net free space, and reports gcBusy without collecting when another
-// actor holds the die's claim.
-func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target int64) (sim.Time, gcOutcome, error) {
+// would net free space, and returns at once when another writer holds the
+// die's claim. A caller learns what it bought from the die's free pages.
+func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target int64) (sim.Time, error) {
 	d := t.die(channel, bank)
 	d.mu.Lock()
 	if d.collecting {
 		d.mu.Unlock()
-		return at, gcBusy, nil
+		return at, nil
 	}
 	d.collecting = true
 	d.mu.Unlock()
@@ -78,7 +74,6 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 	}()
 	t.gcRuns.Add(1)
 
-	outcome := gcNothing
 	var busy []int // victims skipped because their owners' locks were unavailable
 	for {
 		d.mu.Lock()
@@ -107,29 +102,22 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 		}
 		done, res, err := t.evacuateBlock(at, channel, bank, victim, ac)
 		if err != nil {
-			return at, outcome, err
+			return at, err
 		}
 		if res == gcBusy {
 			// A writer owns one of the victim's spaces. Move on to the
 			// next-best victim instead of spinning on this one: a block whose
 			// units belong to idle spaces (or to no space at all) can still
 			// make progress while the busy one stays locked.
-			if outcome == gcNothing {
-				outcome = gcBusy
-			}
 			busy = append(busy, victim)
 			continue
 		}
 		if res != gcProgress {
-			if outcome == gcNothing {
-				outcome = res
-			}
 			break
 		}
 		at = sim.Max(at, done)
-		outcome = gcProgress
 	}
-	return at, outcome, nil
+	return at, nil
 }
 
 // pickVictimLocked chooses the GC victim among closed, unretired, not
@@ -411,55 +399,5 @@ func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx, held []*Spa
 func (t *STL) releaseOps(ops []nvm.ProgramOp) {
 	for i := range ops {
 		t.releaseUnit(ops[i].P)
-	}
-}
-
-// kickGC nudges the background worker (non-blocking; a pending kick absorbs
-// further ones). No-op in synchronous mode.
-func (t *STL) kickGC() {
-	if t.gcKick == nil {
-		return
-	}
-	select {
-	case t.gcKick <- struct{}{}:
-	default:
-	}
-}
-
-// gcWorker is the background collection loop: each kick triggers one sweep
-// over all dies. It exits when Close is called.
-func (t *STL) gcWorker() {
-	defer close(t.gcDone)
-	for {
-		select {
-		case <-t.gcStop:
-			return
-		case <-t.gcKick:
-		}
-		t.gcSweep()
-	}
-}
-
-// gcSweep collects every die below the low watermark up to the high
-// watermark. The sweep holds maintMu, so it is mutually exclusive with space
-// create/delete/resize and Flush; its device operations are issued at the
-// foreground high-water completion time, so relocation traffic competes with
-// foreground requests on the same simulated channel/bank timelines.
-func (t *STL) gcSweep() {
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
-	at := sim.Time(t.simClock.Load())
-	low, high := t.lowWaterPages(), t.highWaterPages()
-	for ch := 0; ch < t.geo.Channels; ch++ {
-		for bk := 0; bk < t.geo.Banks; bk++ {
-			if t.die(ch, bk).freePages.Load() > low {
-				continue
-			}
-			done, _, err := t.collectDie(at, ch, bk, nil, high)
-			if err != nil {
-				continue // best-effort: real faults resurface on the foreground path
-			}
-			t.noteTime(done)
-		}
 	}
 }

@@ -3,41 +3,42 @@ package stl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"nds/internal/nvm"
 )
 
-// TestBackgroundGCUnderConcurrentWriters: heavy overwrite churn from several
-// writers on distinct spaces, with collection on the background worker. The
-// churn cycles the raw capacity several times over, so the test fails unless
-// watermark-driven collection actually reclaims blocks while the writers run;
-// every space must read back exactly the bytes its writer last stored. CI
-// runs this under -race, which makes it the race check for the per-space
-// write locks, the per-die allocation state, and the GC commit protocol.
+// TestGCUnderConcurrentWriters: heavy overwrite churn from several writers on
+// distinct spaces, each collecting inline the dies it runs low on. The churn
+// cycles the raw capacity several times over, so the test fails unless
+// collection actually reclaims blocks while the writers run; every space must
+// read back exactly the bytes its writer last stored. A writer whose die
+// holds only victims of spaces other writers hold falls over to another die
+// (allocateReplacement), so no write may fail. CI runs this under -race,
+// which makes it the race check for the per-space write locks, the per-die
+// allocation state, and the GC commit protocol.
 //
 // Whether the concurrent phase ever relocates a live page is up to the
 // scheduler: a mixed-validity victim is only evacuated when none of its
-// owners holds its space lock at that moment, and with four writers that may
-// never happen. Nor does it leave such a victim behind for certain. So a
-// quiesced phase follows that builds one by hand and collects its die with
-// every space idle, so that nothing can answer gcBusy, and that is where
-// relocation is asserted.
-func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
+// owners but the collecting writer holds its space lock at that moment, and
+// with four writers that may never happen. Nor does it leave such a victim
+// behind for certain. So a quiesced phase follows that builds one by hand and
+// collects its die with every space idle, so that nothing can answer gcBusy,
+// and that is where relocation is asserted.
+func TestGCUnderConcurrentWriters(t *testing.T) {
 	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 16, PagesPerBlock: 8, PageSize: 512}
 	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.BackgroundGC = true
-	st, err := New(dev, cfg)
+	st, err := New(dev, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 
 	const (
 		writers = 4
@@ -102,20 +103,11 @@ func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Quiesced phase. With the worker fenced out, build the victim: take two
-	// live pages X and Y of one die and rewrite Y, X, then Y once per page of
-	// an erase block. A rewrite of a whole page replaces its unit in the same
-	// die, so X's new unit sits in a block that the Y rewrites fill and close,
-	// next to a copy of Y a later rewrite invalidated. Collecting the die to
-	// exhaustion then has to move X.
-	st.maintMu.Lock()
-	live := liveUnits(st, 2)
-	if len(live) < 2 {
-		t.Fatalf("die ch0/bk0 holds %d live pages of the 128 the spaces spread over 8 dies", len(live))
-	}
+	// Quiesced phase: build the victim, then collect its die to exhaustion.
 	rng := rand.New(rand.NewSource(44))
 	page := make([]byte, geo.PageSize)
-	rewrite := func(e revEntry) {
+	concurrentMoves := st.GCReport().PagesRelocated
+	ch, bk := buildMixedVictim(t, st, func(e revEntry) {
 		// A page of a 32x32 float32 block is four of its rows.
 		c := clients[e.space-clients[0].s.id]
 		grid := int64(side / 32)
@@ -126,18 +118,10 @@ func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 		pasteTile(c.img, side, 4, coord, sub, page)
-	}
-	concurrentMoves := st.GCReport().PagesRelocated
-	x, y := live[0], live[1]
-	rewrite(y)
-	rewrite(x)
-	for i := 0; i < geo.PagesPerBlock; i++ {
-		rewrite(y)
-	}
-	if _, _, err := st.collectDie(0, 0, 0, nil, geo.PagesPerBank()); err != nil {
+	})
+	if _, err := st.collectDie(0, ch, bk, nil, geo.PagesPerBank()); err != nil {
 		t.Fatal(err)
 	}
-	st.maintMu.Unlock()
 
 	for i, c := range clients {
 		got, _, _, err := st.ReadPartition(0, c.v, []int64{0, 0}, []int64{side, side})
@@ -160,69 +144,54 @@ func TestBackgroundGCUnderConcurrentWriters(t *testing.T) {
 	t.Logf("GC report: %+v (%d pages relocated while the writers ran)", rep, concurrentMoves)
 }
 
-// liveUnits returns the reverse-map entries of the first n live pages of die
-// ch0/bk0: what a test rewrites to build a mixed-validity victim there.
-func liveUnits(st *STL, n int) []revEntry {
+// buildMixedVictim leaves a closed block holding a live page beside a dead
+// one, on the die with the most free pages of those that hold two live
+// pages, and returns that die: collecting it to exhaustion then has to
+// relocate a page. The roomiest die, because concurrent writers can leave a
+// die with no free page, and there collection relocates nothing (collectDie's
+// room check). rewrite overwrites one whole page, which replaces its unit on
+// the same die.
+//
+// It takes the die's first two live pages x and y and rewrites x, y, y, x,
+// then y once per page of an erase block: the first two make both building
+// blocks recently written, so every rewrite after them goes to the die's hot
+// block (overwriteStream), one after another. x's last copy therefore either
+// follows a copy of y in its block or, at the head of the block, is followed
+// by copies of y to the block's end; every copy of y but the last is dead,
+// and the last lies past x's block.
+func buildMixedVictim(t *testing.T, st *STL, rewrite func(revEntry)) (channel, bank int) {
+	t.Helper()
 	var live []revEntry
-	d := st.die(0, 0)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for b := 0; b < st.geo.BlocksPerBank && len(live) < n; b++ {
-		for pg := 0; pg < st.geo.PagesPerBlock && len(live) < n; pg++ {
-			if e := st.rev[(nvm.PPA{Block: b, Page: pg}).Linear(st.geo)]; e.valid {
-				live = append(live, e)
+	most := int64(-1)
+	for i, d := range st.dies {
+		ch, bk := i/st.geo.Banks, i%st.geo.Banks
+		var two []revEntry
+		d.mu.Lock()
+		for b := 0; b < st.geo.BlocksPerBank && len(two) < 2; b++ {
+			for pg := 0; pg < st.geo.PagesPerBlock && len(two) < 2; pg++ {
+				if e := st.rev[(nvm.PPA{Channel: ch, Bank: bk, Block: b, Page: pg}).Linear(st.geo)]; e.valid {
+					two = append(two, e)
+				}
 			}
 		}
-	}
-	return live
-}
-
-// TestNoStallAboveLowWatermark: the write-path contract of the watermark
-// design — a foreground write blocks on reclamation only below the critical
-// mark, so a workload that keeps every die above the low watermark must
-// record zero GCStallNs.
-func TestNoStallAboveLowWatermark(t *testing.T) {
-	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 16, PagesPerBlock: 8, PageSize: 512}
-	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.BackgroundGC = true
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	// One 128x128 float32 space is 128 pages over 1024 raw: writing it once
-	// plus a round of tile overwrites leaves every die far above the
-	// low-water mark (about 13 of its 128 pages).
-	s, err := st.CreateSpace(4, []int64{128, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewView(s, []int64{128, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(51))
-	img := fillRandom(rng, s.Bytes())
-	if _, _, err := st.WritePartition(0, v, []int64{0, 0}, []int64{128, 128}, img); err != nil {
-		t.Fatal(err)
-	}
-	bb := s.BlockDims()[0]
-	tile := make([]byte, bb*bb*4)
-	for i := 0; i < 8; i++ {
-		rng.Read(tile)
-		coord := []int64{rng.Int63n(128 / bb), rng.Int63n(128 / bb)}
-		if _, _, err := st.WritePartition(0, v, coord, []int64{bb, bb}, tile); err != nil {
-			t.Fatal(err)
+		free := d.freePages.Load()
+		d.mu.Unlock()
+		if len(two) == 2 && free > most {
+			channel, bank, live, most = ch, bk, two, free
 		}
 	}
-	if rep := st.GCReport(); rep.StallNs != 0 {
-		t.Fatalf("write stalled %dns on GC with every die above the low watermark: %+v", rep.StallNs, rep)
+	if live == nil {
+		t.Fatal("no die holds two live pages")
 	}
+	x, y := live[0], live[1]
+	rewrite(x)
+	rewrite(y)
+	rewrite(y)
+	rewrite(x)
+	for i := 0; i < st.geo.PagesPerBlock; i++ {
+		rewrite(y)
+	}
+	return channel, bank
 }
 
 // TestGroupCommitFlushDrainsAllChannelsOnError: the Flush contract — when
@@ -286,28 +255,27 @@ func TestGroupCommitFlushDrainsAllChannelsOnError(t *testing.T) {
 
 // TestGCSparesCarvedUnboundUnit parks a writer between carving a unit and
 // binding it — the unit is then in no reverse entry, so by valid counts alone
-// its block, the die's open block, holds nothing — and sweeps. A collector
-// that closed and erased that block would hand it back to the free list with
-// the writer about to program its first page; once the die's other blocks
-// fill, the block reopens and the same page is carved again. The writes that
-// follow fill the die to its logical capacity, so they reach that page.
+// its block, the die's open block, holds nothing — and collects the die from
+// another goroutine, as a second writer would. A collector that closed and
+// erased that block would hand it back to the free list with the writer about
+// to program its first page; once the die's other blocks fill, the block
+// reopens and the same page is carved again. The writes that follow fill the
+// die to its logical capacity, so they reach that page.
 func TestGCSparesCarvedUnboundUnit(t *testing.T) {
 	// One die of four 4-page blocks; a building block of 128 float32 is one
-	// page. GCLowWater puts the die below the low watermark from the first
-	// carve, so every sweep tries to collect it.
+	// page. GCLowWater puts the die below the low mark from the first carve,
+	// so every write after it collects the die.
 	geo := nvm.Geometry{Channels: 1, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}
 	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.BackgroundGC = true
 	cfg.GCLowWater = 0.99
 	st, err := New(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	const pages, per = 14, 128 // the logical capacity, 10 % over-provisioned
 	s, err := st.CreateSpace(4, []int64{pages * per})
 	if err != nil {
@@ -332,14 +300,16 @@ func TestGCSparesCarvedUnboundUnit(t *testing.T) {
 	first := make(chan error, 1)
 	go func() { first <- write(0) }()
 	unit := <-parked
-	st.gcSweep()
+	if _, err := st.collectDie(0, unit.Channel, unit.Bank, nil, geo.PagesPerBank()); err != nil {
+		t.Fatal(err)
+	}
 	st.carved = nil
 	close(resume)
 	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
 	if rep := st.GCReport(); rep.Erases != 0 {
-		t.Errorf("the sweep erased %d block(s) while %v was carved and not yet bound", rep.Erases, unit)
+		t.Errorf("collection erased %d block(s) while %v was carved and not yet bound", rep.Erases, unit)
 	}
 	for pg := int64(1); pg < pages; pg++ {
 		if err := write(pg); err != nil {
@@ -352,5 +322,132 @@ func TestGCSparesCarvedUnboundUnit(t *testing.T) {
 	}
 	if !bytes.Equal(got, img) {
 		t.Fatal("the space does not read back what was written")
+	}
+}
+
+// TestOverwriteFallsOverWhenCollectionIsBusy: a writer whose die's victims
+// all hold pages of a space another writer holds can collect nothing there,
+// so the die runs dry under its overwrites; the overwrite that finds it dry
+// takes its unit from the other die instead of failing with ErrCapacity. The
+// test plays the other writer by holding space B's lock, and checks against
+// a twin that does not hold it, where collection frees the die and every
+// overwrite stays on it.
+func TestOverwriteFallsOverWhenCollectionIsBusy(t *testing.T) {
+	for _, held := range []bool{true, false} {
+		t.Run(fmt.Sprintf("held=%v", held), func(t *testing.T) {
+			testOverwriteFallOver(t, held)
+		})
+	}
+}
+
+func testOverwriteFallOver(t *testing.T, held bool) {
+	// Two dies, one a channel. Die ch0 keeps two of its four blocks, so the
+	// §4.2 policy, which puts the two pages of a 16x16 float32 building block
+	// on different channels, fills it while ch1 is half empty.
+	geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.ZeroPageElision = true // frees a unit without carving one
+	st, err := New(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.retireBlock(0, 0, 2)
+	st.retireBlock(0, 0, 3)
+
+	const bb, nb = 16, 6 // B is a row of six building blocks
+	a, b := mustSpace(t, st, 4, bb, bb), mustSpace(t, st, 4, bb, nb*bb)
+	if got := a.BlockDims(); got[0] != bb || got[1] != bb || a.PagesPerBlock() != 2 {
+		t.Fatalf("building block %v of %d pages, want %dx%d of 2", got, a.PagesPerBlock(), bb, bb)
+	}
+	va, vb := mustView(t, a, bb, bb), mustView(t, b, bb, nb*bb)
+	rng := rand.New(rand.NewSource(28))
+	imgA, imgB := fillRandom(rng, a.Bytes()), fillRandom(rng, b.Bytes())
+	if _, _, err := st.WritePartition(0, va, []int64{0, 0}, []int64{bb, bb}, imgA); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.WritePartition(0, vb, []int64{0, 0}, []int64{bb, nb * bb}, imgB); err != nil {
+		t.Fatal(err)
+	}
+	// onDie0 is the page of building block g of s that lives on ch0.
+	onDie0 := func(s *Space, g int64) (int, nvm.Word) {
+		blk := st.blockAt(s, g, false)
+		for i, slot := range blk.pages {
+			if slot.allocated() && st.lay.Channel(slot.word()) == 0 {
+				return i, slot.word()
+			}
+		}
+		t.Fatalf("building block %d of space %d has no page on ch0", g, s.id)
+		return 0, 0
+	}
+	// ch0 now holds A's page and three of B's in a closed block, and three
+	// more of B's and its last free page in the open one. Zero all but one of
+	// B's pages beside A's: once an overwrite of A kills A's page there, that
+	// block is the die's only victim, with one live page, of B.
+	pgA, wA := onDie0(a, 0)
+	half := []int64{bb / 2, bb}
+	zeros := make([]byte, bb/2*bb*4)
+	beside := 0 // pages of B in A's block
+	for g := int64(0); g < nb; g++ {
+		pg, w := onDie0(b, g)
+		if st.lay.Block(w) != st.lay.Block(wA) {
+			continue
+		}
+		if beside++; beside == 1 {
+			continue
+		}
+		coord := []int64{int64(pg), g}
+		if _, _, err := st.WritePartition(0, vb, coord, half, zeros); err != nil {
+			t.Fatal(err)
+		}
+		pasteTile(imgB, nb*bb, 4, coord, half, zeros)
+	}
+	if free := st.die(0, 0).freePages.Load(); free != 1 || beside != geo.PagesPerBlock-1 {
+		t.Fatalf("ch0 has %d free pages and %d pages of B beside A's, want 1 and %d", free, beside, geo.PagesPerBlock-1)
+	}
+	auditDies(t, st)
+
+	// Two overwrites of A's page on ch0. With B held, the first one's
+	// collection finds the victim busy and the write takes ch0's last page, so
+	// the second finds ch0 dry and falls over to ch1. With B free, the first
+	// relocates B's page and erases the victim, and both stay on ch0.
+	coord := []int64{int64(pgA), 0}
+	if held {
+		b.mu.Lock()
+	}
+	var channels []int
+	for i := 0; i < 2; i++ {
+		page := fillRandom(rng, bb/2*bb*4)
+		if _, _, err := st.WritePartition(0, va, coord, half, page); err != nil {
+			t.Fatalf("overwrite %d of A: %v", i, err)
+		}
+		pasteTile(imgA, bb, 4, coord, half, page)
+		channels = append(channels, st.lay.Channel(st.blockAt(a, 0, false).pages[pgA].word()))
+		auditDies(t, st)
+	}
+	if held {
+		b.mu.Unlock()
+	}
+	want := []int{0, 0}
+	if held {
+		want[1] = 1
+	}
+	if !slices.Equal(channels, want) {
+		t.Fatalf("the overwrites landed on channels %v, want %v", channels, want)
+	}
+	for _, c := range []struct {
+		v   *View
+		img []byte
+	}{{va, imgA}, {vb, imgB}} {
+		got, _, _, err := st.ReadPartition(0, c.v, []int64{0, 0}, c.v.Dims())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, c.img) {
+			t.Fatal("a space does not read back what was written")
+		}
 	}
 }

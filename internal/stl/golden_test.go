@@ -202,10 +202,8 @@ func (sc *script) flush(t *testing.T, at sim.Time) sim.Time {
 // testdata/golden/name.txt.
 func (sc *script) golden(t *testing.T, name string) {
 	t.Helper()
-	gc := sc.st.GCReport()
-	gc.StallNs = 0 // wall clock
 	sc.tr.Add("end used=%d zero-skipped=%d compressed=%d pending=%d gc=%+v reliability=%+v",
-		sc.st.UsedPages(), sc.st.ZeroPagesSkipped(), sc.st.CompressedBlocks(), sc.st.PendingPages(), gc, sc.st.Reliability())
+		sc.st.UsedPages(), sc.st.ZeroPagesSkipped(), sc.st.CompressedBlocks(), sc.st.PendingPages(), sc.st.GCReport(), sc.st.Reliability())
 	sc.tr.Check(t, name)
 }
 

@@ -234,15 +234,14 @@ func TestLandPrograms(t *testing.T) {
 	}
 }
 
-// flushTwin stages sub-page writes all over a space of a write-buffered,
-// synchronously collecting STL whose every seventh program attempt a die
+// flushTwin stages sub-page writes all over a space of a write-buffered STL
+// whose every seventh program attempt a die
 // fails, flushes, and reports what the flush returned.
 func flushTwin(t *testing.T) (sim.Time, ReliabilityReport) {
 	t.Helper()
 	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 8, PagesPerBlock: 8, PageSize: 512}
 	cfg := DefaultConfig()
 	cfg.WriteBuffering = true
-	cfg.BackgroundGC = false
 	st := newFaultSTL(t, geo, cfg, nvm.FaultPlan{Seed: 9, ProgramFailEvery: 7})
 	s := mustSpace(t, st, 4, 128, 128)
 	v := mustView(t, s, 128, 128)
@@ -306,7 +305,6 @@ func TestFlushRelocatesAcrossChannels(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.WriteBuffering = true
-	cfg.BackgroundGC = false
 	st, err := New(dev, cfg)
 	if err != nil {
 		t.Fatal(err)

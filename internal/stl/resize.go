@@ -94,8 +94,8 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 // which the shrink keeps. Pages wholly past cut lose their units and staged
 // copies, a staged page astride it is cleared in place, and a programmed one
 // (under compression, the block) is rewritten through the write path at the
-// latest completion the STL has seen, where the background collector issues
-// its work: a resize has no issue time of its own.
+// latest completion the STL has seen (simClock): a resize has no issue time
+// of its own.
 func (t *STL) clearTail(s *Space, g, cut int64) error {
 	ps := int64(t.geo.PageSize)
 	stride := prod(s.grid[1:])

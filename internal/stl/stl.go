@@ -22,15 +22,11 @@ type Config struct {
 	BBOrder int
 	// OverProvision is the raw-capacity fraction reserved for GC headroom.
 	OverProvision float64
-	// GCLowWater triggers collection on a die below this free fraction
-	// (the paper uses 10%).
+	// GCLowWater triggers collection on a die at or below this free
+	// fraction (the paper uses 10%). Collection runs inline on the writer
+	// that carves from the die.
 	GCLowWater float64
-	// BackgroundGC decouples collection from foreground writes: crossing the
-	// low watermark kicks a worker goroutine instead of collecting inline,
-	// and a write blocks on reclamation (bounded, escalating to ErrMedia)
-	// only when its die is critically dry. Off by default: synchronous mode
-	// keeps single-threaded runs — and fault-replay determinism — identical
-	// to the pre-concurrent write path.
+	// Deprecated: ignored. Collection always runs inline on the writer.
 	BackgroundGC bool
 	// Seed drives the allocation policy's randomized choices.
 	Seed int64
@@ -100,13 +96,14 @@ const maxGridBlocks = 1 << 32
 //
 // Concurrency: the data path serializes per space (Space.mu: shared for
 // reads, exclusive for writes), allocation state per die (die.mu), and the
-// write-staging map behind pendingMu. Maintenance operations — space
-// create/delete/resize, Flush, and each background-GC sweep — additionally
-// hold maintMu; the embedding layer (nds) runs them under its device-wide
-// exclusive lock, so maintMu's real job is fencing the GC worker. The lock
-// order is maintMu -> Space.mu (ascending ID; try-only from GC) -> die.mu ->
-// cache shard / device shard, and nothing holding a later lock acquires an
-// earlier one.
+// write-staging map behind pendingMu. Garbage collection runs on the writers
+// themselves, under the writing request's space lock. Maintenance operations —
+// space create/delete/resize and Flush — must not overlap the data path (the
+// embedding layer, nds, runs them under its device-wide exclusive lock) and
+// additionally hold maintMu, which serializes them against one another. The
+// lock order is maintMu -> Space.mu (ascending ID; try-only from GC) ->
+// die.mu -> cache shard / device shard, and nothing holding a later lock
+// acquires an earlier one.
 type STL struct {
 	dev *nvm.Device
 	geo nvm.Geometry
@@ -116,8 +113,8 @@ type STL struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// maintMu serializes maintenance actors against each other and against
-	// the background GC worker (see the struct comment).
+	// maintMu serializes maintenance operations against one another (see the
+	// struct comment).
 	maintMu sync.Mutex
 
 	spaces map[SpaceID]*Space
@@ -130,11 +127,10 @@ type STL struct {
 	maxPages  int64        // allocation budget (raw minus over-provision)
 	usedPages atomic.Int64 // live units across all spaces
 
-	gcErases  atomic.Int64
-	gcMoves   atomic.Int64
-	gcRuns    atomic.Int64 // collection passes that claimed a die
-	gcStallNs atomic.Int64 // wall-clock ns foreground writes spent waiting on GC
-	progs     atomic.Int64 // host-initiated programs
+	gcErases atomic.Int64
+	gcMoves  atomic.Int64
+	gcRuns   atomic.Int64 // collection passes that claimed a die
+	progs    atomic.Int64 // host-initiated programs
 
 	// Media-fault recovery state (see recover.go).
 	retiredBlocks  atomic.Int64 // blocks permanently removed from service
@@ -147,16 +143,10 @@ type STL struct {
 	pendingMu sync.Mutex
 	pending   map[pendingKey]*pendingPage // §4.4 write staging
 
-	// simClock is the high-water completion time across foreground requests;
-	// the background worker issues its device operations there, so GC
-	// traffic lands on the live edge of the simulated timelines.
+	// simClock is the high-water completion time across requests. A shrink
+	// has no issue time of its own, so clearTail rewrites the page astride
+	// the new bound there.
 	simClock atomic.Int64
-
-	// Background GC worker plumbing (nil/unused in synchronous mode).
-	gcKick    chan struct{}
-	gcStop    chan struct{}
-	gcDone    chan struct{}
-	closeOnce sync.Once
 
 	scratch sync.Pool // *requestScratch, reused across partition requests
 
@@ -227,29 +217,14 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 	if cfg.TenantQoS != nil {
 		t.qos = newQosState(*cfg.TenantQoS, geo.Channels)
 	}
-	if cfg.BackgroundGC {
-		t.gcKick = make(chan struct{}, 1)
-		t.gcStop = make(chan struct{})
-		t.gcDone = make(chan struct{})
-		go t.gcWorker()
-	}
 	return t, nil
 }
 
-// Close stops the background GC worker, if any. Idempotent; an STL that is
-// never closed simply leaves the worker parked on its kick channel.
-func (t *STL) Close() error {
-	if t.gcStop != nil {
-		t.closeOnce.Do(func() {
-			close(t.gcStop)
-			<-t.gcDone
-		})
-	}
-	return nil
-}
+// Close releases nothing: an STL holds no goroutine or other resource beyond
+// its memory. It stays so that callers which close an STL keep compiling.
+func (t *STL) Close() error { return nil }
 
-// noteTime folds a request completion time into the clock the background
-// worker issues GC operations at.
+// noteTime folds a request completion time into simClock.
 func (t *STL) noteTime(done sim.Time) {
 	d := int64(done)
 	for {
@@ -270,15 +245,14 @@ func (t *STL) Geometry() nvm.Geometry { return t.geo }
 func (t *STL) GCStats() (erases, pageMoves int64) { return t.gcErases.Load(), t.gcMoves.Load() }
 
 // GCReport describes the garbage collector's work: how often it ran, how much
-// it moved, what it cost foreground writes, and the resulting write
-// amplification. With synchronous collection Runs counts inline passes and
-// StallNs is zero (inline collection time is part of the triggering write,
-// not a stall). nds.GCStats is an alias of it.
+// it moved, and the resulting write amplification. Runs counts the inline
+// passes writers made; their time is part of the writes that made them.
+// nds.GCStats is an alias of it.
 type GCReport struct {
 	Runs           int64   // collection passes that claimed a die
 	Erases         int64   // victim blocks erased back to the free pool
 	PagesRelocated int64   // valid units moved by evacuation
-	StallNs        int64   // wall-clock ns foreground writes spent waiting on a critically dry die
+	StallNs        int64   // always zero: no write waits on a collector of its own
 	WriteAmp       float64 // (host+GC programs)/host programs, 1.0 when idle
 }
 
@@ -288,7 +262,6 @@ func (t *STL) GCReport() GCReport {
 		Runs:           t.gcRuns.Load(),
 		Erases:         t.gcErases.Load(),
 		PagesRelocated: t.gcMoves.Load(),
-		StallNs:        t.gcStallNs.Load(),
 		WriteAmp:       1,
 	}
 	if progs := t.progs.Load(); progs != 0 {
@@ -305,7 +278,7 @@ func (t *STL) UsedPages() int64 { return t.usedPages.Load() }
 // size and the STL sizes building blocks and builds the index skeleton.
 // Like all maintenance operations it must not run concurrently with the data
 // path (the nds layer holds its device-wide lock); maintMu additionally
-// fences it against the background GC worker.
+// serializes it against the other maintenance operations.
 func (t *STL) CreateSpace(elemSize int, dims []int64) (*Space, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("stl: space needs at least one dimension: %w", ErrInvalid)

@@ -40,13 +40,13 @@
 // Internally, reads, writes, and view opens share the device under a reader
 // lock and run fully in parallel: the STL serializes writers per space (a
 // space's readers never observe a half-applied write), allocates under
-// per-die leaf locks, and collects garbage on a background worker driven by
-// per-die free-capacity watermarks, so writers to different spaces — and GC —
-// proceed concurrently. Space management (create/delete/resize/flush/import)
-// is the rare barrier: it takes the writer side and excludes all I/O. View
-// lifecycle (open/close, wire-protocol view IDs) is guarded separately, so
-// closing one view never stalls I/O on another. Options.SynchronousGC moves
-// collection back inline for replay-exact comparisons.
+// per-die leaf locks, and collects garbage inline on the writer whose die ran
+// low, so writers to different spaces — and their collection — proceed
+// concurrently, and a device driven one write at a time replays exactly.
+// Space management (create/delete/resize/flush/import) is the rare barrier:
+// it takes the writer side and excludes all I/O. View lifecycle (open/close,
+// wire-protocol view IDs) is guarded separately, so closing one view never
+// stalls I/O on another.
 package nds
 
 import (
@@ -129,10 +129,9 @@ type Options struct {
 	// in the background. Zero disables prefetch; ignored when CacheBytes is
 	// zero.
 	PrefetchDepth int
-	// SynchronousGC collects garbage inline on the writing goroutine at
-	// seed-deterministic trigger points instead of on the background worker.
-	// Driven one write at a time, two identically-driven devices are then
-	// bit- and fault-point-identical, which the fault-replay checks require.
+	// Deprecated: ignored. Garbage collection always runs inline on the
+	// writing goroutine, so two devices driven one write at a time are bit-
+	// and fault-point-identical without it.
 	SynchronousGC bool
 	// Faults, when non-nil and enabled, installs deterministic flash fault
 	// injection: the simulated medium fails programs and erases, needs ECC
@@ -189,11 +188,10 @@ type ReliabilityReport = stl.ReliabilityReport
 type CacheStats = stl.CacheStats
 
 // GCStats describes the garbage collector's work: how often it ran, how much
-// it moved, what it cost foreground writes, and the resulting write
-// amplification (WriteAmp: flash programs per logical page written, 1.0 = no
-// GC overhead). On a device opened with SynchronousGC, Runs counts inline
-// collection passes and StallNs is zero (inline collection time is part of
-// the triggering write, not a stall).
+// it moved, and the resulting write amplification (WriteAmp: flash programs
+// per logical page written, 1.0 = no GC overhead). Runs counts the inline
+// collection passes writers made; their time is part of the writes that made
+// them, so StallNs is always zero.
 type GCStats = stl.GCReport
 
 // GCStats snapshots the garbage collector's counters.
@@ -270,7 +268,6 @@ func Open(opts Options) (*Device, error) {
 	cfg.STL.WriteBuffering = opts.WriteBuffering
 	cfg.STL.CacheBytes = opts.CacheBytes
 	cfg.STL.PrefetchDepth = opts.PrefetchDepth
-	cfg.STL.BackgroundGC = !opts.SynchronousGC
 	if opts.TenantQoS != nil {
 		cfg.STL.TenantQoS = &stl.TenantQoSConfig{FlowConfig: *opts.TenantQoS}
 	}
@@ -292,14 +289,10 @@ func Open(opts Options) (*Device, error) {
 	}, nil
 }
 
-// Close releases the device's background resources (the GC worker). Views
-// need not be closed first; further I/O after Close is undefined. Optional on
-// devices opened with SynchronousGC.
-func (d *Device) Close() error {
-	d.io.Lock()
-	defer d.io.Unlock()
-	return d.sys.STL.Close()
-}
+// Close releases nothing: a Device runs no goroutine of its own and holds no
+// resource beyond its memory, so closing one is optional. It stays so that
+// callers which close a device keep compiling.
+func (d *Device) Close() error { return nil }
 
 // clock reports the current simulated time: the issue time for a command
 // arriving now.

@@ -128,16 +128,12 @@ func TestConcurrentThroughputScales(t *testing.T) {
 }
 
 // openWriteDevice builds a device for the write-heavy workload: one
-// 512x512 float32 space (1 MiB) per client, each opened once. serialized
-// selects inline GC for the exclusive-lock arm (writeClients, told the same,
-// lets one write run at a time); otherwise writes to distinct spaces proceed
-// concurrently with collection on the background worker.
-func openWriteDevice(tb testing.TB, serialized bool, clients int) (*Device, []*Space) {
+// 512x512 float32 space (1 MiB) per client, each opened once.
+func openWriteDevice(tb testing.TB, clients int) (*Device, []*Space) {
 	tb.Helper()
 	d, err := Open(Options{
-		Mode:          ModeHardware,
-		CapacityHint:  64 << 20,
-		SynchronousGC: serialized,
+		Mode:         ModeHardware,
+		CapacityHint: 64 << 20,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -220,7 +216,7 @@ func TestConcurrentWriteScaling(t *testing.T) {
 	}
 	const clients, passes = 16, 4
 	measure := func(serialized bool) (time.Duration, time.Duration) {
-		d, spaces := openWriteDevice(t, serialized, clients)
+		d, spaces := openWriteDevice(t, clients)
 		defer d.Close()
 		for _, sp := range spaces {
 			defer sp.Close()
@@ -278,7 +274,7 @@ func BenchmarkConcurrentWriters(b *testing.B) {
 	}{{"serialized", true}, {"concurrent", false}} {
 		for _, clients := range []int{4, 16} {
 			b.Run(fmt.Sprintf("mode=%s/clients=%d", mode.name, clients), func(b *testing.B) {
-				d, spaces := openWriteDevice(b, mode.serialized, clients)
+				d, spaces := openWriteDevice(b, clients)
 				defer d.Close()
 				writeClients(b, d, spaces, 1, mode.serialized) // first-touch allocation off the clock
 				b.ReportAllocs()

@@ -131,7 +131,7 @@ func TestCipherInstallOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.ProgramPage(0, nvm.PPA{}, []byte{1}); err != nil {
+	if _, err := dev.ProgramPages([]nvm.ProgramOp{{Data: []byte{1}}}); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := New([]byte("k"))

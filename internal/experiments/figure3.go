@@ -4,7 +4,6 @@ import (
 	"nds/internal/accel"
 	"nds/internal/interconnect"
 	"nds/internal/nvm"
-	"nds/internal/sim"
 	"nds/internal/system"
 )
 
@@ -61,21 +60,21 @@ func internalBandwidth(bytes int64) (float64, error) {
 	}
 	ps := int64(cfg.Geometry.PageSize)
 	pages := (bytes + ps - 1) / ps
-	var done sim.Time
-	for i := int64(0); i < pages; i++ {
+	lay := dev.Layout()
+	words := make([]nvm.Word, pages)
+	for i := range words {
 		p := nvm.PPA{
-			Channel: int(i % int64(cfg.Geometry.Channels)),
-			Bank:    int((i / int64(cfg.Geometry.Channels)) % int64(cfg.Geometry.Banks)),
+			Channel: i % cfg.Geometry.Channels,
+			Bank:    (i / cfg.Geometry.Channels) % cfg.Geometry.Banks,
 		}
-		stride := int64(cfg.Geometry.Channels * cfg.Geometry.Banks)
-		flat := i / stride
-		p.Block = int(flat / int64(cfg.Geometry.PagesPerBlock))
-		p.Page = int(flat % int64(cfg.Geometry.PagesPerBlock))
-		_, d, err := dev.ReadPage(0, p)
-		if err != nil {
-			return 0, err
-		}
-		done = sim.Max(done, d)
+		flat := i / (cfg.Geometry.Channels * cfg.Geometry.Banks)
+		p.Block = flat / cfg.Geometry.PagesPerBlock
+		p.Page = flat % cfg.Geometry.PagesPerBlock
+		words[i] = lay.Word(p)
+	}
+	done, err := dev.ReadWords(0, words, make([][]byte, pages))
+	if err != nil {
+		return 0, err
 	}
 	return mbps(bytes, done), nil
 }

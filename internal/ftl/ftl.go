@@ -224,14 +224,20 @@ func (f *FTL) blockIndex(channel, bank, block int) int64 {
 	return (int64(channel)*int64(f.geo.Banks)+int64(bank))*int64(f.geo.BlocksPerBank) + int64(block)
 }
 
+// evacuateBlock relocates the victim's valid pages within the die, then
+// erases it. Each relocation is a one-page read batch and a one-page program
+// batch that waits on it, page by page: the read and the program share the
+// die's bank, so a batch of the victim's reads ahead of its programs would
+// book the bank in another order and move the baseline's timing.
 func (f *FTL) evacuateBlock(at sim.Time, channel, bank, block int) (sim.Time, error) {
 	for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
-		src := nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg}
-		l := f.p2l[src.Linear(f.geo)]
+		src := f.lay.Word(nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg})
+		l := f.p2l[f.lay.Linear(src)]
 		if l == 0 {
 			continue
 		}
-		data, done, err := f.dev.ReadPage(at, src)
+		var data [1][]byte
+		done, err := f.dev.ReadWords(at, []nvm.Word{src}, data[:])
 		if err != nil {
 			return at, err
 		}
@@ -249,11 +255,11 @@ func (f *FTL) evacuateBlock(at sim.Time, channel, bank, block int) (sim.Time, er
 		dst := nvm.PPA{Channel: channel, Bank: bank, Block: d.activeBlock, Page: d.nextPage}
 		d.nextPage++
 		d.freePages--
-		done, err = f.dev.ProgramPage(done, dst, data)
+		done, err = f.dev.ProgramPages([]nvm.ProgramOp{{At: done, P: dst, Data: data[0]}})
 		if err != nil {
 			return at, err
 		}
-		f.unmapPhysical(f.lay.Word(src))
+		f.unmapPhysical(src)
 		f.mapPage(int64(l-1), dst)
 		f.gcMoves++
 		at = sim.Max(at, done)

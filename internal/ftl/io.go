@@ -3,6 +3,7 @@ package ftl
 import (
 	"fmt"
 
+	"nds/internal/nvm"
 	"nds/internal/sim"
 )
 
@@ -47,7 +48,9 @@ func (f *FTL) ReadPages(at sim.Time, lpn, n int64) ([]byte, sim.Time, error) {
 // WritePages writes len(data)/PageSize logical pages starting at lpn. When
 // data is nil (phantom workloads) the same mapping and timing work happens
 // without byte storage. Pages of one request are issued at the same arrival
-// time; the returned completion is the slowest page (or GC stall).
+// time, each as a one-op program batch once its page is allocated, since
+// allocating the next may collect the die first; the returned completion is
+// the slowest page (or GC stall).
 func (f *FTL) WritePages(at sim.Time, lpn int64, data []byte, n int64) (sim.Time, error) {
 	if data != nil {
 		if int64(len(data))%int64(f.geo.PageSize) != 0 {
@@ -70,7 +73,7 @@ func (f *FTL) WritePages(at sim.Time, lpn int64, data []byte, n int64) (sim.Time
 		if data != nil {
 			page = data[i*int64(f.geo.PageSize) : (i+1)*int64(f.geo.PageSize)]
 		}
-		d, err := f.dev.ProgramPage(readyAt, p, page)
+		d, err := f.dev.ProgramPages([]nvm.ProgramOp{{At: readyAt, P: p, Data: page}})
 		if err != nil {
 			return at, err
 		}

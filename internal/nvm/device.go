@@ -292,14 +292,6 @@ func (d *Device) RawPage(p PPA) []byte {
 	return s.data[d.dieIndex(p)]
 }
 
-func (d *Device) bank(p PPA) *sim.Resource {
-	return d.banks[p.Channel*d.geo.Banks+p.Bank]
-}
-
-func (d *Device) blockIndex(p PPA) int64 {
-	return (int64(p.Channel)*int64(d.geo.Banks)+int64(p.Bank))*int64(d.geo.BlocksPerBank) + int64(p.Block)
-}
-
 // Programmed reports whether the page at p has been programmed since its
 // block was last erased.
 func (d *Device) Programmed(p PPA) bool {
@@ -319,48 +311,6 @@ func (s *dieShard) storedLocked(idx int64) []byte {
 		return nil
 	}
 	return s.data[idx]
-}
-
-// ReadPage senses the page at p (arriving at time at) and returns its
-// contents and the completion time. Reading a never-programmed page is legal
-// and yields a zero-filled page (erased state).
-//
-// The returned slice aliases the page's frame; callers must not modify it. A
-// stored frame is never mutated (overwrites program a fresh unit), so the
-// alias stays valid until the frame is recycled, which is when the block
-// holding it is erased. A frame can outlive its address: a same-die
-// relocation (ProgramOp.Move) carries it to the destination page, so erasing
-// the block it was read from does not end the alias — erasing the block it
-// was moved to does. Callers that need the data past that point must copy. In
-// this repository both moves and erases only run from the STL's GC, under the
-// write locks of every space that owns a live unit of the victim, so a reader
-// holding its space's lock never sees either happen to a frame it was lent.
-//
-// One caller retains the alias past its request: the STL's building-block
-// cache keeps the returned slice in the block's entry and hands it to later
-// reads. Its retention is bounded the same way, one step earlier — a unit
-// stops being live only through the STL's invalidateUnit, which drops the
-// entry of the building block the unit belonged to under that space's write
-// lock, and a block is erased only when none of its units is live; so no
-// entry names a frame by the time its block can be erased (stl/cache.go).
-func (d *Device) ReadPage(at sim.Time, p PPA) ([]byte, sim.Time, error) {
-	if !p.Valid(d.geo) {
-		return nil, at, fmt.Errorf("nvm: read of invalid address %v", p)
-	}
-	sense := d.tim.ReadPage
-	if f := d.faultPlan(); f != nil {
-		sense = d.senseTime(f, d.die(p))
-	}
-	_, senseEnd := d.bank(p).Acquire(at, sense)
-	_, done := d.channels[p.Channel].Acquire(senseEnd, d.tim.TransferTime(d.geo.PageSize))
-	d.reads.Add(1)
-	if d.phantom {
-		return nil, done, nil
-	}
-	s := &d.shards[d.die(p)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return d.sensed(s.storedLocked(d.dieIndex(p)), d.getCipher(), d.lay.Word(p)), done, nil
 }
 
 // sensed is what a read of the page at w returns when pg is the frame stored
@@ -393,13 +343,35 @@ func (d *Device) senseTime(f *faultState, die int) sim.Time {
 }
 
 // ReadWords senses every page in ws (all arriving at time at), storing the
-// contents in out[i] and returning the latest completion time. It is
-// timing-equivalent to calling ReadPage once per address in slice order —
-// every bank and every channel sees the same bookings in the same order —
-// but takes each timeline and each die shard once for the batch, not once per
-// page. out must have len(ws) entries; the stored slices alias device
-// storage under the same contract as ReadPage. On a phantom device the out
-// entries are set to nil. A batch with an invalid word reads nothing.
+// contents in out[i] and returning the latest completion time. Reading a
+// never-programmed page is legal and yields a zero-filled page (erased
+// state). A page's sense occupies its bank, then its transfer its channel.
+//
+// The batch contract: a batch is timing-equivalent to the same words issued
+// as one-word batches in slice order — every bank and every channel sees the
+// same bookings in the same order, and a fault plan's read retries strike the
+// same pages — but takes each timeline and each die shard once for the batch,
+// not once per page. out must have len(ws) entries. On a phantom device the
+// out entries are set to nil. A batch with an invalid word reads nothing.
+//
+// The alias contract: out[i] aliases the page's frame; callers must not
+// modify it. A stored frame is never mutated (overwrites program a fresh
+// unit), so the alias stays valid until the frame is recycled, which is when
+// the block holding it is erased. A frame can outlive its address: a same-die
+// relocation (ProgramOp.Move) carries it to the destination page, so erasing
+// the block it was read from does not end the alias — erasing the block it
+// was moved to does. Callers that need the data past that point must copy. In
+// this repository both moves and erases only run from the STL's GC, under the
+// write locks of every space that owns a live unit of the victim, so a reader
+// holding its space's lock never sees either happen to a frame it was lent.
+//
+// One caller retains the alias past its request: the STL's building-block
+// cache keeps the returned slice in the block's entry and hands it to later
+// reads. Its retention is bounded the same way, one step earlier — a unit
+// stops being live only through the STL's invalidateUnit, which drops the
+// entry of the building block the unit belonged to under that space's write
+// lock, and a block is erased only when none of its units is live; so no
+// entry names a frame by the time its block can be erased (stl/cache.go).
 func (d *Device) ReadWords(at sim.Time, ws []Word, out [][]byte) (sim.Time, error) {
 	b := d.plan(len(ws))
 	defer d.putPlan(b)
@@ -407,7 +379,9 @@ func (d *Device) ReadWords(at sim.Time, ws []Word, out [][]byte) (sim.Time, erro
 }
 
 // ReadPages is ReadWords for addresses given as PPAs: it packs them into the
-// batch plan's word buffer and reads those.
+// batch plan's word buffer and reads those. Its only caller outside the
+// tests is the repository benchmark's nvm rung (bench/); everything else
+// reads words.
 func (d *Device) ReadPages(at sim.Time, ppas []PPA, out [][]byte) (sim.Time, error) {
 	b := d.plan(len(ppas))
 	defer d.putPlan(b)
@@ -514,52 +488,6 @@ func (d *Device) putPlan(b *batchPlan) {
 	d.plans.Put(b)
 }
 
-// ProgramPage writes data (at most one page) to p, arriving at time at.
-// Programming an already-programmed page is a flash-rule violation and fails.
-//
-// Under an installed FaultPlan a program attempt may fail with a
-// *ProgramError (unwrapping to ErrProgramFault): the attempt still occupies
-// the channel and bank (the returned time is the failed attempt's
-// completion), the page is consumed — its content is indeterminate and it
-// cannot be programmed again before an erase — and the caller is expected to
-// retire the block and relocate the data.
-func (d *Device) ProgramPage(at sim.Time, p PPA, data []byte) (sim.Time, error) {
-	if !p.Valid(d.geo) {
-		return at, fmt.Errorf("nvm: program of invalid address %v", p)
-	}
-	if len(data) > d.geo.PageSize {
-		return at, fmt.Errorf("nvm: program of %d bytes exceeds page size %d", len(data), d.geo.PageSize)
-	}
-	idx := d.dieIndex(p)
-	die := d.die(p)
-	s := &d.shards[die]
-	s.mu.Lock()
-	if s.isProgrammed(idx) {
-		s.mu.Unlock()
-		return at, fmt.Errorf("nvm: program to already-programmed page %v (erase first)", p)
-	}
-	s.mu.Unlock()
-	_, xferEnd := d.channels[p.Channel].Acquire(at, d.tim.TransferTime(d.geo.PageSize))
-	_, done := d.bank(p).Acquire(xferEnd, d.tim.ProgramPage)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f := d.faultPlan(); f != nil {
-		n := s.progOps
-		s.progOps++
-		if f.programFails(die, n) {
-			s.setProgrammed(idx, true) // consumed: unusable until erase
-			f.programFaults.Add(1)
-			return done, &ProgramError{Index: 0, P: p, Done: done}
-		}
-	}
-	s.setProgrammed(idx, true)
-	d.programs.Add(1)
-	if !d.phantom {
-		d.storeLocked(s, &ProgramOp{P: p, Data: data})
-	}
-	return done, nil
-}
-
 // storeLocked makes op's page the stored page at op.P, touching its bytes at
 // most once: an owned frame is kept as it is, a relocation within the die
 // takes the source's frame, and only a borrowed or short payload is copied
@@ -601,20 +529,28 @@ func (d *Device) checkOp(op *ProgramOp) error {
 }
 
 // ProgramPages issues a batch of page programs, returning the latest
-// completion time. It is timing-equivalent to calling ProgramPage once per
-// op in slice order, but validates the whole span, then books each channel's
-// transfers and each bank's programs as one run and stores each die's pages
-// under one lock.
+// completion time. Each op writes its Data (at most one page) to its P,
+// arriving at its At: the transfer occupies the channel, then the program the
+// bank. Programming an already-programmed page is a flash-rule violation and
+// fails.
 //
-// Unlike a scalar loop, the batch is atomic with respect to validation
-// errors: every op is checked (address, size, flash rules) before any
-// timeline slot is reserved or any byte stored, and a validation failure
-// leaves the device untouched.
+// The batch contract: a batch is timing-equivalent to the same ops issued as
+// one-op batches in slice order, stopping at the first that fails, but
+// validates the whole span, then books each channel's transfers and each
+// bank's programs as one run and stores each die's pages under one lock.
+// Unlike that loop, the batch is atomic with respect to validation errors:
+// every op is checked (address, size, flash rules) before any timeline slot
+// is reserved or any byte stored, and a validation failure leaves the device
+// untouched.
 //
-// Injected program faults are not atomic — they mirror a scalar loop that
-// aborts at the failure: a *ProgramError with Index=k means ops[:k] stored
-// normally, op k's page was consumed by the failed attempt, and ops[k+1:]
-// were not attempted (their pages remain unprogrammed).
+// The fault contract: under an installed FaultPlan a program attempt may fail
+// with a *ProgramError (unwrapping to ErrProgramFault). Faults are not atomic
+// — they mirror the op-by-op loop that aborts at the failure: Index=k means
+// ops[:k] stored normally; op k's attempt still occupied the channel and bank
+// (Done is its completion) and consumed its page — the content is
+// indeterminate and the page cannot be programmed again before an erase; and
+// ops[k+1:] were not attempted (their pages remain unprogrammed). The caller
+// is expected to retire op k's block and relocate its data.
 func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 	// Pass 1: validate everything and claim the programmed bits, unwinding
 	// on failure so an invalid batch leaves no trace.
@@ -653,7 +589,7 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 	}
 	// Pass 1.5: with a fault plan installed, walk the batch in slice order
 	// consuming per-die attempt ticks until the first fault point. Ops after a
-	// faulted op are not attempted (a scalar loop would abort there): their
+	// faulted op are not attempted (an op-by-op loop would abort there): their
 	// claims are released and their attempt ticks are not consumed. The faulted
 	// op's page stays claimed — the failed attempt consumed it.
 	attempted, landed := ops, len(ops)
@@ -685,8 +621,8 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 		}
 	}
 	// Pass 2: timeline reservations. Each channel, then each bank, books its
-	// ops in slice order — the acquire sequence every timeline saw from the
-	// scalar loop, so completions are bit-identical. On a fault the failed
+	// ops in slice order — the acquire sequence every timeline sees from the
+	// op-by-op loop, so completions are bit-identical. On a fault the failed
 	// attempt still occupies the timelines; unattempted ops do not.
 	var done, faultDone sim.Time
 	xfer := d.tim.TransferTime(d.geo.PageSize)
@@ -756,7 +692,7 @@ func (d *Device) unclaim(ops []ProgramOp) {
 
 // EraseBlock erases the block containing p (its Page field is ignored),
 // arriving at time at, returning the completion time. The frames the block
-// holds return to the arena: an alias of one of them (see ReadPage) is
+// holds return to the arena: an alias of one of them (see ReadWords) is
 // invalid once a later program reuses the frame. Pages whose frames a
 // relocation already carried elsewhere hold none.
 //
@@ -770,7 +706,7 @@ func (d *Device) EraseBlock(at sim.Time, p PPA) (sim.Time, error) {
 		return at, fmt.Errorf("nvm: erase of invalid address %v", p)
 	}
 	die := d.die(p)
-	_, done := d.bank(p).Acquire(at, d.tim.EraseBlock)
+	_, done := d.banks[die].Acquire(at, d.tim.EraseBlock)
 	base := int64(p.Block) * int64(d.geo.PagesPerBlock)
 	s := &d.shards[die]
 	s.mu.Lock()

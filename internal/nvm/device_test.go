@@ -23,6 +23,19 @@ func newTestDevice(t *testing.T, phantom bool) *Device {
 	return d
 }
 
+// programOne and readOne issue one page as a one-op batch: the page-at-a-time
+// reference the batch contract of ProgramPages and ReadWords is stated
+// against.
+func programOne(d *Device, at sim.Time, p PPA, data []byte) (sim.Time, error) {
+	return d.ProgramPages([]ProgramOp{{At: at, P: p, Data: data}})
+}
+
+func readOne(d *Device, at sim.Time, p PPA) ([]byte, sim.Time, error) {
+	out := make([][]byte, 1)
+	done, err := d.ReadWords(at, []Word{d.lay.Word(p)}, out)
+	return out[0], done, err
+}
+
 func TestGeometryValidate(t *testing.T) {
 	good := testGeo()
 	if err := good.Validate(); err != nil {
@@ -93,10 +106,10 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	d := newTestDevice(t, false)
 	p := PPA{Channel: 1, Bank: 1, Block: 2, Page: 3}
 	payload := bytes.Repeat([]byte{0xAB}, 512)
-	if _, err := d.ProgramPage(0, p, payload); err != nil {
+	if _, err := programOne(d, 0, p, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.ReadPage(0, p)
+	got, _, err := readOne(d, 0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +120,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 
 func TestReadUnprogrammedIsZero(t *testing.T) {
 	d := newTestDevice(t, false)
-	got, _, err := d.ReadPage(0, PPA{0, 0, 0, 0})
+	got, _, err := readOne(d, 0, PPA{0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +132,17 @@ func TestReadUnprogrammedIsZero(t *testing.T) {
 func TestNoInPlaceOverwrite(t *testing.T) {
 	d := newTestDevice(t, false)
 	p := PPA{0, 0, 0, 0}
-	if _, err := d.ProgramPage(0, p, []byte{1}); err != nil {
+	if _, err := programOne(d, 0, p, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ProgramPage(0, p, []byte{2}); err == nil {
+	if _, err := programOne(d, 0, p, []byte{2}); err == nil {
 		t.Fatal("second program to same page must fail (flash rule)")
 	}
 	// After an erase the page is reusable.
 	if _, err := d.EraseBlock(0, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ProgramPage(0, p, []byte{3}); err != nil {
+	if _, err := programOne(d, 0, p, []byte{3}); err != nil {
 		t.Fatalf("program after erase failed: %v", err)
 	}
 	if d.EraseCount(p) != 1 {
@@ -140,13 +153,13 @@ func TestNoInPlaceOverwrite(t *testing.T) {
 func TestEraseClearsData(t *testing.T) {
 	d := newTestDevice(t, false)
 	p := PPA{2, 0, 3, 5}
-	if _, err := d.ProgramPage(0, p, []byte{9, 9}); err != nil {
+	if _, err := programOne(d, 0, p, []byte{9, 9}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.EraseBlock(0, p); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ := d.ReadPage(0, p)
+	got, _, _ := readOne(d, 0, p)
 	if !bytes.Equal(got, make([]byte, 512)) {
 		t.Fatal("erased page should read as zeros")
 	}
@@ -158,13 +171,13 @@ func TestEraseClearsData(t *testing.T) {
 func TestInvalidAddressesRejected(t *testing.T) {
 	d := newTestDevice(t, false)
 	bad := PPA{Channel: 99}
-	if _, _, err := d.ReadPage(0, bad); err == nil {
+	if _, _, err := readOne(d, 0, bad); err == nil {
 		t.Error("read of invalid PPA should fail")
 	}
-	if _, err := d.ProgramPage(0, bad, nil); err == nil {
+	if _, err := programOne(d, 0, bad, nil); err == nil {
 		t.Error("program of invalid PPA should fail")
 	}
-	if _, err := d.ProgramPage(0, PPA{0, 0, 0, 0}, make([]byte, 513)); err == nil {
+	if _, err := programOne(d, 0, PPA{0, 0, 0, 0}, make([]byte, 513)); err == nil {
 		t.Error("oversized program should fail")
 	}
 }
@@ -178,7 +191,7 @@ func TestChannelParallelism(t *testing.T) {
 
 	var doneSpread sim.Time
 	for c := 0; c < 4; c++ {
-		_, done, err := d.ReadPage(0, PPA{Channel: c})
+		_, done, err := readOne(d, 0, PPA{Channel: c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +204,7 @@ func TestChannelParallelism(t *testing.T) {
 	d2 := newTestDevice(t, true)
 	var doneSerial sim.Time
 	for i := 0; i < 4; i++ {
-		_, done, err := d2.ReadPage(0, PPA{Channel: 0, Page: i})
+		_, done, err := readOne(d2, 0, PPA{Channel: 0, Page: i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +225,7 @@ func TestBankParallelismWithinChannel(t *testing.T) {
 	tim := d.Timing()
 	var done sim.Time
 	for b := 0; b < 2; b++ {
-		_, dn, err := d.ReadPage(0, PPA{Channel: 0, Bank: b})
+		_, dn, err := readOne(d, 0, PPA{Channel: 0, Bank: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,10 +240,10 @@ func TestBankParallelismWithinChannel(t *testing.T) {
 func TestPhantomStoresNoData(t *testing.T) {
 	d := newTestDevice(t, true)
 	p := PPA{0, 0, 0, 0}
-	if _, err := d.ProgramPage(0, p, []byte{1, 2, 3}); err != nil {
+	if _, err := programOne(d, 0, p, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := d.ReadPage(0, p)
+	data, _, err := readOne(d, 0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +258,8 @@ func TestPhantomStoresNoData(t *testing.T) {
 func TestCountersAndTimeline(t *testing.T) {
 	d := newTestDevice(t, false)
 	p := PPA{0, 0, 0, 0}
-	_, _ = d.ProgramPage(0, p, []byte{1})
-	_, _, _ = d.ReadPage(0, p)
+	_, _ = programOne(d, 0, p, []byte{1})
+	_, _, _ = readOne(d, 0, p)
 	_, _ = d.EraseBlock(0, p)
 	r, w, e := d.Counters()
 	if r != 1 || w != 1 || e != 1 {
@@ -262,8 +275,9 @@ func TestCountersAndTimeline(t *testing.T) {
 }
 
 // TestBatchMatchesScalar: ReadPages/ProgramPages against one device must be
-// timing- and data-identical to per-page ReadPage/ProgramPage calls in the
-// same order against a twin device.
+// timing- and data-identical to the same pages issued one at a time, as
+// one-op batches in the same order (programOne, readOne), against a twin
+// device.
 func TestBatchMatchesScalar(t *testing.T) {
 	batched := newTestDevice(t, false)
 	scalar := newTestDevice(t, false)
@@ -285,7 +299,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}
 	var doneS sim.Time
 	for _, op := range ops {
-		end, err := scalar.ProgramPage(op.At, op.P, op.Data)
+		end, err := programOne(scalar, op.At, op.P, op.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +316,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}
 	var rDoneS sim.Time
 	for i, p := range ppas {
-		data, end, err := scalar.ReadPage(doneS, p)
+		data, end, err := readOne(scalar, doneS, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +360,7 @@ func TestProgramPagesAtomicOnError(t *testing.T) {
 			}
 		}},
 		{"already programmed", func(d *Device) []ProgramOp {
-			if _, err := d.ProgramPage(0, PPA{2, 0, 1, 0}, page); err != nil {
+			if _, err := programOne(d, 0, PPA{2, 0, 1, 0}, page); err != nil {
 				t.Fatal(err)
 			}
 			d.ResetTimeline()
@@ -386,119 +400,157 @@ func TestProgramPagesAtomicOnError(t *testing.T) {
 	}
 }
 
-// TestBatchBookingMatchesPerPage: ReadPages and ProgramPages book each bank's
-// and each channel's operations as one run; a per-page ReadPage/ProgramPage
-// loop books them interleaved in slice order. Bookings on different
+// TestBatchBookingMatchesPerPage: ReadWords and ProgramPages book each bank's
+// and each channel's operations as one run; the same ops issued as one-op
+// batches book them interleaved in slice order. Bookings on different
 // timelines are independent, so over random batches — pages scattered over
 // the dies with repeats, arrivals that jump ahead of the timelines and fall
 // back into their gaps, with and without injected read retries and program
 // faults — both must complete every batch at the same time and leave every
-// timeline in the same state.
+// timeline in the same state (checkBatchBooking; FuzzBatchBooking draws the
+// geometry, the seed and the plan).
 func TestBatchBookingMatchesPerPage(t *testing.T) {
 	geo := Geometry{Channels: 8, Banks: 4, BlocksPerBank: 64, PagesPerBlock: 16, PageSize: 512}
 	for _, plan := range []FaultPlan{{}, {Seed: 3, ReadRetryEvery: 5, ProgramFailEvery: 17}} {
-		mk := func() *Device {
-			d, err := NewDevice(geo, TLCTiming(), true)
+		checkBatchBooking(t, geo, plan, 16, 400)
+	}
+}
+
+// FuzzBatchBooking is TestBatchBookingMatchesPerPage over fuzzed geometries,
+// generator seeds, round counts and fault plans. The batch contract is the
+// only statement of page-at-a-time timing there is, so it is fuzzed, not
+// just sampled.
+func FuzzBatchBooking(f *testing.F) {
+	f.Add(uint8(7), uint8(3), int64(16), uint8(200), uint8(0), uint8(0), uint8(0), int64(0))
+	f.Add(uint8(7), uint8(3), int64(16), uint8(200), uint8(5), uint8(17), uint8(0), int64(3))
+	f.Add(uint8(0), uint8(0), int64(1), uint8(120), uint8(1), uint8(1), uint8(3), int64(9))
+	f.Add(uint8(1), uint8(1), int64(42), uint8(255), uint8(3), uint8(4), uint8(1), int64(-5))
+	f.Fuzz(func(t *testing.T, ch, bk uint8, seed int64, rounds, retryEvery, failEvery, senses uint8, planSeed int64) {
+		geo := Geometry{Channels: 1 + int(ch%8), Banks: 1 + int(bk%4), BlocksPerBank: 16, PagesPerBlock: 16, PageSize: 512}
+		plan := FaultPlan{
+			Seed:             planSeed,
+			ReadRetryEvery:   int64(retryEvery % 16),
+			ReadRetrySenses:  int(senses % 4),
+			ProgramFailEvery: int64(failEvery % 32),
+		}
+		checkBatchBooking(t, geo, plan, seed, 1+int(rounds))
+	})
+}
+
+// checkBatchBooking drives two phantom devices of geometry geo under plan
+// through rounds random batches drawn from seed: one device takes each batch
+// whole, the other takes its ops as one-op batches in slice order, stopping
+// at a program fault as the batch does. Every batch's completion and fault
+// report, and at the end the timelines' horizons, busy dies, channel
+// utilization, counters and fault statistics, must agree.
+func checkBatchBooking(t *testing.T, geo Geometry, plan FaultPlan, seed int64, rounds int) {
+	t.Helper()
+	mk := func() *Device {
+		d, err := NewDevice(geo, TLCTiming(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Enabled() {
+			d.SetFaultPlan(plan)
+		}
+		return d
+	}
+	batch, loop := mk(), mk()
+	lay := batch.Layout()
+	rng := rand.New(rand.NewSource(seed))
+	next := make([]int, geo.Channels*geo.Banks) // per die: the next page to program
+	free := geo.TotalPages()                    // pages no round has programmed yet
+	var clock sim.Time
+	arrival := func() sim.Time {
+		if rng.Intn(3) == 0 {
+			return sim.Max(0, clock-sim.Time(rng.Int63n(int64(4*sim.Millisecond))))
+		}
+		return clock + sim.Time(rng.Int63n(int64(200*sim.Microsecond)))
+	}
+	for round := 0; round < rounds; round++ {
+		n := 1 + rng.Intn(60)
+		if rng.Intn(2) == 0 || free == 0 {
+			at := arrival()
+			ws := make([]Word, n)
+			for i := range ws {
+				ws[i] = lay.Word(PPA{rng.Intn(geo.Channels), rng.Intn(geo.Banks), rng.Intn(geo.BlocksPerBank), rng.Intn(geo.PagesPerBlock)})
+			}
+			got, err := batch.ReadWords(at, ws, make([][]byte, n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan.Enabled() {
-				d.SetFaultPlan(plan)
-			}
-			return d
-		}
-		batch, loop := mk(), mk()
-		rng := rand.New(rand.NewSource(16))
-		next := make([]int, geo.Channels*geo.Banks) // per die: the next page to program
-		var clock sim.Time
-		arrival := func() sim.Time {
-			if rng.Intn(3) == 0 {
-				return sim.Max(0, clock-sim.Time(rng.Int63n(int64(4*sim.Millisecond))))
-			}
-			return clock + sim.Time(rng.Int63n(int64(200*sim.Microsecond)))
-		}
-		for round := 0; round < 400; round++ {
-			n := 1 + rng.Intn(60)
-			if rng.Intn(2) == 0 {
-				at := arrival()
-				ppas := make([]PPA, n)
-				for i := range ppas {
-					ppas[i] = PPA{rng.Intn(geo.Channels), rng.Intn(geo.Banks), rng.Intn(geo.BlocksPerBank), rng.Intn(geo.PagesPerBlock)}
-				}
-				got, err := batch.ReadPages(at, ppas, make([][]byte, n))
+			want := at
+			for _, w := range ws {
+				end, err := loop.ReadWords(at, []Word{w}, make([][]byte, 1))
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := at
-				for _, p := range ppas {
-					_, end, err := loop.ReadPage(at, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = sim.Max(want, end)
-				}
-				if got != want {
-					t.Fatalf("round %d: %d-page read at %v done at %v, page by page at %v", round, n, at, got, want)
-				}
-				clock = sim.Max(clock, got)
-				continue
-			}
-			ops := make([]ProgramOp, 0, n)
-			for len(ops) < n {
-				die := rng.Intn(len(next))
-				if next[die] == geo.BlocksPerBank*geo.PagesPerBlock {
-					continue
-				}
-				p := PPA{die / geo.Banks, die % geo.Banks, next[die] / geo.PagesPerBlock, next[die] % geo.PagesPerBlock}
-				next[die]++
-				ops = append(ops, ProgramOp{At: arrival(), P: p})
-			}
-			got, errB := batch.ProgramPages(ops)
-			var want sim.Time
-			var errL error
-			landed := 0
-			for ; landed < len(ops) && errL == nil; landed++ {
-				var end sim.Time
-				end, errL = loop.ProgramPage(ops[landed].At, ops[landed].P, nil)
 				want = sim.Max(want, end)
 			}
-			var peB, peL *ProgramError
-			if errors.As(errB, &peB) != errors.As(errL, &peL) || (peB == nil) != (errB == nil) {
-				t.Fatalf("round %d: batch err %v, page by page %v", round, errB, errL)
-			}
-			if peB != nil {
-				// The loop stopped at its fault; the batch reports the same op.
-				if peB.Index != landed-1 || peB.P != ops[landed-1].P || peB.Done != peL.Done {
-					t.Fatalf("round %d: batch fault %+v, page by page op %d %+v", round, peB, landed-1, peL)
-				}
-				// Ops past the fault were not attempted; their pages stay free.
-				for _, op := range ops[landed:] {
-					next[op.P.Channel*geo.Banks+op.P.Bank]--
-				}
-			}
 			if got != want {
-				t.Fatalf("round %d: %d-page program done at %v, page by page at %v", round, n, got, want)
+				t.Fatalf("round %d: %d-page read at %v done at %v, page by page at %v", round, n, at, got, want)
 			}
 			clock = sim.Max(clock, got)
+			continue
 		}
-		if b, l := batch.NextIdle(), loop.NextIdle(); b != l {
-			t.Fatalf("timelines drain at %v after batches, %v page by page", b, l)
-		}
-		for _, at := range []sim.Time{clock / 4, clock / 2, clock} {
-			if b, l := batch.BusyDies(at), loop.BusyDies(at); b != l {
-				t.Fatalf("%d dies busy at %v after batches, %d page by page", b, at, l)
+		n = int(min(int64(n), free))
+		ops := make([]ProgramOp, 0, n)
+		for len(ops) < n {
+			die := rng.Intn(len(next))
+			if next[die] == geo.BlocksPerBank*geo.PagesPerBlock {
+				continue
 			}
+			p := PPA{die / geo.Banks, die % geo.Banks, next[die] / geo.PagesPerBlock, next[die] % geo.PagesPerBlock}
+			next[die]++
+			ops = append(ops, ProgramOp{At: arrival(), P: p})
 		}
-		ub, ul := batch.ChannelUtilization(clock), loop.ChannelUtilization(clock)
-		for ch := range ub {
-			if ub[ch] != ul[ch] {
-				t.Fatalf("channel %d utilization %v after batches, %v page by page", ch, ub[ch], ul[ch])
+		free -= int64(n)
+		got, errB := batch.ProgramPages(ops)
+		var want sim.Time
+		var errL error
+		landed := 0
+		for ; landed < len(ops) && errL == nil; landed++ {
+			var end sim.Time
+			end, errL = programOne(loop, ops[landed].At, ops[landed].P, nil)
+			want = sim.Max(want, end)
+		}
+		var peB, peL *ProgramError
+		if errors.As(errB, &peB) != errors.As(errL, &peL) || (peB == nil) != (errB == nil) {
+			t.Fatalf("round %d: batch err %v, page by page %v", round, errB, errL)
+		}
+		if peB != nil {
+			// The loop stopped at its fault; the batch reports the same op.
+			if peB.Index != landed-1 || peB.P != ops[landed-1].P || peB.Done != peL.Done {
+				t.Fatalf("round %d: batch fault %+v, page by page op %d %+v", round, peB, landed-1, peL)
 			}
+			// Ops past the fault were not attempted; their pages stay free.
+			for _, op := range ops[landed:] {
+				next[op.P.Channel*geo.Banks+op.P.Bank]--
+			}
+			free += int64(len(ops) - landed)
 		}
-		rb, pb, _ := batch.Counters()
-		rl, pl, _ := loop.Counters()
-		if rb != rl || pb != pl || batch.FaultStats() != loop.FaultStats() {
-			t.Fatalf("counters: batches %d/%d %+v, page by page %d/%d %+v", rb, pb, batch.FaultStats(), rl, pl, loop.FaultStats())
+		if got != want {
+			t.Fatalf("round %d: %d-page program done at %v, page by page at %v", round, n, got, want)
 		}
+		clock = sim.Max(clock, got)
+	}
+	if b, l := batch.NextIdle(), loop.NextIdle(); b != l {
+		t.Fatalf("timelines drain at %v after batches, %v page by page", b, l)
+	}
+	for _, at := range []sim.Time{clock / 4, clock / 2, clock} {
+		if b, l := batch.BusyDies(at), loop.BusyDies(at); b != l {
+			t.Fatalf("%d dies busy at %v after batches, %d page by page", b, at, l)
+		}
+	}
+	ub, ul := batch.ChannelUtilization(clock), loop.ChannelUtilization(clock)
+	for ch := range ub {
+		if ub[ch] != ul[ch] {
+			t.Fatalf("channel %d utilization %v after batches, %v page by page", ch, ub[ch], ul[ch])
+		}
+	}
+	rb, pb, _ := batch.Counters()
+	rl, pl, _ := loop.Counters()
+	if rb != rl || pb != pl || batch.FaultStats() != loop.FaultStats() {
+		t.Fatalf("counters: batches %d/%d %+v, page by page %d/%d %+v", rb, pb, batch.FaultStats(), rl, pl, loop.FaultStats())
 	}
 }

@@ -39,13 +39,12 @@ var (
 	ErrWornOut = errors.New("nvm: block worn out")
 )
 
-// ProgramError reports a program fault within a (possibly batched) program
-// operation: which op failed, where, and when the failed attempt completed on
-// the device timelines. Ops before Index completed normally; ops after Index
-// were not attempted (their pages remain unprogrammed). It unwraps to
-// ErrProgramFault.
+// ProgramError reports a program fault within a ProgramPages batch: which op
+// failed, where, and when the failed attempt completed on the device
+// timelines. Ops before Index completed normally; ops after Index were not
+// attempted (their pages remain unprogrammed). It unwraps to ErrProgramFault.
 type ProgramError struct {
-	Index int      // failing op's position in the batch (0 for scalar programs)
+	Index int      // failing op's position in the batch
 	P     PPA      // the consumed page
 	Done  sim.Time // completion time of the failed attempt
 }

@@ -29,13 +29,13 @@ func TestFaultPlanDisabledIdentical(t *testing.T) {
 	page := bytes.Repeat([]byte{0xA5}, geo.PageSize)
 	for _, d := range []*Device{plain, planned} {
 		p := PPA{Channel: 1, Bank: 0, Block: 2, Page: 3}
-		if _, err := d.ProgramPage(0, p, page); err != nil {
+		if _, err := programOne(d, 0, p, page); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p := PPA{Channel: 1, Bank: 0, Block: 2, Page: 3}
-	d1, t1, err1 := plain.ReadPage(0, p)
-	d2, t2, err2 := planned.ReadPage(0, p)
+	d1, t1, err1 := readOne(plain, 0, p)
+	d2, t2, err2 := readOne(planned, 0, p)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -63,8 +63,8 @@ func TestFaultProgramDeterministicReplay(t *testing.T) {
 	for blk := 0; blk < 3; blk++ {
 		for pg := 0; pg < geo.PagesPerBlock; pg++ {
 			p := PPA{Channel: 0, Bank: 1, Block: blk, Page: pg}
-			_, errA := a.ProgramPage(0, p, page)
-			_, errB := b.ProgramPage(0, p, page)
+			_, errA := programOne(a, 0, p, page)
+			_, errB := programOne(b, 0, p, page)
 			var peA, peB *ProgramError
 			if errors.As(errA, &peA) {
 				faultsA = append(faultsA, peA.P)
@@ -100,7 +100,7 @@ func TestFaultProgramConsumesPage(t *testing.T) {
 	geo := d.Geometry()
 	page := make([]byte, geo.PageSize)
 	p := PPA{Channel: 0, Bank: 0, Block: 0, Page: 0}
-	_, err := d.ProgramPage(0, p, page)
+	_, err := programOne(d, 0, p, page)
 	var pe *ProgramError
 	if !errors.As(err, &pe) || !errors.Is(err, ErrProgramFault) {
 		t.Fatalf("want ProgramError unwrapping to ErrProgramFault, got %v", err)
@@ -108,21 +108,21 @@ func TestFaultProgramConsumesPage(t *testing.T) {
 	if !d.Programmed(p) {
 		t.Fatal("faulted page not consumed")
 	}
-	if _, err := d.ProgramPage(0, p, page); err == nil || errors.Is(err, ErrProgramFault) {
+	if _, err := programOne(d, 0, p, page); err == nil || errors.Is(err, ErrProgramFault) {
 		t.Fatalf("re-program of consumed page should be a rule violation, got %v", err)
 	}
 	d.SetFaultPlan(FaultPlan{}) // allow the erase
 	if _, err := d.EraseBlock(0, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ProgramPage(0, p, page); err != nil {
+	if _, err := programOne(d, 0, p, page); err != nil {
 		t.Fatalf("program after erase: %v", err)
 	}
 }
 
 // TestFaultBatchMatchesScalar: ProgramPages under a fault plan mirrors the
-// scalar loop that aborts at the first fault — same fault point, same
-// completion, stored prefix readable, suffix untouched.
+// page-at-a-time loop of one-op batches that aborts at the first fault — same
+// fault point, same completion, stored prefix readable, suffix untouched.
 func TestFaultBatchMatchesScalar(t *testing.T) {
 	plan := FaultPlan{Seed: 11, ProgramFailEvery: 6}
 	scalar := faultTestDevice(t, plan)
@@ -135,10 +135,10 @@ func TestFaultBatchMatchesScalar(t *testing.T) {
 		ops = append(ops, ProgramOp{At: 0, P: PPA{Channel: 2, Bank: 1, Block: 1, Page: pg}, Data: data})
 	}
 
-	// Scalar oracle: program in order, stop at the first fault.
+	// Page-at-a-time oracle: one-op batches in order, stop at the first fault.
 	scalarFault, scalarDone := -1, sim.Time(0)
 	for i := range ops {
-		done, err := scalar.ProgramPage(ops[i].At, ops[i].P, ops[i].Data)
+		done, err := programOne(scalar, ops[i].At, ops[i].P, ops[i].Data)
 		scalarDone = done
 		if err != nil {
 			var pe *ProgramError
@@ -195,16 +195,16 @@ func TestFaultReadRetryLatency(t *testing.T) {
 	page := make([]byte, geo.PageSize)
 	p := PPA{Channel: 0, Bank: 0, Block: 0, Page: 0}
 	for _, d := range []*Device{base, retry} {
-		if _, err := d.ProgramPage(0, p, page); err != nil {
+		if _, err := programOne(d, 0, p, page); err != nil {
 			t.Fatal(err)
 		}
 		d.ResetTimeline()
 	}
-	_, baseDone, err := base.ReadPage(0, p)
+	_, baseDone, err := readOne(base, 0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, retryDone, err := retry.ReadPage(0, p)
+	data, retryDone, err := readOne(retry, 0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +228,14 @@ func TestFaultWearOutPermanent(t *testing.T) {
 	page := make([]byte, geo.PageSize)
 	p := PPA{Channel: 3, Bank: 1, Block: 5, Page: 0}
 	for cycle := 0; cycle < 2; cycle++ {
-		if _, err := d.ProgramPage(0, p, page); err != nil {
+		if _, err := programOne(d, 0, p, page); err != nil {
 			t.Fatalf("cycle %d program: %v", cycle, err)
 		}
 		if _, err := d.EraseBlock(0, p); err != nil {
 			t.Fatalf("cycle %d erase: %v", cycle, err)
 		}
 	}
-	if _, err := d.ProgramPage(0, p, page); err != nil {
+	if _, err := programOne(d, 0, p, page); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -258,13 +258,13 @@ func TestFaultEraseLeavesState(t *testing.T) {
 	geo := d.Geometry()
 	page := bytes.Repeat([]byte{0x3C}, geo.PageSize)
 	p := PPA{Channel: 1, Bank: 1, Block: 3, Page: 7}
-	if _, err := d.ProgramPage(0, p, page); err != nil {
+	if _, err := programOne(d, 0, p, page); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.EraseBlock(0, p); !errors.Is(err, ErrEraseFault) {
 		t.Fatalf("want ErrEraseFault, got %v", err)
 	}
-	data, _, err := d.ReadPage(0, p)
+	data, _, err := readOne(d, 0, p)
 	if err != nil {
 		t.Fatal(err)
 	}

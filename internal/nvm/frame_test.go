@@ -46,13 +46,13 @@ func frameDevices(t *testing.T, f func(t *testing.T, d *Device, encrypted bool))
 
 // TestShortProgramIntoRecycledFrame: frames of an erased block return to the
 // arena as they were, so a payload shorter than a page must have the rest of
-// its frame cleared, on every program entry point that copies.
+// its frame cleared, programmed alone or in a batch.
 func TestShortProgramIntoRecycledFrame(t *testing.T) {
 	frameDevices(t, func(t *testing.T, d *Device, _ bool) {
 		ps := d.geo.PageSize
 		ff := bytes.Repeat([]byte{0xFF}, ps)
 		for pg := 0; pg < d.geo.PagesPerBlock; pg++ {
-			if _, err := d.ProgramPage(0, PPA{1, 1, 0, pg}, ff); err != nil {
+			if _, err := programOne(d, 0, PPA{1, 1, 0, pg}, ff); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -61,7 +61,7 @@ func TestShortProgramIntoRecycledFrame(t *testing.T) {
 		}
 		short := []byte{1, 2, 3}
 		dsts := []PPA{{0, 0, 1, 0}, {0, 0, 1, 1}, {2, 1, 1, 0}}
-		if _, err := d.ProgramPage(0, dsts[0], short); err != nil {
+		if _, err := programOne(d, 0, dsts[0], short); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.ProgramPages([]ProgramOp{
@@ -72,7 +72,7 @@ func TestShortProgramIntoRecycledFrame(t *testing.T) {
 		}
 		want := append(append([]byte(nil), short...), make([]byte, ps-len(short))...)
 		for _, p := range dsts {
-			got, _, err := d.ReadPage(0, p)
+			got, _, err := readOne(d, 0, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestOwnedFrameStoredInPlace(t *testing.T) {
 		if encrypted == bytes.Equal(raw, plain[0]) {
 			t.Fatalf("medium holds plaintext: %v, want %v", !encrypted, encrypted)
 		}
-		if got, _, _ := d.ReadPage(0, ops[0].P); !bytes.Equal(got, plain[0]) {
+		if got, _, _ := readOne(d, 0, ops[0].P); !bytes.Equal(got, plain[0]) {
 			t.Fatal("the landed page does not read back")
 		}
 		for i := 1; i < len(ops); i++ {
@@ -135,10 +135,10 @@ func TestMoveRehomesFrame(t *testing.T) {
 		ps := d.geo.PageSize
 		src, same, other := PPA{3, 1, 0, 4}, PPA{3, 1, 5, 0}, PPA{2, 0, 5, 0}
 		page := bytes.Repeat([]byte{0xAB}, ps)
-		if _, err := d.ProgramPage(0, src, page); err != nil {
+		if _, err := programOne(d, 0, src, page); err != nil {
 			t.Fatal(err)
 		}
-		alias, _, err := d.ReadPage(0, src)
+		alias, _, err := readOne(d, 0, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestMoveRehomesFrame(t *testing.T) {
 			if d.RawPage(src) != nil {
 				t.Fatal("the source still holds the frame it gave up")
 			}
-			if got, _, _ := d.ReadPage(0, src); !bytes.Equal(got, make([]byte, ps)) {
+			if got, _, _ := readOne(d, 0, src); !bytes.Equal(got, make([]byte, ps)) {
 				t.Fatal("a moved-out source should read as erased")
 			}
 		}
@@ -170,12 +170,12 @@ func TestMoveRehomesFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pg := 0; pg < 4; pg++ {
-			if _, err := d.ProgramPage(0, PPA{0, 0, 6, pg}, bytes.Repeat([]byte{0xEE}, ps)); err != nil {
+			if _, err := programOne(d, 0, PPA{0, 0, 6, pg}, bytes.Repeat([]byte{0xEE}, ps)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, p := range []PPA{same, other} {
-			if got, _, _ := d.ReadPage(0, p); !bytes.Equal(got, page) {
+			if got, _, _ := readOne(d, 0, p); !bytes.Equal(got, page) {
 				t.Fatalf("relocated page %v lost its bytes to the erase of the source block", p)
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // extraction is shifts and masks; a dense index (die, in-die page, Linear) is a
 // multiply-add over the fields, so nothing on a per-page path divides.
 //
-// A PPA stays the address at the device's edges — ProgramOp, ReadPage, fault
+// A PPA stays the address at the device's edges — ProgramOp, EraseBlock, fault
 // reports and diagnostics — where a caller names a page by its coordinates.
 type Word uint32
 

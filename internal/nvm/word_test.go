@@ -138,7 +138,7 @@ func TestReadWordsRejectsInvalid(t *testing.T) {
 	}
 	l := d.Layout()
 	p := PPA{Channel: 2, Bank: 1, Block: 8, Page: 11}
-	if _, err := d.ProgramPage(0, p, []byte{1, 2, 3}); err != nil {
+	if _, err := programOne(d, 0, p, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	d.ResetTimeline()

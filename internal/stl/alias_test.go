@@ -9,7 +9,7 @@ import (
 )
 
 // TestSegmentLeaseOutlivesRelocation pins the alias contract now that a frame
-// can outlive its address (nvm.ReadPage): segments lent to a
+// can outlive its address (nvm.ReadWords): segments lent to a
 // ReadPartitionSegments callback stay good until it returns, whatever GC does
 // for other spaces meanwhile. Space A is aged first, so some of its pages sit
 // in frames that relocations already carried away from the blocks they were

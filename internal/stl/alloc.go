@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"nds/internal/nvm"
 	"nds/internal/sim"
@@ -38,8 +39,10 @@ type die struct {
 
 	// collecting marks that one writer's collection owns victim selection and
 	// evacuation on this die. It is a try-only claim, never a blocking lock:
-	// nothing that holds a space lock ever blocks on a collector, which is
-	// what keeps the space->die order deadlock-free.
+	// no collector takes it by waiting, and a collector only try-locks the
+	// spaces it needs, which is what keeps the space->die order deadlock-free.
+	// The one writer that waits for it to clear is an overwrite that found no
+	// page (restoreUnit), and that wait ends because collectors never wait.
 	collecting bool
 	gc         gcScratch // the claim holder's working memory
 }
@@ -485,6 +488,39 @@ func (t *STL) invalidateUnit(w nvm.Word) {
 		// the cache entry after the rev update cannot race a stale re-read.
 		t.cache.invalidateBlock(e.space, int64(e.block))
 	}
+}
+
+// restoreUnit undoes the invalidateUnit of an overwrite that found no
+// replacement: slot still names the unit it invalidated, page pageIdx of
+// building block blockIdx of s. If that unit still holds the page — its
+// reverse entry is untouched and its page programmed, so its block was not
+// erased since — the unit is live again; otherwise the slot is cleared, since
+// the page it names is free or someone else's. A collection under way on the
+// unit's die may be about to erase the block without having seen the unit
+// live, so restoreUnit first waits it out. That is the one wait on a
+// collector a space's writer makes, and it cannot deadlock: a collector only
+// try-locks spaces, and gives a busy victim up.
+func (t *STL) restoreUnit(s *Space, blockIdx int64, pageIdx int, slot *pageSlot) {
+	w := slot.word()
+	d := t.dies[t.lay.Die(w)]
+	idx := t.lay.Linear(w)
+	d.mu.Lock()
+	for d.collecting {
+		d.mu.Unlock()
+		time.Sleep(2 * time.Microsecond)
+		d.mu.Lock()
+	}
+	e := t.rev[idx]
+	if held := !e.valid && e.space == s.id && int64(e.block) == blockIdx && int(e.page) == pageIdx; !held || !t.dev.Programmed(t.lay.PPA(w)) {
+		d.mu.Unlock()
+		*slot = 0
+		s.allocatedPages--
+		return
+	}
+	t.rev[idx].valid = true
+	d.validInBlk[t.lay.Block(w)]++
+	d.mu.Unlock()
+	t.usedPages.Add(1)
 }
 
 // dropUnit releases the unit holding the page of slot, if one does, and

@@ -338,7 +338,8 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			if err := t.flushPrograms(rs, &done, &stats); err != nil {
 				return at, stats, err
 			}
-			old, d, err := t.dev.ReadPage(at, t.lay.PPA(slot.word()))
+			var old [1][]byte
+			d, err := t.dev.ReadWords(at, []nvm.Word{slot.word()}, old[:])
 			if err != nil {
 				return at, stats, err
 			}
@@ -346,7 +347,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			ready = d
 			if hasData {
 				frame = t.dev.Frame()
-				copy(frame, old)
+				copy(frame, old[0])
 				rs.copyPayload(frame, st, ps)
 			}
 		}
@@ -369,6 +370,9 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		if slot.allocated() {
 			t.invalidateUnit(slot.word())
 			unit, ready, err = t.allocateReplacement(ready, slot.word(), t.overwriteStream(st.blk, now), ac)
+			if err != nil {
+				t.restoreUnit(s, st.blockIdx, st.page, slot)
+			}
 		} else {
 			unit, ready, err = t.allocateUnit(ready, s, st.blk, ac)
 		}

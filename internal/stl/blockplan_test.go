@@ -3,6 +3,7 @@ package stl
 import (
 	"errors"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"nds/internal/nvm"
@@ -16,7 +17,10 @@ import (
 // once per request. What the request puts back is drained after it and
 // counted when it is the test's scratch: a request that leaked its scratch
 // would never return it, while the detector only drops some. The test's own
-// reference is the scratch either way.
+// reference is the scratch either way. A pooled value also survives only one
+// garbage collection (the pool's victim cache), and a request that allocates
+// enough to run two would lose the scratch and read as a leak, so collection
+// is off while a request runs.
 type oneScratch struct {
 	rs *requestScratch
 	// requests run, how many took the test's scratch, how many put it back
@@ -24,6 +28,7 @@ type oneScratch struct {
 }
 
 func (o *oneScratch) run(st *STL, op func()) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	st.scratch.New = nil
 	for st.scratch.Get() != nil {
 	}

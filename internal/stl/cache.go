@@ -28,7 +28,7 @@ import (
 // it is the flash array's own. On phantom devices the slices are nil and the
 // fill/ready state is kept all the same, so timing and statistics stay exact.
 //
-// The lease is the one uncached reads already hold (nvm.ReadPage, DESIGN.md
+// The lease is the one uncached reads already hold (nvm.ReadWords, DESIGN.md
 // "Aliases"), kept for longer. A frame goes back to the arena only when the
 // block holding it is erased; a block is erased only once none of its units
 // is live; and a unit stops being live — overwrite, zero elision, GC

@@ -45,22 +45,30 @@ func (t *STL) compressImage(s *Space, image []byte) []byte {
 
 // blockImage materialises the current logical content of a building block:
 // decompressing stored pages when the block is compressed, concatenating raw
-// pages otherwise, zeros where nothing was written. The returned completion
-// time covers the page reads.
+// pages otherwise, zeros where nothing was written. The block's pages are one
+// device read batch, in page order; the returned completion time covers it.
 func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *RequestStats) ([]byte, sim.Time, error) {
-	done := at
+	n := len(blk.pages)
+	if blk.compressed {
+		n = blk.physPages
+	}
+	words := make([]nvm.Word, 0, n)
+	for i := range n {
+		if slot := blk.pages[i]; slot.allocated() {
+			words = append(words, slot.word())
+		} else if blk.compressed {
+			return nil, at, fmt.Errorf("stl: compressed block missing unit %d", i)
+		}
+	}
+	datas := make([][]byte, len(words))
+	done, err := t.dev.ReadWords(at, words, datas)
+	if err != nil {
+		return nil, at, err
+	}
+	stats.PagesRead += int64(len(words))
 	if blk.compressed {
 		comp := make([]byte, 0, blk.compLen)
-		for i := 0; i < blk.physPages; i++ {
-			if !blk.pages[i].allocated() {
-				return nil, done, fmt.Errorf("stl: compressed block missing unit %d", i)
-			}
-			data, d, err := t.dev.ReadPage(at, t.lay.PPA(blk.pages[i].word()))
-			if err != nil {
-				return nil, done, err
-			}
-			stats.PagesRead++
-			done = sim.Max(done, d)
+		for _, data := range datas {
 			comp = append(comp, data...)
 		}
 		comp = comp[:blk.compLen]
@@ -75,18 +83,12 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 	}
 	image := make([]byte, s.bbBytes)
 	ps := int64(t.geo.PageSize)
-	for i := range blk.pages {
-		if !blk.pages[i].allocated() {
-			continue
+	for i, slot := range blk.pages {
+		if slot.allocated() {
+			off := int64(i) * ps
+			copy(image[off:min64(off+ps, s.bbBytes)], datas[0])
+			datas = datas[1:]
 		}
-		data, d, err := t.dev.ReadPage(at, t.lay.PPA(blk.pages[i].word()))
-		if err != nil {
-			return nil, done, err
-		}
-		stats.PagesRead++
-		done = sim.Max(done, d)
-		off := int64(i) * ps
-		copy(image[off:min64(off+ps, s.bbBytes)], data)
 	}
 	return image, done, nil
 }

@@ -22,11 +22,21 @@ func firstFault(t *testing.T, geo nvm.Geometry, plan nvm.FaultPlan, channel int)
 	page := make([]byte, geo.PageSize)
 	for i := 0; i < geo.BlocksPerBank*geo.PagesPerBlock; i++ {
 		p := nvm.PPA{Channel: channel, Block: i / geo.PagesPerBlock, Page: i % geo.PagesPerBlock}
-		if _, err := dev.ProgramPage(0, p, page); err != nil {
+		if _, err := dev.ProgramPages([]nvm.ProgramOp{{P: p, Data: page}}); err != nil {
 			return i
 		}
 	}
 	return -1
+}
+
+// readOne reads the page at p as a one-word batch.
+func readOne(t *testing.T, dev *nvm.Device, p nvm.PPA) []byte {
+	t.Helper()
+	lay, out := dev.Layout(), make([][]byte, 1)
+	if _, err := dev.ReadWords(0, []nvm.Word{lay.Word(p)}, out); err != nil {
+		t.Fatal(err)
+	}
+	return out[0]
 }
 
 // seedFaultingAt finds a fault-plan seed under which each listed die
@@ -89,11 +99,7 @@ func checkBoundUnits(t *testing.T, st *STL, s *Space, want map[int][]byte) {
 			if !st.dev.Programmed(p) || !e.valid || e.space != s.id || int64(e.block) != b || int(e.page) != pg {
 				t.Fatalf("block %d page %d bound to %v: programmed=%v rev=%+v", b, pg, p, st.dev.Programmed(p), e)
 			}
-			got, _, err := st.dev.ReadPage(0, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i := int(b)*s.pagesPerBB + pg; !bytes.Equal(got, want[i]) {
+			if i := int(b)*s.pagesPerBB + pg; !bytes.Equal(readOne(t, st.dev, p), want[i]) {
 				t.Fatalf("block %d page %d at %v does not hold the page queued for it", b, pg, p)
 			}
 		}

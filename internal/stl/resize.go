@@ -160,7 +160,8 @@ func (t *STL) dropBlock(s *Space, blk *BuildingBlock) {
 	s.allocatedBBs--
 }
 
-// invalidateSubtree drops every block beneath a node.
+// invalidateSubtree drops every block beneath a node: the rows a shrink cuts
+// off, or a deleted space's whole tree.
 func (t *STL) invalidateSubtree(s *Space, n *indexNode) {
 	if n == nil {
 		return

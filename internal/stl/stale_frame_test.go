@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"nds/internal/crypt"
 	"nds/internal/nvm"
@@ -125,11 +126,7 @@ func TestWriteStaleFrameHoles(t *testing.T) {
 					continue
 				}
 				programmed++
-				page, _, err := dev.ReadPage(0, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if at := bytes.IndexByte(page, 0xFF); at >= 0 {
+				if at := bytes.IndexByte(readOne(t, dev, p), 0xFF); at >= 0 {
 					t.Fatalf("page %v holds a stale 0xff at byte %d", p, at)
 				}
 			}
@@ -256,4 +253,147 @@ func TestFailedOverwriteLeavesOldOrNew(t *testing.T) {
 	if f := dev.Frame(); len(known) != 0 || known[&f[0]] {
 		t.Fatalf("%d primed frames unaccounted for", len(known))
 	}
+}
+
+// TestFailedOverwriteKeepsOldUnit: an overwrite invalidates the old unit
+// before it allocates the replacement, so one that finds no replacement must
+// put the old unit back — or, if its block was erased meanwhile, clear the
+// slot — or the slot names a page the reverse table calls dead, which a later
+// write reuses. Two spaces of eight 16x16 float32 building blocks (two pages
+// each) fill a 32-page array with no over-provision: A0, B0-B7, A1-A7. An
+// overwrite of A0 then finds no page on any die. Deleting B frees half the
+// array; the overwrite of A1 that follows collects A0's die, and A1's new unit
+// used to be A0's dangling page, so A0 read A1's bytes. Forty overwrites of
+// A2-A7 after a second overwrite of A0 then cycle every block. After each
+// step the dies are audited (auditDies), every allocated slot must be live and
+// named back by its reverse entry, and A reads back as the model says.
+func TestFailedOverwriteKeepsOldUnit(t *testing.T) {
+	geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.OverProvision = 0
+	sc := newScript(t, dev, cfg)
+	audit := func(step string) {
+		t.Helper()
+		auditDies(t, sc.st)
+		live := int64(0)
+		for _, id := range sc.st.SpaceIDs() {
+			s, _ := sc.st.Space(id)
+			for g := int64(0); g < prod(s.grid); g++ {
+				blk := sc.st.blockAt(s, g, false)
+				if blk == nil {
+					continue
+				}
+				for pg, slot := range blk.pages {
+					if !slot.allocated() {
+						continue
+					}
+					live++
+					e := sc.st.rev[sc.st.lay.Linear(slot.word())]
+					if !e.valid || e.space != id || int64(e.block) != g || int(e.page) != pg {
+						t.Fatalf("%s: space %d block %d page %d names %v, whose reverse entry is %+v", step, id, g, pg, sc.st.lay.PPA(slot.word()), e)
+					}
+				}
+			}
+		}
+		if used := sc.st.UsedPages(); used != live {
+			t.Fatalf("%s: usedPages %d, %d slots allocated", step, used, live)
+		}
+	}
+	sc.after = func() { audit("after a request") }
+	const bb, nb = 16, 8
+	sub := []int64{bb, bb}
+	a := sc.space(t, 4, []int64{bb, nb * bb}, []int64{bb, nb * bb})
+	b := sc.space(t, 4, []int64{bb, nb * bb}, []int64{bb, nb * bb})
+	if n := a.v.space.pagesPerBB; n != 2 {
+		t.Fatalf("building blocks of %d pages, the test wants 2", n)
+	}
+	rng := rand.New(rand.NewSource(29))
+	tile := func() []byte { return fillRandom(rng, bb*bb*4) }
+	at := sc.mustWrite(t, 0, a, []int64{0, 0}, sub, tile())
+	for g := int64(0); g < nb; g++ {
+		at = sc.mustWrite(t, at, b, []int64{0, g}, sub, tile())
+	}
+	for g := int64(1); g < nb; g++ {
+		at = sc.mustWrite(t, at, a, []int64{0, g}, sub, tile())
+	}
+	readA := func() {
+		t.Helper()
+		for g := int64(0); g < nb; g++ {
+			at = sc.read(t, at, a, []int64{0, g}, sub)
+		}
+	}
+	readA()
+
+	if _, err := sc.write(t, at, a, []int64{0, 0}, sub, tile()); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("overwrite of A0 on a full array: got %v, want ErrCapacity", err)
+	}
+	readA()
+	if err := sc.st.DeleteSpace(b.v.space.ID()); err != nil {
+		t.Fatal(err)
+	}
+	audit("after deleting B")
+	at = sc.mustWrite(t, at, a, []int64{0, 1}, sub, tile())
+	readA()
+	at = sc.mustWrite(t, at, a, []int64{0, 0}, sub, tile())
+	for i := 0; i < 40; i++ {
+		at = sc.mustWrite(t, at, a, []int64{0, 2 + int64(i%6)}, sub, tile())
+		readA()
+	}
+	if rep := sc.st.GCReport(); rep.Erases == 0 {
+		t.Fatalf("the overwrites never collected a block: %+v", rep)
+	}
+
+	// The other outcome: a collection holds the unit's die when the overwrite
+	// gives up, and erases the unit's block. restoreUnit must wait the
+	// collection out and then clear the slot, not revive a unit that is gone.
+	s := a.v.space
+	var (
+		g, pg int64
+		w     nvm.Word
+	)
+find:
+	for g = 0; g < nb; g++ {
+		for i, slot := range sc.st.blockAt(s, g, false).pages {
+			if w, pg = slot.word(), int64(i); !sc.st.dies[sc.st.lay.Die(w)].isOpen(sc.st.lay.Block(w)) {
+				break find
+			}
+		}
+	}
+	slot := &sc.st.blockAt(s, g, false).pages[pg]
+	ch, bk, victim := sc.st.lay.Channel(w), sc.st.lay.Bank(w), sc.st.lay.Block(w)
+	d := sc.st.die(ch, bk)
+	d.collecting = true // the test is the collector
+	sc.st.invalidateUnit(w)
+	restored := make(chan struct{})
+	go func() {
+		sc.st.restoreUnit(s, g, int(pg), slot)
+		close(restored)
+	}()
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-restored:
+		t.Fatal("restoreUnit did not wait for the collection on the unit's die")
+	default:
+	}
+	erases := dev.EraseCount(sc.st.lay.PPA(w))
+	if _, res, err := sc.st.evacuateBlock(at, ch, bk, victim, nil); err != nil || res != gcProgress {
+		t.Fatalf("evacuating block %d of ch%d/bk%d: %v, outcome %d", victim, ch, bk, err, res)
+	}
+	if dev.EraseCount(sc.st.lay.PPA(w)) == erases {
+		t.Fatal("the evacuation did not erase the unit's block")
+	}
+	d.mu.Lock()
+	d.collecting = false
+	d.mu.Unlock()
+	<-restored
+	if slot.allocated() {
+		t.Fatalf("block %d page %d still names %v, erased under it", g, pg, sc.st.lay.PPA(w))
+	}
+	audit("after the erased unit's overwrite gave up")
+	at = sc.mustWrite(t, at, a, []int64{0, g}, sub, tile())
+	readA()
 }

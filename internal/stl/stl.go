@@ -346,7 +346,7 @@ func (t *STL) DeleteSpace(id SpaceID) error {
 	// about to drop.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t.invalidateTree(s, s.root)
+	t.invalidateSubtree(s, s.root)
 	t.dropPendingWhere(func(k pendingKey) bool { return k.space == id })
 	if t.cache != nil {
 		// Belt and braces: every unit invalidation above already dropped its
@@ -357,26 +357,6 @@ func (t *STL) DeleteSpace(id SpaceID) error {
 	delete(t.spaces, id)
 	t.qosForgetSpace(id)
 	return nil
-}
-
-func (t *STL) invalidateTree(s *Space, n *indexNode) {
-	if n == nil {
-		return
-	}
-	if n.blocks != nil {
-		for _, blk := range n.blocks {
-			if blk == nil {
-				continue
-			}
-			for i := range blk.pages {
-				t.dropUnit(&blk.pages[i])
-			}
-		}
-		return
-	}
-	for _, c := range n.children {
-		t.invalidateTree(s, c)
-	}
 }
 
 // pageBytes is the number of payload bytes held by page idx of a building

@@ -1,7 +1,9 @@
 package nds
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -187,53 +189,170 @@ func TestWireViewLifecycleSequences(t *testing.T) {
 	}
 }
 
-// TestDeleteSpaceConcurrentWithReads: deleting a space while clients stream
-// reads through its views must never produce a success after retirement,
-// only clean per-op errors, and must leave the registry empty.
+// TestDeleteSpaceConcurrentWithReads: deleting or shrinking a space while
+// clients stream reads and writes through its views — typed and through Exec
+// — lets every operation either run before the change or fail with
+// ErrClosedView (StatusUnknownView on the wire), never run on a stale view:
+// after a delete no unit of the space is live, and after a shrink of
+// 2048×2048 to 300 rows, rows 0–299 hold only what was written to them. The
+// registry ends empty. Many iterations, because an operation queued behind
+// the change is a scheduling race.
 func TestDeleteSpaceConcurrentWithReads(t *testing.T) {
+	for _, arm := range []string{"delete", "shrink"} {
+		t.Run(arm, func(t *testing.T) {
+			for i := 0; i < 50 && !t.Failed(); i++ {
+				lifetimeRace(t, arm == "delete")
+			}
+		})
+	}
+}
+
+// lifetimeRace is one iteration of TestDeleteSpaceConcurrentWithReads: two
+// typed readers, two typed writers and a writer through Exec stream one-row
+// partitions of a 2048×2048 byte space until the delete (or the shrink to
+// 300 rows) refuses them. Three writes in four aim past row 300.
+func lifetimeRace(t *testing.T, del bool) {
+	const side, kept = 2048, 300
 	d, err := Open(Options{Mode: ModeHardware, CapacityHint: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	id, err := d.CreateSpace(4, []int64{64, 64})
+	whole := []int64{side, side}
+	id, err := d.CreateSpace(1, whole)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const readers = 4
-	views := make([]*Space, readers)
-	for i := range views {
-		if views[i], err = d.OpenSpace(id, []int64{64, 64}); err != nil {
+	// Row r holds byte r+c at column c, so a write that wrapped into another
+	// row shows.
+	pattern := func(r int64, buf []byte) []byte {
+		for c := range buf {
+			buf[c] = byte(r + int64(c))
+		}
+		return buf
+	}
+	rowHolds := func(r int64, got []byte) bool {
+		return bytes.Equal(got, make([]byte, len(got))) || bytes.Equal(got, pattern(r, make([]byte, len(got))))
+	}
+	writeRow := func(w, i int) int64 {
+		if i%4 == 3 {
+			return int64(i*7+w*13) % kept
+		}
+		return kept + int64(i*37+w*101)%(side-kept)
+	}
+	row := func(r int64) ([]int64, []int64) { return []int64{r, 0}, []int64{1, side} }
+
+	var ops []func(i int) error
+	for k := 0; k < 2; k++ {
+		v, err := d.OpenSpace(id, whole)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ops = append(ops, func(i int) error {
+			r := int64(i*53+k*17) % side
+			coord, sub := row(r)
+			got, _, err := v.Read(coord, sub)
+			if err == nil && !rowHolds(r, got) {
+				t.Errorf("row %d read back bytes written to another row", r)
+			}
+			return err
+		})
 	}
-	var wg sync.WaitGroup
-	for _, v := range views {
-		wg.Add(1)
-		go func(v *Space) {
-			defer wg.Done()
-			closedSeen := false
-			for i := 0; i < 1000; i++ {
-				_, _, err := v.Read([]int64{0, 0}, []int64{8, 8})
+	for w := 0; w < 2; w++ {
+		v, err := d.OpenSpace(id, whole)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, side)
+		ops = append(ops, func(i int) error {
+			r := writeRow(w, i)
+			coord, sub := row(r)
+			_, err := v.Write(coord, sub, pattern(r, buf))
+			return err
+		})
+	}
+	page, err := proto.SpacePayload{ElemSize: 1, Dims: whole}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cpl, _, err := d.Exec(proto.NewOpenSpace(uint32(id), 0, false).Marshal(), page, nil)
+	if err != nil || cpl.Status != proto.StatusOK {
+		t.Fatalf("open_space: %v / %v", cpl.Status, err)
+	}
+	wire, buf := uint32(cpl.Result1), make([]byte, side)
+	ops = append(ops, func(i int) error {
+		r := writeRow(2, i)
+		coord, sub := row(r)
+		p, err := proto.CoordPayload{Coord: coord, Sub: sub}.Marshal()
+		if err != nil {
+			return err
+		}
+		_, cpl, _, err := d.Exec(proto.NewWrite(wire, 0).Marshal(), p, pattern(r, buf))
+		switch {
+		case err != nil:
+			return err
+		case cpl.Status == proto.StatusUnknownView:
+			return ErrClosedView
+		case cpl.Status != proto.StatusOK:
+			return fmt.Errorf("nds_write: %v", cpl.Status)
+		}
+		return nil
+	})
+
+	// Every client runs until refused; the change comes once each has run.
+	var running, done sync.WaitGroup
+	for _, op := range ops {
+		running.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for i := 0; ; i++ {
+				err := op(i)
+				if i == 0 {
+					running.Done()
+				}
 				switch {
 				case errors.Is(err, ErrClosedView):
-					closedSeen = true
+					return
 				case err != nil:
-					// An op in flight during the delete may observe the
-					// deletion itself (ErrUnknownSpace); that is fine, but
-					// retirement must follow.
-				case closedSeen:
-					t.Error("read succeeded after the view was retired")
+					t.Errorf("op %d: %v, want success or ErrClosedView", i, err)
+					return
+				case i == 100000:
+					t.Error("no operation was refused")
 					return
 				}
 			}
-		}(v)
+		}()
 	}
-	if err := d.DeleteSpace(id); err != nil {
+	running.Wait()
+	if del {
+		err = d.DeleteSpace(id)
+	} else {
+		err = d.ResizeSpace(id, kept)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	done.Wait()
 	if got := d.OpenViews(); got != 0 {
-		t.Fatalf("registry size after concurrent delete = %d, want 0", got)
+		t.Fatalf("registry size after the change = %d, want 0", got)
+	}
+	if del {
+		if used := d.Reliability().UsedPages; used != 0 {
+			t.Fatalf("%d units of the deleted space are live", used)
+		}
+		return
+	}
+	v, err := d.OpenSpace(id, []int64{kept, side})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _, err := v.Read([]int64{0, 0}, []int64{kept, side})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := int64(0); r < kept; r++ {
+		if !rowHolds(r, all[r*side:(r+1)*side]) {
+			t.Fatalf("row %d holds bytes written to another row", r)
+		}
 	}
 }

@@ -16,13 +16,14 @@ import (
 // touched page's bytes (flash batch, cache hit, staged write, decompressed
 // block image); readPartitionSegments, its only caller, turns them into
 // Dst-ordered segments; ReadPartitionSegments (segments.go) wraps the pair in
-// the request envelope — QoS admission, the space read lock, prefetch, the
-// clock — and is the only function that executes a partition read. Everything
-// else is a sink handed to it: ReadPartitionInto gathers into the caller's
-// buffer (Gather: copy the segments, zero only the gaps), ScanPartition and
-// ReducePartition fold the segments into a kernel, the network server
-// gathers into its response frame. A sink cannot change what the device
-// sees, so timing and statistics are those of the plan, whatever consumes it.
+// the request envelope — QoS admission, the shared barrier and the stale-view
+// check, the space read lock, prefetch, the clock — and is the only function
+// that executes a partition read. Everything else is a sink handed to it:
+// ReadPartitionInto gathers into the caller's buffer (Gather: copy the
+// segments, zero only the gaps), ScanPartition and ReducePartition fold the
+// segments into a kernel, the network server gathers into its response frame.
+// A sink cannot change what the device sees, so timing and statistics are
+// those of the plan, whatever consumes it.
 //
 // A phantom device emits a nil list — and so does a data-bearing device for a
 // partition that is all holes, so segs == nil cannot tell the two apart. A
@@ -87,7 +88,8 @@ func (t *STL) ReadPartitionInto(at sim.Time, v *View, coord, sub []int64, dst []
 // to the partition at coord/sub of view v. data may be nil on a phantom
 // device. The STL decomposes the partition into building blocks, allocates
 // units per the §4.2 policy, read-modify-writes partially covered pages, and
-// replaces overwritten units within their channel/bank (§4.2, §4.4).
+// replaces overwritten units within their channel/bank (§4.2, §4.4). A stale
+// view fails with ErrClosedView before anything is translated.
 func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []byte) (sim.Time, RequestStats, error) {
 	var (
 		done  sim.Time
@@ -97,6 +99,11 @@ func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []by
 	s := v.space
 	if tk := t.qosAdmit(s.id, qosBytes(s, sub)); tk != nil {
 		defer func() { tk.finish(at, done, err == nil) }()
+	}
+	t.barrier.RLock()
+	defer t.barrier.RUnlock()
+	if err = v.live(); err != nil {
+		return at, stats, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -130,8 +130,8 @@ func (t *STL) PendingPages() int {
 // squeeze) doesn't strand every later staged page, and a retry after the
 // condition clears programs exactly the pages that are still pending.
 func (t *STL) Flush(at sim.Time) (sim.Time, error) {
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
+	t.barrier.Lock()
+	defer t.barrier.Unlock()
 
 	// Deterministic order: collect and sort keys.
 	t.pendingMu.Lock()
@@ -192,13 +192,9 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 		if pp == nil {
 			continue
 		}
-		s, ok := t.spaces[k.space]
-		if !ok {
-			t.pendingMu.Lock()
-			delete(t.pending, k)
-			t.pendingMu.Unlock()
-			continue
-		}
+		// DeleteSpace drops a space's staged pages, and only a live view
+		// stages one, so the space is there.
+		s := t.spaces[k.space]
 		pb := s.pageBytes(t.geo, k.page)
 		if t.cfg.ZeroPageElision && pp.buf != nil && allZero(pp.buf[:pb]) {
 			t.zeroSkipped.Add(1)

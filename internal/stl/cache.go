@@ -47,7 +47,7 @@ import (
 //
 // Concurrency: the cache is sharded; each shard has its own mutex guarding
 // its entry map, its CLOCK ring and the entries in them. Shard mutexes sit at
-// the bottom of the STL lock order (maintMu -> space -> die -> shard), above
+// the bottom of the STL lock order (barrier -> space -> die -> shard), above
 // only the free list's: nothing else is acquired while one is held. A request
 // holds no pointer to an entry outside a shard's critical section, which is
 // what lets a dropped entry's bookkeeping be reused at once. All mutators of

@@ -24,4 +24,7 @@ var (
 	// found to relocate data away from a failing block. The affected write did
 	// not land; previously written data is unaffected.
 	ErrMedia = errors.New("unrecoverable media error")
+	// ErrClosedView: the view is closed, or its space was resized or deleted
+	// after the view was opened. Package nds re-exports it.
+	ErrClosedView = errors.New("closed space view")
 )

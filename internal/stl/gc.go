@@ -372,10 +372,7 @@ func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx, held []*Spa
 		if ac != nil && ac.held != nil && ac.held.id == id {
 			continue // the calling request already owns this one
 		}
-		s, ok := t.spaces[id]
-		if !ok {
-			continue // space vanished; its moves are re-checked as stale
-		}
+		s := t.spaces[id] // the collecting request holds the barrier: no space vanishes
 		got := false
 		for try := 0; try < gcCommitTries; try++ {
 			if s.mu.TryLock() {

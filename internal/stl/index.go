@@ -125,6 +125,8 @@ func (t *STL) block(s *Space, g []int64, alloc bool) (*BuildingBlock, int) {
 // per §4.2, not in DRAM. This is the §7.3 accounting, which bounds the lookup
 // structure at ~0.1% of storage capacity with 4 KB pages.
 func (s *Space) IndexFootprint() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.countIndexBytes(s.root)
 }
 

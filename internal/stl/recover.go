@@ -235,8 +235,8 @@ func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) 
 // rebindFaulted points the building-block slot that owns old (located through
 // the reverse-lookup table) at np instead, keeping usedPages and valid counts
 // balanced. Used by the batch recovery path, where the unit was bound when
-// its program was queued; the caller's space write lock (or Flush's maintMu
-// plus the device-wide lock) is what makes the read-then-rebind atomic.
+// its program was queued; the caller's space write lock (or Flush's exclusive
+// barrier) is what makes the read-then-rebind atomic.
 // Returns false if old is not bound (translation state is inconsistent —
 // callers surface an error), with np released.
 func (t *STL) rebindFaulted(old, np nvm.PPA) bool {

@@ -20,9 +20,12 @@ import (
 // every building block whose grid row falls beyond the new bound, releasing
 // its units, and clears what the blocks of the row astride the bound hold past
 // it (clearTail); a later re-grow reads zeros there.
+//
+// A resize makes every view of the space stale. Maintenance operation: see
+// CreateSpace.
 func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
+	t.barrier.Lock()
+	defer t.barrier.Unlock()
 	s, ok := t.spaces[id]
 	if !ok {
 		return fmt.Errorf("stl: resize of space %d: %w", id, ErrUnknownSpace)
@@ -86,6 +89,7 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 	}
 	s.dims[0] = newDim0
 	s.grid[0] = newGrid0
+	s.gen++
 	return nil
 }
 

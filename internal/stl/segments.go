@@ -44,12 +44,13 @@ func Gather(dst []byte, segs []Segment) {
 // gather for itself — encode a wire frame, checksum, scatter into its own
 // layout — skips the partition-buffer copy entirely.
 //
-// fn runs while the request holds the space's read lock, so the segment
-// sources cannot be erased or rebound under it; the lease ends when fn
-// returns. An error from fn aborts the request and is returned verbatim. On
-// a phantom device fn receives (want, nil) — which an all-holes partition on
-// a data-bearing device also produces, so a sink that must tell the two
-// apart asks the device, not the list.
+// fn runs while the request holds the barrier and the space's read lock, so
+// the segment sources cannot be erased or rebound under it; the lease ends
+// when fn returns, and fn must not call back into the STL. An error from fn
+// aborts the request and is returned verbatim. On a phantom device fn
+// receives (want, nil) — which an all-holes partition on a data-bearing
+// device also produces, so a sink that must tell the two apart asks the
+// device, not the list. A stale view fails with ErrClosedView.
 func (t *STL) ReadPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn func(want int64, segs []Segment) error) (sim.Time, RequestStats, error) {
 	var (
 		done  sim.Time
@@ -59,6 +60,11 @@ func (t *STL) ReadPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn
 	s := v.space
 	if tk := t.qosAdmit(s.id, qosBytes(s, sub)); tk != nil {
 		defer func() { tk.finish(at, done, err == nil) }()
+	}
+	t.barrier.RLock()
+	defer t.barrier.RUnlock()
+	if err = v.live(); err != nil {
+		return at, stats, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

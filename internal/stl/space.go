@@ -41,8 +41,13 @@ type Space struct {
 	// parallel while a space's own readers never observe a half-applied
 	// write. It guards the index tree (root and below), the per-block usage
 	// state, and the allocation statistics. In the STL lock order it sits
-	// between maintMu and the die locks.
+	// between the barrier and the die locks.
 	mu sync.RWMutex
+
+	// gen counts the resizes and the delete the space has been through; a
+	// view opened at another count is stale. It, dims[0] and grid[0] change
+	// only under the exclusive barrier and mu, so a reader holds either.
+	gen uint64
 
 	root *indexNode
 	// Statistics maintained by the STL (guarded by mu).
@@ -60,7 +65,11 @@ func (s *Space) ID() SpaceID { return s.id }
 func (s *Space) ElemSize() int { return s.elemSize }
 
 // Dims returns a copy of the space dimensionality.
-func (s *Space) Dims() []int64 { return append([]int64(nil), s.dims...) }
+func (s *Space) Dims() []int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append([]int64(nil), s.dims...)
+}
 
 // BlockDims returns a copy of the building-block dimensionality.
 func (s *Space) BlockDims() []int64 { return append([]int64(nil), s.bb...) }

@@ -281,7 +281,7 @@ func TestFailedOverwriteKeepsOldUnit(t *testing.T) {
 		auditDies(t, sc.st)
 		live := int64(0)
 		for _, id := range sc.st.SpaceIDs() {
-			s, _ := sc.st.Space(id)
+			s := sc.st.spaces[id]
 			for g := int64(0); g < prod(s.grid); g++ {
 				blk := sc.st.blockAt(s, g, false)
 				if blk == nil {

@@ -94,16 +94,16 @@ const maxGridBlocks = 1 << 32
 // whole device (it replaces the FTL in an NDS-compliant drive, and drives an
 // open-channel drive in the software-only configuration).
 //
-// Concurrency: the data path serializes per space (Space.mu: shared for
-// reads, exclusive for writes), allocation state per die (die.mu), and the
-// write-staging map behind pendingMu. Garbage collection runs on the writers
-// themselves, under the writing request's space lock. Maintenance operations —
-// space create/delete/resize and Flush — must not overlap the data path (the
-// embedding layer, nds, runs them under its device-wide exclusive lock) and
-// additionally hold maintMu, which serializes them against one another. The
-// lock order is maintMu -> Space.mu (ascending ID; try-only from GC) ->
-// die.mu -> cache shard / device shard, and nothing holding a later lock
-// acquires an earlier one.
+// Concurrency: the STL owns every space's lifetime. Create, delete, resize
+// and Flush take the barrier exclusively; the data-path entries
+// (ReadPartitionSegments, WritePartition) take it shared after tenant
+// admission, refuse a stale view with ErrClosedView, and serialize per space
+// (Space.mu: shared for reads, exclusive for writes). Allocation state is per
+// die (die.mu), the write-staging map sits behind pendingMu, and garbage
+// collection runs on the writers, under the writing request's space lock.
+// Lock order: QoS admission -> barrier -> Space.mu (ascending ID; try-only
+// from GC) -> die.mu -> cache shard / device shard. Nothing holding a later
+// lock acquires an earlier one, so a tenant asleep in its bucket blocks no one.
 type STL struct {
 	dev *nvm.Device
 	geo nvm.Geometry
@@ -113,9 +113,9 @@ type STL struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// maintMu serializes maintenance operations against one another (see the
-	// struct comment).
-	maintMu sync.Mutex
+	// barrier guards spaces and nextID and, with Space.mu, each space's dims,
+	// grid and gen (see the struct comment). No holder takes it twice.
+	barrier sync.RWMutex
 
 	spaces map[SpaceID]*Space
 	nextID SpaceID
@@ -276,9 +276,7 @@ func (t *STL) UsedPages() int64 { return t.usedPages.Load() }
 // CreateSpace creates a multi-dimensional address space: the paper's space
 // creation API (§5.1), where a producer supplies dimensionality and element
 // size and the STL sizes building blocks and builds the index skeleton.
-// Like all maintenance operations it must not run concurrently with the data
-// path (the nds layer holds its device-wide lock); maintMu additionally
-// serializes it against the other maintenance operations.
+// Like every maintenance operation it holds the barrier exclusively.
 func (t *STL) CreateSpace(elemSize int, dims []int64) (*Space, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("stl: space needs at least one dimension: %w", ErrInvalid)
@@ -292,8 +290,8 @@ func (t *STL) CreateSpace(elemSize int, dims []int64) (*Space, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
+	t.barrier.Lock()
+	defer t.barrier.Unlock()
 	s := &Space{
 		id:         t.nextID,
 		elemSize:   elemSize,
@@ -315,14 +313,22 @@ func (t *STL) CreateSpace(elemSize int, dims []int64) (*Space, error) {
 	return s, nil
 }
 
-// Space returns the space with the given id, if it exists.
-func (t *STL) Space(id SpaceID) (*Space, bool) {
+// WithSpace runs fn on space id under the barrier's shared side, so no
+// maintenance operation runs until fn returns. fn must not call into the STL.
+func (t *STL) WithSpace(id SpaceID, fn func(*Space) error) error {
+	t.barrier.RLock()
+	defer t.barrier.RUnlock()
 	s, ok := t.spaces[id]
-	return s, ok
+	if !ok {
+		return fmt.Errorf("stl: space %d: %w", id, ErrUnknownSpace)
+	}
+	return fn(s)
 }
 
 // SpaceIDs lists all live space identifiers in ascending order.
 func (t *STL) SpaceIDs() []SpaceID {
+	t.barrier.RLock()
+	defer t.barrier.RUnlock()
 	ids := make([]SpaceID, 0, len(t.spaces))
 	for id := range t.spaces {
 		ids = append(ids, id)
@@ -333,19 +339,18 @@ func (t *STL) SpaceIDs() []SpaceID {
 
 // DeleteSpace permanently removes a space, invalidating all of its building
 // blocks and dropping its translation structures (the delete_space command
-// of §5.3.1). Maintenance operation: see CreateSpace.
+// of §5.3.1). Every view of it is stale from then on. Maintenance operation:
+// see CreateSpace.
 func (t *STL) DeleteSpace(id SpaceID) error {
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
+	t.barrier.Lock()
+	defer t.barrier.Unlock()
 	s, ok := t.spaces[id]
 	if !ok {
 		return fmt.Errorf("stl: delete of space %d: %w", id, ErrUnknownSpace)
 	}
-	// Taking the space's write lock keeps an in-flight GC commit (which
-	// try-locked it before re-validating) from rebinding units this delete is
-	// about to drop.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
 	t.invalidateSubtree(s, s.root)
 	t.dropPendingWhere(func(k pendingKey) bool { return k.space == id })
 	if t.cache != nil {

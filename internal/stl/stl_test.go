@@ -110,7 +110,7 @@ func TestDeleteSpaceReclaims(t *testing.T) {
 	if st.UsedPages() != 0 {
 		t.Fatalf("used pages = %d after delete, want 0", st.UsedPages())
 	}
-	if _, ok := st.Space(s.ID()); ok {
+	if _, ok := st.spaces[s.ID()]; ok {
 		t.Fatal("deleted space still resolvable")
 	}
 	if err := st.DeleteSpace(s.ID()); err == nil {

@@ -27,13 +27,15 @@ type Extent struct {
 type View struct {
 	space *Space
 	dims  []int64
+	gen   uint64 // the space's gen when the view opened
 
 	stream streamState // the prefetcher's stride detector: a view is one command stream
 }
 
 // NewView validates an application view of space s: every dimension positive
 // and the volume equal to the space volume (§3: "the volumes of these two
-// dimensionalities [must] match").
+// dimensionalities [must] match"). The view lasts until the space is next
+// resized or deleted.
 func NewView(s *Space, dims []int64) (*View, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("stl: view needs at least one dimension: %w", ErrInvalid)
@@ -43,10 +45,21 @@ func NewView(s *Space, dims []int64) (*View, error) {
 			return nil, fmt.Errorf("stl: view dimension %d is %d, must be positive: %w", i, d, ErrInvalid)
 		}
 	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if prod(dims) != s.Volume() {
 		return nil, fmt.Errorf("stl: view volume %d does not match space volume %d: %w", prod(dims), s.Volume(), ErrInvalid)
 	}
-	return &View{space: s, dims: append([]int64(nil), dims...)}, nil
+	return &View{space: s, dims: append([]int64(nil), dims...), gen: s.gen}, nil
+}
+
+// live refuses a view whose space was resized or deleted after it opened.
+// The caller holds the barrier or the space's lock.
+func (v *View) live() error {
+	if v.gen != v.space.gen {
+		return fmt.Errorf("stl: view of space %d opened before its last resize or delete: %w", v.space.id, ErrClosedView)
+	}
+	return nil
 }
 
 // Dims returns a copy of the view shape.
@@ -111,8 +124,13 @@ func (v *View) Extents(coord, sub []int64) ([]Extent, error) {
 // ExtentCount reports how many extents Extents would return, and how many
 // elements they cover, from the same walk with the list left unkept: for a
 // caller that needs the count as a timing input and leaves the list to the
-// request that follows.
+// request that follows. A stale view fails with ErrClosedView.
 func (v *View) ExtentCount(coord, sub []int64) (n int, elems int64, err error) {
+	v.space.mu.RLock()
+	defer v.space.mu.RUnlock()
+	if err := v.live(); err != nil {
+		return 0, 0, err
+	}
 	shape, elems, err := v.PartitionShape(coord, sub)
 	if err != nil {
 		return 0, 0, err

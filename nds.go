@@ -37,20 +37,20 @@
 // Stats.Elapsed is its own completion minus its own issue time — not the
 // distance the global clock moved.
 //
-// Internally, reads, writes, and view opens share the device under a reader
-// lock and run fully in parallel: the STL serializes writers per space (a
-// space's readers never observe a half-applied write), allocates under
-// per-die leaf locks, and collects garbage inline on the writer whose die ran
-// low, so writers to different spaces — and their collection — proceed
-// concurrently, and a device driven one write at a time replays exactly.
-// Space management (create/delete/resize/flush/import) is the rare barrier:
-// it takes the writer side and excludes all I/O. View lifecycle (open/close,
-// wire-protocol view IDs) is guarded separately, so closing one view never
-// stalls I/O on another.
+// Internally, package nds takes no device-wide lock: a space's lifetime is
+// the STL's. Reads, writes and view opens share its maintenance barrier, and
+// a request takes it only after tenant admission, so a tenant asleep in its
+// token bucket holds up no one. The STL serializes writers per space (readers
+// never see a half-applied write), allocates under per-die locks and collects
+// garbage inline on the writer, so writers to different spaces run in
+// parallel and a device driven one write at a time replays exactly. Create,
+// delete, resize and Flush take the barrier exclusively; after a delete or
+// resize every older view of the space is refused with ErrClosedView, even
+// mid-flight. View lifecycle (open/close, wire view IDs) is guarded
+// separately, so closing one view stalls no I/O on another.
 package nds
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -62,10 +62,11 @@ import (
 	"nds/internal/system"
 )
 
-// ErrClosedView reports an operation on a view that has been closed (or an
-// attempt to close it twice). The wire layer maps it to StatusUnknownView,
-// matching what a host sees when it reuses a retired dynamic view ID.
-var ErrClosedView = errors.New("closed space view")
+// ErrClosedView reports an operation on a view that was closed — by Close, or
+// by a delete or resize of its space — or a second close. It is the STL's
+// sentinel; the wire layer maps it to StatusUnknownView, what a host sees when
+// it reuses a retired dynamic view ID.
+var ErrClosedView = stl.ErrClosedView
 
 // Mode selects which NDS implementation of the paper backs the device.
 type Mode int
@@ -195,11 +196,7 @@ type CacheStats = stl.CacheStats
 type GCStats = stl.GCReport
 
 // GCStats snapshots the garbage collector's counters.
-func (d *Device) GCStats() GCStats {
-	d.io.RLock()
-	defer d.io.RUnlock()
-	return d.sys.STL.GCReport()
-}
+func (d *Device) GCStats() GCStats { return d.sys.STL.GCReport() }
 
 // SpaceID names a created address space.
 type SpaceID = stl.SpaceID
@@ -219,9 +216,9 @@ type Stats = stl.RequestStats
 // concurrent use and serves concurrent request streams: see the package
 // comment's Concurrency section for the scheduling and timing model.
 //
-// Lock order (for maintainers): Space.mu, then Device.io, then the STL's
-// internal order (stl.Space.mu -> die -> cache shard); Device.viewMu is a
-// leaf and never held across another lock acquisition.
+// Lock order (for maintainers): Space.mu, then the STL's own (QoS admission
+// -> barrier -> stl.Space.mu -> die -> cache shard); Device.viewMu is a leaf,
+// taken under the barrier's shared side by OpenSpace.
 type Device struct {
 	sys *system.System
 
@@ -230,13 +227,6 @@ type Device struct {
 	// completing on disjoint resources never funnel through a shared clock
 	// mutex. See DESIGN.md's sharded-clock section.
 	now atomic.Int64
-
-	// io is the maintenance barrier: reads, writes, and view opens take the
-	// reader side (the STL serializes writers per space and locks allocation
-	// per die, so concurrent data-path requests are safe); space management
-	// (create/delete/resize/flush/import) takes the writer side and excludes
-	// all I/O.
-	io sync.RWMutex
 
 	// noPushdown records Options.DisablePushdown.
 	noPushdown bool
@@ -331,19 +321,11 @@ func (d *Device) Phantom() bool { return d.sys.Dev.Phantom() }
 // Reliability snapshots the device's fault and recovery state: injected
 // fault counts, successful relocations, retired blocks, and the logical
 // capacity remaining after graceful degradation.
-func (d *Device) Reliability() ReliabilityReport {
-	d.io.RLock()
-	defer d.io.RUnlock()
-	return d.sys.STL.Reliability()
-}
+func (d *Device) Reliability() ReliabilityReport { return d.sys.STL.Reliability() }
 
 // CacheStats snapshots the building-block cache's counters (get_cache_stats
 // on the wire). All zero when the device was opened without CacheBytes.
-func (d *Device) CacheStats() CacheStats {
-	d.io.RLock()
-	defer d.io.RUnlock()
-	return d.sys.STL.CacheStats()
-}
+func (d *Device) CacheStats() CacheStats { return d.sys.STL.CacheStats() }
 
 // TenantStats is one tenant's accumulated QoS accounting (get_tenant_stats
 // on the wire). A tenant is a space, or — when IsGroup is set — a space
@@ -353,27 +335,19 @@ type TenantStats = stl.TenantStats
 // TenantStats snapshots per-tenant QoS accounting for every tenant that has
 // issued requests, ordered spaces first then groups, ascending. Nil when the
 // device was opened without Options.TenantQoS.
-func (d *Device) TenantStats() []TenantStats {
-	d.io.RLock()
-	defer d.io.RUnlock()
-	return d.sys.STL.TenantStats()
-}
+func (d *Device) TenantStats() []TenantStats { return d.sys.STL.TenantStats() }
 
 // SetTenantQoS overrides one space tenant's scheduling parameters. Requests
 // already queued keep their place; new requests schedule under the new
 // weight and rate. Fails when the device was opened without
 // Options.TenantQoS.
 func (d *Device) SetTenantQoS(id SpaceID, q TenantQoS) error {
-	d.io.RLock()
-	defer d.io.RUnlock()
 	return d.sys.STL.SetTenantQoS(stl.SpaceTenant(id), q)
 }
 
 // SetGroupQoS overrides a space group's scheduling parameters (see
 // BindSpaceGroup).
 func (d *Device) SetGroupQoS(group uint32, q TenantQoS) error {
-	d.io.RLock()
-	defer d.io.RUnlock()
 	return d.sys.STL.SetTenantQoS(stl.GroupTenant(group), q)
 }
 
@@ -381,8 +355,6 @@ func (d *Device) SetGroupQoS(group uint32, q TenantQoS) error {
 // share one weight and one token bucket; g = 0 unbinds the space back to its
 // own tenant. Takes effect for requests admitted after the call.
 func (d *Device) BindSpaceGroup(id SpaceID, g uint32) error {
-	d.io.RLock()
-	defer d.io.RUnlock()
 	return d.sys.STL.BindSpaceGroup(id, g)
 }
 
@@ -390,9 +362,6 @@ func (d *Device) BindSpaceGroup(id SpaceID, g uint32) error {
 // size (bytes) and dimensionality, returning its identifier. The STL sizes
 // building blocks for the device geometry per the paper's Equations 1-4.
 func (d *Device) CreateSpace(elemSize int, dims []int64) (SpaceID, error) {
-	d.io.Lock()
-	defer d.io.Unlock()
-
 	sp, err := d.sys.STL.CreateSpace(elemSize, dims)
 	if err != nil {
 		return 0, err
@@ -405,13 +374,10 @@ func (d *Device) CreateSpace(elemSize int, dims []int64) (SpaceID, error) {
 // wire — is closed before DeleteSpace returns: its dynamic view ID is
 // retired from the registry, and further operations on it report
 // ErrClosedView (StatusUnknownView on the wire), never a dangling read of
-// freed blocks. An operation already in flight on such a view may instead
-// observe the deletion itself and fail with ErrUnknownSpace.
+// freed blocks. An operation already in flight on such a view either runs
+// before the delete or fails with ErrClosedView too.
 func (d *Device) DeleteSpace(id SpaceID) error {
-	d.io.Lock()
-	err := d.sys.STL.DeleteSpace(id)
-	d.io.Unlock()
-	if err != nil {
+	if err := d.sys.STL.DeleteSpace(id); err != nil {
 		return err
 	}
 	d.retireViews(id)
@@ -425,21 +391,18 @@ func (d *Device) DeleteSpace(id SpaceID) error {
 // match — so, like DeleteSpace, ResizeSpace closes them all before
 // returning; consumers reopen with matching volumes.
 func (d *Device) ResizeSpace(id SpaceID, newDim0 int64) error {
-	d.io.Lock()
-	err := d.sys.STL.ResizeSpace(id, newDim0)
-	d.io.Unlock()
-	if err != nil {
+	if err := d.sys.STL.ResizeSpace(id, newDim0); err != nil {
 		return err
 	}
 	d.retireViews(id)
 	return nil
 }
 
-// retireViews closes every open view of space id, retiring the views'
-// dynamic wire IDs. Called after a successful delete or resize, with no
-// locks held: Close takes Space.mu then viewMu, and any view registered
-// after the snapshot below was opened after the space management operation
-// completed — against the new space state — so it must survive.
+// retireViews closes every open view of space id, retiring their dynamic wire
+// IDs; the STL already refuses them, so this only empties the registry. It
+// runs after a successful delete or resize with no locks held (Close takes
+// Space.mu then viewMu). A view registered after the snapshot below was
+// opened against the new space state, so it survives.
 func (d *Device) retireViews(id SpaceID) {
 	d.viewMu.RLock()
 	stale := make([]*Space, 0, len(d.views))
@@ -467,8 +430,6 @@ func (d *Device) OpenViews() int {
 // Flush programs every §4.4-staged partial unit (WriteBuffering devices);
 // a no-op otherwise.
 func (d *Device) Flush() error {
-	d.io.Lock()
-	defer d.io.Unlock()
 	done, err := d.sys.STL.Flush(d.clock())
 	d.advance(done)
 	return err
@@ -486,23 +447,20 @@ type SpaceInfo struct {
 }
 
 // Inspect reports a space's dimensionality and building-block layout.
-func (d *Device) Inspect(id SpaceID) (SpaceInfo, error) {
-	d.io.RLock()
-	defer d.io.RUnlock()
-
-	sp, ok := d.sys.STL.Space(id)
-	if !ok {
-		return SpaceInfo{}, fmt.Errorf("nds: inspect of space %d: %w", id, stl.ErrUnknownSpace)
-	}
-	return SpaceInfo{
-		ID:         id,
-		ElemSize:   sp.ElemSize(),
-		Dims:       sp.Dims(),
-		BlockDims:  sp.BlockDims(),
-		GridDims:   sp.GridDims(),
-		PagesPerBB: sp.PagesPerBlock(),
-		IndexBytes: sp.IndexFootprint(),
-	}, nil
+func (d *Device) Inspect(id SpaceID) (info SpaceInfo, err error) {
+	err = d.sys.STL.WithSpace(id, func(sp *stl.Space) error {
+		info = SpaceInfo{
+			ID:         id,
+			ElemSize:   sp.ElemSize(),
+			Dims:       sp.Dims(),
+			BlockDims:  sp.BlockDims(),
+			GridDims:   sp.GridDims(),
+			PagesPerBB: sp.PagesPerBlock(),
+			IndexBytes: sp.IndexFootprint(),
+		}
+		return nil
+	})
+	return info, err
 }
 
 // Space is an opened application view of an address space (the open_space
@@ -528,28 +486,23 @@ type Space struct {
 // dynamic view ID in the device's registry, so the typed and wire paths share
 // one lifecycle.
 func (d *Device) OpenSpace(id SpaceID, viewDims []int64) (*Space, error) {
-	d.io.RLock()
-	defer d.io.RUnlock()
-	sp, ok := d.sys.STL.Space(id)
-	if !ok {
-		return nil, fmt.Errorf("nds: open of space %d: %w", id, stl.ErrUnknownSpace)
-	}
-	v, err := stl.NewView(sp, viewDims)
-	if err != nil {
-		return nil, err
-	}
-	s := &Space{dev: d, id: id, view: v, cursor: d.clock()}
-	// Registration happens under the io reader lock so a concurrent
-	// DeleteSpace/ResizeSpace (which takes the writer side) cannot slip
-	// between the space lookup above and the registry insert: any view whose
-	// open observed the space live is registered before the management
-	// operation proceeds, so retireViews sees it.
-	d.viewMu.Lock()
-	d.nextView++
-	s.wire = d.nextView
-	d.views[s.wire] = s
-	d.viewMu.Unlock()
-	return s, nil
+	var s *Space
+	// Open and register under the STL's shared barrier, so no delete or
+	// resize slips between them and retireViews sees every view opened live.
+	err := d.sys.STL.WithSpace(id, func(sp *stl.Space) error {
+		v, err := stl.NewView(sp, viewDims)
+		if err != nil {
+			return err
+		}
+		s = &Space{dev: d, id: id, view: v, cursor: d.clock()}
+		d.viewMu.Lock()
+		d.nextView++
+		s.wire = d.nextView
+		d.views[s.wire] = s
+		d.viewMu.Unlock()
+		return nil
+	})
+	return s, err
 }
 
 // Close releases the view (the close_space command), retiring its dynamic
@@ -644,9 +597,8 @@ func (s *Space) Write(coord, sub []int64, data []byte) (Stats, error) {
 
 // issue runs one partition command on the stream: it serializes against the
 // view's other commands, rejects a closed view (op names the command in that
-// error), issues run at the stream cursor under the device's shared io lock,
-// and accounts the completion. Every data command of the typed API is a
-// caller.
+// error; the STL refuses a stale one), issues run at the stream cursor, and
+// accounts the completion. Every data command of the typed API is a caller.
 func (s *Space) issue(op string, run func(at sim.Time, v *stl.View) (Stats, error)) (Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -654,9 +606,7 @@ func (s *Space) issue(op string, run func(at sim.Time, v *stl.View) (Stats, erro
 		return Stats{}, fmt.Errorf("nds: %s on %w", op, ErrClosedView)
 	}
 	issue := s.cursor
-	s.dev.io.RLock()
 	st, err := run(issue, s.view)
-	s.dev.io.RUnlock()
 	if err != nil {
 		return Stats{}, err
 	}

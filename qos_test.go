@@ -3,6 +3,7 @@ package nds
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,6 +203,79 @@ func TestTenantStatsWireQoSOff(t *testing.T) {
 	}
 	if got.Total != 0 || len(got.Entries) != 0 {
 		t.Fatalf("payload = %+v, want empty", got)
+	}
+}
+
+// TestQoSThrottleHoldsNoBarrier: a tenant asleep in its token bucket holds no
+// lock anyone else needs. At 1 KiB/s with a 4 KiB bucket, a tenant's second
+// 16 KiB write sleeps about four seconds before admission; meanwhile
+// CreateSpace, Flush and another tenant's read each return within a second.
+func TestQoSThrottleHoldsNoBarrier(t *testing.T) {
+	d, err := Open(Options{
+		Mode:         ModeHardware,
+		CapacityHint: 8 << 20,
+		TenantQoS:    &TenantQoS{RateBytesPerSec: 1024, Burst: 4096},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := []int64{64, 64}
+	views := make([]*Space, 2)
+	for i := range views {
+		id, err := d.CreateSpace(4, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if views[i], err = d.OpenSpace(id, dims); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capped, other := views[0], views[1]
+	payload := make([]byte, 64*64*4)
+	if _, err := capped.Write([]int64{0, 0}, dims, payload); err != nil { // empties the bucket
+		t.Fatal(err)
+	}
+	start := time.Now()
+	slept := make(chan time.Duration)
+	go func() {
+		if _, err := capped.Write([]int64{0, 0}, dims, payload); err != nil {
+			t.Error(err)
+		}
+		slept <- time.Since(start)
+	}()
+	time.Sleep(200 * time.Millisecond) // the write is asleep in its bucket by now
+
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"CreateSpace", func() error { _, err := d.CreateSpace(4, dims); return err }},
+		{"Flush", d.Flush},
+		{"another tenant's read", func() error { _, _, err := other.Read([]int64{0, 0}, dims); return err }},
+	}
+	took := make([]time.Duration, len(ops))
+	errs := make([]error, len(ops))
+	var wg sync.WaitGroup
+	for i, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			errs[i] = op.run()
+			took[i] = time.Since(t0)
+		}()
+	}
+	wg.Wait()
+	for i, op := range ops {
+		if errs[i] != nil {
+			t.Errorf("%s: %v", op.name, errs[i])
+		}
+		if took[i] >= time.Second {
+			t.Errorf("%s took %v while a capped tenant slept in its bucket", op.name, took[i])
+		}
+	}
+	if w := <-slept; w < 3*time.Second {
+		t.Fatalf("the capped write returned after %v, want about 4 s in its bucket", w)
 	}
 }
 

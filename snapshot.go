@@ -27,9 +27,9 @@ const (
 )
 
 // Export writes every space of the device to w. Data-bearing devices only.
+// Each space is read whole in one request; a space created meanwhile is left
+// out, and one deleted or resized meanwhile fails the export.
 func (d *Device) Export(w io.Writer) error {
-	d.io.RLock()
-	defer d.io.RUnlock()
 	if d.sys.Dev.Phantom() {
 		return fmt.Errorf("nds: cannot export a phantom device (no stored bytes)")
 	}
@@ -52,12 +52,15 @@ func (d *Device) Export(w io.Writer) error {
 }
 
 func (d *Device) exportSpace(w io.Writer, id SpaceID) error {
-	sp, ok := d.sys.STL.Space(id)
-	if !ok {
-		return fmt.Errorf("space vanished")
+	var view *stl.View
+	if err := d.sys.STL.WithSpace(id, func(sp *stl.Space) (err error) {
+		view, err = stl.NewView(sp, sp.Dims())
+		return err
+	}); err != nil {
+		return err
 	}
-	dims := sp.Dims()
-	hdr := []any{uint32(id), uint32(sp.ElemSize()), uint32(len(dims))}
+	dims := view.Dims()
+	hdr := []any{uint32(id), uint32(view.Space().ElemSize()), uint32(len(dims))}
 	for _, v := range hdr {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 			return err
@@ -67,10 +70,6 @@ func (d *Device) exportSpace(w io.Writer, id SpaceID) error {
 		if err := binary.Write(w, binary.LittleEndian, dim); err != nil {
 			return err
 		}
-	}
-	view, err := stl.NewView(sp, dims)
-	if err != nil {
-		return err
 	}
 	coord := make([]int64, len(dims))
 	data, _, _, err := d.sys.STL.ReadPartition(d.clock(), view, coord, dims)
@@ -87,10 +86,9 @@ func (d *Device) exportSpace(w io.Writer, id SpaceID) error {
 // Import restores a snapshot into this device, creating one space per
 // snapshot entry and returning the mapping from snapshot space IDs to the
 // IDs assigned here. The device's own geometry decides the building-block
-// layout.
+// layout. Each entry is a create and a write of its own, so other clients'
+// commands may run between them.
 func (d *Device) Import(r io.Reader) (map[SpaceID]SpaceID, error) {
-	d.io.Lock()
-	defer d.io.Unlock()
 	if d.sys.Dev.Phantom() {
 		return nil, fmt.Errorf("nds: cannot import into a phantom device")
 	}

@@ -61,7 +61,8 @@ func (a *frameArena) get(pageSize int) []byte {
 // device state.
 type dieShard struct {
 	mu         sync.Mutex
-	programmed []uint64 // bitmap over die-local page indices
+	programmed bitmap   // over die-local page indices
+	moved      bitmap   // pages a relocation read from, whose frames may be lent; made with data
 	eraseCount []int64  // per die-local block
 	data       [][]byte // die-local page index -> stored frame; nil entry = no bytes
 
@@ -73,15 +74,16 @@ type dieShard struct {
 	readOps  int64
 }
 
-func (s *dieShard) isProgrammed(idx int64) bool {
-	return s.programmed[idx/64]&(1<<(uint(idx)%64)) != 0
-}
+// bitmap is one bit per die-local page index.
+type bitmap []uint64
 
-func (s *dieShard) setProgrammed(idx int64, v bool) {
+func (b bitmap) get(idx int64) bool { return b[idx/64]&(1<<(uint(idx)%64)) != 0 }
+
+func (b bitmap) set(idx int64, v bool) {
 	if v {
-		s.programmed[idx/64] |= 1 << (uint(idx) % 64)
+		b[idx/64] |= 1 << (uint(idx) % 64)
 	} else {
-		s.programmed[idx/64] &^= 1 << (uint(idx) % 64)
+		b[idx/64] &^= 1 << (uint(idx) % 64)
 	}
 }
 
@@ -178,11 +180,11 @@ type ProgramOp struct {
 
 	// Move marks a relocation of the page stored at From, with Data its
 	// contents as read. When From and P share a die and no cipher is
-	// installed the device re-homes From's frame under the die lock instead
-	// of copying the bytes: From then reads as erased, and any alias of the
-	// frame follows it to P. Otherwise (another die; a cipher, whose
-	// keystream is tied to the address) Data is copied and From keeps its
-	// frame.
+	// installed P stores From's very frame instead of a copy of its bytes.
+	// Otherwise (another die; a cipher, whose keystream is tied to the
+	// address) Data is copied. Either way From keeps reading its frame until
+	// its block is erased, and without a cipher that erase leaves the frame
+	// to P and to any alias of it instead of recycling it (EraseBlock).
 	Move bool
 	From PPA
 }
@@ -224,7 +226,7 @@ func NewDevice(geo Geometry, tim Timing, phantom bool) (*Device, error) {
 	}
 	pagesPerDie := int64(geo.BlocksPerBank) * int64(geo.PagesPerBlock)
 	for i := range d.shards {
-		d.shards[i].programmed = make([]uint64, (pagesPerDie+63)/64)
+		d.shards[i].programmed = make(bitmap, (pagesPerDie+63)/64)
 		d.shards[i].eraseCount = make([]int64, geo.BlocksPerBank)
 	}
 	for c := range d.channels {
@@ -301,7 +303,7 @@ func (d *Device) Programmed(p PPA) bool {
 	s := &d.shards[d.die(p)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.isProgrammed(d.dieIndex(p))
+	return s.programmed.get(d.dieIndex(p))
 }
 
 // storedLocked returns the frame stored at die-local page idx of s, nil for a
@@ -357,21 +359,22 @@ func (d *Device) senseTime(f *faultState, die int) sim.Time {
 // The alias contract: out[i] aliases the page's frame; callers must not
 // modify it. A stored frame is never mutated (overwrites program a fresh
 // unit), so the alias stays valid until the frame is recycled, which is when
-// the block holding it is erased. A frame can outlive its address: a same-die
-// relocation (ProgramOp.Move) carries it to the destination page, so erasing
-// the block it was read from does not end the alias — erasing the block it
-// was moved to does. Callers that need the data past that point must copy. In
-// this repository both moves and erases only run from the STL's GC, under the
-// write locks of every space that owns a live unit of the victim, so a reader
-// holding its space's lock never sees either happen to a frame it was lent.
+// a block holding it is erased — and a relocation's source does not count: a
+// relocation (ProgramOp.Move) leaves its source the frame, and the source's
+// erase leaves it to the destination, which a same-die move stores it at, and
+// to its aliases. Only erasing the block of a page that still holds the frame
+// and was never moved out of ends the alias. Callers that need the data past
+// that point must copy. In this repository a page is erased that way only
+// once its owner overwrote or released it, under the write lock of its space
+// that no reader of the space shares; the STL's collector moves pages out of
+// a block first, under no space's lock, and erases the block only after every
+// read that loaded one of their old words has been issued (stl/gc.go).
 //
 // One caller retains the alias past its request: the STL's building-block
 // cache keeps the returned slice in the block's entry and hands it to later
-// reads. Its retention is bounded the same way, one step earlier — a unit
-// stops being live only through the STL's invalidateUnit, which drops the
-// entry of the building block the unit belonged to under that space's write
-// lock, and a block is erased only when none of its units is live; so no
-// entry names a frame by the time its block can be erased (stl/cache.go).
+// reads. Its retention is bounded the same way: an overwrite or release drops
+// the entry of the building block under that space's write lock, before the
+// unit's block can be erased (stl/cache.go).
 func (d *Device) ReadWords(at sim.Time, ws []Word, out [][]byte) (sim.Time, error) {
 	b := d.plan(len(ws))
 	defer d.putPlan(b)
@@ -490,18 +493,20 @@ func (d *Device) putPlan(b *batchPlan) {
 
 // storeLocked makes op's page the stored page at op.P, touching its bytes at
 // most once: an owned frame is kept as it is, a relocation within the die
-// takes the source's frame, and only a borrowed or short payload is copied
+// shares the source's frame, and only a borrowed or short payload is copied
 // into a frame of the arena (its tail cleared, since frames arrive dirty). A
 // cipher seals the frame in place. The lock of op.P's shard s must be held.
 func (d *Device) storeLocked(s *dieShard, op *ProgramOp) {
 	if s.data == nil {
-		s.data = make([][]byte, int64(d.geo.BlocksPerBank)*int64(d.geo.PagesPerBlock))
+		n := int64(d.geo.BlocksPerBank) * int64(d.geo.PagesPerBlock)
+		s.data, s.moved = make([][]byte, n), make(bitmap, (n+63)/64)
 	}
 	idx := d.dieIndex(op.P)
 	c := d.getCipher()
 	if op.Move && c == nil && d.die(op.From) == d.die(op.P) {
 		from := d.dieIndex(op.From)
-		s.data[idx], s.data[from] = s.data[from], nil
+		s.data[idx] = s.data[from]
+		s.moved.set(from, true)
 		return
 	}
 	pg := op.Data
@@ -569,12 +574,12 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 		s.mu.Lock()
 		for k := i; k < j; k++ {
 			idx := d.dieIndex(ops[k].P)
-			if s.isProgrammed(idx) {
+			if s.programmed.get(idx) {
 				err = fmt.Errorf("nvm: program to already-programmed page %v (erase first)", ops[k].P)
 				j = k
 				break
 			}
-			s.setProgrammed(idx, true)
+			s.programmed.set(idx, true)
 			claimed++
 		}
 		s.mu.Unlock()
@@ -665,6 +670,15 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 			}
 			s.mu.Unlock()
 		}
+		// A relocation to another die copied; its source's frame may be lent.
+		for i := range attempted[:landed] {
+			if op := &attempted[i]; op.Move && d.die(op.From) != d.die(op.P) && d.getCipher() == nil {
+				s := &d.shards[d.die(op.From)]
+				s.mu.Lock()
+				s.moved.set(d.dieIndex(op.From), true)
+				s.mu.Unlock()
+			}
+		}
 	}
 	if faultIdx >= 0 {
 		return done, &ProgramError{Index: faultIdx, P: ops[faultIdx].P, Done: faultDone}
@@ -683,7 +697,7 @@ func (d *Device) unclaim(ops []ProgramOp) {
 		s := &d.shards[die]
 		s.mu.Lock()
 		for k := i; k < j; k++ {
-			s.setProgrammed(d.dieIndex(ops[k].P), false)
+			s.programmed.set(d.dieIndex(ops[k].P), false)
 		}
 		s.mu.Unlock()
 		i = j
@@ -692,9 +706,10 @@ func (d *Device) unclaim(ops []ProgramOp) {
 
 // EraseBlock erases the block containing p (its Page field is ignored),
 // arriving at time at, returning the completion time. The frames the block
-// holds return to the arena: an alias of one of them (see ReadWords) is
-// invalid once a later program reuses the frame. Pages whose frames a
-// relocation already carried elsewhere hold none.
+// holds return to the arena — an alias of one of them (see ReadWords) is
+// invalid once a later program reuses the frame — except the frames of pages
+// a relocation read from, which it only lets go of: their destinations and
+// their readers may still hold them.
 //
 // Under an installed FaultPlan an erase may fail with ErrEraseFault (a
 // transient fault: block contents unchanged, block should be retired) or
@@ -728,12 +743,13 @@ func (d *Device) EraseBlock(at sim.Time, p PPA) (sim.Time, error) {
 	d.frames.mu.Lock()
 	for i := 0; i < d.geo.PagesPerBlock; i++ {
 		idx := base + int64(i)
-		s.setProgrammed(idx, false)
+		s.programmed.set(idx, false)
 		if s.data != nil {
-			if pg := s.data[idx]; pg != nil {
+			if pg := s.data[idx]; pg != nil && !s.moved.get(idx) {
 				d.frames.free = append(d.frames.free, pg)
-				s.data[idx] = nil
 			}
+			s.data[idx] = nil
+			s.moved.set(idx, false)
 		}
 	}
 	d.frames.mu.Unlock()

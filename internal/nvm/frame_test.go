@@ -125,11 +125,12 @@ func TestOwnedFrameStoredInPlace(t *testing.T) {
 	})
 }
 
-// TestMoveRehomesFrame: a relocation within a die carries the source's frame
-// to the destination, so the bytes outlive the erase of the block they were
-// programmed in and an alias taken before the move stays good; across dies,
-// and under a cipher (the keystream is the address's), the bytes are copied
-// and the source keeps its frame.
+// TestMoveRehomesFrame: a relocation within a die stores the source's frame
+// at the destination, so the bytes outlive the erase of the block they were
+// programmed in; across dies, and under a cipher (the keystream is the
+// address's), the bytes are copied. Either way the source reads its bytes
+// until its block is erased, and that erase leaves an alias taken before the
+// move good.
 func TestMoveRehomesFrame(t *testing.T) {
 	frameDevices(t, func(t *testing.T, d *Device, encrypted bool) {
 		ps := d.geo.PageSize
@@ -156,18 +157,20 @@ func TestMoveRehomesFrame(t *testing.T) {
 		if moved == encrypted {
 			t.Fatalf("same-die relocation moved the frame: %v, want %v", moved, !encrypted)
 		}
-		if moved {
-			if d.RawPage(src) != nil {
-				t.Fatal("the source still holds the frame it gave up")
-			}
-			if got, _, _ := readOne(d, 0, src); !bytes.Equal(got, make([]byte, ps)) {
-				t.Fatal("a moved-out source should read as erased")
-			}
+		if raw := d.RawPage(src); raw == nil || &raw[0] != &before[0] {
+			t.Fatal("the source gave up its frame before its block was erased")
+		}
+		if got, _, _ := readOne(d, 0, src); !bytes.Equal(got, page) {
+			t.Fatal("a relocation's source should read its bytes until its block is erased")
 		}
 		// Erase the source's block and churn the arena: the relocated pages
-		// keep their bytes.
+		// keep their bytes, and so does the alias, whose frame the erase must
+		// not recycle.
 		if _, err := d.EraseBlock(0, src); err != nil {
 			t.Fatal(err)
+		}
+		if d.RawPage(src) != nil {
+			t.Fatal("the erased source still holds a frame")
 		}
 		for pg := 0; pg < 4; pg++ {
 			if _, err := programOne(d, 0, PPA{0, 0, 6, pg}, bytes.Repeat([]byte{0xEE}, ps)); err != nil {
@@ -179,8 +182,8 @@ func TestMoveRehomesFrame(t *testing.T) {
 				t.Fatalf("relocated page %v lost its bytes to the erase of the source block", p)
 			}
 		}
-		if moved && !bytes.Equal(alias, page) {
-			t.Fatal("an alias taken before the move did not follow the frame")
+		if !bytes.Equal(alias, page) {
+			t.Fatal("an alias taken before the move lost its bytes to the erase of the source block")
 		}
 		if _, err := d.ProgramPages([]ProgramOp{{P: PPA{0, 0, 7, 0}, Move: true, From: PPA{9, 9, 9, 9}}}); err == nil {
 			t.Fatal("relocation from an invalid address accepted")

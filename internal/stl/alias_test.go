@@ -11,14 +11,14 @@ import (
 // TestSegmentLeaseOutlivesRelocation pins the alias contract now that a frame
 // can outlive its address (nvm.ReadWords): segments lent to a
 // ReadPartitionSegments callback stay good until it returns, whatever GC does
-// for other spaces meanwhile. Space A is aged first, so some of its pages sit
-// in frames that relocations already carried away from the blocks they were
-// programmed in; then a reader holds a lease on all of A while a writer on
-// space B drives collections that relocate B's pages and erase blocks, whose
-// frames B's next writes are assembled in. A's owners are locked, so none of
-// its frames may move, be recycled or be written: the leased bytes equal the
-// mirror when the lease ends, and under -race any write into a lent frame is
-// reported as one.
+// meanwhile. Space A is aged first, so some of its pages sit in frames that
+// relocations already carried away from the blocks they were programmed in;
+// then a reader holds a lease on all of A while a writer on space B drives
+// collections that relocate pages — B's, and A's too, since a collector takes
+// no space's lock — and erase blocks, whose frames B's next writes are
+// assembled in. None of the frames lent may be recycled or written: the
+// leased bytes equal the mirror when the lease ends, and under -race any
+// write into a lent frame is reported as one.
 func TestSegmentLeaseOutlivesRelocation(t *testing.T) {
 	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 16, PagesPerBlock: 8, PageSize: 512}
 	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
@@ -29,9 +29,8 @@ func TestSegmentLeaseOutlivesRelocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// float32 spaces in 32x32 building blocks. A is small, so that with its
-	// owner locked most victims still hold only B's pages and can be
-	// collected; B is what fills the array.
+	// float32 spaces in 32x32 building blocks. A is small; B is what fills
+	// the array.
 	type client struct {
 		v          *View
 		rows, cols int64

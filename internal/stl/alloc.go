@@ -28,21 +28,21 @@ type die struct {
 	open       [streams]openBlock
 	freePages  atomic.Int64
 	validInBlk []int32
-	// unbound counts, per block, the units carved and not yet bound. A carved
-	// unit is in no reverse entry until its caller binds it, under a second
-	// section of mu, so validInBlk alone makes a block whose only live pages
-	// are in that window look empty: collection leaves a block with unbound
-	// units alone (pickVictimLocked, and collectDie's closing of the open
-	// blocks), or it would erase the block under the writer about to program it.
-	unbound []int32
-	state   []blockState // per block: in use, on the free list, or retired
+	// unlanded counts, per block, the units carved and not yet programmed: a
+	// carve adds one, and releaseUnit takes it off once the program lands or
+	// the unit is given up. Collection leaves a block with unlanded units
+	// alone (pickVictimLocked, and collectDie's closing of the open blocks):
+	// it would move a queued page that holds nothing yet, or erase the block
+	// under the writer about to program it.
+	unlanded []atomic.Int32
+	state    []blockState // per block: in use, on the free list, or retired
 
 	// collecting marks that one writer's collection owns victim selection and
 	// evacuation on this die. It is a try-only claim, never a blocking lock:
-	// no collector takes it by waiting, and a collector only try-locks the
-	// spaces it needs, which is what keeps the space->die order deadlock-free.
-	// The one writer that waits for it to clear is an overwrite that found no
-	// page (restoreUnit), and that wait ends because collectors never wait.
+	// no collector takes it by waiting. The one writer that waits for it to
+	// clear is an overwrite that found no page (restoreUnit), and that wait
+	// ends: a collector takes no space's lock, and the only thing it waits for
+	// is the read grace set (readGrace), whose members wait on no writer.
 	collecting bool
 	gc         gcScratch // the claim holder's working memory
 }
@@ -100,7 +100,7 @@ func (d *die) isOpen(b int) bool {
 // fresh block when the stream's is exhausted. With no free block left it
 // takes the page from the other stream's open block instead, so a carve
 // fails only when the die has no free page at all. The unit counts as
-// unbound until bindUnit binds it; a caller that abandons it instead hands
+// unlanded until its program lands; a caller that abandons it instead hands
 // it to releaseUnit. Caller holds d.mu.
 func (d *die) carve(channel, bank, pagesPerBlock, stream int) (nvm.PPA, bool) {
 	o := &d.open[stream]
@@ -120,7 +120,7 @@ func (d *die) carve(channel, bank, pagesPerBlock, stream int) (nvm.PPA, bool) {
 	p := nvm.PPA{Channel: channel, Bank: bank, Block: o.block, Page: o.next}
 	o.next++
 	d.freePages.Add(-1)
-	d.unbound[o.block]++
+	d.unlanded[o.block].Add(1)
 	return p, true
 }
 
@@ -131,27 +131,14 @@ func (d *die) closeOpen(stream, pagesPerBlock int) {
 	d.open[stream].block = -1
 }
 
-// releaseUnit gives up a carved unit that will never be bound: its page stays
-// consumed until the block is erased, and the block is collectable again.
+// releaseUnit ends a carved unit's wait to land: its program landed, or it
+// never will, and then its page stays consumed until the block is erased.
+// Either way the block is collectable again.
 func (t *STL) releaseUnit(p nvm.PPA) {
-	d := t.die(p.Channel, p.Bank)
-	d.mu.Lock()
-	d.unbound[p.Block]--
-	d.mu.Unlock()
+	t.die(p.Channel, p.Bank).unlanded[p.Block].Add(-1)
 }
 
 func (t *STL) die(channel, bank int) *die { return t.dies[channel*t.geo.Banks+bank] }
-
-// allocCtx carries the per-request context that allocation and garbage
-// collection need: the deferred-program flush hook (the write path, a
-// compressed block's store and Flush install it so their queued programs land
-// before GC issues any device operation, keeping the issue order), and the space
-// whose write lock the request already holds (so an inline GC commit treats
-// it as owned instead of try-locking it against itself).
-type allocCtx struct {
-	flush func() error
-	held  *Space
-}
 
 // lowWaterPages is the per-die free-page threshold at or below which a carve
 // collects the die first (the paper's 10 %).
@@ -166,12 +153,12 @@ func (t *STL) lowWaterPages() int64 {
 // the sequence of writes, and a run driven one write at a time replays
 // exactly. takeUnit does not touch reverse maps; callers bind the unit to a
 // building block.
-func (t *STL) takeUnit(at sim.Time, channel, bank, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+func (t *STL) takeUnit(at sim.Time, channel, bank, stream int, flush func() error) (nvm.PPA, sim.Time, error) {
 	d := t.die(channel, bank)
 	low := t.lowWaterPages()
 	if d.freePages.Load() <= low {
 		var err error
-		if at, err = t.reclaim(at, channel, bank, ac, low); err != nil {
+		if at, err = t.reclaim(at, channel, bank, flush, low); err != nil {
 			return nvm.PPA{}, at, err
 		}
 	}
@@ -181,7 +168,7 @@ func (t *STL) takeUnit(at sim.Time, channel, bank, stream int, ac *allocCtx) (nv
 	if target, ok := d.lastBlockTarget(stream, t.geo.PagesPerBlock, low); ok {
 		d.mu.Unlock()
 		var err error
-		if at, err = t.reclaim(at, channel, bank, ac, target); err != nil {
+		if at, err = t.reclaim(at, channel, bank, flush, target); err != nil {
 			return nvm.PPA{}, at, err
 		}
 		d.mu.Lock()
@@ -197,16 +184,17 @@ func (t *STL) takeUnit(at sim.Time, channel, bank, stream int, ac *allocCtx) (nv
 	return p, at, nil
 }
 
-// reclaim is the collection step: drain any deferred program batch (so GC's
-// device operations keep the issue order), then collect the die toward
-// target.
-func (t *STL) reclaim(at sim.Time, channel, bank int, ac *allocCtx, target int64) (sim.Time, error) {
-	if ac != nil && ac.flush != nil {
-		if err := ac.flush(); err != nil {
+// reclaim is the collection step: drain the caller's deferred program batch,
+// if it has one (the write path, a compressed block's store and Flush do), so
+// that GC's device operations keep the issue order, then collect the die
+// toward target.
+func (t *STL) reclaim(at sim.Time, channel, bank int, flush func() error, target int64) (sim.Time, error) {
+	if flush != nil {
+		if err := flush(); err != nil {
 			return at, err
 		}
 	}
-	return t.collectDie(at, channel, bank, ac, target)
+	return t.collectDie(at, channel, bank, target)
 }
 
 // lastBlockTarget reports whether carving for stream would open the die's
@@ -246,12 +234,12 @@ func (d *die) lastBlockTarget(stream, pagesPerBlock int, low int64) (int64, bool
 // The chosen die may be full; the policy then falls over to the next
 // candidate in least-used order. Callers hold the space's write lock (or an
 // equivalent exclusive context), which protects blk and s.
-func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, flush func() error) (nvm.PPA, sim.Time, error) {
 	if limit := t.effectiveMaxPages(); t.usedPages.Load() >= limit {
 		return nvm.PPA{}, at, fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", limit, ErrCapacity)
 	}
 	if t.cfg.NaiveAllocation {
-		return t.allocateNaive(at, s, blk, ac)
+		return t.allocateNaive(at, s, blk, flush)
 	}
 	var bank int
 	switch {
@@ -280,7 +268,7 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, ac *allocC
 			free[ch] = t.die(ch, bk).freePages.Load()
 		}
 		for ch := nextChannel(blk.chanUse, free, -1); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
-			p, ready, err := t.takeUnit(at, ch, bk, defaultStream, ac)
+			p, ready, err := t.takeUnit(at, ch, bk, defaultStream, flush)
 			if err != nil {
 				continue // die exhausted; try the next candidate
 			}
@@ -298,7 +286,7 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, ac *allocC
 // allocateNaive is the ablation allocator: every unit of a block comes from
 // one die chosen round-robin (with spill-over to neighbouring dies when
 // full), so a block read engages a single channel.
-func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, flush func() error) (nvm.PPA, sim.Time, error) {
 	var die int
 	if blk.used > 0 && blk.lastBank >= 0 {
 		die = blk.naiveDie
@@ -308,7 +296,7 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, ac *alloc
 	for off := 0; off < len(t.dies); off++ {
 		d := (die + off) % len(t.dies)
 		ch, bk := d/t.geo.Banks, d%t.geo.Banks
-		p, ready, err := t.takeUnit(at, ch, bk, defaultStream, ac)
+		p, ready, err := t.takeUnit(at, ch, bk, defaultStream, flush)
 		if err != nil {
 			continue
 		}
@@ -328,14 +316,14 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, ac *alloc
 // same channel and bank as the overwritten unit"); the stream only chooses
 // which of that die's open blocks the page goes to (overwriteStream), so
 // placement across channels and banks, and every read's timing, are the
-// paper's. A die that collection leaves without a free page — its victims
-// belong to spaces other writers hold, or it has no room to relocate into —
-// falls over to any die with room (allocateRecoveryUnit): data placement
+// paper's. A die that collection leaves without a free page — it has no room
+// to relocate into, or another writer's collection holds it — falls over to
+// any die with room (allocateRecoveryUnit): data placement
 // beats strict same-die replacement (documented deviation, see DESIGN.md
 // "Write path & GC"). A die that can be collected never gets there.
-func (t *STL) allocateReplacement(at sim.Time, old nvm.Word, stream int, ac *allocCtx) (nvm.PPA, sim.Time, error) {
+func (t *STL) allocateReplacement(at sim.Time, old nvm.Word, stream int, flush func() error) (nvm.PPA, sim.Time, error) {
 	ch, bk := t.lay.Channel(old), t.lay.Bank(old)
-	p, done, err := t.takeUnit(at, ch, bk, stream, ac)
+	p, done, err := t.takeUnit(at, ch, bk, stream, flush)
 	if !errors.Is(err, ErrCapacity) {
 		return p, done, err
 	}
@@ -440,68 +428,99 @@ func channelBefore(use []uint16, free []int64, a, b int) bool {
 
 // bindUnit makes the freshly carved unit p hold page pageIdx of blk, building
 // block blockIdx of s: it points the page's slot at p, records the reverse
-// mapping and counts the unit live. Overwrites pair an invalidateUnit with a
+// mapping and counts the unit live. Overwrites pair a takeSlot with a
 // bindUnit, so usedPages stays balanced.
 //
 // bindUnit and invalidateUnit are the central cache-invalidation hooks: every
 // path that changes which physical unit backs a building-block page — writes,
-// overwrites, zero elision, GC evacuation, program-fault relocation, staged
-// programs, delete, resize — goes through one or both. Both take the owning
-// die's lock internally (the rev table is sharded by die) and require the
-// unit's space to be write-locked or otherwise exclusive, so no concurrent
-// reader can observe the transition. Invalidation is strict: the whole block
-// entry is dropped even when the page's bytes are unchanged (a GC move), so a
-// cached block can never disagree with the translation state.
+// overwrites, zero elision, program-fault relocation, staged programs,
+// delete, resize — goes through one or both, and GC evacuation's commitMove
+// drops the entry too. They take the owning die's lock internally (the rev
+// table is sharded by die) and require the unit's space to be write-locked
+// or otherwise exclusive, so no concurrent reader can observe the transition.
+// Invalidation is strict: the whole block entry is dropped even when the
+// page's bytes are unchanged (a GC move).
 func (t *STL) bindUnit(s *Space, blk *BuildingBlock, blockIdx int64, pageIdx int, p nvm.PPA) {
 	if t.cache != nil {
 		t.cache.invalidateBlock(s.id, blockIdx)
 	}
 	w := t.lay.Word(p)
-	blk.pages[pageIdx] = slotOf(w)
+	blk.pages[pageIdx].store(slotOf(w))
 	d := t.dies[t.lay.Die(w)]
 	d.mu.Lock()
 	t.rev[t.lay.Linear(w)] = revEntry{space: s.id, block: uint32(blockIdx), page: int32(pageIdx), valid: true}
 	d.validInBlk[p.Block]++
-	d.unbound[p.Block]--
 	d.mu.Unlock()
 	t.usedPages.Add(1)
 }
 
-// invalidateUnit drops the reverse mapping and valid count of the unit at w,
-// along with any cached copy of the building block the unit belonged to.
-func (t *STL) invalidateUnit(w nvm.Word) {
-	d := t.dies[t.lay.Die(w)]
+// unbindLocked marks the unit at w dead in the reverse table, on die d, and
+// returns the entry it had; false if it was not live. Caller holds d.mu.
+func (t *STL) unbindLocked(d *die, w nvm.Word) (revEntry, bool) {
 	idx := t.lay.Linear(w)
-	d.mu.Lock()
 	e := t.rev[idx]
 	if !e.valid {
-		d.mu.Unlock()
-		return
+		return e, false
 	}
 	t.rev[idx].valid = false
 	d.validInBlk[t.lay.Block(w)]--
+	return e, true
+}
+
+// invalidateUnit drops the reverse mapping and valid count of the unit at w,
+// along with any cached copy of the building block the unit belonged to. It
+// empties slot too, in the same critical section, unless slot is nil — a
+// unit not yet landed, which no collector touches — and does nothing,
+// returning false, if slot no longer names w.
+func (t *STL) invalidateUnit(w nvm.Word, slot *pageSlot) bool {
+	d := t.dies[t.lay.Die(w)]
+	d.mu.Lock()
+	if slot != nil && !slot.cas(slotOf(w), 0) {
+		d.mu.Unlock()
+		return false
+	}
+	e, ok := t.unbindLocked(d, w)
 	d.mu.Unlock()
-	t.usedPages.Add(-1)
-	if t.cache != nil {
-		// The exclusive context that invalidates (space write lock, delete,
-		// resize) also prevents concurrent readers of this block, so dropping
-		// the cache entry after the rev update cannot race a stale re-read.
-		t.cache.invalidateBlock(e.space, int64(e.block))
+	if ok {
+		t.usedPages.Add(-1)
+		if t.cache != nil {
+			// The context that invalidates (space write lock, delete, resize)
+			// also prevents concurrent readers of the block, so dropping the
+			// entry after the rev update cannot race a stale re-read.
+			t.cache.invalidateBlock(e.space, int64(e.block))
+		}
+	}
+	return true
+}
+
+// takeSlot empties slot and invalidates the unit it named, which it returns;
+// false if the slot was empty. The swap and the invalidation are one step
+// under the lock of the unit's die — the lock a collector commits a move of
+// the page under (commitMove) — so of the owner and a collector exactly one
+// retires each unit the slot named.
+func (t *STL) takeSlot(slot *pageSlot) (nvm.Word, bool) {
+	for {
+		v := slot.load()
+		if !v.allocated() {
+			return 0, false
+		}
+		if t.invalidateUnit(v.word(), slot) {
+			return v.word(), true
+		} // else a collector moved the page meanwhile
 	}
 }
 
-// restoreUnit undoes the invalidateUnit of an overwrite that found no
-// replacement: slot still names the unit it invalidated, page pageIdx of
-// building block blockIdx of s. If that unit still holds the page — its
-// reverse entry is untouched and its page programmed, so its block was not
-// erased since — the unit is live again; otherwise the slot is cleared, since
-// the page it names is free or someone else's. A collection under way on the
-// unit's die may be about to erase the block without having seen the unit
-// live, so restoreUnit first waits it out. That is the one wait on a
-// collector a space's writer makes, and it cannot deadlock: a collector only
-// try-locks spaces, and gives a busy victim up.
-func (t *STL) restoreUnit(s *Space, blockIdx int64, pageIdx int, slot *pageSlot) {
-	w := slot.word()
+// restoreUnit undoes the takeSlot of an overwrite that found no replacement:
+// w is the unit it took from slot, page pageIdx of building block blockIdx of
+// s. If w still holds the page — its reverse entry is untouched and its page
+// programmed, so its block was not erased since — it is live again and back
+// in the slot; otherwise the slot stays empty. A collection under way on w's
+// die may be about to erase the block without having seen w live, so
+// restoreUnit first waits it out: the one wait on a collector a writer makes.
+// It cannot deadlock: a collector takes no space's lock and waits only for
+// the read grace set, which a request joins after taking its own space's
+// lock, so no member of it waits for this writer.
+func (t *STL) restoreUnit(s *Space, blockIdx int64, pageIdx int, slot *pageSlot, w nvm.Word) {
 	d := t.dies[t.lay.Die(w)]
 	idx := t.lay.Linear(w)
 	d.mu.Lock()
@@ -513,23 +532,12 @@ func (t *STL) restoreUnit(s *Space, blockIdx int64, pageIdx int, slot *pageSlot)
 	e := t.rev[idx]
 	if held := !e.valid && e.space == s.id && int64(e.block) == blockIdx && int(e.page) == pageIdx; !held || !t.dev.Programmed(t.lay.PPA(w)) {
 		d.mu.Unlock()
-		*slot = 0
 		s.allocatedPages--
 		return
 	}
 	t.rev[idx].valid = true
 	d.validInBlk[t.lay.Block(w)]++
+	slot.store(slotOf(w)) // under d.mu, where a collector of w's die commits
 	d.mu.Unlock()
 	t.usedPages.Add(1)
-}
-
-// dropUnit releases the unit holding the page of slot, if one does, and
-// reports whether one did: the slot reads as unallocated again.
-func (t *STL) dropUnit(slot *pageSlot) bool {
-	if !slot.allocated() {
-		return false
-	}
-	t.invalidateUnit(slot.word())
-	*slot = 0
-	return true
 }

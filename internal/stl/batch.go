@@ -40,7 +40,7 @@ import (
 // Batching delays device operations and never reorders them: a deferred
 // program batch lands at every point where its programs must precede the next
 // device operation — before any read-modify-write page read, before garbage
-// collection runs (the request's allocCtx flush hook), before a compressed
+// collection runs (the flush func the request hands allocation), before a compressed
 // block is materialized, and at request end — so the device sees the
 // operations in the order a page-at-a-time loop would issue them. Because
 // sim.Resource reservations depend only on the order and arguments of Acquire
@@ -199,7 +199,7 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 					rs.pageData = append(rs.pageData, nil)
 					idx = int32(len(rs.pageData) - 1)
 					bp.pages[p] = idx + 1
-					if slot := blk.pages[p]; slot.allocated() {
+					if slot := blk.pages[p].load(); slot.allocated() {
 						if cached {
 							rs.wantPage(int32(p))
 						} else {
@@ -301,9 +301,9 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 
 	// Pass 2: read-modify-write partially covered pages, allocate units, and
 	// accumulate programs into a batch that drains at the flush points (RMW
-	// reads, GC via the allocCtx flush hook, request end).
+	// reads, GC via the flush func allocation calls, request end).
 	done := at
-	ac := &allocCtx{flush: func() error { return t.flushPrograms(rs, &done, &stats) }, held: s}
+	flush := func() error { return t.flushPrograms(rs, &done, &stats) }
 	// abort lands anything already queued, so STL and device state agree, and
 	// fails the request with err.
 	abort := func(err error) (sim.Time, RequestStats, error) {
@@ -318,7 +318,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		st := &rs.stages[si]
 		slot := &st.blk.pages[st.page]
 		pb := s.pageBytes(t.geo, st.page)
-		if t.cfg.WriteBuffering && !slot.allocated() {
+		if t.cfg.WriteBuffering && !slot.load().allocated() {
 			for _, ei := range st.extents {
 				off, src, n := pagePiece(&exts[ei], st.page, ps)
 				var chunk []byte
@@ -328,7 +328,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 				t.stageWrite(s, st.blockIdx, st.page, off, chunk, n)
 			}
 			if pp := t.takeIfFull(s, st.blockIdx, st.page, pb); pp != nil {
-				if err := t.queueStaged(rs, at, st, pp, ac); err != nil {
+				if err := t.queueStaged(rs, at, st, pp, flush); err != nil {
 					return abort(err)
 				}
 				stats.PagesProgrammed++
@@ -340,13 +340,16 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		// is assembled now, in the frame the device will keep; frames arrive
 		// dirty, and the old page covers what the extents do not.
 		var frame []byte
-		rmw := slot.allocated() && st.covered < pb
+		rmw := slot.load().allocated() && st.covered < pb
 		if rmw {
 			if err := t.flushPrograms(rs, &done, &stats); err != nil {
 				return at, stats, err
 			}
+			// A collector may move the page: its word is loaded in the grace set.
 			var old [1][]byte
-			d, err := t.dev.ReadWords(at, []nvm.Word{slot.word()}, old[:])
+			g := t.grace.enter()
+			d, err := t.dev.ReadWords(at, []nvm.Word{slot.load().word()}, old[:])
+			t.grace.exit(g)
 			if err != nil {
 				return at, stats, err
 			}
@@ -365,7 +368,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		// page draws no frame.
 		if t.cfg.ZeroPageElision && hasData &&
 			(rmw && allZero(frame[:pb]) || !rmw && rs.payloadZero(st, ps)) {
-			t.dropUnit(slot)
+			t.takeSlot(slot)
 			t.zeroSkipped.Add(1)
 			t.dev.Recycle(frame)
 			continue
@@ -374,14 +377,13 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			unit nvm.PPA
 			err  error
 		)
-		if slot.allocated() {
-			t.invalidateUnit(slot.word())
-			unit, ready, err = t.allocateReplacement(ready, slot.word(), t.overwriteStream(st.blk, now), ac)
+		if old, ok := t.takeSlot(slot); ok {
+			unit, ready, err = t.allocateReplacement(ready, old, t.overwriteStream(st.blk, now), flush)
 			if err != nil {
-				t.restoreUnit(s, st.blockIdx, st.page, slot)
+				t.restoreUnit(s, st.blockIdx, st.page, slot, old)
 			}
 		} else {
-			unit, ready, err = t.allocateUnit(ready, s, st.blk, ac)
+			unit, ready, err = t.allocateUnit(ready, s, st.blk, flush)
 		}
 		if err != nil {
 			t.dev.Recycle(frame) // a read-modify-write page's; no other page has drawn one yet

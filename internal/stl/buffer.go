@@ -183,7 +183,6 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 		ops, opKeys = nil, nil
 		return firstErr
 	}
-	ac := &allocCtx{flush: drain}
 
 	for _, k := range keys {
 		t.pendingMu.Lock()
@@ -205,7 +204,7 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 			continue
 		}
 		blk := t.blockAt(s, k.block, true)
-		dst, ready, err := t.allocateUnit(at, s, blk, ac)
+		dst, ready, err := t.allocateUnit(at, s, blk, drain)
 		if err != nil {
 			fail(k, err)
 			continue // page stays pending; keep draining the rest
@@ -234,14 +233,14 @@ func lessKey(a, b pendingKey) bool {
 // (takeIfFull), on the request's batch like its own pages: the staging frame
 // goes to the device Owned, or back to the arena if the op never lands. Under
 // §8 elision an all-zero page programs nothing and its frame goes back now.
-func (t *STL) queueStaged(rs *requestScratch, at sim.Time, st *writeStage, pp *pendingPage, ac *allocCtx) error {
+func (t *STL) queueStaged(rs *requestScratch, at sim.Time, st *writeStage, pp *pendingPage, flush func() error) error {
 	s := rs.space
 	if t.cfg.ZeroPageElision && pp.buf != nil && allZero(pp.buf[:s.pageBytes(t.geo, st.page)]) {
 		t.zeroSkipped.Add(1)
 		t.dev.Recycle(pp.buf)
 		return nil
 	}
-	unit, ready, err := t.allocateUnit(at, s, st.blk, ac)
+	unit, ready, err := t.allocateUnit(at, s, st.blk, flush)
 	if err != nil {
 		t.dev.Recycle(pp.buf)
 		return err

@@ -29,17 +29,20 @@ import (
 // fill/ready state is kept all the same, so timing and statistics stay exact.
 //
 // The lease is the one uncached reads already hold (nvm.ReadWords, DESIGN.md
-// "Aliases"), kept for longer. A frame goes back to the arena only when the
-// block holding it is erased; a block is erased only once none of its units
-// is live; and a unit stops being live — overwrite, zero elision, GC
-// evacuation, fault relocation, delete, resize — only through invalidateUnit,
-// as a slot is bound to a new one only through bindUnit. Both drop the whole
-// entry of the building block they touch (invalidateSpace drops a space's),
-// under that space's write lock or an exclusive maintenance context: so
-// before the erase, and with no reader of the space inside. A same-die GC
-// move re-homes the frame, and its alias with it, under the same locks.
-// Retirement (retireBlock) drops the entries of every live unit in the block.
-// What bounds an entry's retention is therefore its own invalidation, never a
+// "Aliases"), kept for longer. A frame goes back to the arena only when a
+// block holding it is erased, and not when that block is a relocation's
+// source: the frame stays with the relocated page. Otherwise a block is
+// erased only once none of its units is live, and a unit stops being live
+// there — overwrite, zero elision, fault relocation, delete, resize — only
+// through invalidateUnit, as a slot is bound to a new one only through
+// bindUnit. Both drop the whole entry of the building block they touch
+// (invalidateSpace drops a space's), under that space's write lock or an
+// exclusive maintenance context: so before the erase, and with no reader of
+// the space inside. A GC move drops the entry too (commitMove); a reader that
+// planned before the move may fill it again with the source's frame, which
+// holds the same bytes and outlives the source's erase. Retirement
+// (retireBlock) drops the entries of every live unit in the block. What
+// bounds an entry's retention is therefore its own invalidation, never a
 // reference count, and eviction and invalidation only ever forget references:
 // there is no buffer to recycle and no pin to wait for. The slice a hit
 // returned stays valid for as long as the request holds its space's read
@@ -51,10 +54,11 @@ import (
 // only the free list's: nothing else is acquired while one is held. A request
 // holds no pointer to an entry outside a shard's critical section, which is
 // what lets a dropped entry's bookkeeping be reused at once. All mutators of
-// translation state hold the owning space's write lock (or run in an exclusive
-// maintenance context that excludes that space's readers), which is what
-// makes strict invalidation (drop the whole block entry on any rebind)
-// race-free against in-flight reads.
+// translation state but the collector hold the owning space's write lock (or
+// run in an exclusive maintenance context that excludes that space's
+// readers), which is what makes strict invalidation (drop the whole block
+// entry on any rebind) race-free against in-flight reads; a collector's move
+// changes where a page is, not what it holds.
 //
 // A request deals with the cache a block at a time, not a page at a time: the
 // read plan chains the pages it meets per block and puts each block's to the
@@ -276,7 +280,7 @@ func (t *STL) lookupWanted(rs *requestScratch, stats *RequestStats) {
 			continue
 		}
 		bp := &rs.plans[w.plan]
-		rs.words = append(rs.words, bp.blk.pages[w.page].word())
+		rs.words = append(rs.words, bp.blk.pages[w.page].load().word())
 		rs.planOf = append(rs.planOf, bp.pages[w.page]-1)
 		rs.fillKeys = append(rs.fillKeys, pageKey{bp.g, int(w.page)})
 		stats.PagesRead++
@@ -321,8 +325,8 @@ func (c *blockCache) missing(s *Space, block int64, blk *BuildingBlock, words []
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.entries[k]
-	for p, slot := range blk.pages {
-		if slot.allocated() && (e == nil || e.pages[p].state == pageEmpty) {
+	for p := range blk.pages {
+		if slot := blk.pages[p].load(); slot.allocated() && (e == nil || e.pages[p].state == pageEmpty) {
 			words = append(words, slot.word())
 			keys = append(keys, pageKey{block, p})
 		}

@@ -40,7 +40,7 @@ func auditCache(t testing.TB, st *STL, aliased bool) {
 				if pg.state == pageEmpty {
 					continue
 				}
-				slot := blk.pages[p]
+				slot := blk.pages[p].load()
 				if !slot.allocated() {
 					t.Errorf("cache audit: space %d block %d page %d is filled, its slot is unallocated", k.space, k.block, p)
 					continue
@@ -219,13 +219,12 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 		return
 	}
 
-	// Whether a writer's collection met a victim with live pages while its
-	// other owner's lock was free is up to the scheduler, and so is whether
-	// the churn left such a victim behind. So relocation is asserted here,
-	// with every lock free, on a victim built by hand the way
-	// TestGCUnderConcurrentWriters builds its own; the spaces are read back
-	// warm before and after (the relocated pages' entries must be gone) and
-	// audited.
+	// Whether a writer's collection met a victim with live pages is up to the
+	// scheduler, and so is whether the churn left such a victim behind. So
+	// relocation is asserted here, with the STL quiet, on a victim built by
+	// hand the way TestGCUnderConcurrentWriters builds its own; the spaces
+	// are read back warm before and after (the relocated pages' entries must
+	// be gone) and audited.
 	check := func(when string) {
 		t.Helper()
 		for pass := 0; pass < 2; pass++ {
@@ -256,7 +255,7 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 		pasteTile(c.img, cols, 4, coord, sub, page)
 	})
 	check("before the collection")
-	if _, err := st.collectDie(0, ch, bk, nil, geo.PagesPerBank()); err != nil {
+	if _, err := st.collectDie(0, ch, bk, geo.PagesPerBank()); err != nil {
 		t.Fatal(err)
 	}
 	check("after the collection")

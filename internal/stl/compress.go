@@ -46,22 +46,26 @@ func (t *STL) compressImage(s *Space, image []byte) []byte {
 // blockImage materialises the current logical content of a building block:
 // decompressing stored pages when the block is compressed, concatenating raw
 // pages otherwise, zeros where nothing was written. The block's pages are one
-// device read batch, in page order; the returned completion time covers it.
+// device read batch, in page order, read inside the grace set; the returned
+// completion time covers it.
 func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *RequestStats) ([]byte, sim.Time, error) {
 	n := len(blk.pages)
 	if blk.compressed {
 		n = blk.physPages
 	}
 	words := make([]nvm.Word, 0, n)
+	g := t.grace.enter()
 	for i := range n {
-		if slot := blk.pages[i]; slot.allocated() {
+		if slot := blk.pages[i].load(); slot.allocated() {
 			words = append(words, slot.word())
 		} else if blk.compressed {
+			t.grace.exit(g)
 			return nil, at, fmt.Errorf("stl: compressed block missing unit %d", i)
 		}
 	}
 	datas := make([][]byte, len(words))
 	done, err := t.dev.ReadWords(at, words, datas)
+	t.grace.exit(g)
 	if err != nil {
 		return nil, at, err
 	}
@@ -83,8 +87,8 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 	}
 	image := make([]byte, s.bbBytes)
 	ps := int64(t.geo.PageSize)
-	for i, slot := range blk.pages {
-		if slot.allocated() {
+	for i := range blk.pages {
+		if blk.pages[i].load().allocated() {
 			off := int64(i) * ps
 			copy(image[off:min64(off+ps, s.bbBytes)], datas[0])
 			datas = datas[1:]
@@ -97,7 +101,7 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 // statistics, ready for a fresh rewrite.
 func (t *STL) dropAllUnits(blk *BuildingBlock) {
 	for i := range blk.pages {
-		t.dropUnit(&blk.pages[i])
+		t.takeSlot(&blk.pages[i])
 	}
 	for i := range blk.chanUse {
 		blk.chanUse[i] = 0
@@ -114,7 +118,7 @@ func (t *STL) dropAllUnits(blk *BuildingBlock) {
 
 // storeBlockImage writes a block image, compressed when profitable, raw
 // otherwise, allocating fresh units under the §4.2 policy; its programs queue
-// and land like the write path's (at the allocCtx flush hook and the end).
+// and land like the write path's (before a collection and at the end).
 func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *BuildingBlock, image []byte, stats *RequestStats) (sim.Time, error) {
 	t.dropAllUnits(blk)
 	ps := int64(t.geo.PageSize)
@@ -137,9 +141,8 @@ func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *Buildi
 		ops = ops[:0]
 		return err
 	}
-	ac := &allocCtx{flush: land, held: s}
 	for i := 0; i < pages; i++ {
-		dst, ready, err := t.allocateUnit(at, s, blk, ac)
+		dst, ready, err := t.allocateUnit(at, s, blk, land)
 		if err != nil {
 			ferr := land() // what is queued lands first
 			return done, cmp.Or(ferr, err)

@@ -131,7 +131,7 @@ func TestDifferentialCompression(t *testing.T) {
 }
 
 // TestDifferentialGCPressure overwrites until garbage collection runs; the
-// allocCtx flush hook must land the request's queued programs before the
+// flush func the request hands allocation must land its queued programs before the
 // collector issues anything, so the device-operation order — and with it
 // timing and placement — is the trace's.
 func TestDifferentialGCPressure(t *testing.T) {

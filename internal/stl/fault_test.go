@@ -270,8 +270,8 @@ func TestGCRelocationOutOfSpaceRecovery(t *testing.T) {
 		d.open[s].block = -1
 	}
 
-	if _, res, err := st.evacuateBlock(0, 0, 0, victim, nil); err != nil || res == gcProgress {
-		t.Fatalf("want a no-progress outcome from stranded evacuation, got res=%v err=%v", res, err)
+	if _, progress, err := st.evacuateBlock(0, 0, 0, victim); err != nil || progress {
+		t.Fatalf("want a no-progress outcome from stranded evacuation, got progress=%v err=%v", progress, err)
 	}
 
 	// Source mappings must still be authoritative.
@@ -281,7 +281,7 @@ func TestGCRelocationOutOfSpaceRecovery(t *testing.T) {
 			gcoord := make([]int64, len(s.grid))
 			s.GridCoord(int64(e.block), gcoord)
 			blk, _ := st.block(s, gcoord, false)
-			if blk == nil || blk.pages[e.page] != slotOf(st.lay.Word(src)) {
+			if blk == nil || blk.pages[e.page].load() != slotOf(st.lay.Word(src)) {
 				t.Fatalf("page %d: mapping rebound despite failed evacuation", pg)
 			}
 		}
@@ -543,7 +543,7 @@ func TestEvacuationFaultCommitsLandedPrefix(t *testing.T) {
 	// before recovery runs out of units.
 	dev.SetFaultPlan(nvm.FaultPlan{Seed: 3, ProgramFailEvery: 2})
 	moves := st.GCReport().PagesRelocated
-	_, res, err := st.evacuateBlock(0, 0, 0, victim, &allocCtx{})
+	_, res, err := st.evacuateBlock(0, 0, 0, victim)
 	landed := st.GCReport().PagesRelocated - moves
 	if !errors.Is(err, ErrMedia) || landed == 0 || landed >= int64(valid) {
 		t.Fatalf("want an evacuation that faults beyond recovery part-way through its %d relocations, got %d landed, res=%v err=%v", valid, landed, res, err)

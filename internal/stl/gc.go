@@ -2,8 +2,9 @@ package stl
 
 import (
 	"errors"
-	"fmt"
-	"time"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"nds/internal/nvm"
 	"nds/internal/sim"
@@ -22,43 +23,23 @@ import (
 // on the sequence of writes, and a run driven one write at a time replays
 // exactly — the fault replays and golden traces rely on that.
 //
-// Evacuation is three-phase so it can run concurrently with readers and
-// writers of unrelated spaces: (1) snapshot the victim's valid units from the
-// reverse-lookup table under the die lock; (2) try-lock the owning spaces in
-// ascending-ID order and re-validate the snapshot — if any space lock cannot
-// be had (another writer owns it), the victim is skipped for the next one, so
-// a collector never blocks a lock holder and the space -> die order stays
-// deadlock-free; (3) under those locks, read the sources, program copies into
-// freshly carved units, rebind, and erase the victim.
+// A collector takes no space's lock. Three rules stand in for it:
 //
-// Taking the space locks *before* reading the sources is load-bearing: the
-// batched write path binds a unit when its program is queued and only drains
-// the queue while still holding the space's write lock, so a unit observed
-// valid while we hold that lock is guaranteed to be programmed. Reading
-// first and locking later could capture a pre-program (all-zero) image of
-// such a unit and then commit it after the writer unlocks, losing the write.
-// An abort before the relocation batch is issued leaves the translation state
-// untouched; a fault inside it commits the relocations that landed and leaves
-// the rest on their sources (see evacuateBlock).
-
-// gcOutcome classifies one collection attempt.
-type gcOutcome int
-
-const (
-	gcProgress gcOutcome = iota // reclaimed (or retired) at least one block
-	gcNothing                   // nothing reclaimable on this die
-	gcBusy                      // a writer holds one of the victim's spaces
-)
-
-// gcCommitTries bounds how many times an evacuation retries the commit-phase
-// space try-locks before abandoning the pass.
-const gcCommitTries = 100
+//   - A queued page is never moved before it lands: a block holding a unit
+//     carved and not yet programmed (die.unlanded) is no victim.
+//   - The owner's rewrite wins: the collector commits a move by
+//     compare-and-swap on the page's slot (commitMove), and an overwrite or a
+//     release empties the slot (takeSlot); whichever comes second finds the
+//     slot changed and gives its own unit up.
+//   - No read sees its page disappear: a relocation's source keeps its frame
+//     past its erase (nvm.ReadWords), and the erase waits out every read that
+//     may have loaded a source's word before the commit (readGrace).
 
 // collectDie reclaims space on one die until its free pages exceed target.
 // Collection is best-effort: it stops without error when no victim block
 // would net free space, and returns at once when another writer holds the
 // die's claim. A caller learns what it bought from the die's free pages.
-func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target int64) (sim.Time, error) {
+func (t *STL) collectDie(at sim.Time, channel, bank int, target int64) (sim.Time, error) {
 	d := t.die(channel, bank)
 	d.mu.Lock()
 	if d.collecting {
@@ -74,19 +55,18 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 	}()
 	t.gcRuns.Add(1)
 
-	var busy []int // victims skipped because their owners' locks were unavailable
 	for {
 		d.mu.Lock()
 		if d.freePages.Load() > target {
 			d.mu.Unlock()
 			break
 		}
-		victim := t.pickVictimLocked(d, channel, bank, busy)
+		victim := t.pickVictimLocked(d, channel, bank)
 		for s := 0; victim < 0 && s < streams; s++ {
-			if o := d.open[s]; o.block >= 0 && d.unbound[o.block] == 0 && d.validInBlk[o.block] < int32(o.next) {
+			if o := d.open[s]; o.block >= 0 && d.unlanded[o.block].Load() == 0 && d.validInBlk[o.block] < int32(o.next) {
 				// Reclaimable pages sit only in an open block: close it.
 				d.closeOpen(s, t.geo.PagesPerBlock)
-				victim = t.pickVictimLocked(d, channel, bank, busy)
+				victim = t.pickVictimLocked(d, channel, bank)
 			}
 		}
 		if victim < 0 {
@@ -100,19 +80,11 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 		if room < survivors {
 			break
 		}
-		done, res, err := t.evacuateBlock(at, channel, bank, victim, ac)
+		done, progress, err := t.evacuateBlock(at, channel, bank, victim)
 		if err != nil {
 			return at, err
 		}
-		if res == gcBusy {
-			// A writer owns one of the victim's spaces. Move on to the
-			// next-best victim instead of spinning on this one: a block whose
-			// units belong to idle spaces (or to no space at all) can still
-			// make progress while the busy one stays locked.
-			busy = append(busy, victim)
-			continue
-		}
-		if res != gcProgress {
+		if !progress {
 			break
 		}
 		at = sim.Max(at, done)
@@ -126,23 +98,15 @@ func (t *STL) collectDie(at sim.Time, channel, bank int, ac *allocCtx, target in
 // minimum) the block with the fewest lifetime erases wins, so collection
 // doubles as intra-die wear leveling. With uniform erase counts the choice
 // degenerates to the plain greedy policy (lowest valid count, lowest block
-// index). Blocks listed in exclude (victims already found busy this pass) are
-// skipped, and so is a block with a unit carved and not yet bound (die.unbound).
-// -1 if no block is eligible. Caller holds d.mu.
-func (t *STL) pickVictimLocked(d *die, channel, bank int, exclude []int) int {
+// index). A block with a unit carved and not yet landed (die.unlanded) is
+// skipped. -1 if no block is eligible. Caller holds d.mu.
+func (t *STL) pickVictimLocked(d *die, channel, bank int) int {
 	eligible := func(b int) bool {
 		// Free blocks hold nothing to reclaim. Retired blocks are never
 		// erased; evacuating one nets nothing, and its valid pages stay
 		// readable in place.
-		if d.state[b] != blockInUse || d.isOpen(b) {
-			return false
-		}
-		for _, x := range exclude {
-			if b == x {
-				return false
-			}
-		}
-		return d.unbound[b] == 0 && d.validInBlk[b] < int32(t.geo.PagesPerBlock)
+		return d.state[b] == blockInUse && !d.isOpen(b) && d.unlanded[b].Load() == 0 &&
+			d.validInBlk[b] < int32(t.geo.PagesPerBlock)
 	}
 	minValid := int32(1 << 30)
 	for b := 0; b < t.geo.BlocksPerBank; b++ {
@@ -171,98 +135,52 @@ func (t *STL) pickVictimLocked(d *die, channel, bank int, exclude []int) int {
 	return best
 }
 
-// plannedMove is one relocation captured from the reverse-lookup table: the
-// source unit and the translation identity it had at planning time. The
-// building block itself is resolved at commit, under the owning space's
-// write lock.
-type plannedMove struct {
-	src   nvm.Word
-	space SpaceID
-	block uint32
-	page  int32
-}
-
 // gcScratch is an evacuation's working memory. It belongs to whoever holds
 // the die's GC claim (die.collecting), so it is reused from victim to victim
 // and a steady-state collection allocates nothing per relocated page.
 type gcScratch struct {
-	moves []plannedMove
-	held  []*Space
-	srcs  []nvm.Word
+	srcs  []nvm.Word // the victim's live units
+	moves []revEntry // and the pages they held at planning time
 	datas [][]byte
 	ops   []nvm.ProgramOp
-	gcrd  []int64 // grid-coordinate scratch for the rebind
+	gcrd  []int64 // grid-coordinate scratch for the commit
 }
 
 // evacuateBlock relocates the victim's valid units within the die (so each
-// building block keeps its channel/bank spread), updates their building
-// blocks through the reverse-lookup table, and erases the victim. The caller
-// holds the die's GC claim.
+// building block keeps its channel/bank spread), commits each relocation to
+// its page's slot (commitMove), and erases the victim once no read can still
+// be on its way to a source. The caller holds the die's GC claim.
 //
 // Data moves through the batched device path (one ReadWords and one
 // ProgramPages per victim), and each relocation is a ProgramOp.Move: source
-// and destination share the die, so the device re-homes the source's frame
-// instead of copying its bytes, except under a cipher or when fault recovery
-// redirects the op to another die. A moved-out source no longer holds its
-// data, so the error contract is commit-what-landed: an abort before the
-// batch is issued (busy owners, no room) touches nothing, and a fault the
-// batch cannot recover from rebinds the relocations that landed to their
-// destinations and leaves only the rest bound to their sources — every bound
-// unit is a programmed unit that holds its page either way. The victim then
-// stays unerased with fewer valid units, for a later collection to finish.
+// and destination share the die, so the device stores the source's frame at
+// the destination instead of copying its bytes, except under a cipher or when
+// fault recovery redirects the op to another die. The error contract is
+// commit-what-landed: an abort before the batch is issued (no room) touches
+// nothing, and a fault the batch cannot recover from commits the relocations
+// that landed and leaves the rest on their sources. The victim then stays
+// unerased with fewer valid units, for a later collection to finish.
 // Injected program faults relocate to fresh units, and an erase fault or
-// worn-out victim is retired in place rather than reported as an error.
-func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx) (sim.Time, gcOutcome, error) {
+// worn-out victim is retired in place rather than reported as an error. It
+// reports whether it reclaimed (or retired) the victim.
+func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int) (sim.Time, bool, error) {
 	d := t.die(channel, bank)
 	g := &d.gc
 
-	// Phase 1: snapshot the victim's valid units under the die lock. New
-	// units cannot appear in the victim afterwards (programs only land in the
-	// open blocks, and the victim is closed and claimed), so the snapshot can
-	// only shrink — stale entries are dropped by the re-validation below.
-	g.moves = g.moves[:0]
+	// Snapshot the victim's valid units. The victim is closed, claimed and
+	// holds no unlanded unit, so each holds its page and none can join them.
+	g.moves, g.srcs = g.moves[:0], g.srcs[:0]
 	d.mu.Lock()
 	for pg := 0; pg < t.geo.PagesPerBlock; pg++ {
 		src := t.lay.Word(nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg})
 		if e := t.rev[t.lay.Linear(src)]; e.valid {
-			g.moves = append(g.moves, plannedMove{src: src, space: e.space, block: e.block, page: e.page})
-		}
-	}
-	d.mu.Unlock()
-
-	// Phase 2: take the owning spaces' write locks in ascending-ID order
-	// (try-only, so a GC actor never blocks a lock holder), then re-validate
-	// the snapshot. Holding the locks guarantees every surviving source is
-	// programmed (see the package comment) and that nothing can invalidate it
-	// until the rebind below — every invalidation path holds the space's
-	// write lock or runs in a maintenance context that excludes GC.
-	held, ok := t.lockSpacesForCommit(g.moves, ac, g.held[:0])
-	if !ok {
-		return at, gcBusy, nil
-	}
-	g.held = held
-	defer func() {
-		for i, s := range held {
-			s.mu.Unlock()
-			held[i] = nil
-		}
-	}()
-	moves := g.moves[:0]
-	d.mu.Lock()
-	for _, m := range g.moves {
-		e := t.rev[t.lay.Linear(m.src)]
-		if e.valid && e.space == m.space && e.block == m.block && e.page == m.page {
-			moves = append(moves, m)
+			g.moves, g.srcs = append(g.moves, e), append(g.srcs, src)
 		}
 	}
 	d.mu.Unlock()
 
 	done := at
-	if len(moves) > 0 {
-		g.srcs = g.srcs[:0]
-		for i := range moves {
-			g.srcs = append(g.srcs, moves[i].src)
-		}
+	if moves := g.moves; len(moves) > 0 {
 		if cap(g.datas) < len(moves) {
 			g.datas = make([][]byte, len(moves))
 		}
@@ -273,7 +191,7 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 		}()
 		readDone, err := t.dev.ReadWords(at, g.srcs, datas)
 		if err != nil {
-			return at, gcNothing, err
+			return at, false, err
 		}
 		// Carve every destination, then land the whole block in one batch.
 		// The room check in collectDie ran under the same claim, but
@@ -286,9 +204,9 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 			if !okCarve {
 				d.mu.Unlock()
 				t.releaseOps(ops)
-				return at, gcNothing, nil
+				return at, false, nil
 			}
-			ops = append(ops, nvm.ProgramOp{At: readDone, P: dst, Data: datas[i], Move: true, From: t.lay.PPA(moves[i].src)})
+			ops = append(ops, nvm.ProgramOp{At: readDone, P: dst, Data: datas[i], Move: true, From: t.lay.PPA(g.srcs[i])})
 		}
 		d.mu.Unlock()
 		g.ops = ops
@@ -299,39 +217,32 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 			t.releaseUnit(old)
 			return true
 		})
-
-		// Phase 3: rebind what landed. On success that is every survivor.
+		// Commit what landed. On success that is every survivor.
 		for i := range moves[:landed] {
-			m := &moves[i]
-			s, okS := t.spaces[m.space]
-			if !okS {
-				return done, gcNothing, fmt.Errorf("stl: GC found unit of unknown space %d", m.space)
-			}
-			g.gcrd = growInt64(g.gcrd, len(s.grid))
-			s.GridCoord(int64(m.block), g.gcrd)
-			blk, _ := t.block(s, g.gcrd, false)
-			if blk == nil {
-				return done, gcNothing, fmt.Errorf("stl: GC reverse entry names missing block %d of space %d", m.block, s.id)
-			}
-			t.invalidateUnit(m.src)
-			t.bindUnit(s, blk, int64(m.block), int(m.page), ops[i].P)
-			t.gcMoves.Add(1)
+			t.commitMove(d, g.srcs[i], moves[i], t.lay.Word(ops[i].P))
 		}
 		if err != nil {
 			t.releaseOps(ops[landed:])
-			return at, gcNothing, err
+			return at, false, err
 		}
 	}
 
+	t.grace.wait()
+	// The victim's pages hold no page any more, erased or not (a source's
+	// frame may go with its copy), so no restoreUnit may take one back.
+	d.mu.Lock()
+	base := nvm.PPA{Channel: channel, Bank: bank, Block: block}.Linear(t.geo)
+	clear(t.rev[base : base+int64(t.geo.PagesPerBlock)])
+	d.mu.Unlock()
 	eraseDone, err := t.dev.EraseBlock(done, nvm.PPA{Channel: channel, Bank: bank, Block: block})
 	if err != nil {
 		if errors.Is(err, nvm.ErrEraseFault) || errors.Is(err, nvm.ErrWornOut) {
 			// The victim's data is already out; the block just can't rejoin
 			// the free pool. Retire it and carry on.
 			t.retireBlock(channel, bank, block)
-			return eraseDone, gcProgress, nil
+			return eraseDone, true, nil
 		}
-		return done, gcNothing, err
+		return done, false, err
 	}
 	d.mu.Lock()
 	d.freeBlocks = append(d.freeBlocks, block)
@@ -339,57 +250,42 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int, ac *allocCtx)
 	d.freePages.Add(int64(t.geo.PagesPerBlock))
 	d.mu.Unlock()
 	t.gcErases.Add(1)
-	return eraseDone, gcProgress, nil
+	return eraseDone, true, nil
 }
 
-// lockSpacesForCommit write-locks every distinct space in moves, in
-// ascending-ID order, treating ac.held (the space the calling request
-// already owns) as pre-acquired. Locks are taken with TryLock plus a bounded
-// yield-retry so a GC actor never blocks a writer; on exhaustion every lock
-// taken here is released and false is returned. The spaces this call locked
-// (never ac.held) are appended to held, which is returned.
-func (t *STL) lockSpacesForCommit(moves []plannedMove, ac *allocCtx, held []*Space) ([]*Space, bool) {
-	ids := make([]SpaceID, 0, 4)
-	for i := range moves {
-		id := moves[i].space
-		dup := false
-		for _, have := range ids {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			ids = append(ids, id)
-		}
+// commitMove points the slot of page e at dst, a landed copy of it on any
+// die, if the slot still names src, a unit of die d. dst is bound in the
+// reverse table first; then the slot swings by compare-and-swap and src is
+// invalidated under d's lock, which an owner's takeSlot of src holds to do
+// the same. If the owner got there first, dst is unbound again. The space
+// and its building block outlive the collection: the collecting request
+// holds the barrier, and a live reverse entry names a block that exists.
+func (t *STL) commitMove(d *die, src nvm.Word, e revEntry, dst nvm.Word) {
+	s := t.spaces[e.space]
+	d.gc.gcrd = growInt64(d.gc.gcrd, len(s.grid))
+	s.GridCoord(int64(e.block), d.gc.gcrd)
+	blk, _ := t.block(s, d.gc.gcrd, false)
+	dd := t.dies[t.lay.Die(dst)]
+	dd.mu.Lock()
+	t.rev[t.lay.Linear(dst)] = e
+	dd.validInBlk[t.lay.Block(dst)]++
+	dd.mu.Unlock()
+	d.mu.Lock()
+	moved := blk.pages[e.page].cas(slotOf(src), slotOf(dst))
+	if moved {
+		t.unbindLocked(d, src)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
+	d.mu.Unlock()
+	if !moved {
+		dd.mu.Lock()
+		t.unbindLocked(dd, dst)
+		dd.mu.Unlock()
+		return
 	}
-	for _, id := range ids {
-		if ac != nil && ac.held != nil && ac.held.id == id {
-			continue // the calling request already owns this one
-		}
-		s := t.spaces[id] // the collecting request holds the barrier: no space vanishes
-		got := false
-		for try := 0; try < gcCommitTries; try++ {
-			if s.mu.TryLock() {
-				got = true
-				break
-			}
-			time.Sleep(2 * time.Microsecond)
-		}
-		if !got {
-			for _, h := range held {
-				h.mu.Unlock()
-			}
-			return held[:0], false
-		}
-		held = append(held, s)
+	if t.cache != nil {
+		t.cache.invalidateBlock(e.space, int64(e.block))
 	}
-	return held, true
+	t.gcMoves.Add(1)
 }
 
 // releaseOps gives up the destinations of relocations that will not land.
@@ -397,4 +293,43 @@ func (t *STL) releaseOps(ops []nvm.ProgramOp) {
 	for i := range ops {
 		t.releaseUnit(ops[i].P)
 	}
+}
+
+// readGrace is the set of requests that may have loaded page words from
+// slots and not yet issued their device reads: a read's plan, a prefetch, a
+// read-modify-write's old page. A request enters once it holds its space's
+// lock and leaves once its reads are issued (what they return stays readable,
+// nvm.ReadWords); a collector waits for the members of the moment to leave
+// before an erase. Nothing in the set waits on a collector: it carves
+// nothing and takes no lock a waiting collector holds. Members count against
+// a parity of the epoch, and wait moves the epoch on and drains the old
+// parity only, so requests that keep arriving never hold it up.
+type readGrace struct {
+	mu     sync.Mutex // one waiter at a time
+	epoch  atomic.Uint32
+	active [2]atomic.Int64
+}
+
+// enter joins the set, returning the token exit takes.
+func (g *readGrace) enter() uint32 {
+	for {
+		e := g.epoch.Load()
+		g.active[e&1].Add(1)
+		if g.epoch.Load() == e {
+			return e
+		}
+		g.active[e&1].Add(-1) // a waiter moved the epoch on: join the new one
+	}
+}
+
+func (g *readGrace) exit(e uint32) { g.active[e&1].Add(-1) }
+
+// wait returns once every request in the set when it was called has left.
+func (g *readGrace) wait() {
+	g.mu.Lock()
+	old := g.epoch.Add(1) - 1
+	for g.active[old&1].Load() != 0 {
+		runtime.Gosched()
+	}
+	g.mu.Unlock()
 }

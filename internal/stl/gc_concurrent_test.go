@@ -3,7 +3,6 @@ package stl
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -16,19 +15,18 @@ import (
 // distinct spaces, each collecting inline the dies it runs low on. The churn
 // cycles the raw capacity several times over, so the test fails unless
 // collection actually reclaims blocks while the writers run; every space must
-// read back exactly the bytes its writer last stored. A writer whose die
-// holds only victims of spaces other writers hold falls over to another die
+// read back exactly the bytes its writer last stored. Collections relocate
+// pages of spaces other writers are overwriting, and a writer whose die
+// another writer's collection holds falls over to another die
 // (allocateReplacement), so no write may fail. CI runs this under -race,
 // which makes it the race check for the per-space write locks, the per-die
 // allocation state, and the GC commit protocol.
 //
 // Whether the concurrent phase ever relocates a live page is up to the
-// scheduler: a mixed-validity victim is only evacuated when none of its
-// owners but the collecting writer holds its space lock at that moment, and
-// with four writers that may never happen. Nor does it leave such a victim
-// behind for certain. So a quiesced phase follows that builds one by hand and
-// collects its die with every space idle, so that nothing can answer gcBusy,
-// and that is where relocation is asserted.
+// scheduler: the churn may empty every victim before its die is collected,
+// and it does not leave a mixed-validity victim behind for certain. So a
+// quiesced phase follows that builds one by hand and collects its die to
+// exhaustion, and that is where relocation is asserted.
 func TestGCUnderConcurrentWriters(t *testing.T) {
 	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 16, PagesPerBlock: 8, PageSize: 512}
 	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
@@ -119,7 +117,7 @@ func TestGCUnderConcurrentWriters(t *testing.T) {
 		}
 		pasteTile(c.img, side, 4, coord, sub, page)
 	})
-	if _, err := st.collectDie(0, ch, bk, nil, geo.PagesPerBank()); err != nil {
+	if _, err := st.collectDie(0, ch, bk, geo.PagesPerBank()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,15 +251,16 @@ func TestGroupCommitFlushDrainsAllChannelsOnError(t *testing.T) {
 	}
 }
 
-// TestGCSparesCarvedUnboundUnit parks a writer between carving a unit and
+// TestGCSparesCarvedUnlandedUnit parks a writer between carving a unit and
 // binding it — the unit is then in no reverse entry, so by valid counts alone
 // its block, the die's open block, holds nothing — and collects the die from
 // another goroutine, as a second writer would. A collector that closed and
 // erased that block would hand it back to the free list with the writer about
 // to program its first page; once the die's other blocks fill, the block
 // reopens and the same page is carved again. The writes that follow fill the
-// die to its logical capacity, so they reach that page.
-func TestGCSparesCarvedUnboundUnit(t *testing.T) {
+// die to its logical capacity, so they reach that page. The unit stays
+// unlanded (die.unlanded) past its binding, until its program lands.
+func TestGCSparesCarvedUnlandedUnit(t *testing.T) {
 	// One die of four 4-page blocks; a building block of 128 float32 is one
 	// page. GCLowWater puts the die below the low mark from the first carve,
 	// so every write after it collects the die.
@@ -300,7 +299,7 @@ func TestGCSparesCarvedUnboundUnit(t *testing.T) {
 	first := make(chan error, 1)
 	go func() { first <- write(0) }()
 	unit := <-parked
-	if _, err := st.collectDie(0, unit.Channel, unit.Bank, nil, geo.PagesPerBank()); err != nil {
+	if _, err := st.collectDie(0, unit.Channel, unit.Bank, geo.PagesPerBank()); err != nil {
 		t.Fatal(err)
 	}
 	st.carved = nil
@@ -309,7 +308,7 @@ func TestGCSparesCarvedUnboundUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep := st.GCReport(); rep.Erases != 0 {
-		t.Errorf("collection erased %d block(s) while %v was carved and not yet bound", rep.Erases, unit)
+		t.Errorf("collection erased %d block(s) while %v was carved and not yet landed", rep.Erases, unit)
 	}
 	for pg := int64(1); pg < pages; pg++ {
 		if err := write(pg); err != nil {
@@ -325,22 +324,27 @@ func TestGCSparesCarvedUnboundUnit(t *testing.T) {
 	}
 }
 
-// TestOverwriteFallsOverWhenCollectionIsBusy: a writer whose die's victims
-// all hold pages of a space another writer holds can collect nothing there,
-// so the die runs dry under its overwrites; the overwrite that finds it dry
-// takes its unit from the other die instead of failing with ErrCapacity. The
-// test plays the other writer by holding space B's lock, and checks against
-// a twin that does not hold it, where collection frees the die and every
-// overwrite stays on it.
-func TestOverwriteFallsOverWhenCollectionIsBusy(t *testing.T) {
-	for _, held := range []bool{true, false} {
-		t.Run(fmt.Sprintf("held=%v", held), func(t *testing.T) {
-			testOverwriteFallOver(t, held)
+// TestOverwriteFallsOverOnlyWithoutRoom: a collection relocates the live
+// pages of its victim whoever holds their spaces, so an overwrite's die is
+// collected even when its only victim holds a page of a space another writer
+// holds, and every overwrite stays on its die. Only a die with no room for
+// its victim's survivors runs dry, and the overwrite that finds it so takes
+// its unit from the other die instead of failing with ErrCapacity. The test
+// plays the other writer by holding space B's lock throughout; the second arm
+// leaves two of B's pages live in the victim where the die has room for one.
+func TestOverwriteFallsOverOnlyWithoutRoom(t *testing.T) {
+	for _, noRoom := range []bool{false, true} {
+		name := "held"
+		if noRoom {
+			name = "no room"
+		}
+		t.Run(name, func(t *testing.T) {
+			testOverwriteFallOver(t, noRoom)
 		})
 	}
 }
 
-func testOverwriteFallOver(t *testing.T, held bool) {
+func testOverwriteFallOver(t *testing.T, noRoom bool) {
 	// Two dies, one a channel. Die ch0 keeps two of its four blocks, so the
 	// §4.2 policy, which puts the two pages of a 16x16 float32 building block
 	// on different channels, fills it while ch1 is half empty.
@@ -385,18 +389,23 @@ func testOverwriteFallOver(t *testing.T, held bool) {
 	}
 	// ch0 now holds A's page and three of B's in a closed block, and three
 	// more of B's and its last free page in the open one. Zero all but one of
-	// B's pages beside A's: once an overwrite of A kills A's page there, that
-	// block is the die's only victim, with one live page, of B.
+	// B's pages beside A's (all but two without room): once an overwrite of A
+	// kills A's page there, that block is the die's only victim, with live
+	// pages of B only.
 	pgA, wA := onDie0(a, 0)
 	half := []int64{bb / 2, bb}
 	zeros := make([]byte, bb/2*bb*4)
+	live := 1
+	if noRoom {
+		live = 2
+	}
 	beside := 0 // pages of B in A's block
 	for g := int64(0); g < nb; g++ {
 		pg, w := onDie0(b, g)
 		if st.lay.Block(w) != st.lay.Block(wA) {
 			continue
 		}
-		if beside++; beside == 1 {
+		if beside++; beside <= live {
 			continue
 		}
 		coord := []int64{int64(pg), g}
@@ -410,14 +419,12 @@ func testOverwriteFallOver(t *testing.T, held bool) {
 	}
 	auditDies(t, st)
 
-	// Two overwrites of A's page on ch0. With B held, the first one's
-	// collection finds the victim busy and the write takes ch0's last page, so
-	// the second finds ch0 dry and falls over to ch1. With B free, the first
-	// relocates B's page and erases the victim, and both stay on ch0.
+	// Two overwrites of A's page on ch0, with B held. The first one's
+	// collection relocates B's page and erases the victim, and both stay on
+	// ch0. Without room it relocates nothing, the first write takes ch0's last
+	// page, and the second finds ch0 dry and falls over to ch1.
 	coord := []int64{int64(pgA), 0}
-	if held {
-		b.mu.Lock()
-	}
+	b.mu.Lock()
 	var channels []int
 	for i := 0; i < 2; i++ {
 		page := fillRandom(rng, bb/2*bb*4)
@@ -428,11 +435,9 @@ func testOverwriteFallOver(t *testing.T, held bool) {
 		channels = append(channels, st.lay.Channel(st.blockAt(a, 0, false).pages[pgA].word()))
 		auditDies(t, st)
 	}
-	if held {
-		b.mu.Unlock()
-	}
+	b.mu.Unlock()
 	want := []int{0, 0}
-	if held {
+	if noRoom {
 		want[1] = 1
 	}
 	if !slices.Equal(channels, want) {

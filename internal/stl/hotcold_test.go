@@ -13,7 +13,7 @@ import (
 // the free list and the block states agree; every block's validInBlk is its
 // count of valid reverse entries; no open block is free, retired, shared by
 // both streams or picked as a victim; and, the STL being quiet, no unit is
-// carved and unbound.
+// carved and not landed.
 func auditDies(t *testing.T, st *STL) {
 	t.Helper()
 	geo := st.geo
@@ -48,16 +48,16 @@ func auditDies(t *testing.T, st *STL) {
 					d.mu.Unlock()
 					t.Fatalf("die ch%d/bk%d: block %d counts %d valid units, its reverse entries %d", ch, bk, b, d.validInBlk[b], valid)
 				}
-				if d.unbound[b] != 0 {
+				if n := d.unlanded[b].Load(); n != 0 {
 					d.mu.Unlock()
-					t.Fatalf("die ch%d/bk%d: block %d has %d units carved and unbound with the STL quiet", ch, bk, b, d.unbound[b])
+					t.Fatalf("die ch%d/bk%d: block %d has %d units carved and not landed with the STL quiet", ch, bk, b, n)
 				}
 			}
 			if inFree != len(d.freeBlocks) {
 				d.mu.Unlock()
 				t.Fatalf("die ch%d/bk%d: %d blocks marked free, free list %v", ch, bk, inFree, d.freeBlocks)
 			}
-			victim := st.pickVictimLocked(d, ch, bk, nil)
+			victim := st.pickVictimLocked(d, ch, bk)
 			for s, o := range d.open {
 				if o.block < 0 {
 					continue

@@ -1,6 +1,10 @@
 package stl
 
-import "nds/internal/nvm"
+import (
+	"sync/atomic"
+
+	"nds/internal/nvm"
+)
 
 // The STL maintains an N-level B-tree per N-dimensional space (§4.2). The
 // root level corresponds to the highest-order dimension (d_n), each level
@@ -12,7 +16,8 @@ import "nds/internal/nvm"
 
 // pageSlot records one basic access unit of a building block: 1 + the page
 // word of the unit that holds it, 0 while none does. Four bytes, the physical
-// page number §7.3 charges per access unit (IndexFootprint).
+// page number §7.3 charges per access unit (IndexFootprint). A collector
+// rewrites slots under no space's lock, so they are accessed atomically.
 type pageSlot uint32
 
 // slotOf is the slot of a page held by the unit at w.
@@ -22,6 +27,12 @@ func (s pageSlot) allocated() bool { return s != 0 }
 
 // word is the unit's page word; the slot must be allocated.
 func (s pageSlot) word() nvm.Word { return nvm.Word(s - 1) }
+
+func (s *pageSlot) load() pageSlot   { return pageSlot(atomic.LoadUint32((*uint32)(s))) }
+func (s *pageSlot) store(v pageSlot) { atomic.StoreUint32((*uint32)(s), uint32(v)) }
+func (s *pageSlot) cas(old, new pageSlot) bool {
+	return atomic.CompareAndSwapUint32((*uint32)(s), uint32(old), uint32(new))
+}
 
 // BuildingBlock is a leaf entry: the page list plus the per-block usage
 // statistics the allocation policy of §4.2 consults.

@@ -113,7 +113,6 @@ func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 		}
 	}
 	blk := newBuildingBlock(s.pagesPerBB, geo)
-	ac := &allocCtx{held: s}
 	for placed := 0; ; placed++ {
 		for i := range blk.chanUse {
 			blk.chanUse[i] = uint16(rng.Intn(3))
@@ -134,7 +133,7 @@ func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 				}
 			}
 		}
-		p, _, err := st.allocateUnit(0, s, blk, ac)
+		p, _, err := st.allocateUnit(0, s, blk, nil)
 		if !found {
 			if err == nil {
 				t.Fatalf("unit %d placed at %v on a dry array", placed, p)

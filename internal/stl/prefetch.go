@@ -82,9 +82,9 @@ func (st *streamState) observe(g []int64) (axis int, dir int64, ok bool) {
 // coord/sub on view v and, when armed, warms the next blocks along the
 // detected axis. done is the triggering request's completion time — the
 // issue time of the warm-up reads. Runs on the read path under the space's
-// read lock: it only reads translation state (t.block with alloc=false never
-// mutates) and fills the cache, and that lock is what keeps the pages it lends
-// the cache from being rebound or erased before the entry is dropped. Its
+// read lock, and in the grace set while it loads page words: it only reads
+// translation state (t.block with alloc=false never mutates) and fills the
+// cache, whose lease then bounds the pages it lends (cache.go). Its
 // working memory is a pooled request scratch, so a read that warms nothing
 // allocates nothing.
 func (t *STL) maybePrefetch(done sim.Time, v *View, coord, sub []int64) {
@@ -105,6 +105,7 @@ func (t *STL) maybePrefetch(done sim.Time, v *View, coord, sub []int64) {
 	if !ok {
 		return
 	}
+	defer t.grace.exit(t.grace.enter()) // it loads page words and reads them
 	for k := 1; k <= t.cfg.PrefetchDepth; k++ {
 		g[axis] += dir
 		if g[axis] < 0 || g[axis] >= s.grid[axis] {

@@ -38,7 +38,7 @@ import (
 //   - Flush bound them too, but its pages are still staged: it unbinds the one
 //     failed key, which stays pending with its frame, and carries on with the
 //     ops behind it;
-//   - the collector (evacuateBlock) binds after landing, so it rebinds the
+//   - the collector (evacuateBlock) binds after landing, so it commits the
 //     landed prefix and releases the destinations of the rest, whose pages
 //     stay on their sources.
 //
@@ -189,8 +189,9 @@ func (t *STL) allocateRecoveryUnit(channel, bank int) (nvm.PPA, bool) {
 // maxProgramRetries times without an op landing in between. relocated tells
 // the caller that the op programming old now programs np, before the retry:
 // a caller whose ops are bound passes rebindFaulted, the collector a hook that
-// releases old. If it returns false the translation state does not know old,
-// and the batch stops there.
+// releases old; either gives old up (releaseUnit). If it returns false the
+// translation state does not know old, and the batch stops there. Every op
+// that lands is released here, which is what lets its block be collected.
 //
 // It returns the latest completion among the attempts, how many ops — a
 // prefix — landed, and how many relocations it made. On an error ops[landed:]
@@ -203,6 +204,7 @@ func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) 
 	for landed < len(ops) {
 		d, perr := t.dev.ProgramPages(ops[landed:])
 		if perr == nil {
+			t.releaseOps(ops[landed:])
 			return sim.Max(done, d), len(ops), retries, nil
 		}
 		var pe *nvm.ProgramError
@@ -213,6 +215,7 @@ func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) 
 		if pe.Index > 0 {
 			since = 0
 		}
+		t.releaseOps(ops[landed : landed+pe.Index])
 		landed += pe.Index
 		t.retireBlock(pe.P.Channel, pe.P.Bank, pe.P.Block)
 		if since++; since > maxProgramRetries {
@@ -245,24 +248,24 @@ func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
 		t.releaseUnit(np)
 		return false
 	}
-	t.invalidateUnit(t.lay.Word(old))
+	t.invalidateUnit(t.lay.Word(old), nil)
 	t.bindUnit(s, blk, int64(e.block), int(e.page), np)
+	t.releaseUnit(old)
 	return true
 }
 
 // unbindOps drops the translation state of queued program ops that will never
 // land (an unrecoverable batch failure), restoring the invariant that bound
-// units are programmed units.
+// units are programmed units, and gives their units up.
 func (t *STL) unbindOps(ops []nvm.ProgramOp) {
 	for i := range ops {
-		e, _, blk := t.owner(ops[i].P)
-		if !e.valid {
-			continue
+		if e, _, blk := t.owner(ops[i].P); e.valid {
+			if blk != nil {
+				blk.pages[e.page].store(0)
+			}
+			t.invalidateUnit(t.lay.Word(ops[i].P), nil)
 		}
-		if blk != nil {
-			blk.pages[e.page] = 0
-		}
-		t.invalidateUnit(t.lay.Word(ops[i].P))
+		t.releaseUnit(ops[i].P)
 	}
 }
 

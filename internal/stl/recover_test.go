@@ -76,7 +76,7 @@ func bindSlot(st *STL, s *Space, i int, p nvm.PPA) {
 
 // checkBoundUnits fails unless every allocated slot of s is bound to a
 // programmed unit that the reverse table maps back to it and that holds
-// want[slot index], no unit is left carved and unbound, and usedPages counts
+// want[slot index], no unit is left carved and not landed, and usedPages counts
 // exactly the allocated slots.
 func checkBoundUnits(t *testing.T, st *STL, s *Space, want map[int][]byte) {
 	t.Helper()
@@ -111,9 +111,9 @@ func checkBoundUnits(t *testing.T, st *STL, s *Space, want map[int][]byte) {
 		t.Fatalf("usedPages = %d with %d slots allocated", used, allocated)
 	}
 	for i, d := range st.dies {
-		for b, n := range d.unbound {
-			if n != 0 {
-				t.Fatalf("die %d block %d is left with %d carved, unbound units", i, b, n)
+		for b := range d.unlanded {
+			if n := d.unlanded[b].Load(); n != 0 {
+				t.Fatalf("die %d block %d is left with %d carved, unlanded units", i, b, n)
 			}
 		}
 	}

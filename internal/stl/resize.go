@@ -116,7 +116,7 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 		end := s.bbBytes
 		if !t.cfg.Compress {
 			for q := first; q < int64(len(blk.pages)); q++ {
-				if t.dropUnit(&blk.pages[q]) {
+				if _, ok := t.takeSlot(&blk.pages[q]); ok {
 					s.allocatedPages--
 				}
 			}
@@ -126,7 +126,7 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 			if pp := t.pendingFor(s, b, int(p)); pp != nil && pp.buf != nil {
 				clear(pp.buf[cut-p*ps:])
 			}
-			if !blk.pages[p].allocated() {
+			if !blk.pages[p].load().allocated() {
 				continue
 			}
 			end = min64(first*ps, s.bbBytes)
@@ -157,7 +157,7 @@ func (t *STL) dropBlock(s *Space, blk *BuildingBlock) {
 		return
 	}
 	for j := range blk.pages {
-		if t.dropUnit(&blk.pages[j]) {
+		if _, ok := t.takeSlot(&blk.pages[j]); ok {
 			s.allocatedPages--
 		}
 	}

@@ -404,6 +404,9 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time, stats 
 	for len(rs.datas) < len(rs.words) {
 		rs.datas = append(rs.datas, nil)
 	}
+	if t.reading != nil {
+		t.reading()
+	}
 	d, err := t.dev.ReadWords(at, rs.words, rs.datas)
 	if err != nil {
 		return err

@@ -45,7 +45,9 @@ func Gather(dst []byte, segs []Segment) {
 // layout — skips the partition-buffer copy entirely.
 //
 // fn runs while the request holds the barrier and the space's read lock, so
-// the segment sources cannot be erased or rebound under it; the lease ends
+// no write changes the segment sources under it; a collector may relocate
+// their pages, but a relocation's source keeps its frame past the erase of
+// its block (nvm.ReadWords), so the bytes stay. The lease ends
 // when fn returns, and fn must not call back into the STL. An error from fn
 // aborts the request and is returned verbatim. On a phantom device fn
 // receives (want, nil) — which an all-holes partition on a data-bearing
@@ -86,7 +88,10 @@ func (t *STL) readPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn
 	s := v.space
 	rs := t.getScratch(s)
 	defer t.putScratch(rs)
+	// The plan loads page words a collector may relocate: it runs in the grace set.
+	g := t.grace.enter()
 	want, done, err := t.planPartitionRead(rs, at, v, coord, sub, &stats)
+	t.grace.exit(g)
 	if err != nil {
 		return at, stats, err
 	}

@@ -367,10 +367,12 @@ find:
 	ch, bk, victim := sc.st.lay.Channel(w), sc.st.lay.Bank(w), sc.st.lay.Block(w)
 	d := sc.st.die(ch, bk)
 	d.collecting = true // the test is the collector
-	sc.st.invalidateUnit(w)
+	if taken, ok := sc.st.takeSlot(slot); !ok || taken != w {
+		t.Fatalf("took %v from a slot naming %v", sc.st.lay.PPA(taken), sc.st.lay.PPA(w))
+	}
 	restored := make(chan struct{})
 	go func() {
-		sc.st.restoreUnit(s, g, int(pg), slot)
+		sc.st.restoreUnit(s, g, int(pg), slot, w)
 		close(restored)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -380,8 +382,8 @@ find:
 	default:
 	}
 	erases := dev.EraseCount(sc.st.lay.PPA(w))
-	if _, res, err := sc.st.evacuateBlock(at, ch, bk, victim, nil); err != nil || res != gcProgress {
-		t.Fatalf("evacuating block %d of ch%d/bk%d: %v, outcome %d", victim, ch, bk, err, res)
+	if _, progress, err := sc.st.evacuateBlock(at, ch, bk, victim); err != nil || !progress {
+		t.Fatalf("evacuating block %d of ch%d/bk%d: %v, progress %v", victim, ch, bk, err, progress)
 	}
 	if dev.EraseCount(sc.st.lay.PPA(w)) == erases {
 		t.Fatal("the evacuation did not erase the unit's block")

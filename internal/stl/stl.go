@@ -100,10 +100,12 @@ const maxGridBlocks = 1 << 32
 // admission, refuse a stale view with ErrClosedView, and serialize per space
 // (Space.mu: shared for reads, exclusive for writes). Allocation state is per
 // die (die.mu), the write-staging map sits behind pendingMu, and garbage
-// collection runs on the writers, under the writing request's space lock.
-// Lock order: QoS admission -> barrier -> Space.mu (ascending ID; try-only
-// from GC) -> die.mu -> cache shard / device shard. Nothing holding a later
-// lock acquires an earlier one, so a tenant asleep in its bucket blocks no one.
+// collection runs on the writers, taking no space's lock beyond the writing
+// request's own: it commits each relocation to its page's slot by
+// compare-and-swap and waits out the read grace set before an erase (gc.go).
+// Lock order: QoS admission -> barrier -> Space.mu -> die.mu -> cache shard /
+// device shard. Nothing holding a later lock acquires an earlier one, so a
+// tenant asleep in its bucket blocks no one.
 type STL struct {
 	dev *nvm.Device
 	geo nvm.Geometry
@@ -159,10 +161,16 @@ type STL struct {
 	// admission gate in the data path is a single nil check when disabled.
 	qos *qosState
 
+	// grace is the read grace set a collector waits out before an erase.
+	grace readGrace
+
 	// carved, when a test sets it, is called with every unit takeUnit hands
-	// out, before the caller binds it: the window a collector must respect
-	// (die.unbound).
+	// out, before the caller binds it: a window a collector must respect
+	// (die.unlanded).
 	carved func(nvm.PPA)
+	// reading, when a test sets it, is called by a read plan between loading
+	// page words and reading them: the window the grace set covers.
+	reading func()
 }
 
 // New builds an STL over dev.
@@ -198,7 +206,7 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 	for i := range t.dies {
 		d := &die{
 			validInBlk: make([]int32, geo.BlocksPerBank),
-			unbound:    make([]int32, geo.BlocksPerBank),
+			unlanded:   make([]atomic.Int32, geo.BlocksPerBank),
 			state:      make([]blockState, geo.BlocksPerBank),
 		}
 		for s := range d.open {

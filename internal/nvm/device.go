@@ -29,12 +29,14 @@ const FramesPerSlab = 64
 // frameArena is the device-wide supply of page frames. A frame is the unit of
 // ownership on the write path: whoever assembles a page draws one (Frame), a
 // program hands it to a die shard as the stored page, a same-die relocation
-// carries it to its new address, and the erase of the block that then holds
-// it returns it here. Frames are handed out dirty — whoever fills one writes
-// or clears every byte. The lock is a leaf below the die shards' locks.
+// carries it to its new address, and it comes back here when the page that
+// then holds it is discarded (DiscardPages: its owner's replacement landed)
+// or its block is erased, whichever comes first. Frames are handed out dirty
+// — whoever fills one writes or clears every byte. The lock is a leaf below
+// the die shards' locks.
 type frameArena struct {
 	mu   sync.Mutex
-	free [][]byte // frames of erased blocks and frames handed back unprogrammed
+	free [][]byte // frames of discarded pages and erased blocks, and frames handed back unprogrammed
 	slab []byte   // tail of the current backing chunk
 }
 
@@ -183,8 +185,9 @@ type ProgramOp struct {
 	// installed P stores From's very frame instead of a copy of its bytes.
 	// Otherwise (another die; a cipher, whose keystream is tied to the
 	// address) Data is copied. Either way From keeps reading its frame until
-	// its block is erased, and without a cipher that erase leaves the frame
-	// to P and to any alias of it instead of recycling it (EraseBlock).
+	// its block is erased, and without a cipher neither that erase nor a
+	// discard of From recycles the frame: it is P's and its aliases'
+	// (EraseBlock, DiscardPages).
 	Move bool
 	From PPA
 }
@@ -359,22 +362,25 @@ func (d *Device) senseTime(f *faultState, die int) sim.Time {
 // The alias contract: out[i] aliases the page's frame; callers must not
 // modify it. A stored frame is never mutated (overwrites program a fresh
 // unit), so the alias stays valid until the frame is recycled, which is when
-// a block holding it is erased — and a relocation's source does not count: a
-// relocation (ProgramOp.Move) leaves its source the frame, and the source's
-// erase leaves it to the destination, which a same-die move stores it at, and
-// to its aliases. Only erasing the block of a page that still holds the frame
-// and was never moved out of ends the alias. Callers that need the data past
-// that point must copy. In this repository a page is erased that way only
-// once its owner overwrote or released it, under the write lock of its space
-// that no reader of the space shares; the STL's collector moves pages out of
-// a block first, under no space's lock, and erases the block only after every
-// read that loaded one of their old words has been issued (stl/gc.go).
+// the page holding it is discarded (DiscardPages) or its block erased,
+// whichever comes first — and a relocation's source does not count: a
+// relocation (ProgramOp.Move) leaves its source the frame, and neither a
+// discard nor the erase of the source takes it back; it stays with the
+// destination, which a same-die move stores it at, and with its aliases. Only
+// discarding or erasing a page that still holds the frame and was never
+// moved out of ends the alias. Callers that need the data past that point
+// must copy. In this repository a page goes that way only once its owner
+// overwrote or released it, under the write lock of its space that no reader
+// of the space shares; the STL discards it once the replacement has landed
+// (stl/alloc.go), and its collector moves pages out of a block first, under
+// no space's lock, and erases the block only after every read that loaded one
+// of their old words has been issued (stl/gc.go).
 //
 // One caller retains the alias past its request: the STL's building-block
 // cache keeps the returned slice in the block's entry and hands it to later
 // reads. Its retention is bounded the same way: an overwrite or release drops
 // the entry of the building block under that space's write lock, before the
-// unit's block can be erased (stl/cache.go).
+// unit can be discarded or its block erased (stl/cache.go).
 func (d *Device) ReadWords(at sim.Time, ws []Word, out [][]byte) (sim.Time, error) {
 	b := d.plan(len(ws))
 	defer d.putPlan(b)
@@ -706,16 +712,18 @@ func (d *Device) unclaim(ops []ProgramOp) {
 
 // EraseBlock erases the block containing p (its Page field is ignored),
 // arriving at time at, returning the completion time. The frames the block
-// holds return to the arena — an alias of one of them (see ReadWords) is
-// invalid once a later program reuses the frame — except the frames of pages
-// a relocation read from, which it only lets go of: their destinations and
-// their readers may still hold them.
+// still holds return to the arena — an alias of one of them (see ReadWords)
+// is invalid once a later program reuses the frame — except the frames of
+// pages a relocation read from, which it only lets go of: their destinations
+// and their readers may still hold them. A page discarded before the erase
+// (DiscardPages) gave its frame back then and holds none.
 //
 // Under an installed FaultPlan an erase may fail with ErrEraseFault (a
 // transient fault: block contents unchanged, block should be retired) or
 // ErrWornOut (the block's erase count reached the endurance limit; every
 // further erase fails the same way). Either way the failed attempt still
-// occupies the bank timeline.
+// occupies the bank timeline, and the block keeps its frames: a caller that
+// retires it gives back those of its dead pages with DiscardPages.
 func (d *Device) EraseBlock(at sim.Time, p PPA) (sim.Time, error) {
 	if !p.Valid(d.geo) && !(PPA{p.Channel, p.Bank, p.Block, 0}).Valid(d.geo) {
 		return at, fmt.Errorf("nvm: erase of invalid address %v", p)
@@ -756,6 +764,84 @@ func (d *Device) EraseBlock(at sim.Time, p PPA) (sim.Time, error) {
 	s.eraseCount[p.Block]++
 	d.erases.Add(1)
 	return done, nil
+}
+
+// DiscardPages gives the frames of the pages at ws back to the arena: their
+// contents are dead. A discarded page holds no bytes (a read of it returns
+// the erased image) and stays programmed until its block is erased. A page a
+// relocation read from keeps its frame, which is its destination's
+// (ProgramOp.Move), and a page holding none is left as it is. It books no
+// timeline and counts no operation: flash has no such command, and a discard
+// is the simulator forgetting bytes that nothing can read any more, so
+// simulated time cannot depend on it. Pages are locked a die at a time, so a
+// batch grouped by die takes each shard once; an invalid word is skipped.
+//
+// The caller guarantees two things for each page. Nothing reaches its frame
+// any more: no translation names the page, no alias of it is held or lent
+// (see ReadWords), and no relocation is reading it. And it is still the page
+// the caller means: its block was not erased since it died, or the discard
+// would take the frame of a page programmed there afterwards.
+func (d *Device) DiscardPages(ws []Word) {
+	if d.phantom {
+		return
+	}
+	l := &d.lay
+	for i := 0; i < len(ws); {
+		if !l.Valid(ws[i]) {
+			i++
+			continue
+		}
+		die := l.Die(ws[i])
+		s := &d.shards[die]
+		s.mu.Lock()
+		d.frames.mu.Lock()
+		for ; i < len(ws) && l.Valid(ws[i]) && l.Die(ws[i]) == die; i++ {
+			idx := l.DieIndex(ws[i])
+			if pg := s.storedLocked(idx); pg != nil && !s.moved.get(idx) {
+				d.frames.free = append(d.frames.free, pg)
+				s.data[idx] = nil
+			}
+		}
+		d.frames.mu.Unlock()
+		s.mu.Unlock()
+	}
+}
+
+// FrameStats counts the device's page frames by where they are.
+type FrameStats struct {
+	Held int // distinct frames stored at pages that own them (a relocation's source does not)
+	Free int // frames waiting in the arena's free list
+	// Lost counts the second owners of frames: a frame stored at two owning
+	// pages, listed free twice, or listed free while a page owns it. Each is a
+	// frame two writers may fill, and any but zero is a bug.
+	Lost int
+}
+
+// FrameStats reports where the device's frames are. Test and diagnostic
+// use: it locks every shard in turn and allocates a set of the frames.
+func (d *Device) FrameStats() FrameStats {
+	owners := make(map[*byte]int)
+	for i := range d.shards {
+		s := &d.shards[i]
+		s.mu.Lock()
+		for idx, pg := range s.data {
+			if pg != nil && !s.moved.get(int64(idx)) {
+				owners[&pg[0]]++
+			}
+		}
+		s.mu.Unlock()
+	}
+	fs := FrameStats{Held: len(owners)}
+	d.frames.mu.Lock()
+	fs.Free = len(d.frames.free)
+	for _, pg := range d.frames.free {
+		owners[&pg[0]]++
+	}
+	d.frames.mu.Unlock()
+	for _, n := range owners {
+		fs.Lost += n - 1
+	}
+	return fs
 }
 
 // EraseCount reports how many times the block containing p has been erased.

@@ -190,3 +190,70 @@ func TestMoveRehomesFrame(t *testing.T) {
 		}
 	})
 }
+
+// TestDiscardPages: a discard hands a dead page's frame back to the arena
+// without a timeline booking or an operation count; the page stays programmed
+// and reads as erased. A relocation's source keeps its frame, which is its
+// destination's, and neither a second discard of a page nor its block's erase
+// hands a frame out twice.
+func TestDiscardPages(t *testing.T) {
+	frameDevices(t, func(t *testing.T, d *Device, encrypted bool) {
+		ps := d.geo.PageSize
+		dead := []PPA{{0, 0, 0, 0}, {0, 0, 0, 1}, {2, 1, 3, 0}}
+		src, dst := PPA{1, 0, 0, 0}, PPA{1, 0, 4, 0}
+		for i, p := range append(append([]PPA(nil), dead...), src) {
+			if _, err := programOne(d, 0, p, bytes.Repeat([]byte{byte(i + 1)}, ps)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		page, _, _ := readOne(d, 0, src)
+		if _, err := d.ProgramPages([]ProgramOp{{P: dst, Data: page, Move: true, From: src}}); err != nil {
+			t.Fatal(err)
+		}
+		before := d.FrameStats()
+		idle, r, p, e := d.NextIdle(), d.reads.Load(), d.programs.Load(), d.erases.Load()
+		ws := []Word{d.lay.Word(dead[2]), ^Word(0), d.lay.Word(dead[0]), d.lay.Word(dead[1]), d.lay.Word(src), d.lay.Word(dead[0])}
+		d.DiscardPages(ws)
+		after := d.FrameStats()
+		moved := 1 // a moved source is no owner, plain or not
+		if encrypted {
+			moved = 0 // a cipher copies, and its source is an ordinary dead page
+		}
+		if freed := len(dead) + 1 - moved; after.Held != before.Held-freed || after.Free != before.Free+freed || after.Lost != 0 {
+			t.Fatalf("frames %+v before the discard, %+v after, want %d moved from held to free", before, after, freed)
+		}
+		if d.NextIdle() != idle || d.reads.Load() != r || d.programs.Load() != p || d.erases.Load() != e {
+			t.Fatal("a discard booked a timeline or counted an operation")
+		}
+		for _, p := range dead {
+			if d.RawPage(p) != nil || !d.Programmed(p) {
+				t.Fatalf("%v: a discarded page must hold no frame and stay programmed", p)
+			}
+			if got, _, _ := readOne(d, 0, p); !bytes.Equal(got, make([]byte, ps)) {
+				t.Fatalf("%v: a discarded page must read as erased", p)
+			}
+		}
+		if _, err := programOne(d, 0, dead[0], page); err == nil {
+			t.Fatal("a discarded page was programmed again before its block's erase")
+		}
+		if (d.RawPage(src) == nil) != encrypted {
+			t.Fatal("a relocation's source gave up the frame its destination stores")
+		}
+		if got, _, _ := readOne(d, 0, dst); !bytes.Equal(got, page) {
+			t.Fatal("the relocated page lost its bytes to the discard of its source")
+		}
+		for _, p := range []PPA{dead[0], src} {
+			if _, err := d.EraseBlock(0, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fs := d.FrameStats(); fs.Lost != 0 || fs.Free != after.Free {
+			t.Fatalf("erasing discarded pages' blocks: frames %+v, want %d free and none lost", fs, after.Free)
+		}
+		ph := newTestDevice(t, true)
+		ph.DiscardPages(ws)
+		if fs := ph.FrameStats(); fs != (FrameStats{}) {
+			t.Fatalf("a phantom device's discard found frames: %+v", fs)
+		}
+	})
+}

@@ -1,8 +1,10 @@
 package stl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +38,12 @@ type die struct {
 	// under the writer about to program it.
 	unlanded []atomic.Int32
 	state    []blockState // per block: in use, on the free list, or retired
+	// gen counts, per block, the evacuations that emptied it for an erase. A
+	// dead unit remembers its block's count from the moment it was taken
+	// (takeSlot), and its frame is discarded only if the count has not moved
+	// (discardUnits): a page of the block's next generation is someone else's.
+	gen      []uint32
+	discards []nvm.Word // discardUnits' batch for this die
 
 	// collecting marks that one writer's collection owns victim selection and
 	// evacuation on this die. It is a try-only claim, never a blocking lock:
@@ -471,14 +479,16 @@ func (t *STL) unbindLocked(d *die, w nvm.Word) (revEntry, bool) {
 // along with any cached copy of the building block the unit belonged to. It
 // empties slot too, in the same critical section, unless slot is nil — a
 // unit not yet landed, which no collector touches — and does nothing,
-// returning false, if slot no longer names w.
-func (t *STL) invalidateUnit(w nvm.Word, slot *pageSlot) bool {
+// returning false, if slot no longer names w. It returns the generation of
+// w's block as of that critical section (die.gen).
+func (t *STL) invalidateUnit(w nvm.Word, slot *pageSlot) (uint32, bool) {
 	d := t.dies[t.lay.Die(w)]
 	d.mu.Lock()
 	if slot != nil && !slot.cas(slotOf(w), 0) {
 		d.mu.Unlock()
-		return false
+		return 0, false
 	}
+	gen := d.gen[t.lay.Block(w)]
 	e, ok := t.unbindLocked(d, w)
 	d.mu.Unlock()
 	if ok {
@@ -490,23 +500,70 @@ func (t *STL) invalidateUnit(w nvm.Word, slot *pageSlot) bool {
 			t.cache.invalidateBlock(e.space, int64(e.block))
 		}
 	}
-	return true
+	return gen, true
 }
 
-// takeSlot empties slot and invalidates the unit it named, which it returns;
-// false if the slot was empty. The swap and the invalidation are one step
-// under the lock of the unit's die — the lock a collector commits a move of
-// the page under (commitMove) — so of the owner and a collector exactly one
-// retires each unit the slot named.
-func (t *STL) takeSlot(slot *pageSlot) (nvm.Word, bool) {
+// takeSlot empties slot and invalidates the unit it named, which it returns
+// as a dead unit for discardUnits; false if the slot was empty. The swap and
+// the invalidation are one step under the lock of the unit's die — the lock a
+// collector commits a move of the page under (commitMove) — so of the owner
+// and a collector exactly one retires each unit the slot named.
+func (t *STL) takeSlot(slot *pageSlot) (deadUnit, bool) {
 	for {
 		v := slot.load()
 		if !v.allocated() {
-			return 0, false
+			return deadUnit{}, false
 		}
-		if t.invalidateUnit(v.word(), slot) {
-			return v.word(), true
+		if gen, ok := t.invalidateUnit(v.word(), slot); ok {
+			return deadUnit{w: v.word(), gen: gen}, true
 		} // else a collector moved the page meanwhile
+	}
+}
+
+// deadUnit is a unit its owner took out of its slot, whose frame the device
+// may have back (nvm.DiscardPages) once what replaced the page is on flash.
+type deadUnit struct {
+	w   nvm.Word
+	gen uint32 // its block's generation when it was taken (die.gen)
+	// after is how many of the taker's queued programs must land first: up
+	// to and including the replacement's, or, for a release, which replaces
+	// the page with nothing, those queued before it.
+	after int32
+}
+
+// discardUnits gives the device back the frames of units, given that the
+// first landed of the programs their after fields count have landed. A unit
+// keeps its frame, for its block's erase to take, in three cases:
+//
+//   - its replacement did not land, so the page is still what a restart
+//     would have to read;
+//   - its block was emptied for an erase since it was taken (the generation
+//     moved): the address may hold a page programmed since;
+//   - a collection holds its die (die.collecting): the collector may have
+//     found the unit live before it was taken and hold a read of it.
+//
+// No reader needs a rule of its own: a reader holds its space's read lock
+// while it uses an alias, the taker holds the write lock, and taking the
+// unit dropped its building block's cache entry. The units are sorted by
+// word, whose high bits are its die, so each die is locked once.
+func (t *STL) discardUnits(units []deadUnit, landed int) {
+	if t.dev.Phantom() || len(units) == 0 {
+		return
+	}
+	slices.SortFunc(units, func(a, b deadUnit) int { return cmp.Compare(a.w, b.w) })
+	for i := 0; i < len(units); {
+		die := t.lay.Die(units[i].w)
+		d := t.dies[die]
+		d.mu.Lock()
+		ws := d.discards[:0]
+		for ; i < len(units) && t.lay.Die(units[i].w) == die; i++ {
+			if u := &units[i]; !d.collecting && int(u.after) <= landed && d.gen[t.lay.Block(u.w)] == u.gen {
+				ws = append(ws, u.w)
+			}
+		}
+		t.dev.DiscardPages(ws)
+		d.discards = ws
+		d.mu.Unlock()
 	}
 }
 

@@ -258,7 +258,8 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 // rs.space: book first, fill last. Pass 1 groups the extents by destination
 // page. Pass 2 settles every page's bookkeeping in stage order — invalidate the
 // old unit, carve the replacement (collecting inline where the die asks for
-// it), draw a frame, bind, queue the program — and moves no payload: a page
+// it), draw a frame, bind, queue the program and, beside it, the old unit's
+// discard (rs.dead, done by the flush that lands it) — and moves no payload: a page
 // that is not a read-modify-write is only noted as a pending fill. The bytes
 // move in bursts of nothing but copies, every fillBurst pages and at the head
 // of flushPrograms, so a queued op's frame is undefined until the flush that
@@ -368,7 +369,10 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		// page draws no frame.
 		if t.cfg.ZeroPageElision && hasData &&
 			(rmw && allZero(frame[:pb]) || !rmw && rs.payloadZero(st, ps)) {
-			t.takeSlot(slot)
+			if old, ok := t.takeSlot(slot); ok {
+				old.after = int32(len(rs.ops))
+				rs.dead = append(rs.dead, old)
+			}
 			t.zeroSkipped.Add(1)
 			t.dev.Recycle(frame)
 			continue
@@ -377,10 +381,11 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			unit nvm.PPA
 			err  error
 		)
-		if old, ok := t.takeSlot(slot); ok {
-			unit, ready, err = t.allocateReplacement(ready, old, t.overwriteStream(st.blk, now), flush)
+		old, replacing := t.takeSlot(slot)
+		if replacing {
+			unit, ready, err = t.allocateReplacement(ready, old.w, t.overwriteStream(st.blk, now), flush)
 			if err != nil {
-				t.restoreUnit(s, st.blockIdx, st.page, slot, old)
+				t.restoreUnit(s, st.blockIdx, st.page, slot, old.w)
 			}
 		} else {
 			unit, ready, err = t.allocateUnit(ready, s, st.blk, flush)
@@ -396,6 +401,10 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			rs.fills = append(rs.fills, pendingFill{op: int32(len(rs.ops)), stage: int32(si)})
 		}
 		rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: unit, Data: frame, Owned: true})
+		if replacing {
+			old.after = int32(len(rs.ops))
+			rs.dead = append(rs.dead, old)
+		}
 		if len(rs.fills) == fillBurst {
 			rs.fillPending(ps)
 		}

@@ -29,18 +29,20 @@ import (
 // fill/ready state is kept all the same, so timing and statistics stay exact.
 //
 // The lease is the one uncached reads already hold (nvm.ReadWords, DESIGN.md
-// "Aliases"), kept for longer. A frame goes back to the arena only when a
-// block holding it is erased, and not when that block is a relocation's
-// source: the frame stays with the relocated page. Otherwise a block is
-// erased only once none of its units is live, and a unit stops being live
-// there — overwrite, zero elision, fault relocation, delete, resize — only
-// through invalidateUnit, as a slot is bound to a new one only through
-// bindUnit. Both drop the whole entry of the building block they touch
-// (invalidateSpace drops a space's), under that space's write lock or an
-// exclusive maintenance context: so before the erase, and with no reader of
-// the space inside. A GC move drops the entry too (commitMove); a reader that
-// planned before the move may fill it again with the source's frame, which
-// holds the same bytes and outlives the source's erase. Retirement
+// "Aliases"), kept for longer. A frame goes back to the arena only when the
+// page holding it is discarded, once its owner's replacement has landed
+// (discardUnits), or its block is erased, whichever comes first — and never
+// for a relocation's source: the frame stays with the relocated page. A unit
+// stops being live in place — overwrite, zero elision, fault relocation,
+// delete, resize — only through invalidateUnit, which runs before either, as
+// a slot is bound to a new one only through bindUnit, and a block is erased
+// only once none of its units is live. Both hooks drop the whole entry of the
+// building block they touch (invalidateSpace drops a space's), under that
+// space's write lock or an exclusive maintenance context: so before the
+// discard or the erase, and with no reader of the space inside. A GC move
+// drops the entry too (commitMove); a reader that planned before the move
+// may fill it again with the source's frame, which holds the same bytes and
+// outlives the source's discard and erase. Retirement
 // (retireBlock) drops the entries of every live unit in the block. What
 // bounds an entry's retention is therefore its own invalidation, never a
 // reference count, and eviction and invalidation only ever forget references:

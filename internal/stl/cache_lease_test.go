@@ -84,13 +84,31 @@ func resident(st *STL, s *Space, block int64) bool {
 // against the writes of its image; the device sees readers of one space and
 // the writer of the other, collecting, at once.
 //
-// At quiesce the audit must be clean, and the two hooks are held to their
-// contract one at a time, because every rebind calls both and either alone
+// The writers give the frames of the units they replace back as their
+// programs land, on dies the other writer may be collecting: "eight dies" is
+// the array above, "four dies" the same pages on half the dies, where a
+// writer's discard meets the other's collection more often (a few dozen
+// times a run; the discard then leaves the frame to the block's erase). At
+// quiesce the audits must be clean — the cache's lease, and no frame with two
+// owners — and the two hooks are held to their contract one at a time,
+// because every rebind calls both and either alone
 // would hide the other's absence: a first write into a hole of a resident
 // block binds and releases nothing, a zero-elided overwrite releases and
 // binds nothing, and each must drop the entry.
 func TestCacheLeaseUnderGC(t *testing.T) {
-	geo := nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 9, PagesPerBlock: 8, PageSize: 512}
+	for _, arm := range []struct {
+		name string
+		geo  nvm.Geometry
+	}{
+		{"eight dies", nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 9, PagesPerBlock: 8, PageSize: 512}},
+		{"four dies", nvm.Geometry{Channels: 4, Banks: 1, BlocksPerBank: 18, PagesPerBlock: 8, PageSize: 512}},
+	} {
+		t.Run(arm.name, func(t *testing.T) { cacheLeaseUnderGC(t, arm.geo) })
+	}
+}
+
+// cacheLeaseUnderGC is one arm of TestCacheLeaseUnderGC, on geo.
+func cacheLeaseUnderGC(t *testing.T, geo nvm.Geometry) {
 	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +257,9 @@ func TestCacheLeaseUnderGC(t *testing.T) {
 			}
 		}
 		auditCache(t, st, true)
+		if fs := st.dev.FrameStats(); fs.Lost != 0 {
+			t.Fatalf("%s: frames %+v: %d with two owners", when, fs, fs.Lost)
+		}
 	}
 	check("after the churn")
 	rng := rand.New(rand.NewSource(60))

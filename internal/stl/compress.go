@@ -98,10 +98,13 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 }
 
 // dropAllUnits invalidates every unit of a block and resets its usage
-// statistics, ready for a fresh rewrite.
-func (t *STL) dropAllUnits(blk *BuildingBlock) {
+// statistics, ready for a fresh rewrite. It returns the units it took.
+func (t *STL) dropAllUnits(blk *BuildingBlock) []deadUnit {
+	var dead []deadUnit
 	for i := range blk.pages {
-		t.takeSlot(&blk.pages[i])
+		if u, ok := t.takeSlot(&blk.pages[i]); ok {
+			dead = append(dead, u)
+		}
 	}
 	for i := range blk.chanUse {
 		blk.chanUse[i] = 0
@@ -114,13 +117,15 @@ func (t *STL) dropAllUnits(blk *BuildingBlock) {
 	blk.compressed = false
 	blk.compLen = 0
 	blk.physPages = 0
+	return dead
 }
 
 // storeBlockImage writes a block image, compressed when profitable, raw
 // otherwise, allocating fresh units under the §4.2 policy; its programs queue
-// and land like the write path's (before a collection and at the end).
+// and land like the write path's (before a collection and at the end). The
+// old units give their frames back once the whole new image has landed.
 func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *BuildingBlock, image []byte, stats *RequestStats) (sim.Time, error) {
-	t.dropAllUnits(blk)
+	dead := t.dropAllUnits(blk)
 	ps := int64(t.geo.PageSize)
 	payload := image
 	if comp := t.compressImage(s, image); comp != nil {
@@ -153,7 +158,11 @@ func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *Buildi
 		t.progs.Add(1)
 		stats.PagesProgrammed++
 	}
-	return done, land()
+	if err := land(); err != nil {
+		return done, err
+	}
+	t.discardUnits(dead, 0)
+	return done, nil
 }
 
 // writeCompressed is the Config.Compress write path: block-granular

@@ -154,6 +154,47 @@ func TestFaultEraseRetiresVictimDuringGC(t *testing.T) {
 	}
 }
 
+// TestFaultRetiredVictimGivesBackFrames: a victim whose erase faults is
+// retired and never erased, so the erase cannot return the frames of its
+// dead pages; retirement must. One die of eight-page blocks, every second
+// erase faulting, is churned by one-page overwrites until an overwrite's own
+// collection picks the block of the unit it replaces and retires it: that
+// unit's discard then finds the block's generation moved and leaves its frame
+// to the retirement. After every write the bytes match the model and the
+// device holds a frame for each live unit and no other, with none owned twice.
+func TestFaultRetiredVictimGivesBackFrames(t *testing.T) {
+	geo := nvm.Geometry{Channels: 1, Banks: 1, BlocksPerBank: 24, PagesPerBlock: 8, PageSize: 512}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.SetFaultPlan(nvm.FaultPlan{Seed: 6, EraseFailEvery: 2})
+	cfg := DefaultConfig()
+	cfg.OverProvision = 0.4
+	sc := newScript(t, dev, cfg)
+	sc.after = func() { auditFrames(t, sc.st, 0) }
+	const n = 64
+	c := sc.space(t, 4, []int64{n * 128}, []int64{n * 128})
+	if c.v.space.pagesPerBB != 1 {
+		t.Fatalf("building blocks of %d pages, the test wants 1", c.v.space.pagesPerBB)
+	}
+	rng := rand.New(rand.NewSource(6))
+	at := sc.mustWrite(t, 0, c, []int64{0}, []int64{n * 128}, fillRandom(rng, n*512))
+	d := sc.st.die(0, 0)
+	retiredUnder := false
+	for i := 0; i < 400 && !retiredUnder; i++ {
+		pg := rng.Int63n(n)
+		b := sc.st.lay.Block(sc.st.blockAt(c.v.space, pg, false).pages[0].load().word())
+		gen := d.gen[b]
+		at = sc.mustWrite(t, at, c, []int64{pg}, []int64{128}, fillRandom(rng, 512))
+		retiredUnder = d.gen[b] != gen && d.state[b] == blockRetired
+	}
+	sc.read(t, at, c, []int64{0}, []int64{n * 128})
+	if !retiredUnder {
+		t.Fatalf("no overwrite's collection retired the block of the unit it replaced: %+v", sc.st.Reliability())
+	}
+}
+
 // TestFaultWearOutGracefulDegradation: worn-out blocks are retired and
 // capacity degrades gracefully — data written before the wear-out stays
 // intact and the report stays self-consistent.

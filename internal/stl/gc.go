@@ -34,6 +34,10 @@ import (
 //   - No read sees its page disappear: a relocation's source keeps its frame
 //     past its erase (nvm.ReadWords), and the erase waits out every read that
 //     may have loaded a source's word before the commit (readGrace).
+//   - No collector holds a recycled frame: an owner gives back the frame of a
+//     unit it replaced only while no collection holds the unit's die, and
+//     only if the unit's block has not been emptied for an erase since
+//     (discardUnits, die.gen).
 
 // collectDie reclaims space on one die until its free pages exceed target.
 // Collection is best-effort: it stops without error when no victim block
@@ -229,17 +233,31 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int) (sim.Time, bo
 
 	t.grace.wait()
 	// The victim's pages hold no page any more, erased or not (a source's
-	// frame may go with its copy), so no restoreUnit may take one back.
+	// frame may go with its copy), so no restoreUnit may take one back, and
+	// the generation moves on, so no discard of a unit taken from the block
+	// before reaches a page programmed there after the erase.
 	d.mu.Lock()
 	base := nvm.PPA{Channel: channel, Bank: bank, Block: block}.Linear(t.geo)
 	clear(t.rev[base : base+int64(t.geo.PagesPerBlock)])
+	d.gen[block]++
 	d.mu.Unlock()
 	eraseDone, err := t.dev.EraseBlock(done, nvm.PPA{Channel: channel, Bank: bank, Block: block})
 	if err != nil {
 		if errors.Is(err, nvm.ErrEraseFault) || errors.Is(err, nvm.ErrWornOut) {
 			// The victim's data is already out; the block just can't rejoin
-			// the free pool. Retire it and carry on.
+			// the free pool. Retire it and carry on. Never erased, it would
+			// keep the frames of its dead pages for good, so they go back now:
+			// every page of it is dead, and the claim keeps any other discard
+			// off the die.
 			t.retireBlock(channel, bank, block)
+			d.mu.Lock()
+			ws := d.discards[:0]
+			for pg := 0; pg < t.geo.PagesPerBlock; pg++ {
+				ws = append(ws, t.lay.Word(nvm.PPA{Channel: channel, Bank: bank, Block: block, Page: pg}))
+			}
+			t.dev.DiscardPages(ws)
+			d.discards = ws
+			d.mu.Unlock()
 			return eraseDone, true, nil
 		}
 		return done, false, err

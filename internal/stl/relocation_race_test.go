@@ -153,80 +153,25 @@ var spinSink atomic.Int64
 // arriving together — and after each round the space reads as the model says
 // and the translation state audits clean.
 //
+// "discard" is "overwrite" on an arena primed with 0xFF frames, with payloads
+// that hold no 0xFF. The overwrite gives the frame of the unit it replaced
+// back once its program lands, while the collector may be reading that unit
+// to relocate it: the discard must leave a die under collection alone
+// (discardUnits), or the relocation copies a frame the arena hands out again.
+// After every round of either arm no frame has two owners (nvm.FrameStats).
+//
 // "parked reader" parks a read between loading the page's word and reading
 // it (STL.reading) while the collector relocates the page and reaches the
 // erase of its block: the erase must wait for the read to be issued, and the
 // read must return the page's bytes.
 func TestRelocationRace(t *testing.T) {
-	t.Run("overwrite", func(t *testing.T) {
-		r := newRelocationRig(t, 91)
-		st := r.sc.st
-		const rounds = 120
-		var relocatedFirst, overwrittenFirst int
-		bias, step := 0, 256 // >0: the overwrite starts late; <0: the collector does
-		prev := false
-		for round := 0; round < rounds; round++ {
-			pg := int64(round % rigPages)
-			block, live := r.strand(t, pg)
-			erases, moved := st.dev.EraseCount(nvm.PPA{Block: block}), st.GCReport().PagesRelocated
-
-			start := make(chan struct{})
-			var wg sync.WaitGroup
-			var progress bool
-			var gcErr, writeErr error
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				<-start
-				spin(-bias)
-				progress, gcErr = r.evacuate(block)
-			}()
-			data := fillRandom(r.rng, rigElems*4)
-			go func() {
-				defer wg.Done()
-				<-start
-				spin(bias)
-				_, _, writeErr = st.WritePartition(r.at, r.c.v, []int64{pg}, []int64{rigElems}, data)
-			}()
-			close(start)
-			wg.Wait()
-			if gcErr != nil || writeErr != nil || !progress {
-				t.Fatalf("round %d: evacuation progress=%v err=%v, overwrite err=%v", round, progress, gcErr, writeErr)
-			}
-			if err := r.c.m.Write([]int64{pg}, []int64{rigElems}, data); err != nil {
-				t.Fatal(err)
-			}
-			if st.dev.EraseCount(nvm.PPA{Block: block}) != erases+1 {
-				t.Fatalf("round %d: the victim was not erased", round)
-			}
-			collectorFirst := false
-			switch st.GCReport().PagesRelocated - moved {
-			case int64(live):
-				relocatedFirst, collectorFirst = relocatedFirst+1, true
-			case int64(live) - 1:
-				overwrittenFirst++
-			default:
-				t.Fatalf("round %d: %d of the victim's %d live pages relocated", round, st.GCReport().PagesRelocated-moved, live)
-			}
-			if round > 0 && collectorFirst != prev {
-				step = max(step/2, 8) // the order flipped: close in on the tie
-			} else if round > 0 {
-				step = min(step*2, 1<<16)
-			}
-			prev = collectorFirst
-			if collectorFirst {
-				bias -= step
-			} else {
-				bias += step
-			}
-			r.auditSlots(t)
-			r.at = r.sc.read(t, r.at, r.c, []int64{0}, []int64{rigPages * rigElems})
+	for _, primed := range []bool{false, true} {
+		name := "overwrite"
+		if primed {
+			name = "discard"
 		}
-		t.Logf("%d rounds: relocation committed first %d times, the overwrite %d times", rounds, relocatedFirst, overwrittenFirst)
-		if relocatedFirst == 0 || overwrittenFirst == 0 {
-			t.Fatalf("only one order occurred: relocation first %d, overwrite first %d", relocatedFirst, overwrittenFirst)
-		}
-	})
+		t.Run(name, func(t *testing.T) { raceOverwrites(t, primed) })
+	}
 
 	t.Run("parked reader", func(t *testing.T) {
 		r := newRelocationRig(t, 92)
@@ -295,4 +240,90 @@ func TestRelocationRace(t *testing.T) {
 		r.auditSlots(t)
 		r.sc.read(t, r.at, r.c, []int64{0}, []int64{rigPages * rigElems})
 	})
+}
+
+// raceOverwrites is TestRelocationRace's "overwrite" arm, and with primed its
+// "discard" arm.
+func raceOverwrites(t *testing.T, primed bool) {
+	r := newRelocationRig(t, 91)
+	st := r.sc.st
+	fill := fillRandom
+	if primed {
+		for i := 0; i < 64; i++ {
+			st.dev.Recycle(bytes.Repeat([]byte{0xFF}, st.geo.PageSize))
+		}
+		fill = func(rng *rand.Rand, n int64) []byte {
+			b := make([]byte, n)
+			fillNoFF(rng, b)
+			return b
+		}
+	}
+	const rounds = 120
+	var relocatedFirst, overwrittenFirst int
+	bias, step := 0, 256 // >0: the overwrite starts late; <0: the collector does
+	prev := false
+	for round := 0; round < rounds; round++ {
+		pg := int64(round % rigPages)
+		block, live := r.strand(t, pg)
+		erases, moved := st.dev.EraseCount(nvm.PPA{Block: block}), st.GCReport().PagesRelocated
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		var progress bool
+		var gcErr, writeErr error
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			spin(-bias)
+			progress, gcErr = r.evacuate(block)
+		}()
+		data := fill(r.rng, rigElems*4)
+		go func() {
+			defer wg.Done()
+			<-start
+			spin(bias)
+			_, _, writeErr = st.WritePartition(r.at, r.c.v, []int64{pg}, []int64{rigElems}, data)
+		}()
+		close(start)
+		wg.Wait()
+		if gcErr != nil || writeErr != nil || !progress {
+			t.Fatalf("round %d: evacuation progress=%v err=%v, overwrite err=%v", round, progress, gcErr, writeErr)
+		}
+		if err := r.c.m.Write([]int64{pg}, []int64{rigElems}, data); err != nil {
+			t.Fatal(err)
+		}
+		if st.dev.EraseCount(nvm.PPA{Block: block}) != erases+1 {
+			t.Fatalf("round %d: the victim was not erased", round)
+		}
+		collectorFirst := false
+		switch st.GCReport().PagesRelocated - moved {
+		case int64(live):
+			relocatedFirst, collectorFirst = relocatedFirst+1, true
+		case int64(live) - 1:
+			overwrittenFirst++
+		default:
+			t.Fatalf("round %d: %d of the victim's %d live pages relocated", round, st.GCReport().PagesRelocated-moved, live)
+		}
+		if round > 0 && collectorFirst != prev {
+			step = max(step/2, 8) // the order flipped: close in on the tie
+		} else if round > 0 {
+			step = min(step*2, 1<<16)
+		}
+		prev = collectorFirst
+		if collectorFirst {
+			bias -= step
+		} else {
+			bias += step
+		}
+		r.auditSlots(t)
+		if fs := st.dev.FrameStats(); fs.Lost != 0 {
+			t.Fatalf("round %d: frames %+v: %d with two owners", round, fs, fs.Lost)
+		}
+		r.at = r.sc.read(t, r.at, r.c, []int64{0}, []int64{rigPages * rigElems})
+	}
+	t.Logf("%d rounds: relocation committed first %d times, the overwrite %d times", rounds, relocatedFirst, overwrittenFirst)
+	if relocatedFirst == 0 || overwrittenFirst == 0 {
+		t.Fatalf("only one order occurred: relocation first %d, overwrite first %d", relocatedFirst, overwrittenFirst)
+	}
 }

@@ -51,6 +51,7 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 			return err
 		}
 	}
+	var dead []deadUnit
 	if s.root != nil {
 		switch {
 		case newGrid0 > oldGrid0:
@@ -66,19 +67,20 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 		case newGrid0 < oldGrid0:
 			if s.root.blocks != nil {
 				for i := newGrid0; i < int64(len(s.root.blocks)); i++ {
-					t.dropBlock(s, s.root.blocks[i])
+					dead = t.dropBlock(s, s.root.blocks[i], dead)
 					s.root.blocks[i] = nil
 				}
 				s.root.blocks = s.root.blocks[:newGrid0]
 			} else {
 				for i := newGrid0; i < int64(len(s.root.children)); i++ {
-					t.invalidateSubtree(s, s.root.children[i])
+					dead = t.invalidateSubtree(s, s.root.children[i], dead)
 					s.root.children[i] = nil
 				}
 				s.root.children = s.root.children[:newGrid0]
 			}
 		}
 	}
+	t.discardUnits(dead, 0) // released: there is no successor to wait for
 	if t.cache != nil {
 		// Grid reindexing: block grid indexes are rank positions in the grid,
 		// so resizing dimension 0 leaves every surviving block's index intact
@@ -116,8 +118,9 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 		end := s.bbBytes
 		if !t.cfg.Compress {
 			for q := first; q < int64(len(blk.pages)); q++ {
-				if _, ok := t.takeSlot(&blk.pages[q]); ok {
+				if u, ok := t.takeSlot(&blk.pages[q]); ok {
 					s.allocatedPages--
+					rs.dead = append(rs.dead, u) // discarded by the rewrite's flush
 				}
 			}
 			if p == first {
@@ -151,34 +154,37 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 }
 
 // dropBlock invalidates a block's units and removes it from the space's
-// accounting.
-func (t *STL) dropBlock(s *Space, blk *BuildingBlock) {
+// accounting, appending the units it took to dead.
+func (t *STL) dropBlock(s *Space, blk *BuildingBlock, dead []deadUnit) []deadUnit {
 	if blk == nil {
-		return
+		return dead
 	}
 	for j := range blk.pages {
-		if _, ok := t.takeSlot(&blk.pages[j]); ok {
+		if u, ok := t.takeSlot(&blk.pages[j]); ok {
 			s.allocatedPages--
+			dead = append(dead, u)
 		}
 	}
 	s.allocatedBBs--
+	return dead
 }
 
 // invalidateSubtree drops every block beneath a node: the rows a shrink cuts
-// off, or a deleted space's whole tree.
-func (t *STL) invalidateSubtree(s *Space, n *indexNode) {
+// off, or a deleted space's whole tree. It appends the units it took to dead.
+func (t *STL) invalidateSubtree(s *Space, n *indexNode, dead []deadUnit) []deadUnit {
 	if n == nil {
-		return
+		return dead
 	}
 	if n.blocks != nil {
 		for i, blk := range n.blocks {
-			t.dropBlock(s, blk)
+			dead = t.dropBlock(s, blk, dead)
 			n.blocks[i] = nil
 		}
-		return
+		return dead
 	}
 	for i, c := range n.children {
-		t.invalidateSubtree(s, c)
+		dead = t.invalidateSubtree(s, c, dead)
 		n.children[i] = nil
 	}
+	return dead
 }

@@ -69,10 +69,12 @@ type requestScratch struct {
 	// page table; deferred programs accumulate in ops until a flush point.
 	// fills names the queued ops whose frames do not hold their page yet: the
 	// flush copies the stage's pieces of payload, the caller's buffer, into
-	// each before it programs the batch.
+	// each before it programs the batch. dead names the units the queued ops
+	// replace, and the units the request released, for that flush to discard.
 	stages  []writeStage
 	ops     []nvm.ProgramOp
 	fills   []pendingFill
+	dead    []deadUnit
 	payload []byte
 
 	// Segment emission (segments.go): reused across requests; Src pointers
@@ -175,6 +177,7 @@ func (t *STL) putScratch(rs *requestScratch) {
 	}
 	rs.ops = rs.ops[:0]
 	rs.fills = rs.fills[:0]
+	rs.dead = rs.dead[:0]
 	rs.payload = nil
 	for i := range rs.segs {
 		rs.segs[i].Src = nil
@@ -444,11 +447,9 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time, stats 
 //
 // Queued ops were bound when appended, so landPrograms relocates a faulted
 // op through the reverse-lookup table (rebindFaulted). What it could not land
-// is unbound here, so bound units are always programmed units.
+// is unbound here, so bound units are always programmed units. Then the units
+// the landed programs replaced give their frames back (discardUnits).
 func (t *STL) flushPrograms(rs *requestScratch, done *sim.Time, stats *RequestStats) error {
-	if len(rs.ops) == 0 {
-		return nil
-	}
 	rs.fillPending(int64(t.geo.PageSize))
 	d, landed, retries, err := t.landPrograms(rs.ops, t.rebindFaulted)
 	*done = sim.Max(*done, d)
@@ -460,5 +461,7 @@ func (t *STL) flushPrograms(rs *requestScratch, done *sim.Time, stats *RequestSt
 	}
 	clear(rs.ops)
 	rs.ops = rs.ops[:0]
+	t.discardUnits(rs.dead, landed)
+	rs.dead = rs.dead[:0]
 	return err
 }

@@ -45,9 +45,9 @@ func Gather(dst []byte, segs []Segment) {
 // layout — skips the partition-buffer copy entirely.
 //
 // fn runs while the request holds the barrier and the space's read lock, so
-// no write changes the segment sources under it; a collector may relocate
-// their pages, but a relocation's source keeps its frame past the erase of
-// its block (nvm.ReadWords), so the bytes stay. The lease ends
+// no write changes the segment sources under it, nor discards their pages; a
+// collector may relocate their pages, but a relocation's source keeps its
+// frame past the erase of its block (nvm.ReadWords), so the bytes stay. The lease ends
 // when fn returns, and fn must not call back into the STL. An error from fn
 // aborts the request and is returned verbatim. On a phantom device fn
 // receives (want, nil) — which an all-holes partition on a data-bearing

@@ -367,8 +367,8 @@ find:
 	ch, bk, victim := sc.st.lay.Channel(w), sc.st.lay.Bank(w), sc.st.lay.Block(w)
 	d := sc.st.die(ch, bk)
 	d.collecting = true // the test is the collector
-	if taken, ok := sc.st.takeSlot(slot); !ok || taken != w {
-		t.Fatalf("took %v from a slot naming %v", sc.st.lay.PPA(taken), sc.st.lay.PPA(w))
+	if taken, ok := sc.st.takeSlot(slot); !ok || taken.w != w {
+		t.Fatalf("took %v from a slot naming %v", sc.st.lay.PPA(taken.w), sc.st.lay.PPA(w))
 	}
 	restored := make(chan struct{})
 	go func() {

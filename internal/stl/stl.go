@@ -208,6 +208,7 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 			validInBlk: make([]int32, geo.BlocksPerBank),
 			unlanded:   make([]atomic.Int32, geo.BlocksPerBank),
 			state:      make([]blockState, geo.BlocksPerBank),
+			gen:        make([]uint32, geo.BlocksPerBank),
 		}
 		for s := range d.open {
 			d.open[s].block = -1
@@ -359,7 +360,7 @@ func (t *STL) DeleteSpace(id SpaceID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
-	t.invalidateSubtree(s, s.root)
+	t.discardUnits(t.invalidateSubtree(s, s.root, nil), 0)
 	t.dropPendingWhere(func(k pendingKey) bool { return k.space == id })
 	if t.cache != nil {
 		// Belt and braces: every unit invalidation above already dropped its

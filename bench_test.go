@@ -8,6 +8,10 @@ package nds_test
 // end to end. cmd/ndsbench prints the full row/series form.
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nds"
@@ -351,6 +355,82 @@ func BenchmarkWritePartitionAllocs(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMixedClientsOneSpace measures the shared-space write convoy: 64×64
+// float32 tiles of a 2048² space, 10 % of them overwritten, from one or two
+// in-process clients, each on its own view of one shared space or on a space
+// of its own. A writer holds its space exclusively for its whole
+// read-modify-write, so on a shared space the second client's reads queue
+// behind the first one's writes. ops/s is wall-clock operations of all the
+// clients together.
+func BenchmarkMixedClientsOneSpace(b *testing.B) {
+	const (
+		n    = 2048
+		tile = 64
+	)
+	for _, shared := range []bool{true, false} {
+		for _, clients := range []int{1, 2} {
+			name := fmt.Sprintf("separate/clients=%d", clients)
+			if shared {
+				name = fmt.Sprintf("shared/clients=%d", clients)
+			}
+			b.Run(name, func(b *testing.B) {
+				d, err := nds.Open(nds.Options{Mode: nds.ModeHardware, CapacityHint: 64 << 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				fill := make([]byte, n*n*4)
+				for i := range fill {
+					fill[i] = byte(i * 7)
+				}
+				views := make([]*nds.Space, clients)
+				for c := range views {
+					if c == 0 || !shared {
+						id, err := d.CreateSpace(4, []int64{n, n})
+						if err != nil {
+							b.Fatal(err)
+						}
+						views[c], err = d.OpenSpace(id, []int64{n, n})
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := views[c].Write([]int64{0, 0}, []int64{n, n}, fill); err != nil {
+							b.Fatal(err)
+						}
+					} else if views[c], err = d.OpenSpace(views[0].ID(), []int64{n, n}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for c, v := range views {
+					wg.Add(1)
+					go func(v *nds.Space, rng *rand.Rand) {
+						defer wg.Done()
+						data := make([]byte, tile*tile*4)
+						sub := []int64{tile, tile}
+						for next.Add(1) <= int64(b.N) {
+							coord := []int64{rng.Int63n(n / tile), rng.Int63n(n / tile)}
+							var err error
+							if rng.Intn(10) == 0 {
+								_, err = v.Write(coord, sub, data)
+							} else {
+								_, _, err = v.ReadInto(coord, sub, data)
+							}
+							if err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(v, rand.New(rand.NewSource(int64(c+1))))
+				}
+				wg.Wait()
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			})
+		}
+	}
 }
 
 // --- Ablations (DESIGN.md "Key design decisions"). ---

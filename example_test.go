@@ -99,6 +99,6 @@ func ExampleSpace_Scan() {
 	// Output:
 	// matches         = 80
 	// read link bytes = 32768
-	// scan link bytes = 1296
+	// scan link bytes = 984
 	// max value       = 99
 }

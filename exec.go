@@ -127,11 +127,13 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 			return nil, proto.Completion{Status: proto.StatusInvalidField}, Stats{}, nil
 		}
 		// The result page bounds a wire scan: max 0 means "fill the page",
-		// and anything larger is clamped to what the page can carry. Hosts
-		// resume past a truncated page with the returned cursor.
+		// and anything larger is clamped to what the page can carry in the
+		// partition's layout. Hosts resume past a truncated page with the
+		// returned cursor.
+		layout := view.resultLayout(pl.Sub)
 		max := int(pl.Max)
-		if max <= 0 || max > proto.MaxScanMatches {
-			max = proto.MaxScanMatches
+		if capacity := layout.Capacity(proto.OpScan); max <= 0 || max > capacity {
+			max = capacity
 		}
 		res, st, err := view.Scan(pl.Coord, pl.Sub, ScanQuery{
 			Pred:   Predicate{Lo: pl.Lo, Hi: pl.Hi},
@@ -146,7 +148,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 		for _, m := range res.Matches {
 			rp.Matches = append(rp.Matches, proto.ScanMatch{Index: m.Index, Value: m.Value})
 		}
-		page, err := rp.Marshal()
+		page, err := rp.Marshal(layout)
 		if err != nil {
 			return nil, proto.Completion{Status: proto.StatusInternal}, Stats{}, nil
 		}
@@ -181,7 +183,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 		for _, m := range res.TopK {
 			rp.TopK = append(rp.TopK, proto.ScanMatch{Index: m.Index, Value: m.Value})
 		}
-		page, err := rp.Marshal()
+		page, err := rp.Marshal(view.resultLayout(pl.Sub))
 		if err != nil {
 			return nil, proto.Completion{Status: proto.StatusInternal}, Stats{}, nil
 		}
@@ -300,6 +302,19 @@ func (d *Device) execCreateSpace(elemSize int, dims []int64, open func(SpaceID, 
 		return 0, nil, err
 	}
 	return id, view, nil
+}
+
+// resultLayout is the record layout of the view's pushdown results over a
+// partition of sub's shape. A closed view reports element size 0, and the
+// command that asked then fails on the closed view.
+func (s *Space) resultLayout(sub []int64) proto.Layout {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	es := 0
+	if s.view != nil {
+		es = s.view.Space().ElemSize()
+	}
+	return proto.LayoutFor(es, sub)
 }
 
 // lookupView resolves a dynamic view ID from the registry.

@@ -254,10 +254,11 @@ func (c *Client) Write(view uint32, coord, sub []int64, data []byte) error {
 
 // Scan executes a pushdown predicate scan over the partition at coord/sub
 // through an open view: only matching (index, value) pairs cross the wire.
-// The result is one page deep; a scan with more matches than fit reports the
-// true total and a resume cursor (pass it as cursor to continue, 0 starts).
-// max 0 fills the page. A server running with pushdown disabled answers
-// StatusUnsupportedOp.
+// The result is one page deep — 509 matches of 4-byte elements, between 254
+// and 814 at other widths (proto.Layout.Capacity) — and a scan with more
+// matches than fit reports the true total and a resume cursor (pass it as
+// cursor to continue, 0 starts). max 0 fills the page. A server running with
+// pushdown disabled answers StatusUnsupportedOp.
 func (c *Client) Scan(view uint32, coord, sub []int64, lo, hi uint64, cursor int64, max uint32) (proto.ScanResultPayload, error) {
 	pl := proto.ScanPayload{Coord: coord, Sub: sub, Lo: lo, Hi: hi, Cursor: cursor, Max: max}
 	resp, err := c.paged("pushdown_scan", proto.NewScan(view, 0), pl.MarshalInto, nil)

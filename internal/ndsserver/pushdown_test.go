@@ -13,6 +13,7 @@ import (
 	"nds/internal/ndsclient"
 	"nds/internal/ndsserver"
 	"nds/internal/proto"
+	"nds/internal/spec"
 )
 
 // startPushdownServer is startServer with caller-controlled device options,
@@ -186,5 +187,71 @@ func TestServerPushdownDisabled(t *testing.T) {
 	// The data path is unaffected.
 	if _, err := c.Read(view, []int64{0, 0}, []int64{8, 8}); err != nil {
 		t.Fatalf("read on disabled server: %v", err)
+	}
+}
+
+// TestServerScanPaging pages a 1 % scan of a 512×512 uint32 tile through a
+// live socket with max 0 (fill the page) until the cursor ends. A uint32
+// match is an 8-byte record, so a page holds 509 of them: the scan takes
+// ⌈total/509⌉ round trips, and the pages concatenate to the model's matches.
+// It also pins what a resume costs today: every round trip walks the whole
+// partition again (the device's page accesses, cache hits plus misses, grow
+// by the partition's pages each time), because a resumed scan re-reads the
+// partition from its start and skips the matches before the cursor.
+func TestServerScanPaging(t *testing.T) {
+	const n = 512
+	c, dev := startPushdownServer(t, nds.Options{Mode: nds.ModeHardware, CapacityHint: 16 << 20, CacheBytes: 4 << 20})
+	_, view, err := c.CreateSpace(4, []int64{n, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, n*n*4)
+	for i := 0; i < n*n; i++ {
+		binary.LittleEndian.PutUint32(data[4*i:], uint32(i%100))
+	}
+	coord, sub := []int64{0, 0}, []int64{n, n}
+	if err := c.Write(view, coord, sub, data); err != nil {
+		t.Fatal(err)
+	}
+	m := spec.New()
+	id, _ := m.Create(4, []int64{n, n})
+	mv, _ := m.Open(id, []int64{n, n})
+	if err := mv.Write(coord, sub, data); err != nil {
+		t.Fatal(err)
+	}
+	want, err := mv.Scan(coord, sub, spec.ScanQuery{Pred: spec.Predicate{Lo: 0, Hi: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const partitionPages = n * n * 4 / 4096
+	accesses := func() int64 { cs := dev.CacheStats(); return cs.Hits + cs.Misses }
+	var got []proto.ScanMatch
+	trips := 0
+	for cursor := int64(0); cursor >= 0; trips++ {
+		before := accesses()
+		res, err := c.Scan(view, coord, sub, 0, 0, cursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Total != want.Total {
+			t.Fatalf("round trip %d: total %d, want %d", trips, res.Total, want.Total)
+		}
+		if delta := accesses() - before; delta != partitionPages {
+			t.Fatalf("round trip %d (cursor %d) accessed %d pages, want the whole partition's %d", trips, cursor, delta, partitionPages)
+		}
+		got = append(got, res.Matches...)
+		cursor = res.NextCursor
+	}
+	if wantTrips := (int(want.Total) + 508) / 509; trips != wantTrips {
+		t.Fatalf("%d matches took %d round trips, want %d (509 a page)", want.Total, trips, wantTrips)
+	}
+	if len(got) != len(want.Matches) {
+		t.Fatalf("pages hold %d matches, the model %d", len(got), len(want.Matches))
+	}
+	for i, m := range want.Matches {
+		if got[i] != (proto.ScanMatch{Index: m.Index, Value: m.Value}) {
+			t.Fatalf("match %d = %+v, the model's %+v", i, got[i], m)
+		}
 	}
 }

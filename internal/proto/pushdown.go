@@ -9,11 +9,13 @@ import (
 //
 // Both request payloads extend the read/write coordinate page: the standard
 // CoordPayload prefix (uint32 rank, rank x (uint32 coord, uint32 sub))
-// followed by operator parameters at offset 4+8*rank. Both result payloads
-// are bounded to one 4 KB page, truncating to fit like get_tenant_stats: the
-// true totals travel in the page header and the completion's result words
-// (Result0 = true total / primary scalar), and a truncated scan is resumable
-// by passing the returned cursor as the next request's Cursor.
+// followed by operator parameters at offset 4+8*rank. Both results are a
+// header plus one record per match or top-k entry, bounded to one 4 KB page
+// and exactly as long as what they hold (see Layout). A scan truncates to fit
+// like get_tenant_stats: the true totals travel in the header and the
+// completion's result words (Result0 = true total / primary scalar), and a
+// truncated scan is resumable by passing the returned cursor as the next
+// request's Cursor.
 
 // Reduce operator wire codes. These mirror stl.ReduceKind's values and must
 // stay stable on the wire.
@@ -45,9 +47,9 @@ type ScanPayload struct {
 	// Cursor is the first element index eligible to be reported (0 starts a
 	// scan; a truncated response's NextCursor resumes it).
 	Cursor int64
-	// Max bounds the reported matches; 0 fills the result page
-	// (MaxScanMatches). Values above MaxScanMatches are clamped by the
-	// device — the page cannot carry more.
+	// Max bounds the reported matches; 0 fills the result page (the
+	// layout's Capacity). Larger values are clamped by the device — the page
+	// cannot carry more.
 	Max uint32
 }
 
@@ -121,16 +123,149 @@ type ScanMatch struct {
 	Value uint64
 }
 
-// scanHeaderLen is the result page header: uint32 count, uint32 reserved,
-// uint64 total, uint64 next-cursor.
+// Layout is the record layout of a pushdown result: the byte widths of a
+// record's element index and value. A record is the index (4 bytes, or 8 for
+// a partition of more than 2^32 elements) followed by the value in the
+// element's own width (1, 2, 4 or 8 bytes), both little-endian. The two
+// widths travel in the result header, so a host decodes a result without
+// knowing the space's element size.
+type Layout struct {
+	Index, Value int
+}
+
+// LayoutFor is the layout of results over a partition of sub's shape holding
+// elemSize-byte elements. The shape is the requested one, before an edge of
+// the space clamps it, so the host and the device know the layout from the
+// request alone, before the scan runs.
+func LayoutFor(elemSize int, sub []int64) Layout {
+	l := Layout{Index: 4, Value: elemSize}
+	n := int64(1)
+	for _, d := range sub {
+		if d <= 0 {
+			return l // no elements: the request fails its bounds check
+		}
+		if n > (1<<32)/d {
+			l.Index = 8
+			return l
+		}
+		n *= d
+	}
+	return l
+}
+
+// ResultSize is the wire length of op's result (OpScan or OpReduce) holding
+// records matches or top-k entries: the header plus one record each. It is
+// the one statement of a result's size: the encoders, the device's clamp on
+// a scan's matches and the simulator's link charge all use it.
+func (l Layout) ResultSize(op Opcode, records int64) int64 {
+	var hdr int64
+	switch op {
+	case OpScan:
+		hdr = scanHeaderLen
+	case OpReduce:
+		hdr = reduceHeaderLen
+	default:
+		panic(fmt.Sprintf("proto: %v returns no pushdown result", op))
+	}
+	return hdr + records*int64(l.Index+l.Value)
+}
+
+// Capacity is how many records one page of op's result holds.
+func (l Layout) Capacity(op Opcode) int {
+	return int((PageSize - l.ResultSize(op, 0)) / int64(l.Index+l.Value))
+}
+
+func (l Layout) valid() bool {
+	return (l.Index == 4 || l.Index == 8) && (l.Value == 1 || l.Value == 2 || l.Value == 4 || l.Value == 8)
+}
+
+// putRecords encodes ms as consecutive records from out[0], refusing an
+// entry whose index or value does not fit the layout.
+func (l Layout) putRecords(out []byte, ms []ScanMatch, what string) error {
+	maxIdx := int64(1) << 62
+	if l.Index == 4 {
+		maxIdx = 1<<32 - 1
+	}
+	maxVal := ^uint64(0) >> (64 - 8*l.Value)
+	rec := l.Index + l.Value
+	for i, m := range ms {
+		if m.Index < 0 || m.Index > maxIdx {
+			return fmt.Errorf("proto: %s %d index %d out of range", what, i, m.Index)
+		}
+		if m.Value > maxVal {
+			return fmt.Errorf("proto: %s %d value %#x wider than %d bytes", what, i, m.Value, l.Value)
+		}
+		putUint(out[rec*i:], uint64(m.Index), l.Index)
+		putUint(out[rec*i+l.Index:], m.Value, l.Value)
+	}
+	return nil
+}
+
+// records decodes n consecutive records from page[0].
+func (l Layout) records(page []byte, n int, what string) ([]ScanMatch, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]ScanMatch, n)
+	rec := l.Index + l.Value
+	for i := range out {
+		idx := getUint(page[rec*i:], l.Index)
+		if idx > 1<<62 {
+			return nil, fmt.Errorf("proto: %s %d index %d out of range", what, i, idx)
+		}
+		out[i] = ScanMatch{Index: int64(idx), Value: getUint(page[rec*i+l.Index:], l.Value)}
+	}
+	return out, nil
+}
+
+// resultLayout reads the layout from a result header's two width bytes at
+// page[off:] and checks that page is exactly op's result of count records.
+func resultLayout(page []byte, op Opcode, off, count int, what string) (Layout, error) {
+	l := Layout{Index: int(page[off]), Value: int(page[off+1])}
+	if !l.valid() {
+		return l, fmt.Errorf("proto: %s result layout (%d-byte index, %d-byte value) invalid", what, l.Index, l.Value)
+	}
+	if count > l.Capacity(op) {
+		return l, fmt.Errorf("proto: %s count %d exceeds page capacity %d", what, count, l.Capacity(op))
+	}
+	if size := l.ResultSize(op, int64(count)); int64(len(page)) != size {
+		return l, fmt.Errorf("proto: %s result of %d records is %d bytes, not %d", what, count, len(page), size)
+	}
+	return l, nil
+}
+
+func putUint(b []byte, v uint64, width int) {
+	switch width {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
+
+func getUint(b []byte, width int) uint64 {
+	switch width {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	default:
+		return binary.LittleEndian.Uint64(b)
+	}
+}
+
+// scanHeaderLen is the scan result header: uint32 count, the index and
+// value widths (one byte each), two reserved bytes, uint64 total, uint64
+// next-cursor.
 const scanHeaderLen = 4 + 4 + 8 + 8
 
-// MaxScanMatches is how many matches fit in one 4 KB result page after the
-// header. A scan with more matches truncates here and reports the rest via
-// NextCursor.
-const MaxScanMatches = (PageSize - scanHeaderLen) / 16
-
-// ScanResultPayload is the page a pushdown_scan command returns. Total is
+// ScanResultPayload is the result a pushdown_scan command returns. Total is
 // the true match count over the whole partition regardless of truncation
 // (also in Completion.Result0); NextCursor is the element index resuming a
 // truncated scan, or -1 when Matches covers everything at or past the
@@ -141,11 +276,14 @@ type ScanResultPayload struct {
 	Matches    []ScanMatch
 }
 
-// Marshal encodes the result into a 4 KB page: uint32 count, uint32
-// reserved, uint64 total, uint64 next-cursor, then 16 bytes per match.
-func (p ScanResultPayload) Marshal() ([]byte, error) {
-	if len(p.Matches) > MaxScanMatches {
-		return nil, fmt.Errorf("proto: %d scan matches exceed page capacity %d", len(p.Matches), MaxScanMatches)
+// Marshal encodes the result in layout l: the header, then one record per
+// match, l.ResultSize(OpScan, len(p.Matches)) bytes in all.
+func (p ScanResultPayload) Marshal(l Layout) ([]byte, error) {
+	if !l.valid() {
+		return nil, fmt.Errorf("proto: scan result layout %+v invalid", l)
+	}
+	if len(p.Matches) > l.Capacity(OpScan) {
+		return nil, fmt.Errorf("proto: %d scan matches exceed page capacity %d", len(p.Matches), l.Capacity(OpScan))
 	}
 	if p.Total < int64(len(p.Matches)) {
 		return nil, fmt.Errorf("proto: scan total %d below match count %d", p.Total, len(p.Matches))
@@ -153,35 +291,30 @@ func (p ScanResultPayload) Marshal() ([]byte, error) {
 	if p.NextCursor < -1 || p.NextCursor > 1<<62 {
 		return nil, fmt.Errorf("proto: scan next-cursor %d out of range", p.NextCursor)
 	}
-	out := make([]byte, PageSize)
+	out := make([]byte, l.ResultSize(OpScan, int64(len(p.Matches))))
 	binary.LittleEndian.PutUint32(out, uint32(len(p.Matches)))
+	out[4], out[5] = byte(l.Index), byte(l.Value)
 	binary.LittleEndian.PutUint64(out[8:], uint64(p.Total))
 	next := ScanCursorNone
 	if p.NextCursor >= 0 {
 		next = uint64(p.NextCursor)
 	}
 	binary.LittleEndian.PutUint64(out[16:], next)
-	for i, m := range p.Matches {
-		if m.Index < 0 || m.Index > 1<<62 {
-			return nil, fmt.Errorf("proto: scan match %d index %d out of range", i, m.Index)
-		}
-		binary.LittleEndian.PutUint64(out[scanHeaderLen+16*i:], uint64(m.Index))
-		binary.LittleEndian.PutUint64(out[scanHeaderLen+16*i+8:], m.Value)
+	if err := l.putRecords(out[scanHeaderLen:], p.Matches, "scan match"); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// UnmarshalScanResultPayload decodes a pushdown_scan result page.
+// UnmarshalScanResultPayload decodes a pushdown_scan result.
 func UnmarshalScanResultPayload(page []byte) (ScanResultPayload, error) {
 	if len(page) < scanHeaderLen {
 		return ScanResultPayload{}, fmt.Errorf("proto: scan result page too short")
 	}
 	count := int(binary.LittleEndian.Uint32(page))
-	if count > MaxScanMatches {
-		return ScanResultPayload{}, fmt.Errorf("proto: scan match count %d exceeds page capacity %d", count, MaxScanMatches)
-	}
-	if len(page) < scanHeaderLen+16*count {
-		return ScanResultPayload{}, fmt.Errorf("proto: scan result page truncated (%d matches, %d bytes)", count, len(page))
+	l, err := resultLayout(page, OpScan, 4, count, "scan match")
+	if err != nil {
+		return ScanResultPayload{}, err
 	}
 	total := binary.LittleEndian.Uint64(page[8:])
 	if total > 1<<62 || int64(total) < int64(count) {
@@ -194,15 +327,8 @@ func UnmarshalScanResultPayload(page []byte) (ScanResultPayload, error) {
 		}
 		p.NextCursor = int64(next)
 	}
-	for i := 0; i < count; i++ {
-		idx := binary.LittleEndian.Uint64(page[scanHeaderLen+16*i:])
-		if idx > 1<<62 {
-			return ScanResultPayload{}, fmt.Errorf("proto: scan match %d index %d out of range", i, idx)
-		}
-		p.Matches = append(p.Matches, ScanMatch{
-			Index: int64(idx),
-			Value: binary.LittleEndian.Uint64(page[scanHeaderLen+16*i+8:]),
-		})
+	if p.Matches, err = l.records(page[scanHeaderLen:], count, "scan match"); err != nil {
+		return ScanResultPayload{}, err
 	}
 	return p, nil
 }
@@ -300,14 +426,17 @@ func UnmarshalReducePayload(page []byte) (ReducePayload, error) {
 	return p, nil
 }
 
-// reduceHeaderLen is the result page header: uint64 value, uint64 index,
-// uint64 count, uint32 top-k count, uint32 reserved.
+// reduceHeaderLen is the reduce result header: uint64 value, uint64 index,
+// uint64 count, uint32 top-k count, the index and value widths (one byte
+// each), two reserved bytes.
 const reduceHeaderLen = 8 + 8 + 8 + 4 + 4
 
-// MaxReduceTopK is the largest top-k result that fits one 4 KB page.
+// MaxReduceTopK is the largest top-k a request may ask for: what one page
+// holds in the widest layout (8-byte index, 8-byte value), so every layout's
+// result fits.
 const MaxReduceTopK = (PageSize - reduceHeaderLen) / 16
 
-// ReduceResultPayload is the page a pushdown_reduce command returns. Value
+// ReduceResultPayload is the result a pushdown_reduce command returns. Value
 // carries the scalar result (sum, count, min, max, or the top value; also in
 // Completion.Result0), Index the first element attaining a min/max (-1
 // elsewhere), Count the contributing-element count (Completion.Result1).
@@ -318,10 +447,14 @@ type ReduceResultPayload struct {
 	TopK  []ScanMatch
 }
 
-// Marshal encodes the result into a 4 KB page.
-func (p ReduceResultPayload) Marshal() ([]byte, error) {
-	if len(p.TopK) > MaxReduceTopK {
-		return nil, fmt.Errorf("proto: %d top-k entries exceed page capacity %d", len(p.TopK), MaxReduceTopK)
+// Marshal encodes the result in layout l: the header, then one record per
+// top-k entry, l.ResultSize(OpReduce, len(p.TopK)) bytes in all.
+func (p ReduceResultPayload) Marshal(l Layout) ([]byte, error) {
+	if !l.valid() {
+		return nil, fmt.Errorf("proto: reduce result layout %+v invalid", l)
+	}
+	if len(p.TopK) > l.Capacity(OpReduce) {
+		return nil, fmt.Errorf("proto: %d top-k entries exceed page capacity %d", len(p.TopK), l.Capacity(OpReduce))
 	}
 	if p.Index < -1 || p.Index > 1<<62 {
 		return nil, fmt.Errorf("proto: reduce index %d out of range", p.Index)
@@ -329,7 +462,7 @@ func (p ReduceResultPayload) Marshal() ([]byte, error) {
 	if p.Count < 0 || p.Count > 1<<62 {
 		return nil, fmt.Errorf("proto: reduce count %d out of range", p.Count)
 	}
-	out := make([]byte, PageSize)
+	out := make([]byte, l.ResultSize(OpReduce, int64(len(p.TopK))))
 	binary.LittleEndian.PutUint64(out, p.Value)
 	idx := ScanCursorNone
 	if p.Index >= 0 {
@@ -338,27 +471,22 @@ func (p ReduceResultPayload) Marshal() ([]byte, error) {
 	binary.LittleEndian.PutUint64(out[8:], idx)
 	binary.LittleEndian.PutUint64(out[16:], uint64(p.Count))
 	binary.LittleEndian.PutUint32(out[24:], uint32(len(p.TopK)))
-	for i, m := range p.TopK {
-		if m.Index < 0 || m.Index > 1<<62 {
-			return nil, fmt.Errorf("proto: top-k entry %d index %d out of range", i, m.Index)
-		}
-		binary.LittleEndian.PutUint64(out[reduceHeaderLen+16*i:], uint64(m.Index))
-		binary.LittleEndian.PutUint64(out[reduceHeaderLen+16*i+8:], m.Value)
+	out[28], out[29] = byte(l.Index), byte(l.Value)
+	if err := l.putRecords(out[reduceHeaderLen:], p.TopK, "top-k entry"); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// UnmarshalReduceResultPayload decodes a pushdown_reduce result page.
+// UnmarshalReduceResultPayload decodes a pushdown_reduce result.
 func UnmarshalReduceResultPayload(page []byte) (ReduceResultPayload, error) {
 	if len(page) < reduceHeaderLen {
 		return ReduceResultPayload{}, fmt.Errorf("proto: reduce result page too short")
 	}
 	count := int(binary.LittleEndian.Uint32(page[24:]))
-	if count > MaxReduceTopK {
-		return ReduceResultPayload{}, fmt.Errorf("proto: top-k count %d exceeds page capacity %d", count, MaxReduceTopK)
-	}
-	if len(page) < reduceHeaderLen+16*count {
-		return ReduceResultPayload{}, fmt.Errorf("proto: reduce result page truncated (%d entries, %d bytes)", count, len(page))
+	l, err := resultLayout(page, OpReduce, 28, count, "top-k entry")
+	if err != nil {
+		return ReduceResultPayload{}, err
 	}
 	p := ReduceResultPayload{Value: binary.LittleEndian.Uint64(page), Index: -1}
 	if idx := binary.LittleEndian.Uint64(page[8:]); idx != ScanCursorNone {
@@ -372,15 +500,8 @@ func UnmarshalReduceResultPayload(page []byte) (ReduceResultPayload, error) {
 		return ReduceResultPayload{}, fmt.Errorf("proto: reduce count %d out of range", cnt)
 	}
 	p.Count = int64(cnt)
-	for i := 0; i < count; i++ {
-		idx := binary.LittleEndian.Uint64(page[reduceHeaderLen+16*i:])
-		if idx > 1<<62 {
-			return ReduceResultPayload{}, fmt.Errorf("proto: top-k entry %d index %d out of range", i, idx)
-		}
-		p.TopK = append(p.TopK, ScanMatch{
-			Index: int64(idx),
-			Value: binary.LittleEndian.Uint64(page[reduceHeaderLen+16*i+8:]),
-		})
+	if p.TopK, err = l.records(page[reduceHeaderLen:], count, "top-k entry"); err != nil {
+		return ReduceResultPayload{}, err
 	}
 	return p, nil
 }

@@ -81,38 +81,94 @@ func TestScanPayloadValidation(t *testing.T) {
 	}
 }
 
+// layouts is every record layout a result can take.
+var layouts = func() []Layout {
+	var ls []Layout
+	for _, idx := range []int{4, 8} {
+		for _, val := range []int{1, 2, 4, 8} {
+			ls = append(ls, Layout{Index: idx, Value: val})
+		}
+	}
+	return ls
+}()
+
+// widest is the largest value an element of l's width holds.
+func widest(l Layout) uint64 { return ^uint64(0) >> (64 - 8*l.Value) }
+
+func TestLayoutFor(t *testing.T) {
+	cases := []struct {
+		es   int
+		sub  []int64
+		want Layout
+	}{
+		{4, []int64{512, 512}, Layout{4, 4}},
+		{1, []int64{1 << 16, 1 << 16}, Layout{4, 1}},          // exactly 2^32 elements
+		{2, []int64{1 << 16, 1<<16 + 1}, Layout{8, 2}},        // one row past 2^32
+		{8, []int64{1 << 20, 1 << 20, 1 << 20}, Layout{8, 8}}, // 2^60: no overflow
+		{4, []int64{0, 1 << 40}, Layout{4, 4}},                // empty: fails its bounds check
+	}
+	for _, c := range cases {
+		if got := LayoutFor(c.es, c.sub); got != c.want {
+			t.Errorf("LayoutFor(%d, %v) = %+v, want %+v", c.es, c.sub, got, c.want)
+		}
+	}
+}
+
+// TestResultCapacities pins how many records one page holds per layout: the
+// README's capacity table.
+func TestResultCapacities(t *testing.T) {
+	want := map[Layout][2]int{ // {scan, reduce}
+		{4, 1}: {814, 812}, {4, 2}: {678, 677}, {4, 4}: {509, 508}, {4, 8}: {339, 338},
+		{8, 1}: {452, 451}, {8, 2}: {407, 406}, {8, 4}: {339, 338}, {8, 8}: {254, 254},
+	}
+	for _, l := range layouts {
+		got := [2]int{l.Capacity(OpScan), l.Capacity(OpReduce)}
+		if got != want[l] {
+			t.Errorf("%+v: capacity %v, want %v", l, got, want[l])
+		}
+		if got[1] < MaxReduceTopK {
+			t.Errorf("%+v: a top-%d request does not fit (%d)", l, MaxReduceTopK, got[1])
+		}
+	}
+}
+
 func TestScanResultPayloadRoundTrip(t *testing.T) {
-	p := ScanResultPayload{
-		Total:      1000,
-		NextCursor: 555,
-		Matches: []ScanMatch{
-			{Index: 0, Value: 1},
-			{Index: 42, Value: ^uint64(0)},
-			{Index: 554, Value: 9},
-		},
-	}
-	page, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalScanResultPayload(page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("round trip: %+v != %+v", got, p)
+	for _, l := range layouts {
+		p := ScanResultPayload{
+			Total:      1000,
+			NextCursor: 555,
+			Matches: []ScanMatch{
+				{Index: 0, Value: 1},
+				{Index: 42, Value: widest(l)},
+				{Index: 554, Value: 9},
+			},
+		}
+		page, err := p.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(page)) != l.ResultSize(OpScan, 3) || len(page) != 24+3*(l.Index+l.Value) {
+			t.Fatalf("%+v: result is %d bytes, want %d", l, len(page), l.ResultSize(OpScan, 3))
+		}
+		got, err := UnmarshalScanResultPayload(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("%+v round trip: %+v != %+v", l, got, p)
+		}
 	}
 
 	// A complete scan encodes NextCursor -1 as all-ones on the wire.
-	done := ScanResultPayload{Total: 3, NextCursor: -1, Matches: p.Matches}
-	page, err = done.Marshal()
+	done := ScanResultPayload{Total: 3, NextCursor: -1, Matches: []ScanMatch{{Index: 1, Value: 2}}}
+	page, err := done.Marshal(Layout{4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if binary.LittleEndian.Uint64(page[16:]) != ScanCursorNone {
 		t.Fatal("complete scan did not encode cursor-none")
 	}
-	got, err = UnmarshalScanResultPayload(page)
+	got, err := UnmarshalScanResultPayload(page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,41 +178,68 @@ func TestScanResultPayloadRoundTrip(t *testing.T) {
 }
 
 func TestScanResultPayloadFullPage(t *testing.T) {
-	// Exactly MaxScanMatches entries fill the page; one more must fail.
-	full := ScanResultPayload{Total: int64(MaxScanMatches) + 50, NextCursor: 7}
-	for i := 0; i < MaxScanMatches; i++ {
-		full.Matches = append(full.Matches, ScanMatch{Index: int64(i), Value: uint64(i * 3)})
-	}
-	page, err := full.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalScanResultPayload(page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, full) {
-		t.Fatal("full page round trip mismatch")
-	}
-	over := full
-	over.Matches = append(over.Matches, ScanMatch{Index: 1 << 20})
-	over.Total++
-	if _, err := over.Marshal(); err == nil {
-		t.Fatal("oversized match list marshalled")
+	// Exactly Capacity entries fill the page; one more must fail.
+	for _, l := range layouts {
+		n := l.Capacity(OpScan)
+		full := ScanResultPayload{Total: int64(n) + 50, NextCursor: 7}
+		for i := 0; i < n; i++ {
+			full.Matches = append(full.Matches, ScanMatch{Index: int64(i), Value: uint64(i*3) & widest(l)})
+		}
+		page, err := full.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page) > PageSize || len(page)+l.Index+l.Value <= PageSize {
+			t.Fatalf("%+v: a full result is %d bytes", l, len(page))
+		}
+		got, err := UnmarshalScanResultPayload(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, full) {
+			t.Fatalf("%+v: full page round trip mismatch", l)
+		}
+		over := full
+		over.Matches = append(over.Matches, ScanMatch{Index: 1 << 20})
+		over.Total++
+		if _, err := over.Marshal(l); err == nil {
+			t.Fatalf("%+v: oversized match list marshalled", l)
+		}
 	}
 }
 
 func TestScanResultPayloadValidation(t *testing.T) {
 	bad := ScanResultPayload{Total: 0, Matches: []ScanMatch{{Index: 1}}}
-	if _, err := bad.Marshal(); err == nil {
+	if _, err := bad.Marshal(Layout{4, 4}); err == nil {
 		t.Fatal("total below match count marshalled")
 	}
-	// A count claiming more matches than the page holds must be rejected.
+	// An entry the layout cannot hold is refused, not truncated.
+	wide := ScanResultPayload{Total: 1, Matches: []ScanMatch{{Index: 1, Value: 256}}}
+	if _, err := wide.Marshal(Layout{4, 1}); err == nil {
+		t.Fatal("value wider than the element marshalled")
+	}
+	far := ScanResultPayload{Total: 1, Matches: []ScanMatch{{Index: 1 << 32}}}
+	if _, err := far.Marshal(Layout{4, 8}); err == nil {
+		t.Fatal("index past 2^32 marshalled in a 4-byte index")
+	}
+	if _, err := far.Marshal(Layout{8, 3}); err == nil {
+		t.Fatal("3-byte values marshalled")
+	}
+	// A count claiming more matches than the result holds must be rejected.
 	page := make([]byte, scanHeaderLen)
 	binary.LittleEndian.PutUint32(page, 1)
+	page[4], page[5] = 4, 4
 	binary.LittleEndian.PutUint64(page[8:], 1)
 	if _, err := UnmarshalScanResultPayload(page); err == nil {
 		t.Fatal("truncated match list unmarshalled")
+	}
+	// So must a result padded past what it holds, and an unknown layout.
+	if _, err := UnmarshalScanResultPayload(append(page, make([]byte, 16)...)); err == nil {
+		t.Fatal("padded result unmarshalled")
+	}
+	page[4] = 2
+	if _, err := UnmarshalScanResultPayload(append(page, make([]byte, 6)...)); err == nil {
+		t.Fatal("2-byte index unmarshalled")
 	}
 }
 
@@ -200,34 +283,43 @@ func TestReducePayloadValidation(t *testing.T) {
 }
 
 func TestReduceResultPayloadRoundTrip(t *testing.T) {
-	p := ReduceResultPayload{
-		Value: 12345,
-		Index: 678,
-		Count: 90,
-		TopK: []ScanMatch{
-			{Index: 678, Value: 12345},
-			{Index: 9, Value: 12000},
-		},
-	}
-	page, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalReduceResultPayload(page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("round trip: %+v != %+v", got, p)
+	for _, l := range layouts {
+		p := ReduceResultPayload{
+			Value: 12345,
+			Index: 678,
+			Count: 90,
+			TopK: []ScanMatch{
+				{Index: 678, Value: widest(l)},
+				{Index: 9, Value: 120},
+			},
+		}
+		page, err := p.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(page)) != l.ResultSize(OpReduce, 2) || len(page) != 32+2*(l.Index+l.Value) {
+			t.Fatalf("%+v: result is %d bytes, want %d", l, len(page), l.ResultSize(OpReduce, 2))
+		}
+		got, err := UnmarshalReduceResultPayload(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("%+v round trip: %+v != %+v", l, got, p)
+		}
 	}
 
-	// Index -1 (no element attained the result) survives the trip.
+	// Index -1 (no element attained the result) survives the trip, in a
+	// result that is its header alone.
 	none := ReduceResultPayload{Value: 0, Index: -1, Count: 0}
-	page, err = none.Marshal()
+	page, err := none.Marshal(Layout{4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = UnmarshalReduceResultPayload(page)
+	if len(page) != reduceHeaderLen {
+		t.Fatalf("scalar result is %d bytes", len(page))
+	}
+	got, err := UnmarshalReduceResultPayload(page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,16 +329,19 @@ func TestReduceResultPayloadRoundTrip(t *testing.T) {
 }
 
 func TestReduceResultPayloadValidation(t *testing.T) {
-	over := ReduceResultPayload{TopK: make([]ScanMatch, MaxReduceTopK+1)}
-	if _, err := over.Marshal(); err == nil {
-		t.Fatal("oversized top-k marshalled")
+	for _, l := range layouts {
+		over := ReduceResultPayload{TopK: make([]ScanMatch, l.Capacity(OpReduce)+1)}
+		if _, err := over.Marshal(l); err == nil {
+			t.Fatalf("%+v: oversized top-k marshalled", l)
+		}
 	}
 	neg := ReduceResultPayload{Count: -1}
-	if _, err := neg.Marshal(); err == nil {
+	if _, err := neg.Marshal(Layout{4, 4}); err == nil {
 		t.Fatal("negative count marshalled")
 	}
 	page := make([]byte, reduceHeaderLen)
 	binary.LittleEndian.PutUint32(page[24:], 1)
+	page[28], page[29] = 8, 8
 	if _, err := UnmarshalReduceResultPayload(page); err == nil {
 		t.Fatal("truncated top-k list unmarshalled")
 	}
@@ -278,18 +373,55 @@ func FuzzUnmarshalScanPayload(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalScanResultPayload: same contract for result pages.
+// resultSeeds adds a result decoder's seed corpus for op's results: a valid
+// result of every layout (from valid), then the malformed shapes a decoder
+// must refuse, each made from the first of them — a header cut short, a
+// count past the layout's capacity, a last record missing its last byte, and
+// the result padded to a whole page.
+func resultSeeds(f *testing.F, op Opcode, valid func(Layout) []byte) {
+	countAt := 0 // where the header's record count lies
+	if op == OpReduce {
+		countAt = 24
+	}
+	for _, l := range layouts {
+		f.Add(valid(l))
+	}
+	good := valid(layouts[0])
+	f.Add(good[:countAt+3])
+	past := bytes.Clone(good)
+	binary.LittleEndian.PutUint32(past[countAt:], uint32(layouts[0].Capacity(op)+1))
+	f.Add(past)
+	f.Add(good[:len(good)-1])
+	f.Add(append(bytes.Clone(good), make([]byte, PageSize-len(good))...))
+}
+
+// headerLayout is the layout a result's header names: its width bytes at off.
+func headerLayout(page []byte, off int) Layout {
+	return Layout{Index: int(page[off]), Value: int(page[off+1])}
+}
+
+// FuzzUnmarshalScanResultPayload: same contract for result pages, each
+// re-encoded in the layout its header names.
 func FuzzUnmarshalScanResultPayload(f *testing.F) {
-	seed, _ := ScanResultPayload{Total: 2, NextCursor: -1, Matches: []ScanMatch{{Index: 1, Value: 2}}}.Marshal()
+	seed, _ := ScanResultPayload{Total: 2, NextCursor: -1, Matches: []ScanMatch{{Index: 1, Value: 2}}}.Marshal(Layout{8, 8})
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, PageSize))
+	resultSeeds(f, OpScan, func(l Layout) []byte {
+		page, err := ScanResultPayload{Total: 9, NextCursor: 77, Matches: []ScanMatch{
+			{Index: 3, Value: widest(l)}, {Index: 76, Value: 1},
+		}}.Marshal(l)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return page
+	})
 	f.Fuzz(func(t *testing.T, page []byte) {
 		p, err := UnmarshalScanResultPayload(page)
 		if err != nil {
 			return
 		}
-		out, err := p.Marshal()
+		out, err := p.Marshal(headerLayout(page, 4))
 		if err != nil {
 			t.Fatalf("parsed payload failed to re-marshal: %v", err)
 		}
@@ -330,16 +462,25 @@ func FuzzUnmarshalReducePayload(f *testing.F) {
 
 // FuzzUnmarshalReduceResultPayload: same contract for reduce results.
 func FuzzUnmarshalReduceResultPayload(f *testing.F) {
-	seed, _ := ReduceResultPayload{Value: 7, Index: 1, Count: 2, TopK: []ScanMatch{{Index: 1, Value: 7}}}.Marshal()
+	seed, _ := ReduceResultPayload{Value: 7, Index: 1, Count: 2, TopK: []ScanMatch{{Index: 1, Value: 7}}}.Marshal(Layout{8, 8})
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x03}, PageSize))
+	resultSeeds(f, OpReduce, func(l Layout) []byte {
+		page, err := ReduceResultPayload{Value: widest(l), Index: 5, Count: 40, TopK: []ScanMatch{
+			{Index: 5, Value: widest(l)}, {Index: 39, Value: 1},
+		}}.Marshal(l)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return page
+	})
 	f.Fuzz(func(t *testing.T, page []byte) {
 		p, err := UnmarshalReduceResultPayload(page)
 		if err != nil {
 			return
 		}
-		out, err := p.Marshal()
+		out, err := p.Marshal(headerLayout(page, 28))
 		if err != nil {
 			t.Fatalf("parsed payload failed to re-marshal: %v", err)
 		}

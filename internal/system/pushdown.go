@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nds/internal/accel"
+	"nds/internal/proto"
 	"nds/internal/sim"
 	"nds/internal/stl"
 )
@@ -14,10 +15,10 @@ import (
 // scan executes at host-CPU rate, but every raw page still crosses the
 // interconnect first, so pushdown saves nothing on the link (RawBytes equals
 // a read's). Hardware NDS runs the operator on the controller's ARM core next
-// to the building-block cache: the kernel is slower, but only the result page
-// crosses the link, so RawBytes collapses to the result size. Comparing the
-// two against read-then-filter turns "interconnect bytes saved vs compute
-// cost" into numbers.
+// to the building-block cache: the kernel is slower, but only the result
+// crosses the link, so RawBytes collapses to the result's wire size.
+// Comparing the two against read-then-filter turns "interconnect bytes saved
+// vs compute cost" into numbers.
 //
 // Compute is charged through accel-style rate curves (bytes/second vs
 // scanned-bytes working set): small scans are dominated by setup cost, large
@@ -54,16 +55,11 @@ var (
 	})
 )
 
-// scanResultBytes is the simulated wire size of a scan result: a 16-byte
-// header (total + cursor) plus 16 bytes per reported match.
-func scanResultBytes(r stl.ScanResult) int64 {
-	return 16 + 16*int64(len(r.Matches))
-}
-
-// reduceResultBytes is the simulated wire size of a reduction result: a
-// 32-byte header plus 16 bytes per top-k entry.
-func reduceResultBytes(r stl.ReduceResult) int64 {
-	return 32 + 16*int64(len(r.TopK))
+// wireResultBytes is the simulated wire size of a pushdown result of records
+// matches or top-k entries over the partition sub of v's space: what the
+// device's encoder puts on the link (proto.Layout.ResultSize).
+func wireResultBytes(v *stl.View, sub []int64, op proto.Opcode, records int) int64 {
+	return proto.LayoutFor(v.Space().ElemSize(), sub).ResultSize(op, int64(records))
 }
 
 // NDSScan executes a predicate scan over one partition at the STL: ndsRead
@@ -72,12 +68,12 @@ func reduceResultBytes(r stl.ReduceResult) int64 {
 // Software NDS: submission and translation on the host CPU, raw pages across
 // the link, then the host worker filters them at host-scan rate. Hardware
 // NDS: one extended command in, translation and the scan kernel on the
-// controller, and only the result page back across the link.
+// controller, and only the result back across the link.
 func (s *System) NDSScan(at sim.Time, v *stl.View, coord, sub []int64, q stl.ScanQuery) (stl.ScanResult, OpStats, error) {
 	var res stl.ScanResult
 	stats, err := s.ndsRead(at, "NDSScan", kernel, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		res, done, st, err = s.STL.ScanPartition(at, v, coord, sub, q)
-		return done, st, scanResultBytes(res), err
+		return done, st, wireResultBytes(v, sub, proto.OpScan, len(res.Matches)), err
 	})
 	return res, stats, err
 }
@@ -88,7 +84,7 @@ func (s *System) NDSReduce(at sim.Time, v *stl.View, coord, sub []int64, q stl.R
 	var res stl.ReduceResult
 	stats, err := s.ndsRead(at, "NDSReduce", kernel, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		res, done, st, err = s.STL.ReducePartition(at, v, coord, sub, q)
-		return done, st, reduceResultBytes(res), err
+		return done, st, wireResultBytes(v, sub, proto.OpReduce, len(res.TopK)), err
 	})
 	return res, stats, err
 }

@@ -19,6 +19,7 @@ package workloads
 
 import (
 	"nds/internal/accel"
+	"nds/internal/proto"
 	"nds/internal/system"
 )
 
@@ -36,8 +37,9 @@ type PushSpec struct {
 	// Selectivity is the fraction of each fetched partition's elements the
 	// selection returns (scan-style selection).
 	Selectivity float64
-	// Reduce marks top-k reduce selection — a 32-byte result header plus 16
-	// bytes per entry — instead of a scan (16-byte header + 16 bytes/match).
+	// Reduce marks top-k reduce selection — a 32-byte result header plus
+	// one record per entry — instead of a scan (24-byte header plus one
+	// record per match; proto.Layout sizes the records).
 	Reduce bool
 	// K is the top-k depth when Reduce is set.
 	K int
@@ -261,21 +263,23 @@ func (s Spec) FetchBytes() int64 {
 	return total
 }
 
-// pushResultBytes is the result-page volume one fetch's pushdown selection
-// returns: a 16-byte scan header plus 16 bytes per match at the spec's
-// selectivity, or a 32-byte reduce header plus 16 bytes per top-k entry.
+// pushResultBytes is the result volume one fetch's pushdown selection
+// returns, at the wire's size (proto.Layout.ResultSize): a scan header plus
+// one record per match at the spec's selectivity, or a reduce header plus
+// one record per top-k entry.
 func (s Spec) pushResultBytes(f Fetch) int64 {
 	if s.Push == nil {
 		return 0
 	}
+	l := proto.LayoutFor(s.Elem, f.Sub)
 	if s.Push.Reduce {
-		return 32 + 16*int64(s.Push.K)
+		return l.ResultSize(proto.OpReduce, int64(s.Push.K))
 	}
 	elems := int64(1)
 	for _, d := range f.Sub {
 		elems *= d
 	}
-	return 16 + 16*int64(float64(elems)*s.Push.Selectivity)
+	return l.ResultSize(proto.OpScan, int64(float64(elems)*s.Push.Selectivity))
 }
 
 // PushResultBytes is the per-iteration result volume of the pushdown

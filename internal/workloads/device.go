@@ -20,8 +20,9 @@ import (
 //     n-element row.
 //   - SSSP relaxes by scanning the rows of reachable vertices; edge weights
 //     come back exactly through the order-preserving key transform.
-//   - KNN reduces top-k over a per-row distance-key column: 32 + 16k result
-//     bytes replace the whole point matrix.
+//   - KNN reduces top-k over a per-row distance-key column: 32 + 12k result
+//     bytes (a 4-byte row index and an 8-byte key each) replace the whole
+//     point matrix.
 //   - KMeans assigns each point with an argmin reduce (top-1) over its
 //     distance-key row: one 32-byte result per point per iteration.
 //   - PageRank delta-filters: vertices whose rank moved less than tol since
@@ -254,7 +255,7 @@ func SSSPDevice(sys *system.System, w *tensor.Matrix, src int, push bool) ([]flo
 // at the STL: per-point distance keys are staged as one 8-byte-element row
 // (complemented, so the device's largest-first top-k returns the k smallest
 // distances, ties to the lowest index), and a single ReduceTopK brings back
-// 32 + 16k result bytes. The baseline reads the whole point matrix from the
+// 32 + 12k result bytes. The baseline reads the whole point matrix from the
 // device and selects on the host. Indices are bit-identical to KNN.
 func KNNDevice(sys *system.System, points *tensor.Matrix, query []float32, k int, push bool) ([]int, KernelStats, error) {
 	var ks KernelStats

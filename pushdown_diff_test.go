@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nds/internal/proto"
 	"nds/internal/sim"
 	"nds/internal/spec"
 )
@@ -53,7 +54,7 @@ type recordStream struct {
 
 // read checks the record of a successful read-shaped command; out is what the
 // consumer of a hardware device put on the link (the object, or a kernel's
-// result page). A software device ships the raw pages whatever the consumer.
+// result). A software device ships the raw pages whatever the consumer.
 func (r *recordStream) read(op string, st Stats, out int64) {
 	r.t.Helper()
 	if r.software {
@@ -198,7 +199,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 								t.Fatalf("op %d sub=%v q=%+v: scan diverges from the model\n got %+v\nwant %+v",
 									op, sub, *q.scan, got, want)
 							}
-							prec.read("scan", st, 16+16*int64(len(got.Matches)))
+							prec.read("scan", st, proto.LayoutFor(es, sub).ResultSize(proto.OpScan, int64(len(got.Matches))))
 							pst = st
 						} else {
 							got, st, err := pv.Reduce(coord, sub, *q.reduce)
@@ -209,7 +210,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 								t.Fatalf("op %d sub=%v q=%+v: reduce diverges from the model\n got %+v\nwant %+v",
 									op, sub, *q.reduce, got, want)
 							}
-							prec.read("reduce", st, 32+16*int64(len(got.TopK)))
+							prec.read("reduce", st, proto.LayoutFor(es, sub).ResultSize(proto.OpReduce, int64(len(got.TopK))))
 							pst = st
 						}
 						traceOp(&tr, "pushdown", coord, sub, pst)
@@ -295,6 +296,87 @@ func TestPushdownInterconnectSavings(t *testing.T) {
 	}
 	if sst.Elapsed <= 0 || sst.Pages != rst.Pages {
 		t.Fatalf("scan stats inconsistent with read: %+v vs %+v", sst, rst)
+	}
+}
+
+// TestPushdownWireMatchesModel holds the hardware model to the wire: for
+// every element width and both index widths, the RawBytes a scan or a
+// reduction charges is the length of the result Exec encodes for the same
+// request, which is Layout.ResultSize of what it holds. A partition asked for
+// as more than 2^32 elements takes 8-byte indexes even where the space's
+// edge clamps it to a few thousand.
+func TestPushdownWireMatchesModel(t *testing.T) {
+	for _, es := range []int{1, 2, 4, 8} {
+		d, err := Open(Options{Mode: ModeHardware, CapacityHint: 16 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := d.CreateSpace(es, []int64{64, 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := d.OpenSpace(id, []int64{64, 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, 64*64*es)
+		for i := 0; i < 64*64; i++ {
+			data[i*es] = byte(i * 7) // values 0..255 at every width
+		}
+		if _, err := v.Write([]int64{0, 0}, []int64{64, 64}, data); err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range [][]int64{{32, 32}, {1 << 16, 1 << 17}} {
+			layout, index := proto.LayoutFor(es, sub), 4
+			if sub[0]*sub[1] > 1<<32 {
+				index = 8
+			}
+			if layout != (proto.Layout{Index: index, Value: es}) {
+				t.Fatalf("es %d sub %v: layout %+v", es, sub, layout)
+			}
+			wire := func(cmd proto.Command, pl interface{ Marshal() ([]byte, error) }) ([]byte, Stats) {
+				t.Helper()
+				page, err := pl.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, cpl, st, err := d.Exec(cmd.Marshal(), page, nil)
+				if err != nil || cpl.Status != proto.StatusOK {
+					t.Fatalf("es %d sub %v %v: %v / %v", es, sub, cmd.Opcode(), cpl.Status, err)
+				}
+				if int64(len(out)) != st.RawBytes {
+					t.Fatalf("es %d sub %v %v: the wire carries %d bytes, the model charges %d",
+						es, sub, cmd.Opcode(), len(out), st.RawBytes)
+				}
+				return out, st
+			}
+			for _, q := range []struct{ lo, hi uint64 }{{0, 20}, {0, ^uint64(0)}} { // a few matches; a truncated page
+				out, _ := wire(proto.NewScan(v.WireID(), 0), proto.ScanPayload{Coord: []int64{0, 0}, Sub: sub, Lo: q.lo, Hi: q.hi})
+				res, err := proto.UnmarshalScanResultPayload(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := layout.ResultSize(proto.OpScan, int64(len(res.Matches))); int64(len(out)) != want {
+					t.Fatalf("es %d sub %v: scan result %d bytes, want %d", es, sub, len(out), want)
+				}
+				if q.hi == ^uint64(0) && (len(res.Matches) != layout.Capacity(proto.OpScan) || res.NextCursor < 0) {
+					t.Fatalf("es %d sub %v: full-range scan returned %d matches (next %d), want a full page of %d",
+						es, sub, len(res.Matches), res.NextCursor, layout.Capacity(proto.OpScan))
+				}
+			}
+			for _, q := range []proto.ReducePayload{{Op: proto.ReduceOpTopK, K: 10}, {Op: proto.ReduceOpSum}} {
+				q.Coord, q.Sub = []int64{0, 0}, sub
+				out, _ := wire(proto.NewReduce(v.WireID(), 0), q)
+				res, err := proto.UnmarshalReduceResultPayload(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := layout.ResultSize(proto.OpReduce, int64(len(res.TopK))); int64(len(out)) != want {
+					t.Fatalf("es %d sub %v: reduce result %d bytes, want %d", es, sub, len(out), want)
+				}
+			}
+		}
+		d.Close()
 	}
 }
 

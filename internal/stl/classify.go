@@ -8,9 +8,10 @@ import (
 // The run classifier under the pushdown kernels (pushdown.go). A kernel never
 // tests an element and branches on the answer: a run is classified into one
 // bit an element — straight-line arithmetic, five or six operations a lane,
-// no branch inside a block of eight — and the kernel consumes the answers as
-// a count, as a list of the matching indices, or, when every element matched,
-// as nothing but a sum.
+// no branch inside a block of eight; for widths 4 and 8 on an AVX2 CPU, one
+// vector compare a block (classify_amd64.s) — and the kernel consumes the
+// answers as a count, as a list of the matching indices, or, when every
+// element matched, as nothing but a sum.
 
 // runElems bounds a run: 512 uint32 are 2 KiB, the piece a tile's row arrives
 // as, and the answers to them fit a cache line.
@@ -127,9 +128,16 @@ func classify2(hits *[runElems / 8]uint8, src []byte, lo, span uint64) {
 	}
 }
 
-// classify4 tests a word's high lane where it lies: v<<32+x is in the range
-// shifted up 32 bits, low bits all ones, iff v is in the range.
+// classify4 hands a run to the vector classifier where the CPU has one
+// (classify_amd64.s), cut to runElems elements so that it cannot write past
+// hits where this body would panic. Otherwise it tests a word's high lane
+// where it lies: v<<32+x is in the range shifted up 32 bits, low bits all
+// ones, iff v is in the range.
 func classify4(hits *[runElems / 8]uint8, src []byte, lo, span uint64) {
+	if useAVX2 {
+		classify4AVX2(hits, src[:min(len(src), 4*runElems)], lo, span)
+		return
+	}
 	loHigh, spanHigh := lo<<32, span<<32|0xffffffff
 	miss2 := func(m, w uint64) uint64 {
 		return 2*(2*m+miss(w, loHigh, spanHigh)) + miss(uint64(uint32(w)), lo, span)
@@ -141,7 +149,13 @@ func classify4(hits *[runElems / 8]uint8, src []byte, lo, span uint64) {
 	}
 }
 
+// classify8 hands a run to the vector classifier as classify4 does, and
+// otherwise tests each element's word as it is.
 func classify8(hits *[runElems / 8]uint8, src []byte, lo, span uint64) {
+	if useAVX2 {
+		classify8AVX2(hits, src[:min(len(src), 8*runElems)], lo, span)
+		return
+	}
 	le := binary.LittleEndian
 	for j := 0; len(src) >= 64; j, src = j+1, src[64:] {
 		m := miss4(0, lo, span, le.Uint64(src[56:]), le.Uint64(src[48:]), le.Uint64(src[40:]), le.Uint64(src[32:]))

@@ -406,12 +406,17 @@ func checkPushdownKernels(t *testing.T, seed int64, width, layout uint8) {
 }
 
 // TestPushdownKernelsDifferential sweeps the fuzz target's input space with a
-// fixed seed so a plain go test run covers every width and layout many times.
+// fixed seed so a plain go test run covers every width and layout many times,
+// on the classifiers picked at start-up and again on the Go ones.
 func TestPushdownKernelsDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 400; trial++ {
-		checkPushdownKernels(t, rng.Int63(), uint8(trial), uint8(trial/4))
+	sweep := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(99))
+		for trial := 0; trial < 400; trial++ {
+			checkPushdownKernels(t, rng.Int63(), uint8(trial), uint8(trial/4))
+		}
 	}
+	sweep(t)
+	onGoClassifiers(t, sweep)
 }
 
 // FuzzPushdownKernels is the same differential under the fuzzer's choice of
@@ -444,7 +449,13 @@ func layouts(es int64, elems []uint64) map[string][]Segment {
 // TestPushdownWidthEdges: predicates at and beyond what an element of the
 // width can hold, over data that holds zeros, the width's largest value and a
 // spread between — at a length that leaves a tail after the last whole block.
+// It runs on the classifiers picked at start-up and again on the Go ones.
 func TestPushdownWidthEdges(t *testing.T) {
+	pushdownWidthEdges(t)
+	onGoClassifiers(t, pushdownWidthEdges)
+}
+
+func pushdownWidthEdges(t *testing.T) {
 	for _, es := range []int64{1, 2, 4, 8} {
 		top := ^uint64(0) >> (64 - 8*uint(es))
 		elems := make([]uint64, 203)

@@ -12,8 +12,28 @@ import (
 
 const testN = 4096 // microbenchmark matrix side (doubles)
 
+// neverCollects asserts that no platform the test builds collects on its
+// baseline: once the test is done, every baseline's report reads no erase
+// and no relocation, so the figures time the layout the load left. (Figure
+// 10 builds its platforms inside workloads.Run, which refuses a load that
+// collects.)
+func neverCollects(t *testing.T) {
+	t.Helper()
+	var platforms []*Platform
+	built = func(p *Platform) { platforms = append(platforms, p) }
+	t.Cleanup(func() {
+		built = nil
+		for _, p := range platforms {
+			if gc := p.Baseline.Report(0).GC; gc.Erases != 0 || gc.PagesRelocated != 0 {
+				t.Errorf("the baseline collected: %+v", gc)
+			}
+		}
+	})
+}
+
 func loadedPlatform(t *testing.T) (*Platform, *Matrix2D) {
 	t.Helper()
+	neverCollects(t)
 	p, err := NewPlatform(testN * testN * 8)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +97,7 @@ func TestFigure2AShape(t *testing.T) {
 }
 
 func TestFigure2BShape(t *testing.T) {
+	neverCollects(t)
 	r, err := Figure2B()
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +176,7 @@ func TestFigure9CShape(t *testing.T) {
 }
 
 func TestFigure9DShape(t *testing.T) {
+	neverCollects(t)
 	w, err := Figure9D(testN)
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +194,7 @@ func TestFigure9DShape(t *testing.T) {
 }
 
 func TestOverheadAnchors(t *testing.T) {
+	neverCollects(t)
 	o, err := Overhead(testN)
 	if err != nil {
 		t.Fatal(err)

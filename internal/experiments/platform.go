@@ -37,8 +37,14 @@ func NewPlatform(datasetBytes int64) (*Platform, error) {
 	if p.Hardware, err = system.New(system.HardwareNDS, cfg); err != nil {
 		return nil, err
 	}
+	if built != nil {
+		built(p)
+	}
 	return p, nil
 }
+
+// built, when a test sets it, is shown every platform NewPlatform builds.
+var built func(*Platform)
 
 // Matrix2D is a square row-major matrix of 8-byte elements resident on all
 // three systems: written row-major into the baseline SSD's linear space and

@@ -8,10 +8,11 @@ import (
 // Word is a physical page address packed into 32 bits: from the low end, the
 // page within its block, the block within its die, the bank and the channel,
 // each field only as wide as the geometry needs (Layout). It is the address the
-// translation layers keep per page — a B-tree leaf slot, the FTL's map — and
-// the one the read batch runs on, at a tenth of a PPA's 32 bytes. Field
-// extraction is shifts and masks; a dense index (die, in-die page, Linear) is a
-// multiply-add over the fields, so nothing on a per-page path divides.
+// translation layers keep per page — a B-tree leaf slot, a slot of the
+// baseline's logical page map — and the one the read batch runs on, at a tenth
+// of a PPA's 32 bytes. Field extraction is shifts and masks; a dense index
+// (die, in-die page, Linear) is a multiply-add over the fields, so nothing on a
+// per-page path divides.
 //
 // A PPA stays the address at the device's edges — ProgramOp, EraseBlock, fault
 // reports and diagnostics — where a caller names a page by its coordinates.
@@ -32,8 +33,8 @@ func fieldBits(n int) uint8 { return uint8(bits.Len(uint(n - 1))) }
 
 // NewLayout packs g's page addresses into words. It refuses a geometry whose
 // four fields take more than 32 bits, and one with 2³² pages, whose last page
-// would be the all-ones word: word+1 — the B-tree leaf's and the FTL's
-// encoding, with 0 for "none" — must not wrap.
+// would be the all-ones word: word+1 — the page slot's encoding, with 0 for
+// "none" — must not wrap.
 func NewLayout(g Geometry) (Layout, error) {
 	if err := g.Validate(); err != nil {
 		return Layout{}, err

@@ -449,14 +449,21 @@ func channelBefore(use []uint16, free []int64, a, b int) bool {
 // Invalidation is strict: the whole block entry is dropped even when the
 // page's bytes are unchanged (a GC move).
 func (t *STL) bindUnit(s *Space, blk *BuildingBlock, blockIdx int64, pageIdx int, p nvm.PPA) {
+	t.bind(&blk.pages[pageIdx], revEntry{space: s.id, block: uint32(blockIdx), page: int32(pageIdx)}, p)
+}
+
+// bind points slot, the page e names (slotAt), at the freshly carved unit p,
+// records e as p's reverse entry and counts the unit live.
+func (t *STL) bind(slot *pageSlot, e revEntry, p nvm.PPA) {
 	if t.cache != nil {
-		t.cache.invalidateBlock(s.id, blockIdx)
+		t.cache.invalidateBlock(e.space, int64(e.block))
 	}
 	w := t.lay.Word(p)
-	blk.pages[pageIdx].store(slotOf(w))
+	slot.store(slotOf(w))
 	d := t.dies[t.lay.Die(w)]
+	e.valid = true
 	d.mu.Lock()
-	t.rev[t.lay.Linear(w)] = revEntry{space: s.id, block: uint32(blockIdx), page: int32(pageIdx), valid: true}
+	t.rev[t.lay.Linear(w)] = e
 	d.validInBlk[p.Block]++
 	d.mu.Unlock()
 	t.usedPages.Add(1)
@@ -568,16 +575,17 @@ func (t *STL) discardUnits(units []deadUnit, landed int) {
 }
 
 // restoreUnit undoes the takeSlot of an overwrite that found no replacement:
-// w is the unit it took from slot, page pageIdx of building block blockIdx of
-// s. If w still holds the page — its reverse entry is untouched and its page
+// w is the unit it took from slot, the page key names (a reverse entry). If w
+// still holds the page — its reverse entry is untouched and its page
 // programmed, so its block was not erased since — it is live again and back
-// in the slot; otherwise the slot stays empty. A collection under way on w's
-// die may be about to erase the block without having seen w live, so
-// restoreUnit first waits it out: the one wait on a collector a writer makes.
+// in the slot, and restoreUnit reports true; otherwise the slot stays empty.
+// A collection under way on w's die may be about to erase the block without
+// having seen w live, so restoreUnit first waits it out: the one wait on a
+// collector a writer makes.
 // It cannot deadlock: a collector takes no space's lock and waits only for
 // the read grace set, which a request joins after taking its own space's
 // lock, so no member of it waits for this writer.
-func (t *STL) restoreUnit(s *Space, blockIdx int64, pageIdx int, slot *pageSlot, w nvm.Word) {
+func (t *STL) restoreUnit(key revEntry, slot *pageSlot, w nvm.Word) bool {
 	d := t.dies[t.lay.Die(w)]
 	idx := t.lay.Linear(w)
 	d.mu.Lock()
@@ -587,14 +595,14 @@ func (t *STL) restoreUnit(s *Space, blockIdx int64, pageIdx int, slot *pageSlot,
 		d.mu.Lock()
 	}
 	e := t.rev[idx]
-	if held := !e.valid && e.space == s.id && int64(e.block) == blockIdx && int(e.page) == pageIdx; !held || !t.dev.Programmed(t.lay.PPA(w)) {
+	if held := !e.valid && e.space == key.space && e.block == key.block && e.page == key.page; !held || !t.dev.Programmed(t.lay.PPA(w)) {
 		d.mu.Unlock()
-		s.allocatedPages--
-		return
+		return false
 	}
 	t.rev[idx].valid = true
 	d.validInBlk[t.lay.Block(w)]++
 	slot.store(slotOf(w)) // under d.mu, where a collector of w's die commits
 	d.mu.Unlock()
 	t.usedPages.Add(1)
+	return true
 }

@@ -428,6 +428,16 @@ func TestFlushRecoveryDrainsPending(t *testing.T) {
 	}
 }
 
+// faultMatrixPlan injects every fault class: programs, erases, read retries
+// and wear-out.
+var faultMatrixPlan = nvm.FaultPlan{
+	Seed:             101,
+	ProgramFailEvery: 250,
+	EraseFailEvery:   8,
+	ReadRetryEvery:   7,
+	EnduranceLimit:   200,
+}
+
 // faultMatrixRun drives one STL instance through a fixed mixed workload under
 // a full fault plan, every read checked against the model, and returns the
 // script with its trace.
@@ -438,13 +448,7 @@ func faultMatrixRun(t *testing.T) *script {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.SetFaultPlan(nvm.FaultPlan{
-		Seed:             101,
-		ProgramFailEvery: 250,
-		EraseFailEvery:   8,
-		ReadRetryEvery:   7,
-		EnduranceLimit:   200,
-	})
+	dev.SetFaultPlan(faultMatrixPlan)
 	sc := newScript(t, dev, DefaultConfig())
 	sc.after = func() { auditDies(t, sc.st) }
 	c := sc.space(t, 4, []int64{160, 160}, []int64{160, 160})

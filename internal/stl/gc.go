@@ -277,19 +277,18 @@ func (t *STL) evacuateBlock(at sim.Time, channel, bank, block int) (sim.Time, bo
 // invalidated under d's lock, which an owner's takeSlot of src holds to do
 // the same. If the owner got there first, dst is unbound again. The space
 // and its building block outlive the collection: the collecting request
-// holds the barrier, and a live reverse entry names a block that exists.
+// holds the barrier, and a live reverse entry names a block that exists. An
+// LBA's pages (space 0) live as long as the LBA.
 func (t *STL) commitMove(d *die, src nvm.Word, e revEntry, dst nvm.Word) {
-	s := t.spaces[e.space]
-	d.gc.gcrd = growInt64(d.gc.gcrd, len(s.grid))
-	s.GridCoord(int64(e.block), d.gc.gcrd)
-	blk, _ := t.block(s, d.gc.gcrd, false)
+	var slot *pageSlot
+	slot, d.gc.gcrd = t.slotAt(e, d.gc.gcrd)
 	dd := t.dies[t.lay.Die(dst)]
 	dd.mu.Lock()
 	t.rev[t.lay.Linear(dst)] = e
 	dd.validInBlk[t.lay.Block(dst)]++
 	dd.mu.Unlock()
 	d.mu.Lock()
-	moved := blk.pages[e.page].cas(slotOf(src), slotOf(dst))
+	moved := slot.cas(slotOf(src), slotOf(dst))
 	if moved {
 		t.unbindLocked(d, src)
 	}

@@ -222,6 +222,7 @@ var goldenTests = map[string]func(*testing.T){
 	"TestReadHoldsOneExtentBatch":     TestReadHoldsOneExtentBatch,
 	"TestBlockPlanTablesAcrossSpaces": TestBlockPlanTablesAcrossSpaces,
 	"TestFaultMatrixDeterministic":    TestFaultMatrixDeterministic,
+	"TestLBAAgeing":                   TestLBAAgeing,
 }
 
 // TestGoldenTraces runs every traced test of the package (spec.GoldenSet):

@@ -11,9 +11,10 @@ import (
 // auditDies checks every die's allocation state against what it summarizes:
 // freePages is the free blocks' pages plus what is left of both open blocks;
 // the free list and the block states agree; every block's validInBlk is its
-// count of valid reverse entries; no open block is free, retired, shared by
-// both streams or picked as a victim; and, the STL being quiet, no unit is
-// carved and not landed.
+// count of valid reverse entries, and every valid entry's slot (slotAt: a
+// building block's page, or for space 0 the LBA's logical page) names its
+// unit; no open block is free, retired, shared by both streams or picked as a
+// victim; and, the STL being quiet, no unit is carved and not landed.
 func auditDies(t *testing.T, st *STL) {
 	t.Helper()
 	geo := st.geo
@@ -40,8 +41,15 @@ func auditDies(t *testing.T, st *STL) {
 				}
 				valid := int32(0)
 				for pg := 0; pg < geo.PagesPerBlock; pg++ {
-					if st.rev[(nvm.PPA{Channel: ch, Bank: bk, Block: b, Page: pg}).Linear(geo)].valid {
-						valid++
+					p := nvm.PPA{Channel: ch, Bank: bk, Block: b, Page: pg}
+					e := st.rev[p.Linear(geo)]
+					if !e.valid {
+						continue
+					}
+					valid++
+					if slot, _ := st.slotAt(e, nil); slot == nil || slot.load() != slotOf(st.lay.Word(p)) {
+						d.mu.Unlock()
+						t.Fatalf("die ch%d/bk%d: unit %v's reverse entry %+v names a slot that does not hold it", ch, bk, p, e)
 					}
 				}
 				if d.validInBlk[b] != valid {

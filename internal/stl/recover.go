@@ -235,21 +235,22 @@ func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) 
 	return done, landed, retries, nil
 }
 
-// rebindFaulted points the building-block slot that owns old (located through
-// the reverse-lookup table) at np instead, keeping usedPages and valid counts
+// rebindFaulted points the slot that owns old (located through the
+// reverse-lookup table) at np instead, keeping usedPages and valid counts
 // balanced. Used by the batch recovery path, where the unit was bound when
 // its program was queued; the caller's space write lock (or Flush's exclusive
-// barrier) is what makes the read-then-rebind atomic.
+// barrier, or the LBA's one request at a time) is what makes the
+// read-then-rebind atomic.
 // Returns false if old is not bound (translation state is inconsistent —
 // callers surface an error), with np released.
 func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
-	e, s, blk := t.owner(old)
-	if blk == nil {
+	e, slot := t.owner(old)
+	if slot == nil {
 		t.releaseUnit(np)
 		return false
 	}
 	t.invalidateUnit(t.lay.Word(old), nil)
-	t.bindUnit(s, blk, int64(e.block), int(e.page), np)
+	t.bind(slot, e, np)
 	t.releaseUnit(old)
 	return true
 }
@@ -259,9 +260,9 @@ func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
 // units are programmed units, and gives their units up.
 func (t *STL) unbindOps(ops []nvm.ProgramOp) {
 	for i := range ops {
-		if e, _, blk := t.owner(ops[i].P); e.valid {
-			if blk != nil {
-				blk.pages[e.page].store(0)
+		if e, slot := t.owner(ops[i].P); e.valid {
+			if slot != nil {
+				slot.store(0)
 			}
 			t.invalidateUnit(t.lay.Word(ops[i].P), nil)
 		}
@@ -269,18 +270,19 @@ func (t *STL) unbindOps(ops []nvm.ProgramOp) {
 	}
 }
 
-// owner reads the reverse-lookup entry of the unit at p and finds the space
-// and building block it names; both are nil when the unit is not bound or its
-// space is gone.
-func (t *STL) owner(p nvm.PPA) (revEntry, *Space, *BuildingBlock) {
+// owner reads the reverse-lookup entry of the unit at p and finds the slot it
+// names (slotAt); the slot is nil when the unit is not bound or its owner is
+// gone.
+func (t *STL) owner(p nvm.PPA) (revEntry, *pageSlot) {
 	d := t.die(p.Channel, p.Bank)
 	d.mu.Lock()
 	e := t.rev[p.Linear(t.geo)]
 	d.mu.Unlock()
-	if s, ok := t.spaces[e.space]; e.valid && ok {
-		return e, s, t.blockAt(s, int64(e.block), false)
+	if !e.valid {
+		return e, nil
 	}
-	return e, nil, nil
+	slot, _ := t.slotAt(e, nil)
+	return e, slot
 }
 
 // blockAt is building block g (a grid index) of s, made if alloc is set and

@@ -372,7 +372,9 @@ find:
 	}
 	restored := make(chan struct{})
 	go func() {
-		sc.st.restoreUnit(s, g, int(pg), slot, w)
+		if !sc.st.restoreUnit(revEntry{space: s.id, block: uint32(g), page: int32(pg)}, slot, w) {
+			s.allocatedPages--
+		}
 		close(restored)
 	}()
 	time.Sleep(10 * time.Millisecond)

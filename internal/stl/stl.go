@@ -121,6 +121,9 @@ type STL struct {
 
 	spaces map[SpaceID]*Space
 	nextID SpaceID
+	// lba is the block device that owns this STL, if one does: space 0 of the
+	// reverse table names its logical pages (slotAt).
+	lba *LBA
 
 	dies      []*die
 	rev       []revEntry   // indexed by a unit's Linear page index

@@ -33,12 +33,12 @@ type Report struct {
 	DevicePrograms int64
 	DeviceErases   int64
 
-	// GC is the collector's report: the STL's own on the NDS kinds, the
-	// FTL's erases, moves and write amplification on Baseline.
+	// GC is the collector's report: the STL's on the NDS kinds, the block
+	// device's (whose dies an STL manages) on Baseline.
 	GC stl.GCReport
 
-	// Reliability is the STL's fault/recovery snapshot (zero-valued on
-	// Baseline systems and when no fault plan is installed).
+	// Reliability is the fault/recovery snapshot of the same layer (zero
+	// fault counts when no fault plan is installed).
 	Reliability stl.ReliabilityReport
 
 	// Cache is the STL's building-block cache snapshot (zero-valued on
@@ -73,8 +73,8 @@ func (s *System) Report(horizon sim.Time) Report {
 	r.DeviceReads, r.DevicePrograms, r.DeviceErases = s.Dev.Counters()
 	switch {
 	case s.FTL != nil:
-		r.GC.Erases, r.GC.PagesRelocated = s.FTL.GCStats()
-		r.GC.WriteAmp = s.FTL.WriteAmplification()
+		r.GC = s.FTL.GCReport()
+		r.Reliability = s.FTL.Reliability()
 	case s.STL != nil:
 		r.GC = s.STL.GCReport()
 		r.Reliability = s.STL.Reliability()

@@ -22,7 +22,6 @@ import (
 
 	"nds/internal/controller"
 	"nds/internal/crypt"
-	"nds/internal/ftl"
 	"nds/internal/hostsim"
 	"nds/internal/interconnect"
 	"nds/internal/nvm"
@@ -60,15 +59,16 @@ type Config struct {
 	Host     hostsim.Params
 	LinkPeak float64
 	LinkOvh  sim.Time
-	FTL      ftl.Config
-	STL      stl.Config
+	// STL holds the NDS kinds' translation-layer policy. The baseline's block
+	// device takes its over-provision fraction and collection low mark.
+	STL stl.Config
 	// CipherKey, when non-empty, installs the §5.3.3 inline encryption
 	// engine on the flash array (data-bearing devices only).
 	CipherKey []byte
 	// Faults, when enabled, installs deterministic flash fault injection
-	// (program/erase failures, read retry, wear-out) on the device; the STL's
-	// recovery machinery absorbs the faults and reports them through
-	// Reliability().
+	// (program/erase failures, read retry, wear-out) on the device. Every
+	// kind absorbs them with the STL's recovery machinery — the baseline's
+	// block device owns an STL's dies — and Report's Reliability shows them.
 	Faults nvm.FaultPlan
 }
 
@@ -107,7 +107,6 @@ func PrototypeConfig(datasetBytes int64, phantom bool) Config {
 		Host:     hostsim.DefaultParams(),
 		LinkPeak: 4.6e9,
 		LinkOvh:  3 * sim.Microsecond,
-		FTL:      ftl.DefaultConfig(),
 		STL:      stlCfg,
 	}
 }
@@ -134,7 +133,7 @@ type System struct {
 	Ctrl *controller.Controller
 	Dev  *nvm.Device
 
-	FTL *ftl.FTL // Baseline only
+	FTL *stl.LBA // Baseline only: the block device
 	STL *stl.STL // SoftwareNDS and HardwareNDS
 
 	// BlockedAssembly declares that the consumer kernels accept objects in
@@ -196,7 +195,7 @@ func New(kind Kind, cfg Config) (*System, error) {
 	switch kind {
 	case Baseline:
 		s.Ctrl = controller.New(controller.BaselineParams())
-		s.FTL, err = ftl.New(dev, cfg.FTL)
+		s.FTL, err = stl.NewLBA(dev, cfg.STL)
 	case SoftwareNDS:
 		// The open-channel device retains a baseline-class controller for
 		// command handling; translation happens on the host.

@@ -2,9 +2,12 @@ package system
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"nds/internal/nvm"
 	"nds/internal/sim"
 	"nds/internal/stl"
 )
@@ -254,5 +257,80 @@ func TestBlockedAssemblyCheapens(t *testing.T) {
 	}
 	if b, u := fetch(true), fetch(false); b > u {
 		t.Fatalf("blocked assembly (%v) should not be slower than unblocked (%v)", b, u)
+	}
+}
+
+// baselineFaultRun drives a small baseline system, whose device injects the
+// stl fault matrix's program, erase, read-retry and wear-out faults, through
+// a quarter of its logical pages and half a raw capacity of Zipf(1.1)
+// single-page overwrites, each issued at the previous one's completion and
+// read back. It returns the completions and the system's report.
+func baselineFaultRun(t *testing.T) (string, Report) {
+	t.Helper()
+	cfg := PrototypeConfig(1<<20, false)
+	cfg.Geometry = nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 8, PagesPerBlock: 8, PageSize: 512}
+	cfg.Faults = nvm.FaultPlan{Seed: 101, ProgramFailEvery: 250, EraseFailEvery: 8, ReadRetryEvery: 7, EnduranceLimit: 200}
+	s, err := New(Baseline, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := int64(cfg.Geometry.PageSize)
+	n := int64(float64(cfg.Geometry.TotalPages())*(1-cfg.STL.OverProvision)) / 4
+	image := make([]byte, n*ps)
+	rng := rand.New(rand.NewSource(5))
+	var (
+		trace strings.Builder
+		at    sim.Time
+	)
+	write := func(lpn, pages int64) {
+		data := make([]byte, pages*ps)
+		rng.Read(data)
+		st, err := s.BaselineWrite(at, []Run{{Off: lpn * ps, Len: pages * ps}}, data)
+		if err != nil {
+			t.Fatalf("write pages [%d,%d): %v", lpn, lpn+pages, err)
+		}
+		copy(image[lpn*ps:], data)
+		got, rst, err := s.BaselineRead(st.Done, []Run{{Off: lpn * ps, Len: pages * ps}}, false, 1)
+		if err != nil {
+			t.Fatalf("read pages [%d,%d): %v", lpn, lpn+pages, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("pages [%d,%d) read back other bytes than written", lpn, lpn+pages)
+		}
+		at = rst.Done
+		fmt.Fprintf(&trace, "%d %d %d\n", lpn, st.Done, rst.Done)
+	}
+	for lpn := int64(0); lpn < n; lpn += 8 {
+		write(lpn, min(8, n-lpn))
+	}
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(n-1))
+	order := rng.Perm(int(n))
+	for i := int64(0); i < cfg.Geometry.TotalPages()/2; i++ {
+		write(int64(order[zipf.Uint64()]), 1)
+	}
+	got, _, err := s.BaselineRead(at, []Run{{Off: 0, Len: n * ps}}, false, 1)
+	if err != nil || !bytes.Equal(got, image) {
+		t.Fatalf("the device does not read back what was written (err %v)", err)
+	}
+	return trace.String(), s.Report(at)
+}
+
+// TestBaselineFaultMatrix: a faulted baseline program is relocated and a
+// faulted erase retires its block, as on the NDS kinds. Every write reads
+// back byte-exact, a second run replays the first, and the report shows the
+// relocations and the retired blocks.
+func TestBaselineFaultMatrix(t *testing.T) {
+	a, first := baselineFaultRun(t)
+	b, second := baselineFaultRun(t)
+	if a != b {
+		t.Fatal("two runs of the same fault plan completed at different times")
+	}
+	if first.Reliability != second.Reliability || first.GC != second.GC {
+		t.Fatalf("the reports diverged:\n%+v %+v\n%+v %+v", first.Reliability, first.GC, second.Reliability, second.GC)
+	}
+	r := first.Reliability
+	t.Logf("%+v %+v", r, first.GC)
+	if r.ProgramFaults == 0 || r.EraseFaults == 0 || r.ProgramRetries == 0 || r.RetiredBlocks == 0 {
+		t.Fatalf("the plan left program relocation or retirement unexercised: %+v", r)
 	}
 }

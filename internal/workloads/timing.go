@@ -147,6 +147,11 @@ func platformFor(spec Spec) (base, sw, hw *system.System, swView, hwView *stl.Vi
 			return
 		}
 	}
+	// The figure times the layout the load left; a collection would move it.
+	if gc := base.FTL.GCReport(); gc.Erases != 0 || gc.PagesRelocated != 0 {
+		err = fmt.Errorf("workloads: the baseline load collected: %+v", gc)
+		return
+	}
 	// NDS systems: spaces written in building-block row bands.
 	for _, sys := range []*system.System{sw, hw} {
 		sp, e := sys.STL.CreateSpace(spec.Elem, spec.Dims)

@@ -40,10 +40,13 @@ func fillSpace(tb testing.TB) (*Device, SpaceID) {
 }
 
 // runClients opens one view per client and has each read its share of the
-// 256 disjoint 64x64 tiles (16 KiB each) from its own goroutine. It returns
-// the simulated makespan of the whole phase, the payload bytes moved, and
-// the number of dies whose timelines extend past the phase start (work in
-// flight at the instant the streams began issuing).
+// 256 disjoint 64x64 tiles (16 KiB each), in arrival order: one goroutine
+// always issues the next read of the view whose stream cursor is earliest
+// (ties to the lower index), so the interleaving, and every figure, is the
+// same on every run whatever the Go scheduler does. It returns the simulated
+// makespan of the whole phase, the payload bytes moved, and the number of
+// dies whose timelines extend past the phase start (work in flight at the
+// instant the streams began issuing).
 func runClients(tb testing.TB, d *Device, id SpaceID, clients int) (time.Duration, int64, int) {
 	tb.Helper()
 	const tiles = 256 // 16x16 grid of 64x64 tiles over the 1024x1024 space
@@ -56,32 +59,29 @@ func runClients(tb testing.TB, d *Device, id SpaceID, clients int) (time.Duratio
 		views[i] = v
 	}
 	start := d.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
 	per := tiles / clients
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			// Each stream owns one assembly buffer, reused across its reads
-			// (the ReadInto ownership contract).
-			buf := make([]byte, 64*64*4)
-			coord := make([]int64, 2)
-			sub := []int64{64, 64}
-			for k := 0; k < per; k++ {
-				tile := int64(c*per + k)
-				coord[0], coord[1] = tile/16, tile%16
-				if _, _, err := views[c].ReadInto(coord, sub, buf); err != nil {
-					errs <- fmt.Errorf("client %d tile %d: %w", c, tile, err)
-					return
-				}
+	issued := make([]int, clients)
+	// One assembly buffer, reused across reads (the ReadInto ownership
+	// contract: each read's result is done with before the next).
+	buf := make([]byte, 64*64*4)
+	coord := make([]int64, 2)
+	sub := []int64{64, 64}
+	for {
+		c := -1
+		for i, v := range views {
+			if issued[i] < per && (c < 0 || v.cursor < views[c].cursor) {
+				c = i
 			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		tb.Fatal(err)
+		}
+		if c < 0 {
+			break
+		}
+		tile := int64(c*per + issued[c])
+		issued[c]++
+		coord[0], coord[1] = tile/16, tile%16
+		if _, _, err := views[c].ReadInto(coord, sub, buf); err != nil {
+			tb.Fatalf("client %d tile %d: %v", c, tile, err)
+		}
 	}
 	for _, v := range views {
 		if err := v.Close(); err != nil {
@@ -97,8 +97,10 @@ func runClients(tb testing.TB, d *Device, id SpaceID, clients int) (time.Duratio
 // independent command stream whose flash operations overlap on the array's
 // dies. One client is exactly the old serial-lock behavior (every command
 // issues at the previous one's completion), so the 16-client speedup is a
-// direct comparison against the serial baseline.
+// direct comparison against the serial baseline. The streams issue in
+// arrival order, so the figures are exact.
 func TestConcurrentThroughputScales(t *testing.T) {
+	want := map[int]string{1: "160.197", 4: "634.898", 16: "893.874"}
 	throughput := make(map[int]float64)
 	for _, clients := range []int{1, 4, 16} {
 		d, id := fillSpace(t)
@@ -111,6 +113,9 @@ func TestConcurrentThroughputScales(t *testing.T) {
 			clients, makespan, throughput[clients]/1e6, busy)
 		if busy < clients {
 			t.Errorf("%d clients engaged only %d dies", clients, busy)
+		}
+		if got := fmt.Sprintf("%.3f", throughput[clients]/1e6); got != want[clients] {
+			t.Errorf("%d clients: %s MB/s, want exactly %s", clients, got, want[clients])
 		}
 	}
 	if throughput[4] <= throughput[1] {

@@ -3,8 +3,9 @@
 // handlers) and the NDS-compliant controller of Figure 8, whose pipeline
 // adds a space translator/manager, a space allocator with garbage collector,
 // and a data assembler working out of device DRAM. Pipeline elements are
-// statically mapped to ARM cores and communicate through message queues; the
-// model exposes each element as a resource so per-request costs and element
+// statically mapped to ARM cores and communicate through message queues; this
+// package holds each element's cost, and the system model (internal/system)
+// books them on one timeline per element, so per-request costs and element
 // occupancy compose correctly.
 package controller
 
@@ -58,88 +59,4 @@ func NDSParams() Params {
 		AssembleBW:    8e9,
 		DisassembleBW: 2e9,
 	}
-}
-
-// Controller instantiates the pipeline elements of Figure 8. Each element is
-// a serially-occupied core; distinct elements run concurrently, giving the
-// pipeline parallelism the paper's controller exploits.
-type Controller struct {
-	Params
-	cmd       *sim.Resource // PCIe/NVMe command handler
-	translate *sim.Resource // space translator (or baseline address lookup)
-	assemble  *sim.Resource // data assembler (device DRAM)
-	channels  *sim.Resource // channel-handler dispatch
-}
-
-// New builds a controller with the given cost model.
-func New(p Params) *Controller {
-	return &Controller{
-		Params:    p,
-		cmd:       sim.NewResource("ctl-cmd"),
-		translate: sim.NewResource("ctl-translate"),
-		assemble:  sim.NewResource("ctl-assemble"),
-		channels:  sim.NewResource("ctl-channels"),
-	}
-}
-
-// HandleCommand charges the command handler for one inbound command.
-func (c *Controller) HandleCommand(at sim.Time) (start, end sim.Time) {
-	return c.cmd.Acquire(at, c.CmdHandle)
-}
-
-// Lookup charges a baseline address lookup.
-func (c *Controller) Lookup(at sim.Time) (start, end sim.Time) {
-	return c.translate.Acquire(at, c.AddrLookup)
-}
-
-// Translate charges one NDS space translation (B-tree walk + Equation 5).
-func (c *Controller) Translate(at sim.Time) (start, end sim.Time) {
-	return c.translate.Acquire(at, c.Params.Translate)
-}
-
-// DispatchPages charges the channel handlers for fanning out n page ops.
-func (c *Controller) DispatchPages(at sim.Time, n int64) (start, end sim.Time) {
-	return c.channels.Acquire(at, sim.Time(n)*c.PerPage)
-}
-
-// Assemble charges the data assembler for gathering n bytes in chunks
-// extents through device DRAM.
-func (c *Controller) Assemble(at sim.Time, n int64, chunks int) (start, end sim.Time) {
-	d := sim.Time(chunks)*c.AssembleChunk + sim.TransferTime(n, c.AssembleBW)
-	return c.assemble.Acquire(at, d)
-}
-
-// AssembleDuration reports the assembler service time without scheduling.
-func (c *Controller) AssembleDuration(n int64, chunks int) sim.Time {
-	return sim.Time(chunks)*c.AssembleChunk + sim.TransferTime(n, c.AssembleBW)
-}
-
-// Pushdown charges the data assembler's core for d of in-device operator
-// time: scan/filter/reduce executed next to the building-block cache instead
-// of shipping raw pages to the host. The ARM core is markedly slower than a
-// host CPU at the same kernel — the compute half of the pushdown tradeoff —
-// but only the operator's result crosses the link.
-func (c *Controller) Pushdown(at sim.Time, d sim.Time) (start, end sim.Time) {
-	return c.assemble.Acquire(at, d)
-}
-
-// Disassemble charges the assembler for the write direction: breaking n
-// inbound bytes into chunks building-block pieces.
-func (c *Controller) Disassemble(at sim.Time, n int64, chunks int) (start, end sim.Time) {
-	d := sim.Time(chunks)*c.AssembleChunk + sim.TransferTime(n, c.DisassembleBW)
-	return c.assemble.Acquire(at, d)
-}
-
-// Reset clears all element timelines.
-func (c *Controller) Reset() {
-	c.cmd.Reset()
-	c.translate.Reset()
-	c.assemble.Reset()
-	c.channels.Reset()
-}
-
-// BusyTimes reports accumulated service per element, for utilization
-// reporting: command handler, translator, assembler, channel handlers.
-func (c *Controller) BusyTimes() (cmd, translate, assemble, channels sim.Time) {
-	return c.cmd.BusyTime(), c.translate.BusyTime(), c.assemble.BusyTime(), c.channels.BusyTime()
 }

@@ -3,72 +3,18 @@ package controller
 import (
 	"testing"
 
+	"nds/internal/hostsim"
 	"nds/internal/sim"
 )
-
-// TestOverheadAnchorsSection73: the NDS controller's extra per-request cost
-// versus the baseline controller must land near the paper's measured 17 us
-// (§7.3, worst-case single-page request).
-func TestOverheadAnchorsSection73(t *testing.T) {
-	base := New(BaselineParams())
-	nds := New(NDSParams())
-
-	// Baseline path: command handling + address lookup + one page dispatch.
-	_, b1 := base.HandleCommand(0)
-	_, b2 := base.Lookup(b1)
-	_, bEnd := base.DispatchPages(b2, 1)
-
-	// NDS path: command handling + space translation + one page dispatch +
-	// assembling one page-sized chunk.
-	_, n1 := nds.HandleCommand(0)
-	_, n2 := nds.Translate(n1)
-	_, n3 := nds.DispatchPages(n2, 1)
-	_, nEnd := nds.Assemble(n3, 4096, 1)
-
-	delta := nEnd - bEnd
-	if delta < 14*sim.Microsecond || delta > 20*sim.Microsecond {
-		t.Fatalf("hardware NDS adds %v per worst-case request, want ~17us", delta)
-	}
-}
-
-func TestPipelineElementsAreIndependent(t *testing.T) {
-	c := New(NDSParams())
-	// Translation of request B overlaps assembly of request A.
-	_, aAsm := c.Assemble(0, 1<<20, 16)
-	_, bTr := c.Translate(0)
-	if bTr >= aAsm {
-		t.Fatalf("translate (%v) should not wait for the assembler (%v)", bTr, aAsm)
-	}
-	// Two translations serialize on the translator element.
-	s, _ := c.Translate(0)
-	if s != bTr {
-		t.Fatalf("second translate starts %v, want %v", s, bTr)
-	}
-}
 
 func TestAssemblerCheaperThanHostChunks(t *testing.T) {
 	// The device-side DMA gather must beat the host's per-chunk memcpy cost;
 	// that gap is why hardware NDS outruns software NDS on reads (§7.1).
-	c := New(NDSParams())
+	p := NDSParams()
 	chunks := 512 // 1 MB in 2 KB pieces
-	d := c.AssembleDuration(1<<20, chunks)
-	hostPerChunk := 340 * sim.Nanosecond // hostsim.DefaultParams().ChunkOverhead
-	hostD := sim.Time(chunks)*hostPerChunk + sim.TransferTime(1<<20, 10e9)
+	d := sim.Time(chunks)*p.AssembleChunk + sim.TransferTime(1<<20, p.AssembleBW)
+	hostD := hostsim.DefaultParams().MarshalDuration(1<<20, chunks)
 	if d >= hostD {
 		t.Fatalf("device assembly %v should be faster than host assembly %v", d, hostD)
-	}
-}
-
-func TestDispatchScalesWithPages(t *testing.T) {
-	c := New(BaselineParams())
-	_, one := c.DispatchPages(0, 1)
-	c.Reset()
-	_, many := c.DispatchPages(0, 100)
-	if many != 100*one {
-		t.Fatalf("dispatch of 100 pages = %v, want %v", many, 100*one)
-	}
-	cmd, tr, asm, ch := c.BusyTimes()
-	if cmd != 0 || tr != 0 || asm != 0 || ch == 0 {
-		t.Fatal("busy accounting wrong after dispatch-only workload")
 	}
 }

@@ -46,7 +46,6 @@ func defaultFig2() fig2Params {
 // that forms each 8Kx8K tile pair from the row-store image (problem [P1]).
 func Figure2A() Fig2Result {
 	p := defaultFig2()
-	host := hostsim.New(hostsim.DefaultParams())
 	gpu := accel.NewGPU()
 	cuda := accel.CUDACores()
 
@@ -55,7 +54,7 @@ func Figure2A() Fig2Result {
 	// Forming a tile from a row-store image is a strided copy: every byte is
 	// loaded from the source and stored to the tile buffer, so the memory
 	// traffic is twice the payload; one chunk per source row per tile.
-	marshal := host.MarshalDuration(2*pairBytes, int(2*p.tile))
+	marshal := hostsim.DefaultParams().MarshalDuration(2*pairBytes, int(2*p.tile))
 	// The copy stage moves the tile pair in and (amortized over the tiles
 	// summed into one C tile) a result tile out.
 	copyD := gpu.CopyDuration(pairBytes) + gpu.CopyDuration(tileBytes)/sim.Time(p.n/p.tile)
@@ -136,12 +135,11 @@ func Figure2B() (Fig2Result, error) {
 	}
 	subFetch := st.Done * sample
 
-	host := hostsim.New(hostsim.DefaultParams())
 	gpu := accel.NewGPU()
 	cuda := accel.CUDACores()
 	tileBytes := p.tile * p.tile * p.elem
 	pairBytes := 2 * tileBytes
-	marshal := host.MarshalDuration(2*pairBytes, int(2*p.tile))
+	marshal := hostsim.DefaultParams().MarshalDuration(2*pairBytes, int(2*p.tile))
 	copyD := gpu.CopyDuration(pairBytes) + gpu.CopyDuration(tileBytes)/sim.Time(p.n/p.tile)
 	kernel := cuda.Duration(pairBytes, p.tile)
 

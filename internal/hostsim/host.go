@@ -1,8 +1,10 @@
-// Package hostsim models the host computer of the evaluation platform: the
-// CPU cost of the storage software stack (problem [P1] of the paper — every
-// I/O request and every marshalling memcpy spends CPU instructions), the
-// host-DRAM copy bandwidth, and the host-resident space-translation cost of
-// the software-only NDS configuration.
+// Package hostsim holds the cost model of the host computer of the
+// evaluation platform: the CPU cost of the storage software stack (problem
+// [P1] of the paper — every I/O request and every marshalling memcpy spends
+// CPU instructions), the host-DRAM copy bandwidth, and the host-resident
+// space-translation cost of the software-only NDS configuration. The system
+// model (internal/system) books these costs on its host I/O and worker
+// threads, which the paper's pipelined applications run on different cores.
 package hostsim
 
 import "nds/internal/sim"
@@ -41,67 +43,10 @@ func DefaultParams() Params {
 	}
 }
 
-// Host is a host CPU with an I/O-submission thread and a marshalling worker
-// thread, matching the paper's pipelined applications (the I/O stage and the
-// restructuring stage run on different cores of the 8-core Ryzen). Each
-// thread is a serially-occupied resource.
-type Host struct {
-	Params
-	io     *sim.Resource
-	worker *sim.Resource
-}
-
-// New builds a host from params.
-func New(p Params) *Host {
-	return &Host{Params: p, io: sim.NewResource("host-io"), worker: sim.NewResource("host-worker")}
-}
-
-// SubmitIO charges one I/O submission+completion on the I/O thread.
-func (h *Host) SubmitIO(at sim.Time) (start, end sim.Time) {
-	return h.io.Acquire(at, h.IOSubmit)
-}
-
-// Marshal charges the worker thread for restructuring data: chunks discrete
+// MarshalDuration is the CPU time of restructuring data: chunks discrete
 // copies moving a total of n bytes. This is the [P1]
 // serialization/deserialization cost; it is also the software NDS assembly
 // cost with chunks = extents.
-func (h *Host) Marshal(at sim.Time, n int64, chunks int) (start, end sim.Time) {
-	d := sim.Time(chunks)*h.ChunkOverhead + sim.TransferTime(n, h.MemcpyBW)
-	return h.worker.Acquire(at, d)
+func (p Params) MarshalDuration(n int64, chunks int) sim.Time {
+	return sim.Time(chunks)*p.ChunkOverhead + sim.TransferTime(n, p.MemcpyBW)
 }
-
-// MarshalDuration reports the CPU time Marshal would charge without
-// scheduling it (used by pipeline models that account stages separately).
-func (h *Host) MarshalDuration(n int64, chunks int) sim.Time {
-	return sim.Time(chunks)*h.ChunkOverhead + sim.TransferTime(n, h.MemcpyBW)
-}
-
-// Scatter charges the worker thread for the write-direction restructuring:
-// breaking a source buffer into chunks building-block-ordered pieces.
-func (h *Host) Scatter(at sim.Time, n int64, chunks int) (start, end sim.Time) {
-	d := sim.Time(chunks)*h.ScatterChunkOverhead + sim.TransferTime(n, h.MemcpyBW)
-	return h.worker.Acquire(at, d)
-}
-
-// Compute charges the worker thread for d of kernel time: the host half of a
-// pushdown operator in the software-NDS configuration, where raw pages cross
-// the link and the host CPU scans them (the filter runs at host rate, but the
-// interconnect still carried every byte).
-func (h *Host) Compute(at sim.Time, d sim.Time) (start, end sim.Time) {
-	return h.worker.Acquire(at, d)
-}
-
-// Translate charges one software-NDS space translation (B-tree walk) on the
-// I/O thread: translation must complete before the page reads can be issued.
-func (h *Host) Translate(at sim.Time) (start, end sim.Time) {
-	return h.io.Acquire(at, h.STLTraversal)
-}
-
-// BusyTime reports accumulated CPU service time across both threads.
-func (h *Host) BusyTime() sim.Time { return h.io.BusyTime() + h.worker.BusyTime() }
-
-// FreeAt reports when both threads are next idle.
-func (h *Host) FreeAt() sim.Time { return sim.Max(h.io.FreeAt(), h.worker.FreeAt()) }
-
-// Reset clears both thread timelines.
-func (h *Host) Reset() { h.io.Reset(); h.worker.Reset() }

@@ -7,13 +7,9 @@ import (
 )
 
 func TestMarshalCost(t *testing.T) {
-	h := New(Params{IOSubmit: 5 * sim.Microsecond, ChunkOverhead: sim.Microsecond, MemcpyBW: 1e9})
+	p := Params{IOSubmit: 5 * sim.Microsecond, ChunkOverhead: sim.Microsecond, MemcpyBW: 1e9}
 	// 1000 bytes in 4 chunks: 4us fixed + 1us copy.
-	_, end := h.Marshal(0, 1000, 4)
-	if end != 5*sim.Microsecond {
-		t.Fatalf("marshal end = %v, want 5us", end)
-	}
-	if d := h.MarshalDuration(1000, 4); d != 5*sim.Microsecond {
+	if d := p.MarshalDuration(1000, 4); d != 5*sim.Microsecond {
 		t.Fatalf("MarshalDuration = %v, want 5us", d)
 	}
 }
@@ -21,31 +17,11 @@ func TestMarshalCost(t *testing.T) {
 func TestChunkedCopySlowerThanBulk(t *testing.T) {
 	// The software-NDS penalty: the same bytes in many small chunks cost
 	// more CPU than one bulk copy.
-	h := New(DefaultParams())
+	h := DefaultParams()
 	bulk := h.MarshalDuration(1<<20, 1)
 	chunked := h.MarshalDuration(1<<20, 512) // 2 KB pieces
 	if chunked <= bulk {
 		t.Fatalf("chunked copy (%v) should cost more than bulk (%v)", chunked, bulk)
-	}
-}
-
-func TestCPUSerializes(t *testing.T) {
-	h := New(DefaultParams())
-	_, e1 := h.SubmitIO(0)
-	s2, _ := h.SubmitIO(0)
-	if s2 != e1 {
-		t.Fatalf("second submit starts %v, want %v", s2, e1)
-	}
-	_, e3 := h.Translate(e1)
-	if e3 < e1+h.STLTraversal {
-		t.Fatal("translation should occupy the CPU for STLTraversal")
-	}
-	if h.BusyTime() == 0 {
-		t.Fatal("busy time should accumulate")
-	}
-	h.Reset()
-	if h.FreeAt() != 0 {
-		t.Fatal("reset should clear the timeline")
 	}
 }
 

@@ -13,18 +13,17 @@ import (
 	"nds/internal/sim"
 )
 
-// Link is a serially-occupied transfer channel.
+// Link is a transfer channel's cost model; the system model
+// (internal/system) books its commands on one serially occupied timeline.
 type Link struct {
 	Name        string
 	PeakBW      float64  // bytes per second at full efficiency
 	CmdOverhead sim.Time // fixed per-command cost (submission, doorbells, completion)
-
-	res *sim.Resource
 }
 
 // New creates a link.
 func New(name string, peakBW float64, cmdOverhead sim.Time) *Link {
-	return &Link{Name: name, PeakBW: peakBW, CmdOverhead: cmdOverhead, res: sim.NewResource(name)}
+	return &Link{Name: name, PeakBW: peakBW, CmdOverhead: cmdOverhead}
 }
 
 // NVMeoF models the prototype's 40 Gbps NVMe-over-Fabrics path: ~4.6 GB/s
@@ -57,21 +56,6 @@ func (l *Link) Efficiency(n int64) float64 {
 func (l *Link) EffectiveBandwidth(n int64) float64 {
 	return l.PeakBW * l.Efficiency(n)
 }
-
-// Transfer schedules one command of n bytes arriving at time at, returning
-// its start and completion.
-func (l *Link) Transfer(at sim.Time, n int64) (start, end sim.Time) {
-	return l.res.Acquire(at, l.Duration(n))
-}
-
-// FreeAt reports when the link next becomes idle.
-func (l *Link) FreeAt() sim.Time { return l.res.FreeAt() }
-
-// BusyTime reports accumulated service time.
-func (l *Link) BusyTime() sim.Time { return l.res.BusyTime() }
-
-// Reset returns the link to the idle state.
-func (l *Link) Reset() { l.res.Reset() }
 
 func (l *Link) String() string {
 	return fmt.Sprintf("%s: %.1f GB/s peak, %v/cmd", l.Name, l.PeakBW/1e9, l.CmdOverhead)

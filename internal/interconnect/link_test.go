@@ -1,10 +1,6 @@
 package interconnect
 
-import (
-	"testing"
-
-	"nds/internal/sim"
-)
+import "testing"
 
 func TestEfficiencyCurveMatchesPaper(t *testing.T) {
 	l := NVMeoF()
@@ -26,25 +22,6 @@ func TestEfficiencyCurveMatchesPaper(t *testing.T) {
 			t.Errorf("efficiency not monotone at %d bytes: %.3f < %.3f", n, e, prev)
 		}
 		prev = e
-	}
-}
-
-func TestTransferSerializes(t *testing.T) {
-	l := New("test", 1e9, sim.Microsecond)
-	_, end1 := l.Transfer(0, 1000) // 1us overhead + 1us payload
-	if end1 != 2*sim.Microsecond {
-		t.Fatalf("first transfer ends at %v, want 2us", end1)
-	}
-	start2, _ := l.Transfer(0, 1000)
-	if start2 != end1 {
-		t.Fatalf("second transfer starts at %v, want %v (queued)", start2, end1)
-	}
-	if l.BusyTime() != 4*sim.Microsecond {
-		t.Fatalf("busy = %v, want 4us", l.BusyTime())
-	}
-	l.Reset()
-	if l.FreeAt() != 0 {
-		t.Fatal("reset should clear the timeline")
 	}
 }
 

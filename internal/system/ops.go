@@ -7,6 +7,209 @@ import (
 	"nds/internal/stl"
 )
 
+// element is one of the system model's timelines: a serially occupied unit
+// of Figure 7 that a command's stages queue on. Distinct elements run
+// concurrently, which is the pipelining the paper's host and controller
+// exploit (the host's I/O and restructuring stages run on different cores;
+// the controller's elements are statically mapped to ARM cores, §5.3).
+type element int
+
+const (
+	hostIO        element = iota // host I/O thread: submission, software translation
+	hostWorker                   // host worker thread: marshal, assembly, scatter, scan
+	link                         // the host interconnect, both directions
+	ctrlCmd                      // controller command handler
+	ctrlTranslate                // controller space translator (baseline: address lookup)
+	ctrlAssemble                 // data assembler: gather, disassembly, pushdown kernels
+	ctrlChannels                 // channel-handler dispatch
+	numElements
+)
+
+// stage names one booking of a command. command records each stage's end in
+// a [numStages]sim.Time, zero for a stage the command's kind skips.
+type stage int
+
+const (
+	submitted    stage = iota // host I/O thread: syscall, driver, completion
+	cmdSent                   // link: a hardware command and its coordinate page
+	handled                   // controller command handler
+	translated                // the translator: host or controller; the baseline's lookup
+	scattered                 // host worker: a software write's scatter
+	sent                      // link: a write's payload
+	disassembled              // assembler: a hardware write's disassembly
+	deviceDone                // the STL, or the baseline's block device
+	dispatched                // channel handlers: a hardware read's page fan-out
+	consumed                  // whatever eats a read's pages (consumer)
+	returned                  // link: what a read sends back
+	numStages
+)
+
+// consumer is the stage of a read-shaped command that eats the pages the
+// device read.
+type consumer int
+
+const (
+	// deliver does nothing: a baseline run lands in the caller's buffer.
+	deliver consumer = iota
+	// hostCopy is the host marshalling an arrived baseline run into the
+	// destination object (problem [P1]).
+	hostCopy
+	// assemble gathers the extents into the object (§4.4's data assembler);
+	// the object is what a hardware device puts on the link.
+	assemble
+	// kernel runs a pushdown operator over the pages at scan rate; only its
+	// result leaves a hardware device.
+	kernel
+)
+
+// request is what command needs to know of a command besides its system's
+// kind: whether a payload goes in before the device, and what eats what the
+// device read.
+type request struct {
+	write  bool
+	bytes  int64 // a write's payload
+	chunks int   // the pieces the payload is scattered or disassembled into
+	use    consumer
+}
+
+// device is a command's device half, run at the time it may start: the STL's
+// work, or the baseline's block device's. Besides its completion time and
+// record it reports the bytes a device-side consumer puts on the link (the
+// assembled object, a kernel's result, a baseline run).
+type device func(at sim.Time) (done sim.Time, st OpStats, out int64, err error)
+
+// command books one command arriving at at on s's timelines and runs its
+// device half: the four steps of Figure 7, which differ by Kind only in where
+// each runs.
+//
+//   - Submit and translate. The host submits; the baseline controller handles
+//     the command and looks the address up. Software NDS translates on the
+//     host's I/O thread (§7.3: 41 us). Hardware NDS sends one extended NVMe
+//     command carrying the coordinates (and query) over the link, and the
+//     controller handles and translates it.
+//   - A write's payload. The baseline and hardware NDS stream it over the link
+//     behind the submission; the controller's firmware-driven disassembly is
+//     the write-path bottleneck behind hardware NDS's 17% loss (§7.1). The
+//     software host scatters it into building-block pieces first — the
+//     strided scatter §7.1 blames for its 30% loss — and then sends it.
+//   - The device, from when translation (and a write's payload) is done.
+//   - A read's consumer and link. Software NDS moves every raw page over the
+//     link, whatever the consumer, and the host assembles the object from
+//     per-extent copies — the 2 KB-chunk cost §7.1 identifies — or filters at
+//     host-scan rate. Hardware NDS dispatches the pages, gathers the extents
+//     in device DRAM or runs the kernel on the ARM core, and sends only the
+//     consumer's output. Both stream concurrently with the device reads. A
+//     baseline run crosses the link and, when marshalled, is copied once it
+//     has arrived.
+//
+// command returns the device's record with Done, RawBytes, Pages and
+// Commands filled in. When the device fails it returns the zero record and
+// the error, and leaves booked exactly the stages before the device.
+func (s *System) command(at sim.Time, r request, dev device) (OpStats, error) {
+	var end [numStages]sim.Time
+	book := func(st stage, el element, from, d sim.Time) sim.Time {
+		_, end[st] = s.res[el].Acquire(from, d)
+		return end[st]
+	}
+	h, c, ps := &s.Cfg.Host, &s.ctrl, s.pageSize()
+
+	book(submitted, hostIO, at, h.IOSubmit)
+	switch s.Kind {
+	case Baseline:
+		book(handled, ctrlCmd, end[submitted], c.CmdHandle)
+		book(translated, ctrlTranslate, end[handled], c.AddrLookup)
+	case SoftwareNDS:
+		book(translated, hostIO, end[submitted], h.STLTraversal)
+	case HardwareNDS:
+		book(cmdSent, link, end[submitted], s.wire.Duration(ps))
+		book(handled, ctrlCmd, end[cmdSent], c.CmdHandle)
+		book(translated, ctrlTranslate, end[handled], c.Translate)
+	}
+
+	start := end[translated]
+	if r.write {
+		switch s.Kind {
+		case Baseline:
+			start = max(start, book(sent, link, end[submitted], s.wire.Duration(r.bytes)))
+		case SoftwareNDS:
+			book(scattered, hostWorker, end[translated], copyTime(r.bytes, r.chunks, h.ScatterChunkOverhead, h.MemcpyBW))
+			start = book(sent, link, end[scattered], s.wire.Duration(r.bytes))
+		case HardwareNDS:
+			book(sent, link, end[submitted], s.wire.Duration(r.bytes))
+			start = book(disassembled, ctrlAssemble, max(end[translated], end[sent]),
+				copyTime(r.bytes, r.chunks, c.AssembleChunk, c.DisassembleBW))
+		}
+	}
+
+	done, st, out, err := dev(start)
+	if err != nil {
+		return OpStats{}, err
+	}
+	end[deviceDone] = done
+	st.Pages += st.PagesRead + st.PagesProgrammed // the baseline's device counts Pages itself
+	// raw is what crosses the link; a software host moves it in whole pages.
+	raw, pages := out, st.PagesRead
+	if r.write {
+		raw, pages = r.bytes, st.PagesProgrammed
+	}
+	if s.Kind == SoftwareNDS {
+		raw = pages * ps
+	}
+
+	if !r.write {
+		from := end[translated]
+		book(returned, link, from, s.wire.Duration(raw))
+		switch s.Kind {
+		case Baseline:
+			if r.use == hostCopy {
+				book(consumed, hostWorker, max(done, end[returned]), h.MarshalDuration(st.Bytes, 1))
+			}
+		case SoftwareNDS:
+			d := h.MarshalDuration(st.Bytes, s.assemblyChunks(st))
+			if r.use == kernel {
+				d = hostScanRate.Duration(st.Bytes, st.Bytes)
+			}
+			book(consumed, hostWorker, from, d)
+		case HardwareNDS:
+			book(dispatched, ctrlChannels, from, sim.Time(st.PagesRead)*c.PerPage)
+			d := copyTime(st.Bytes, s.assemblyChunks(st), c.AssembleChunk, c.AssembleBW)
+			if r.use == kernel {
+				d = ctrlScanRate.Duration(st.Bytes, st.Bytes)
+			}
+			book(consumed, ctrlAssemble, from, d)
+		}
+	}
+
+	// st.Bytes stays the payload read, written or scanned: what the tenant is
+	// charged.
+	st.Done = max(end[deviceDone], end[dispatched], end[consumed], end[returned])
+	st.RawBytes, st.Commands = raw, 1
+	return st, nil
+}
+
+// copyTime is the service time of moving n bytes in chunks discrete pieces
+// at per a piece and bw bytes a second: the shape of every restructuring
+// stage, host or controller, gather or scatter.
+func copyTime(n int64, chunks int, per sim.Time, bw float64) sim.Time {
+	return sim.Time(chunks)*per + sim.TransferTime(n, bw)
+}
+
+// wrongKind is the error of the entry point op called on a system of a kind
+// it does not run on. It is returned before anything is booked.
+func (s *System) wrongKind(op string) error {
+	return fmt.Errorf("system: %s on %v system", op, s.Kind)
+}
+
+// merge folds the record of one run of a multi-run baseline command into the
+// command's.
+func merge(total *OpStats, st OpStats) {
+	total.Done = max(total.Done, st.Done)
+	total.Commands += st.Commands
+	total.Bytes += st.Bytes
+	total.RawBytes += st.RawBytes
+	total.Pages += st.Pages
+}
+
 // Run is one contiguous byte range in the baseline SSD's linear space.
 type Run struct {
 	Off int64
@@ -15,20 +218,23 @@ type Run struct {
 
 // BaselineRead issues one I/O command per run through the conventional
 // stack: host submission (CPU), command handling and address lookup in the
-// controller, FTL page reads, link transfer, and — when marshal is true —
-// a host-side copy placing each arrived run into the destination object
-// (problem [P1]). qd is the application's I/O queue depth: run i+qd is
-// submitted only after run i completes (qd=1 is a synchronous read loop,
-// qd<=0 is unlimited async). Every shared resource serializes naturally, so
-// throughput is set by the bottleneck stage.
+// controller, the block device's page reads, link transfer, and — when
+// marshal is true — a host-side copy placing each arrived run into the
+// destination object (problem [P1]). qd is the application's I/O queue depth:
+// run i+qd is submitted only after run i completes (qd=1 is a synchronous
+// read loop, qd<=0 is unlimited async). Every shared resource serializes
+// naturally, so throughput is set by the bottleneck stage.
 //
 // The returned buffer concatenates the runs in order (nil on phantom
 // devices).
 func (s *System) BaselineRead(at sim.Time, runs []Run, marshal bool, qd int) ([]byte, OpStats, error) {
 	if s.Kind != Baseline {
-		return nil, OpStats{}, fmt.Errorf("system: BaselineRead on %v system", s.Kind)
+		return nil, OpStats{}, s.wrongKind("BaselineRead")
 	}
-	var stats OpStats
+	use := deliver
+	if marshal {
+		use = hostCopy
+	}
 	var total int64
 	for _, r := range runs {
 		total += r.Len
@@ -41,175 +247,70 @@ func (s *System) BaselineRead(at sim.Time, runs []Run, marshal bool, qd int) ([]
 	if qd > 0 {
 		window = make([]sim.Time, 0, len(runs))
 	}
-	done := at
+	ps := s.pageSize()
+	stats := OpStats{Extents: len(runs), Done: at}
 	for i, r := range runs {
 		issue := at
 		if qd > 0 && i >= qd {
-			issue = sim.Max(issue, window[i-qd])
+			issue = max(issue, window[i-qd])
 		}
-		_, subEnd := s.Host.SubmitIO(issue)
-		_, cmdEnd := s.Ctrl.HandleCommand(subEnd)
-		_, lkEnd := s.Ctrl.Lookup(cmdEnd)
-		data, devDone, err := s.FTL.Read(lkEnd, r.Off, r.Len)
-		if err != nil {
-			return nil, stats, err
-		}
-		ps := s.pageSize()
-		stats.Pages += (r.Off%ps + r.Len + ps - 1) / ps
-		_, linkEnd := s.Link.Transfer(lkEnd, r.Len)
-		arrive := sim.Max(devDone, linkEnd)
-		if marshal {
-			_, mEnd := s.Host.Marshal(arrive, r.Len, 1)
-			arrive = mEnd
-		}
-		if buf != nil {
+		st, err := s.command(issue, request{use: use}, func(at sim.Time) (sim.Time, OpStats, int64, error) {
+			data, done, err := s.FTL.Read(at, r.Off, r.Len)
 			buf = append(buf, data...)
+			return done, OpStats{Bytes: r.Len, Pages: (r.Off%ps + r.Len + ps - 1) / ps}, r.Len, err
+		})
+		if err != nil {
+			return nil, OpStats{}, err
 		}
 		if qd > 0 {
-			window = append(window, arrive)
+			window = append(window, st.Done)
 		}
-		done = sim.Max(done, arrive)
-		stats.Commands++
-		stats.Bytes += r.Len
-		stats.RawBytes += r.Len
+		merge(&stats, st)
 	}
-	stats.Extents = len(runs)
-	stats.Done = done
 	return buf, stats, nil
 }
 
 // BaselineWrite writes runs synchronously (the paper's Figure 9(d) disables
 // asynchronous writes): each run's data crosses the link, is programmed
-// through the FTL, and the next run is issued only after completion. data,
-// when non-nil, concatenates the runs' payloads; offsets and lengths must be
-// page-aligned.
+// through the block device, and the next run is issued only after
+// completion. data, when non-nil, concatenates the runs' payloads; offsets
+// and lengths must be page-aligned. Both are checked before anything is
+// booked.
 func (s *System) BaselineWrite(at sim.Time, runs []Run, data []byte) (OpStats, error) {
 	if s.Kind != Baseline {
-		return OpStats{}, fmt.Errorf("system: BaselineWrite on %v system", s.Kind)
+		return OpStats{}, s.wrongKind("BaselineWrite")
 	}
-	var stats OpStats
 	ps := s.pageSize()
-	var pos int64
-	now := at
+	var total int64
 	for _, r := range runs {
-		if r.Off%ps != 0 || r.Len%ps != 0 {
-			return stats, fmt.Errorf("system: baseline write run [%d,%d) not page-aligned", r.Off, r.Off+r.Len)
+		if r.Off < 0 || r.Len < 0 || r.Off%ps != 0 || r.Len%ps != 0 {
+			return OpStats{}, fmt.Errorf("system: baseline write run [%d,%d) not page-aligned", r.Off, r.Off+r.Len)
 		}
-		_, subEnd := s.Host.SubmitIO(now)
-		_, linkEnd := s.Link.Transfer(subEnd, r.Len)
-		_, cmdEnd := s.Ctrl.HandleCommand(subEnd)
-		_, lkEnd := s.Ctrl.Lookup(cmdEnd)
-		start := sim.Max(linkEnd, lkEnd)
+		total += r.Len
+	}
+	if data != nil && int64(len(data)) != total {
+		return OpStats{}, fmt.Errorf("system: baseline write of %d bytes of runs with %d bytes of data", total, len(data))
+	}
+	stats := OpStats{Done: at}
+	for _, r := range runs {
 		var payload []byte
 		if data != nil {
-			payload = data[pos : pos+r.Len]
+			payload, data = data[:r.Len], data[r.Len:]
 		}
-		devDone, err := s.FTL.WritePages(start, r.Off/ps, payload, r.Len/ps)
+		st, err := s.command(stats.Done, request{write: true, bytes: r.Len}, func(at sim.Time) (sim.Time, OpStats, int64, error) {
+			done, err := s.FTL.WritePages(at, r.Off/ps, payload, r.Len/ps)
+			return done, OpStats{Bytes: r.Len, Pages: r.Len / ps}, r.Len, err
+		})
 		if err != nil {
-			return stats, err
+			return OpStats{}, err
 		}
-		now = devDone
-		pos += r.Len
-		stats.Commands++
-		stats.Bytes += r.Len
-		stats.RawBytes += r.Len
-		stats.Pages += r.Len / ps
+		merge(&stats, st)
 	}
-	stats.Done = now
 	return stats, nil
 }
 
-// prologue gets a command's coordinates to wherever the STL runs and
-// translates them there: submit then translate on the host (software NDS,
-// Figure 7b), or submit, the command and its coordinate/query page over the
-// link, command handling and translation in the controller (hardware NDS,
-// Figure 7c). It returns when the submission and the translation end; op
-// names the command in the wrong-Kind error, before anything is booked.
-func (s *System) prologue(at sim.Time, op string) (subEnd, trEnd sim.Time, err error) {
-	switch s.Kind {
-	case SoftwareNDS:
-		_, subEnd = s.Host.SubmitIO(at)
-		_, trEnd = s.Host.Translate(subEnd)
-	case HardwareNDS:
-		_, subEnd = s.Host.SubmitIO(at)
-		_, cmdXfer := s.Link.Transfer(subEnd, s.pageSize())
-		_, cmdEnd := s.Ctrl.HandleCommand(cmdXfer)
-		_, trEnd = s.Ctrl.Translate(cmdEnd)
-	default:
-		return 0, 0, fmt.Errorf("system: %s on %v system", op, s.Kind)
-	}
-	return subEnd, trEnd, nil
-}
-
-// consumer is the stage of a read-shaped command that eats the pages the STL
-// fetched.
-type consumer int
-
-const (
-	// assemble gathers the extents into the object (§4.4's data assembler);
-	// the object is what a hardware device puts on the link.
-	assemble consumer = iota
-	// kernel runs a pushdown operator over the pages at scan rate; only its
-	// result leaves a hardware device.
-	kernel
-)
-
-// ndsRead is the read stage model of Figure 7b/7c, which every read-shaped
-// NDS command — read, segment read, scan, reduce, select — is a caller of:
-// the prologue that gets the coordinates to wherever the STL runs, the STL
-// read itself, the consumer stage, and the link transfer. op names the
-// command in the wrong-Kind error. read runs the STL half at the time
-// translation ends and reports, besides the STL's completion time and
-// statistics, the bytes a device-side consumer sends back (the assembled
-// object, or a kernel's result).
-//
-// Software NDS (Figure 7b): the host submits, translates on its own CPU
-// (§7.3: 41 us), every raw page crosses the link whatever the consumer, and
-// the host assembles the object from per-extent copies — the 2 KB-chunk cost
-// §7.1 identifies — or filters at host-scan rate.
-//
-// Hardware NDS (Figure 7c): one extended NVMe command carries the coordinates
-// (and query); the controller translates and dispatches, the data assembler
-// gathers extents in device DRAM — or the ARM core runs the kernel — and only
-// the consumer's output crosses the link. Device reads, the consumer, and the
-// link stream concurrently.
-func (s *System) ndsRead(at sim.Time, op string, c consumer, read func(at sim.Time) (sim.Time, OpStats, int64, error)) (OpStats, error) {
-	_, trEnd, err := s.prologue(at, op)
-	if err != nil {
-		return OpStats{}, err
-	}
-	done, st, out, err := read(trEnd)
-	if err != nil {
-		return OpStats{}, err
-	}
-	switch s.Kind {
-	case SoftwareNDS:
-		out = st.PagesRead * s.pageSize() // the consumer is on the host: raw pages cross
-		_, linkEnd := s.Link.Transfer(trEnd, out)
-		var cEnd sim.Time
-		if c == assemble {
-			_, cEnd = s.Host.Marshal(trEnd, st.Bytes, s.assemblyChunks(st))
-		} else {
-			_, cEnd = s.Host.Compute(trEnd, hostScanRate.Duration(st.Bytes, st.Bytes))
-		}
-		done = sim.Max(done, sim.Max(linkEnd, cEnd))
-	case HardwareNDS:
-		_, dpEnd := s.Ctrl.DispatchPages(trEnd, st.PagesRead)
-		var cEnd sim.Time
-		if c == assemble {
-			_, cEnd = s.Ctrl.Assemble(trEnd, st.Bytes, s.assemblyChunks(st))
-		} else {
-			_, cEnd = s.Ctrl.Pushdown(trEnd, ctrlScanRate.Duration(st.Bytes, st.Bytes))
-		}
-		_, linkEnd := s.Link.Transfer(trEnd, out)
-		done = sim.Max(sim.Max(done, dpEnd), sim.Max(cEnd, linkEnd))
-	}
-	// st.Bytes stays the payload read or scanned: what the tenant is charged.
-	return complete(st, done, out), nil
-}
-
-// NDSRead reads one partition through an NDS configuration (ndsRead with the
-// assembling consumer), returning it in a freshly allocated buffer.
+// NDSRead reads one partition through an NDS configuration, returning it in
+// a freshly allocated buffer.
 func (s *System) NDSRead(at sim.Time, v *stl.View, coord, sub []int64) ([]byte, OpStats, error) {
 	return s.NDSReadInto(at, v, coord, sub, nil)
 }
@@ -220,8 +321,11 @@ func (s *System) NDSRead(at sim.Time, v *stl.View, coord, sub []int64) ([]byte, 
 // dst, so the caller must consume it before issuing the next read with the
 // same buffer.
 func (s *System) NDSReadInto(at sim.Time, v *stl.View, coord, sub []int64, dst []byte) ([]byte, OpStats, error) {
+	if s.Kind == Baseline {
+		return nil, OpStats{}, s.wrongKind("NDSRead")
+	}
 	var data []byte
-	stats, err := s.ndsRead(at, "NDSRead", assemble, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
+	stats, err := s.command(at, request{use: assemble}, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		data, done, st, err = s.STL.ReadPartitionInto(at, v, coord, sub, dst)
 		return done, st, st.Bytes, err
 	})
@@ -236,7 +340,10 @@ func (s *System) NDSReadInto(at sim.Time, v *stl.View, coord, sub []int64, dst [
 // writer gathers straight into its response frame), so simulated time and
 // statistics cannot differ.
 func (s *System) NDSReadSegments(at sim.Time, v *stl.View, coord, sub []int64, fn func(want int64, segs []stl.Segment) error) (OpStats, error) {
-	return s.ndsRead(at, "NDSReadSegments", assemble, func(at sim.Time) (sim.Time, OpStats, int64, error) {
+	if s.Kind == Baseline {
+		return OpStats{}, s.wrongKind("NDSReadSegments")
+	}
+	return s.command(at, request{use: assemble}, func(at sim.Time) (sim.Time, OpStats, int64, error) {
 		done, st, err := s.STL.ReadPartitionSegments(at, v, coord, sub, fn)
 		return done, st, st.Bytes, err
 	})
@@ -245,6 +352,9 @@ func (s *System) NDSReadSegments(at sim.Time, v *stl.View, coord, sub []int64, f
 // NDSWrite writes one partition through an NDS configuration,
 // synchronously (matching Figure 9(d)'s methodology).
 func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []byte) (OpStats, error) {
+	if s.Kind == Baseline {
+		return OpStats{}, s.wrongKind("NDSWrite")
+	}
 	// The scatter and the disassembly are sized by the extent count alone;
 	// the list is WritePartition's to build.
 	extents, elems, err := v.ExtentCount(coord, sub)
@@ -252,32 +362,8 @@ func (s *System) NDSWrite(at sim.Time, v *stl.View, coord, sub []int64, data []b
 		return OpStats{}, err
 	}
 	bytes := elems * int64(v.Space().ElemSize())
-	subEnd, trEnd, err := s.prologue(at, "NDSWrite")
-	if err != nil {
-		return OpStats{}, err
-	}
-
-	var start sim.Time // when the STL may begin programming
-	if s.Kind == SoftwareNDS {
-		// Host breaks the object into building-block pieces (the strided
-		// scatter §7.1 blames for the 30% write loss)...
-		_, scEnd := s.Host.Scatter(trEnd, bytes, extents)
-		// ...then raw pages cross the link before programming starts.
-		_, start = s.Link.Transfer(scEnd, bytes)
-	} else {
-		// Bulk data follows the command over the link in large pieces;
-		// the controller's firmware-driven disassembly is the write-path
-		// bottleneck behind the 17% loss of §7.1.
-		_, linkEnd := s.Link.Transfer(subEnd, bytes)
-		_, start = s.Ctrl.Disassemble(sim.Max(trEnd, linkEnd), bytes, extents)
-	}
-	done, st, err := s.STL.WritePartition(start, v, coord, sub, data)
-	if err != nil {
-		return OpStats{}, err
-	}
-	raw := bytes
-	if s.Kind == SoftwareNDS {
-		raw = st.PagesProgrammed * s.pageSize() // the open-channel host ships whole pages
-	}
-	return complete(st, done, raw), nil
+	return s.command(at, request{write: true, bytes: bytes, chunks: extents}, func(at sim.Time) (sim.Time, OpStats, int64, error) {
+		done, st, err := s.STL.WritePartition(at, v, coord, sub, data)
+		return done, st, bytes, err
+	})
 }

@@ -62,7 +62,7 @@ func wireResultBytes(v *stl.View, sub []int64, op proto.Opcode, records int) int
 	return proto.LayoutFor(v.Space().ElemSize(), sub).ResultSize(op, int64(records))
 }
 
-// NDSScan executes a predicate scan over one partition at the STL: ndsRead
+// NDSScan executes a predicate scan over one partition at the STL: a command
 // with the kernel consumer.
 //
 // Software NDS: submission and translation on the host CPU, raw pages across
@@ -70,8 +70,11 @@ func wireResultBytes(v *stl.View, sub []int64, op proto.Opcode, records int) int
 // NDS: one extended command in, translation and the scan kernel on the
 // controller, and only the result back across the link.
 func (s *System) NDSScan(at sim.Time, v *stl.View, coord, sub []int64, q stl.ScanQuery) (stl.ScanResult, OpStats, error) {
+	if s.Kind == Baseline {
+		return stl.ScanResult{}, OpStats{}, s.wrongKind("NDSScan")
+	}
 	var res stl.ScanResult
-	stats, err := s.ndsRead(at, "NDSScan", kernel, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
+	stats, err := s.command(at, request{use: kernel}, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		res, done, st, err = s.STL.ScanPartition(at, v, coord, sub, q)
 		return done, st, wireResultBytes(v, sub, proto.OpScan, len(res.Matches)), err
 	})
@@ -81,8 +84,11 @@ func (s *System) NDSScan(at sim.Time, v *stl.View, coord, sub []int64, q stl.Sca
 // NDSReduce executes a block-level reduction over one partition at the STL,
 // with the same stage structure and charging as NDSScan.
 func (s *System) NDSReduce(at sim.Time, v *stl.View, coord, sub []int64, q stl.ReduceQuery) (stl.ReduceResult, OpStats, error) {
+	if s.Kind == Baseline {
+		return stl.ReduceResult{}, OpStats{}, s.wrongKind("NDSReduce")
+	}
 	var res stl.ReduceResult
-	stats, err := s.ndsRead(at, "NDSReduce", kernel, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
+	stats, err := s.command(at, request{use: kernel}, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		res, done, st, err = s.STL.ReducePartition(at, v, coord, sub, q)
 		return done, st, wireResultBytes(v, sub, proto.OpReduce, len(res.TopK)), err
 	})
@@ -100,10 +106,13 @@ func (s *System) NDSReduce(at sim.Time, v *stl.View, coord, sub []int64, q stl.R
 // reduction). On SoftwareNDS the declared size is ignored for the link:
 // every raw page crosses first, exactly as NDSScan charges it.
 func (s *System) NDSSelect(at sim.Time, v *stl.View, coord, sub []int64, resultBytes int64) (OpStats, error) {
+	if s.Kind == Baseline {
+		return OpStats{}, s.wrongKind("NDSSelect")
+	}
 	if resultBytes < 0 {
 		return OpStats{}, fmt.Errorf("system: NDSSelect with %d result bytes", resultBytes)
 	}
-	return s.ndsRead(at, "NDSSelect", kernel, func(at sim.Time) (sim.Time, OpStats, int64, error) {
+	return s.command(at, request{use: kernel}, func(at sim.Time) (sim.Time, OpStats, int64, error) {
 		done, st, err := s.STL.ReadPartitionSegments(at, v, coord, sub, func(int64, []stl.Segment) error { return nil })
 		return done, st, resultBytes, err
 	})

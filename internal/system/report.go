@@ -53,13 +53,17 @@ type Report struct {
 // Report snapshots the system's resource accounting over the horizon
 // (normally the completion time of the measured phase).
 func (s *System) Report(horizon sim.Time) Report {
+	busy := func(el element) sim.Time { return s.res[el].BusyTime() }
 	r := Report{
-		Kind:     s.Kind,
-		Horizon:  horizon,
-		HostBusy: s.Host.BusyTime(),
-		LinkBusy: s.Link.BusyTime(),
+		Kind:          s.Kind,
+		Horizon:       horizon,
+		HostBusy:      busy(hostIO) + busy(hostWorker),
+		LinkBusy:      busy(link),
+		CtrlCmd:       busy(ctrlCmd),
+		CtrlTranslate: busy(ctrlTranslate),
+		CtrlAssemble:  busy(ctrlAssemble),
+		CtrlChannels:  busy(ctrlChannels),
 	}
-	r.CtrlCmd, r.CtrlTranslate, r.CtrlAssemble, r.CtrlChannels = s.Ctrl.BusyTimes()
 	r.ChannelUtil = s.Dev.ChannelUtilization(horizon)
 	for _, u := range r.ChannelUtil {
 		r.AvgChannel += u

@@ -11,10 +11,11 @@
 //     NVMe command per partition, translation and assembly in the device,
 //     and only the assembled object crosses the interconnect.
 //
-// Each operation is scheduled on the shared resource timelines (host CPU,
-// link, controller elements, flash channels/banks), so pipelining and
-// bottleneck shifts emerge from the model rather than from per-configuration
-// formulas.
+// Every command is booked by one stage evaluator (command, ops.go) on the
+// system's timelines — host I/O thread and worker, link, and the
+// controller's command handler, translator, assembler and channel dispatch —
+// and on the flash channels and banks beneath, so pipelining and bottleneck
+// shifts emerge from the model rather than from per-configuration formulas.
 package system
 
 import (
@@ -128,10 +129,7 @@ type System struct {
 	Kind Kind
 	Cfg  Config
 
-	Host *hostsim.Host
-	Link *interconnect.Link
-	Ctrl *controller.Controller
-	Dev  *nvm.Device
+	Dev *nvm.Device
 
 	FTL *stl.LBA // Baseline only: the block device
 	STL *stl.STL // SoftwareNDS and HardwareNDS
@@ -140,6 +138,10 @@ type System struct {
 	// building-block-tiled layout (e.g. tensor kernels operating on tiles),
 	// so assembly copies whole pages instead of per-extent fragments.
 	BlockedAssembly bool
+
+	res  [numElements]sim.Resource // the model's timelines, by element
+	wire *interconnect.Link        // the link's cost; its timeline is res[link]
+	ctrl controller.Params         // the controller elements' costs
 }
 
 // assemblyChunks is the number of discrete copies object assembly performs.
@@ -188,21 +190,19 @@ func New(kind Kind, cfg Config) (*System, error) {
 	s := &System{
 		Kind: kind,
 		Cfg:  cfg,
-		Host: hostsim.New(cfg.Host),
-		Link: interconnect.New("host-link", cfg.LinkPeak, cfg.LinkOvh),
 		Dev:  dev,
+		wire: interconnect.New("host-link", cfg.LinkPeak, cfg.LinkOvh),
+		ctrl: controller.BaselineParams(),
 	}
 	switch kind {
 	case Baseline:
-		s.Ctrl = controller.New(controller.BaselineParams())
 		s.FTL, err = stl.NewLBA(dev, cfg.STL)
 	case SoftwareNDS:
 		// The open-channel device retains a baseline-class controller for
 		// command handling; translation happens on the host.
-		s.Ctrl = controller.New(controller.BaselineParams())
 		s.STL, err = stl.New(dev, cfg.STL)
 	case HardwareNDS:
-		s.Ctrl = controller.New(controller.NDSParams())
+		s.ctrl = controller.NDSParams()
 		s.STL, err = stl.New(dev, cfg.STL)
 	default:
 		err = fmt.Errorf("system: unknown kind %d", kind)
@@ -217,27 +217,16 @@ func New(kind Kind, cfg Config) (*System, error) {
 // device) without touching stored data, so an experiment phase starts from a
 // quiet system.
 func (s *System) ResetTimelines() {
-	s.Host.Reset()
-	s.Link.Reset()
-	s.Ctrl.Reset()
+	for i := range s.res {
+		s.res[i].Reset()
+	}
 	s.Dev.ResetTimeline()
 }
 
 // OpStats is the per-operation record: the STL's stl.RequestStats, on which
-// this package fills in Done, RawBytes, Pages and Commands (complete). The
-// baseline operations, which have no STL beneath them, fill in the rest too.
+// command fills in Done, RawBytes, Pages and Commands. The baseline
+// operations, which have no STL beneath them, fill in Bytes and Extents too.
 type OpStats = stl.RequestStats
-
-// complete fills in the fields the system model owns on the record the STL
-// returned for one NDS command: when the command finished, once the host,
-// link and controller stages around the STL's work are counted, and what
-// crossed the link.
-func complete(st OpStats, done sim.Time, raw int64) OpStats {
-	st.Done, st.RawBytes = done, raw
-	st.Pages = st.PagesRead + st.PagesProgrammed
-	st.Commands = 1
-	return st
-}
 
 // pageSize is a small convenience.
 func (s *System) pageSize() int64 { return int64(s.Cfg.Geometry.PageSize) }

@@ -54,6 +54,9 @@ func TestOpsRejectWrongKind(t *testing.T) {
 	if _, err := swn.BaselineWrite(0, nil, nil); err == nil {
 		t.Error("BaselineWrite on NDS system should fail")
 	}
+	if _, err := base.NDSWrite(0, nil, nil, nil, nil); err == nil {
+		t.Error("NDSWrite on baseline should fail")
+	}
 }
 
 func TestBaselineRoundTripWithData(t *testing.T) {
@@ -83,6 +86,148 @@ func TestBaselineWriteRequiresAlignment(t *testing.T) {
 	s, _ := New(Baseline, smallConfig(true))
 	if _, err := s.BaselineWrite(0, []Run{{Off: 1, Len: 100}}, nil); err == nil {
 		t.Error("unaligned baseline write accepted")
+	}
+}
+
+// tile builds a phantom system of kind k holding one written 512x512 tile
+// of 8-byte elements, its timelines reset.
+func tile(t *testing.T, k Kind) (*System, *stl.View) {
+	t.Helper()
+	s, err := New(k, smallConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := s.STL.CreateSpace(8, []int64{512, 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := stl.NewView(sp, []int64{512, 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.NDSWrite(0, v, []int64{0, 0}, []int64{512, 512}, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.ResetTimelines()
+	return s, v
+}
+
+// readTwice issues two reads of the whole tile at time 0 on a fresh system of
+// kind k, calling check after each.
+func readTwice(t *testing.T, k Kind, check func(s *System, i int)) *System {
+	t.Helper()
+	s, v := tile(t, k)
+	for i := 1; i <= 2; i++ {
+		if _, _, err := s.NDSRead(0, v, []int64{0, 0}, []int64{512, 512}); err != nil {
+			t.Fatal(err)
+		}
+		if check != nil {
+			check(s, i)
+		}
+	}
+	return s
+}
+
+// TestPipelineElementsAreIndependent: a stage queues only behind stages on
+// its own element. Two hardware reads of the tile issued at once serialize
+// on the controller's translator, and the second one's translation overlaps
+// the first one's assembly.
+func TestPipelineElementsAreIndependent(t *testing.T) {
+	s := readTwice(t, HardwareNDS, func(s *System, i int) {
+		h, c := s.Cfg.Host, s.ctrl
+		tr1 := h.IOSubmit + s.wire.Duration(s.pageSize()) + c.CmdHandle + c.Translate // the first translation's end
+		// The second command is in before the first translation ends, and its
+		// translation follows at once, not once the first assembly is done.
+		if got, want := s.res[ctrlTranslate].FreeAt(), tr1+sim.Time(i-1)*c.Translate; got != want {
+			t.Fatalf("read %d: translator free at %v, want %v", i, got, want)
+		}
+	})
+	if tr, asm := s.res[ctrlTranslate].FreeAt(), s.res[ctrlAssemble].FreeAt(); tr >= asm {
+		t.Fatalf("the second translation (done %v) should overlap the first assembly (done %v)", tr, asm)
+	}
+	if s.res[hostWorker].BusyTime() != 0 {
+		t.Fatal("hardware NDS booked the host worker")
+	}
+}
+
+// TestCPUSerializes: submissions, and on software NDS translations, queue on
+// the host's one I/O thread, and ResetTimelines clears it.
+func TestCPUSerializes(t *testing.T) {
+	h := smallConfig(true).Host
+	s := readTwice(t, HardwareNDS, func(s *System, i int) {
+		if got, want := s.res[hostIO].FreeAt(), sim.Time(i)*h.IOSubmit; got != want {
+			t.Fatalf("read %d: I/O thread free at %v, want %v", i, got, want)
+		}
+	})
+	if got := s.res[hostIO].BusyTime(); got != 2*h.IOSubmit {
+		t.Fatalf("I/O thread busy %v, want %v", got, 2*h.IOSubmit)
+	}
+
+	s = readTwice(t, SoftwareNDS, nil)
+	if got, want := s.res[hostIO].FreeAt(), 2*(h.IOSubmit+h.STLTraversal); got != want {
+		t.Fatalf("software NDS: I/O thread free at %v, want %v", got, want)
+	}
+	if got, want := s.res[hostIO].BusyTime(), 2*(h.IOSubmit+h.STLTraversal); got != want {
+		t.Fatalf("software NDS: I/O thread busy %v, want %v", got, want)
+	}
+	s.ResetTimelines()
+	if s.res[hostIO].FreeAt() != 0 || s.res[hostIO].BusyTime() != 0 {
+		t.Fatal("I/O thread not idle after ResetTimelines")
+	}
+}
+
+// TestTransferSerializes: transfers queue on the one link, which is busy
+// for each command page and payload, and ResetTimelines clears every
+// element.
+func TestTransferSerializes(t *testing.T) {
+	const obj = 512 * 512 * 8
+	s := readTwice(t, HardwareNDS, nil)
+	h, c := s.Cfg.Host, s.ctrl
+	cmd := s.wire.Duration(s.pageSize())
+	tr1 := h.IOSubmit + cmd + c.CmdHandle + c.Translate // the first translation's end
+	// The second command page backfills the link before the first object
+	// goes out; the second object queues behind the first.
+	if got, want := s.res[link].FreeAt(), tr1+2*s.wire.Duration(obj); got != want {
+		t.Fatalf("link free at %v, want %v", got, want)
+	}
+	if got, want := s.res[link].BusyTime(), 2*(cmd+s.wire.Duration(obj)); got != want {
+		t.Fatalf("link busy %v, want %v", got, want)
+	}
+	s.ResetTimelines()
+	for el := range s.res {
+		if s.res[el].FreeAt() != 0 || s.res[el].BusyTime() != 0 {
+			t.Fatalf("element %d not idle after ResetTimelines", el)
+		}
+	}
+}
+
+// TestDispatchScalesWithPages: a hardware read books PerPage of channel
+// dispatch for every page it reads, and the baseline none.
+func TestDispatchScalesWithPages(t *testing.T) {
+	s, v := tile(t, HardwareNDS)
+	for _, sub := range [][]int64{{64, 64}, {512, 512}} {
+		s.ResetTimelines()
+		_, st, err := s.NDSRead(0, v, []int64{0, 0}, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PagesRead == 0 {
+			t.Fatal("the read read no pages")
+		}
+		if got, want := s.Report(st.Done).CtrlChannels, sim.Time(st.PagesRead)*s.ctrl.PerPage; got != want {
+			t.Fatalf("dispatch of %d pages = %v, want %v", st.PagesRead, got, want)
+		}
+	}
+	base, err := New(Baseline, smallConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := base.BaselineRead(0, []Run{{Off: 0, Len: 64 << 10}}, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := base.Report(st.Done).CtrlChannels; got != 0 {
+		t.Fatalf("baseline read booked %v of channel dispatch", got)
 	}
 }
 

@@ -252,8 +252,7 @@ func Run(spec Spec) (Result, error) {
 
 	var marshal sim.Time
 	if totalRuns > len(spec.Fetches) {
-		host := hostsim.New(hostsim.DefaultParams())
-		marshal = host.MarshalDuration(2*spec.FetchBytes(), totalRuns)
+		marshal = hostsim.DefaultParams().MarshalDuration(2*spec.FetchBytes(), totalRuns)
 	}
 
 	// Oracle fetch: the per-workload optimal layout stores each partition

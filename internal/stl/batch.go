@@ -210,7 +210,7 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 					} else if t.cfg.WriteBuffering {
 						// §4.4 write staging: partially collected pages serve
 						// reads straight from STL memory.
-						if pp := t.pendingFor(s, e.Block, int(p)); pp != nil && pp.buf != nil {
+						if pp := s.staged[pendingKey{e.Block, int(p)}]; pp != nil && pp.buf != nil {
 							rs.pageData[idx] = pp.buf
 						}
 					}
@@ -320,16 +320,21 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		slot := &st.blk.pages[st.page]
 		pb := s.pageBytes(t.geo, st.page)
 		if t.cfg.WriteBuffering && !slot.load().allocated() {
+			// §4.4 staging: the page programs once its coverage reaches its
+			// payload. Coverage may overcount under overlapping writes, which
+			// only programs earlier: never-written bytes are zeros, exactly
+			// what unwritten storage reads as.
+			key := pendingKey{st.blockIdx, st.page}
+			pp := t.stagedPage(s, key)
 			for _, ei := range st.extents {
 				off, src, n := pagePiece(&exts[ei], st.page, ps)
-				var chunk []byte
-				if data != nil {
-					chunk = data[src:]
+				if pp.buf != nil && data != nil {
+					copy(pp.buf[off:], data[src:src+n])
 				}
-				t.stageWrite(s, st.blockIdx, st.page, off, chunk, n)
+				pp.covered += n
 			}
-			if pp := t.takeIfFull(s, st.blockIdx, st.page, pb); pp != nil {
-				if err := t.queueStaged(rs, at, st, pp, flush); err != nil {
+			if pp.covered >= pb {
+				if err := t.queueStaged(rs, at, st, key, pp, flush); err != nil {
 					return abort(err)
 				}
 				stats.PagesProgrammed++

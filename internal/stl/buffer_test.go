@@ -2,8 +2,11 @@ package stl
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"nds/internal/nvm"
 )
@@ -177,8 +180,8 @@ func TestDeleteSpaceDropsPending(t *testing.T) {
 	}
 }
 
-// TestDroppedStagingFramesReturnToArena: a staged page's frame belongs to the
-// pending map until its page is programmed, so a page that is dropped instead
+// TestDroppedStagingFramesReturnToArena: a staged page's frame belongs to its
+// space's staging map until its page is programmed, so a page that is dropped instead
 // — its space deleted, or shrunk past it — hands the frame back. By frame
 // identity: with the arena's free list empty, the draws that follow the drops
 // are exactly the dropped pages' frames, and the page that survives the shrink
@@ -201,9 +204,12 @@ func TestDroppedStagingFramesReturnToArena(t *testing.T) {
 	stage(doomed, 0, 40)
 	stage(shrunk, 0, 70, 100) // rows 70 and 100 lie beyond the new bound
 	// A row crosses two 32x32 blocks, so it stages two pages.
-	survives := func(k pendingKey) bool { return k.space == shrunk.ID() && k.block/shrunk.grid[1] < 64/32 }
+	survives := func(k pendingKey) bool { return k.block/shrunk.grid[1] < 64/32 }
 	dropped, kept := make(map[*byte]bool), make(map[*byte]bool)
-	for k, pp := range st.pending {
+	for _, pp := range doomed.staged {
+		dropped[&pp.buf[0]] = true
+	}
+	for k, pp := range shrunk.staged {
 		if survives(k) {
 			kept[&pp.buf[0]] = true
 		} else {
@@ -223,7 +229,7 @@ func TestDroppedStagingFramesReturnToArena(t *testing.T) {
 	if st.PendingPages() != len(kept) {
 		t.Fatalf("%d pages pending after the drops, want the %d below the new bound", st.PendingPages(), len(kept))
 	}
-	for k, pp := range st.pending {
+	for k, pp := range shrunk.staged {
 		if !survives(k) || !kept[&pp.buf[0]] {
 			t.Fatalf("page %+v is pending after the drops, in a frame that is not its own", k)
 		}
@@ -238,4 +244,221 @@ func TestDroppedStagingFramesReturnToArena(t *testing.T) {
 	if f := st.dev.Frame(); kept[&f[0]] {
 		t.Fatal("a surviving page's frame went back to the arena with the dropped ones")
 	}
+}
+
+// stageRows writes the rows of s, one at a time, through a view of its whole
+// shape, and returns the first error.
+func stageRows(st *STL, s *Space, row []byte, rows ...int64) error {
+	v, err := NewView(s, s.Dims())
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if _, _, err := st.WritePartition(0, v, []int64{r, 0}, []int64{1, s.Dims()[1]}, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkRow reads row r of s and fails the test unless it holds want.
+func checkRow(t *testing.T, st *STL, s *Space, r int64, want []byte) {
+	t.Helper()
+	v := mustView(t, s, s.Dims()...)
+	got, _, _, err := st.ReadPartition(0, v, []int64{r, 0}, []int64{1, s.Dims()[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("row %d of space %d lost its acknowledged bytes", r, s.ID())
+	}
+}
+
+// TestStagedPageSurvivesFailedAllocation: a write that fills a staged page and
+// finds no unit for it fails, and the page stays staged with every byte the
+// earlier writes put there. A 512 B page of a 64x64 float32 space holds rows
+// 0-3 of its blocks, so the write of row 3 fills the pages row 0 staged.
+func TestStagedPageSurvivesFailedAllocation(t *testing.T) {
+	st := newBufferedSTL(t)
+	s := mustSpace(t, st, 4, 64, 64)
+	rng := rand.New(rand.NewSource(43))
+	row0 := fillRandom(rng, 64*4)
+	if err := stageRows(st, s, row0, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Exhaust the logical budget from another space, one block row at a time.
+	filler := mustSpace(t, st, 4, 8192, 64)
+	fv := mustView(t, filler, 8192, 64)
+	band := fillRandom(rng, 32*64*4)
+	var err error
+	for r := int64(0); err == nil; r++ {
+		if r == 8192/32 {
+			t.Fatal("the filler space did not exhaust the device")
+		}
+		_, _, err = st.WritePartition(0, fv, []int64{r, 0}, []int64{32, 64}, band)
+	}
+	if !errors.Is(err, ErrCapacity) {
+		t.Fatalf("filling the device: %v, want ErrCapacity", err)
+	}
+	staged := st.PendingPages()
+	if err := stageRows(st, s, fillRandom(rng, 64*4), 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := stageRows(st, s, fillRandom(rng, 64*4), 3); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("the write that fills the staged pages: %v, want ErrCapacity", err)
+	}
+	checkRow(t, st, s, 0, row0)
+	if st.PendingPages() != staged {
+		t.Fatalf("%d pages staged after the failed write, want the %d it found", st.PendingPages(), staged)
+	}
+}
+
+// TestStagedPageSurvivesFailedLanding: a write that fills a staged page whose
+// program never lands fails, and the page stays staged with every byte the
+// earlier writes put there.
+func TestStagedPageSurvivesFailedLanding(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WriteBuffering = true
+	st := newFaultSTL(t, smallGeo(), cfg, nvm.FaultPlan{Seed: 3, ProgramFailEvery: 1})
+	s := mustSpace(t, st, 4, 64, 64)
+	rng := rand.New(rand.NewSource(44))
+	row0 := fillRandom(rng, 64*4)
+	if err := stageRows(st, s, row0, 0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	staged := st.PendingPages()
+	if err := stageRows(st, s, fillRandom(rng, 64*4), 3); !errors.Is(err, ErrMedia) {
+		t.Fatalf("the write that fills the staged pages: %v, want ErrMedia", err)
+	}
+	checkRow(t, st, s, 0, row0)
+	if st.PendingPages() != staged {
+		t.Fatalf("%d pages staged after the failed write, want the %d it found", st.PendingPages(), staged)
+	}
+	if st.UsedPages() != 0 {
+		t.Fatalf("%d units live after no program landed", st.UsedPages())
+	}
+}
+
+// TestFlushHoldsUpNoOtherSpace parks Flush on its first carve, with the pages
+// of the space it drains staged and not yet programmed, and reads another
+// space meanwhile: the read must not wait for the flush.
+func TestFlushHoldsUpNoOtherSpace(t *testing.T) {
+	st := newBufferedSTL(t)
+	staged := mustSpace(t, st, 4, 64, 64)
+	other := mustSpace(t, st, 4, 64, 64)
+	rng := rand.New(rand.NewSource(45))
+	if err := stageRows(st, staged, fillRandom(rng, 64*4), 0); err != nil {
+		t.Fatal(err)
+	}
+	row := fillRandom(rng, 64*4)
+	if err := stageRows(st, other, row, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := stageRows(st, staged, fillRandom(rng, 64*4), 4); err != nil {
+		t.Fatal(err)
+	}
+
+	parked, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	st.carved = func(nvm.PPA) {
+		once.Do(func() {
+			close(parked)
+			<-resume
+		})
+	}
+	flushed := make(chan error, 1)
+	go func() {
+		_, err := st.Flush(0)
+		flushed <- err
+	}()
+	<-parked
+	read := make(chan []byte, 1)
+	go func() {
+		v, err := NewView(other, []int64{64, 64})
+		if err != nil {
+			read <- nil
+			return
+		}
+		got, _, _, _ := st.ReadPartition(0, v, []int64{8, 0}, []int64{1, 64})
+		read <- got
+	}()
+	select {
+	case got := <-read:
+		if !bytes.Equal(got, row) {
+			t.Error("the read beside the flush returned the wrong bytes")
+		}
+		close(resume)
+	case <-time.After(3 * time.Second):
+		t.Error("a read of another space waited for the flush")
+		close(resume)
+		<-read
+	}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	st.carved = nil
+}
+
+// TestFlushCrossSpaceOrder pins where a flush of three spaces' staged pages
+// puts them. The spaces stage interleaved sub-page rows on a device an
+// overwrite history has brought to the collector's low mark, so the flush
+// collects inline between its programs; the trace holds the flush's
+// completion, every staged page's unit, the device counters and each
+// channel's busy share.
+func TestFlushCrossSpaceOrder(t *testing.T) {
+	sc, hot := newTwin(t, 4, []int64{512, 256}, []int64{512, 256},
+		func(c *Config) { c.WriteBuffering = true; c.OverProvision = 0.5; c.GCLowWater = 0.3 })
+	rng := rand.New(rand.NewSource(46))
+	at := sc.mustWrite(t, 0, hot, []int64{0, 0}, []int64{512, 256}, fillRandom(rng, 512*256*4))
+	for r := 0; r < 1000; r++ {
+		at = sc.mustWrite(t, at, hot, []int64{rng.Int63n(64), rng.Int63n(8)}, []int64{8, 32}, fillRandom(rng, 8*32*4))
+	}
+	var cold [3]*checked
+	for i := range cold {
+		cold[i] = sc.space(t, 4, []int64{64, 128}, []int64{64, 128})
+	}
+	// Four rows of a block share a page. Each space skips a different one of
+	// every four, which leaves every page its rows touch partly covered, so
+	// all of them stay staged until the flush.
+	type stagedPage struct {
+		s     *Space
+		block int64
+		page  int
+	}
+	var pages []stagedPage
+	for r := int64(0); r < 64; r++ {
+		for i, c := range cold {
+			if (r+int64(i))%4 == 3 {
+				continue
+			}
+			at = sc.mustWrite(t, at, c, []int64{r, 0}, []int64{1, 128}, fillRandom(rng, 128*4))
+			for b := int64(0); b < 4; b++ {
+				pages = append(pages, stagedPage{c.v.space, r/32*4 + b, int(r % 32 / 4)})
+			}
+		}
+	}
+	runs := sc.st.GCReport().Runs
+	done := sc.flush(t, at)
+	if sc.st.GCReport().Runs == runs {
+		t.Fatal("the flush never collected; raise the pressure")
+	}
+	seen := make(map[stagedPage]bool)
+	for _, p := range pages {
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		slot := sc.st.blockAt(p.s, p.block, false).pages[p.page].load()
+		sc.tr.Add("space %d block %d page %d unit %v", p.s.ID(), p.block, p.page, sc.st.lay.PPA(slot.word()))
+	}
+	reads, programs, erases := sc.st.dev.Counters()
+	horizon := sc.st.dev.NextIdle()
+	sc.tr.Add("device reads=%d programs=%d erases=%d horizon=%d channels=%v", reads, programs, erases, horizon, sc.st.dev.ChannelUtilization(horizon))
+	for _, c := range cold {
+		sc.read(t, done, c, []int64{0, 0}, []int64{64, 128})
+	}
+	sc.golden(t, "TestFlushCrossSpaceOrder")
 }

@@ -399,7 +399,7 @@ func TestFlushRecoveryDrainsPending(t *testing.T) {
 	}
 
 	// First flush: the nonzero page fails on capacity, but the flush drains
-	// on — the zero page is elided and leaves the pending map.
+	// on — the zero page is elided and leaves its space's staging map.
 	if _, err := st.Flush(0); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("want ErrCapacity from squeezed flush, got %v", err)
 	}

@@ -223,6 +223,7 @@ var goldenTests = map[string]func(*testing.T){
 	"TestBlockPlanTablesAcrossSpaces": TestBlockPlanTablesAcrossSpaces,
 	"TestFaultMatrixDeterministic":    TestFaultMatrixDeterministic,
 	"TestLBAAgeing":                   TestLBAAgeing,
+	"TestFlushCrossSpaceOrder":        TestFlushCrossSpaceOrder,
 }
 
 // TestGoldenTraces runs every traced test of the package (spec.GoldenSet):

@@ -33,10 +33,11 @@ import (
 //
 //   - a request's flush (flushPrograms) bound its units when it queued them —
 //     its own pages and the staged pages that filled (queueStaged) — so it
-//     unbinds the rest and gives their frames back to the arena; a compressed
-//     block's store (storeBlockImage) does the same with copied ops;
-//   - Flush bound them too, but its pages are still staged: it unbinds the one
-//     failed key, which stays pending with its frame, and carries on with the
+//     unbinds the rest and gives its own pages' frames back to the arena,
+//     while a staged page stays staged with its frame; a compressed block's
+//     store (storeBlockImage) does the same with copied ops;
+//   - Flush bound them too, and its pages are all staged: it unbinds the one
+//     failed key, which stays staged with its frame, and carries on with the
 //     ops behind it;
 //   - the collector (evacuateBlock) binds after landing, so it commits the
 //     landed prefix and releases the destinations of the rest, whose pages
@@ -238,8 +239,8 @@ func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) 
 // rebindFaulted points the slot that owns old (located through the
 // reverse-lookup table) at np instead, keeping usedPages and valid counts
 // balanced. Used by the batch recovery path, where the unit was bound when
-// its program was queued; the caller's space write lock (or Flush's exclusive
-// barrier, or the LBA's one request at a time) is what makes the
+// its program was queued; the caller's space write lock (a writer's or
+// Flush's, or the LBA's one request at a time) is what makes the
 // read-then-rebind atomic.
 // Returns false if old is not bound (translation state is inconsistent —
 // callers surface an error), with np released.

@@ -44,7 +44,7 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 		// Staged (§4.4) pages beyond the new bound are discarded with their
 		// blocks.
 		stride := prod(s.grid[1:])
-		t.dropPendingWhere(func(k pendingKey) bool { return k.space == id && k.block/stride >= newGrid0 })
+		t.dropStaged(s, func(k pendingKey) bool { return k.block/stride >= newGrid0 })
 	}
 	if r := newDim0 % s.bb[0]; newDim0 < s.dims[0] && r != 0 {
 		if err := t.clearTail(s, newGrid0-1, r*(s.bbBytes/s.bb[0])); err != nil {
@@ -106,7 +106,7 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 	ps := int64(t.geo.PageSize)
 	stride := prod(s.grid[1:])
 	p, first := cut/ps, ceilDiv(cut, ps) // the page astride cut, if p < first; the first page past it
-	t.dropPendingWhere(func(k pendingKey) bool { return k.space == s.id && k.block/stride == g && int64(k.page) >= first })
+	t.dropStaged(s, func(k pendingKey) bool { return k.block/stride == g && int64(k.page) >= first })
 	rs := t.getScratch(s)
 	defer t.putScratch(rs)
 	var n int64 // bytes of zeros the rewrite writes
@@ -126,7 +126,7 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 			if p == first {
 				continue
 			}
-			if pp := t.pendingFor(s, b, int(p)); pp != nil && pp.buf != nil {
+			if pp := s.staged[pendingKey{b, int(p)}]; pp != nil && pp.buf != nil {
 				clear(pp.buf[cut-p*ps:])
 			}
 			if !blk.pages[p].load().allocated() {

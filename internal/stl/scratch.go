@@ -71,10 +71,13 @@ type requestScratch struct {
 	// flush copies the stage's pieces of payload, the caller's buffer, into
 	// each before it programs the batch. dead names the units the queued ops
 	// replace, and the units the request released, for that flush to discard.
+	// staged names the queued ops of staged pages (queueStaged), which leave
+	// their space's staging map only if the flush lands them.
 	stages  []writeStage
 	ops     []nvm.ProgramOp
 	fills   []pendingFill
 	dead    []deadUnit
+	staged  []stagedOp
 	payload []byte
 
 	// Segment emission (segments.go): reused across requests; Src pointers
@@ -132,6 +135,12 @@ type pendingFill struct {
 	op, stage int32
 }
 
+// stagedOp names a queued program of a staged page: ops[op] lands page key.
+type stagedOp struct {
+	op  int32
+	key pendingKey
+}
+
 // getScratch takes a scratch from the pool, sized for space s.
 func (t *STL) getScratch(s *Space) *requestScratch {
 	rs, _ := t.scratch.Get().(*requestScratch)
@@ -178,6 +187,7 @@ func (t *STL) putScratch(rs *requestScratch) {
 	rs.ops = rs.ops[:0]
 	rs.fills = rs.fills[:0]
 	rs.dead = rs.dead[:0]
+	rs.staged = rs.staged[:0]
 	rs.payload = nil
 	for i := range rs.segs {
 		rs.segs[i].Src = nil
@@ -447,13 +457,23 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time, stats 
 //
 // Queued ops were bound when appended, so landPrograms relocates a faulted
 // op through the reverse-lookup table (rebindFaulted). What it could not land
-// is unbound here, so bound units are always programmed units. Then the units
-// the landed programs replaced give their frames back (discardUnits).
+// is unbound here, so bound units are always programmed units. A staged page
+// leaves its space's staging map if its op landed, and keeps its frame there
+// if not. Then the units the landed programs replaced give their frames back
+// (discardUnits).
 func (t *STL) flushPrograms(rs *requestScratch, done *sim.Time, stats *RequestStats) error {
 	rs.fillPending(int64(t.geo.PageSize))
 	d, landed, retries, err := t.landPrograms(rs.ops, t.rebindFaulted)
 	*done = sim.Max(*done, d)
 	stats.ProgramRetries += retries
+	for _, q := range rs.staged {
+		if int(q.op) < landed {
+			delete(rs.space.staged, q.key)
+		} else {
+			rs.ops[q.op].Data = nil
+		}
+	}
+	rs.staged = rs.staged[:0]
 	rest := rs.ops[landed:]
 	t.unbindOps(rest)
 	for i := range rest {

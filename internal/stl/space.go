@@ -11,7 +11,8 @@
 //     reverse-lookup table from §4.2 (alloc.go, gc.go)
 //   - the space translator of §4.3 that remaps partitions requested in an
 //     arbitrary application view onto building-block extents (translate.go)
-//   - read assembly and write decomposition from §4.4 (stl.go)
+//   - read assembly and write decomposition from §4.4 (batch.go, segments.go),
+//     and sub-unit write staging (buffer.go)
 package stl
 
 import (
@@ -56,6 +57,8 @@ type Space struct {
 	// dieFree is allocateUnit's working memory: the free-page count of each
 	// channel's die in the bank being tried (guarded by mu, like the above).
 	dieFree []int64
+	// staged holds the space's §4.4 staged pages (buffer.go), guarded by mu.
+	staged map[pendingKey]*pendingPage
 }
 
 // ID returns the space identifier.

@@ -94,15 +94,16 @@ const maxGridBlocks = 1 << 32
 // whole device (it replaces the FTL in an NDS-compliant drive, and drives an
 // open-channel drive in the software-only configuration).
 //
-// Concurrency: the STL owns every space's lifetime. Create, delete, resize
-// and Flush take the barrier exclusively; the data-path entries
-// (ReadPartitionSegments, WritePartition) take it shared after tenant
-// admission, refuse a stale view with ErrClosedView, and serialize per space
-// (Space.mu: shared for reads, exclusive for writes). Allocation state is per
-// die (die.mu), the write-staging map sits behind pendingMu, and garbage
-// collection runs on the writers, taking no space's lock beyond the writing
-// request's own: it commits each relocation to its page's slot by
-// compare-and-swap and waits out the read grace set before an erase (gc.go).
+// Concurrency: the STL owns every space's lifetime. Create, delete and resize
+// take the barrier exclusively; the data-path entries (ReadPartitionSegments,
+// WritePartition) take it shared after tenant admission, refuse a stale view
+// with ErrClosedView, and serialize per space (Space.mu: shared for reads,
+// exclusive for writes). Flush is a writer of each space in turn. A space's
+// §4.4 staged pages are its own, under its Space.mu (buffer.go). Allocation
+// state is per die (die.mu), and garbage collection runs on the writers,
+// taking no space's lock beyond the writing request's own: it commits each
+// relocation to its page's slot by compare-and-swap and waits out the read
+// grace set before an erase (gc.go).
 // Lock order: QoS admission -> barrier -> Space.mu -> die.mu -> cache shard /
 // device shard. Nothing holding a later lock acquires an earlier one, so a
 // tenant asleep in its bucket blocks no one.
@@ -144,9 +145,6 @@ type STL struct {
 
 	compressedBlocks atomic.Int64
 	zeroSkipped      atomic.Int64
-
-	pendingMu sync.Mutex
-	pending   map[pendingKey]*pendingPage // §4.4 write staging
 
 	// simClock is the high-water completion time across requests. A shrink
 	// has no issue time of its own, so clearTail rewrites the page astride
@@ -313,6 +311,7 @@ func (t *STL) CreateSpace(elemSize int, dims []int64) (*Space, error) {
 		bbElems:    prod(sizing.Dims),
 		bbBytes:    sizing.Bytes,
 		pagesPerBB: sizing.PagesPerBB,
+		staged:     make(map[pendingKey]*pendingPage),
 	}
 	for i := range dims {
 		s.grid[i] = ceilDiv(dims[i], s.bb[i])
@@ -364,7 +363,7 @@ func (t *STL) DeleteSpace(id SpaceID) error {
 	defer s.mu.Unlock()
 	s.gen++
 	t.discardUnits(t.invalidateSubtree(s, s.root, nil), 0)
-	t.dropPendingWhere(func(k pendingKey) bool { return k.space == id })
+	t.dropStaged(s, func(pendingKey) bool { return true })
 	if t.cache != nil {
 		// Belt and braces: every unit invalidation above already dropped its
 		// block's cache entry; the space-wide purge also clears entries whose

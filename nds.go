@@ -44,10 +44,11 @@
 // never see a half-applied write), allocates under per-die locks and collects
 // garbage inline on the writer, so writers to different spaces run in
 // parallel and a device driven one write at a time replays exactly. Create,
-// delete, resize and Flush take the barrier exclusively; after a delete or
-// resize every older view of the space is refused with ErrClosedView, even
-// mid-flight. View lifecycle (open/close, wire view IDs) is guarded
-// separately, so closing one view stalls no I/O on another.
+// delete and resize take the barrier exclusively; after a delete or resize
+// every older view of the space is refused with ErrClosedView, even
+// mid-flight. Flush drains one space at a time as a writer of it, so it holds
+// up no other space's requests. View lifecycle (open/close, wire view IDs) is
+// guarded separately, so closing one view stalls no I/O on another.
 package nds
 
 import (
@@ -217,8 +218,9 @@ type Stats = stl.RequestStats
 // comment's Concurrency section for the scheduling and timing model.
 //
 // Lock order (for maintainers): Space.mu, then the STL's own (QoS admission
-// -> barrier -> stl.Space.mu -> die -> cache shard); Device.viewMu is a leaf,
-// taken under the barrier's shared side by OpenSpace.
+// -> barrier -> stl.Space.mu -> die -> cache shard; stl.Space.mu also guards
+// the space's §4.4 staged pages); Device.viewMu is a leaf, taken under the
+// barrier's shared side by OpenSpace.
 type Device struct {
 	sys *system.System
 

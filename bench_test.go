@@ -5,7 +5,8 @@ package nds_test
 // regenerates its experiment on the simulated platform and reports the
 // figure's headline quantities as custom metrics (MB/s of simulated
 // bandwidth, x of speedup), so `go test -bench=.` reproduces the evaluation
-// end to end. cmd/ndsbench prints the full row/series form.
+// end to end. The full row/series form is experiments.Report, which
+// cmd/ndsbench prints.
 
 import (
 	"fmt"

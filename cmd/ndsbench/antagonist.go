@@ -193,7 +193,7 @@ const antP99SlackNs = 250e3
 // runAntagonist is the -antagonist CLI mode: run both phases and fail (exit
 // 1) unless the flooded victim's p99 stays within bound x solo (+ slack).
 func runAntagonist(bound float64) {
-	header(fmt.Sprintf("Tenant isolation: victim vs %dx antagonist", antFloodScale))
+	fmt.Printf("\n=== Tenant isolation: victim vs %dx antagonist ===\n", antFloodScale)
 	fmt.Printf("victim %d conns at %d ops/s, antagonist %d conns at %d ops/s (rate cap %d MB/s); median of %d trials\n",
 		antConns, antVictimRate, antConns, antFloodScale*antVictimRate, antRateCap>>20, antTrials)
 	res, err := runAntagonistLoad()

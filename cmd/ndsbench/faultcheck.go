@@ -14,7 +14,7 @@ import (
 // device replays the same fault history. It exits nonzero on any mismatch,
 // so CI can gate on it.
 func faultCheck() {
-	header("Fault-injection sanity (seeded plan, mixed workload)")
+	fmt.Println("\n=== Fault-injection sanity (seeded plan, mixed workload) ===")
 	r1, clk1 := faultCheckRun()
 	r2, clk2 := faultCheckRun()
 	if r1 != r2 {

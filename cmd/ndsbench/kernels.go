@@ -75,7 +75,7 @@ func measureKernel(name string) (push, read workloads.KernelStats, err error) {
 // selectivity sweep showing where pushing the frontier scan down stops
 // paying; then the functional kernels' measured savings.
 func runKernels() {
-	header("Device-resident workload kernels: pushdown stage split (Figure 10)")
+	fmt.Println("\n=== Device-resident workload kernels: pushdown stage split (Figure 10) ===")
 	fmt.Println("catalog at 1/4 scale; push = selection phase executed at the STL")
 	fmt.Println()
 	var bfs workloads.Spec

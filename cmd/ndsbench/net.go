@@ -232,7 +232,7 @@ func driveOpenLoop(clients []*ndsclient.Client, views []uint32, o netOpts, seedB
 // runNet is the -net CLI mode: load an external ndsd (CI smoke, manual
 // experiments) and print the tail-latency report.
 func runNet(addr string, o netOpts) {
-	header(fmt.Sprintf("Open-loop network load: %s", addr))
+	fmt.Printf("\n=== Open-loop network load: %s ===\n", addr)
 	fmt.Printf("conns %d  target %.0f ops/s (%s)  zipf %.2f  burst %v  dur %v\n",
 		o.Conns, o.Rate, o.Arrival, o.ZipfS, o.Burst, o.Dur)
 	res, err := runNetLoad(addr, o)
@@ -390,7 +390,7 @@ func runStream(addr string, o streamOpts) {
 	}
 	defer cleanup()
 
-	header("Single-connection streaming read")
+	fmt.Println("\n=== Single-connection streaming read ===")
 	fmt.Printf("partition %dx%d x%dB = %.1f MiB  window %d\n",
 		streamRows, streamCols, streamElem,
 		float64(streamRows*streamCols*streamElem)/(1<<20), o.Window)

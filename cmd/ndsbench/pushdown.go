@@ -58,7 +58,7 @@ func pdSetup(mode nds.Mode, cacheBytes int64, prefetch int) (*nds.Device, *nds.S
 // interconnect bytes and simulated time of scanning every tile via pushdown
 // versus reading every tile and filtering on the host.
 func runPushdown(cacheBytes int64, prefetch int) {
-	header("In-storage compute pushdown: scan vs read-then-filter")
+	fmt.Println("\n=== In-storage compute pushdown: scan vs read-then-filter ===")
 	fmt.Printf("%d MiB space, %d %dx%d tiles, predicate [0,m) over values 0..999\n\n",
 		pdDim*pdDim*8>>20, pdTiles, pdTile, pdTile)
 	fmt.Printf("%-8s %11s %14s %14s %9s %12s %12s\n",

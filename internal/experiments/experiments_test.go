@@ -1,55 +1,79 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"nds/internal/sim"
+	"nds/internal/spec"
 )
 
 // The experiment tests assert the *shapes* the paper reports — orderings,
-// rough factors, crossovers — at a scale that keeps test time bounded.
-// EXPERIMENTS.md records the paper-scale numbers produced by cmd/ndsbench.
+// rough factors, crossovers — on one measurement of the whole report at a
+// scale that keeps test time bounded, and TestReport pins every number of it.
+// EXPERIMENTS.md holds the same report at the paper's scale, as cmd/ndsbench
+// prints it.
 
 const testN = 4096 // microbenchmark matrix side (doubles)
 
-// neverCollects asserts that no platform the test builds collects on its
-// baseline: once the test is done, every baseline's report reads no erase
-// and no relocation, so the figures time the layout the load left. (Figure
-// 10 builds its platforms inside workloads.Run, which refuses a load that
-// collects.)
-func neverCollects(t *testing.T) {
+var measured struct {
+	once sync.Once
+	r    *Report
+	err  error
+}
+
+// report measures every section at testN once per test binary, Figure 10
+// only when not -short, and fails if a platform it built collected on its
+// baseline: the figures time the layout the load left. (Figure 10 builds its
+// platforms inside workloads.Run, which refuses a load that collects.)
+func report(t *testing.T) *Report {
 	t.Helper()
-	var platforms []*Platform
-	built = func(p *Platform) { platforms = append(platforms, p) }
-	t.Cleanup(func() {
-		built = nil
+	measured.once.Do(func() {
+		var platforms []*Platform
+		built = func(p *Platform) { platforms = append(platforms, p) }
+		defer func() { built = nil }()
+		sections := Sections
+		if testing.Short() {
+			sections = slices.DeleteFunc(slices.Clone(Sections), func(s string) bool { return s == "fig 10" })
+		}
+		measured.r, measured.err = NewReport(testN, sections...)
 		for _, p := range platforms {
 			if gc := p.Baseline.Report(0).GC; gc.Erases != 0 || gc.PagesRelocated != 0 {
-				t.Errorf("the baseline collected: %+v", gc)
+				measured.err = fmt.Errorf("the baseline collected: %+v", gc)
 			}
 		}
 	})
+	if measured.err != nil {
+		t.Fatal(measured.err)
+	}
+	return measured.r
 }
 
-func loadedPlatform(t *testing.T) (*Platform, *Matrix2D) {
-	t.Helper()
-	neverCollects(t)
-	p, err := NewPlatform(testN * testN * 8)
-	if err != nil {
-		t.Fatal(err)
+// goldenTests are the package's tests that check golden traces, under the
+// name of the trace each writes.
+var goldenTests = map[string]func(*testing.T){
+	"TestReport": TestReport,
+}
+
+// TestGoldenTraces runs every traced test of the package (spec.GoldenSet):
+// go test -run Golden checks every trace, and with -update rewrites them.
+func TestGoldenTraces(t *testing.T) { spec.GoldenSet(t, goldenTests) }
+
+// TestReport pins the whole report at testN: a change that moves any
+// simulated number of the paper's evaluation shows on the line it moves.
+func TestReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the report has no Figure 10 in short mode")
 	}
-	m, err := p.LoadMatrix(testN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, m
+	var tr spec.Trace
+	tr.Add("%s", report(t))
+	tr.Check(t, "TestReport")
 }
 
 func TestFigure3Shape(t *testing.T) {
-	rows, err := Figure3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := report(t).Fig3
 	if len(rows) != 10 {
 		t.Fatalf("expected 10 dims (32..16384), got %d", len(rows))
 	}
@@ -86,7 +110,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure2AShape(t *testing.T) {
-	r := Figure2A()
+	r := report(t).Fig2A
 	// Paper: the sequential baseline needs 2.11x the sub-block time.
 	if r.Ratio < 1.7 || r.Ratio > 2.8 {
 		t.Fatalf("Figure 2(a) ratio = %.2f, want ~2.11", r.Ratio)
@@ -97,13 +121,9 @@ func TestFigure2AShape(t *testing.T) {
 }
 
 func TestFigure2BShape(t *testing.T) {
-	neverCollects(t)
-	r, err := Figure2B()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := report(t).Fig2B
 	// Paper: the baseline spends 1.92x more time fetching; our calibrated
-	// model lands around 1.6x (see EXPERIMENTS.md).
+	// model lands around 1.6x.
 	if r.FetchRatio < 1.3 || r.FetchRatio > 2.4 {
 		t.Fatalf("Figure 2(b) fetch ratio = %.2f, want ~1.9", r.FetchRatio)
 	}
@@ -113,11 +133,7 @@ func TestFigure2BShape(t *testing.T) {
 }
 
 func TestFigure9AShape(t *testing.T) {
-	p, m := loadedPlatform(t)
-	rows, err := Figure9A(p, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := report(t).Fig9A
 	for _, pt := range rows {
 		// Row fetches: hardware NDS within 5% of the baseline; software NDS
 		// slower than both but within ~25% (§7.1: 4.3 vs 3.8 GB/s).
@@ -137,11 +153,7 @@ func TestFigure9AShape(t *testing.T) {
 }
 
 func TestFigure9BShape(t *testing.T) {
-	p, m := loadedPlatform(t)
-	rows, err := Figure9B(p, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := report(t).Fig9B
 	for i, pt := range rows {
 		// Column fetches: the row-store baseline collapses; both NDS
 		// variants stay within reach of the column-store baseline.
@@ -162,11 +174,7 @@ func TestFigure9BShape(t *testing.T) {
 }
 
 func TestFigure9CShape(t *testing.T) {
-	p, m := loadedPlatform(t)
-	rows, err := Figure9C(p, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := report(t).Fig9C
 	for _, pt := range rows {
 		if pt.SoftwareMB < 3*pt.BaselineMB || pt.HardwareMB < 3*pt.BaselineMB {
 			t.Errorf("%s: NDS (sw %.0f / hw %.0f) should significantly outperform the baseline (%.0f)",
@@ -176,11 +184,7 @@ func TestFigure9CShape(t *testing.T) {
 }
 
 func TestFigure9DShape(t *testing.T) {
-	neverCollects(t)
-	w, err := Figure9D(testN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := report(t).Fig9D
 	// Writes: baseline fastest, hardware NDS in between, software NDS last
 	// (§7.1: -17% and -30% at paper scale).
 	if !(w.BaselineRowMB > w.HardwareMB && w.HardwareMB > w.SoftwareMB) {
@@ -194,11 +198,7 @@ func TestFigure9DShape(t *testing.T) {
 }
 
 func TestOverheadAnchors(t *testing.T) {
-	neverCollects(t)
-	o, err := Overhead(testN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := report(t).Overhead
 	// §7.3: +41 us software, +17 us hardware, both of the same order as a
 	// flash page access; index <= 0.1% of the data.
 	if o.SoftwareDelta < 30*sim.Microsecond || o.SoftwareDelta > 55*sim.Microsecond {
@@ -219,10 +219,7 @@ func TestFigure10Aggregates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Figure 10 sweep in short mode")
 	}
-	s, err := Figure10()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := report(t).Fig10
 	if len(s.Results) != 10 {
 		t.Fatalf("got %d workloads, want 10", len(s.Results))
 	}

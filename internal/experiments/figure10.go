@@ -9,8 +9,6 @@ import (
 // Figure 10: (a) end-to-end speedup of software NDS, the zero-overhead
 // software oracle, and hardware NDS over the baseline SSD for the ten
 // Table 1 workloads; (b) the reduction of compute-kernel idle time.
-// The paper reports averages of 5.07x (software), ~the oracle matching
-// software NDS, 5.73x (hardware), and idle-time cuts of 74% / 76%.
 
 // Fig10Summary aggregates the per-workload results.
 type Fig10Summary struct {

@@ -10,10 +10,8 @@ import (
 // Figure 2: relative execution time of pipelined blocked matrix
 // multiplication (32Kx32K inputs, 8Kx8K sub-blocks, fp32) with a row-store
 // (sequential) source layout versus a sub-block layout, (a) with data already
-// in main memory and (b) streamed from a 32-channel SSD.
-//
-// The paper reports the row-store baseline needing 2.11x the sub-block
-// configuration's time in (a), and spending 1.92x more time fetching in (b).
+// in main memory and (b) streamed from a 32-channel SSD. The paper's values
+// are the report's (report.go).
 
 // Fig2Result holds one panel's outcome.
 type Fig2Result struct {
@@ -41,25 +39,29 @@ func defaultFig2() fig2Params {
 	return fig2Params{n: 32768, tile: 8192, elem: 4, iters: 64}
 }
 
-// Figure2A computes panel (a): data already in host memory, so the baseline
-// differs from the sub-block configuration only by the CPU marshalling stage
-// that forms each 8Kx8K tile pair from the row-store image (problem [P1]).
-func Figure2A() Fig2Result {
-	p := defaultFig2()
+// stages are the host stages of one iteration, fed the same way in both
+// panels: marshalling a tile pair (the baseline only), the GPU copy, and the
+// kernel.
+func (p fig2Params) stages() (marshal, copyD, kernel sim.Time) {
 	gpu := accel.NewGPU()
-	cuda := accel.CUDACores()
-
 	tileBytes := p.tile * p.tile * p.elem
 	pairBytes := 2 * tileBytes
 	// Forming a tile from a row-store image is a strided copy: every byte is
 	// loaded from the source and stored to the tile buffer, so the memory
 	// traffic is twice the payload; one chunk per source row per tile.
-	marshal := hostsim.DefaultParams().MarshalDuration(2*pairBytes, int(2*p.tile))
+	marshal = hostsim.DefaultParams().MarshalDuration(2*pairBytes, int(2*p.tile))
 	// The copy stage moves the tile pair in and (amortized over the tiles
 	// summed into one C tile) a result tile out.
-	copyD := gpu.CopyDuration(pairBytes) + gpu.CopyDuration(tileBytes)/sim.Time(p.n/p.tile)
-	kernel := cuda.Duration(pairBytes, p.tile)
+	copyD = gpu.CopyDuration(pairBytes) + gpu.CopyDuration(tileBytes)/sim.Time(p.n/p.tile)
+	return marshal, copyD, accel.CUDACores().Duration(pairBytes, p.tile)
+}
 
+// Figure2A computes panel (a): data already in host memory, so the baseline
+// differs from the sub-block configuration only by the CPU marshalling stage
+// that forms each 8Kx8K tile pair from the row-store image (problem [P1]).
+func Figure2A() Fig2Result {
+	p := defaultFig2()
+	marshal, copyD, kernel := p.stages()
 	base := sim.NewPipeline(3)
 	sub := sim.NewPipeline(2)
 	for i := 0; i < p.iters; i++ {
@@ -95,7 +97,7 @@ func Figure2B() (Fig2Result, error) {
 	}
 	pages := p.n * p.n * p.elem / int64(plat.Baseline.Cfg.Geometry.PageSize)
 	for lpn := int64(0); lpn < pages; lpn += 65536 {
-		if _, err := plat.Baseline.FTL.WritePages(0, lpn, nil, min64(65536, pages-lpn)); err != nil {
+		if _, err := plat.Baseline.FTL.WritePages(0, lpn, nil, min(65536, pages-lpn)); err != nil {
 			return Fig2Result{}, err
 		}
 	}
@@ -135,14 +137,7 @@ func Figure2B() (Fig2Result, error) {
 	}
 	subFetch := st.Done * sample
 
-	gpu := accel.NewGPU()
-	cuda := accel.CUDACores()
-	tileBytes := p.tile * p.tile * p.elem
-	pairBytes := 2 * tileBytes
-	marshal := hostsim.DefaultParams().MarshalDuration(2*pairBytes, int(2*p.tile))
-	copyD := gpu.CopyDuration(pairBytes) + gpu.CopyDuration(tileBytes)/sim.Time(p.n/p.tile)
-	kernel := cuda.Duration(pairBytes, p.tile)
-
+	marshal, copyD, kernel := p.stages()
 	base := sim.NewPipeline(4)
 	sub := sim.NewPipeline(3)
 	for i := 0; i < p.iters; i++ {

@@ -53,7 +53,7 @@ func Figure3() ([]Fig3Row, error) {
 // for one contiguous fetch of the given size: pages striped across channels,
 // read with no interconnect in the way.
 func internalBandwidth(bytes int64) (float64, error) {
-	cfg := system.PrototypeConfig(max64(bytes, 1<<20), true)
+	cfg := system.PrototypeConfig(max(bytes, 1<<20), true)
 	dev, err := nvm.NewDevice(cfg.Geometry, cfg.Timing, true)
 	if err != nil {
 		return 0, err
@@ -77,11 +77,4 @@ func internalBandwidth(bytes int64) (float64, error) {
 		return 0, err
 	}
 	return mbps(bytes, done), nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

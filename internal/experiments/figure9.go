@@ -55,41 +55,38 @@ func Figure9A(p *Platform, m *Matrix2D) ([]Fig9Point, error) {
 		}
 		pt.BaselineMB = mbps(st.Bytes, st.Done)
 
-		sw, err := ndsSweep(p.Software, m, []int64{h, m.N})
-		if err != nil {
+		if pt.SoftwareMB, pt.HardwareMB, err = ndsSweep(p, m, []int64{h, m.N}); err != nil {
 			return nil, err
 		}
-		pt.SoftwareMB = sw
-		hw, err := ndsSweep(p.Hardware, m, []int64{h, m.N})
-		if err != nil {
-			return nil, err
-		}
-		pt.HardwareMB = hw
 		out = append(out, pt)
 	}
 	return out, nil
 }
 
 // ndsSweep reads the whole matrix in partitions of the given
-// sub-dimensionality through one NDS system, returning effective MB/s.
-func ndsSweep(sys *system.System, m *Matrix2D, sub []int64) (float64, error) {
-	v := m.SoftView
-	if sys.Kind == system.HardwareNDS {
-		v = m.HardView
-	}
-	var total int64
-	var done sim.Time
-	for i := int64(0); i*sub[0] < m.N; i++ {
-		for j := int64(0); j*sub[1] < m.N; j++ {
-			_, st, err := sys.NDSRead(0, v, []int64{i, j}, sub)
-			if err != nil {
-				return 0, err
-			}
-			total += st.Bytes
-			done = sim.Max(done, st.Done)
+// sub-dimensionality through software, then hardware NDS, returning each
+// one's effective MB/s.
+func ndsSweep(p *Platform, m *Matrix2D, sub []int64) (sw, hw float64, err error) {
+	for _, sys := range []*system.System{p.Software, p.Hardware} {
+		v, mb := m.SoftView, &sw
+		if sys.Kind == system.HardwareNDS {
+			v, mb = m.HardView, &hw
 		}
+		var total int64
+		var done sim.Time
+		for i := int64(0); i*sub[0] < m.N; i++ {
+			for j := int64(0); j*sub[1] < m.N; j++ {
+				_, st, err := sys.NDSRead(0, v, []int64{i, j}, sub)
+				if err != nil {
+					return 0, 0, err
+				}
+				total += st.Bytes
+				done = sim.Max(done, st.Done)
+			}
+		}
+		*mb = mbps(total, done)
 	}
-	return mbps(total, done), nil
+	return sw, hw, nil
 }
 
 // Figure9B measures column-block fetches of width w: the row-store baseline
@@ -124,16 +121,9 @@ func Figure9B(p *Platform, m *Matrix2D) ([]Fig9Point, error) {
 		pt.BaselineAlt = mbps(st.Bytes, st.Done)
 
 		// NDS: one partition per column block; measure a full matrix sweep.
-		sw, err := ndsSweep(p.Software, m, []int64{m.N, w})
-		if err != nil {
+		if pt.SoftwareMB, pt.HardwareMB, err = ndsSweep(p, m, []int64{m.N, w}); err != nil {
 			return nil, err
 		}
-		pt.SoftwareMB = sw
-		hw, err := ndsSweep(p.Hardware, m, []int64{m.N, w})
-		if err != nil {
-			return nil, err
-		}
-		pt.HardwareMB = hw
 		out = append(out, pt)
 	}
 	return out, nil
@@ -163,25 +153,18 @@ func Figure9C(p *Platform, m *Matrix2D) ([]Fig9Point, error) {
 		}
 		pt.BaselineMB = mbps(st.Bytes, st.Done)
 
-		sw, err := ndsSweep(p.Software, m, []int64{k, k})
-		if err != nil {
+		if pt.SoftwareMB, pt.HardwareMB, err = ndsSweep(p, m, []int64{k, k}); err != nil {
 			return nil, err
 		}
-		pt.SoftwareMB = sw
-		hw, err := ndsSweep(p.Hardware, m, []int64{k, k})
-		if err != nil {
-			return nil, err
-		}
-		pt.HardwareMB = hw
 		out = append(out, pt)
 	}
 	return out, nil
 }
 
 // Fig9Write holds panel (d): effective write bandwidth per configuration.
+// The baseline writes the same contiguous volume as a row or a column store.
 type Fig9Write struct {
 	BaselineRowMB float64
-	BaselineColMB float64
 	SoftwareMB    float64
 	HardwareMB    float64
 }
@@ -222,8 +205,6 @@ func Figure9D(n int64) (Fig9Write, error) {
 		return out, err
 	}
 	out.BaselineRowMB = mbps(st.Bytes, st.Done)
-	// The column-store baseline writes the same volume contiguously too.
-	out.BaselineColMB = out.BaselineRowMB
 
 	swView, err := stl.NewView(sp, []int64{n, n})
 	if err != nil {

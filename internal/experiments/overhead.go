@@ -9,9 +9,8 @@ import (
 
 // Section 7.3: the overhead of NDS. A worst-case request asks for a single
 // page, with access patterns chosen to avoid any transformation, isolating
-// the B-tree traversal cost. The paper measures +41 us (software NDS) and
-// +17 us (hardware NDS) over the baseline, and an index footprint of at most
-// 0.1% of the storage space when every page is in use.
+// the B-tree traversal cost; the index footprint is that of a fully
+// populated space.
 
 // OverheadResult holds the §7.3 measurements.
 type OverheadResult struct {

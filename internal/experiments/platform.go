@@ -1,8 +1,8 @@
 // Package experiments contains one harness per table/figure of the paper's
 // evaluation (§7), each regenerating the corresponding rows/series on the
-// simulated platform. Absolute numbers come from the calibrated models; the
-// shapes — who wins, by what factor, where the crossovers fall — are the
-// reproduction targets recorded in EXPERIMENTS.md.
+// simulated platform, and the report that prints them all (Report).
+// Absolute numbers come from the calibrated models; the shapes — who wins,
+// by what factor, where the crossovers fall — are the reproduction targets.
 package experiments
 
 import (
@@ -73,35 +73,39 @@ func (p *Platform) LoadMatrix(n int64) (*Matrix2D, error) {
 	pages := m.Bytes() / ps
 	const batch = 4096
 	for lpn := int64(0); lpn < pages; lpn += batch {
-		cnt := min64(batch, pages-lpn)
-		if _, err := p.Baseline.FTL.WritePages(0, lpn, nil, cnt); err != nil {
+		if _, err := p.Baseline.FTL.WritePages(0, lpn, nil, min(batch, pages-lpn)); err != nil {
 			return nil, fmt.Errorf("baseline load: %w", err)
 		}
 	}
-	// NDS systems: create the (N,N) space and write it in row bands.
-	for _, sys := range []*system.System{p.Software, p.Hardware} {
-		sp, err := sys.STL.CreateSpace(int(m.ElemSize), []int64{n, n})
-		if err != nil {
-			return nil, err
-		}
-		v, err := stl.NewView(sp, []int64{n, n})
-		if err != nil {
-			return nil, err
-		}
-		band := sp.BlockDims()[0] // one building-block row per write
-		for i := int64(0); i*band < n; i++ {
-			if _, _, err := sys.STL.WritePartition(0, v, []int64{i, 0}, []int64{band, n}, nil); err != nil {
-				return nil, fmt.Errorf("%v load: %w", sys.Kind, err)
-			}
-		}
-		if sys.Kind == system.SoftwareNDS {
-			m.SoftView = v
-		} else {
-			m.HardView = v
-		}
+	var err error
+	if m.SoftView, err = loadSquare(p.Software, n); err != nil {
+		return nil, err
+	}
+	if m.HardView, err = loadSquare(p.Hardware, n); err != nil {
+		return nil, err
 	}
 	p.ResetTimelines()
 	return m, nil
+}
+
+// loadSquare writes an n x n matrix of doubles into a new (n,n) space of an
+// NDS system, one building-block row per write, and returns its view.
+func loadSquare(sys *system.System, n int64) (*stl.View, error) {
+	sp, err := sys.STL.CreateSpace(8, []int64{n, n})
+	if err != nil {
+		return nil, err
+	}
+	v, err := stl.NewView(sp, []int64{n, n})
+	if err != nil {
+		return nil, err
+	}
+	band := sp.BlockDims()[0]
+	for i := int64(0); i*band < n; i++ {
+		if _, _, err := sys.STL.WritePartition(0, v, []int64{i, 0}, []int64{band, n}, nil); err != nil {
+			return nil, fmt.Errorf("%v load: %w", sys.Kind, err)
+		}
+	}
+	return v, nil
 }
 
 // ResetTimelines quiesces all three systems.
@@ -117,11 +121,4 @@ func mbps(bytes int64, d sim.Time) float64 {
 		return 0
 	}
 	return float64(bytes) / d.Seconds() / 1e6
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

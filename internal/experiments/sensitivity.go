@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"nds/internal/stl"
 	"nds/internal/system"
 )
 
@@ -44,7 +43,7 @@ func SweepChannels(n int64, channels []int) ([]SweepPoint, error) {
 		}
 		pages := n * n * 8 / int64(cfg.Geometry.PageSize)
 		for lpn := int64(0); lpn < pages; lpn += 65536 {
-			if _, err := base.FTL.WritePages(0, lpn, nil, min64(65536, pages-lpn)); err != nil {
+			if _, err := base.FTL.WritePages(0, lpn, nil, min(65536, pages-lpn)); err != nil {
 				return nil, err
 			}
 		}
@@ -63,19 +62,9 @@ func SweepChannels(n int64, channels []int) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp, err := hw.STL.CreateSpace(8, []int64{n, n})
+		v, err := loadSquare(hw, n)
 		if err != nil {
 			return nil, err
-		}
-		v, err := stl.NewView(sp, []int64{n, n})
-		if err != nil {
-			return nil, err
-		}
-		band := sp.BlockDims()[0]
-		for i := int64(0); i*band < n; i++ {
-			if _, _, err := hw.STL.WritePartition(0, v, []int64{i, 0}, []int64{band, n}, nil); err != nil {
-				return nil, err
-			}
 		}
 		hw.ResetTimelines()
 		_, ost, err := hw.NDSRead(0, v, []int64{1, 1}, []int64{k, k})
@@ -100,22 +89,12 @@ func SweepBlockMultiplier(n int64, mults []int) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp, err := hw.STL.CreateSpace(8, []int64{n, n})
+		v, err := loadSquare(hw, n)
 		if err != nil {
 			return nil, err
 		}
-		bb := sp.BlockDims()[0]
-		if bb > n {
+		if bb := v.Space().BlockDims()[0]; bb > n {
 			return nil, fmt.Errorf("experiments: multiplier %d makes blocks (%d) exceed the matrix (%d)", mult, bb, n)
-		}
-		v, err := stl.NewView(sp, []int64{n, n})
-		if err != nil {
-			return nil, err
-		}
-		for i := int64(0); i*bb < n; i++ {
-			if _, _, err := hw.STL.WritePartition(0, v, []int64{i, 0}, []int64{bb, n}, nil); err != nil {
-				return nil, err
-			}
 		}
 		measure := func(coord, sub []int64) (float64, error) {
 			hw.ResetTimelines()

@@ -284,7 +284,6 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, flush func
 			blk.bankUse[bk]++
 			blk.lastBank = bk
 			blk.used++
-			s.allocatedPages++
 			return p, ready, nil
 		}
 	}
@@ -313,7 +312,6 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, flush fun
 		blk.lastBank = bk
 		blk.naiveDie = d
 		blk.used++
-		s.allocatedPages++
 		return p, ready, nil
 	}
 	return nvm.PPA{}, at, fmt.Errorf("stl: no die can supply a free unit: %w", ErrCapacity)
@@ -578,14 +576,14 @@ func (t *STL) discardUnits(units []deadUnit, landed int) {
 // w is the unit it took from slot, the page key names (a reverse entry). If w
 // still holds the page — its reverse entry is untouched and its page
 // programmed, so its block was not erased since — it is live again and back
-// in the slot, and restoreUnit reports true; otherwise the slot stays empty.
+// in the slot; otherwise the slot stays empty.
 // A collection under way on w's die may be about to erase the block without
 // having seen w live, so restoreUnit first waits it out: the one wait on a
 // collector a writer makes.
 // It cannot deadlock: a collector takes no space's lock and waits only for
 // the read grace set, which a request joins after taking its own space's
 // lock, so no member of it waits for this writer.
-func (t *STL) restoreUnit(key revEntry, slot *pageSlot, w nvm.Word) bool {
+func (t *STL) restoreUnit(key revEntry, slot *pageSlot, w nvm.Word) {
 	d := t.dies[t.lay.Die(w)]
 	idx := t.lay.Linear(w)
 	d.mu.Lock()
@@ -597,12 +595,11 @@ func (t *STL) restoreUnit(key revEntry, slot *pageSlot, w nvm.Word) bool {
 	e := t.rev[idx]
 	if held := !e.valid && e.space == key.space && e.block == key.block && e.page == key.page; !held || !t.dev.Programmed(t.lay.PPA(w)) {
 		d.mu.Unlock()
-		return false
+		return
 	}
 	t.rev[idx].valid = true
 	d.validInBlk[t.lay.Block(w)]++
 	slot.store(slotOf(w)) // under d.mu, where a collector of w's die commits
 	d.mu.Unlock()
 	t.usedPages.Add(1)
-	return true
 }

@@ -389,8 +389,8 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		old, replacing := t.takeSlot(slot)
 		if replacing {
 			unit, ready, err = t.allocateReplacement(ready, old.w, t.overwriteStream(st.blk, now), flush)
-			if err != nil && !t.restoreUnit(revEntry{space: s.id, block: uint32(st.blockIdx), page: int32(st.page)}, slot, old.w) {
-				s.allocatedPages--
+			if err != nil {
+				t.restoreUnit(revEntry{space: s.id, block: uint32(st.blockIdx), page: int32(st.page)}, slot, old.w)
 			}
 		} else {
 			unit, ready, err = t.allocateUnit(ready, s, st.blk, flush)

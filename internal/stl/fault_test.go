@@ -76,26 +76,47 @@ func TestFaultProgramRetryPreservesData(t *testing.T) {
 }
 
 // TestProgramRetryExhaustionFault: when every program attempt fails, recovery
-// gives up with ErrMedia instead of looping forever.
+// gives up with ErrMedia instead of looping forever, and the space it wrote
+// is left with no page bound and the device with no unit live.
 func TestProgramRetryExhaustionFault(t *testing.T) {
-	t.Run("batched", func(t *testing.T) {
-		geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}
-		st := newFaultSTL(t, geo, DefaultConfig(), nvm.FaultPlan{Seed: 3, ProgramFailEvery: 1})
-
-		s, err := st.CreateSpace(4, []int64{32, 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := NewView(s, []int64{32, 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]byte, s.Bytes())
-		_, _, err = st.WritePartition(0, v, []int64{0, 0}, []int64{32, 32}, data)
-		if !errors.Is(err, ErrMedia) {
-			t.Fatalf("want ErrMedia after retry exhaustion, got %v", err)
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		geo  nvm.Geometry
+		seed int64
+		n    int64
+	}{
+		{"batched", nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}, 3, 32},
+		{"relocated", nvm.Geometry{Channels: 4, Banks: 2, BlocksPerBank: 8, PagesPerBlock: 8, PageSize: 512}, 1, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newFaultSTL(t, tc.geo, DefaultConfig(), nvm.FaultPlan{Seed: tc.seed, ProgramFailEvery: 1})
+			s, err := st.CreateSpace(4, []int64{tc.n, tc.n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := NewView(s, []int64{tc.n, tc.n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := make([]byte, s.Bytes())
+			_, _, err = st.WritePartition(0, v, []int64{0, 0}, []int64{tc.n, tc.n}, data)
+			if !errors.Is(err, ErrMedia) {
+				t.Fatalf("want ErrMedia after retry exhaustion, got %v", err)
+			}
+			for g := int64(0); g < prod(s.grid); g++ {
+				if blk := st.blockAt(s, g, false); blk != nil {
+					for i := range blk.pages {
+						if blk.pages[i].load().allocated() {
+							t.Fatalf("block %d page %d is bound though no program landed", g, i)
+						}
+					}
+				}
+			}
+			if st.UsedPages() != 0 {
+				t.Fatalf("%d units live after no program landed", st.UsedPages())
+			}
+		})
+	}
 }
 
 // TestFaultEraseRetiresVictimDuringGC: a GC erase that faults retires the

@@ -124,7 +124,6 @@ func (t *STL) block(s *Space, g []int64, alloc bool) (*BuildingBlock, int) {
 	if blk == nil && alloc {
 		blk = newBuildingBlock(s.pagesPerBB, t.geo)
 		node.blocks[g[n-1]] = blk
-		s.allocatedBBs++
 	}
 	return blk, steps
 }

@@ -67,13 +67,13 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 		case newGrid0 < oldGrid0:
 			if s.root.blocks != nil {
 				for i := newGrid0; i < int64(len(s.root.blocks)); i++ {
-					dead = t.dropBlock(s, s.root.blocks[i], dead)
+					dead = t.dropBlock(s.root.blocks[i], dead)
 					s.root.blocks[i] = nil
 				}
 				s.root.blocks = s.root.blocks[:newGrid0]
 			} else {
 				for i := newGrid0; i < int64(len(s.root.children)); i++ {
-					dead = t.invalidateSubtree(s, s.root.children[i], dead)
+					dead = t.invalidateSubtree(s.root.children[i], dead)
 					s.root.children[i] = nil
 				}
 				s.root.children = s.root.children[:newGrid0]
@@ -119,7 +119,6 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 		if !t.cfg.Compress {
 			for q := first; q < int64(len(blk.pages)); q++ {
 				if u, ok := t.takeSlot(&blk.pages[q]); ok {
-					s.allocatedPages--
 					rs.dead = append(rs.dead, u) // discarded by the rewrite's flush
 				}
 			}
@@ -153,37 +152,34 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 	return err
 }
 
-// dropBlock invalidates a block's units and removes it from the space's
-// accounting, appending the units it took to dead.
-func (t *STL) dropBlock(s *Space, blk *BuildingBlock, dead []deadUnit) []deadUnit {
+// dropBlock invalidates a block's units, appending the units it took to dead.
+func (t *STL) dropBlock(blk *BuildingBlock, dead []deadUnit) []deadUnit {
 	if blk == nil {
 		return dead
 	}
 	for j := range blk.pages {
 		if u, ok := t.takeSlot(&blk.pages[j]); ok {
-			s.allocatedPages--
 			dead = append(dead, u)
 		}
 	}
-	s.allocatedBBs--
 	return dead
 }
 
 // invalidateSubtree drops every block beneath a node: the rows a shrink cuts
 // off, or a deleted space's whole tree. It appends the units it took to dead.
-func (t *STL) invalidateSubtree(s *Space, n *indexNode, dead []deadUnit) []deadUnit {
+func (t *STL) invalidateSubtree(n *indexNode, dead []deadUnit) []deadUnit {
 	if n == nil {
 		return dead
 	}
 	if n.blocks != nil {
 		for i, blk := range n.blocks {
-			dead = t.dropBlock(s, blk, dead)
+			dead = t.dropBlock(blk, dead)
 			n.blocks[i] = nil
 		}
 		return dead
 	}
 	for i, c := range n.children {
-		dead = t.invalidateSubtree(s, c, dead)
+		dead = t.invalidateSubtree(c, dead)
 		n.children[i] = nil
 	}
 	return dead

@@ -51,11 +51,8 @@ type Space struct {
 	gen uint64
 
 	root *indexNode
-	// Statistics maintained by the STL (guarded by mu).
-	allocatedBBs   int64
-	allocatedPages int64
 	// dieFree is allocateUnit's working memory: the free-page count of each
-	// channel's die in the bank being tried (guarded by mu, like the above).
+	// channel's die in the bank being tried (guarded by mu).
 	dieFree []int64
 	// staged holds the space's §4.4 staged pages (buffer.go), guarded by mu.
 	staged map[pendingKey]*pendingPage
@@ -88,20 +85,6 @@ func (s *Space) Volume() int64 { return prod(s.dims) }
 
 // Bytes returns the logical byte size of the space.
 func (s *Space) Bytes() int64 { return s.Volume() * int64(s.elemSize) }
-
-// AllocatedBlocks reports how many building blocks hold at least one unit.
-func (s *Space) AllocatedBlocks() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.allocatedBBs
-}
-
-// AllocatedPages reports how many access units the space occupies.
-func (s *Space) AllocatedPages() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.allocatedPages
-}
 
 func (s *Space) String() string {
 	return fmt.Sprintf("space %d: dims=%v elem=%dB bb=%v grid=%v (%d pages/bb)",

@@ -372,9 +372,7 @@ find:
 	}
 	restored := make(chan struct{})
 	go func() {
-		if !sc.st.restoreUnit(revEntry{space: s.id, block: uint32(g), page: int32(pg)}, slot, w) {
-			s.allocatedPages--
-		}
+		sc.st.restoreUnit(revEntry{space: s.id, block: uint32(g), page: int32(pg)}, slot, w)
 		close(restored)
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -362,7 +362,7 @@ func (t *STL) DeleteSpace(id SpaceID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
-	t.discardUnits(t.invalidateSubtree(s, s.root, nil), 0)
+	t.discardUnits(t.invalidateSubtree(s.root, nil), 0)
 	t.dropStaged(s, func(pendingKey) bool { return true })
 	if t.cache != nil {
 		// Belt and braces: every unit invalidation above already dropped its

@@ -130,7 +130,7 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 		// and anything larger is clamped to what the page can carry in the
 		// partition's layout. Hosts resume past a truncated page with the
 		// returned cursor.
-		layout := view.resultLayout(pl.Sub)
+		layout := view.resultLayout(pl.Sub, pl.Lo, pl.Hi)
 		max := int(pl.Max)
 		if capacity := layout.Capacity(proto.OpScan); max <= 0 || max > capacity {
 			max = capacity
@@ -183,7 +183,8 @@ func (d *Device) Exec(raw [proto.CommandSize]byte, payload, data []byte) ([]byte
 		for _, m := range res.TopK {
 			rp.TopK = append(rp.TopK, proto.ScanMatch{Index: m.Index, Value: m.Value})
 		}
-		page, err := rp.Marshal(view.resultLayout(pl.Sub))
+		lo, hi := pl.ValueRange()
+		page, err := rp.Marshal(view.resultLayout(pl.Sub, lo, hi))
 		if err != nil {
 			return nil, proto.Completion{Status: proto.StatusInternal}, Stats{}, nil
 		}
@@ -305,16 +306,17 @@ func (d *Device) execCreateSpace(elemSize int, dims []int64, open func(SpaceID, 
 }
 
 // resultLayout is the record layout of the view's pushdown results over a
-// partition of sub's shape. A closed view reports element size 0, and the
-// command that asked then fails on the closed view.
-func (s *Space) resultLayout(sub []int64) proto.Layout {
+// partition of sub's shape matching values in [lo, hi]. A closed view
+// reports element size 0, and the command that asked then fails on the
+// closed view.
+func (s *Space) resultLayout(sub []int64, lo, hi uint64) proto.Layout {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	es := 0
 	if s.view != nil {
 		es = s.view.Space().ElemSize()
 	}
-	return proto.LayoutFor(es, sub)
+	return proto.LayoutFor(es, sub, lo, hi)
 }
 
 // lookupView resolves a dynamic view ID from the registry.

@@ -254,8 +254,10 @@ func (c *Client) Write(view uint32, coord, sub []int64, data []byte) error {
 
 // Scan executes a pushdown predicate scan over the partition at coord/sub
 // through an open view: only matching (index, value) pairs cross the wire.
-// The result is one page deep — 509 matches of 4-byte elements, between 254
-// and 814 at other widths (proto.Layout.Capacity) — and a scan with more
+// The result is one page deep, its records packed to the bit widths the
+// request implies (proto.Layout.Capacity): over a 512×512 partition of
+// 4-byte elements a page holds 651 matches of the full range and 1 809 of
+// a one-value predicate, and never fewer than 258 — and a scan with more
 // matches than fit reports the true total and a resume cursor (pass it as
 // cursor to continue, 0 starts). max 0 fills the page. A server running with
 // pushdown disabled answers StatusUnsupportedOp.
@@ -265,7 +267,7 @@ func (c *Client) Scan(view uint32, coord, sub []int64, lo, hi uint64, cursor int
 	if err != nil {
 		return proto.ScanResultPayload{}, err
 	}
-	return proto.UnmarshalScanResultPayload(resp.Data)
+	return proto.UnmarshalScanResultPayload(resp.Data, pl)
 }
 
 // Reduce executes a pushdown reduction over the partition at coord/sub
@@ -283,7 +285,7 @@ func (c *Client) Reduce(view uint32, coord, sub []int64, op uint8, k uint32, pre
 	if err != nil {
 		return proto.ReduceResultPayload{}, err
 	}
-	return proto.UnmarshalReduceResultPayload(resp.Data)
+	return proto.UnmarshalReduceResultPayload(resp.Data, pl)
 }
 
 // CloseView retires a dynamic view ID.

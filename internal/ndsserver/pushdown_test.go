@@ -191,9 +191,11 @@ func TestServerPushdownDisabled(t *testing.T) {
 }
 
 // TestServerScanPaging pages a 1 % scan of a 512×512 uint32 tile through a
-// live socket with max 0 (fill the page) until the cursor ends. A uint32
-// match is an 8-byte record, so a page holds 509 of them: the scan takes
-// ⌈total/509⌉ round trips, and the pages concatenate to the model's matches.
+// live socket with max 0 (fill the page) until the cursor ends. The request
+// sizes its records: an 18-bit index and, for the one-value predicate
+// [0, 0], no value bits, so a page holds Layout.Capacity (1 809) of them:
+// the scan takes ⌈total/capacity⌉ round trips, and the pages concatenate to
+// the model's matches.
 // It also pins what a resume costs today: every round trip walks the whole
 // partition again (the device's page accesses, cache hits plus misses, grow
 // by the partition's pages each time), because a resumed scan re-reads the
@@ -243,8 +245,9 @@ func TestServerScanPaging(t *testing.T) {
 		got = append(got, res.Matches...)
 		cursor = res.NextCursor
 	}
-	if wantTrips := (int(want.Total) + 508) / 509; trips != wantTrips {
-		t.Fatalf("%d matches took %d round trips, want %d (509 a page)", want.Total, trips, wantTrips)
+	capacity := proto.LayoutFor(4, sub, 0, 0).Capacity(proto.OpScan)
+	if wantTrips := (int(want.Total) + capacity - 1) / capacity; trips != wantTrips {
+		t.Fatalf("%d matches took %d round trips, want %d (%d a page)", want.Total, trips, wantTrips, capacity)
 	}
 	if len(got) != len(want.Matches) {
 		t.Fatalf("pages hold %d matches, the model %d", len(got), len(want.Matches))

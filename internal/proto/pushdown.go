@@ -3,6 +3,7 @@ package proto
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Pushdown wire format (opcodes 0xCE pushdown_scan, 0xCF pushdown_reduce).
@@ -10,9 +11,10 @@ import (
 // Both request payloads extend the read/write coordinate page: the standard
 // CoordPayload prefix (uint32 rank, rank x (uint32 coord, uint32 sub))
 // followed by operator parameters at offset 4+8*rank. Both results are a
-// header plus one record per match or top-k entry, bounded to one 4 KB page
-// and exactly as long as what they hold (see Layout). A scan truncates to fit
-// like get_tenant_stats: the true totals travel in the header and the
+// header plus one bit-packed record per match or top-k entry, bounded to one
+// 4 KB page and exactly as long as what they hold (see Layout); a host
+// decodes one under the request it sent. A scan truncates to fit like
+// get_tenant_stats: the true totals travel in the header and the
 // completion's result words (Result0 = true total / primary scalar), and a
 // truncated scan is resumable by passing the returned cursor as the next
 // request's Cursor.
@@ -123,110 +125,167 @@ type ScanMatch struct {
 	Value uint64
 }
 
-// Layout is the record layout of a pushdown result: the byte widths of a
-// record's element index and value. A record is the index (4 bytes, or 8 for
-// a partition of more than 2^32 elements) followed by the value in the
-// element's own width (1, 2, 4 or 8 bytes), both little-endian. The two
-// widths travel in the result header, so a host decodes a result without
-// knowing the space's element size.
+// Layout is the record layout of a pushdown result, implied by the request
+// alone. A record is the element's row-major index in Index bits, then its
+// value less Lo in Value bits; records are packed least-significant bit
+// first with nothing between them, and only the last byte is padded, with
+// zeros. Index is the fewest bits that name every element of the requested
+// partition, bits.Len64(Elems−1); Value the fewest that span the values the
+// request can match, bits.Len64(min(hi, the element's max) − lo) — the
+// element's full width when there is no predicate (lo 0). The two widths
+// travel in the result header, and the host takes Lo and Elems from the
+// request it sent, so it decodes a result without knowing the element size.
 type Layout struct {
-	Index, Value int
+	Index, Value int    // bit widths: Index 0..62, Value 0..64
+	Lo           uint64 // a record's value field carries value − Lo
+	// Elems is the requested partition's element count (at most 2^62):
+	// every index lies below it, and no result holds more records.
+	Elems int64
 }
 
+const (
+	maxElems = 1 << 62   // the largest partition a layout names
+	maxCount = 1<<32 - 1 // a result header's record count field
+)
+
 // LayoutFor is the layout of results over a partition of sub's shape holding
-// elemSize-byte elements. The shape is the requested one, before an edge of
-// the space clamps it, so the host and the device know the layout from the
-// request alone, before the scan runs.
-func LayoutFor(elemSize int, sub []int64) Layout {
-	l := Layout{Index: 4, Value: elemSize}
-	n := int64(1)
+// elemSize-byte elements, for a request matching values in [lo, hi] (a
+// request without a predicate passes 0 and ^uint64(0)). The shape is the
+// requested one, before an edge of the space clamps it, so the host and the
+// device know the layout from the request alone, before the scan runs. A
+// range that no element can hold (lo above the element's max) takes 0-bit
+// values.
+func LayoutFor(elemSize int, sub []int64, lo, hi uint64) Layout {
+	l := Layout{Lo: lo, Elems: 1}
 	for _, d := range sub {
 		if d <= 0 {
-			return l // no elements: the request fails its bounds check
+			l.Elems = 0 // no elements: the request fails its bounds check
+			break
 		}
-		if n > (1<<32)/d {
-			l.Index = 8
-			return l
+		if l.Elems > maxElems/d {
+			l.Elems = maxElems
+		} else {
+			l.Elems *= d
 		}
-		n *= d
+	}
+	l.Index = indexBits(l.Elems)
+	if top := min(hi, elemMax(elemSize)); top >= lo {
+		l.Value = bits.Len64(top - lo)
 	}
 	return l
 }
 
-// ResultSize is the wire length of op's result (OpScan or OpReduce) holding
-// records matches or top-k entries: the header plus one record each. It is
-// the one statement of a result's size: the encoders, the device's clamp on
-// a scan's matches and the simulator's link charge all use it.
-func (l Layout) ResultSize(op Opcode, records int64) int64 {
-	var hdr int64
-	switch op {
-	case OpScan:
-		hdr = scanHeaderLen
-	case OpReduce:
-		hdr = reduceHeaderLen
-	default:
-		panic(fmt.Sprintf("proto: %v returns no pushdown result", op))
+// indexBits is the width of an index into elems elements.
+func indexBits(elems int64) int {
+	if elems <= 1 {
+		return 0
 	}
-	return hdr + records*int64(l.Index+l.Value)
+	return bits.Len64(uint64(elems - 1))
 }
 
-// Capacity is how many records one page of op's result holds.
+// elemMax is the largest value an elemSize-byte element holds.
+func elemMax(elemSize int) uint64 {
+	switch {
+	case elemSize <= 0:
+		return 0
+	case elemSize >= 8:
+		return ^uint64(0)
+	}
+	return 1<<(8*elemSize) - 1
+}
+
+// headerLen is the length of op's result header.
+func headerLen(op Opcode) int64 {
+	switch op {
+	case OpScan:
+		return scanHeaderLen
+	case OpReduce:
+		return reduceHeaderLen
+	}
+	panic(fmt.Sprintf("proto: %v returns no pushdown result", op))
+}
+
+// ResultSize is the wire length of op's result (OpScan or OpReduce) holding
+// records matches or top-k entries: the header plus the records' bits,
+// rounded up to a byte. It is the one statement of a result's size: the
+// encoders, the device's clamp on a scan's matches and the simulator's link
+// charge all use it.
+func (l Layout) ResultSize(op Opcode, records int64) int64 {
+	return headerLen(op) + (records*int64(l.Index+l.Value)+7)/8
+}
+
+// Capacity is how many records one page of op's result holds, capped at
+// the partition's elements and at the header's count field: a 0-bit record
+// (a one-element request whose range is a single value) takes no room.
 func (l Layout) Capacity(op Opcode) int {
-	return int((PageSize - l.ResultSize(op, 0)) / int64(l.Index+l.Value))
+	n := min(l.Elems, maxCount)
+	if rec := int64(l.Index + l.Value); rec > 0 {
+		n = min(n, (PageSize-headerLen(op))*8/rec)
+	}
+	return int(n)
 }
 
 func (l Layout) valid() bool {
-	return (l.Index == 4 || l.Index == 8) && (l.Value == 1 || l.Value == 2 || l.Value == 4 || l.Value == 8)
+	return l.Elems >= 0 && l.Elems <= maxElems && l.Index == indexBits(l.Elems) && l.Value >= 0 && l.Value <= 64
 }
 
-// putRecords encodes ms as consecutive records from out[0], refusing an
-// entry whose index or value does not fit the layout.
+// putRecords packs ms as consecutive records from out[0], which must be
+// zeroed, refusing an entry whose index or value does not fit the layout.
 func (l Layout) putRecords(out []byte, ms []ScanMatch, what string) error {
-	maxIdx := int64(1) << 62
-	if l.Index == 4 {
-		maxIdx = 1<<32 - 1
-	}
-	maxVal := ^uint64(0) >> (64 - 8*l.Value)
 	rec := l.Index + l.Value
 	for i, m := range ms {
-		if m.Index < 0 || m.Index > maxIdx {
-			return fmt.Errorf("proto: %s %d index %d out of range", what, i, m.Index)
+		if m.Index < 0 || m.Index >= l.Elems {
+			return fmt.Errorf("proto: %s %d index %d outside a partition of %d elements", what, i, m.Index, l.Elems)
 		}
-		if m.Value > maxVal {
-			return fmt.Errorf("proto: %s %d value %#x wider than %d bytes", what, i, m.Value, l.Value)
+		if m.Value < l.Lo || bits.Len64(m.Value-l.Lo) > l.Value {
+			return fmt.Errorf("proto: %s %d value %#x is not %#x plus %d bits", what, i, m.Value, l.Lo, l.Value)
 		}
-		putUint(out[rec*i:], uint64(m.Index), l.Index)
-		putUint(out[rec*i+l.Index:], m.Value, l.Value)
+		putBits(out, i*rec, uint64(m.Index), l.Index)
+		putBits(out, i*rec+l.Index, m.Value-l.Lo, l.Value)
 	}
 	return nil
 }
 
-// records decodes n consecutive records from page[0].
-func (l Layout) records(page []byte, n int, what string) ([]ScanMatch, error) {
+// records unpacks n consecutive records from page[0], refusing an index
+// outside the partition, a value field above span (the request's hi − lo)
+// and a set padding bit.
+func (l Layout) records(page []byte, n int, span uint64, what string) ([]ScanMatch, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]ScanMatch, n)
 	rec := l.Index + l.Value
+	if tail := n * rec % 8; tail != 0 && page[len(page)-1]>>tail != 0 {
+		return nil, fmt.Errorf("proto: %s padding bits set", what)
+	}
+	out := make([]ScanMatch, n)
 	for i := range out {
-		idx := getUint(page[rec*i:], l.Index)
-		if idx > 1<<62 {
-			return nil, fmt.Errorf("proto: %s %d index %d out of range", what, i, idx)
+		idx := getBits(page, i*rec, l.Index)
+		if idx >= uint64(l.Elems) {
+			return nil, fmt.Errorf("proto: %s %d index %d outside a partition of %d elements", what, i, idx, l.Elems)
 		}
-		out[i] = ScanMatch{Index: int64(idx), Value: getUint(page[rec*i+l.Index:], l.Value)}
+		v := getBits(page, i*rec+l.Index, l.Value)
+		if v > span {
+			return nil, fmt.Errorf("proto: %s %d value %#x+%#x outside the requested range", what, i, l.Lo, v)
+		}
+		out[i] = ScanMatch{Index: int64(idx), Value: l.Lo + v}
 	}
 	return out, nil
 }
 
 // resultLayout reads the layout from a result header's two width bytes at
-// page[off:] and checks that page is exactly op's result of count records.
-func resultLayout(page []byte, op Opcode, off, count int, what string) (Layout, error) {
-	l := Layout{Index: int(page[off]), Value: int(page[off+1])}
-	if !l.valid() {
-		return l, fmt.Errorf("proto: %s result layout (%d-byte index, %d-byte value) invalid", what, l.Index, l.Value)
+// page[off:] and checks it against want, the layout the request implies at
+// the widest element (the index width must match, the value may only be
+// narrower), then checks count against its capacity before anything is
+// allocated and that page is exactly op's result of count records.
+func resultLayout(page []byte, op Opcode, off, count int, want Layout, what string) (Layout, error) {
+	l := want
+	l.Index, l.Value = int(page[off]), int(page[off+1])
+	if l.Index != want.Index || l.Value > want.Value {
+		return l, fmt.Errorf("proto: %s result layout (%d-bit index, %d-bit value) does not answer a request of %d-bit indexes and values of at most %d bits",
+			what, l.Index, l.Value, want.Index, want.Value)
 	}
 	if count > l.Capacity(op) {
-		return l, fmt.Errorf("proto: %s count %d exceeds page capacity %d", what, count, l.Capacity(op))
+		return l, fmt.Errorf("proto: %s count %d exceeds capacity %d", what, count, l.Capacity(op))
 	}
 	if size := l.ResultSize(op, int64(count)); int64(len(page)) != size {
 		return l, fmt.Errorf("proto: %s result of %d records is %d bytes, not %d", what, count, len(page), size)
@@ -234,35 +293,42 @@ func resultLayout(page []byte, op Opcode, off, count int, what string) (Layout, 
 	return l, nil
 }
 
-func putUint(b []byte, v uint64, width int) {
-	switch width {
-	case 1:
-		b[0] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(b, uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	default:
-		binary.LittleEndian.PutUint64(b, v)
+// requestLayout is the widest layout a device may answer a request over sub
+// matching [lo, hi] in: an 8-byte element's, since a narrower element only
+// narrows the value.
+func requestLayout(sub []int64, lo, hi uint64) Layout {
+	return LayoutFor(8, sub, lo, hi)
+}
+
+// putBits ORs the low n bits of v (whose higher bits must be zero) into b
+// from bit pos on, least-significant bit first.
+func putBits(b []byte, pos int, v uint64, n int) {
+	for n > 0 {
+		i, sh := pos>>3, pos&7
+		b[i] |= byte(v << sh)
+		w := min(8-sh, n)
+		v >>= w
+		pos += w
+		n -= w
 	}
 }
 
-func getUint(b []byte, width int) uint64 {
-	switch width {
-	case 1:
-		return uint64(b[0])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	default:
-		return binary.LittleEndian.Uint64(b)
+// getBits reads n bits of b from bit pos on, least-significant bit first.
+func getBits(b []byte, pos, n int) uint64 {
+	var v uint64
+	for got := 0; got < n; {
+		i, sh := pos>>3, pos&7
+		w := min(8-sh, n-got)
+		v |= (uint64(b[i]>>sh) & (1<<w - 1)) << got
+		pos += w
+		got += w
 	}
+	return v
 }
 
 // scanHeaderLen is the scan result header: uint32 count, the index and
-// value widths (one byte each), two reserved bytes, uint64 total, uint64
-// next-cursor.
+// value widths in bits (one byte each), two reserved bytes, uint64 total,
+// uint64 next-cursor.
 const scanHeaderLen = 4 + 4 + 8 + 8
 
 // ScanResultPayload is the result a pushdown_scan command returns. Total is
@@ -283,7 +349,7 @@ func (p ScanResultPayload) Marshal(l Layout) ([]byte, error) {
 		return nil, fmt.Errorf("proto: scan result layout %+v invalid", l)
 	}
 	if len(p.Matches) > l.Capacity(OpScan) {
-		return nil, fmt.Errorf("proto: %d scan matches exceed page capacity %d", len(p.Matches), l.Capacity(OpScan))
+		return nil, fmt.Errorf("proto: %d scan matches exceed capacity %d", len(p.Matches), l.Capacity(OpScan))
 	}
 	if p.Total < int64(len(p.Matches)) {
 		return nil, fmt.Errorf("proto: scan total %d below match count %d", p.Total, len(p.Matches))
@@ -306,13 +372,18 @@ func (p ScanResultPayload) Marshal(l Layout) ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalScanResultPayload decodes a pushdown_scan result.
-func UnmarshalScanResultPayload(page []byte) (ScanResultPayload, error) {
+// UnmarshalScanResultPayload decodes the result of req, the pushdown_scan
+// request it answers: the request names the partition, so bounds the
+// record count and the indexes, and its predicate gives the values' base.
+func UnmarshalScanResultPayload(page []byte, req ScanPayload) (ScanResultPayload, error) {
+	if req.Lo > req.Hi {
+		return ScanResultPayload{}, fmt.Errorf("proto: scan range [%d,%d] inverted", req.Lo, req.Hi)
+	}
 	if len(page) < scanHeaderLen {
 		return ScanResultPayload{}, fmt.Errorf("proto: scan result page too short")
 	}
 	count := int(binary.LittleEndian.Uint32(page))
-	l, err := resultLayout(page, OpScan, 4, count, "scan match")
+	l, err := resultLayout(page, OpScan, 4, count, requestLayout(req.Sub, req.Lo, req.Hi), "scan match")
 	if err != nil {
 		return ScanResultPayload{}, err
 	}
@@ -327,7 +398,7 @@ func UnmarshalScanResultPayload(page []byte) (ScanResultPayload, error) {
 		}
 		p.NextCursor = int64(next)
 	}
-	if p.Matches, err = l.records(page[scanHeaderLen:], count, "scan match"); err != nil {
+	if p.Matches, err = l.records(page[scanHeaderLen:], count, req.Hi-req.Lo, "scan match"); err != nil {
 		return ScanResultPayload{}, err
 	}
 	return p, nil
@@ -426,15 +497,24 @@ func UnmarshalReducePayload(page []byte) (ReducePayload, error) {
 	return p, nil
 }
 
+// ValueRange is the range of values the request's results lie in: its
+// predicate, or every value when it has none.
+func (p ReducePayload) ValueRange() (lo, hi uint64) {
+	if p.HasPred {
+		return p.Lo, p.Hi
+	}
+	return 0, ^uint64(0)
+}
+
 // reduceHeaderLen is the reduce result header: uint64 value, uint64 index,
-// uint64 count, uint32 top-k count, the index and value widths (one byte
-// each), two reserved bytes.
+// uint64 count, uint32 top-k count, the index and value widths in bits (one
+// byte each), two reserved bytes.
 const reduceHeaderLen = 8 + 8 + 8 + 4 + 4
 
 // MaxReduceTopK is the largest top-k a request may ask for: what one page
-// holds in the widest layout (8-byte index, 8-byte value), so every layout's
-// result fits.
-const MaxReduceTopK = (PageSize - reduceHeaderLen) / 16
+// holds in the widest layout (a 62-bit index and a 64-bit value), so every
+// layout's result fits.
+const MaxReduceTopK = (PageSize - reduceHeaderLen) * 8 / (62 + 64)
 
 // ReduceResultPayload is the result a pushdown_reduce command returns. Value
 // carries the scalar result (sum, count, min, max, or the top value; also in
@@ -454,7 +534,7 @@ func (p ReduceResultPayload) Marshal(l Layout) ([]byte, error) {
 		return nil, fmt.Errorf("proto: reduce result layout %+v invalid", l)
 	}
 	if len(p.TopK) > l.Capacity(OpReduce) {
-		return nil, fmt.Errorf("proto: %d top-k entries exceed page capacity %d", len(p.TopK), l.Capacity(OpReduce))
+		return nil, fmt.Errorf("proto: %d top-k entries exceed capacity %d", len(p.TopK), l.Capacity(OpReduce))
 	}
 	if p.Index < -1 || p.Index > 1<<62 {
 		return nil, fmt.Errorf("proto: reduce index %d out of range", p.Index)
@@ -478,13 +558,23 @@ func (p ReduceResultPayload) Marshal(l Layout) ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalReduceResultPayload decodes a pushdown_reduce result.
-func UnmarshalReduceResultPayload(page []byte) (ReduceResultPayload, error) {
+// UnmarshalReduceResultPayload decodes the result of req, the
+// pushdown_reduce request it answers: the request names the partition and
+// k, so bounds the top-k count and the indexes, and its value range gives
+// the values' base.
+func UnmarshalReduceResultPayload(page []byte, req ReducePayload) (ReduceResultPayload, error) {
+	lo, hi := req.ValueRange()
+	if lo > hi {
+		return ReduceResultPayload{}, fmt.Errorf("proto: reduce range [%d,%d] inverted", lo, hi)
+	}
 	if len(page) < reduceHeaderLen {
 		return ReduceResultPayload{}, fmt.Errorf("proto: reduce result page too short")
 	}
 	count := int(binary.LittleEndian.Uint32(page[24:]))
-	l, err := resultLayout(page, OpReduce, 28, count, "top-k entry")
+	if count > int(req.K) {
+		return ReduceResultPayload{}, fmt.Errorf("proto: %d top-k entries answer a request for %d", count, req.K)
+	}
+	l, err := resultLayout(page, OpReduce, 28, count, requestLayout(req.Sub, lo, hi), "top-k entry")
 	if err != nil {
 		return ReduceResultPayload{}, err
 	}
@@ -500,7 +590,7 @@ func UnmarshalReduceResultPayload(page []byte) (ReduceResultPayload, error) {
 		return ReduceResultPayload{}, fmt.Errorf("proto: reduce count %d out of range", cnt)
 	}
 	p.Count = int64(cnt)
-	if p.TopK, err = l.records(page[reduceHeaderLen:], count, "top-k entry"); err != nil {
+	if p.TopK, err = l.records(page[reduceHeaderLen:], count, hi-lo, "top-k entry"); err != nil {
 		return ReduceResultPayload{}, err
 	}
 	return p, nil

@@ -56,10 +56,15 @@ var (
 )
 
 // wireResultBytes is the simulated wire size of a pushdown result of records
-// matches or top-k entries over the partition sub of v's space: what the
-// device's encoder puts on the link (proto.Layout.ResultSize).
-func wireResultBytes(v *stl.View, sub []int64, op proto.Opcode, records int) int64 {
-	return proto.LayoutFor(v.Space().ElemSize(), sub).ResultSize(op, int64(records))
+// matches or top-k entries over the partition sub of v's space, for a
+// request whose predicate is pred (nil: none): what the device's encoder
+// puts on the link (proto.Layout.ResultSize).
+func wireResultBytes(v *stl.View, sub []int64, pred *stl.Predicate, op proto.Opcode, records int) int64 {
+	lo, hi := uint64(0), ^uint64(0)
+	if pred != nil {
+		lo, hi = pred.Lo, pred.Hi
+	}
+	return proto.LayoutFor(v.Space().ElemSize(), sub, lo, hi).ResultSize(op, int64(records))
 }
 
 // NDSScan executes a predicate scan over one partition at the STL: a command
@@ -76,7 +81,7 @@ func (s *System) NDSScan(at sim.Time, v *stl.View, coord, sub []int64, q stl.Sca
 	var res stl.ScanResult
 	stats, err := s.command(at, request{use: kernel}, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		res, done, st, err = s.STL.ScanPartition(at, v, coord, sub, q)
-		return done, st, wireResultBytes(v, sub, proto.OpScan, len(res.Matches)), err
+		return done, st, wireResultBytes(v, sub, &q.Pred, proto.OpScan, len(res.Matches)), err
 	})
 	return res, stats, err
 }
@@ -90,7 +95,7 @@ func (s *System) NDSReduce(at sim.Time, v *stl.View, coord, sub []int64, q stl.R
 	var res stl.ReduceResult
 	stats, err := s.command(at, request{use: kernel}, func(at sim.Time) (done sim.Time, st OpStats, out int64, err error) {
 		res, done, st, err = s.STL.ReducePartition(at, v, coord, sub, q)
-		return done, st, wireResultBytes(v, sub, proto.OpReduce, len(res.TopK)), err
+		return done, st, wireResultBytes(v, sub, q.Pred, proto.OpReduce, len(res.TopK)), err
 	})
 	return res, stats, err
 }

@@ -18,6 +18,8 @@
 package workloads
 
 import (
+	"math"
+
 	"nds/internal/accel"
 	"nds/internal/proto"
 	"nds/internal/system"
@@ -266,12 +268,14 @@ func (s Spec) FetchBytes() int64 {
 // pushResultBytes is the result volume one fetch's pushdown selection
 // returns, at the wire's size (proto.Layout.ResultSize): a scan header plus
 // one record per match at the spec's selectivity, or a reduce header plus
-// one record per top-k entry.
+// one record per top-k entry. The selection declares no value range, so a
+// record packs the index to the fetch's shape and keeps the element's full
+// width.
 func (s Spec) pushResultBytes(f Fetch) int64 {
 	if s.Push == nil {
 		return 0
 	}
-	l := proto.LayoutFor(s.Elem, f.Sub)
+	l := proto.LayoutFor(s.Elem, f.Sub, 0, math.MaxUint64)
 	if s.Push.Reduce {
 		return l.ResultSize(proto.OpReduce, int64(s.Push.K))
 	}

@@ -199,7 +199,7 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 								t.Fatalf("op %d sub=%v q=%+v: scan diverges from the model\n got %+v\nwant %+v",
 									op, sub, *q.scan, got, want)
 							}
-							prec.read("scan", st, proto.LayoutFor(es, sub).ResultSize(proto.OpScan, int64(len(got.Matches))))
+							prec.read("scan", st, proto.LayoutFor(es, sub, q.scan.Pred.Lo, q.scan.Pred.Hi).ResultSize(proto.OpScan, int64(len(got.Matches))))
 							pst = st
 						} else {
 							got, st, err := pv.Reduce(coord, sub, *q.reduce)
@@ -210,7 +210,11 @@ func TestDifferentialPushdownVsRead(t *testing.T) {
 								t.Fatalf("op %d sub=%v q=%+v: reduce diverges from the model\n got %+v\nwant %+v",
 									op, sub, *q.reduce, got, want)
 							}
-							prec.read("reduce", st, proto.LayoutFor(es, sub).ResultSize(proto.OpReduce, int64(len(got.TopK))))
+							lo, hi := uint64(0), ^uint64(0)
+							if p := q.reduce.Pred; p != nil {
+								lo, hi = p.Lo, p.Hi
+							}
+							prec.read("reduce", st, proto.LayoutFor(es, sub, lo, hi).ResultSize(proto.OpReduce, int64(len(got.TopK))))
 							pst = st
 						}
 						traceOp(&tr, "pushdown", coord, sub, pst)
@@ -300,12 +304,16 @@ func TestPushdownInterconnectSavings(t *testing.T) {
 }
 
 // TestPushdownWireMatchesModel holds the hardware model to the wire: for
-// every element width and both index widths, the RawBytes a scan or a
+// every element width, a partition of 2^10 elements and one asked for as
+// 2^33, and predicate spans of one value, about 1 %, every value and (below
+// 8-byte elements) values past the element's max, the RawBytes a scan or a
 // reduction charges is the length of the result Exec encodes for the same
-// request, which is Layout.ResultSize of what it holds. A partition asked for
-// as more than 2^32 elements takes 8-byte indexes even where the space's
-// edge clamps it to a few thousand.
+// request, which is LayoutFor's ResultSize of what it holds. The 2^33
+// request takes 33-bit indexes although the space's edge clamps it to 4 096
+// elements. No result is longer than it was in the byte layout the packed
+// one replaced, and an empty result is still its header alone.
 func TestPushdownWireMatchesModel(t *testing.T) {
+	type span struct{ lo, hi uint64 }
 	for _, es := range []int{1, 2, 4, 8} {
 		d, err := Open(Options{Mode: ModeHardware, CapacityHint: 16 << 20})
 		if err != nil {
@@ -326,15 +334,13 @@ func TestPushdownWireMatchesModel(t *testing.T) {
 		if _, err := v.Write([]int64{0, 0}, []int64{64, 64}, data); err != nil {
 			t.Fatal(err)
 		}
+		spans := []span{{7, 7}, {0, 2}, {0, ^uint64(0)}}
+		if es < 8 {
+			spans = append(spans, span{1 << (8 * es), 1<<(8*es) + 10})
+		}
 		for _, sub := range [][]int64{{32, 32}, {1 << 16, 1 << 17}} {
-			layout, index := proto.LayoutFor(es, sub), 4
-			if sub[0]*sub[1] > 1<<32 {
-				index = 8
-			}
-			if layout != (proto.Layout{Index: index, Value: es}) {
-				t.Fatalf("es %d sub %v: layout %+v", es, sub, layout)
-			}
-			wire := func(cmd proto.Command, pl interface{ Marshal() ([]byte, error) }) ([]byte, Stats) {
+			elems := min(sub[0], 64) * min(sub[1], 64) // what the space's edge leaves
+			wire := func(cmd proto.Command, pl interface{ Marshal() ([]byte, error) }) []byte {
 				t.Helper()
 				page, err := pl.Marshal()
 				if err != nil {
@@ -348,36 +354,66 @@ func TestPushdownWireMatchesModel(t *testing.T) {
 					t.Fatalf("es %d sub %v %v: the wire carries %d bytes, the model charges %d",
 						es, sub, cmd.Opcode(), len(out), st.RawBytes)
 				}
-				return out, st
+				return out
 			}
-			for _, q := range []struct{ lo, hi uint64 }{{0, 20}, {0, ^uint64(0)}} { // a few matches; a truncated page
-				out, _ := wire(proto.NewScan(v.WireID(), 0), proto.ScanPayload{Coord: []int64{0, 0}, Sub: sub, Lo: q.lo, Hi: q.hi})
-				res, err := proto.UnmarshalScanResultPayload(out)
+			for _, q := range spans {
+				layout := proto.LayoutFor(es, sub, q.lo, q.hi)
+				sized := func(op proto.Opcode, out []byte, records int) {
+					t.Helper()
+					if want := layout.ResultSize(op, int64(records)); int64(len(out)) != want {
+						t.Fatalf("es %d sub %v %v: %v result %d bytes, want %d", es, sub, q, op, len(out), want)
+					}
+					for _, n := range []int{0, 1, records} {
+						if got, old := layout.ResultSize(op, int64(n)), byteLayoutSize(es, sub, op, n); got > old {
+							t.Fatalf("es %d sub %v %v: %d %v records take %d bytes, %d in the byte layout", es, sub, q, n, op, got, old)
+						}
+					}
+					if empty, want := layout.ResultSize(op, 0), byteLayoutSize(es, sub, op, 0); empty != want {
+						t.Fatalf("es %d sub %v %v: an empty %v result is %d bytes, want %d", es, sub, q, op, empty, want)
+					}
+				}
+				pl := proto.ScanPayload{Coord: []int64{0, 0}, Sub: sub, Lo: q.lo, Hi: q.hi}
+				out := wire(proto.NewScan(v.WireID(), 0), pl)
+				res, err := proto.UnmarshalScanResultPayload(out, pl)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := layout.ResultSize(proto.OpScan, int64(len(res.Matches))); int64(len(out)) != want {
-					t.Fatalf("es %d sub %v: scan result %d bytes, want %d", es, sub, len(out), want)
+				sized(proto.OpScan, out, len(res.Matches))
+				if full := int64(layout.Capacity(proto.OpScan)) < elems; q.hi == ^uint64(0) &&
+					(int64(len(res.Matches)) != min(int64(layout.Capacity(proto.OpScan)), elems) || (res.NextCursor >= 0) != full) {
+					t.Fatalf("es %d sub %v: full-range scan returned %d matches (next %d), capacity %d of %d elements",
+						es, sub, len(res.Matches), res.NextCursor, layout.Capacity(proto.OpScan), elems)
 				}
-				if q.hi == ^uint64(0) && (len(res.Matches) != layout.Capacity(proto.OpScan) || res.NextCursor < 0) {
-					t.Fatalf("es %d sub %v: full-range scan returned %d matches (next %d), want a full page of %d",
-						es, sub, len(res.Matches), res.NextCursor, layout.Capacity(proto.OpScan))
-				}
-			}
-			for _, q := range []proto.ReducePayload{{Op: proto.ReduceOpTopK, K: 10}, {Op: proto.ReduceOpSum}} {
-				q.Coord, q.Sub = []int64{0, 0}, sub
-				out, _ := wire(proto.NewReduce(v.WireID(), 0), q)
-				res, err := proto.UnmarshalReduceResultPayload(out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := layout.ResultSize(proto.OpReduce, int64(len(res.TopK))); int64(len(out)) != want {
-					t.Fatalf("es %d sub %v: reduce result %d bytes, want %d", es, sub, len(out), want)
+				for _, r := range []proto.ReducePayload{{Op: proto.ReduceOpTopK, K: 10}, {Op: proto.ReduceOpSum}} {
+					r.Coord, r.Sub = []int64{0, 0}, sub
+					if q != (span{0, ^uint64(0)}) {
+						r.HasPred, r.Lo, r.Hi = true, q.lo, q.hi
+					}
+					out := wire(proto.NewReduce(v.WireID(), 0), r)
+					res, err := proto.UnmarshalReduceResultPayload(out, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sized(proto.OpReduce, out, len(res.TopK))
 				}
 			}
 		}
 		d.Close()
 	}
+}
+
+// byteLayoutSize is a result's length in the byte layout that bit packing
+// replaced: a 4-byte index (8 past 2^32 elements) and the element's own
+// width a record.
+func byteLayoutSize(es int, sub []int64, op proto.Opcode, records int) int64 {
+	index, hdr := int64(4), int64(24)
+	if sub[0]*sub[1] > 1<<32 {
+		index = 8
+	}
+	if op == proto.OpReduce {
+		hdr = 32
+	}
+	return hdr + int64(records)*(index+int64(es))
 }
 
 // TestPushdownQoSCharging checks that pushdown operators pass through tenant

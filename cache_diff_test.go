@@ -142,7 +142,7 @@ func TestCacheFaultInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, r := faultWorkload(t, d)
+	img, r := faultWorkload(t, d, mixedFaults)
 	if r.ProgramFaults == 0 || r.RetiredBlocks == 0 {
 		t.Fatalf("fault plan never fired under the cache: %+v", r)
 	}
@@ -164,7 +164,7 @@ func TestCacheFaultInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img2, _ := faultWorkload(t, d2)
+	img2, _ := faultWorkload(t, d2, mixedFaults)
 	if !bytes.Equal(img, img2) {
 		t.Fatal("cached and uncached faulty devices diverged")
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -44,6 +43,10 @@ const (
 	antWarmDur  = 500 * time.Millisecond
 	antSoloDur  = 1500 * time.Millisecond
 	antFloodDur = 2 * time.Second
+
+	// antP99Bound is the allowed growth of the victim's median p99 under
+	// the flood.
+	antP99Bound = 2.0
 )
 
 // antagonistResult carries both phases: the victim alone, then the same
@@ -62,11 +65,6 @@ type antagonistResult struct {
 // antagonist offering antFloodScale times the victim's rate from its own
 // space (= its own tenant). Reported phases are median-p99 trials.
 func runAntagonistLoad() (antagonistResult, error) {
-	// A mode run earlier in the same invocation (-faultcheck, -pushdown,
-	// -kernels) leaves a ballooned heap; without a forced collection, runtime
-	// GC assists starve the open-loop scheduler and the tails measure the Go
-	// runtime, not the server.
-	debug.FreeOSMemory()
 	dev, addr, cleanup, err := selfHostedServer(nds.Options{
 		Mode:         nds.ModeHardware,
 		CapacityHint: 16 << 20,
@@ -95,13 +93,7 @@ func runAntagonistLoad() (antagonistResult, error) {
 	}
 
 	victimOpts := func(d time.Duration) netOpts {
-		return netOpts{
-			Conns:   antConns,
-			Rate:    antVictimRate,
-			Dur:     d,
-			Arrival: "poisson",
-			ZipfS:   1.1,
-		}
+		return netOpts{Conns: antConns, Rate: antVictimRate, Dur: d}
 	}
 	// A discarded warmup drive settles one-time costs (allocator growth, GC
 	// pacing, scheduler spin-up) that otherwise land as outliers in the solo
@@ -191,8 +183,9 @@ func medianByP99(runs []netResult) netResult { return runs[medianIndexByP99(runs
 const antP99SlackNs = 250e3
 
 // runAntagonist is the -antagonist CLI mode: run both phases and fail (exit
-// 1) unless the flooded victim's p99 stays within bound x solo (+ slack).
-func runAntagonist(bound float64) {
+// 1) unless the flooded victim's p99 stays within antP99Bound x solo (+
+// slack).
+func runAntagonist() {
 	fmt.Printf("\n=== Tenant isolation: victim vs %dx antagonist ===\n", antFloodScale)
 	fmt.Printf("victim %d conns at %d ops/s, antagonist %d conns at %d ops/s (rate cap %d MB/s); median of %d trials\n",
 		antConns, antVictimRate, antConns, antFloodScale*antVictimRate, antRateCap>>20, antTrials)
@@ -210,13 +203,13 @@ func runAntagonist(bound float64) {
 	if res.Tenant.Throttle == 0 {
 		fatalf("antagonist: token bucket never throttled the flood (QoS gate not engaged)")
 	}
-	limit := bound*res.Solo.P99Ns + antP99SlackNs
+	limit := antP99Bound*res.Solo.P99Ns + antP99SlackNs
 	ratio := res.Victim.P99Ns / res.Solo.P99Ns
 	fmt.Printf("victim p99 under flood: %.2fx solo (gate: %.1fx + %dus slack)\n",
-		ratio, bound, int(antP99SlackNs/1e3))
+		ratio, antP99Bound, int(antP99SlackNs/1e3))
 	if res.Victim.P99Ns > limit {
 		fatalf("antagonist: victim p99 %.0fus exceeds %.0fus (%.1fx solo %.0fus + slack)",
-			res.Victim.P99Ns/1e3, limit/1e3, bound, res.Solo.P99Ns/1e3)
+			res.Victim.P99Ns/1e3, limit/1e3, antP99Bound, res.Solo.P99Ns/1e3)
 	}
 	fmt.Println("isolation holds")
 }

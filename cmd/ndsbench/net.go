@@ -24,18 +24,16 @@ import (
 const (
 	netDim     = 1024
 	netTiles   = 256 // 16x16 grid
-	netTileB   = 64 * 64 * 4
-	burstScale = 4 // burst phases run the middle third at this multiple
+	netZipfS   = 1.1 // Zipfian skew of the tile choice
+	burstScale = 4   // burst phases run the middle third at this multiple
 )
 
-// netOpts configures one open-loop run.
+// netOpts configures one open-loop run of Poisson arrivals.
 type netOpts struct {
-	Conns   int
-	Rate    float64 // aggregate target, ops/s
-	Dur     time.Duration
-	Arrival string  // "poisson" or "fixed"
-	ZipfS   float64 // >1 skews tile choice Zipfian; otherwise uniform
-	Burst   bool    // middle third of Dur at burstScale x Rate
+	Conns int
+	Rate  float64 // aggregate target, ops/s
+	Dur   time.Duration
+	Burst bool // middle third of Dur at burstScale x Rate
 	// MaxOutstanding bounds unfinished requests per connection; arrivals
 	// beyond the bound are shed (counted, not sent). Zero is unbounded — the
 	// pure open loop. The antagonist benchmark bounds its flood so a
@@ -56,7 +54,7 @@ type netResult struct {
 }
 
 // runNetLoad drives an open-loop load against a live server: each connection
-// schedules arrivals at Rate/Conns ops/s (Poisson or fixed-interval),
+// schedules Poisson arrivals at Rate/Conns ops/s,
 // dispatches every request at its scheduled time regardless of how many are
 // still outstanding, and records completion latency from the schedule.
 func runNetLoad(addr string, o netOpts) (netResult, error) {
@@ -118,9 +116,6 @@ func closeClients(clients []*ndsclient.Client) {
 // connection group and reduces the latencies to percentiles. seedBase keeps
 // concurrent groups (victim, antagonist) on disjoint deterministic streams.
 func driveOpenLoop(clients []*ndsclient.Client, views []uint32, o netOpts, seedBase int64) (netResult, error) {
-	if o.Arrival != "poisson" && o.Arrival != "fixed" {
-		return netResult{}, fmt.Errorf("unknown arrival process %q (poisson or fixed)", o.Arrival)
-	}
 	var (
 		sent, errs, shed atomic.Int64
 		latMu            sync.Mutex
@@ -135,10 +130,7 @@ func driveOpenLoop(clients []*ndsclient.Client, views []uint32, o netOpts, seedB
 			defer wg.Done()
 			c, view := clients[ci], views[ci]
 			rng := rand.New(rand.NewSource(seedBase + int64(ci)))
-			var zipf *rand.Zipf
-			if o.ZipfS > 1 {
-				zipf = rand.NewZipf(rng, o.ZipfS, 1, netTiles-1)
-			}
+			zipf := rand.NewZipf(rng, netZipfS, 1, netTiles-1)
 			var sem chan struct{}
 			if o.MaxOutstanding > 0 {
 				sem = make(chan struct{}, o.MaxOutstanding)
@@ -155,17 +147,8 @@ func driveOpenLoop(clients []*ndsclient.Client, views []uint32, o netOpts, seedB
 				if d := time.Until(sched); d > 0 {
 					time.Sleep(d)
 				}
-				if o.Arrival == "fixed" {
-					next += time.Duration(float64(time.Second) / rate)
-				} else {
-					next += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-				}
-				var tile int64
-				if zipf != nil {
-					tile = int64(zipf.Uint64())
-				} else {
-					tile = rng.Int63n(netTiles)
-				}
+				next += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+				tile := int64(zipf.Uint64())
 				if sem != nil {
 					select {
 					case sem <- struct{}{}:
@@ -233,8 +216,8 @@ func driveOpenLoop(clients []*ndsclient.Client, views []uint32, o netOpts, seedB
 // experiments) and print the tail-latency report.
 func runNet(addr string, o netOpts) {
 	fmt.Printf("\n=== Open-loop network load: %s ===\n", addr)
-	fmt.Printf("conns %d  target %.0f ops/s (%s)  zipf %.2f  burst %v  dur %v\n",
-		o.Conns, o.Rate, o.Arrival, o.ZipfS, o.Burst, o.Dur)
+	fmt.Printf("conns %d  target %.0f ops/s (poisson)  zipf %.2f  burst %v  dur %v\n",
+		o.Conns, o.Rate, netZipfS, o.Burst, o.Dur)
 	res, err := runNetLoad(addr, o)
 	if err != nil {
 		fatalf("net load: %v", err)
@@ -246,12 +229,6 @@ func runNet(addr string, o netOpts) {
 	if res.Errors > 0 {
 		fatalf("net load: %d requests failed", res.Errors)
 	}
-}
-
-// streamOpts configures the -stream benchmark.
-type streamOpts struct {
-	Window    int
-	ChunkRows int64
 }
 
 // The streaming benchmark fetches a 16 MiB float32 partition — large enough
@@ -309,7 +286,7 @@ const streamIters = 3
 
 // measureStream writes the 16 MiB benchmark partition over one connection and
 // times whole-partition reads against the windowed stream.
-func measureStream(addr string, o streamOpts) (streamResult, error) {
+func measureStream(addr string) (streamResult, error) {
 	c, err := ndsclient.Dial(addr)
 	if err != nil {
 		return streamResult{}, err
@@ -349,7 +326,7 @@ func measureStream(addr string, o streamOpts) (streamResult, error) {
 		verify := i == 0
 		t0 := time.Now()
 		n, err := c.ReadStream(view, coord, sub,
-			ndsclient.StreamOpts{Window: o.Window, ChunkRows: o.ChunkRows},
+			ndsclient.StreamOpts{},
 			func(off int64, chunk []byte) error {
 				if verify {
 					streamed.Write(chunk)
@@ -377,7 +354,7 @@ func measureStream(addr string, o streamOpts) (streamResult, error) {
 // gains from the windowed ReadStream pipeline over one whole-partition read.
 // With -net it targets an external server; otherwise it self-hosts one on a
 // private unix socket.
-func runStream(addr string, o streamOpts) {
+func runStream(addr string) {
 	cleanup := func() {}
 	if addr == "" {
 		var err error
@@ -393,8 +370,8 @@ func runStream(addr string, o streamOpts) {
 	fmt.Println("\n=== Single-connection streaming read ===")
 	fmt.Printf("partition %dx%d x%dB = %.1f MiB  window %d\n",
 		streamRows, streamCols, streamElem,
-		float64(streamRows*streamCols*streamElem)/(1<<20), o.Window)
-	res, err := measureStream(addr, o)
+		float64(streamRows*streamCols*streamElem)/(1<<20), ndsclient.DefaultStreamWindow)
+	res, err := measureStream(addr)
 	if err != nil {
 		fatalf("stream: %v", err)
 	}

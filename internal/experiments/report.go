@@ -27,11 +27,13 @@ type Report struct {
 	Overhead            OverheadResult
 	Fig10               Fig10Summary
 	Channels, BBMult    []SweepPoint
+	Pushdown            []PushdownPoint
+	Kernels             KernelSweep
 }
 
 // Sections names the report's sections in the order it prints them, as
 // cmd/ndsbench's -table, -fig and -sweep flags select them.
-var Sections = []string{"table 1", "table overhead", "fig 2", "fig 3", "fig 9a", "fig 9b", "fig 9c", "fig 9d", "fig 10", "sweep channels", "sweep bbmult"}
+var Sections = []string{"table 1", "table overhead", "fig 2", "fig 3", "fig 9a", "fig 9b", "fig 9c", "fig 9d", "fig 10", "sweep channels", "sweep bbmult", "sweep pushdown", "sweep kernels"}
 
 // paper is every value the paper states for a section of the report, in the
 // order the section prints them: what is measured, and the paper's value.
@@ -112,6 +114,10 @@ func NewReport(n int64, names ...string) (*Report, error) {
 			r.Channels, err = SweepChannels(n, []int{4, 8, 16, 32, 64})
 		case "sweep bbmult":
 			r.BBMult, err = SweepBlockMultiplier(n, []int{1, 2, 4, 8})
+		case "sweep pushdown":
+			r.Pushdown, err = SweepPushdown()
+		case "sweep kernels":
+			r.Kernels, err = SweepKernels()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", s, err)
@@ -219,6 +225,15 @@ func (r *Report) write(b *strings.Builder, section string) {
 		row("%-9s %12s %7.2fx %7.2fx %7.2fx %10.0f%% %10.0f%%", "AVERAGE", "", s.AvgSpeedupSW, s.AvgSpeedupOracle, s.AvgSpeedupHW, s.AvgIdleRedSW*100, s.AvgIdleRedHW*100)
 		vsPaper(fmt.Sprintf("%.2fx", s.AvgSpeedupSW), fmt.Sprintf("%.2fx", s.AvgSpeedupHW), fmt.Sprintf("%.2fx", s.AvgSpeedupOracle),
 			fmt.Sprintf("%.0f%% / %.0f%%", s.AvgIdleRedSW*100, s.AvgIdleRedHW*100), fmt.Sprintf("%.2fx", bfs))
+		row("hardware NDS, selection phase pushed to the STL (not in the paper), read -> push:")
+		for _, w := range s.Results {
+			if w.Spec.Push != nil {
+				row("%-9s hw %v -> %v (win %.2fx), link B/iter %d -> %d (%.0fx)", w.Spec.Name, w.Hardware, w.HardwarePush, w.PushWinHW,
+					w.HWLinkBytes, w.HWPushLinkBytes, float64(w.HWLinkBytes)/float64(w.HWPushLinkBytes))
+				row("%9s stages/iter: fetch %v -> %v, copy %v -> %v, kernel %v -> %v", "", w.HWFetch, w.HWPushFetch, w.CopyRead, w.CopyPush, w.KernelRead, w.KernelPush)
+			}
+		}
+		row("win = hardware time without pushdown / with it; >1 means the link bytes saved outweigh the controller's slower scan")
 	case "sweep channels":
 		row("=== Sensitivity: channel count, %dx%d tile fetch (N=%d; not in the paper) ===", r.N/8, r.N/8, r.N)
 		row("%-10s %12s %12s %8s", "channels", "baseline", "hw-NDS", "gain")
@@ -231,6 +246,31 @@ func (r *Report) write(b *strings.Builder, section string) {
 		for _, p := range r.BBMult {
 			row("%-6d %10.0f %10.0f %10.0f", p.X, p.RowMB, p.ColMB, p.TileMB)
 		}
+	case "sweep pushdown":
+		row("=== Pushdown: in-storage scan vs read-then-filter, %d MiB of 8-byte elements, cache off (any N; not in the paper) ===", pdDim*pdDim*8>>20)
+		row("%d %dx%d tiles, predicate [0,m) over values 0..999", pdTiles, pdTile, pdTile)
+		row("%-8s %11s %14s %14s %9s %12s %12s", "mode", "selectivity", "read link B", "scan link B", "savings", "read sim", "scan sim")
+		for _, p := range r.Pushdown {
+			row("%-8s %11s %14d %14d %8.1fx %10.0fus %10.0fus", p.Mode, p.Selectivity, p.ReadLink, p.ScanLink,
+				float64(p.ReadLink)/float64(p.ScanLink), float64(p.ReadSim.Nanoseconds())/1e3, float64(p.ScanSim.Nanoseconds())/1e3)
+		}
+		row("savings = interconnect bytes a read-then-filter moves / bytes the pushdown moves")
+		row("hardware NDS trades slower controller compute for the link; software NDS cannot save link bytes")
+	case "sweep kernels":
+		row("=== Kernels: BFS frontier-scan selectivity at 1/4 catalog scale, hardware NDS (any N; not in the paper) ===")
+		row("%-12s %14s %16s %8s", "selectivity", "hw-push sim", "hw link B/iter", "win")
+		for _, w := range r.Kernels.BFS {
+			row("%-12s %14v %16d %7.2fx", fmt.Sprintf("%g%%", w.Spec.Push.Selectivity*100), w.HardwarePush, w.HWPushLinkBytes, w.PushWinHW)
+		}
+		row("functional device kernels (hardware NDS, real data):")
+		for _, k := range r.Kernels.Functional {
+			// The rate is the bytes the kernel logically examined (the
+			// read-everything link volume) over the pushdown run's time.
+			row("  %-10s %6.0fx fewer interconnect bytes than read-everything (device-side %.1f sim-MB/s)",
+				k.Name, float64(k.Read.LinkBytes)/float64(k.Push.LinkBytes), float64(k.Read.LinkBytes)/k.Push.Done.Seconds()/1e6)
+		}
+		row("win = hardware sim time without pushdown / with pushdown; >1 means the")
+		row("link-byte savings outweigh the controller's slower selection scan")
 	}
 }
 

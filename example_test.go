@@ -99,6 +99,6 @@ func ExampleSpace_Scan() {
 	// Output:
 	// matches         = 80
 	// read link bytes = 32768
-	// scan link bytes = 154
+	// scan link bytes = 110
 	// max value       = 99
 }

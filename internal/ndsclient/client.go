@@ -254,12 +254,13 @@ func (c *Client) Write(view uint32, coord, sub []int64, data []byte) error {
 
 // Scan executes a pushdown predicate scan over the partition at coord/sub
 // through an open view: only matching (index, value) pairs cross the wire.
-// The result is one page deep, its records packed to the bit widths the
-// request implies (proto.Layout.Capacity): over a 512×512 partition of
-// 4-byte elements a page holds 651 matches of the full range and 1 809 of
-// a one-value predicate, and never fewer than 258 — and a scan with more
-// matches than fit reports the true total and a resume cursor (pass it as
-// cursor to continue, 0 starts). max 0 fills the page. A server running with
+// The result is one page deep, its indexes one Elias–Fano code and its
+// values packed to the width the request implies (proto.Layout.Capacity):
+// over a 512×512 partition of 4-byte elements a page holds 769 matches of
+// the full range and 4 068 of a one-value predicate, and never fewer than
+// 271 — and a scan with more matches than fit reports the true total and a
+// resume cursor (pass it as cursor to continue, 0 starts). max 0 fills the
+// page. A server running with
 // pushdown disabled answers StatusUnsupportedOp.
 func (c *Client) Scan(view uint32, coord, sub []int64, lo, hi uint64, cursor int64, max uint32) (proto.ScanResultPayload, error) {
 	pl := proto.ScanPayload{Coord: coord, Sub: sub, Lo: lo, Hi: hi, Cursor: cursor, Max: max}

@@ -1,9 +1,12 @@
 package proto
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sort"
 )
 
 // Pushdown wire format (opcodes 0xCE pushdown_scan, 0xCF pushdown_reduce).
@@ -11,9 +14,10 @@ import (
 // Both request payloads extend the read/write coordinate page: the standard
 // CoordPayload prefix (uint32 rank, rank x (uint32 coord, uint32 sub))
 // followed by operator parameters at offset 4+8*rank. Both results are a
-// header plus one bit-packed record per match or top-k entry, bounded to one
-// 4 KB page and exactly as long as what they hold (see Layout); a host
-// decodes one under the request it sent. A scan truncates to fit like
+// header plus their matches or top-k entries coded by one Layout: the
+// indexes as an Elias–Fano code, then the values, bounded to one 4 KB page
+// and exactly as long as what they hold; a host decodes one under the
+// request it sent. A scan truncates to fit like
 // get_tenant_stats: the true totals travel in the header and the
 // completion's result words (Result0 = true total / primary scalar), and a
 // truncated scan is resumable by passing the returned cursor as the next
@@ -126,18 +130,24 @@ type ScanMatch struct {
 }
 
 // Layout is the record layout of a pushdown result, implied by the request
-// alone. A record is the element's row-major index in Index bits, then its
-// value less Lo in Value bits; records are packed least-significant bit
-// first with nothing between them, and only the last byte is padded, with
-// zeros. Index is the fewest bits that name every element of the requested
-// partition, bits.Len64(Elems−1); Value the fewest that span the values the
-// request can match, bits.Len64(min(hi, the element's max) − lo) — the
-// element's full width when there is no predicate (lo 0). The two widths
+// alone. A result's records travel sorted by index, in two parts: first the
+// indexes, as one Elias–Fano code over the requested partition's Elems
+// elements, then the values in the same order, each less Lo in Value bits.
+// The code of n indexes keeps L = ⌊log2(Elems/n)⌋ low bits of each, packed
+// one after another, and then the high parts (index >> L) in unary: a 1 per
+// record in each bucket of high part 0 … ⌊(Elems−1)/2^L⌋, consecutive buckets
+// separated by a 0, so n ones and ⌊(Elems−1)/2^L⌋ zeros. Its
+// n·(L+1) + ⌊(Elems−1)/2^L⌋ bits depend on (n, Elems) alone, so a result's
+// length is a function of its record count. Everything is packed
+// least-significant bit first with nothing between the parts, and only the
+// last byte is padded, with zeros. Value is the fewest bits that span the
+// values the request can match, bits.Len64(min(hi, the element's max) − lo)
+// — the element's full width when there is no predicate (lo 0). L and Value
 // travel in the result header, and the host takes Lo and Elems from the
 // request it sent, so it decodes a result without knowing the element size.
 type Layout struct {
-	Index, Value int    // bit widths: Index 0..62, Value 0..64
-	Lo           uint64 // a record's value field carries value − Lo
+	Value int    // bits a value takes, 0..64
+	Lo    uint64 // a record's value field carries value − Lo
 	// Elems is the requested partition's element count (at most 2^62):
 	// every index lies below it, and no result holds more records.
 	Elems int64
@@ -168,19 +178,31 @@ func LayoutFor(elemSize int, sub []int64, lo, hi uint64) Layout {
 			l.Elems *= d
 		}
 	}
-	l.Index = indexBits(l.Elems)
 	if top := min(hi, elemMax(elemSize)); top >= lo {
 		l.Value = bits.Len64(top - lo)
 	}
 	return l
 }
 
-// indexBits is the width of an index into elems elements.
-func indexBits(elems int64) int {
-	if elems <= 1 {
+// lowBits is L, the low bits each of n indexes keeps in an Elias–Fano code
+// over elems elements: ⌊log2(elems/n)⌋, and 0 for no records or for no
+// fewer records than elements. The result header carries it, and a decoder
+// refuses any other value.
+func lowBits(elems, n int64) int {
+	if n <= 0 || elems <= n {
 		return 0
 	}
-	return bits.Len64(uint64(elems - 1))
+	return bits.Len64(uint64(elems/n)) - 1
+}
+
+// indexBits is the length of the code of n indexes: n low parts of L bits
+// and n ones, then ⌊(Elems−1)/2^L⌋ zeros; nothing for no records.
+func (l Layout) indexBits(n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	low := lowBits(l.Elems, n)
+	return n*int64(low+1) + max(l.Elems-1, 0)>>low
 }
 
 // elemMax is the largest value an elemSize-byte element holds.
@@ -206,86 +228,113 @@ func headerLen(op Opcode) int64 {
 }
 
 // ResultSize is the wire length of op's result (OpScan or OpReduce) holding
-// records matches or top-k entries: the header plus the records' bits,
-// rounded up to a byte. It is the one statement of a result's size: the
-// encoders, the device's clamp on a scan's matches and the simulator's link
-// charge all use it.
+// records matches or top-k entries: the header plus the index code and the
+// values, rounded up to a byte. It is the one statement of a result's size:
+// the encoders, the device's clamp on a scan's matches and the simulator's
+// link charge all use it.
 func (l Layout) ResultSize(op Opcode, records int64) int64 {
-	return headerLen(op) + (records*int64(l.Index+l.Value)+7)/8
+	return headerLen(op) + (l.indexBits(records)+records*int64(l.Value)+7)/8
 }
 
-// Capacity is how many records one page of op's result holds, capped at
-// the partition's elements and at the header's count field: a 0-bit record
-// (a one-element request whose range is a single value) takes no room.
+// Capacity is the largest number of records whose result (ResultSize) fits
+// one page of op's result, capped at the partition's elements and at the
+// header's count field. ResultSize grows with the count — where L drops by
+// one, the zeros the high parts gain outweigh the low bits they lose — so
+// every smaller count fits too.
 func (l Layout) Capacity(op Opcode) int {
-	n := min(l.Elems, maxCount)
-	if rec := int64(l.Index + l.Value); rec > 0 {
-		n = min(n, (PageSize-headerLen(op))*8/rec)
-	}
-	return int(n)
+	return sort.Search(int(min(max(l.Elems, 0), maxCount)), func(n int) bool {
+		return l.ResultSize(op, int64(n)+1) > PageSize
+	})
 }
 
 func (l Layout) valid() bool {
-	return l.Elems >= 0 && l.Elems <= maxElems && l.Index == indexBits(l.Elems) && l.Value >= 0 && l.Value <= 64
+	return l.Elems >= 0 && l.Elems <= maxElems && l.Value >= 0 && l.Value <= 64
 }
 
-// putRecords packs ms as consecutive records from out[0], which must be
-// zeroed, refusing an entry whose index or value does not fit the layout.
-func (l Layout) putRecords(out []byte, ms []ScanMatch, what string) error {
-	rec := l.Index + l.Value
+// putMatches writes ms, whose indexes must ascend strictly, as l's records
+// from out[0], which must be zeroed, refusing an entry the layout cannot
+// hold.
+func (l Layout) putMatches(out []byte, ms []ScanMatch, what string) error {
+	n := len(ms)
+	low := lowBits(l.Elems, int64(n))
+	high, vals := n*low, int(l.indexBits(int64(n)))
 	for i, m := range ms {
 		if m.Index < 0 || m.Index >= l.Elems {
 			return fmt.Errorf("proto: %s %d index %d outside a partition of %d elements", what, i, m.Index, l.Elems)
 		}
+		if i > 0 && m.Index <= ms[i-1].Index {
+			return fmt.Errorf("proto: %s %d index %d does not follow %d", what, i, m.Index, ms[i-1].Index)
+		}
 		if m.Value < l.Lo || bits.Len64(m.Value-l.Lo) > l.Value {
 			return fmt.Errorf("proto: %s %d value %#x is not %#x plus %d bits", what, i, m.Value, l.Lo, l.Value)
 		}
-		putBits(out, i*rec, uint64(m.Index), l.Index)
-		putBits(out, i*rec+l.Index, m.Value-l.Lo, l.Value)
+		putBits(out, i*low, uint64(m.Index)&(1<<low-1), low)
+		putBits(out, high+int(m.Index>>low)+i, 1, 1)
+		putBits(out, vals+i*l.Value, m.Value-l.Lo, l.Value)
 	}
 	return nil
 }
 
-// records unpacks n consecutive records from page[0], refusing an index
-// outside the partition, a value field above span (the request's hi − lo)
-// and a set padding bit.
-func (l Layout) records(page []byte, n int, span uint64, what string) ([]ScanMatch, error) {
+// matches decodes n records of l from page[0], in index order, refusing a
+// set padding bit, high parts holding other than n ones, an index at or
+// past Elems or not above the one before it, and a value field above span
+// (the request's hi − lo). It allocates the n records and nothing more.
+func (l Layout) matches(page []byte, n int, span uint64, what string) ([]ScanMatch, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	rec := l.Index + l.Value
-	if tail := n * rec % 8; tail != 0 && page[len(page)-1]>>tail != 0 {
+	low := lowBits(l.Elems, int64(n))
+	high, vals := n*low, int(l.indexBits(int64(n)))
+	if tail := (vals + n*l.Value) % 8; tail != 0 && page[len(page)-1]>>tail != 0 {
 		return nil, fmt.Errorf("proto: %s padding bits set", what)
 	}
 	out := make([]ScanMatch, n)
-	for i := range out {
-		idx := getBits(page, i*rec, l.Index)
-		if idx >= uint64(l.Elems) {
-			return nil, fmt.Errorf("proto: %s %d index %d outside a partition of %d elements", what, i, idx, l.Elems)
+	k := 0 // records decoded: the ones seen so far
+	for pos := high; pos < vals; pos += 64 {
+		for w := getBits(page, pos, min(64, vals-pos)); w != 0; w &= w - 1 {
+			if k == n {
+				return nil, fmt.Errorf("proto: %s high parts hold more than %d ones", what, n)
+			}
+			// The k-th one follows as many zeros as its high part's value.
+			h := int64(pos + bits.TrailingZeros64(w) - high - k)
+			idx := h<<low | int64(getBits(page, k*low, low))
+			if idx >= l.Elems {
+				return nil, fmt.Errorf("proto: %s %d index %d outside a partition of %d elements", what, k, idx, l.Elems)
+			}
+			if k > 0 && idx <= out[k-1].Index {
+				return nil, fmt.Errorf("proto: %s %d index %d does not follow %d", what, k, idx, out[k-1].Index)
+			}
+			v := getBits(page, vals+k*l.Value, l.Value)
+			if v > span {
+				return nil, fmt.Errorf("proto: %s %d value %#x+%#x outside the requested range", what, k, l.Lo, v)
+			}
+			out[k] = ScanMatch{Index: idx, Value: l.Lo + v}
+			k++
 		}
-		v := getBits(page, i*rec+l.Index, l.Value)
-		if v > span {
-			return nil, fmt.Errorf("proto: %s %d value %#x+%#x outside the requested range", what, i, l.Lo, v)
-		}
-		out[i] = ScanMatch{Index: int64(idx), Value: l.Lo + v}
+	}
+	if k != n {
+		return nil, fmt.Errorf("proto: %s high parts hold %d ones, not %d", what, k, n)
 	}
 	return out, nil
 }
 
-// resultLayout reads the layout from a result header's two width bytes at
-// page[off:] and checks it against want, the layout the request implies at
-// the widest element (the index width must match, the value may only be
-// narrower), then checks count against its capacity before anything is
-// allocated and that page is exactly op's result of count records.
+// resultLayout reads the value width from a result header's width byte at
+// page[off+1] and checks it against want, the layout the request implies at
+// the widest element (the value may only be narrower), then checks count
+// against its capacity before anything is allocated, the low-bit count at
+// page[off] against the one count records take, and that page is exactly
+// op's result of count records.
 func resultLayout(page []byte, op Opcode, off, count int, want Layout, what string) (Layout, error) {
 	l := want
-	l.Index, l.Value = int(page[off]), int(page[off+1])
-	if l.Index != want.Index || l.Value > want.Value {
-		return l, fmt.Errorf("proto: %s result layout (%d-bit index, %d-bit value) does not answer a request of %d-bit indexes and values of at most %d bits",
-			what, l.Index, l.Value, want.Index, want.Value)
+	l.Value = int(page[off+1])
+	if l.Value > want.Value {
+		return l, fmt.Errorf("proto: %s result values of %d bits do not answer a request of values of at most %d bits", what, l.Value, want.Value)
 	}
 	if count > l.Capacity(op) {
 		return l, fmt.Errorf("proto: %s count %d exceeds capacity %d", what, count, l.Capacity(op))
+	}
+	if low := lowBits(l.Elems, int64(count)); int(page[off]) != low {
+		return l, fmt.Errorf("proto: %s result keeps %d low index bits, not the %d that %d records of %d elements take", what, page[off], low, count, l.Elems)
 	}
 	if size := l.ResultSize(op, int64(count)); int64(len(page)) != size {
 		return l, fmt.Errorf("proto: %s result of %d records is %d bytes, not %d", what, count, len(page), size)
@@ -326,9 +375,9 @@ func getBits(b []byte, pos, n int) uint64 {
 	return v
 }
 
-// scanHeaderLen is the scan result header: uint32 count, the index and
-// value widths in bits (one byte each), two reserved bytes, uint64 total,
-// uint64 next-cursor.
+// scanHeaderLen is the scan result header: uint32 count, the low index bits
+// L and the value width in bits (one byte each), two reserved bytes, uint64
+// total, uint64 next-cursor.
 const scanHeaderLen = 4 + 4 + 8 + 8
 
 // ScanResultPayload is the result a pushdown_scan command returns. Total is
@@ -342,8 +391,9 @@ type ScanResultPayload struct {
 	Matches    []ScanMatch
 }
 
-// Marshal encodes the result in layout l: the header, then one record per
-// match, l.ResultSize(OpScan, len(p.Matches)) bytes in all.
+// Marshal encodes the result in layout l: the header, then the matches,
+// which must be in ascending index order, l.ResultSize(OpScan,
+// len(p.Matches)) bytes in all.
 func (p ScanResultPayload) Marshal(l Layout) ([]byte, error) {
 	if !l.valid() {
 		return nil, fmt.Errorf("proto: scan result layout %+v invalid", l)
@@ -357,16 +407,17 @@ func (p ScanResultPayload) Marshal(l Layout) ([]byte, error) {
 	if p.NextCursor < -1 || p.NextCursor > 1<<62 {
 		return nil, fmt.Errorf("proto: scan next-cursor %d out of range", p.NextCursor)
 	}
-	out := make([]byte, l.ResultSize(OpScan, int64(len(p.Matches))))
-	binary.LittleEndian.PutUint32(out, uint32(len(p.Matches)))
-	out[4], out[5] = byte(l.Index), byte(l.Value)
+	n := int64(len(p.Matches))
+	out := make([]byte, l.ResultSize(OpScan, n))
+	binary.LittleEndian.PutUint32(out, uint32(n))
+	out[4], out[5] = byte(lowBits(l.Elems, n)), byte(l.Value)
 	binary.LittleEndian.PutUint64(out[8:], uint64(p.Total))
 	next := ScanCursorNone
 	if p.NextCursor >= 0 {
 		next = uint64(p.NextCursor)
 	}
 	binary.LittleEndian.PutUint64(out[16:], next)
-	if err := l.putRecords(out[scanHeaderLen:], p.Matches, "scan match"); err != nil {
+	if err := l.putMatches(out[scanHeaderLen:], p.Matches, "scan match"); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -398,7 +449,7 @@ func UnmarshalScanResultPayload(page []byte, req ScanPayload) (ScanResultPayload
 		}
 		p.NextCursor = int64(next)
 	}
-	if p.Matches, err = l.records(page[scanHeaderLen:], count, req.Hi-req.Lo, "scan match"); err != nil {
+	if p.Matches, err = l.matches(page[scanHeaderLen:], count, req.Hi-req.Lo, "scan match"); err != nil {
 		return ScanResultPayload{}, err
 	}
 	return p, nil
@@ -507,14 +558,15 @@ func (p ReducePayload) ValueRange() (lo, hi uint64) {
 }
 
 // reduceHeaderLen is the reduce result header: uint64 value, uint64 index,
-// uint64 count, uint32 top-k count, the index and value widths in bits (one
-// byte each), two reserved bytes.
+// uint64 count, uint32 top-k count, the low index bits L and the value
+// width in bits (one byte each), two reserved bytes.
 const reduceHeaderLen = 8 + 8 + 8 + 4 + 4
 
 // MaxReduceTopK is the largest top-k a request may ask for: what one page
-// holds in the widest layout (a 62-bit index and a 64-bit value), so every
-// layout's result fits.
-const MaxReduceTopK = (PageSize - reduceHeaderLen) * 8 / (62 + 64)
+// holds in the widest layout (2^62 elements and 64-bit values, so 53 low
+// index bits at this count), and so what every layout's result fits
+// (TestResultCapacities holds it to Layout.Capacity).
+const MaxReduceTopK = 271
 
 // ReduceResultPayload is the result a pushdown_reduce command returns. Value
 // carries the scalar result (sum, count, min, max, or the top value; also in
@@ -527,8 +579,10 @@ type ReduceResultPayload struct {
 	TopK  []ScanMatch
 }
 
-// Marshal encodes the result in layout l: the header, then one record per
-// top-k entry, l.ResultSize(OpReduce, len(p.TopK)) bytes in all.
+// Marshal encodes the result in layout l: the header, then the top-k
+// entries, which must be in top-k order (value descending, ties by
+// ascending index) and travel in index order, l.ResultSize(OpReduce,
+// len(p.TopK)) bytes in all.
 func (p ReduceResultPayload) Marshal(l Layout) ([]byte, error) {
 	if !l.valid() {
 		return nil, fmt.Errorf("proto: reduce result layout %+v invalid", l)
@@ -542,7 +596,13 @@ func (p ReduceResultPayload) Marshal(l Layout) ([]byte, error) {
 	if p.Count < 0 || p.Count > 1<<62 {
 		return nil, fmt.Errorf("proto: reduce count %d out of range", p.Count)
 	}
-	out := make([]byte, l.ResultSize(OpReduce, int64(len(p.TopK))))
+	for i := 1; i < len(p.TopK); i++ {
+		if topKOrder(p.TopK[i-1], p.TopK[i]) >= 0 {
+			return nil, fmt.Errorf("proto: top-k entry %d %+v does not follow %+v", i, p.TopK[i], p.TopK[i-1])
+		}
+	}
+	n := int64(len(p.TopK))
+	out := make([]byte, l.ResultSize(OpReduce, n))
 	binary.LittleEndian.PutUint64(out, p.Value)
 	idx := ScanCursorNone
 	if p.Index >= 0 {
@@ -550,9 +610,11 @@ func (p ReduceResultPayload) Marshal(l Layout) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint64(out[8:], idx)
 	binary.LittleEndian.PutUint64(out[16:], uint64(p.Count))
-	binary.LittleEndian.PutUint32(out[24:], uint32(len(p.TopK)))
-	out[28], out[29] = byte(l.Index), byte(l.Value)
-	if err := l.putRecords(out[reduceHeaderLen:], p.TopK, "top-k entry"); err != nil {
+	binary.LittleEndian.PutUint32(out[24:], uint32(n))
+	out[28], out[29] = byte(lowBits(l.Elems, n)), byte(l.Value)
+	byIndex := slices.Clone(p.TopK)
+	slices.SortFunc(byIndex, func(a, b ScanMatch) int { return cmp.Compare(a.Index, b.Index) })
+	if err := l.putMatches(out[reduceHeaderLen:], byIndex, "top-k entry"); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -590,8 +652,18 @@ func UnmarshalReduceResultPayload(page []byte, req ReducePayload) (ReduceResultP
 		return ReduceResultPayload{}, fmt.Errorf("proto: reduce count %d out of range", cnt)
 	}
 	p.Count = int64(cnt)
-	if p.TopK, err = l.records(page[reduceHeaderLen:], count, hi-lo, "top-k entry"); err != nil {
+	if p.TopK, err = l.matches(page[reduceHeaderLen:], count, hi-lo, "top-k entry"); err != nil {
 		return ReduceResultPayload{}, err
 	}
+	slices.SortFunc(p.TopK, topKOrder)
 	return p, nil
+}
+
+// topKOrder orders top-k entries as a result lists them: value descending,
+// ties by ascending index.
+func topKOrder(a, b ScanMatch) int {
+	if c := cmp.Compare(b.Value, a.Value); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
 }

@@ -2,9 +2,13 @@ package proto
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -109,8 +113,9 @@ func (r request) reduce(k uint32) ReducePayload {
 // top is the largest value a match of r holds; below r.lo when none can.
 func (r request) top() uint64 { return min(r.hi, elemMax(r.es)) }
 
-// matchesFor is n matches of r spread over its partition and value range:
-// the last element and the range's ends among them.
+// matchesFor is n matches of r in ascending index order, spread evenly over
+// its partition (the last element among them) and its value range (both
+// ends among them).
 func matchesFor(r request, n int) []ScanMatch {
 	if n == 0 || r.top() < r.lo {
 		return nil
@@ -119,20 +124,44 @@ func matchesFor(r request, n int) []ScanMatch {
 	vals := []uint64{top, r.lo, r.lo + (top-r.lo)/2}
 	ms := make([]ScanMatch, n)
 	for i := range ms {
-		ms[i] = ScanMatch{Index: (int64(i)*7919 + l.Elems - 1) % l.Elems, Value: vals[i%3]}
+		ms[i] = ScanMatch{Index: l.Elems - 1 - int64(n-1-i)*(l.Elems/int64(n)), Value: vals[i%3]}
 	}
 	return ms
 }
 
-// requests spans the record widths a result can take.
+// topK is ms in the order a top-k result lists them: value descending, ties
+// by ascending index.
+func topK(ms []ScanMatch) []ScanMatch {
+	out := slices.Clone(ms)
+	slices.SortFunc(out, topKOrder)
+	return out
+}
+
+// codeBits is the length of the Elias–Fano code of n indexes below elems,
+// counted the long way: L is the largest shift that leaves every one of the
+// n records a bucket of its own on average (n·2^L ≤ elems), each record
+// takes L low bits and a 1, and the buckets 0 … (elems−1)>>L take a 0
+// between each two.
+func codeBits(elems, n int64) int64 {
+	if n == 0 {
+		return 0
+	}
+	low := 0
+	for elems>>(low+1) >= n {
+		low++
+	}
+	return n*int64(low+1) + (elems-1)>>low
+}
+
+// requests spans the code and value widths a result can take.
 var requests = []request{
-	{4, []int64{512, 512}, 0, all},         // an 18-bit index, the element's 32-bit value
+	{4, []int64{512, 512}, 0, all},         // 2^18 elements, the element's 32-bit value
 	{4, []int64{512, 512}, 0, 0},           // a value the predicate names: 0 bits
 	{4, []int64{512, 512}, 1000, 1099},     // 7-bit values: records that are not whole bytes
-	{1, []int64{1}, 7, 7},                  // a record of no bits
-	{1, []int64{2}, 0, 1},                  // 1-bit widths
-	{2, []int64{3, 5, 7}, 0, all},          // 7 + 16 bits
-	{8, []int64{1 << 31, 1 << 31}, 0, all}, // 62 + 64 bits, the widest record
+	{1, []int64{1}, 7, 7},                  // one element and no value bits: a 1-bit record
+	{1, []int64{2}, 0, 1},                  // 1-bit values
+	{2, []int64{3, 5, 7}, 0, all},          // 105 elements, 16-bit values
+	{8, []int64{1 << 31, 1 << 31}, 0, all}, // 2^62 elements and 64-bit values, the widest
 	{1, []int64{64}, 300, 400},             // lo above the width's max: nothing can match
 }
 
@@ -141,17 +170,17 @@ func TestLayoutFor(t *testing.T) {
 		r    request
 		want Layout
 	}{
-		{request{4, []int64{512, 512}, 0, all}, Layout{18, 32, 0, 1 << 18}},
-		{request{4, []int64{512, 512}, 5, 5}, Layout{18, 0, 5, 1 << 18}},
-		{request{4, []int64{512, 512}, 100, 100 + 1<<32/100}, Layout{18, 26, 100, 1 << 18}},  // 1 % of the values
-		{request{1, []int64{1 << 16, 1 << 16}, 0, all}, Layout{32, 8, 0, 1 << 32}},           // exactly 2^32 elements
-		{request{2, []int64{1 << 16, 1<<16 + 1}, 0, all}, Layout{33, 16, 0, 1<<32 + 1<<16}},  // one row past 2^32
-		{request{8, []int64{1 << 20, 1 << 20, 1 << 20}, 0, all}, Layout{60, 64, 0, 1 << 60}}, // 2^60: no overflow
-		{request{8, []int64{1 << 31, 1 << 31, 4}, 0, all}, Layout{62, 64, 0, 1 << 62}},       // 2^64 saturates at 2^62
-		{request{1, []int64{1}, 9, 9}, Layout{0, 0, 9, 1}},                                   // a record of no bits
-		{request{2, []int64{4}, 0, 1 << 20}, Layout{2, 16, 0, 4}},                            // hi above the width's max
-		{request{1, []int64{4}, 300, 400}, Layout{2, 0, 300, 4}},                             // lo above it: no value matches
-		{request{4, []int64{0, 1 << 40}, 0, all}, Layout{0, 32, 0, 0}},                       // empty: fails its bounds check
+		{request{4, []int64{512, 512}, 0, all}, Layout{32, 0, 1 << 18}},
+		{request{4, []int64{512, 512}, 5, 5}, Layout{0, 5, 1 << 18}},
+		{request{4, []int64{512, 512}, 100, 100 + 1<<32/100}, Layout{26, 100, 1 << 18}},  // 1 % of the values
+		{request{1, []int64{1 << 16, 1 << 16}, 0, all}, Layout{8, 0, 1 << 32}},           // exactly 2^32 elements
+		{request{2, []int64{1 << 16, 1<<16 + 1}, 0, all}, Layout{16, 0, 1<<32 + 1<<16}},  // one row past 2^32
+		{request{8, []int64{1 << 20, 1 << 20, 1 << 20}, 0, all}, Layout{64, 0, 1 << 60}}, // 2^60: no overflow
+		{request{8, []int64{1 << 31, 1 << 31, 4}, 0, all}, Layout{64, 0, 1 << 62}},       // 2^64 saturates at 2^62
+		{request{1, []int64{1}, 9, 9}, Layout{0, 9, 1}},                                  // one element, one value
+		{request{2, []int64{4}, 0, 1 << 20}, Layout{16, 0, 4}},                           // hi above the width's max
+		{request{1, []int64{4}, 300, 400}, Layout{0, 300, 4}},                            // lo above it: no value matches
+		{request{4, []int64{0, 1 << 40}, 0, all}, Layout{32, 0, 0}},                      // empty: fails its bounds check
 	}
 	for _, c := range cases {
 		if got := c.r.layout(); got != c.want {
@@ -160,12 +189,13 @@ func TestLayoutFor(t *testing.T) {
 	}
 }
 
-// TestResultCapacities pins how many records one page holds per layout:
-// DESIGN.md's capacity table. Every layout holds a top-MaxReduceTopK result,
-// or the whole partition when that is smaller.
+// TestResultCapacities pins how many records one page holds per layout
+// (DESIGN.md's capacity table is ExampleLayout_Capacity's output). Every
+// layout holds a top-MaxReduceTopK result, or the whole partition when that
+// is smaller, and MaxReduceTopK is what the widest layout holds.
 func TestResultCapacities(t *testing.T) {
 	want := [][2]int{ // {scan, reduce}, one per request
-		{651, 650}, {1809, 1806}, {1303, 1300}, {1, 1}, {2, 2}, {105, 105}, {258, 258}, {64, 64},
+		{769, 768}, {4068, 4059}, {2035, 2031}, {1, 1}, {2, 2}, {105, 105}, {271, 271}, {64, 64},
 	}
 	for i, r := range requests {
 		l := r.layout()
@@ -177,13 +207,75 @@ func TestResultCapacities(t *testing.T) {
 			t.Errorf("%+v: a top-%d request does not fit (%d)", l, MaxReduceTopK, got[1])
 		}
 	}
-	if MaxReduceTopK != 258 {
-		t.Errorf("MaxReduceTopK = %d, want 258", MaxReduceTopK)
+	if widest := (Layout{Value: 64, Elems: maxElems}).Capacity(OpReduce); MaxReduceTopK != widest || MaxReduceTopK != 271 {
+		t.Errorf("MaxReduceTopK = %d, the widest layout holds %d, want 271", MaxReduceTopK, widest)
 	}
-	// A hostile count cannot make a 0-bit record's result hold more than its
-	// one element, though any count of them fits the header alone.
-	if l := (request{1, []int64{1}, 7, 7}).layout(); l.ResultSize(OpScan, 1<<32-1) != scanHeaderLen || l.Capacity(OpScan) != 1 {
-		t.Errorf("0-bit records: %d bytes for 2^32-1, capacity %d", l.ResultSize(OpScan, 1<<32-1), l.Capacity(OpScan))
+	// Every record takes at least its high part's 1, so a one-element
+	// partition's result of its one record is a byte past the header.
+	if l := (request{1, []int64{1}, 7, 7}).layout(); l.ResultSize(OpScan, 1) != scanHeaderLen+1 || l.Capacity(OpScan) != 1 {
+		t.Errorf("one element: %d bytes for its record, capacity %d", l.ResultSize(OpScan, 1), l.Capacity(OpScan))
+	}
+}
+
+// TestCapacityIsLargestFit: Capacity is the largest record count whose
+// ResultSize, counted the long way (codeBits), fits a page, and every
+// smaller count fits too — exhaustively for partitions of up to 300
+// elements, and by walking every count for partitions from 301 elements to
+// 2^62.
+func TestCapacityIsLargestFit(t *testing.T) {
+	size := func(op Opcode, l Layout, n int64) int64 {
+		return headerLen(op) + (codeBits(l.Elems, n)+n*int64(l.Value)+7)/8
+	}
+	check := func(l Layout) {
+		t.Helper()
+		for _, op := range []Opcode{OpScan, OpReduce} {
+			c := int64(l.Capacity(op))
+			for n := int64(0); n <= c; n++ {
+				if got := l.ResultSize(op, n); got != size(op, l, n) || got > PageSize {
+					t.Fatalf("%+v %v: %d records take %d bytes (%d the long way), capacity %d", l, op, n, got, size(op, l, n), c)
+				}
+			}
+			if c < l.Elems && size(op, l, c+1) <= PageSize {
+				t.Fatalf("%+v %v: capacity %d, but %d records fit", l, op, c, c+1)
+			}
+		}
+	}
+	for elems := int64(0); elems <= 300; elems++ {
+		for _, v := range []int{0, 1, 7, 64} {
+			check(Layout{Value: v, Elems: elems})
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for range 300 {
+		check(Layout{Value: rng.Intn(65), Elems: 301 + rng.Int63n(maxElems>>rng.Intn(62))})
+	}
+}
+
+// TestIndexCodeBound: over random partitions, record counts and value
+// widths, a result's index code is within 2 bits a record of the
+// information in its index set, ⌈log2 C(Elems, n)⌉, and at most 2 bits
+// longer than n indexes of the fixed width bits.Len64(Elems−1) that it
+// replaced — the small counts, where the high parts' zeros are not yet
+// amortised, among them.
+func TestIndexCodeBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for i := range 20000 {
+		l := Layout{Value: rng.Intn(65), Elems: 1 + rng.Int63n(maxElems>>rng.Intn(63))}
+		n := 1 + rng.Int63n(min(l.Elems, 8)) // the counts where the code can outgrow fixed widths
+		if i%2 == 0 {
+			n = 1 + rng.Int63n(int64(max(l.Capacity(OpScan), 1)))
+		}
+		code := l.indexBits(n)
+		lg := 0.0 // log2 C(Elems, n)
+		for j := int64(0); j < n; j++ {
+			lg += math.Log2(float64(l.Elems-j)) - math.Log2(float64(n-j))
+		}
+		if float64(code) > math.Ceil(lg-1e-9)+2*float64(n) {
+			t.Fatalf("%d of %d elements: a %d-bit code, ⌈log2 C⌉ = %.0f", n, l.Elems, code, math.Ceil(lg-1e-9))
+		}
+		if fixed := n * int64(bits.Len64(uint64(l.Elems-1))); code > fixed+2 {
+			t.Fatalf("%d of %d elements: a %d-bit code, %d bits at a fixed width", n, l.Elems, code, fixed)
+		}
 	}
 }
 
@@ -196,7 +288,7 @@ func TestScanResultPayloadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int64(len(page)) != l.ResultSize(OpScan, int64(n)) || len(page) != 24+(n*(l.Index+l.Value)+7)/8 {
+		if int64(len(page)) != l.ResultSize(OpScan, int64(n)) || int64(len(page)) != 24+(codeBits(l.Elems, int64(n))+int64(n*l.Value)+7)/8 {
 			t.Fatalf("%+v: result is %d bytes, want %d", l, len(page), l.ResultSize(OpScan, int64(n)))
 		}
 		got, err := UnmarshalScanResultPayload(page, r.scan())
@@ -260,19 +352,23 @@ func TestScanResultPayloadFullPage(t *testing.T) {
 }
 
 func TestScanResultPayloadValidation(t *testing.T) {
-	r := request{4, []int64{512, 512}, 1000, 1099} // 18-bit indexes, 7-bit values
+	r := request{4, []int64{512, 512}, 1000, 1099} // 2^18 elements, 7-bit values
 	l := r.layout()
 	bad := ScanResultPayload{Total: 0, Matches: []ScanMatch{{Index: 1, Value: 1000}}}
 	if _, err := bad.Marshal(l); err == nil {
 		t.Fatal("total below match count marshalled")
 	}
-	// An entry the layout cannot hold is refused, not truncated.
-	for _, m := range []ScanMatch{{Index: 1, Value: 999}, {Index: 1, Value: 1000 + 128}, {Index: 1 << 18, Value: 1000}, {Index: -1, Value: 1000}} {
-		if _, err := (ScanResultPayload{Total: 1, Matches: []ScanMatch{m}}).Marshal(l); err == nil {
-			t.Fatalf("%+v marshalled in %+v", m, l)
+	// An entry the layout cannot hold is refused, not truncated, and so are
+	// matches out of index order.
+	for _, ms := range [][]ScanMatch{
+		{{Index: 1, Value: 999}}, {{Index: 1, Value: 1000 + 128}}, {{Index: 1 << 18, Value: 1000}}, {{Index: -1, Value: 1000}},
+		{{Index: 5, Value: 1000}, {Index: 5, Value: 1001}}, {{Index: 6, Value: 1000}, {Index: 5, Value: 1000}},
+	} {
+		if _, err := (ScanResultPayload{Total: int64(len(ms)), Matches: ms}).Marshal(l); err == nil {
+			t.Fatalf("%+v marshalled in %+v", ms, l)
 		}
 	}
-	for _, inv := range []Layout{{Index: 32, Value: 32, Elems: 1 << 18}, {Index: 18, Value: 65, Elems: 1 << 18}, {Index: 63, Value: 8, Elems: 1<<63 - 1}} {
+	for _, inv := range []Layout{{Value: 32, Elems: -1}, {Value: 65, Elems: 1 << 18}, {Value: -1, Elems: 4}, {Value: 8, Elems: 1<<63 - 1}} {
 		if _, err := (ScanResultPayload{}).Marshal(inv); err == nil {
 			t.Fatalf("invalid layout %+v marshalled", inv)
 		}
@@ -291,38 +387,117 @@ func TestScanResultPayloadValidation(t *testing.T) {
 	refused("a result missing its record", one[:scanHeaderLen], r.scan())
 	refused("a result padded past what it holds", append(bytes.Clone(one), 0), r.scan())
 	refused("an inverted request", one, ScanPayload{Sub: r.sub, Lo: 2, Hi: 1})
-	wrongIndex := bytes.Clone(one)
-	wrongIndex[4] = 19
-	refused("an index width the request does not imply", wrongIndex, r.scan())
+	wrongLow := bytes.Clone(one)
+	wrongLow[4] = 17
+	refused("a low-bit count other than one record's 18", wrongLow, r.scan())
 	wideValue := bytes.Clone(one)
 	wideValue[5] = 8
 	refused("a value wider than the request's range", wideValue, r.scan())
-	padded := bytes.Clone(one) // 25 bits: the last byte has 7 padding bits
+	padded := bytes.Clone(one) // 19 + 7 bits: the last byte has 6 padding bits
 	padded[len(padded)-1] |= 0x80
 	refused("a set padding bit", padded, r.scan())
 	outside := bytes.Clone(one)
-	putBits(outside[scanHeaderLen:], 18, 127, 7) // value 1000+127, past hi
+	putBits(outside[scanHeaderLen:], 19, 127, 7) // value 1000+127, past hi
 	refused("a value outside the request's range", outside, r.scan())
-	small := request{1, []int64{5}, 0, all} // 3-bit indexes
-	far, err := ScanResultPayload{Total: 1, Matches: []ScanMatch{{Index: 0, Value: 9}}}.Marshal(small.layout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	putBits(far[scanHeaderLen:], 0, 5, 3)
-	refused("an index outside the partition", far, small.scan())
 
 	// A count the partition cannot hold is refused before anything is
-	// allocated, even where the page is long enough: 0-bit records fit any
-	// count into the header alone, 2-bit ones eight into two bytes.
+	// allocated, whatever the page's length.
 	hostile := make([]byte, scanHeaderLen)
 	binary.LittleEndian.PutUint32(hostile, 1<<32-1)
 	binary.LittleEndian.PutUint64(hostile[8:], 1<<32-1)
-	refused("2^32-1 records of no bits", hostile, request{8, []int64{1}, 7, 7}.scan())
+	refused("2^32-1 records of one element", hostile, request{8, []int64{1}, 7, 7}.scan())
 	eight := make([]byte, scanHeaderLen+2)
 	binary.LittleEndian.PutUint32(eight, 8)
-	eight[4] = 2
 	binary.LittleEndian.PutUint64(eight[8:], 8)
 	refused("8 records of a 4-element partition", eight, request{8, []int64{4}, 7, 7}.scan())
+}
+
+// forge is op's result page for r (decoded at the widest element) holding
+// the records idx and vals, coded as Marshal codes them but without its
+// checks, so a test can write what no encoder does: indexes that repeat or
+// fall within a high part's bucket, or lie past the partition. The high
+// parts must not fall and must lie in the code, and each value must fit
+// the value width.
+func forge(op Opcode, r request, idx []int64, vals []uint64) []byte {
+	l := requestLayout(r.sub, r.lo, r.hi)
+	n := int64(len(idx))
+	page := make([]byte, l.ResultSize(op, n))
+	hdr, countAt := scanHeaderLen, 0
+	if op == OpReduce {
+		hdr, countAt = reduceHeaderLen, 24
+	} else {
+		binary.LittleEndian.PutUint64(page[8:], uint64(n)) // the total
+	}
+	binary.LittleEndian.PutUint32(page[countAt:], uint32(n))
+	low := lowBits(l.Elems, n)
+	page[countAt+4], page[countAt+5] = byte(low), byte(l.Value)
+	code := page[hdr:]
+	for i, x := range idx {
+		putBits(code, i*low, uint64(x)&(1<<low-1), low)
+		putBits(code, int(n)*low+int(x>>low)+i, 1, 1)
+		putBits(code, int(l.indexBits(n))+i*l.Value, vals[i]-l.Lo, l.Value)
+	}
+	return page
+}
+
+// codeRequest is the partition the hostile codes below are written for:
+// 1 000 elements, so three records keep 8 low bits each and their high
+// parts 0 … 3 take three ones and three zeros, and values of 10 bits.
+var codeRequest = request{8, []int64{1000}, 10, 1010}
+
+// hostileCode is a result page a decoder must refuse, and what is wrong
+// with it.
+type hostileCode struct {
+	what string
+	page []byte
+}
+
+// hostileCodes are index codes a decoder must refuse, each a page of op's
+// result over codeRequest: a count of records other than the high parts'
+// ones (one 1 too few, one too many), an index repeated and one below the
+// index before it (in one bucket), and one past the partition (in the
+// last bucket).
+func hostileCodes(op Opcode) []hostileCode {
+	r, vals := codeRequest, []uint64{10, 500, 1010}
+	hdr := scanHeaderLen
+	if op == OpReduce {
+		hdr = reduceHeaderLen
+	}
+	high := hdr*8 + 3*8 // where the high parts begin: after three 8-bit low parts
+	valid := forge(op, r, []int64{5, 6, 9}, vals)
+	fewer, more := bytes.Clone(valid), bytes.Clone(valid)
+	fewer[(high+2)/8] &^= 1 << ((high + 2) % 8) // the third record's one
+	more[(high+5)/8] |= 1 << ((high + 5) % 8)   // the last bucket's separator
+	return []hostileCode{
+		{"one 1 too few", fewer},
+		{"one 1 too many", more},
+		{"a repeated index", forge(op, r, []int64{5, 5, 9}, vals)},
+		{"a falling index", forge(op, r, []int64{6, 5, 9}, vals)},
+		{"an index past 1 000", forge(op, r, []int64{1, 2, 3<<8 | 255}, vals)},
+	}
+}
+
+// TestResultCodeRefusals: both decoders accept the valid code the hostile
+// ones are cut from and refuse every hostile one.
+func TestResultCodeRefusals(t *testing.T) {
+	r := codeRequest
+	decode := map[Opcode]func([]byte) error{
+		OpScan: func(page []byte) error { _, err := UnmarshalScanResultPayload(page, r.scan()); return err },
+		OpReduce: func(page []byte) error {
+			_, err := UnmarshalReduceResultPayload(page, r.reduce(MaxReduceTopK))
+			return err
+		},
+	}
+	for op, dec := range decode {
+		if err := dec(forge(op, r, []int64{5, 6, 9}, []uint64{10, 500, 1010})); err != nil {
+			t.Fatalf("%v: a valid code refused: %v", op, err)
+		}
+		for _, h := range hostileCodes(op) {
+			if err := dec(h.page); err == nil {
+				t.Errorf("%v: %s unmarshalled", op, h.what)
+			}
+		}
+	}
 }
 
 func TestReducePayloadRoundTrip(t *testing.T) {
@@ -367,16 +542,18 @@ func TestReducePayloadValidation(t *testing.T) {
 func TestReduceResultPayloadRoundTrip(t *testing.T) {
 	for _, r := range requests {
 		l := r.layout()
-		p := ReduceResultPayload{Value: 12345, Index: 678, Count: 90, TopK: matchesFor(r, min(2, l.Capacity(OpReduce)))}
+		// Three entries travel in index order, not the top-k order they
+		// return in.
+		p := ReduceResultPayload{Value: 12345, Index: 678, Count: 90, TopK: topK(matchesFor(r, min(3, l.Capacity(OpReduce))))}
 		n := len(p.TopK)
 		page, err := p.Marshal(l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int64(len(page)) != l.ResultSize(OpReduce, int64(n)) || len(page) != 32+(n*(l.Index+l.Value)+7)/8 {
+		if int64(len(page)) != l.ResultSize(OpReduce, int64(n)) || int64(len(page)) != 32+(codeBits(l.Elems, int64(n))+int64(n*l.Value)+7)/8 {
 			t.Fatalf("%+v: result is %d bytes, want %d", l, len(page), l.ResultSize(OpReduce, int64(n)))
 		}
-		got, err := UnmarshalReduceResultPayload(page, r.reduce(2))
+		got, err := UnmarshalReduceResultPayload(page, r.reduce(3))
 		if err != nil {
 			t.Fatalf("%+v: %v", l, err)
 		}
@@ -418,7 +595,15 @@ func TestReduceResultPayloadValidation(t *testing.T) {
 	if _, err := neg.Marshal(r.layout()); err == nil {
 		t.Fatal("negative count marshalled")
 	}
-	two, err := ReduceResultPayload{Count: 2, TopK: matchesFor(r, 2)}.Marshal(r.layout())
+	// Entries out of top-k order, or naming one element twice, are refused.
+	for _, ms := range [][]ScanMatch{
+		{{Index: 4, Value: 1}, {Index: 3, Value: 2}}, {{Index: 4, Value: 2}, {Index: 3, Value: 2}}, {{Index: 3, Value: 2}, {Index: 3, Value: 1}},
+	} {
+		if _, err := (ReduceResultPayload{Count: 2, TopK: ms}).Marshal(r.layout()); err == nil {
+			t.Fatalf("top-k %+v marshalled", ms)
+		}
+	}
+	two, err := ReduceResultPayload{Count: 2, TopK: topK(matchesFor(r, 2))}.Marshal(r.layout())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,8 +624,10 @@ func TestReduceResultPayloadValidation(t *testing.T) {
 }
 
 // TestResultRoundTripProperty: over random partitions, element widths and
-// predicate spans, any in-range result is exactly LayoutFor's ResultSize
-// long and decodes, under the request it answers, to what was encoded.
+// predicate spans, any in-range result — matches in index order, top-k
+// entries in top-k order, up to a full page of them — is exactly
+// LayoutFor's ResultSize long and decodes, under the request it answers, to
+// what was encoded.
 func TestResultRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	value := func(r request) uint64 {
@@ -452,6 +639,9 @@ func TestResultRoundTripProperty(t *testing.T) {
 	}
 	matches := func(r request, capacity int) []ScanMatch {
 		n := rng.Intn(min(capacity, 64) + 1)
+		if rng.Intn(16) == 0 {
+			n = capacity
+		}
 		if n == 0 || r.top() < r.lo {
 			return nil
 		}
@@ -459,7 +649,8 @@ func TestResultRoundTripProperty(t *testing.T) {
 		for i := range ms {
 			ms[i] = ScanMatch{Index: rng.Int63n(r.layout().Elems), Value: value(r)}
 		}
-		return ms
+		slices.SortFunc(ms, func(a, b ScanMatch) int { return cmp.Compare(a.Index, b.Index) })
+		return slices.CompactFunc(ms, func(a, b ScanMatch) bool { return a.Index == b.Index })
 	}
 	for i := 0; i < 3000; i++ {
 		r := request{es: 1 << rng.Intn(4), lo: rng.Uint64() >> rng.Intn(65)}
@@ -490,7 +681,7 @@ func TestResultRoundTripProperty(t *testing.T) {
 		}
 
 		rp := ReduceResultPayload{Value: rng.Uint64(), Index: rng.Int63n(1<<62) - 1, Count: rng.Int63n(1 << 62),
-			TopK: matches(r, min(l.Capacity(OpReduce), MaxReduceTopK))}
+			TopK: topK(matches(r, min(l.Capacity(OpReduce), MaxReduceTopK)))}
 		if page, err = rp.Marshal(l); err != nil {
 			t.Fatalf("%+v: %v", r, err)
 		}
@@ -532,34 +723,37 @@ func FuzzUnmarshalScanPayload(f *testing.F) {
 // fuzzRequests are the result decoders' seed requests, each over a 1-D
 // partition: the record shapes at the edges of the layout.
 var fuzzRequests = []request{
-	{8, []int64{1}, 7, 7},         // a 0-bit index and a 0-bit value
+	{8, []int64{1}, 7, 7},         // one element and a 0-bit value: a 1-bit code
 	{8, []int64{1 << 18}, 5, 5},   // a 0-bit value
-	{8, []int64{1}, 0, all},       // a 0-bit index
-	{8, []int64{2}, 0, 1},         // 1-bit widths
-	{8, []int64{105}, 1000, 1099}, // 7-bit widths, records of 14 bits
+	{8, []int64{1}, 0, all},       // one element
+	{8, []int64{2}, 0, 1},         // 1-bit values
+	{8, []int64{105}, 1000, 1099}, // 7-bit values
 	{1, []int64{300}, 0, all},     // a value narrower than the request allows
-	{8, []int64{1 << 62}, 0, all}, // 62 + 64 bits, the widest record
+	{8, []int64{1 << 62}, 0, all}, // 2^62 elements and 64-bit values, the widest
 }
 
 // resultSeeds adds a result decoder's seed corpus for op's results: a valid
-// result (from valid) for every fuzz request, then the malformed shapes a
-// decoder must refuse — a header cut short, a count past the capacity of a
-// page long enough to hold it (0-bit records), a count past a page's
-// capacity, a last record missing its last byte, and a result padded to a
-// whole page.
-func resultSeeds(f *testing.F, op Opcode, valid func(request) []byte) {
+// result of two records (from valid, which makes one of n records) for
+// every fuzz request, then the malformed shapes a decoder must refuse — a
+// header cut short, a count past a one-element partition's, a count past a
+// page's capacity, a result missing its last byte, and a result padded to a
+// whole page. The Elias–Fano seeds follow: valid codes of 0 to 3 records
+// and of every element (L = 0), and the codes a decoder must refuse — a
+// low-bit count other than the canonical one, hostileCodes, and a set
+// padding bit.
+func resultSeeds(f *testing.F, op Opcode, valid func(r request, n int) []byte) {
 	countAt := 0 // where the header's record count lies
 	if op == OpReduce {
 		countAt = 24
 	}
 	add := func(page []byte, r request) { f.Add(page, r.sub[0], r.lo, r.hi) }
 	for _, r := range fuzzRequests {
-		add(valid(r), r)
+		add(valid(r, 2), r)
 	}
 	r := fuzzRequests[4]
-	good := valid(r)
+	good := valid(r, 2)
 	add(good[:countAt+3], r)
-	none := bytes.Clone(valid(fuzzRequests[0]))
+	none := bytes.Clone(valid(fuzzRequests[0], 2))
 	binary.LittleEndian.PutUint32(none[countAt:], 2)
 	add(none, fuzzRequests[0])
 	past := bytes.Clone(good)
@@ -567,13 +761,30 @@ func resultSeeds(f *testing.F, op Opcode, valid func(request) []byte) {
 	add(past, r)
 	add(good[:len(good)-1], r)
 	add(append(bytes.Clone(good), make([]byte, PageSize-len(good))...), r)
+
+	r = codeRequest
+	for n := range 4 {
+		add(valid(r, n), r)
+	}
+	dense := request{8, []int64{40}, 5, 9}
+	add(valid(dense, 40), dense)
+	three := valid(r, 3) // 3·9 + 3 code bits and 3·10 value bits: 4 padding bits
+	wrongLow := bytes.Clone(three)
+	wrongLow[countAt+4]++
+	add(wrongLow, r)
+	for _, h := range hostileCodes(op) {
+		add(h.page, r)
+	}
+	padded := bytes.Clone(three)
+	padded[len(padded)-1] |= 0x80
+	add(padded, r)
 }
 
-// headerLayout is the layout a result's header names, its width bytes at
-// off, for a request over sub matching [lo, hi].
+// headerLayout is the layout a result's header names, its value width byte
+// at off, for a request over sub matching [lo, hi].
 func headerLayout(page []byte, off int, sub []int64, lo, hi uint64) Layout {
 	l := requestLayout(sub, lo, hi)
-	l.Index, l.Value = int(page[off]), int(page[off+1])
+	l.Value = int(page[off])
 	return l
 }
 
@@ -586,8 +797,8 @@ func FuzzUnmarshalScanResultPayload(f *testing.F) {
 	f.Add(seed, r.sub[0], r.lo, r.hi)
 	f.Add([]byte{}, int64(0), uint64(0), uint64(0))
 	f.Add(bytes.Repeat([]byte{0xFF}, PageSize), int64(1<<62), uint64(0), all)
-	resultSeeds(f, OpScan, func(r request) []byte {
-		page, err := ScanResultPayload{Total: 9, NextCursor: 77, Matches: matchesFor(r, min(2, r.layout().Capacity(OpScan)))}.Marshal(r.layout())
+	resultSeeds(f, OpScan, func(r request, n int) []byte {
+		page, err := ScanResultPayload{Total: 99, NextCursor: 77, Matches: matchesFor(r, min(n, r.layout().Capacity(OpScan)))}.Marshal(r.layout())
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -599,7 +810,7 @@ func FuzzUnmarshalScanResultPayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, err := p.Marshal(headerLayout(page, 4, req.Sub, lo, hi))
+		out, err := p.Marshal(headerLayout(page, 5, req.Sub, lo, hi))
 		if err != nil {
 			t.Fatalf("parsed payload failed to re-marshal: %v", err)
 		}
@@ -646,8 +857,8 @@ func FuzzUnmarshalReduceResultPayload(f *testing.F) {
 	f.Add(seed, r.sub[0], r.lo, r.hi)
 	f.Add([]byte{}, int64(0), uint64(0), uint64(0))
 	f.Add(bytes.Repeat([]byte{0x03}, PageSize), int64(1<<62), uint64(0), all)
-	resultSeeds(f, OpReduce, func(r request) []byte {
-		page, err := ReduceResultPayload{Value: 5, Index: 5, Count: 40, TopK: matchesFor(r, min(2, r.layout().Capacity(OpReduce)))}.Marshal(r.layout())
+	resultSeeds(f, OpReduce, func(r request, n int) []byte {
+		page, err := ReduceResultPayload{Value: 5, Index: 5, Count: 40, TopK: topK(matchesFor(r, min(n, r.layout().Capacity(OpReduce))))}.Marshal(r.layout())
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -659,7 +870,7 @@ func FuzzUnmarshalReduceResultPayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, err := p.Marshal(headerLayout(page, 28, req.Sub, lo, hi))
+		out, err := p.Marshal(headerLayout(page, 29, req.Sub, lo, hi))
 		if err != nil {
 			t.Fatalf("parsed payload failed to re-marshal: %v", err)
 		}
@@ -669,6 +880,66 @@ func FuzzUnmarshalReduceResultPayload(f *testing.F) {
 		}
 		if !reflect.DeepEqual(p, q) {
 			t.Fatal("payload not stable under marshal round-trip")
+		}
+	})
+}
+
+// FuzzResultRoundTrip: fuzzed indexes and values over a partition of the
+// fuzzed size and range — the indexes sorted and without repeats, each value
+// one of 256 spread over the range so that top-k entries tie — marshal to
+// exactly ResultSize bytes and decode to what was encoded: a scan's matches
+// in index order, a reduction's top-k entries in top-k order although they
+// travel in index order.
+func FuzzResultRoundTrip(f *testing.F) {
+	f.Add(int64(1000), uint64(10), uint64(1010), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(int64(1), uint64(7), uint64(7), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(int64(40), uint64(5), uint64(9), bytes.Repeat([]byte{0xA5, 3}, 200))
+	f.Add(int64(1<<62), uint64(0), all, bytes.Repeat([]byte{0xFF, 0, 0x80}, 300))
+	f.Fuzz(func(t *testing.T, elems int64, lo, hi uint64, raw []byte) {
+		if elems <= 0 || lo > hi {
+			return
+		}
+		r := request{8, []int64{elems}, lo, hi}
+		l := r.layout()
+		var ms []ScanMatch
+		for ; len(raw) >= 9; raw = raw[9:] {
+			b := uint64(raw[8])
+			v := b<<56 | b<<24 | b
+			if span := hi - lo; span != all {
+				v %= span + 1
+			}
+			ms = append(ms, ScanMatch{Index: int64(binary.LittleEndian.Uint64(raw) % uint64(l.Elems)), Value: lo + v})
+		}
+		slices.SortFunc(ms, func(a, b ScanMatch) int { return cmp.Compare(a.Index, b.Index) })
+		ms = slices.CompactFunc(ms, func(a, b ScanMatch) bool { return a.Index == b.Index })
+
+		sp := ScanResultPayload{Total: 1 << 40, NextCursor: 3, Matches: ms[:min(len(ms), l.Capacity(OpScan))]}
+		if len(sp.Matches) == 0 {
+			sp.Matches = nil
+		}
+		page, err := sp.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(page)) != l.ResultSize(OpScan, int64(len(sp.Matches))) {
+			t.Fatalf("scan result of %d matches is %d bytes, want %d", len(sp.Matches), len(page), l.ResultSize(OpScan, int64(len(sp.Matches))))
+		}
+		if got, err := UnmarshalScanResultPayload(page, r.scan()); err != nil || !reflect.DeepEqual(got, sp) {
+			t.Fatalf("scan round trip: %+v, %v; want %+v", got, err, sp)
+		}
+
+		rp := ReduceResultPayload{Index: -1, TopK: topK(ms[:min(len(ms), l.Capacity(OpReduce), MaxReduceTopK)])}
+		if len(rp.TopK) == 0 {
+			rp.TopK = nil
+		}
+		if page, err = rp.Marshal(l); err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(page)) != l.ResultSize(OpReduce, int64(len(rp.TopK))) {
+			t.Fatalf("top-%d result is %d bytes, want %d", len(rp.TopK), len(page), l.ResultSize(OpReduce, int64(len(rp.TopK))))
+		}
+		if got, err := UnmarshalReduceResultPayload(page, r.reduce(MaxReduceTopK)); err != nil || !reflect.DeepEqual(got, rp) {
+			t.Fatalf("top-k round trip: %+v, %v; want %+v", got, err, rp)
 		}
 	})
 }

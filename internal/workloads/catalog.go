@@ -268,9 +268,9 @@ func (s Spec) FetchBytes() int64 {
 // pushResultBytes is the result volume one fetch's pushdown selection
 // returns, at the wire's size (proto.Layout.ResultSize): a scan header plus
 // one record per match at the spec's selectivity, or a reduce header plus
-// one record per top-k entry. The selection declares no value range, so a
-// record packs the index to the fetch's shape and keeps the element's full
-// width.
+// one record per top-k entry. The selection declares no value range, so the
+// indexes take the Elias–Fano code over the fetch's shape and the values
+// keep the element's full width.
 func (s Spec) pushResultBytes(f Fetch) int64 {
 	if s.Push == nil {
 		return 0

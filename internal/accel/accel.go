@@ -111,46 +111,21 @@ func VectorKernel() RateCurve {
 	return c
 }
 
-// GPU is the accelerator: device memory, a host-device copy link, and a
-// compute unit that runs one kernel at a time (the paper's applications
-// pipeline copies against kernels, not kernels against kernels).
+// GPU is the accelerator's host-to-device copy path (the paper's
+// applications pipeline copies against kernels; the kernels' time is the
+// rate curves').
 type GPU struct {
-	DevMemBytes int64
-	copyBW      float64
-	copyOvh     sim.Time
-	copyEngine  *sim.Resource
-	compute     *sim.Resource
+	copyBW  float64
+	copyOvh sim.Time
 }
 
-// NewGPU builds an RTX 2080-class accelerator: 8 GB device memory behind a
-// 12 GB/s effective PCIe 3.0 x16 copy path.
+// NewGPU builds an RTX 2080-class accelerator's copy path: 12 GB/s effective
+// PCIe 3.0 x16 plus a fixed per-copy overhead.
 func NewGPU() *GPU {
-	return &GPU{
-		DevMemBytes: 8 << 30,
-		copyBW:      12e9,
-		copyOvh:     10 * sim.Microsecond,
-		copyEngine:  sim.NewResource("gpu-copy"),
-		compute:     sim.NewResource("gpu-compute"),
-	}
+	return &GPU{copyBW: 12e9, copyOvh: 10 * sim.Microsecond}
 }
 
 // CopyDuration is the host-to-device copy time for n bytes.
 func (g *GPU) CopyDuration(n int64) sim.Time {
 	return g.copyOvh + sim.TransferTime(n, g.copyBW)
-}
-
-// CopyIn schedules a host-to-device copy of n bytes arriving at time at.
-func (g *GPU) CopyIn(at sim.Time, n int64) (start, end sim.Time) {
-	return g.copyEngine.Acquire(at, g.CopyDuration(n))
-}
-
-// Launch schedules a kernel consuming n bytes at working-set dimension dim.
-func (g *GPU) Launch(at sim.Time, k RateCurve, n, dim int64) (start, end sim.Time) {
-	return g.compute.Acquire(at, k.Duration(n, dim))
-}
-
-// Reset clears the copy and compute timelines.
-func (g *GPU) Reset() {
-	g.copyEngine.Reset()
-	g.compute.Reset()
 }

@@ -67,22 +67,12 @@ func TestKernelDuration(t *testing.T) {
 	}
 }
 
-func TestGPUPipelinesCopyAgainstCompute(t *testing.T) {
+func TestGPUCopyDuration(t *testing.T) {
 	g := NewGPU()
-	// Two independent units: a copy and a kernel issued at t=0 overlap.
-	_, copyEnd := g.CopyIn(0, 1<<20)
-	_, kernEnd := g.Launch(0, TensorCores(), 1<<20, 512)
-	if copyEnd <= 0 || kernEnd <= 0 {
-		t.Fatal("operations should take time")
+	if d := g.CopyDuration(0); d != 10*sim.Microsecond {
+		t.Fatalf("empty copy = %v, want the 10us overhead", d)
 	}
-	// Serialization happens only within each unit.
-	s2, _ := g.CopyIn(0, 1<<20)
-	if s2 != copyEnd {
-		t.Fatalf("second copy starts %v, want %v", s2, copyEnd)
-	}
-	g.Reset()
-	s3, _ := g.CopyIn(0, 1)
-	if s3 != 0 {
-		t.Fatal("reset should clear timelines")
+	if d := g.CopyDuration(12e9) - g.CopyDuration(0); d != sim.Second {
+		t.Fatalf("12 GB copies in %v beyond the overhead, want 1s", d)
 	}
 }

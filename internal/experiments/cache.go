@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"nds/internal/sim"
 	"nds/internal/stl"
 	"nds/internal/system"
+	"nds/internal/workloads"
 )
 
 // Building-block cache rescan: the canonical workload the DRAM cache is for.
@@ -34,24 +33,11 @@ func CacheRescan(n, cacheBytes int64, depth int) (CacheRescanResult, error) {
 	if err != nil {
 		return CacheRescanResult{}, err
 	}
-	sp, err := sys.STL.CreateSpace(8, []int64{n, n})
+	v, err := workloads.LoadBands(sys, 8, []int64{n, n})
 	if err != nil {
 		return CacheRescanResult{}, err
 	}
-	v, err := stl.NewView(sp, []int64{n, n})
-	if err != nil {
-		return CacheRescanResult{}, err
-	}
-	band := sp.BlockDims()[0]
-	now := sim.Time(0)
-	for i := int64(0); i*band < n; i++ {
-		done, _, err := sys.STL.WritePartition(now, v, []int64{i, 0}, []int64{band, n}, nil)
-		if err != nil {
-			return CacheRescanResult{}, fmt.Errorf("load: %w", err)
-		}
-		now = done
-	}
-	sys.ResetTimelines()
+	band := v.Space().BlockDims()[0]
 
 	// One pass: every row band, then every column band, each request issuing
 	// at the previous one's completion (a single synchronous scan client).

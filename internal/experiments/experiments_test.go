@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -25,25 +24,17 @@ var measured struct {
 }
 
 // report measures every section at testN once per test binary, Figure 10
-// only when not -short, and fails if a platform it built collected on its
-// baseline: the figures time the layout the load left. (Figure 10 builds its
-// platforms inside workloads.Run, which refuses a load that collects.)
+// only when not -short. Every load it makes refuses to collect
+// (workloads.LoadLinear and LoadBands, and workloads.Collected around
+// Figure 9d's timed writes): the figures time the layout the load left.
 func report(t *testing.T) *Report {
 	t.Helper()
 	measured.once.Do(func() {
-		var platforms []*Platform
-		built = func(p *Platform) { platforms = append(platforms, p) }
-		defer func() { built = nil }()
 		sections := Sections
 		if testing.Short() {
 			sections = slices.DeleteFunc(slices.Clone(Sections), func(s string) bool { return s == "fig 10" })
 		}
 		measured.r, measured.err = NewReport(testN, sections...)
-		for _, p := range platforms {
-			if gc := p.Baseline.Report(0).GC; gc.Erases != 0 || gc.PagesRelocated != 0 {
-				measured.err = fmt.Errorf("the baseline collected: %+v", gc)
-			}
-		}
 	})
 	if measured.err != nil {
 		t.Fatal(measured.err)

@@ -5,6 +5,7 @@ import (
 	"nds/internal/hostsim"
 	"nds/internal/sim"
 	"nds/internal/system"
+	"nds/internal/workloads"
 )
 
 // Figure 2: relative execution time of pipelined blocked matrix
@@ -91,17 +92,13 @@ func Figure2B() (Fig2Result, error) {
 	const sample = 8
 	rowBytes := p.n * p.elem
 
-	plat, err := NewPlatform(p.n * p.n * p.elem)
+	ssd, err := system.New(system.Baseline, system.PrototypeConfig(p.n*p.n*p.elem, true))
 	if err != nil {
 		return Fig2Result{}, err
 	}
-	pages := p.n * p.n * p.elem / int64(plat.Baseline.Cfg.Geometry.PageSize)
-	for lpn := int64(0); lpn < pages; lpn += 65536 {
-		if _, err := plat.Baseline.FTL.WritePages(0, lpn, nil, min(65536, pages-lpn)); err != nil {
-			return Fig2Result{}, err
-		}
+	if err := workloads.LoadLinear(ssd, p.n*p.n*p.elem); err != nil {
+		return Fig2Result{}, err
 	}
-	plat.ResetTimelines()
 
 	// Row-store fetch of one tile pair: one I/O per tile row per tile. The
 	// paper's baseline applications are carefully optimized (§6.2), so the
@@ -112,13 +109,13 @@ func Figure2B() (Fig2Result, error) {
 	var baseFetch sim.Time
 	variants := p.n / p.tile
 	for lcol := int64(0); lcol < variants; lcol++ {
-		plat.Baseline.ResetTimelines()
+		ssd.ResetTimelines()
 		var runs []system.Run
 		for r := int64(0); r < p.tile/sample; r++ {
 			runs = append(runs, system.Run{Off: r * rowBytes, Len: p.tile * p.elem})
 			runs = append(runs, system.Run{Off: r*rowBytes + lcol*p.tile*p.elem, Len: p.tile * p.elem})
 		}
-		_, st, err := plat.Baseline.BaselineRead(0, runs, false, 64)
+		_, st, err := ssd.BaselineRead(0, runs, false, 64)
 		if err != nil {
 			return Fig2Result{}, err
 		}
@@ -126,9 +123,9 @@ func Figure2B() (Fig2Result, error) {
 	}
 
 	// Sub-block fetch: both tiles contiguous (sampled the same way).
-	plat.Baseline.ResetTimelines()
+	ssd.ResetTimelines()
 	tileBytesS := p.tile * p.tile * p.elem / sample
-	_, st, err := plat.Baseline.BaselineRead(0, []system.Run{
+	_, st, err := ssd.BaselineRead(0, []system.Run{
 		{Off: 0, Len: tileBytesS},
 		{Off: tileBytesS, Len: tileBytesS},
 	}, false, 64)

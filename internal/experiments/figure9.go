@@ -6,6 +6,7 @@ import (
 	"nds/internal/sim"
 	"nds/internal/stl"
 	"nds/internal/system"
+	"nds/internal/workloads"
 )
 
 // Figure 9: effective bandwidth of fetching/structuring data with different
@@ -185,11 +186,11 @@ func Figure9D(n int64) (Fig9Write, error) {
 
 	// Rows per band: smallest count whose per-building-block contribution is
 	// page-aligned. One matrix row contributes bbLast*8 bytes to each block.
-	sp, err := p.Software.STL.CreateSpace(8, []int64{n, n})
+	swView, err := workloads.NewSpace(p.Software, 8, []int64{n, n})
 	if err != nil {
 		return out, err
 	}
-	perRow := sp.BlockDims()[1] * 8
+	perRow := swView.Space().BlockDims()[1] * 8
 	band := ps / perRow
 	if band < 1 {
 		band = 1
@@ -200,21 +201,17 @@ func Figure9D(n int64) (Fig9Write, error) {
 	for off := int64(0); off+bandBytes <= n*n*8; off += bandBytes {
 		runs = append(runs, system.Run{Off: off, Len: bandBytes})
 	}
+	before := p.Baseline.FTL.GCReport()
 	st, err := p.Baseline.BaselineWrite(0, runs, nil)
 	if err != nil {
 		return out, err
 	}
+	if err := workloads.Collected(before, p.Baseline.FTL.GCReport()); err != nil {
+		return out, fmt.Errorf("experiments: baseline write: %w", err)
+	}
 	out.BaselineRowMB = mbps(st.Bytes, st.Done)
 
-	swView, err := stl.NewView(sp, []int64{n, n})
-	if err != nil {
-		return out, err
-	}
-	hp, err := p.Hardware.STL.CreateSpace(8, []int64{n, n})
-	if err != nil {
-		return out, err
-	}
-	hwView, err := stl.NewView(hp, []int64{n, n})
+	hwView, err := workloads.NewSpace(p.Hardware, 8, []int64{n, n})
 	if err != nil {
 		return out, err
 	}
@@ -227,6 +224,7 @@ func Figure9D(n int64) (Fig9Write, error) {
 		{p.Hardware, hwView, &out.HardwareMB},
 	} {
 		cfg.sys.ResetTimelines()
+		before := cfg.sys.STL.GCReport()
 		var total int64
 		now := sim.Time(0)
 		for i := int64(0); i*band < n; i++ {
@@ -236,6 +234,9 @@ func Figure9D(n int64) (Fig9Write, error) {
 			}
 			total += st.Bytes
 			now = st.Done // synchronous writes
+		}
+		if err := workloads.Collected(before, cfg.sys.STL.GCReport()); err != nil {
+			return out, fmt.Errorf("experiments: %v write: %w", cfg.sys.Kind, err)
 		}
 		*cfg.dst = mbps(total, now)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nds/internal/system"
+	"nds/internal/workloads"
 )
 
 // Sensitivity sweeps beyond the paper's fixed platform: how the NDS
@@ -41,13 +42,9 @@ func SweepChannels(n int64, channels []int) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		pages := n * n * 8 / int64(cfg.Geometry.PageSize)
-		for lpn := int64(0); lpn < pages; lpn += 65536 {
-			if _, err := base.FTL.WritePages(0, lpn, nil, min(65536, pages-lpn)); err != nil {
-				return nil, err
-			}
+		if err := workloads.LoadLinear(base, n*n*8); err != nil {
+			return nil, err
 		}
-		base.ResetTimelines()
 		var runs []system.Run
 		for r := int64(0); r < k; r++ {
 			runs = append(runs, system.Run{Off: r * n * 8, Len: k * 8})
@@ -62,11 +59,10 @@ func SweepChannels(n int64, channels []int) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := loadSquare(hw, n)
+		v, err := workloads.LoadBands(hw, 8, []int64{n, n})
 		if err != nil {
 			return nil, err
 		}
-		hw.ResetTimelines()
 		_, ost, err := hw.NDSRead(0, v, []int64{1, 1}, []int64{k, k})
 		if err != nil {
 			return nil, err
@@ -89,7 +85,7 @@ func SweepBlockMultiplier(n int64, mults []int) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := loadSquare(hw, n)
+		v, err := workloads.LoadBands(hw, 8, []int64{n, n})
 		if err != nil {
 			return nil, err
 		}

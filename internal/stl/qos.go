@@ -23,17 +23,6 @@ import (
 // prefetch is charged to the request that triggered it, which already holds a
 // dispatch slot.
 
-// TenantQoSConfig enables the fair scheduler and sets the default per-tenant
-// parameters (the embedded weight, rate and burst); Config.TenantQoS being nil
-// disables the feature entirely.
-type TenantQoSConfig struct {
-	sim.FlowConfig
-	// Slots is the number of concurrent dispatch slots; 0 selects the device
-	// channel count (one outstanding request per channel keeps the timelines
-	// busy without letting one tenant book them arbitrarily deep).
-	Slots int
-}
-
 // TenantID names one scheduling tenant: a space, or — when bit 63 is set — a
 // space group that one or more spaces are bound to.
 type TenantID uint64
@@ -79,13 +68,12 @@ type qosState struct {
 	acct   map[TenantID]*tenantAcct
 }
 
-func newQosState(cfg TenantQoSConfig, channels int) *qosState {
-	slots := cfg.Slots
-	if slots <= 0 {
-		slots = channels
-	}
+// newQosState gives the fair scheduler one dispatch slot per channel: one
+// outstanding request per channel keeps the timelines busy without letting
+// one tenant book them arbitrarily deep.
+func newQosState(cfg sim.FlowConfig, channels int) *qosState {
 	return &qosState{
-		sched:  sim.NewFairScheduler(slots, cfg.FlowConfig),
+		sched:  sim.NewFairScheduler(channels, cfg),
 		groups: make(map[SpaceID]uint32),
 		acct:   make(map[TenantID]*tenantAcct),
 	}

@@ -63,10 +63,11 @@ type Config struct {
 	// DRAM for SoftwareNDS, controller DRAM for HardwareNDS).
 	CacheDRAMBandwidth float64
 	// TenantQoS enables per-tenant weighted fair admission and token-bucket
-	// rate limiting in front of the data path (qos.go). Nil disables the
-	// feature entirely — the device is then bit- and simulated-time-identical
-	// to one without it, the same contract the cache's nil gating makes.
-	TenantQoS *TenantQoSConfig
+	// rate limiting in front of the data path (qos.go) and sets the default
+	// tenant's weight, rate and burst. Nil disables the feature entirely —
+	// the device is then bit- and simulated-time-identical to one without
+	// it, the same contract the cache's nil gating makes.
+	TenantQoS *sim.FlowConfig
 }
 
 // DefaultConfig mirrors the paper's prototype settings.

@@ -3,7 +3,7 @@
 // (Hotspot), data mining (K-Means, KNN), graph analytics (PageRank), image
 // processing (Conv2D), and tensor algebra (TTV, TC) — in two forms:
 //
-//   - a paper-scale *timed* form (timing.go) that drives the simulated
+//   - a *timed* form (timing.go) that drives the simulated
 //     platforms with each application's real access pattern and models the
 //     compute kernel with the calibrated accelerator curves, reproducing
 //     Figure 10; and
@@ -11,10 +11,17 @@
 //     read their inputs through the actual NDS data path, validating
 //     correctness end to end.
 //
-// Dataset dimensions are the paper's scaled by a factor recorded per spec
-// (the paper's 65536-wide datasets exceed a laptop's memory even in phantom
-// mode); every stage of the pipeline scales near-linearly, so speedup ratios
-// are preserved.
+// It also holds the one way to build and load an evaluation platform
+// (platform.go): NewPlatform, NewSpace, and the loaders LoadLinear and
+// LoadBands, which refuse a load the collector ran in.
+//
+// Dataset dimensions are the paper's divided by a factor recorded per spec
+// (Scale). That scaling is not shown to preserve speedups: one run of Figure
+// 10 at the paper's dimensions took 112 s on a 2-core machine with a
+// 2.3–2.5 GiB peak in phantom mode, and moved the software / hardware NDS
+// average speedups from 5.15× / 6.02× to 4.38× / 5.12× (TC from 2.89× to
+// 1.04×). Which scale the reproduction reports is an open decision
+// (ROADMAP.md, "Figure 10 at the paper's scale").
 package workloads
 
 import (

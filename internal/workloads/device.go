@@ -77,11 +77,7 @@ var edgePred = stl.Predicate{Lo: uint64(tensor.Key32(0)) + 1, Hi: uint64(^uint32
 // measures only the kernel's own traffic.
 func stageKeys(sys *system.System, m *tensor.Matrix) (*stl.View, error) {
 	rows, cols := int64(m.Rows), int64(m.Cols)
-	sp, err := sys.STL.CreateSpace(4, []int64{rows, cols})
-	if err != nil {
-		return nil, err
-	}
-	v, err := stl.NewView(sp, []int64{rows, cols})
+	v, err := NewSpace(sys, 4, []int64{rows, cols})
 	if err != nil {
 		return nil, err
 	}
@@ -106,16 +102,6 @@ func stageGraphKeys(sys *system.System, m *tensor.Matrix) (*stl.View, error) {
 		}
 	}
 	return stageKeys(sys, m)
-}
-
-// keySpace64 creates a rows x cols space of 8-byte key elements for staged
-// distance keys (KNN, KMeans).
-func keySpace64(sys *system.System, rows, cols int64) (*stl.View, error) {
-	sp, err := sys.STL.CreateSpace(8, []int64{rows, cols})
-	if err != nil {
-		return nil, err
-	}
-	return stl.NewView(sp, []int64{rows, cols})
 }
 
 // writeKeys64 writes an 8-byte key payload and charges it to the kernel.
@@ -294,7 +280,7 @@ func KNNDevice(sys *system.System, points *tensor.Matrix, query []float32, k int
 	for i := 0; i < n; i++ {
 		keys[i] = ^tensor.Key64(pointDist(points, qm, i, 0))
 	}
-	distView, err := keySpace64(sys, 1, int64(n))
+	distView, err := NewSpace(sys, 8, []int64{1, int64(n)})
 	if err != nil {
 		return nil, ks, err
 	}
@@ -332,7 +318,7 @@ func KMeansDevice(sys *system.System, points *tensor.Matrix, k, iters int, push 
 	}
 	var distView *stl.View
 	if push {
-		if distView, err = keySpace64(sys, int64(n), int64(k)); err != nil {
+		if distView, err = NewSpace(sys, 8, []int64{int64(n), int64(k)}); err != nil {
 			return nil, nil, ks, err
 		}
 	}

@@ -27,11 +27,7 @@ func funcDevice(t *testing.T, rows, cols int64, elem int, payload []byte) (*syst
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sys.STL.CreateSpace(elem, []int64{rows, cols})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := stl.NewView(sp, []int64{rows, cols})
+	v, err := NewSpace(sys, elem, []int64{rows, cols})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +289,7 @@ func funcTensorDevice(t *testing.T, d int64, payload []byte) (*system.System, *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := sys.STL.CreateSpace(4, []int64{d, d, d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := stl.NewView(sp, []int64{d, d, d})
+	v, err := NewSpace(sys, 4, []int64{d, d, d})
 	if err != nil {
 		t.Fatal(err)
 	}

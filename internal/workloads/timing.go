@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"nds/internal/accel"
 	"nds/internal/hostsim"
 	"nds/internal/sim"
@@ -116,73 +114,26 @@ func varyCoord(spec Spec, f Fetch, r int) []int64 {
 	return at
 }
 
-// platformFor builds and loads the three systems for a spec.
-func platformFor(spec Spec) (base, sw, hw *system.System, swView, hwView *stl.View, err error) {
+// platformFor builds the three systems for a spec and loads its dataset
+// into each.
+func platformFor(spec Spec) (p *Platform, swView, hwView *stl.View, err error) {
 	cfg := system.PrototypeConfig(spec.Bytes(), true)
 	if spec.BBOrder != 0 {
 		cfg.STL.BBOrder = spec.BBOrder
 		cfg.STL.BBMultiplier = 1
 	}
-	if base, err = system.New(system.Baseline, cfg); err != nil {
+	if p, err = NewPlatform(cfg); err != nil {
 		return
 	}
-	if sw, err = system.New(system.SoftwareNDS, cfg); err != nil {
+	p.Software.BlockedAssembly = spec.Blocked
+	p.Hardware.BlockedAssembly = spec.Blocked
+	if err = LoadLinear(p.Baseline, spec.Bytes()); err != nil {
 		return
 	}
-	if hw, err = system.New(system.HardwareNDS, cfg); err != nil {
+	if swView, err = LoadBands(p.Software, spec.Elem, spec.Dims); err != nil {
 		return
 	}
-	sw.BlockedAssembly = spec.Blocked
-	hw.BlockedAssembly = spec.Blocked
-	// Baseline: bulk row-major load.
-	ps := int64(cfg.Geometry.PageSize)
-	pages := spec.Bytes() / ps
-	for lpn := int64(0); lpn < pages; lpn += 65536 {
-		cnt := pages - lpn
-		if cnt > 65536 {
-			cnt = 65536
-		}
-		if _, e := base.FTL.WritePages(0, lpn, nil, cnt); e != nil {
-			err = fmt.Errorf("workloads: baseline load: %w", e)
-			return
-		}
-	}
-	// The figure times the layout the load left; a collection would move it.
-	if gc := base.FTL.GCReport(); gc.Erases != 0 || gc.PagesRelocated != 0 {
-		err = fmt.Errorf("workloads: the baseline load collected: %+v", gc)
-		return
-	}
-	// NDS systems: spaces written in building-block row bands.
-	for _, sys := range []*system.System{sw, hw} {
-		sp, e := sys.STL.CreateSpace(spec.Elem, spec.Dims)
-		if e != nil {
-			err = e
-			return
-		}
-		v, e := stl.NewView(sp, spec.Dims)
-		if e != nil {
-			err = e
-			return
-		}
-		band := sp.BlockDims()[0]
-		sub := append([]int64{band}, spec.Dims[1:]...)
-		coord := make([]int64, len(spec.Dims))
-		for i := int64(0); i*band < spec.Dims[0]; i++ {
-			coord[0] = i
-			if _, _, e := sys.STL.WritePartition(0, v, coord, sub, nil); e != nil {
-				err = fmt.Errorf("workloads: %v load: %w", sys.Kind, e)
-				return
-			}
-		}
-		if sys.Kind == system.SoftwareNDS {
-			swView = v
-		} else {
-			hwView = v
-		}
-	}
-	base.ResetTimelines()
-	sw.ResetTimelines()
-	hw.ResetTimelines()
+	hwView, err = LoadBands(p.Hardware, spec.Elem, spec.Dims)
 	return
 }
 
@@ -193,10 +144,11 @@ func platformFor(spec Spec) (base, sw, hw *system.System, swView, hwView *stl.Vi
 // is scheduled for the workload's full iteration count.
 func Run(spec Spec) (Result, error) {
 	res := Result{Spec: spec}
-	base, sw, hw, swView, hwView, err := platformFor(spec)
+	p, swView, hwView, err := platformFor(spec)
 	if err != nil {
 		return res, err
 	}
+	base, sw, hw := p.Baseline, p.Software, p.Hardware
 
 	// --- Stage durations. ---
 	// Baseline fetch: the paper's baselines are individually tuned (§6.2),

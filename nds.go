@@ -260,9 +260,7 @@ func Open(opts Options) (*Device, error) {
 	cfg.STL.WriteBuffering = opts.WriteBuffering
 	cfg.STL.CacheBytes = opts.CacheBytes
 	cfg.STL.PrefetchDepth = opts.PrefetchDepth
-	if opts.TenantQoS != nil {
-		cfg.STL.TenantQoS = &stl.TenantQoSConfig{FlowConfig: *opts.TenantQoS}
-	}
+	cfg.STL.TenantQoS = opts.TenantQoS
 	if opts.Faults != nil {
 		cfg.Faults = *opts.Faults
 	}

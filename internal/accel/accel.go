@@ -111,21 +111,16 @@ func VectorKernel() RateCurve {
 	return c
 }
 
-// GPU is the accelerator's host-to-device copy path (the paper's
-// applications pipeline copies against kernels; the kernels' time is the
-// rate curves').
-type GPU struct {
-	copyBW  float64
-	copyOvh sim.Time
-}
-
-// NewGPU builds an RTX 2080-class accelerator's copy path: 12 GB/s effective
-// PCIe 3.0 x16 plus a fixed per-copy overhead.
-func NewGPU() *GPU {
-	return &GPU{copyBW: 12e9, copyOvh: 10 * sim.Microsecond}
-}
+// The accelerator's host-to-device copy path (the paper's applications
+// pipeline copies against kernels; the kernels' time is the rate curves'):
+// an RTX 2080-class card's 12 GB/s effective PCIe 3.0 x16 plus a fixed
+// per-copy overhead.
+const (
+	copyBandwidth = 12e9 // bytes/second
+	copyOverhead  = 10 * sim.Microsecond
+)
 
 // CopyDuration is the host-to-device copy time for n bytes.
-func (g *GPU) CopyDuration(n int64) sim.Time {
-	return g.copyOvh + sim.TransferTime(n, g.copyBW)
+func CopyDuration(n int64) sim.Time {
+	return copyOverhead + sim.TransferTime(n, copyBandwidth)
 }

@@ -68,11 +68,10 @@ func TestKernelDuration(t *testing.T) {
 }
 
 func TestGPUCopyDuration(t *testing.T) {
-	g := NewGPU()
-	if d := g.CopyDuration(0); d != 10*sim.Microsecond {
+	if d := CopyDuration(0); d != 10*sim.Microsecond {
 		t.Fatalf("empty copy = %v, want the 10us overhead", d)
 	}
-	if d := g.CopyDuration(12e9) - g.CopyDuration(0); d != sim.Second {
+	if d := CopyDuration(12e9) - CopyDuration(0); d != sim.Second {
 		t.Fatalf("12 GB copies in %v beyond the overhead, want 1s", d)
 	}
 }

@@ -44,7 +44,6 @@ func defaultFig2() fig2Params {
 // panels: marshalling a tile pair (the baseline only), the GPU copy, and the
 // kernel.
 func (p fig2Params) stages() (marshal, copyD, kernel sim.Time) {
-	gpu := accel.NewGPU()
 	tileBytes := p.tile * p.tile * p.elem
 	pairBytes := 2 * tileBytes
 	// Forming a tile from a row-store image is a strided copy: every byte is
@@ -53,7 +52,7 @@ func (p fig2Params) stages() (marshal, copyD, kernel sim.Time) {
 	marshal = hostsim.DefaultParams().MarshalDuration(2*pairBytes, int(2*p.tile))
 	// The copy stage moves the tile pair in and (amortized over the tiles
 	// summed into one C tile) a result tile out.
-	copyD = gpu.CopyDuration(pairBytes) + gpu.CopyDuration(tileBytes)/sim.Time(p.n/p.tile)
+	copyD = accel.CopyDuration(pairBytes) + accel.CopyDuration(tileBytes)/sim.Time(p.n/p.tile)
 	return marshal, copyD, accel.CUDACores().Duration(pairBytes, p.tile)
 }
 

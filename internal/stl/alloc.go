@@ -23,12 +23,13 @@ import (
 // plus validInBlk). freePages is additionally an atomic so low-mark checks
 // and placement heuristics can read it without taking mu; every mutation
 // happens under mu so compound invariants stay intact. freePages is always
-// the free blocks' pages plus what is left of every open block.
+// the free blocks' pages plus what is left of every open block; it is the
+// die's entry in the STL's bank-major row of free counts (STL.free).
 type die struct {
 	mu         sync.Mutex
 	freeBlocks []int
 	open       [streams]openBlock
-	freePages  atomic.Int64
+	freePages  *atomic.Int64
 	validInBlk []int32
 	// unlanded counts, per block, the units carved and not yet programmed: a
 	// carve adds one, and releaseUnit takes it off once the program lands or
@@ -261,8 +262,9 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, flush func
 
 	// Try banks in least-used order starting from the policy's choice, and
 	// channels in least-used order within each bank, skipping full dies. The
-	// first candidate almost always supplies the unit, so the order is
-	// selected one candidate at a time, not built and sorted.
+	// first candidate almost always supplies the unit: it is read off the
+	// block's sweep (leastChannel), and the rest of the order is selected one
+	// candidate at a time, only when a take fails.
 	if len(s.dieFree) != t.geo.Channels {
 		s.dieFree = make([]int64, t.geo.Channels)
 	}
@@ -272,18 +274,16 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, flush func
 		// placement heuristic, and a slightly stale value only reorders
 		// fall-over candidates. The snapshot keeps the order fixed while
 		// failed takeUnit calls collect the dies they visit.
+		row := t.free[bk*t.geo.Channels:][:t.geo.Channels]
 		for ch := range free {
-			free[ch] = t.die(ch, bk).freePages.Load()
+			free[ch] = row[ch].Load()
 		}
-		for ch := nextChannel(blk.chanUse, free, -1); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
+		for ch := blk.leastChannel(free); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
 			p, ready, err := t.takeUnit(at, ch, bk, defaultStream, flush)
 			if err != nil {
 				continue // die exhausted; try the next candidate
 			}
-			blk.chanUse[ch]++
-			blk.bankUse[bk]++
-			blk.lastBank = bk
-			blk.used++
+			blk.noteUnit(ch, bk)
 			return p, ready, nil
 		}
 	}
@@ -307,11 +307,8 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, flush fun
 		if err != nil {
 			continue
 		}
-		blk.chanUse[ch]++
-		blk.bankUse[bk]++
-		blk.lastBank = bk
+		blk.noteUnit(ch, bk)
 		blk.naiveDie = d
-		blk.used++
 		return p, ready, nil
 	}
 	return nvm.PPA{}, at, fmt.Errorf("stl: no die can supply a free unit: %w", ErrCapacity)
@@ -409,12 +406,12 @@ func nextBank(use []uint16, preferred, prev int) int {
 // nextChannel yields one bank's channels, one per call, in ascending
 // block-usage order; among equally-used channels the one whose die has the
 // most free pages first, then by index. free is the bank's free-page
-// snapshot, prev the channel yielded last (-1 to start); -1 ends the
-// sequence.
+// snapshot, prev the channel yielded last (the order starts at the block's
+// leastChannel); -1 ends the sequence.
 func nextChannel(use []uint16, free []int64, prev int) int {
 	next := -1
 	for ch := range use {
-		if (prev < 0 || channelBefore(use, free, prev, ch)) && (next < 0 || channelBefore(use, free, ch, next)) {
+		if channelBefore(use, free, prev, ch) && (next < 0 || channelBefore(use, free, ch, next)) {
 			next = ch
 		}
 	}

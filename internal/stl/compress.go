@@ -106,14 +106,7 @@ func (t *STL) dropAllUnits(blk *BuildingBlock) []deadUnit {
 			dead = append(dead, u)
 		}
 	}
-	for i := range blk.chanUse {
-		blk.chanUse[i] = 0
-	}
-	for i := range blk.bankUse {
-		blk.bankUse[i] = 0
-	}
-	blk.used = 0
-	blk.lastBank = -1
+	blk.resetUse()
 	blk.compressed = false
 	blk.compLen = 0
 	blk.physPages = 0

@@ -1,6 +1,9 @@
 package stl
 
 import (
+	"math"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"nds/internal/nvm"
@@ -37,12 +40,18 @@ func (s *pageSlot) cas(old, new pageSlot) bool {
 // BuildingBlock is a leaf entry: the page list plus the per-block usage
 // statistics the allocation policy of §4.2 consults.
 type BuildingBlock struct {
-	pages    []pageSlot
-	chanUse  []uint16 // units allocated per channel
-	bankUse  []uint16 // units allocated per bank
-	lastBank int      // bank of the most recently allocated unit
-	used     int      // allocated unit count
-	naiveDie int      // home die under the ablation allocator
+	pages   []pageSlot
+	chanUse []uint16 // units allocated per channel
+	bankUse []uint16 // units allocated per bank
+	// sweep is the set of channels at the block's least chanUse, one bit
+	// per channel, sweepLeft of them: the channels the current sweep of
+	// rule 2 has still to give a unit. Only noteUnit and resetUse change
+	// the counters, and they keep it so.
+	sweep     []uint64
+	sweepLeft int
+	lastBank  int // bank of the most recently allocated unit
+	used      int // allocated unit count
+	naiveDie  int // home die under the ablation allocator
 	// lastWrite is the STL's host-program count when a write last finished
 	// with the block: how recently it was written, which picks the stream its
 	// overwrites land in (overwriteStream).
@@ -56,12 +65,69 @@ type BuildingBlock struct {
 }
 
 func newBuildingBlock(pagesPerBB int, geo nvm.Geometry) *BuildingBlock {
-	return &BuildingBlock{
+	use := make([]uint16, geo.Channels+geo.Banks) // both counters, one allocation
+	b := &BuildingBlock{
 		pages:    make([]pageSlot, pagesPerBB),
-		chanUse:  make([]uint16, geo.Channels),
-		bankUse:  make([]uint16, geo.Banks),
+		chanUse:  use[:geo.Channels:geo.Channels],
+		bankUse:  use[geo.Channels:],
+		sweep:    make([]uint64, (geo.Channels+63)/64),
 		lastBank: -1,
 	}
+	b.rebuildSweep()
+	return b
+}
+
+// noteUnit counts a unit the block took on channel ch of bank bk. A unit on
+// a channel of the sweep takes it out; the sweep's last one starts the next
+// sweep, so the O(channels) rebuild runs once a sweep, not once a unit.
+func (b *BuildingBlock) noteUnit(ch, bk int) {
+	b.chanUse[ch]++
+	b.bankUse[bk]++
+	b.lastBank = bk
+	b.used++
+	if w, bit := &b.sweep[ch/64], uint64(1)<<(ch%64); *w&bit != 0 {
+		*w &^= bit
+		if b.sweepLeft--; b.sweepLeft == 0 {
+			b.rebuildSweep()
+		}
+	}
+}
+
+// resetUse forgets every unit the block was given, ready for a fresh
+// rewrite of all of it (a compressed block's store).
+func (b *BuildingBlock) resetUse() {
+	clear(b.chanUse)
+	clear(b.bankUse)
+	b.used, b.lastBank = 0, -1
+	b.rebuildSweep()
+}
+
+// rebuildSweep makes the sweep the channels at the least use.
+func (b *BuildingBlock) rebuildSweep() {
+	least := slices.Min(b.chanUse)
+	clear(b.sweep)
+	b.sweepLeft = 0
+	for ch, u := range b.chanUse {
+		if u == least {
+			b.sweep[ch/64] |= 1 << (ch % 64)
+			b.sweepLeft++
+		}
+	}
+}
+
+// leastChannel is the first channel of nextChannel's order: of the sweep's
+// channels, the one whose die has the most pages in free, the bank's
+// free-page snapshot, and of those the lowest.
+func (b *BuildingBlock) leastChannel(free []int64) int {
+	best, most := -1, int64(math.MinInt64)
+	for i, w := range b.sweep {
+		for ; w != 0; w &= w - 1 {
+			if ch := i*64 + bits.TrailingZeros64(w); free[ch] > most {
+				best, most = ch, free[ch]
+			}
+		}
+	}
+	return best
 }
 
 // Channels reports how many distinct channels the block's units occupy.

@@ -2,6 +2,7 @@ package stl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nds/internal/nvm"
@@ -49,46 +50,70 @@ func sortedChannelCandidates(chanUse []uint16, free []int64) []int {
 
 // TestChannelChoiceMatchesSortedOrder: over randomised usage counts and
 // free-page counts drawn from small ranges (ties everywhere, full dies
-// among them), the lazy selection walks the same bank and channel sequences
-// as the sorted lists; and on an STL with some dies exhausted, allocateUnit
-// places each unit on the first die of that order that can supply one.
+// among them), the lazy selection — the block's leastChannel, then
+// nextChannel — walks the same bank and channel sequences as the sorted
+// lists; and on an STL with some dies exhausted, allocateUnit places each
+// unit on the first die of that order that can supply one. The counters are
+// set the one way production sets them (noteUnit, and resetUse through a
+// compressed store's dropAllUnits), and after each change the block's sweep
+// must be exactly its least-used channels. 72 channels take the sweep past
+// one word.
 func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 2000; trial++ {
 		channels, banks := 1+rng.Intn(32), 1+rng.Intn(8)
-		chanUse, bankUse := make([]uint16, channels), make([]uint16, banks)
-		free := make([]int64, channels)
-		for i := range chanUse {
-			chanUse[i] = uint16(rng.Intn(3))
-			free[i] = int64(rng.Intn(4)) // 0: a full die
+		if trial%8 == 0 {
+			channels = 72
 		}
-		for i := range bankUse {
-			bankUse[i] = uint16(rng.Intn(3))
+		blk := newBuildingBlock(1, nvm.Geometry{Channels: channels, Banks: banks})
+		checkSweep(t, blk)
+		for n := rng.Intn(3 * channels); n > 0; n-- {
+			if rng.Intn(2*channels) == 0 {
+				blk.resetUse()
+				checkSweep(t, blk)
+			}
+			blk.noteUnit(rng.Intn(channels), rng.Intn(banks))
+			checkSweep(t, blk)
+		}
+		free := make([]int64, channels)
+		for i := range free {
+			free[i] = int64(rng.Intn(4)) // 0: a full die
 		}
 		preferred := rng.Intn(banks)
 
 		var gotBanks, gotChans []int
-		for bk := preferred; bk >= 0; bk = nextBank(bankUse, preferred, bk) {
+		for bk := preferred; bk >= 0; bk = nextBank(blk.bankUse, preferred, bk) {
 			if gotBanks = append(gotBanks, bk); len(gotBanks) > banks {
 				t.Fatalf("trial %d: nextBank does not terminate: %v", trial, gotBanks)
 			}
 		}
-		for ch := nextChannel(chanUse, free, -1); ch >= 0; ch = nextChannel(chanUse, free, ch) {
+		for ch := blk.leastChannel(free); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
 			if gotChans = append(gotChans, ch); len(gotChans) > channels {
 				t.Fatalf("trial %d: nextChannel does not terminate: %v", trial, gotChans)
 			}
 		}
-		if want := sortedBankCandidates(bankUse, preferred); !equalInts(gotBanks, want) {
-			t.Fatalf("trial %d: bankUse %v preferred %d: banks %v, sorted order %v", trial, bankUse, preferred, gotBanks, want)
+		if want := sortedBankCandidates(blk.bankUse, preferred); !equalInts(gotBanks, want) {
+			t.Fatalf("trial %d: bankUse %v preferred %d: banks %v, sorted order %v", trial, blk.bankUse, preferred, gotBanks, want)
 		}
-		if want := sortedChannelCandidates(chanUse, free); !equalInts(gotChans, want) {
-			t.Fatalf("trial %d: chanUse %v free %v: channels %v, sorted order %v", trial, chanUse, free, gotChans, want)
+		if want := sortedChannelCandidates(blk.chanUse, free); !equalInts(gotChans, want) {
+			t.Fatalf("trial %d: chanUse %v free %v: channels %v, sorted order %v", trial, blk.chanUse, free, gotChans, want)
 		}
 	}
 
 	// End to end: exhaust a random half of the dies, give a block random
 	// usage, and place units until the array is dry.
-	geo := nvm.Geometry{Channels: 8, Banks: 4, BlocksPerBank: 2, PagesPerBlock: 4, PageSize: 512}
+	for _, geo := range []nvm.Geometry{
+		{Channels: 8, Banks: 4, BlocksPerBank: 2, PagesPerBlock: 4, PageSize: 512},
+		{Channels: 72, Banks: 2, BlocksPerBank: 2, PagesPerBlock: 4, PageSize: 512},
+	} {
+		placeUntilDry(t, rng, geo)
+	}
+}
+
+// placeUntilDry is TestChannelChoiceMatchesSortedOrder's end-to-end half on
+// one geometry.
+func placeUntilDry(t *testing.T, rng *rand.Rand, geo nvm.Geometry) {
+	t.Helper()
 	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), true)
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +139,13 @@ func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 	}
 	blk := newBuildingBlock(s.pagesPerBB, geo)
 	for placed := 0; ; placed++ {
-		for i := range blk.chanUse {
-			blk.chanUse[i] = uint16(rng.Intn(3))
+		if placed%16 == 15 {
+			st.dropAllUnits(blk) // a compressed store starts the block afresh
+			checkSweep(t, blk)
 		}
-		for i := range blk.bankUse {
-			blk.bankUse[i] = uint16(rng.Intn(3))
+		for n := rng.Intn(3); n > 0; n-- { // units beyond the ones placed here
+			blk.noteUnit(rng.Intn(geo.Channels), rng.Intn(geo.Banks))
+			checkSweep(t, blk)
 		}
 		blk.used, blk.lastBank = 1, rng.Intn(geo.Banks) // rule 2: the bank is lastBank, no draw
 		want, found := nvm.PPA{}, false
@@ -136,21 +163,41 @@ func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 		p, _, err := st.allocateUnit(0, s, blk, nil)
 		if !found {
 			if err == nil {
-				t.Fatalf("unit %d placed at %v on a dry array", placed, p)
+				t.Fatalf("%d channels: unit %d placed at %v on a dry array", geo.Channels, placed, p)
 			}
 			if placed == 0 {
-				t.Fatal("the array was dry from the start")
+				t.Fatalf("%d channels: the array was dry from the start", geo.Channels)
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("unit %d: %v, want a unit on ch%d/bk%d", placed, err, want.Channel, want.Bank)
+			t.Fatalf("%d channels: unit %d: %v, want a unit on ch%d/bk%d", geo.Channels, placed, err, want.Channel, want.Bank)
 		}
 		if p.Channel != want.Channel || p.Bank != want.Bank {
-			t.Fatalf("unit %d placed on ch%d/bk%d, the sorted order's first die with room is ch%d/bk%d",
-				placed, p.Channel, p.Bank, want.Channel, want.Bank)
+			t.Fatalf("%d channels: unit %d placed on ch%d/bk%d, the sorted order's first die with room is ch%d/bk%d",
+				geo.Channels, placed, p.Channel, p.Bank, want.Channel, want.Bank)
 		}
+		checkSweep(t, blk)
 		st.die(p.Channel, p.Bank).validInBlk[p.Block]++
+	}
+}
+
+// checkSweep fails the test unless blk's sweep holds exactly the channels at
+// its least use, sweepLeft counts them, and no bit past the last channel is
+// set.
+func checkSweep(t *testing.T, blk *BuildingBlock) {
+	t.Helper()
+	least := slices.Min(blk.chanUse)
+	want := make([]uint64, len(blk.sweep))
+	n := 0
+	for ch, u := range blk.chanUse {
+		if u == least {
+			want[ch/64] |= 1 << (ch % 64)
+			n++
+		}
+	}
+	if !slices.Equal(blk.sweep, want) || blk.sweepLeft != n {
+		t.Fatalf("chanUse %v: sweep %x (%d left), want the least-used channels %x (%d)", blk.chanUse, blk.sweep, blk.sweepLeft, want, n)
 	}
 }
 

@@ -127,7 +127,12 @@ type STL struct {
 	// reverse table names its logical pages (slotAt).
 	lba *LBA
 
-	dies      []*die
+	dies []*die
+	// free is every die's free-page count (die.freePages points at its
+	// entry), bank-major: free[bank*Channels+channel]. One bank's counts,
+	// which allocateUnit reads for every unit it places, are one contiguous
+	// row.
+	free      []atomic.Int64
 	rev       []revEntry   // indexed by a unit's Linear page index
 	naiveNext atomic.Int64 // round-robin cursor for the ablation allocator
 
@@ -202,11 +207,13 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 		spaces:   make(map[SpaceID]*Space),
 		nextID:   1,
 		dies:     make([]*die, geo.Channels*geo.Banks),
+		free:     make([]atomic.Int64, geo.Channels*geo.Banks),
 		rev:      make([]revEntry, geo.TotalPages()),
 		maxPages: int64(float64(geo.TotalPages()) * (1 - cfg.OverProvision)),
 	}
 	for i := range t.dies {
 		d := &die{
+			freePages:  &t.free[i%geo.Banks*geo.Channels+i/geo.Banks],
 			validInBlk: make([]int32, geo.BlocksPerBank),
 			unlanded:   make([]atomic.Int32, geo.BlocksPerBank),
 			state:      make([]blockState, geo.BlocksPerBank),

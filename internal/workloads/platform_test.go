@@ -46,3 +46,28 @@ func TestLoadsRefuseCollection(t *testing.T) {
 		refused("second "+sys.Kind.String()+" load", err)
 	}
 }
+
+// BenchmarkLoadPlatform is the set-up every paper figure pays: the paper's
+// prototype geometry, phantom, and one N = 8192 matrix of 8-byte elements
+// loaded into the baseline's linear space and as building-block bands into
+// both NDS kinds. Building block placement (§4.2) runs once per unit of the
+// two band loads, so this is where its cost shows.
+func BenchmarkLoadPlatform(b *testing.B) {
+	const n = 8192
+	dims := []int64{n, n}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := NewPlatform(system.PrototypeConfig(n*n*8, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := LoadLinear(p.Baseline, n*n*8); err != nil {
+			b.Fatal(err)
+		}
+		for _, sys := range []*system.System{p.Software, p.Hardware} {
+			if _, err := LoadBands(sys, 8, dims); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -267,8 +267,7 @@ func Run(spec Spec) (Result, error) {
 		return res, err
 	}
 
-	gpu := accel.NewGPU()
-	copyD := gpu.CopyDuration(spec.FetchBytes())
+	copyD := accel.CopyDuration(spec.FetchBytes())
 	kernel := spec.Curve.Duration(spec.FetchBytes(), spec.RateDim)
 
 	// --- Pipelines. ---
@@ -314,7 +313,7 @@ func Run(spec Spec) (Result, error) {
 		// Downstream of the selection, the host copies and computes over
 		// result bytes, not raw partitions.
 		resBytes := spec.PushResultBytes()
-		copyP := gpu.CopyDuration(resBytes)
+		copyP := accel.CopyDuration(resBytes)
 		kernelP := spec.Curve.Duration(resBytes, spec.RateDim)
 		res.SoftwarePush, _ = run3(swPushFetch, copyP, kernelP)
 		res.HardwarePush, _ = run3(hwPushFetch, copyP, kernelP)

@@ -177,6 +177,53 @@ func TestPlanAndBookingAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshBandAllocs: a band write to a fresh space — eight building blocks
+// of 256 pages, every unit placed by the allocation policy and none replaced,
+// the load every figure's set-up makes — allocates only what it grows: four
+// allocations for each new block and two for the index node over them.
+// Placing, carving and binding the 2048 units allocates nothing, however the
+// write orders that work.
+func TestFreshBandAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop request scratches")
+	}
+	const n, side, bands = 4096, 512, 8
+	cfg := system.PrototypeConfig(n*n*4, true)
+	dev, err := nvm.NewDevice(cfg.Geometry, cfg.Timing, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := stl.New(dev, cfg.STL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := st.CreateSpace(4, []int64{n, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := stl.NewView(sp, []int64{n, n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now sim.Time
+	coord, sub := []int64{0, 0}, []int64{side, n}
+	band := func() {
+		done, _, err := st.WritePartition(now, v, coord, sub, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now, coord[0] = done, coord[0]+1
+	}
+	allocs := testing.AllocsPerRun(bands-1, band) // a warm-up band, then the rest
+	if st.UsedPages() != n*n*4/int64(cfg.Geometry.PageSize) {
+		t.Fatalf("%d pages used after the bands, want the whole space", st.UsedPages())
+	}
+	t.Logf("%.0f allocations per fresh 8 MiB band", allocs)
+	if allocs > 34 {
+		t.Fatalf("%.0f allocations per fresh 8 MiB band, want at most 34: placing or binding a unit allocates", allocs)
+	}
+}
+
 // CachedPlane builds a data-bearing STL of the prototype geometry with a
 // four-block cache and the prefetcher on, holding one fully written 2048x2048
 // float32 space: sixteen 1 MiB building blocks of 256 pages. hit re-reads the

@@ -210,20 +210,21 @@ func (sc *script) golden(t *testing.T, name string) {
 // goldenTests are the package's tests that check golden traces, under the
 // name their traces start with.
 var goldenTests = map[string]func(*testing.T){
-	"TestDifferentialMixedWorkload":   TestDifferentialMixedWorkload,
-	"TestDifferentialWriteBuffering":  TestDifferentialWriteBuffering,
-	"TestDifferentialZeroPageElision": TestDifferentialZeroPageElision,
-	"TestDifferentialCompression":     TestDifferentialCompression,
-	"TestDifferentialGCPressure":      TestDifferentialGCPressure,
-	"TestDifferentialCipher":          TestDifferentialCipher,
-	"TestDifferentialProgramFault":    TestDifferentialProgramFault,
-	"TestDifferentialMixedPages":      TestDifferentialMixedPages,
-	"TestPageRangesOddPageSize":       TestPageRangesOddPageSize,
-	"TestReadHoldsOneExtentBatch":     TestReadHoldsOneExtentBatch,
-	"TestBlockPlanTablesAcrossSpaces": TestBlockPlanTablesAcrossSpaces,
-	"TestFaultMatrixDeterministic":    TestFaultMatrixDeterministic,
-	"TestLBAAgeing":                   TestLBAAgeing,
-	"TestFlushCrossSpaceOrder":        TestFlushCrossSpaceOrder,
+	"TestDifferentialMixedWorkload":      TestDifferentialMixedWorkload,
+	"TestDifferentialWriteBuffering":     TestDifferentialWriteBuffering,
+	"TestDifferentialZeroPageElision":    TestDifferentialZeroPageElision,
+	"TestDifferentialCompression":        TestDifferentialCompression,
+	"TestDifferentialGCPressure":         TestDifferentialGCPressure,
+	"TestDifferentialCipher":             TestDifferentialCipher,
+	"TestDifferentialProgramFault":       TestDifferentialProgramFault,
+	"TestDifferentialMixedPages":         TestDifferentialMixedPages,
+	"TestPageRangesOddPageSize":          TestPageRangesOddPageSize,
+	"TestReadHoldsOneExtentBatch":        TestReadHoldsOneExtentBatch,
+	"TestBlockPlanTablesAcrossSpaces":    TestBlockPlanTablesAcrossSpaces,
+	"TestFaultMatrixDeterministic":       TestFaultMatrixDeterministic,
+	"TestLBAAgeing":                      TestLBAAgeing,
+	"TestFlushCrossSpaceOrder":           TestFlushCrossSpaceOrder,
+	"TestPlanStopsWhereCollectionStarts": TestPlanStopsWhereCollectionStarts,
 }
 
 // TestGoldenTraces runs every traced test of the package (spec.GoldenSet):

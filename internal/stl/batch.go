@@ -2,6 +2,7 @@ package stl
 
 import (
 	"fmt"
+	"slices"
 
 	"nds/internal/nvm"
 	"nds/internal/sim"
@@ -38,8 +39,8 @@ import (
 // only in what they queue and in what they do with the ops it could not land.
 //
 // Batching delays device operations and never reorders them: a deferred
-// program batch lands at every point where its programs must precede the next
-// device operation — before any read-modify-write page read, before garbage
+// program batch — its fresh units carved die by die first (unitPlan) — lands
+// at every point where its programs must precede the next device operation — before any read-modify-write page read, before garbage
 // collection runs (the flush func the request hands allocation), before a compressed
 // block is materialized, and at request end — so the device sees the
 // operations in the order a page-at-a-time loop would issue them. Because
@@ -256,16 +257,18 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 
 // writeExtents writes data, want bytes, over exts (rs.exts, in Dst order) of
 // rs.space: book first, fill last. Pass 1 groups the extents by destination
-// page. Pass 2 settles every page's bookkeeping in stage order — invalidate the
-// old unit, carve the replacement (collecting inline where the die asks for
-// it), draw a frame, bind, queue the program and, beside it, the old unit's
-// discard (rs.dead, done by the flush that lands it) — and moves no payload: a page
-// that is not a read-modify-write is only noted as a pending fill. The bytes
-// move in bursts of nothing but copies, every fillBurst pages and at the head
-// of flushPrograms, so a queued op's frame is undefined until the flush that
-// programs it (DESIGN.md "Frame ownership"). A read-modify-write page is the
-// exception and is assembled on the spot: the old page it starts from aliases
-// a device frame that the invalidate and collection that follow may erase.
+// page. Pass 2 settles every page's bookkeeping in stage order — invalidate
+// the old unit, carve the replacement (collecting inline where the die asks
+// for it) or plan a fresh page's unit (rs.plan, carved and bound die by die
+// at the next flush), draw a frame, bind, queue the program and, beside it,
+// the old unit's discard (rs.dead, done by the flush that lands it) — and
+// moves no payload: a page that is not a read-modify-write is only noted as a
+// pending fill. The bytes move in bursts of nothing but copies, every
+// fillBurst pages and at the head of flushPrograms, so a queued op's frame is
+// undefined until the flush that programs it (DESIGN.md "Frame ownership"). A
+// read-modify-write page is the exception and is assembled on the spot: the
+// old page it starts from aliases a device frame that the invalidate and
+// collection that follow may erase.
 func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want int64, data []byte) (sim.Time, RequestStats, error) {
 	stats := RequestStats{Extents: len(exts), Bytes: want}
 	s := rs.space
@@ -314,6 +317,9 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		return at, stats, err
 	}
 	hasData := !t.dev.Phantom()
+	// At most an op and a planned unit a page.
+	rs.ops = slices.Grow(rs.ops, len(rs.stages))
+	rs.plan.reserve(len(rs.stages), len(t.dies))
 	now := t.progs.Load() // how recently a block was written is judged once a request
 	for si := range rs.stages {
 		st := &rs.stages[si]
@@ -388,12 +394,14 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		)
 		old, replacing := t.takeSlot(slot)
 		if replacing {
-			unit, ready, err = t.allocateReplacement(ready, old.w, t.overwriteStream(st.blk, now), flush)
+			if err = t.carvePlan(&rs.plan); err == nil {
+				unit, ready, err = t.allocateReplacement(ready, old.w, t.overwriteStream(st.blk, now), flush)
+			}
 			if err != nil {
 				t.restoreUnit(revEntry{space: s.id, block: uint32(st.blockIdx), page: int32(st.page)}, slot, old.w)
 			}
 		} else {
-			unit, ready, err = t.allocateUnit(ready, s, st.blk, flush)
+			unit, ready, err = t.allocateUnit(ready, s, st.blk, flush, &rs.plan, uint32(si))
 		}
 		if err != nil {
 			t.dev.Recycle(frame) // a read-modify-write page's; no other page has drawn one yet
@@ -413,7 +421,9 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		if len(rs.fills) == fillBurst {
 			rs.fillPending(ps)
 		}
-		t.bindUnit(s, st.blk, st.blockIdx, st.page, unit)
+		if unit != noUnit { // a planned unit is bound when the plan is carved
+			t.bindUnit(s, st.blk, st.blockIdx, st.page, unit)
+		}
 		t.progs.Add(1)
 		stats.PagesProgrammed++
 	}

@@ -191,7 +191,7 @@ func (t *STL) flushSpace(at sim.Time, id SpaceID) (sim.Time, error) {
 			continue
 		}
 		blk := t.blockAt(s, k.block, true)
-		dst, ready, err := t.allocateUnit(at, s, blk, drain)
+		dst, ready, err := t.allocateUnit(at, s, blk, drain, nil, 0)
 		if err != nil {
 			fail(k, err)
 			continue // page stays staged; keep draining the rest
@@ -215,7 +215,10 @@ func (t *STL) queueStaged(rs *requestScratch, at sim.Time, st *writeStage, key p
 	if t.elideStaged(s, key, pp) {
 		return nil
 	}
-	unit, ready, err := t.allocateUnit(at, s, st.blk, flush)
+	if err := t.carvePlan(&rs.plan); err != nil {
+		return err
+	}
+	unit, ready, err := t.allocateUnit(at, s, st.blk, flush, nil, 0)
 	if err != nil {
 		return err
 	}

@@ -140,7 +140,7 @@ func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *Buildi
 		return err
 	}
 	for i := 0; i < pages; i++ {
-		dst, ready, err := t.allocateUnit(at, s, blk, land)
+		dst, ready, err := t.allocateUnit(at, s, blk, land, nil, 0)
 		if err != nil {
 			ferr := land() // what is queued lands first
 			return done, cmp.Or(ferr, err)

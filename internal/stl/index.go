@@ -45,8 +45,8 @@ type BuildingBlock struct {
 	bankUse []uint16 // units allocated per bank
 	// sweep is the set of channels at the block's least chanUse, one bit
 	// per channel, sweepLeft of them: the channels the current sweep of
-	// rule 2 has still to give a unit. Only noteUnit and resetUse change
-	// the counters, and they keep it so.
+	// rule 2 has still to give a unit. Only noteUnit, forgetUnit and
+	// resetUse change the counters, and they keep it so.
 	sweep     []uint64
 	sweepLeft int
 	lastBank  int // bank of the most recently allocated unit
@@ -102,6 +102,16 @@ func (b *BuildingBlock) resetUse() {
 	b.rebuildSweep()
 }
 
+// forgetUnit uncounts a unit the block was given on channel ch of bank bk and
+// does not hold: its program never landed, or it was never carved. The
+// O(channels) rebuild is the price of a path only a failure takes.
+func (b *BuildingBlock) forgetUnit(ch, bk int) {
+	b.chanUse[ch]--
+	b.bankUse[bk]--
+	b.used--
+	b.rebuildSweep()
+}
+
 // rebuildSweep makes the sweep the channels at the least use.
 func (b *BuildingBlock) rebuildSweep() {
 	least := slices.Min(b.chanUse)
@@ -116,14 +126,16 @@ func (b *BuildingBlock) rebuildSweep() {
 }
 
 // leastChannel is the first channel of nextChannel's order: of the sweep's
-// channels, the one whose die has the most pages in free, the bank's
-// free-page snapshot, and of those the lowest.
-func (b *BuildingBlock) leastChannel(free []int64) int {
+// channels, the one whose die has the most free pages — its entry in row, the
+// bank's live counts, less its entry in planned (freeLess) — and of those the
+// lowest.
+func (b *BuildingBlock) leastChannel(row []atomic.Int64, planned []int32) int {
 	best, most := -1, int64(math.MinInt64)
 	for i, w := range b.sweep {
 		for ; w != 0; w &= w - 1 {
-			if ch := i*64 + bits.TrailingZeros64(w); free[ch] > most {
-				best, most = ch, free[ch]
+			ch := i*64 + bits.TrailingZeros64(w)
+			if f := freeLess(row, planned, ch); f > most {
+				best, most = ch, f
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package stl
 import (
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"nds/internal/nvm"
@@ -56,8 +57,10 @@ func sortedChannelCandidates(chanUse []uint16, free []int64) []int {
 // unit on the first die of that order that can supply one. The counters are
 // set the one way production sets them (noteUnit, and resetUse through a
 // compressed store's dropAllUnits), and after each change the block's sweep
-// must be exactly its least-used channels. 72 channels take the sweep past
-// one word.
+// must be exactly its least-used channels; units are forgotten too
+// (forgetUnit), as a failed landing forgets them. A die's count is its free
+// pages less the units planned on it. 72 channels take the sweep past one
+// word.
 func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 2000; trial++ {
@@ -67,17 +70,31 @@ func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 		}
 		blk := newBuildingBlock(1, nvm.Geometry{Channels: channels, Banks: banks})
 		checkSweep(t, blk)
+		var units [][2]int // the units counted, to forget one of
 		for n := rng.Intn(3 * channels); n > 0; n-- {
-			if rng.Intn(2*channels) == 0 {
+			switch {
+			case rng.Intn(2*channels) == 0:
 				blk.resetUse()
-				checkSweep(t, blk)
+				units = units[:0]
+			case len(units) > 0 && rng.Intn(4) == 0:
+				k := rng.Intn(len(units))
+				blk.forgetUnit(units[k][0], units[k][1])
+				units = slices.Delete(units, k, k+1)
+			default:
+				ch, bk := rng.Intn(channels), rng.Intn(banks)
+				blk.noteUnit(ch, bk)
+				units = append(units, [2]int{ch, bk})
 			}
-			blk.noteUnit(rng.Intn(channels), rng.Intn(banks))
 			checkSweep(t, blk)
 		}
+		// The bank's live counts, and units planned on its dies: what the
+		// order reads is their difference.
 		free := make([]int64, channels)
+		row, planned := make([]atomic.Int64, channels), make([]int32, channels)
 		for i := range free {
 			free[i] = int64(rng.Intn(4)) // 0: a full die
+			planned[i] = int32(rng.Intn(3))
+			row[i].Store(free[i] + int64(planned[i]))
 		}
 		preferred := rng.Intn(banks)
 
@@ -87,7 +104,7 @@ func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 				t.Fatalf("trial %d: nextBank does not terminate: %v", trial, gotBanks)
 			}
 		}
-		for ch := blk.leastChannel(free); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
+		for ch := blk.leastChannel(row, planned); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
 			if gotChans = append(gotChans, ch); len(gotChans) > channels {
 				t.Fatalf("trial %d: nextChannel does not terminate: %v", trial, gotChans)
 			}
@@ -160,7 +177,7 @@ func placeUntilDry(t *testing.T, rng *rand.Rand, geo nvm.Geometry) {
 				}
 			}
 		}
-		p, _, err := st.allocateUnit(0, s, blk, nil)
+		p, _, err := st.allocateUnit(0, s, blk, nil, nil, 0)
 		if !found {
 			if err == nil {
 				t.Fatalf("%d channels: unit %d placed at %v on a dry array", geo.Channels, placed, p)

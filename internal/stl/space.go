@@ -51,8 +51,9 @@ type Space struct {
 	gen uint64
 
 	root *indexNode
-	// dieFree is allocateUnit's working memory: the free-page count of each
-	// channel's die in the bank being tried (guarded by mu).
+	// dieFree is allocateUnit's fall-over snapshot: the free pages, less the
+	// units planned there, of each channel's die in the bank being tried,
+	// taken when a unit is not planned but taken (guarded by mu).
 	dieFree []int64
 	// staged holds the space's §4.4 staged pages (buffer.go), guarded by mu.
 	staged map[pendingKey]*pendingPage

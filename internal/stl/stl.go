@@ -132,7 +132,10 @@ type STL struct {
 	// entry), bank-major: free[bank*Channels+channel]. One bank's counts,
 	// which allocateUnit reads for every unit it places, are one contiguous
 	// row.
-	free      []atomic.Int64
+	free []atomic.Int64
+	// unplanned is a bank's row of zeros: the planned counts (unitPlan) of
+	// an allocation without a plan.
+	unplanned []int32
 	rev       []revEntry   // indexed by a unit's Linear page index
 	naiveNext atomic.Int64 // round-robin cursor for the ablation allocator
 
@@ -172,9 +175,14 @@ type STL struct {
 	grace readGrace
 
 	// carved, when a test sets it, is called with every unit takeUnit hands
-	// out, before the caller binds it: a window a collector must respect
-	// (die.unlanded).
+	// out, before the caller binds it, and with every unit a plan's carve
+	// gives a page, once its reverse entry is stored and before its slot is:
+	// a window a collector must respect (die.unlanded).
 	carved func(nvm.PPA)
+	// carving, when a test sets it, is called with every plan that has units
+	// to carve, before the carve locks a die: the window in which another
+	// writer may take the pages the plan counted on (unitPlan).
+	carving func(*unitPlan)
 	// reading, when a test sets it, is called by a read plan between loading
 	// page words and reading them: the window the grace set covers.
 	reading func()
@@ -199,17 +207,18 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 	}
 	geo := dev.Geometry()
 	t := &STL{
-		dev:      dev,
-		geo:      geo,
-		lay:      dev.Layout(),
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		spaces:   make(map[SpaceID]*Space),
-		nextID:   1,
-		dies:     make([]*die, geo.Channels*geo.Banks),
-		free:     make([]atomic.Int64, geo.Channels*geo.Banks),
-		rev:      make([]revEntry, geo.TotalPages()),
-		maxPages: int64(float64(geo.TotalPages()) * (1 - cfg.OverProvision)),
+		dev:       dev,
+		geo:       geo,
+		lay:       dev.Layout(),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		spaces:    make(map[SpaceID]*Space),
+		nextID:    1,
+		dies:      make([]*die, geo.Channels*geo.Banks),
+		free:      make([]atomic.Int64, geo.Channels*geo.Banks),
+		unplanned: make([]int32, geo.Channels),
+		rev:       make([]revEntry, geo.TotalPages()),
+		maxPages:  int64(float64(geo.TotalPages()) * (1 - cfg.OverProvision)),
 	}
 	for i := range t.dies {
 		d := &die{

@@ -1,12 +1,8 @@
 package nds_test
 
-// One benchmark per table/figure of the paper's evaluation, plus ablation
-// benchmarks for the design decisions DESIGN.md calls out. Each benchmark
-// regenerates its experiment on the simulated platform and reports the
-// figure's headline quantities as custom metrics (MB/s of simulated
-// bandwidth, x of speedup), so `go test -bench=.` reproduces the evaluation
-// end to end. The full row/series form is experiments.Report, which
-// cmd/ndsbench prints.
+// Wall-clock and allocation benchmarks of the library's hot paths. The
+// paper's figures are not measured here: experiments.Report measures them,
+// TestReport (internal/experiments) pins them, and cmd/ndsbench prints them.
 
 import (
 	"fmt"
@@ -16,212 +12,10 @@ import (
 	"testing"
 
 	"nds"
-	"nds/internal/experiments"
 	"nds/internal/nvm"
-	"nds/internal/sim"
 	"nds/internal/stl"
 	"nds/internal/system"
-	"nds/internal/workloads"
 )
-
-const benchN = 4096 // microbenchmark matrix side; paper scale is 32768
-
-func BenchmarkTable1Catalog(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if got := len(workloads.Catalog()); got != 10 {
-			b.Fatalf("catalog has %d workloads", got)
-		}
-	}
-}
-
-func BenchmarkFigure2A(b *testing.B) {
-	var r experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		r = experiments.Figure2A()
-	}
-	b.ReportMetric(r.Ratio, "ratio")
-}
-
-func BenchmarkFigure2B(b *testing.B) {
-	var r experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.Figure2B()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.Ratio, "ratio")
-	b.ReportMetric(r.FetchRatio, "fetch-ratio")
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	var rows []experiments.Fig3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Figure3()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Dim == 512 {
-			b.ReportMetric(r.TensorCores, "TCU-peak-MB/s")
-		}
-		if r.Dim == 16384 {
-			b.ReportMetric(r.InternalSSD, "SSD-internal-MB/s")
-		}
-	}
-}
-
-func fig9Platform(b *testing.B) (*experiments.Platform, *experiments.Matrix2D) {
-	b.Helper()
-	p, err := experiments.NewPlatform(benchN * benchN * 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := p.LoadMatrix(benchN)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p, m
-}
-
-func BenchmarkFigure9Row(b *testing.B) {
-	p, m := fig9Platform(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pts []experiments.Fig9Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure9A(p, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := pts[len(pts)-1]
-	b.ReportMetric(last.BaselineMB, "baseline-MB/s")
-	b.ReportMetric(last.SoftwareMB, "swNDS-MB/s")
-	b.ReportMetric(last.HardwareMB, "hwNDS-MB/s")
-}
-
-func BenchmarkFigure9Col(b *testing.B) {
-	p, m := fig9Platform(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pts []experiments.Fig9Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure9B(p, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := pts[len(pts)-1]
-	b.ReportMetric(last.BaselineMB, "rowstore-MB/s")
-	b.ReportMetric(last.BaselineAlt, "colstore-MB/s")
-	b.ReportMetric(last.HardwareMB, "hwNDS-MB/s")
-}
-
-func BenchmarkFigure9Sub(b *testing.B) {
-	p, m := fig9Platform(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pts []experiments.Fig9Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure9C(p, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := pts[len(pts)-1]
-	b.ReportMetric(last.BaselineMB, "baseline-MB/s")
-	b.ReportMetric(last.HardwareMB, "hwNDS-MB/s")
-}
-
-func BenchmarkFigure9Write(b *testing.B) {
-	b.ReportAllocs()
-	var w experiments.Fig9Write
-	for i := 0; i < b.N; i++ {
-		var err error
-		w, err = experiments.Figure9D(benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(w.BaselineRowMB, "baseline-MB/s")
-	b.ReportMetric(w.SoftwareMB, "swNDS-MB/s")
-	b.ReportMetric(w.HardwareMB, "hwNDS-MB/s")
-}
-
-// BenchmarkFigure10 runs three representative Table 1 workloads (tiled,
-// column-band, and sequential-row access classes) at quarter scale; the full
-// ten-workload sweep at catalog scale is `ndsbench -fig 10`.
-func BenchmarkFigure10(b *testing.B) {
-	byName := map[string]workloads.Spec{}
-	for _, s := range workloads.Catalog() {
-		byName[s.Name] = s
-	}
-	scale := func(s workloads.Spec) workloads.Spec {
-		s.Dims = append([]int64(nil), s.Dims...)
-		s.Fetches = append([]workloads.Fetch(nil), s.Fetches...)
-		for i := range s.Dims {
-			s.Dims[i] /= 4
-		}
-		for i := range s.Fetches {
-			sub := append([]int64(nil), s.Fetches[i].Sub...)
-			at := append([]int64(nil), s.Fetches[i].At...)
-			for j := range sub {
-				sub[j] /= 4
-				if sub[j] < 1 {
-					sub[j] = 1
-				}
-				if (at[j]+1)*sub[j] > s.Dims[j] {
-					at[j] = 0
-				}
-			}
-			s.Fetches[i] = workloads.Fetch{Sub: sub, At: at}
-		}
-		s.Iters /= 4
-		if s.Iters < 4 {
-			s.Iters = 4
-		}
-		return s
-	}
-	var hot, sssp, bfs workloads.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		if hot, err = workloads.Run(scale(byName["Hotspot"])); err != nil {
-			b.Fatal(err)
-		}
-		if sssp, err = workloads.Run(scale(byName["SSSP"])); err != nil {
-			b.Fatal(err)
-		}
-		if bfs, err = workloads.Run(scale(byName["BFS"])); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(hot.SpeedupHardware, "hotspot-hw-x")
-	b.ReportMetric(sssp.SpeedupHardware, "sssp-hw-x")
-	b.ReportMetric(bfs.SpeedupSoftware, "bfs-sw-x")
-}
-
-func BenchmarkOverhead(b *testing.B) {
-	var o experiments.OverheadResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		o, err = experiments.Overhead(benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(o.SoftwareDelta.Micros(), "sw-delta-us")
-	b.ReportMetric(o.HardwareDelta.Micros(), "hw-delta-us")
-	b.ReportMetric(o.IndexOverhead*100, "index-%")
-}
-
-// --- Allocation benchmarks (the pooled request-scratch win). ---
 
 // allocSTL builds a small data-bearing STL with a fully written 1024x1024
 // float32 space.
@@ -432,126 +226,6 @@ func BenchmarkMixedClientsOneSpace(b *testing.B) {
 			})
 		}
 	}
-}
-
-// --- Ablations (DESIGN.md "Key design decisions"). ---
-
-// benchSTL builds a loaded STL with the given config tweaks and measures
-// the simulated time of a mixed row/column/tile read set.
-func ablationSTL(b *testing.B, mutate func(*stl.Config)) (row, col, tile sim.Time) {
-	b.Helper()
-	cfg := system.PrototypeConfig(64<<20, true)
-	sc := cfg.STL
-	if mutate != nil {
-		mutate(&sc)
-	}
-	dev, err := nvm.NewDevice(cfg.Geometry, cfg.Timing, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := stl.New(dev, sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 2048
-	sp, err := st.CreateSpace(8, []int64{n, n})
-	if err != nil {
-		b.Fatal(err)
-	}
-	v, err := stl.NewView(sp, []int64{n, n})
-	if err != nil {
-		b.Fatal(err)
-	}
-	band := sp.BlockDims()[0]
-	for i := int64(0); i*band < n; i++ {
-		if _, _, err := st.WritePartition(0, v, []int64{i, 0}, []int64{band, n}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	read := func(coord, sub []int64) sim.Time {
-		dev.ResetTimeline()
-		_, done, _, err := st.ReadPartition(0, v, coord, sub)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return done
-	}
-	row = read([]int64{1, 0}, []int64{256, n})
-	col = read([]int64{0, 1}, []int64{n, 256})
-	tile = read([]int64{1, 1}, []int64{512, 512})
-	return row, col, tile
-}
-
-// BenchmarkAblationBlockShape contrasts the paper's balanced 2-D blocks
-// (Equation 2) against 1-D row-shaped blocks: 1-D blocks favour row reads
-// but collapse on columns, which is why the STL balances dimensions.
-func BenchmarkAblationBlockShape(b *testing.B) {
-	var sqRow, sqCol, rowRow, rowCol sim.Time
-	for i := 0; i < b.N; i++ {
-		sqRow, sqCol, _ = ablationSTL(b, nil)
-		rowRow, rowCol, _ = ablationSTL(b, func(c *stl.Config) { c.BBOrder = 1 })
-	}
-	b.ReportMetric(sqCol.Seconds()*1e3, "2D-col-ms")
-	b.ReportMetric(rowCol.Seconds()*1e3, "1D-col-ms")
-	b.ReportMetric(sqRow.Seconds()*1e3, "2D-row-ms")
-	b.ReportMetric(rowRow.Seconds()*1e3, "1D-row-ms")
-	if rowCol < 2*sqCol {
-		b.Fatalf("expected 1-D blocks to collapse on column reads: 1D=%v 2D=%v", rowCol, sqCol)
-	}
-}
-
-// BenchmarkAblationAllocationPolicy contrasts the §4.2 least-used
-// channel/bank policy against naive one-die-per-block placement.
-func BenchmarkAblationAllocationPolicy(b *testing.B) {
-	var pol, naive sim.Time
-	for i := 0; i < b.N; i++ {
-		_, _, pol = ablationSTL(b, nil)
-		_, _, naive = ablationSTL(b, func(c *stl.Config) { c.NaiveAllocation = true })
-	}
-	b.ReportMetric(pol.Seconds()*1e3, "policy-tile-ms")
-	b.ReportMetric(naive.Seconds()*1e3, "naive-tile-ms")
-	if naive <= pol {
-		b.Fatalf("naive placement (%v) should be slower than the policy (%v)", naive, pol)
-	}
-}
-
-// BenchmarkAblationAssemblyLocation isolates design decision 3 — host-side
-// versus in-device object assembly — which is exactly software vs hardware
-// NDS on a column fetch.
-func BenchmarkAblationAssemblyLocation(b *testing.B) {
-	cfg := system.PrototypeConfig(64<<20, true)
-	measure := func(kind system.Kind) sim.Time {
-		s, err := system.New(kind, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sp, err := s.STL.CreateSpace(8, []int64{2048, 2048})
-		if err != nil {
-			b.Fatal(err)
-		}
-		v, err := stl.NewView(sp, []int64{2048, 2048})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := int64(0); i < 8; i++ {
-			if _, _, err := s.STL.WritePartition(0, v, []int64{i, 0}, []int64{256, 2048}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		s.ResetTimelines()
-		_, st, err := s.NDSRead(0, v, []int64{0, 1}, []int64{2048, 512})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st.Done
-	}
-	var sw, hw sim.Time
-	for i := 0; i < b.N; i++ {
-		sw = measure(system.SoftwareNDS)
-		hw = measure(system.HardwareNDS)
-	}
-	b.ReportMetric(sw.Micros(), "host-assembly-us")
-	b.ReportMetric(hw.Micros(), "device-assembly-us")
 }
 
 // BenchmarkSTLTranslate measures the wall-clock cost of the space

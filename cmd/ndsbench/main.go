@@ -54,7 +54,7 @@ func main() {
 	antagonist := flag.Bool("antagonist", false, "victim-vs-antagonist tenant isolation benchmark (self-hosted, QoS on)")
 	flag.Var(sectionFlag{"fig", &sections}, "fig", "figure to regenerate (2, 3, 9, 9a, 9b, 9c, 9d, 10); repeatable")
 	flag.Var(sectionFlag{"table", &sections}, "table", "table to regenerate (1, overhead); repeatable")
-	flag.Var(sectionFlag{"sweep", &sections}, "sweep", "sweep to run (channels, bbmult, pushdown, kernels); repeatable")
+	flag.Var(sectionFlag{"sweep", &sections}, "sweep", "sweep to run (channels, bbmult, pushdown, kernels, ablations); repeatable")
 	flag.Parse()
 
 	if *all {

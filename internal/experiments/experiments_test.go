@@ -156,6 +156,12 @@ func TestFigure9BShape(t *testing.T) {
 			t.Errorf("%s: hardware NDS (%.0f) should approach the column-store baseline (%.0f)",
 				pt.Label, pt.HardwareMB, pt.BaselineAlt)
 		}
+		// In-device assembly beats host-side assembly (DESIGN.md decision 3:
+		// hardware vs software NDS is exactly that).
+		if pt.HardwareMB <= pt.SoftwareMB {
+			t.Errorf("%s: hardware NDS (%.0f) should beat software NDS (%.0f)",
+				pt.Label, pt.HardwareMB, pt.SoftwareMB)
+		}
 		// The row-store baseline improves with wider columns.
 		if i > 0 && pt.BaselineMB <= rows[i-1].BaselineMB {
 			t.Errorf("row-store baseline should grow with width: %.0f then %.0f",

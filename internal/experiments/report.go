@@ -27,13 +27,14 @@ type Report struct {
 	Overhead            OverheadResult
 	Fig10               Fig10Summary
 	Channels, BBMult    []SweepPoint
+	Ablations           []SweepPoint // one per layout of ablations, in order
 	Pushdown            []PushdownPoint
 	Kernels             KernelSweep
 }
 
 // Sections names the report's sections in the order it prints them, as
 // cmd/ndsbench's -table, -fig and -sweep flags select them.
-var Sections = []string{"table 1", "table overhead", "fig 2", "fig 3", "fig 9a", "fig 9b", "fig 9c", "fig 9d", "fig 10", "sweep channels", "sweep bbmult", "sweep pushdown", "sweep kernels"}
+var Sections = []string{"table 1", "table overhead", "fig 2", "fig 3", "fig 9a", "fig 9b", "fig 9c", "fig 9d", "fig 10", "sweep channels", "sweep bbmult", "sweep pushdown", "sweep kernels", "sweep ablations"}
 
 // paper is every value the paper states for a section of the report, in the
 // order the section prints them: what is measured, and the paper's value.
@@ -118,6 +119,8 @@ func NewReport(n int64, names ...string) (*Report, error) {
 			r.Pushdown, err = SweepPushdown()
 		case "sweep kernels":
 			r.Kernels, err = SweepKernels()
+		case "sweep ablations":
+			r.Ablations, err = SweepAblations(n)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", s, err)
@@ -271,6 +274,14 @@ func (r *Report) write(b *strings.Builder, section string) {
 		}
 		row("win = hardware sim time without pushdown / with pushdown; >1 means the")
 		row("link-byte savings outweigh the controller's slower selection scan")
+	case "sweep ablations":
+		row("=== Ablations: block shape and placement, hardware NDS (N=%d; not in the paper) ===", r.N)
+		row("%-20s %10s %10s %10s", "layout", "row MB/s", "col MB/s", "tile MB/s")
+		for i, p := range r.Ablations {
+			row("%-20s %10.0f %10.0f %10.0f", ablations[i].layout, p.RowMB, p.ColMB, p.TileMB)
+		}
+		row("host vs in-device assembly is Figure 9(b)'s sw-NDS vs hw-NDS column")
+		row("the 2-D rows sit at the host link's ceiling, so these gaps are smaller than the flash side's")
 	}
 }
 

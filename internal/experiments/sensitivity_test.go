@@ -54,3 +54,25 @@ func TestSweepBlockMultiplierTradeoff(t *testing.T) {
 		t.Error("blocks larger than the matrix accepted")
 	}
 }
+
+// TestAblationShapes holds what the ablation sweep isolates: Equation 2's
+// balanced blocks and the §4.2 channel/bank placement policy.
+func TestAblationShapes(t *testing.T) {
+	pts := report(t).Ablations
+	if len(pts) != len(ablations) {
+		t.Fatalf("got %d layouts, want %d", len(pts), len(ablations))
+	}
+	policy, rows, naive := pts[0], pts[1], pts[2]
+	// 1-D row-shaped blocks keep row fetches but collapse on columns, which
+	// is why the STL balances the block's dimensions.
+	if rows.ColMB >= policy.ColMB/2 {
+		t.Errorf("1-D blocks should collapse on column fetches: %.0f vs 2-D %.0f", rows.ColMB, policy.ColMB)
+	}
+	if rows.RowMB < 0.9*policy.RowMB || rows.RowMB > 1.1*policy.RowMB {
+		t.Errorf("1-D row fetch (%.0f) should be within 10%% of 2-D (%.0f)", rows.RowMB, policy.RowMB)
+	}
+	// One die per block serializes a tile on the few dies its blocks sit on.
+	if naive.TileMB >= policy.TileMB {
+		t.Errorf("one-die-per-block tile (%.0f) should be slower than the policy's (%.0f)", naive.TileMB, policy.TileMB)
+	}
+}

@@ -32,8 +32,8 @@ type Config struct {
 	Seed int64
 	// NaiveAllocation disables the §4.2 channel/bank-spreading policy and
 	// places each building block entirely within one die (round-robin by
-	// block index). Exists only for the ablation benchmarks that quantify
-	// what the policy buys.
+	// block index). The experiments' ablation sweep (ndsbench -sweep
+	// ablations) sets it to show what the policy buys.
 	NaiveAllocation bool
 	// Compress enables §5.3.4's software-managed compression: each building
 	// block is a compression unit, stored in fewer access units when its

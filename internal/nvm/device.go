@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"nds/internal/sim"
+	"nds/internal/zeromap"
 )
 
 // PageCipher is an inline encryption engine (§5.3.3): a size-preserving
@@ -63,10 +64,16 @@ func (a *frameArena) get(pageSize int) []byte {
 // device state.
 type dieShard struct {
 	mu         sync.Mutex
-	programmed bitmap   // over die-local page indices
-	moved      bitmap   // pages a relocation read from, whose frames may be lent; made with data
-	eraseCount []int64  // per die-local block
-	data       [][]byte // die-local page index -> stored frame; nil entry = no bytes
+	programmed bitmap  // over die-local page indices
+	moved      bitmap  // pages a relocation read from, whose frames may be lent; made with data
+	eraseCount []int64 // per die-local block
+	// data is the frame table, one chunk per block: data[block][page] is the
+	// frame stored at that page, nil for none. The die's table is made at its
+	// first stored page and a block's chunk at the block's, and an erase
+	// clears a chunk and keeps it, so a device holds table for the blocks it
+	// has written, not for its raw array. The chunks hold pointers to the
+	// frames, so they stay on the Go heap. Nil on a phantom device.
+	data [][][]byte
 
 	// Fault-injection attempt counters (only touched when a FaultPlan is
 	// installed): lifetime program/erase/read attempts on this die, the
@@ -150,11 +157,12 @@ type Device struct {
 	// wear) and timing are still fully tracked.
 	phantom bool
 
-	channels []*sim.Resource
-	banks    []*sim.Resource // indexed channel*Banks+bank
-	shards   []dieShard      // indexed channel*Banks+bank
-	frames   frameArena
-	plans    sync.Pool // *batchPlan
+	channels  []*sim.Resource
+	banks     []*sim.Resource // indexed channel*Banks+bank
+	timelines *zeromap.Table  // the windows of every channel and bank (sim.NewResources)
+	shards    []dieShard      // indexed channel*Banks+bank
+	frames    frameArena
+	plans     sync.Pool // *batchPlan
 
 	// zero is the canonical erased-page image returned by reads of
 	// never-programmed pages. Callers must not modify returned read slices,
@@ -218,28 +226,34 @@ func NewDevice(geo Geometry, tim Timing, phantom bool) (*Device, error) {
 	}
 	dies := geo.Channels * geo.Banks
 	d := &Device{
-		geo:      geo,
-		lay:      lay,
-		tim:      tim,
-		phantom:  phantom,
-		channels: make([]*sim.Resource, geo.Channels),
-		banks:    make([]*sim.Resource, dies),
-		shards:   make([]dieShard, dies),
-		zero:     make([]byte, geo.PageSize),
+		geo:     geo,
+		lay:     lay,
+		tim:     tim,
+		phantom: phantom,
+		shards:  make([]dieShard, dies),
+		zero:    make([]byte, geo.PageSize),
 	}
 	pagesPerDie := int64(geo.BlocksPerBank) * int64(geo.PagesPerBlock)
 	for i := range d.shards {
 		d.shards[i].programmed = make(bitmap, (pagesPerDie+63)/64)
 		d.shards[i].eraseCount = make([]int64, geo.BlocksPerBank)
 	}
-	for c := range d.channels {
-		d.channels[c] = sim.NewResource(fmt.Sprintf("channel%d", c))
-	}
-	for i := range d.banks {
-		d.banks[i] = sim.NewResource(fmt.Sprintf("bank%d.%d", i/geo.Banks, i%geo.Banks))
-	}
+	var tl []*sim.Resource
+	tl, d.timelines = sim.NewResources(geo.Channels+dies, func(i int) string {
+		if i < geo.Channels {
+			return fmt.Sprintf("channel%d", i)
+		}
+		i -= geo.Channels
+		return fmt.Sprintf("bank%d.%d", i/geo.Banks, i%geo.Banks)
+	})
+	d.channels, d.banks = tl[:geo.Channels:geo.Channels], tl[geo.Channels:]
 	return d, nil
 }
+
+// Close gives the memory of the device's timelines back at once instead of
+// when the device is collected. A closed device must not be used; a second
+// Close does nothing.
+func (d *Device) Close() { d.timelines.Release() }
 
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.geo }
@@ -291,10 +305,7 @@ func (d *Device) RawPage(p PPA) []byte {
 	s := &d.shards[d.die(p)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.data == nil {
-		return nil
-	}
-	return s.data[d.dieIndex(p)]
+	return s.frameLocked(p.Block, p.Page)
 }
 
 // Programmed reports whether the page at p has been programmed since its
@@ -309,13 +320,13 @@ func (d *Device) Programmed(p PPA) bool {
 	return s.programmed.get(d.dieIndex(p))
 }
 
-// storedLocked returns the frame stored at die-local page idx of s, nil for a
-// page that holds none. The shard lock must be held.
-func (s *dieShard) storedLocked(idx int64) []byte {
-	if s.data == nil {
+// frameLocked returns the frame stored at page pg of block blk of s, nil for
+// a page that holds none. The shard lock must be held.
+func (s *dieShard) frameLocked(blk, pg int) []byte {
+	if s.data == nil || s.data[blk] == nil {
 		return nil
 	}
-	return s.data[idx]
+	return s.data[blk][pg]
 }
 
 // sensed is what a read of the page at w returns when pg is the frame stored
@@ -460,7 +471,7 @@ func (d *Device) readWords(at sim.Time, ws []Word, out [][]byte, b *batchPlan) (
 		s.mu.Lock()
 		for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
 			w := ws[i-1]
-			out[i-1] = d.sensed(s.storedLocked(l.DieIndex(w)), c, w)
+			out[i-1] = d.sensed(s.frameLocked(l.Block(w), l.Page(w)), c, w)
 		}
 		s.mu.Unlock()
 	}
@@ -485,8 +496,14 @@ func (d *Device) plan(n int) *batchPlan {
 	return b
 }
 
-// putPlan clears the heads the batch set and returns b to the pool.
+// putPlan returns b to the pool, its chains undone.
 func (d *Device) putPlan(b *batchPlan) {
+	b.unlink()
+	d.plans.Put(b)
+}
+
+// unlink clears the heads the batch set: b chains nothing.
+func (b *batchPlan) unlink() {
 	for _, die := range b.dies {
 		b.dieHead[die] = 0
 	}
@@ -494,7 +511,14 @@ func (d *Device) putPlan(b *batchPlan) {
 		b.chanHead[ch] = 0
 	}
 	b.dies, b.chans = b.dies[:0], b.chans[:0]
-	d.plans.Put(b)
+}
+
+// linkOps chains every op of ops on its die and channel.
+func (d *Device) linkOps(b *batchPlan, ops []ProgramOp) {
+	for i := len(ops) - 1; i >= 0; i-- {
+		p := ops[i].P
+		b.link(i, d.die(p), p.Channel)
+	}
 }
 
 // storeLocked makes op's page the stored page at op.P, touching its bytes at
@@ -505,14 +529,17 @@ func (d *Device) putPlan(b *batchPlan) {
 func (d *Device) storeLocked(s *dieShard, op *ProgramOp) {
 	if s.data == nil {
 		n := int64(d.geo.BlocksPerBank) * int64(d.geo.PagesPerBlock)
-		s.data, s.moved = make([][]byte, n), make(bitmap, (n+63)/64)
+		s.data, s.moved = make([][][]byte, d.geo.BlocksPerBank), make(bitmap, (n+63)/64)
 	}
-	idx := d.dieIndex(op.P)
+	chunk := s.data[op.P.Block]
+	if chunk == nil {
+		chunk = make([][]byte, d.geo.PagesPerBlock)
+		s.data[op.P.Block] = chunk
+	}
 	c := d.getCipher()
 	if op.Move && c == nil && d.die(op.From) == d.die(op.P) {
-		from := d.dieIndex(op.From)
-		s.data[idx] = s.data[from]
-		s.moved.set(from, true)
+		chunk[op.P.Page] = s.frameLocked(op.From.Block, op.From.Page)
+		s.moved.set(d.dieIndex(op.From), true)
 		return
 	}
 	pg := op.Data
@@ -523,7 +550,7 @@ func (d *Device) storeLocked(s *dieShard, op *ProgramOp) {
 	if c != nil {
 		c.Seal(op.P, pg, pg)
 	}
-	s.data[idx] = pg
+	chunk[op.P.Page] = pg
 }
 
 // checkOp validates one op's address and payload size.
@@ -547,8 +574,9 @@ func (d *Device) checkOp(op *ProgramOp) error {
 //
 // The batch contract: a batch is timing-equivalent to the same ops issued as
 // one-op batches in slice order, stopping at the first that fails, but
-// validates the whole span, then books each channel's transfers and each
-// bank's programs as one run and stores each die's pages under one lock.
+// validates the whole span, claims each die's pages under one lock, then books
+// each channel's transfers and each bank's programs as one run and stores
+// each die's pages under one lock.
 // Unlike that loop, the batch is atomic with respect to validation errors:
 // every op is checked (address, size, flash rules) before any timeline slot
 // is reserved or any byte stored, and a validation failure leaves the device
@@ -563,46 +591,41 @@ func (d *Device) checkOp(op *ProgramOp) error {
 // ops[k+1:] were not attempted (their pages remain unprogrammed). The caller
 // is expected to retire op k's block and relocate its data.
 func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
-	// Pass 1: validate everything and claim the programmed bits, unwinding
-	// on failure so an invalid batch leaves no trace.
+	// Pass 1: validate everything, chain the ops on their dies and channels,
+	// and claim the programmed bits die by die, unwinding on failure so an
+	// invalid batch leaves no trace. Only the ops before the first invalid
+	// one are chained and claimed, so a page programmed already among them
+	// fails the batch before that op does, as in the op-by-op loop.
 	var err error
-	claimed := 0
-	for i := 0; i < len(ops) && err == nil; {
+	valid := len(ops)
+	for i := range ops {
 		if err = d.checkOp(&ops[i]); err != nil {
+			valid = i
 			break
 		}
-		die := d.die(ops[i].P)
-		j := i + 1
-		for j < len(ops) && d.checkOp(&ops[j]) == nil && d.die(ops[j].P) == die {
-			j++
-		}
-		s := &d.shards[die]
-		s.mu.Lock()
-		for k := i; k < j; k++ {
-			idx := d.dieIndex(ops[k].P)
-			if s.programmed.get(idx) {
-				err = fmt.Errorf("nvm: program to already-programmed page %v (erase first)", ops[k].P)
-				j = k
-				break
-			}
-			s.programmed.set(idx, true)
-			claimed++
-		}
-		s.mu.Unlock()
-		i = j
+	}
+	b := d.plan(valid)
+	defer d.putPlan(b)
+	d.linkOps(b, ops[:valid])
+	if k := d.claim(ops, b); k >= 0 {
+		err = fmt.Errorf("nvm: program to already-programmed page %v (erase first)", ops[k].P)
+	} else if err != nil {
+		d.unclaim(ops, b, b.dies, 0)
 	}
 	if err != nil {
-		d.unclaim(ops[:claimed])
 		if len(ops) > 0 {
 			return ops[0].At, err
 		}
 		return 0, err
 	}
 	// Pass 1.5: with a fault plan installed, walk the batch in slice order
-	// consuming per-die attempt ticks until the first fault point. Ops after a
-	// faulted op are not attempted (an op-by-op loop would abort there): their
-	// claims are released and their attempt ticks are not consumed. The faulted
-	// op's page stays claimed — the failed attempt consumed it.
+	// consuming per-die attempt ticks until the first fault point, a lock per
+	// run of same-die ops: a die's ticks are taken in one hold each, so that
+	// concurrent batches on a die never share one. Ops after a faulted op are
+	// not attempted (an op-by-op loop would abort there): their claims are
+	// released, their attempt ticks are not consumed, and the plan is chained
+	// again over the attempted ops. The faulted op's page stays claimed — the
+	// failed attempt consumed it.
 	attempted, landed := ops, len(ops)
 	var faultIdx = -1
 	if f := d.faultPlan(); f != nil {
@@ -627,8 +650,10 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 		}
 		if faultIdx >= 0 {
 			f.programFaults.Add(1)
-			d.unclaim(ops[faultIdx+1:])
+			d.unclaim(ops, b, b.dies, faultIdx+1)
 			attempted, landed = ops[:faultIdx+1], faultIdx
+			b.unlink()
+			d.linkOps(b, attempted)
 		}
 	}
 	// Pass 2: timeline reservations. Each channel, then each bank, books its
@@ -637,12 +662,6 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 	// attempt still occupies the timelines; unattempted ops do not.
 	var done, faultDone sim.Time
 	xfer := d.tim.TransferTime(d.geo.PageSize)
-	b := d.plan(len(attempted))
-	defer d.putPlan(b)
-	for i := len(attempted) - 1; i >= 0; i-- {
-		p := attempted[i].P
-		b.link(i, d.die(p), p.Channel)
-	}
 	for _, ch := range b.chans {
 		channel := d.channels[ch]
 		channel.Hold()
@@ -692,21 +711,44 @@ func (d *Device) ProgramPages(ops []ProgramOp) (sim.Time, error) {
 	return done, nil
 }
 
-// unclaim releases the programmed bits claimed for ops (grouped per die run).
-func (d *Device) unclaim(ops []ProgramOp) {
-	for i := 0; i < len(ops); {
-		die := d.die(ops[i].P)
-		j := i + 1
-		for j < len(ops) && d.die(ops[j].P) == die {
-			j++
-		}
+// claim sets the programmed bit of every op b chains, one die at a time. A
+// page that is programmed already — or claimed by an earlier op of the batch
+// — breaks the flash rules: then claim unwinds what it set and returns that
+// op's index. It returns -1 once every op is claimed.
+func (d *Device) claim(ops []ProgramOp, b *batchPlan) int {
+	for n, die := range b.dies {
 		s := &d.shards[die]
 		s.mu.Lock()
-		for k := i; k < j; k++ {
-			s.programmed.set(d.dieIndex(ops[k].P), false)
+		for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
+			idx := d.dieIndex(ops[i-1].P)
+			if !s.programmed.get(idx) {
+				s.programmed.set(idx, true)
+				continue
+			}
+			for j := b.dieHead[die]; j != i; j = b.dieNext[j-1] {
+				s.programmed.set(d.dieIndex(ops[j-1].P), false)
+			}
+			s.mu.Unlock()
+			d.unclaim(ops, b, b.dies[:n], 0)
+			return int(i - 1)
 		}
 		s.mu.Unlock()
-		i = j
+	}
+	return -1
+}
+
+// unclaim releases the programmed bits claimed for the ops b chains on dies,
+// those from index from on.
+func (d *Device) unclaim(ops []ProgramOp, b *batchPlan, dies []int32, from int) {
+	for _, die := range dies {
+		s := &d.shards[die]
+		s.mu.Lock()
+		for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
+			if int(i-1) >= from {
+				s.programmed.set(d.dieIndex(ops[i-1].P), false)
+			}
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -752,15 +794,18 @@ func (d *Device) EraseBlock(at sim.Time, p PPA) (sim.Time, error) {
 	for i := 0; i < d.geo.PagesPerBlock; i++ {
 		idx := base + int64(i)
 		s.programmed.set(idx, false)
-		if s.data != nil {
-			if pg := s.data[idx]; pg != nil && !s.moved.get(idx) {
-				d.frames.free = append(d.frames.free, pg)
-			}
-			s.data[idx] = nil
-			s.moved.set(idx, false)
+		if s.data == nil {
+			continue
 		}
+		if pg := s.frameLocked(p.Block, i); pg != nil && !s.moved.get(idx) {
+			d.frames.free = append(d.frames.free, pg)
+		}
+		s.moved.set(idx, false)
 	}
 	d.frames.mu.Unlock()
+	if s.data != nil {
+		clear(s.data[p.Block])
+	}
 	s.eraseCount[p.Block]++
 	d.erases.Add(1)
 	return done, nil
@@ -796,10 +841,11 @@ func (d *Device) DiscardPages(ws []Word) {
 		s.mu.Lock()
 		d.frames.mu.Lock()
 		for ; i < len(ws) && l.Valid(ws[i]) && l.Die(ws[i]) == die; i++ {
-			idx := l.DieIndex(ws[i])
-			if pg := s.storedLocked(idx); pg != nil && !s.moved.get(idx) {
+			w := ws[i]
+			blk, page := l.Block(w), l.Page(w)
+			if pg := s.frameLocked(blk, page); pg != nil && !s.moved.get(l.DieIndex(w)) {
 				d.frames.free = append(d.frames.free, pg)
-				s.data[idx] = nil
+				s.data[blk][page] = nil
 			}
 		}
 		d.frames.mu.Unlock()
@@ -824,9 +870,11 @@ func (d *Device) FrameStats() FrameStats {
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
-		for idx, pg := range s.data {
-			if pg != nil && !s.moved.get(int64(idx)) {
-				owners[&pg[0]]++
+		for blk, chunk := range s.data {
+			for page, pg := range chunk {
+				if pg != nil && !s.moved.get(int64(blk*d.geo.PagesPerBlock+page)) {
+					owners[&pg[0]]++
+				}
 			}
 		}
 		s.mu.Unlock()

@@ -370,6 +370,19 @@ func TestProgramPagesAtomicOnError(t *testing.T) {
 				{P: PPA{2, 0, 1, 0}, Data: page},
 			}
 		}},
+		{"already programmed, another die claimed first", func(d *Device) []ProgramOp {
+			if _, err := programOne(d, 0, PPA{2, 0, 1, 0}, page); err != nil {
+				t.Fatal(err)
+			}
+			d.ResetTimeline()
+			// The batch plan claims die (0,0), whose last op is the batch's
+			// last, before die (2,0): its claims must be unwound too.
+			return []ProgramOp{
+				{P: PPA{0, 0, 0, 0}, Data: page},
+				{P: PPA{2, 0, 1, 0}, Data: page},
+				{P: PPA{0, 0, 0, 1}, Data: page},
+			}
+		}},
 		{"duplicate in batch", func(d *Device) []ProgramOp {
 			return []ProgramOp{
 				{P: PPA{0, 0, 0, 0}, Data: page},

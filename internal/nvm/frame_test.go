@@ -257,3 +257,69 @@ func TestDiscardPages(t *testing.T) {
 		}
 	})
 }
+
+// TestUnwrittenBlockHoldsNoTable: the frame table is made a block at a time,
+// at the block's first stored page, so reads, discards, erases and frame
+// counts must take a block that never stored one — on a die that never stored
+// any, and on a die that stored in another block — as holding no frames, and
+// leave it without a table. An erase clears a written block's chunk and keeps
+// it for the next program.
+func TestUnwrittenBlockHoldsNoTable(t *testing.T) {
+	frameDevices(t, func(t *testing.T, d *Device, _ bool) {
+		ps := d.geo.PageSize
+		written := PPA{1, 1, 2, 3}
+		if _, err := programOne(d, 0, written, bytes.Repeat([]byte{7}, ps)); err != nil {
+			t.Fatal(err)
+		}
+		blank := []PPA{
+			{0, 0, 5, 1},                // a die that stored nothing
+			{1, 1, 5, 1},                // another block of the written die
+			{1, 1, 2, written.Page + 1}, // the written block's next page
+		}
+		ws := make([]Word, len(blank))
+		for i, p := range blank {
+			ws[i] = d.lay.Word(p)
+		}
+		out := make([][]byte, len(ws))
+		if _, err := d.ReadWords(0, ws, out); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range blank {
+			if !bytes.Equal(out[i], make([]byte, ps)) || d.RawPage(p) != nil {
+				t.Fatalf("%v: a page never written must read as erased and hold no frame", p)
+			}
+		}
+		d.DiscardPages(ws)
+		for _, p := range blank[:2] {
+			if _, err := d.EraseBlock(0, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fs := d.FrameStats(); fs != (FrameStats{Held: 1}) {
+			t.Fatalf("frames %+v, want the one written page's", fs)
+		}
+		if s := &d.shards[d.die(blank[0])]; s.data != nil {
+			t.Fatal("a die that stored nothing has a frame table")
+		}
+		s := &d.shards[d.die(written)]
+		if s.data[blank[1].Block] != nil {
+			t.Fatal("a block that stored nothing has a chunk")
+		}
+		if _, err := d.EraseBlock(0, written); err != nil {
+			t.Fatal(err)
+		}
+		chunk := s.data[written.Block]
+		if chunk == nil || d.RawPage(written) != nil {
+			t.Fatal("an erase must clear its block's chunk and keep it")
+		}
+		if fs := d.FrameStats(); fs != (FrameStats{Free: 1}) {
+			t.Fatalf("frames %+v after the erase, want the one frame free", fs)
+		}
+		if _, err := programOne(d, 0, written, bytes.Repeat([]byte{9}, ps)); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _ := readOne(d, 0, written); got[0] != 9 || &s.data[written.Block][0] != &chunk[0] {
+			t.Fatal("a program after the erase must store into the kept chunk")
+		}
+	})
+}

@@ -3,6 +3,8 @@ package sim
 import (
 	"sync"
 	"sync/atomic"
+
+	"nds/internal/zeromap"
 )
 
 // Resource models a unit that can serve one operation at a time: a flash
@@ -35,7 +37,12 @@ type Resource struct {
 	// dropping the oldest interval is a reslice and a steady-state Acquire
 	// allocates nothing.
 	ivals []interval
-	buf   []interval // 2*maxIntervals backing array, allocated on first use
+	// buf is the window's 2*maxIntervals backing array: carved from the
+	// shared table of NewResources, whose pages cost memory only as the
+	// window reaches them, or, for a resource of NewResource, made at its
+	// first insert.
+	buf   []interval
+	table *zeromap.Table // owns buf when NewResources carved it
 	floor Time
 
 	// horizon mirrors horizonLocked() — the end of the last reserved
@@ -62,6 +69,22 @@ const maxIntervals = 256
 
 // NewResource returns an idle resource with the given diagnostic name.
 func NewResource(name string) *Resource { return &Resource{Name: name} }
+
+// NewResources returns n idle resources, resource i named name(i), whose
+// windows are carved from one zero-filled table (zeromap): a timeline that
+// books little touches only the first page of its window, and one that books
+// nothing touches none. The table is returned too; its Release drops every
+// window at once, after which none of the resources may be used.
+func NewResources(n int, name func(i int) string) ([]*Resource, *zeromap.Table) {
+	const w = 2 * maxIntervals
+	bufs, table := zeromap.Make[interval](n * w)
+	rs, ps := make([]Resource, n), make([]*Resource, n)
+	for i := range rs {
+		rs[i].Name, rs[i].buf, rs[i].table = name(i), bufs[i*w:(i+1)*w:(i+1)*w], table
+		ps[i] = &rs[i]
+	}
+	return ps, table
+}
 
 // Acquire reserves the resource for duration d for an operation arriving at
 // time at. It returns the operation's start and completion times: the

@@ -253,3 +253,50 @@ func TestPoolConcurrentDispatch(t *testing.T) {
 		t.Fatalf("members report %d busy time, grants sum to %d", total, busy)
 	}
 }
+
+// TestCarvedWindowsMatchOwnWindows: resources whose windows NewResources
+// carved from one table book exactly as resources of NewResource do, each in
+// its own window: mixed operations on every carved resource in turn, enough to
+// slide each window through its backing array many times and across a Reset,
+// grant what the same operations grant on a resource of its own. Neighbours
+// carved from one table must never see each other's intervals, and Acquire on
+// a carved window allocates nothing, not even the first time.
+func TestCarvedWindowsMatchOwnWindows(t *testing.T) {
+	const n = 5
+	carved, table := NewResources(n, func(i int) string { return "bank" + string(rune('0'+i)) })
+	if carved[3].Name != "bank3" {
+		t.Fatalf("resource 3 is named %q", carved[3].Name)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { carved[0].Acquire(0, 1) }); allocs != 0 {
+		t.Fatalf("a carved window's first interval allocates %.0f times", allocs)
+	}
+	carved[0].Reset()
+	own := make([]*Resource, n)
+	for i := range own {
+		own[i] = NewResource("own")
+	}
+	rng := rand.New(rand.NewSource(53))
+	last := make([]Time, n)
+	for op := 0; op < 40_000; op++ {
+		if op == 20_000 {
+			for i := range carved {
+				carved[i].Reset()
+				own[i].Reset()
+			}
+		}
+		i := op % n
+		at, d := mixedOp(rng, own[i], last[i])
+		last[i] = at
+		s1, e1 := carved[i].Acquire(at, d)
+		s2, e2 := own[i].Acquire(at, d)
+		if s1 != s2 || e1 != e2 {
+			t.Fatalf("op %d on resource %d: carved window grants [%d,%d), own window [%d,%d)", op, i, s1, e1, s2, e2)
+		}
+	}
+	for i := range carved {
+		if carved[i].FreeAt() != own[i].FreeAt() || carved[i].BusyTime() != own[i].BusyTime() || carved[i].Ops() != own[i].Ops() {
+			t.Fatalf("resource %d: carved and own timelines end apart", i)
+		}
+	}
+	table.Release()
+}

@@ -9,6 +9,7 @@ import (
 
 	"nds/internal/nvm"
 	"nds/internal/sim"
+	"nds/internal/zeromap"
 )
 
 // Config holds STL policy parameters.
@@ -136,7 +137,12 @@ type STL struct {
 	// unplanned is a bank's row of zeros: the planned counts (unitPlan) of
 	// an allocation without a plan.
 	unplanned []int32
-	rev       []revEntry   // indexed by a unit's Linear page index
+	// rev is the reverse map, indexed by a unit's Linear page index. It is
+	// sized by the raw array but lives in a zero-filled table (zeromap) that
+	// costs memory only for the pages of it that units were bound in; revMem
+	// owns it.
+	rev       []revEntry
+	revMem    *zeromap.Table
 	naiveNext atomic.Int64 // round-robin cursor for the ablation allocator
 
 	maxPages  int64        // allocation budget (raw minus over-provision)
@@ -217,9 +223,9 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 		dies:      make([]*die, geo.Channels*geo.Banks),
 		free:      make([]atomic.Int64, geo.Channels*geo.Banks),
 		unplanned: make([]int32, geo.Channels),
-		rev:       make([]revEntry, geo.TotalPages()),
 		maxPages:  int64(float64(geo.TotalPages()) * (1 - cfg.OverProvision)),
 	}
+	t.rev, t.revMem = zeromap.Make[revEntry](int(geo.TotalPages()))
 	for i := range t.dies {
 		d := &die{
 			freePages:  &t.free[i%geo.Banks*geo.Channels+i/geo.Banks],
@@ -247,9 +253,16 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 	return t, nil
 }
 
-// Close releases nothing: an STL holds no goroutine or other resource beyond
-// its memory. It stays so that callers which close an STL keep compiling.
-func (t *STL) Close() error { return nil }
+// Close gives back at once the memory of the STL's reverse map and of its
+// device's timelines (nvm.Device.Close), which otherwise goes when the STL
+// is collected: an STL owns its whole device. It runs no goroutine to stop.
+// A closed STL, and its device, must not be used; a second Close does
+// nothing.
+func (t *STL) Close() error {
+	t.revMem.Release()
+	t.dev.Close()
+	return nil
+}
 
 // noteTime folds a request completion time into simClock.
 func (t *STL) noteTime(done sim.Time) {

@@ -263,29 +263,34 @@ func (d *die) lastBlockTarget(stream, pagesPerBlock int, low int64) (int64, bool
 //     chosen and the sweep repeats.
 //
 // The chosen die may be full; the policy then falls over to the next
-// candidate in least-used order. Callers hold the space's write lock (or an
-// equivalent exclusive context), which protects blk and s.
+// candidate in least-used order. The counts are use, the request's count of
+// blk (blockUse), which the first unit placed in the block reads off its
+// slots and every unit placed adds to. Callers hold the space's write lock
+// (or an equivalent exclusive context), which protects blk, use and s.
 //
 // With a plan, a unit its die can supply without collecting is only planned
 // there (planUnit): allocateUnit returns noUnit, and the plan's carve gives
 // the unit to the op queued next, page ref of the plan's owner. Any other
 // take carves the plan first, so the die sees its carves, and collections, in
 // the order in which the units were placed.
-func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, flush func() error, plan *unitPlan, ref uint32) (nvm.PPA, sim.Time, error) {
+func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, use *blockUse, flush func() error, plan *unitPlan, ref uint32) (nvm.PPA, sim.Time, error) {
 	if limit := t.effectiveMaxPages(); t.usedPages.Load()+plan.pending() >= limit {
 		return nvm.PPA{}, at, fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", limit, ErrCapacity)
 	}
+	if !use.counted {
+		use.count(blk, t.geo, &t.lay)
+	}
 	if t.cfg.NaiveAllocation {
-		return t.allocateNaive(at, s, blk, flush) // which plans nothing
+		return t.allocateNaive(at, blk, use, flush) // which plans nothing
 	}
 	var bank int
 	switch {
-	case blk.used == 0:
+	case use.used == 0:
 		bank = t.randIntn(t.geo.Banks) // rule 1
-	case blk.used%t.geo.Channels == 0:
-		bank = t.leastUsedBank(blk) // rules 3/4: channel sweep complete
+	case use.used%t.geo.Channels == 0:
+		bank = t.leastUsedBank(use) // rules 3/4: channel sweep complete
 	default:
-		bank = blk.lastBank // rule 2
+		bank = blk.lastDie % t.geo.Banks // rule 2
 	}
 
 	// Try banks in least-used order starting from the policy's choice, and
@@ -294,7 +299,7 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, flush func
 	// block's sweep (leastChannel), and the rest of the order is selected one
 	// candidate at a time, only when a take fails.
 	planned := t.unplanned
-	for bk := bank; bk >= 0; bk = nextBank(blk.bankUse, bank, bk) {
+	for bk := bank; bk >= 0; bk = nextBank(use.banks, bank, bk) {
 		// freePages is read without the die lock: it is a placement
 		// heuristic, and a slightly stale value only reorders fall-over
 		// candidates. A die's count is its free pages less the units planned
@@ -304,9 +309,9 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, flush func
 			planned = plan.count[bk*t.geo.Channels:][:t.geo.Channels]
 		}
 		var free []int64 // the bank's snapshot, taken at its first take
-		for ch := blk.leastChannel(row, planned); ch >= 0; ch = nextChannel(blk.chanUse, free, ch) {
+		for ch := use.leastChannel(row, planned); ch >= 0; ch = nextChannel(use.chans, free, ch) {
 			if plan != nil && t.planUnit(plan, ch, bk, ref) {
-				blk.noteUnit(ch, bk)
+				t.place(blk, use, ch, bk)
 				return noUnit, at, nil
 			}
 			if free == nil {
@@ -327,11 +332,18 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, flush func
 			if err != nil {
 				continue // die exhausted; try the next candidate
 			}
-			blk.noteUnit(ch, bk)
+			t.place(blk, use, ch, bk)
 			return p, ready, nil
 		}
 	}
 	return nvm.PPA{}, at, fmt.Errorf("stl: no die can supply a free unit: %w", ErrCapacity)
+}
+
+// place counts a unit placed in blk on channel ch of bank bk on use, the
+// request's count of blk, and makes the unit's die the block's last.
+func (t *STL) place(blk *BuildingBlock, use *blockUse, ch, bk int) {
+	use.note(ch, bk)
+	blk.lastDie = ch*t.geo.Banks + bk
 }
 
 // freeLess is channel ch's free pages in row, less the units planned on it.
@@ -386,9 +398,8 @@ type plannedUnit struct {
 // planOwner resolves a plan's page references: a write request's stages, or
 // the LBA's logical pages.
 type planOwner interface {
-	// page returns ref's slot, its reverse entry and the building block that
-	// counted its unit (nil for a logical page).
-	page(ref uint32) (*pageSlot, revEntry, *BuildingBlock)
+	// page returns ref's slot and its reverse entry.
+	page(ref uint32) (*pageSlot, revEntry)
 }
 
 // reserve readies p for a request of at most n units on an STL of dies dies.
@@ -446,7 +457,7 @@ func (t *STL) planUnit(p *unitPlan, ch, bk int, ref uint32) bool {
 	return true
 }
 
-// carvePlan carves, binds and counts every unit of p (nil: none), one die at
+// carvePlan carves and binds every unit of p (nil: none), one die at
 // a time, giving each its op's page, and empties p. It returns the failure
 // that a unit left without a page raised, in this carve or an earlier one.
 func (t *STL) carvePlan(p *unitPlan) error {
@@ -492,7 +503,7 @@ func (t *STL) carvePlan(p *unitPlan) error {
 			}
 			u := &p.units[k]
 			ops[u.op].P = t.lay.PPA(u.w)
-			slot, _, _ := p.owner.page(u.ref)
+			slot, _ := p.owner.page(u.ref)
 			slot.store(slotOf(u.w))
 		}
 		t.takeRest(p, p.order[len(p.units):])
@@ -521,7 +532,7 @@ func (t *STL) carveDie(p *unitPlan, i int, idx []int32) int64 {
 		rev := t.rev[t.lay.Linear(w):][:run]
 		for j := range rev {
 			u := &p.units[idx[k+j]]
-			_, e, _ := p.owner.page(u.ref)
+			_, e := p.owner.page(u.ref)
 			e.valid = true
 			rev[j] = e
 			u.w = w + nvm.Word(j)
@@ -537,7 +548,7 @@ func (t *STL) carveDie(p *unitPlan, i int, idx []int32) int64 {
 				t.carved(t.lay.PPA(u.w))
 			}
 			if t.cache != nil {
-				_, e, _ := p.owner.page(u.ref)
+				_, e := p.owner.page(u.ref)
 				t.cache.invalidateBlock(e.space, int64(e.block))
 			}
 		}
@@ -556,7 +567,7 @@ func (t *STL) takeRest(p *unitPlan, idx []int32) {
 		u := &p.units[k]
 		ch, bk := int(u.die)%t.geo.Channels, int(u.die)/t.geo.Channels
 		op := &ops[u.op]
-		slot, e, blk := p.owner.page(u.ref)
+		slot, e := p.owner.page(u.ref)
 		unit, ready, err := t.takeUnit(op.At, ch, bk, defaultStream, nil)
 		if err != nil {
 			if np, ok := t.allocateRecoveryUnit(ch, bk); ok {
@@ -565,17 +576,10 @@ func (t *STL) takeRest(p *unitPlan, idx []int32) {
 		}
 		if err != nil {
 			op.P = noUnit
-			if blk != nil {
-				blk.forgetUnit(ch, bk)
-			}
 			if p.err == nil || int(u.op) < p.cut {
 				p.err, p.cut = err, int(u.op)
 			}
 			continue
-		}
-		if blk != nil && (unit.Channel != ch || unit.Bank != bk) {
-			blk.forgetUnit(ch, bk)
-			blk.noteUnit(unit.Channel, unit.Bank)
 		}
 		op.P, op.At = unit, ready
 		t.bind(slot, e, unit)
@@ -584,12 +588,10 @@ func (t *STL) takeRest(p *unitPlan, idx []int32) {
 
 // allocateNaive is the ablation allocator: every unit of a block comes from
 // one die chosen round-robin (with spill-over to neighbouring dies when
-// full), so a block read engages a single channel.
-func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, flush func() error) (nvm.PPA, sim.Time, error) {
-	var die int
-	if blk.used > 0 && blk.lastBank >= 0 {
-		die = blk.naiveDie
-	} else {
+// full), so a block read engages a single channel. use is allocateUnit's.
+func (t *STL) allocateNaive(at sim.Time, blk *BuildingBlock, use *blockUse, flush func() error) (nvm.PPA, sim.Time, error) {
+	die := blk.lastDie
+	if use.used == 0 || die < 0 {
 		die = int(t.naiveNext.Add(1)-1) % len(t.dies)
 	}
 	for off := 0; off < len(t.dies); off++ {
@@ -599,8 +601,7 @@ func (t *STL) allocateNaive(at sim.Time, s *Space, blk *BuildingBlock, flush fun
 		if err != nil {
 			continue
 		}
-		blk.noteUnit(ch, bk)
-		blk.naiveDie = d
+		t.place(blk, use, ch, bk)
 		return p, ready, nil
 	}
 	return nvm.PPA{}, at, fmt.Errorf("stl: no die can supply a free unit: %w", ErrCapacity)
@@ -649,15 +650,15 @@ func (t *STL) randIntn(n int) int {
 	return v
 }
 
-// leastUsedBank returns the bank with the fewest units in blk, breaking ties
+// leastUsedBank returns the bank with the fewest units in use, breaking ties
 // randomly to spread blocks across the device.
-func (t *STL) leastUsedBank(blk *BuildingBlock) int {
+func (t *STL) leastUsedBank(use *blockUse) int {
 	least, ties := 0, 0
-	for b, u := range blk.bankUse {
+	for b, u := range use.banks {
 		switch {
-		case u < blk.bankUse[least]:
+		case u < use.banks[least]:
 			least, ties = b, 1
-		case u == blk.bankUse[least]:
+		case u == use.banks[least]:
 			ties++
 		}
 	}
@@ -666,8 +667,8 @@ func (t *STL) leastUsedBank(blk *BuildingBlock) int {
 	}
 	// The k-th of the tied banks, in index order.
 	k := t.randIntn(ties)
-	for b, u := range blk.bankUse {
-		if u == blk.bankUse[least] {
+	for b, u := range use.banks {
+		if u == use.banks[least] {
 			if k == 0 {
 				return b
 			}

@@ -290,7 +290,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			if si < 0 {
 				si = rs.nextStage()
 				st := &rs.stages[si]
-				st.blk, st.blockIdx, st.page = bp.blk, e.Block, int(p)
+				st.plan, st.page = int32(rs.last), int(p)
 				bp.pages[p] = si + 1
 			}
 			st := &rs.stages[si]
@@ -323,14 +323,15 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 	now := t.progs.Load() // how recently a block was written is judged once a request
 	for si := range rs.stages {
 		st := &rs.stages[si]
-		slot := &st.blk.pages[st.page]
+		bp := &rs.plans[st.plan]
+		slot := &bp.blk.pages[st.page]
 		pb := s.pageBytes(t.geo, st.page)
 		if t.cfg.WriteBuffering && !slot.load().allocated() {
 			// §4.4 staging: the page programs once its coverage reaches its
 			// payload. Coverage may overcount under overlapping writes, which
 			// only programs earlier: never-written bytes are zeros, exactly
 			// what unwritten storage reads as.
-			key := pendingKey{st.blockIdx, st.page}
+			key := pendingKey{bp.g, st.page}
 			pp := t.stagedPage(s, key)
 			for _, ei := range st.extents {
 				off, src, n := pagePiece(&exts[ei], st.page, ps)
@@ -340,7 +341,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 				pp.covered += n
 			}
 			if pp.covered >= pb {
-				if err := t.queueStaged(rs, at, st, key, pp, flush); err != nil {
+				if err := t.queueStaged(rs, at, bp, st.page, pp, flush); err != nil {
 					return abort(err)
 				}
 				stats.PagesProgrammed++
@@ -395,13 +396,13 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		old, replacing := t.takeSlot(slot)
 		if replacing {
 			if err = t.carvePlan(&rs.plan); err == nil {
-				unit, ready, err = t.allocateReplacement(ready, old.w, t.overwriteStream(st.blk, now), flush)
+				unit, ready, err = t.allocateReplacement(ready, old.w, t.overwriteStream(bp.blk, now), flush)
 			}
 			if err != nil {
-				t.restoreUnit(revEntry{space: s.id, block: uint32(st.blockIdx), page: int32(st.page)}, slot, old.w)
+				t.restoreUnit(revEntry{space: s.id, block: uint32(bp.g), page: int32(st.page)}, slot, old.w)
 			}
 		} else {
-			unit, ready, err = t.allocateUnit(ready, s, st.blk, flush, &rs.plan, uint32(si))
+			unit, ready, err = t.allocateUnit(ready, s, bp.blk, &bp.use, flush, &rs.plan, uint32(si))
 		}
 		if err != nil {
 			t.dev.Recycle(frame) // a read-modify-write page's; no other page has drawn one yet
@@ -422,7 +423,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			rs.fillPending(ps)
 		}
 		if unit != noUnit { // a planned unit is bound when the plan is carved
-			t.bindUnit(s, st.blk, st.blockIdx, st.page, unit)
+			t.bindUnit(s, bp.blk, bp.g, st.page, unit)
 		}
 		t.progs.Add(1)
 		stats.PagesProgrammed++

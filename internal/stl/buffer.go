@@ -185,13 +185,22 @@ func (t *STL) flushSpace(at sim.Time, id SpaceID) (sim.Time, error) {
 		return firstErr
 	}
 
+	// The keys are in block order: each block is resolved, and its units
+	// counted, once.
+	var (
+		blk *BuildingBlock
+		cur = int64(-1) // blk's grid index
+		use blockUse
+	)
 	for _, k := range keys {
 		pp := s.staged[k]
 		if t.elideStaged(s, k, pp) {
 			continue
 		}
-		blk := t.blockAt(s, k.block, true)
-		dst, ready, err := t.allocateUnit(at, s, blk, drain, nil, 0)
+		if k.block != cur {
+			blk, cur, use.counted = t.blockAt(s, k.block, true), k.block, false
+		}
+		dst, ready, err := t.allocateUnit(at, s, blk, &use, drain, nil, 0)
 		if err != nil {
 			fail(k, err)
 			continue // page stays staged; keep draining the rest
@@ -205,26 +214,27 @@ func (t *STL) flushSpace(at sim.Time, id SpaceID) (sim.Time, error) {
 	return done, failErr
 }
 
-// queueStaged queues staged page key, which this request filled, on the
-// request's batch like its own pages, with its key beside it (rs.staged): the
-// page leaves the staging map, its frame going to the device, only when the
-// op lands (flushPrograms). Under §8 elision an all-zero page programs
-// nothing and leaves the map now.
-func (t *STL) queueStaged(rs *requestScratch, at sim.Time, st *writeStage, key pendingKey, pp *pendingPage, flush func() error) error {
+// queueStaged queues staged page pp, page page of bp's block, which this
+// request filled, on the request's batch like its own pages, with its key
+// beside it (rs.staged): the page leaves the staging map, its frame going to
+// the device, only when the op lands (flushPrograms). Under §8 elision an
+// all-zero page programs nothing and leaves the map now.
+func (t *STL) queueStaged(rs *requestScratch, at sim.Time, bp *blockPlan, page int, pp *pendingPage, flush func() error) error {
 	s := rs.space
+	key := pendingKey{bp.g, page}
 	if t.elideStaged(s, key, pp) {
 		return nil
 	}
 	if err := t.carvePlan(&rs.plan); err != nil {
 		return err
 	}
-	unit, ready, err := t.allocateUnit(at, s, st.blk, flush, nil, 0)
+	unit, ready, err := t.allocateUnit(at, s, bp.blk, &bp.use, flush, nil, 0)
 	if err != nil {
 		return err
 	}
 	rs.staged = append(rs.staged, stagedOp{op: int32(len(rs.ops)), key: key})
 	rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: unit, Data: pp.buf, Owned: true})
-	t.bindUnit(s, st.blk, st.blockIdx, st.page, unit)
+	t.bindUnit(s, bp.blk, bp.g, page, unit)
 	t.progs.Add(1)
 	return nil
 }

@@ -97,8 +97,8 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 	return image, done, nil
 }
 
-// dropAllUnits invalidates every unit of a block and resets its usage
-// statistics, ready for a fresh rewrite. It returns the units it took.
+// dropAllUnits invalidates every unit of a block and clears its compression
+// state, ready for a fresh rewrite. It returns the units it took.
 func (t *STL) dropAllUnits(blk *BuildingBlock) []deadUnit {
 	var dead []deadUnit
 	for i := range blk.pages {
@@ -106,7 +106,6 @@ func (t *STL) dropAllUnits(blk *BuildingBlock) []deadUnit {
 			dead = append(dead, u)
 		}
 	}
-	blk.resetUse()
 	blk.compressed = false
 	blk.compLen = 0
 	blk.physPages = 0
@@ -130,7 +129,10 @@ func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *Buildi
 	pages := int(ceilDiv(int64(len(payload)), ps))
 	blk.physPages = pages
 	done := at
-	var ops []nvm.ProgramOp
+	var (
+		ops []nvm.ProgramOp
+		use blockUse
+	)
 	land := func() error {
 		d, landed, retries, err := t.landPrograms(ops, t.rebindFaulted)
 		done = sim.Max(done, d)
@@ -140,7 +142,7 @@ func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *Buildi
 		return err
 	}
 	for i := 0; i < pages; i++ {
-		dst, ready, err := t.allocateUnit(at, s, blk, land, nil, 0)
+		dst, ready, err := t.allocateUnit(at, s, blk, &use, land, nil, 0)
 		if err != nil {
 			ferr := land() // what is queued lands first
 			return done, cmp.Or(ferr, err)

@@ -37,21 +37,16 @@ func (s *pageSlot) cas(old, new pageSlot) bool {
 	return atomic.CompareAndSwapUint32((*uint32)(s), uint32(old), uint32(new))
 }
 
-// BuildingBlock is a leaf entry: the page list plus the per-block usage
-// statistics the allocation policy of §4.2 consults.
+// BuildingBlock is a leaf entry: the page list, and what the allocation
+// policy of §4.2 needs of the block that its slots cannot say. How many units
+// the block holds, per channel and per bank, its slots do say: a request
+// counts them when it places a unit there (blockUse).
 type BuildingBlock struct {
-	pages   []pageSlot
-	chanUse []uint16 // units allocated per channel
-	bankUse []uint16 // units allocated per bank
-	// sweep is the set of channels at the block's least chanUse, one bit
-	// per channel, sweepLeft of them: the channels the current sweep of
-	// rule 2 has still to give a unit. Only noteUnit, forgetUnit and
-	// resetUse change the counters, and they keep it so.
-	sweep     []uint64
-	sweepLeft int
-	lastBank  int // bank of the most recently allocated unit
-	used      int // allocated unit count
-	naiveDie  int // home die under the ablation allocator
+	pages []pageSlot
+	// lastDie is the die (STL.dies index) of the unit placed last, -1 before
+	// the first: rule 2's bank, and the ablation allocator's home die. A
+	// relocation does not move it.
+	lastDie int
 	// lastWrite is the STL's host-program count when a write last finished
 	// with the block: how recently it was written, which picks the stream its
 	// overwrites land in (overwriteStream).
@@ -64,63 +59,74 @@ type BuildingBlock struct {
 	physPages  int
 }
 
-func newBuildingBlock(pagesPerBB int, geo nvm.Geometry) *BuildingBlock {
-	use := make([]uint16, geo.Channels+geo.Banks) // both counters, one allocation
-	b := &BuildingBlock{
-		pages:    make([]pageSlot, pagesPerBB),
-		chanUse:  use[:geo.Channels:geo.Channels],
-		bankUse:  use[geo.Channels:],
-		sweep:    make([]uint64, (geo.Channels+63)/64),
-		lastBank: -1,
-	}
-	b.rebuildSweep()
-	return b
+func newBuildingBlock(pagesPerBB int) *BuildingBlock {
+	return &BuildingBlock{pages: make([]pageSlot, pagesPerBB), lastDie: -1}
 }
 
-// noteUnit counts a unit the block took on channel ch of bank bk. A unit on
-// a channel of the sweep takes it out; the sweep's last one starts the next
-// sweep, so the O(channels) rebuild runs once a sweep, not once a unit.
-func (b *BuildingBlock) noteUnit(ch, bk int) {
-	b.chanUse[ch]++
-	b.bankUse[bk]++
-	b.lastBank = bk
-	b.used++
-	if w, bit := &b.sweep[ch/64], uint64(1)<<(ch%64); *w&bit != 0 {
+// blockUse is a building block's units as one request counts them: per
+// channel, per bank and in all. The request reads them off the block's slots
+// when it first places a fresh unit there (count) and adds each unit it
+// places after that (note), planned units included, which no slot holds yet.
+// Nothing is stored between requests, so nothing can drift from the slots.
+//
+// sweep is the set of channels at the least count, one bit per channel,
+// sweepLeft of them: the channels the current sweep of rule 2 has still to
+// give a unit.
+type blockUse struct {
+	counted   bool
+	chans     []uint16
+	banks     []uint16
+	used      int
+	sweep     []uint64
+	sweepLeft int
+}
+
+// count reads blk's units off its slots, on a device of geometry geo whose
+// page words lay packs.
+func (u *blockUse) count(blk *BuildingBlock, geo nvm.Geometry, lay *nvm.Layout) {
+	if len(u.chans) != geo.Channels || len(u.banks) != geo.Banks {
+		use := make([]uint16, geo.Channels+geo.Banks) // both counts, one allocation
+		u.chans, u.banks = use[:geo.Channels:geo.Channels], use[geo.Channels:]
+		u.sweep = make([]uint64, (geo.Channels+63)/64)
+	}
+	clear(u.chans)
+	clear(u.banks)
+	u.used = 0
+	for i := range blk.pages {
+		if v := blk.pages[i].load(); v.allocated() {
+			u.chans[lay.Channel(v.word())]++
+			u.banks[lay.Bank(v.word())]++
+			u.used++
+		}
+	}
+	u.counted = true
+	u.rebuildSweep()
+}
+
+// note counts a unit placed on channel ch of bank bk. A unit on a channel of
+// the sweep takes it out; the sweep's last one starts the next sweep, so the
+// O(channels) rebuild runs once a sweep, not once a unit.
+func (u *blockUse) note(ch, bk int) {
+	u.chans[ch]++
+	u.banks[bk]++
+	u.used++
+	if w, bit := &u.sweep[ch/64], uint64(1)<<(ch%64); *w&bit != 0 {
 		*w &^= bit
-		if b.sweepLeft--; b.sweepLeft == 0 {
-			b.rebuildSweep()
+		if u.sweepLeft--; u.sweepLeft == 0 {
+			u.rebuildSweep()
 		}
 	}
 }
 
-// resetUse forgets every unit the block was given, ready for a fresh
-// rewrite of all of it (a compressed block's store).
-func (b *BuildingBlock) resetUse() {
-	clear(b.chanUse)
-	clear(b.bankUse)
-	b.used, b.lastBank = 0, -1
-	b.rebuildSweep()
-}
-
-// forgetUnit uncounts a unit the block was given on channel ch of bank bk and
-// does not hold: its program never landed, or it was never carved. The
-// O(channels) rebuild is the price of a path only a failure takes.
-func (b *BuildingBlock) forgetUnit(ch, bk int) {
-	b.chanUse[ch]--
-	b.bankUse[bk]--
-	b.used--
-	b.rebuildSweep()
-}
-
-// rebuildSweep makes the sweep the channels at the least use.
-func (b *BuildingBlock) rebuildSweep() {
-	least := slices.Min(b.chanUse)
-	clear(b.sweep)
-	b.sweepLeft = 0
-	for ch, u := range b.chanUse {
-		if u == least {
-			b.sweep[ch/64] |= 1 << (ch % 64)
-			b.sweepLeft++
+// rebuildSweep makes the sweep the channels at the least count.
+func (u *blockUse) rebuildSweep() {
+	least := slices.Min(u.chans)
+	clear(u.sweep)
+	u.sweepLeft = 0
+	for ch, n := range u.chans {
+		if n == least {
+			u.sweep[ch/64] |= 1 << (ch % 64)
+			u.sweepLeft++
 		}
 	}
 }
@@ -129,9 +135,9 @@ func (b *BuildingBlock) rebuildSweep() {
 // channels, the one whose die has the most free pages — its entry in row, the
 // bank's live counts, less its entry in planned (freeLess) — and of those the
 // lowest.
-func (b *BuildingBlock) leastChannel(row []atomic.Int64, planned []int32) int {
+func (u *blockUse) leastChannel(row []atomic.Int64, planned []int32) int {
 	best, most := -1, int64(math.MinInt64)
-	for i, w := range b.sweep {
+	for i, w := range u.sweep {
 		for ; w != 0; w &= w - 1 {
 			ch := i*64 + bits.TrailingZeros64(w)
 			if f := freeLess(row, planned, ch); f > most {
@@ -140,17 +146,6 @@ func (b *BuildingBlock) leastChannel(row []atomic.Int64, planned []int32) int {
 		}
 	}
 	return best
-}
-
-// Channels reports how many distinct channels the block's units occupy.
-func (b *BuildingBlock) Channels() int {
-	n := 0
-	for _, c := range b.chanUse {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // indexNode is one node of the per-space B-tree. Non-leaf nodes hold child
@@ -200,7 +195,7 @@ func (t *STL) block(s *Space, g []int64, alloc bool) (*BuildingBlock, int) {
 	}
 	blk := node.blocks[g[n-1]]
 	if blk == nil && alloc {
-		blk = newBuildingBlock(s.pagesPerBB, t.geo)
+		blk = newBuildingBlock(s.pagesPerBB)
 		node.blocks[g[n-1]] = blk
 	}
 	return blk, steps

@@ -59,24 +59,16 @@ func (t *STL) slotAt(e revEntry, gcrd []int64) (*pageSlot, []int64) {
 	if e.space == 0 {
 		return &t.lba.slots[e.block], gcrd
 	}
-	blk, gcrd := t.blockOf(e, gcrd)
-	if blk == nil {
-		return nil, gcrd
-	}
-	return &blk.pages[e.page], gcrd
-}
-
-// blockOf is the building block reverse entry e names: nil for a logical
-// page of the LBA, for a space that is gone, or for a block never written.
-func (t *STL) blockOf(e revEntry, gcrd []int64) (*BuildingBlock, []int64) {
 	s, ok := t.spaces[e.space]
 	if !ok {
 		return nil, gcrd
 	}
 	gcrd = growInt64(gcrd, len(s.grid))
 	s.GridCoord(int64(e.block), gcrd)
-	blk, _ := t.block(s, gcrd, false)
-	return blk, gcrd
+	if blk, _ := t.block(s, gcrd, false); blk != nil {
+		return &blk.pages[e.page], gcrd
+	}
+	return nil, gcrd
 }
 
 // WritePages writes len(data)/PageSize logical pages starting at lpn; when
@@ -149,8 +141,8 @@ func (l *LBA) WritePages(at sim.Time, lpn int64, data []byte, n int64) (sim.Time
 }
 
 // page resolves a planned unit's page: logical page ref.
-func (l *LBA) page(ref uint32) (*pageSlot, revEntry, *BuildingBlock) {
-	return &l.slots[ref], revEntry{block: ref}, nil
+func (l *LBA) page(ref uint32) (*pageSlot, revEntry) {
+	return &l.slots[ref], revEntry{block: ref}
 }
 
 // land carves the planned pages, programs the queued batch through fault

@@ -238,15 +238,14 @@ func (t *STL) landPrograms(ops []nvm.ProgramOp, relocated func(old, np nvm.PPA) 
 
 // rebindFaulted points the slot that owns old (located through the
 // reverse-lookup table) at np instead, keeping usedPages and valid counts
-// balanced, and the counters of a building block if np is on another die.
-// Used by the batch recovery path, where the unit was bound when
+// balanced. Used by the batch recovery path, where the unit was bound when
 // its program was queued; the caller's space write lock (a writer's or
 // Flush's, or the LBA's one request at a time) is what makes the
 // read-then-rebind atomic.
 // Returns false if old is not bound (translation state is inconsistent —
 // callers surface an error), with np released.
 func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
-	e, slot, blk := t.owner(old)
+	e, slot := t.owner(old)
 	if slot == nil {
 		t.releaseUnit(np)
 		return false
@@ -254,56 +253,42 @@ func (t *STL) rebindFaulted(old, np nvm.PPA) bool {
 	t.invalidateUnit(t.lay.Word(old), nil)
 	t.bind(slot, e, np)
 	t.releaseUnit(old)
-	if blk != nil && (np.Channel != old.Channel || np.Bank != old.Bank) {
-		blk.forgetUnit(old.Channel, old.Bank)
-		blk.noteUnit(np.Channel, np.Bank)
-	}
 	return true
 }
 
 // unbindOps drops the translation state of queued program ops that will never
 // land (an unrecoverable batch failure), restoring the invariant that bound
-// units are programmed units, gives their units up, and uncounts them from
-// their building blocks. An op a plan never gave a unit (noUnit) holds none.
+// units are programmed units, and gives their units up. An op a plan never
+// gave a unit (noUnit) holds none.
 func (t *STL) unbindOps(ops []nvm.ProgramOp) {
 	for i := range ops {
 		p := ops[i].P
 		if p == noUnit {
 			continue
 		}
-		if e, slot, blk := t.owner(p); e.valid {
+		if e, slot := t.owner(p); e.valid {
 			if slot != nil {
 				slot.store(0)
 			}
 			t.invalidateUnit(t.lay.Word(p), nil)
-			if blk != nil {
-				blk.forgetUnit(p.Channel, p.Bank)
-			}
 		}
 		t.releaseUnit(p)
 	}
 }
 
 // owner reads the reverse-lookup entry of the unit at p and finds the slot it
-// names (slotAt) and, for a building block's page, the block; the slot is nil
-// when the unit is not bound or its owner is gone.
-func (t *STL) owner(p nvm.PPA) (revEntry, *pageSlot, *BuildingBlock) {
+// names (slotAt); the slot is nil when the unit is not bound or its owner is
+// gone.
+func (t *STL) owner(p nvm.PPA) (revEntry, *pageSlot) {
 	d := t.die(p.Channel, p.Bank)
 	d.mu.Lock()
 	e := t.rev[p.Linear(t.geo)]
 	d.mu.Unlock()
 	if !e.valid {
-		return e, nil, nil
+		return e, nil
 	}
-	if e.space == 0 {
-		slot, _ := t.slotAt(e, nil)
-		return e, slot, nil
-	}
-	blk, _ := t.blockOf(e, nil)
-	if blk == nil {
-		return e, nil, nil
-	}
-	return e, &blk.pages[e.page], blk
+	slot, _ := t.slotAt(e, nil)
+	return e, slot
 }
 
 // blockAt is building block g (a grid index) of s, made if alloc is set and

@@ -94,13 +94,15 @@ type requestScratch struct {
 // stages on a write — with 0 for a page the request has not met. The table is
 // as long as the block has pages, and a scratch is pooled across spaces whose
 // blocks differ in size, so putScratch zeroes every table the request used
-// and addBlock re-lengthens a retained one.
+// and addBlock re-lengthens a retained one. The count's tables are retained
+// too, and counted afresh by each request that places a unit in the block.
 type blockPlan struct {
 	g     int64          // grid index
 	blk   *BuildingBlock // nil: the block was never written
 	pages []int32
-	image int32 // a compressed block's decompressed image (reads): slot+1 in pageData
-	next  int32 // 1 + the entry looked up after this one last time, 0 for none yet
+	use   blockUse // the block's units, counted by the write's first fresh unit there
+	image int32    // a compressed block's decompressed image (reads): slot+1 in pageData
+	next  int32    // 1 + the entry looked up after this one last time, 0 for none yet
 
 	// The block's chain through requestScratch.want: 1 + the index of its
 	// first and of its last page there, 0 for none.
@@ -123,14 +125,14 @@ type wantedPage struct {
 	hit  bool  // set by the block's cache transaction
 }
 
-// writeStage is one destination page of a write request and the extents that
-// land on it (indexes into the request's extent list).
+// writeStage is one destination page of a write request: page page of the
+// block of plans[plan], and the extents that land on it (indexes into the
+// request's extent list).
 type writeStage struct {
-	blk      *BuildingBlock
-	blockIdx int64
-	page     int
-	covered  int64
-	extents  []int32
+	plan    int32
+	page    int
+	covered int64
+	extents []int32
 }
 
 // pendingFill names a queued program whose frame is still as the arena handed
@@ -167,7 +169,8 @@ func (t *STL) putScratch(rs *requestScratch) {
 	for i := range rs.plans {
 		bp := &rs.plans[i]
 		clear(bp.pages)
-		*bp = blockPlan{pages: bp.pages[:0]}
+		*bp = blockPlan{pages: bp.pages[:0], use: bp.use}
+		bp.use.counted = false
 	}
 	rs.plans = rs.plans[:0]
 	for i := range rs.pageData {
@@ -184,9 +187,6 @@ func (t *STL) putScratch(rs *requestScratch) {
 		rs.datas[i] = nil
 	}
 	rs.datas = rs.datas[:0]
-	for i := range rs.stages {
-		rs.stages[i].blk = nil
-	}
 	rs.stages = rs.stages[:0]
 	for i := range rs.ops {
 		rs.ops[i].Data = nil
@@ -216,7 +216,7 @@ func (rs *requestScratch) nextStage() int32 {
 	if len(rs.stages) < cap(rs.stages) {
 		rs.stages = rs.stages[:len(rs.stages)+1]
 		st := &rs.stages[len(rs.stages)-1]
-		st.blk, st.blockIdx, st.page, st.covered = nil, 0, 0, 0
+		st.plan, st.page, st.covered = 0, 0, 0
 		st.extents = st.extents[:0]
 	} else {
 		rs.stages = append(rs.stages, writeStage{})
@@ -225,9 +225,10 @@ func (rs *requestScratch) nextStage() int32 {
 }
 
 // page resolves a planned unit's page: stage ref of the request.
-func (rs *requestScratch) page(ref uint32) (*pageSlot, revEntry, *BuildingBlock) {
+func (rs *requestScratch) page(ref uint32) (*pageSlot, revEntry) {
 	st := &rs.stages[ref]
-	return &st.blk.pages[st.page], revEntry{space: rs.space.id, block: uint32(st.blockIdx), page: int32(st.page)}, st.blk
+	bp := &rs.plans[st.plan]
+	return &bp.blk.pages[st.page], revEntry{space: rs.space.id, block: uint32(bp.g), page: int32(st.page)}
 }
 
 // pagePiece is the part of extent e that lands on page page of its block: n

@@ -26,16 +26,32 @@ func TestBlockSpreadsAcrossChannels(t *testing.T) {
 		if blk == nil {
 			t.Fatalf("block %d never allocated", i)
 		}
-		if got := blk.Channels(); got != geo.Channels {
+		per, got := slotChannels(st, blk.pages)
+		if got != geo.Channels {
 			t.Errorf("block %d spans %d channels, want %d", i, got, geo.Channels)
 		}
 		// Units per channel should be balanced (8 pages / 4 channels = 2).
-		for ch, u := range blk.chanUse {
+		for ch, u := range per {
 			if u != 2 {
 				t.Errorf("block %d channel %d has %d units, want 2", i, ch, u)
 			}
 		}
 	}
+}
+
+// slotChannels counts the units a block's slots, pages, hold on each
+// channel, and how many channels hold one.
+func slotChannels(st *STL, pages []pageSlot) (per []int, channels int) {
+	per = make([]int, st.geo.Channels)
+	for i := range pages {
+		if v := pages[i].load(); v.allocated() {
+			ch := st.lay.Channel(v.word())
+			if per[ch]++; per[ch] == 1 {
+				channels++
+			}
+		}
+	}
+	return per, channels
 }
 
 // TestBlockReadEngagesChannels: reading one full building block issues page
@@ -219,8 +235,8 @@ func TestGCKeepsChannelSpread(t *testing.T) {
 		if blk == nil {
 			continue
 		}
-		if blk.Channels() != geo.Channels {
-			t.Fatalf("block %d lost channel spread after GC: %d/%d", i, blk.Channels(), geo.Channels)
+		if _, n := slotChannels(st, blk.pages); n != geo.Channels {
+			t.Fatalf("block %d lost channel spread after GC: %d/%d", i, n, geo.Channels)
 		}
 	}
 }
@@ -339,8 +355,8 @@ func TestNaiveAllocationConcentrates(t *testing.T) {
 		if blk == nil {
 			t.Fatalf("block %d missing", i)
 		}
-		if blk.Channels() != 1 {
-			t.Errorf("naive block %d spans %d channels, want 1", i, blk.Channels())
+		if _, n := slotChannels(st, blk.pages); n != 1 {
+			t.Errorf("naive block %d spans %d channels, want 1", i, n)
 		}
 	}
 	// And it is measurably slower to read than the policy layout.

@@ -24,7 +24,9 @@ type PageCipher interface {
 // slab. Slab allocation amortizes the per-page make() the old map store paid
 // on every program. A new slab arrives zeroed, so its frames are in cache
 // until about as many again have been drawn; the STL's write path sizes its
-// fill bursts by it.
+// fill bursts by it, and fills them with plain stores. A frame from the free
+// list is long out of cache, and Frame says so: the STL streams a whole page
+// into it past the cache, and fences the burst before it programs it.
 const FramesPerSlab = 64
 
 // frameArena is the device-wide supply of page frames. A frame is the unit of
@@ -41,21 +43,23 @@ type frameArena struct {
 	slab []byte   // tail of the current backing chunk
 }
 
-func (a *frameArena) get(pageSize int) []byte {
+// get draws a frame, from the free list while it holds one (recycled) and
+// otherwise from the current slab, whose frames make has just zeroed.
+func (a *frameArena) get(pageSize int) (pg []byte, recycled bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if n := len(a.free); n > 0 {
-		pg := a.free[n-1]
+		pg = a.free[n-1]
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
-		return pg
+		return pg, true
 	}
 	if len(a.slab) < pageSize {
 		a.slab = make([]byte, pageSize*FramesPerSlab)
 	}
-	pg := a.slab[:pageSize:pageSize]
+	pg = a.slab[:pageSize:pageSize]
 	a.slab = a.slab[pageSize:]
-	return pg
+	return pg, false
 }
 
 // dieShard holds the mutable state of one (channel, bank) die: its programmed
@@ -202,8 +206,10 @@ type ProgramOp struct {
 
 // Frame returns a page-sized buffer to assemble a page in before handing it
 // over with ProgramOp.Owned. Its contents are unspecified: frames of erased
-// blocks come back as they were.
-func (d *Device) Frame() []byte { return d.frames.get(d.geo.PageSize) }
+// blocks come back as they were. recycled reports where it came from: true
+// for a frame a discard, an erase or Recycle gave back, long out of cache;
+// false for one carved from a slab the arena has just made, and zeroed.
+func (d *Device) Frame() (frame []byte, recycled bool) { return d.frames.get(d.geo.PageSize) }
 
 // Recycle takes back a frame that will not be programmed after all. Anything
 // that is not a whole frame is ignored.
@@ -544,7 +550,7 @@ func (d *Device) storeLocked(s *dieShard, op *ProgramOp) {
 	}
 	pg := op.Data
 	if !op.Owned || len(pg) != d.geo.PageSize {
-		pg = d.frames.get(d.geo.PageSize)
+		pg, _ = d.frames.get(d.geo.PageSize)
 		clear(pg[copy(pg, op.Data):])
 	}
 	if c != nil {

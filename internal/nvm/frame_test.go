@@ -83,6 +83,31 @@ func TestShortProgramIntoRecycledFrame(t *testing.T) {
 	})
 }
 
+// TestFrameOrigin: Frame reports a frame carved from a new slab as fresh (and
+// zeroed) and one that came back to the arena — handed back unprogrammed, or
+// stored and then erased — as recycled. The STL streams only into the latter.
+func TestFrameOrigin(t *testing.T) {
+	d := newTestDevice(t, false)
+	f, recycled := d.Frame()
+	if recycled || !bytes.Equal(f, make([]byte, len(f))) {
+		t.Fatalf("a new device's first frame: recycled %v, zeroed %v; want a fresh, zeroed frame", recycled, bytes.Equal(f, make([]byte, len(f))))
+	}
+	d.Recycle(f)
+	if g, recycled := d.Frame(); &g[0] != &f[0] || !recycled {
+		t.Fatalf("after Recycle: the same frame %v, recycled %v; want both", &g[0] == &f[0], recycled)
+	}
+	p := PPA{0, 0, 0, 0}
+	if _, err := d.ProgramPages([]ProgramOp{{P: p, Data: f, Owned: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.EraseBlock(0, p); err != nil {
+		t.Fatal(err)
+	}
+	if g, recycled := d.Frame(); &g[0] != &f[0] || !recycled {
+		t.Fatalf("after the erase: the stored frame %v, recycled %v; want both", &g[0] == &f[0], recycled)
+	}
+}
+
 // TestOwnedFrameStoredInPlace: a whole frame handed over with Owned becomes
 // the stored page itself — sealed in place under a cipher — and a frame whose
 // op did not land stays with the caller, untouched.
@@ -98,7 +123,7 @@ func TestOwnedFrameStoredInPlace(t *testing.T) {
 		plain := make([][]byte, len(ops))
 		for i := range ops {
 			plain[i] = bytes.Repeat([]byte{byte(i + 1)}, ps)
-			frame := d.Frame()
+			frame, _ := d.Frame()
 			copy(frame, plain[i])
 			ops[i] = ProgramOp{P: PPA{0, 0, 2, i}, Data: frame, Owned: true}
 		}

@@ -369,9 +369,9 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			stats.PagesRead++
 			ready = d
 			if hasData {
-				frame = t.dev.Frame()
+				frame, _ = t.dev.Frame()
 				copy(frame, old[0])
-				rs.copyPayload(frame, st, ps)
+				rs.copyPayload(frame, st, ps, false)
 			}
 		}
 		// §8 page-zero optimization: an all-zero page needs no unit — an
@@ -411,8 +411,9 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		// Any other page's frame is drawn only now that the page has a unit, and
 		// holds nothing until a fill.
 		if hasData && !rmw {
-			frame = t.dev.Frame()
-			rs.fills = append(rs.fills, pendingFill{op: int32(len(rs.ops)), stage: int32(si)})
+			var recycled bool
+			frame, recycled = t.dev.Frame()
+			rs.fills = append(rs.fills, pendingFill{op: int32(len(rs.ops)), stage: int32(si), recycled: recycled})
 		}
 		rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: unit, Data: frame, Owned: true})
 		if replacing {

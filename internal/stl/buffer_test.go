@@ -235,13 +235,13 @@ func TestDroppedStagingFramesReturnToArena(t *testing.T) {
 		}
 	}
 	for range 8 {
-		f := st.dev.Frame()
+		f, _ := st.dev.Frame()
 		if !dropped[&f[0]] {
 			t.Fatalf("the arena drew a new frame with %d dropped staging frames unreturned", len(dropped))
 		}
 		delete(dropped, &f[0])
 	}
-	if f := st.dev.Frame(); kept[&f[0]] {
+	if f, _ := st.dev.Frame(); kept[&f[0]] {
 		t.Fatal("a surviving page's frame went back to the arena with the dropped ones")
 	}
 }
@@ -374,7 +374,14 @@ func TestFlushHoldsUpNoOtherSpace(t *testing.T) {
 		_, err := st.Flush(0)
 		flushed <- err
 	}()
-	<-parked
+	select {
+	case <-parked:
+	case err := <-flushed:
+		t.Fatalf("Flush returned (%v) without carving a unit", err)
+	case <-time.After(10 * time.Second):
+		close(resume)
+		t.Fatal("Flush neither carved a unit nor returned")
+	}
 	read := make(chan []byte, 1)
 	go func() {
 		v, err := NewView(other, []int64{64, 64})

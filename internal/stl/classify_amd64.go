@@ -1,8 +1,9 @@
 package stl
 
-// useAVX2 routes classify4 and classify8 to the vector classifiers below. It
-// is set once, before any init function runs, from what the CPU reports and
-// the OS saves; under the race detector classify_race.go clears it.
+// useAVX2 routes classify4 and classify8 to the vector classifiers below, and
+// streamCopy to the store kernel (stream_amd64.s). It is set once, before any
+// init function runs, from what the CPU reports and the OS saves; under the
+// race detector classify_race.go clears it.
 var useAVX2 = avx2Usable()
 
 // avx2Usable reports whether the CPU has AVX2 and the OS saves the YMM

@@ -2,7 +2,8 @@
 
 package stl
 
-// The race detector does not see loads made in assembly, and the kernels read
-// device frames on lease: a frame reused under a kernel must stay visible to
-// it, so race builds classify in Go.
+// The race detector sees neither loads nor stores made in assembly. The
+// classifiers read device frames on lease, and the store kernel writes frames
+// the device takes over at the next flush: a frame reused under either must
+// stay visible to it, so race builds classify and fill pages in Go.
 func init() { useAVX2 = false }

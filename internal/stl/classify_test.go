@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -106,8 +107,9 @@ func fuzzWidth(wide bool) int {
 }
 
 // TestVectorClassifiersOffUnderRace: the race detector does not see an
-// assembly load, so a frame reused under a vector classifier would go
-// unreported; race builds must classify in Go.
+// assembly load or store, so a frame reused under a vector classifier or the
+// store kernel would go unreported; race builds must classify and fill pages
+// in Go.
 func TestVectorClassifiersOffUnderRace(t *testing.T) {
 	if !raceEnabled {
 		t.Skip("not a race build")
@@ -117,39 +119,46 @@ func TestVectorClassifiersOffUnderRace(t *testing.T) {
 	}
 }
 
-// TestClassifierAsmIsVEX: every instruction in classify_amd64.s that names
-// an X or Y register is VEX-encoded, and every function that names a Y
-// register executes VZEROUPPER before each RET. A legacy-SSE instruction
-// among AVX ones pays an SSE/AVX transition on every call.
+// TestClassifierAsmIsVEX: in every assembly file of the package — the
+// classifiers and the store kernel — every instruction that names an X or Y
+// register is VEX-encoded, and every function that names a Y register
+// executes VZEROUPPER before each RET. A legacy-SSE instruction among AVX ones
+// pays an SSE/AVX transition on every call.
 func TestClassifierAsmIsVEX(t *testing.T) {
-	src, err := os.ReadFile("classify_amd64.s")
-	if err != nil {
-		t.Fatal(err)
+	files, err := filepath.Glob("*_amd64.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no assembly files found (%v)", err)
 	}
 	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
 	ymm := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
-	fn, wide, cleared := "", false, false
-	for n, line := range strings.Split(string(src), "\n") {
-		line, _, _ = strings.Cut(line, "//")
-		fields := strings.Fields(line)
-		if len(fields) == 0 || strings.HasSuffix(fields[0], ":") || strings.HasPrefix(fields[0], "#") {
-			continue
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		op := fields[0]
-		switch {
-		case op == "TEXT":
-			fn, wide, cleared = strings.TrimSuffix(fields[1], ","), false, false
-			continue
-		case vecReg.MatchString(line) && !strings.HasPrefix(op, "V"):
-			t.Errorf("classify_amd64.s:%d: %s names a vector register without a VEX encoding: %s", n+1, op, strings.TrimSpace(line))
-		case op == "RET" && wide && !cleared:
-			t.Errorf("classify_amd64.s:%d: %s returns without VZEROUPPER", n+1, fn)
-		}
-		if ymm.MatchString(line) {
-			wide, cleared = true, false
-		}
-		if op == "VZEROUPPER" {
-			cleared = true
+		fn, wide, cleared := "", false, false
+		for n, line := range strings.Split(string(src), "\n") {
+			line, _, _ = strings.Cut(line, "//")
+			fields := strings.Fields(line)
+			if len(fields) == 0 || strings.HasSuffix(fields[0], ":") || strings.HasPrefix(fields[0], "#") {
+				continue
+			}
+			op := fields[0]
+			switch {
+			case op == "TEXT":
+				fn, wide, cleared = strings.TrimSuffix(fields[1], ","), false, false
+				continue
+			case vecReg.MatchString(line) && !strings.HasPrefix(op, "V"):
+				t.Errorf("%s:%d: %s names a vector register without a VEX encoding: %s", file, n+1, op, strings.TrimSpace(line))
+			case op == "RET" && wide && !cleared:
+				t.Errorf("%s:%d: %s returns without VZEROUPPER", file, n+1, fn)
+			}
+			if ymm.MatchString(line) {
+				wide, cleared = true, false
+			}
+			if op == "VZEROUPPER" {
+				cleared = true
+			}
 		}
 	}
 }

@@ -137,8 +137,10 @@ type writeStage struct {
 
 // pendingFill names a queued program whose frame is still as the arena handed
 // it out: ops[op]'s page is stages[stage]'s payload pieces over zeros.
+// recycled is the arena's word on where the frame came from (nvm.Device.Frame).
 type pendingFill struct {
 	op, stage int32
+	recycled  bool
 }
 
 // stagedOp names a queued program of a staged page: ops[op] lands page key.
@@ -244,8 +246,16 @@ func pagePiece(e *Extent, page int, ps int64) (off, src, n int64) {
 // page. Pieces that follow one another both in the page and in the payload
 // move as one copy: the rows of a partition as wide as its building block,
 // two to a page, are one page-sized move. Only the copies merge — the extent
-// list, which times the request, is as the walk made it.
-func (rs *requestScratch) copyPayload(frame []byte, st *writeStage, ps int64) {
+// list, which times the request, is as the walk made it. With stream the
+// moves go through streamCopy, and the caller fences (storeFence).
+func (rs *requestScratch) copyPayload(frame []byte, st *writeStage, ps int64, stream bool) {
+	move := func(off, src, n int64) {
+		if stream {
+			streamCopy(frame[off:], rs.payload[src:src+n])
+		} else {
+			copy(frame[off:], rs.payload[src:src+n])
+		}
+	}
 	var off, src, n int64 // the run being grown
 	for _, ei := range st.extents {
 		o, s, m := pagePiece(&rs.exts[ei], st.page, ps)
@@ -253,10 +263,10 @@ func (rs *requestScratch) copyPayload(frame []byte, st *writeStage, ps int64) {
 			n += m
 			continue
 		}
-		copy(frame[off:], rs.payload[src:src+n])
+		move(off, src, n)
 		off, src, n = o, s, m
 	}
-	copy(frame[off:], rs.payload[src:src+n])
+	move(off, src, n)
 }
 
 // payloadZero reports whether every payload byte bound for stage st is zero.
@@ -276,7 +286,9 @@ func (rs *requestScratch) payloadZero(st *writeStage, ps int64) bool {
 // 256; but an arena that is still growing zeroes each slab as it makes it,
 // and a first fill that copies into the slab while it is still in cache costs
 // 5-10 % less than one that books the whole request first (EXPERIMENTS.md
-// "book first, fill last").
+// "book first, fill last"). Which frames a burst streams past the cache, and
+// why the slab's do not, is fillPending's; the burst's one SFENCE is what
+// makes a streamed frame the device's to read.
 const fillBurst = nvm.FramesPerSlab
 
 // fillPending makes the queued frames the pages their ops program: zeros
@@ -284,13 +296,27 @@ const fillBurst = nvm.FramesPerSlab
 // payload. Nothing but copies runs between one page and the next — no lock,
 // no atomic, no call into the device — so the stores to cold frames drain
 // behind one another instead of at each page's next fence.
+//
+// A whole page into a recycled frame — one a discard or an erase gave back,
+// long out of cache — is streamed (streamCopy): its stores skip the read of
+// each line a plain store makes first. A frame carved from a new slab keeps
+// plain stores, since make has just zeroed it and left it in cache, and so
+// does a page the extents leave gaps in, whose clear has just cached it. The
+// burst ends in one storeFence, which orders the streamed stores before
+// flushPrograms hands the frames to ProgramPages (and so to any reader).
 func (rs *requestScratch) fillPending(ps int64) {
+	streamed := false
 	for _, f := range rs.fills {
 		frame, st := rs.ops[f.op].Data, &rs.stages[f.stage]
 		if st.covered < ps {
 			clear(frame)
 		}
-		rs.copyPayload(frame, st, ps)
+		stream := f.recycled && st.covered >= ps
+		rs.copyPayload(frame, st, ps, stream)
+		streamed = streamed || stream
+	}
+	if streamed {
+		storeFence()
 	}
 	rs.fills = rs.fills[:0]
 }

@@ -244,13 +244,13 @@ func TestFailedOverwriteLeavesOldOrNew(t *testing.T) {
 		}
 	}
 	for range primed - stored {
-		f := dev.Frame()
+		f, _ := dev.Frame()
 		if !known[&f[0]] {
 			t.Fatalf("the arena ran out %d frames early: the failed write kept them", len(known))
 		}
 		delete(known, &f[0])
 	}
-	if f := dev.Frame(); len(known) != 0 || known[&f[0]] {
+	if f, _ := dev.Frame(); len(known) != 0 || known[&f[0]] {
 		t.Fatalf("%d primed frames unaccounted for", len(known))
 	}
 }

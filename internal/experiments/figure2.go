@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"nds/internal/accel"
-	"nds/internal/hostsim"
 	"nds/internal/sim"
 	"nds/internal/system"
 	"nds/internal/workloads"
@@ -49,7 +48,7 @@ func (p fig2Params) stages() (marshal, copyD, kernel sim.Time) {
 	// Forming a tile from a row-store image is a strided copy: every byte is
 	// loaded from the source and stored to the tile buffer, so the memory
 	// traffic is twice the payload; one chunk per source row per tile.
-	marshal = hostsim.DefaultParams().MarshalDuration(2*pairBytes, int(2*p.tile))
+	marshal = system.HostMarshal(2*pairBytes, int(2*p.tile))
 	// The copy stage moves the tile pair in and (amortized over the tiles
 	// summed into one C tile) a result tile out.
 	copyD = accel.CopyDuration(pairBytes) + accel.CopyDuration(tileBytes)/sim.Time(p.n/p.tile)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"nds/internal/accel"
-	"nds/internal/interconnect"
 	"nds/internal/nvm"
 	"nds/internal/system"
 )
@@ -26,8 +25,7 @@ type Fig3Row struct {
 // Figure3 sweeps dimensions 32..16384.
 func Figure3() ([]Fig3Row, error) {
 	cuda, tcu := accel.CUDACores(), accel.TensorCores()
-	nvmeof := interconnect.NVMeoF()
-	consumer := interconnect.ConsumerNVMe()
+	nvmeof, consumer := system.NVMeoF(), system.ConsumerNVMe()
 
 	var rows []Fig3Row
 	for dim := int64(32); dim <= 16384; dim *= 2 {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"nds/internal/nvm"
 )
@@ -298,7 +299,14 @@ func TestGCSparesCarvedUnlandedUnit(t *testing.T) {
 	}
 	first := make(chan error, 1)
 	go func() { first <- write(0) }()
-	unit := <-parked
+	var unit nvm.PPA
+	select {
+	case unit = <-parked:
+	case err := <-first:
+		t.Fatalf("the write returned (%v) without carving a unit", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the write neither carved a unit nor returned")
+	}
 	if _, err := st.collectDie(0, unit.Channel, unit.Bank, geo.PagesPerBank()); err != nil {
 		t.Fatal(err)
 	}

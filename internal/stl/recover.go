@@ -106,10 +106,6 @@ func (t *STL) effectiveMaxPages() int64 {
 // readable in place. Idempotent.
 func (t *STL) retireBlock(channel, bank, block int) {
 	d := t.die(channel, bank)
-	type cacheKey struct {
-		space SpaceID
-		block int64
-	}
 	var drops []cacheKey
 	d.mu.Lock()
 	was := d.state[block]

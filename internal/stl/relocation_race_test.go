@@ -200,7 +200,13 @@ func TestRelocationRace(t *testing.T) {
 			defer close(readDone)
 			got, _, _, readErr = st.ReadPartition(r.at, r.c.v, []int64{pg}, []int64{rigElems})
 		}()
-		<-parked
+		select {
+		case <-parked:
+		case <-readDone:
+			t.Fatalf("the read returned (err %v) without loading a word", readErr)
+		case <-time.After(10 * time.Second):
+			t.Fatal("the read neither loaded a word nor returned")
+		}
 		var progress bool
 		var gcErr error
 		gcDone := make(chan struct{})

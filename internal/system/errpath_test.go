@@ -32,24 +32,24 @@ func beforeDevice(s *System, at sim.Time, write bool, bytes int64, chunks int) {
 		_, end := s.res[el].Acquire(from, d)
 		return end
 	}
-	h, c := s.Cfg.Host, s.ctrl
-	sub := book(hostIO, at, h.IOSubmit)
+	c, wire := s.ctrl, NVMeoF()
+	sub := book(hostIO, at, hostSubmit)
 	switch s.Kind {
 	case Baseline:
-		book(ctrlTranslate, book(ctrlCmd, sub, c.CmdHandle), c.AddrLookup)
+		book(ctrlTranslate, book(ctrlCmd, sub, c.cmdHandle), c.addrLookup)
 		if write {
-			book(link, sub, s.wire.Duration(bytes))
+			book(link, sub, wire.Duration(bytes))
 		}
 	case SoftwareNDS:
-		tr := book(hostIO, sub, h.STLTraversal)
+		tr := book(hostIO, sub, hostTraversal)
 		if write {
-			book(link, book(hostWorker, tr, copyTime(bytes, chunks, h.ScatterChunkOverhead, h.MemcpyBW)), s.wire.Duration(bytes))
+			book(link, book(hostWorker, tr, copyTime(bytes, chunks, hostScatterChunk, hostMemcpyBW)), wire.Duration(bytes))
 		}
 	case HardwareNDS:
-		cmd := book(ctrlCmd, book(link, sub, s.wire.Duration(s.pageSize())), c.CmdHandle)
-		tr := book(ctrlTranslate, cmd, c.Translate)
+		cmd := book(ctrlCmd, book(link, sub, wire.Duration(s.pageSize())), c.cmdHandle)
+		tr := book(ctrlTranslate, cmd, c.translate)
 		if write {
-			book(ctrlAssemble, max(tr, book(link, sub, s.wire.Duration(bytes))), copyTime(bytes, chunks, c.AssembleChunk, c.DisassembleBW))
+			book(ctrlAssemble, max(tr, book(link, sub, wire.Duration(bytes))), copyTime(bytes, chunks, c.assembleChunk, c.disassembleBW))
 		}
 	}
 }

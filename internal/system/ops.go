@@ -111,33 +111,33 @@ func (s *System) command(at sim.Time, r request, dev device) (OpStats, error) {
 		_, end[st] = s.res[el].Acquire(from, d)
 		return end[st]
 	}
-	h, c, ps := &s.Cfg.Host, &s.ctrl, s.pageSize()
+	c, wire, ps := &s.ctrl, NVMeoF(), s.pageSize()
 
-	book(submitted, hostIO, at, h.IOSubmit)
+	book(submitted, hostIO, at, hostSubmit)
 	switch s.Kind {
 	case Baseline:
-		book(handled, ctrlCmd, end[submitted], c.CmdHandle)
-		book(translated, ctrlTranslate, end[handled], c.AddrLookup)
+		book(handled, ctrlCmd, end[submitted], c.cmdHandle)
+		book(translated, ctrlTranslate, end[handled], c.addrLookup)
 	case SoftwareNDS:
-		book(translated, hostIO, end[submitted], h.STLTraversal)
+		book(translated, hostIO, end[submitted], hostTraversal)
 	case HardwareNDS:
-		book(cmdSent, link, end[submitted], s.wire.Duration(ps))
-		book(handled, ctrlCmd, end[cmdSent], c.CmdHandle)
-		book(translated, ctrlTranslate, end[handled], c.Translate)
+		book(cmdSent, link, end[submitted], wire.Duration(ps))
+		book(handled, ctrlCmd, end[cmdSent], c.cmdHandle)
+		book(translated, ctrlTranslate, end[handled], c.translate)
 	}
 
 	start := end[translated]
 	if r.write {
 		switch s.Kind {
 		case Baseline:
-			start = max(start, book(sent, link, end[submitted], s.wire.Duration(r.bytes)))
+			start = max(start, book(sent, link, end[submitted], wire.Duration(r.bytes)))
 		case SoftwareNDS:
-			book(scattered, hostWorker, end[translated], copyTime(r.bytes, r.chunks, h.ScatterChunkOverhead, h.MemcpyBW))
-			start = book(sent, link, end[scattered], s.wire.Duration(r.bytes))
+			book(scattered, hostWorker, end[translated], copyTime(r.bytes, r.chunks, hostScatterChunk, hostMemcpyBW))
+			start = book(sent, link, end[scattered], wire.Duration(r.bytes))
 		case HardwareNDS:
-			book(sent, link, end[submitted], s.wire.Duration(r.bytes))
+			book(sent, link, end[submitted], wire.Duration(r.bytes))
 			start = book(disassembled, ctrlAssemble, max(end[translated], end[sent]),
-				copyTime(r.bytes, r.chunks, c.AssembleChunk, c.DisassembleBW))
+				copyTime(r.bytes, r.chunks, c.assembleChunk, c.disassembleBW))
 		}
 	}
 
@@ -158,21 +158,21 @@ func (s *System) command(at sim.Time, r request, dev device) (OpStats, error) {
 
 	if !r.write {
 		from := end[translated]
-		book(returned, link, from, s.wire.Duration(raw))
+		book(returned, link, from, wire.Duration(raw))
 		switch s.Kind {
 		case Baseline:
 			if r.use == hostCopy {
-				book(consumed, hostWorker, max(done, end[returned]), h.MarshalDuration(st.Bytes, 1))
+				book(consumed, hostWorker, max(done, end[returned]), HostMarshal(st.Bytes, 1))
 			}
 		case SoftwareNDS:
-			d := h.MarshalDuration(st.Bytes, s.assemblyChunks(st))
+			d := HostMarshal(st.Bytes, s.assemblyChunks(st))
 			if r.use == kernel {
 				d = hostScanRate.Duration(st.Bytes, st.Bytes)
 			}
 			book(consumed, hostWorker, from, d)
 		case HardwareNDS:
-			book(dispatched, ctrlChannels, from, sim.Time(st.PagesRead)*c.PerPage)
-			d := copyTime(st.Bytes, s.assemblyChunks(st), c.AssembleChunk, c.AssembleBW)
+			book(dispatched, ctrlChannels, from, sim.Time(st.PagesRead)*c.perPage)
+			d := copyTime(st.Bytes, s.assemblyChunks(st), c.assembleChunk, c.assembleBW)
 			if r.use == kernel {
 				d = ctrlScanRate.Duration(st.Bytes, st.Bytes)
 			}

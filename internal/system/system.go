@@ -21,10 +21,7 @@ package system
 import (
 	"fmt"
 
-	"nds/internal/controller"
 	"nds/internal/crypt"
-	"nds/internal/hostsim"
-	"nds/internal/interconnect"
 	"nds/internal/nvm"
 	"nds/internal/sim"
 	"nds/internal/stl"
@@ -52,14 +49,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Config assembles the model parameters of one platform.
+// Config assembles the model parameters of one platform. The host, link and
+// controller costs are the prototype's (platform.go) on every Config.
 type Config struct {
 	Geometry nvm.Geometry
 	Timing   nvm.Timing
 	Phantom  bool
-	Host     hostsim.Params
-	LinkPeak float64
-	LinkOvh  sim.Time
 	// STL holds the NDS kinds' translation-layer policy. The baseline's block
 	// device takes its over-provision fraction and collection low mark.
 	STL stl.Config
@@ -71,18 +66,6 @@ type Config struct {
 	// kind absorbs them with the STL's recovery machinery — the baseline's
 	// block device owns an STL's dies — and Report's Reliability shows them.
 	Faults nvm.FaultPlan
-}
-
-// EvalTiming is the evaluation platform's flash timing, calibrated so the
-// device's internal-to-external bandwidth ratio is the paper's 8:5 (§7.2):
-// 32 channels x 250 MB/s = 8 GB/s internal vs the 4.6 GB/s NVMeoF link.
-func EvalTiming() nvm.Timing {
-	return nvm.Timing{
-		ReadPage:    55 * sim.Microsecond,
-		ProgramPage: 1600 * sim.Microsecond,
-		EraseBlock:  3 * sim.Millisecond,
-		ChannelBW:   250e6,
-	}
 }
 
 // PrototypeConfig reproduces the paper's evaluation platform (§6.1): a
@@ -105,24 +88,11 @@ func PrototypeConfig(datasetBytes int64, phantom bool) Config {
 		Geometry: geo,
 		Timing:   EvalTiming(),
 		Phantom:  phantom,
-		Host:     hostsim.DefaultParams(),
-		LinkPeak: 4.6e9,
-		LinkOvh:  3 * sim.Microsecond,
 		STL:      stlCfg,
 	}
 }
 
 func ceilDiv64(a, b int64) int64 { return (a + b - 1) / b }
-
-// Default bandwidths for the building-block cache DRAM, used when a
-// configuration enables the cache without naming one. Host DRAM (SoftwareNDS:
-// the STL caches in host memory) is modeled as one DDR4-3200 channel;
-// controller DRAM (HardwareNDS: the cache lives next to the in-device STL) as
-// half that, matching the modest LPDDR channels of SSD controllers.
-const (
-	hostCacheDRAMBW = 25.6e9
-	ctrlCacheDRAMBW = 12.8e9
-)
 
 // System is one instantiated configuration.
 type System struct {
@@ -140,8 +110,7 @@ type System struct {
 	BlockedAssembly bool
 
 	res  [numElements]sim.Resource // the model's timelines, by element
-	wire *interconnect.Link        // the link's cost; its timeline is res[link]
-	ctrl controller.Params         // the controller elements' costs
+	ctrl ctrlCosts                 // the controller elements' costs
 }
 
 // assemblyChunks is the number of discrete copies object assembly performs.
@@ -191,8 +160,7 @@ func New(kind Kind, cfg Config) (*System, error) {
 		Kind: kind,
 		Cfg:  cfg,
 		Dev:  dev,
-		wire: interconnect.New("host-link", cfg.LinkPeak, cfg.LinkOvh),
-		ctrl: controller.BaselineParams(),
+		ctrl: baselineCtrl,
 	}
 	switch kind {
 	case Baseline:
@@ -202,7 +170,7 @@ func New(kind Kind, cfg Config) (*System, error) {
 		// command handling; translation happens on the host.
 		s.STL, err = stl.New(dev, cfg.STL)
 	case HardwareNDS:
-		s.ctrl = controller.NDSParams()
+		s.ctrl = ndsCtrl
 		s.STL, err = stl.New(dev, cfg.STL)
 	default:
 		err = fmt.Errorf("system: unknown kind %d", kind)

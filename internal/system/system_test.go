@@ -134,11 +134,11 @@ func readTwice(t *testing.T, k Kind, check func(s *System, i int)) *System {
 // the first one's assembly.
 func TestPipelineElementsAreIndependent(t *testing.T) {
 	s := readTwice(t, HardwareNDS, func(s *System, i int) {
-		h, c := s.Cfg.Host, s.ctrl
-		tr1 := h.IOSubmit + s.wire.Duration(s.pageSize()) + c.CmdHandle + c.Translate // the first translation's end
+		c := s.ctrl
+		tr1 := hostSubmit + NVMeoF().Duration(s.pageSize()) + c.cmdHandle + c.translate // the first translation's end
 		// The second command is in before the first translation ends, and its
 		// translation follows at once, not once the first assembly is done.
-		if got, want := s.res[ctrlTranslate].FreeAt(), tr1+sim.Time(i-1)*c.Translate; got != want {
+		if got, want := s.res[ctrlTranslate].FreeAt(), tr1+sim.Time(i-1)*c.translate; got != want {
 			t.Fatalf("read %d: translator free at %v, want %v", i, got, want)
 		}
 	})
@@ -153,21 +153,20 @@ func TestPipelineElementsAreIndependent(t *testing.T) {
 // TestCPUSerializes: submissions, and on software NDS translations, queue on
 // the host's one I/O thread, and ResetTimelines clears it.
 func TestCPUSerializes(t *testing.T) {
-	h := smallConfig(true).Host
 	s := readTwice(t, HardwareNDS, func(s *System, i int) {
-		if got, want := s.res[hostIO].FreeAt(), sim.Time(i)*h.IOSubmit; got != want {
+		if got, want := s.res[hostIO].FreeAt(), sim.Time(i)*hostSubmit; got != want {
 			t.Fatalf("read %d: I/O thread free at %v, want %v", i, got, want)
 		}
 	})
-	if got := s.res[hostIO].BusyTime(); got != 2*h.IOSubmit {
-		t.Fatalf("I/O thread busy %v, want %v", got, 2*h.IOSubmit)
+	if got := s.res[hostIO].BusyTime(); got != 2*hostSubmit {
+		t.Fatalf("I/O thread busy %v, want %v", got, 2*hostSubmit)
 	}
 
 	s = readTwice(t, SoftwareNDS, nil)
-	if got, want := s.res[hostIO].FreeAt(), 2*(h.IOSubmit+h.STLTraversal); got != want {
+	if got, want := s.res[hostIO].FreeAt(), 2*(hostSubmit+hostTraversal); got != want {
 		t.Fatalf("software NDS: I/O thread free at %v, want %v", got, want)
 	}
-	if got, want := s.res[hostIO].BusyTime(), 2*(h.IOSubmit+h.STLTraversal); got != want {
+	if got, want := s.res[hostIO].BusyTime(), 2*(hostSubmit+hostTraversal); got != want {
 		t.Fatalf("software NDS: I/O thread busy %v, want %v", got, want)
 	}
 	s.ResetTimelines()
@@ -182,15 +181,15 @@ func TestCPUSerializes(t *testing.T) {
 func TestTransferSerializes(t *testing.T) {
 	const obj = 512 * 512 * 8
 	s := readTwice(t, HardwareNDS, nil)
-	h, c := s.Cfg.Host, s.ctrl
-	cmd := s.wire.Duration(s.pageSize())
-	tr1 := h.IOSubmit + cmd + c.CmdHandle + c.Translate // the first translation's end
+	c, wire := s.ctrl, NVMeoF()
+	cmd := wire.Duration(s.pageSize())
+	tr1 := hostSubmit + cmd + c.cmdHandle + c.translate // the first translation's end
 	// The second command page backfills the link before the first object
 	// goes out; the second object queues behind the first.
-	if got, want := s.res[link].FreeAt(), tr1+2*s.wire.Duration(obj); got != want {
+	if got, want := s.res[link].FreeAt(), tr1+2*wire.Duration(obj); got != want {
 		t.Fatalf("link free at %v, want %v", got, want)
 	}
-	if got, want := s.res[link].BusyTime(), 2*(cmd+s.wire.Duration(obj)); got != want {
+	if got, want := s.res[link].BusyTime(), 2*(cmd+wire.Duration(obj)); got != want {
 		t.Fatalf("link busy %v, want %v", got, want)
 	}
 	s.ResetTimelines()
@@ -201,7 +200,7 @@ func TestTransferSerializes(t *testing.T) {
 	}
 }
 
-// TestDispatchScalesWithPages: a hardware read books PerPage of channel
+// TestDispatchScalesWithPages: a hardware read books perPage of channel
 // dispatch for every page it reads, and the baseline none.
 func TestDispatchScalesWithPages(t *testing.T) {
 	s, v := tile(t, HardwareNDS)
@@ -214,7 +213,7 @@ func TestDispatchScalesWithPages(t *testing.T) {
 		if st.PagesRead == 0 {
 			t.Fatal("the read read no pages")
 		}
-		if got, want := s.Report(st.Done).CtrlChannels, sim.Time(st.PagesRead)*s.ctrl.PerPage; got != want {
+		if got, want := s.Report(st.Done).CtrlChannels, sim.Time(st.PagesRead)*s.ctrl.perPage; got != want {
 			t.Fatalf("dispatch of %d pages = %v, want %v", st.PagesRead, got, want)
 		}
 	}

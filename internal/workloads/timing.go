@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"nds/internal/accel"
-	"nds/internal/hostsim"
 	"nds/internal/sim"
 	"nds/internal/stl"
 	"nds/internal/system"
@@ -204,7 +203,7 @@ func Run(spec Spec) (Result, error) {
 
 	var marshal sim.Time
 	if totalRuns > len(spec.Fetches) {
-		marshal = hostsim.DefaultParams().MarshalDuration(2*spec.FetchBytes(), totalRuns)
+		marshal = system.HostMarshal(2*spec.FetchBytes(), totalRuns)
 	}
 
 	// Oracle fetch: the per-workload optimal layout stores each partition

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"time"
 
 	"nds/internal/spec"
 )
@@ -267,5 +268,53 @@ func TestResizeShrinkThenGrowThroughAPI(t *testing.T) {
 				t.Fatalf("byte %d (row %d) differs from the model's", firstDiff(got, want), firstDiff(got, want)/(128*4))
 			}
 		})
+	}
+}
+
+// TestResizeAdvancesTheClock: a shrink whose bound falls inside a programmed
+// page rewrites that page's tail, issued at the device clock, and the clock
+// advances past the rewrite's program. A grow and a block-aligned shrink
+// rewrite nothing and leave the clock where it was.
+func TestResizeAdvancesTheClock(t *testing.T) {
+	d, err := Open(Options{Mode: ModeHardware, CapacityHint: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	id, err := d.CreateSpace(4, []int64{128, 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _ := d.Inspect(id)
+	bb := info.BlockDims[0]
+	if rowBytes := info.BlockDims[1] * 4; 97*rowBytes%int64(d.sys.Cfg.Geometry.PageSize) == 0 {
+		t.Fatalf("row 97 starts a page (%d-byte block rows): the shrink would rewrite nothing", rowBytes)
+	}
+	sp, err := d.OpenSpace(id, []int64{128, 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Write([]int64{0, 0}, []int64{128, 128}, make([]byte, 128*128*4)); err != nil {
+		t.Fatal(err)
+	}
+	program := time.Duration(d.sys.Cfg.Timing.ProgramPage)
+	for _, c := range []struct {
+		rows    int64
+		rewrite bool
+	}{
+		{97, true},      // inside a programmed page of the first block
+		{2 * bb, false}, // a grow
+		{bb, false},     // block-aligned: whole blocks go
+	} {
+		before := d.Now()
+		if err := d.ResizeSpace(id, c.rows); err != nil {
+			t.Fatal(err)
+		}
+		switch took := d.Now() - before; {
+		case c.rewrite && took < program:
+			t.Errorf("resize to %d rows advanced the clock %v, want at least a program's %v", c.rows, took, program)
+		case !c.rewrite && took != 0:
+			t.Errorf("resize to %d rows advanced the clock %v, want 0", c.rows, took)
+		}
 	}
 }

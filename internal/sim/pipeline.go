@@ -15,7 +15,6 @@ type Pipeline struct {
 	stageDone []Time // completion time of the stage's latest iteration
 	idle      []Time // accumulated input-starvation time per stage
 	fed       []int  // iterations seen per stage
-	iters     int
 	end       Time
 }
 
@@ -31,14 +30,8 @@ func NewPipeline(stages int) *Pipeline {
 	}
 }
 
-// Stages reports the stage count.
-func (p *Pipeline) Stages() int { return len(p.stageDone) }
-
-// Iterations reports how many iterations have been fed.
-func (p *Pipeline) Iterations() int { return p.iters }
-
 // Feed schedules one iteration whose per-stage service times are durs
-// (len(durs) must equal Stages). It returns the completion time of the
+// (len(durs) must equal the stage count). It returns the completion time of the
 // iteration's final stage.
 func (p *Pipeline) Feed(durs ...Time) Time {
 	if len(durs) != len(p.stageDone) {
@@ -55,7 +48,6 @@ func (p *Pipeline) Feed(durs ...Time) Time {
 		p.stageDone[s] = start + d
 		inputReady = p.stageDone[s]
 	}
-	p.iters++
 	p.end = Max(p.end, inputReady)
 	return inputReady
 }

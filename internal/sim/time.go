@@ -44,9 +44,6 @@ func (t Time) String() string {
 	}
 }
 
-// FromSeconds builds a Time from floating-point seconds.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
 // TransferTime is the duration of moving n bytes at bytesPerSec.
 // A non-positive rate yields zero duration, letting callers disable a link.
 func TransferTime(n int64, bytesPerSec float64) Time {

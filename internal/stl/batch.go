@@ -117,9 +117,6 @@ func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []by
 	default:
 		done, stats, err = t.writePartitionBatched(at, v, coord, sub, data)
 	}
-	if err == nil {
-		t.noteTime(done)
-	}
 	return done, stats, err
 }
 

@@ -130,7 +130,6 @@ func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 			err = serr
 		}
 	}
-	t.noteTime(done)
 	return done, err
 }
 

@@ -223,7 +223,7 @@ func TestDroppedStagingFramesReturnToArena(t *testing.T) {
 	if err := st.DeleteSpace(doomed.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ResizeSpace(shrunk.ID(), 64); err != nil {
+	if _, err := st.ResizeSpace(0, shrunk.ID(), 64); err != nil {
 		t.Fatal(err)
 	}
 	if st.PendingPages() != len(kept) {

@@ -224,10 +224,10 @@ func TestCacheInvalidationOnResize(t *testing.T) {
 	if _, at, _, err = st.ReadPartition(at, v, []int64{0, 0}, []int64{64, 64}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ResizeSpace(sp.ID(), 32); err != nil {
+	if _, err := st.ResizeSpace(at, sp.ID(), 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ResizeSpace(sp.ID(), 64); err != nil {
+	if _, err := st.ResizeSpace(at, sp.ID(), 64); err != nil {
 		t.Fatal(err)
 	}
 	v = mustView(t, sp, 64, 64)

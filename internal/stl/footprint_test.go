@@ -31,10 +31,10 @@ func TestGridBound(t *testing.T) {
 		t.Fatal("a grid of 2^32 + 1 blocks was created")
 	}
 	s := mustSpace(t, st, 4, per<<32)
-	if err := st.ResizeSpace(s.id, per<<32+1); err == nil {
+	if _, err := st.ResizeSpace(0, s.id, per<<32+1); err == nil {
 		t.Fatal("a resize took the grid past 2^32 blocks")
 	}
-	if err := st.ResizeSpace(s.id, per); err != nil {
+	if _, err := st.ResizeSpace(0, s.id, per); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -30,7 +30,7 @@ func TestStaleViewsAreRefused(t *testing.T) {
 	sc.mustWrite(t, 0, gone, []int64{0, 0}, small, fillRandom(rng, 64*64*4))
 
 	id, gid := shrunk.v.space.ID(), gone.v.space.ID()
-	if err := sc.st.ResizeSpace(id, 97); err != nil {
+	if _, err := sc.st.ResizeSpace(0, id, 97); err != nil {
 		t.Fatal(err)
 	}
 	if err := sc.model.Resize(uint32(id), 97); err != nil {

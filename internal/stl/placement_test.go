@@ -277,15 +277,15 @@ func TestReleasedUnitsLeaveTheCount(t *testing.T) {
 		id := c.v.space.ID()
 		at := sc.mustWrite(t, 0, c, []int64{0, 0}, whole, fillRandom(rng, 64*64*4))
 		for cycle := 1; cycle <= 3; cycle++ {
+			var err error
 			for _, rows := range []int64{40, 64} {
-				if err := sc.st.ResizeSpace(id, rows); err != nil {
+				if at, err = sc.st.ResizeSpace(at, id, rows); err != nil {
 					t.Fatal(err)
 				}
 				if err := sc.model.Resize(uint32(id), rows); err != nil {
 					t.Fatal(err)
 				}
 			}
-			var err error
 			if c.m, err = sc.model.Open(uint32(id), whole); err != nil {
 				t.Fatal(err)
 			}

@@ -14,31 +14,34 @@ import (
 // highest-order dimension (Figure 6), the restructure touches only the root
 // node.
 
-// ResizeSpace changes dimension 0 of a space to newDim0.
+// ResizeSpace changes dimension 0 of a space to newDim0, issued at at, and
+// returns its completion time.
 //
 // Growing exposes fresh, zero-reading coordinates. Shrinking invalidates
 // every building block whose grid row falls beyond the new bound, releasing
 // its units, and clears what the blocks of the row astride the bound hold past
-// it (clearTail); a later re-grow reads zeros there.
+// it (clearTail); a later re-grow reads zeros there. Only that clearing
+// rewrites pages, so only a shrink whose bound falls inside a programmed page
+// completes after at.
 //
 // A resize makes every view of the space stale. Maintenance operation: see
 // CreateSpace.
-func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
+func (t *STL) ResizeSpace(at sim.Time, id SpaceID, newDim0 int64) (sim.Time, error) {
 	t.barrier.Lock()
 	defer t.barrier.Unlock()
 	s, ok := t.spaces[id]
 	if !ok {
-		return fmt.Errorf("stl: resize of space %d: %w", id, ErrUnknownSpace)
+		return at, fmt.Errorf("stl: resize of space %d: %w", id, ErrUnknownSpace)
 	}
 	if newDim0 <= 0 {
-		return fmt.Errorf("stl: new dimension must be positive, got %d: %w", newDim0, ErrInvalid)
+		return at, fmt.Errorf("stl: new dimension must be positive, got %d: %w", newDim0, ErrInvalid)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	newGrid0 := ceilDiv(newDim0, s.bb[0])
 	oldGrid0 := s.grid[0]
 	if !gridFits(append([]int64{newGrid0}, s.grid[1:]...)) {
-		return fmt.Errorf("stl: resizing space %d to %d would take its grid past %d building blocks: %w", id, newDim0, int64(maxGridBlocks), ErrInvalid)
+		return at, fmt.Errorf("stl: resizing space %d to %d would take its grid past %d building blocks: %w", id, newDim0, int64(maxGridBlocks), ErrInvalid)
 	}
 	if newGrid0 < oldGrid0 {
 		// Staged (§4.4) pages beyond the new bound are discarded with their
@@ -46,9 +49,11 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 		stride := prod(s.grid[1:])
 		t.dropStaged(s, func(k pendingKey) bool { return k.block/stride >= newGrid0 })
 	}
+	done := at
 	if r := newDim0 % s.bb[0]; newDim0 < s.dims[0] && r != 0 {
-		if err := t.clearTail(s, newGrid0-1, r*(s.bbBytes/s.bb[0])); err != nil {
-			return err
+		var err error
+		if done, err = t.clearTail(at, s, newGrid0-1, r*(s.bbBytes/s.bb[0])); err != nil {
+			return done, err
 		}
 	}
 	var dead []deadUnit
@@ -92,17 +97,16 @@ func (t *STL) ResizeSpace(id SpaceID, newDim0 int64) error {
 	s.dims[0] = newDim0
 	s.grid[0] = newGrid0
 	s.gen++
-	return nil
+	return done, nil
 }
 
 // clearTail zeroes bytes [cut, bbBytes) — the rows past a shrink's bound, as
 // dimension 0 is a block's outermost — of every written block of grid row g,
 // which the shrink keeps. Pages wholly past cut lose their units and staged
 // copies, a staged page astride it is cleared in place, and a programmed one
-// (under compression, the block) is rewritten through the write path at the
-// latest completion the STL has seen (simClock): a resize has no issue time
-// of its own.
-func (t *STL) clearTail(s *Space, g, cut int64) error {
+// (under compression, the block) is rewritten through the write path, issued
+// at at. It returns the rewrite's completion.
+func (t *STL) clearTail(at sim.Time, s *Space, g, cut int64) (sim.Time, error) {
 	ps := int64(t.geo.PageSize)
 	stride := prod(s.grid[1:])
 	p, first := cut/ps, ceilDiv(cut, ps) // the page astride cut, if p < first; the first page past it
@@ -140,16 +144,12 @@ func (t *STL) clearTail(s *Space, g, cut int64) error {
 	if !t.dev.Phantom() {
 		zeros = make([]byte, n)
 	}
-	at := sim.Time(t.simClock.Load())
-	var done sim.Time
-	var err error
 	if t.cfg.Compress {
-		done, _, err = t.writeCompressedExtents(at, s, rs.exts, zeros)
-	} else {
-		done, _, err = t.writeExtents(rs, at, rs.exts, n, zeros)
+		done, _, err := t.writeCompressedExtents(at, s, rs.exts, zeros)
+		return done, err
 	}
-	t.noteTime(done)
-	return err
+	done, _, err := t.writeExtents(rs, at, rs.exts, n, zeros)
+	return done, err
 }
 
 // dropBlock invalidates a block's units, appending the units it took to dead.

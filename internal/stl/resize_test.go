@@ -17,7 +17,7 @@ func TestResizeGrowPreservesData(t *testing.T) {
 	if _, _, err := st.WritePartition(0, v, []int64{0, 0}, []int64{64, 64}, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ResizeSpace(s.ID(), 128); err != nil {
+	if _, err := st.ResizeSpace(0, s.ID(), 128); err != nil {
 		t.Fatal(err)
 	}
 	if s.Dims()[0] != 128 {
@@ -63,7 +63,7 @@ func TestResizeShrinkReleasesUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.UsedPages()
-	if err := st.ResizeSpace(s.ID(), 64); err != nil {
+	if _, err := st.ResizeSpace(0, s.ID(), 64); err != nil {
 		t.Fatal(err)
 	}
 	if st.UsedPages() >= before {
@@ -78,7 +78,7 @@ func TestResizeShrinkReleasesUnits(t *testing.T) {
 		t.Fatal("shrink damaged surviving data")
 	}
 	// Re-growing exposes zeros, not the old contents.
-	if err := st.ResizeSpace(s.ID(), 128); err != nil {
+	if _, err := st.ResizeSpace(0, s.ID(), 128); err != nil {
 		t.Fatal(err)
 	}
 	v3 := mustView(t, s, 128, 64)
@@ -133,7 +133,7 @@ func TestResizeShrinkThenGrowReadsZero(t *testing.T) {
 				sc.read(t, 0, c, []int64{0, 0}, whole) // the cached configuration now holds the blocks
 				id := c.v.space.ID()
 				for _, rows := range []int64{97, 128} {
-					if err := sc.st.ResizeSpace(id, rows); err != nil {
+					if _, err := sc.st.ResizeSpace(0, id, rows); err != nil {
 						t.Fatal(err)
 					}
 					if err := sc.model.Resize(uint32(id), rows); err != nil {
@@ -154,14 +154,14 @@ func TestResizeShrinkThenGrowReadsZero(t *testing.T) {
 func TestResizeValidation(t *testing.T) {
 	st := newTestSTL(t, true)
 	s := mustSpace(t, st, 4, 64, 64)
-	if err := st.ResizeSpace(999, 10); err == nil {
+	if _, err := st.ResizeSpace(0, 999, 10); err == nil {
 		t.Error("resize of unknown space accepted")
 	}
-	if err := st.ResizeSpace(s.ID(), 0); err == nil {
+	if _, err := st.ResizeSpace(0, s.ID(), 0); err == nil {
 		t.Error("resize to zero accepted")
 	}
 	// Resizing within the same block row is a metadata-only change.
-	if err := st.ResizeSpace(s.ID(), 60); err != nil {
+	if _, err := st.ResizeSpace(0, s.ID(), 60); err != nil {
 		t.Fatal(err)
 	}
 	if s.Dims()[0] != 60 {
@@ -178,7 +178,7 @@ func TestResize1DSpace(t *testing.T) {
 	if _, _, err := st.WritePartition(0, v, []int64{0}, []int64{2048}, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ResizeSpace(s.ID(), 4096); err != nil {
+	if _, err := st.ResizeSpace(0, s.ID(), 4096); err != nil {
 		t.Fatal(err)
 	}
 	v2 := mustView(t, s, 4096)

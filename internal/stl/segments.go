@@ -74,9 +74,6 @@ func (t *STL) ReadPartitionSegments(at sim.Time, v *View, coord, sub []int64, fn
 	if err == nil && t.cfg.PrefetchDepth > 0 {
 		t.maybePrefetch(done, v, coord, sub)
 	}
-	if err == nil {
-		t.noteTime(done)
-	}
 	return done, stats, err
 }
 

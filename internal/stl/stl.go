@@ -29,8 +29,6 @@ type Config struct {
 	GCLowWater float64
 	// Deprecated: ignored. Collection always runs inline on the writer.
 	BackgroundGC bool
-	// Seed drives the allocation policy's randomized choices.
-	Seed int64
 	// NaiveAllocation disables the §4.2 channel/bank-spreading policy and
 	// places each building block entirely within one die (round-robin by
 	// block index). The experiments' ablation sweep (ndsbench -sweep
@@ -71,9 +69,13 @@ type Config struct {
 	TenantQoS *sim.FlowConfig
 }
 
+// policySeed seeds every STL's allocation-policy RNG, so a device driven one
+// request at a time places its blocks the same way every run.
+const policySeed = 1
+
 // DefaultConfig mirrors the paper's prototype settings.
 func DefaultConfig() Config {
-	return Config{BBMultiplier: 1, OverProvision: 0.10, GCLowWater: 0.10, Seed: 1}
+	return Config{BBMultiplier: 1, OverProvision: 0.10, GCLowWater: 0.10}
 }
 
 // revEntry maps a physical access unit back to its building block — the
@@ -116,7 +118,7 @@ type STL struct {
 	cfg Config
 
 	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng   *rand.Rand // the allocation policy's randomized choices, from policySeed
 
 	// barrier guards spaces and nextID and, with Space.mu, each space's dims,
 	// grid and gen (see the struct comment). No holder takes it twice.
@@ -160,11 +162,6 @@ type STL struct {
 
 	compressedBlocks atomic.Int64
 	zeroSkipped      atomic.Int64
-
-	// simClock is the high-water completion time across requests. A shrink
-	// has no issue time of its own, so clearTail rewrites the page astride
-	// the new bound there.
-	simClock atomic.Int64
 
 	scratch sync.Pool // *requestScratch, reused across partition requests
 
@@ -217,7 +214,7 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 		geo:       geo,
 		lay:       dev.Layout(),
 		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		rng:       rand.New(rand.NewSource(policySeed)),
 		spaces:    make(map[SpaceID]*Space),
 		nextID:    1,
 		dies:      make([]*die, geo.Channels*geo.Banks),
@@ -262,17 +259,6 @@ func (t *STL) Close() error {
 	t.revMem.Release()
 	t.dev.Close()
 	return nil
-}
-
-// noteTime folds a request completion time into simClock.
-func (t *STL) noteTime(done sim.Time) {
-	d := int64(done)
-	for {
-		cur := t.simClock.Load()
-		if d <= cur || t.simClock.CompareAndSwap(cur, d) {
-			return
-		}
-	}
 }
 
 // Device exposes the underlying array for instrumentation.

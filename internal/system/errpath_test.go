@@ -32,11 +32,11 @@ func beforeDevice(s *System, at sim.Time, write bool, bytes int64, chunks int) {
 		_, end := s.res[el].Acquire(from, d)
 		return end
 	}
-	c, wire := s.ctrl, NVMeoF()
+	wire := NVMeoF()
 	sub := book(hostIO, at, hostSubmit)
 	switch s.Kind {
 	case Baseline:
-		book(ctrlTranslate, book(ctrlCmd, sub, c.cmdHandle), c.addrLookup)
+		book(translator, book(cmdHandler, sub, ctrlCmdHandle), ctrlAddrLookup)
 		if write {
 			book(link, sub, wire.Duration(bytes))
 		}
@@ -46,10 +46,10 @@ func beforeDevice(s *System, at sim.Time, write bool, bytes int64, chunks int) {
 			book(link, book(hostWorker, tr, copyTime(bytes, chunks, hostScatterChunk, hostMemcpyBW)), wire.Duration(bytes))
 		}
 	case HardwareNDS:
-		cmd := book(ctrlCmd, book(link, sub, wire.Duration(s.pageSize())), c.cmdHandle)
-		tr := book(ctrlTranslate, cmd, c.translate)
+		cmd := book(cmdHandler, book(link, sub, wire.Duration(s.pageSize())), ctrlCmdHandle)
+		tr := book(translator, cmd, ctrlTranslate)
 		if write {
-			book(ctrlAssemble, max(tr, book(link, sub, wire.Duration(bytes))), copyTime(bytes, chunks, c.assembleChunk, c.disassembleBW))
+			book(assembler, max(tr, book(link, sub, wire.Duration(bytes))), copyTime(bytes, chunks, ctrlAssembleChunk, ctrlDisassembleBW))
 		}
 	}
 }

@@ -15,13 +15,13 @@ import (
 type element int
 
 const (
-	hostIO        element = iota // host I/O thread: submission, software translation
-	hostWorker                   // host worker thread: marshal, assembly, scatter, scan
-	link                         // the host interconnect, both directions
-	ctrlCmd                      // controller command handler
-	ctrlTranslate                // controller space translator (baseline: address lookup)
-	ctrlAssemble                 // data assembler: gather, disassembly, pushdown kernels
-	ctrlChannels                 // channel-handler dispatch
+	hostIO          element = iota // host I/O thread: submission, software translation
+	hostWorker                     // host worker thread: marshal, assembly, scatter, scan
+	link                           // the host interconnect, both directions
+	cmdHandler                     // controller command handler
+	translator                     // controller space translator (baseline: address lookup)
+	assembler                      // data assembler: gather, disassembly, pushdown kernels
+	channelHandlers                // channel-handler dispatch
 	numElements
 )
 
@@ -111,19 +111,19 @@ func (s *System) command(at sim.Time, r request, dev device) (OpStats, error) {
 		_, end[st] = s.res[el].Acquire(from, d)
 		return end[st]
 	}
-	c, wire, ps := &s.ctrl, NVMeoF(), s.pageSize()
+	wire, ps := NVMeoF(), s.pageSize()
 
 	book(submitted, hostIO, at, hostSubmit)
 	switch s.Kind {
 	case Baseline:
-		book(handled, ctrlCmd, end[submitted], c.cmdHandle)
-		book(translated, ctrlTranslate, end[handled], c.addrLookup)
+		book(handled, cmdHandler, end[submitted], ctrlCmdHandle)
+		book(translated, translator, end[handled], ctrlAddrLookup)
 	case SoftwareNDS:
 		book(translated, hostIO, end[submitted], hostTraversal)
 	case HardwareNDS:
 		book(cmdSent, link, end[submitted], wire.Duration(ps))
-		book(handled, ctrlCmd, end[cmdSent], c.cmdHandle)
-		book(translated, ctrlTranslate, end[handled], c.translate)
+		book(handled, cmdHandler, end[cmdSent], ctrlCmdHandle)
+		book(translated, translator, end[handled], ctrlTranslate)
 	}
 
 	start := end[translated]
@@ -136,8 +136,8 @@ func (s *System) command(at sim.Time, r request, dev device) (OpStats, error) {
 			start = book(sent, link, end[scattered], wire.Duration(r.bytes))
 		case HardwareNDS:
 			book(sent, link, end[submitted], wire.Duration(r.bytes))
-			start = book(disassembled, ctrlAssemble, max(end[translated], end[sent]),
-				copyTime(r.bytes, r.chunks, c.assembleChunk, c.disassembleBW))
+			start = book(disassembled, assembler, max(end[translated], end[sent]),
+				copyTime(r.bytes, r.chunks, ctrlAssembleChunk, ctrlDisassembleBW))
 		}
 	}
 
@@ -171,12 +171,12 @@ func (s *System) command(at sim.Time, r request, dev device) (OpStats, error) {
 			}
 			book(consumed, hostWorker, from, d)
 		case HardwareNDS:
-			book(dispatched, ctrlChannels, from, sim.Time(st.PagesRead)*c.perPage)
-			d := copyTime(st.Bytes, s.assemblyChunks(st), c.assembleChunk, c.assembleBW)
+			book(dispatched, channelHandlers, from, sim.Time(st.PagesRead)*ctrlDispatch)
+			d := copyTime(st.Bytes, s.assemblyChunks(st), ctrlAssembleChunk, ctrlAssembleBW)
 			if r.use == kernel {
 				d = ctrlScanRate.Duration(st.Bytes, st.Bytes)
 			}
-			book(consumed, ctrlAssemble, from, d)
+			book(consumed, assembler, from, d)
 		}
 	}
 

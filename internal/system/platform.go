@@ -1,6 +1,7 @@
 package system
 
 import (
+	"nds/internal/accel"
 	"nds/internal/nvm"
 	"nds/internal/sim"
 )
@@ -47,51 +48,72 @@ func HostMarshal(n int64, chunks int) sim.Time {
 	return copyTime(n, chunks, hostChunk, hostMemcpyBW)
 }
 
-// ctrlCosts is the controller firmware's cost model (§5.3), one cost per
-// pipeline element. The elements are statically mapped to ARM cores and talk
-// through message queues; command books each on its own timeline, so
-// per-request costs and element occupancy compose.
-type ctrlCosts struct {
-	cmdHandle  sim.Time // the PCIe/NVMe command handler, per command
-	addrLookup sim.Time // the baseline's FTL address lookup, per command
-	// translate is the NDS controller's space translation per request: the
+// The controller: the firmware's pipeline elements of §5.3, statically
+// mapped to ARM A72 cores and talking through message queues. command books
+// each on its own timeline, so per-request costs and element occupancy
+// compose. Hardware NDS's controller is the prototype of Figure 8; the
+// baseline's conventional NVMe controller has the same cores, with an
+// address lookup instead of the space translator and a command-control
+// manager instead of the data assembler (§5.3.2). The model books no
+// controller element for software NDS: its translation and assembly run on
+// the host.
+const (
+	// ctrlCmdHandle is the PCIe/NVMe command handler, per command.
+	ctrlCmdHandle = 2 * sim.Microsecond
+	// ctrlAddrLookup is the baseline's FTL address lookup, per command.
+	ctrlAddrLookup = 2 * sim.Microsecond
+	// ctrlTranslate is hardware NDS's space translation per request: the
 	// on-device B-tree walk. §7.3 measures 17 us of added worst-case latency
 	// versus the baseline, dominated by this stage.
-	translate sim.Time
-	perPage   sim.Time // channel-handler dispatch, per page operation
-	// assembleChunk is the data assembler's fixed cost per gathered extent;
-	// the in-device DMA gather engine makes it far cheaper than a host
-	// memcpy loop.
-	assembleChunk sim.Time
-	// assembleBW is the device-DRAM bandwidth of the assembler's read-path
-	// gather (a hardware DMA).
-	assembleBW float64
-	// disassembleBW is the write direction: breaking inbound row-major data
-	// into building-block pages is firmware-driven on the ARM cores and
+	ctrlTranslate = 18 * sim.Microsecond
+	// ctrlDispatch is the channel handlers' dispatch, per page a hardware
+	// NDS read reads. The baseline books none; whether its channel handlers
+	// cost the same per page is open (ROADMAP.md, "The baseline's channel
+	// dispatch").
+	ctrlDispatch = 300 * sim.Nanosecond
+	// ctrlAssembleChunk is the data assembler's fixed cost per gathered
+	// extent; the in-device DMA gather engine makes it far cheaper than a
+	// host memcpy loop.
+	ctrlAssembleChunk = 60 * sim.Nanosecond
+	// ctrlAssembleBW is the device-DRAM bandwidth of the assembler's
+	// read-path gather (a hardware DMA).
+	ctrlAssembleBW = 8e9
+	// ctrlDisassembleBW is the write direction: breaking inbound row-major
+	// data into building-block pages is firmware-driven on the ARM cores and
 	// markedly slower, the source of hardware NDS's 17% write penalty
 	// (§7.1).
-	disassembleBW float64
+	ctrlDisassembleBW = 2e9
+)
+
+// mustRateCurve builds a static curve; the anchors below are compile-time
+// constants, so failure is a programming error.
+func mustRateCurve(name string, pts []accel.RatePoint) accel.RateCurve {
+	c, err := accel.NewRateCurve(name, pts)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 var (
-	// baselineCtrl is the conventional NVMe controller: the same cores, with
-	// an address-lookup function instead of the space translator and a
-	// command-control manager instead of the data assembler (§5.3.2).
-	baselineCtrl = ctrlCosts{
-		cmdHandle:  2 * sim.Microsecond,
-		addrLookup: 2 * sim.Microsecond,
-		perPage:    300 * sim.Nanosecond,
-	}
-	// ndsCtrl is the prototype NDS controller of Figure 8 on ARM A72 cores.
-	// Its translator replaces the address lookup.
-	ndsCtrl = ctrlCosts{
-		cmdHandle:     2 * sim.Microsecond,
-		translate:     18 * sim.Microsecond,
-		perPage:       300 * sim.Nanosecond,
-		assembleChunk: 60 * sim.Nanosecond,
-		assembleBW:    8e9,
-		disassembleBW: 2e9,
-	}
+	// hostScanRate models a single host core streaming a predicate scan
+	// (Ryzen 3700X class): ramps from launch-overhead-bound at a page to
+	// ~16 GB/s saturated.
+	hostScanRate = mustRateCurve("host-scan", []accel.RatePoint{
+		{Dim: 4 << 10, Rate: 2.5e9},
+		{Dim: 64 << 10, Rate: 8e9},
+		{Dim: 1 << 20, Rate: 14e9},
+		{Dim: 16 << 20, Rate: 16e9},
+	})
+	// ctrlScanRate models the same kernel on a controller ARM A72 core:
+	// roughly 5-6x slower across the range, the compute half of the
+	// pushdown tradeoff.
+	ctrlScanRate = mustRateCurve("ctrl-scan", []accel.RatePoint{
+		{Dim: 4 << 10, Rate: 0.6e9},
+		{Dim: 64 << 10, Rate: 1.6e9},
+		{Dim: 1 << 20, Rate: 2.6e9},
+		{Dim: 16 << 20, Rate: 3e9},
+	})
 )
 
 // Link is a host-to-device link's cost: a peak bandwidth and a fixed

@@ -119,7 +119,7 @@ func TestChunkedCopySlowerThanBulk(t *testing.T) {
 func TestAssemblerCheaperThanHostChunks(t *testing.T) {
 	sw, _ := wholeTile(t, SoftwareNDS)
 	hw, _ := wholeTile(t, HardwareNDS)
-	dev, host := hw.res[ctrlAssemble].BusyTime(), sw.res[hostWorker].BusyTime()
+	dev, host := hw.res[assembler].BusyTime(), sw.res[hostWorker].BusyTime()
 	if dev == 0 || dev >= host {
 		t.Fatalf("device assembly %v should be faster than host assembly %v", dev, host)
 	}

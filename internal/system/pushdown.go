@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 
-	"nds/internal/accel"
 	"nds/internal/proto"
 	"nds/internal/sim"
 	"nds/internal/stl"
@@ -20,40 +19,10 @@ import (
 // Comparing the two against read-then-filter turns "interconnect bytes saved
 // vs compute cost" into numbers.
 //
-// Compute is charged through accel-style rate curves (bytes/second vs
-// scanned-bytes working set): small scans are dominated by setup cost, large
-// ones saturate the engine, mirroring Figure 3's shape at CPU scale.
-
-// mustRateCurve builds a static curve; the anchors below are compile-time
-// constants, so failure is a programming error.
-func mustRateCurve(name string, pts []accel.RatePoint) accel.RateCurve {
-	c, err := accel.NewRateCurve(name, pts)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-var (
-	// hostScanRate models a single host core streaming a predicate scan
-	// (Ryzen 3700X class): ramps from launch-overhead-bound at a page to
-	// ~16 GB/s saturated.
-	hostScanRate = mustRateCurve("host-scan", []accel.RatePoint{
-		{Dim: 4 << 10, Rate: 2.5e9},
-		{Dim: 64 << 10, Rate: 8e9},
-		{Dim: 1 << 20, Rate: 14e9},
-		{Dim: 16 << 20, Rate: 16e9},
-	})
-	// ctrlScanRate models the same kernel on a controller ARM A72 core:
-	// roughly 5-6x slower across the range, the compute half of the
-	// pushdown tradeoff.
-	ctrlScanRate = mustRateCurve("ctrl-scan", []accel.RatePoint{
-		{Dim: 4 << 10, Rate: 0.6e9},
-		{Dim: 64 << 10, Rate: 1.6e9},
-		{Dim: 1 << 20, Rate: 2.6e9},
-		{Dim: 16 << 20, Rate: 3e9},
-	})
-)
+// Compute is charged through accel-style rate curves, hostScanRate and
+// ctrlScanRate (platform.go; bytes/second vs scanned-bytes working set):
+// small scans are dominated by setup cost, large ones saturate the engine,
+// mirroring Figure 3's shape at CPU scale.
 
 // wireResultBytes is the simulated wire size of a pushdown result of records
 // matches or top-k entries over the partition sub of v's space, for a

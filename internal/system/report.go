@@ -59,10 +59,10 @@ func (s *System) Report(horizon sim.Time) Report {
 		Horizon:       horizon,
 		HostBusy:      busy(hostIO) + busy(hostWorker),
 		LinkBusy:      busy(link),
-		CtrlCmd:       busy(ctrlCmd),
-		CtrlTranslate: busy(ctrlTranslate),
-		CtrlAssemble:  busy(ctrlAssemble),
-		CtrlChannels:  busy(ctrlChannels),
+		CtrlCmd:       busy(cmdHandler),
+		CtrlTranslate: busy(translator),
+		CtrlAssemble:  busy(assembler),
+		CtrlChannels:  busy(channelHandlers),
 	}
 	r.ChannelUtil = s.Dev.ChannelUtilization(horizon)
 	for _, u := range r.ChannelUtil {

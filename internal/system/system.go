@@ -109,8 +109,7 @@ type System struct {
 	// so assembly copies whole pages instead of per-extent fragments.
 	BlockedAssembly bool
 
-	res  [numElements]sim.Resource // the model's timelines, by element
-	ctrl ctrlCosts                 // the controller elements' costs
+	res [numElements]sim.Resource // the model's timelines, by element
 }
 
 // assemblyChunks is the number of discrete copies object assembly performs.
@@ -160,17 +159,13 @@ func New(kind Kind, cfg Config) (*System, error) {
 		Kind: kind,
 		Cfg:  cfg,
 		Dev:  dev,
-		ctrl: baselineCtrl,
 	}
 	switch kind {
 	case Baseline:
 		s.FTL, err = stl.NewLBA(dev, cfg.STL)
-	case SoftwareNDS:
-		// The open-channel device retains a baseline-class controller for
-		// command handling; translation happens on the host.
-		s.STL, err = stl.New(dev, cfg.STL)
-	case HardwareNDS:
-		s.ctrl = ndsCtrl
+	case SoftwareNDS, HardwareNDS:
+		// Software NDS runs the STL on the host and the model books no
+		// controller element for it; hardware NDS runs it in the controller.
 		s.STL, err = stl.New(dev, cfg.STL)
 	default:
 		err = fmt.Errorf("system: unknown kind %d", kind)

@@ -134,15 +134,14 @@ func readTwice(t *testing.T, k Kind, check func(s *System, i int)) *System {
 // the first one's assembly.
 func TestPipelineElementsAreIndependent(t *testing.T) {
 	s := readTwice(t, HardwareNDS, func(s *System, i int) {
-		c := s.ctrl
-		tr1 := hostSubmit + NVMeoF().Duration(s.pageSize()) + c.cmdHandle + c.translate // the first translation's end
+		tr1 := hostSubmit + NVMeoF().Duration(s.pageSize()) + ctrlCmdHandle + ctrlTranslate // the first translation's end
 		// The second command is in before the first translation ends, and its
 		// translation follows at once, not once the first assembly is done.
-		if got, want := s.res[ctrlTranslate].FreeAt(), tr1+sim.Time(i-1)*c.translate; got != want {
+		if got, want := s.res[translator].FreeAt(), tr1+sim.Time(i-1)*ctrlTranslate; got != want {
 			t.Fatalf("read %d: translator free at %v, want %v", i, got, want)
 		}
 	})
-	if tr, asm := s.res[ctrlTranslate].FreeAt(), s.res[ctrlAssemble].FreeAt(); tr >= asm {
+	if tr, asm := s.res[translator].FreeAt(), s.res[assembler].FreeAt(); tr >= asm {
 		t.Fatalf("the second translation (done %v) should overlap the first assembly (done %v)", tr, asm)
 	}
 	if s.res[hostWorker].BusyTime() != 0 {
@@ -181,9 +180,9 @@ func TestCPUSerializes(t *testing.T) {
 func TestTransferSerializes(t *testing.T) {
 	const obj = 512 * 512 * 8
 	s := readTwice(t, HardwareNDS, nil)
-	c, wire := s.ctrl, NVMeoF()
+	wire := NVMeoF()
 	cmd := wire.Duration(s.pageSize())
-	tr1 := hostSubmit + cmd + c.cmdHandle + c.translate // the first translation's end
+	tr1 := hostSubmit + cmd + ctrlCmdHandle + ctrlTranslate // the first translation's end
 	// The second command page backfills the link before the first object
 	// goes out; the second object queues behind the first.
 	if got, want := s.res[link].FreeAt(), tr1+2*wire.Duration(obj); got != want {
@@ -200,7 +199,7 @@ func TestTransferSerializes(t *testing.T) {
 	}
 }
 
-// TestDispatchScalesWithPages: a hardware read books perPage of channel
+// TestDispatchScalesWithPages: a hardware read books ctrlDispatch of channel
 // dispatch for every page it reads, and the baseline none.
 func TestDispatchScalesWithPages(t *testing.T) {
 	s, v := tile(t, HardwareNDS)
@@ -213,7 +212,7 @@ func TestDispatchScalesWithPages(t *testing.T) {
 		if st.PagesRead == 0 {
 			t.Fatal("the read read no pages")
 		}
-		if got, want := s.Report(st.Done).CtrlChannels, sim.Time(st.PagesRead)*s.ctrl.perPage; got != want {
+		if got, want := s.Report(st.Done).CtrlChannels, sim.Time(st.PagesRead)*ctrlDispatch; got != want {
 			t.Fatalf("dispatch of %d pages = %v, want %v", st.PagesRead, got, want)
 		}
 	}
@@ -227,6 +226,32 @@ func TestDispatchScalesWithPages(t *testing.T) {
 	}
 	if got := base.Report(st.Done).CtrlChannels; got != 0 {
 		t.Fatalf("baseline read booked %v of channel dispatch", got)
+	}
+}
+
+// TestSoftwareNDSBooksNoController pins a model choice: software NDS's
+// translation, assembly and scatter run on the host, and the model books no
+// controller element for it — not even the command handler the baseline's
+// and hardware NDS's commands pay. Booking one is a model change that moves
+// software NDS's figures.
+func TestSoftwareNDSBooksNoController(t *testing.T) {
+	s, v := tile(t, SoftwareNDS) // written, then the timelines reset
+	st, err := s.NDSWrite(0, v, []int64{0, 0}, []int64{64, 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, st, err = s.NDSRead(st.Done, v, []int64{0, 0}, []int64{512, 512}); err != nil {
+		t.Fatal(err)
+	}
+	r := s.Report(st.Done)
+	if r.HostBusy == 0 || r.LinkBusy == 0 {
+		t.Fatalf("host busy %v, link busy %v: the commands booked nothing", r.HostBusy, r.LinkBusy)
+	}
+	for name, busy := range map[string]sim.Time{"command handler": r.CtrlCmd, "translator": r.CtrlTranslate,
+		"assembler": r.CtrlAssemble, "channel handlers": r.CtrlChannels} {
+		if busy != 0 {
+			t.Errorf("software NDS booked %v on the controller's %s", busy, name)
+		}
 	}
 }
 

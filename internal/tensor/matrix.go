@@ -55,17 +55,6 @@ func (m *Matrix) SetSub(r0, c0 int, t *Matrix) {
 	}
 }
 
-// Transpose returns the transposed matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			out.Data[c*m.Rows+r] = m.Data[r*m.Cols+c]
-		}
-	}
-	return out
-}
-
 // MatMul computes a x b with the straightforward triple loop (the reference
 // kernel other implementations are checked against).
 func MatMul(a, b *Matrix) (*Matrix, error) {

@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMatMulIdentity(t *testing.T) {
@@ -63,16 +62,6 @@ func TestBlockedMatMulMatchesReference(t *testing.T) {
 	}
 	if !got.Equal(want, 1e-3) {
 		t.Fatal("blocked GEMM diverges from reference")
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		m := RandMatrix(5, 9, seed)
-		return m.Transpose().Transpose().Equal(m, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 
 	"nds/internal/accel"
 	"nds/internal/proto"
-	"nds/internal/system"
 )
 
 // Fetch is one partition fetched per pipeline iteration.
@@ -300,34 +299,6 @@ func (s Spec) PushResultBytes() int64 {
 	var total int64
 	for _, f := range s.Fetches {
 		total += s.pushResultBytes(f)
-	}
-	return total
-}
-
-// LinkBytes models the per-iteration interconnect volume of a fetch
-// configuration: without pushdown both NDS kinds move the partition payload;
-// with pushdown hardware NDS moves only the selection's result bytes, while
-// software NDS — whose STL runs on the host — still ships every raw page
-// (page-rounded payload) before filtering. pageSize 0 defaults to 4096.
-func (s Spec) LinkBytes(kind system.Kind, push bool, pageSize int64) int64 {
-	if pageSize <= 0 {
-		pageSize = 4096
-	}
-	if !push || s.Push == nil {
-		return s.FetchBytes()
-	}
-	var total int64
-	for _, f := range s.Fetches {
-		n := int64(s.Elem)
-		for _, d := range f.Sub {
-			n *= d
-		}
-		switch kind {
-		case system.HardwareNDS:
-			total += s.pushResultBytes(f)
-		default: // SoftwareNDS and Baseline cannot save link bytes
-			total += (n + pageSize - 1) / pageSize * pageSize
-		}
 	}
 	return total
 }

@@ -213,25 +213,6 @@ func TestRunPushdown(t *testing.T) {
 		t.Errorf("BFS hardware pushdown win = %.2f, want > 1 (end-to-end sim-time win)",
 			results["BFS"].PushWinHW)
 	}
-	// The static link model must agree in shape with the measured traffic.
-	for _, s := range Catalog() {
-		if s.Push == nil {
-			continue
-		}
-		hwPush := s.LinkBytes(system.HardwareNDS, true, 0)
-		if hwPush >= s.FetchBytes() {
-			t.Errorf("%s: static hardware push link bytes %d not under fetch bytes %d",
-				s.Name, hwPush, s.FetchBytes())
-		}
-		if got := s.LinkBytes(system.SoftwareNDS, true, 0); got < s.FetchBytes() {
-			t.Errorf("%s: static software push link bytes %d below fetch bytes %d",
-				s.Name, got, s.FetchBytes())
-		}
-		if got := s.LinkBytes(system.HardwareNDS, false, 0); got != s.FetchBytes() {
-			t.Errorf("%s: static no-push link bytes %d != fetch bytes %d",
-				s.Name, got, s.FetchBytes())
-		}
-	}
 }
 
 func TestRunRejectsNothing(t *testing.T) {

@@ -389,11 +389,16 @@ func (d *Device) DeleteSpace(id SpaceID) error {
 // ResizeSpace expands or shrinks a space along its outermost dimension
 // (§5.1: passing an existing identifier to the space-management API
 // restructures the space). Existing data within the new bound is preserved.
-// Open views of the space are stale after a resize — their volumes no longer
-// match — so, like DeleteSpace, ResizeSpace closes them all before
-// returning; consumers reopen with matching volumes.
+// A shrink whose bound falls inside a programmed page rewrites that page's
+// tail with zeros: the rewrite issues at the device clock, which advances to
+// its completion, as Flush's programs do; any other resize takes no
+// simulated time. Open views of the space are stale after a resize — their
+// volumes no longer match — so, like DeleteSpace, ResizeSpace closes them all
+// before returning; consumers reopen with matching volumes.
 func (d *Device) ResizeSpace(id SpaceID, newDim0 int64) error {
-	if err := d.sys.STL.ResizeSpace(id, newDim0); err != nil {
+	done, err := d.sys.STL.ResizeSpace(d.clock(), id, newDim0)
+	d.advance(done)
+	if err != nil {
 		return err
 	}
 	d.retireViews(id)

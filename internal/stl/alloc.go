@@ -329,8 +329,11 @@ func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, use *block
 				return nvm.PPA{}, at, err
 			}
 			p, ready, err := t.takeUnit(at, ch, bk, defaultStream, flush)
-			if err != nil {
+			if errors.Is(err, ErrCapacity) {
 				continue // die exhausted; try the next candidate
+			}
+			if err != nil {
+				return nvm.PPA{}, at, err // the writer's queue did not land, or the collection failed
 			}
 			t.place(blk, use, ch, bk)
 			return p, ready, nil
@@ -372,7 +375,7 @@ var noUnit = nvm.PPA{Channel: -1}
 // is for and its page, ref, which the owner resolves.
 type unitPlan struct {
 	ops   *[]nvm.ProgramOp // the owner's queued programs
-	owner planOwner
+	owner queueOwner
 	units []plannedUnit
 	// Per die, indexed as STL.free (bank-major): the units planned on it, and
 	// 1 + how many it could supply when the plan asked under its lock (0: not
@@ -395,11 +398,14 @@ type plannedUnit struct {
 	w       nvm.Word
 }
 
-// planOwner resolves a plan's page references: a write request's stages, or
-// the LBA's logical pages.
-type planOwner interface {
+// queueOwner is the writer a programQueue and its plan belong to: a request
+// (its stages are the plan's page references) or the LBA (its logical pages).
+type queueOwner interface {
 	// page returns ref's slot and its reverse entry.
 	page(ref uint32) (*pageSlot, revEntry)
+	// fillPending makes every queued frame that does not hold its page yet
+	// the page its op programs; ps is the page size.
+	fillPending(ps int64)
 }
 
 // reserve readies p for a request of at most n units on an STL of dies dies.
@@ -598,8 +604,11 @@ func (t *STL) allocateNaive(at sim.Time, blk *BuildingBlock, use *blockUse, flus
 		d := (die + off) % len(t.dies)
 		ch, bk := d/t.geo.Banks, d%t.geo.Banks
 		p, ready, err := t.takeUnit(at, ch, bk, defaultStream, flush)
-		if err != nil {
+		if errors.Is(err, ErrCapacity) {
 			continue
+		}
+		if err != nil {
+			return nvm.PPA{}, at, err
 		}
 		t.place(blk, use, ch, bk)
 		return p, ready, nil

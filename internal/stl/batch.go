@@ -1,6 +1,7 @@
 package stl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -34,9 +35,10 @@ import (
 // which would send want zeros where the protocol says "no payload".
 //
 // Writes have the same shape on the device side: landPrograms (recover.go) is
-// ReadPartitionSegments' counterpart, the only function that programs a batch,
-// and the request's flush, Flush and the collector differ from one another
-// only in what they queue and in what they do with the ops it could not land.
+// ReadPartitionSegments' counterpart, the only function that programs a batch.
+// Every writer but the collector queues its programs on a programQueue that
+// one function lands (flushPrograms); the collector differs only in what it
+// does with the ops landPrograms could not land.
 //
 // Batching delays device operations and never reorders them: a deferred
 // program batch — its fresh units carved die by die first (unitPlan) — lands
@@ -108,15 +110,7 @@ func (t *STL) WritePartition(at sim.Time, v *View, coord, sub []int64, data []by
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case t.cfg.Compress:
-		if data == nil {
-			return at, RequestStats{}, fmt.Errorf("stl: compressed writes need payload data: %w", ErrInvalid)
-		}
-		done, stats, err = t.writeCompressed(at, v, coord, sub, data)
-	default:
-		done, stats, err = t.writePartitionBatched(at, v, coord, sub, data)
-	}
+	done, stats, err = t.writePartitionBatched(at, v, coord, sub, data)
 	return done, stats, err
 }
 
@@ -235,7 +229,9 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 	return want, done, nil
 }
 
-// writePartitionBatched translates the partition and writes it (writeExtents).
+// writePartitionBatched translates the partition and writes it: page by page
+// (writeExtents), or a block at a time under compression
+// (writeCompressedExtents).
 func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, data []byte) (sim.Time, RequestStats, error) {
 	rs := t.getScratch(v.space)
 	defer t.putScratch(rs)
@@ -248,6 +244,9 @@ func (t *STL) writePartitionBatched(at sim.Time, v *View, coord, sub []int64, da
 	}
 	if data == nil && !t.dev.Phantom() {
 		return at, RequestStats{}, fmt.Errorf("stl: nil payload on a data-bearing device: %w", ErrInvalid)
+	}
+	if t.cfg.Compress {
+		return t.writeCompressedExtents(rs, at, exts, data)
 	}
 	return t.writeExtents(rs, at, exts, want, data)
 }
@@ -304,15 +303,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 	// accumulate programs into a batch that drains at the flush points (RMW
 	// reads, GC via the flush func allocation calls, request end).
 	done := at
-	flush := func() error { return t.flushPrograms(rs, &done, &stats) }
-	// abort lands anything already queued, so STL and device state agree, and
-	// fails the request with err.
-	abort := func(err error) (sim.Time, RequestStats, error) {
-		if ferr := t.flushPrograms(rs, &done, &stats); ferr != nil {
-			return at, stats, ferr
-		}
-		return at, stats, err
-	}
+	flush := func() error { return t.flushPrograms(&rs.programQueue, &done, &stats) }
 	hasData := !t.dev.Phantom()
 	// At most an op and a planned unit a page.
 	rs.ops = slices.Grow(rs.ops, len(rs.stages))
@@ -339,7 +330,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			}
 			if pp.covered >= pb {
 				if err := t.queueStaged(rs, at, bp, st.page, pp, flush); err != nil {
-					return abort(err)
+					return at, stats, cmp.Or(flush(), err) // what is queued lands first
 				}
 				stats.PagesProgrammed++
 			}
@@ -352,7 +343,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		var frame []byte
 		rmw := slot.load().allocated() && st.covered < pb
 		if rmw {
-			if err := t.flushPrograms(rs, &done, &stats); err != nil {
+			if err := flush(); err != nil {
 				return at, stats, err
 			}
 			// A collector may move the page: its word is loaded in the grace set.
@@ -403,7 +394,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		}
 		if err != nil {
 			t.dev.Recycle(frame) // a read-modify-write page's; no other page has drawn one yet
-			return abort(err)
+			return at, stats, cmp.Or(flush(), err)
 		}
 		// Any other page's frame is drawn only now that the page has a unit, and
 		// holds nothing until a fill.
@@ -430,7 +421,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 	for i := range rs.plans {
 		rs.plans[i].blk.lastWrite = end
 	}
-	if err := t.flushPrograms(rs, &done, &stats); err != nil {
+	if err := flush(); err != nil {
 		return at, stats, err
 	}
 	return done, stats, nil

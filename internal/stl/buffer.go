@@ -104,9 +104,10 @@ func (t *STL) PendingPages() int {
 //
 // It drains the spaces one at a time in ID order, each as a writer of that
 // space: under the shared barrier and the space's write lock, so a flush
-// holds up only the requests of the space it is draining. Allocation walks
-// the space's staged pages in key order and queues one program per page; the
-// queue lands as one batch on the calling goroutine, at every point where
+// holds up only the requests of the space it is draining. It walks the
+// space's staged pages in key order and queues each on a request scratch's
+// program queue (queueStaged), as a write queues a staged page it fills; the
+// queue lands (flushPrograms) on the calling goroutine, at every point where
 // allocation is about to collect (so the device sees the issue order a
 // page-at-a-time flush would have produced) and when the space is done. The
 // device books each channel and die of a batch as one run, so the flush has
@@ -116,10 +117,11 @@ func (t *STL) PendingPages() int {
 //
 // A page that lands gives its staging frame to the device and leaves the
 // map. A page that fails — allocation or program — keeps both, and the flush
-// carries on with every page behind it before reporting the error of the
-// smallest failing (space, block, page). So one bad page (or a transient
-// capacity squeeze) doesn't strand every later staged page, and a retry after
-// the condition clears programs exactly the pages that are still staged.
+// carries on with every page behind it, queueing again the pages a failed
+// landing left behind it, before reporting the error of the smallest failing
+// (space, block, page). So one bad page (or a transient capacity squeeze)
+// doesn't strand every later staged page, and a retry after the condition
+// clears programs exactly the pages that are still staged.
 func (t *STL) Flush(at sim.Time) (sim.Time, error) {
 	done := at
 	var err error
@@ -150,66 +152,54 @@ func (t *STL) flushSpace(at sim.Time, id SpaceID) (sim.Time, error) {
 	}
 	slices.SortFunc(keys, cmpKey)
 
-	done := at
-	var failKey pendingKey
-	var failErr error
+	rs := t.getScratch(s)
+	defer t.putScratch(rs)
+	var (
+		done    = at
+		stats   RequestStats
+		failKey pendingKey
+		failErr error
+		// The pages queued since the last landing, and those behind a page
+		// whose landing failed, to queue again.
+		queued, retry []pendingKey
+	)
 	fail := func(k pendingKey, err error) {
 		if failErr == nil || cmpKey(k, failKey) < 0 {
 			failKey, failErr = k, err
 		}
 	}
-
-	// The queued programs and, beside each, the staged page it lands.
-	var ops []nvm.ProgramOp
-	var opKeys []pendingKey
-	drain := func() error {
-		var firstErr error
-		for len(ops) > 0 {
-			d, landed, _, err := t.landPrograms(ops, t.rebindFaulted)
-			done = sim.Max(done, d)
-			for _, k := range opKeys[:landed] {
-				delete(s.staged, k)
+	// flush records a landing's failure against the page that failed and
+	// returns none: allocation carries on as after a landing.
+	flush := func() error {
+		if err := t.flushPrograms(&rs.programQueue, &done, &stats); err != nil {
+			for i, k := range queued {
+				if s.staged[k] != nil { // the first page that did not land
+					fail(k, err)
+					retry = append(retry, queued[i+1:]...)
+					break
+				}
 			}
-			if err == nil {
-				break
+		}
+		queued = queued[:0]
+		return nil
+	}
+	for len(keys) > 0 {
+		// The keys are in block order: each block is resolved, and its units
+		// counted, once a pass.
+		bp := blockPlan{g: -1}
+		for _, k := range keys {
+			if k.block != bp.g {
+				bp.g, bp.blk, bp.use.counted = k.block, t.blockAt(s, k.block, true), false
 			}
-			// The op that could not land stays staged with its frame; the ops
-			// behind it go again.
-			fail(opKeys[landed], err)
-			firstErr = cmp.Or(firstErr, err)
-			t.unbindOps(ops[landed : landed+1])
-			ops, opKeys = ops[landed+1:], opKeys[landed+1:]
+			if err := t.queueStaged(rs, at, &bp, k.page, s.staged[k], flush); err != nil {
+				fail(k, err) // the page stays staged; keep draining the rest
+			} else if s.staged[k] != nil {
+				queued = append(queued, k)
+			}
 		}
-		ops, opKeys = nil, nil
-		return firstErr
+		flush()
+		keys, retry = retry, nil
 	}
-
-	// The keys are in block order: each block is resolved, and its units
-	// counted, once.
-	var (
-		blk *BuildingBlock
-		cur = int64(-1) // blk's grid index
-		use blockUse
-	)
-	for _, k := range keys {
-		pp := s.staged[k]
-		if t.elideStaged(s, k, pp) {
-			continue
-		}
-		if k.block != cur {
-			blk, cur, use.counted = t.blockAt(s, k.block, true), k.block, false
-		}
-		dst, ready, err := t.allocateUnit(at, s, blk, &use, drain, nil, 0)
-		if err != nil {
-			fail(k, err)
-			continue // page stays staged; keep draining the rest
-		}
-		t.bindUnit(s, blk, k.block, k.page, dst)
-		t.progs.Add(1)
-		ops = append(ops, nvm.ProgramOp{At: ready, P: dst, Data: pp.buf, Owned: true})
-		opKeys = append(opKeys, k)
-	}
-	drain() // per-key errors are recorded inside
 	return done, failErr
 }
 

@@ -97,29 +97,46 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 	return image, done, nil
 }
 
-// dropAllUnits invalidates every unit of a block and clears its compression
-// state, ready for a fresh rewrite. It returns the units it took.
-func (t *STL) dropAllUnits(blk *BuildingBlock) []deadUnit {
-	var dead []deadUnit
+// storeBlockImage queues block image on rs's program queue (the block is
+// blockIdx of rs.space), compressed when profitable, raw otherwise, on fresh
+// units allocated under the §4.2 policy; flush lands the queue, before a
+// collection as for any writer. The old units join the queue's dead units
+// once the whole image is queued, so they give their frames back only when it
+// has landed. A store that fails — the logical budget cannot hold the image,
+// which is settled before a page is allocated, or a page finds no unit —
+// lands what is queued, gives up the new image's units and puts the old
+// units and representation back (restoreUnit), leaving the block as it was.
+func (t *STL) storeBlockImage(rs *requestScratch, at sim.Time, blockIdx int64, blk *BuildingBlock, image []byte, flush func() error, stats *RequestStats) error {
+	s := rs.space
+	var old []deadUnit
+	var oldPages []int
 	for i := range blk.pages {
 		if u, ok := t.takeSlot(&blk.pages[i]); ok {
-			dead = append(dead, u)
+			old, oldPages = append(old, u), append(oldPages, i)
 		}
 	}
-	blk.compressed = false
-	blk.compLen = 0
-	blk.physPages = 0
-	return dead
-}
+	physPages, compLen, compressed := blk.physPages, blk.compLen, blk.compressed
+	// putBack undoes the store once its first n pages were queued.
+	putBack := func(n int, err error) error {
+		ferr := flush()
+		var gone []deadUnit
+		for i := range n {
+			if u, ok := t.takeSlot(&blk.pages[i]); ok {
+				gone = append(gone, u)
+			}
+		}
+		t.discardUnits(gone, 0)
+		for k, u := range old {
+			p := oldPages[k]
+			t.restoreUnit(revEntry{space: s.id, block: uint32(blockIdx), page: int32(p)}, &blk.pages[p], u.w)
+		}
+		blk.physPages, blk.compLen, blk.compressed = physPages, compLen, compressed
+		return cmp.Or(ferr, err)
+	}
 
-// storeBlockImage writes a block image, compressed when profitable, raw
-// otherwise, allocating fresh units under the §4.2 policy; its programs queue
-// and land like the write path's (before a collection and at the end). The
-// old units give their frames back once the whole new image has landed.
-func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *BuildingBlock, image []byte, stats *RequestStats) (sim.Time, error) {
-	dead := t.dropAllUnits(blk)
 	ps := int64(t.geo.PageSize)
 	payload := image
+	blk.compressed, blk.compLen = false, 0
 	if comp := t.compressImage(s, image); comp != nil {
 		payload = comp
 		blk.compressed = true
@@ -128,54 +145,36 @@ func (t *STL) storeBlockImage(at sim.Time, s *Space, blockIdx int64, blk *Buildi
 	}
 	pages := int(ceilDiv(int64(len(payload)), ps))
 	blk.physPages = pages
-	done := at
-	var (
-		ops []nvm.ProgramOp
-		use blockUse
-	)
-	land := func() error {
-		d, landed, retries, err := t.landPrograms(ops, t.rebindFaulted)
-		done = sim.Max(done, d)
-		stats.ProgramRetries += retries
-		t.unbindOps(ops[landed:])
-		ops = ops[:0]
-		return err
+	// Found page by page, a short budget would collect on the way, and could
+	// erase the old units it is to put back.
+	if limit := t.effectiveMaxPages(); t.usedPages.Load()+int64(pages) > limit {
+		return putBack(0, fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", limit, ErrCapacity))
 	}
+	var use blockUse
 	for i := 0; i < pages; i++ {
-		dst, ready, err := t.allocateUnit(at, s, blk, &use, land, nil, 0)
+		dst, ready, err := t.allocateUnit(at, s, blk, &use, flush, nil, 0)
 		if err != nil {
-			ferr := land() // what is queued lands first
-			return done, cmp.Or(ferr, err)
+			return putBack(i, err)
 		}
 		lo := int64(i) * ps
-		ops = append(ops, nvm.ProgramOp{At: ready, P: dst, Data: payload[lo:min64(lo+ps, int64(len(payload)))]})
+		rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: dst, Data: payload[lo:min64(lo+ps, int64(len(payload)))]})
 		t.bindUnit(s, blk, blockIdx, i, dst)
 		t.progs.Add(1)
 		stats.PagesProgrammed++
 	}
-	if err := land(); err != nil {
-		return done, err
+	for i := range old {
+		old[i].after = int32(len(rs.ops))
 	}
-	t.discardUnits(dead, 0)
-	return done, nil
+	rs.dead = append(rs.dead, old...)
+	return nil
 }
 
-// writeCompressed is the Config.Compress write path: block-granular
-// read-modify-write with per-block compression.
-func (t *STL) writeCompressed(at sim.Time, v *View, coord, sub []int64, data []byte) (sim.Time, RequestStats, error) {
-	exts, err := v.Extents(coord, sub)
-	if err != nil {
-		return at, RequestStats{}, err
-	}
-	// The extents tile the partition in Dst order.
-	if last := exts[len(exts)-1]; int64(len(data)) != last.Dst+last.Len {
-		return at, RequestStats{}, fmt.Errorf("stl: write payload is %d bytes, partition needs %d: %w", len(data), last.Dst+last.Len, ErrInvalid)
-	}
-	return t.writeCompressedExtents(at, v.space, exts, data)
-}
-
-// writeCompressedExtents writes data over exts of s, a block at a time.
-func (t *STL) writeCompressedExtents(at sim.Time, s *Space, exts []Extent, data []byte) (sim.Time, RequestStats, error) {
+// writeCompressedExtents writes data over exts (rs.exts, in Dst order) of
+// rs.space, a block at a time: block-granular read-modify-write with
+// per-block compression. The blocks' images queue on the request's program
+// queue, which lands before each block read and at the end.
+func (t *STL) writeCompressedExtents(rs *requestScratch, at sim.Time, exts []Extent, data []byte) (sim.Time, RequestStats, error) {
+	s := rs.space
 	stats := RequestStats{Extents: len(exts), Bytes: int64(len(data))}
 
 	// Group extents by block, preserving first-touch order.
@@ -190,30 +189,27 @@ func (t *STL) writeCompressedExtents(at sim.Time, s *Space, exts []Extent, data 
 
 	gcoord := make([]int64, len(s.grid))
 	done := at
+	flush := func() error { return t.flushPrograms(&rs.programQueue, &done, &stats) }
 	for _, bIdx := range order {
 		s.GridCoord(bIdx, gcoord)
 		blk, steps := t.block(s, gcoord, true)
 		stats.Traversals += steps
 		stats.Blocks++
 
-		fullyCovered := func() bool {
-			var covered int64
-			for _, ei := range perBlock[bIdx] {
-				covered += exts[ei].Len
-			}
-			return covered == s.bbBytes
-		}()
-
-		var (
-			image []byte
-			err   error
-		)
+		var covered int64
+		for _, ei := range perBlock[bIdx] {
+			covered += exts[ei].Len
+		}
+		var image []byte
 		ready := at
-		if fullyCovered {
+		if covered == s.bbBytes {
 			image = make([]byte, s.bbBytes)
-			// Old units are dropped wholesale in storeBlockImage.
 		} else {
-			image, ready, err = t.blockImage(at, s, blk, &stats)
+			// The images queued so far land before the block is read.
+			var err error
+			if err = flush(); err == nil {
+				image, ready, err = t.blockImage(at, s, blk, &stats)
+			}
 			if err != nil {
 				return done, stats, err
 			}
@@ -222,11 +218,12 @@ func (t *STL) writeCompressedExtents(at sim.Time, s *Space, exts []Extent, data 
 			e := exts[ei]
 			copy(image[e.Off:e.Off+e.Len], data[e.Dst:e.Dst+e.Len])
 		}
-		d, err := t.storeBlockImage(ready, s, bIdx, blk, image, &stats)
-		if err != nil {
+		if err := t.storeBlockImage(rs, ready, bIdx, blk, image, flush, &stats); err != nil {
 			return done, stats, err
 		}
-		done = sim.Max(done, d)
+	}
+	if err := flush(); err != nil {
+		return done, stats, err
 	}
 	return done, stats, nil
 }

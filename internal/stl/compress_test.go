@@ -2,6 +2,7 @@ package stl
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -189,5 +190,52 @@ func TestZeroPageElision(t *testing.T) {
 	}
 	if !allZero(got) {
 		t.Fatal("zeroed tile reads back non-zero")
+	}
+}
+
+// TestCompressedOverwriteOutOfCapacityKeepsOldImage: an overwrite of a
+// compressed block whose new image finds no room fails with ErrCapacity and
+// leaves the block as it was. The old units are given up only once the new
+// image has landed, and put back, with the block's compressed representation,
+// when it does not.
+func TestCompressedOverwriteOutOfCapacityKeepsOldImage(t *testing.T) {
+	st := newCompressSTL(t)
+	s := mustSpace(t, st, 4, 64, 64)
+	v := mustView(t, s, 64, 64)
+	old := compressiblePattern(s.Bytes())
+	if _, _, err := st.WritePartition(0, v, []int64{0, 0}, []int64{64, 64}, old); err != nil {
+		t.Fatal(err)
+	}
+
+	// Fill the logical budget with random bands of a second space.
+	rng := rand.New(rand.NewSource(5))
+	const rows = 16
+	fill := mustSpace(t, st, 4, 4096, 64)
+	fv := mustView(t, fill, 4096, 64)
+	full := false
+	for b := int64(0); b < 4096/rows && !full; b++ {
+		_, _, err := st.WritePartition(0, fv, []int64{b, 0}, []int64{rows, 64}, fillRandom(rng, rows*64*4))
+		switch {
+		case errors.Is(err, ErrCapacity):
+			full = true
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	if !full {
+		t.Fatal("the filler never ran the logical budget out")
+	}
+
+	if _, _, err := st.WritePartition(0, v, []int64{0, 0}, []int64{64, 64}, fillRandom(rng, s.Bytes())); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("incompressible overwrite on a full budget: got %v, want ErrCapacity", err)
+	}
+	got, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, []int64{64, 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != old[i] {
+			t.Fatalf("byte %d of the old image lost by the failed overwrite", i)
+		}
 	}
 }

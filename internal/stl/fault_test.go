@@ -1,6 +1,7 @@
 package stl
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -634,4 +635,137 @@ func TestEvacuationFaultCommitsLandedPrefix(t *testing.T) {
 		t.Fatal("the partly evacuated victim was never collected")
 	}
 	check("after collecting the victim", a, b)
+}
+
+// TestFaultedLandingLendsNoCallerBytes guards the rule that a landing hands
+// back to the arena only the frames of unlanded Owned ops. An LBA write and a
+// compressed block's store, whose ops carry bytes that are not the arena's,
+// fail under a plan that faults every program. With the faults off, a later
+// write lands, the failed call's buffer is overwritten, and the write still
+// reads back intact: no arena frame aliases the buffer. No frame has two
+// owners.
+func TestFaultedLandingLendsNoCallerBytes(t *testing.T) {
+	faults := nvm.FaultPlan{Seed: 1, ProgramFailEvery: 1}
+	check := func(t *testing.T, dev *nvm.Device, failed []byte, write func([]byte) error, read func() []byte) {
+		t.Helper()
+		dev.SetFaultPlan(faults)
+		if err := write(failed); !errors.Is(err, ErrMedia) {
+			t.Fatalf("write under a plan that faults every program: %v, want ErrMedia", err)
+		}
+		dev.SetFaultPlan(nvm.FaultPlan{})
+		want := fillRandom(rand.New(rand.NewSource(62)), int64(len(failed)))
+		if err := write(bytes.Clone(want)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range failed {
+			failed[i] = 0xEE
+		}
+		if got := read(); !bytes.Equal(got, want) {
+			t.Fatal("overwriting the failed write's buffer changed what the device stores")
+		}
+		if fs := dev.FrameStats(); fs.Lost != 0 {
+			t.Fatalf("frames %+v: %d with two owners", fs, fs.Lost)
+		}
+	}
+	rng := rand.New(rand.NewSource(61))
+	t.Run("LBA", func(t *testing.T) {
+		l := newTestLBA(t, lbaGeo(), false)
+		const pages = 16
+		check(t, l.t.dev, fillRandom(rng, pages*l.pageSize()), func(data []byte) error {
+			_, err := l.WritePages(0, 0, data, 0)
+			return err
+		}, func() []byte { return l.readPages(t, 0, pages) })
+	})
+	t.Run("Compress", func(t *testing.T) {
+		st := newCompressSTL(t)
+		s := mustSpace(t, st, 4, 64, 64)
+		v := mustView(t, s, 64, 64)
+		all := []int64{64, 64}
+		check(t, st.dev, fillRandom(rng, s.Bytes()), func(data []byte) error {
+			_, _, err := st.WritePartition(0, v, []int64{0, 0}, all, data)
+			return err
+		}, func() []byte {
+			got, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		})
+	})
+}
+
+// TestFaultedHookLandingFailsTheWrite: a write's queue lands before an inline
+// collection, and a landing that fails there fails the write. Every take
+// after a die's first collects it (GCLowWater), so the second page's take
+// lands the first page's program, under a plan installed at the first
+// page's carve that faults every program. The first page never lands; an
+// allocator that took the failure for a full die and carved the second page
+// elsewhere (where the plan is lifted) reported success for a page that
+// reads back as zeros.
+func TestFaultedHookLandingFailsTheWrite(t *testing.T) {
+	geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 16, PagesPerBlock: 4, PageSize: 512}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.GCLowWater = 0.99
+	st, err := New(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(63))
+	aged := mustSpace(t, st, 4, 256) // two pages, one a die
+	if _, _, err := st.WritePartition(0, mustView(t, aged, 256), []int64{0}, []int64{256}, fillRandom(rng, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	s := mustSpace(t, st, 4, 256)
+	v := mustView(t, s, 256)
+	carves := 0
+	st.carved = func(nvm.PPA) {
+		switch carves++; carves {
+		case 1:
+			dev.SetFaultPlan(nvm.FaultPlan{Seed: 1, ProgramFailEvery: 1})
+		case 2:
+			dev.SetFaultPlan(nvm.FaultPlan{})
+		}
+	}
+	_, _, err = st.WritePartition(0, v, []int64{0}, []int64{256}, fillRandom(rng, 1024))
+	st.carved = nil
+	if !errors.Is(err, ErrMedia) {
+		t.Fatalf("a write whose first page never landed returned %v, want ErrMedia", err)
+	}
+}
+
+// TestFaultedFlushAttemptsThePagesBehindAFailedOne: a Flush whose landing
+// fails on its first page still programs, or tries to, every page behind it.
+// Every program faults, so each staged page runs out of relocations on its
+// own: nine faulted attempts a page. A flush that stopped at the failed page
+// would leave the second page's attempts at zero.
+func TestFaultedFlushAttemptsThePagesBehindAFailedOne(t *testing.T) {
+	geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 32, PagesPerBlock: 4, PageSize: 512}
+	cfg := DefaultConfig()
+	cfg.WriteBuffering = true
+	st := newFaultSTL(t, geo, cfg, nvm.FaultPlan{})
+	s := mustSpace(t, st, 4, 16, 16) // one building block of two pages
+	v := mustView(t, s, 16, 16)
+	half := fillRandom(rand.New(rand.NewSource(64)), 4*16*4)
+	for _, row := range []int64{0, 2} { // half of each page
+		if _, _, err := st.WritePartition(0, v, []int64{row, 0}, []int64{4, 16}, half); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.PendingPages() != 2 {
+		t.Fatalf("staged %d pages, want 2", st.PendingPages())
+	}
+	st.dev.SetFaultPlan(nvm.FaultPlan{Seed: 7, ProgramFailEvery: 1})
+	if _, err := st.Flush(0); !errors.Is(err, ErrMedia) {
+		t.Fatalf("want ErrMedia from a flush whose every program fails, got %v", err)
+	}
+	if st.PendingPages() != 2 {
+		t.Fatalf("%d pages pending after the failed flush, want both", st.PendingPages())
+	}
+	if got, want := st.Reliability().ProgramFaults, int64(2*(maxProgramRetries+1)); got != want {
+		t.Fatalf("%d program faults, want %d: every attempt of both pages", got, want)
+	}
 }

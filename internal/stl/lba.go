@@ -25,11 +25,8 @@ type LBA struct {
 	t     *STL       // the STL it owns, with no space of its own
 	slots []pageSlot // logical page -> its unit, zero while unwritten
 
-	// WritePages' batch, the units it replaced and the fresh pages it
-	// planned (unitPlan), kept between calls.
-	ops  []nvm.ProgramOp
-	dead []deadUnit
-	plan unitPlan
+	// WritePages' program queue, kept between calls.
+	q programQueue
 	// Read's batch, kept between calls: the mapped pages' words, their
 	// positions in the request, and what the device returned.
 	words []nvm.Word
@@ -46,7 +43,7 @@ func NewLBA(dev *nvm.Device, cfg Config) (*LBA, error) {
 		return nil, err
 	}
 	l := &LBA{t: t, slots: make([]pageSlot, t.maxPages)}
-	l.plan.ops, l.plan.owner = &l.ops, l
+	l.q.plan.ops, l.q.plan.owner = &l.q.ops, l
 	t.lba = l
 	return l, nil
 }
@@ -95,21 +92,24 @@ func (l *LBA) WritePages(at sim.Time, lpn int64, data []byte, n int64) (sim.Time
 		return at, fmt.Errorf("stl: write [%d,%d) beyond logical capacity %d pages: %w", lpn, lpn+n, len(l.slots), ErrBounds)
 	}
 	done := at
-	flush := func() error { return l.land(&done) }
+	var stats RequestStats // the LBA keeps no per-request record
+	q := &l.q
+	flush := func() error { return t.flushPrograms(q, &done, &stats) }
 	channels, banks := int64(t.geo.Channels), int64(t.geo.Banks)
-	l.ops = slices.Grow(l.ops, int(n))
-	l.plan.reserve(int(n), len(t.dies))
+	q.ops = slices.Grow(q.ops, int(n))
+	q.plan.reserve(int(n), len(t.dies))
 	for i := int64(0); i < n; i++ {
 		page := lpn + i
 		slot, e := &l.slots[page], revEntry{block: uint32(page)}
 		old, replacing := t.takeSlot(slot)
-		if !replacing && t.usedPages.Load()+l.plan.pending() >= t.effectiveMaxPages() {
-			return l.abort(at, &done, fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", t.effectiveMaxPages(), ErrCapacity))
+		if !replacing && t.usedPages.Load()+q.plan.pending() >= t.effectiveMaxPages() {
+			err := fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", t.effectiveMaxPages(), ErrCapacity)
+			return at, cmp.Or(flush(), err) // what is queued lands first
 		}
 		ch, bk := int(page%channels), int((page/channels)%banks)
 		unit, ready := noUnit, at
-		if replacing || !t.planUnit(&l.plan, ch, bk, uint32(page)) {
-			err := t.carvePlan(&l.plan)
+		if replacing || !t.planUnit(&q.plan, ch, bk, uint32(page)) {
+			err := t.carvePlan(&q.plan)
 			if err == nil {
 				unit, ready, err = t.takeUnit(at, ch, bk, defaultStream, flush)
 			}
@@ -117,24 +117,24 @@ func (l *LBA) WritePages(at sim.Time, lpn int64, data []byte, n int64) (sim.Time
 				if replacing {
 					t.restoreUnit(e, slot, old.w)
 				}
-				return l.abort(at, &done, err)
+				return at, cmp.Or(flush(), err)
 			}
 		}
 		op := nvm.ProgramOp{At: ready, P: unit}
 		if data != nil {
 			op.Data = data[i*ps : (i+1)*ps]
 		}
-		l.ops = append(l.ops, op)
+		q.ops = append(q.ops, op)
 		if replacing {
-			old.after = int32(len(l.ops))
-			l.dead = append(l.dead, old)
+			old.after = int32(len(q.ops))
+			q.dead = append(q.dead, old)
 		}
 		if unit != noUnit {
 			t.bind(slot, e, unit)
 		}
 		t.progs.Add(1)
 	}
-	if err := l.land(&done); err != nil {
+	if err := flush(); err != nil {
 		return at, err
 	}
 	return done, nil
@@ -145,30 +145,8 @@ func (l *LBA) page(ref uint32) (*pageSlot, revEntry) {
 	return &l.slots[ref], revEntry{block: ref}
 }
 
-// land carves the planned pages, programs the queued batch through fault
-// recovery, and gives back the frames of the units its landed pages
-// replaced. A carve that left a page without a unit lands only the pages
-// before it.
-func (l *LBA) land(done *sim.Time) error {
-	t := l.t
-	n, cerr := t.landable(&l.plan, len(l.ops))
-	d, landed, _, err := t.landPrograms(l.ops[:n], t.rebindFaulted)
-	*done = sim.Max(*done, d)
-	t.unbindOps(l.ops[landed:])
-	clear(l.ops) // the batch must not pin the caller's pages
-	l.ops = l.ops[:0]
-	t.discardUnits(l.dead, landed)
-	l.dead = l.dead[:0]
-	return cmp.Or(err, cerr)
-}
-
-// abort lands what is queued and fails the request with err.
-func (l *LBA) abort(at sim.Time, done *sim.Time, err error) (sim.Time, error) {
-	if ferr := l.land(done); ferr != nil {
-		return at, ferr
-	}
-	return at, err
-}
+// fillPending has nothing to fill: the LBA's ops carry the caller's pages.
+func (l *LBA) fillPending(int64) {}
 
 // Read reads n bytes from byte offset off, issuing every mapped page it
 // touches at time at as one batch (the controller fans the request out to

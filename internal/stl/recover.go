@@ -28,17 +28,14 @@ import (
 // Every program the STL issues lands through landPrograms, the one place that
 // rule is written down, and the only caller of the device's program commands.
 // It reports how long a prefix of the batch landed and leaves the rest to its
-// caller, because what becomes of an op that cannot land is all the callers
-// do differently:
+// caller, because what becomes of an op that cannot land is all its two
+// callers do differently:
 //
-//   - a request's flush (flushPrograms) bound its units when it queued them —
-//     its own pages and the staged pages that filled (queueStaged) — so it
-//     unbinds the rest and gives its own pages' frames back to the arena,
-//     while a staged page stays staged with its frame; a compressed block's
-//     store (storeBlockImage) does the same with copied ops;
-//   - Flush bound them too, and its pages are all staged: it unbinds the one
-//     failed key, which stays staged with its frame, and carries on with the
-//     ops behind it;
+//   - every writer's program queue lands through flushPrograms — a partition
+//     write's pages and the staged pages that filled (queueStaged), a
+//     compressed block's, Flush's, the LBA's — whose units were bound when
+//     queued: it unbinds the rest, gives the arena's frames among them back,
+//     and leaves a staged page staged with its frame;
 //   - the collector (evacuateBlock) binds after landing, so it commits the
 //     landed prefix and releases the destinations of the rest, whose pages
 //     stay on their sources.

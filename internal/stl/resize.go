@@ -145,7 +145,7 @@ func (t *STL) clearTail(at sim.Time, s *Space, g, cut int64) (sim.Time, error) {
 		zeros = make([]byte, n)
 	}
 	if t.cfg.Compress {
-		done, _, err := t.writeCompressedExtents(at, s, rs.exts, zeros)
+		done, _, err := t.writeCompressedExtents(rs, at, rs.exts, zeros)
 		return done, err
 	}
 	done, _, err := t.writeExtents(rs, at, rs.exts, n, zeros)

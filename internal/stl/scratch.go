@@ -27,8 +27,6 @@ type requestScratch struct {
 	walk  extentWalk
 	gcrd  []int64 // grid-coordinate scratch
 
-	space *Space // the request's space, for cache fills at flush time
-
 	// Block plan: the building blocks the request touches, in first-touch
 	// order. A row-major extent walk revisits them in cycles — one partition
 	// row crosses blocks g..g+k, the next row the same ones — so each entry
@@ -67,22 +65,16 @@ type requestScratch struct {
 	readyMax sim.Time
 
 	// Write plan: stages in first-touch order, located via the block plan's
-	// page table; deferred programs accumulate in ops until a flush point.
-	// fills names the queued ops whose frames do not hold their page yet: the
-	// flush copies the stage's pieces of payload, the caller's buffer, into
-	// each before it programs the batch. dead names the units the queued ops
-	// replace, and the units the request released, for that flush to discard.
-	// staged names the queued ops of staged pages (queueStaged), which leave
-	// their space's staging map only if the flush lands them.
+	// page table, each page's program queued on the programQueue until a
+	// flush point. fills names the queued ops whose frames do not hold their
+	// page yet: the flush copies the stage's pieces of payload, the caller's
+	// buffer, into each before it programs the batch (fillPending).
 	stages  []writeStage
-	ops     []nvm.ProgramOp
 	fills   []pendingFill
-	dead    []deadUnit
-	staged  []stagedOp
 	payload []byte
-	// plan holds the fresh units placed and not yet carved (unitPlan), each
-	// naming its stage; every flush carves it before it lands ops.
-	plan unitPlan
+	// A write's queued programs. The queue's space is the request's, which a
+	// read's cache fills name too.
+	programQueue
 
 	// Segment emission (segments.go): reused across requests; Src pointers
 	// are cleared on put so the pool never pins arena frames.
@@ -149,6 +141,26 @@ type stagedOp struct {
 	key pendingKey
 }
 
+// programQueue is a writer's queue of programs, and flushPrograms the one
+// function that lands it. Every writer of the STL but the collector queues
+// here: a partition write, a compressed block's store and Flush on a request
+// scratch, the baseline's block device (LBA) on its own. It holds the queued
+// ops, the plan of their fresh units not yet carved, the units they replace
+// and the staged pages among them.
+type programQueue struct {
+	ops []nvm.ProgramOp
+	// dead names the units the queued ops replace, and the units the writer
+	// released, for the flush that lands their successors to discard.
+	dead []deadUnit
+	// staged names the queued ops of staged pages (queueStaged), which leave
+	// space's staging map only if the flush lands them.
+	staged []stagedOp
+	space  *Space
+	// plan holds the fresh units placed and not yet carved (unitPlan); every
+	// flush carves it before it lands ops.
+	plan unitPlan
+}
+
 // getScratch takes a scratch from the pool, sized for space s.
 func (t *STL) getScratch(s *Space) *requestScratch {
 	rs, _ := t.scratch.Get().(*requestScratch)
@@ -190,9 +202,7 @@ func (t *STL) putScratch(rs *requestScratch) {
 	}
 	rs.datas = rs.datas[:0]
 	rs.stages = rs.stages[:0]
-	for i := range rs.ops {
-		rs.ops[i].Data = nil
-	}
+	clear(rs.ops)
 	rs.ops = rs.ops[:0]
 	rs.fills = rs.fills[:0]
 	rs.dead = rs.dead[:0]
@@ -483,49 +493,51 @@ func (t *STL) flushReads(rs *requestScratch, at sim.Time, done *sim.Time, stats 
 	return nil
 }
 
-// flushPrograms issues the deferred program batch. Called at every point
-// where these programs must reach the device before its next operation (RMW
-// reads, GC, request end), which is what keeps the issue order, and so the
-// timing, that of programming page by page (batch.go).
+// flushPrograms lands q. Every writer calls it at every point where its
+// programs must reach the device before its next operation (a
+// read-modify-write or compressed block's read, a collection, request end),
+// which is what keeps the issue order, and so the timing, that of programming
+// page by page (batch.go).
 //
-// The batch's frames are the device's from the moment their ops land; the
-// frames of ops that never do go back to the arena. Frames the write path
-// queued and has not filled yet are filled first, and this is the only way
-// queued ops reach the device, so no path — a collection's flush hook, the
-// error path landing what is queued — can program a frame as the arena handed
-// it out.
+// It carves q's planned units first (carvePlan); every other queued op was
+// bound when appended, so landPrograms relocates a faulted op through the
+// reverse-lookup table (rebindFaulted). If the carve left an op without a
+// unit, only the ops before it may land, and the flush fails. Frames the
+// owner queued and has not filled yet are filled before anything programs
+// (fillPending), so no path — a collection's flush hook, the error path
+// landing what is queued — programs a frame as the arena handed it out.
 //
-// The request's planned units are carved and bound first (carvePlan), and
-// every other queued op was bound when appended, so landPrograms relocates a
-// faulted op through the reverse-lookup table (rebindFaulted). If the carve
-// left an op without a unit, only the ops before it may land, and the flush
-// fails the request. What did not land is unbound here, so bound units are
-// always programmed units. A staged page
-// leaves its space's staging map if its op landed, and keeps its frame there
-// if not. Then the units the landed programs replaced give their frames back
-// (discardUnits).
-func (t *STL) flushPrograms(rs *requestScratch, done *sim.Time, stats *RequestStats) error {
-	n, cerr := t.landable(&rs.plan, len(rs.ops))
-	rs.fillPending(int64(t.geo.PageSize))
-	d, landed, retries, err := t.landPrograms(rs.ops[:n], t.rebindFaulted)
+// What landed is the device's: a staged page leaves its space's staging map,
+// and the units the landed programs replaced give their frames back
+// (discardUnits). What did not land is unbound, so bound units are always
+// programmed units; a staged page keeps its frame in the staging map, and
+// any other Owned op's frame goes back to the arena. An op without Owned
+// (the LBA's, a compressed block's) carries bytes that are not the arena's,
+// and the arena must not take them.
+func (t *STL) flushPrograms(q *programQueue, done *sim.Time, stats *RequestStats) error {
+	n, cerr := t.landable(&q.plan, len(q.ops))
+	q.plan.owner.fillPending(int64(t.geo.PageSize))
+	d, landed, retries, err := t.landPrograms(q.ops[:n], t.rebindFaulted)
 	*done = sim.Max(*done, d)
 	stats.ProgramRetries += retries
-	for _, q := range rs.staged {
-		if int(q.op) < landed {
-			delete(rs.space.staged, q.key)
+	for _, sp := range q.staged {
+		if int(sp.op) < landed {
+			delete(q.space.staged, sp.key)
 		} else {
-			rs.ops[q.op].Data = nil
+			q.ops[sp.op].Owned = false
 		}
 	}
-	rs.staged = rs.staged[:0]
-	rest := rs.ops[landed:]
+	q.staged = q.staged[:0]
+	rest := q.ops[landed:]
 	t.unbindOps(rest)
 	for i := range rest {
-		t.dev.Recycle(rest[i].Data)
+		if rest[i].Owned {
+			t.dev.Recycle(rest[i].Data)
+		}
 	}
-	clear(rs.ops)
-	rs.ops = rs.ops[:0]
-	t.discardUnits(rs.dead, landed)
-	rs.dead = rs.dead[:0]
+	clear(q.ops)
+	q.ops = q.ops[:0]
+	t.discardUnits(q.dead, landed)
+	q.dead = q.dead[:0]
 	return cmp.Or(err, cerr)
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"nds/internal/stl"
 )
 
 // Export and Import move datasets between devices as logical snapshots: the
@@ -27,8 +25,10 @@ const (
 )
 
 // Export writes every space of the device to w. Data-bearing devices only.
-// Each space is read whole in one request; a space created meanwhile is left
-// out, and one deleted or resized meanwhile fails the export.
+// Each space is read whole in one request through a view of its own, booked
+// like any client's read, so Export moves the device clock; a space created
+// meanwhile is left out, and one deleted or resized meanwhile fails the
+// export.
 func (d *Device) Export(w io.Writer) error {
 	if d.sys.Dev.Phantom() {
 		return fmt.Errorf("nds: cannot export a phantom device (no stored bytes)")
@@ -51,33 +51,26 @@ func (d *Device) Export(w io.Writer) error {
 	return nil
 }
 
+// exportSpace writes space id's entry: its header, from Inspect, and its
+// contents.
 func (d *Device) exportSpace(w io.Writer, id SpaceID) error {
-	var view *stl.View
-	if err := d.sys.STL.WithSpace(id, func(sp *stl.Space) (err error) {
-		view, err = stl.NewView(sp, sp.Dims())
-		return err
-	}); err != nil {
-		return err
-	}
-	dims := view.Dims()
-	hdr := []any{uint32(id), uint32(view.Space().ElemSize()), uint32(len(dims))}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, dim := range dims {
-		if err := binary.Write(w, binary.LittleEndian, dim); err != nil {
-			return err
-		}
-	}
-	coord := make([]int64, len(dims))
-	data, _, _, err := d.sys.STL.ReadPartition(d.clock(), view, coord, dims)
+	info, err := d.Inspect(id)
 	if err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, int64(len(data))); err != nil {
+	sp, err := d.OpenSpace(id, info.Dims)
+	if err != nil {
 		return err
+	}
+	defer sp.Close()
+	data, _, err := sp.Read(make([]int64, len(info.Dims)), info.Dims)
+	if err != nil {
+		return err
+	}
+	for _, v := range []any{uint32(id), uint32(info.ElemSize), uint32(len(info.Dims)), info.Dims, int64(len(data))} {
+		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+			return err
+		}
 	}
 	_, err = w.Write(data)
 	return err
@@ -87,7 +80,8 @@ func (d *Device) exportSpace(w io.Writer, id SpaceID) error {
 // snapshot entry and returning the mapping from snapshot space IDs to the
 // IDs assigned here. The device's own geometry decides the building-block
 // layout. Each entry is a create and a write of its own, so other clients'
-// commands may run between them.
+// commands may run between them. A failed import returns no mapping and
+// leaves no space behind: it deletes the spaces it created.
 func (d *Device) Import(r io.Reader) (map[SpaceID]SpaceID, error) {
 	if d.sys.Dev.Phantom() {
 		return nil, fmt.Errorf("nds: cannot import into a phantom device")
@@ -113,6 +107,9 @@ func (d *Device) Import(r io.Reader) (map[SpaceID]SpaceID, error) {
 	for i := uint32(0); i < count; i++ {
 		oldID, newID, err := d.importSpace(r)
 		if err != nil {
+			for _, id := range mapping {
+				_ = d.DeleteSpace(id)
+			}
 			return nil, fmt.Errorf("nds: import entry %d: %w", i, err)
 		}
 		mapping[oldID] = newID
@@ -145,6 +142,9 @@ func (d *Device) importSpace(r io.Reader) (SpaceID, SpaceID, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return 0, 0, err
 	}
+	if n > d.Capacity() {
+		return 0, 0, fmt.Errorf("payload of %d bytes exceeds the device's %d", n, d.Capacity())
+	}
 	if n != vol*int64(elem) {
 		return 0, 0, fmt.Errorf("payload %d bytes does not match dims %v x %d", n, dims, elem)
 	}
@@ -152,19 +152,15 @@ func (d *Device) importSpace(r io.Reader) (SpaceID, SpaceID, error) {
 	if _, err := io.ReadFull(r, data); err != nil {
 		return 0, 0, err
 	}
-	sp, err := d.sys.STL.CreateSpace(int(elem), dims)
+	// The entry is a client's create, open and write; a failed write deletes
+	// the space again, as a failed open does.
+	id, sp, err := d.execCreateSpace(int(elem), dims, d.OpenSpace)
 	if err != nil {
 		return 0, 0, err
 	}
-	view, err := stl.NewView(sp, dims)
-	if err != nil {
+	if _, err := sp.Write(make([]int64, rank), dims, data); err != nil {
+		_ = d.DeleteSpace(id)
 		return 0, 0, err
 	}
-	coord := make([]int64, rank)
-	done, _, err := d.sys.STL.WritePartition(d.clock(), view, coord, dims, data)
-	if err != nil {
-		return 0, 0, err
-	}
-	d.advance(done)
-	return SpaceID(oldID), sp.ID(), nil
+	return SpaceID(oldID), id, sp.Close()
 }

@@ -2,8 +2,12 @@ package nds
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
+
+	"nds/internal/stl"
 )
 
 // TestExportImportRoundTrip moves two spaces between devices — including
@@ -180,5 +184,92 @@ func TestSnapshotValidation(t *testing.T) {
 	dst, _ := Open(Options{Mode: ModeHardware, CapacityHint: 4 << 20})
 	if _, err := dst.Import(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated snapshot accepted")
+	}
+}
+
+// TestImportFailureLeavesNoSpace: a failed Import returns no mapping and
+// leaves no space behind, whether the entry that fails is the one whose
+// write the device refuses or one after entries that went in.
+func TestImportFailureLeavesNoSpace(t *testing.T) {
+	src, err := Open(Options{Mode: ModeHardware, CapacityHint: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, dims := range [][]int64{{64, 64}, {4096}} {
+		id, err := src.CreateSpace(4, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := src.OpenSpace(id, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(4)
+		for _, d := range dims {
+			n *= d
+		}
+		data := make([]byte, n)
+		rng.Read(data)
+		if _, err := sp.Write(make([]int64, len(dims)), dims, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.Export(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		opts Options
+		snap []byte
+		want error
+	}{
+		{"failed write", Options{Mode: ModeHardware, CapacityHint: 4 << 20, Faults: &FaultPlan{Seed: 1, ProgramFailEvery: 1}}, snap.Bytes(), stl.ErrMedia},
+		{"truncated second entry", Options{Mode: ModeHardware, CapacityHint: 4 << 20}, snap.Bytes()[:snap.Len()-10], nil},
+	} {
+		dst, err := Open(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapping, err := dst.Import(bytes.NewReader(c.snap))
+		if err == nil || c.want != nil && !errors.Is(err, c.want) {
+			t.Fatalf("%s: import returned %v, want %v", c.name, err, c.want)
+		}
+		if mapping != nil {
+			t.Errorf("%s: a failed import returned mapping %v", c.name, mapping)
+		}
+		if ids := dst.sys.STL.SpaceIDs(); len(ids) != 0 {
+			t.Errorf("%s: the failed import left spaces %v behind", c.name, ids)
+		}
+		if _, err := dst.Inspect(1); err == nil {
+			t.Errorf("%s: Inspect found space 1 after the failed import", c.name)
+		}
+	}
+}
+
+// TestImportRefusesOversizedPayload: an entry whose header declares more
+// payload than the device holds is refused before anything is allocated for
+// it, and leaves no space behind.
+func TestImportRefusesOversizedPayload(t *testing.T) {
+	dst, err := Open(Options{Mode: ModeHardware, CapacityHint: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One entry: id 1, 8-byte elements, dims 2^21 x 2^21, a payload of 2^45
+	// bytes, and no payload bytes behind it.
+	var snap bytes.Buffer
+	snap.WriteString(snapshotMagic)
+	for _, v := range []any{uint32(snapshotVersion), uint32(1), uint32(1), uint32(8), uint32(2), []int64{1 << 21, 1 << 21}, int64(1 << 45)} {
+		if err := binary.Write(&snap, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dst.Import(&snap); err == nil {
+		t.Fatal("a 2^45-byte payload was accepted")
+	}
+	if ids := dst.sys.STL.SpaceIDs(); len(ids) != 0 {
+		t.Errorf("the refused import left spaces %v behind", ids)
 	}
 }

@@ -2,8 +2,11 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"nds/internal/sim"
 	"nds/internal/zeromap"
@@ -20,15 +23,6 @@ type PageCipher interface {
 	Open(p PPA, sealed []byte) []byte
 }
 
-// FramesPerSlab is how many page frames the arena carves out of each backing
-// slab. Slab allocation amortizes the per-page make() the old map store paid
-// on every program. A new slab arrives zeroed, so its frames are in cache
-// until about as many again have been drawn; the STL's write path sizes its
-// fill bursts by it, and fills them with plain stores. A frame from the free
-// list is long out of cache, and Frame says so: the STL streams a whole page
-// into it past the cache, and fences the burst before it programs it.
-const FramesPerSlab = 64
-
 // frameArena is the device-wide supply of page frames. A frame is the unit of
 // ownership on the write path: whoever assembles a page draws one (Frame), a
 // program hands it to a die shard as the stored page, a same-die relocation
@@ -37,29 +31,149 @@ const FramesPerSlab = 64
 // or its block is erased, whichever comes first. Frames are handed out dirty
 // — whoever fills one writes or clears every byte. The lock is a leaf below
 // the die shards' locks.
+//
+// Frames are carved from chunks outside the Go heap (zeromap.Chunk, huge-page
+// mappings on Linux, but for the first chunk, which is a plain zeromap.Make
+// mapping; heap slices elsewhere and under the race detector), so a
+// device's stored bytes do not raise the collector's heap goal, and a frame
+// is named by its frameNo, which the frame table stores in 4 B. A frame is
+// valid while its device is reachable and not closed: Close releases every
+// chunk, and a chunk's mapping goes when its Table is collected, which the
+// frames' aliases do not prevent (DESIGN.md "Frame ownership").
 type frameArena struct {
-	mu   sync.Mutex
-	free [][]byte // frames of discarded pages and erased blocks, and frames handed back unprogrammed
-	slab []byte   // tail of the current backing chunk
+	mu     sync.Mutex
+	free   []frameNo        // frames of discarded pages and erased blocks, and frames handed back unprogrammed
+	next   frameNo          // the number the current chunk carves next
+	left   int              // frames the current chunk has left
+	tables []*zeromap.Table // every chunk's owner, in carving order
+	dir    atomic.Pointer[chunkDir]
+
+	ps, perChunk int
+	shift        uint // a frameNo's slot bits
 }
 
-// get draws a frame, from the free list while it holds one (recycled) and
-// otherwise from the current slab, whose frames make has just zeroed.
-func (a *frameArena) get(pageSize int) (pg []byte, recycled bool) {
+// frameNo names a frame of the arena: 0 is none, and frame n ≥ 1 is slot
+// (n-1) & (1<<shift - 1) of chunk (n-1) >> shift.
+type frameNo uint32
+
+// chunkDir is the arena's chunks as readers find them: a frame's bytes by its
+// number, and a frame's number by its address. A new chunk publishes a new
+// directory, so a reader loads one and needs no lock.
+type chunkDir struct {
+	base   []unsafe.Pointer // by chunk index
+	sorted []chunkRef       // by address
+	ps     int
+	shift  uint
+}
+
+// chunkRef is a chunk's address and index.
+type chunkRef struct {
+	addr  uintptr
+	chunk uint32
+}
+
+// newFrameArena returns an arena of ps-byte frames, which carves a chunk as
+// many whole frames as fit a huge page (one, if a frame is larger).
+func newFrameArena(ps int) frameArena {
+	per := max(zeromap.HugePage/ps, 1)
+	return frameArena{ps: ps, perChunk: per, shift: uint(bits.Len(uint(per - 1)))}
+}
+
+// frame returns frame n's bytes, nil for none.
+func (d *chunkDir) frame(n frameNo) []byte {
+	if n == 0 {
+		return nil
+	}
+	i := uint32(n - 1)
+	return unsafe.Slice((*byte)(unsafe.Add(d.base[i>>d.shift], int(i&(1<<d.shift-1))*d.ps)), d.ps)
+}
+
+// number returns the number of the frame pg is, 0 if pg is not a whole frame
+// of the arena.
+func (a *frameArena) number(pg []byte) frameNo {
+	d := a.dir.Load()
+	if d == nil || len(pg) != a.ps {
+		return 0
+	}
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(pg)))
+	i := d.above(p) - 1
+	if i < 0 {
+		return 0
+	}
+	c := d.sorted[i]
+	off := p - c.addr
+	if off%uintptr(a.ps) != 0 || off/uintptr(a.ps) >= uintptr(a.perChunk) {
+		return 0
+	}
+	return frameNo(c.chunk<<a.shift|uint32(off/uintptr(a.ps))) + 1
+}
+
+// above returns the index in d.sorted of the first chunk that starts above p.
+func (d *chunkDir) above(p uintptr) int {
+	lo, hi := 0, len(d.sorted)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if d.sorted[m].addr <= p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// get draws a frame, from the free list while it holds one and otherwise from
+// the current chunk, carving a new one when it runs out.
+func (a *frameArena) get() frameNo {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if n := len(a.free); n > 0 {
-		pg = a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
-		return pg, true
+	if k := len(a.free); k > 0 {
+		n := a.free[k-1]
+		a.free = a.free[:k-1]
+		return n
 	}
-	if len(a.slab) < pageSize {
-		a.slab = make([]byte, pageSize*FramesPerSlab)
+	if a.left == 0 {
+		a.grow()
 	}
-	pg = a.slab[:pageSize:pageSize]
-	a.slab = a.slab[pageSize:]
-	return pg, false
+	a.next++
+	a.left--
+	return a.next - 1
+}
+
+// grow carves the next chunk and publishes a directory that holds it. The
+// lock must be held.
+func (a *frameArena) grow() {
+	c := len(a.tables)
+	if uint64(c+1)<<a.shift > 1<<32-1 {
+		panic("nvm: the frame arena ran out of frame numbers")
+	}
+	chunk := zeromap.Chunk
+	if c == 0 {
+		// The first chunk takes no huge page: a device that stores less than
+		// a chunk of frames, as a test's does, pays for the pages it touches.
+		chunk = zeromap.Make[byte]
+	}
+	mem, t := chunk(a.perChunk * a.ps)
+	a.tables = append(a.tables, t)
+	base := unsafe.Pointer(unsafe.SliceData(mem))
+	ref := chunkRef{addr: uintptr(base), chunk: uint32(c)}
+	d := &chunkDir{base: []unsafe.Pointer{base}, sorted: []chunkRef{ref}, ps: a.ps, shift: a.shift}
+	if old := a.dir.Load(); old != nil {
+		d.base = append(slices.Clip(old.base), base)
+		d.sorted = slices.Insert(slices.Clip(old.sorted), old.above(ref.addr), ref)
+	}
+	a.dir.Store(d)
+	a.next, a.left = frameNo(c<<a.shift)+1, a.perChunk
+}
+
+// release gives back every chunk's memory (zeromap.Table.Release); a second
+// call releases nothing more.
+func (a *frameArena) release() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, t := range a.tables {
+		t.Release()
+	}
 }
 
 // dieShard holds the mutable state of one (channel, bank) die: its programmed
@@ -72,12 +186,12 @@ type dieShard struct {
 	moved      bitmap  // pages a relocation read from, whose frames may be lent; made with data
 	eraseCount []int64 // per die-local block
 	// data is the frame table, one chunk per block: data[block][page] is the
-	// frame stored at that page, nil for none. The die's table is made at its
-	// first stored page and a block's chunk at the block's, and an erase
-	// clears a chunk and keeps it, so a device holds table for the blocks it
-	// has written, not for its raw array. The chunks hold pointers to the
-	// frames, so they stay on the Go heap. Nil on a phantom device.
-	data [][][]byte
+	// number of the frame stored at that page, 0 for none. The die's table is
+	// made at its first stored page and a block's chunk at the block's, and
+	// an erase clears a chunk and keeps it, so a device holds table for the
+	// blocks it has written, not for its raw array. A chunk holds no pointer,
+	// so the collector does not scan it. Nil on a phantom device.
+	data [][]frameNo
 
 	// Fault-injection attempt counters (only touched when a FaultPlan is
 	// installed): lifetime program/erase/read attempts on this die, the
@@ -206,20 +320,20 @@ type ProgramOp struct {
 
 // Frame returns a page-sized buffer to assemble a page in before handing it
 // over with ProgramOp.Owned. Its contents are unspecified: frames of erased
-// blocks come back as they were. recycled reports where it came from: true
-// for a frame a discard, an erase or Recycle gave back, long out of cache;
-// false for one carved from a slab the arena has just made, and zeroed.
-func (d *Device) Frame() (frame []byte, recycled bool) { return d.frames.get(d.geo.PageSize) }
+// blocks come back as they were.
+func (d *Device) Frame() []byte {
+	n := d.frames.get() // first: it may publish the directory that holds n
+	return d.frames.dir.Load().frame(n)
+}
 
 // Recycle takes back a frame that will not be programmed after all. Anything
-// that is not a whole frame is ignored.
+// that is not a whole frame of this device's arena is ignored.
 func (d *Device) Recycle(pg []byte) {
-	if len(pg) != d.geo.PageSize {
-		return
+	if n := d.frames.number(pg); n != 0 {
+		d.frames.mu.Lock()
+		d.frames.free = append(d.frames.free, n)
+		d.frames.mu.Unlock()
 	}
-	d.frames.mu.Lock()
-	d.frames.free = append(d.frames.free, pg)
-	d.frames.mu.Unlock()
 }
 
 // NewDevice builds a device with the given geometry and timing. If phantom is
@@ -237,6 +351,7 @@ func NewDevice(geo Geometry, tim Timing, phantom bool) (*Device, error) {
 		tim:     tim,
 		phantom: phantom,
 		shards:  make([]dieShard, dies),
+		frames:  newFrameArena(geo.PageSize),
 		zero:    make([]byte, geo.PageSize),
 	}
 	pagesPerDie := int64(geo.BlocksPerBank) * int64(geo.PagesPerBlock)
@@ -256,10 +371,14 @@ func NewDevice(geo Geometry, tim Timing, phantom bool) (*Device, error) {
 	return d, nil
 }
 
-// Close gives the memory of the device's timelines back at once instead of
-// when the device is collected. A closed device must not be used; a second
-// Close does nothing.
-func (d *Device) Close() { d.timelines.Release() }
+// Close gives the memory of the device's timelines and page frames back at
+// once instead of when the device is collected. A closed device must not be
+// used, nor any frame of it (Frame, ReadWords) be read: its bytes are gone. A
+// second Close does nothing.
+func (d *Device) Close() {
+	d.timelines.Release()
+	d.frames.release()
+}
 
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.geo }
@@ -311,7 +430,7 @@ func (d *Device) RawPage(p PPA) []byte {
 	s := &d.shards[d.die(p)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.frameLocked(p.Block, p.Page)
+	return d.frames.dir.Load().frame(s.frameLocked(p.Block, p.Page))
 }
 
 // Programmed reports whether the page at p has been programmed since its
@@ -326,11 +445,11 @@ func (d *Device) Programmed(p PPA) bool {
 	return s.programmed.get(d.dieIndex(p))
 }
 
-// frameLocked returns the frame stored at page pg of block blk of s, nil for
-// a page that holds none. The shard lock must be held.
-func (s *dieShard) frameLocked(blk, pg int) []byte {
+// frameLocked returns the number of the frame stored at page pg of block blk
+// of s, 0 for a page that holds none. The shard lock must be held.
+func (s *dieShard) frameLocked(blk, pg int) frameNo {
 	if s.data == nil || s.data[blk] == nil {
-		return nil
+		return 0
 	}
 	return s.data[blk][pg]
 }
@@ -475,9 +594,10 @@ func (d *Device) readWords(at sim.Time, ws []Word, out [][]byte, b *batchPlan) (
 	for _, die := range b.dies {
 		s := &d.shards[die]
 		s.mu.Lock()
+		dir := d.frames.dir.Load() // after the lock: it holds every chunk the die's frames are in
 		for i := b.dieHead[die]; i != 0; i = b.dieNext[i-1] {
 			w := ws[i-1]
-			out[i-1] = d.sensed(s.frameLocked(l.Block(w), l.Page(w)), c, w)
+			out[i-1] = d.sensed(dir.frame(s.frameLocked(l.Block(w), l.Page(w))), c, w)
 		}
 		s.mu.Unlock()
 	}
@@ -535,11 +655,11 @@ func (d *Device) linkOps(b *batchPlan, ops []ProgramOp) {
 func (d *Device) storeLocked(s *dieShard, op *ProgramOp) {
 	if s.data == nil {
 		n := int64(d.geo.BlocksPerBank) * int64(d.geo.PagesPerBlock)
-		s.data, s.moved = make([][][]byte, d.geo.BlocksPerBank), make(bitmap, (n+63)/64)
+		s.data, s.moved = make([][]frameNo, d.geo.BlocksPerBank), make(bitmap, (n+63)/64)
 	}
 	chunk := s.data[op.P.Block]
 	if chunk == nil {
-		chunk = make([][]byte, d.geo.PagesPerBlock)
+		chunk = make([]frameNo, d.geo.PagesPerBlock)
 		s.data[op.P.Block] = chunk
 	}
 	c := d.getCipher()
@@ -548,15 +668,19 @@ func (d *Device) storeLocked(s *dieShard, op *ProgramOp) {
 		s.moved.set(d.dieIndex(op.From), true)
 		return
 	}
-	pg := op.Data
-	if !op.Owned || len(pg) != d.geo.PageSize {
-		pg, _ = d.frames.get(d.geo.PageSize)
+	pg, n := op.Data, frameNo(0)
+	if op.Owned {
+		n = d.frames.number(pg)
+	}
+	if n == 0 {
+		n = d.frames.get()
+		pg = d.frames.dir.Load().frame(n)
 		clear(pg[copy(pg, op.Data):])
 	}
 	if c != nil {
 		c.Seal(op.P, pg, pg)
 	}
-	chunk[op.P.Page] = pg
+	chunk[op.P.Page] = n
 }
 
 // checkOp validates one op's address and payload size.
@@ -803,8 +927,8 @@ func (d *Device) EraseBlock(at sim.Time, p PPA) (sim.Time, error) {
 		if s.data == nil {
 			continue
 		}
-		if pg := s.frameLocked(p.Block, i); pg != nil && !s.moved.get(idx) {
-			d.frames.free = append(d.frames.free, pg)
+		if n := s.frameLocked(p.Block, i); n != 0 && !s.moved.get(idx) {
+			d.frames.free = append(d.frames.free, n)
 		}
 		s.moved.set(idx, false)
 	}
@@ -849,9 +973,9 @@ func (d *Device) DiscardPages(ws []Word) {
 		for ; i < len(ws) && l.Valid(ws[i]) && l.Die(ws[i]) == die; i++ {
 			w := ws[i]
 			blk, page := l.Block(w), l.Page(w)
-			if pg := s.frameLocked(blk, page); pg != nil && !s.moved.get(l.DieIndex(w)) {
-				d.frames.free = append(d.frames.free, pg)
-				s.data[blk][page] = nil
+			if n := s.frameLocked(blk, page); n != 0 && !s.moved.get(l.DieIndex(w)) {
+				d.frames.free = append(d.frames.free, n)
+				s.data[blk][page] = 0
 			}
 		}
 		d.frames.mu.Unlock()
@@ -872,14 +996,14 @@ type FrameStats struct {
 // FrameStats reports where the device's frames are. Test and diagnostic
 // use: it locks every shard in turn and allocates a set of the frames.
 func (d *Device) FrameStats() FrameStats {
-	owners := make(map[*byte]int)
+	owners := make(map[frameNo]int)
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.Lock()
 		for blk, chunk := range s.data {
-			for page, pg := range chunk {
-				if pg != nil && !s.moved.get(int64(blk*d.geo.PagesPerBlock+page)) {
-					owners[&pg[0]]++
+			for page, n := range chunk {
+				if n != 0 && !s.moved.get(int64(blk*d.geo.PagesPerBlock+page)) {
+					owners[n]++
 				}
 			}
 		}
@@ -888,8 +1012,8 @@ func (d *Device) FrameStats() FrameStats {
 	fs := FrameStats{Held: len(owners)}
 	d.frames.mu.Lock()
 	fs.Free = len(d.frames.free)
-	for _, pg := range d.frames.free {
-		owners[&pg[0]]++
+	for _, n := range d.frames.free {
+		owners[n]++
 	}
 	d.frames.mu.Unlock()
 	for _, n := range owners {

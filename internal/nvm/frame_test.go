@@ -3,7 +3,11 @@ package nvm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
+	"unsafe"
+
+	"nds/internal/zeromap"
 )
 
 // xorCipher is a size-preserving stand-in for the inline engine of
@@ -83,18 +87,21 @@ func TestShortProgramIntoRecycledFrame(t *testing.T) {
 	})
 }
 
-// TestFrameOrigin: Frame reports a frame carved from a new slab as fresh (and
-// zeroed) and one that came back to the arena — handed back unprogrammed, or
-// stored and then erased — as recycled. The STL streams only into the latter.
+// TestFrameOrigin: Frame draws from the free list first — a frame handed back
+// unprogrammed, or stored and then erased, is the next one drawn, dirty — and
+// carves from a chunk only when the list is empty: a new device's first frame
+// is its first chunk's first slot, zeroed by the system, and the next carve
+// is the slot after it.
 func TestFrameOrigin(t *testing.T) {
 	d := newTestDevice(t, false)
-	f, recycled := d.Frame()
-	if recycled || !bytes.Equal(f, make([]byte, len(f))) {
-		t.Fatalf("a new device's first frame: recycled %v, zeroed %v; want a fresh, zeroed frame", recycled, bytes.Equal(f, make([]byte, len(f))))
+	f := d.Frame()
+	if n := d.frames.number(f); n != 1 || !bytes.Equal(f, make([]byte, len(f))) {
+		t.Fatalf("a new device's first frame is number %d, zeroed %v; want 1, zeroed", n, bytes.Equal(f, make([]byte, len(f))))
 	}
+	f[0] = 0xAB
 	d.Recycle(f)
-	if g, recycled := d.Frame(); &g[0] != &f[0] || !recycled {
-		t.Fatalf("after Recycle: the same frame %v, recycled %v; want both", &g[0] == &f[0], recycled)
+	if g := d.Frame(); &g[0] != &f[0] || g[0] != 0xAB {
+		t.Fatalf("after Recycle: the same frame %v, as it was handed back %v; want both", &g[0] == &f[0], g[0] == 0xAB)
 	}
 	p := PPA{0, 0, 0, 0}
 	if _, err := d.ProgramPages([]ProgramOp{{P: p, Data: f, Owned: true}}); err != nil {
@@ -103,8 +110,11 @@ func TestFrameOrigin(t *testing.T) {
 	if _, err := d.EraseBlock(0, p); err != nil {
 		t.Fatal(err)
 	}
-	if g, recycled := d.Frame(); &g[0] != &f[0] || !recycled {
-		t.Fatalf("after the erase: the stored frame %v, recycled %v; want both", &g[0] == &f[0], recycled)
+	if g := d.Frame(); &g[0] != &f[0] {
+		t.Fatal("after the erase: the next frame drawn is not the one the block held")
+	}
+	if g := d.Frame(); d.frames.number(g) != 2 {
+		t.Fatalf("with the free list empty, the arena carved frame %d, want 2", d.frames.number(g))
 	}
 }
 
@@ -123,7 +133,7 @@ func TestOwnedFrameStoredInPlace(t *testing.T) {
 		plain := make([][]byte, len(ops))
 		for i := range ops {
 			plain[i] = bytes.Repeat([]byte{byte(i + 1)}, ps)
-			frame, _ := d.Frame()
+			frame := d.Frame()
 			copy(frame, plain[i])
 			ops[i] = ProgramOp{P: PPA{0, 0, 2, i}, Data: frame, Owned: true}
 		}
@@ -347,4 +357,151 @@ func TestUnwrittenBlockHoldsNoTable(t *testing.T) {
 			t.Fatal("a program after the erase must store into the kept chunk")
 		}
 	})
+}
+
+// TestFramesAcrossChunks: frames carved across a chunk boundary are whole
+// (PageSize long, with no capacity past it), disjoint and at PageSize
+// offsets; where chunks are mapped, each but the first starts at a huge page.
+// The arena knows each by its number, a buffer that is not one of its frames
+// is neither stored in place nor taken back, and Close releases every chunk,
+// once. The odd page size leaves a chunk's tail unused.
+func TestFramesAcrossChunks(t *testing.T) {
+	for _, ps := range []int{4096, 360} {
+		t.Run(fmt.Sprint(ps), func(t *testing.T) {
+			geo := testGeo()
+			geo.PageSize = ps
+			d, err := NewDevice(geo, TLCTiming(), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			per := d.frames.perChunk
+			frames := make([][]byte, per+2) // all of one chunk and two of the next
+			for i := range frames {
+				f := d.Frame()
+				if len(f) != ps || cap(f) != ps {
+					t.Fatalf("frame %d: len %d cap %d, want a whole %d B frame", i, len(f), cap(f), ps)
+				}
+				if n := d.frames.number(f); n != frameNo(i/per<<d.frames.shift+i%per+1) || &d.frames.dir.Load().frame(n)[0] != &f[0] {
+					t.Fatalf("frame %d is numbered %d", i, n)
+				}
+				for j := range f {
+					f[j] = byte(i)
+				}
+				frames[i] = f
+			}
+			base := func(i int) uintptr { return uintptr(unsafe.Pointer(&frames[i][0])) }
+			for i := range frames {
+				chunk := base(i / per * per)
+				if off := base(i) - chunk; off != uintptr(i%per*ps) {
+					t.Fatalf("frame %d lies %d B into its chunk, want %d", i, off, i%per*ps)
+				}
+				if zeromap.Mapped && i >= per && chunk%zeromap.HugePage != 0 {
+					t.Fatalf("frame %d's chunk starts at %#x, not at a huge page", i, chunk)
+				}
+				if !bytes.Equal(frames[i], bytes.Repeat([]byte{byte(i)}, ps)) {
+					t.Fatalf("frame %d shares bytes with another", i)
+				}
+			}
+
+			// The first frame of the second chunk is stored in place; a
+			// page-sized buffer of the heap and a frame's shifted window are
+			// copied, and Recycle takes back neither.
+			last := frames[per]
+			foreign := bytes.Repeat([]byte{0xEE}, ps)
+			for _, f := range [][]byte{foreign, unsafe.Slice(&frames[0][1], ps), frames[0][1:]} {
+				d.Recycle(f)
+			}
+			if fs := d.FrameStats(); fs.Free != 0 {
+				t.Fatalf("Recycle took back %d buffers that are not frames of the device", fs.Free)
+			}
+			ops := []ProgramOp{
+				{P: PPA{0, 0, 0, 0}, Data: last, Owned: true},
+				{P: PPA{0, 0, 0, 1}, Data: foreign, Owned: true},
+			}
+			if _, err := d.ProgramPages(ops); err != nil {
+				t.Fatal(err)
+			}
+			if raw := d.RawPage(ops[0].P); &raw[0] != &last[0] {
+				t.Fatal("a frame of the second chunk was not stored in place")
+			}
+			if raw := d.RawPage(ops[1].P); &raw[0] == &foreign[0] || !bytes.Equal(raw, foreign) {
+				t.Fatal("a heap buffer handed over as Owned was stored in place, or not copied")
+			}
+
+			d.timelines.Release() // so that what Close releases is the frames'
+			r0 := zeromap.Released()
+			d.Close()
+			chunks := int64(len(d.frames.tables))
+			if got, want := zeromap.Released()-r0, chunks*int64(per*ps); chunks != 2 || got != want {
+				t.Fatalf("Close released %d B for %d chunks, want %d B for 2", got, chunks, want)
+			}
+			r1 := zeromap.Released()
+			d.Close()
+			if r2 := zeromap.Released(); r2 != r1 {
+				t.Fatalf("a second Close released %d B more", r2-r1)
+			}
+		})
+	}
+}
+
+// TestFramesAcrossChunksConcurrently: the arena grows while other dies store
+// and read frames — four writers, one a die, draw frames that cross a chunk
+// every few pages and program them, and after each program read every page
+// of the device, so a reader meets frame numbers of chunks another die
+// carved after its read began (run it under -race).
+func TestFramesAcrossChunksConcurrently(t *testing.T) {
+	geo := Geometry{Channels: 2, Banks: 2, BlocksPerBank: 2, PagesPerBlock: 8, PageSize: 256 << 10}
+	d, err := NewDevice(geo, TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dies := geo.Channels * geo.Banks
+	fill := func(p PPA) byte { return byte((p.Channel*geo.Banks+p.Bank)*31 + p.Block*7 + p.Page) }
+	all := make([]Word, geo.TotalPages())
+	for i := range all {
+		all[i] = d.lay.Word(FromLinear(geo, int64(i)))
+	}
+	errs := make(chan error, dies)
+	for die := 0; die < dies; die++ {
+		go func() {
+			ch, bank := die/geo.Banks, die%geo.Banks
+			for blk := 0; blk < geo.BlocksPerBank; blk++ {
+				for pg := 0; pg < geo.PagesPerBlock; pg++ {
+					p := PPA{ch, bank, blk, pg}
+					f := d.Frame()
+					for i := range f {
+						f[i] = fill(p)
+					}
+					if _, err := d.ProgramPages([]ProgramOp{{P: p, Data: f, Owned: true}}); err != nil {
+						errs <- err
+						return
+					}
+					out := make([][]byte, len(all))
+					if _, err := d.ReadWords(0, all, out); err != nil {
+						errs <- err
+						return
+					}
+					for i, pg := range out {
+						q := FromLinear(geo, int64(i))
+						if pg[0] != 0 && (pg[0] != fill(q) || pg[len(pg)-1] != fill(q)) || q == p && &pg[0] != &f[0] {
+							errs <- fmt.Errorf("%v reads another frame or other bytes", q)
+							return
+						}
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range dies {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs := d.FrameStats(); fs.Held != int(geo.TotalPages()) || fs.Lost != 0 {
+		t.Fatalf("frames %+v, want %d held and none lost", fs, geo.TotalPages())
+	}
+	if want := int(geo.TotalPages()) / d.frames.perChunk; len(d.frames.tables) != want {
+		t.Fatalf("%d chunks carved, want %d", len(d.frames.tables), want)
+	}
 }

@@ -357,7 +357,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			stats.PagesRead++
 			ready = d
 			if hasData {
-				frame, _ = t.dev.Frame()
+				frame = t.dev.Frame()
 				copy(frame, old[0])
 				rs.copyPayload(frame, st, ps, false)
 			}
@@ -399,9 +399,8 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 		// Any other page's frame is drawn only now that the page has a unit, and
 		// holds nothing until a fill.
 		if hasData && !rmw {
-			var recycled bool
-			frame, recycled = t.dev.Frame()
-			rs.fills = append(rs.fills, pendingFill{op: int32(len(rs.ops)), stage: int32(si), recycled: recycled})
+			frame = t.dev.Frame()
+			rs.fills = append(rs.fills, pendingFill{op: int32(len(rs.ops)), stage: int32(si)})
 		}
 		rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: unit, Data: frame, Owned: true})
 		if replacing {

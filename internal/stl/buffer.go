@@ -54,7 +54,7 @@ func (t *STL) stagedPage(s *Space, key pendingKey) *pendingPage {
 	if pp == nil {
 		pp = &pendingPage{}
 		if !t.dev.Phantom() {
-			pp.buf, _ = t.dev.Frame()
+			pp.buf = t.dev.Frame()
 			clear(pp.buf)
 		}
 		s.staged[key] = pp

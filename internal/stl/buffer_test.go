@@ -235,13 +235,13 @@ func TestDroppedStagingFramesReturnToArena(t *testing.T) {
 		}
 	}
 	for range 8 {
-		f, _ := st.dev.Frame()
+		f := st.dev.Frame()
 		if !dropped[&f[0]] {
 			t.Fatalf("the arena drew a new frame with %d dropped staging frames unreturned", len(dropped))
 		}
 		delete(dropped, &f[0])
 	}
-	if f, _ := st.dev.Frame(); kept[&f[0]] {
+	if f := st.dev.Frame(); kept[&f[0]] {
 		t.Fatal("a surviving page's frame went back to the arena with the dropped ones")
 	}
 }

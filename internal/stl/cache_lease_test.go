@@ -113,9 +113,7 @@ func cacheLeaseUnderGC(t *testing.T, geo nvm.Geometry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 64; i++ {
-		dev.Recycle(bytes.Repeat([]byte{0xFF}, geo.PageSize))
-	}
+	primeArena(dev, 64, fillFF)
 	const (
 		rows, cols = 128, 32 // float32 per space: a column of four 32x32 building blocks of eight pages
 		bb         = 32

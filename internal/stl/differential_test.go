@@ -33,9 +33,7 @@ func newTwin(t *testing.T, elem int, dims, view []int64, mutate func(*Config), p
 	for _, f := range prep {
 		f(dev)
 	}
-	for i := 0; i < 256; i++ {
-		dev.Recycle(bytes.Repeat([]byte{0xFF}, smallGeo().PageSize))
-	}
+	primeArena(dev, 256, fillFF)
 	cfg := DefaultConfig()
 	if mutate != nil {
 		mutate(&cfg)

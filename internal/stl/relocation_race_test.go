@@ -255,9 +255,7 @@ func raceOverwrites(t *testing.T, primed bool) {
 	st := r.sc.st
 	fill := fillRandom
 	if primed {
-		for i := 0; i < 64; i++ {
-			st.dev.Recycle(bytes.Repeat([]byte{0xFF}, st.geo.PageSize))
-		}
+		primeArena(st.dev, 64, fillFF)
 		fill = func(rng *rand.Rand, n int64) []byte {
 			b := make([]byte, n)
 			fillNoFF(rng, b)

@@ -129,10 +129,8 @@ type writeStage struct {
 
 // pendingFill names a queued program whose frame is still as the arena handed
 // it out: ops[op]'s page is stages[stage]'s payload pieces over zeros.
-// recycled is the arena's word on where the frame came from (nvm.Device.Frame).
 type pendingFill struct {
 	op, stage int32
-	recycled  bool
 }
 
 // stagedOp names a queued program of a staged page: ops[op] lands page key.
@@ -290,16 +288,13 @@ func (rs *requestScratch) payloadZero(st *writeStage, ps int64) bool {
 	return true
 }
 
-// fillBurst is how many booked pages wait for their bytes at most: one arena
-// slab's worth. The saving is in the run — a quarter megabyte of stores to
-// cold frames with no fence among them — and is as large at 64 pages as at
-// 256; but an arena that is still growing zeroes each slab as it makes it,
-// and a first fill that copies into the slab while it is still in cache costs
-// 5-10 % less than one that books the whole request first (EXPERIMENTS.md
-// "book first, fill last"). Which frames a burst streams past the cache, and
-// why the slab's do not, is fillPending's; the burst's one SFENCE is what
-// makes a streamed frame the device's to read.
-const fillBurst = nvm.FramesPerSlab
+// fillBurst is how many booked pages wait for their bytes at most. The saving
+// is in the run — a quarter megabyte of stores to cold frames with no fence
+// among them — and is as large at 64 pages as at 256 (EXPERIMENTS.md "book
+// first, fill last"). Which frames a burst streams past the cache is
+// fillPending's; the burst's one SFENCE is what makes a streamed frame the
+// device's to read.
+const fillBurst = 64
 
 // fillPending makes the queued frames the pages their ops program: zeros
 // where the extents leave a page uncovered (frames arrive dirty), then the
@@ -307,12 +302,13 @@ const fillBurst = nvm.FramesPerSlab
 // no atomic, no call into the device — so the stores to cold frames drain
 // behind one another instead of at each page's next fence.
 //
-// A whole page into a recycled frame — one a discard or an erase gave back,
-// long out of cache — is streamed (streamCopy): its stores skip the read of
-// each line a plain store makes first. A frame carved from a new slab keeps
-// plain stores, since make has just zeroed it and left it in cache, and so
-// does a page the extents leave gaps in, whose clear has just cached it. The
-// burst ends in one storeFence, which orders the streamed stores before
+// A whole page is streamed (streamCopy): its stores skip the read of each line
+// a plain store makes first. No frame is in cache when it is drawn — a
+// recycled one was written long ago, and a fresh one lies in a chunk the
+// system zeroes at its first touch, a huge page at a time where it grants
+// one — so every whole page streams; only a page the extents leave gaps in
+// keeps plain stores, since its clear has just cached the frame. The burst
+// ends in one storeFence, which orders the streamed stores before
 // flushPrograms hands the frames to ProgramPages (and so to any reader).
 func (rs *requestScratch) fillPending(ps int64) {
 	streamed := false
@@ -321,7 +317,7 @@ func (rs *requestScratch) fillPending(ps int64) {
 		if st.covered < ps {
 			clear(frame)
 		}
-		stream := f.recycled && st.covered >= ps
+		stream := st.covered >= ps
 		rs.copyPayload(frame, st, ps, stream)
 		streamed = streamed || stream
 	}

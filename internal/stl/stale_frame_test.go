@@ -61,9 +61,7 @@ func TestWriteStaleFrameHoles(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 64; i++ {
-				dev.Recycle(bytes.Repeat([]byte{0xFF}, geo.PageSize))
-			}
+			primeArena(dev, 64, fillFF)
 			cfg := DefaultConfig()
 			if tc.mutate != nil {
 				tc.mutate(&cfg)
@@ -137,13 +135,36 @@ func TestWriteStaleFrameHoles(t *testing.T) {
 	}
 }
 
+// primeArena draws n of dev's frames, has fill write each (i is its index),
+// and gives them all back, so that the next n frames the device hands out
+// hold what fill wrote: a write that trusts a frame to arrive clean, or a
+// read that reaches a recycled one, shows it. It returns the frames.
+func primeArena(dev *nvm.Device, n int, fill func(i int, f []byte)) [][]byte {
+	frames := make([][]byte, n)
+	for i := range frames {
+		frames[i] = dev.Frame()
+		fill(i, frames[i])
+	}
+	for _, f := range frames {
+		dev.Recycle(f)
+	}
+	return frames
+}
+
+// fillFF is primeArena's fill of a frame with 0xFF.
+func fillFF(_ int, f []byte) {
+	for i := range f {
+		f[i] = 0xFF
+	}
+}
+
 // TestFailedOverwriteLeavesOldOrNew: a write that runs out of capacity part
 // way lands what it had queued — frames that were booked and not yet filled —
 // and keeps no frame for the page that failed (a page draws its frame once it
 // has a unit). The space is larger than the device holds: rows 0..127 carry an
 // old version, rows 256..511 another tile, and the arena is primed with frames
-// of that other tile's words, so that nothing the test did not make is ever a
-// frame. A write of rows 0..255 replaces the 128 old pages, places 76 of the
+// of that other tile's words, so that every frame the write draws is one the
+// test filled. A write of rows 0..255 replaces the 128 old pages, places 76 of the
 // 128 new ones and fails on the 77th with all 204 programs queued, the last 12
 // of them still unfilled. Afterwards every word of rows 0..127 is the old or
 // the attempted version, every word below is the attempted version or never
@@ -168,10 +189,8 @@ func TestFailedOverwriteLeavesOldOrNew(t *testing.T) {
 		return b
 	}
 	known := make(map[*byte]bool, primed)
-	for i := 0; i < primed; i++ {
-		f := words(other, i, geo.PageSize/4)
+	for _, f := range primeArena(dev, primed, func(i int, f []byte) { copy(f, words(other, i, geo.PageSize/4)) }) {
 		known[&f[0]] = true
-		dev.Recycle(f)
 	}
 	cfg := DefaultConfig()
 	cfg.OverProvision = 0.55 // 460 of 1024 pages: the logical budget runs out long before any die does
@@ -231,8 +250,8 @@ func TestFailedOverwriteLeavesOldOrNew(t *testing.T) {
 		t.Fatalf("%d elements took the attempted version, %d pages were programmed", attempted, stats.PagesProgrammed)
 	}
 
-	// Every frame is one the test made; the stored pages and the arena's free
-	// list account for all of them, so the next draw comes from a new slab.
+	// Every frame is one the test primed; the stored pages and the arena's free
+	// list account for all of them, so the next draw is carved afresh.
 	stored := 0
 	for i := int64(0); i < geo.TotalPages(); i++ {
 		if pg := dev.RawPage(nvm.FromLinear(geo, i)); pg != nil {
@@ -244,13 +263,13 @@ func TestFailedOverwriteLeavesOldOrNew(t *testing.T) {
 		}
 	}
 	for range primed - stored {
-		f, _ := dev.Frame()
+		f := dev.Frame()
 		if !known[&f[0]] {
 			t.Fatalf("the arena ran out %d frames early: the failed write kept them", len(known))
 		}
 		delete(known, &f[0])
 	}
-	if f, _ := dev.Frame(); len(known) != 0 || known[&f[0]] {
+	if f := dev.Frame(); len(known) != 0 || known[&f[0]] {
 		t.Fatalf("%d primed frames unaccounted for", len(known))
 	}
 }

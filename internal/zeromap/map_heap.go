@@ -10,6 +10,8 @@ const Mapped = false
 
 func mapZeroed(int) []byte { return nil }
 
+func mapHuge(int) (mapping, mem []byte) { return nil, nil }
+
 func dropPages([]byte) bool { return false }
 
 func unmap([]byte) {}

@@ -2,7 +2,10 @@
 
 package zeromap
 
-import "syscall"
+import (
+	"syscall"
+	"unsafe"
+)
 
 // Mapped reports whether Make maps its tables.
 const Mapped = true
@@ -16,6 +19,25 @@ func mapZeroed(n int) []byte {
 	}
 	return mem
 }
+
+// mapHuge maps n bytes of private anonymous memory at a HugePage boundary,
+// advised as huge pages, and returns the whole mapping (what unmap takes)
+// and its aligned n bytes; nil if the system refuses. The mapping is a huge
+// page longer than n, so that an aligned n fit in it; the slack is never
+// touched and costs no memory. The advice is a hint: where transparent huge
+// pages are off, or none is free at a fault, the kernel maps small pages.
+func mapHuge(n int) (mapping, mem []byte) {
+	mapping = mapZeroed(n + HugePage)
+	if mapping == nil {
+		return nil, nil
+	}
+	_ = syscall.Madvise(mapping, syscall.MADV_HUGEPAGE)
+	off := (HugePage - addr(mapping)%HugePage) % HugePage
+	return mapping, mapping[off : off+n : off+n]
+}
+
+// addr is the address of b's first byte.
+func addr(b []byte) int { return int(uintptr(unsafe.Pointer(unsafe.SliceData(b)))) }
 
 // dropPages hands mem's pages back to the system; the next touch of one reads
 // a fresh zero page. It reports whether the system took them.

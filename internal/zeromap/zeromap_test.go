@@ -57,3 +57,34 @@ func TestEmptyTable(t *testing.T) {
 		t.Fatalf("an empty table has %d entries and released %d B", len(s), Released()-r0)
 	}
 }
+
+// TestChunk: a chunk starts zero, at a huge page where it is mapped, holds
+// what is stored in it, and Release counts its bytes once.
+func TestChunk(t *testing.T) {
+	const n = HugePage + 4096
+	c, tab := Chunk(n)
+	if len(c) != n || cap(c) != n {
+		t.Fatalf("len %d cap %d, want %d", len(c), cap(c), n)
+	}
+	if a := uintptr(unsafe.Pointer(&c[0])); Mapped && a%HugePage != 0 {
+		t.Fatalf("a mapped chunk starts at %#x, not at a huge page", a)
+	}
+	for i := range c {
+		if c[i] != 0 {
+			t.Fatalf("byte %d is %d before any store", i, c[i])
+		}
+		c[i] = byte(i)
+	}
+	for i := range c {
+		if c[i] != byte(i) {
+			t.Fatalf("byte %d reads %d", i, c[i])
+		}
+	}
+	r0 := Released()
+	tab.Release()
+	tab.Release()
+	if got := Released() - r0; got != n {
+		t.Fatalf("two Releases counted %d B, want the chunk's %d once", got, n)
+	}
+	runtime.KeepAlive(tab)
+}

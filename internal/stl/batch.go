@@ -149,7 +149,14 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 	// the queued batch drains before each materialization to keep the issue
 	// order. Only write buffering stages pages, so only then is an unallocated
 	// page worth a look in the staging map.
+	//
+	// A page's bytes are consumed by the segments (refs: a data-bearing device)
+	// or by the cache's transaction. Where neither takes them — a phantom device,
+	// the cache off — a page keeps only its dedupe mark in bp.pages and its word
+	// in the batch: no pageData slot, no planOf entry, and the flush reads into
+	// no out.
 	refs := !t.dev.Phantom()
+	slots := refs || cached
 	for more := true; more; {
 		var exts []Extent
 		exts, more = rs.nextBatch()
@@ -188,18 +195,23 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 				hi := min64(end, pageEnd)
 				idx := bp.pages[p] - 1
 				if idx < 0 {
-					rs.pageData = append(rs.pageData, nil)
-					idx = int32(len(rs.pageData) - 1)
+					idx = 0 // a slotless page's mark: bp.pages[p] == 1
+					if slots {
+						rs.pageData = append(rs.pageData, nil)
+						idx = int32(len(rs.pageData) - 1)
+					}
 					bp.pages[p] = idx + 1
 					if slot := blk.pages[p].load(); slot.allocated() {
 						if cached {
 							rs.wantPage(int32(p))
 						} else {
 							rs.words = append(rs.words, slot.word())
-							rs.planOf = append(rs.planOf, idx)
+							if refs {
+								rs.planOf = append(rs.planOf, idx)
+							}
 							stats.PagesRead++
 						}
-					} else if t.cfg.WriteBuffering {
+					} else if refs && t.cfg.WriteBuffering {
 						// §4.4 write staging: partially collected pages serve
 						// reads straight from STL memory.
 						if pp := s.staged[pendingKey{e.Block, int(p)}]; pp != nil && pp.buf != nil {

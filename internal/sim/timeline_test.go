@@ -96,6 +96,29 @@ func checkAgainst(t *testing.T, op int, r *Resource, ref *refTimeline, at, d Tim
 	if s != ws || e != we {
 		t.Fatalf("op %d Acquire(%d,%d) = [%d,%d), reference [%d,%d)", op, at, d, s, e, ws, we)
 	}
+	checkWindow(t, op, r, ref)
+}
+
+// checkRun holds a run of k operations booked in one AcquireRunHeld to ref
+// taking them one at a time: every completion, then the counters and the
+// window.
+func checkRun(t *testing.T, op int, r *Resource, ref *refTimeline, at, d Time, k int) {
+	t.Helper()
+	ends := make([]Time, k)
+	r.Hold()
+	r.AcquireRunHeld(at, d, ends)
+	r.Release()
+	for j := range ends {
+		if _, we := ref.acquire(at, d); ends[j] != we {
+			t.Fatalf("op %d AcquireRunHeld(%d,%d) x%d: operation %d ends at %d, reference %d", op, at, d, k, j, ends[j], we)
+		}
+	}
+	checkWindow(t, op, r, ref)
+}
+
+// checkWindow holds r's published counters and its window to ref's.
+func checkWindow(t *testing.T, op int, r *Resource, ref *refTimeline) {
+	t.Helper()
 	if r.FreeAt() != ref.horizon() || r.BusyTime() != ref.busy || r.Ops() != ref.ops {
 		t.Fatalf("op %d: FreeAt/BusyTime/Ops = %d/%d/%d, reference %d/%d/%d",
 			op, r.FreeAt(), r.BusyTime(), r.Ops(), ref.horizon(), ref.busy, ref.ops)
@@ -103,9 +126,9 @@ func checkAgainst(t *testing.T, op int, r *Resource, ref *refTimeline, at, d Tim
 	if len(r.ivals) > maxIntervals {
 		t.Fatalf("op %d: window holds %d intervals, cap is %d", op, len(r.ivals), maxIntervals)
 	}
-	if r.floor != ref.floor || len(r.ivals) != len(ref.ivals) {
+	if r.floorLocked() != ref.floor || len(r.ivals) != len(ref.ivals) {
 		t.Fatalf("op %d: floor %d with %d intervals, reference floor %d with %d",
-			op, r.floor, len(r.ivals), ref.floor, len(ref.ivals))
+			op, r.floorLocked(), len(r.ivals), ref.floor, len(ref.ivals))
 	}
 	for i := range r.ivals {
 		if r.ivals[i] != ref.ivals[i] {
@@ -119,10 +142,12 @@ func checkAgainst(t *testing.T, op int, r *Resource, ref *refTimeline, at, d Tim
 // (streaming), past it (idle gaps), at the previous arrival again (a batch
 // hitting a busy bank), and behind it by up to 64 Ki ticks (backfill, some of
 // it below the floor). d is 0..15, so zero-length operations are in the mix.
-func decodeOps(data []byte, fn func(at, d Time)) {
+// Each operation also carries a run length k of 1..4, from the first byte's
+// top bits, for a timeline that books it as a run of k.
+func decodeOps(data []byte, fn func(at, d Time, k int)) {
 	var cursor, last Time
 	for ; len(data) >= 3; data = data[3:] {
-		delta, d := Time(data[1]), Time(data[2]%16)
+		delta, d, k := Time(data[1]), Time(data[2]%16), 1+int(data[0]>>6)
 		at := cursor
 		switch data[0] % 4 {
 		case 1:
@@ -132,7 +157,7 @@ func decodeOps(data []byte, fn func(at, d Time)) {
 		case 3:
 			at = Max(0, cursor-delta*Time(1+data[0]/4)*4)
 		}
-		fn(at, d)
+		fn(at, d, k)
 		last = at
 		if at >= cursor {
 			cursor = at + d
@@ -142,6 +167,10 @@ func decodeOps(data []byte, fn func(at, d Time)) {
 
 // FuzzAcquireWindow: any (at, d) sequence books exactly as the reference
 // does — grants, horizon, counters, floor and every interval of the window.
+// A second timeline books each operation as a run of k (AcquireRunHeld), and
+// must book as k single operations do: runs that start on the tail, which
+// book in one step, and runs that start in a backfill, which book one
+// operation at a time.
 func FuzzAcquireWindow(f *testing.F) {
 	// Enough gapped appends to slide the window several times, then
 	// backfills reaching behind the floor; and the busy-bank pattern.
@@ -158,9 +187,11 @@ func FuzzAcquireWindow(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 3, 9, 2, 1, 30, 0, 2, 0, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, ref := NewResource("fuzz"), &refTimeline{}
+		run, runRef := NewResource("run"), &refTimeline{}
 		op := 0
-		decodeOps(data, func(at, d Time) {
+		decodeOps(data, func(at, d Time, k int) {
 			checkAgainst(t, op, r, ref, at, d)
+			checkRun(t, op, run, runRef, at, d, k)
 			op++
 		})
 	})
@@ -201,10 +232,10 @@ func TestTimelineBounded(t *testing.T) {
 		if n := len(r.ivals); n > maxIntervals {
 			t.Fatalf("op %d: window holds %d intervals, cap is %d", i, n, maxIntervals)
 		}
-		slid = slid || r.floor > 0
+		slid = slid || r.floorLocked() > 0
 	}
 	if !slid || len(r.ivals) < maxIntervals/2 {
-		t.Fatalf("the mix never filled the window (%d intervals, floor %d)", len(r.ivals), r.floor)
+		t.Fatalf("the mix never filled the window (%d intervals, floor %d)", len(r.ivals), r.floorLocked())
 	}
 	if allocs := testing.AllocsPerRun(10_000, step); allocs != 0 {
 		t.Fatalf("steady-state Acquire allocates %.2f times per call, want 0", allocs)
@@ -238,8 +269,8 @@ func TestWindowRuleOnBothPaths(t *testing.T) {
 		if s, e := r.Acquire(c.at, c.d); (interval{s, e}) != c.want {
 			t.Fatalf("%s: the extra interval landed at [%d,%d), want %v", c.name, s, e, c.want)
 		}
-		if len(r.ivals) != maxIntervals || r.floor != 10 {
-			t.Fatalf("%s: %d intervals, floor %d; want %d and 10", c.name, len(r.ivals), r.floor, maxIntervals)
+		if len(r.ivals) != maxIntervals || r.floorLocked() != 10 {
+			t.Fatalf("%s: %d intervals, floor %d; want %d and 10", c.name, len(r.ivals), r.floorLocked(), maxIntervals)
 		}
 		// [0,5) now lies behind the floor; the next gap, [10,15), is open.
 		if s, _ := r.Acquire(0, 5); s != 10 {

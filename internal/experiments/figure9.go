@@ -181,6 +181,7 @@ func Figure9D(n int64) (Fig9Write, error) {
 	if err != nil {
 		return out, err
 	}
+	defer p.Close()
 	rowBytes := n * 8
 	ps := int64(p.Baseline.Cfg.Geometry.PageSize)
 

@@ -32,6 +32,7 @@ func Overhead(n int64) (OverheadResult, error) {
 	if err != nil {
 		return out, err
 	}
+	defer p.Close()
 	m, err := p.LoadMatrix(n)
 	if err != nil {
 		return out, err

@@ -188,7 +188,9 @@ func measureKernel(name string) (KernelPoint, error) {
 		if err != nil {
 			return kp, err
 		}
-		if *form.out, err = run(sys, form.push); err != nil {
+		*form.out, err = run(sys, form.push)
+		sys.Close()
+		if err != nil {
 			return kp, err
 		}
 	}

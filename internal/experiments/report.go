@@ -79,6 +79,11 @@ func NewReport(n int64, names ...string) (*Report, error) {
 	}
 	var p *Platform // Figure 9(a-c) read one loaded matrix, in that order
 	var m *Matrix2D
+	defer func() {
+		if p != nil {
+			p.Close()
+		}
+	}()
 	for _, s := range r.sections {
 		var err error
 		if strings.HasPrefix(s, "fig 9") && s != "fig 9d" && p == nil {
@@ -106,6 +111,7 @@ func NewReport(n int64, names ...string) (*Report, error) {
 			for _, sys := range []*system.System{p.Baseline, p.Software, p.Hardware} {
 				r.Util = append(r.Util, sys.Report(sys.Dev.NextIdle()))
 			}
+			p.Close()
 			p = nil
 		case "fig 9d":
 			r.Fig9D, err = Figure9D(n)

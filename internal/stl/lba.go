@@ -48,6 +48,11 @@ func NewLBA(dev *nvm.Device, cfg Config) (*LBA, error) {
 	return l, nil
 }
 
+// Close gives back at once the memory of the STL the block device owns, and
+// so of its device (STL.Close). A closed LBA must not be used; a second Close
+// does nothing.
+func (l *LBA) Close() error { return l.t.Close() }
+
 // slotAt is the slot that reverse entry e names: logical page e.block of the
 // LBA for space 0, page e.page of building block e.block of space e.space
 // otherwise. It is nil if e's space is gone or its block was never written.

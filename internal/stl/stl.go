@@ -251,8 +251,9 @@ func New(dev *nvm.Device, cfg Config) (*STL, error) {
 }
 
 // Close gives back at once the memory of the STL's reverse map and of its
-// device's timelines (nvm.Device.Close), which otherwise goes when the STL
-// is collected: an STL owns its whole device. It runs no goroutine to stop.
+// device's timelines and page frames' chunks (nvm.Device.Close), which
+// otherwise goes when the STL is collected: an STL owns its whole device. It
+// runs no goroutine to stop.
 // A closed STL, and its device, must not be used; a second Close does
 // nothing.
 func (t *STL) Close() error {

@@ -471,12 +471,20 @@ func checkWalk(t testing.TB, v *View, coord, sub []int64) {
 // walkSpace creates a phantom space with the given block order (0: default).
 func walkSpace(t testing.TB, order, elem int, dims ...int64) *Space {
 	t.Helper()
+	return walkSpaceMult(t, order, 1, elem, dims...)
+}
+
+// walkSpaceMult is walkSpace with building blocks mult pages deep: a
+// multiplier of 3 makes the last dimension's block extent no power of two.
+func walkSpaceMult(t testing.TB, order, mult, elem int, dims ...int64) *Space {
+	t.Helper()
 	dev, err := nvm.NewDevice(smallGeo(), nvm.TLCTiming(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.BBOrder = order
+	cfg.BBMultiplier = mult
 	st, err := New(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +562,10 @@ func TestWalkMatchesReference(t *testing.T) {
 }
 
 // FuzzExtents draws a space, a factorisation of its volume as the view, and a
-// partition from the fuzzer and holds the walk to the reference.
+// partition from the fuzzer and holds the walk to the reference. The order
+// byte's bits above the block order pick the building-block multiplier, 1 to
+// 3; every case is seeded at 1 and at 3, whose last-dimension block extent
+// is no power of two.
 func FuzzExtents(f *testing.F) {
 	for _, c := range walkCases {
 		var d, vw, sb [4]uint16
@@ -568,8 +579,10 @@ func FuzzExtents(f *testing.F) {
 			for i := range c.view {
 				vw[i], sb[i] = uint16(c.view[i]), uint16(sub[i])
 			}
-			f.Add(uint8(c.order), uint8(len(c.dims)), d[0], d[1], d[2], d[3],
-				uint8(len(c.view)), vw[0], vw[1], vw[2], sb[0], sb[1], sb[2], sb[3], uint32(1))
+			for _, mult := range []uint8{0, 2} {
+				f.Add(uint8(c.order)+4*mult, uint8(len(c.dims)), d[0], d[1], d[2], d[3],
+					uint8(len(c.view)), vw[0], vw[1], vw[2], sb[0], sb[1], sb[2], sb[3], uint32(1))
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, order, n uint8, d0, d1, d2, d3 uint16,
@@ -599,7 +612,7 @@ func FuzzExtents(f *testing.F) {
 			coord[i] = pick % parts
 			pick /= parts
 		}
-		s := walkSpace(t, int(order%4), 4, dims...)
+		s := walkSpaceMult(t, int(order%4), 1+int(order/4)%3, 4, dims...)
 		v, err := NewView(s, view)
 		if err != nil {
 			t.Fatal(err)

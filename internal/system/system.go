@@ -176,6 +176,21 @@ func New(kind Kind, cfg Config) (*System, error) {
 	return s, nil
 }
 
+// Close gives back at once the memory of the system's device: the reverse
+// map, timelines and page frames of its STL or of its block device
+// (stl.STL.Close), which otherwise goes when the system is collected. A
+// closed system must not be used; a second Close does nothing.
+func (s *System) Close() error {
+	switch {
+	case s.FTL != nil:
+		return s.FTL.Close()
+	case s.STL != nil:
+		return s.STL.Close()
+	}
+	s.Dev.Close()
+	return nil
+}
+
 // ResetTimelines zeroes every resource timeline (host CPU, link, controller,
 // device) without touching stored data, so an experiment phase starts from a
 // quiet system.

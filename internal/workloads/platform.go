@@ -21,10 +21,20 @@ func NewPlatform(cfg system.Config) (*Platform, error) {
 	for i, kind := range []system.Kind{system.Baseline, system.SoftwareNDS, system.HardwareNDS} {
 		var err error
 		if sys[i], err = system.New(kind, cfg); err != nil {
+			for _, s := range sys[:i] {
+				s.Close()
+			}
 			return nil, err
 		}
 	}
 	return &Platform{Baseline: sys[0], Software: sys[1], Hardware: sys[2]}, nil
+}
+
+// Close closes all three systems (system.System.Close).
+func (p *Platform) Close() {
+	p.Baseline.Close()
+	p.Software.Close()
+	p.Hardware.Close()
 }
 
 // ResetTimelines quiesces all three systems.

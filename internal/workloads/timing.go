@@ -114,7 +114,7 @@ func varyCoord(spec Spec, f Fetch, r int) []int64 {
 }
 
 // platformFor builds the three systems for a spec and loads its dataset
-// into each.
+// into each. The caller closes the platform; a failed load closes it here.
 func platformFor(spec Spec) (p *Platform, swView, hwView *stl.View, err error) {
 	cfg := system.PrototypeConfig(spec.Bytes(), true)
 	if spec.BBOrder != 0 {
@@ -124,6 +124,12 @@ func platformFor(spec Spec) (p *Platform, swView, hwView *stl.View, err error) {
 	if p, err = NewPlatform(cfg); err != nil {
 		return
 	}
+	defer func() {
+		if err != nil {
+			p.Close()
+			p = nil
+		}
+	}()
 	p.Software.BlockedAssembly = spec.Blocked
 	p.Hardware.BlockedAssembly = spec.Blocked
 	if err = LoadLinear(p.Baseline, spec.Bytes()); err != nil {
@@ -147,6 +153,7 @@ func Run(spec Spec) (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	defer p.Close()
 	base, sw, hw := p.Baseline, p.Software, p.Hardware
 
 	// --- Stage durations. ---

@@ -33,6 +33,7 @@ func CacheRescan(n, cacheBytes int64, depth int) (CacheRescanResult, error) {
 	if err != nil {
 		return CacheRescanResult{}, err
 	}
+	defer sys.Close()
 	v, err := workloads.LoadBands(sys, 8, []int64{n, n})
 	if err != nil {
 		return CacheRescanResult{}, err

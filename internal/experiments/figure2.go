@@ -94,6 +94,7 @@ func Figure2B() (Fig2Result, error) {
 	if err != nil {
 		return Fig2Result{}, err
 	}
+	defer ssd.Close()
 	if err := workloads.LoadLinear(ssd, p.n*p.n*p.elem); err != nil {
 		return Fig2Result{}, err
 	}

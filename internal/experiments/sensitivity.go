@@ -52,6 +52,7 @@ func SweepChannels(n int64, channels []int) ([]SweepPoint, error) {
 			runs = append(runs, system.Run{Off: r * n * 8, Len: k * 8})
 		}
 		_, st, err := base.BaselineRead(0, runs, true, 1)
+		base.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -66,6 +67,7 @@ func SweepChannels(n int64, channels []int) ([]SweepPoint, error) {
 			return nil, err
 		}
 		_, ost, err := hw.NDSRead(0, v, []int64{1, 1}, []int64{k, k})
+		hw.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -128,6 +130,7 @@ func readShapes(n int64, mutate func(*stl.Config)) (SweepPoint, error) {
 	if err != nil {
 		return SweepPoint{}, err
 	}
+	defer hw.Close()
 	v, err := workloads.LoadBands(hw, 8, []int64{n, n})
 	if err != nil {
 		return SweepPoint{}, err

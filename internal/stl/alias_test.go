@@ -25,10 +25,7 @@ func TestSegmentLeaseOutlivesRelocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig()) // the writer collects inline
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig()) // the writer collects inline
 	// float32 spaces in 32x32 building blocks. A is small; B is what fills
 	// the array.
 	type client struct {

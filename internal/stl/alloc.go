@@ -251,6 +251,19 @@ func (d *die) lastBlockTarget(stream, pagesPerBlock int, low int64) (int64, bool
 	return target, true
 }
 
+// budget fails with ErrCapacity unless the logical budget, the live units
+// the STL may hold (effectiveMaxPages), has room for adds units beside those
+// live now. A writer passes the units it adds before it places them: a fresh
+// page adds itself and the units its plan holds unbound; a compressed store
+// adds its new image less the old one it replaces; a page overwrite adds
+// nothing and is not checked.
+func (t *STL) budget(adds int64) error {
+	if limit := t.effectiveMaxPages(); t.usedPages.Load()+adds > limit {
+		return fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", limit, ErrCapacity)
+	}
+	return nil
+}
+
 // allocateUnit implements the §4.2 allocation policy for page slot idx of a
 // building block:
 //
@@ -265,8 +278,10 @@ func (d *die) lastBlockTarget(stream, pagesPerBlock int, low int64) (int64, bool
 // The chosen die may be full; the policy then falls over to the next
 // candidate in least-used order. The counts are use, the request's count of
 // blk (blockUse), which the first unit placed in the block reads off its
-// slots and every unit placed adds to. Callers hold the space's write lock
-// (or an equivalent exclusive context), which protects blk, use and s.
+// slots and every unit placed adds to. allocateUnit only places units: the
+// caller has checked the logical budget (budget). Callers hold the space's
+// write lock (or an equivalent exclusive context), which protects blk, use
+// and s.
 //
 // With a plan, a unit its die can supply without collecting is only planned
 // there (planUnit): allocateUnit returns noUnit, and the plan's carve gives
@@ -274,11 +289,8 @@ func (d *die) lastBlockTarget(stream, pagesPerBlock int, low int64) (int64, bool
 // take carves the plan first, so the die sees its carves, and collections, in
 // the order in which the units were placed.
 func (t *STL) allocateUnit(at sim.Time, s *Space, blk *BuildingBlock, use *blockUse, flush func() error, plan *unitPlan, ref uint32) (nvm.PPA, sim.Time, error) {
-	if limit := t.effectiveMaxPages(); t.usedPages.Load()+plan.pending() >= limit {
-		return nvm.PPA{}, at, fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", limit, ErrCapacity)
-	}
 	if !use.counted {
-		use.count(blk, t.geo, &t.lay)
+		use.count(blk.pages, t.geo, &t.lay)
 	}
 	if t.cfg.NaiveAllocation {
 		return t.allocateNaive(at, blk, use, flush) // which plans nothing
@@ -417,12 +429,7 @@ func (p *unitPlan) reserve(n, dies int) {
 }
 
 // pending is how many units p holds that no carve has bound yet.
-func (p *unitPlan) pending() int64 {
-	if p == nil {
-		return 0
-	}
-	return int64(len(p.units))
-}
+func (p *unitPlan) pending() int64 { return int64(len(p.units)) }
 
 // landable carves p and returns how many of the n queued ops may land — all
 // of them unless a carve left one without a unit — and the error that fails

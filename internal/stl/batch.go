@@ -192,7 +192,7 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 			// never leave it.
 			p, lo, end := e.Off/ps, e.Off, e.Off+e.Len
 			for pageEnd := (p + 1) * ps; ; p, pageEnd = p+1, pageEnd+ps {
-				hi := min64(end, pageEnd)
+				hi := min(end, pageEnd)
 				idx := bp.pages[p] - 1
 				if idx < 0 {
 					idx = 0 // a slotless page's mark: bp.pages[p] == 1
@@ -214,7 +214,7 @@ func (t *STL) planPartitionRead(rs *requestScratch, at sim.Time, v *View, coord,
 					} else if refs && t.cfg.WriteBuffering {
 						// §4.4 write staging: partially collected pages serve
 						// reads straight from STL memory.
-						if pp := s.staged[pendingKey{e.Block, int(p)}]; pp != nil && pp.buf != nil {
+						if pp := s.staged[pageKey{e.Block, int(p)}]; pp != nil && pp.buf != nil {
 							rs.pageData[idx] = pp.buf
 						}
 					}
@@ -302,7 +302,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 				bp.pages[p] = si + 1
 			}
 			st := &rs.stages[si]
-			st.covered += min64(end, pageEnd) - lo
+			st.covered += min(end, pageEnd) - lo
 			st.extents = append(st.extents, int32(i))
 			if end <= pageEnd {
 				break
@@ -331,7 +331,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			// payload. Coverage may overcount under overlapping writes, which
 			// only programs earlier: never-written bytes are zeros, exactly
 			// what unwritten storage reads as.
-			key := pendingKey{bp.g, st.page}
+			key := pageKey{bp.g, st.page}
 			pp := t.stagedPage(s, key)
 			for _, ei := range st.extents {
 				off, src, n := pagePiece(&exts[ei], st.page, ps)
@@ -401,7 +401,7 @@ func (t *STL) writeExtents(rs *requestScratch, at sim.Time, exts []Extent, want 
 			if err != nil {
 				t.restoreUnit(revEntry{space: s.id, block: uint32(bp.g), page: int32(st.page)}, slot, old.w)
 			}
-		} else {
+		} else if err = t.budget(rs.plan.pending() + 1); err == nil {
 			unit, ready, err = t.allocateUnit(ready, s, bp.blk, &bp.use, flush, &rs.plan, uint32(si))
 		}
 		if err != nil {

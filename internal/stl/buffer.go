@@ -30,13 +30,8 @@ import (
 // rows a shrink drops; a write or Flush that fails to program it leaves it
 // staged, frame and bytes, for the next.
 
-// pendingKey names a staged page: page `page` of building block `block`.
-type pendingKey struct {
-	block int64
-	page  int
-}
-
-func cmpKey(a, b pendingKey) int {
+// cmpKey orders page keys by block, then page.
+func cmpKey(a, b pageKey) int {
 	return cmp.Or(cmp.Compare(a.block, b.block), cmp.Compare(a.page, b.page))
 }
 
@@ -49,7 +44,7 @@ type pendingPage struct {
 
 // stagedPage returns s's staging entry for key, starting one over a cleared
 // frame if the page has none. The caller holds s.mu exclusively.
-func (t *STL) stagedPage(s *Space, key pendingKey) *pendingPage {
+func (t *STL) stagedPage(s *Space, key pageKey) *pendingPage {
 	pp := s.staged[key]
 	if pp == nil {
 		pp = &pendingPage{}
@@ -64,7 +59,7 @@ func (t *STL) stagedPage(s *Space, key pendingKey) *pendingPage {
 
 // elideStaged drops staged page key of s if §8 elision applies and its
 // payload is all zeros: such a page needs no unit, and its frame goes back.
-func (t *STL) elideStaged(s *Space, key pendingKey, pp *pendingPage) bool {
+func (t *STL) elideStaged(s *Space, key pageKey, pp *pendingPage) bool {
 	if !t.cfg.ZeroPageElision || pp.buf == nil || !allZero(pp.buf[:s.pageBytes(t.geo, key.page)]) {
 		return false
 	}
@@ -77,7 +72,7 @@ func (t *STL) elideStaged(s *Space, key pendingKey, pp *pendingPage) bool {
 // dropStaged discards the staged pages of s whose key matches (the space is
 // going away, or shrinking past them) and gives their frames back to the
 // arena. The caller holds s.mu exclusively.
-func (t *STL) dropStaged(s *Space, match func(pendingKey) bool) {
+func (t *STL) dropStaged(s *Space, match func(pageKey) bool) {
 	for k, pp := range s.staged {
 		if match(k) {
 			delete(s.staged, k)
@@ -146,7 +141,7 @@ func (t *STL) flushSpace(at sim.Time, id SpaceID) (sim.Time, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]pendingKey, 0, len(s.staged))
+	keys := make([]pageKey, 0, len(s.staged))
 	for k := range s.staged {
 		keys = append(keys, k)
 	}
@@ -157,13 +152,13 @@ func (t *STL) flushSpace(at sim.Time, id SpaceID) (sim.Time, error) {
 	var (
 		done    = at
 		stats   RequestStats
-		failKey pendingKey
+		failKey pageKey
 		failErr error
 		// The pages queued since the last landing, and those behind a page
 		// whose landing failed, to queue again.
-		queued, retry []pendingKey
+		queued, retry []pageKey
 	)
-	fail := func(k pendingKey, err error) {
+	fail := func(k pageKey, err error) {
 		if failErr == nil || cmpKey(k, failKey) < 0 {
 			failKey, failErr = k, err
 		}
@@ -210,11 +205,11 @@ func (t *STL) flushSpace(at sim.Time, id SpaceID) (sim.Time, error) {
 // all-zero page programs nothing and leaves the map now.
 func (t *STL) queueStaged(rs *requestScratch, at sim.Time, bp *blockPlan, page int, pp *pendingPage, flush func() error) error {
 	s := rs.space
-	key := pendingKey{bp.g, page}
+	key := pageKey{bp.g, page}
 	if t.elideStaged(s, key, pp) {
 		return nil
 	}
-	if err := t.carvePlan(&rs.plan); err != nil {
+	if err := cmp.Or(t.carvePlan(&rs.plan), t.budget(1)); err != nil {
 		return err
 	}
 	unit, ready, err := t.allocateUnit(at, s, bp.blk, &bp.use, flush, nil, 0)

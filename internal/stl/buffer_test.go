@@ -19,11 +19,7 @@ func newBufferedSTL(t *testing.T) *STL {
 	}
 	cfg := DefaultConfig()
 	cfg.WriteBuffering = true
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return mustNew(t, dev, cfg)
 }
 
 // TestBufferedSubUnitWrites: a producer streaming pieces smaller than a page
@@ -204,7 +200,7 @@ func TestDroppedStagingFramesReturnToArena(t *testing.T) {
 	stage(doomed, 0, 40)
 	stage(shrunk, 0, 70, 100) // rows 70 and 100 lie beyond the new bound
 	// A row crosses two 32x32 blocks, so it stages two pages.
-	survives := func(k pendingKey) bool { return k.block/shrunk.grid[1] < 64/32 }
+	survives := func(k pageKey) bool { return k.block/shrunk.grid[1] < 64/32 }
 	dropped, kept := make(map[*byte]bool), make(map[*byte]bool)
 	for _, pp := range doomed.staged {
 		dropped[&pp.buf[0]] = true

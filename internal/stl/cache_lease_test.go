@@ -123,10 +123,7 @@ func cacheLeaseUnderGC(t *testing.T, geo nvm.Geometry) {
 	cfg.ZeroPageElision = true
 	cfg.CacheBytes = 4 * bb * bb * 4
 	cfg.PrefetchDepth = 2
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 
 	type client struct {
 		mu   sync.RWMutex // orders reads of img against the writes behind it

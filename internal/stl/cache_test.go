@@ -22,11 +22,7 @@ func newCachedSTL(t *testing.T, phantom bool, cacheBytes int64, depth int, dramB
 	cfg.CacheBytes = cacheBytes
 	cfg.PrefetchDepth = depth
 	cfg.CacheDRAMBandwidth = dramBW
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return mustNew(t, dev, cfg)
 }
 
 // A warm re-read serves every page from DRAM: no new flash reads, all hits,
@@ -359,10 +355,7 @@ func TestPrefetchDetectsPerView(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 16 << 20 // holds the whole space: nothing is evicted
 	cfg.PrefetchDepth = depth
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	sp := mustSpace(t, st, 4, views*32, steps*32)
 	band := make([]byte, 32*steps*32*4)
 	rand.New(rand.NewSource(8)).Read(band)
@@ -420,10 +413,7 @@ func newCacheDiffPair(t *testing.T, mutate func(*Config)) *cacheDiffPair {
 		}
 		cfg.CacheBytes = cacheBytes
 		cfg.PrefetchDepth = depth
-		st, err := New(dev, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := mustNew(t, dev, cfg)
 		sp, err := st.CreateSpace(4, []int64{128, 128})
 		if err != nil {
 			t.Fatal(err)

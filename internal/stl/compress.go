@@ -90,7 +90,7 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 	for i := range blk.pages {
 		if blk.pages[i].load().allocated() {
 			off := int64(i) * ps
-			copy(image[off:min64(off+ps, s.bbBytes)], datas[0])
+			copy(image[off:min(off+ps, s.bbBytes)], datas[0])
 			datas = datas[1:]
 		}
 	}
@@ -100,72 +100,66 @@ func (t *STL) blockImage(at sim.Time, s *Space, blk *BuildingBlock, stats *Reque
 // storeBlockImage queues block image on rs's program queue (the block is
 // blockIdx of rs.space), compressed when profitable, raw otherwise, on fresh
 // units allocated under the §4.2 policy; flush lands the queue, before a
-// collection as for any writer. The old units join the queue's dead units
-// once the whole image is queued, so they give their frames back only when it
-// has landed. A store that fails — the logical budget cannot hold the image,
-// which is settled before a page is allocated, or a page finds no unit —
-// lands what is queued, gives up the new image's units and puts the old
-// units and representation back (restoreUnit), leaving the block as it was.
+// collection as for any writer. The store is out of place: it carves every
+// unit of the new image while the old one stays live, then takes the old
+// units, binds the new ones and queues their programs. The old units join the
+// queue's dead units, to give their frames back once the image lands. A store
+// that fails — the logical budget cannot hold the image, or a page finds no
+// unit — releases what it carved and leaves the block's image as it was.
 func (t *STL) storeBlockImage(rs *requestScratch, at sim.Time, blockIdx int64, blk *BuildingBlock, image []byte, flush func() error, stats *RequestStats) error {
 	s := rs.space
-	var old []deadUnit
-	var oldPages []int
-	for i := range blk.pages {
-		if u, ok := t.takeSlot(&blk.pages[i]); ok {
-			old, oldPages = append(old, u), append(oldPages, i)
-		}
-	}
-	physPages, compLen, compressed := blk.physPages, blk.compLen, blk.compressed
-	// putBack undoes the store once its first n pages were queued.
-	putBack := func(n int, err error) error {
-		ferr := flush()
-		var gone []deadUnit
-		for i := range n {
-			if u, ok := t.takeSlot(&blk.pages[i]); ok {
-				gone = append(gone, u)
-			}
-		}
-		t.discardUnits(gone, 0)
-		for k, u := range old {
-			p := oldPages[k]
-			t.restoreUnit(revEntry{space: s.id, block: uint32(blockIdx), page: int32(p)}, &blk.pages[p], u.w)
-		}
-		blk.physPages, blk.compLen, blk.compressed = physPages, compLen, compressed
-		return cmp.Or(ferr, err)
-	}
-
 	ps := int64(t.geo.PageSize)
-	payload := image
-	blk.compressed, blk.compLen = false, 0
-	if comp := t.compressImage(s, image); comp != nil {
+	payload, comp := image, t.compressImage(s, image)
+	if comp != nil {
 		payload = comp
-		blk.compressed = true
-		blk.compLen = int64(len(comp))
-		t.compressedBlocks.Add(1)
 	}
 	pages := int(ceilDiv(int64(len(payload)), ps))
-	blk.physPages = pages
-	// Found page by page, a short budget would collect on the way, and could
-	// erase the old units it is to put back.
-	if limit := t.effectiveMaxPages(); t.usedPages.Load()+int64(pages) > limit {
-		return putBack(0, fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", limit, ErrCapacity))
+	var held int
+	for i := range blk.pages {
+		if blk.pages[i].load().allocated() {
+			held++
+		}
 	}
+	// Found page by page, a short budget would collect on the way for nothing.
+	if err := t.budget(int64(pages - held)); err != nil {
+		return err
+	}
+	// The new image is placed as if the block were empty, as it will be once
+	// the old units go.
 	var use blockUse
-	for i := 0; i < pages; i++ {
+	use.count(nil, t.geo, &t.lay)
+	ops := make([]nvm.ProgramOp, pages)
+	for i := range ops {
 		dst, ready, err := t.allocateUnit(at, s, blk, &use, flush, nil, 0)
 		if err != nil {
-			return putBack(i, err)
+			for _, op := range ops[:i] {
+				t.releaseUnit(op.P)
+			}
+			return err
 		}
 		lo := int64(i) * ps
-		rs.ops = append(rs.ops, nvm.ProgramOp{At: ready, P: dst, Data: payload[lo:min64(lo+ps, int64(len(payload)))]})
-		t.bindUnit(s, blk, blockIdx, i, dst)
-		t.progs.Add(1)
-		stats.PagesProgrammed++
+		ops[i] = nvm.ProgramOp{At: ready, P: dst, Data: payload[lo:min(lo+ps, int64(len(payload)))]}
 	}
-	for i := range old {
-		old[i].after = int32(len(rs.ops))
+
+	// An op is bound before it is queued: a faulted program is relocated
+	// through its reverse entry (rebindFaulted).
+	after := int32(len(rs.ops) + pages)
+	for i := range blk.pages {
+		if u, ok := t.takeSlot(&blk.pages[i]); ok {
+			u.after = after
+			rs.dead = append(rs.dead, u)
+		}
 	}
-	rs.dead = append(rs.dead, old...)
+	blk.compressed, blk.compLen, blk.physPages = comp != nil, int64(len(comp)), pages
+	if comp != nil {
+		t.compressedBlocks.Add(1)
+	}
+	for i, op := range ops {
+		t.bindUnit(s, blk, blockIdx, i, op.P)
+	}
+	rs.ops = append(rs.ops, ops...)
+	t.progs.Add(int64(pages))
+	stats.PagesProgrammed += int64(pages)
 	return nil
 }
 
@@ -219,7 +213,7 @@ func (t *STL) writeCompressedExtents(rs *requestScratch, at sim.Time, exts []Ext
 			copy(image[e.Off:e.Off+e.Len], data[e.Dst:e.Dst+e.Len])
 		}
 		if err := t.storeBlockImage(rs, ready, bIdx, blk, image, flush, &stats); err != nil {
-			return done, stats, err
+			return done, stats, cmp.Or(flush(), err) // what is queued lands first
 		}
 	}
 	if err := flush(); err != nil {

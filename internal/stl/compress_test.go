@@ -18,11 +18,7 @@ func newCompressSTL(t *testing.T) *STL {
 	}
 	cfg := DefaultConfig()
 	cfg.Compress = true
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return mustNew(t, dev, cfg)
 }
 
 // compressiblePattern produces highly redundant data (long runs) that
@@ -139,10 +135,7 @@ func TestZeroPageElision(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.ZeroPageElision = true
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	s, err := st.CreateSpace(4, []int64{64, 64})
 	if err != nil {
 		t.Fatal(err)
@@ -237,5 +230,62 @@ func TestCompressedOverwriteOutOfCapacityKeepsOldImage(t *testing.T) {
 		if got[i] != old[i] {
 			t.Fatalf("byte %d of the old image lost by the failed overwrite", i)
 		}
+	}
+}
+
+// TestCompressedStoreKeepsOldImageAfterCollection: a compressed block's
+// overwrite carves its new image before it gives up the old one. A second
+// writer, standing in the carve hook, collects the old unit's die on the
+// store's first carve and then takes every free page left, so the store's
+// next carve finds none. The store must fail with ErrCapacity and leave the
+// old image readable: the old unit is still live when the die is collected,
+// and a collection keeps or moves a live page, never erases it.
+func TestCompressedStoreKeepsOldImageAfterCollection(t *testing.T) {
+	geo := nvm.Geometry{Channels: 2, Banks: 1, BlocksPerBank: 4, PagesPerBlock: 4, PageSize: 512}
+	dev, err := nvm.NewDevice(geo, nvm.TLCTiming(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Compress = true
+	st := mustNew(t, dev, cfg)
+	s := mustSpace(t, st, 4, 16, 16)
+	v := mustView(t, s, 16, 16)
+	old := compressiblePattern(s.Bytes())
+	if _, _, err := st.WritePartition(0, v, []int64{0, 0}, []int64{16, 16}, old); err != nil {
+		t.Fatal(err)
+	}
+	blk, _ := st.block(s, []int64{0, 0}, false)
+	if !blk.compressed || blk.physPages != 1 {
+		t.Fatalf("the old image is stored in %d unit(s), compressed %v; want one compressed unit", blk.physPages, blk.compressed)
+	}
+	oldUnit := st.lay.PPA(blk.pages[0].load().word())
+
+	st.carved = func(nvm.PPA) {
+		st.carved = nil
+		if _, err := st.collectDie(0, oldUnit.Channel, oldUnit.Bank, 1<<30); err != nil {
+			t.Error(err)
+		}
+		for ch := range geo.Channels {
+			for bk := range geo.Banks {
+				for {
+					if _, _, err := st.takeUnit(0, ch, bk, defaultStream, nil); err != nil {
+						break
+					}
+				}
+			}
+		}
+	}
+	_, _, err = st.WritePartition(0, v, []int64{0, 0}, []int64{16, 16}, fillRandom(rand.New(rand.NewSource(7)), s.Bytes()))
+	st.carved = nil
+	if !errors.Is(err, ErrCapacity) {
+		t.Fatalf("overwrite with no unit left: got %v, want ErrCapacity", err)
+	}
+	got, _, _, err := st.ReadPartition(0, v, []int64{0, 0}, []int64{16, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatal("the failed overwrite lost the old image")
 	}
 }

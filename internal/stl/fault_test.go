@@ -16,11 +16,7 @@ func newFaultSTL(t *testing.T, geo nvm.Geometry, cfg Config, plan nvm.FaultPlan)
 		t.Fatal(err)
 	}
 	dev.SetFaultPlan(plan)
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return mustNew(t, dev, cfg)
 }
 
 // TestFaultProgramRetryPreservesData: injected program faults are absorbed by
@@ -294,10 +290,7 @@ func TestGCRelocationOutOfSpaceRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 	s, err := st.CreateSpace(4, []int64{32, 32}) // 8 pages, 4 per die
 	if err != nil {
 		t.Fatal(err)
@@ -372,10 +365,7 @@ func TestFlushRecoveryDrainsPending(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WriteBuffering = true
 	cfg.ZeroPageElision = true
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 
 	// Fill the logical budget completely so any later allocation fails.
 	filler, err := st.CreateSpace(4, []int64{56, 64}) // 14336 B = 28 pages = maxPages
@@ -524,10 +514,7 @@ func TestEvacuationFaultCommitsLandedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 	type client struct {
 		s   *Space
 		v   *View
@@ -710,10 +697,7 @@ func TestFaultedHookLandingFailsTheWrite(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.GCLowWater = 0.99
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	rng := rand.New(rand.NewSource(63))
 	aged := mustSpace(t, st, 4, 256) // two pages, one a die
 	if _, _, err := st.WritePartition(0, mustView(t, aged, 256), []int64{0}, []int64{256}, fillRandom(rng, 1024)); err != nil {

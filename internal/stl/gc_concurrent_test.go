@@ -34,10 +34,7 @@ func TestGCUnderConcurrentWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 
 	const (
 		writers = 4
@@ -272,10 +269,7 @@ func TestGCSparesCarvedUnlandedUnit(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.GCLowWater = 0.99
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	const pages, per = 14, 128 // the logical capacity, 10 % over-provisioned
 	s, err := st.CreateSpace(4, []int64{pages * per})
 	if err != nil {
@@ -363,10 +357,7 @@ func testOverwriteFallOver(t *testing.T, noRoom bool) {
 	}
 	cfg := DefaultConfig()
 	cfg.ZeroPageElision = true // frees a unit without carving one
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	st.retireBlock(0, 0, 2)
 	st.retireBlock(0, 0, 3)
 

@@ -41,11 +41,7 @@ type checked struct {
 
 func newScript(t *testing.T, dev *nvm.Device, cfg Config) *script {
 	t.Helper()
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &script{st: st, model: spec.New()}
+	return &script{st: mustNew(t, dev, cfg), model: spec.New()}
 }
 
 // do runs one STL request.

@@ -81,9 +81,9 @@ type blockUse struct {
 	sweepLeft int
 }
 
-// count reads blk's units off its slots, on a device of geometry geo whose
-// page words lay packs.
-func (u *blockUse) count(blk *BuildingBlock, geo nvm.Geometry, lay *nvm.Layout) {
+// count reads a block's units off its slots, pages (none if nil), on a
+// device of geometry geo whose page words lay packs.
+func (u *blockUse) count(pages []pageSlot, geo nvm.Geometry, lay *nvm.Layout) {
 	if len(u.chans) != geo.Channels || len(u.banks) != geo.Banks {
 		use := make([]uint16, geo.Channels+geo.Banks) // both counts, one allocation
 		u.chans, u.banks = use[:geo.Channels:geo.Channels], use[geo.Channels:]
@@ -92,8 +92,8 @@ func (u *blockUse) count(blk *BuildingBlock, geo nvm.Geometry, lay *nvm.Layout) 
 	clear(u.chans)
 	clear(u.banks)
 	u.used = 0
-	for i := range blk.pages {
-		if v := blk.pages[i].load(); v.allocated() {
+	for i := range pages {
+		if v := pages[i].load(); v.allocated() {
 			u.chans[lay.Channel(v.word())]++
 			u.banks[lay.Bank(v.word())]++
 			u.used++

@@ -34,7 +34,8 @@ type RequestStats struct {
 	Elapsed time.Duration
 }
 
-// pageKey names page page of building block block of a request's space.
+// pageKey names page page of building block block of a space: a page a
+// request reads or a staged page (Space.staged).
 type pageKey struct {
 	block int64
 	page  int

@@ -107,9 +107,10 @@ func (l *LBA) WritePages(at sim.Time, lpn int64, data []byte, n int64) (sim.Time
 		page := lpn + i
 		slot, e := &l.slots[page], revEntry{block: uint32(page)}
 		old, replacing := t.takeSlot(slot)
-		if !replacing && t.usedPages.Load()+q.plan.pending() >= t.effectiveMaxPages() {
-			err := fmt.Errorf("stl: logical capacity exhausted (%d pages): %w", t.effectiveMaxPages(), ErrCapacity)
-			return at, cmp.Or(flush(), err) // what is queued lands first
+		if !replacing {
+			if err := t.budget(q.plan.pending() + 1); err != nil {
+				return at, cmp.Or(flush(), err) // what is queued lands first
+			}
 		}
 		ch, bk := int(page%channels), int((page/channels)%banks)
 		unit, ready := noUnit, at

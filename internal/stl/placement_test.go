@@ -87,7 +87,7 @@ func TestChannelChoiceMatchesSortedOrder(t *testing.T) {
 					wantBanks[bk]++
 				}
 			}
-			use.count(blk, geo, &lay)
+			use.count(blk.pages, geo, &lay)
 		}
 		recount(0)
 		checkUse(t, &use, wantChans, wantBanks)
@@ -152,10 +152,7 @@ func placeUntilDry(t *testing.T, rng *rand.Rand, geo nvm.Geometry) {
 	}
 	cfg := DefaultConfig()
 	cfg.OverProvision, cfg.GCLowWater = 0, 0
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	s, err := st.CreateSpace(4, []int64{1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +178,7 @@ func placeUntilDry(t *testing.T, rng *rand.Rand, geo nvm.Geometry) {
 					blk.pages[i].store(slotOf(st.lay.Word(nvm.PPA{Channel: rng.Intn(geo.Channels), Bank: rng.Intn(geo.Banks)})))
 				}
 			}
-			use.count(blk, st.geo, &st.lay)
+			use.count(blk.pages, st.geo, &st.lay)
 			checkSweep(t, &use)
 		}
 		for n := rng.Intn(3); n > 0; n-- { // units beyond the ones placed here

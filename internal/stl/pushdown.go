@@ -207,7 +207,7 @@ func walkRuns(want, es int64, segs []Segment, run func(base int64, src []byte), 
 			si++
 		case lo >= off+es:
 			// Whole elements of gap before the segment's first element.
-			j := min64(lo>>shift, n)
+			j := min(lo>>shift, n)
 			zeros(i, j-i)
 			i = j
 		case lo <= off && off+es <= hi:
@@ -219,7 +219,7 @@ func walkRuns(want, es int64, segs []Segment, run func(base int64, src []byte), 
 			var elem [8]byte
 			for sj := si; sj < len(segs) && segs[sj].Dst < off+es; sj++ {
 				t := segs[sj]
-				for b := max64(t.Dst, off); b < min64(t.Dst+int64(len(t.Src)), off+es); b++ {
+				for b := max(t.Dst, off); b < min(t.Dst+int64(len(t.Src)), off+es); b++ {
 					elem[b-off] = t.Src[b-t.Dst]
 				}
 			}
@@ -316,7 +316,7 @@ func (k *scanKernel) zeros(base, n int64) {
 		return
 	}
 	k.total += n
-	i, end := max64(base, k.cursor), base+n
+	i, end := max(base, k.cursor), base+n
 	for ; i < end && (k.max <= 0 || len(k.out) < k.max); i++ {
 		k.out = append(k.out, Match{Index: i})
 	}
@@ -350,7 +350,7 @@ func reduceSegments(want, es int64, segs []Segment, q ReduceQuery) ReduceResult 
 		}
 	case ReduceTopK:
 		// No more than every element can be kept, whatever K asks for.
-		k := topK{matcher: m, r: r, heap: make([]Match, 0, min64(int64(q.K), want/es))}
+		k := topK{matcher: m, r: r, heap: make([]Match, 0, min(int64(q.K), want/es))}
 		walkRuns(want, es, segs, k.run, k.zeros)
 		res.TopK = k.sorted()
 		res.Count = int64(len(res.TopK))

@@ -285,13 +285,13 @@ func randomSegments(rng *rand.Rand, es, n int64, layout uint8) (buf []byte, segs
 	switch layout % 5 {
 	case 0:
 		for pos := int64(rng.Intn(7)); pos < want; pos += int64(rng.Intn(7)) {
-			size := min64(int64(1+rng.Intn(13)), want-pos)
+			size := min(int64(1+rng.Intn(13)), want-pos)
 			emit(pos, size)
 			pos += size
 		}
 	case 1:
 		for pos := es * int64(rng.Intn(3)); pos < want; pos += es * int64(rng.Intn(3)) {
-			size := min64(es*int64(1+rng.Intn(9)), want-pos)
+			size := min(es*int64(1+rng.Intn(9)), want-pos)
 			emit(pos, size)
 			pos += size
 		}
@@ -299,7 +299,7 @@ func randomSegments(rng *rand.Rand, es, n int64, layout uint8) (buf []byte, segs
 		emit(0, want)
 	case 4:
 		for pos := int64(0); pos < want; {
-			size := min64(es*int64(1+rng.Intn(17)), want-pos)
+			size := min(es*int64(1+rng.Intn(17)), want-pos)
 			emit(pos, size)
 			pos += size
 		}
@@ -441,7 +441,7 @@ func layouts(es int64, elems []uint64) map[string][]Segment {
 	}
 	var pieces []Segment
 	for pos, k := int64(0), int64(1); pos < int64(len(buf)); pos, k = pos+k*es, k%17+1 {
-		pieces = append(pieces, Segment{Dst: pos, Src: buf[pos:min64(pos+k*es, int64(len(buf)))]})
+		pieces = append(pieces, Segment{Dst: pos, Src: buf[pos:min(pos+k*es, int64(len(buf)))]})
 	}
 	return map[string][]Segment{"one run": {{Src: buf}}, "pieces": pieces}
 }

@@ -311,10 +311,7 @@ func TestFlushRelocatesAcrossChannels(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.WriteBuffering = true
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	for ch := 0; ch < geo.Channels; ch++ {
 		for b := 1; b < geo.BlocksPerBank; b++ {
 			st.retireBlock(ch, 0, b)

@@ -47,7 +47,7 @@ func (t *STL) ResizeSpace(at sim.Time, id SpaceID, newDim0 int64) (sim.Time, err
 		// Staged (§4.4) pages beyond the new bound are discarded with their
 		// blocks.
 		stride := prod(s.grid[1:])
-		t.dropStaged(s, func(k pendingKey) bool { return k.block/stride >= newGrid0 })
+		t.dropStaged(s, func(k pageKey) bool { return k.block/stride >= newGrid0 })
 	}
 	done := at
 	if r := newDim0 % s.bb[0]; newDim0 < s.dims[0] && r != 0 {
@@ -110,7 +110,7 @@ func (t *STL) clearTail(at sim.Time, s *Space, g, cut int64) (sim.Time, error) {
 	ps := int64(t.geo.PageSize)
 	stride := prod(s.grid[1:])
 	p, first := cut/ps, ceilDiv(cut, ps) // the page astride cut, if p < first; the first page past it
-	t.dropStaged(s, func(k pendingKey) bool { return k.block/stride == g && int64(k.page) >= first })
+	t.dropStaged(s, func(k pageKey) bool { return k.block/stride == g && int64(k.page) >= first })
 	rs := t.getScratch(s)
 	defer t.putScratch(rs)
 	var n int64 // bytes of zeros the rewrite writes
@@ -129,13 +129,13 @@ func (t *STL) clearTail(at sim.Time, s *Space, g, cut int64) (sim.Time, error) {
 			if p == first {
 				continue
 			}
-			if pp := s.staged[pendingKey{b, int(p)}]; pp != nil && pp.buf != nil {
+			if pp := s.staged[pageKey{b, int(p)}]; pp != nil && pp.buf != nil {
 				clear(pp.buf[cut-p*ps:])
 			}
 			if !blk.pages[p].load().allocated() {
 				continue
 			}
-			end = min64(first*ps, s.bbBytes)
+			end = min(first*ps, s.bbBytes)
 		}
 		rs.exts = append(rs.exts, Extent{Block: b, Off: cut, Len: end - cut, Dst: n})
 		n += end - cut

@@ -136,7 +136,7 @@ type pendingFill struct {
 // stagedOp names a queued program of a staged page: ops[op] lands page key.
 type stagedOp struct {
 	op  int32
-	key pendingKey
+	key pageKey
 }
 
 // programQueue is a writer's queue of programs, and flushPrograms the one
@@ -245,8 +245,8 @@ func (rs *requestScratch) page(ref uint32) (*pageSlot, revEntry) {
 // bytes at off of the page, from src of the request's payload.
 func pagePiece(e *Extent, page int, ps int64) (off, src, n int64) {
 	base := int64(page) * ps
-	lo := max64(e.Off, base)
-	hi := min64(e.Off+e.Len, base+ps)
+	lo := max(e.Off, base)
+	hi := min(e.Off+e.Len, base+ps)
 	return lo - base, e.Dst + (lo - e.Off), hi - lo
 }
 

@@ -56,7 +56,7 @@ type Space struct {
 	// taken when a unit is not planned but taken (guarded by mu).
 	dieFree []int64
 	// staged holds the space's §4.4 staged pages (buffer.go), guarded by mu.
-	staged map[pendingKey]*pendingPage
+	staged map[pageKey]*pendingPage
 }
 
 // ID returns the space identifier.
@@ -116,20 +116,6 @@ func gridFits(grid []int64) bool {
 
 // ceilDiv is ceil(a/b) for positive b.
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // ceilLog2 returns ceil(log2(n)) for n >= 1.
 func ceilLog2(n int64) int {

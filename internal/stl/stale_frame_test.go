@@ -66,10 +66,7 @@ func TestWriteStaleFrameHoles(t *testing.T) {
 			if tc.mutate != nil {
 				tc.mutate(&cfg)
 			}
-			st, err := New(dev, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := mustNew(t, dev, cfg)
 			s, err := st.CreateSpace(es, []int64{side, side})
 			if err != nil {
 				t.Fatal(err)
@@ -194,10 +191,7 @@ func TestFailedOverwriteLeavesOldOrNew(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.OverProvision = 0.55 // 460 of 1024 pages: the logical budget runs out long before any die does
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	s, err := st.CreateSpace(4, []int64{rows, cols})
 	if err != nil {
 		t.Fatal(err)

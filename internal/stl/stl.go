@@ -328,7 +328,7 @@ func (t *STL) CreateSpace(elemSize int, dims []int64) (*Space, error) {
 		bbElems:    prod(sizing.Dims),
 		bbBytes:    sizing.Bytes,
 		pagesPerBB: sizing.PagesPerBB,
-		staged:     make(map[pendingKey]*pendingPage),
+		staged:     make(map[pageKey]*pendingPage),
 	}
 	for i := range dims {
 		s.grid[i] = ceilDiv(dims[i], s.bb[i])
@@ -380,7 +380,7 @@ func (t *STL) DeleteSpace(id SpaceID) error {
 	defer s.mu.Unlock()
 	s.gen++
 	t.discardUnits(t.invalidateSubtree(s.root, nil), 0)
-	t.dropStaged(s, func(pendingKey) bool { return true })
+	t.dropStaged(s, func(pageKey) bool { return true })
 	if t.cache != nil {
 		// Belt and braces: every unit invalidation above already dropped its
 		// block's cache entry; the space-wide purge also clears entries whose

@@ -138,10 +138,7 @@ func TestGCUnderChurnPreservesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 	// Space sized near the logical capacity so churn forces GC:
 	// capacity = 4*2*8*8 = 512 pages raw, ~460 logical; space uses
 	// 64x64x4B = 16 KB = 32 pages per full write... use a bigger space.
@@ -202,10 +199,7 @@ func TestGCKeepsChannelSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 	s, err := st.CreateSpace(4, []int64{160, 160})
 	if err != nil {
 		t.Fatal(err)
@@ -247,10 +241,7 @@ func TestCapacityExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 	// Raw 32 pages, logical 28. One space of 64x64x4B = 16 KB = 32 pages
 	// cannot fit.
 	s, err := st.CreateSpace(4, []int64{64, 64})
@@ -276,10 +267,7 @@ func TestIndexFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 	s, err := st.CreateSpace(4, []int64{2048, 2048}) // 16 MB
 	if err != nil {
 		t.Fatal(err)
@@ -333,10 +321,7 @@ func TestNaiveAllocationConcentrates(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.NaiveAllocation = true
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	s, err := st.CreateSpace(4, []int64{64, 64})
 	if err != nil {
 		t.Fatal(err)

@@ -300,7 +300,7 @@ walk:
 			if k == cap(exts) {
 				break walk
 			}
-			take := min64(room, t)
+			take := min(room, t)
 			exts = exts[:k+1]
 			exts[k] = Extent{Block: g, Off: off, Len: take, Dst: dst}
 			dst += take
@@ -344,7 +344,7 @@ walk:
 			pos, g, off, room = 0, w.gHi, w.offHi*es, rowBytes
 		}
 		// The next stretch: to the end of the storage row or of the run.
-		span := min64(rowLen-pos, remaining)
+		span := min(rowLen-pos, remaining)
 		remaining -= span
 		pos += span
 		t = span * es

@@ -21,11 +21,19 @@ func newTestSTL(t *testing.T, phantom bool) *STL {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(dev, DefaultConfig())
+	return mustNew(t, dev, DefaultConfig())
+}
+
+// mustNew builds an STL on dev and closes it, and dev with it, when the test
+// ends.
+func mustNew(t testing.TB, dev *nvm.Device, cfg Config) *STL {
+	t.Helper()
+	st, err := New(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
 func mustSpace(t *testing.T, st *STL, elem int, dims ...int64) *Space {
@@ -382,9 +390,9 @@ func refExtents(v *View, coord, sub, shape []int64, elems int64) []Extent {
 		l := rank(cur, v.dims)
 		for remaining := runLen; remaining > 0; {
 			unrank(l, s.dims, sc)
-			t := min64(s.dims[n-1]-sc[n-1], remaining)
+			t := min(s.dims[n-1]-sc[n-1], remaining)
 			for pos, end := sc[n-1], sc[n-1]+t; pos < end; {
-				take := min64(s.bb[n-1]-pos%s.bb[n-1], end-pos)
+				take := min(s.bb[n-1]-pos%s.bb[n-1], end-pos)
 				var gIdx, off int64
 				for i := 0; i < n; i++ {
 					c := sc[i]
@@ -485,10 +493,7 @@ func walkSpaceMult(t testing.TB, order, mult, elem int, dims ...int64) *Space {
 	cfg := DefaultConfig()
 	cfg.BBOrder = order
 	cfg.BBMultiplier = mult
-	st, err := New(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, cfg)
 	s, err := st.CreateSpace(elem, dims)
 	if err != nil {
 		t.Fatal(err)
@@ -631,10 +636,7 @@ func benchWalk(b *testing.B, coord, sub []int64) {
 	}
 	cfg := DefaultConfig()
 	cfg.BBMultiplier = 2
-	st, err := New(dev, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	st := mustNew(b, dev, cfg)
 	s, err := st.CreateSpace(8, []int64{8192, 8192})
 	if err != nil {
 		b.Fatal(err)

@@ -17,10 +17,7 @@ func TestWearSpreadsAcrossDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 	s, err := st.CreateSpace(4, []int64{160, 160})
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +80,7 @@ func TestWearAwareVictimSelectionSpreadsWithinDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(dev, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustNew(t, dev, DefaultConfig())
 	s, err := st.CreateSpace(4, []int64{32, 32}) // 4 blocks of 16x16, 8 pages live
 	if err != nil {
 		t.Fatal(err)
